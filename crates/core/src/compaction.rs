@@ -13,7 +13,7 @@
 //!   largest level.
 //!
 //! This module is pure metadata logic (no I/O) so it can be unit-tested
-//! exhaustively; execution lives in `db.rs`.
+//! exhaustively; execution lives in `db/compact.rs`.
 
 use std::sync::Arc;
 
@@ -55,7 +55,7 @@ pub enum OutputShape {
     },
 }
 
-/// A picked compaction, ready for execution by `db.rs`.
+/// A picked compaction, ready for execution by `db/compact.rs`.
 ///
 /// Produced by a [`CompactionPolicy`] (via [`pick_compaction`]) or by the
 /// manual-compaction path. `input_runs` holds the victims at `level`
@@ -122,7 +122,7 @@ impl CompactionTask {
 /// [`Options`]; obtain the instance matching an option set with
 /// [`policy_for`]. A policy decides *which* tables merge and *where* the
 /// output lands ([`OutputShape`]); execution, barriers, and MANIFEST
-/// commits in `db.rs` are policy-agnostic.
+/// commits in `db/compact.rs` are policy-agnostic.
 ///
 /// The two hooks must agree: whenever [`CompactionPolicy::needs_compaction`]
 /// is `true`, [`CompactionPolicy::pick`] must return a task, or the

@@ -1,0 +1,848 @@
+//! The compaction executor — where the paper's mechanisms act:
+//!
+//! * **Stock styles** write each output table to its own file and pay one
+//!   `fsync` per table plus one for the MANIFEST (Fig 3a).
+//! * **BoLT** streams every output table of a compaction into one
+//!   *compaction file* and pays exactly two barriers — one for the file,
+//!   one for the MANIFEST (Fig 3b) — regardless of how many logical
+//!   SSTables were produced ([`OutputSink`]).
+//! * **Settled compaction** promotes zero-overlap victims with a pure
+//!   MANIFEST edit; their bytes never move.
+//!
+//! Picking lives in [`crate::compaction`]; this module only executes a
+//! [`CompactionTask`]. It owns no [`super::DbState`] field: it reads
+//! `snapshots` for the drop horizon and runs on the background thread.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
+use bolt_common::Result;
+use bolt_table::comparator::{Comparator, InternalKeyComparator};
+use bolt_table::ikey::{parse_internal_key, ValueType};
+use bolt_table::rangedel::RangeTombstoneSet;
+use bolt_table::{BuiltTable, TableBuilder};
+
+use super::DbInner;
+use crate::compaction::{
+    clusters, run_layout_for, CompactionReason, CompactionTask, DropFilter, OutputShape,
+};
+use crate::filename::table_file;
+use crate::iterator::{InternalIterator, MergingIter, RunIter};
+use crate::version::{RunLayout, TableMeta, Version, VersionEdit};
+use crate::versions::VersionSet;
+use crate::vlog::ValuePointer;
+
+impl DbInner {
+    pub(super) fn run_compaction(&self, task: CompactionTask) -> Result<()> {
+        let output_level = task.output_level;
+        let smallest_snapshot = {
+            let state = self.state.lock();
+            state
+                .snapshots
+                .iter()
+                .copied()
+                .min()
+                .unwrap_or_else(|| self.last_sequence.load(Ordering::Acquire))
+        };
+        let version = self.versions.lock().current();
+
+        let compaction_id = self.compaction_ids.fetch_add(1, Ordering::Relaxed);
+        self.sink.emit(EngineEvent::CompactionBegin {
+            id: compaction_id,
+            level: task.level as u32,
+            victims: (task.merge_inputs().count() + task.settled_moves.len()) as u64,
+            input_bytes: task.input_bytes(),
+            policy: self.opts.compaction_policy.as_str(),
+        });
+
+        let mut edit = VersionEdit::default();
+        // Settled compaction / trivial move: MANIFEST-only promotion.
+        let deliberate_settling = self
+            .opts
+            .bolt_options()
+            .is_some_and(|b| b.settled_compaction);
+        for table in &task.settled_moves {
+            edit.deleted_tables
+                .push((task.level as u32, table.table_id));
+            edit.added_tables
+                .push((output_level as u32, 0, table.as_ref().clone()));
+            if deliberate_settling {
+                self.stats.record_settled_move(1);
+            } else {
+                self.stats.record_trivial_move(1);
+            }
+        }
+        if !task.settled_moves.is_empty() {
+            self.sink.emit(EngineEvent::SettledMove {
+                id: compaction_id,
+                level: task.level as u32,
+                tables: task.settled_moves.len() as u64,
+            });
+        }
+
+        let mut outputs: Vec<(u64, BuiltTable)> = Vec::new();
+        let mut dead_pointers: Vec<ValuePointer> = Vec::new();
+        if !task.is_move_only() {
+            let input_bytes = task.input_bytes();
+            self.stats.record_compaction_input(input_bytes);
+
+            // BoLT: one physical compaction file for the entire compaction.
+            let target = self.opts.output_table_bytes();
+            let mut sink = OutputSink::new(self, self.opts.bolt_options().is_some(), target);
+
+            // Compaction-wide range-tombstone overlay, built from the
+            // pinned version (which still contains the input tables).
+            let overlay = if version.has_range_tombstones() {
+                version.range_tombstones(&self.table_cache, &self.name)?
+            } else {
+                Arc::new(RangeTombstoneSet::default())
+            };
+
+            // Tables this compaction merges away: their covered keys die
+            // in this very rewrite, so they never block tombstone drops.
+            let input_ids: HashSet<u64> = task.merge_inputs().map(|t| t.table_id).collect();
+
+            // Every data barrier the rewrite pays is attributed to this
+            // compaction (a preempted flush re-tags its own barriers).
+            let _scope = BarrierScope::new(BarrierCause::CompactionData);
+            // Merge one independent unit of the task into the sink: its
+            // runs plus, for a leveled output, the overlapped tables already
+            // at the output level.
+            let merge_into = |sink: &mut OutputSink<'_>,
+                              runs: &[Vec<Arc<TableMeta>>],
+                              next_inputs: &[Arc<TableMeta>],
+                              include_output_level: bool|
+             -> Result<()> {
+                let children = runs
+                    .iter()
+                    .map(Vec::as_slice)
+                    .chain([next_inputs])
+                    .filter(|r| !r.is_empty())
+                    .map(|r| -> Box<dyn InternalIterator> {
+                        Box::new(RunIter::new(
+                            self.icmp.clone(),
+                            Arc::clone(&self.table_cache),
+                            self.name.clone(),
+                            r.to_vec(),
+                        ))
+                    })
+                    .collect();
+                let mut merged = MergingIter::new(self.icmp.clone(), children);
+                merged.seek_to_first()?;
+                let mut filter = DropFilter::new(smallest_snapshot);
+                sink.write_run(
+                    &mut merged,
+                    Some(&mut filter),
+                    &overlay,
+                    &DropScope {
+                        version: &version,
+                        inputs: &input_ids,
+                        output_level,
+                        include_output_level,
+                    },
+                )
+            };
+            let built = (|| -> Result<Vec<(u64, BuiltTable)>> {
+                match task.output {
+                    OutputShape::Leveled => {
+                        for cluster in clusters(&self.icmp, &task) {
+                            merge_into(
+                                &mut sink,
+                                &cluster.input_runs,
+                                &cluster.next_inputs,
+                                false,
+                            )?;
+                        }
+                    }
+                    // The whole input set merges as one unit and nothing at
+                    // the output level joins. Point keys: AppendRun outputs
+                    // land above still-live runs, so a point tombstone
+                    // survives unless no run at or below the output level
+                    // can hold its key; a ReplaceRun merges the oldest
+                    // suffix of the deepest level, so deeper levels alone
+                    // decide. (Range tombstones use the span-wide all-level
+                    // check — see `is_base_level_span`.)
+                    shape => merge_into(
+                        &mut sink,
+                        &task.input_runs,
+                        &[],
+                        shape == OutputShape::AppendRun,
+                    )?,
+                }
+                sink.finish()
+            })();
+            outputs = match built {
+                Ok(outputs) => {
+                    dead_pointers = sink.take_dead_pointers();
+                    outputs
+                }
+                Err(e) => {
+                    // Nothing references these outputs yet (no MANIFEST
+                    // append has happened); reclaim them so an I/O error
+                    // mid-compaction cannot leak partial files or pending
+                    // marks that would block garbage collection forever.
+                    sink.abandon();
+                    return Err(e);
+                }
+            };
+        }
+
+        let output_bytes = {
+            // The commit barrier (MANIFEST append + sync) is this
+            // compaction's second — and for settled moves, only — barrier.
+            let _scope = BarrierScope::new(BarrierCause::CompactionManifest);
+            let mut versions = self.versions.lock();
+            for table in task.merge_inputs() {
+                // Inputs at `task.level` and `output_level`; level recorded
+                // for bookkeeping only (deletion is by table id).
+                edit.deleted_tables
+                    .push((task.level as u32, table.table_id));
+            }
+            if task.reason == CompactionReason::Size && task.output == OutputShape::Leveled {
+                if let Some(key) = task.max_victim_key(&self.icmp) {
+                    edit.compact_pointers.push((task.level as u32, key));
+                }
+            }
+            // Feed the ranges this compaction dropped into the value-log
+            // liveness ledger inside the same MANIFEST commit, and condemn
+            // segments whose dead-range union now covers every written
+            // byte. The sweep covers the whole ledger — not just touched
+            // segments — so a segment left fully dead by a crashed
+            // predecessor is retired too.
+            let mut dead_by_segment: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
+            for ptr in &dead_pointers {
+                if versions.has_vlog_segment(ptr.file_number) {
+                    dead_by_segment
+                        .entry(ptr.file_number)
+                        .or_default()
+                        .push((ptr.offset, u64::from(ptr.len)));
+                }
+            }
+            for (&segment, ranges) in &dead_by_segment {
+                for &(offset, len) in ranges {
+                    edit.vlog_dead.push((segment, offset, len));
+                }
+            }
+            let mut committed_dead = 0u64;
+            let mut retired = 0u64;
+            for (&segment, info) in versions.vlog_segments() {
+                let mut tentative = info.dead.clone();
+                for &(offset, len) in dead_by_segment.get(&segment).into_iter().flatten() {
+                    tentative.insert(offset, len);
+                }
+                // Union delta, not a sum of pointer lengths: duplicate
+                // drops of the same range count once.
+                committed_dead += tentative.total() - info.dead.total();
+                if info.written.is_some_and(|w| tentative.total() >= w) {
+                    edit.vlog_deleted.push(segment);
+                    retired += 1;
+                }
+            }
+            let output_bytes =
+                commit_outputs(&mut versions, edit, output_level, task.output, &outputs)?;
+            // Dead ranges in surviving segments become hole-punch work,
+            // executed by collect_garbage once no old version is pinned.
+            for ptr in &dead_pointers {
+                if versions.has_vlog_segment(ptr.file_number) {
+                    versions.queue_vlog_punch(ptr.file_number, ptr.offset, u64::from(ptr.len));
+                }
+            }
+            if committed_dead > 0 {
+                self.stats.record_vlog_dead_bytes(committed_dead);
+            }
+            if retired > 0 {
+                self.stats.record_vlog_segment_retired(retired);
+            }
+            versions.collect_garbage(&self.table_cache);
+            self.stats.record_compaction(1);
+            self.stats.record_compaction_output(output_bytes);
+            output_bytes
+        };
+        self.sink.emit(EngineEvent::CompactionEnd {
+            id: compaction_id,
+            outputs: outputs.len() as u64,
+            output_bytes,
+            settled: task.settled_moves.len() as u64,
+            rewrote: !outputs.is_empty(),
+            policy: self.opts.compaction_policy.as_str(),
+        });
+        self.refresh_shape_hints();
+        Ok(())
+    }
+
+    /// Build a compaction task pushing the tables of `level` overlapping
+    /// `[begin, end]` down one level, or `None` if nothing overlaps.
+    pub(super) fn build_manual_task(
+        &self,
+        level: usize,
+        begin: &[u8],
+        end: &[u8],
+    ) -> Option<CompactionTask> {
+        let version = self.versions.lock().current();
+        let overlapping = version.overlapping_tables(&self.icmp, level, begin, end);
+        if overlapping.is_empty() {
+            return None;
+        }
+        let layout = run_layout_for(&self.opts);
+        let multi_run_at = |l: usize| match layout {
+            RunLayout::Unrestricted => true,
+            RunLayout::SingleRunBeyond(threshold) => l < threshold,
+        };
+        // Levels that may hold overlapping runs must move as whole runs to
+        // preserve recency ordering; L0 runs always overlap each other.
+        let take_whole_level = level == 0 || multi_run_at(level);
+        // When the output level may itself hold sibling runs, the merge
+        // appends a fresh run there instead of folding into a sorted level.
+        let append = multi_run_at(level + 1);
+        let input_runs: Vec<Vec<Arc<TableMeta>>> = if take_whole_level {
+            version.levels[level]
+                .runs
+                .iter()
+                .map(|r| r.tables.clone())
+                .collect()
+        } else {
+            vec![overlapping]
+        };
+        let next_inputs = if append {
+            Vec::new()
+        } else {
+            let mut next: Vec<Arc<TableMeta>> = Vec::new();
+            for victim in input_runs.iter().flatten() {
+                for t in version.overlapping_tables(
+                    &self.icmp,
+                    level + 1,
+                    victim.smallest_user_key(),
+                    victim.largest_user_key(),
+                ) {
+                    if !next.iter().any(|x| x.table_id == t.table_id) {
+                        next.push(t);
+                    }
+                }
+            }
+            next.sort_by(|a, b| self.icmp.compare(&a.smallest, &b.smallest));
+            next
+        };
+        Some(CompactionTask {
+            level,
+            output_level: level + 1,
+            reason: CompactionReason::Size,
+            input_runs,
+            next_inputs,
+            settled_moves: Vec::new(),
+            output: if append {
+                OutputShape::AppendRun
+            } else {
+                OutputShape::Leveled
+            },
+        })
+    }
+}
+
+/// Install built tables: name `outputs` in `edit` as tables of `level`
+/// under the run tag `shape` dictates (a fresh run is tagged with its first
+/// table id), commit the edit to the MANIFEST, and release the files'
+/// pending marks. Returns the bytes installed. The one path from an
+/// [`OutputSink`]'s product to the version set, shared by flush and
+/// compaction.
+///
+/// On a commit error the pending marks stay: the record may have reached
+/// the MANIFEST despite the failed sync, so the files must outlive it.
+pub(super) fn commit_outputs(
+    versions: &mut VersionSet,
+    mut edit: VersionEdit,
+    level: usize,
+    shape: OutputShape,
+    outputs: &[(u64, BuiltTable)],
+) -> Result<u64> {
+    let mut run_tag = match shape {
+        OutputShape::Leveled | OutputShape::AppendRun => 0,
+        OutputShape::ReplaceRun { tag } => tag,
+    };
+    let mut bytes = 0u64;
+    for (i, (file_number, built)) in outputs.iter().enumerate() {
+        let table_id = versions.new_table_id();
+        if i == 0 && shape == OutputShape::AppendRun {
+            run_tag = table_id;
+        }
+        bytes += built.size;
+        edit.added_tables.push((
+            level as u32,
+            run_tag,
+            TableMeta::new(
+                table_id,
+                *file_number,
+                built.offset,
+                built.size,
+                built.num_entries,
+                built.smallest.clone(),
+                built.largest.clone(),
+            )
+            .with_range_tombstones(built.range_tombstones),
+        ));
+    }
+    versions.log_and_apply(edit)?;
+    for (file_number, _) in outputs {
+        versions.clear_pending(*file_number);
+    }
+    Ok(bytes)
+}
+
+/// Streams sorted entries into output tables; one physical file per table
+/// for stock styles, one shared compaction file for BoLT.
+pub(super) struct OutputSink<'a> {
+    inner: &'a DbInner,
+    bolt: bool,
+    target: u64,
+    file: Option<(u64, Box<dyn bolt_env::WritableFile>)>,
+    outputs: Vec<(u64, BuiltTable)>,
+    /// Every file number this sink created, for cleanup on failure.
+    created: Vec<u64>,
+    /// Value pointers dropped by the filter — their value-log bytes are
+    /// dead once this compaction commits.
+    dead_pointers: Vec<ValuePointer>,
+}
+
+impl<'a> OutputSink<'a> {
+    pub(super) fn new(inner: &'a DbInner, bolt: bool, target: u64) -> Self {
+        OutputSink {
+            inner,
+            bolt,
+            target,
+            file: None,
+            outputs: Vec::new(),
+            created: Vec::new(),
+            dead_pointers: Vec::new(),
+        }
+    }
+
+    fn take_dead_pointers(&mut self) -> Vec<ValuePointer> {
+        std::mem::take(&mut self.dead_pointers)
+    }
+
+    fn ensure_file(&mut self) -> Result<()> {
+        if self.file.is_none() {
+            let number = {
+                let mut versions = self.inner.versions.lock();
+                let n = versions.new_file_number();
+                versions.mark_pending(n);
+                n
+            };
+            self.created.push(number);
+            let file = self
+                .inner
+                .env
+                .new_writable_file(&table_file(&self.inner.name, number))?;
+            self.file = Some((number, file));
+        }
+        Ok(())
+    }
+
+    /// Undo a failed build: delete every file this sink created and release
+    /// its pending marks so garbage collection is not blocked forever.
+    ///
+    /// Safe only because none of these outputs has been named in a MANIFEST
+    /// append yet — once a VersionEdit referencing them is appended, the
+    /// record may commit despite a sync error (a torn-tail crash can retain
+    /// it), so from that point the files must be preserved.
+    pub(super) fn abandon(&mut self) {
+        self.file = None;
+        let mut versions = self.inner.versions.lock();
+        for number in self.created.drain(..) {
+            let _ = self
+                .inner
+                .env
+                .delete_file(&table_file(&self.inner.name, number));
+            versions.clear_pending(number);
+        }
+        self.outputs.clear();
+    }
+
+    fn sync_file(inner: &DbInner, file: &mut dyn bolt_env::WritableFile) -> Result<()> {
+        if inner.opts.use_ordering_barriers && inner.env.supports_ordering_barrier() {
+            // BarrierFS: ordering (not durability) is enough for data files
+            // because the MANIFEST fsync that follows is the commit point.
+            file.ordering_barrier()
+        } else {
+            file.sync()
+        }
+    }
+
+    /// Merge one cluster into output tables, applying the drop rule when a
+    /// filter is supplied (compaction) and keeping everything otherwise
+    /// (flush). `overlay` is the compaction-wide range-tombstone set,
+    /// queried at the snapshot horizon to erase covered entries.
+    pub(super) fn write_run(
+        &mut self,
+        iter: &mut dyn InternalIterator,
+        mut filter: Option<&mut DropFilter>,
+        overlay: &RangeTombstoneSet,
+        scope: &DropScope<'_>,
+    ) -> Result<()> {
+        let DropScope {
+            version,
+            inputs,
+            output_level,
+            include_output_level,
+        } = *scope;
+        // Only compactions preempt for flushes; a flush must not recurse.
+        let allow_preemption = filter.is_some();
+        // Local because `builder` below holds a &mut borrow through
+        // `self.file` for the whole inner loop.
+        let mut dead: Vec<ValuePointer> = Vec::new();
+        // Replay-duplicate guard: identical `(key, sequence, pointer)`
+        // entries can reach two inputs when a crash makes recovery re-flush
+        // WAL entries an earlier flush already committed (a flush need not
+        // advance the WAL floor). Dropping the duplicate copy must not
+        // record bytes the kept copy still resolves through, and two
+        // dropped copies must not be recorded twice. Same-key entries are
+        // adjacent in merge order and survivors precede dropped shadows,
+        // so per-user-key tracking suffices.
+        let mut guard_key: Vec<u8> = Vec::new();
+        let mut kept_ptrs: Vec<Vec<u8>> = Vec::new();
+        let mut counted_ptrs: Vec<Vec<u8>> = Vec::new();
+        while iter.valid() {
+            self.ensure_file()?;
+            // ensure_file() above either populated `self.file` or returned the
+            // error. bolt-lint: allow(unwrap-in-crash-path)
+            let (file_number, file) = self.file.as_mut().expect("file open");
+            let file_number = *file_number;
+            // Flush preemption point: between output tables.
+            if allow_preemption {
+                self.inner.maybe_flush_pending_imm()?;
+            }
+            let mut builder =
+                TableBuilder::new(file.as_mut(), self.inner.opts.table_format.clone());
+            let mut last_added_user_key: Option<Vec<u8>> = None;
+            while iter.valid() {
+                let drop = match filter.as_deref_mut() {
+                    None => false,
+                    Some(filter) => {
+                        let parsed = parse_internal_key(iter.key())?;
+                        if parsed.value_type == ValueType::RangeTombstone {
+                            // Tombstones bypass the per-key shadow state
+                            // entirely (a newer put at the begin key must
+                            // never shadow-drop the span). Retention: old
+                            // enough that every snapshot sees it, and no
+                            // table outside this compaction's inputs can
+                            // still hold a key in its span.
+                            let drop = filter.tombstone_obsolete(parsed.sequence)
+                                && is_base_level_span(
+                                    &self.inner.icmp,
+                                    version,
+                                    inputs,
+                                    parsed.user_key,
+                                    iter.value(),
+                                );
+                            if !drop {
+                                builder.add(iter.key(), iter.value())?;
+                                let user_key = bolt_table::ikey::extract_user_key(iter.key());
+                                if last_added_user_key.as_deref() != Some(user_key) {
+                                    last_added_user_key = Some(user_key.to_vec());
+                                }
+                            }
+                            iter.next()?;
+                            continue;
+                        }
+                        let base = is_base_level(
+                            &self.inner.icmp,
+                            version,
+                            output_level,
+                            include_output_level,
+                            parsed.user_key,
+                        );
+                        // `should_drop` must always run (it maintains the
+                        // per-key shadow state); coverage by a universally
+                        // visible range tombstone is an extra drop reason.
+                        let drop = filter.should_drop(&parsed, base)
+                            || overlay.covers(
+                                parsed.user_key,
+                                parsed.sequence,
+                                filter.smallest_snapshot(),
+                            );
+                        if parsed.value_type == ValueType::ValuePointer {
+                            if guard_key != parsed.user_key {
+                                guard_key.clear();
+                                guard_key.extend_from_slice(parsed.user_key);
+                                kept_ptrs.clear();
+                                counted_ptrs.clear();
+                            }
+                            let value = iter.value();
+                            if !drop {
+                                kept_ptrs.push(value.to_vec());
+                            } else if !kept_ptrs.iter().any(|p| p == value)
+                                && !counted_ptrs.iter().any(|p| p == value)
+                            {
+                                // The entry leaves the LSM here; its
+                                // value-log bytes are dead once the
+                                // compaction commits.
+                                dead.push(ValuePointer::decode(value)?);
+                                counted_ptrs.push(value.to_vec());
+                            }
+                        }
+                        drop
+                    }
+                };
+                if !drop {
+                    builder.add(iter.key(), iter.value())?;
+                    let user_key = bolt_table::ikey::extract_user_key(iter.key());
+                    if last_added_user_key.as_deref() != Some(user_key) {
+                        last_added_user_key = Some(user_key.to_vec());
+                    }
+                }
+                iter.next()?;
+                if builder.estimated_size() >= self.target {
+                    // Never cut between two versions of the same user key:
+                    // runs must stay disjoint by user key.
+                    let next_same_key = iter.valid()
+                        && last_added_user_key.as_deref()
+                            == Some(bolt_table::ikey::extract_user_key(iter.key()));
+                    if !next_same_key {
+                        break;
+                    }
+                }
+            }
+            if builder.is_empty() {
+                break;
+            }
+            let built = builder.finish()?;
+            self.outputs.push((file_number, built));
+            if !self.bolt {
+                // Inside `while iter.valid()` after ensure_file(); the classic
+                // path closes the file per table. bolt-lint: allow(unwrap-in-crash-path)
+                let (_, mut file) = self.file.take().expect("file open");
+                Self::sync_file(self.inner, file.as_mut())?;
+            }
+        }
+        self.dead_pointers.extend(dead);
+        Ok(())
+    }
+
+    /// Sync any shared compaction file and return the outputs.
+    pub(super) fn finish(&mut self) -> Result<Vec<(u64, BuiltTable)>> {
+        if let Some((number, mut file)) = self.file.take() {
+            if file.is_empty() {
+                // Never written: drop the empty file.
+                let _ = self
+                    .inner
+                    .env
+                    .delete_file(&table_file(&self.inner.name, number));
+                let mut versions = self.inner.versions.lock();
+                versions.clear_pending(number);
+            } else {
+                Self::sync_file(self.inner, file.as_mut())?;
+            }
+        }
+        Ok(std::mem::take(&mut self.outputs))
+    }
+}
+
+/// Compaction context the drop rules in [`OutputSink::write_run`] consult:
+/// the pinned input version, the ids of the compaction's own input tables
+/// (exempt from the span check — this merge erases their covered keys),
+/// and the output placement for the point-key base check.
+pub(super) struct DropScope<'a> {
+    pub(super) version: &'a Version,
+    pub(super) inputs: &'a HashSet<u64>,
+    pub(super) output_level: usize,
+    pub(super) include_output_level: bool,
+}
+
+/// `true` if no table at a deeper level (or, for fragmented compactions,
+/// at the output level itself) can contain `user_key` — the condition for
+/// dropping a tombstone.
+fn is_base_level(
+    icmp: &InternalKeyComparator,
+    version: &Version,
+    output_level: usize,
+    include_output_level: bool,
+    user_key: &[u8],
+) -> bool {
+    if output_level >= version.levels.len() {
+        return true;
+    }
+    let start = if include_output_level {
+        output_level
+    } else {
+        output_level + 1
+    };
+    for level in start..version.levels.len() {
+        for run in &version.levels[level].runs {
+            if run.find(icmp, user_key).is_some() {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// Span-wide variant of [`is_base_level`] for range tombstones: `true` if
+/// no table *outside this compaction's own inputs* can contain any user
+/// key in `[begin, end)` — the condition for dropping the tombstone
+/// outright. Unlike the point-key check this must not stop at the output
+/// level or restrict itself to deeper levels: a tombstone's span routinely
+/// extends past the compaction's input key range, so covered keys can sit
+/// in same-level (or even shallower-run) tables the compaction never
+/// touches. Input tables are exempt because this very merge erases their
+/// covered keys via the overlay.
+fn is_base_level_span(
+    icmp: &InternalKeyComparator,
+    version: &Version,
+    inputs: &HashSet<u64>,
+    begin: &[u8],
+    end: &[u8],
+) -> bool {
+    let ucmp = icmp.user_comparator();
+    for level in &version.levels {
+        for run in &level.runs {
+            for table in &run.tables {
+                if inputs.contains(&table.table_id) {
+                    continue;
+                }
+                // Overlap with the half-open span: the table reaches at
+                // least `begin` and starts strictly before `end`.
+                if ucmp.compare(table.largest_user_key(), begin) != std::cmp::Ordering::Less
+                    && ucmp.compare(table.smallest_user_key(), end) == std::cmp::Ordering::Less
+                {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::test_util::*;
+
+    fn load_and_verify(opts: Options, n: u32) {
+        let (_env, db) = mem_db(small_opts(opts));
+        let value = |i: u32| format!("value-{i}-{}", "p".repeat(100)).into_bytes();
+        for i in 0..n {
+            db.put(format!("key{:06}", i % (n / 2)).as_bytes(), &value(i))
+                .unwrap();
+        }
+        db.flush().unwrap();
+        db.compact_until_quiet().unwrap();
+        // Every key holds its newest value.
+        for k in 0..(n / 2) {
+            let newest = if k < n % (n / 2) {
+                n - (n / 2) + k
+            } else {
+                k + (n / 2) - (n % (n / 2))
+            };
+            let _ = newest;
+            // The newest write of key k is the last i with i % (n/2) == k.
+            let last_i = ((n - 1 - k) / (n / 2)) * (n / 2) + k;
+            assert_eq!(
+                db.get(format!("key{k:06}").as_bytes()).unwrap(),
+                Some(value(last_i)),
+                "key{k}"
+            );
+        }
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn compaction_preserves_data_leveldb() {
+        load_and_verify(Options::leveldb(), 3000);
+    }
+
+    #[test]
+    fn compaction_preserves_data_bolt() {
+        load_and_verify(Options::bolt(), 3000);
+    }
+
+    #[test]
+    fn compaction_preserves_data_fragmented() {
+        load_and_verify(Options::pebblesdb(), 3000);
+    }
+
+    #[test]
+    fn bolt_uses_far_fewer_fsyncs_than_leveldb() {
+        let run = |opts: Options| {
+            let (env, db) = mem_db(small_opts(opts));
+            for i in 0..4000u32 {
+                db.put(format!("key{i:06}").as_bytes(), &[b'v'; 100])
+                    .unwrap();
+            }
+            db.flush().unwrap();
+            db.compact_until_quiet().unwrap();
+            let syncs = env.stats().fsync_calls();
+            db.close().unwrap();
+            syncs
+        };
+        let leveldb = run(Options::leveldb());
+        let bolt = run(Options::bolt());
+        assert!(
+            bolt * 2 <= leveldb,
+            "bolt {bolt} fsyncs vs leveldb {leveldb}"
+        );
+    }
+
+    #[test]
+    fn settled_compaction_happens_for_bolt() {
+        let mut opts = small_opts(Options::bolt());
+        opts.level0_compaction_trigger = 2;
+        let (_env, db) = mem_db(opts);
+        // Write several disjoint key ranges so zero-overlap victims exist.
+        for round in 0..12u32 {
+            for i in 0..200u32 {
+                db.put(
+                    format!("r{:02}key{i:05}", round % 6).as_bytes(),
+                    &[b'z'; 128],
+                )
+                .unwrap();
+            }
+            db.flush().unwrap();
+        }
+        db.compact_until_quiet().unwrap();
+        let moves = db.stats().settled_moves();
+        assert!(moves > 0, "expected settled moves, stats: {:?}", db.stats());
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn compaction_retires_fully_dead_vlog_segments() {
+        let (env, db) = mem_db(sep_opts(128));
+        for round in 0..4u32 {
+            for i in 0..48u32 {
+                let value = vec![b'a' + (round as u8), (i % 251) as u8]
+                    .into_iter()
+                    .cycle()
+                    .take(1024)
+                    .collect::<Vec<u8>>();
+                db.put(format!("big{i:03}").as_bytes(), &value).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        // Rewriting every key three times over 16 KiB segments leaves whole
+        // early segments dead; compaction must report the drops and GC must
+        // retire those files.
+        db.compact_range(b"", b"zzzz").unwrap();
+        let stats = db.stats().snapshot();
+        assert!(stats.vlog_dead_bytes > 0, "{stats:?}");
+        assert!(stats.vlog_segments_retired > 0, "{stats:?}");
+        // Every surviving key still reads its full latest value.
+        for i in 0..48u32 {
+            let got = db.get(format!("big{i:03}").as_bytes()).unwrap().unwrap();
+            assert_eq!(got.len(), 1024);
+            assert_eq!(got[0], b'a' + 3);
+        }
+        // Deletes condemned during a compaction are deferred while that
+        // compaction's own pinned version is live; one more GC pass with no
+        // pins reclaims them.
+        {
+            let mut versions = db.inner.versions.lock();
+            versions.collect_garbage(&db.inner.table_cache);
+        }
+        // Retired segment files are really gone from disk.
+        let names = env.list_dir("db").unwrap();
+        let vlogs = names.iter().filter(|n| n.ends_with(".vlog")).count();
+        let ledger = db.inner.versions.lock().vlog_segments().len();
+        assert_eq!(vlogs, ledger, "on-disk segments diverge from the ledger");
+        db.close().unwrap();
+    }
+}

@@ -1,0 +1,351 @@
+//! The background thread, the requests it serves (`flush`,
+//! `compact_range`, `compact_until_quiet`), and memtable flushes.
+//!
+//! Owns the background group of [`super::DbState`] — `bg_busy`,
+//! `bg_error`, the `manual`/`seek_candidate` requests it serves — and
+//! retires `imm`, publishing `flushed_seq_boundary` as it does.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
+use bolt_common::Result;
+use bolt_table::rangedel::RangeTombstoneSet;
+use bolt_table::BuiltTable;
+
+use super::compact::{commit_outputs, DropScope, OutputSink};
+use super::{Db, DbInner};
+use crate::compaction::{
+    needs_compaction, pick_compaction, CompactionReason, CompactionTask, OutputShape,
+};
+use crate::iterator::InternalIterator;
+use crate::memtable::MemTable;
+use crate::version::{Version, VersionEdit};
+
+impl Db {
+    /// Force the current memtable to disk and wait for the flush.
+    ///
+    /// # Errors
+    ///
+    /// Returns background errors.
+    pub fn flush(&self) -> Result<()> {
+        let inner = &self.inner;
+        let mut state = inner.state.lock();
+        // Wait out any in-flight flush first — switching while an immutable
+        // memtable is pending would clobber it — and any in-flight group
+        // commit, which owns the WAL and is still inserting into `mem`.
+        while (state.imm.is_some() || state.wal.is_none()) && state.bg_error.is_none() {
+            if state.imm.is_some() {
+                inner.work_cv.notify_one();
+                inner.done_cv.wait(&mut state);
+            } else {
+                inner.writers_cv.wait(&mut state);
+            }
+        }
+        if state.bg_error.is_none() && !state.mem.is_empty() {
+            inner.switch_memtable(&mut state)?;
+        }
+        while state.imm.is_some() && state.bg_error.is_none() {
+            inner.work_cv.notify_one();
+            inner.done_cv.wait(&mut state);
+        }
+        state.check_poisoned()
+    }
+
+    /// Block until no flush or compaction work remains.
+    ///
+    /// # Errors
+    ///
+    /// Returns background errors.
+    pub fn compact_until_quiet(&self) -> Result<()> {
+        let inner = &self.inner;
+        let mut state = inner.state.lock();
+        loop {
+            state.check_poisoned()?;
+            let has_work = state.imm.is_some() || state.bg_busy || {
+                let versions = inner.versions.lock();
+                needs_compaction(&inner.opts, &versions.current())
+            };
+            if !has_work {
+                return Ok(());
+            }
+            inner.work_cv.notify_one();
+            inner
+                .done_cv
+                .wait_for(&mut state, Duration::from_millis(50));
+        }
+    }
+
+    /// Compact every level that overlaps the user-key range `[begin, end]`
+    /// down one level at a time until no level above the deepest occupied
+    /// one overlaps it. The work runs on the background thread (serialized
+    /// with automatic compactions); this call blocks until it completes.
+    /// Like LevelDB's `CompactRange`.
+    ///
+    /// # Errors
+    ///
+    /// Returns background errors.
+    pub fn compact_range(&self, begin: &[u8], end: &[u8]) -> Result<()> {
+        self.flush()?;
+        self.compact_until_quiet()?;
+        for level in 0..self.inner.opts.num_levels - 1 {
+            loop {
+                let overlapping = {
+                    let version = self.current_version();
+                    !version
+                        .overlapping_tables(&self.inner.icmp, level, begin, end)
+                        .is_empty()
+                };
+                if !overlapping {
+                    break;
+                }
+                let mut state = self.inner.state.lock();
+                state.check_poisoned()?;
+                let generation = state.manual_done;
+                state.manual = Some((level, begin.to_vec(), end.to_vec()));
+                self.inner.work_cv.notify_one();
+                while state.manual_done == generation && state.bg_error.is_none() {
+                    self.inner.done_cv.wait(&mut state);
+                }
+                state.check_poisoned()?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl DbInner {
+    pub(super) fn background_loop(self: Arc<Self>) {
+        loop {
+            enum Work {
+                Flush(Arc<MemTable>, u64),
+                Compact(CompactionTask),
+                Manual(CompactionTask),
+            }
+            let work = {
+                let mut state = self.state.lock();
+                loop {
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    if state.imm.is_some() {
+                        state.bg_busy = true;
+                        // Guarded by `state.imm.is_some()` just above.
+                        // bolt-lint: allow(unwrap-in-crash-path)
+                        let imm = Arc::clone(state.imm.as_ref().expect("imm present"));
+                        break Work::Flush(imm, state.imm_log_boundary);
+                    }
+                    if let Some((level, begin, end)) = state.manual.take() {
+                        match self.build_manual_task(level, &begin, &end) {
+                            Some(task) => {
+                                state.bg_busy = true;
+                                break Work::Manual(task);
+                            }
+                            None => {
+                                // Nothing overlaps (anymore): complete it.
+                                state.manual_done += 1;
+                                self.done_cv.notify_all();
+                                continue;
+                            }
+                        }
+                    }
+                    let task = {
+                        let versions = self.versions.lock();
+                        let version = versions.current();
+                        pick_compaction(
+                            &self.opts,
+                            &self.icmp,
+                            &version,
+                            &versions.compact_pointer,
+                            state.seek_candidate.clone(),
+                        )
+                    };
+                    if let Some(task) = task {
+                        if task.reason == CompactionReason::Seek {
+                            state.seek_candidate = None;
+                            self.stats.record_seek_compaction(1);
+                        }
+                        state.bg_busy = true;
+                        break Work::Compact(task);
+                    }
+                    state.seek_candidate = None;
+                    self.work_cv.wait(&mut state);
+                }
+            };
+
+            let (result, was_manual) = match work {
+                Work::Flush(imm, log_boundary) => {
+                    (self.flush_memtable(&imm, log_boundary, true), false)
+                }
+                Work::Compact(task) => (self.run_compaction(task), false),
+                Work::Manual(task) => (self.run_compaction(task), true),
+            };
+
+            let mut state = self.state.lock();
+            state.bg_busy = false;
+            if was_manual {
+                state.manual_done += 1;
+            }
+            match result {
+                Ok(()) => {}
+                Err(e) => {
+                    // Transient MANIFEST sync failures never reach here:
+                    // log_and_apply self-heals them by re-cutting a fresh
+                    // MANIFEST (O5), so background work keeps flowing. Only
+                    // a double fault (the re-cut itself failed, writer
+                    // poisoned) or a non-MANIFEST error parks the engine.
+                    state.bg_error = Some(e);
+                }
+            }
+            self.done_cv.notify_all();
+        }
+    }
+
+    pub(super) fn refresh_shape_hints(&self) {
+        let versions = self.versions.lock();
+        let version = versions.current();
+        self.l0_runs
+            .store(version.levels[0].num_runs(), Ordering::Relaxed);
+    }
+
+    /// Write `mem` to level 0 and commit. `clear_imm` distinguishes the
+    /// background flush (true) from recovery-time flushes (false).
+    pub(super) fn flush_memtable(
+        &self,
+        mem: &Arc<MemTable>,
+        log_boundary: u64,
+        clear_imm: bool,
+    ) -> Result<()> {
+        let flush_id = self.flush_ids.fetch_add(1, Ordering::Relaxed);
+        self.sink.emit(EngineEvent::FlushBegin {
+            id: flush_id,
+            input_bytes: mem.approximate_memory_usage(),
+        });
+        let mut iter = mem.iter();
+        iter.seek_to_first();
+        let internal: &mut dyn InternalIterator = &mut iter;
+        // Stock LevelDB flushes the whole memtable as ONE SSTable file;
+        // BoLT cuts logical SSTables but still writes one compaction file.
+        let target = match self.opts.bolt_options() {
+            Some(b) => b.logical_sstable_bytes,
+            None => u64::MAX,
+        };
+        let outputs = {
+            let _scope = BarrierScope::new(BarrierCause::FlushData);
+            self.write_sorted_run(internal, target)
+        }?;
+
+        let flush_bytes = {
+            let _scope = BarrierScope::new(BarrierCause::FlushManifest);
+            let mut versions = self.versions.lock();
+            let edit = VersionEdit {
+                log_number: Some(log_boundary),
+                last_sequence: Some(self.last_sequence.load(Ordering::Acquire)),
+                ..VersionEdit::default()
+            };
+            // A flush lands as one fresh L0 run, newer than every other.
+            let bytes = commit_outputs(&mut versions, edit, 0, OutputShape::AppendRun, &outputs)?;
+            versions.collect_garbage(&self.table_cache);
+            bytes
+        };
+        self.stats.record_flush(1);
+        self.stats.record_flush_bytes(flush_bytes);
+        self.sink.emit(EngineEvent::FlushEnd {
+            id: flush_id,
+            output_bytes: flush_bytes,
+            level: 0,
+        });
+        self.refresh_shape_hints();
+
+        if clear_imm {
+            let mut state = self.state.lock();
+            state.imm = None;
+            self.has_imm.store(false, Ordering::Release);
+            // Publish in the same critical section that clears `imm`: a
+            // checkpoint that sees `imm == None` must also see the boundary
+            // this flush established.
+            state.flushed_seq_boundary = state.imm_seq_boundary;
+            // Wake writers stalled on the full memtable immediately — this
+            // may run mid-compaction (flush preemption).
+            self.done_cv.notify_all();
+        }
+        self.delete_obsolete_logs(log_boundary);
+        Ok(())
+    }
+
+    /// Flush the pending immutable memtable right now if one exists. Called
+    /// from within long compactions, mirroring LevelDB's `DoCompactionWork`
+    /// check of `has_imm_`: without preemption a 64 MB group compaction
+    /// would stall writers for its entire duration.
+    pub(super) fn maybe_flush_pending_imm(&self) -> Result<()> {
+        if !self.has_imm.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let pending = {
+            let state = self.state.lock();
+            state
+                .imm
+                .as_ref()
+                .map(|imm| (Arc::clone(imm), state.imm_log_boundary))
+        };
+        if let Some((imm, boundary)) = pending {
+            self.flush_memtable(&imm, boundary, true)?;
+        }
+        Ok(())
+    }
+
+    /// Stream one sorted input into output tables without dropping entries
+    /// (the flush path; a flush must preserve every memtable entry). With
+    /// `target = u64::MAX` everything lands in a single table.
+    fn write_sorted_run(
+        &self,
+        iter: &mut dyn InternalIterator,
+        target: u64,
+    ) -> Result<Vec<(u64, BuiltTable)>> {
+        let mut sink = OutputSink::new(self, self.opts.bolt_options().is_some(), target);
+        let version = Version::empty(self.opts.num_levels);
+        let overlay = RangeTombstoneSet::default();
+        let inputs = std::collections::HashSet::new();
+        let scope = DropScope {
+            version: &version,
+            inputs: &inputs,
+            output_level: usize::MAX,
+            include_output_level: false,
+        };
+        let result = sink
+            .write_run(iter, None, &overlay, &scope)
+            .and_then(|()| sink.finish());
+        if result.is_err() {
+            // Nothing references these outputs yet; reclaim them so an I/O
+            // error mid-flush cannot leak partially written files.
+            sink.abandon();
+        }
+        result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::test_util::*;
+
+    #[test]
+    fn flush_moves_data_to_l0_and_reads_still_work() {
+        let (_env, db) = mem_db(small_opts(Options::leveldb()));
+        for i in 0..500u32 {
+            db.put(format!("key{i:05}").as_bytes(), &[b'x'; 100])
+                .unwrap();
+        }
+        db.flush().unwrap();
+        let info = db.level_info();
+        assert!(info[0].tables >= 1, "L0 has tables after flush: {info:?}");
+        for i in (0..500u32).step_by(37) {
+            assert_eq!(
+                db.get(format!("key{i:05}").as_bytes()).unwrap(),
+                Some(vec![b'x'; 100]),
+                "key{i}"
+            );
+        }
+        db.close().unwrap();
+    }
+}

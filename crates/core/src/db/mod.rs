@@ -1,0 +1,674 @@
+//! The database, one module per subsystem. Every child is a plain
+//! `impl DbInner` (plus the `impl Db` entry points that drive it) over the
+//! state defined here; all of them share the one `core.state` mutex, and
+//! each owns one field group of `DbState`:
+//!
+//! * `write` — group commit, the 2PC phases, the write governors,
+//!   memtable switching and WAL-time value separation;
+//! * `read` — point lookups, iterators, value-pointer resolution;
+//! * `flush` — the background thread and memtable flushes;
+//! * `compact` — the compaction executor, where the paper's mechanisms
+//!   act and nothing else lives;
+//! * `recover` — WAL replay at open;
+//! * `gc` — checkpoints and obsolete log/file deletion.
+//!
+//! (DESIGN.md §2 maps each module to its state group, locks and events.)
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use crate::sync::{named_mutex, Condvar, Mutex};
+
+use bolt_common::cache::LruCache;
+use bolt_common::events::{BarrierCause, BarrierScope, EventSink, TraceEvent};
+use bolt_common::{Error, Result};
+use bolt_env::Env;
+use bolt_table::cache::TableCache;
+use bolt_table::comparator::InternalKeyComparator;
+use bolt_table::ikey::SequenceNumber;
+use bolt_table::{BlockCache, TableReadOptions};
+use bolt_wal::LogWriter;
+
+use crate::filename::current_file;
+use crate::iterator::DbIter;
+use crate::memtable::MemTable;
+use crate::metrics::{MetricsSnapshot, QueueWaitSummary};
+use crate::options::Options;
+use crate::stats::DbStats;
+use crate::version::{TableMeta, Version};
+use crate::versions::VersionSet;
+use crate::vlog::VlogWriter;
+
+mod compact;
+mod flush;
+mod gc;
+mod read;
+mod recover;
+mod write;
+
+use write::{PendingTxn, WriterSlot};
+
+/// Mutable engine state guarded by the main mutex, grouped by the module
+/// that owns each field (other modules read, the owner writes).
+#[derive(Default)]
+struct DbState {
+    // -- write.rs: the commit queue, the logs it appends to, staged 2PC --
+    /// Group-commit queue: the front writer is the leader and commits on
+    /// behalf of as many followers as fit under the group byte cap.
+    writers: VecDeque<Arc<WriterSlot>>,
+    /// The active WAL. `None` *only* while a group-commit leader holds it
+    /// outside the mutex for the append/sync/apply phase; anything that
+    /// would switch or sync the WAL (memtable switch, close) must wait for
+    /// it to return.
+    wal: Option<LogWriter>,
+    wal_number: u64,
+    /// The active value-log writer. `None` until the first separated write
+    /// creates a segment lazily — and, like `wal`, while a group-commit
+    /// leader holds it outside the mutex (leaders take both together, so
+    /// whenever `wal` is restored the value log is too).
+    vlog: Option<VlogWriter>,
+    /// Prepared-but-unapplied cross-shard slices, keyed by transaction id.
+    /// Each entry pins its WAL file (see [`DbState::min_pending_txn_log`]):
+    /// the prepare record is the slice's only durable copy until the apply
+    /// lands in a flushed memtable.
+    pending_txns: HashMap<u64, PendingTxn>,
+
+    // -- write.rs switches, flush.rs retires: memtables and boundaries --
+    mem: Arc<MemTable>,
+    imm: Option<Arc<MemTable>>,
+    /// WAL number that made the current `imm` obsolete once flushed.
+    imm_log_boundary: u64,
+    /// Sequence number captured at the switch that produced the current
+    /// `imm`: every write at or below it is in `imm` or older tables, and
+    /// every write above it is in `mem`.
+    imm_seq_boundary: SequenceNumber,
+    /// Sequence boundary of the newest *completed* flush: the installed
+    /// version is exactly the write prefix at this sequence (plus nothing
+    /// newer). Checkpoints pin this together with the version.
+    flushed_seq_boundary: SequenceNumber,
+
+    // -- flush.rs: background-thread flags and the requests it serves --
+    bg_error: Option<Error>,
+    bg_busy: bool,
+    seek_candidate: Option<(usize, Arc<TableMeta>)>,
+    /// Pending manual compaction: (level, begin user key, end user key).
+    manual: Option<(usize, Vec<u8>, Vec<u8>)>,
+    /// Completion counter for manual compactions.
+    manual_done: u64,
+
+    // -- read.rs registers, compact.rs honours --
+    snapshots: Vec<SequenceNumber>,
+}
+
+impl DbState {
+    /// The error that poisoned the engine, if any: a failed background job
+    /// or a failed log append. Every blocking wait and every write checks
+    /// it.
+    fn check_poisoned(&self) -> Result<()> {
+        self.bg_error.clone().map_or(Ok(()), Err)
+    }
+}
+
+struct DbInner {
+    env: Arc<dyn Env>,
+    name: String,
+    opts: Options,
+    icmp: InternalKeyComparator,
+    table_cache: Arc<TableCache>,
+    #[allow(dead_code)] // shared into TableReadOptions; kept for stats access
+    block_cache: Arc<BlockCache>,
+    state: Mutex<DbState>,
+    versions: Mutex<VersionSet>,
+    work_cv: Condvar,
+    done_cv: Condvar,
+    /// Wakes queued writers when leadership rotates or a group completes,
+    /// and WAL waiters when an in-flight group returns the log.
+    writers_cv: Condvar,
+    last_sequence: AtomicU64,
+    l0_runs: AtomicUsize,
+    has_imm: AtomicBool,
+    shutdown: AtomicBool,
+    stats: DbStats,
+    /// Structured-event destination, shared with the env's `IoStats` (which
+    /// emits every barrier into it) and the version set (MANIFEST commits).
+    sink: Arc<EventSink>,
+    /// Monotonic flush ids pairing `FlushBegin`/`FlushEnd` events.
+    flush_ids: AtomicU64,
+    /// Monotonic compaction ids pairing `CompactionBegin`/`CompactionEnd`.
+    compaction_ids: AtomicU64,
+    /// Transactions the coordinator decided to commit, as known at open
+    /// (read from the sharding layer's coordinator log), mapped to their
+    /// decide order. Consulted only during WAL recovery, which replays
+    /// markerless decided slices in that order.
+    committed_txns: HashMap<u64, u64>,
+    /// Highest transaction id seen in this shard's WALs during recovery;
+    /// the sharding layer seeds its id allocator above it.
+    recovered_max_txn: AtomicU64,
+}
+
+/// A consistent read view. Dropping it releases the sequence for
+/// compaction garbage collection.
+pub struct Snapshot {
+    seq: SequenceNumber,
+    inner: std::sync::Weak<DbInner>,
+}
+
+impl std::fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Snapshot").field("seq", &self.seq).finish()
+    }
+}
+
+impl Snapshot {
+    /// The sequence number this snapshot reads at.
+    pub fn sequence(&self) -> SequenceNumber {
+        self.seq
+    }
+}
+
+impl Drop for Snapshot {
+    fn drop(&mut self) {
+        if let Some(inner) = self.inner.upgrade() {
+            let mut state = inner.state.lock();
+            if let Some(pos) = state.snapshots.iter().position(|&s| s == self.seq) {
+                state.snapshots.remove(pos);
+            }
+        }
+    }
+}
+
+/// Per-level shape summary (runs, tables, bytes).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelInfo {
+    /// Number of sorted runs.
+    pub runs: usize,
+    /// Number of logical tables.
+    pub tables: usize,
+    /// Total bytes.
+    pub bytes: u64,
+}
+
+fn level_shape(version: &Version) -> Vec<LevelInfo> {
+    version
+        .levels
+        .iter()
+        .map(|l| LevelInfo {
+            runs: l.num_runs(),
+            tables: l.num_tables(),
+            bytes: l.size(),
+        })
+        .collect()
+}
+
+/// A BoLT/LevelDB-family key-value store.
+///
+/// ```
+/// use bolt_core::{Db, Options};
+/// use bolt_env::MemEnv;
+/// use std::sync::Arc;
+///
+/// # fn main() -> bolt_common::Result<()> {
+/// let env: Arc<dyn bolt_env::Env> = Arc::new(MemEnv::new());
+/// let db = Db::open(env, "demo-db", Options::bolt())?;
+/// db.put(b"key", b"value")?;
+/// assert_eq!(db.get(b"key")?, Some(b"value".to_vec()));
+/// db.close()?;
+/// # Ok(())
+/// # }
+/// ```
+pub struct Db {
+    inner: Arc<DbInner>,
+    bg: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
+impl std::fmt::Debug for Db {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Db")
+            .field("name", &self.inner.name)
+            .finish()
+    }
+}
+
+impl Db {
+    /// Open (creating or recovering) the database in directory `name`.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors from the env and corruption errors from
+    /// recovery.
+    pub fn open(env: Arc<dyn Env>, name: &str, opts: Options) -> Result<Db> {
+        Db::open_with_committed_txns(env, name, opts, Vec::new())
+    }
+
+    /// Open with the cross-shard transactions the coordinator committed
+    /// (from the sharding layer's decide log), **in decide order**. WAL
+    /// recovery applies prepared slices of committed transactions — using
+    /// the decide order when their position markers were lost — and drops
+    /// undecided ones; a plain [`Db::open`] passes the empty list.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors from the env and corruption errors from
+    /// recovery.
+    pub fn open_with_committed_txns(
+        env: Arc<dyn Env>,
+        name: &str,
+        opts: Options,
+        committed_txns: Vec<u64>,
+    ) -> Result<Db> {
+        let committed_txns: HashMap<u64, u64> = committed_txns
+            .into_iter()
+            .enumerate()
+            .map(|(ord, id)| (id, ord as u64))
+            .collect();
+        opts.validate()?;
+        env.create_dir_all(name)?;
+        let icmp = InternalKeyComparator::default();
+        let block_cache: Arc<BlockCache> = Arc::new(LruCache::new(opts.block_cache_bytes));
+        let read_opts = TableReadOptions {
+            comparator: Arc::new(icmp.clone()),
+            filter_policy: opts.filter_policy,
+            filter_key: bolt_table::FilterKey::UserKey,
+            block_cache: Some(Arc::clone(&block_cache)),
+        };
+        let fd_cache = opts
+            .bolt_options()
+            .filter(|b| b.fd_cache)
+            .map(|_| opts.fd_cache_files);
+        let table_cache = Arc::new(TableCache::new(
+            Arc::clone(&env),
+            opts.max_open_files,
+            fd_cache,
+            read_opts,
+        ));
+
+        // Install the event sink before any recovery I/O so even the
+        // barriers paid while opening are traced and cause-attributed.
+        let sink = Arc::new(EventSink::new());
+        env.stats().set_event_sink(Arc::clone(&sink));
+
+        let mut versions = VersionSet::new(Arc::clone(&env), name, icmp.clone(), opts.num_levels);
+        versions.set_event_sink(Arc::clone(&sink));
+        // Pin the policy before the MANIFEST exists (create) or is replayed
+        // (recover): a fresh database records it, an existing one refuses a
+        // mismatch.
+        versions.set_compaction_policy(
+            opts.compaction_policy,
+            crate::compaction::run_layout_for(&opts),
+        );
+        let is_new = !env.file_exists(&current_file(name));
+        if is_new {
+            versions.create_new()?;
+        } else {
+            versions.recover()?;
+        }
+
+        let inner = Arc::new(DbInner {
+            env,
+            name: name.to_string(),
+            opts,
+            icmp,
+            table_cache,
+            block_cache,
+            state: named_mutex("core.state", DbState::default()),
+            versions: named_mutex("core.versions", versions),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            writers_cv: Condvar::new(),
+            last_sequence: AtomicU64::new(0),
+            l0_runs: AtomicUsize::new(0),
+            has_imm: AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
+            stats: DbStats::default(),
+            sink,
+            flush_ids: AtomicU64::new(0),
+            compaction_ids: AtomicU64::new(0),
+            committed_txns,
+            recovered_max_txn: AtomicU64::new(0),
+        });
+
+        inner.recover_wals()?;
+        inner.start_fresh_wal()?;
+        inner.delete_obsolete_files();
+        inner.refresh_shape_hints();
+
+        let bg = {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name("bolt-background".into())
+                .spawn(move || {
+                    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe({
+                        let inner = Arc::clone(&inner);
+                        move || inner.background_loop()
+                    }));
+                    if let Err(payload) = panic {
+                        let message = payload
+                            .downcast_ref::<&str>()
+                            .map(|s| (*s).to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "background thread panicked".into());
+                        let mut state = inner.state.lock();
+                        state.bg_error =
+                            Some(Error::InvalidState(format!("background panic: {message}")));
+                        state.bg_busy = false;
+                        inner.done_cv.notify_all();
+                    }
+                })
+                .map_err(Error::io)?
+        };
+
+        Ok(Db {
+            inner,
+            bg: named_mutex("core.bg", Some(bg)),
+        })
+    }
+
+    /// The current [`Version`] — the logical view of the tree. Useful for
+    /// inspection tools and tests; the version is immutable.
+    pub fn current_version(&self) -> Arc<Version> {
+        self.inner.versions.lock().current()
+    }
+
+    /// Approximate on-disk bytes of user keys in `[begin, end)` — the sum
+    /// of the sizes of tables whose range intersects it (tables partially
+    /// inside are pro-rated at half). Like LevelDB's `GetApproximateSizes`.
+    pub fn approximate_size(&self, begin: &[u8], end: &[u8]) -> u64 {
+        let version = self.current_version();
+        let icmp = &self.inner.icmp;
+        let ucmp = icmp.user_comparator();
+        let mut total = 0u64;
+        for (_, _, table) in version.all_tables() {
+            if !table.overlaps(icmp, begin, end) {
+                continue;
+            }
+            let fully_inside = ucmp.compare(table.smallest_user_key(), begin).is_ge()
+                && ucmp.compare(table.largest_user_key(), end).is_lt();
+            total += if fully_inside {
+                table.size
+            } else {
+                table.size / 2
+            };
+        }
+        total
+    }
+
+    /// Per-level shape (runs, tables, bytes).
+    pub fn level_info(&self) -> Vec<LevelInfo> {
+        level_shape(&self.current_version())
+    }
+
+    /// Engine statistics.
+    pub fn stats(&self) -> &DbStats {
+        &self.inner.stats
+    }
+
+    /// One merged observability snapshot: engine counters, env I/O
+    /// counters, per-level shape, queue-wait summary, and per-cause
+    /// barrier counts — everything the old hand-stitched
+    /// `stats()` + `env().stats()` + `level_info()` dance produced, plus
+    /// the derived ratios, exportable as JSON or Prometheus text.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let inner = &self.inner;
+        let qw = inner.stats.queue_wait();
+        // One acquisition: the level shape, the tombstone gauge and the
+        // re-cut count must all describe the same installed version.
+        let (manifest_recuts, version) = {
+            let versions = inner.versions.lock();
+            (versions.manifest_recuts(), versions.current())
+        };
+        MetricsSnapshot {
+            db: inner.stats.snapshot(),
+            io: inner.env.stats().snapshot(),
+            levels: level_shape(&version),
+            policy: inner.opts.compaction_policy.as_str(),
+            queue_wait: QueueWaitSummary {
+                count: qw.count(),
+                sum: qw.sum(),
+                p50: qw.percentile(50.0),
+                p95: qw.percentile(95.0),
+                p99: qw.percentile(99.0),
+                max: qw.max(),
+            },
+            barriers_by_cause: inner.sink.barrier_counts().to_vec(),
+            events_emitted: inner.sink.emitted(),
+            events_dropped: inner.sink.dropped(),
+            manifest_recuts,
+            range_tombstones_live: version.live_range_tombstones(),
+        }
+    }
+
+    /// Drain the structured-event ring: every event emitted since the last
+    /// drain, oldest first. If more than the ring capacity accumulated
+    /// between drains, the oldest are dropped (counted in
+    /// [`MetricsSnapshot::events_dropped`]).
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.inner.sink.drain()
+    }
+
+    /// The structured-event sink itself, for callers that want to observe
+    /// per-cause barrier counters without draining the ring.
+    pub fn event_sink(&self) -> &Arc<EventSink> {
+        &self.inner.sink
+    }
+
+    /// The environment this database runs on.
+    pub fn env(&self) -> &Arc<dyn Env> {
+        &self.inner.env
+    }
+
+    /// The database directory name this instance was opened with.
+    pub fn name(&self) -> &str {
+        &self.inner.name
+    }
+
+    /// TableCache open-count and hit statistics.
+    pub fn table_cache(&self) -> &TableCache {
+        &self.inner.table_cache
+    }
+
+    /// Shut down: stop the background thread. The WAL preserves any
+    /// unflushed writes for the next open.
+    ///
+    /// # Errors
+    ///
+    /// Returns the background error, if one occurred.
+    pub fn close(&self) -> Result<()> {
+        self.inner.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _state = self.inner.state.lock();
+            self.inner.work_cv.notify_all();
+            self.inner.done_cv.notify_all();
+        }
+        if let Some(handle) = self.bg.lock().take() {
+            let _ = handle.join();
+        }
+        // Make the tail of the WAL durable so close() is a clean shutdown.
+        // An in-flight group commit owns the WAL outside the lock; wait for
+        // it to return the log, then issue the barrier exactly like a
+        // group-commit leader (`with_wal`: engine mutex released, a failed
+        // sync poisons the engine).
+        let mut state = self.inner.state.lock();
+        while state.wal.is_none() {
+            self.inner.writers_cv.wait(&mut state);
+        }
+        let synced = self.inner.with_wal(&mut state, |wal, _| {
+            let _scope = BarrierScope::new(BarrierCause::WalClose);
+            // `with_wal` runs this closure with `state` released.
+            // bolt-lint: allow(guard-across-barrier)
+            wal.sync()
+        });
+        self.inner.writers_cv.notify_all();
+        synced?;
+        state.check_poisoned()
+    }
+}
+
+impl Drop for Db {
+    fn drop(&mut self) {
+        let _ = self.close();
+    }
+}
+
+/// Owning iterator pinning the version it reads.
+pub struct DbIterator {
+    inner: DbIter,
+    _version: Arc<Version>,
+}
+
+impl std::fmt::Debug for DbIterator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DbIterator")
+            .field("valid", &self.valid())
+            .finish()
+    }
+}
+
+impl DbIterator {
+    /// `true` when positioned on an entry.
+    pub fn valid(&self) -> bool {
+        self.inner.valid()
+    }
+    /// Position at the first key.
+    ///
+    /// # Errors
+    ///
+    /// Returns read errors.
+    pub fn seek_to_first(&mut self) -> Result<()> {
+        self.inner.seek_to_first()
+    }
+    /// Position at the first key >= `user_key`.
+    ///
+    /// # Errors
+    ///
+    /// Returns read errors.
+    pub fn seek(&mut self, user_key: &[u8]) -> Result<()> {
+        self.inner.seek(user_key)
+    }
+    /// Advance to the next live key.
+    ///
+    /// # Errors
+    ///
+    /// Returns read errors.
+    #[allow(clippy::should_implement_trait)] // LevelDB-style fallible cursor
+    pub fn next(&mut self) -> Result<()> {
+        self.inner.next()
+    }
+    /// Current user key.
+    pub fn key(&self) -> &[u8] {
+        self.inner.key()
+    }
+    /// Current value.
+    pub fn value(&self) -> &[u8] {
+        self.inner.value()
+    }
+}
+
+/// Fixtures shared by the unit tests of every child module.
+#[cfg(test)]
+mod test_util {
+    pub(super) use std::sync::Arc;
+
+    pub(super) use bolt_env::{Env, MemEnv};
+
+    pub(super) use super::Db;
+    pub(super) use crate::batch::WriteBatch;
+    pub(super) use crate::options::Options;
+    pub(super) use crate::txn::ShardTxnMarker;
+
+    pub(super) fn mem_db(opts: Options) -> (Arc<MemEnv>, Db) {
+        let env = Arc::new(MemEnv::new());
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts).unwrap();
+        (env, db)
+    }
+
+    pub(super) fn small_opts(mut opts: Options) -> Options {
+        opts.memtable_bytes = 64 << 10;
+        opts.sstable_bytes = 16 << 10;
+        opts.level1_max_bytes = 128 << 10;
+        if let crate::options::CompactionStyle::Bolt(b) = &mut opts.compaction_style {
+            b.logical_sstable_bytes = 8 << 10;
+            b.group_compaction_bytes = 64 << 10;
+        }
+        opts
+    }
+
+    pub(super) fn txn_slice(pairs: &[(&[u8], &[u8])]) -> WriteBatch {
+        let mut b = WriteBatch::new();
+        for (k, v) in pairs {
+            b.put(k, v);
+        }
+        b
+    }
+
+    pub(super) fn sep_opts(threshold: u64) -> Options {
+        let mut opts = small_opts(Options::bolt());
+        opts.value_separation_threshold = Some(threshold);
+        opts.vlog_segment_bytes = 16 << 10;
+        opts
+    }
+
+    pub(super) fn big(i: u32) -> Vec<u8> {
+        vec![b'a' + (i % 26) as u8; 1024]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_util::*;
+
+    #[test]
+    fn put_get_delete_roundtrip() {
+        let (_env, db) = mem_db(Options::leveldb());
+        db.put(b"alpha", b"1").unwrap();
+        db.put(b"beta", b"2").unwrap();
+        assert_eq!(db.get(b"alpha").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(db.get(b"beta").unwrap(), Some(b"2".to_vec()));
+        assert_eq!(db.get(b"gamma").unwrap(), None);
+        db.delete(b"alpha").unwrap();
+        assert_eq!(db.get(b"alpha").unwrap(), None);
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn overwrites_visible_in_order() {
+        let (_env, db) = mem_db(Options::leveldb());
+        for i in 0..100 {
+            db.put(b"k", format!("v{i}").as_bytes()).unwrap();
+        }
+        assert_eq!(db.get(b"k").unwrap(), Some(b"v99".to_vec()));
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_and_readers() {
+        let (_env, db) = mem_db(small_opts(Options::bolt()));
+        let db = Arc::new(db);
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let db = Arc::clone(&db);
+                std::thread::spawn(move || {
+                    for i in 0..500u32 {
+                        db.put(
+                            format!("t{t}-key{i:05}").as_bytes(),
+                            format!("v{t}-{i}").as_bytes(),
+                        )
+                        .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        for t in 0..4 {
+            for i in (0..500u32).step_by(83) {
+                assert_eq!(
+                    db.get(format!("t{t}-key{i:05}").as_bytes()).unwrap(),
+                    Some(format!("v{t}-{i}").into_bytes())
+                );
+            }
+        }
+        db.close().unwrap();
+    }
+}

@@ -1,0 +1,321 @@
+//! The read path: point lookups, iterators, and value-pointer resolution.
+//!
+//! Reads capture `mem`/`imm` under `core.state`, then the current version
+//! under `core.versions`, and run with neither held. This module owns the
+//! `snapshots` list of [`super::DbState`] (compaction only reads it) and
+//! files seek-compaction candidates for the background thread.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use bolt_common::Result;
+use bolt_table::ikey::SequenceNumber;
+use bolt_table::rangedel::RangeTombstoneSet;
+
+use super::{Db, DbInner, DbIterator, Snapshot};
+use crate::iterator::{DbIter, InternalIterator, MergingIter, RunIter, ValueResolver};
+use crate::memtable::LookupResult;
+use crate::options::ReadOptions;
+use crate::vlog::{self, ValuePointer};
+
+impl Db {
+    /// Point lookup at the latest sequence — shorthand for
+    /// [`Db::get_opt`] with [`ReadOptions::default`].
+    ///
+    /// # Errors
+    ///
+    /// Returns read errors from the storage substrate.
+    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.get_opt(key, &ReadOptions::new())
+    }
+
+    /// Point lookup honoring `opts` — the one read entry point everything
+    /// else delegates to.
+    ///
+    /// ```
+    /// use bolt_core::{Db, Options, ReadOptions};
+    /// use bolt_env::MemEnv;
+    /// use std::sync::Arc;
+    ///
+    /// # fn main() -> bolt_common::Result<()> {
+    /// let env: Arc<dyn bolt_env::Env> = Arc::new(MemEnv::new());
+    /// let db = Db::open(env, "ro-demo", Options::bolt())?;
+    /// db.put(b"k", b"v1")?;
+    /// let snap = db.snapshot();
+    /// db.put(b"k", b"v2")?;
+    /// let ro = ReadOptions::new().with_snapshot(&snap);
+    /// assert_eq!(db.get_opt(b"k", &ro)?, Some(b"v1".to_vec()));
+    /// assert_eq!(db.get(b"k")?, Some(b"v2".to_vec()));
+    /// db.close()?;
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns read errors from the storage substrate.
+    pub fn get_opt(&self, key: &[u8], opts: &ReadOptions<'_>) -> Result<Option<Vec<u8>>> {
+        self.inner.get_at(key, opts.snapshot.map(|s| s.seq))
+    }
+
+    /// Take a consistent read view.
+    pub fn snapshot(&self) -> Snapshot {
+        let seq = self.inner.last_sequence.load(Ordering::Acquire);
+        let mut state = self.inner.state.lock();
+        state.snapshots.push(seq);
+        Snapshot {
+            seq,
+            inner: Arc::downgrade(&self.inner),
+        }
+    }
+
+    /// Iterator over the live keys at the latest sequence — shorthand for
+    /// [`Db::iter_opt`] with [`ReadOptions::default`].
+    ///
+    /// # Errors
+    ///
+    /// Returns read errors from the storage substrate.
+    pub fn iter(&self) -> Result<DbIterator> {
+        self.iter_opt(&ReadOptions::new())
+    }
+
+    /// Iterator honoring `opts` (see [`Db::get_opt`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns read errors from the storage substrate.
+    pub fn iter_opt(&self, opts: &ReadOptions<'_>) -> Result<DbIterator> {
+        DbInner::iter_at(&self.inner, opts.snapshot.map(|s| s.seq))
+    }
+}
+
+impl ValueResolver for DbInner {
+    fn resolve(&self, pointer: &[u8]) -> Result<Vec<u8>> {
+        self.resolve_pointer(pointer)
+    }
+}
+
+impl DbInner {
+    /// Read at `snapshot`, or at the freshest consistent point when `None`.
+    ///
+    /// Capture order matters: memtables first, then the version, then (for
+    /// snapshot-less reads) the sequence. A sequence captured *before* the
+    /// version pin could be older than the `smallest_snapshot` of a
+    /// concurrently committing compaction, which is allowed to drop entry
+    /// versions that such a reader still needs. Explicit [`Snapshot`]s are
+    /// registered and respected by compaction instead.
+    fn get_at(&self, user_key: &[u8], snapshot: Option<SequenceNumber>) -> Result<Option<Vec<u8>>> {
+        let (mem, imm) = {
+            let state = self.state.lock();
+            (Arc::clone(&state.mem), state.imm.clone())
+        };
+        let version = self.versions.lock().current();
+        let snapshot = snapshot.unwrap_or_else(|| self.last_sequence.load(Ordering::Acquire));
+        // Newest range tombstone covering this key, across every source.
+        // The first point hit below is the *newest* point entry visible at
+        // the snapshot (sources are probed newest-first and each source
+        // yields descending sequences), so comparing only that hit against
+        // the covering sequence applies every tombstone correctly.
+        let mut covering = mem.max_range_del_seq(user_key, snapshot);
+        if let Some(imm) = &imm {
+            covering = covering.max(imm.max_range_del_seq(user_key, snapshot));
+        }
+        if version.has_range_tombstones() {
+            covering = covering.max(
+                version
+                    .range_tombstones(&self.table_cache, &self.name)?
+                    .max_covering_seq(user_key, snapshot),
+            );
+        }
+        // `Some(outcome)` ends the lookup at this source; `None` means the
+        // source holds no entry for the key and the next one is probed.
+        type Outcome = Option<Option<Vec<u8>>>;
+        let probe = |(found, seq): (LookupResult, SequenceNumber)| -> Result<Outcome> {
+            Ok(match found {
+                LookupResult::NotFound => None,
+                LookupResult::Deleted => Some(None),
+                _ if seq < covering => Some(None),
+                LookupResult::Value(v) => Some(Some(v)),
+                LookupResult::Pointer(p) => Some(Some(self.resolve_pointer(&p)?)),
+            })
+        };
+        for source in [Some(&mem), imm.as_ref()].into_iter().flatten() {
+            if let Some(outcome) = probe(source.get_with_seq(user_key, snapshot))? {
+                return Ok(outcome);
+            }
+        }
+        let got = version.get(
+            &self.icmp,
+            &self.table_cache,
+            &self.name,
+            user_key,
+            snapshot,
+        )?;
+        if self.opts.seek_compaction {
+            if let Some((level, table)) = got.seek_charge {
+                if table.allowed_seeks.fetch_sub(1, Ordering::Relaxed) <= 1 {
+                    let mut state = self.state.lock();
+                    if state.seek_candidate.is_none() {
+                        state.seek_candidate = Some((level, table));
+                        self.work_cv.notify_one();
+                    }
+                }
+            }
+        }
+        Ok(probe((got.result, got.sequence))?.flatten())
+    }
+
+    /// Fetch the value a separated entry points at.
+    fn resolve_pointer(&self, pointer: &[u8]) -> Result<Vec<u8>> {
+        let ptr = ValuePointer::decode(pointer)?;
+        let value = vlog::read_value(&self.env, &self.name, &ptr)?;
+        self.stats.record_vlog_resolve(1);
+        Ok(value)
+    }
+
+    // Associated fn (not a method): the iterator needs an owned
+    // `Arc<dyn ValueResolver>` clone of the handle, and `self: &Arc<Self>`
+    // receivers are not stable Rust.
+    fn iter_at(inner: &Arc<DbInner>, snapshot: Option<SequenceNumber>) -> Result<DbIterator> {
+        let (mem, imm) = {
+            let state = inner.state.lock();
+            (Arc::clone(&state.mem), state.imm.clone())
+        };
+        let version = inner.versions.lock().current();
+        // See `get_at` for why the sequence is captured after the version.
+        let snapshot = snapshot.unwrap_or_else(|| inner.last_sequence.load(Ordering::Acquire));
+        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
+        children.push(Box::new(mem.iter()));
+        if let Some(imm) = &imm {
+            children.push(Box::new(imm.iter()));
+        }
+        for level in &version.levels {
+            for run in &level.runs {
+                children.push(Box::new(RunIter::new(
+                    inner.icmp.clone(),
+                    Arc::clone(&inner.table_cache),
+                    inner.name.clone(),
+                    run.tables.clone(),
+                )));
+            }
+        }
+        let merged = MergingIter::new(inner.icmp.clone(), children);
+        // The overlay aggregates every source the iterator reads: table
+        // tombstones (via the version's cached set) plus both memtables'.
+        let mut tombstones = if version.has_range_tombstones() {
+            version
+                .range_tombstones(&inner.table_cache, &inner.name)?
+                .raw()
+                .to_vec()
+        } else {
+            Vec::new()
+        };
+        tombstones.extend(mem.range_tombstones());
+        if let Some(imm) = &imm {
+            tombstones.extend(imm.range_tombstones());
+        }
+        // Always attach the resolver: the store may hold pointers written
+        // under an earlier configuration even if separation is off now.
+        let resolver = Arc::clone(inner) as Arc<dyn ValueResolver>;
+        Ok(DbIterator {
+            inner: DbIter::new(inner.icmp.clone(), merged, snapshot)
+                .with_resolver(resolver)
+                .with_tombstones(Arc::new(RangeTombstoneSet::build(tombstones))),
+            _version: version,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::test_util::*;
+    use super::*;
+
+    #[test]
+    fn snapshot_reads_are_stable() {
+        let (_env, db) = mem_db(Options::leveldb());
+        db.put(b"k", b"old").unwrap();
+        let snap = db.snapshot();
+        db.put(b"k", b"new").unwrap();
+        db.delete(b"k2").unwrap();
+        let ro = ReadOptions::new().with_snapshot(&snap);
+        assert_eq!(db.get_opt(b"k", &ro).unwrap(), Some(b"old".to_vec()));
+        assert_eq!(db.get(b"k").unwrap(), Some(b"new".to_vec()));
+        drop(snap);
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn scan_returns_sorted_live_keys() {
+        let (_env, db) = mem_db(small_opts(Options::bolt()));
+        for i in (0..300u32).rev() {
+            db.put(format!("key{i:05}").as_bytes(), format!("v{i}").as_bytes())
+                .unwrap();
+        }
+        db.delete(b"key00100").unwrap();
+        db.flush().unwrap();
+        for i in 300..400u32 {
+            db.put(format!("key{i:05}").as_bytes(), format!("v{i}").as_bytes())
+                .unwrap();
+        }
+        let mut iter = db.iter().unwrap();
+        iter.seek(b"key00050").unwrap();
+        let mut count = 0;
+        let mut prev: Option<Vec<u8>> = None;
+        while iter.valid() {
+            let key = iter.key().to_vec();
+            assert_ne!(key, b"key00100".to_vec(), "deleted key must not appear");
+            if let Some(p) = &prev {
+                assert!(*p < key);
+            }
+            prev = Some(key);
+            count += 1;
+            iter.next().unwrap();
+        }
+        assert_eq!(count, 400 - 50 - 1);
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn separated_values_roundtrip_all_read_paths() {
+        let (env, db) = mem_db(sep_opts(128));
+        for i in 0..32u32 {
+            db.put(format!("big{i:03}").as_bytes(), &big(i)).unwrap();
+            db.put(format!("small{i:03}").as_bytes(), b"tiny").unwrap();
+        }
+        // Memtable hits resolve pointers.
+        assert_eq!(db.get(b"big003").unwrap(), Some(big(3)));
+        assert_eq!(db.get(b"small003").unwrap(), Some(b"tiny".to_vec()));
+        let snap = db.snapshot();
+        db.put(b"big003", &vec![b'z'; 2048]).unwrap();
+        db.flush().unwrap();
+        // SSTable hits resolve pointers; the snapshot still sees the old
+        // separated value.
+        assert_eq!(db.get(b"big003").unwrap(), Some(vec![b'z'; 2048]));
+        let ro = ReadOptions::new().with_snapshot(&snap);
+        assert_eq!(db.get_opt(b"big003", &ro).unwrap(), Some(big(3)));
+        drop(snap);
+        // Iterators resolve pointers to the full value bytes.
+        let mut iter = db.iter().unwrap();
+        iter.seek_to_first().unwrap();
+        let mut bigs = 0;
+        while iter.valid() {
+            if iter.key().starts_with(b"big") {
+                assert!(iter.value().len() >= 1024, "iterator leaked a pointer");
+                bigs += 1;
+            } else {
+                assert_eq!(iter.value(), b"tiny");
+            }
+            iter.next().unwrap();
+        }
+        assert_eq!(bigs, 32);
+        let stats = db.stats().snapshot();
+        assert!(stats.vlog_values_separated >= 33, "{stats:?}");
+        assert!(stats.vlog_resolves >= 34, "{stats:?}");
+        // Separated payloads stay out of flush write amplification: 32 KiB
+        // of big values cannot fit in the flushed table bytes.
+        assert!(stats.flush_bytes < 16 << 10, "{stats:?}");
+        let _ = env;
+        db.close().unwrap();
+    }
+}

@@ -115,45 +115,9 @@ impl MetricsSnapshot {
     pub fn to_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         let d = &self.db;
-        reg.counter("bolt_flushes_total", &[], d.flushes);
-        reg.counter("bolt_compactions_total", &[], d.compactions);
-        reg.counter("bolt_settled_moves_total", &[], d.settled_moves);
-        reg.counter("bolt_trivial_moves_total", &[], d.trivial_moves);
-        reg.counter("bolt_seek_compactions_total", &[], d.seek_compactions);
-        reg.counter(
-            "bolt_compaction_input_bytes_total",
-            &[],
-            d.compaction_input_bytes,
-        );
-        reg.counter(
-            "bolt_compaction_output_bytes_total",
-            &[],
-            d.compaction_output_bytes,
-        );
-        reg.counter("bolt_flush_bytes_total", &[], d.flush_bytes);
-        reg.counter("bolt_slowdowns_total", &[], d.slowdowns);
-        reg.counter("bolt_stalls_total", &[], d.stalls);
-        reg.counter("bolt_stall_nanos_total", &[], d.stall_nanos);
-        reg.counter("bolt_user_bytes_total", &[], d.user_bytes_written);
-        reg.counter("bolt_write_groups_total", &[], d.write_groups);
-        reg.counter("bolt_group_batches_total", &[], d.group_batches);
-        reg.counter("bolt_wal_syncs_total", &[], d.wal_syncs);
-        reg.counter("bolt_wal_syncs_elided_total", &[], d.wal_syncs_elided);
-        reg.counter(
-            "bolt_vlog_values_separated_total",
-            &[],
-            d.vlog_values_separated,
-        );
-        reg.counter("bolt_vlog_bytes_written_total", &[], d.vlog_bytes_written);
-        reg.counter("bolt_vlog_resolves_total", &[], d.vlog_resolves);
-        reg.counter("bolt_vlog_dead_bytes_total", &[], d.vlog_dead_bytes);
-        reg.counter(
-            "bolt_vlog_segments_retired_total",
-            &[],
-            d.vlog_segments_retired,
-        );
-        reg.counter("bolt_range_deletes_total", &[], d.range_deletes);
-        reg.counter("bolt_checkpoints_total", &[], d.checkpoints);
+        for (name, value) in d.registry_counters() {
+            reg.counter(name, &[], value);
+        }
         reg.gauge(
             "bolt_range_tombstones_live",
             &[],
@@ -366,6 +330,39 @@ mod tests {
             reg.find("bolt_policy_write_amplification", &[("policy", "leveled")]),
             Some(&MetricValue::Gauge(4.0))
         );
+    }
+
+    #[test]
+    fn every_declared_counter_is_exported_once_under_its_registry_name() {
+        let db = DbStatsSnapshot::numbered();
+        let declared = db.registry_counters();
+        let m = MetricsSnapshot {
+            db,
+            ..Default::default()
+        };
+        let reg = m.to_registry();
+        let json = m.to_json();
+        for (i, (name, value)) in declared.iter().enumerate() {
+            // Distinct values prove the name is wired to *its* field.
+            assert_eq!(*value, i as u64 + 1, "{name} out of table order");
+            let hits: Vec<_> = reg
+                .entries()
+                .iter()
+                .filter(|e| e.name == *name && e.labels.is_empty())
+                .collect();
+            assert_eq!(hits.len(), 1, "{name} exported {} times", hits.len());
+            assert_eq!(hits[0].value, MetricValue::Counter(*value), "{name}");
+            let line = format!(
+                "{{\"name\":\"{name}\",\"type\":\"counter\",\"labels\":{{}},\"value\":{value}}}"
+            );
+            assert_eq!(json.matches(&line).count(), 1, "{name} in JSON: {json}");
+        }
+        // Accumulating the table into itself doubles every counter.
+        let mut doubled = db;
+        doubled.accumulate(&db);
+        for ((_, one), (name, two)) in declared.iter().zip(doubled.registry_counters()) {
+            assert_eq!(two, one * 2, "{name} skipped by accumulate");
+        }
     }
 
     #[test]

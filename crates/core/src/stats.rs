@@ -5,100 +5,118 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bolt_common::histogram::Histogram;
 
-/// Cumulative engine counters (all monotonically increasing).
-#[derive(Debug, Default)]
-pub struct DbStats {
-    flushes: AtomicU64,
-    compactions: AtomicU64,
-    settled_moves: AtomicU64,
-    trivial_moves: AtomicU64,
-    seek_compactions: AtomicU64,
-    compaction_input_bytes: AtomicU64,
-    compaction_output_bytes: AtomicU64,
-    flush_bytes: AtomicU64,
-    /// Writer slept 1 ms because of the L0SlowDown governor.
-    slowdowns: AtomicU64,
-    /// Writer blocked (memtable full with imm pending, or L0Stop).
-    stalls: AtomicU64,
-    stall_nanos: AtomicU64,
-    user_bytes_written: AtomicU64,
-    /// Commit groups formed by the write pipeline (one WAL record each).
-    write_groups: AtomicU64,
-    /// Writer batches committed through groups (= batches accepted).
-    group_batches: AtomicU64,
-    /// WAL durability barriers actually issued on the write path.
-    wal_syncs: AtomicU64,
-    /// Sync requests answered by another batch's barrier in the same group.
-    wal_syncs_elided: AtomicU64,
-    /// Values routed to the value log instead of the memtable.
-    vlog_values_separated: AtomicU64,
-    /// Value payload bytes appended to value-log segments.
-    vlog_bytes_written: AtomicU64,
-    /// Point reads and iterator steps that resolved a value pointer.
-    vlog_resolves: AtomicU64,
-    /// Dead value bytes reported to the liveness ledger by compactions.
-    vlog_dead_bytes: AtomicU64,
-    /// Fully dead value-log segments whose files were retired.
-    vlog_segments_retired: AtomicU64,
-    /// Ranged tombstones accepted by `delete_range`.
-    range_deletes: AtomicU64,
-    /// Consistent checkpoints successfully acked.
-    checkpoints: AtomicU64,
-    /// Nanoseconds each writer spent queued before its group committed
-    /// (leaders record their wait for leadership; followers their wait for
-    /// the leader's result).
-    queue_wait: Histogram,
+// The one table of engine counters. Each row is
+// `doc, record_fn / field => "registry name"` and generates the
+// [`DbStats`] atomic, its `pub(crate)` recorder and public getter, the
+// [`DbStatsSnapshot`] field, its copy in [`DbStats::snapshot`], its sum in
+// [`DbStatsSnapshot::accumulate`] and its registry export — so a counter
+// cannot exist in one of those places and be missing from another.
+macro_rules! engine_counters {
+    ($($(#[$doc:meta])+ $record:ident / $field:ident => $registry:literal),* $(,)?) => {
+        /// Cumulative engine counters (all monotonically increasing).
+        #[derive(Debug, Default)]
+        pub struct DbStats {
+            $($field: AtomicU64,)*
+            /// Nanoseconds each writer spent queued before its group
+            /// committed (leaders record their wait for leadership;
+            /// followers their wait for the leader's result).
+            queue_wait: Histogram,
+        }
+
+        /// Point-in-time copy of [`DbStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct DbStatsSnapshot {
+            $($(#[$doc])+ pub $field: u64,)*
+        }
+
+        impl DbStats {
+            $(
+                /// Increment the counter by `n`.
+                pub(crate) fn $record(&self, n: u64) {
+                    self.$field.fetch_add(n, Ordering::Relaxed);
+                }
+
+                /// Read the counter.
+                pub fn $field(&self) -> u64 {
+                    self.$field.load(Ordering::Relaxed)
+                }
+            )*
+
+            /// Copy all counters.
+            pub fn snapshot(&self) -> DbStatsSnapshot {
+                DbStatsSnapshot { $($field: self.$field(),)* }
+            }
+        }
+
+        impl DbStatsSnapshot {
+            /// Add every counter of `other` into `self` (cross-shard
+            /// aggregation).
+            pub fn accumulate(&mut self, other: &DbStatsSnapshot) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Every counter as `(registry name, value)`, in table order.
+            pub(crate) fn registry_counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($registry, self.$field),)*]
+            }
+
+            /// A snapshot whose n-th declared counter holds `n` (from 1).
+            #[cfg(test)]
+            pub(crate) fn numbered() -> DbStatsSnapshot {
+                let mut n = 0;
+                DbStatsSnapshot { $($field: { n += 1; n },)* }
+            }
+        }
+    };
 }
 
-/// Point-in-time copy of [`DbStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DbStatsSnapshot {
+engine_counters! {
     /// MemTable flushes completed.
-    pub flushes: u64,
+    record_flush / flushes => "bolt_flushes_total",
     /// Compactions completed (excluding flushes).
-    pub compactions: u64,
+    record_compaction / compactions => "bolt_compactions_total",
     /// Logical tables promoted by settled compaction (no rewrite).
-    pub settled_moves: u64,
+    record_settled_move / settled_moves => "bolt_settled_moves_total",
     /// Tables promoted by LevelDB-style trivial moves.
-    pub trivial_moves: u64,
+    record_trivial_move / trivial_moves => "bolt_trivial_moves_total",
     /// Compactions triggered by wasted seeks.
-    pub seek_compactions: u64,
+    record_seek_compaction / seek_compactions => "bolt_seek_compactions_total",
     /// Bytes read into compactions.
-    pub compaction_input_bytes: u64,
+    record_compaction_input / compaction_input_bytes => "bolt_compaction_input_bytes_total",
     /// Bytes written by compactions.
-    pub compaction_output_bytes: u64,
+    record_compaction_output / compaction_output_bytes => "bolt_compaction_output_bytes_total",
     /// Bytes written by flushes.
-    pub flush_bytes: u64,
-    /// L0SlowDown 1 ms sleeps.
-    pub slowdowns: u64,
-    /// Full write stalls.
-    pub stalls: u64,
+    record_flush_bytes / flush_bytes => "bolt_flush_bytes_total",
+    /// Times a writer slept 1 ms because of the L0SlowDown governor.
+    record_slowdown / slowdowns => "bolt_slowdowns_total",
+    /// Full write stalls (memtable full with imm pending, or L0Stop).
+    record_stall / stalls => "bolt_stalls_total",
     /// Total nanoseconds writers spent stalled.
-    pub stall_nanos: u64,
+    record_stall_nanos / stall_nanos => "bolt_stall_nanos_total",
     /// Raw user payload bytes accepted by `put`/`delete`.
-    pub user_bytes_written: u64,
-    /// Commit groups formed by the write pipeline.
-    pub write_groups: u64,
-    /// Writer batches committed through groups.
-    pub group_batches: u64,
-    /// WAL durability barriers issued on the write path.
-    pub wal_syncs: u64,
-    /// Sync requests satisfied by another batch's barrier.
-    pub wal_syncs_elided: u64,
+    record_user_bytes / user_bytes_written => "bolt_user_bytes_total",
+    /// Commit groups formed by the write pipeline (one WAL record each).
+    record_write_group / write_groups => "bolt_write_groups_total",
+    /// Writer batches committed through groups (= batches accepted).
+    record_group_batches / group_batches => "bolt_group_batches_total",
+    /// WAL durability barriers actually issued on the write path.
+    record_wal_sync / wal_syncs => "bolt_wal_syncs_total",
+    /// Sync requests answered by another batch's barrier in the same group.
+    record_wal_sync_elided / wal_syncs_elided => "bolt_wal_syncs_elided_total",
     /// Values routed to the value log instead of the memtable.
-    pub vlog_values_separated: u64,
+    record_vlog_separated / vlog_values_separated => "bolt_vlog_values_separated_total",
     /// Value payload bytes appended to value-log segments.
-    pub vlog_bytes_written: u64,
-    /// Reads that resolved a value pointer through the value log.
-    pub vlog_resolves: u64,
-    /// Dead value bytes reported by compactions.
-    pub vlog_dead_bytes: u64,
-    /// Fully dead value-log segments retired.
-    pub vlog_segments_retired: u64,
+    record_vlog_bytes / vlog_bytes_written => "bolt_vlog_bytes_written_total",
+    /// Point reads and iterator steps that resolved a value pointer.
+    record_vlog_resolve / vlog_resolves => "bolt_vlog_resolves_total",
+    /// Dead value bytes reported to the liveness ledger by compactions.
+    record_vlog_dead_bytes / vlog_dead_bytes => "bolt_vlog_dead_bytes_total",
+    /// Fully dead value-log segments whose files were retired.
+    record_vlog_segment_retired / vlog_segments_retired => "bolt_vlog_segments_retired_total",
     /// Ranged tombstones accepted by `delete_range`.
-    pub range_deletes: u64,
+    record_range_delete / range_deletes => "bolt_range_deletes_total",
     /// Consistent checkpoints successfully acked.
-    pub checkpoints: u64,
+    record_checkpoint / checkpoints => "bolt_checkpoints_total",
 }
 
 impl DbStatsSnapshot {
@@ -133,81 +151,10 @@ impl DbStatsSnapshot {
     }
 }
 
-macro_rules! counters {
-    ($($record:ident / $get:ident => $field:ident),* $(,)?) => {
-        $(
-            /// Increment the counter by `n`.
-            pub fn $record(&self, n: u64) {
-                self.$field.fetch_add(n, Ordering::Relaxed);
-            }
-
-            /// Read the counter.
-            pub fn $get(&self) -> u64 {
-                self.$field.load(Ordering::Relaxed)
-            }
-        )*
-    };
-}
-
 impl DbStats {
-    counters! {
-        record_flush / flushes => flushes,
-        record_compaction / compactions => compactions,
-        record_settled_move / settled_moves => settled_moves,
-        record_trivial_move / trivial_moves => trivial_moves,
-        record_seek_compaction / seek_compactions => seek_compactions,
-        record_compaction_input / compaction_input_bytes => compaction_input_bytes,
-        record_compaction_output / compaction_output_bytes => compaction_output_bytes,
-        record_flush_bytes / flush_bytes => flush_bytes,
-        record_slowdown / slowdowns => slowdowns,
-        record_stall / stalls => stalls,
-        record_stall_nanos / stall_nanos => stall_nanos,
-        record_user_bytes / user_bytes_written => user_bytes_written,
-        record_write_group / write_groups => write_groups,
-        record_group_batches / group_batches => group_batches,
-        record_wal_sync / wal_syncs => wal_syncs,
-        record_wal_sync_elided / wal_syncs_elided => wal_syncs_elided,
-        record_vlog_separated / vlog_values_separated => vlog_values_separated,
-        record_vlog_bytes / vlog_bytes_written => vlog_bytes_written,
-        record_vlog_resolve / vlog_resolves => vlog_resolves,
-        record_vlog_dead_bytes / vlog_dead_bytes => vlog_dead_bytes,
-        record_vlog_segment_retired / vlog_segments_retired => vlog_segments_retired,
-        record_range_delete / range_deletes => range_deletes,
-        record_checkpoint / checkpoints => checkpoints,
-    }
-
     /// Per-writer time-in-queue histogram (nanoseconds).
     pub fn queue_wait(&self) -> &Histogram {
         &self.queue_wait
-    }
-
-    /// Copy all counters.
-    pub fn snapshot(&self) -> DbStatsSnapshot {
-        DbStatsSnapshot {
-            flushes: self.flushes(),
-            compactions: self.compactions(),
-            settled_moves: self.settled_moves(),
-            trivial_moves: self.trivial_moves(),
-            seek_compactions: self.seek_compactions(),
-            compaction_input_bytes: self.compaction_input_bytes(),
-            compaction_output_bytes: self.compaction_output_bytes(),
-            flush_bytes: self.flush_bytes(),
-            slowdowns: self.slowdowns(),
-            stalls: self.stalls(),
-            stall_nanos: self.stall_nanos(),
-            user_bytes_written: self.user_bytes_written(),
-            write_groups: self.write_groups(),
-            group_batches: self.group_batches(),
-            wal_syncs: self.wal_syncs(),
-            wal_syncs_elided: self.wal_syncs_elided(),
-            vlog_values_separated: self.vlog_values_separated(),
-            vlog_bytes_written: self.vlog_bytes_written(),
-            vlog_resolves: self.vlog_resolves(),
-            vlog_dead_bytes: self.vlog_dead_bytes(),
-            vlog_segments_retired: self.vlog_segments_retired(),
-            range_deletes: self.range_deletes(),
-            checkpoints: self.checkpoints(),
-        }
     }
 }
 

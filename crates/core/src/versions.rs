@@ -484,9 +484,10 @@ impl VersionSet {
                 dead_files.push(file_number);
                 continue;
             }
-            let punch_candidate = info.regions.iter().any(|r| {
-                !live_tables.contains(&r.table_id) && !info.punched.contains(&r.table_id)
-            });
+            let punch_candidate = info
+                .regions
+                .iter()
+                .any(|r| !live_tables.contains(&r.table_id) && !info.punched.contains(&r.table_id));
             if !punch_candidate {
                 continue;
             }
@@ -1378,8 +1379,12 @@ mod tests {
             .unwrap();
         vs.unpin_checkpoint(pin);
 
-        let mut ckpt =
-            VersionSet::new(Arc::clone(&env), "ckpt", InternalKeyComparator::default(), 7);
+        let mut ckpt = VersionSet::new(
+            Arc::clone(&env),
+            "ckpt",
+            InternalKeyComparator::default(),
+            7,
+        );
         ckpt.recover().unwrap();
         let seg5 = &ckpt.vlog_segments()[&5];
         assert_eq!(

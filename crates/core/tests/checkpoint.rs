@@ -160,7 +160,11 @@ fn checkpoint_survives_source_gc_after_reopen() {
     db.close().unwrap();
 
     let copy = Db::open(Arc::clone(&env), "ckpt", o).unwrap();
-    assert_eq!(scan(&copy), want, "post-restart GC corrupted the checkpoint");
+    assert_eq!(
+        scan(&copy),
+        want,
+        "post-restart GC corrupted the checkpoint"
+    );
     copy.close().unwrap();
 }
 

@@ -29,31 +29,11 @@ pub struct Config {
 }
 
 impl Config {
-    /// The workspace defaults: module lists match ISSUE/DESIGN §10; order
-    /// and aliases are normally loaded from `lint/lock_order.toml`.
-    pub fn default_rules() -> Config {
-        Config {
-            order: Vec::new(),
-            aliases: HashMap::new(),
-            crash_path: vec![
-                "crates/core/src/db.rs".into(),
-                "crates/core/src/versions.rs".into(),
-                "crates/core/src/compaction.rs".into(),
-                "crates/wal/src/".into(),
-                "crates/tools/src/backup.rs".into(),
-            ],
-            commit_path: vec![
-                "crates/core/src/versions.rs".into(),
-                "crates/core/src/compaction.rs".into(),
-            ],
-            twopc_path: vec!["crates/sharded/src/".into()],
-        }
-    }
-
-    /// Parse the `lint/lock_order.toml` subset, merging into the default
-    /// rule configuration.
+    /// Parse the `lint/lock_order.toml` subset. The file is the only home
+    /// of the workspace's lock order and module lists: a key it omits stays
+    /// empty, and the rules scoped by an empty list check nothing.
     pub fn parse(toml: &str) -> Result<Config, String> {
-        let mut cfg = Config::default_rules();
+        let mut cfg = Config::default();
         let mut section = String::new();
         let mut lines = toml.lines().enumerate().peekable();
         while let Some((n, raw)) = lines.next() {

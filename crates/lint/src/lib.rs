@@ -76,7 +76,8 @@ pub fn collect_rs_files(root: &Path) -> Result<Vec<PathBuf>, String> {
 }
 
 /// Analyze every `.rs` file under `root` with the config at
-/// `root/lint/lock_order.toml` (or built-in defaults when absent).
+/// `root/lint/lock_order.toml` (when absent, only the rules that need no
+/// configuration run: the lock-order and path-scoped rules have no lists).
 /// Returns unsuppressed findings sorted by file and line.
 pub fn check_root(root: &Path, config_path: Option<&Path>) -> Result<Vec<Finding>, String> {
     let cfg_path = config_path
@@ -87,7 +88,7 @@ pub fn check_root(root: &Path, config_path: Option<&Path>) -> Result<Vec<Finding
             .map_err(|e| format!("read {}: {e}", cfg_path.display()))?;
         Config::parse(&text)?
     } else {
-        Config::default_rules()
+        Config::default()
     };
     let mut sources = Vec::new();
     for path in collect_rs_files(root)? {

@@ -754,6 +754,76 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_sums_every_engine_counter() {
+        use bolt_core::MetricValue;
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let mut opts = small_opts();
+        opts.value_separation_threshold = Some(128);
+        let db = ShardedDb::open(Arc::clone(&env), "agg", opts, Router::hash(2).unwrap()).unwrap();
+        // Per shard: one separated value (read back once), one range
+        // delete, one flush, one checkpoint.
+        for i in 0..2 {
+            let shard = db.shard(i);
+            shard.put(b"big", &[7u8; 1024]).unwrap();
+            assert!(shard.get(b"big").unwrap().is_some());
+            shard.delete_range(b"a", b"b").unwrap();
+            shard.flush().unwrap();
+            shard.checkpoint(&format!("agg-ckpt-{i}")).unwrap();
+        }
+        let m = db.metrics();
+        for name in [
+            "bolt_flushes_total",
+            "bolt_vlog_values_separated_total",
+            "bolt_vlog_bytes_written_total",
+            "bolt_vlog_resolves_total",
+            "bolt_range_deletes_total",
+            "bolt_checkpoints_total",
+        ] {
+            let per_shard = m.per_shard[0].to_registry();
+            assert!(
+                matches!(per_shard.find(name, &[]), Some(MetricValue::Counter(n)) if *n > 0),
+                "{name} not exercised on shard 0"
+            );
+        }
+        assert!(m.per_shard[0].range_tombstones_live > 0);
+        assert_eq!(
+            m.aggregate.range_tombstones_live,
+            m.per_shard[0].range_tombstones_live + m.per_shard[1].range_tombstones_live
+        );
+        // Every counter series a shard exports — whatever is declared, now
+        // or later — must appear in the aggregate as the sum over shards.
+        // (I/O counters are per distinct env, checked by the test below.)
+        let aggregate = m.aggregate.to_registry();
+        let mut checked = 0;
+        for metric in m.per_shard[0].to_registry().entries() {
+            let MetricValue::Counter(first) = metric.value else {
+                continue;
+            };
+            if metric.name.starts_with("bolt_io_") {
+                continue;
+            }
+            let labels: Vec<(&str, &str)> = metric
+                .labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            let second = match m.per_shard[1].to_registry().find(&metric.name, &labels) {
+                Some(MetricValue::Counter(n)) => *n,
+                other => panic!("{} missing on shard 1: {other:?}", metric.name),
+            };
+            assert_eq!(
+                aggregate.find(&metric.name, &labels),
+                Some(&MetricValue::Counter(first + second)),
+                "{} {labels:?}",
+                metric.name
+            );
+            checked += 1;
+        }
+        assert!(checked >= 23, "only {checked} counter series compared");
+        db.close().unwrap();
+    }
+
+    #[test]
     fn metrics_count_io_once_per_distinct_env() {
         // Shards 0 and 1 share one env (and thus one set of global I/O
         // counters); shard 2 owns its own. The aggregate must count each

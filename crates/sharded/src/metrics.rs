@@ -31,24 +31,7 @@ pub struct ShardedMetrics {
 pub(crate) fn aggregate(per_shard: &[MetricsSnapshot], env_owner: &[bool]) -> MetricsSnapshot {
     let mut agg = MetricsSnapshot::default();
     for (i, m) in per_shard.iter().enumerate() {
-        let d = &mut agg.db;
-        let s = &m.db;
-        d.flushes += s.flushes;
-        d.compactions += s.compactions;
-        d.settled_moves += s.settled_moves;
-        d.trivial_moves += s.trivial_moves;
-        d.seek_compactions += s.seek_compactions;
-        d.compaction_input_bytes += s.compaction_input_bytes;
-        d.compaction_output_bytes += s.compaction_output_bytes;
-        d.flush_bytes += s.flush_bytes;
-        d.slowdowns += s.slowdowns;
-        d.stalls += s.stalls;
-        d.stall_nanos += s.stall_nanos;
-        d.user_bytes_written += s.user_bytes_written;
-        d.write_groups += s.write_groups;
-        d.group_batches += s.group_batches;
-        d.wal_syncs += s.wal_syncs;
-        d.wal_syncs_elided += s.wal_syncs_elided;
+        agg.db.accumulate(&m.db);
 
         if env_owner.get(i).copied().unwrap_or(true) {
             let io = &mut agg.io;
@@ -95,6 +78,7 @@ pub(crate) fn aggregate(per_shard: &[MetricsSnapshot], env_owner: &[bool]) -> Me
         agg.events_emitted += m.events_emitted;
         agg.events_dropped += m.events_dropped;
         agg.manifest_recuts += m.manifest_recuts;
+        agg.range_tombstones_live += m.range_tombstones_live;
         // Every shard shares one Options, hence one compaction policy.
         agg.policy = m.policy;
     }
