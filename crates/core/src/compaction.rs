@@ -517,12 +517,14 @@ fn tier_bucket(opts: &Options, runs: &[Run]) -> Option<usize> {
     if runs.len() < 2 {
         return None;
     }
-    let ratio = opts.size_tiered_size_ratio;
+    /// STCS bucketing band: a run joins the bucket while its size stays
+    /// within `[avg / RATIO, avg * RATIO]` of the running average.
+    const RATIO: f64 = 1.5;
     let mut avg = 0.0_f64;
     let mut len = 0usize;
     for run in runs.iter().rev() {
         let size = run.size() as f64;
-        if len > 0 && (size < avg / ratio || size > avg * ratio) {
+        if len > 0 && (size < avg / RATIO || size > avg * RATIO) {
             break;
         }
         avg = (avg * len as f64 + size) / (len as f64 + 1.0);

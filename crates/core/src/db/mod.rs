@@ -272,10 +272,12 @@ impl Db {
             filter_key: bolt_table::FilterKey::UserKey,
             block_cache: Some(Arc::clone(&block_cache)),
         };
+        /// Capacity, in files, of the BoLT fd cache when enabled.
+        const FD_CACHE_FILES: u64 = 500;
         let fd_cache = opts
             .bolt_options()
             .filter(|b| b.fd_cache)
-            .map(|_| opts.fd_cache_files);
+            .map(|_| FD_CACHE_FILES);
         let table_cache = Arc::new(TableCache::new(
             Arc::clone(&env),
             opts.max_open_files,

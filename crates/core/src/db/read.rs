@@ -60,8 +60,10 @@ impl Db {
 
     /// Take a consistent read view.
     pub fn snapshot(&self) -> Snapshot {
-        let seq = self.inner.last_sequence.load(Ordering::Acquire);
         let mut state = self.inner.state.lock();
+        // Read and registered in one `core.state` critical section; see the
+        // capture-order note on `DbInner::get_at`.
+        let seq = self.inner.last_sequence.load(Ordering::Acquire);
         state.snapshots.push(seq);
         Snapshot {
             seq,
@@ -103,7 +105,12 @@ impl DbInner {
     /// version pin could be older than the `smallest_snapshot` of a
     /// concurrently committing compaction, which is allowed to drop entry
     /// versions that such a reader still needs. Explicit [`Snapshot`]s are
-    /// registered and respected by compaction instead.
+    /// registered and respected by compaction instead — which holds only
+    /// because [`Db::snapshot`] reads the sequence *inside* the `core.state`
+    /// critical section that registers it, the same lock `run_compaction`
+    /// computes `smallest_snapshot` under. A sequence read before taking
+    /// the lock is, for a moment, a snapshot no compaction can see: one
+    /// that starts in that gap drops the very version it is about to pin.
     fn get_at(&self, user_key: &[u8], snapshot: Option<SequenceNumber>) -> Result<Option<Vec<u8>>> {
         let (mem, imm) = {
             let state = self.state.lock();
@@ -242,6 +249,61 @@ mod tests {
         assert_eq!(db.get_opt(b"k", &ro).unwrap(), Some(b"old".to_vec()));
         assert_eq!(db.get(b"k").unwrap(), Some(b"new".to_vec()));
         drop(snap);
+        db.close().unwrap();
+    }
+
+    /// `snapshot()` must read its sequence in the critical section that
+    /// registers it. The writer overwrites `k` and compacts the overwrite
+    /// into the table holding the previous version; a compaction that
+    /// computes its drop horizon between an unregistered snapshot's read and
+    /// its registration drops the version that snapshot then looks for.
+    /// Two levels keep one overwrite to one flush plus one merge, so the
+    /// unfixed race fired within ~700 rounds in 30 of 30 runs.
+    #[test]
+    fn snapshot_is_registered_before_any_compaction_can_miss_it() {
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+        let mut opts = small_opts(Options::bolt());
+        opts.num_levels = 2;
+        let (_env, db) = mem_db(opts);
+        let version = |v: u64| format!("{v:020}").into_bytes();
+        db.put(b"k", &version(0)).unwrap();
+        let (attempted, acked) = (AtomicU64::new(0), AtomicU64::new(0));
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        while !done.load(Ordering::Acquire) {
+                            let lo = acked.load(Ordering::Acquire);
+                            let snap = db.snapshot();
+                            let hi = attempted.load(Ordering::Acquire);
+                            let ro = ReadOptions::new().with_snapshot(&snap);
+                            let got = db
+                                .get_opt(b"k", &ro)
+                                .unwrap()
+                                .map(|v| String::from_utf8(v).unwrap().parse::<u64>().unwrap());
+                            assert!(
+                                got.is_some_and(|v| lo <= v && v <= hi),
+                                "snapshot read {got:?}, expected a version in [{lo}, {hi}]"
+                            );
+                        }
+                    })
+                })
+                .collect();
+            for v in 1..=2000u64 {
+                attempted.store(v, Ordering::Release);
+                db.put(b"k", &version(v)).unwrap();
+                acked.store(v, Ordering::Release);
+                db.compact_range(b"a", b"z").unwrap();
+                if readers.iter().any(|r| r.is_finished()) {
+                    break;
+                }
+            }
+            done.store(true, Ordering::Release);
+            for reader in readers {
+                reader.join().expect("a snapshot read lost its version");
+            }
+        });
         db.close().unwrap();
     }
 

@@ -185,7 +185,7 @@ impl Db {
     ///
     /// Writes go through the group-commit pipeline: the first queued writer
     /// becomes the *leader*, merges the batches of every queued follower (up
-    /// to [`crate::Options::group_commit_bytes`]), writes one WAL record and pays
+    /// to a 1 MiB group), writes one WAL record and pays
     /// at most one durability barrier for the whole group — outside the
     /// engine mutex — then distributes the per-writer results. A follower's
     /// batch is durable iff the leader's sync covering it completed.
@@ -420,9 +420,10 @@ impl DbInner {
         // until the byte cap. A small leading batch caps the group at its
         // own size + 128 KiB so a tiny write's latency is never hostage to
         // a megabyte of followers (HyperLevelDB's rule).
+        const GROUP_COMMIT_BYTES: usize = 1 << 20;
         const SMALL_BATCH_SLACK: usize = 128 << 10;
         let own = leader.batch_bytes;
-        let mut cap = self.opts.group_commit_bytes as usize;
+        let mut cap = GROUP_COMMIT_BYTES;
         if own <= SMALL_BATCH_SLACK {
             cap = cap.min(own + SMALL_BATCH_SLACK);
         }

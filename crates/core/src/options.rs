@@ -79,20 +79,12 @@ impl WriteOptions {
 /// [`crate::Db::iter`] are thin wrappers over the default, and reading at a
 /// snapshot is `ReadOptions::new().with_snapshot(&snap)`.
 ///
-/// `verify_checksums` and `fill_cache` are accepted as hints for
-/// forward-compatibility with LevelDB-family callers: the engine currently
-/// *always* verifies block checksums and *always* fills the block cache, so
-/// today they do not change behaviour. They are carried here so the API does
-/// not have to break when the fast paths land.
+/// The engine always verifies block checksums and always fills the block
+/// cache; there is no per-read switch for either.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadOptions<'a> {
     /// Read at this snapshot instead of the latest committed state.
     pub snapshot: Option<&'a crate::db::Snapshot>,
-    /// Hint: verify block checksums on read (currently always on).
-    pub verify_checksums: bool,
-    /// Hint: insert blocks read by this operation into the block cache
-    /// (currently always on).
-    pub fill_cache: bool,
 }
 
 impl Default for ReadOptions<'_> {
@@ -102,30 +94,14 @@ impl Default for ReadOptions<'_> {
 }
 
 impl<'a> ReadOptions<'a> {
-    /// Default read options: latest state, checksums verified, cache filled.
+    /// Default read options: the latest committed state.
     pub fn new() -> Self {
-        ReadOptions {
-            snapshot: None,
-            verify_checksums: true,
-            fill_cache: true,
-        }
+        ReadOptions { snapshot: None }
     }
 
     /// Pin the read to `snapshot`.
     pub fn with_snapshot(mut self, snapshot: &'a crate::db::Snapshot) -> Self {
         self.snapshot = Some(snapshot);
-        self
-    }
-
-    /// Set the checksum-verification hint.
-    pub fn verify_checksums(mut self, verify: bool) -> Self {
-        self.verify_checksums = verify;
-        self
-    }
-
-    /// Set the cache-fill hint.
-    pub fn fill_cache(mut self, fill: bool) -> Self {
-        self.fill_cache = fill;
         self
     }
 }
@@ -248,15 +224,11 @@ pub struct Options {
     pub level0_stop_trigger: Option<usize>,
     /// Number of levels (LevelDB: 7).
     pub num_levels: usize,
-    /// Byte limit of level 1; each deeper level multiplies by
-    /// [`Options::level_size_multiplier`].
+    /// Byte limit of level 1; each deeper level holds 10× the one above
+    /// (LevelDB's growth factor).
     pub level1_max_bytes: u64,
-    /// Growth factor between levels (LevelDB: 10).
-    pub level_size_multiplier: u64,
     /// TableCache capacity in *tables* (LevelDB's `max_open_files`).
     pub max_open_files: u64,
-    /// Capacity of the BoLT fd cache when enabled.
-    pub fd_cache_files: u64,
     /// BlockCache capacity in bytes.
     pub block_cache_bytes: u64,
     /// Physical table encoding (`legacy` or `compact`).
@@ -266,11 +238,6 @@ pub struct Options {
     /// Sync the WAL on every write batch (YCSB default: off). Overridable
     /// per batch with [`WriteOptions`].
     pub sync_wal: bool,
-    /// Group-commit byte cap: the leader merges queued batches until the
-    /// combined batch reaches this size (HyperLevelDB-style group commit).
-    /// A small leading batch additionally caps the group at its own size
-    /// plus 128 KiB so tiny writes keep low latency.
-    pub group_commit_bytes: u64,
     /// LevelDB's seek compaction (compact a table after too many wasted
     /// seeks). Disabled in the HyperLevelDB-family profiles.
     pub seek_compaction: bool,
@@ -283,10 +250,6 @@ pub struct Options {
     /// many runs (STCS `min_threshold`; must be ≥ 2). Smaller = earlier
     /// merges, lower read amp, higher write amp.
     pub size_tiered_min_threshold: usize,
-    /// Size-tiered / lazy-leveled: a run joins the current bucket while its
-    /// size stays within `[avg / ratio, avg × ratio]` of the bucket's
-    /// running average (STCS bucketing band; must be > 1.0).
-    pub size_tiered_size_ratio: f64,
     /// Use ordering-only barriers where durability is not required (the
     /// BarrierFS ablation; requires an env with
     /// [`bolt_env::Env::supports_ordering_barrier`]).
@@ -319,19 +282,15 @@ impl Options {
             level0_stop_trigger: Some(12),
             num_levels: 7,
             level1_max_bytes: 10 << 20,
-            level_size_multiplier: 10,
             max_open_files: 1000,
-            fd_cache_files: 500,
             block_cache_bytes: 8 << 20,
             table_format: TableFormat::legacy(),
             filter_policy: Some(BloomFilterPolicy::new(10)),
             sync_wal: false,
-            group_commit_bytes: 1 << 20,
             seek_compaction: true,
             compaction_style: CompactionStyle::Leveled,
             compaction_policy: CompactionPolicyKind::Leveled,
             size_tiered_min_threshold: 4,
-            size_tiered_size_ratio: 1.5,
             use_ordering_barriers: false,
             value_separation_threshold: None,
             vlog_segment_bytes: 64 << 20,
@@ -457,9 +416,11 @@ impl Options {
         if level == 0 {
             return u64::MAX;
         }
+        /// Growth factor between levels (LevelDB: 10).
+        const LEVEL_SIZE_MULTIPLIER: u64 = 10;
         let mut bytes = self.level1_max_bytes;
         for _ in 1..level {
-            bytes = bytes.saturating_mul(self.level_size_multiplier);
+            bytes = bytes.saturating_mul(LEVEL_SIZE_MULTIPLIER);
         }
         bytes
     }
@@ -507,9 +468,6 @@ impl Options {
         if self.memtable_bytes == 0 || self.sstable_bytes == 0 || self.level1_max_bytes == 0 {
             problems.push("memtable, sstable and level-1 sizes must be positive".to_string());
         }
-        if self.level_size_multiplier < 2 {
-            problems.push("level size multiplier must be at least 2".to_string());
-        }
         if let (Some(slow), Some(stop)) = (self.level0_slowdown_trigger, self.level0_stop_trigger) {
             if stop < slow {
                 problems.push("L0Stop trigger must not be below L0SlowDown".to_string());
@@ -538,14 +496,8 @@ impl Options {
         if self.size_tiered_min_threshold < 2 {
             problems.push("size_tiered_min_threshold must be at least 2".to_string());
         }
-        if self.size_tiered_size_ratio <= 1.0 || !self.size_tiered_size_ratio.is_finite() {
-            problems.push("size_tiered_size_ratio must be a finite value above 1.0".to_string());
-        }
         if self.max_open_files == 0 {
             problems.push("max_open_files must be positive".to_string());
-        }
-        if self.group_commit_bytes == 0 {
-            problems.push("group commit byte cap must be positive".to_string());
         }
         if self.value_separation_threshold == Some(0) {
             problems.push(
@@ -608,7 +560,7 @@ pub struct OptionsBuilder {
 }
 
 /// The compaction knob group of [`OptionsBuilder`]: style, victim policy,
-/// and the size-tiered tuning pair.
+/// and the size-tiered merge threshold.
 #[derive(Debug)]
 pub struct CompactionConfig<'a> {
     opts: &'a mut Options,
@@ -630,12 +582,6 @@ impl CompactionConfig<'_> {
     /// STCS `min_threshold`: runs per bucket before a merge fires.
     pub fn size_tiered_min_threshold(self, threshold: usize) -> Self {
         self.opts.size_tiered_min_threshold = threshold;
-        self
-    }
-
-    /// STCS bucketing band ratio.
-    pub fn size_tiered_size_ratio(self, ratio: f64) -> Self {
-        self.opts.size_tiered_size_ratio = ratio;
         self
     }
 
@@ -694,12 +640,6 @@ impl OptionsBuilder {
     /// Sync the WAL on every write batch.
     pub fn sync_wal(mut self, sync: bool) -> Self {
         self.opts.sync_wal = sync;
-        self
-    }
-
-    /// Group-commit byte cap.
-    pub fn group_commit_bytes(mut self, bytes: u64) -> Self {
-        self.opts.group_commit_bytes = bytes;
         self
     }
 
@@ -838,10 +778,6 @@ mod tests {
             b.group_compaction_bytes = b.logical_sstable_bytes / 2;
         }
         assert!(bad.validate().is_err());
-
-        let mut bad = Options::leveldb();
-        bad.group_commit_bytes = 0;
-        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -890,12 +826,6 @@ mod tests {
         bad.size_tiered_min_threshold = 1;
         assert!(bad.validate().is_err());
 
-        let mut bad = Options::bolt();
-        bad.size_tiered_size_ratio = 1.0;
-        assert!(bad.validate().is_err());
-        bad.size_tiered_size_ratio = f64::NAN;
-        assert!(bad.validate().is_err());
-
         let mut bad = Options::pebblesdb();
         bad.compaction_policy = CompactionPolicyKind::SizeTiered;
         assert!(bad.validate().is_err(), "fragmented style is leveled-only");
@@ -906,21 +836,12 @@ mod tests {
         assert_eq!(WriteOptions::new().sync, None);
         assert_eq!(WriteOptions::with_sync(true).sync, Some(true));
         assert_eq!(WriteOptions::with_sync(false).sync, Some(false));
-        // Every profile ships a sane group-commit cap.
-        assert_eq!(Options::leveldb().group_commit_bytes, 1 << 20);
-        assert_eq!(Options::bolt().group_commit_bytes, 1 << 20);
     }
 
     #[test]
-    fn read_options_defaults_and_builders() {
-        let ro = ReadOptions::new();
-        assert!(ro.snapshot.is_none());
-        assert!(ro.verify_checksums && ro.fill_cache);
-        let ro = ReadOptions::default()
-            .verify_checksums(false)
-            .fill_cache(false);
-        assert!(!ro.verify_checksums && !ro.fill_cache);
-        assert!(ro.snapshot.is_none());
+    fn read_options_default_to_latest_state() {
+        assert!(ReadOptions::new().snapshot.is_none());
+        assert!(ReadOptions::default().snapshot.is_none());
     }
 
     #[test]
@@ -969,7 +890,6 @@ mod tests {
     fn builder_reports_all_errors_at_once() {
         let err = Options::builder()
             .memtable_bytes(0)
-            .group_commit_bytes(0)
             .compaction(|c| c.size_tiered_min_threshold(1))
             .value_separation(|v| v.threshold(0).segment_bytes(0))
             .build()
@@ -980,7 +900,6 @@ mod tests {
         for expected in [
             "memtable, sstable and level-1 sizes must be positive",
             "size_tiered_min_threshold must be at least 2",
-            "group commit byte cap must be positive",
             "value_separation_threshold must be positive",
             "vlog_segment_bytes must be positive",
         ] {
@@ -992,7 +911,7 @@ mod tests {
     fn validate_matches_first_of_validate_all() {
         let mut bad = Options::leveldb();
         bad.num_levels = 1;
-        bad.group_commit_bytes = 0;
+        bad.max_open_files = 0;
         let all = bad.validate_all();
         assert_eq!(all.len(), 2);
         let bolt_common::Error::InvalidArgument(first) = bad.validate().unwrap_err() else {

@@ -77,6 +77,11 @@ pub struct ShardedDb {
     /// The coordinator's decide log; the mutex serializes commit points.
     txnlog: Mutex<TxnLog>,
     next_txn_id: AtomicU64,
+    /// Id of a transaction whose decide record failed to sync (0 = none).
+    /// Its outcome is unknown until the next open reads the log, and a
+    /// decided slice is then applied *above* everything this incarnation
+    /// wrote — so no later write may be acknowledged over it.
+    ambiguous_txn: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedDb {
@@ -201,7 +206,20 @@ impl ShardedDb {
             epoch: named_rwlock("sharded.epoch", ()),
             txnlog: named_mutex("sharded.txnlog", txnlog),
             next_txn_id: AtomicU64::new(max_logged.max(max_recovered) + 1),
+            ambiguous_txn: AtomicU64::new(0),
         })
+    }
+
+    /// Refuse writes once a decide record's fate is unknown (see
+    /// [`ShardedDb::write_batch`]).
+    fn check_writable(&self) -> Result<()> {
+        match self.ambiguous_txn.load(Ordering::SeqCst) {
+            0 => Ok(()),
+            id => Err(Error::InvalidState(format!(
+                "cross-shard transaction {id} has an unresolved commit decision; \
+                 reopen the database to resolve it"
+            ))),
+        }
     }
 
     /// Number of shards.
@@ -231,6 +249,7 @@ impl ShardedDb {
     ///
     /// Propagates the shard's write errors.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.check_writable()?;
         self.shards[self.router.route(key)].put(key, value)
     }
 
@@ -240,6 +259,7 @@ impl ShardedDb {
     ///
     /// Propagates the shard's write errors.
     pub fn delete(&self, key: &[u8]) -> Result<()> {
+        self.check_writable()?;
         self.shards[self.router.route(key)].delete(key)
     }
 
@@ -297,7 +317,10 @@ impl ShardedDb {
     /// `TXNLOG` (the commit point), then applies under the shared router
     /// epoch. Prepare errors abort cleanly. After an error from the decide
     /// sync the outcome is *ambiguous* until the next open, which resolves
-    /// it from whatever the log actually holds. An apply error is reported
+    /// it from whatever the log actually holds — by applying the slice, if
+    /// decided, above everything written since. Every later write is
+    /// therefore refused with [`Error::InvalidState`] until the database
+    /// is reopened. An apply error is reported
     /// but the batch is nonetheless *committed*: every other participant
     /// is still applied, and a shard whose apply failed keeps the slice
     /// staged (invisible to its readers) until the next open commits it
@@ -307,6 +330,7 @@ impl ShardedDb {
     ///
     /// Propagates shard write errors and coordinator-log I/O errors.
     pub fn write_batch(&self, batch: WriteBatch) -> Result<()> {
+        self.check_writable()?;
         let n = self.shards.len();
         let mut slices: Vec<WriteBatch> = (0..n).map(|_| WriteBatch::new()).collect();
         batch.for_each(|vt, key, value| {
@@ -365,8 +389,12 @@ impl ShardedDb {
 
         // Commit point: the synced decide record. On error the decision is
         // ambiguous (the record may or may not be durable); the slices
-        // stay staged and the next open resolves them from the log.
-        self.txnlog.lock().decide(&marker)?;
+        // stay staged, the next open resolves them from the log, and until
+        // then nothing else may be written (`check_writable`).
+        if let Err(e) = self.txnlog.lock().decide(&marker) {
+            self.ambiguous_txn.store(txn_id, Ordering::SeqCst);
+            return Err(e);
+        }
 
         // Phase 2: apply everywhere. Holding the epoch shared keeps any
         // consistent-cut capture (which takes it exclusive) from observing
@@ -649,6 +677,50 @@ mod tests {
                 "key {i} lost across reopen"
             );
         }
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn ambiguous_decide_refuses_writes_until_reopen_resolves_it() {
+        use bolt_env::{FaultEnv, FaultPlan};
+        let fault = FaultEnv::over_mem();
+        let env: Arc<dyn Env> = Arc::new(fault.clone());
+        let keys: Vec<String> = (0..16u32).map(|i| format!("amb{i:02}")).collect();
+        let batch = |value: &[u8]| {
+            let mut batch = WriteBatch::new();
+            for key in &keys {
+                batch.put(key.as_bytes(), value);
+            }
+            batch
+        };
+        let db = open_sharded(&env, 4);
+        db.write_batch(batch(b"v0")).unwrap();
+        // The decide record is appended but its sync fails: committed or
+        // not is unknown until the next open reads the log.
+        fault.set_plan(FaultPlan::parse("eio:sync:glob=TXNLOG:nth=0").unwrap());
+        assert!(db.write_batch(batch(b"v1")).is_err());
+        // Recovery applies a decided slice above everything written since,
+        // so a write acknowledged now could be silently overwritten.
+        for refused in [
+            db.put(b"amb00", b"later"),
+            db.delete(b"amb01"),
+            db.write_batch(batch(b"v2")),
+            db.delete_range(b"amb00", b"amb05"),
+        ] {
+            assert!(
+                matches!(refused, Err(Error::InvalidState(_))),
+                "{refused:?}"
+            );
+        }
+        let _ = db.close();
+        // The record did reach the log, so the reopen commits the batch —
+        // on every shard, and the database takes writes again.
+        let db = open_sharded(&env, 4);
+        for key in &keys {
+            assert_eq!(db.get(key.as_bytes()).unwrap(), Some(b"v1".to_vec()));
+        }
+        db.put(b"amb00", b"later").unwrap();
+        assert_eq!(db.get(b"amb00").unwrap(), Some(b"later".to_vec()));
         db.close().unwrap();
     }
 

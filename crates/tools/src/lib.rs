@@ -8,7 +8,6 @@
 //! | Command | What it does |
 //! |---|---|
 //! | [`stat`] | one merged [`MetricsSnapshot`] as text, JSON, or Prometheus |
-//! | [`stats`] | level shape, engine counters, I/O counters (text alias) |
 //! | [`trace`] | run a canonical micro workload and dump its event stream |
 //! | [`dump_manifest`] | decode every version edit in the live MANIFEST |
 //! | [`dump_tables`] | list every logical SSTable with its physical location |
@@ -18,8 +17,7 @@
 //! | [`compact`] | flush + compact until quiet |
 //! | [`verify`] | full integrity walk: checksums, run ordering, level invariants |
 //! | [`run_bench`] | the standing benchmark suites (sharding, policies, value separation) |
-//! | [`run_crash_sweep`] | deterministic crash-point + EIO sweep over a [`bolt_env::FaultEnv`] |
-//! | [`run_sharded_crash_sweep`] | the same, crashing inside cross-shard 2PC commit windows |
+//! | [`run_crash_sweep`] | the fault sweep over a [`bolt_env::FaultEnv`]: record → crash → EIO → double crash, on one engine or (with [`SweepConfig::sharded`]) inside cross-shard 2PC commit windows |
 //! | [`stat_per_shard`] | [`stat`] for a [`bolt_sharded::ShardedDb`]: aggregate + per-shard series |
 
 #![warn(missing_docs)]
@@ -28,16 +26,13 @@ mod backup;
 mod bench;
 pub mod json;
 mod sweep;
-mod sweep2pc;
+mod sweep_scenario;
 
 pub use backup::{
     backup_create, backup_restore, backup_verify, render_backup_report, BackupReport,
 };
 pub use bench::{run_bench, BenchArgs, BENCH_SCHEMA};
 pub use sweep::{render_report, run_crash_sweep, SweepConfig, SweepCoverage, SweepOutcome};
-pub use sweep2pc::{
-    render_sharded_report, run_sharded_crash_sweep, Sharded2pcConfig, Sharded2pcOutcome,
-};
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -215,15 +210,6 @@ pub fn stat(env: &Arc<dyn Env>, db: &str, opts: Options, format: StatFormat) -> 
         }
         StatFormat::Prometheus => metrics.to_prometheus_text(),
     })
-}
-
-/// Render level shape + engine + I/O statistics (text alias of [`stat`]).
-///
-/// # Errors
-///
-/// Returns open/recovery errors.
-pub fn stats(env: &Arc<dyn Env>, db: &str, opts: Options) -> Result<String> {
-    stat(env, db, opts, StatFormat::Text)
 }
 
 /// `stat --per-shard`: open a sharded database (its `SHARDS` file pins the
@@ -836,7 +822,7 @@ fn stale() {
     fn stats_and_dumps_render() {
         let (env, opts) = setup();
         seed_db(&env, &opts);
-        let s = stats(&env, "db", opts.clone()).unwrap();
+        let s = stat(&env, "db", opts.clone(), StatFormat::Text).unwrap();
         assert!(s.contains("levels"), "{s}");
         assert!(s.contains("fsync"), "{s}");
         let m = dump_manifest(&env, "db").unwrap();

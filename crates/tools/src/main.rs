@@ -5,12 +5,11 @@
 //! bolt-tool <command> <db-dir> [args...] [--profile <name>] [--policy=<p>]
 //!
 //! commands:
-//!   stat <db> [--json|--prometheus] one merged metrics snapshot (text,
-//!        [--per-shard]              JSON, or Prometheus exposition); with
-//!                                   --per-shard, open a ShardedDb and show
-//!                                   the aggregate plus every shard
-//!   stats <db>                      level shape + engine + IO counters
-//!                                   (text alias of `stat`)
+//!   stat <db> [--json|--prometheus] one merged metrics snapshot — level
+//!        [--per-shard]              shape, engine and I/O counters — as
+//!                                   text, JSON, or Prometheus exposition;
+//!                                   with --per-shard, open a ShardedDb and
+//!                                   show the aggregate plus every shard
 //!   trace [--json] [--validate F]   run the canonical micro workload
 //!                                   (in-memory, needs no db-dir) and dump
 //!                                   its event stream; with --validate,
@@ -40,18 +39,21 @@
 //!                                   byte CRC-verified, CURRENT landing last
 //!   backup verify <backup>          check every generation's manifest and
 //!                                   payload CRCs
-//!   crash-sweep [points] [seed]     crash-point + EIO sweep (in-memory,
-//!               [--policy=<p>]      needs no db-dir); --policy runs the
-//!               [--sharded]         sweep under leveled (default),
-//!               [--vlog]            size-tiered, or lazy-leveled victim
-//!               [--checkpoint]      selection; with --sharded, sweep
-//!                                   cross-shard 2PC commit windows; with
-//!                                   --vlog, run under WAL-time value
-//!                                   separation and force-cover every
-//!                                   value-log op as a crash point; with
-//!                                   --checkpoint, end the workload with an
-//!                                   online checkpoint, force-cover its
-//!                                   window, and check invariant C1
+//!   crash-sweep [points] [seed]     the fault sweep (in-memory, needs no
+//!               [--policy=<p>]      db-dir): record a workload, then crash
+//!               [--sharded]         at every selected op, fail sync
+//!               [--vlog]            ordinals with EIO, and crash again
+//!               [--checkpoint]      inside recovery, checking the DESIGN.md
+//!                                   §9 invariants after each. --policy
+//!                                   picks leveled (default), size-tiered or
+//!                                   lazy-leveled victim selection;
+//!                                   --sharded sweeps a ShardedDb, forcing
+//!                                   every op of every 2PC commit window;
+//!                                   --vlog runs under value separation and
+//!                                   forces every value-log op; --checkpoint
+//!                                   ends with an online checkpoint, forces
+//!                                   its window and checks C1 (the last two
+//!                                   do not combine with --sharded)
 //!   lint [path] [--config FILE]     barrier-ordering/lock-discipline
 //!        [--json] [--validate F]    static analysis (alias of bolt-lint);
 //!                                   with --json, findings are JSON Lines,
@@ -70,7 +72,7 @@ use bolt_env::{Env, RealEnv};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bolt-tool <stat|stats|dump-manifest|dump-tables|scan|get|put|delete|load|compact|verify> <db-dir> [args...] [--profile <name>] [--policy=<p>]\n       bolt-tool stat <db-dir> [--json|--prometheus] [--per-shard]\n       bolt-tool backup <create <db-dir>|restore [--gen N]|verify> <backup-dir> [<dest-dir>]\n       bolt-tool bench [--smoke] [--out FILE] [--suite trajectory|policies|value-separation]*\n       bolt-tool trace [--json] [--validate SCHEMA]\n       bolt-tool crash-sweep [max-points] [seed] [--policy=<p>] [--sharded] [--vlog] [--checkpoint]\n       bolt-tool lint [path] [--config FILE] [--json] [--validate SCHEMA]"
+        "usage: bolt-tool <stat|dump-manifest|dump-tables|scan|get|put|delete|load|compact|verify> <db-dir> [args...] [--profile <name>] [--policy=<p>]\n       bolt-tool stat <db-dir> [--json|--prometheus] [--per-shard]\n       bolt-tool backup <create <db-dir>|restore [--gen N]|verify> <backup-dir> [<dest-dir>]\n       bolt-tool bench [--smoke] [--out FILE] [--suite trajectory|policies|value-separation]*\n       bolt-tool trace [--json] [--validate SCHEMA]\n       bolt-tool crash-sweep [max-points] [seed] [--policy=<p>] [--sharded] [--vlog] [--checkpoint]\n       bolt-tool lint [path] [--config FILE] [--json] [--validate SCHEMA]"
     );
     ExitCode::from(2)
 }
@@ -103,24 +105,23 @@ fn bench(args: &[String]) -> ExitCode {
     }
 }
 
-/// Run the crash-point sweep on an in-memory filesystem (no db-dir needed).
-/// With `--sharded`, sweep the cross-shard 2PC windows of a [`bolt_sharded::ShardedDb`]
-/// instead of the single-engine workload.
+/// Run the fault sweep on an in-memory filesystem (no db-dir needed): the
+/// single-engine scenario, or with `--sharded` the cross-shard 2PC windows
+/// of a [`bolt_sharded::ShardedDb`].
 fn crash_sweep(args: &[String]) -> ExitCode {
     let mut positional: Vec<&String> = Vec::new();
-    let mut sharded = false;
-    let mut vlog = false;
-    let mut checkpoint = false;
-    let mut policy = bolt_core::CompactionPolicyKind::Leveled;
+    let mut cfg = if args.iter().any(|a| a == "--sharded") {
+        bolt_tools::SweepConfig::for_sharded()
+    } else {
+        bolt_tools::SweepConfig::default()
+    };
     for arg in &args[1..] {
-        if arg == "--sharded" {
-            sharded = true;
-        } else if arg == "--vlog" {
-            vlog = true;
+        if arg == "--vlog" {
+            cfg.vlog = true;
         } else if arg == "--checkpoint" {
-            checkpoint = true;
+            cfg.checkpoint = true;
         } else if let Some(name) = arg.strip_prefix("--policy=") {
-            policy = match bolt_core::CompactionPolicyKind::parse(name) {
+            cfg.policy = match bolt_core::CompactionPolicyKind::parse(name) {
                 Some(policy) => policy,
                 None => {
                     eprintln!(
@@ -129,51 +130,10 @@ fn crash_sweep(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-        } else {
+        } else if arg != "--sharded" {
             positional.push(arg);
         }
     }
-    if sharded {
-        if policy != bolt_core::CompactionPolicyKind::Leveled {
-            eprintln!("error: --policy is not supported with --sharded");
-            return ExitCode::from(2);
-        }
-        if vlog {
-            eprintln!("error: --vlog is not supported with --sharded");
-            return ExitCode::from(2);
-        }
-        if checkpoint {
-            eprintln!("error: --checkpoint is not supported with --sharded");
-            return ExitCode::from(2);
-        }
-        let mut cfg = bolt_tools::Sharded2pcConfig::default();
-        if let Some(points) = positional.first().and_then(|s| s.parse().ok()) {
-            cfg.max_crash_points = points;
-        }
-        if let Some(seed) = positional.get(1).and_then(|s| s.parse().ok()) {
-            cfg.seed = seed;
-        }
-        return match bolt_tools::run_sharded_crash_sweep(&cfg) {
-            Ok(outcome) => {
-                print!("{}", bolt_tools::render_sharded_report(&outcome));
-                if outcome.violations.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let mut cfg = bolt_tools::SweepConfig {
-        policy,
-        vlog,
-        checkpoint,
-        ..bolt_tools::SweepConfig::default()
-    };
     if let Some(points) = positional.first().and_then(|s| s.parse().ok()) {
         cfg.max_crash_points = points;
     }
@@ -454,7 +414,7 @@ fn main() -> ExitCode {
     let env: Arc<dyn Env> = Arc::new(RealEnv::new("."));
 
     let result = match command.as_str() {
-        "stat" => {
+        "stat" | "stats" => {
             let mut format = bolt_tools::StatFormat::Text;
             let mut per_shard = false;
             for arg in &args[2..] {
@@ -471,7 +431,6 @@ fn main() -> ExitCode {
                 bolt_tools::stat(&env, &db, opts, format).map(Some)
             }
         }
-        "stats" => bolt_tools::stats(&env, &db, opts).map(Some),
         "dump-manifest" => bolt_tools::dump_manifest(&env, &db).map(Some),
         "dump-tables" => bolt_tools::dump_tables(&env, &db, opts).map(Some),
         "scan" => {

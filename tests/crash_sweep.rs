@@ -12,7 +12,7 @@
 //! happened to complete) can wobble by a few, which is why the assertions
 //! below are lower bounds rather than exact values.
 
-use bolt_tools::{run_crash_sweep, run_sharded_crash_sweep, Sharded2pcConfig, SweepConfig};
+use bolt_tools::{run_crash_sweep, SweepConfig};
 
 #[test]
 fn sweep_holds_all_recovery_invariants() {
@@ -105,19 +105,19 @@ fn sharded_2pc_sweep_recovers_all_or_nothing() {
     // the first shard's synced prepare, around the TXNLOG decide record,
     // and mid-apply — and each one must recover all-or-nothing on every
     // shard.
-    let cfg = Sharded2pcConfig::default();
-    let outcome = run_sharded_crash_sweep(&cfg).expect("sharded sweep harness must run");
+    let cfg = SweepConfig::for_sharded();
+    let outcome = run_crash_sweep(&cfg).expect("sharded sweep harness must run");
 
+    let cross_shard_txns = outcome.coverage.cross_shard_txns;
     assert!(
-        outcome.cross_shard_txns >= 10,
-        "workload issued too few cross-shard transactions: {}",
-        outcome.cross_shard_txns
+        cross_shard_txns >= 10,
+        "workload issued too few cross-shard transactions: {cross_shard_txns}"
     );
     assert!(
-        outcome.txn_windows.len() as u64 == outcome.cross_shard_txns,
+        outcome.windows.len() as u64 == cross_shard_txns,
         "every cross-shard commit must record its 2PC window: {} windows for {} txns",
-        outcome.txn_windows.len(),
-        outcome.cross_shard_txns
+        outcome.windows.len(),
+        cross_shard_txns
     );
     // The 2PC windows are the point of this sweep: the bulk of the crash
     // points must land inside them, not just around them.
@@ -125,6 +125,16 @@ fn sharded_2pc_sweep_recovers_all_or_nothing() {
         outcome.window_points >= 50,
         "expected >= 50 crash points inside 2PC windows, got {}",
         outcome.window_points
+    );
+    // The sharded scenario runs the same driver phases as the single
+    // engine: EIO-on-sync and crash-inside-recovery, A1–A4 after each.
+    assert!(
+        !outcome.eio_points.is_empty(),
+        "expected EIO-on-sync points, got none"
+    );
+    assert!(
+        !outcome.double_crash_points.is_empty(),
+        "expected double-crash (crash-during-recovery) points, got none"
     );
     assert!(
         outcome.violations.is_empty(),
