@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo bench -p bolt-bench --bench fig14_tail_latency`
 
-use bolt_bench::{fig13_profiles, print_table, run_suite, us, write_csv, SuiteConfig};
+use bolt_bench::{fig13_profiles, print_table, run_suite, us, write_csv, PhaseResult, SuiteConfig};
 
 const PCTS: [f64; 7] = [50.0, 90.0, 95.0, 99.0, 99.5, 99.9, 99.99];
 
@@ -18,7 +18,7 @@ fn main() {
     let mut read_rows = Vec::new();
     for (name, opts) in fig13_profiles() {
         let result = run_suite(name, opts, &cfg);
-        for (phase, run) in &result.op_results {
+        for PhaseResult { phase, run, .. } in &result.phases {
             let row_of = |hist: &bolt_common::histogram::Histogram| {
                 let mut row = vec![name.to_string()];
                 row.extend(PCTS.iter().map(|&p| us(hist.percentile(p))));

@@ -9,7 +9,7 @@
 //! Run: `cargo bench -p bolt-bench --bench fig16_cdf_suite`
 
 use bolt_bench::bolt_core::Options;
-use bolt_bench::{print_table, run_suite, scaled_ops, us, write_csv, SuiteConfig};
+use bolt_bench::{print_table, run_suite, scaled_ops, us, write_csv, PhaseResult, SuiteConfig};
 
 const PCTS: [f64; 6] = [50.0, 90.0, 95.0, 99.0, 99.9, 99.99];
 
@@ -35,7 +35,7 @@ fn main() {
     let mut per_phase: std::collections::BTreeMap<String, Vec<Vec<String>>> = Default::default();
     for (name, opts) in [("BoLT", bolt_matched()), ("Rocks", Options::rocksdb())] {
         let result = run_suite(name, opts, &cfg);
-        for (phase, run) in &result.op_results {
+        for PhaseResult { phase, run, .. } in &result.phases {
             if ["A", "B", "C", "D", "E", "F"].contains(&phase.as_str()) {
                 let mut row = vec![name.to_string()];
                 row.extend(PCTS.iter().map(|&p| us(run.overall.percentile(p))));

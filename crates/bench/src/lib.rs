@@ -2,9 +2,12 @@
 //!
 //! Shared harness for the figure-regeneration benchmarks. Each bench target
 //! under `benches/` reproduces one table/figure of the BoLT paper
-//! (MIDDLEWARE 2020); this crate holds the common scaffolding: scaled
-//! experiment sizing, environment construction, the YCSB suite driver, and
-//! result formatting (stdout tables + CSV files under `target/figures/`).
+//! (MIDDLEWARE 2020), and each `ext_*` target one experiment beyond it
+//! (sharded scaling, compaction policies, value separation); this crate
+//! holds the common scaffolding: scaled experiment sizing, environment
+//! construction, the measured-phase runner and the YCSB suite driver built
+//! on it, perf floors, and result formatting (stdout tables + CSV files
+//! under `target/figures/`).
 //!
 //! ## Scaling
 //!
@@ -21,12 +24,14 @@ use std::io::Write as _;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
+use bolt_common::Result;
 use bolt_core::{Db, Options};
 use bolt_env::{DeviceModel, Env, IoSnapshot, SimEnv};
-use bolt_ycsb::{load_db, run_workload, BenchConfig, RunResult, Workload};
+use bolt_ycsb::{load_db, run_workload, BenchConfig, KvTarget, RunResult, Workload};
 
 pub use bolt_core;
 pub use bolt_env;
+pub use bolt_sharded;
 pub use bolt_ycsb;
 
 /// Capacity scale applied to every profile (1/64 of the paper's sizes).
@@ -123,32 +128,89 @@ pub fn fig12b_profiles() -> Vec<(&'static str, Options)> {
     ]
 }
 
-/// One phase's headline numbers.
-#[derive(Debug, Clone)]
+/// One measured YCSB phase: the client-side result plus what the target's
+/// `metrics()` moved by while it ran.
+#[derive(Debug)]
 pub struct PhaseResult {
-    /// Workload name (LA, A, ..., LE, E).
+    /// Phase label (LA, A, ..., LE, E, or a bench's own).
     pub phase: String,
     /// Throughput in ops/s.
     pub throughput: f64,
-    /// Selected latency percentiles in nanoseconds: (p50, p95, p99, p999).
-    pub latency: (u64, u64, u64, u64),
-    /// Full CDF of the phase's operations.
-    pub cdf: Vec<(u64, f64)>,
+    /// The client-side run: op count, latency percentiles, per-op histograms.
+    pub run: RunResult,
+    /// Env I/O counters moved during the phase (for a sharded target, the
+    /// aggregate across shards).
+    pub io: IoSnapshot,
+    /// User payload bytes the engine accepted during the phase.
+    pub user_bytes: u64,
+    /// Bytes the clients asked for: one value per operation.
+    pub requested_bytes: u64,
 }
 
 impl PhaseResult {
-    fn from_run(result: &RunResult) -> PhaseResult {
-        PhaseResult {
-            phase: result.workload.clone(),
-            throughput: result.throughput(),
-            latency: (
-                result.percentile(50.0),
-                result.percentile(95.0),
-                result.percentile(99.0),
-                result.percentile(99.9),
-            ),
-            cdf: result.overall.cdf(),
-        }
+    /// Device bytes written per user byte accepted during the phase (0 for
+    /// a phase that wrote nothing).
+    pub fn write_amp(&self) -> f64 {
+        ratio(self.io.bytes_written, self.user_bytes)
+    }
+
+    /// Device bytes read per byte requested during the phase.
+    pub fn read_amp(&self) -> f64 {
+        ratio(self.io.bytes_read, self.requested_bytes)
+    }
+
+    /// The client-side table cells every experiment prints: ops, ops/s,
+    /// and p50 / p99 / p99.9 latency in microseconds.
+    pub fn cells(&self) -> Vec<String> {
+        vec![
+            self.run.ops.to_string(),
+            format!("{:.1}", self.throughput),
+            us(self.run.percentile(50.0)),
+            us(self.run.percentile(99.0)),
+            us(self.run.percentile(99.9)),
+        ]
+    }
+}
+
+/// Column names of [`PhaseResult::cells`].
+pub const PHASE_HEADERS: [&str; 5] = ["ops", "ops/s", "p50_us", "p99_us", "p999_us"];
+
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Run one phase against `db` and measure it: `run` drives the clients
+/// (typically [`load_db`] or [`run_workload`]; work it does after the
+/// clients stop, such as a settling flush, is inside the measured I/O but
+/// outside the timed region) and the `metrics()` readings either side of it
+/// give the I/O the phase cost. Every amplification figure a bench prints
+/// comes from here.
+///
+/// # Panics
+///
+/// Panics if `run` fails or completes no operation — either means the
+/// harness, not the engine under test, is broken.
+pub fn measure_phase<T: KvTarget>(
+    db: &T,
+    phase: &str,
+    value_len: usize,
+    run: impl FnOnce() -> Result<RunResult>,
+) -> PhaseResult {
+    let before = db.metrics();
+    let run = run().unwrap_or_else(|e| panic!("phase {phase}: {e}"));
+    let after = db.metrics();
+    assert!(run.ops > 0, "phase {phase} completed no operation");
+    PhaseResult {
+        phase: phase.to_string(),
+        throughput: run.throughput(),
+        io: after.io.delta(&before.io),
+        user_bytes: after.db.user_bytes_written - before.db.user_bytes_written,
+        requested_bytes: run.ops * value_len as u64,
+        run,
     }
 }
 
@@ -161,10 +223,8 @@ pub struct SuiteResult {
     pub phases: Vec<PhaseResult>,
     /// I/O counters accumulated over the first database (LA..D).
     pub io: IoSnapshot,
-    /// Total bytes written across both databases.
+    /// Device bytes written by the eight phases.
     pub bytes_written: u64,
-    /// Full per-phase run results for CDF figures.
-    pub op_results: Vec<(String, RunResult)>,
 }
 
 /// Workload-suite sizing.
@@ -197,8 +257,6 @@ impl Default for SuiteConfig {
 /// Run the paper's YCSB order — LA, A, B, C, F, D, delete DB, LE, E — for
 /// one system profile on a fresh simulated SSD.
 pub fn run_suite(system: &str, opts: Options, cfg: &SuiteConfig) -> SuiteResult {
-    let env = sim_env();
-    let db = open_db(&env, opts.clone());
     let bench_cfg = BenchConfig {
         record_count: cfg.records,
         op_count: cfg.ops,
@@ -206,21 +264,18 @@ pub fn run_suite(system: &str, opts: Options, cfg: &SuiteConfig) -> SuiteResult 
         value_len: cfg.value_len,
         seed: 0xb01d,
     };
-
-    let mut phases = Vec::new();
-    let mut op_results = Vec::new();
-
-    let load = load_db(&db, &bench_cfg).expect("load A");
-    let mut load_phase = PhaseResult::from_run(&load);
-    load_phase.phase = "LA".into();
-    phases.push(load_phase);
-    op_results.push(("LA".into(), load));
-
     let dist = if cfg.uniform {
         bolt_ycsb::RequestDistribution::Uniform
     } else {
         bolt_ycsb::RequestDistribution::Zipfian
     };
+    let value_len = cfg.value_len;
+
+    let env = sim_env();
+    let db = open_db(&env, opts.clone());
+    let mut phases = vec![measure_phase(&*db, "LA", value_len, || {
+        load_db(&db, &bench_cfg)
+    })];
     let cursor = Arc::new(AtomicU64::new(cfg.records));
     for workload in [
         Workload::a().with_distribution(dist),
@@ -229,41 +284,50 @@ pub fn run_suite(system: &str, opts: Options, cfg: &SuiteConfig) -> SuiteResult 
         Workload::f().with_distribution(dist),
         Workload::d(),
     ] {
-        let result = run_workload(&db, &workload, &bench_cfg, &cursor).expect(workload.name);
-        phases.push(PhaseResult::from_run(&result));
-        op_results.push((workload.name.to_string(), result));
+        phases.push(measure_phase(&*db, workload.name, value_len, || {
+            run_workload(&db, &workload, &bench_cfg, &cursor)
+        }));
     }
-    let io_first = env.stats().snapshot();
+    let io = env.stats().snapshot();
     db.close().expect("close");
 
     // Delete database, Load E, E.
-    let env2 = sim_env();
-    let db = open_db(&env2, opts);
-    let load = load_db(&db, &bench_cfg).expect("load E");
-    let mut load_phase = PhaseResult::from_run(&load);
-    load_phase.phase = "LE".into();
-    phases.push(load_phase);
-    op_results.push(("LE".into(), load));
-
+    let db = open_db(&sim_env(), opts);
+    phases.push(measure_phase(&*db, "LE", value_len, || {
+        load_db(&db, &bench_cfg)
+    }));
     let cursor = Arc::new(AtomicU64::new(cfg.records));
     let e_cfg = BenchConfig {
         // Scans touch ~50 records each; run fewer of them.
         op_count: (cfg.ops / 8).max(200),
         ..bench_cfg
     };
-    let result =
-        run_workload(&db, &Workload::e().with_distribution(dist), &e_cfg, &cursor).expect("E");
-    phases.push(PhaseResult::from_run(&result));
-    op_results.push(("E".into(), result));
+    let e = Workload::e().with_distribution(dist);
+    phases.push(measure_phase(&*db, "E", value_len, || {
+        run_workload(&db, &e, &e_cfg, &cursor)
+    }));
     db.close().expect("close");
-    let io_second = env2.stats().snapshot();
 
     SuiteResult {
         system: system.to_string(),
+        bytes_written: phases.iter().map(|p| p.io.bytes_written).sum(),
+        io,
         phases,
-        bytes_written: io_first.bytes_written + io_second.bytes_written,
-        io: io_first,
-        op_results,
+    }
+}
+
+/// Enforce a bench's acceptance floor: at `BOLT_BENCH_SCALE` ≥ 1 a floor
+/// that does not hold ends the process with a non-zero status; below that
+/// the key space is too small for amplification or scaling to mean
+/// anything, so the floor is reported as skipped.
+pub fn check_floor(floor: &str, holds: bool) {
+    if bench_scale() < 1.0 {
+        println!("floor skipped at BOLT_BENCH_SCALE < 1: {floor}");
+    } else if holds {
+        println!("floor holds: {floor}");
+    } else {
+        eprintln!("floor FAILED: {floor}");
+        std::process::exit(1);
     }
 }
 
@@ -340,6 +404,56 @@ mod tests {
         assert_eq!(fig13_profiles().len(), 7);
         assert_eq!(fig12a_profiles().len(), 5);
         assert_eq!(fig12b_profiles().len(), 5);
+    }
+
+    /// Load 1 MiB of 4 KiB values on a nearly-free device, the settling
+    /// flush inside the measurement so every accepted byte is accounted for.
+    fn toy_load<T: KvTarget>(
+        threshold: Option<u64>,
+        open: impl FnOnce(Arc<dyn Env>, Options) -> T,
+    ) -> PhaseResult {
+        let cfg = BenchConfig {
+            record_count: 256,
+            op_count: 0,
+            threads: 4,
+            value_len: 4096,
+            seed: 0x5eed,
+        };
+        let opts = Options {
+            value_separation_threshold: threshold,
+            ..Options::bolt().scaled(CAPACITY_SCALE)
+        };
+        let db = Arc::new(open(Arc::new(SimEnv::new(DeviceModel::fast_test())), opts));
+        let phase = measure_phase(&*db, "Load", cfg.value_len, || {
+            let run = load_db(&db, &cfg)?;
+            db.flush()?;
+            Ok(run)
+        });
+        assert_eq!(phase.run.ops, cfg.record_count);
+        assert_eq!(phase.requested_bytes, 1 << 20);
+        phase
+    }
+
+    #[test]
+    fn toy_vsep_load_runs_and_separates() {
+        let open = |env, opts| Db::open(env, "bench-db", opts).unwrap();
+        let off = toy_load(None, open).write_amp();
+        let on = toy_load(Some(1024), open).write_amp();
+        // Even at toy scale the separated configuration must write fewer
+        // device bytes per user byte than the unseparated one — the values
+        // skip the flush path entirely.
+        assert!(on < off, "separated {on:.2} >= unseparated {off:.2}");
+    }
+
+    #[test]
+    fn phase_runner_measures_a_sharded_target() {
+        let phase = toy_load(None, |env, opts| {
+            let router = bolt_sharded::Router::hash(2).unwrap();
+            bolt_sharded::ShardedDb::open(env, "bench-db", opts, router).unwrap()
+        });
+        assert!(phase.throughput > 0.0);
+        assert!(phase.io.bytes_written > 0 && phase.io.fsync_calls > 0);
+        assert!(phase.write_amp() >= 1.0, "write amp {}", phase.write_amp());
     }
 
     #[test]

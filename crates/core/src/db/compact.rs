@@ -760,25 +760,58 @@ mod tests {
         load_and_verify(Options::pebblesdb(), 3000);
     }
 
+    /// The paper's barrier claim, asserted on counts no background timing
+    /// can move: every BoLT rewrite compaction pays one data barrier for
+    /// its compaction file, every LevelDB compaction one per output table.
     #[test]
     fn bolt_uses_far_fewer_fsyncs_than_leveldb() {
+        use bolt_common::events::{BarrierCause, EngineEvent};
+
         let run = |opts: Options| {
-            let (env, db) = mem_db(small_opts(opts));
+            let (_env, db) = mem_db(small_opts(opts));
+            let (mut rewrites, mut output_tables) = (0u64, 0u64);
+            let mut tally = || {
+                for ev in db.events() {
+                    if let EngineEvent::CompactionEnd {
+                        outputs,
+                        rewrote: true,
+                        ..
+                    } = ev.event
+                    {
+                        rewrites += 1;
+                        output_tables += outputs;
+                    }
+                }
+            };
             for i in 0..4000u32 {
                 db.put(format!("key{i:06}").as_bytes(), &[b'v'; 100])
                     .unwrap();
+                // Drained often enough that the trace ring never wraps.
+                if i % 250 == 0 {
+                    tally();
+                }
             }
             db.flush().unwrap();
             db.compact_until_quiet().unwrap();
-            let syncs = env.stats().fsync_calls();
+            tally();
+            let metrics = db.metrics();
+            assert_eq!(metrics.events_dropped, 0, "the tally missed events");
             db.close().unwrap();
-            syncs
+            (rewrites, output_tables, metrics)
         };
-        let leveldb = run(Options::leveldb());
-        let bolt = run(Options::bolt());
+
+        let (rewrites, _, metrics) = run(Options::bolt());
+        let bolt_data_barriers = metrics.barrier_count(BarrierCause::CompactionData);
+        assert!(rewrites > 0, "the workload must compact");
+        assert_eq!(bolt_data_barriers, rewrites);
+        assert!(metrics.barriers_per_compaction() <= 2.0);
+
+        let (_, output_tables, metrics) = run(Options::leveldb());
+        let leveldb_data_barriers = metrics.barrier_count(BarrierCause::CompactionData);
+        assert_eq!(leveldb_data_barriers, output_tables);
         assert!(
-            bolt * 2 <= leveldb,
-            "bolt {bolt} fsyncs vs leveldb {leveldb}"
+            leveldb_data_barriers > bolt_data_barriers,
+            "leveldb {leveldb_data_barriers} data barriers vs bolt {bolt_data_barriers}"
         );
     }
 

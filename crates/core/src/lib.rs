@@ -55,8 +55,7 @@ pub use compaction::{policy_for, CompactionPolicy, CompactionTask, OutputShape};
 pub use db::{Db, DbIterator, LevelInfo, Snapshot};
 pub use metrics::{MetricsSnapshot, QueueWaitSummary};
 pub use options::{
-    BoltOptions, CompactionPolicyKind, CompactionStyle, Options, OptionsBuilder, ReadOptions,
-    WriteOptions,
+    BoltOptions, CompactionPolicyKind, CompactionStyle, Options, ReadOptions, WriteOptions,
 };
 pub use stats::{DbStats, DbStatsSnapshot};
 pub use txn::{ShardTxnMarker, TxnWalRecord};

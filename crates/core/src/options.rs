@@ -443,7 +443,7 @@ impl Options {
 
     /// Check the configuration for nonsensical values, stopping at the
     /// first problem. [`Options::validate_all`] reports every problem at
-    /// once ([`OptionsBuilder::build`] uses it).
+    /// once.
     ///
     /// # Errors
     ///
@@ -458,8 +458,8 @@ impl Options {
     }
 
     /// Every validation problem in this configuration, in a stable order
-    /// (empty = valid). The builder surfaces all of them in one error so a
-    /// misconfigured profile is fixed in one round-trip.
+    /// (empty = valid), so a misconfigured profile is fixed in one
+    /// round-trip.
     pub fn validate_all(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if self.num_levels < 2 {
@@ -510,12 +510,6 @@ impl Options {
         problems
     }
 
-    /// Start a grouped-validation builder from stock LevelDB defaults.
-    /// See [`OptionsBuilder`].
-    pub fn builder() -> OptionsBuilder {
-        OptionsBuilder::from_profile(Options::default())
-    }
-
     /// Uniformly scale all capacity knobs by `factor` (e.g. `1/64` to run a
     /// laptop-scale experiment with the paper's *ratios* intact).
     pub fn scaled(mut self, factor: f64) -> Self {
@@ -530,166 +524,6 @@ impl Options {
         }
         self.vlog_segment_bytes = scale(self.vlog_segment_bytes);
         self
-    }
-}
-
-/// Grouped, all-errors-at-once construction of [`Options`].
-///
-/// Struct-literal construction (`Options { ..Options::bolt() }`) keeps
-/// working; the builder adds grouped setters and a [`build`] that runs
-/// [`Options::validate_all`] and reports *every* problem in one
-/// [`bolt_common::Error::InvalidArgument`] instead of the first.
-///
-/// ```
-/// use bolt_core::Options;
-///
-/// let opts = Options::builder()
-///     .profile(Options::bolt())
-///     .memtable_bytes(8 << 20)
-///     .compaction(|c| c.policy(bolt_core::CompactionPolicyKind::LazyLeveled))
-///     .value_separation(|v| v.threshold(4096).segment_bytes(16 << 20))
-///     .build()
-///     .unwrap();
-/// assert_eq!(opts.value_separation_threshold, Some(4096));
-/// ```
-///
-/// [`build`]: OptionsBuilder::build
-#[derive(Debug, Clone)]
-pub struct OptionsBuilder {
-    opts: Options,
-}
-
-/// The compaction knob group of [`OptionsBuilder`]: style, victim policy,
-/// and the size-tiered merge threshold.
-#[derive(Debug)]
-pub struct CompactionConfig<'a> {
-    opts: &'a mut Options,
-}
-
-impl CompactionConfig<'_> {
-    /// Set the output organization ([`CompactionStyle`]).
-    pub fn style(self, style: CompactionStyle) -> Self {
-        self.opts.compaction_style = style;
-        self
-    }
-
-    /// Set the victim-selection policy.
-    pub fn policy(self, policy: CompactionPolicyKind) -> Self {
-        self.opts.compaction_policy = policy;
-        self
-    }
-
-    /// STCS `min_threshold`: runs per bucket before a merge fires.
-    pub fn size_tiered_min_threshold(self, threshold: usize) -> Self {
-        self.opts.size_tiered_min_threshold = threshold;
-        self
-    }
-
-    /// Enable or disable LevelDB-style seek compaction.
-    pub fn seek_compaction(self, enabled: bool) -> Self {
-        self.opts.seek_compaction = enabled;
-        self
-    }
-}
-
-/// The value-separation knob group of [`OptionsBuilder`]: WAL-time
-/// key-value separation threshold and segment sizing.
-#[derive(Debug)]
-pub struct ValueSeparationConfig<'a> {
-    opts: &'a mut Options,
-}
-
-impl ValueSeparationConfig<'_> {
-    /// Separate values strictly larger than `bytes` into the value log.
-    pub fn threshold(self, bytes: u64) -> Self {
-        self.opts.value_separation_threshold = Some(bytes);
-        self
-    }
-
-    /// Disable separation (the default).
-    pub fn disabled(self) -> Self {
-        self.opts.value_separation_threshold = None;
-        self
-    }
-
-    /// Target size of one value-log segment before rotation.
-    pub fn segment_bytes(self, bytes: u64) -> Self {
-        self.opts.vlog_segment_bytes = bytes;
-        self
-    }
-}
-
-impl OptionsBuilder {
-    /// Start from an existing profile (e.g. [`Options::bolt`]).
-    pub fn from_profile(opts: Options) -> Self {
-        OptionsBuilder { opts }
-    }
-
-    /// Replace the base profile, keeping later setters applied on top.
-    pub fn profile(mut self, opts: Options) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// MemTable capacity in bytes.
-    pub fn memtable_bytes(mut self, bytes: u64) -> Self {
-        self.opts.memtable_bytes = bytes;
-        self
-    }
-
-    /// Sync the WAL on every write batch.
-    pub fn sync_wal(mut self, sync: bool) -> Self {
-        self.opts.sync_wal = sync;
-        self
-    }
-
-    /// Use ordering-only barriers where durability is not required.
-    pub fn use_ordering_barriers(mut self, enabled: bool) -> Self {
-        self.opts.use_ordering_barriers = enabled;
-        self
-    }
-
-    /// Configure the compaction knob group.
-    pub fn compaction(
-        mut self,
-        configure: impl FnOnce(CompactionConfig<'_>) -> CompactionConfig<'_>,
-    ) -> Self {
-        configure(CompactionConfig {
-            opts: &mut self.opts,
-        });
-        self
-    }
-
-    /// Configure the value-separation knob group.
-    pub fn value_separation(
-        mut self,
-        configure: impl FnOnce(ValueSeparationConfig<'_>) -> ValueSeparationConfig<'_>,
-    ) -> Self {
-        configure(ValueSeparationConfig {
-            opts: &mut self.opts,
-        });
-        self
-    }
-
-    /// Apply an arbitrary mutation for knobs without a dedicated setter.
-    pub fn tune(mut self, mutate: impl FnOnce(&mut Options)) -> Self {
-        mutate(&mut self.opts);
-        self
-    }
-
-    /// Validate and produce the final [`Options`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`bolt_common::Error::InvalidArgument`] listing **every**
-    /// validation problem, `; `-separated.
-    pub fn build(self) -> bolt_common::Result<Options> {
-        let problems = self.opts.validate_all();
-        if problems.is_empty() {
-            Ok(self.opts)
-        } else {
-            Err(bolt_common::Error::InvalidArgument(problems.join("; ")))
-        }
     }
 }
 
@@ -859,52 +693,41 @@ mod tests {
 
     #[test]
     fn builder_groups_and_validates() {
-        let opts = Options::builder()
-            .profile(Options::bolt())
-            .memtable_bytes(8 << 20)
-            .sync_wal(true)
-            .compaction(|c| {
-                c.policy(CompactionPolicyKind::LazyLeveled)
-                    .size_tiered_min_threshold(3)
-            })
-            .value_separation(|v| v.threshold(4096).segment_bytes(16 << 20))
-            .build()
-            .unwrap();
-        assert_eq!(opts.memtable_bytes, 8 << 20);
-        assert!(opts.sync_wal);
-        assert_eq!(opts.compaction_policy, CompactionPolicyKind::LazyLeveled);
-        assert_eq!(opts.size_tiered_min_threshold, 3);
-        assert_eq!(opts.value_separation_threshold, Some(4096));
-        assert_eq!(opts.vlog_segment_bytes, 16 << 20);
+        let opts = Options {
+            memtable_bytes: 8 << 20,
+            sync_wal: true,
+            compaction_policy: CompactionPolicyKind::LazyLeveled,
+            size_tiered_min_threshold: 3,
+            value_separation_threshold: Some(4096),
+            vlog_segment_bytes: 16 << 20,
+            ..Options::bolt()
+        };
+        assert_eq!(opts.validate_all(), Vec::<String>::new());
         assert!(opts.bolt_options().is_some(), "profile carried through");
-
-        // Disabling separation round-trips.
-        let opts = Options::builder()
-            .value_separation(|v| v.disabled())
-            .build()
-            .unwrap();
-        assert_eq!(opts.value_separation_threshold, None);
     }
 
     #[test]
     fn builder_reports_all_errors_at_once() {
-        let err = Options::builder()
-            .memtable_bytes(0)
-            .compaction(|c| c.size_tiered_min_threshold(1))
-            .value_separation(|v| v.threshold(0).segment_bytes(0))
-            .build()
-            .unwrap_err();
-        let bolt_common::Error::InvalidArgument(msg) = err else {
-            panic!("wrong error kind");
-        };
+        let problems = Options {
+            memtable_bytes: 0,
+            size_tiered_min_threshold: 1,
+            value_separation_threshold: Some(0),
+            vlog_segment_bytes: 0,
+            ..Options::leveldb()
+        }
+        .validate_all();
         for expected in [
             "memtable, sstable and level-1 sizes must be positive",
             "size_tiered_min_threshold must be at least 2",
             "value_separation_threshold must be positive",
             "vlog_segment_bytes must be positive",
         ] {
-            assert!(msg.contains(expected), "missing {expected:?} in {msg:?}");
+            assert!(
+                problems.iter().any(|p| p.contains(expected)),
+                "missing {expected:?} in {problems:?}"
+            );
         }
+        assert_eq!(problems.len(), 4, "{problems:?}");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Offline inspection and maintenance commands for BoLT databases — the
 //! `leveldbutil` of this workspace. Each command is a library function
 //! (testable against any [`Env`]) with a thin CLI binary (`bolt-tool`)
-//! on top.
+//! on top. Measuring lives elsewhere: experiments are `cargo bench -p
+//! bolt-bench` targets and the pinned regression gate is `benchmark/`.
 //!
 //! | Command | What it does |
 //! |---|---|
@@ -16,14 +17,12 @@
 //! | [`load`] | bulk-load N synthetic records |
 //! | [`compact`] | flush + compact until quiet |
 //! | [`verify`] | full integrity walk: checksums, run ordering, level invariants |
-//! | [`run_bench`] | the standing benchmark suites (sharding, policies, value separation) |
 //! | [`run_crash_sweep`] | the fault sweep over a [`bolt_env::FaultEnv`]: record → crash → EIO → double crash, on one engine or (with [`SweepConfig::sharded`]) inside cross-shard 2PC commit windows |
 //! | [`stat_per_shard`] | [`stat`] for a [`bolt_sharded::ShardedDb`]: aggregate + per-shard series |
 
 #![warn(missing_docs)]
 
 mod backup;
-mod bench;
 pub mod json;
 mod sweep;
 mod sweep_scenario;
@@ -31,7 +30,6 @@ mod sweep_scenario;
 pub use backup::{
     backup_create, backup_restore, backup_verify, render_backup_report, BackupReport,
 };
-pub use bench::{run_bench, BenchArgs, BENCH_SCHEMA};
 pub use sweep::{render_report, run_crash_sweep, SweepConfig, SweepCoverage, SweepOutcome};
 
 use std::fmt::Write as _;

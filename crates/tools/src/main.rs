@@ -16,21 +16,14 @@
 //!                                   check every JSON line against schema F
 //!   dump-manifest <db>              decode the live MANIFEST
 //!   dump-tables <db>                logical SSTables by physical file
-//!   scan <db> [start] [limit]       print entries in order
+//!   scan <db> [start] [limit]       print entries in order (limit: 100)
 //!   get <db> <key>                  point lookup
 //!   put <db> <key> <value>          insert
 //!   delete <db> <key>               delete
-//!   load <db> <records> [vlen]      bulk-load synthetic records
+//!   load <db> [records] [vlen]      bulk-load synthetic records (10000
+//!                                   records of 256 bytes by default)
 //!   compact <db>                    flush + compact until quiet
 //!   verify <db>                     full integrity walk
-//!   bench [--smoke] [--out FILE]    standing benchmark suites on a
-//!         [--suite NAME]*           simulated device (needs no db-dir):
-//!                                   trajectory (sharded scaling), policies
-//!                                   (compaction write/read/space amp),
-//!                                   value-separation (vlog write amp);
-//!                                   full runs write BENCH_PR9.json and
-//!                                   enforce the accumulated perf floors,
-//!                                   --smoke checks the harness only
 //!   backup create <db> <backup>     checkpoint the database into a new
 //!                                   generation of an incremental backup
 //!                                   (unchanged payloads are shared)
@@ -64,51 +57,67 @@
 //! --policy:  leveled (default) | size-tiered | lazy-leveled — required to
 //!            open a database whose MANIFEST pins a non-leveled policy
 //! ```
+//!
+//! A numeric argument that does not parse is a usage error (exit 2), never
+//! a silent fall-back to the default. Experiments are not a subcommand:
+//! run them with `cargo bench -p bolt-bench --bench <fig*|ext_*>`.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use bolt_env::{Env, RealEnv};
 
+/// What a subcommand returns: `Ok` is the exit code of a command that ran,
+/// `Err` the exit code of a usage error already reported on stderr — so
+/// argument parsing can use `?`.
+type Outcome = Result<ExitCode, ExitCode>;
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bolt-tool <stat|dump-manifest|dump-tables|scan|get|put|delete|load|compact|verify> <db-dir> [args...] [--profile <name>] [--policy=<p>]\n       bolt-tool stat <db-dir> [--json|--prometheus] [--per-shard]\n       bolt-tool backup <create <db-dir>|restore [--gen N]|verify> <backup-dir> [<dest-dir>]\n       bolt-tool bench [--smoke] [--out FILE] [--suite trajectory|policies|value-separation]*\n       bolt-tool trace [--json] [--validate SCHEMA]\n       bolt-tool crash-sweep [max-points] [seed] [--policy=<p>] [--sharded] [--vlog] [--checkpoint]\n       bolt-tool lint [path] [--config FILE] [--json] [--validate SCHEMA]"
+        "usage: bolt-tool <stat|dump-manifest|dump-tables|scan|get|put|delete|load|compact|verify> <db-dir> [args...] [--profile <name>] [--policy=<p>]\n       bolt-tool stat <db-dir> [--json|--prometheus] [--per-shard]\n       bolt-tool backup <create <db-dir>|restore [--gen N]|verify> <backup-dir> [<dest-dir>]\n       bolt-tool trace [--json] [--validate SCHEMA]\n       bolt-tool crash-sweep [max-points] [seed] [--policy=<p>] [--sharded] [--vlog] [--checkpoint]\n       bolt-tool lint [path] [--config FILE] [--json] [--validate SCHEMA]"
     );
     ExitCode::from(2)
 }
 
-/// `bolt-tool bench [--smoke] [--out FILE] [--suite NAME]*` — run the
-/// standing benchmark suites on a simulated device (no db-dir needed).
-fn bench(args: &[String]) -> ExitCode {
-    let mut cfg = bolt_tools::BenchArgs::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--out" => match it.next() {
-                Some(p) => cfg.out = p.clone(),
-                None => return usage(),
-            },
-            "--suite" => match it.next() {
-                Some(s) => cfg.suites.push(s.clone()),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
+/// Parse an optional numeric positional. Absent means `default`; present
+/// but unparseable is a usage error — outside input is never silently
+/// replaced by the default.
+fn numeric<T: std::str::FromStr>(
+    what: &str,
+    arg: Option<&String>,
+    default: T,
+) -> Result<T, ExitCode> {
+    match arg {
+        None => Ok(default),
+        Some(s) => s.parse().map_err(|_| {
+            eprintln!("error: {what} must be a number, got `{s}`");
+            usage()
+        }),
     }
-    match bolt_tools::run_bench(&cfg) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+}
+
+/// `--profile <name>` resolved; an unknown name is a usage error.
+fn profile(name: &str) -> Result<bolt_core::Options, ExitCode> {
+    bolt_tools::profile(name).map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
+    })
+}
+
+/// `--policy=<p>`: `None` if `arg` is some other argument, otherwise the
+/// parsed policy or the exit code of the reported usage error.
+fn policy_flag(arg: &str) -> Option<Result<bolt_core::CompactionPolicyKind, ExitCode>> {
+    let name = arg.strip_prefix("--policy=")?;
+    Some(bolt_core::CompactionPolicyKind::parse(name).ok_or_else(|| {
+        eprintln!("error: unknown policy `{name}` (try: leveled, size-tiered, lazy-leveled)");
+        ExitCode::from(2)
+    }))
 }
 
 /// Run the fault sweep on an in-memory filesystem (no db-dir needed): the
 /// single-engine scenario, or with `--sharded` the cross-shard 2PC windows
 /// of a [`bolt_sharded::ShardedDb`].
-fn crash_sweep(args: &[String]) -> ExitCode {
+fn crash_sweep(args: &[String]) -> Outcome {
     let mut positional: Vec<&String> = Vec::new();
     let mut cfg = if args.iter().any(|a| a == "--sharded") {
         bolt_tools::SweepConfig::for_sharded()
@@ -120,27 +129,19 @@ fn crash_sweep(args: &[String]) -> ExitCode {
             cfg.vlog = true;
         } else if arg == "--checkpoint" {
             cfg.checkpoint = true;
-        } else if let Some(name) = arg.strip_prefix("--policy=") {
-            cfg.policy = match bolt_core::CompactionPolicyKind::parse(name) {
-                Some(policy) => policy,
-                None => {
-                    eprintln!(
-                        "error: unknown policy `{name}` (try: leveled, size-tiered, lazy-leveled)"
-                    );
-                    return ExitCode::from(2);
-                }
-            };
+        } else if let Some(policy) = policy_flag(arg) {
+            cfg.policy = policy?;
         } else if arg != "--sharded" {
             positional.push(arg);
         }
     }
-    if let Some(points) = positional.first().and_then(|s| s.parse().ok()) {
-        cfg.max_crash_points = points;
-    }
-    if let Some(seed) = positional.get(1).and_then(|s| s.parse().ok()) {
-        cfg.seed = seed;
-    }
-    match bolt_tools::run_crash_sweep(&cfg) {
+    cfg.max_crash_points = numeric(
+        "max-points",
+        positional.first().copied(),
+        cfg.max_crash_points,
+    )?;
+    cfg.seed = numeric("seed", positional.get(1).copied(), cfg.seed)?;
+    Ok(match bolt_tools::run_crash_sweep(&cfg) {
         Ok(outcome) => {
             print!("{}", bolt_tools::render_report(&outcome));
             if outcome.violations.is_empty() {
@@ -153,7 +154,7 @@ fn crash_sweep(args: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// `bolt-tool backup <create|restore|verify> ...` — incremental backups
@@ -162,27 +163,16 @@ fn crash_sweep(args: &[String]) -> ExitCode {
 /// area and commits a new generation; `restore` rebuilds a database image
 /// from a generation with every byte CRC-verified; `verify` checks every
 /// generation end to end.
-fn backup(args: &[String], profile_name: &str) -> ExitCode {
+fn backup(args: &[String], profile_name: &str) -> Outcome {
     let mut positional: Vec<&String> = Vec::new();
     let mut policy = None;
     let mut generation: Option<u64> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if let Some(name) = arg.strip_prefix("--policy=") {
-            policy = match bolt_core::CompactionPolicyKind::parse(name) {
-                Some(policy) => Some(policy),
-                None => {
-                    eprintln!(
-                        "error: unknown policy `{name}` (try: leveled, size-tiered, lazy-leveled)"
-                    );
-                    return ExitCode::from(2);
-                }
-            };
+        if let Some(parsed) = policy_flag(arg) {
+            policy = Some(parsed?);
         } else if arg == "--gen" {
-            generation = match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => Some(n),
-                None => return usage(),
-            };
+            generation = Some(it.next().and_then(|s| s.parse().ok()).ok_or_else(usage)?);
         } else {
             positional.push(arg);
         }
@@ -190,13 +180,7 @@ fn backup(args: &[String], profile_name: &str) -> ExitCode {
     let env: Arc<dyn Env> = Arc::new(RealEnv::new("."));
     let result = match positional.as_slice() {
         [verb, db, backup_dir] if verb.as_str() == "create" => {
-            let mut opts = match bolt_tools::profile(profile_name) {
-                Ok(opts) => opts,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
+            let mut opts = profile(profile_name)?;
             if let Some(p) = policy {
                 opts.compaction_policy = p;
             }
@@ -216,9 +200,9 @@ fn backup(args: &[String], profile_name: &str) -> ExitCode {
             bolt_tools::backup_verify(&env, backup_dir)
                 .map(|r| bolt_tools::render_backup_report("verify", &r))
         }
-        _ => return usage(),
+        _ => return Err(usage()),
     };
-    match result {
+    Ok(match result {
         Ok(output) => {
             print!("{output}");
             ExitCode::SUCCESS
@@ -227,7 +211,7 @@ fn backup(args: &[String], profile_name: &str) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// `bolt-tool trace [--json] [--validate SCHEMA]` — run the canonical micro
@@ -349,21 +333,22 @@ fn lint(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    run().unwrap_or_else(|usage_error| usage_error)
+}
+
+fn run() -> Outcome {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
     // Extract --profile anywhere in the argument list.
     let mut profile_name = "bolt".to_string();
     if let Some(pos) = args.iter().position(|a| a == "--profile") {
         if pos + 1 >= args.len() {
-            return usage();
+            return Err(usage());
         }
         profile_name = args.remove(pos + 1);
         args.remove(pos);
     }
 
-    if args.first().map(String::as_str) == Some("bench") {
-        return bench(&args[1..]);
-    }
     if args.first().map(String::as_str) == Some("crash-sweep") {
         return crash_sweep(&args);
     }
@@ -371,41 +356,31 @@ fn main() -> ExitCode {
         return backup(&args[1..], &profile_name);
     }
     if args.first().map(String::as_str) == Some("lint") {
-        return lint(&args[1..]);
+        return Ok(lint(&args[1..]));
     }
     if args.first().map(String::as_str) == Some("trace") {
-        return trace(&args[1..]);
+        return Ok(trace(&args[1..]));
     }
 
     // Databases pin their compaction policy in the MANIFEST, so opening
-    // one built under a tiered policy needs the matching flag
-    // (crash-sweep above parses its own copy).
+    // one built under a tiered policy needs the matching flag.
     let mut policy = None;
-    if let Some(pos) = args.iter().position(|a| a.starts_with("--policy=")) {
-        let name = args[pos]["--policy=".len()..].to_string();
-        match bolt_core::CompactionPolicyKind::parse(&name) {
-            Some(p) => policy = Some(p),
-            None => {
-                eprintln!("error: unknown compaction policy '{name}'");
-                return ExitCode::from(2);
-            }
+    let mut rest = Vec::new();
+    for arg in args {
+        match policy_flag(&arg) {
+            Some(parsed) => policy = Some(parsed?),
+            None => rest.push(arg),
         }
-        args.remove(pos);
     }
+    let args = rest;
 
     if args.len() < 2 {
-        return usage();
+        return Err(usage());
     }
     let command = args[0].clone();
     let db = args[1].clone();
 
-    let mut opts = match bolt_tools::profile(&profile_name) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let mut opts = profile(&profile_name)?;
     if let Some(p) = policy {
         opts.compaction_policy = p;
     }
@@ -422,7 +397,7 @@ fn main() -> ExitCode {
                     "--json" => format = bolt_tools::StatFormat::Json,
                     "--prometheus" => format = bolt_tools::StatFormat::Prometheus,
                     "--per-shard" => per_shard = true,
-                    _ => return usage(),
+                    _ => return Err(usage()),
                 }
             }
             if per_shard {
@@ -435,7 +410,7 @@ fn main() -> ExitCode {
         "dump-tables" => bolt_tools::dump_tables(&env, &db, opts).map(Some),
         "scan" => {
             let start = args.get(2).cloned().unwrap_or_default();
-            let limit = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(100usize);
+            let limit = numeric("limit", args.get(3), 100usize)?;
             bolt_tools::scan(&env, &db, opts, start.as_bytes(), limit).map(Some)
         }
         "get" => match args.get(2) {
@@ -445,29 +420,29 @@ fn main() -> ExitCode {
                     None => "(not found)\n".to_string(),
                 })
             }),
-            None => return usage(),
+            None => return Err(usage()),
         },
         "put" => match (args.get(2), args.get(3)) {
             (Some(k), Some(v)) => {
                 bolt_tools::put(&env, &db, opts, k.as_bytes(), v.as_bytes()).map(|()| None)
             }
-            _ => return usage(),
+            _ => return Err(usage()),
         },
         "delete" => match args.get(2) {
             Some(k) => bolt_tools::delete_key(&env, &db, opts, k.as_bytes()).map(|()| None),
-            None => return usage(),
+            None => return Err(usage()),
         },
         "load" => {
-            let records = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(10_000);
-            let vlen = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(256);
+            let records = numeric("records", args.get(2), 10_000)?;
+            let vlen = numeric("vlen", args.get(3), 256)?;
             bolt_tools::load(&env, &db, opts, records, vlen).map(Some)
         }
         "compact" => bolt_tools::compact(&env, &db, opts).map(Some),
         "verify" => bolt_tools::verify(&env, &db, opts).map(Some),
-        _ => return usage(),
+        _ => return Err(usage()),
     };
 
-    match result {
+    Ok(match result {
         Ok(Some(output)) => {
             print!("{output}");
             ExitCode::SUCCESS
@@ -477,5 +452,5 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }

@@ -317,11 +317,10 @@ mod tests {
 
     fn small_db() -> Arc<Db> {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let opts = Options::builder()
-            .profile(Options::bolt().scaled(1.0 / 64.0))
-            .tune(|o| o.block_cache_bytes = 1 << 20)
-            .build()
-            .unwrap();
+        let opts = Options {
+            block_cache_bytes: 1 << 20,
+            ..Options::bolt().scaled(1.0 / 64.0)
+        };
         Arc::new(Db::open(env, "ycsb-db", opts).unwrap())
     }
 

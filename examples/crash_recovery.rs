@@ -101,10 +101,10 @@ fn main() -> bolt::Result<()> {
 fn mid_compaction_crash() -> bolt::Result<()> {
     // Sync the WAL on every write: these puts are acked-durable, so they
     // must survive the crash no matter where the flush was interrupted.
-    let opts = Options::builder()
-        .profile(Options::bolt().scaled(1.0 / 128.0))
-        .sync_wal(true)
-        .build()?;
+    let opts = Options {
+        sync_wal: true,
+        ..Options::bolt().scaled(1.0 / 128.0)
+    };
     let workload = |db: &Db| -> bolt::Result<()> {
         for i in 0..300u32 {
             db.put(

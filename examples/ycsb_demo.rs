@@ -37,10 +37,10 @@ fn main() -> bolt::Result<()> {
     let opts = if big_values {
         // Big-value variant: 4 KiB records with WAL-time separation, so
         // compaction moves pointers instead of payloads.
-        Options::builder()
-            .profile(profile(&name).scaled(1.0 / 64.0))
-            .value_separation(|v| v.threshold(1024))
-            .build()?
+        Options {
+            value_separation_threshold: Some(1024),
+            ..profile(&name).scaled(1.0 / 64.0)
+        }
     } else {
         profile(&name).scaled(1.0 / 64.0)
     };

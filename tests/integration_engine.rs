@@ -350,14 +350,11 @@ fn reopen_with_mismatched_compaction_policy_is_refused() {
     use bolt::CompactionPolicyKind;
 
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let opts = Options::builder()
-        .profile(Options::bolt().scaled(1.0 / 256.0))
-        .compaction(|c| {
-            c.policy(CompactionPolicyKind::SizeTiered)
-                .size_tiered_min_threshold(2)
-        })
-        .build()
-        .unwrap();
+    let opts = Options {
+        compaction_policy: CompactionPolicyKind::SizeTiered,
+        size_tiered_min_threshold: 2,
+        ..Options::bolt().scaled(1.0 / 256.0)
+    };
     {
         let db = Db::open(Arc::clone(&env), "db", opts.clone()).unwrap();
         for i in 0..3000u32 {
@@ -401,11 +398,10 @@ fn eio_on_wal_sync_poisons_group_commit() {
 
     let fault_env = FaultEnv::over_mem();
     let env: Arc<dyn Env> = Arc::new(fault_env.clone());
-    let opts = Options::builder()
-        .profile(Options::bolt())
-        .sync_wal(true)
-        .build()
-        .unwrap();
+    let opts = Options {
+        sync_wal: true,
+        ..Options::bolt()
+    };
     let db = Arc::new(Db::open(Arc::clone(&env), "db", opts.clone()).unwrap());
 
     // Fail one WAL sync a few barriers into the concurrent phase, targeted
@@ -487,11 +483,10 @@ fn eio_on_manifest_barrier_self_heals_via_recut() {
 
     let fault_env = FaultEnv::over_mem();
     let env: Arc<dyn Env> = Arc::new(fault_env.clone());
-    let opts = Options::builder()
-        .profile(Options::bolt())
-        .sync_wal(true)
-        .build()
-        .unwrap();
+    let opts = Options {
+        sync_wal: true,
+        ..Options::bolt()
+    };
     let db = Db::open(Arc::clone(&env), "db", opts.clone()).unwrap();
     for i in 0..100u32 {
         db.put(format!("key{i:03}").as_bytes(), format!("v{i}").as_bytes())
@@ -566,11 +561,10 @@ fn double_fault_during_recut_poisons_until_reopen() {
 
     let fault_env = FaultEnv::over_mem();
     let env: Arc<dyn Env> = Arc::new(fault_env.clone());
-    let opts = Options::builder()
-        .profile(Options::bolt())
-        .sync_wal(true)
-        .build()
-        .unwrap();
+    let opts = Options {
+        sync_wal: true,
+        ..Options::bolt()
+    };
     let db = Db::open(Arc::clone(&env), "db", opts.clone()).unwrap();
     for i in 0..100u32 {
         db.put(format!("key{i:03}").as_bytes(), format!("v{i}").as_bytes())
@@ -632,11 +626,10 @@ fn concurrent_writers_group_commit_and_recover() {
     };
     let sim_env = Arc::new(SimEnv::new(model));
     let env: Arc<dyn Env> = Arc::clone(&sim_env) as Arc<dyn Env>;
-    let opts = Options::builder()
-        .profile(Options::bolt())
-        .sync_wal(true)
-        .build()
-        .unwrap();
+    let opts = Options {
+        sync_wal: true,
+        ..Options::bolt()
+    };
     let db = Arc::new(Db::open(Arc::clone(&env), "db", opts.clone()).unwrap());
 
     let threads: Vec<_> = (0..WRITERS)
