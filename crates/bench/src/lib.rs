@@ -85,28 +85,36 @@ pub fn open_db(env: &Arc<dyn Env>, opts: Options) -> Arc<Db> {
     )
 }
 
+/// A figure's rows: each display label with the profile
+/// [`Options::profile`] knows under `name`.
+fn labelled(rows: &[(&'static str, &str)]) -> Vec<(&'static str, Options)> {
+    rows.iter()
+        .map(|&(label, name)| (label, Options::profile(name).expect("a profile name")))
+        .collect()
+}
+
 /// The system profiles of Fig 13, in the paper's presentation order.
 pub fn fig13_profiles() -> Vec<(&'static str, Options)> {
-    vec![
-        ("Level", Options::leveldb()),
-        ("LVL64MB", Options::leveldb_64mb()),
-        ("Hyper", Options::hyperleveldb()),
-        ("Pebbles", Options::pebblesdb()),
-        ("Rocks", Options::rocksdb()),
-        ("BoLT", Options::bolt()),
-        ("HBoLT", Options::hyperbolt()),
-    ]
+    labelled(&[
+        ("Level", "leveldb"),
+        ("LVL64MB", "lvl64"),
+        ("Hyper", "hyper"),
+        ("Pebbles", "pebbles"),
+        ("Rocks", "rocks"),
+        ("BoLT", "bolt"),
+        ("HBoLT", "hyperbolt"),
+    ])
 }
 
 /// The Fig 12(a) ablation ladder on LevelDB.
 pub fn fig12a_profiles() -> Vec<(&'static str, Options)> {
-    vec![
-        ("LevelDB", Options::leveldb()),
-        ("+LS", Options::bolt_ls()),
-        ("+GC", Options::bolt_gc()),
-        ("+STL", Options::bolt_stl()),
-        ("+FC", Options::bolt()),
-    ]
+    labelled(&[
+        ("LevelDB", "leveldb"),
+        ("+LS", "bolt_ls"),
+        ("+GC", "bolt_gc"),
+        ("+STL", "bolt_stl"),
+        ("+FC", "bolt"),
+    ])
 }
 
 /// The Fig 12(b) ablation ladder on HyperLevelDB.

@@ -324,31 +324,103 @@ pub enum EngineEvent {
     },
 }
 
+/// One field value of an event's wire form.
+enum Field {
+    Num(u64),
+    Bool(bool),
+    Str(&'static str),
+}
+
+/// One row of [`EngineEvent::wire`]: the type name, then each field as
+/// `Kind binding` — a field's wire name is its name in the enum.
+macro_rules! wire {
+    ($name:literal $(, $kind:ident $field:ident)*) => {
+        ($name, vec![$((stringify!($field), Field::$kind($field.into()))),*])
+    };
+}
+
 impl EngineEvent {
+    /// The event's wire form: its stable snake_case type name and its
+    /// fields, by wire name, in wire order. The one per-variant table
+    /// [`EngineEvent::type_name`] and [`TraceEvent::to_json`] are both read
+    /// from; `schemas/trace.schema.json` lists the same names (a test holds
+    /// the `type` enum to that).
+    fn wire(&self) -> (&'static str, Vec<(&'static str, Field)>) {
+        match *self {
+            Self::FlushBegin { id, input_bytes } => wire!("flush_begin", Num id, Num input_bytes),
+            Self::FlushEnd {
+                id,
+                output_bytes,
+                level,
+            } => wire!("flush_end", Num id, Num output_bytes, Num level),
+            Self::CompactionBegin {
+                id,
+                level,
+                victims,
+                input_bytes,
+                policy,
+            } => {
+                wire!("compaction_begin", Num id, Num level, Num victims, Num input_bytes, Str policy)
+            }
+            Self::CompactionEnd {
+                id,
+                outputs,
+                output_bytes,
+                settled,
+                rewrote,
+                policy,
+            } => {
+                wire!("compaction_end", Num id, Num outputs, Num output_bytes, Num settled, Bool rewrote, Str policy)
+            }
+            Self::SettledMove { id, level, tables } => {
+                wire!("settled_move", Num id, Num level, Num tables)
+            }
+            Self::WriteGroup {
+                batches,
+                bytes,
+                synced,
+                syncs_elided,
+            } => wire!("write_group", Num batches, Num bytes, Bool synced, Num syncs_elided),
+            Self::StallBegin => wire!("stall_begin"),
+            Self::StallEnd { waited_nanos } => wire!("stall_end", Num waited_nanos),
+            Self::Slowdown => wire!("slowdown"),
+            Self::WalRotate { new_log } => wire!("wal_rotate", Num new_log),
+            Self::ManifestCommit {
+                edit_bytes,
+                added,
+                deleted,
+            } => wire!("manifest_commit", Num edit_bytes, Num added, Num deleted),
+            Self::ManifestRecut {
+                abandoned,
+                new_manifest,
+                snapshot_tables,
+            } => wire!("manifest_recut", Num abandoned, Num new_manifest, Num snapshot_tables),
+            Self::Barrier { cause, kind } => {
+                let (cause, kind) = (cause.as_str(), kind.as_str());
+                wire!("barrier", Str cause, Str kind)
+            }
+            Self::HolePunch { bytes } => wire!("hole_punch", Num bytes),
+            Self::VlogRotate { new_segment } => wire!("vlog_rotate", Num new_segment),
+            Self::VlogGc {
+                segment,
+                dead_bytes,
+                punched_bytes,
+            } => wire!("vlog_gc", Num segment, Num dead_bytes, Num punched_bytes),
+            Self::VlogRetire {
+                segment,
+                reclaimed_bytes,
+            } => wire!("vlog_retire", Num segment, Num reclaimed_bytes),
+            Self::RangeDelete { bytes } => wire!("range_delete", Num bytes),
+            Self::CheckpointBegin { id } => wire!("checkpoint_begin", Num id),
+            Self::CheckpointEnd { id, tables, files } => {
+                wire!("checkpoint_end", Num id, Num tables, Num files)
+            }
+        }
+    }
+
     /// Stable snake_case event-type name.
     pub fn type_name(&self) -> &'static str {
-        match self {
-            EngineEvent::FlushBegin { .. } => "flush_begin",
-            EngineEvent::FlushEnd { .. } => "flush_end",
-            EngineEvent::CompactionBegin { .. } => "compaction_begin",
-            EngineEvent::CompactionEnd { .. } => "compaction_end",
-            EngineEvent::SettledMove { .. } => "settled_move",
-            EngineEvent::WriteGroup { .. } => "write_group",
-            EngineEvent::StallBegin => "stall_begin",
-            EngineEvent::StallEnd { .. } => "stall_end",
-            EngineEvent::Slowdown => "slowdown",
-            EngineEvent::WalRotate { .. } => "wal_rotate",
-            EngineEvent::ManifestCommit { .. } => "manifest_commit",
-            EngineEvent::ManifestRecut { .. } => "manifest_recut",
-            EngineEvent::Barrier { .. } => "barrier",
-            EngineEvent::HolePunch { .. } => "hole_punch",
-            EngineEvent::VlogRotate { .. } => "vlog_rotate",
-            EngineEvent::VlogGc { .. } => "vlog_gc",
-            EngineEvent::VlogRetire { .. } => "vlog_retire",
-            EngineEvent::RangeDelete { .. } => "range_delete",
-            EngineEvent::CheckpointBegin { .. } => "checkpoint_begin",
-            EngineEvent::CheckpointEnd { .. } => "checkpoint_end",
-        }
+        self.wire().0
     }
 
     /// One-line human description (the `bolt-tool trace` text format).
@@ -458,136 +530,19 @@ impl TraceEvent {
     /// line format; see `schemas/trace.schema.json`).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
+        let (type_name, fields) = self.event.wire();
         let mut s = String::with_capacity(96);
         let _ = write!(
             s,
-            "{{\"seq\":{},\"us\":{},\"type\":\"{}\"",
-            self.seq,
-            self.micros,
-            self.event.type_name()
+            "{{\"seq\":{},\"us\":{},\"type\":\"{type_name}\"",
+            self.seq, self.micros
         );
-        match &self.event {
-            EngineEvent::FlushBegin { id, input_bytes } => {
-                let _ = write!(s, ",\"id\":{id},\"input_bytes\":{input_bytes}");
-            }
-            EngineEvent::FlushEnd {
-                id,
-                output_bytes,
-                level,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"id\":{id},\"output_bytes\":{output_bytes},\"level\":{level}"
-                );
-            }
-            EngineEvent::CompactionBegin {
-                id,
-                level,
-                victims,
-                input_bytes,
-                policy,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"id\":{id},\"level\":{level},\"victims\":{victims},\"input_bytes\":{input_bytes},\"policy\":\"{policy}\""
-                );
-            }
-            EngineEvent::CompactionEnd {
-                id,
-                outputs,
-                output_bytes,
-                settled,
-                rewrote,
-                policy,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"id\":{id},\"outputs\":{outputs},\"output_bytes\":{output_bytes},\"settled\":{settled},\"rewrote\":{rewrote},\"policy\":\"{policy}\""
-                );
-            }
-            EngineEvent::SettledMove { id, level, tables } => {
-                let _ = write!(s, ",\"id\":{id},\"level\":{level},\"tables\":{tables}");
-            }
-            EngineEvent::WriteGroup {
-                batches,
-                bytes,
-                synced,
-                syncs_elided,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"batches\":{batches},\"bytes\":{bytes},\"synced\":{synced},\"syncs_elided\":{syncs_elided}"
-                );
-            }
-            EngineEvent::StallBegin | EngineEvent::Slowdown => {}
-            EngineEvent::StallEnd { waited_nanos } => {
-                let _ = write!(s, ",\"waited_nanos\":{waited_nanos}");
-            }
-            EngineEvent::WalRotate { new_log } => {
-                let _ = write!(s, ",\"new_log\":{new_log}");
-            }
-            EngineEvent::ManifestCommit {
-                edit_bytes,
-                added,
-                deleted,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"edit_bytes\":{edit_bytes},\"added\":{added},\"deleted\":{deleted}"
-                );
-            }
-            EngineEvent::ManifestRecut {
-                abandoned,
-                new_manifest,
-                snapshot_tables,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"abandoned\":{abandoned},\"new_manifest\":{new_manifest},\"snapshot_tables\":{snapshot_tables}"
-                );
-            }
-            EngineEvent::Barrier { cause, kind } => {
-                let _ = write!(
-                    s,
-                    ",\"cause\":\"{}\",\"kind\":\"{}\"",
-                    cause.as_str(),
-                    kind.as_str()
-                );
-            }
-            EngineEvent::HolePunch { bytes } => {
-                let _ = write!(s, ",\"bytes\":{bytes}");
-            }
-            EngineEvent::VlogRotate { new_segment } => {
-                let _ = write!(s, ",\"new_segment\":{new_segment}");
-            }
-            EngineEvent::VlogGc {
-                segment,
-                dead_bytes,
-                punched_bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"segment\":{segment},\"dead_bytes\":{dead_bytes},\"punched_bytes\":{punched_bytes}"
-                );
-            }
-            EngineEvent::VlogRetire {
-                segment,
-                reclaimed_bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"segment\":{segment},\"reclaimed_bytes\":{reclaimed_bytes}"
-                );
-            }
-            EngineEvent::RangeDelete { bytes } => {
-                let _ = write!(s, ",\"bytes\":{bytes}");
-            }
-            EngineEvent::CheckpointBegin { id } => {
-                let _ = write!(s, ",\"id\":{id}");
-            }
-            EngineEvent::CheckpointEnd { id, tables, files } => {
-                let _ = write!(s, ",\"id\":{id},\"tables\":{tables},\"files\":{files}");
-            }
+        for (name, value) in fields {
+            let _ = match value {
+                Field::Num(v) => write!(s, ",\"{name}\":{v}"),
+                Field::Bool(v) => write!(s, ",\"{name}\":{v}"),
+                Field::Str(v) => write!(s, ",\"{name}\":\"{v}\""),
+            };
         }
         s.push('}');
         s
@@ -741,6 +696,174 @@ impl EventSink {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// One event of every variant, with the JSON line the hand-written
+    /// `to_json` produced for it before `wire` replaced the three copies:
+    /// same field names, same order. The schema's `type` enum lists exactly
+    /// these type names, so a variant added to one place and not the others
+    /// fails here.
+    #[test]
+    fn wire_form_of_every_variant_is_pinned() {
+        use EngineEvent::*;
+        let pinned = [
+            (
+                FlushBegin {
+                    id: 1,
+                    input_bytes: 2,
+                },
+                r#"{"seq":0,"us":100,"type":"flush_begin","id":1,"input_bytes":2}"#,
+            ),
+            (
+                FlushEnd {
+                    id: 1,
+                    output_bytes: 3,
+                    level: 0,
+                },
+                r#"{"seq":1,"us":101,"type":"flush_end","id":1,"output_bytes":3,"level":0}"#,
+            ),
+            (
+                CompactionBegin {
+                    id: 4,
+                    level: 1,
+                    victims: 5,
+                    input_bytes: 6,
+                    policy: "leveled",
+                },
+                r#"{"seq":2,"us":102,"type":"compaction_begin","id":4,"level":1,"victims":5,"input_bytes":6,"policy":"leveled"}"#,
+            ),
+            (
+                CompactionEnd {
+                    id: 4,
+                    outputs: 7,
+                    output_bytes: 8,
+                    settled: 9,
+                    rewrote: true,
+                    policy: "lazy_leveled",
+                },
+                r#"{"seq":3,"us":103,"type":"compaction_end","id":4,"outputs":7,"output_bytes":8,"settled":9,"rewrote":true,"policy":"lazy_leveled"}"#,
+            ),
+            (
+                SettledMove {
+                    id: 4,
+                    level: 2,
+                    tables: 10,
+                },
+                r#"{"seq":4,"us":104,"type":"settled_move","id":4,"level":2,"tables":10}"#,
+            ),
+            (
+                WriteGroup {
+                    batches: 11,
+                    bytes: 12,
+                    synced: false,
+                    syncs_elided: 13,
+                },
+                r#"{"seq":5,"us":105,"type":"write_group","batches":11,"bytes":12,"synced":false,"syncs_elided":13}"#,
+            ),
+            (StallBegin, r#"{"seq":6,"us":106,"type":"stall_begin"}"#),
+            (
+                StallEnd { waited_nanos: 14 },
+                r#"{"seq":7,"us":107,"type":"stall_end","waited_nanos":14}"#,
+            ),
+            (Slowdown, r#"{"seq":8,"us":108,"type":"slowdown"}"#),
+            (
+                WalRotate { new_log: 15 },
+                r#"{"seq":9,"us":109,"type":"wal_rotate","new_log":15}"#,
+            ),
+            (
+                ManifestCommit {
+                    edit_bytes: 16,
+                    added: 17,
+                    deleted: 18,
+                },
+                r#"{"seq":10,"us":110,"type":"manifest_commit","edit_bytes":16,"added":17,"deleted":18}"#,
+            ),
+            (
+                ManifestRecut {
+                    abandoned: 19,
+                    new_manifest: 20,
+                    snapshot_tables: 21,
+                },
+                r#"{"seq":11,"us":111,"type":"manifest_recut","abandoned":19,"new_manifest":20,"snapshot_tables":21}"#,
+            ),
+            (
+                Barrier {
+                    cause: BarrierCause::CompactionData,
+                    kind: BarrierKind::Ordering,
+                },
+                r#"{"seq":12,"us":112,"type":"barrier","cause":"compaction_data","kind":"ordering"}"#,
+            ),
+            (
+                HolePunch { bytes: 22 },
+                r#"{"seq":13,"us":113,"type":"hole_punch","bytes":22}"#,
+            ),
+            (
+                VlogRotate { new_segment: 23 },
+                r#"{"seq":14,"us":114,"type":"vlog_rotate","new_segment":23}"#,
+            ),
+            (
+                VlogGc {
+                    segment: 24,
+                    dead_bytes: 25,
+                    punched_bytes: 26,
+                },
+                r#"{"seq":15,"us":115,"type":"vlog_gc","segment":24,"dead_bytes":25,"punched_bytes":26}"#,
+            ),
+            (
+                VlogRetire {
+                    segment: 27,
+                    reclaimed_bytes: 28,
+                },
+                r#"{"seq":16,"us":116,"type":"vlog_retire","segment":27,"reclaimed_bytes":28}"#,
+            ),
+            (
+                RangeDelete { bytes: 29 },
+                r#"{"seq":17,"us":117,"type":"range_delete","bytes":29}"#,
+            ),
+            (
+                CheckpointBegin { id: 30 },
+                r#"{"seq":18,"us":118,"type":"checkpoint_begin","id":30}"#,
+            ),
+            (
+                CheckpointEnd {
+                    id: 30,
+                    tables: 31,
+                    files: 32,
+                },
+                r#"{"seq":19,"us":119,"type":"checkpoint_end","id":30,"tables":31,"files":32}"#,
+            ),
+        ];
+        let mut type_names = Vec::new();
+        for (i, (event, json)) in pinned.into_iter().enumerate() {
+            type_names.push(event.type_name());
+            let traced = TraceEvent {
+                seq: i as u64,
+                micros: 100 + i as u64,
+                event,
+            };
+            assert_eq!(traced.to_json(), json);
+        }
+
+        // The first `enum` of the schema is the one of its `type` property.
+        let schema = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../schemas/trace.schema.json"
+        ));
+        let (_, after) = schema
+            .split_once("\"enum\": [")
+            .expect("schema has an enum");
+        let (list, _) = after.split_once(']').expect("enum list ends");
+        let mut in_schema: Vec<&str> = list
+            .split(',')
+            .map(|name| name.trim().trim_matches('"'))
+            .collect();
+        assert!(
+            in_schema.contains(&"flush_begin"),
+            "not the type enum: {in_schema:?}"
+        );
+        in_schema.sort_unstable();
+        type_names.sort_unstable();
+        assert_eq!(type_names, in_schema);
+    }
 
     #[test]
     fn emit_and_drain_in_order() {

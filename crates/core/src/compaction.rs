@@ -271,7 +271,7 @@ impl CompactionPolicy for LeveledPolicy {
                 return Some(pick_fragmented(version, best_level));
             }
             if best_level == 0 {
-                return Some(pick_level0(opts, icmp, version));
+                return Some(pick_level0(icmp, version));
             }
             return Some(pick_leveled(
                 opts,
@@ -295,7 +295,7 @@ impl CompactionPolicy for LeveledPolicy {
                         // isolation would sink a newer version below an older
                         // one. Take the whole of level 0 (LevelDB expands L0
                         // inputs to all overlapping files for the same reason).
-                        let mut task = pick_level0(opts, icmp, version);
+                        let mut task = pick_level0(icmp, version);
                         task.reason = CompactionReason::Seek;
                         return Some(task);
                     }
@@ -344,8 +344,8 @@ fn pick_fragmented(version: &Version, level: usize) -> CompactionTask {
     }
 }
 
-fn pick_level0(opts: &Options, icmp: &InternalKeyComparator, version: &Version) -> CompactionTask {
-    let _ = opts; // level 0 is governed by run count, not size knobs
+/// Level 0 is governed by run count, not size knobs: take all of it.
+fn pick_level0(icmp: &InternalKeyComparator, version: &Version) -> CompactionTask {
     let input_runs: Vec<Vec<Arc<TableMeta>>> = version.levels[0]
         .runs
         .iter()

@@ -11,7 +11,8 @@
 //!
 //! Picking lives in [`crate::compaction`]; this module only executes a
 //! [`CompactionTask`]. It owns no [`super::DbState`] field: it reads
-//! `snapshots` for the drop horizon and runs on the background thread.
+//! `snapshots` for the drop horizon and runs on the background thread. Its
+//! commit is one of the three view installs (the version alone changes).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -24,7 +25,7 @@ use bolt_table::ikey::{parse_internal_key, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::{BuiltTable, TableBuilder};
 
-use super::DbInner;
+use super::{DbInner, ReadView};
 use crate::compaction::{
     clusters, run_layout_for, CompactionReason, CompactionTask, DropFilter, OutputShape,
 };
@@ -46,7 +47,7 @@ impl DbInner {
                 .min()
                 .unwrap_or_else(|| self.last_sequence.load(Ordering::Acquire))
         };
-        let version = self.versions.lock().current();
+        let version = Arc::clone(&self.view().version);
 
         let compaction_id = self.compaction_ids.fetch_add(1, Ordering::Relaxed);
         self.sink.emit(EngineEvent::CompactionBegin {
@@ -255,6 +256,10 @@ impl DbInner {
             if retired > 0 {
                 self.stats.record_vlog_segment_retired(retired);
             }
+            self.install_view(|old| ReadView {
+                version: versions.current(),
+                ..old.clone()
+            });
             versions.collect_garbage(&self.table_cache);
             self.stats.record_compaction(1);
             self.stats.record_compaction_output(output_bytes);
@@ -268,7 +273,6 @@ impl DbInner {
             rewrote: !outputs.is_empty(),
             policy: self.opts.compaction_policy.as_str(),
         });
-        self.refresh_shape_hints();
         Ok(())
     }
 
@@ -280,7 +284,7 @@ impl DbInner {
         begin: &[u8],
         end: &[u8],
     ) -> Option<CompactionTask> {
-        let version = self.versions.lock().current();
+        let version = Arc::clone(&self.view().version);
         let overlapping = version.overlapping_tables(&self.icmp, level, begin, end);
         if overlapping.is_empty() {
             return None;

@@ -2,8 +2,9 @@
 //! `compact_range`, `compact_until_quiet`), and memtable flushes.
 //!
 //! Owns the background group of [`super::DbState`] — `bg_busy`,
-//! `bg_error`, the `manual`/`seek_candidate` requests it serves — and
-//! retires `imm`, publishing `flushed_seq_boundary` as it does.
+//! `bg_error`, the `manual`/`seek_candidate` requests it serves. The flush
+//! commit is one of the three view installs: it retires `imm`, installs the
+//! version holding its L0 run and advances `flushed_seq` in one swap.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -11,16 +12,18 @@ use std::time::Duration;
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::Result;
+use bolt_table::ikey::SequenceNumber;
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::BuiltTable;
 
 use super::compact::{commit_outputs, DropScope, OutputSink};
-use super::{Db, DbInner};
+use super::{Db, DbInner, DbState, ReadView};
 use crate::compaction::{
     needs_compaction, pick_compaction, CompactionReason, CompactionTask, OutputShape,
 };
 use crate::iterator::InternalIterator;
 use crate::memtable::MemTable;
+use crate::sync::MutexGuard;
 use crate::version::{Version, VersionEdit};
 
 impl Db {
@@ -35,22 +38,16 @@ impl Db {
         // Wait out any in-flight flush first — switching while an immutable
         // memtable is pending would clobber it — and any in-flight group
         // commit, which owns the WAL and is still inserting into `mem`.
-        while (state.imm.is_some() || state.wal.is_none()) && state.bg_error.is_none() {
-            if state.imm.is_some() {
-                inner.work_cv.notify_one();
-                inner.done_cv.wait(&mut state);
-            } else {
-                inner.writers_cv.wait(&mut state);
-            }
+        inner.await_flush(&mut state)?;
+        while state.wal.is_none() {
+            inner.writers_cv.wait(&mut state);
+            inner.await_flush(&mut state)?;
         }
-        if state.bg_error.is_none() && !state.mem.is_empty() {
+        if !inner.view().mem.is_empty() {
             inner.switch_memtable(&mut state)?;
         }
-        while state.imm.is_some() && state.bg_error.is_none() {
-            inner.work_cv.notify_one();
-            inner.done_cv.wait(&mut state);
-        }
-        state.check_poisoned()
+        inner.await_flush(&mut state)?;
+        Ok(())
     }
 
     /// Block until no flush or compaction work remains.
@@ -63,9 +60,9 @@ impl Db {
         let mut state = inner.state.lock();
         loop {
             state.check_poisoned()?;
-            let has_work = state.imm.is_some() || state.bg_busy || {
-                let versions = inner.versions.lock();
-                needs_compaction(&inner.opts, &versions.current())
+            let has_work = state.bg_busy || {
+                let view = inner.view();
+                view.imm.is_some() || needs_compaction(&inner.opts, &view.version)
             };
             if !has_work {
                 return Ok(());
@@ -116,10 +113,27 @@ impl Db {
 }
 
 impl DbInner {
+    /// Wait, holding `state`, until no flush is pending (or the engine is
+    /// poisoned) and return the view that says so. The flush commit swaps
+    /// the view, then takes `state` to notify: no wake-up is lost.
+    pub(super) fn await_flush(&self, state: &mut MutexGuard<'_, DbState>) -> Result<Arc<ReadView>> {
+        loop {
+            state.check_poisoned()?;
+            let view = self.view();
+            if view.imm.is_none() {
+                return Ok(view);
+            }
+            // Parked without it: a waiter must not pin the outgoing version.
+            drop(view);
+            self.work_cv.notify_one();
+            self.done_cv.wait(state);
+        }
+    }
+
     pub(super) fn background_loop(self: Arc<Self>) {
         loop {
             enum Work {
-                Flush(Arc<MemTable>, u64),
+                Flush,
                 Compact(CompactionTask),
                 Manual(CompactionTask),
             }
@@ -129,12 +143,9 @@ impl DbInner {
                     if self.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    if state.imm.is_some() {
+                    if self.view().imm.is_some() {
                         state.bg_busy = true;
-                        // Guarded by `state.imm.is_some()` just above.
-                        // bolt-lint: allow(unwrap-in-crash-path)
-                        let imm = Arc::clone(state.imm.as_ref().expect("imm present"));
-                        break Work::Flush(imm, state.imm_log_boundary);
+                        break Work::Flush;
                     }
                     if let Some((level, begin, end)) = state.manual.take() {
                         match self.build_manual_task(level, &begin, &end) {
@@ -150,17 +161,13 @@ impl DbInner {
                             }
                         }
                     }
-                    let task = {
-                        let versions = self.versions.lock();
-                        let version = versions.current();
-                        pick_compaction(
-                            &self.opts,
-                            &self.icmp,
-                            &version,
-                            &versions.compact_pointer,
-                            state.seek_candidate.clone(),
-                        )
-                    };
+                    let task = pick_compaction(
+                        &self.opts,
+                        &self.icmp,
+                        &self.view().version,
+                        &self.versions.lock().compact_pointer,
+                        state.seek_candidate.clone(),
+                    );
                     if let Some(task) = task {
                         if task.reason == CompactionReason::Seek {
                             state.seek_candidate = None;
@@ -175,9 +182,7 @@ impl DbInner {
             };
 
             let (result, was_manual) = match work {
-                Work::Flush(imm, log_boundary) => {
-                    (self.flush_memtable(&imm, log_boundary, true), false)
-                }
+                Work::Flush => (self.maybe_flush_pending_imm(), false),
                 Work::Compact(task) => (self.run_compaction(task), false),
                 Work::Manual(task) => (self.run_compaction(task), true),
             };
@@ -202,20 +207,14 @@ impl DbInner {
         }
     }
 
-    pub(super) fn refresh_shape_hints(&self) {
-        let versions = self.versions.lock();
-        let version = versions.current();
-        self.l0_runs
-            .store(version.levels[0].num_runs(), Ordering::Relaxed);
-    }
-
-    /// Write `mem` to level 0 and commit. `clear_imm` distinguishes the
-    /// background flush (true) from recovery-time flushes (false).
+    /// Write `mem` to level 0 and commit: the view's `imm` on the
+    /// background thread, a replayed memtable (never in the view) during
+    /// recovery. Every write at or below `seq_boundary` is in it or older.
     pub(super) fn flush_memtable(
         &self,
         mem: &Arc<MemTable>,
         log_boundary: u64,
-        clear_imm: bool,
+        seq_boundary: SequenceNumber,
     ) -> Result<()> {
         let flush_id = self.flush_ids.fetch_add(1, Ordering::Relaxed);
         self.sink.emit(EngineEvent::FlushBegin {
@@ -246,6 +245,14 @@ impl DbInner {
             };
             // A flush lands as one fresh L0 run, newer than every other.
             let bytes = commit_outputs(&mut versions, edit, 0, OutputShape::AppendRun, &outputs)?;
+            // One swap: the run enters the view as its memtable leaves, and
+            // the boundary it establishes arrives with it.
+            self.install_view(|old| ReadView {
+                imm: None,
+                version: versions.current(),
+                flushed_seq: seq_boundary,
+                ..old.clone()
+            });
             versions.collect_garbage(&self.table_cache);
             bytes
         };
@@ -256,18 +263,11 @@ impl DbInner {
             output_bytes: flush_bytes,
             level: 0,
         });
-        self.refresh_shape_hints();
-
-        if clear_imm {
-            let mut state = self.state.lock();
-            state.imm = None;
-            self.has_imm.store(false, Ordering::Release);
-            // Publish in the same critical section that clears `imm`: a
-            // checkpoint that sees `imm == None` must also see the boundary
-            // this flush established.
-            state.flushed_seq_boundary = state.imm_seq_boundary;
+        {
             // Wake writers stalled on the full memtable immediately — this
-            // may run mid-compaction (flush preemption).
+            // may run mid-compaction (flush preemption). Under `state`,
+            // which every waiter holds while it reads the view.
+            let _state = self.state.lock();
             self.done_cv.notify_all();
         }
         self.delete_obsolete_logs(log_boundary);
@@ -275,24 +275,16 @@ impl DbInner {
     }
 
     /// Flush the pending immutable memtable right now if one exists. Called
-    /// from within long compactions, mirroring LevelDB's `DoCompactionWork`
-    /// check of `has_imm_`: without preemption a 64 MB group compaction
-    /// would stall writers for its entire duration.
+    /// from within long compactions, mirroring the pending-memtable check
+    /// in LevelDB's `DoCompactionWork`: without preemption a 64 MB group
+    /// compaction would stall writers for its entire duration.
     pub(super) fn maybe_flush_pending_imm(&self) -> Result<()> {
-        if !self.has_imm.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let pending = {
-            let state = self.state.lock();
-            state
-                .imm
-                .as_ref()
-                .map(|imm| (Arc::clone(imm), state.imm_log_boundary))
-        };
-        if let Some((imm, boundary)) = pending {
-            self.flush_memtable(&imm, boundary, true)?;
-        }
-        Ok(())
+        // Bound first: the view itself must not stay pinned across the
+        // flush, whose commit expects the outgoing version to be released.
+        let pending = self.view().imm.clone();
+        pending.map_or(Ok(()), |imm| {
+            self.flush_memtable(&imm.mem, imm.log_boundary, imm.seq_boundary)
+        })
     }
 
     /// Stream one sorted input into output tables without dropping entries

@@ -68,27 +68,20 @@ impl Db {
         // the checkpoint needs no WAL.
         self.flush()?;
 
-        // Pin a consistent (version, sequence) pair. With `imm == None`
-        // under the state lock, the installed version is exactly the write
-        // prefix at the flushed boundary (an empty memtable tightens it to
+        // Pin a consistent (version, sequence) pair: a view with no `imm`.
+        // Its version is exactly the write prefix at its flushed boundary
+        // (an empty memtable, read under the state lock, tightens that to
         // `last_sequence`: everything acknowledged is flushed).
         let (version, seq, pin, vlog_ledger) = {
             let mut state = inner.state.lock();
-            loop {
-                state.check_poisoned()?;
-                if state.imm.is_none() {
-                    break;
-                }
-                inner.work_cv.notify_one();
-                inner.done_cv.wait(&mut state);
-            }
-            let seq = if state.mem.is_empty() {
+            let view = inner.await_flush(&mut state)?;
+            let seq = if view.mem.is_empty() {
                 inner.last_sequence.load(Ordering::Acquire)
             } else {
-                state.flushed_seq_boundary
+                view.flushed_seq
             };
+            let version = Arc::clone(&view.version);
             let mut versions = inner.versions.lock();
-            let version = versions.current();
             // The pin also freezes the per-segment dead-range ledger: the
             // checkpoint MANIFEST must carry the ledger as of this instant,
             // not as of manifest-write time — a compaction committing in

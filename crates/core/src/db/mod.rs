@@ -1,7 +1,9 @@
 //! The database, one module per subsystem. Every child is a plain
 //! `impl DbInner` (plus the `impl Db` entry points that drive it) over the
-//! state defined here; all of them share the one `core.state` mutex, and
-//! each owns one field group of `DbState`:
+//! state defined here; all of them share the one `core.state` mutex, of
+//! whose `DbState` each owns one field group, and the `ReadView` behind
+//! `core.view` — all that a reader, a governor or the picker sees of the
+//! tree — which only `install_view` replaces:
 //!
 //! * `write` — group commit, the 2PC phases, the write governors,
 //!   memtable switching and WAL-time value separation;
@@ -15,7 +17,7 @@
 //! (DESIGN.md §2 maps each module to its state group, locks and events.)
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::sync::{named_mutex, Condvar, Mutex};
@@ -27,7 +29,7 @@ use bolt_env::Env;
 use bolt_table::cache::TableCache;
 use bolt_table::comparator::InternalKeyComparator;
 use bolt_table::ikey::SequenceNumber;
-use bolt_table::{BlockCache, TableReadOptions};
+use bolt_table::TableReadOptions;
 use bolt_wal::LogWriter;
 
 use crate::filename::current_file;
@@ -74,20 +76,6 @@ struct DbState {
     /// lands in a flushed memtable.
     pending_txns: HashMap<u64, PendingTxn>,
 
-    // -- write.rs switches, flush.rs retires: memtables and boundaries --
-    mem: Arc<MemTable>,
-    imm: Option<Arc<MemTable>>,
-    /// WAL number that made the current `imm` obsolete once flushed.
-    imm_log_boundary: u64,
-    /// Sequence number captured at the switch that produced the current
-    /// `imm`: every write at or below it is in `imm` or older tables, and
-    /// every write above it is in `mem`.
-    imm_seq_boundary: SequenceNumber,
-    /// Sequence boundary of the newest *completed* flush: the installed
-    /// version is exactly the write prefix at this sequence (plus nothing
-    /// newer). Checkpoints pin this together with the version.
-    flushed_seq_boundary: SequenceNumber,
-
     // -- flush.rs: background-thread flags and the requests it serves --
     bg_error: Option<Error>,
     bg_busy: bool,
@@ -110,24 +98,54 @@ impl DbState {
     }
 }
 
+/// A memtable that stopped taking writes and awaits its flush, with the
+/// two boundaries its switch stamped.
+#[derive(Clone)]
+struct Imm {
+    mem: Arc<MemTable>,
+    /// WAL number that becomes the log floor once this memtable is flushed.
+    log_boundary: u64,
+    /// `last_sequence` at the switch: every write at or below it is in this
+    /// memtable or older tables, every write above it is in the view's `mem`.
+    seq_boundary: SequenceNumber,
+}
+
+/// Everything a reader must see, as one immutable value: replaced whole by
+/// [`DbInner::install_view`], never modified in place, so no reader can
+/// observe a flush half installed.
+#[derive(Clone)]
+struct ReadView {
+    mem: Arc<MemTable>,
+    imm: Option<Imm>,
+    version: Arc<Version>,
+    /// Sequence boundary of the newest completed flush: `version` is exactly
+    /// the write prefix at this sequence. Checkpoints pin the pair.
+    flushed_seq: SequenceNumber,
+}
+
+impl ReadView {
+    /// The in-memory sources, newest first.
+    fn memtables(&self) -> impl Iterator<Item = &Arc<MemTable>> {
+        std::iter::once(&self.mem).chain(self.imm.as_ref().map(|imm| &imm.mem))
+    }
+}
+
 struct DbInner {
     env: Arc<dyn Env>,
     name: String,
     opts: Options,
     icmp: InternalKeyComparator,
     table_cache: Arc<TableCache>,
-    #[allow(dead_code)] // shared into TableReadOptions; kept for stats access
-    block_cache: Arc<BlockCache>,
     state: Mutex<DbState>,
     versions: Mutex<VersionSet>,
+    /// The current [`ReadView`]; a leaf lock, held for one `Arc` clone or swap.
+    view: Mutex<Arc<ReadView>>,
     work_cv: Condvar,
     done_cv: Condvar,
     /// Wakes queued writers when leadership rotates or a group completes,
     /// and WAL waiters when an in-flight group returns the log.
     writers_cv: Condvar,
     last_sequence: AtomicU64,
-    l0_runs: AtomicUsize,
-    has_imm: AtomicBool,
     shutdown: AtomicBool,
     stats: DbStats,
     /// Structured-event destination, shared with the env's `IoStats` (which
@@ -145,6 +163,25 @@ struct DbInner {
     /// Highest transaction id seen in this shard's WALs during recovery;
     /// the sharding layer seeds its id allocator above it.
     recovered_max_txn: AtomicU64,
+}
+
+impl DbInner {
+    fn view(&self) -> Arc<ReadView> {
+        Arc::clone(&self.view.lock())
+    }
+
+    /// Publish the view `next` builds from the current one — the one place
+    /// the tree's shape changes hands. `next` runs under `core.view`, so a
+    /// memtable switch and a commit on another thread compose. The commit
+    /// paths call this under `core.versions`, between `log_and_apply` and
+    /// `collect_garbage`: GC must find the outgoing version released.
+    fn install_view(&self, next: impl FnOnce(&ReadView) -> ReadView) {
+        let mut slot = self.view.lock();
+        let new = Arc::new(next(&slot));
+        let old = std::mem::replace(&mut *slot, new);
+        drop(slot);
+        drop(old); // off the lock: may free a whole memtable
+    }
 }
 
 /// A consistent read view. Dropping it releases the sequence for
@@ -265,12 +302,11 @@ impl Db {
         opts.validate()?;
         env.create_dir_all(name)?;
         let icmp = InternalKeyComparator::default();
-        let block_cache: Arc<BlockCache> = Arc::new(LruCache::new(opts.block_cache_bytes));
         let read_opts = TableReadOptions {
             comparator: Arc::new(icmp.clone()),
             filter_policy: opts.filter_policy,
             filter_key: bolt_table::FilterKey::UserKey,
-            block_cache: Some(Arc::clone(&block_cache)),
+            block_cache: Some(Arc::new(LruCache::new(opts.block_cache_bytes))),
         };
         /// Capacity, in files, of the BoLT fd cache when enabled.
         const FD_CACHE_FILES: u64 = 500;
@@ -306,21 +342,25 @@ impl Db {
             versions.recover()?;
         }
 
+        let view = ReadView {
+            mem: Arc::new(MemTable::new()),
+            imm: None,
+            version: versions.current(),
+            flushed_seq: 0,
+        };
         let inner = Arc::new(DbInner {
             env,
             name: name.to_string(),
             opts,
             icmp,
             table_cache,
-            block_cache,
             state: named_mutex("core.state", DbState::default()),
             versions: named_mutex("core.versions", versions),
+            view: named_mutex("core.view", Arc::new(view)),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             writers_cv: Condvar::new(),
             last_sequence: AtomicU64::new(0),
-            l0_runs: AtomicUsize::new(0),
-            has_imm: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             stats: DbStats::default(),
             sink,
@@ -333,7 +373,6 @@ impl Db {
         inner.recover_wals()?;
         inner.start_fresh_wal()?;
         inner.delete_obsolete_files();
-        inner.refresh_shape_hints();
 
         let bg = {
             let inner = Arc::clone(&inner);
@@ -369,7 +408,7 @@ impl Db {
     /// The current [`Version`] — the logical view of the tree. Useful for
     /// inspection tools and tests; the version is immutable.
     pub fn current_version(&self) -> Arc<Version> {
-        self.inner.versions.lock().current()
+        Arc::clone(&self.inner.view().version)
     }
 
     /// Approximate on-disk bytes of user keys in `[begin, end)` — the sum
@@ -413,16 +452,14 @@ impl Db {
     pub fn metrics(&self) -> MetricsSnapshot {
         let inner = &self.inner;
         let qw = inner.stats.queue_wait();
-        // One acquisition: the level shape, the tombstone gauge and the
-        // re-cut count must all describe the same installed version.
-        let (manifest_recuts, version) = {
-            let versions = inner.versions.lock();
-            (versions.manifest_recuts(), versions.current())
-        };
+        // One view: the level shape and the tombstone gauge describe the
+        // same installed version.
+        let view = inner.view();
+        let version = &view.version;
         MetricsSnapshot {
             db: inner.stats.snapshot(),
             io: inner.env.stats().snapshot(),
-            levels: level_shape(&version),
+            levels: level_shape(version),
             policy: inner.opts.compaction_policy.as_str(),
             queue_wait: QueueWaitSummary {
                 count: qw.count(),
@@ -435,7 +472,7 @@ impl Db {
             barriers_by_cause: inner.sink.barrier_counts().to_vec(),
             events_emitted: inner.sink.emitted(),
             events_dropped: inner.sink.dropped(),
-            manifest_recuts,
+            manifest_recuts: inner.versions.lock().manifest_recuts(),
             range_tombstones_live: version.live_range_tombstones(),
         }
     }
@@ -512,10 +549,10 @@ impl Drop for Db {
     }
 }
 
-/// Owning iterator pinning the version it reads.
+/// Owning iterator pinning the view (and so the version) it reads.
 pub struct DbIterator {
     inner: DbIter,
-    _version: Arc<Version>,
+    _view: Arc<ReadView>,
 }
 
 impl std::fmt::Debug for DbIterator {

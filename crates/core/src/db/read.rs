@@ -1,9 +1,12 @@
 //! The read path: point lookups, iterators, and value-pointer resolution.
 //!
-//! Reads capture `mem`/`imm` under `core.state`, then the current version
-//! under `core.versions`, and run with neither held. This module owns the
-//! `snapshots` list of [`super::DbState`] (compaction only reads it) and
-//! files seek-compaction candidates for the background thread.
+//! A read clones the current [`super::ReadView`] (memtables and version in
+//! one pointer, behind the leaf lock `core.view`) and runs on it with no
+//! lock held: it takes neither `core.state` nor `core.versions`, so it never
+//! waits behind a MANIFEST sync or a garbage-collection pass. This module
+//! owns the `snapshots` list of [`super::DbState`] (compaction only reads
+//! it) and files seek-compaction candidates for the background thread —
+//! the only two things it takes `core.state` for.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -100,9 +103,9 @@ impl ValueResolver for DbInner {
 impl DbInner {
     /// Read at `snapshot`, or at the freshest consistent point when `None`.
     ///
-    /// Capture order matters: memtables first, then the version, then (for
-    /// snapshot-less reads) the sequence. A sequence captured *before* the
-    /// version pin could be older than the `smallest_snapshot` of a
+    /// Capture order matters: the view first, then (for snapshot-less
+    /// reads) the sequence. A sequence captured *before* the version is
+    /// pinned could be older than the `smallest_snapshot` of a
     /// concurrently committing compaction, which is allowed to drop entry
     /// versions that such a reader still needs. Explicit [`Snapshot`]s are
     /// registered and respected by compaction instead — which holds only
@@ -112,20 +115,17 @@ impl DbInner {
     /// the lock is, for a moment, a snapshot no compaction can see: one
     /// that starts in that gap drops the very version it is about to pin.
     fn get_at(&self, user_key: &[u8], snapshot: Option<SequenceNumber>) -> Result<Option<Vec<u8>>> {
-        let (mem, imm) = {
-            let state = self.state.lock();
-            (Arc::clone(&state.mem), state.imm.clone())
-        };
-        let version = self.versions.lock().current();
+        let view = self.view();
+        let version = &view.version;
         let snapshot = snapshot.unwrap_or_else(|| self.last_sequence.load(Ordering::Acquire));
         // Newest range tombstone covering this key, across every source.
         // The first point hit below is the *newest* point entry visible at
         // the snapshot (sources are probed newest-first and each source
         // yields descending sequences), so comparing only that hit against
         // the covering sequence applies every tombstone correctly.
-        let mut covering = mem.max_range_del_seq(user_key, snapshot);
-        if let Some(imm) = &imm {
-            covering = covering.max(imm.max_range_del_seq(user_key, snapshot));
+        let mut covering = 0;
+        for memtable in view.memtables() {
+            covering = covering.max(memtable.max_range_del_seq(user_key, snapshot));
         }
         if version.has_range_tombstones() {
             covering = covering.max(
@@ -146,7 +146,7 @@ impl DbInner {
                 LookupResult::Pointer(p) => Some(Some(self.resolve_pointer(&p)?)),
             })
         };
-        for source in [Some(&mem), imm.as_ref()].into_iter().flatten() {
+        for source in view.memtables() {
             if let Some(outcome) = probe(source.get_with_seq(user_key, snapshot))? {
                 return Ok(outcome);
             }
@@ -184,17 +184,13 @@ impl DbInner {
     // `Arc<dyn ValueResolver>` clone of the handle, and `self: &Arc<Self>`
     // receivers are not stable Rust.
     fn iter_at(inner: &Arc<DbInner>, snapshot: Option<SequenceNumber>) -> Result<DbIterator> {
-        let (mem, imm) = {
-            let state = inner.state.lock();
-            (Arc::clone(&state.mem), state.imm.clone())
-        };
-        let version = inner.versions.lock().current();
-        // See `get_at` for why the sequence is captured after the version.
+        let view = inner.view();
+        let version = &view.version;
+        // See `get_at` for why the sequence is captured after the view.
         let snapshot = snapshot.unwrap_or_else(|| inner.last_sequence.load(Ordering::Acquire));
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(Box::new(mem.iter()));
-        if let Some(imm) = &imm {
-            children.push(Box::new(imm.iter()));
+        for memtable in view.memtables() {
+            children.push(Box::new(memtable.iter()));
         }
         for level in &version.levels {
             for run in &level.runs {
@@ -217,9 +213,8 @@ impl DbInner {
         } else {
             Vec::new()
         };
-        tombstones.extend(mem.range_tombstones());
-        if let Some(imm) = &imm {
-            tombstones.extend(imm.range_tombstones());
+        for memtable in view.memtables() {
+            tombstones.extend(memtable.range_tombstones());
         }
         // Always attach the resolver: the store may hold pointers written
         // under an earlier configuration even if separation is off now.
@@ -228,7 +223,7 @@ impl DbInner {
             inner: DbIter::new(inner.icmp.clone(), merged, snapshot)
                 .with_resolver(resolver)
                 .with_tombstones(Arc::new(RangeTombstoneSet::build(tombstones))),
-            _version: version,
+            _view: view,
         })
     }
 }
@@ -304,6 +299,140 @@ mod tests {
                 reader.join().expect("a snapshot read lost its version");
             }
         });
+        db.close().unwrap();
+    }
+
+    /// Reads clone the view and touch neither engine lock. A gatekeeper
+    /// parks on `core.versions` — where the background thread sits for a
+    /// whole MANIFEST sync and GC pass — and every read entry point must
+    /// still finish. Bounded wait: a reader that does block fails the test
+    /// (the gate is opened either way, so the scope always joins).
+    #[test]
+    fn reads_do_not_wait_for_the_manifest_lock() {
+        use std::sync::mpsc;
+        let (_env, db) = mem_db(small_opts(Options::bolt()));
+        for i in 0..200u32 {
+            db.put(format!("key{i:05}").as_bytes(), b"flushed").unwrap();
+        }
+        db.flush().unwrap();
+        db.put(b"key00007", b"fresh").unwrap();
+        let inner = &db.inner;
+        std::thread::scope(|s| {
+            let (gate_held, wait_held) = mpsc::channel();
+            let (release, wait_release) = mpsc::channel::<()>();
+            s.spawn(move || {
+                let _gate = inner.versions.lock();
+                gate_held.send(()).unwrap();
+                let _ = wait_release.recv();
+            });
+            wait_held.recv().unwrap();
+            let (done, wait_done) = mpsc::channel();
+            let db = &db;
+            s.spawn(move || {
+                assert_eq!(db.get(b"key00007").unwrap(), Some(b"fresh".to_vec()));
+                assert_eq!(db.get(b"key00100").unwrap(), Some(b"flushed".to_vec()));
+                let mut iter = db.iter().unwrap();
+                iter.seek(b"key00050").unwrap();
+                for _ in 0..10 {
+                    assert!(iter.valid());
+                    iter.next().unwrap();
+                }
+                assert_eq!(iter.key(), b"key00060");
+                assert!(db.current_version().num_tables() >= 1);
+                assert!(db.level_info()[0].tables >= 1);
+                done.send(()).unwrap();
+            });
+            let finished = wait_done.recv_timeout(std::time::Duration::from_secs(10));
+            drop(release);
+            finished.expect("a read waited for `core.versions`");
+        });
+        db.close().unwrap();
+    }
+
+    /// No instant at which a flushed memtable has left the view before its
+    /// L0 run has entered it: under writers, forced flushes and the
+    /// compactions they trigger, a key whose `put` was acknowledged is found
+    /// — at that value or a newer one — by `get` and by a fresh iterator
+    /// alike, every time.
+    #[test]
+    fn a_flush_install_is_one_step() {
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+        use std::time::{Duration, Instant};
+        const KEYS: u64 = 64;
+        let (_env, db) = mem_db(small_opts(Options::bolt()));
+        let key = |writer: usize, n: u64| format!("w{writer}-{:03}", n % KEYS).into_bytes();
+        let parse = |v: &[u8]| std::str::from_utf8(v).unwrap().trim_start().parse::<u64>();
+        // Per writer: every put numbered at or below this was acknowledged.
+        let acked = [AtomicU64::new(0), AtomicU64::new(0)];
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for (writer, acked) in acked.iter().enumerate() {
+                let (db, done) = (&db, &done);
+                s.spawn(move || {
+                    for n in 1.. {
+                        if done.load(Ordering::Acquire) {
+                            break;
+                        }
+                        // Padded so that a few hundred puts fill a memtable.
+                        db.put(&key(writer, n), format!("{n:>200}").as_bytes())
+                            .unwrap();
+                        acked.store(n, Ordering::Release);
+                    }
+                });
+            }
+            let readers: Vec<_> = (0..2usize)
+                .map(|reader| {
+                    let (db, done, acked) = (&db, &done, &acked);
+                    s.spawn(move || {
+                        let mut checked = 0u64;
+                        for round in 0u64.. {
+                            if done.load(Ordering::Acquire) {
+                                break;
+                            }
+                            let writer = (reader + round as usize) % 2;
+                            let high = acked[writer].load(Ordering::Acquire);
+                            if high == 0 {
+                                continue;
+                            }
+                            let n = high - round % high.min(KEYS);
+                            let key = key(writer, n);
+                            let got = db.get(&key).unwrap().expect("get lost an acked key");
+                            assert!(parse(&got).unwrap() >= n, "get went back in time");
+                            let mut iter = db.iter().unwrap();
+                            iter.seek(&key).unwrap();
+                            assert!(iter.valid(), "iterator lost an acked key");
+                            assert_eq!(iter.key(), key, "iterator lost an acked key");
+                            assert!(parse(iter.value()).unwrap() >= n, "iterator went back");
+                            checked += 1;
+                        }
+                        checked
+                    })
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(1);
+            while Instant::now() < deadline && !readers.iter().any(|r| r.is_finished()) {
+                db.flush().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            for reader in readers {
+                let checked = reader.join().expect("a read missed an acknowledged write");
+                assert!(checked > 0, "a reader never ran");
+            }
+        });
+        assert!(
+            db.stats().snapshot().flushes > 10,
+            "flushes were not forced"
+        );
+        // The witness saw every install path; `core.view` must be a leaf.
+        #[cfg(feature = "debug_locks")]
+        {
+            let edges = bolt_common::debug_locks::recorded_edges();
+            assert!(edges.iter().any(|(_, to)| to == "core.view"), "{edges:?}");
+            assert!(
+                edges.iter().all(|(from, _)| from != "core.view"),
+                "{edges:?}"
+            );
+        }
         db.close().unwrap();
     }
 

@@ -2,7 +2,8 @@
 //! them, resolve cross-shard transactions, and start a fresh log.
 //!
 //! Runs before the background thread exists, so it touches
-//! [`super::DbState`] only to install the first `wal`.
+//! [`super::DbState`] only to install the first `wal`; its last commit
+//! installs the view the engine starts serving from.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -12,7 +13,7 @@ use bolt_common::{Error, Result};
 use bolt_wal::LogReader;
 
 use super::write::new_wal_writer;
-use super::{Db, DbInner};
+use super::{Db, DbInner, ReadView};
 use crate::batch::WriteBatch;
 use crate::filename::{log_file, parse_file_name, FileType};
 use crate::memtable::MemTable;
@@ -115,7 +116,7 @@ impl DbInner {
                 }
                 if mem.approximate_memory_usage() >= self.opts.memtable_bytes {
                     self.last_sequence.store(max_seq, Ordering::Release);
-                    self.flush_memtable(&mem, 0, false)?;
+                    self.flush_memtable(&mem, 0, max_seq)?;
                     mem = Arc::new(MemTable::new());
                 }
             }
@@ -148,7 +149,7 @@ impl DbInner {
             versions.last_sequence = versions.last_sequence.max(max_seq);
         }
         if !mem.is_empty() {
-            self.flush_memtable(&mem, 0, false)?;
+            self.flush_memtable(&mem, 0, max_seq)?;
         }
         Ok(())
     }
@@ -163,12 +164,20 @@ impl DbInner {
         }
         // Persist the log floor so old WALs are not replayed twice.
         let mut versions = self.versions.lock();
+        let recovered = self.last_sequence.load(Ordering::Acquire);
         let edit = VersionEdit {
             log_number: Some(new_log),
-            last_sequence: Some(self.last_sequence.load(Ordering::Acquire)),
+            last_sequence: Some(recovered),
             ..Default::default()
         };
-        versions.log_and_apply(edit)?;
+        let version = versions.log_and_apply(edit)?;
+        // The view the engine opens with: everything recovered is in
+        // `version`, so it is the write prefix at `recovered`.
+        self.install_view(|old| ReadView {
+            version,
+            flushed_seq: recovered,
+            ..old.clone()
+        });
         Ok(())
     }
 }
@@ -192,6 +201,31 @@ mod tests {
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
         assert_eq!(db.get(b"durable").unwrap(), Some(b"yes".to_vec()));
         db.close().unwrap();
+    }
+
+    /// Everything recovered is flushed before the engine serves, so the
+    /// opening view's version is the write prefix at the recovered sequence
+    /// and says so. (A checkpoint racing the first post-open write pins
+    /// this pair; a boundary of 0 would stamp its MANIFEST with a sequence
+    /// below the entries its tables hold.)
+    #[test]
+    fn opening_view_is_the_write_prefix_at_the_recovered_sequence() {
+        let env = Arc::new(MemEnv::new());
+        for round in 1..=2u64 {
+            let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
+            let view = db.inner.view();
+            assert!(view.imm.is_none() && view.mem.is_empty());
+            assert_eq!(view.flushed_seq, 3 * (round - 1));
+            assert_eq!(view.version.num_tables() as u64, round - 1);
+            assert!(Arc::ptr_eq(
+                &view.version,
+                &db.inner.versions.lock().current()
+            ));
+            for i in 0..3u64 {
+                db.put(format!("k{round}{i}").as_bytes(), b"v").unwrap();
+            }
+            db.close().unwrap();
+        }
     }
 
     #[test]

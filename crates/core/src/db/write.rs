@@ -3,8 +3,9 @@
 //! switching, and WAL-time value separation.
 //!
 //! Owns the write group of [`DbState`]: `writers`, `wal`/`wal_number`,
-//! `vlog`, `pending_txns`; it also swaps `mem` into `imm` and stamps the
-//! `imm_*` boundaries that `flush` later retires.
+//! `vlog`, `pending_txns`. `switch_memtable` is one of the three view
+//! installs: it moves `mem` into `imm`, stamped with the boundaries that
+//! `flush` later retires.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,7 +16,7 @@ use bolt_common::{Error, Result};
 use bolt_table::ikey::ValueType;
 use bolt_wal::LogWriter;
 
-use super::{Db, DbInner, DbState};
+use super::{Db, DbInner, DbState, Imm, ReadView};
 use crate::batch::WriteBatch;
 use crate::filename::log_file;
 use crate::memtable::MemTable;
@@ -373,7 +374,7 @@ impl DbInner {
                 // later record, so end-of-log recovery replay lands the
                 // slice in the same relative order.
                 let marker_record = txn::encode_applied(txn_id, base + 1);
-                let mem = Arc::clone(&state.mem);
+                let mem = Arc::clone(&self.view().mem);
                 self.with_wal(state, |wal, _| {
                     wal.add_record(&marker_record)?;
                     payload.apply_to(&mem)
@@ -465,7 +466,7 @@ impl DbInner {
         combined.set_sequence(base + 1);
         let count = u64::from(combined.count());
         let group_sync = leader.sync;
-        let mem = Arc::clone(&state.mem);
+        let mem = Arc::clone(&self.view().mem);
         let mut rotations: Vec<u64> = Vec::new();
 
         // The expensive phase, outside the state mutex: value separation,
@@ -548,10 +549,14 @@ impl DbInner {
         let mut allow_delay = true;
         loop {
             state.check_poisoned()?;
-            let l0 = self.l0_runs.load(Ordering::Relaxed);
+            // Under `state`: the flush commit swaps the view, then takes
+            // `state` to notify, so a stall decided here gets its wake-up.
+            let view = self.view();
+            let l0 = view.version.levels[0].num_runs();
             if allow_delay && self.opts.level0_slowdown_trigger.is_some_and(|t| l0 >= t) {
                 // L0SlowDown governor: sleep 1 ms, once, outside the lock.
                 allow_delay = false;
+                drop(view);
                 self.stats.record_slowdown(1);
                 self.sink.emit(EngineEvent::Slowdown);
                 MutexGuard::unlocked(state, || {
@@ -559,12 +564,15 @@ impl DbInner {
                 });
                 continue;
             }
-            if state.mem.approximate_memory_usage() < self.opts.memtable_bytes {
+            if view.mem.approximate_memory_usage() < self.opts.memtable_bytes {
                 return Ok(());
             }
-            if state.imm.is_some() || self.opts.level0_stop_trigger.is_some_and(|t| l0 >= t) {
+            if view.imm.is_some() || self.opts.level0_stop_trigger.is_some_and(|t| l0 >= t) {
                 // Write stall — the previous memtable is still flushing, or
-                // the L0Stop governor tripped: wait for background progress.
+                // the L0Stop governor tripped: wait for background progress
+                // (without the view: a parked writer must not keep the
+                // outgoing version alive past the commit's GC pass).
+                drop(view);
                 self.stats.record_stall(1);
                 self.sink.emit(EngineEvent::StallBegin);
                 let start = Instant::now();
@@ -580,23 +588,31 @@ impl DbInner {
     }
 
     pub(super) fn switch_memtable(&self, state: &mut MutexGuard<'_, DbState>) -> Result<()> {
-        assert!(state.imm.is_none(), "cannot switch with a pending flush");
         debug_assert!(
             state.wal.is_some(),
             "cannot switch while a group commit holds the WAL"
         );
         let new_log = self.versions.lock().new_file_number();
         let file = self.env.new_writable_file(&log_file(&self.name, new_log))?;
-        state.imm = Some(Arc::clone(&state.mem));
-        self.has_imm.store(true, Ordering::Release);
-        state.imm_log_boundary = new_log;
         // The WAL is in hand (asserted above), so no commit is in flight:
         // `last_sequence` is exactly the boundary between `imm` and the
         // fresh memtable.
-        state.imm_seq_boundary = self.last_sequence.load(Ordering::Acquire);
+        let seq_boundary = self.last_sequence.load(Ordering::Acquire);
+        let fresh = Arc::new(MemTable::new());
+        self.install_view(|old| {
+            assert!(old.imm.is_none(), "cannot switch with a pending flush");
+            ReadView {
+                mem: fresh,
+                imm: Some(Imm {
+                    mem: Arc::clone(&old.mem),
+                    log_boundary: new_log,
+                    seq_boundary,
+                }),
+                ..old.clone()
+            }
+        });
         state.wal = Some(new_wal_writer(file));
         state.wal_number = new_log;
-        state.mem = Arc::new(MemTable::new());
         self.sink.emit(EngineEvent::WalRotate { new_log });
         self.work_cv.notify_one();
         Ok(())
@@ -776,9 +792,9 @@ mod tests {
                 std::thread::yield_now();
             }
             {
-                let state = inner.state.lock();
-                assert!(state.imm.is_some(), "stall 1 must be the imm-pending kind");
-                assert_eq!(inner.l0_runs.load(Ordering::Relaxed), 0);
+                let view = inner.view();
+                assert!(view.imm.is_some(), "stall 1 must be the imm-pending kind");
+                assert_eq!(view.version.levels[0].num_runs(), 0);
             }
 
             // Cause 2 — L0Stop. Releasing the flush lands one L0 run, which
@@ -787,12 +803,12 @@ mod tests {
             // compaction trigger, so nothing ends this stall until we flush.
             drop(release);
             loop {
-                let state = inner.state.lock();
-                if db.stats().stalls() >= 2 && state.imm.is_none() {
-                    assert!(inner.l0_runs.load(Ordering::Relaxed) >= 1);
+                let view = inner.view();
+                if db.stats().stalls() >= 2 && view.imm.is_none() {
+                    assert!(view.version.levels[0].num_runs() >= 1);
                     break;
                 }
-                drop(state);
+                drop(view);
                 std::thread::yield_now();
             }
             db.flush().unwrap();

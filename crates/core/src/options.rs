@@ -411,6 +411,43 @@ impl Options {
         }
     }
 
+    /// The name of every profile, each resolved by [`Options::profile`]:
+    /// the paper's baselines, BoLT, its three ablations, the two hybrids.
+    pub const PROFILE_NAMES: [&'static str; 11] = [
+        "leveldb",
+        "lvl64",
+        "hyper",
+        "pebbles",
+        "rocks",
+        "bolt",
+        "bolt_ls",
+        "bolt_gc",
+        "bolt_stl",
+        "hyperbolt",
+        "rocksbolt",
+    ];
+
+    /// The profile called `name` — the one name → constructor table, for
+    /// every command line, example and test that takes a profile by name.
+    /// `None` for a name that is neither in [`Options::PROFILE_NAMES`] nor
+    /// one of the long-form aliases.
+    pub fn profile(name: &str) -> Option<Options> {
+        Some(match name {
+            "leveldb" => Options::leveldb(),
+            "lvl64" | "leveldb64" => Options::leveldb_64mb(),
+            "hyper" | "hyperleveldb" => Options::hyperleveldb(),
+            "pebbles" | "pebblesdb" => Options::pebblesdb(),
+            "rocks" | "rocksdb" => Options::rocksdb(),
+            "bolt" => Options::bolt(),
+            "bolt_ls" => Options::bolt_ls(),
+            "bolt_gc" => Options::bolt_gc(),
+            "bolt_stl" => Options::bolt_stl(),
+            "hyperbolt" => Options::hyperbolt(),
+            "rocksbolt" => Options::rocksbolt(),
+            _ => return None,
+        })
+    }
+
     /// Byte limit for `level` (level 0 is governed by run count instead).
     pub fn max_bytes_for_level(&self, level: usize) -> u64 {
         if level == 0 {
@@ -538,6 +575,35 @@ mod tests {
         assert_eq!(opts.max_bytes_for_level(2), 100 << 20);
         assert_eq!(opts.max_bytes_for_level(3), 1000 << 20);
         assert_eq!(opts.max_bytes_for_level(0), u64::MAX);
+    }
+
+    #[test]
+    fn every_profile_name_resolves_and_aliases_agree() {
+        // `Options` is not `PartialEq`; its `Debug` form names every field.
+        let show = |name: &str| Options::profile(name).map(|opts| format!("{opts:?}"));
+        for (i, name) in Options::PROFILE_NAMES.iter().enumerate() {
+            assert!(show(name).is_some(), "`{name}` is unknown");
+            for other in &Options::PROFILE_NAMES[..i] {
+                assert_ne!(
+                    show(other),
+                    show(name),
+                    "{other} and {name} are one profile"
+                );
+            }
+        }
+        for (alias, name) in [
+            ("leveldb64", "lvl64"),
+            ("hyperleveldb", "hyper"),
+            ("pebblesdb", "pebbles"),
+            ("rocksdb", "rocks"),
+        ] {
+            assert_eq!(show(alias), show(name));
+        }
+        let debug = |opts: Options| Some(format!("{opts:?}"));
+        assert_eq!(show("rocksbolt"), debug(Options::rocksbolt()));
+        assert_eq!(show("bolt_ls"), debug(Options::bolt_ls()));
+        assert_eq!(show("Bolt"), None);
+        assert_eq!(show(""), None);
     }
 
     #[test]

@@ -369,8 +369,7 @@ impl VersionSet {
         if let Some(n) = edit.log_number {
             self.log_number = self.log_number.max(n);
         }
-        for (level, run_tag, meta) in &edit.added_tables {
-            let _ = (level, run_tag);
+        for (_, _, meta) in &edit.added_tables {
             self.register_region(meta.file_number, meta.offset, meta.size, meta.table_id);
         }
         for &(segment, offset, len) in &edit.vlog_dead {

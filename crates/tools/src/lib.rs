@@ -48,20 +48,11 @@ use bolt_wal::LogReader;
 ///
 /// Returns [`Error::InvalidArgument`] for unknown profile names.
 pub fn profile(name: &str) -> Result<Options> {
-    Ok(match name {
-        "leveldb" => Options::leveldb(),
-        "leveldb64" | "lvl64" => Options::leveldb_64mb(),
-        "hyper" | "hyperleveldb" => Options::hyperleveldb(),
-        "pebbles" | "pebblesdb" => Options::pebblesdb(),
-        "rocks" | "rocksdb" => Options::rocksdb(),
-        "bolt" => Options::bolt(),
-        "hyperbolt" => Options::hyperbolt(),
-        "rocksbolt" => Options::rocksbolt(),
-        other => {
-            return Err(Error::InvalidArgument(format!(
-                "unknown profile `{other}` (try: leveldb, lvl64, hyper, pebbles, rocks, bolt, hyperbolt, rocksbolt)"
-            )))
-        }
+    Options::profile(name).ok_or_else(|| {
+        Error::InvalidArgument(format!(
+            "unknown profile `{name}` (try: {})",
+            Options::PROFILE_NAMES.join(", ")
+        ))
     })
 }
 
@@ -810,7 +801,11 @@ fn stale() {
     fn profile_parsing() {
         assert!(profile("bolt").is_ok());
         assert!(profile("rocksbolt").is_ok());
-        assert!(profile("nope").is_err());
+        assert!(profile("bolt_gc").is_ok(), "the ablations are reachable");
+        let unknown = profile("nope").unwrap_err().to_string();
+        for name in Options::PROFILE_NAMES {
+            assert!(unknown.contains(name), "{unknown}");
+        }
         assert_eq!(style_name(&profile("pebbles").unwrap()), "fragmented");
         assert_eq!(style_name(&profile("leveldb").unwrap()), "leveled");
         assert_eq!(style_name(&profile("bolt").unwrap()), "bolt");

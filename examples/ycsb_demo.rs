@@ -2,8 +2,9 @@
 //! LE, E) against a chosen profile and print a throughput table.
 //!
 //! Run with `cargo run --release --example ycsb_demo -- [profile]`, where
-//! `profile` is one of `leveldb`, `lvl64`, `hyper`, `pebbles`, `rocks`,
-//! `bolt` (default), `hyperbolt`. Append `--big-values` to run a 4 KiB
+//! `profile` is any name in `Options::PROFILE_NAMES` (`leveldb`, `lvl64`,
+//! `hyper`, `pebbles`, `rocks`, `bolt` — the default —, `bolt_ls`, …); an
+//! unknown name is an error, not a silent `bolt` run. Append `--big-values` to run a 4 KiB
 //! value variant with WAL-time key-value separation enabled
 //! (DESIGN.md §14) — the same `KvTarget` driver, larger records.
 
@@ -14,18 +15,6 @@ use bolt::{Db, Options};
 use bolt_env::{DeviceModel, Env, SimEnv};
 use bolt_ycsb::{load_db, run_workload, BenchConfig, Workload};
 
-fn profile(name: &str) -> Options {
-    match name {
-        "leveldb" => Options::leveldb(),
-        "lvl64" => Options::leveldb_64mb(),
-        "hyper" => Options::hyperleveldb(),
-        "pebbles" => Options::pebblesdb(),
-        "rocks" => Options::rocksdb(),
-        "hyperbolt" => Options::hyperbolt(),
-        _ => Options::bolt(),
-    }
-}
-
 fn main() -> bolt::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let big_values = args.iter().any(|a| a == "--big-values");
@@ -34,15 +23,21 @@ fn main() -> bolt::Result<()> {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "bolt".into());
+    let profile = Options::profile(&name).ok_or_else(|| {
+        bolt::Error::InvalidArgument(format!(
+            "unknown profile `{name}` (try: {})",
+            Options::PROFILE_NAMES.join(", ")
+        ))
+    })?;
     let opts = if big_values {
         // Big-value variant: 4 KiB records with WAL-time separation, so
         // compaction moves pointers instead of payloads.
         Options {
             value_separation_threshold: Some(1024),
-            ..profile(&name).scaled(1.0 / 64.0)
+            ..profile.scaled(1.0 / 64.0)
         }
     } else {
-        profile(&name).scaled(1.0 / 64.0)
+        profile.scaled(1.0 / 64.0)
     };
     println!(
         "YCSB suite on profile `{name}` (simulated SSD, 1/64 scale{})\n",

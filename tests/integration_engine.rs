@@ -7,19 +7,10 @@ use std::sync::Arc;
 use bolt::{Db, Options};
 use bolt_env::{Env, MemEnv};
 
-fn profiles() -> Vec<(&'static str, Options)> {
-    vec![
-        ("leveldb", Options::leveldb()),
-        ("leveldb64", Options::leveldb_64mb()),
-        ("hyper", Options::hyperleveldb()),
-        ("pebbles", Options::pebblesdb()),
-        ("rocks", Options::rocksdb()),
-        ("bolt", Options::bolt()),
-        ("bolt_ls", Options::bolt_ls()),
-        ("bolt_gc", Options::bolt_gc()),
-        ("bolt_stl", Options::bolt_stl()),
-        ("hyperbolt", Options::hyperbolt()),
-    ]
+fn profiles() -> impl Iterator<Item = (&'static str, Options)> {
+    Options::PROFILE_NAMES
+        .into_iter()
+        .map(|name| (name, Options::profile(name).unwrap()))
 }
 
 fn tiny(opts: Options) -> Options {
