@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the engine's building blocks: skiplist,
-//! bloom filter, block builder/reader, CRC32C, WAL append, memtable, and
-//! the zipfian generator.
+//! bloom filter, block builder/reader, CRC32C, WAL append, memtable, the
+//! zipfian generator, and a run's tables drained span by span vs block by
+//! block.
 //!
 //! Run: `cargo bench -p bolt-bench --bench micro_components`
 
@@ -133,6 +134,99 @@ fn bench_zipfian(c: &mut Criterion) {
     group.finish();
 }
 
+/// The CPU side of compaction's input path, ns per entry: 16 logical tables
+/// back to back in one file, drained through `SeqReader` (one span read,
+/// then copies out of its buffer) and block by block through `Table::open`
+/// on the file itself. `MemEnv` charges no device time, so this shows only
+/// what the span adapter costs the decoder — it must not be slower.
+fn bench_seq_vs_block(c: &mut Criterion) {
+    use bolt_table::builder::{FilterKey, TableBuilder, TableFormat};
+    use bolt_table::ikey::{make_internal_key, ValueType};
+    use bolt_table::{InternalKeyComparator, SeqReadStats, SeqReader, Table};
+    use bolt_table::{TableCache, TableReadOptions, TableSpec};
+
+    const TABLES: u64 = 16;
+    const ENTRIES: u64 = 56; // x 276 B = one 16 KiB logical table
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let mut file = env.new_writable_file("000001.sst").unwrap();
+    let mut specs = Vec::new();
+    for t in 0..TABLES {
+        let mut builder = TableBuilder::new(file.as_mut(), TableFormat::default());
+        for i in 0..ENTRIES {
+            let key =
+                make_internal_key(format!("user{t:04}{i:012}").as_bytes(), 7, ValueType::Value);
+            builder.add(&key, &[b'v'; 256]).unwrap();
+        }
+        let built = builder.finish().unwrap();
+        specs.push(TableSpec {
+            table_id: t + 1,
+            file_number: 1,
+            path: "000001.sst".to_string(),
+            offset: built.offset,
+            size: built.size,
+        });
+    }
+    file.sync().unwrap();
+    drop(file);
+
+    let opts = TableReadOptions {
+        comparator: Arc::new(InternalKeyComparator::default()),
+        filter_policy: Some(BloomFilterPolicy::default()),
+        filter_key: FilterKey::UserKey,
+        block_cache: None,
+    };
+    let cache = Arc::new(TableCache::new(
+        Arc::clone(&env),
+        1000,
+        Some(8),
+        opts.clone(),
+    ));
+    let raw = env.new_random_access_file("000001.sst").unwrap();
+    let drain = |table: Arc<Table>| {
+        let mut iter = table.iter();
+        iter.seek_to_first().unwrap();
+        let mut bytes = 0;
+        while iter.valid() {
+            bytes += iter.key().len() + iter.value().len();
+            iter.next().unwrap();
+        }
+        bytes
+    };
+    // One criterion iteration = one entry: whole passes over the run,
+    // their time divided by the entries they yielded.
+    let per_entry = |b: &mut criterion::Bencher, pass: &dyn Fn() -> usize| {
+        b.iter_custom(|iters| {
+            let passes = iters.div_ceil(TABLES * ENTRIES).max(1);
+            let start = std::time::Instant::now();
+            for _ in 0..passes {
+                black_box(pass());
+            }
+            let yielded = (passes * TABLES * ENTRIES) as f64;
+            start.elapsed().mul_f64(iters as f64 / yielded)
+        });
+    };
+
+    let mut group = c.benchmark_group("table/seq_vs_block");
+    group.bench_function("span", |b| {
+        per_entry(b, &|| {
+            let stats = Arc::new(SeqReadStats::default());
+            let mut reader = SeqReader::new(Arc::clone(&cache), specs.clone(), stats);
+            (0..specs.len())
+                .map(|i| drain(reader.open(i).unwrap()))
+                .sum()
+        })
+    });
+    group.bench_function("block", |b| {
+        per_entry(b, &|| {
+            let open = |s: &TableSpec| {
+                Table::open(Arc::clone(&raw), s.offset, s.size, 1, opts.clone()).unwrap()
+            };
+            specs.iter().map(|s| drain(Arc::new(open(s)))).sum()
+        })
+    });
+    group.finish();
+}
+
 /// Writer scaling through the group-commit pipeline: 1/2/4/8 concurrent
 /// writers, synced and unsynced. With sync on, throughput should *rise*
 /// with writers as batches share barriers (batches per group > 1).
@@ -183,6 +277,7 @@ criterion_group!(
     bench_block,
     bench_wal,
     bench_zipfian,
+    bench_seq_vs_block,
     bench_write_pipeline
 );
 criterion_main!(benches);

@@ -23,6 +23,7 @@ use bolt_common::Result;
 use bolt_table::comparator::{Comparator, InternalKeyComparator};
 use bolt_table::ikey::{parse_internal_key, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
+use bolt_table::seq::SeqReadStats;
 use bolt_table::{BuiltTable, TableBuilder};
 
 use super::{DbInner, ReadView};
@@ -108,6 +109,9 @@ impl DbInner {
             // Every data barrier the rewrite pays is attributed to this
             // compaction (a preempted flush re-tags its own barriers).
             let _scope = BarrierScope::new(BarrierCause::CompactionData);
+            // Inputs are read once, front to back: in large spans, past the
+            // caches foreground reads are served from.
+            let reads = Arc::new(SeqReadStats::default());
             // Merge one independent unit of the task into the sink: its
             // runs plus, for a leveled output, the overlapped tables already
             // at the output level.
@@ -122,11 +126,12 @@ impl DbInner {
                     .chain([next_inputs])
                     .filter(|r| !r.is_empty())
                     .map(|r| -> Box<dyn InternalIterator> {
-                        Box::new(RunIter::new(
+                        Box::new(RunIter::sequential(
                             self.icmp.clone(),
                             Arc::clone(&self.table_cache),
                             self.name.clone(),
                             r.to_vec(),
+                            Arc::clone(&reads),
                         ))
                     })
                     .collect();
@@ -174,6 +179,8 @@ impl DbInner {
                 }
                 sink.finish()
             })();
+            self.stats.record_compaction_read_ops(reads.ops());
+            self.stats.record_compaction_read_bytes(reads.bytes());
             outputs = match built {
                 Ok(outputs) => {
                     dead_pointers = sink.take_dead_pointers();
@@ -762,6 +769,91 @@ mod tests {
     #[test]
     fn compaction_preserves_data_fragmented() {
         load_and_verify(Options::pebblesdb(), 3000);
+    }
+
+    /// Two L0 runs over the same keys — below the compaction trigger, so
+    /// they merge when the test says so — whose tables are cut at different
+    /// keys, so the merge is one cluster. The second holds `newer()`.
+    fn two_overlapping_runs(db: &Db) {
+        for value in [vec![b'a'; 100], newer()] {
+            for i in 0..300u32 {
+                db.put(format!("key{i:05}").as_bytes(), &value).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        assert_eq!(db.level_info()[0].runs, 2);
+    }
+
+    fn newer() -> Vec<u8> {
+        vec![b'b'; 60]
+    }
+
+    #[test]
+    fn compaction_inputs_bypass_block_cache_and_table_lru() {
+        let (_env, db) = mem_db(small_opts(Options::bolt()));
+        two_overlapping_runs(&db);
+        // Foreground reads fill both caches with the tables about to merge.
+        for i in (0..300u32).step_by(7) {
+            db.get(format!("key{i:05}").as_bytes()).unwrap().unwrap();
+        }
+        let tables = db.table_cache();
+        let blocks = tables.block_cache().unwrap();
+        let caches = || {
+            let (b, t) = (blocks.stats(), tables.stats());
+            let block_cache = (blocks.usage(), b.hits(), b.misses(), b.evictions());
+            (block_cache, tables.open_count(), t.hits(), t.misses())
+        };
+        let before = caches();
+        assert!(
+            before.0 .0 > 0 && before.1 > 0,
+            "nothing cached: {before:?}"
+        );
+
+        let task = db.inner.build_manual_task(0, b"", b"zzzz").unwrap();
+        db.inner.run_compaction(task).unwrap();
+        let stats = db.stats().snapshot();
+        assert_eq!(stats.compactions, 1);
+        assert_eq!(caches(), before, "the compaction went through a cache");
+        // What it read instead: every input byte once, one span per run
+        // (each run is one flush's file, its logical tables back to back).
+        assert_eq!(stats.compaction_read_ops, 2, "{stats:?}");
+        assert_eq!(stats.compaction_read_bytes, stats.compaction_input_bytes);
+        assert_eq!(db.get(b"key00123").unwrap(), Some(newer()));
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn input_read_error_abandons_the_outputs_and_a_retry_succeeds() {
+        let env = Arc::new(ReadFaultEnv::default());
+        let opts = small_opts(Options::bolt());
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts).unwrap();
+        two_overlapping_runs(&db);
+        let files = || {
+            let mut names = env.list_dir("db").unwrap();
+            names.sort();
+            (names, db.inner.versions.lock().referenced_files())
+        };
+        let before = files();
+        let task = || db.inner.build_manual_task(0, b"", b"zzzz").unwrap();
+
+        env.set_fail_reads(true);
+        let err = db.inner.run_compaction(task()).unwrap_err();
+        assert!(matches!(err, bolt_common::Error::Io(_)), "{err:?}");
+        env.set_fail_reads(false);
+        // No output file and no pending mark outlives the failure, the
+        // version is the one before it, and reads are served from it.
+        assert_eq!(files(), before);
+        assert_eq!(db.level_info()[0].runs, 2);
+        assert_eq!(db.get(b"key00123").unwrap(), Some(newer()));
+
+        db.inner.run_compaction(task()).unwrap();
+        assert_eq!(db.level_info()[0].runs, 0);
+        assert_eq!(db.stats().compactions(), 1);
+        for i in (0..300u32).step_by(11) {
+            let got = db.get(format!("key{i:05}").as_bytes()).unwrap();
+            assert_eq!(got, Some(newer()), "key{i}");
+        }
+        db.close().unwrap();
     }
 
     /// The paper's barrier claim, asserted on counts no background timing

@@ -606,9 +606,12 @@ impl DbIterator {
 /// Fixtures shared by the unit tests of every child module.
 #[cfg(test)]
 mod test_util {
+    use std::sync::atomic::{AtomicBool, Ordering};
     pub(super) use std::sync::Arc;
 
+    use bolt_common::{Error, Result};
     pub(super) use bolt_env::{Env, MemEnv};
+    use bolt_env::{RandomAccessFile, WritableFile};
 
     pub(super) use super::Db;
     pub(super) use crate::batch::WriteBatch;
@@ -649,6 +652,78 @@ mod test_util {
 
     pub(super) fn big(i: u32) -> Vec<u8> {
         vec![b'a' + (i % 26) as u8; 1024]
+    }
+
+    /// A [`MemEnv`] whose table-file reads fail while `fail_reads` is set
+    /// (reads are not [`bolt_env::FaultEnv`] ops).
+    #[derive(Default)]
+    pub(super) struct ReadFaultEnv {
+        inner: MemEnv,
+        fail_reads: Arc<AtomicBool>,
+    }
+
+    impl ReadFaultEnv {
+        pub(super) fn set_fail_reads(&self, fail: bool) {
+            self.fail_reads.store(fail, Ordering::SeqCst);
+        }
+    }
+
+    struct ReadFaultFile {
+        inner: Arc<dyn RandomAccessFile>,
+        fail_reads: Arc<AtomicBool>,
+    }
+
+    impl RandomAccessFile for ReadFaultFile {
+        fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+            if self.fail_reads.load(Ordering::SeqCst) {
+                return Err(Error::io("injected read error"));
+            }
+            self.inner.read(offset, len)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    impl Env for ReadFaultEnv {
+        fn new_writable_file(&self, path: &str) -> Result<Box<dyn WritableFile>> {
+            self.inner.new_writable_file(path)
+        }
+        fn new_appendable_file(&self, path: &str) -> Result<Box<dyn WritableFile>> {
+            self.inner.new_appendable_file(path)
+        }
+        fn new_random_access_file(&self, path: &str) -> Result<Arc<dyn RandomAccessFile>> {
+            let inner = self.inner.new_random_access_file(path)?;
+            if !path.ends_with(".sst") {
+                return Ok(inner);
+            }
+            let fail_reads = Arc::clone(&self.fail_reads);
+            Ok(Arc::new(ReadFaultFile { inner, fail_reads }))
+        }
+        fn file_exists(&self, path: &str) -> bool {
+            self.inner.file_exists(path)
+        }
+        fn file_size(&self, path: &str) -> Result<u64> {
+            self.inner.file_size(path)
+        }
+        fn delete_file(&self, path: &str) -> Result<()> {
+            self.inner.delete_file(path)
+        }
+        fn rename_file(&self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename_file(from, to)
+        }
+        fn create_dir_all(&self, path: &str) -> Result<()> {
+            self.inner.create_dir_all(path)
+        }
+        fn list_dir(&self, dir: &str) -> Result<Vec<String>> {
+            self.inner.list_dir(dir)
+        }
+        fn punch_hole(&self, path: &str, offset: u64, len: u64) -> Result<()> {
+            self.inner.punch_hole(path, offset, len)
+        }
+        fn stats(&self) -> &bolt_env::IoStats {
+            self.inner.stats()
+        }
     }
 }
 

@@ -14,6 +14,7 @@ use bolt_table::comparator::Comparator;
 use bolt_table::comparator::InternalKeyComparator;
 use bolt_table::ikey::{lookup_key, parse_internal_key, SequenceNumber, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
+use bolt_table::seq::{SeqReadStats, SeqReader};
 
 use crate::memtable::MemTableIter;
 use crate::version::TableMeta;
@@ -92,7 +93,8 @@ impl InternalIterator for bolt_table::TableIter {
 }
 
 /// Concatenating iterator over one run's (sorted, disjoint) tables, opened
-/// lazily through the TableCache.
+/// lazily through the TableCache — or, for a consumer that reads the whole
+/// run front to back, through a [`SeqReader`].
 pub struct RunIter {
     icmp: InternalKeyComparator,
     cache: Arc<TableCache>,
@@ -100,6 +102,7 @@ pub struct RunIter {
     tables: Vec<Arc<TableMeta>>,
     index: usize,
     iter: Option<bolt_table::TableIter>,
+    seq: Option<SeqReader>,
 }
 
 impl std::fmt::Debug for RunIter {
@@ -126,13 +129,35 @@ impl RunIter {
             tables,
             index: 0,
             iter: None,
+            seq: None,
+        }
+    }
+
+    /// Iterate `tables` for a consumer that reads all of them in order (a
+    /// compaction): byte-contiguous tables are fetched in large spans into
+    /// a private buffer, past the block cache and the table LRU, and every
+    /// device read is counted in `reads`.
+    pub fn sequential(
+        icmp: InternalKeyComparator,
+        cache: Arc<TableCache>,
+        db: String,
+        tables: Vec<Arc<TableMeta>>,
+        reads: Arc<SeqReadStats>,
+    ) -> Self {
+        let specs = tables.iter().map(|t| t.spec(&db)).collect();
+        RunIter {
+            seq: Some(SeqReader::new(Arc::clone(&cache), specs, reads)),
+            ..RunIter::new(icmp, cache, db, tables)
         }
     }
 
     fn open_current(&mut self) -> Result<()> {
         self.iter = match self.tables.get(self.index) {
             Some(meta) => {
-                let table = self.cache.table(&meta.spec(&self.db))?;
+                let table = match &mut self.seq {
+                    Some(seq) => seq.open(self.index)?,
+                    None => self.cache.table(&meta.spec(&self.db))?,
+                };
                 Some(table.iter())
             }
             None => None,

@@ -83,6 +83,10 @@ engine_counters! {
     record_seek_compaction / seek_compactions => "bolt_seek_compactions_total",
     /// Bytes read into compactions.
     record_compaction_input / compaction_input_bytes => "bolt_compaction_input_bytes_total",
+    /// Device reads compactions issued for their inputs.
+    record_compaction_read_ops / compaction_read_ops => "bolt_compaction_read_ops_total",
+    /// Bytes those reads returned (÷ ops = bytes per compaction read).
+    record_compaction_read_bytes / compaction_read_bytes => "bolt_compaction_read_bytes_total",
     /// Bytes written by compactions.
     record_compaction_output / compaction_output_bytes => "bolt_compaction_output_bytes_total",
     /// Bytes written by flushes.

@@ -832,12 +832,15 @@ mod tests {
         let mut opts = small_opts();
         opts.value_separation_threshold = Some(128);
         let db = ShardedDb::open(Arc::clone(&env), "agg", opts, Router::hash(2).unwrap()).unwrap();
-        // Per shard: one separated value (read back once), one range
-        // delete, one flush, one checkpoint.
+        // Per shard: one separated value (read back once), two flushes
+        // merged by a compaction, one range delete, one checkpoint.
         for i in 0..2 {
             let shard = db.shard(i);
             shard.put(b"big", &[7u8; 1024]).unwrap();
             assert!(shard.get(b"big").unwrap().is_some());
+            shard.flush().unwrap();
+            shard.put(b"big", &[8u8; 1024]).unwrap();
+            shard.compact_range(b"", b"zzzz").unwrap();
             shard.delete_range(b"a", b"b").unwrap();
             shard.flush().unwrap();
             shard.checkpoint(&format!("agg-ckpt-{i}")).unwrap();
@@ -845,6 +848,8 @@ mod tests {
         let m = db.metrics();
         for name in [
             "bolt_flushes_total",
+            "bolt_compaction_read_ops_total",
+            "bolt_compaction_read_bytes_total",
             "bolt_vlog_values_separated_total",
             "bolt_vlog_bytes_written_total",
             "bolt_vlog_resolves_total",
@@ -891,7 +896,7 @@ mod tests {
             );
             checked += 1;
         }
-        assert!(checked >= 23, "only {checked} counter series compared");
+        assert!(checked >= 25, "only {checked} counter series compared");
         db.close().unwrap();
     }
 

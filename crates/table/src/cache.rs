@@ -14,7 +14,7 @@ use bolt_common::cache::LruCache;
 use bolt_common::Result;
 use bolt_env::{Env, RandomAccessFile};
 
-use crate::table::{Table, TableReadOptions};
+use crate::table::{BlockCache, Table, TableReadOptions};
 
 /// Identity and location of one (logical) SSTable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +41,7 @@ pub struct TableCache {
     env: Arc<dyn Env>,
     tables: LruCache<u64, Table>,
     fds: Option<LruCache<u64, FdEntry>>,
-    opts: TableReadOptions,
+    pub(crate) opts: TableReadOptions,
     open_count: AtomicU64,
 }
 
@@ -73,7 +73,9 @@ impl TableCache {
         }
     }
 
-    fn open_file(&self, spec: &TableSpec) -> Result<Arc<dyn RandomAccessFile>> {
+    /// The handle of `spec`'s physical file, through the fd cache if there
+    /// is one.
+    pub(crate) fn open_file(&self, spec: &TableSpec) -> Result<Arc<dyn RandomAccessFile>> {
         if let Some(fds) = &self.fds {
             if let Some(entry) = fds.get(&spec.file_number) {
                 return Ok(Arc::clone(&entry.0));
@@ -123,6 +125,11 @@ impl TableCache {
     /// Number of `Table::open` calls (TableCache misses).
     pub fn open_count(&self) -> u64 {
         self.open_count.load(Ordering::Relaxed)
+    }
+
+    /// The shared data-block cache the tables of this cache read through.
+    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
+        self.opts.block_cache.as_ref()
     }
 
     /// Hit/miss counters of the table slot cache.

@@ -119,14 +119,12 @@ pub fn frame_block(contents: &[u8]) -> Vec<u8> {
 /// Returns [`Error::Corruption`] on a short read, bad checksum, or unknown
 /// compression byte, and I/O errors from the file.
 pub fn read_block(file: &dyn RandomAccessFile, base: u64, handle: BlockHandle) -> Result<Vec<u8>> {
-    let framed = file.read(
-        base + handle.offset,
-        handle.size as usize + BLOCK_TRAILER_SIZE,
-    )?;
-    if framed.len() != handle.size as usize + BLOCK_TRAILER_SIZE {
+    let size = handle.size as usize;
+    let mut framed = file.read(base + handle.offset, size + BLOCK_TRAILER_SIZE)?;
+    if framed.len() != size + BLOCK_TRAILER_SIZE {
         return Err(Error::corruption("truncated block read"));
     }
-    let (contents, trailer) = framed.split_at(handle.size as usize);
+    let (contents, trailer) = framed.split_at(size);
     if trailer[0] != 0 {
         return Err(Error::corruption("unknown compression type"));
     }
@@ -135,7 +133,9 @@ pub fn read_block(file: &dyn RandomAccessFile, base: u64, handle: BlockHandle) -
     if crc32c::unmask(stored) != actual {
         return Err(Error::corruption("block checksum mismatch"));
     }
-    Ok(contents.to_vec())
+    // The framed buffer becomes the block: one allocation per block read.
+    framed.truncate(size);
+    Ok(framed)
 }
 
 #[cfg(test)]

@@ -12,8 +12,9 @@
 //!
 //! Also here: the internal-key encoding ([`ikey`]), comparators
 //! ([`comparator`]), prefix-compressed blocks with the Legacy/Compact
-//! encodings ([`block`], [`builder::TableFormat`]), the block cache, and the
-//! TableCache + BoLT fd cache ([`cache`]).
+//! encodings ([`block`], [`builder::TableFormat`]), the block cache, the
+//! TableCache + BoLT fd cache ([`cache`]), and the sequential input reader
+//! compactions fetch their victims with ([`seq`]).
 //!
 //! ```
 //! use bolt_env::{Env, MemEnv};
@@ -46,10 +47,12 @@ pub mod comparator;
 pub mod format;
 pub mod ikey;
 pub mod rangedel;
+pub mod seq;
 pub mod table;
 
 pub use builder::{BuiltTable, FilterKey, TableBuilder, TableFormat};
 pub use cache::{TableCache, TableSpec};
 pub use comparator::{BytewiseComparator, Comparator, InternalKeyComparator};
 pub use rangedel::{RangeTombstone, RangeTombstoneSet};
+pub use seq::{SeqReadStats, SeqReader, SEQ_READ_WINDOW};
 pub use table::{BlockCache, BlockCacheKey, Table, TableIter, TableReadOptions};

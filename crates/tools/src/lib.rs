@@ -124,6 +124,16 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
         s.wal_syncs_elided
     )
     .expect("write");
+    if s.compaction_read_ops > 0 {
+        writeln!(
+            out,
+            "  compaction reads {} ({} bytes, {} per read)",
+            s.compaction_read_ops,
+            s.compaction_read_bytes,
+            s.compaction_read_bytes / s.compaction_read_ops
+        )
+        .expect("write");
+    }
     writeln!(out, "  manifest re-cuts {}", metrics.manifest_recuts).expect("write");
     if s.range_deletes > 0 || s.checkpoints > 0 || metrics.range_tombstones_live > 0 {
         writeln!(
