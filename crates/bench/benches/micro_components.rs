@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the engine's building blocks: skiplist,
 //! bloom filter, block builder/reader, CRC32C, WAL append, memtable, the
-//! zipfian generator, and a run's tables drained span by span vs block by
-//! block.
+//! zipfian generator, a run's tables drained span by span vs block by
+//! block, iterator creation over a small and a large tree, and one merge
+//! step at 2, 3 and 8 children.
 //!
 //! Run: `cargo bench -p bolt-bench --bench micro_components`
 
@@ -227,6 +228,106 @@ fn bench_seq_vs_block(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Db::iter()` + drop over a tree of 64 tables and one of 2,048: a run is
+/// taken by its shared list, so the two must cost the same (a copy of the
+/// lists makes the large tree ~30x the small one). Outside `--test` the
+/// bench fails if the large tree costs more than twice the small one.
+fn bench_iterator_create(c: &mut Criterion) {
+    use bolt_core::options::CompactionStyle;
+    use bolt_core::{Db, Options};
+
+    let mut group = c.benchmark_group("iterator/create");
+    let mut ns_per_iter = Vec::new();
+    for tables in [64usize, 2048] {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        // 1 KiB logical tables of five 200-byte records, pushed down into
+        // one run: both trees have the same shape but for the table count.
+        let mut opts = Options::bolt().scaled(1.0 / 64.0);
+        if let CompactionStyle::Bolt(b) = &mut opts.compaction_style {
+            b.logical_sstable_bytes = 1 << 10;
+        }
+        let db = Db::open(env, "bench-db", opts).unwrap();
+        for i in 0..tables * 5 {
+            db.put(format!("user{i:016}").as_bytes(), &[b'v'; 170])
+                .unwrap();
+        }
+        db.compact_range(b"", b"~").unwrap();
+        let shape: Vec<_> = db.level_info().iter().map(|l| (l.runs, l.tables)).collect();
+        let deepest = shape.last().expect("levels");
+        assert!(
+            deepest.0 == 1 && (tables..tables * 5 / 4).contains(&deepest.1),
+            "{shape:?}"
+        );
+        let mut ns = 0.0;
+        group.bench_function(format!("{tables}_tables"), |b| {
+            b.iter_custom(|iters| {
+                let start = std::time::Instant::now();
+                for _ in 0..iters {
+                    black_box(db.iter().unwrap());
+                }
+                ns = start.elapsed().as_nanos() as f64 / iters as f64;
+                start.elapsed()
+            })
+        });
+        ns_per_iter.push(ns);
+        db.close().unwrap();
+    }
+    group.finish();
+    let smoke = std::env::args().any(|a| a == "--test");
+    assert!(
+        smoke || ns_per_iter[1] <= 2.0 * ns_per_iter[0],
+        "iterator creation grows with the tree: {ns_per_iter:?} ns"
+    );
+}
+
+/// One `MergingIter::next` over k memtables holding every k-th key: the
+/// tournament's k = 8 must stay near k = 2, and k = 2 and 3 — where scans
+/// and gets live — must not pay for it.
+fn bench_merge_next(c: &mut Criterion) {
+    use bolt_core::iterator::{InternalIterator, MergingIter};
+    use bolt_core::memtable::MemTable;
+    use bolt_table::ikey::ValueType;
+    use bolt_table::InternalKeyComparator;
+
+    const ENTRIES: u64 = 4096;
+    let mut group = c.benchmark_group("merge/next");
+    for k in [2u64, 3, 8] {
+        let tables: Vec<Arc<MemTable>> = (0..k)
+            .map(|child| {
+                let table = Arc::new(MemTable::new());
+                for i in (child..ENTRIES).step_by(k as usize) {
+                    let key = format!("user{i:016}");
+                    table.add(i + 1, ValueType::Value, key.as_bytes(), &[b'v'; 256]);
+                }
+                table
+            })
+            .collect();
+        group.bench_function(format!("k{k}"), |b| {
+            b.iter_custom(|iters| {
+                let passes = iters.div_ceil(ENTRIES).max(1);
+                let start = std::time::Instant::now();
+                for _ in 0..passes {
+                    let children = tables
+                        .iter()
+                        .map(|t| Box::new(t.iter()) as Box<dyn InternalIterator>)
+                        .collect();
+                    let mut merge = MergingIter::new(InternalKeyComparator::default(), children);
+                    merge.seek_to_first().unwrap();
+                    let mut rows = 0;
+                    while merge.valid() {
+                        rows += 1;
+                        merge.next().unwrap();
+                    }
+                    assert_eq!(rows, ENTRIES);
+                }
+                let stepped = (passes * ENTRIES) as f64;
+                start.elapsed().mul_f64(iters as f64 / stepped)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Writer scaling through the group-commit pipeline: 1/2/4/8 concurrent
 /// writers, synced and unsynced. With sync on, throughput should *rise*
 /// with writers as batches share barriers (batches per group > 1).
@@ -278,6 +379,8 @@ criterion_group!(
     bench_wal,
     bench_zipfian,
     bench_seq_vs_block,
+    bench_iterator_create,
+    bench_merge_next,
     bench_write_pipeline
 );
 criterion_main!(benches);

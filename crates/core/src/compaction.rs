@@ -21,7 +21,7 @@ use bolt_table::comparator::{Comparator, InternalKeyComparator};
 use bolt_table::ikey::{ParsedInternalKey, SequenceNumber, ValueType};
 
 use crate::options::{CompactionPolicyKind, CompactionStyle, Options};
-use crate::version::{Run, RunLayout, TableMeta, Version};
+use crate::version::{Run, RunLayout, TableList, TableMeta, Version};
 
 /// Why a compaction was scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +72,9 @@ pub struct CompactionTask {
     /// Why it was picked.
     pub reason: CompactionReason,
     /// Victims at `level` to merge, grouped by run (each group sorted and
-    /// internally disjoint).
-    pub input_runs: Vec<Vec<Arc<TableMeta>>>,
+    /// internally disjoint). A run taken whole is the version's own list,
+    /// not a copy; only a subset of a run is a list of its own.
+    pub input_runs: Vec<TableList>,
     /// Overlapping tables at `output_level` that must be rewritten with the
     /// victims (sorted, disjoint; non-empty only for
     /// [`OutputShape::Leveled`]).
@@ -86,12 +87,14 @@ pub struct CompactionTask {
 }
 
 impl CompactionTask {
+    /// The victims at `level` being merged, run by run.
+    pub fn victims(&self) -> impl Iterator<Item = &Arc<TableMeta>> {
+        self.input_runs.iter().flat_map(|run| run.iter())
+    }
+
     /// All tables being merged (not the settled moves).
     pub fn merge_inputs(&self) -> impl Iterator<Item = &Arc<TableMeta>> {
-        self.input_runs
-            .iter()
-            .flatten()
-            .chain(self.next_inputs.iter())
+        self.victims().chain(self.next_inputs.iter())
     }
 
     /// Total bytes entering the merge.
@@ -106,9 +109,7 @@ impl CompactionTask {
 
     /// Largest victim internal key (the new compact pointer for the level).
     pub fn max_victim_key(&self, icmp: &InternalKeyComparator) -> Option<Vec<u8>> {
-        self.input_runs
-            .iter()
-            .flatten()
+        self.victims()
             .chain(self.settled_moves.iter())
             .map(|t| t.largest.clone())
             .max_by(|a, b| icmp.compare(a, b))
@@ -309,7 +310,7 @@ impl CompactionPolicy for LeveledPolicy {
                         level,
                         output_level: level + 1,
                         reason: CompactionReason::Seek,
-                        input_runs: vec![vec![table]],
+                        input_runs: vec![[table].into()],
                         next_inputs,
                         settled_moves: Vec::new(),
                         output: OutputShape::Leveled,
@@ -324,11 +325,6 @@ impl CompactionPolicy for LeveledPolicy {
 fn pick_fragmented(version: &Version, level: usize) -> CompactionTask {
     // Merge the *entire* level into one run appended at level + 1. Merging
     // whole levels preserves the recency invariant between runs.
-    let input_runs: Vec<Vec<Arc<TableMeta>>> = version.levels[level]
-        .runs
-        .iter()
-        .map(|r| r.tables.clone())
-        .collect();
     CompactionTask {
         level,
         output_level: level + 1,
@@ -337,7 +333,7 @@ fn pick_fragmented(version: &Version, level: usize) -> CompactionTask {
         } else {
             CompactionReason::Size
         },
-        input_runs,
+        input_runs: version.levels[level].table_lists(),
         next_inputs: Vec::new(),
         settled_moves: Vec::new(),
         output: OutputShape::AppendRun,
@@ -346,14 +342,10 @@ fn pick_fragmented(version: &Version, level: usize) -> CompactionTask {
 
 /// Level 0 is governed by run count, not size knobs: take all of it.
 fn pick_level0(icmp: &InternalKeyComparator, version: &Version) -> CompactionTask {
-    let input_runs: Vec<Vec<Arc<TableMeta>>> = version.levels[0]
-        .runs
-        .iter()
-        .map(|r| r.tables.clone())
-        .collect();
+    let input_runs = version.levels[0].table_lists();
     let (mut begin, mut end): (Option<Vec<u8>>, Option<Vec<u8>>) = (None, None);
     let ucmp = icmp.user_comparator();
-    for table in input_runs.iter().flatten() {
+    for table in version.levels[0].tables() {
         let s = table.smallest_user_key().to_vec();
         let l = table.largest_user_key().to_vec();
         begin = Some(match begin {
@@ -492,7 +484,7 @@ fn pick_leveled(
         level,
         output_level: level + 1,
         reason: CompactionReason::Size,
-        input_runs: vec![merge_victims],
+        input_runs: vec![merge_victims.into()],
         next_inputs,
         settled_moves,
         output: OutputShape::Leveled,
@@ -569,8 +561,10 @@ fn pick_tiered(opts: &Options, version: &Version, level: usize) -> Option<Compac
     let runs = &version.levels[level].runs;
     let len = tier_bucket(opts, runs)?;
     let oldest = runs.len() - len;
-    let input_runs: Vec<Vec<Arc<TableMeta>>> =
-        runs[oldest..].iter().map(|r| r.tables.clone()).collect();
+    let input_runs = runs[oldest..]
+        .iter()
+        .map(|r| Arc::clone(&r.tables))
+        .collect();
     let (output_level, output) = if level + 1 < version.levels.len() {
         // The bucket is strictly older than everything already at
         // `level + 1` (data only ever flows down), so the output is
@@ -702,16 +696,12 @@ impl CompactionPolicy for LazyLeveledPolicy {
 /// preserving BoLT's settled-compaction payoff inside the hybrid.
 fn pick_into_last(icmp: &InternalKeyComparator, version: &Version, level: usize) -> CompactionTask {
     let last = version.levels.len() - 1;
-    let mut input_runs: Vec<Vec<Arc<TableMeta>>> = version.levels[level]
-        .runs
-        .iter()
-        .map(|r| r.tables.clone())
-        .collect();
+    let mut input_runs = version.levels[level].table_lists();
 
     // A victim may settle only if it overlaps nothing at the last level
     // AND no other victim: everything else lands in the last level's
     // single run, which must stay internally disjoint.
-    let all: Vec<Arc<TableMeta>> = input_runs.iter().flatten().map(Arc::clone).collect();
+    let all: Vec<&Arc<TableMeta>> = version.levels[level].tables().collect();
     let ucmp = icmp.user_comparator();
     let overlaps_other_victim = |t: &Arc<TableMeta>| {
         all.iter().any(|o| {
@@ -726,18 +716,19 @@ fn pick_into_last(icmp: &InternalKeyComparator, version: &Version, level: usize)
     };
     let mut settled_moves = Vec::new();
     for run in &mut input_runs {
-        run.retain(|t| {
-            if overlap_bytes(icmp, version, last, t) == 0 && !overlaps_other_victim(t) {
-                settled_moves.push(Arc::clone(t));
-                false
-            } else {
-                true
-            }
-        });
+        let (settle, merge): (Vec<_>, Vec<_>) = run
+            .iter()
+            .cloned()
+            .partition(|t| overlap_bytes(icmp, version, last, t) == 0 && !overlaps_other_victim(t));
+        // A run that settles nothing stays the version's own list.
+        if !settle.is_empty() {
+            settled_moves.extend(settle);
+            *run = merge.into();
+        }
     }
 
     let mut next_inputs: Vec<Arc<TableMeta>> = Vec::new();
-    for victim in input_runs.iter().flatten() {
+    for victim in input_runs.iter().flat_map(|run| run.iter()) {
         for table in version.overlapping_tables(
             icmp,
             last,
@@ -786,7 +777,7 @@ pub fn clusters(icmp: &InternalKeyComparator, task: &CompactionTask) -> Vec<Clus
     }
     let mut items: Vec<Item> = Vec::new();
     for (run_idx, run) in task.input_runs.iter().enumerate() {
-        for table in run {
+        for table in run.iter() {
             items.push(Item {
                 run: Some(run_idx),
                 table: Arc::clone(table),
@@ -979,7 +970,7 @@ mod tests {
         let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
         assert_eq!(task.level, 0);
         assert_eq!(task.reason, CompactionReason::Level0);
-        assert_eq!(task.input_runs.iter().flatten().count(), 4);
+        assert_eq!(task.victims().count(), 4);
         // Combined L0 range is a..z: both L1 tables overlap.
         assert_eq!(task.next_inputs.len(), 2);
     }
@@ -997,9 +988,7 @@ mod tests {
         let task = pick_compaction(&opts, &icmp(), &v, &pointers, None).unwrap();
         assert_eq!(task.level, 1);
         let first = task
-            .input_runs
-            .iter()
-            .flatten()
+            .victims()
             .chain(task.settled_moves.iter())
             .next()
             .unwrap()
@@ -1009,9 +998,7 @@ mod tests {
         pointers[1] = Some(make_internal_key(b"c", 1, ValueType::Value));
         let task = pick_compaction(&opts, &icmp(), &v, &pointers, None).unwrap();
         let first = task
-            .input_runs
-            .iter()
-            .flatten()
+            .victims()
             .chain(task.settled_moves.iter())
             .next()
             .unwrap()
@@ -1021,9 +1008,7 @@ mod tests {
         pointers[1] = Some(make_internal_key(b"z", 1, ValueType::Value));
         let task = pick_compaction(&opts, &icmp(), &v, &pointers, None).unwrap();
         let first = task
-            .input_runs
-            .iter()
-            .flatten()
+            .victims()
             .chain(task.settled_moves.iter())
             .next()
             .unwrap()
@@ -1126,10 +1111,10 @@ mod tests {
             level: 1,
             output_level: 2,
             reason: CompactionReason::Size,
-            input_runs: vec![vec![
+            input_runs: vec![Arc::new([
                 Arc::new(meta(1, "a", "c", 1)),
                 Arc::new(meta(2, "m", "o", 1)),
-            ]],
+            ])],
             next_inputs: vec![
                 Arc::new(meta(3, "b", "d", 1)),
                 Arc::new(meta(4, "n", "p", 1)),
@@ -1152,7 +1137,7 @@ mod tests {
             level: 1,
             output_level: 2,
             reason: CompactionReason::Size,
-            input_runs: vec![Vec::new()],
+            input_runs: vec![Arc::new([])],
             next_inputs: Vec::new(),
             settled_moves: Vec::new(),
             output: OutputShape::Leveled,
@@ -1282,12 +1267,7 @@ mod tests {
             (1, 4, meta(4, "c", "e", 10_000)),
         ]);
         let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
-        let mut ids: Vec<u64> = task
-            .input_runs
-            .iter()
-            .flatten()
-            .map(|t| t.table_id)
-            .collect();
+        let mut ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3], "oldest three merge, newest stays");
     }
@@ -1329,12 +1309,7 @@ mod tests {
             (1, 4, meta(4, "c", "e", 1_000_000)),
         ]);
         let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
-        let mut ids: Vec<u64> = task
-            .input_runs
-            .iter()
-            .flatten()
-            .map(|t| t.table_id)
-            .collect();
+        let mut ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2], "oldest two force-merge");
     }
@@ -1356,12 +1331,7 @@ mod tests {
         assert_eq!(task.level, 5);
         assert_eq!(task.output_level, 6);
         assert_eq!(task.output, OutputShape::Leveled);
-        let merge_ids: Vec<u64> = task
-            .input_runs
-            .iter()
-            .flatten()
-            .map(|t| t.table_id)
-            .collect();
+        let merge_ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         assert_eq!(merge_ids, vec![1], "only the overlapping victim rewrites");
         assert_eq!(task.next_inputs.len(), 1);
         assert_eq!(task.next_inputs[0].table_id, 5);
@@ -1382,12 +1352,7 @@ mod tests {
             (5, 4, meta(4, "p", "q", 100)),
         ]);
         let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
-        let mut merge_ids: Vec<u64> = task
-            .input_runs
-            .iter()
-            .flatten()
-            .map(|t| t.table_id)
-            .collect();
+        let mut merge_ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         merge_ids.sort_unstable();
         assert_eq!(merge_ids, vec![1, 2]);
         let mut settled: Vec<u64> = task.settled_moves.iter().map(|t| t.table_id).collect();

@@ -32,7 +32,7 @@ use crate::compaction::{
 };
 use crate::filename::table_file;
 use crate::iterator::{InternalIterator, MergingIter, RunIter};
-use crate::version::{RunLayout, TableMeta, Version, VersionEdit};
+use crate::version::{RunLayout, TableList, TableMeta, Version, VersionEdit};
 use crate::versions::VersionSet;
 use crate::vlog::ValuePointer;
 
@@ -113,24 +113,21 @@ impl DbInner {
             // caches foreground reads are served from.
             let reads = Arc::new(SeqReadStats::default());
             // Merge one independent unit of the task into the sink: its
-            // runs plus, for a leveled output, the overlapped tables already
-            // at the output level.
+            // runs, which for a leveled output include the overlapped
+            // tables already at the output level.
             let merge_into = |sink: &mut OutputSink<'_>,
-                              runs: &[Vec<Arc<TableMeta>>],
-                              next_inputs: &[Arc<TableMeta>],
+                              runs: Vec<TableList>,
                               include_output_level: bool|
              -> Result<()> {
                 let children = runs
-                    .iter()
-                    .map(Vec::as_slice)
-                    .chain([next_inputs])
+                    .into_iter()
                     .filter(|r| !r.is_empty())
                     .map(|r| -> Box<dyn InternalIterator> {
                         Box::new(RunIter::sequential(
                             self.icmp.clone(),
                             Arc::clone(&self.table_cache),
-                            self.name.clone(),
-                            r.to_vec(),
+                            Arc::clone(&self.name),
+                            r,
                             Arc::clone(&reads),
                         ))
                     })
@@ -153,13 +150,11 @@ impl DbInner {
             let built = (|| -> Result<Vec<(u64, BuiltTable)>> {
                 match task.output {
                     OutputShape::Leveled => {
+                        // A cluster's runs are subsets: lists of their own.
                         for cluster in clusters(&self.icmp, &task) {
-                            merge_into(
-                                &mut sink,
-                                &cluster.input_runs,
-                                &cluster.next_inputs,
-                                false,
-                            )?;
+                            let runs = cluster.input_runs.into_iter();
+                            let runs = runs.chain([cluster.next_inputs]);
+                            merge_into(&mut sink, runs.map(TableList::from).collect(), false)?;
                         }
                     }
                     // The whole input set merges as one unit and nothing at
@@ -172,8 +167,7 @@ impl DbInner {
                     // check — see `is_base_level_span`.)
                     shape => merge_into(
                         &mut sink,
-                        &task.input_runs,
-                        &[],
+                        task.input_runs.clone(),
                         shape == OutputShape::AppendRun,
                     )?,
                 }
@@ -307,20 +301,16 @@ impl DbInner {
         // When the output level may itself hold sibling runs, the merge
         // appends a fresh run there instead of folding into a sorted level.
         let append = multi_run_at(level + 1);
-        let input_runs: Vec<Vec<Arc<TableMeta>>> = if take_whole_level {
-            version.levels[level]
-                .runs
-                .iter()
-                .map(|r| r.tables.clone())
-                .collect()
+        let input_runs = if take_whole_level {
+            version.levels[level].table_lists()
         } else {
-            vec![overlapping]
+            vec![overlapping.into()]
         };
         let next_inputs = if append {
             Vec::new()
         } else {
             let mut next: Vec<Arc<TableMeta>> = Vec::new();
-            for victim in input_runs.iter().flatten() {
+            for victim in input_runs.iter().flat_map(|run| run.iter()) {
                 for t in version.overlapping_tables(
                     &self.icmp,
                     level + 1,
@@ -707,7 +697,7 @@ fn is_base_level_span(
     let ucmp = icmp.user_comparator();
     for level in &version.levels {
         for run in &level.runs {
-            for table in &run.tables {
+            for table in run.tables.iter() {
                 if inputs.contains(&table.table_id) {
                     continue;
                 }

@@ -59,7 +59,7 @@ impl Db {
     /// mistaken for a database).
     pub fn checkpoint(&self, dir: &str) -> Result<SequenceNumber> {
         let inner = &self.inner;
-        if dir.is_empty() || dir == inner.name {
+        if dir.is_empty() || *dir == *inner.name {
             return Err(Error::InvalidArgument(format!(
                 "checkpoint target `{dir}` must be a directory other than the database's own"
             )));

@@ -132,7 +132,8 @@ impl ReadView {
 
 struct DbInner {
     env: Arc<dyn Env>,
-    name: String,
+    /// The database directory; shared, so an iterator's runs clone a pointer.
+    name: Arc<str>,
     opts: Options,
     icmp: InternalKeyComparator,
     table_cache: Arc<TableCache>,
@@ -350,7 +351,7 @@ impl Db {
         };
         let inner = Arc::new(DbInner {
             env,
-            name: name.to_string(),
+            name: name.into(),
             opts,
             icmp,
             table_cache,

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bolt_common::Result;
 use bolt_table::ikey::SequenceNumber;
-use bolt_table::rangedel::RangeTombstoneSet;
+use bolt_table::rangedel::{RangeTombstone, RangeTombstoneSet};
 
 use super::{Db, DbInner, DbIterator, Snapshot};
 use crate::iterator::{DbIter, InternalIterator, MergingIter, RunIter, ValueResolver};
@@ -192,37 +192,40 @@ impl DbInner {
         for memtable in view.memtables() {
             children.push(Box::new(memtable.iter()));
         }
-        for level in &version.levels {
-            for run in &level.runs {
-                children.push(Box::new(RunIter::new(
-                    inner.icmp.clone(),
-                    Arc::clone(&inner.table_cache),
-                    inner.name.clone(),
-                    run.tables.clone(),
-                )));
-            }
+        for run in version.levels.iter().flat_map(|level| &level.runs) {
+            children.push(Box::new(RunIter::new(
+                inner.icmp.clone(),
+                Arc::clone(&inner.table_cache),
+                Arc::clone(&inner.name),
+                Arc::clone(&run.tables),
+            )));
         }
         let merged = MergingIter::new(inner.icmp.clone(), children);
-        // The overlay aggregates every source the iterator reads: table
-        // tombstones (via the version's cached set) plus both memtables'.
-        let mut tombstones = if version.has_range_tombstones() {
-            version
-                .range_tombstones(&inner.table_cache, &inner.name)?
-                .raw()
-                .to_vec()
-        } else {
-            Vec::new()
-        };
-        for memtable in view.memtables() {
-            tombstones.extend(memtable.range_tombstones());
-        }
         // Always attach the resolver: the store may hold pointers written
         // under an earlier configuration even if separation is off now.
         let resolver = Arc::clone(inner) as Arc<dyn ValueResolver>;
+        let mut iter = DbIter::new(inner.icmp.clone(), merged, snapshot).with_resolver(resolver);
+        // The overlay aggregates every source the iterator reads. The
+        // version's cached set serves as it is unless a memtable adds to it;
+        // with no tombstone anywhere the iterator carries none.
+        let mut overlay = version
+            .has_range_tombstones()
+            .then(|| version.range_tombstones(&inner.table_cache, &inner.name))
+            .transpose()?;
+        let in_memory: Vec<RangeTombstone> = view
+            .memtables()
+            .flat_map(|memtable| memtable.range_tombstones())
+            .collect();
+        if !in_memory.is_empty() {
+            let mut all = overlay.map_or_else(Vec::new, |set| set.raw().to_vec());
+            all.extend(in_memory);
+            overlay = Some(Arc::new(RangeTombstoneSet::build(all)));
+        }
+        if let Some(overlay) = overlay {
+            iter = iter.with_tombstones(overlay);
+        }
         Ok(DbIterator {
-            inner: DbIter::new(inner.icmp.clone(), merged, snapshot)
-                .with_resolver(resolver)
-                .with_tombstones(Arc::new(RangeTombstoneSet::build(tombstones))),
+            inner: iter,
             _view: view,
         })
     }
@@ -433,6 +436,55 @@ mod tests {
                 "{edges:?}"
             );
         }
+        db.close().unwrap();
+    }
+
+    /// An iterator takes each run by its shared list: a hundred of them
+    /// leave every reference count of the tree where it was, and one that
+    /// outlives its version keeps scanning the tables it pinned.
+    #[test]
+    fn iterators_share_run_lists_and_pin_their_version() {
+        let (_env, db) = mem_db(small_opts(Options::bolt()));
+        let key = |i: u32| format!("key{i:05}").into_bytes();
+        for round in 0..4u32 {
+            for i in (round..2000).step_by(4) {
+                db.put(&key(i), b"old").unwrap();
+            }
+            db.flush().unwrap();
+        }
+        db.compact_until_quiet().unwrap();
+        let version = db.current_version();
+        let deep = version.levels.iter().rev().find(|l| l.num_tables() > 1);
+        let list = &deep.expect("a deep level").runs[0].tables;
+        let table = &list[list.len() / 2];
+        let counts = || (Arc::strong_count(list), Arc::strong_count(table));
+        let before = counts();
+        for _ in 0..100 {
+            let mut iter = db.iter().unwrap();
+            assert_eq!(counts(), (before.0 + 1, before.1), "the list, not a copy");
+            iter.seek(&key(1000)).unwrap();
+            assert_eq!(iter.key(), key(1000));
+        }
+        assert_eq!(counts(), before);
+
+        // From here on only `pinned` holds the version.
+        let mut pinned = db.iter().unwrap();
+        let pinned_version = Arc::as_ptr(&version);
+        drop(version);
+        for i in 0..2000 {
+            db.put(&key(i), b"new").unwrap();
+        }
+        db.flush().unwrap();
+        db.compact_until_quiet().unwrap();
+        assert_eq!(db.get(&key(7)).unwrap(), Some(b"new".to_vec()));
+        assert_ne!(pinned_version, Arc::as_ptr(&db.current_version()));
+        pinned.seek_to_first().unwrap();
+        for i in 0..2000 {
+            assert_eq!((pinned.key(), pinned.value()), (&key(i)[..], &b"old"[..]));
+            pinned.next().unwrap();
+        }
+        assert!(!pinned.valid());
+        drop(pinned);
         db.close().unwrap();
     }
 

@@ -17,7 +17,7 @@ use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::{SeqReadStats, SeqReader};
 
 use crate::memtable::MemTableIter;
-use crate::version::TableMeta;
+use crate::version::TableList;
 
 /// A cursor over internal-key entries in sorted order.
 pub trait InternalIterator: Send {
@@ -94,12 +94,13 @@ impl InternalIterator for bolt_table::TableIter {
 
 /// Concatenating iterator over one run's (sorted, disjoint) tables, opened
 /// lazily through the TableCache — or, for a consumer that reads the whole
-/// run front to back, through a [`SeqReader`].
+/// run front to back, through a [`SeqReader`]. It holds the run's own
+/// [`TableList`]: creating and dropping one costs nothing per table.
 pub struct RunIter {
     icmp: InternalKeyComparator,
     cache: Arc<TableCache>,
-    db: String,
-    tables: Vec<Arc<TableMeta>>,
+    db: Arc<str>,
+    tables: TableList,
     index: usize,
     iter: Option<bolt_table::TableIter>,
     seq: Option<SeqReader>,
@@ -119,8 +120,8 @@ impl RunIter {
     pub fn new(
         icmp: InternalKeyComparator,
         cache: Arc<TableCache>,
-        db: String,
-        tables: Vec<Arc<TableMeta>>,
+        db: Arc<str>,
+        tables: TableList,
     ) -> Self {
         RunIter {
             icmp,
@@ -140,10 +141,12 @@ impl RunIter {
     pub fn sequential(
         icmp: InternalKeyComparator,
         cache: Arc<TableCache>,
-        db: String,
-        tables: Vec<Arc<TableMeta>>,
+        db: Arc<str>,
+        tables: TableList,
         reads: Arc<SeqReadStats>,
     ) -> Self {
+        // Eager specs, one path `format!` per table: a compaction opens
+        // every one of them anyway, and it is not a foreground path.
         let specs = tables.iter().map(|t| t.spec(&db)).collect();
         RunIter {
             seq: Some(SeqReader::new(Arc::clone(&cache), specs, reads)),
@@ -156,7 +159,7 @@ impl RunIter {
             Some(meta) => {
                 let table = match &mut self.seq {
                     Some(seq) => seq.open(self.index)?,
-                    None => self.cache.table(&meta.spec(&self.db))?,
+                    None => meta.open(&self.cache, &self.db)?,
                 };
                 Some(table.iter())
             }
@@ -221,20 +224,49 @@ impl InternalIterator for RunIter {
     }
 }
 
+/// One source of a [`MergingIter`] with its position cached: comparisons read
+/// `key`, never the child through its vtable.
+struct MergeChild {
+    iter: Box<dyn InternalIterator>,
+    /// The child's current internal key, meaningful while `valid`. The buffer
+    /// is reused across positions.
+    key: Vec<u8>,
+    valid: bool,
+}
+
+impl MergeChild {
+    fn refresh(&mut self) {
+        self.valid = self.iter.valid();
+        if self.valid {
+            self.key.clear();
+            self.key.extend_from_slice(self.iter.key());
+        }
+    }
+}
+
 /// N-way merge of internal iterators, smallest internal key first (which,
 /// under the internal-key order, yields newest-version-first within a user
-/// key).
+/// key). A tie goes to the lower child index, so callers list newer sources
+/// first.
+///
+/// The children are the leaves of a loser tree: `next` replays the one
+/// root path of the child it advanced, ⌈log₂ k⌉ comparisons, where a scan of
+/// all children costs k − 1.
 pub struct MergingIter {
     icmp: InternalKeyComparator,
-    children: Vec<Box<dyn InternalIterator>>,
-    current: Option<usize>,
+    children: Vec<MergeChild>,
+    /// `tree[0]` is the winning child; `tree[n]` for `n` in `1..k` is the
+    /// loser of the match at internal node `n`, whose children are nodes
+    /// `2n` and `2n + 1`; node `k + i` is leaf `i`. Empty until the first
+    /// seek.
+    tree: Vec<u32>,
 }
 
 impl std::fmt::Debug for MergingIter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MergingIter")
             .field("children", &self.children.len())
-            .field("current", &self.current)
+            .field("current", &self.tree.first())
             .finish()
     }
 }
@@ -242,72 +274,109 @@ impl std::fmt::Debug for MergingIter {
 impl MergingIter {
     /// Merge `children`.
     pub fn new(icmp: InternalKeyComparator, children: Vec<Box<dyn InternalIterator>>) -> Self {
+        let children = children
+            .into_iter()
+            .map(|iter| MergeChild {
+                iter,
+                key: Vec::new(),
+                valid: false,
+            })
+            .collect();
         MergingIter {
             icmp,
             children,
-            current: None,
+            tree: Vec::new(),
         }
     }
 
-    fn find_smallest(&mut self) {
-        let mut smallest: Option<usize> = None;
-        for (i, child) in self.children.iter().enumerate() {
-            if !child.valid() {
-                continue;
-            }
-            smallest = match smallest {
-                None => Some(i),
-                Some(s) => {
-                    if self
-                        .icmp
-                        .compare(child.key(), self.children[s].key())
-                        .is_lt()
-                    {
-                        Some(i)
-                    } else {
-                        Some(s)
-                    }
-                }
-            };
+    /// The child the merge is positioned on.
+    fn current(&self) -> Option<&MergeChild> {
+        let winner = self.children.get(*self.tree.first()? as usize)?;
+        winner.valid.then_some(winner)
+    }
+
+    /// `true` when child `a` comes before child `b`: an exhausted child
+    /// loses to everything, equal keys go to the lower index.
+    fn beats(&self, a: u32, b: u32) -> bool {
+        let (x, y) = (&self.children[a as usize], &self.children[b as usize]);
+        match (x.valid, y.valid) {
+            (true, true) => self.icmp.compare(&x.key, &y.key).then(a.cmp(&b)).is_lt(),
+            (valid, _) => valid,
         }
-        self.current = smallest;
+    }
+
+    /// Play the matches under `node`, storing their losers; returns the
+    /// subtree's winner.
+    fn play(&mut self, node: usize) -> u32 {
+        let k = self.children.len();
+        if node >= k {
+            return (node - k) as u32;
+        }
+        let (a, b) = (self.play(2 * node), self.play(2 * node + 1));
+        let (winner, loser) = if self.beats(b, a) { (b, a) } else { (a, b) };
+        self.tree[node] = loser;
+        winner
+    }
+
+    /// Play every match, after all children were repositioned.
+    fn rebuild(&mut self) {
+        if self.children.is_empty() {
+            return;
+        }
+        for child in &mut self.children {
+            child.refresh();
+        }
+        self.tree.resize(self.children.len(), 0);
+        self.tree[0] = self.play(1);
     }
 }
 
 impl InternalIterator for MergingIter {
     fn valid(&self) -> bool {
-        self.current.is_some()
+        self.current().is_some()
     }
 
     fn seek_to_first(&mut self) -> Result<()> {
         for child in &mut self.children {
-            child.seek_to_first()?;
+            child.iter.seek_to_first()?;
         }
-        self.find_smallest();
+        self.rebuild();
         Ok(())
     }
 
     fn seek(&mut self, target: &[u8]) -> Result<()> {
         for child in &mut self.children {
-            child.seek(target)?;
+            child.iter.seek(target)?;
         }
-        self.find_smallest();
+        self.rebuild();
         Ok(())
     }
 
     fn next(&mut self) -> Result<()> {
-        let current = self.current.expect("positioned");
-        self.children[current].next()?;
-        self.find_smallest();
+        let k = self.children.len();
+        let mut winner = self.tree[0];
+        let advanced = &mut self.children[winner as usize];
+        advanced.iter.next()?;
+        advanced.refresh();
+        // Every loser on the path from the advanced leaf to the root lost to
+        // the old winner, and to nothing else: replay exactly those matches.
+        let mut node = (k + winner as usize) / 2;
+        while node > 0 {
+            if self.beats(self.tree[node], winner) {
+                std::mem::swap(&mut self.tree[node], &mut winner);
+            }
+            node /= 2;
+        }
+        self.tree[0] = winner;
         Ok(())
     }
 
     fn key(&self) -> &[u8] {
-        self.children[self.current.expect("positioned")].key()
+        &self.current().expect("positioned").key
     }
 
     fn value(&self) -> &[u8] {
-        self.children[self.current.expect("positioned")].value()
+        self.current().expect("positioned").iter.value()
     }
 }
 
@@ -334,8 +403,13 @@ pub struct DbIter {
     resolver: Option<Arc<dyn ValueResolver>>,
     tombstones: Option<Arc<RangeTombstoneSet>>,
     valid: bool,
+    // The three buffers live as long as the iterator and are overwritten in
+    // place, so a row costs no allocation after the first.
     key: Vec<u8>,
     value: Vec<u8>,
+    /// User key whose remaining (older) versions are hidden: the row `next`
+    /// left, or the latest point deletion seen.
+    skip: Vec<u8>,
 }
 
 impl std::fmt::Debug for DbIter {
@@ -359,6 +433,7 @@ impl DbIter {
             valid: false,
             key: Vec::new(),
             value: Vec::new(),
+            skip: Vec::new(),
         }
     }
 
@@ -407,7 +482,7 @@ impl DbIter {
     /// Returns read errors from the sources.
     pub fn seek_to_first(&mut self) -> Result<()> {
         self.iter.seek_to_first()?;
-        self.find_next_user_entry(None)
+        self.find_next_user_entry(false)
     }
 
     /// Position at the first live entry with user key >= `user_key`.
@@ -417,7 +492,7 @@ impl DbIter {
     /// Returns read errors from the sources.
     pub fn seek(&mut self, user_key: &[u8]) -> Result<()> {
         self.iter.seek(&lookup_key(user_key, self.snapshot))?;
-        self.find_next_user_entry(None)
+        self.find_next_user_entry(false)
     }
 
     /// Advance to the next live user key.
@@ -432,58 +507,49 @@ impl DbIter {
     #[allow(clippy::should_implement_trait)] // LevelDB-style fallible cursor
     pub fn next(&mut self) -> Result<()> {
         assert!(self.valid, "iterator not positioned");
-        let prev = std::mem::take(&mut self.key);
-        // Skip the remaining (older or invisible) versions of `prev`.
-        while self.iter.valid() {
-            let parsed = parse_internal_key(self.iter.key())?;
-            if self
-                .icmp
-                .user_comparator()
-                .compare(parsed.user_key, &prev)
-                .is_gt()
-            {
-                break;
-            }
-            self.iter.next()?;
-        }
-        self.find_next_user_entry(None)
+        // The merge still stands on the row being left: hide it and its
+        // older versions.
+        std::mem::swap(&mut self.key, &mut self.skip);
+        self.find_next_user_entry(true)
     }
 
-    fn find_next_user_entry(&mut self, mut skipping: Option<Vec<u8>>) -> Result<()> {
+    /// Stop on the first visible, live entry at or after the merge's
+    /// position; with `skipping`, entries of user key `self.skip` are hidden.
+    fn find_next_user_entry(&mut self, mut skipping: bool) -> Result<()> {
         while self.iter.valid() {
             let parsed = parse_internal_key(self.iter.key())?;
             if parsed.sequence <= self.snapshot {
                 match parsed.value_type {
                     ValueType::Deletion => {
-                        skipping = Some(parsed.user_key.to_vec());
+                        self.skip.clear();
+                        self.skip.extend_from_slice(parsed.user_key);
+                        skipping = true;
                     }
                     // A range tombstone entry is never user-visible and
                     // must NOT shadow a point key equal to its begin key —
                     // the overlay below applies its span.
                     ValueType::RangeTombstone => {}
                     ValueType::Value | ValueType::ValuePointer => {
-                        let shadowed = skipping.as_deref().is_some_and(|s| {
-                            self.icmp
-                                .user_comparator()
-                                .compare(parsed.user_key, s)
-                                .is_eq()
-                        }) || self.tombstones.as_deref().is_some_and(|t| {
-                            t.covers(parsed.user_key, parsed.sequence, self.snapshot)
-                        });
+                        let ucmp = self.icmp.user_comparator();
+                        let shadowed = (skipping
+                            && ucmp.compare(parsed.user_key, &self.skip).is_le())
+                            || self.tombstones.as_deref().is_some_and(|t| {
+                                t.covers(parsed.user_key, parsed.sequence, self.snapshot)
+                            });
                         if !shadowed {
-                            self.key = parsed.user_key.to_vec();
-                            self.value = if parsed.value_type == ValueType::ValuePointer {
-                                match &self.resolver {
-                                    Some(resolver) => resolver.resolve(self.iter.value())?,
-                                    None => {
-                                        return Err(Error::corruption(
-                                            "value pointer entry but no value-log resolver",
-                                        ))
-                                    }
-                                }
+                            self.key.clear();
+                            self.key.extend_from_slice(parsed.user_key);
+                            if parsed.value_type == ValueType::ValuePointer {
+                                let resolver = self.resolver.as_ref().ok_or_else(|| {
+                                    Error::corruption(
+                                        "value pointer entry but no value-log resolver",
+                                    )
+                                })?;
+                                self.value = resolver.resolve(self.iter.value())?;
                             } else {
-                                self.iter.value().to_vec()
-                            };
+                                self.value.clear();
+                                self.value.extend_from_slice(self.iter.value());
+                            }
                             self.valid = true;
                             return Ok(());
                         }
@@ -547,6 +613,119 @@ mod tests {
         assert_eq!(iter.value(), b"new");
         iter.next().unwrap();
         assert_eq!(iter.value(), b"old");
+    }
+
+    /// The tournament against a sorted list: every child count from one to
+    /// nine, empty children, user keys and whole internal keys that collide
+    /// across children, seeks and steps interleaved.
+    #[test]
+    fn merging_matches_a_sorted_model() {
+        use bolt_table::ikey::make_internal_key;
+        let icmp = InternalKeyComparator::default();
+        let mut rng = bolt_common::rng::Rng64::new(0x70C4);
+        for k in (1..=9usize).flat_map(|k| [k; 20]) {
+            // (internal key, child): the child index is also the value.
+            let mut model: Vec<(Vec<u8>, u8)> = Vec::new();
+            let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
+            for child in 0..k as u8 {
+                let mem = Arc::new(MemTable::new());
+                let entries = rng.next_below(16).saturating_sub(4);
+                let mut seen = std::collections::HashSet::new();
+                for _ in 0..entries {
+                    let (key, seq) = (rng.next_below(8), 1 + rng.next_below(3));
+                    if seen.insert((key, seq)) {
+                        let user_key = format!("k{key}").into_bytes();
+                        mem.add(seq, ValueType::Value, &user_key, &[child]);
+                        model.push((make_internal_key(&user_key, seq, ValueType::Value), child));
+                    }
+                }
+                children.push(Box::new(mem.iter()));
+            }
+            // Newest version first within a user key; the lower child first
+            // among equal internal keys.
+            model.sort_by(|a, b| icmp.compare(&a.0, &b.0).then(a.1.cmp(&b.1)));
+            let mut iter = MergingIter::new(icmp.clone(), children);
+            assert!(!iter.valid());
+            let mut at = model.len();
+            for _ in 0..60 {
+                match rng.next_below(6) {
+                    0 => {
+                        iter.seek_to_first().unwrap();
+                        at = 0;
+                    }
+                    1 => {
+                        let user_key = format!("k{}", rng.next_below(9));
+                        let target = lookup_key(user_key.as_bytes(), rng.next_below(5));
+                        iter.seek(&target).unwrap();
+                        at = model.partition_point(|(key, _)| icmp.compare(key, &target).is_lt());
+                    }
+                    _ if at < model.len() => {
+                        iter.next().unwrap();
+                        at += 1;
+                    }
+                    _ => continue,
+                }
+                assert_eq!(iter.valid(), at < model.len(), "k = {k}");
+                if let Some((key, child)) = model.get(at) {
+                    assert_eq!((iter.key(), iter.value()), (&key[..], &[*child][..]));
+                }
+            }
+        }
+    }
+
+    /// Rows of shrinking and growing lengths through the reused buffers: no
+    /// row shows a tail of the one before it, across deletions and a
+    /// resolved pointer (whose `Vec` replaces the value buffer).
+    #[test]
+    fn db_iter_rows_are_exact_across_lengths() {
+        struct Fake;
+        impl ValueResolver for Fake {
+            fn resolve(&self, pointer: &[u8]) -> Result<Vec<u8>> {
+                Ok(pointer.repeat(40))
+            }
+        }
+        let long = vec![b'x'; 300];
+        let rows: [(&[u8], ValueType, &[u8]); 9] = [
+            (b"a-long-first-key", ValueType::Value, &long),
+            (b"b", ValueType::Value, b"1"),
+            (b"bb-deleted", ValueType::Deletion, b""),
+            (b"c", ValueType::ValuePointer, b"ptr"),
+            (b"d", ValueType::Value, b""),
+            (b"dd-deleted-too", ValueType::Deletion, b""),
+            (
+                b"e-the-longest-key-of-them-all",
+                ValueType::Value,
+                b"mid-length",
+            ),
+            (b"f", ValueType::Value, &long),
+            (b"g", ValueType::Value, b"z"),
+        ];
+        let mem = Arc::new(MemTable::new());
+        for (seq, (key, value_type, value)) in rows.iter().enumerate() {
+            // An older, longer version under every row, deleted ones too.
+            mem.add(1, ValueType::Value, key, &[b'o'; 64]);
+            mem.add(seq as u64 + 2, *value_type, key, value);
+        }
+        let iter = merging(vec![Box::new(mem.iter())]);
+        let mut db_iter =
+            DbIter::new(InternalKeyComparator::default(), iter, 100).with_resolver(Arc::new(Fake));
+        let want: Vec<(Vec<u8>, Vec<u8>)> = rows
+            .iter()
+            .filter(|(_, value_type, _)| *value_type != ValueType::Deletion)
+            .map(|(key, value_type, value)| match value_type {
+                ValueType::ValuePointer => (key.to_vec(), value.repeat(40)),
+                _ => (key.to_vec(), value.to_vec()),
+            })
+            .collect();
+        for start in [0, 3] {
+            db_iter.seek(&want[start].0).unwrap();
+            let mut seen = Vec::new();
+            while db_iter.valid() {
+                seen.push((db_iter.key().to_vec(), db_iter.value().to_vec()));
+                db_iter.next().unwrap();
+            }
+            assert_eq!(seen, want[start..]);
+        }
     }
 
     #[test]
@@ -748,8 +927,8 @@ mod tests {
         let mut iter = RunIter::new(
             InternalKeyComparator::default(),
             cache,
-            "db".to_string(),
-            metas,
+            "db".into(),
+            metas.into(),
         );
         iter.seek_to_first().unwrap();
         let mut count = 0;

@@ -7,9 +7,8 @@
 //! readers are lock-free.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
-
-use std::sync::RwLock;
+use std::sync::atomic::{self, AtomicBool};
+use std::sync::{Arc, RwLock};
 
 use bolt_common::coding::{get_varint32, put_varint32};
 use bolt_common::skiplist::{Iter as SkipIter, SkipList};
@@ -61,6 +60,12 @@ pub struct MemTable {
     /// a lock because `add` runs on the (single) write path while readers
     /// query concurrently.
     range_dels: RwLock<Vec<RangeTombstone>>,
+    /// Set by the first range tombstone, so that a memtable that never saw
+    /// one answers "none" without the lock. Relaxed is enough: a reader
+    /// whose snapshot includes the tombstone chose that snapshot from the
+    /// `last_sequence` the write path `Release`-stores after `add` returns,
+    /// and its `Acquire` load orders this flag with it.
+    has_range_dels: AtomicBool,
 }
 
 impl std::fmt::Debug for MemTable {
@@ -86,6 +91,7 @@ impl MemTable {
             list: SkipList::new(EntryComparator(cmp.clone())),
             cmp,
             range_dels: RwLock::new(Vec::new()),
+            has_range_dels: AtomicBool::new(false),
         }
     }
 
@@ -123,11 +129,19 @@ impl MemTable {
                     end: value.to_vec(),
                     sequence: seq,
                 });
+            self.has_range_dels.store(true, atomic::Ordering::Relaxed);
         }
+    }
+
+    fn has_range_dels(&self) -> bool {
+        self.has_range_dels.load(atomic::Ordering::Relaxed)
     }
 
     /// Snapshot of the range tombstones inserted so far.
     pub fn range_tombstones(&self) -> Vec<RangeTombstone> {
+        if !self.has_range_dels() {
+            return Vec::new();
+        }
         self.range_dels.read().expect("range_dels lock").clone()
     }
 
@@ -139,6 +153,9 @@ impl MemTable {
     /// Sequence of the newest range tombstone covering `user_key` visible
     /// at `snapshot`, or 0 when none covers it.
     pub fn max_range_del_seq(&self, user_key: &[u8], snapshot: SequenceNumber) -> SequenceNumber {
+        if !self.has_range_dels() {
+            return 0;
+        }
         let dels = self.range_dels.read().expect("range_dels lock");
         dels.iter()
             .filter(|t| t.sequence <= snapshot && t.covers_key(user_key))

@@ -34,6 +34,7 @@ use bolt_table::ikey::{
     extract_user_key, lookup_key, parse_internal_key, SequenceNumber, ValueType,
 };
 use bolt_table::rangedel::RangeTombstoneSet;
+use bolt_table::Table;
 
 use crate::filename::table_file;
 use crate::memtable::LookupResult;
@@ -147,6 +148,16 @@ impl TableMeta {
         }
     }
 
+    /// The open reader of this table, through `cache`. A cache hit costs one
+    /// LRU lookup; only a miss builds the [`spec`](Self::spec) and its path.
+    ///
+    /// # Errors
+    ///
+    /// Returns table open/read errors.
+    pub fn open(&self, cache: &TableCache, db: &str) -> Result<Arc<Table>> {
+        cache.table(self.table_id, || self.spec(db))
+    }
+
     /// `true` if this table's user-key range overlaps `[begin, end]`.
     pub fn overlaps(&self, icmp: &InternalKeyComparator, begin: &[u8], end: &[u8]) -> bool {
         let ucmp = icmp.user_comparator();
@@ -155,6 +166,12 @@ impl TableMeta {
     }
 }
 
+/// The tables of one run — sorted by smallest key, pairwise disjoint —
+/// behind one shared pointer. A [`Version`] owns each list once; iterators
+/// and whole-run compaction inputs hold the same pointer, so taking a run
+/// costs one reference count whatever the number of tables in it.
+pub type TableList = Arc<[Arc<TableMeta>]>;
+
 /// A sorted, internally disjoint sequence of tables produced by one flush or
 /// compaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,7 +179,7 @@ pub struct Run {
     /// Recency tag: higher = newer. Leveled levels ≥ 1 use tag 0.
     pub tag: u64,
     /// Tables sorted by smallest key, pairwise disjoint.
-    pub tables: Vec<Arc<TableMeta>>,
+    pub tables: TableList,
 }
 
 impl Run {
@@ -210,6 +227,11 @@ impl LevelState {
         self.runs.iter().map(|r| r.tables.len()).sum()
     }
 
+    /// Every run's table list, newest run first: shared pointers, not copies.
+    pub fn table_lists(&self) -> Vec<TableList> {
+        self.runs.iter().map(|r| Arc::clone(&r.tables)).collect()
+    }
+
     /// All tables, newest run first.
     pub fn tables(&self) -> impl Iterator<Item = &Arc<TableMeta>> {
         self.runs.iter().flat_map(|r| r.tables.iter())
@@ -239,6 +261,10 @@ pub struct Version {
     /// the per-table scans are memoized in the readers, and this cache
     /// makes the aggregate a one-time cost per version.
     tombstones: OnceLock<Arc<RangeTombstoneSet>>,
+    /// Range tombstones recorded across all tables: the per-table MANIFEST
+    /// counts, summed once by [`VersionBuilder::build`] so that no read
+    /// walks the tables to learn there are none.
+    range_tombstone_count: u64,
 }
 
 impl Version {
@@ -247,6 +273,7 @@ impl Version {
         Version {
             levels: vec![LevelState::default(); num_levels],
             tombstones: OnceLock::new(),
+            range_tombstone_count: 0,
         }
     }
 
@@ -306,7 +333,7 @@ impl Version {
                 if first_probe.is_none() {
                     first_probe = Some((level, Arc::clone(table)));
                 }
-                let reader = cache.table(&table.spec(db))?;
+                let reader = table.open(cache, db)?;
                 // A range tombstone whose begin key equals `user_key` sits
                 // in front of the point entries; re-probe just below its
                 // sequence to reach them (the overlay, not this lookup,
@@ -348,17 +375,17 @@ impl Version {
         })
     }
 
-    /// `true` when any live table holds a range tombstone (a metadata
-    /// check; no I/O). When false, reads can skip the overlay entirely.
+    /// `true` when any live table holds a range tombstone (one field read;
+    /// no I/O). When false, reads can skip the overlay entirely.
     pub fn has_range_tombstones(&self) -> bool {
-        self.all_tables().any(|(_, _, t)| t.range_tombstones > 0)
+        self.range_tombstone_count > 0
     }
 
     /// Total range tombstones recorded across live tables (the MANIFEST
     /// per-table counts summed; no I/O). Exported as the
     /// `bolt_range_tombstones_live` gauge.
     pub fn live_range_tombstones(&self) -> u64 {
-        self.all_tables().map(|(_, _, t)| t.range_tombstones).sum()
+        self.range_tombstone_count
     }
 
     /// The aggregated range-tombstone overlay for this version, built once
@@ -378,7 +405,7 @@ impl Version {
             if table.range_tombstones == 0 {
                 continue;
             }
-            let reader = cache.table(&table.spec(db))?;
+            let reader = table.open(cache, db)?;
             raw.extend(reader.range_tombstones()?.iter().cloned());
         }
         let set = Arc::new(RangeTombstoneSet::build(raw));
@@ -677,7 +704,7 @@ impl VersionBuilder {
             std::collections::BTreeMap::new();
         for (level, state) in self.base.levels.iter().enumerate() {
             for run in &state.runs {
-                for table in &run.tables {
+                for table in run.tables.iter() {
                     // Adds override the base placement (moves).
                     if !self.deleted.contains(&table.table_id)
                         && !self.added.contains_key(&table.table_id)
@@ -709,7 +736,11 @@ impl VersionBuilder {
                     "run {tag} at level {level} has overlapping tables"
                 )));
             }
-            version.levels[level].runs.push(Run { tag, tables });
+            version.range_tombstone_count += tables.iter().map(|t| t.range_tombstones).sum::<u64>();
+            version.levels[level].runs.push(Run {
+                tag,
+                tables: tables.into(),
+            });
         }
         // Newest runs first.
         for state in &mut version.levels {
@@ -903,15 +934,94 @@ mod tests {
         assert_eq!(v2.levels[2].runs[0].tables[0].file_number, 4);
     }
 
+    /// The tombstone total a version carries is the sum over its tables,
+    /// after any sequence of adds, deletes and settled moves.
+    #[test]
+    fn cached_tombstone_total_tracks_every_edit() {
+        // Table `id` owns the key range `id`, so any set of tables forms a
+        // valid run at any level.
+        let table = |id: u64, tombstones: u64| {
+            let key = |suffix: &str| format!("{id:06}{suffix}").into_bytes();
+            meta(id, &key("a"), &key("z")).with_range_tombstones(tombstones)
+        };
+        let walk =
+            |v: &Version| -> u64 { v.all_tables().map(|(_, _, t)| t.range_tombstones).sum() };
+        let apply = |base: &Arc<Version>, edit: &VersionEdit| {
+            let mut builder = VersionBuilder::new(icmp(), Arc::clone(base));
+            builder.apply(edit);
+            let next = builder.build().unwrap();
+            assert_eq!(next.live_range_tombstones(), walk(&next));
+            assert_eq!(next.has_range_tombstones(), walk(&next) > 0);
+            Arc::new(next)
+        };
+        let move_to = |level: u32, id: u64, tombstones: u64, to: u32| VersionEdit {
+            deleted_tables: vec![(level, id)],
+            added_tables: vec![(to, 0, table(id, tombstones))],
+            ..Default::default()
+        };
+
+        let mut rng = bolt_common::rng::Rng64::new(0xB017);
+        let mut version = Arc::new(Version::empty(4));
+        // id -> (level, tombstones)
+        let mut live = std::collections::BTreeMap::<u64, (u32, u64)>::new();
+        for id in 1..=300u64 {
+            let mut edit = VersionEdit::default();
+            let victim = live
+                .keys()
+                .nth(rng.next_below(live.len().max(1) as u64) as usize);
+            match (rng.next_below(4), victim.copied()) {
+                (1, Some(victim)) => {
+                    let (level, _) = live.remove(&victim).unwrap();
+                    edit.deleted_tables.push((level, victim));
+                }
+                (2, Some(victim)) => {
+                    let (level, tombstones) = live[&victim];
+                    let to = rng.next_below(4) as u32;
+                    edit = move_to(level, victim, tombstones, to);
+                    live.insert(victim, (to, tombstones));
+                }
+                _ => {
+                    let level = rng.next_below(4) as u32;
+                    let tombstones = rng.next_below(4).saturating_sub(1);
+                    edit.added_tables.push((level, 0, table(id, tombstones)));
+                    live.insert(id, (level, tombstones));
+                }
+            }
+            version = apply(&version, &edit);
+            let want: u64 = live.values().map(|(_, tombstones)| tombstones).sum();
+            assert_eq!(version.live_range_tombstones(), want, "after edit {id}");
+        }
+
+        // Down to the last carrier: a move leaves the total alone, and
+        // deleting that table clears the flag.
+        let carriers: Vec<_> = live.iter().filter(|(_, (_, n))| *n > 0).collect();
+        assert!(carriers.len() > 1, "the sequence left tombstones to delete");
+        for (i, (&id, &(level, tombstones))) in carriers.iter().enumerate() {
+            assert!(version.has_range_tombstones());
+            let total = version.live_range_tombstones();
+            let to = (level + 1) % 4;
+            version = apply(&version, &move_to(level, id, tombstones, to));
+            assert_eq!(version.live_range_tombstones(), total, "a move is neutral");
+            let delete = VersionEdit {
+                deleted_tables: vec![(to, id)],
+                ..Default::default()
+            };
+            version = apply(&version, &delete);
+            assert_eq!(version.live_range_tombstones(), total - tombstones);
+            assert_eq!(version.has_range_tombstones(), i + 1 < carriers.len());
+        }
+        assert!(version.num_tables() > 0, "tombstone-free tables remain");
+    }
+
     #[test]
     fn run_find_binary_search() {
         let run = Run {
             tag: 0,
-            tables: vec![
+            tables: Arc::new([
                 Arc::new(meta(1, b"a", b"c")),
                 Arc::new(meta(2, b"e", b"g")),
                 Arc::new(meta(3, b"i", b"k")),
-            ],
+            ]),
         };
         let ic = icmp();
         assert_eq!(run.find(&ic, b"b").unwrap().table_id, 1);

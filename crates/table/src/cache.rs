@@ -88,17 +88,21 @@ impl TableCache {
         }
     }
 
-    /// Fetch (or open and cache) the table described by `spec`.
+    /// Fetch the open table `table_id`, or open and cache it — the one way
+    /// to a [`Table`] through the cache. `spec` is called only on a miss: a
+    /// hit is one LRU lookup and builds no [`TableSpec`] (no path string).
     ///
     /// # Errors
     ///
     /// Returns open/corruption errors from [`Table::open`].
-    pub fn table(&self, spec: &TableSpec) -> Result<Arc<Table>> {
-        if let Some(table) = self.tables.get(&spec.table_id) {
+    pub fn table(&self, table_id: u64, spec: impl FnOnce() -> TableSpec) -> Result<Arc<Table>> {
+        if let Some(table) = self.tables.get(&table_id) {
             return Ok(table);
         }
+        let spec = spec();
+        debug_assert_eq!(spec.table_id, table_id);
         self.open_count.fetch_add(1, Ordering::Relaxed);
-        let file = self.open_file(spec)?;
+        let file = self.open_file(&spec)?;
         let table = Arc::new(Table::open(
             file,
             spec.offset,
@@ -106,7 +110,7 @@ impl TableCache {
             spec.file_number,
             self.opts.clone(),
         )?);
-        self.tables.insert(spec.table_id, Arc::clone(&table), 1);
+        self.tables.insert(table_id, Arc::clone(&table), 1);
         Ok(table)
     }
 
@@ -178,14 +182,18 @@ mod tests {
         }
     }
 
+    fn open(cache: &TableCache, spec: &TableSpec) -> Arc<Table> {
+        cache.table(spec.table_id, || spec.clone()).unwrap()
+    }
+
     #[test]
     fn caches_open_tables() {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let (offset, size) = build(&env, "000001.ldb", 1);
         let cache = TableCache::new(Arc::clone(&env), 100, None, opts());
         let s = spec(1, 1, "000001.ldb", offset, size);
-        let t1 = cache.table(&s).unwrap();
-        let t2 = cache.table(&s).unwrap();
+        let t1 = open(&cache, &s);
+        let t2 = open(&cache, &s);
         assert!(Arc::ptr_eq(&t1, &t2));
         assert_eq!(cache.open_count(), 1);
     }
@@ -203,7 +211,7 @@ mod tests {
         let cache = TableCache::new(Arc::clone(&env), 16, None, opts());
         for _ in 0..3 {
             for s in &specs {
-                cache.table(s).unwrap();
+                open(&cache, s);
             }
         }
         assert!(
@@ -214,14 +222,68 @@ mod tests {
     }
 
     #[test]
+    fn spec_is_built_only_on_a_miss() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let (offset, size) = build(&env, "000001.ldb", 1);
+        let cache = TableCache::new(Arc::clone(&env), 100, None, opts());
+        let s = spec(1, 1, "000001.ldb", offset, size);
+        let calls = AtomicU64::new(0);
+        let counted = || {
+            calls.fetch_add(1, Ordering::Relaxed);
+            s.clone()
+        };
+        let first = cache.table(1, counted).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "one spec per miss");
+        for _ in 0..10 {
+            assert!(Arc::ptr_eq(&first, &cache.table(1, counted).unwrap()));
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "no spec on a hit");
+        assert_eq!(cache.open_count(), 1);
+        cache.evict(1);
+        cache.table(1, counted).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn racing_misses_leave_one_cached_table() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let (offset, size) = build(&env, "000001.ldb", 1);
+        let cache = TableCache::new(Arc::clone(&env), 100, None, opts());
+        let s = spec(1, 1, "000001.ldb", offset, size);
+        // Both threads are inside their spec callback — so both missed —
+        // before either opens the table.
+        let both_missed = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let spec = || {
+                        both_missed.wait();
+                        s.clone()
+                    };
+                    cache.table(1, spec).unwrap();
+                });
+            }
+        });
+        assert!(cache.open_count() <= 2, "{}", cache.open_count());
+        let calls = AtomicU64::new(0);
+        let counted = || {
+            calls.fetch_add(1, Ordering::Relaxed);
+            s.clone()
+        };
+        let (a, b) = (cache.table(1, counted), cache.table(1, counted));
+        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()), "one cached table");
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "both are hits");
+    }
+
+    #[test]
     fn evict_forces_reopen() {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let (offset, size) = build(&env, "000001.ldb", 1);
         let cache = TableCache::new(Arc::clone(&env), 100, None, opts());
         let s = spec(1, 1, "000001.ldb", offset, size);
-        cache.table(&s).unwrap();
+        open(&cache, &s);
         cache.evict(1);
-        cache.table(&s).unwrap();
+        open(&cache, &s);
         assert_eq!(cache.open_count(), 2);
     }
 
@@ -245,8 +307,8 @@ mod tests {
         let cache = TableCache::new(Arc::clone(&env), 100, Some(10), opts());
         let s0 = spec(10, 7, "000007.cf", builts[0].offset, builts[0].size);
         let s1 = spec(11, 7, "000007.cf", builts[1].offset, builts[1].size);
-        let t0 = cache.table(&s0).unwrap();
-        let t1 = cache.table(&s1).unwrap();
+        let t0 = open(&cache, &s0);
+        let t1 = open(&cache, &s1);
         // Both tables work.
         assert!(t0
             .internal_get(&lookup_key(b"0/k0001", 100))

@@ -350,7 +350,11 @@ mod tests {
         let cache = cache(env);
         let mut out = Vec::new();
         for spec in specs {
-            drain(&cache.table(spec).unwrap(), &mut out).unwrap();
+            drain(
+                &cache.table(spec.table_id, || spec.clone()).unwrap(),
+                &mut out,
+            )
+            .unwrap();
         }
         out
     }

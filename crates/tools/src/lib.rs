@@ -674,8 +674,8 @@ pub fn verify_db(db: &Db) -> Result<(usize, u64)> {
                     )));
                 }
             }
-            for meta in &run.tables {
-                let reader = db.table_cache().table(&meta.spec(&db_name))?;
+            for meta in run.tables.iter() {
+                let reader = meta.open(db.table_cache(), &db_name)?;
                 let mut iter = reader.iter();
                 iter.seek_to_first()?;
                 let mut count = 0u64;
