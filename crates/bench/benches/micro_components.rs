@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks of the engine's building blocks: skiplist,
 //! bloom filter, block builder/reader, CRC32C, WAL append, memtable, the
 //! zipfian generator, a run's tables drained span by span vs block by
-//! block, iterator creation over a small and a large tree, and one merge
-//! step at 2, 3 and 8 children.
+//! block, a table open with and without its recorded tail length, iterator
+//! creation over a small and a large tree, and one merge step at 2, 3 and 8
+//! children.
 //!
 //! Run: `cargo bench -p bolt-bench --bench micro_components`
 
@@ -135,23 +136,26 @@ fn bench_zipfian(c: &mut Criterion) {
     group.finish();
 }
 
-/// The CPU side of compaction's input path, ns per entry: 16 logical tables
-/// back to back in one file, drained through `SeqReader` (one span read,
-/// then copies out of its buffer) and block by block through `Table::open`
-/// on the file itself. `MemEnv` charges no device time, so this shows only
-/// what the span adapter costs the decoder — it must not be slower.
-fn bench_seq_vs_block(c: &mut Criterion) {
+/// Entries of one 16 KiB logical table (x 276 B).
+const ENTRIES: u64 = 56;
+
+/// `tables` logical tables of [`ENTRIES`] entries back to back in
+/// `000001.sst` of a fresh `MemEnv`, their specs, and options to read them.
+fn logical_tables(
+    tables: u64,
+) -> (
+    Arc<dyn Env>,
+    Vec<bolt_table::TableSpec>,
+    bolt_table::TableReadOptions,
+) {
     use bolt_table::builder::{FilterKey, TableBuilder, TableFormat};
     use bolt_table::ikey::{make_internal_key, ValueType};
-    use bolt_table::{InternalKeyComparator, SeqReadStats, SeqReader, Table};
-    use bolt_table::{TableCache, TableReadOptions, TableSpec};
+    use bolt_table::{InternalKeyComparator, TableReadOptions, TableSpec};
 
-    const TABLES: u64 = 16;
-    const ENTRIES: u64 = 56; // x 276 B = one 16 KiB logical table
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
     let mut file = env.new_writable_file("000001.sst").unwrap();
     let mut specs = Vec::new();
-    for t in 0..TABLES {
+    for t in 0..tables {
         let mut builder = TableBuilder::new(file.as_mut(), TableFormat::default());
         for i in 0..ENTRIES {
             let key =
@@ -165,17 +169,30 @@ fn bench_seq_vs_block(c: &mut Criterion) {
             path: "000001.sst".to_string(),
             offset: built.offset,
             size: built.size,
+            tail_bytes: built.tail_bytes,
         });
     }
     file.sync().unwrap();
     drop(file);
-
     let opts = TableReadOptions {
         comparator: Arc::new(InternalKeyComparator::default()),
         filter_policy: Some(BloomFilterPolicy::default()),
         filter_key: FilterKey::UserKey,
         block_cache: None,
     };
+    (env, specs, opts)
+}
+
+/// The CPU side of compaction's input path, ns per entry: 16 logical tables
+/// back to back in one file, drained through `SeqReader` (one span read,
+/// then copies out of its buffer) and block by block through `Table::open`
+/// on the file itself. `MemEnv` charges no device time, so this shows only
+/// what the span adapter costs the decoder — it must not be slower.
+fn bench_seq_vs_block(c: &mut Criterion) {
+    use bolt_table::{SeqReadStats, SeqReader, Table, TableCache, TableSpec};
+
+    const TABLES: u64 = 16;
+    let (env, specs, opts) = logical_tables(TABLES);
     let cache = Arc::new(TableCache::new(
         Arc::clone(&env),
         1000,
@@ -226,6 +243,48 @@ fn bench_seq_vs_block(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// One table-cache miss on a 16 KiB logical table: `Table::open_with_tail`
+/// given the tail length its builder recorded (what the MANIFEST supplies)
+/// and given none (a table recorded before the length was kept). `MemEnv`
+/// charges no device time; the device reads each open issues are printed,
+/// and the bench fails unless they are exactly one and two.
+fn bench_table_open(c: &mut Criterion) {
+    use bolt_table::Table;
+
+    let (env, specs, opts) = logical_tables(1);
+    let spec = &specs[0];
+    let raw = env.new_random_access_file(&spec.path).unwrap();
+
+    let mut group = c.benchmark_group("table/open");
+    let mut reads_per_open = Vec::new();
+    for (id, tail_bytes) in [("hinted", spec.tail_bytes), ("unhinted", 0)] {
+        let (mut opens, mut reads) = (0u64, 0u64);
+        group.bench_function(id, |b| {
+            b.iter_custom(|iters| {
+                let before = env.stats().snapshot().read_ops;
+                let start = std::time::Instant::now();
+                for _ in 0..iters {
+                    let (file, opts) = (Arc::clone(&raw), opts.clone());
+                    let table = Table::open_with_tail(file, 0, spec.size, tail_bytes, 1, opts);
+                    black_box(table.unwrap());
+                }
+                let elapsed = start.elapsed();
+                opens += iters;
+                reads += env.stats().snapshot().read_ops - before;
+                elapsed
+            })
+        });
+        println!(
+            "table/open/{id}: {:.2} read_ops/open",
+            reads as f64 / opens as f64
+        );
+        reads_per_open.push(reads as f64 / opens as f64);
+    }
+    group.finish();
+    // A count, not a timing: it holds in `--test` smoke runs too.
+    assert_eq!(reads_per_open, [1.0, 2.0], "device reads per open");
 }
 
 /// `Db::iter()` + drop over a tree of 64 tables and one of 2,048: a run is
@@ -379,6 +438,7 @@ criterion_group!(
     bench_wal,
     bench_zipfian,
     bench_seq_vs_block,
+    bench_table_open,
     bench_iterator_create,
     bench_merge_next,
     bench_write_pipeline

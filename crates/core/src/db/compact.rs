@@ -24,7 +24,7 @@ use bolt_table::comparator::{Comparator, InternalKeyComparator};
 use bolt_table::ikey::{parse_internal_key, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::SeqReadStats;
-use bolt_table::{BuiltTable, TableBuilder};
+use bolt_table::{BuiltTable, Table, TableBuilder, TableCache};
 
 use super::{DbInner, ReadView};
 use crate::compaction::{
@@ -84,7 +84,7 @@ impl DbInner {
             });
         }
 
-        let mut outputs: Vec<(u64, BuiltTable)> = Vec::new();
+        let mut outputs: Vec<Output> = Vec::new();
         let mut dead_pointers: Vec<ValuePointer> = Vec::new();
         if !task.is_move_only() {
             let input_bytes = task.input_bytes();
@@ -147,7 +147,7 @@ impl DbInner {
                     },
                 )
             };
-            let built = (|| -> Result<Vec<(u64, BuiltTable)>> {
+            let built = (|| -> Result<Vec<Output>> {
                 match task.output {
                     OutputShape::Leveled => {
                         // A cluster's runs are subsets: lists of their own.
@@ -191,6 +191,7 @@ impl DbInner {
             };
         }
 
+        let output_tables = outputs.len() as u64;
         let output_bytes = {
             // The commit barrier (MANIFEST append + sync) is this
             // compaction's second — and for settled moves, only — barrier.
@@ -242,8 +243,14 @@ impl DbInner {
                     retired += 1;
                 }
             }
-            let output_bytes =
-                commit_outputs(&mut versions, edit, output_level, task.output, &outputs)?;
+            let output_bytes = commit_outputs(
+                &mut versions,
+                &self.table_cache,
+                edit,
+                output_level,
+                task.output,
+                outputs,
+            )?;
             // Dead ranges in surviving segments become hole-punch work,
             // executed by collect_garbage once no old version is pinned.
             for ptr in &dead_pointers {
@@ -268,10 +275,10 @@ impl DbInner {
         };
         self.sink.emit(EngineEvent::CompactionEnd {
             id: compaction_id,
-            outputs: outputs.len() as u64,
+            outputs: output_tables,
             output_bytes,
             settled: task.settled_moves.len() as u64,
-            rewrote: !outputs.is_empty(),
+            rewrote: output_tables > 0,
             policy: self.opts.compaction_policy.as_str(),
         });
         Ok(())
@@ -341,28 +348,46 @@ impl DbInner {
     }
 }
 
+/// One finished table of an [`OutputSink`]: the file it is in, what the
+/// MANIFEST records of it, and its reader — made from the index and filter
+/// the builder framed (moved out of `built`), so that nothing reads the
+/// table back to open it.
+pub(super) struct Output {
+    file_number: u64,
+    built: BuiltTable,
+    reader: Arc<Table>,
+}
+
 /// Install built tables: name `outputs` in `edit` as tables of `level`
 /// under the run tag `shape` dictates (a fresh run is tagged with its first
-/// table id), commit the edit to the MANIFEST, and release the files'
-/// pending marks. Returns the bytes installed. The one path from an
-/// [`OutputSink`]'s product to the version set, shared by flush and
-/// compaction.
+/// table id), commit the edit to the MANIFEST, release the files' pending
+/// marks and cache the tables' readers under their new ids. Returns the
+/// bytes installed. The one path from an [`OutputSink`]'s product to the
+/// version set, shared by flush and compaction.
 ///
 /// On a commit error the pending marks stay: the record may have reached
-/// the MANIFEST despite the failed sync, so the files must outlive it.
+/// the MANIFEST despite the failed sync, so the files must outlive it. No
+/// reader is cached: the ids were never installed.
 pub(super) fn commit_outputs(
     versions: &mut VersionSet,
+    cache: &TableCache,
     mut edit: VersionEdit,
     level: usize,
     shape: OutputShape,
-    outputs: &[(u64, BuiltTable)],
+    outputs: Vec<Output>,
 ) -> Result<u64> {
     let mut run_tag = match shape {
         OutputShape::Leveled | OutputShape::AppendRun => 0,
         OutputShape::ReplaceRun { tag } => tag,
     };
     let mut bytes = 0u64;
-    for (i, (file_number, built)) in outputs.iter().enumerate() {
+    let mut installed = Vec::with_capacity(outputs.len());
+    for (i, output) in outputs.into_iter().enumerate() {
+        let Output {
+            file_number,
+            built,
+            reader,
+        } = output;
         let table_id = versions.new_table_id();
         if i == 0 && shape == OutputShape::AppendRun {
             run_tag = table_id;
@@ -373,19 +398,22 @@ pub(super) fn commit_outputs(
             run_tag,
             TableMeta::new(
                 table_id,
-                *file_number,
+                file_number,
                 built.offset,
                 built.size,
                 built.num_entries,
-                built.smallest.clone(),
-                built.largest.clone(),
+                built.smallest,
+                built.largest,
             )
-            .with_range_tombstones(built.range_tombstones),
+            .with_range_tombstones(built.range_tombstones)
+            .with_tail_bytes(built.tail_bytes),
         ));
+        installed.push((table_id, file_number, reader));
     }
     versions.log_and_apply(edit)?;
-    for (file_number, _) in outputs {
-        versions.clear_pending(*file_number);
+    for (table_id, file_number, reader) in installed {
+        versions.clear_pending(file_number);
+        cache.insert_built(table_id, reader);
     }
     Ok(bytes)
 }
@@ -620,8 +648,11 @@ impl<'a> OutputSink<'a> {
         Ok(())
     }
 
-    /// Sync any shared compaction file and return the outputs.
-    pub(super) fn finish(&mut self) -> Result<Vec<(u64, BuiltTable)>> {
+    /// Sync any shared compaction file and return the outputs, each with a
+    /// reader over the file's handle (through the fd cache: one env open per
+    /// physical file, made here so that the commit needs none under
+    /// `core.versions`).
+    pub(super) fn finish(&mut self) -> Result<Vec<Output>> {
         if let Some((number, mut file)) = self.file.take() {
             if file.is_empty() {
                 // Never written: drop the empty file.
@@ -635,7 +666,19 @@ impl<'a> OutputSink<'a> {
                 Self::sync_file(self.inner, file.as_mut())?;
             }
         }
-        Ok(std::mem::take(&mut self.outputs))
+        std::mem::take(&mut self.outputs)
+            .into_iter()
+            .map(|(file_number, mut built)| {
+                let path = table_file(&self.inner.name, file_number);
+                let cache = &self.inner.table_cache;
+                let reader = cache.reader_of_built(file_number, &path, &mut built)?;
+                Ok(Output {
+                    file_number,
+                    built,
+                    reader,
+                })
+            })
+            .collect()
     }
 }
 
@@ -794,8 +837,9 @@ mod tests {
             (block_cache, tables.open_count(), t.hits(), t.misses())
         };
         let before = caches();
+        // (The flushes cached their own tables' readers: hits, no opens.)
         assert!(
-            before.0 .0 > 0 && before.1 > 0,
+            before.0 .0 > 0 && before.2 > 0,
             "nothing cached: {before:?}"
         );
 

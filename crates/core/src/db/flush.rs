@@ -14,9 +14,8 @@ use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::Result;
 use bolt_table::ikey::SequenceNumber;
 use bolt_table::rangedel::RangeTombstoneSet;
-use bolt_table::BuiltTable;
 
-use super::compact::{commit_outputs, DropScope, OutputSink};
+use super::compact::{commit_outputs, DropScope, Output, OutputSink};
 use super::{Db, DbInner, DbState, ReadView};
 use crate::compaction::{
     needs_compaction, pick_compaction, CompactionReason, CompactionTask, OutputShape,
@@ -244,7 +243,14 @@ impl DbInner {
                 ..VersionEdit::default()
             };
             // A flush lands as one fresh L0 run, newer than every other.
-            let bytes = commit_outputs(&mut versions, edit, 0, OutputShape::AppendRun, &outputs)?;
+            let bytes = commit_outputs(
+                &mut versions,
+                &self.table_cache,
+                edit,
+                0,
+                OutputShape::AppendRun,
+                outputs,
+            )?;
             // One swap: the run enters the view as its memtable leaves, and
             // the boundary it establishes arrives with it.
             self.install_view(|old| ReadView {
@@ -294,7 +300,7 @@ impl DbInner {
         &self,
         iter: &mut dyn InternalIterator,
         target: u64,
-    ) -> Result<Vec<(u64, BuiltTable)>> {
+    ) -> Result<Vec<Output>> {
         let mut sink = OutputSink::new(self, self.opts.bolt_options().is_some(), target);
         let version = Version::empty(self.opts.num_levels);
         let overlay = RangeTombstoneSet::default();

@@ -475,6 +475,7 @@ impl Db {
             events_dropped: inner.sink.dropped(),
             manifest_recuts: inner.versions.lock().manifest_recuts(),
             range_tombstones_live: version.live_range_tombstones(),
+            table_cache: inner.table_cache.snapshot(),
         }
     }
 

@@ -564,7 +564,11 @@ impl DbInner {
                 });
                 continue;
             }
-            if view.mem.approximate_memory_usage() < self.opts.memtable_bytes {
+            // An empty memtable is never full, however small the budget: its
+            // arena reports one block before the first entry, and rotating
+            // it would put an empty one in its place, forever.
+            if view.mem.is_empty() || view.mem.approximate_memory_usage() < self.opts.memtable_bytes
+            {
                 return Ok(());
             }
             if view.imm.is_some() || self.opts.level0_stop_trigger.is_some_and(|t| l0 >= t) {
@@ -730,6 +734,36 @@ impl DbInner {
 mod tests {
     use super::super::test_util::*;
     use super::*;
+
+    #[test]
+    fn a_budget_below_one_arena_block_never_rotates_an_empty_memtable() {
+        // 4 KiB of memtable: an empty arena already reports that much, and
+        // the first `put` used to rotate empty memtables forever. The writes
+        // run on a thread of their own so that a hang fails the test here.
+        let opts = Options::bolt().scaled(1.0 / 1024.0);
+        assert_eq!(opts.memtable_bytes, 4096);
+        let (_env, db) = mem_db(opts);
+        assert!(db.inner.view().mem.approximate_memory_usage() >= 4096);
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            for i in 0..300u32 {
+                db.put(format!("key{i:04}").as_bytes(), &[b'v'; 100])
+                    .unwrap();
+            }
+            db.flush().unwrap();
+            let first = db.get(b"key0000").unwrap();
+            let flushes = db.stats().snapshot().flushes;
+            db.close().unwrap();
+            done.send((first, flushes)).unwrap();
+        });
+        let (first, flushes) = watchdog
+            .recv_timeout(Duration::from_secs(60))
+            .expect("writes hung: make_room is rotating empty memtables");
+        writer.join().unwrap();
+        assert_eq!(first, Some(vec![b'v'; 100]));
+        // A full memtable still rotates: 300 × 100 B do not fit one 4 KiB.
+        assert!(flushes > 1, "{flushes} flushes");
+    }
 
     #[test]
     fn write_opt_overrides_sync_per_batch() {

@@ -11,6 +11,7 @@
 use bolt_common::events::BarrierCause;
 use bolt_common::metrics::MetricsRegistry;
 use bolt_env::IoSnapshot;
+use bolt_table::TableCacheSnapshot;
 
 use crate::db::LevelInfo;
 use crate::stats::DbStatsSnapshot;
@@ -64,6 +65,10 @@ pub struct MetricsSnapshot {
     /// (sum of the MANIFEST per-table counts; drops to 0 once compaction
     /// has rewritten every covered span).
     pub range_tombstones_live: u64,
+    /// The table cache's own counters, read from it at snapshot time: hits,
+    /// misses, opens, the device reads and bytes those opens cost, and
+    /// readers cached straight from a flush or compaction.
+    pub table_cache: TableCacheSnapshot,
 }
 
 impl MetricsSnapshot {
@@ -123,6 +128,14 @@ impl MetricsSnapshot {
             &[],
             self.range_tombstones_live as f64,
         );
+
+        let tc = &self.table_cache;
+        reg.counter("bolt_table_cache_hits_total", &[], tc.hits);
+        reg.counter("bolt_table_cache_misses_total", &[], tc.misses);
+        reg.counter("bolt_table_cache_opens_total", &[], tc.opens);
+        reg.counter("bolt_table_cache_open_reads_total", &[], tc.open_reads);
+        reg.counter("bolt_table_cache_open_bytes_total", &[], tc.open_bytes);
+        reg.counter("bolt_table_cache_warm_inserts_total", &[], tc.warm_inserts);
 
         let io = &self.io;
         reg.counter("bolt_io_fsyncs_total", &[], io.fsync_calls);
@@ -266,6 +279,14 @@ mod tests {
             events_dropped: 0,
             manifest_recuts: 1,
             range_tombstones_live: 3,
+            table_cache: TableCacheSnapshot {
+                hits: 30,
+                misses: 10,
+                opens: 10,
+                open_reads: 12,
+                open_bytes: 4000,
+                warm_inserts: 7,
+            },
         }
     }
 
@@ -326,6 +347,17 @@ mod tests {
             reg.find("bolt_policy_compactions_total", &[("policy", "leveled")]),
             Some(&MetricValue::Counter(4))
         );
+        for (name, value) in [
+            ("bolt_table_cache_hits_total", 30),
+            ("bolt_table_cache_misses_total", 10),
+            ("bolt_table_cache_opens_total", 10),
+            ("bolt_table_cache_open_reads_total", 12),
+            ("bolt_table_cache_open_bytes_total", 4000),
+            ("bolt_table_cache_warm_inserts_total", 7),
+        ] {
+            assert_eq!(reg.find(name, &[]), Some(&MetricValue::Counter(value)));
+        }
+        assert!((m.table_cache.reads_per_open() - 1.2).abs() < 1e-9);
         assert_eq!(
             reg.find("bolt_policy_write_amplification", &[("policy", "leveled")]),
             Some(&MetricValue::Gauge(4.0))

@@ -61,6 +61,12 @@ pub struct TableMeta {
     /// MANIFEST so versions know without any I/O whether a tombstone
     /// overlay must be built.
     pub range_tombstones: u64,
+    /// Length of the table's tail (filter, index and footer, back to back at
+    /// its end) as its builder recorded it; 0 = unknown (a MANIFEST written
+    /// before the length was kept). Persisted so that a table-cache miss
+    /// fetches exactly the tail in one device read instead of finding it
+    /// footer first.
+    pub tail_bytes: u64,
     /// Seek-compaction budget (LevelDB: one seek per 16 KB of size).
     pub allowed_seeks: AtomicI64,
 }
@@ -76,6 +82,7 @@ impl Clone for TableMeta {
             smallest: self.smallest.clone(),
             largest: self.largest.clone(),
             range_tombstones: self.range_tombstones,
+            tail_bytes: self.tail_bytes,
             allowed_seeks: AtomicI64::new(self.allowed_seeks.load(Ordering::Relaxed)),
         }
     }
@@ -91,6 +98,7 @@ impl PartialEq for TableMeta {
             && self.smallest == other.smallest
             && self.largest == other.largest
             && self.range_tombstones == other.range_tombstones
+            && self.tail_bytes == other.tail_bytes
     }
 }
 impl Eq for TableMeta {}
@@ -116,6 +124,7 @@ impl TableMeta {
             smallest,
             largest,
             range_tombstones: 0,
+            tail_bytes: 0,
             allowed_seeks: AtomicI64::new(allowed),
         }
     }
@@ -124,6 +133,13 @@ impl TableMeta {
     #[must_use]
     pub fn with_range_tombstones(mut self, n: u64) -> Self {
         self.range_tombstones = n;
+        self
+    }
+
+    /// Record the length of the table's tail (see [`TableMeta::tail_bytes`]).
+    #[must_use]
+    pub fn with_tail_bytes(mut self, n: u64) -> Self {
+        self.tail_bytes = n;
         self
     }
 
@@ -145,6 +161,7 @@ impl TableMeta {
             path: table_file(db, self.file_number),
             offset: self.offset,
             size: self.size,
+            tail_bytes: self.tail_bytes,
         }
     }
 
@@ -463,6 +480,11 @@ mod tag {
     /// parse, and old readers hit a clean "unknown tag" error instead of
     /// silently misparsing new records.
     pub const TABLE_RANGE_TOMBSTONES: u64 = 11;
+    /// `(table_id, bytes)` — tail length of a table added earlier in the
+    /// same edit; an annotation like [`TABLE_RANGE_TOMBSTONES`], for the
+    /// same two reasons. Absent (a MANIFEST from before it existed, or a
+    /// table whose length is not known) decodes as 0.
+    pub const TABLE_TAIL_BYTES: u64 = 12;
 }
 
 impl VersionEdit {
@@ -517,7 +539,9 @@ impl VersionEdit {
             put_varint64(&mut out, meta.file_number);
             // Fixed-width offset: the paper notes BoLT's only MANIFEST
             // format cost is "an offset of each SSTable, which is only
-            // 8 bytes" (§3.2).
+            // 8 bytes" (§3.2). The tail-length annotation below adds a tag,
+            // the id and a varint (≈ 5 bytes a table); it buys every later
+            // open of the table one device read instead of two.
             put_fixed64(&mut out, meta.offset);
             put_varint64(&mut out, meta.size);
             put_varint64(&mut out, meta.num_entries);
@@ -527,6 +551,11 @@ impl VersionEdit {
                 put_varint64(&mut out, tag::TABLE_RANGE_TOMBSTONES);
                 put_varint64(&mut out, meta.table_id);
                 put_varint64(&mut out, meta.range_tombstones);
+            }
+            if meta.tail_bytes > 0 {
+                put_varint64(&mut out, tag::TABLE_TAIL_BYTES);
+                put_varint64(&mut out, meta.table_id);
+                put_varint64(&mut out, meta.tail_bytes);
             }
         }
         out
@@ -580,9 +609,9 @@ impl VersionEdit {
                         ),
                     ));
                 }
-                tag::TABLE_RANGE_TOMBSTONES => {
+                annotation @ (tag::TABLE_RANGE_TOMBSTONES | tag::TABLE_TAIL_BYTES) => {
                     let table_id = dec.varint64()?;
-                    let count = dec.varint64()?;
+                    let value = dec.varint64()?;
                     // The tag annotates an ADDED_TABLE earlier in this same
                     // edit; the writer emits it immediately after the table
                     // record, so search from the back.
@@ -594,10 +623,14 @@ impl VersionEdit {
                         .map(|(_, _, m)| m)
                         .ok_or_else(|| {
                             Error::corruption(format!(
-                                "range-tombstone count for table {table_id} not added by this edit"
+                                "annotation {annotation} for table {table_id} not added by this edit"
                             ))
                         })?;
-                    meta.range_tombstones = count;
+                    if annotation == tag::TABLE_TAIL_BYTES {
+                        meta.tail_bytes = value;
+                    } else {
+                        meta.range_tombstones = value;
+                    }
                 }
                 tag::VLOG_DEAD => {
                     let file_number = dec.varint64()?;
@@ -797,10 +830,15 @@ mod tests {
         edit.deleted_tables.push((1, 11));
         edit.added_tables.push((2, 0, meta(12, b"a", b"m")));
         edit.added_tables.push((0, 7, meta(13, b"n", b"z")));
-        // A table with range tombstones exercises the optional
-        // TABLE_RANGE_TOMBSTONES tag alongside plain tables.
+        // Tables with range tombstones and a known tail length exercise the
+        // optional annotation tags, alone and together, next to plain ones.
         edit.added_tables
             .push((1, 3, meta(14, b"q", b"t").with_range_tombstones(5)));
+        edit.added_tables
+            .push((1, 3, meta(15, b"u", b"v").with_tail_bytes(357)));
+        let both = meta(16, b"w", b"x").with_range_tombstones(2);
+        edit.added_tables
+            .push((1, 3, both.with_tail_bytes(u64::MAX)));
         edit.vlog_dead.push((21, 0, 65536));
         edit.vlog_dead.push((22, 4096, 128));
         edit.vlog_deleted.push(20);
@@ -810,10 +848,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_accepts_added_table_without_tombstone_tag() {
-        // The exact ADDED_TABLE wire layout from before range deletes
-        // existed, hand-encoded: a MANIFEST written by an older build must
-        // still parse, with the count defaulting to zero.
+    fn decode_accepts_added_table_without_annotation_tags() {
+        // The exact ADDED_TABLE wire layout from before range deletes and
+        // tail lengths existed, hand-encoded: a MANIFEST written by an older
+        // build must still parse, with both defaulting to zero.
         let want = meta(12, b"a", b"m");
         let mut data = Vec::new();
         put_varint64(&mut data, 7); // tag::ADDED_TABLE
@@ -832,18 +870,20 @@ mod tests {
         let (level, run_tag, got) = &decoded.added_tables[0];
         assert_eq!((*level, *run_tag), (2, 0));
         assert_eq!(got, &want);
-        assert_eq!(got.range_tombstones, 0);
+        assert_eq!((got.range_tombstones, got.tail_bytes), (0, 0));
     }
 
     #[test]
-    fn decode_rejects_orphan_tombstone_tag() {
-        // A TABLE_RANGE_TOMBSTONES record must annotate a table added
-        // earlier in the same edit.
-        let mut data = Vec::new();
-        put_varint64(&mut data, 11); // tag::TABLE_RANGE_TOMBSTONES
-        put_varint64(&mut data, 999); // table id never added
-        put_varint64(&mut data, 3);
-        assert!(VersionEdit::decode(&data).is_err());
+    fn decode_rejects_orphan_annotation_tags() {
+        // A TABLE_RANGE_TOMBSTONES or TABLE_TAIL_BYTES record must annotate
+        // a table added earlier in the same edit.
+        for annotation in [11, 12] {
+            let mut data = Vec::new();
+            put_varint64(&mut data, annotation);
+            put_varint64(&mut data, 999); // table id never added
+            put_varint64(&mut data, 3);
+            assert!(VersionEdit::decode(&data).is_err(), "tag {annotation}");
+        }
     }
 
     #[test]

@@ -1569,7 +1569,8 @@ mod tests {
         let cp_before = sink.barrier_count(BarrierCause::CurrentPointer);
         let mut edit = VersionEdit::default();
         let t = vs.new_table_id();
-        edit.added_tables.push((0, 1, meta(t, 55, 0, 10)));
+        let healed = meta(t, 55, 0, 10).with_tail_bytes(301);
+        edit.added_tables.push((0, 1, healed));
         vs.log_and_apply(edit)
             .expect("commit self-heals through a re-cut");
         assert_eq!(fault.faults_injected(), 1, "the EIO actually fired");
@@ -1611,16 +1612,26 @@ mod tests {
         // The writer stays healthy: a later commit needs no reopen.
         let mut edit2 = VersionEdit::default();
         let t2 = vs.new_table_id();
-        edit2.added_tables.push((0, 2, meta(t2, 56, 0, 10)));
+        let plain = meta(t2, 56, 0, 10).with_tail_bytes(302);
+        edit2.added_tables.push((0, 2, plain));
         vs.log_and_apply(edit2).expect("subsequent commit succeeds");
         drop(vs);
 
-        // Both commits survive a power failure.
+        // Both commits survive a power failure — and so does what the
+        // MANIFEST records of each table, on every path a record takes: the
+        // re-committed edit, an ordinary one, and (second recovery) the
+        // snapshot every fresh MANIFEST starts with.
         fault.crash_inner(bolt_env::CrashConfig::Clean);
         fault.reset();
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.recover().unwrap();
-        assert_eq!(vs.current().num_tables(), 2);
+        for _ in 0..2 {
+            let mut vs =
+                VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
+            vs.recover().unwrap();
+            let current = vs.current();
+            let mut tails: Vec<_> = current.all_tables().map(|(_, _, m)| m.tail_bytes).collect();
+            tails.sort_unstable();
+            assert_eq!(tails, [301, 302]);
+        }
     }
 
     #[test]

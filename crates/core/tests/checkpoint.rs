@@ -49,10 +49,25 @@ fn checkpoint_opens_and_equals_snapshot() {
         "quiescent: everything acked is pinned"
     );
     let want = scan(&db);
+    // What the MANIFEST records of each table, tail length included.
+    let tables = |db: &Db| -> Vec<(u64, u64, u64)> {
+        let version = db.current_version();
+        let tables = version.all_tables();
+        tables
+            .map(|(_, _, t)| (t.table_id, t.size, t.tail_bytes))
+            .collect()
+    };
+    let recorded = tables(&db);
+    assert!(!recorded.is_empty() && recorded.iter().all(|t| t.2 > 0));
     db.close().unwrap();
 
     let copy = Db::open(Arc::clone(&env), "ckpt", opts()).unwrap();
     assert_eq!(scan(&copy), want);
+    // The copy's MANIFEST carries the same records, so its opens cost the
+    // same one read each.
+    assert_eq!(tables(&copy), recorded);
+    let tc = copy.metrics().table_cache;
+    assert_eq!((tc.opens, tc.open_reads), (recorded.len() as u64, tc.opens));
     // The checkpoint is a real database: it accepts writes of its own.
     copy.put(b"zzz-new", b"1").unwrap();
     assert_eq!(copy.get(b"zzz-new").unwrap(), Some(b"1".to_vec()));

@@ -832,13 +832,15 @@ mod tests {
         let mut opts = small_opts();
         opts.value_separation_threshold = Some(128);
         let db = ShardedDb::open(Arc::clone(&env), "agg", opts, Router::hash(2).unwrap()).unwrap();
-        // Per shard: one separated value (read back once), two flushes
+        // Per shard: one separated value (read back twice), two flushes
         // merged by a compaction, one range delete, one checkpoint.
         for i in 0..2 {
             let shard = db.shard(i);
             shard.put(b"big", &[7u8; 1024]).unwrap();
             assert!(shard.get(b"big").unwrap().is_some());
             shard.flush().unwrap();
+            // Served by the flushed table, through the table cache.
+            assert!(shard.get(b"big").unwrap().is_some());
             shard.put(b"big", &[8u8; 1024]).unwrap();
             shard.compact_range(b"", b"zzzz").unwrap();
             shard.delete_range(b"a", b"b").unwrap();
@@ -855,6 +857,8 @@ mod tests {
             "bolt_vlog_resolves_total",
             "bolt_range_deletes_total",
             "bolt_checkpoints_total",
+            "bolt_table_cache_hits_total",
+            "bolt_table_cache_warm_inserts_total",
         ] {
             let per_shard = m.per_shard[0].to_registry();
             assert!(

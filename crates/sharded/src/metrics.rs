@@ -79,6 +79,7 @@ pub(crate) fn aggregate(per_shard: &[MetricsSnapshot], env_owner: &[bool]) -> Me
         agg.events_dropped += m.events_dropped;
         agg.manifest_recuts += m.manifest_recuts;
         agg.range_tombstones_live += m.range_tombstones_live;
+        agg.table_cache.accumulate(&m.table_cache);
         // Every shard shares one Options, hence one compaction policy.
         agg.policy = m.policy;
     }

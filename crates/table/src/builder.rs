@@ -80,6 +80,14 @@ pub struct BuiltTable {
     pub smallest: Vec<u8>,
     /// Largest key added.
     pub largest: Vec<u8>,
+    /// Bytes of the table's tail: filter block, index block and footer,
+    /// trailers included, laid back to back at its end. Recorded in the
+    /// MANIFEST so that an open fetches exactly this much in one read.
+    pub tail_bytes: u64,
+    /// Contents of the index block just written.
+    pub index: Vec<u8>,
+    /// Contents of the filter block just written (`None` = no filter).
+    pub filter: Option<Vec<u8>>,
 }
 
 /// Streams sorted key/value pairs into a table.
@@ -222,20 +230,23 @@ impl<'a> TableBuilder<'a> {
             self.index_block.add(&last_key, &encode_handle(handle));
         }
 
+        let tail_offset = self.file.len();
+
         // Filter block (one full-table bloom filter).
-        let filter_handle = match &self.format.filter_policy {
-            Some(policy) => {
-                let refs: Vec<&[u8]> = self.filter_keys.iter().map(|k| k.as_slice()).collect();
-                let mut filter = Vec::new();
-                policy.create_filter(&refs, &mut filter);
-                self.write_framed(&filter)?
-            }
+        let filter = self.format.filter_policy.as_ref().map(|policy| {
+            let refs: Vec<&[u8]> = self.filter_keys.iter().map(|k| k.as_slice()).collect();
+            let mut filter = Vec::new();
+            policy.create_filter(&refs, &mut filter);
+            filter
+        });
+        let filter_handle = match &filter {
+            Some(filter) => self.write_framed(filter)?,
             None => BlockHandle::default(),
         };
 
         // Index block.
-        let contents = self.index_block.finish();
-        let index_handle = self.write_framed(&contents)?;
+        let index = self.index_block.finish();
+        let index_handle = self.write_framed(&index)?;
 
         // Footer.
         let footer = Footer {
@@ -251,6 +262,9 @@ impl<'a> TableBuilder<'a> {
             range_tombstones: self.range_tombstones,
             smallest: self.smallest.expect("non-empty"),
             largest: self.largest.expect("non-empty"),
+            tail_bytes: self.file.len() - tail_offset,
+            index,
+            filter,
         })
     }
 }

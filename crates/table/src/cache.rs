@@ -6,6 +6,11 @@
 //! BoLT additionally caches file handles **per compaction file** (§3.2.1):
 //! one physical file hosts many logical SSTables, so a small fd cache
 //! eliminates most filesystem metadata lookups.
+//!
+//! A miss costs one device read — the table's tail, whose length the
+//! MANIFEST records ([`TableSpec::tail_bytes`]) — and a table the engine
+//! just wrote costs none: [`TableCache::insert_built`] caches a reader made
+//! from the index and filter its builder still holds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,6 +19,8 @@ use bolt_common::cache::LruCache;
 use bolt_common::Result;
 use bolt_env::{Env, RandomAccessFile};
 
+use crate::builder::BuiltTable;
+use crate::format::TableTail;
 use crate::table::{BlockCache, Table, TableReadOptions};
 
 /// Identity and location of one (logical) SSTable.
@@ -29,6 +36,48 @@ pub struct TableSpec {
     pub offset: u64,
     /// Byte size of the table.
     pub size: u64,
+    /// Length of the table's tail (filter, index, footer) as its builder
+    /// recorded it; 0 = unknown, which costs an open a second read.
+    pub tail_bytes: u64,
+}
+
+/// The counters of one [`TableCache`] at an instant.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableCacheSnapshot {
+    /// Lookups served by a cached reader.
+    pub hits: u64,
+    /// Lookups that found none.
+    pub misses: u64,
+    /// Tables opened from their file (one per miss, errors included).
+    pub opens: u64,
+    /// Device reads those opens issued: 1 each when the MANIFEST carries the
+    /// tail length, 2 for a table recorded without it.
+    pub open_reads: u64,
+    /// Bytes those reads returned.
+    pub open_bytes: u64,
+    /// Readers cached straight from a table build, with no device read.
+    pub warm_inserts: u64,
+}
+
+impl TableCacheSnapshot {
+    /// Add `other`'s counters to this one (the sharded aggregate).
+    pub fn accumulate(&mut self, other: &TableCacheSnapshot) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.opens += other.opens;
+        self.open_reads += other.open_reads;
+        self.open_bytes += other.open_bytes;
+        self.warm_inserts += other.warm_inserts;
+    }
+
+    /// Device reads per table open (0 before the first open).
+    pub fn reads_per_open(&self) -> f64 {
+        if self.opens == 0 {
+            0.0
+        } else {
+            self.open_reads as f64 / self.opens as f64
+        }
+    }
 }
 
 // LruCache stores Arc<V>; for the fd cache V = dyn RandomAccessFile, which
@@ -43,6 +92,9 @@ pub struct TableCache {
     fds: Option<LruCache<u64, FdEntry>>,
     pub(crate) opts: TableReadOptions,
     open_count: AtomicU64,
+    open_reads: AtomicU64,
+    open_bytes: AtomicU64,
+    warm_inserts: AtomicU64,
 }
 
 impl std::fmt::Debug for TableCache {
@@ -70,21 +122,28 @@ impl TableCache {
             fds: fd_cache_capacity.map(LruCache::new),
             opts,
             open_count: AtomicU64::new(0),
+            open_reads: AtomicU64::new(0),
+            open_bytes: AtomicU64::new(0),
+            warm_inserts: AtomicU64::new(0),
         }
     }
 
-    /// The handle of `spec`'s physical file, through the fd cache if there
-    /// is one.
-    pub(crate) fn open_file(&self, spec: &TableSpec) -> Result<Arc<dyn RandomAccessFile>> {
+    /// The handle of physical file `file_number` at `path`, through the fd
+    /// cache if there is one.
+    pub(crate) fn open_file(
+        &self,
+        file_number: u64,
+        path: &str,
+    ) -> Result<Arc<dyn RandomAccessFile>> {
         if let Some(fds) = &self.fds {
-            if let Some(entry) = fds.get(&spec.file_number) {
+            if let Some(entry) = fds.get(&file_number) {
                 return Ok(Arc::clone(&entry.0));
             }
-            let file = self.env.new_random_access_file(&spec.path)?;
-            fds.insert(spec.file_number, Arc::new(FdEntry(Arc::clone(&file))), 1);
+            let file = self.env.new_random_access_file(path)?;
+            fds.insert(file_number, Arc::new(FdEntry(Arc::clone(&file))), 1);
             Ok(file)
         } else {
-            self.env.new_random_access_file(&spec.path)
+            self.env.new_random_access_file(path)
         }
     }
 
@@ -102,16 +161,54 @@ impl TableCache {
         let spec = spec();
         debug_assert_eq!(spec.table_id, table_id);
         self.open_count.fetch_add(1, Ordering::Relaxed);
-        let file = self.open_file(&spec)?;
-        let table = Arc::new(Table::open(
-            file,
+        let file = self.open_file(spec.file_number, &spec.path)?;
+        let want_filter = self.opts.filter_policy.is_some();
+        let tail = TableTail::read(
+            file.as_ref(),
             spec.offset,
             spec.size,
-            spec.file_number,
-            self.opts.clone(),
-        )?);
+            spec.tail_bytes,
+            want_filter,
+        )?;
+        self.open_reads.fetch_add(tail.reads(), Ordering::Relaxed);
+        self.open_bytes
+            .fetch_add(tail.bytes_read(), Ordering::Relaxed);
+        let opts = self.opts.clone();
+        let table = Table::from_tail(file, spec.offset, spec.file_number, &tail, opts)?;
+        let table = Arc::new(table);
         self.tables.insert(table_id, Arc::clone(&table), 1);
         Ok(table)
+    }
+
+    /// A reader for `built`, a table just written into physical file
+    /// `file_number` at `path`, made from the index and filter contents its
+    /// builder handed out (they move out of `built`): no device read, and
+    /// the file handle comes through the fd cache. Not cached yet — the
+    /// table has no id until its commit;
+    /// [`insert_built`](Self::insert_built) publishes it then.
+    ///
+    /// # Errors
+    ///
+    /// Returns the env's error from opening the file, and
+    /// [`bolt_common::Error::Corruption`] for a malformed index.
+    pub fn reader_of_built(
+        &self,
+        file_number: u64,
+        path: &str,
+        built: &mut BuiltTable,
+    ) -> Result<Arc<Table>> {
+        let file = self.open_file(file_number, path)?;
+        let (index, filter) = (std::mem::take(&mut built.index), built.filter.take());
+        let opts = self.opts.clone();
+        Table::from_parts(file, built.offset, file_number, index, filter, opts).map(Arc::new)
+    }
+
+    /// Cache `table` (from [`reader_of_built`](Self::reader_of_built)) as
+    /// the open reader of `table_id`, now that the id is committed: the
+    /// first lookup of a table the engine just wrote is a hit.
+    pub fn insert_built(&self, table_id: u64, table: Arc<Table>) {
+        self.warm_inserts.fetch_add(1, Ordering::Relaxed);
+        self.tables.insert(table_id, table, 1);
     }
 
     /// Drop a table from the cache (after compaction invalidates it).
@@ -139,6 +236,18 @@ impl TableCache {
     /// Hit/miss counters of the table slot cache.
     pub fn stats(&self) -> &bolt_common::cache::CacheStats {
         self.tables.stats()
+    }
+
+    /// Every counter of this cache, read now.
+    pub fn snapshot(&self) -> TableCacheSnapshot {
+        TableCacheSnapshot {
+            hits: self.tables.stats().hits(),
+            misses: self.tables.stats().misses(),
+            opens: self.open_count(),
+            open_reads: self.open_reads.load(Ordering::Relaxed),
+            open_bytes: self.open_bytes.load(Ordering::Relaxed),
+            warm_inserts: self.warm_inserts.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -179,6 +288,7 @@ mod tests {
             path: path.to_string(),
             offset,
             size,
+            tail_bytes: 0,
         }
     }
 

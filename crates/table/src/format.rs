@@ -13,6 +13,14 @@
 //! All handle offsets are **relative to the table's base offset** inside its
 //! physical file, which is what lets BoLT pack many logical SSTables into
 //! one compaction file and still address them uniformly.
+//!
+//! The builder lays the filter block, the index block and the footer back to
+//! back, so everything an open needs is one contiguous *tail*
+//! ([`TableTail`]): one device read when the caller knows its length, two
+//! when it does not.
+//!
+//! Everything here decodes bytes a device handed back: no arithmetic on a
+//! decoded offset or size is unchecked, and nothing panics (`bolt-lint` L3).
 
 use bolt_common::coding::{get_varint64, put_varint64};
 use bolt_common::{crc32c, Error, Result};
@@ -58,6 +66,14 @@ impl BlockHandle {
         let (size, m) = get_varint64(&src[n..])?;
         Ok((BlockHandle { offset, size }, n + m))
     }
+
+    /// Bytes the block occupies on disk: contents plus trailer.
+    fn framed_len(&self) -> Result<usize> {
+        usize::try_from(self.size)
+            .ok()
+            .and_then(|size| size.checked_add(BLOCK_TRAILER_SIZE))
+            .ok_or_else(|| Error::corruption("block handle size overflows"))
+    }
 }
 
 /// The fixed-size table footer.
@@ -86,15 +102,15 @@ impl Footer {
     ///
     /// Returns [`Error::Corruption`] if the size or magic is wrong.
     pub fn decode(src: &[u8]) -> Result<Footer> {
-        if src.len() != FOOTER_SIZE {
+        let sized = Some(src).filter(|src| src.len() == FOOTER_SIZE);
+        let Some((handles, magic)) = sized.and_then(<[u8]>::split_last_chunk::<8>) else {
             return Err(Error::corruption("footer size mismatch"));
-        }
-        let magic = u64::from_le_bytes(src[FOOTER_SIZE - 8..].try_into().expect("magic"));
-        if magic != TABLE_MAGIC {
+        };
+        if u64::from_le_bytes(*magic) != TABLE_MAGIC {
             return Err(Error::corruption("bad table magic"));
         }
-        let (filter_handle, n) = BlockHandle::decode_from(src)?;
-        let (index_handle, _) = BlockHandle::decode_from(&src[n..])?;
+        let (filter_handle, n) = BlockHandle::decode_from(handles)?;
+        let (index_handle, _) = BlockHandle::decode_from(&handles[n..])?;
         Ok(Footer {
             filter_handle,
             index_handle,
@@ -112,6 +128,30 @@ pub fn frame_block(contents: &[u8]) -> Vec<u8> {
     framed
 }
 
+/// Check one framed block — contents, compression byte, masked CRC — and
+/// return its contents. Every block that comes off a device is verified
+/// here and nowhere else: [`read_block`] and [`TableTail`] both end in it.
+///
+/// # Errors
+///
+/// Returns [`Error::Corruption`] when `framed` is shorter than a trailer,
+/// names an unknown compression type, or fails its checksum.
+pub fn verify_block(framed: &[u8]) -> Result<&[u8]> {
+    let Some((contents, &[compression, crc @ ..])) =
+        framed.split_last_chunk::<BLOCK_TRAILER_SIZE>()
+    else {
+        return Err(Error::corruption("truncated block read"));
+    };
+    if compression != 0 {
+        return Err(Error::corruption("unknown compression type"));
+    }
+    let actual = crc32c::extend(crc32c::crc32c(contents), &[0]);
+    if crc32c::unmask(u32::from_le_bytes(crc)) != actual {
+        return Err(Error::corruption("block checksum mismatch"));
+    }
+    Ok(contents)
+}
+
 /// Read and verify one block given its handle (relative to `base`).
 ///
 /// # Errors
@@ -119,23 +159,142 @@ pub fn frame_block(contents: &[u8]) -> Vec<u8> {
 /// Returns [`Error::Corruption`] on a short read, bad checksum, or unknown
 /// compression byte, and I/O errors from the file.
 pub fn read_block(file: &dyn RandomAccessFile, base: u64, handle: BlockHandle) -> Result<Vec<u8>> {
-    let size = handle.size as usize;
-    let mut framed = file.read(base + handle.offset, size + BLOCK_TRAILER_SIZE)?;
-    if framed.len() != size + BLOCK_TRAILER_SIZE {
+    let framed_len = handle.framed_len()?;
+    let offset = base
+        .checked_add(handle.offset)
+        .ok_or_else(|| Error::corruption("block handle offset overflows"))?;
+    let mut framed = file.read(offset, framed_len)?;
+    if framed.len() != framed_len {
         return Err(Error::corruption("truncated block read"));
     }
-    let (contents, trailer) = framed.split_at(size);
-    if trailer[0] != 0 {
-        return Err(Error::corruption("unknown compression type"));
-    }
-    let stored = u32::from_le_bytes(trailer[1..5].try_into().expect("crc"));
-    let actual = crc32c::extend(crc32c::crc32c(contents), &[0]);
-    if crc32c::unmask(stored) != actual {
-        return Err(Error::corruption("block checksum mismatch"));
-    }
+    let size = verify_block(&framed)?.len();
     // The framed buffer becomes the block: one allocation per block read.
     framed.truncate(size);
     Ok(framed)
+}
+
+/// The end of a table — filter block, index block, footer — in memory after
+/// one device read, or two when the caller could not say how long it is.
+#[derive(Debug)]
+pub struct TableTail {
+    /// Offset of `bytes[0]` from the table's base.
+    start: u64,
+    bytes: Vec<u8>,
+    reads: u64,
+    index: BlockHandle,
+    /// `None` when the table has no filter block or the reader ignores it.
+    filter: Option<BlockHandle>,
+}
+
+impl TableTail {
+    /// Read the tail of the table spanning `[base, base + size)` of `file`.
+    ///
+    /// `tail_bytes` is the length the table's builder recorded
+    /// ([`BuiltTable::tail_bytes`](crate::BuiltTable::tail_bytes)), or 0 for
+    /// unknown. The last `clamp(tail_bytes, FOOTER_SIZE, size)` bytes are
+    /// fetched in one read and the footer decoded from their end; if one of
+    /// the blocks it names starts before them — no length was given, or a
+    /// short or wrong one — exactly one more read fetches the missing front.
+    /// So a tail costs one read with the recorded length and two without,
+    /// on the same path. The filter block is fetched only with `want_filter`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corruption`] for a table smaller than a footer, a
+    /// short read, a malformed footer, or a handle that overflows or points
+    /// past the blocks' end, and I/O errors from the file.
+    pub fn read(
+        file: &dyn RandomAccessFile,
+        base: u64,
+        size: u64,
+        tail_bytes: u64,
+        want_filter: bool,
+    ) -> Result<TableTail> {
+        let blocks_end = size
+            .checked_sub(FOOTER_SIZE as u64)
+            .ok_or_else(|| Error::corruption("table smaller than footer"))?;
+        if base.checked_add(size).is_none() {
+            return Err(Error::corruption("table extent overflows"));
+        }
+        let fetch = |from: u64, to: u64| -> Result<Vec<u8>> {
+            let len = usize::try_from(to - from)
+                .map_err(|_| Error::corruption("table tail larger than memory"))?;
+            let bytes = file.read(base + from, len)?;
+            if bytes.len() != len {
+                return Err(Error::corruption("truncated table tail read"));
+            }
+            Ok(bytes)
+        };
+        let mut start = size - tail_bytes.clamp(FOOTER_SIZE as u64, size);
+        let mut bytes = fetch(start, size)?;
+        let mut reads = 1;
+        let footer = match bytes.last_chunk::<FOOTER_SIZE>() {
+            Some(footer) => Footer::decode(footer)?,
+            None => return Err(Error::corruption("truncated table tail read")),
+        };
+        let index = footer.index_handle;
+        let filter = Some(footer.filter_handle).filter(|h| want_filter && h.size > 0);
+        let mut first = start;
+        for handle in filter.iter().chain([&index]) {
+            let end = handle.offset.checked_add(handle.framed_len()? as u64);
+            if end.is_none_or(|end| end > blocks_end) {
+                return Err(Error::corruption("block handle past the table's end"));
+            }
+            first = first.min(handle.offset);
+        }
+        if first < start {
+            let mut front = fetch(first, start)?;
+            front.extend_from_slice(&bytes);
+            (start, bytes, reads) = (first, front, 2);
+        }
+        Ok(TableTail {
+            start,
+            bytes,
+            reads,
+            index,
+            filter,
+        })
+    }
+
+    /// Device reads [`read`](Self::read) issued: 1 or 2.
+    pub fn reads(&self) -> u64 {
+        self.reads
+    }
+
+    /// Bytes those reads returned.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+
+    /// The verified contents of the index block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corruption`] from [`verify_block`].
+    pub fn index(&self) -> Result<&[u8]> {
+        self.block(self.index)
+    }
+
+    /// The verified contents of the filter block, if there is one and the
+    /// reader asked for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corruption`] from [`verify_block`].
+    pub fn filter(&self) -> Result<Option<&[u8]>> {
+        self.filter.map(|handle| self.block(handle)).transpose()
+    }
+
+    fn block(&self, handle: BlockHandle) -> Result<&[u8]> {
+        let framed = handle
+            .offset
+            .checked_sub(self.start)
+            .and_then(|from| usize::try_from(from).ok())
+            .zip(handle.framed_len().ok())
+            .and_then(|(from, len)| self.bytes.get(from..from.checked_add(len)?))
+            .ok_or_else(|| Error::corruption("block handle outside the table tail"))?;
+        verify_block(framed)
+    }
 }
 
 #[cfg(test)]

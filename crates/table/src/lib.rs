@@ -51,7 +51,7 @@ pub mod seq;
 pub mod table;
 
 pub use builder::{BuiltTable, FilterKey, TableBuilder, TableFormat};
-pub use cache::{TableCache, TableSpec};
+pub use cache::{TableCache, TableCacheSnapshot, TableSpec};
 pub use comparator::{BytewiseComparator, Comparator, InternalKeyComparator};
 pub use rangedel::{RangeTombstone, RangeTombstoneSet};
 pub use seq::{SeqReadStats, SeqReader, SEQ_READ_WINDOW};

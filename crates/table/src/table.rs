@@ -2,22 +2,25 @@
 //!
 //! A [`Table`] is addressed by `(file, base offset, size)`, so the *same*
 //! reader serves a standalone `.ldb` file (stock LevelDB) and a logical
-//! SSTable living inside a BoLT compaction file. Opening a table reads its
-//! footer, bloom filter, and index block — the "metadata" whose size is
-//! proportional to the table size and whose cache-miss penalty drives the
-//! paper's §2.6 analysis.
+//! SSTable living inside a BoLT compaction file. Opening a table fetches its
+//! tail — bloom filter, index block and footer, which the builder lays back
+//! to back — in **one** device read when the MANIFEST supplied the tail's
+//! length and two when it did not ([`TableTail`]); a table this process just
+//! built is opened from the contents its builder still holds, with no read
+//! at all ([`Table::from_parts`]). That "metadata" is proportional to the
+//! table size, and its cache-miss penalty drives the paper's §2.6 analysis.
 
 use std::sync::{Arc, OnceLock};
 
 use bolt_common::bloom::BloomFilterPolicy;
 use bolt_common::cache::LruCache;
-use bolt_common::{Error, Result};
+use bolt_common::Result;
 use bolt_env::RandomAccessFile;
 
 use crate::block::{Block, BlockIter};
 use crate::builder::FilterKey;
 use crate::comparator::Comparator;
-use crate::format::{read_block, BlockHandle, Footer, FOOTER_SIZE};
+use crate::format::{read_block, BlockHandle, TableTail, FOOTER_SIZE};
 use crate::ikey::{extract_user_key, parse_internal_key, ValueType};
 use crate::rangedel::RangeTombstone;
 
@@ -74,13 +77,14 @@ impl std::fmt::Debug for Table {
 }
 
 impl Table {
-    /// Open the table spanning `[base, base + size)` of `file`.
+    /// Open the table spanning `[base, base + size)` of `file` without
+    /// knowing the length of its tail: two device reads.
     ///
     /// `cache_id` must be unique per physical file (block-cache keying).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corruption`] for malformed footers/blocks and I/O
+    /// Returns [`bolt_common::Error::Corruption`] for malformed footers/blocks and I/O
     /// errors from the file.
     pub fn open(
         file: Arc<dyn RandomAccessFile>,
@@ -89,29 +93,70 @@ impl Table {
         cache_id: u64,
         opts: TableReadOptions,
     ) -> Result<Table> {
-        if size < FOOTER_SIZE as u64 {
-            return Err(Error::corruption("table smaller than footer"));
-        }
-        let footer_bytes = file.read(base + size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
-        let footer = Footer::decode(&footer_bytes)?;
+        Table::open_with_tail(file, base, size, 0, cache_id, opts)
+    }
 
-        let index_contents = read_block(file.as_ref(), base, footer.index_handle)?;
-        let mut metadata_bytes = FOOTER_SIZE + index_contents.len();
-        let index = Arc::new(Block::new(index_contents)?);
+    /// [`open`](Self::open) given `tail_bytes`, the tail length the table's
+    /// builder recorded (0 = unknown): one device read when it is right,
+    /// two when it is not — see [`TableTail::read`].
+    ///
+    /// # Errors
+    ///
+    /// As [`open`](Self::open).
+    pub fn open_with_tail(
+        file: Arc<dyn RandomAccessFile>,
+        base: u64,
+        size: u64,
+        tail_bytes: u64,
+        cache_id: u64,
+        opts: TableReadOptions,
+    ) -> Result<Table> {
+        let want_filter = opts.filter_policy.is_some();
+        let tail = TableTail::read(file.as_ref(), base, size, tail_bytes, want_filter)?;
+        Table::from_tail(file, base, cache_id, &tail, opts)
+    }
 
-        let filter = if opts.filter_policy.is_some() && footer.filter_handle.size > 0 {
-            let filter = read_block(file.as_ref(), base, footer.filter_handle)?;
-            metadata_bytes += filter.len();
-            Some(filter)
-        } else {
-            None
-        };
+    /// The reader of the table at `base` whose `tail` is already in memory;
+    /// [`bolt_common::Error::Corruption`] for blocks that fail verification.
+    pub(crate) fn from_tail(
+        file: Arc<dyn RandomAccessFile>,
+        base: u64,
+        cache_id: u64,
+        tail: &TableTail,
+        opts: TableReadOptions,
+    ) -> Result<Table> {
+        let index = tail.index()?.to_vec();
+        let filter = tail.filter()?.map(<[u8]>::to_vec);
+        Table::from_parts(file, base, cache_id, index, filter, opts)
+    }
 
+    /// The reader of the table at `base` from the `index` and `filter`
+    /// block contents themselves — what a [`TableBuilder`] hands out in
+    /// [`BuiltTable`], so a table just written is opened without reading
+    /// it back.
+    ///
+    /// [`TableBuilder`]: crate::TableBuilder
+    /// [`BuiltTable`]: crate::BuiltTable
+    ///
+    /// # Errors
+    ///
+    /// Returns [`bolt_common::Error::Corruption`] for a malformed index block.
+    pub fn from_parts(
+        file: Arc<dyn RandomAccessFile>,
+        base: u64,
+        cache_id: u64,
+        index: Vec<u8>,
+        filter: Option<Vec<u8>>,
+        opts: TableReadOptions,
+    ) -> Result<Table> {
+        // As on disk, where a zero-size handle means "no filter block".
+        let filter = filter.filter(|f| opts.filter_policy.is_some() && !f.is_empty());
+        let metadata_bytes = FOOTER_SIZE + index.len() + filter.as_ref().map_or(0, Vec::len);
         Ok(Table {
             file,
             base,
             cache_id,
-            index,
+            index: Arc::new(Block::new(index)?),
             filter,
             opts,
             metadata_bytes,
@@ -119,8 +164,8 @@ impl Table {
         })
     }
 
-    /// Bytes of footer + index + filter read at open time (the TableCache
-    /// miss penalty).
+    /// Bytes of footer + index + filter contents an open brings into
+    /// memory (the TableCache miss penalty).
     pub fn metadata_size(&self) -> usize {
         self.metadata_bytes
     }
@@ -158,7 +203,7 @@ impl Table {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corruption`] or I/O errors from block reads.
+    /// Returns [`bolt_common::Error::Corruption`] or I/O errors from block reads.
     pub fn internal_get(&self, key: &[u8]) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         if !self.filter_matches(key) {
             return Ok(None);
@@ -344,8 +389,11 @@ mod tests {
         }
     }
 
-    fn build_table(env: &MemEnv, path: &str, n: u32) -> (Arc<Table>, u64) {
+    /// `n` entries in file `path`, after some bytes of an earlier table;
+    /// returns what the builder reported.
+    fn build_file(env: &MemEnv, path: &str, n: u32) -> crate::BuiltTable {
         let mut file = env.new_writable_file(path).unwrap();
+        file.append(b"an earlier logical table").unwrap();
         let mut builder = TableBuilder::new(file.as_mut(), TableFormat::default());
         for i in 0..n {
             let key = make_internal_key(format!("key{i:06}").as_bytes(), 10, ValueType::Value);
@@ -353,7 +401,11 @@ mod tests {
         }
         let built = builder.finish().unwrap();
         file.sync().unwrap();
-        drop(file);
+        built
+    }
+
+    fn build_table(env: &MemEnv, path: &str, n: u32) -> (Arc<Table>, u64) {
+        let built = build_file(env, path, n);
         let file = env.new_random_access_file(path).unwrap();
         let table = Table::open(file, built.offset, built.size, 1, read_options(None)).unwrap();
         (Arc::new(table), built.size)
@@ -549,6 +601,149 @@ mod tests {
         // Second call returns the memoized Arc.
         let again = table.range_tombstones().unwrap();
         assert!(Arc::ptr_eq(&tombs, &again));
+    }
+
+    /// Every value of an `n`-entry [`build_file`] table, or the first error.
+    fn read_back(table: &Table, n: u32) -> Result<Vec<Vec<u8>>> {
+        (0..n)
+            .map(|i| {
+                let lk = lookup_key(format!("key{i:06}").as_bytes(), 100);
+                let found = table.internal_get(&lk)?;
+                Ok(found.map(|(_, v)| v).unwrap_or_default())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_tail_length_opens_the_same_table_in_one_or_two_reads() {
+        let env = MemEnv::new();
+        let built = build_file(&env, "t", 1000);
+        let (exact, size) = (built.tail_bytes, built.size);
+        assert!(FOOTER_SIZE as u64 + 2 < exact && exact < size / 4);
+        let file = env.new_random_access_file("t").unwrap();
+        let open = |tail_bytes: u64| {
+            let before = env.stats().snapshot().read_ops;
+            let file = Arc::clone(&file);
+            let opts = read_options(None);
+            let table = Table::open_with_tail(file, built.offset, size, tail_bytes, 1, opts);
+            (table.unwrap(), env.stats().snapshot().read_ops - before)
+        };
+        let (reference, reads) = open(exact);
+        assert_eq!(reads, 1, "the recorded length is one read");
+        let want = read_back(&reference, 1000).unwrap();
+        assert_eq!(want[999], b"value999");
+        let cases = [0, 1, exact - 1, exact, exact + 1, size, u64::MAX];
+        for (tail_bytes, want_reads) in cases.into_iter().zip([2, 2, 2, 1, 1, 1, 1]) {
+            let (table, reads) = open(tail_bytes);
+            assert_eq!(reads, want_reads, "tail_bytes {tail_bytes}");
+            assert_eq!(table.metadata_size(), reference.metadata_size());
+            assert_eq!(read_back(&table, 1000).unwrap(), want, "{tail_bytes}");
+        }
+        // `open` is the unknown-length case of the same path.
+        let before = env.stats().snapshot().read_ops;
+        let table = Table::open(file, built.offset, size, 1, read_options(None)).unwrap();
+        assert_eq!(env.stats().snapshot().read_ops - before, 2);
+        assert_eq!(table.metadata_size(), reference.metadata_size());
+        // What the builder hands out is what an open reads back.
+        let file = env.new_random_access_file("t").unwrap();
+        let (index, filter) = (built.index.clone(), built.filter.clone());
+        let before = env.stats().snapshot().read_ops;
+        let warm =
+            Table::from_parts(file, built.offset, 1, index, filter, read_options(None)).unwrap();
+        assert_eq!(env.stats().snapshot().read_ops, before, "no read at all");
+        assert_eq!(warm.metadata_size(), reference.metadata_size());
+        assert_eq!(read_back(&warm, 1000).unwrap(), want);
+    }
+
+    #[test]
+    fn a_flipped_bit_anywhere_in_the_tail_is_corruption_or_harmless() {
+        let env = MemEnv::new();
+        let built = build_file(&env, "t", 300);
+        let end = built.offset + built.size;
+        let bytes = env.new_random_access_file("t").unwrap();
+        let bytes = bytes.read(0, end as usize).unwrap();
+        let want = {
+            let file = env.new_random_access_file("t").unwrap();
+            let table = Table::open(file, built.offset, built.size, 1, read_options(None));
+            read_back(&table.unwrap(), 300).unwrap()
+        };
+        let (mut harmless, mut corrupt) = (0, 0);
+        for at in (end - built.tail_bytes)..end {
+            let mut flipped = bytes.clone();
+            flipped[at as usize] ^= 1 << (at % 8);
+            let mut damaged = env.new_writable_file("damaged").unwrap();
+            damaged.append(&flipped).unwrap();
+            damaged.sync().unwrap();
+            drop(damaged);
+            // With the recorded length and without it: one path, two entries.
+            for tail_bytes in [built.tail_bytes, 0] {
+                let file = env.new_random_access_file("damaged").unwrap();
+                let opts = read_options(None);
+                let opened =
+                    Table::open_with_tail(file, built.offset, built.size, tail_bytes, 1, opts);
+                match opened.and_then(|table| read_back(&table, 300)) {
+                    Ok(values) => {
+                        assert_eq!(values, want, "byte {at} changed what is read");
+                        harmless += 1;
+                    }
+                    Err(e) => {
+                        assert!(e.is_corruption(), "byte {at}: {e:?}");
+                        corrupt += 1;
+                    }
+                }
+            }
+        }
+        // Footer padding is the only part no check covers, and needs none.
+        assert!(harmless > 0 && harmless < 2 * FOOTER_SIZE, "{harmless}");
+        assert!(corrupt as u64 > 2 * (built.tail_bytes - FOOTER_SIZE as u64));
+    }
+
+    #[test]
+    fn footers_naming_blocks_outside_the_table_are_corruption() {
+        use crate::format::{BlockHandle, Footer};
+        let env = MemEnv::new();
+        let built = build_file(&env, "t", 300);
+        let end = built.offset + built.size;
+        let bytes = env.new_random_access_file("t").unwrap();
+        let mut bytes = bytes.read(0, end as usize).unwrap();
+        let blocks_end = built.size - FOOTER_SIZE as u64;
+        let far = u64::MAX - 2;
+        for (offset, size) in [
+            (blocks_end - 4, 0),
+            (0, blocks_end),
+            (far, 1),
+            (1, far),
+            (far, far),
+            (u64::MAX, u64::MAX),
+        ] {
+            for as_filter in [false, true] {
+                let wild = BlockHandle::new(offset, size);
+                let sane = BlockHandle::new(0, 1);
+                let footer = Footer {
+                    filter_handle: if as_filter { wild } else { sane },
+                    index_handle: if as_filter { sane } else { wild },
+                };
+                let at = bytes.len() - FOOTER_SIZE;
+                bytes.truncate(at);
+                bytes.extend_from_slice(&footer.encode());
+                let mut damaged = env.new_writable_file("damaged").unwrap();
+                damaged.append(&bytes).unwrap();
+                damaged.sync().unwrap();
+                drop(damaged);
+                for tail_bytes in [0, built.tail_bytes, u64::MAX] {
+                    let file = env.new_random_access_file("damaged").unwrap();
+                    let opts = read_options(None);
+                    let err =
+                        Table::open_with_tail(file, built.offset, built.size, tail_bytes, 1, opts)
+                            .unwrap_err();
+                    assert!(err.is_corruption(), "({offset}, {size}): {err:?}");
+                }
+            }
+        }
+        // A table extent that overflows is refused before any read.
+        let file = env.new_random_access_file("t").unwrap();
+        let err = Table::open(file, u64::MAX - 10, built.size, 1, read_options(None)).unwrap_err();
+        assert!(err.is_corruption(), "{err:?}");
     }
 
     #[test]

@@ -479,11 +479,27 @@ mod tests {
         let report = backup_create(&env, &db, "bak").unwrap();
         assert_eq!(report.generation, 1);
         let want = scan(&db);
+        // What the MANIFEST records of each table, tail length included.
+        let tables = |db: &Db| -> Vec<(u64, u64, u64)> {
+            let version = db.current_version();
+            let tables = version.all_tables();
+            tables
+                .map(|(_, _, t)| (t.table_id, t.size, t.tail_bytes))
+                .collect()
+        };
+        let recorded = tables(&db);
+        assert!(!recorded.is_empty() && recorded.iter().all(|t| t.2 > 0));
         db.close().unwrap();
 
         backup_restore(&env, "bak", None, "restored").unwrap();
         let copy = Db::open(Arc::clone(&env), "restored", opts()).unwrap();
         assert_eq!(scan(&copy), want);
+        // The restored tree opens its tables as cheaply as the source did:
+        // the lengths travelled with the MANIFEST, and they are right.
+        assert_eq!(tables(&copy), recorded);
+        crate::verify_db(&copy).unwrap();
+        let tc = copy.metrics().table_cache;
+        assert_eq!((tc.opens, tc.open_reads), (recorded.len() as u64, tc.opens));
         copy.close().unwrap();
         backup_verify(&env, "bak").unwrap();
     }

@@ -572,6 +572,8 @@ fn double_fault_during_recut_poisons_until_reopen() {
     );
     assert_eq!(fault_env.faults_injected(), 2, "both clauses must fire");
     assert_eq!(db.metrics().manifest_recuts, 0, "no successful re-cut");
+    let tc = db.metrics().table_cache;
+    assert_eq!(tc.warm_inserts, 0, "a failed commit caches no reader");
 
     // Poisoned until reopen: later flushes fail the same way.
     assert!(
