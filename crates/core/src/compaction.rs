@@ -150,8 +150,8 @@ pub trait CompactionPolicy: Send + Sync + std::fmt::Debug {
         self.level_scores(opts, version).iter().any(|&s| s >= 1.0)
     }
 
-    /// Pick the next compaction, if any. `compact_pointer` carries the
-    /// per-level round-robin cursors (used by the leveled policy only);
+    /// Pick the next compaction, if any. The per-level round-robin cursors
+    /// (used by the leveled policy only) are `version`'s own;
     /// `seek_candidate` is a `(level, table)` pair charged out of its seek
     /// budget, consulted only when no size-based compaction is due.
     fn pick(
@@ -159,7 +159,6 @@ pub trait CompactionPolicy: Send + Sync + std::fmt::Debug {
         opts: &Options,
         icmp: &InternalKeyComparator,
         version: &Version,
-        compact_pointer: &[Option<Vec<u8>>],
         seek_candidate: Option<(usize, Arc<TableMeta>)>,
     ) -> Option<CompactionTask>;
 }
@@ -210,19 +209,17 @@ pub fn needs_compaction(opts: &Options, version: &Version) -> bool {
 
 /// Pick the next compaction, if any, under `opts.compaction_policy`.
 ///
-/// `compact_pointer` carries the per-level round-robin cursors;
 /// `seek_candidate` is a `(level, table)` pair charged out of its seek
-/// budget. Both are consulted only by policies that use them (the leveled
-/// policy; tiered policies ignore them). Convenience wrapper over
+/// budget; it and `version`'s round-robin cursors are consulted only by
+/// policies that use them (the leveled policy; tiered policies ignore them). Convenience wrapper over
 /// [`CompactionPolicy::pick`].
 pub fn pick_compaction(
     opts: &Options,
     icmp: &InternalKeyComparator,
     version: &Version,
-    compact_pointer: &[Option<Vec<u8>>],
     seek_candidate: Option<(usize, Arc<TableMeta>)>,
 ) -> Option<CompactionTask> {
-    policy_for(opts.compaction_policy).pick(opts, icmp, version, compact_pointer, seek_candidate)
+    policy_for(opts.compaction_policy).pick(opts, icmp, version, seek_candidate)
 }
 
 /// The classic leveled picker: single sorted run per level beyond L0,
@@ -257,7 +254,6 @@ impl CompactionPolicy for LeveledPolicy {
         opts: &Options,
         icmp: &InternalKeyComparator,
         version: &Version,
-        compact_pointer: &[Option<Vec<u8>>],
         seek_candidate: Option<(usize, Arc<TableMeta>)>,
     ) -> Option<CompactionTask> {
         let scores = self.level_scores(opts, version);
@@ -274,13 +270,7 @@ impl CompactionPolicy for LeveledPolicy {
             if best_level == 0 {
                 return Some(pick_level0(icmp, version));
             }
-            return Some(pick_leveled(
-                opts,
-                icmp,
-                version,
-                compact_pointer,
-                best_level,
-            ));
+            return Some(pick_leveled(opts, icmp, version, best_level));
         }
 
         // Seek compaction (stock LevelDB only).
@@ -396,7 +386,6 @@ fn pick_leveled(
     opts: &Options,
     icmp: &InternalKeyComparator,
     version: &Version,
-    compact_pointer: &[Option<Vec<u8>>],
     level: usize,
 ) -> CompactionTask {
     let run = &version.levels[level].runs[0];
@@ -428,7 +417,7 @@ fn pick_leveled(
         victims.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
     } else {
         // Round-robin start after the compact pointer.
-        let start = match &compact_pointer[level] {
+        let start = match version.compact_pointer(level) {
             Some(ptr) => {
                 let idx = tables.partition_point(|t| icmp.compare(&t.largest, ptr).is_le());
                 if idx >= tables.len() {
@@ -626,7 +615,6 @@ impl CompactionPolicy for SizeTieredPolicy {
         opts: &Options,
         _icmp: &InternalKeyComparator,
         version: &Version,
-        _compact_pointer: &[Option<Vec<u8>>],
         _seek_candidate: Option<(usize, Arc<TableMeta>)>,
     ) -> Option<CompactionTask> {
         let scores = self.level_scores(opts, version);
@@ -670,7 +658,6 @@ impl CompactionPolicy for LazyLeveledPolicy {
         opts: &Options,
         icmp: &InternalKeyComparator,
         version: &Version,
-        _compact_pointer: &[Option<Vec<u8>>],
         _seek_candidate: Option<(usize, Arc<TableMeta>)>,
     ) -> Option<CompactionTask> {
         let scores = self.level_scores(opts, version);
@@ -967,7 +954,7 @@ mod tests {
             (1, 0, meta(5, "a", "c", 1)), // overlaps
             (1, 0, meta(6, "q", "r", 1)), // no overlap with a..z? yes overlaps (a..z covers q)
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         assert_eq!(task.level, 0);
         assert_eq!(task.reason, CompactionReason::Level0);
         assert_eq!(task.victims().count(), 4);
@@ -979,41 +966,37 @@ mod tests {
     fn leveled_pick_respects_compact_pointer() {
         let mut opts = Options::leveldb();
         opts.level1_max_bytes = 1; // force level 1 over limit
-        let v = version_with(&[
+        let v = Arc::new(version_with(&[
             (1, 0, meta(1, "a", "c", 100)),
             (1, 0, meta(2, "e", "g", 100)),
             (1, 0, meta(3, "i", "k", 100)),
-        ]);
-        let mut pointers = vec![None; 7];
-        let task = pick_compaction(&opts, &icmp(), &v, &pointers, None).unwrap();
-        assert_eq!(task.level, 1);
-        let first = task
-            .victims()
-            .chain(task.settled_moves.iter())
-            .next()
-            .unwrap()
-            .table_id;
-        assert_eq!(first, 1);
-
-        pointers[1] = Some(make_internal_key(b"c", 1, ValueType::Value));
-        let task = pick_compaction(&opts, &icmp(), &v, &pointers, None).unwrap();
-        let first = task
-            .victims()
-            .chain(task.settled_moves.iter())
-            .next()
-            .unwrap()
-            .table_id;
-        assert_eq!(first, 2, "pointer advances the round-robin");
-
-        pointers[1] = Some(make_internal_key(b"z", 1, ValueType::Value));
-        let task = pick_compaction(&opts, &icmp(), &v, &pointers, None).unwrap();
-        let first = task
-            .victims()
-            .chain(task.settled_moves.iter())
-            .next()
-            .unwrap()
-            .table_id;
-        assert_eq!(first, 1, "pointer wraps");
+        ]));
+        // The version a commit carrying the level-1 cursor `key` installs.
+        let with_pointer = |key: &[u8]| {
+            let mut edit = VersionEdit::default();
+            let key = make_internal_key(key, 1, ValueType::Value);
+            edit.compact_pointers.push((1, key));
+            let mut builder = VersionBuilder::new(icmp(), Arc::clone(&v));
+            builder.apply(&edit);
+            builder.build().unwrap()
+        };
+        let first_victim = |v: &Version| {
+            let task = pick_compaction(&opts, &icmp(), v, None).unwrap();
+            assert_eq!(task.level, 1);
+            let mut victims = task.victims().chain(task.settled_moves.iter());
+            victims.next().unwrap().table_id
+        };
+        assert_eq!(first_victim(&v), 1);
+        assert_eq!(
+            first_victim(&with_pointer(b"c")),
+            2,
+            "pointer advances the round-robin"
+        );
+        assert_eq!(first_victim(&with_pointer(b"z")), 1, "pointer wraps");
+        // The cursor outlives edits that do not move it.
+        let mut builder = VersionBuilder::new(icmp(), Arc::new(with_pointer(b"c")));
+        builder.apply(&VersionEdit::default());
+        assert_eq!(first_victim(&builder.build().unwrap()), 2);
     }
 
     #[test]
@@ -1024,7 +1007,7 @@ mod tests {
             (1, 0, meta(1, "a", "c", 100)),
             (2, 0, meta(2, "x", "z", 100)), // no overlap with a..c
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         assert_eq!(task.settled_moves.len(), 1);
         assert!(task.is_move_only());
     }
@@ -1043,7 +1026,7 @@ mod tests {
             (1, 0, meta(3, "e", "f", 100)),
             (1, 0, meta(4, "g", "h", 100)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         let victims = task.input_runs[0].len() + task.settled_moves.len();
         assert_eq!(victims, 3, "100+100+100 >= 250 budget -> 3 victims");
         // L2 is empty, so every victim is a zero-overlap (trivial) move.
@@ -1063,7 +1046,7 @@ mod tests {
             (1, 0, meta(3, "p", "q", 100)), // no overlap
             (2, 0, meta(4, "a", "d", 1000)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         let moved: Vec<u64> = task.settled_moves.iter().map(|t| t.table_id).collect();
         assert_eq!(moved, vec![2, 3], "zero-overlap victims settle");
         assert!(task.input_runs[0].is_empty(), "no rewrite needed");
@@ -1078,7 +1061,7 @@ mod tests {
             (1, 5, meta(1, "a", "c", 100)),
             (1, 6, meta(2, "b", "d", 100)), // overlapping runs allowed
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         assert_eq!(task.output, OutputShape::AppendRun);
         assert_eq!(task.output_level, 2);
         assert_eq!(task.input_runs.len(), 2);
@@ -1090,19 +1073,12 @@ mod tests {
         let opts = Options::leveldb();
         let t = Arc::new(meta(9, "a", "c", 100));
         let v = version_with(&[(1, 0, meta(9, "a", "c", 100))]);
-        let task = pick_compaction(
-            &opts,
-            &icmp(),
-            &v,
-            &vec![None; 7],
-            Some((1, Arc::clone(&t))),
-        )
-        .unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, Some((1, Arc::clone(&t)))).unwrap();
         assert_eq!(task.reason, CompactionReason::Seek);
 
         // Stale candidate (table no longer in the version) is ignored.
         let v2 = version_with(&[(1, 0, meta(8, "a", "c", 100))]);
-        assert!(pick_compaction(&opts, &icmp(), &v2, &vec![None; 7], Some((1, t))).is_none());
+        assert!(pick_compaction(&opts, &icmp(), &v2, Some((1, t))).is_none());
     }
 
     #[test]
@@ -1245,7 +1221,7 @@ mod tests {
         assert!(scores[1] >= 1.0, "five similar runs over threshold 4");
         assert!(scores[0] < 1.0, "empty L0 stays quiet");
 
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         assert_eq!(task.level, 1);
         assert_eq!(task.output_level, 2);
         assert_eq!(task.output, OutputShape::AppendRun);
@@ -1266,7 +1242,7 @@ mod tests {
             (1, 3, meta(3, "a", "d", 100)),
             (1, 4, meta(4, "c", "e", 10_000)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         let mut ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3], "oldest three merge, newest stays");
@@ -1285,7 +1261,7 @@ mod tests {
             (6, 5, meta(5, "a", "e", 10_000)),
             (6, 6, meta(6, "b", "e", 10_000)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         assert_eq!(task.level, 6);
         assert_eq!(task.output_level, 6, "nowhere further down");
         assert_eq!(
@@ -1308,7 +1284,7 @@ mod tests {
             (1, 3, meta(3, "a", "d", 10_000)),
             (1, 4, meta(4, "c", "e", 1_000_000)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         let mut ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2], "oldest two force-merge");
@@ -1327,7 +1303,7 @@ mod tests {
             (5, 4, meta(4, "m", "o", 100)),
             (6, 0, meta(5, "a", "d", 100)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         assert_eq!(task.level, 5);
         assert_eq!(task.output_level, 6);
         assert_eq!(task.output, OutputShape::Leveled);
@@ -1351,7 +1327,7 @@ mod tests {
             (5, 3, meta(3, "x", "z", 100)),
             (5, 4, meta(4, "p", "q", 100)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         let mut merge_ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         merge_ids.sort_unstable();
         assert_eq!(merge_ids, vec![1, 2]);
@@ -1369,7 +1345,7 @@ mod tests {
             tables.push((5u32, i + 10, meta(i + 10, "a", "e", 100)));
         }
         let v = version_with(&tables);
-        let task = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).unwrap();
+        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         assert_eq!(task.level, 2, "shallower debt paid first");
         assert_eq!(task.output, OutputShape::AppendRun);
         assert_eq!(task.output_level, 3);
@@ -1389,7 +1365,7 @@ mod tests {
                     .map(|i| (1u32, i + 1, meta(i + 1, "a", "e", 100)))
                     .collect();
                 let v = version_with(&tables);
-                let picked = pick_compaction(&opts, &icmp(), &v, &vec![None; 7], None).is_some();
+                let picked = pick_compaction(&opts, &icmp(), &v, None).is_some();
                 assert_eq!(
                     needs_compaction(&opts, &v),
                     picked,

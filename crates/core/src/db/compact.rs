@@ -33,7 +33,7 @@ use crate::compaction::{
 use crate::filename::table_file;
 use crate::iterator::{InternalIterator, MergingIter, RunIter};
 use crate::version::{RunLayout, TableList, TableMeta, Version, VersionEdit};
-use crate::versions::VersionSet;
+use crate::versions::{RangeSet, VersionSet};
 use crate::vlog::ValuePointer;
 
 impl DbInner {
@@ -214,31 +214,24 @@ impl DbInner {
             // byte. The sweep covers the whole ledger — not just touched
             // segments — so a segment left fully dead by a crashed
             // predecessor is retired too.
-            let mut dead_by_segment: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
+            let mut dead_after: HashMap<u64, RangeSet> = HashMap::new();
             for ptr in &dead_pointers {
-                if versions.has_vlog_segment(ptr.file_number) {
-                    dead_by_segment
-                        .entry(ptr.file_number)
-                        .or_default()
-                        .push((ptr.offset, u64::from(ptr.len)));
-                }
-            }
-            for (&segment, ranges) in &dead_by_segment {
-                for &(offset, len) in ranges {
-                    edit.vlog_dead.push((segment, offset, len));
+                if let Some(info) = versions.vlog_segments().get(&ptr.file_number) {
+                    let (offset, len) = (ptr.offset, u64::from(ptr.len));
+                    edit.vlog_dead.push((ptr.file_number, offset, len));
+                    let after = dead_after.entry(ptr.file_number);
+                    let after = after.or_insert_with(|| info.dead.clone());
+                    after.insert(offset, len);
                 }
             }
             let mut committed_dead = 0u64;
             let mut retired = 0u64;
             for (&segment, info) in versions.vlog_segments() {
-                let mut tentative = info.dead.clone();
-                for &(offset, len) in dead_by_segment.get(&segment).into_iter().flatten() {
-                    tentative.insert(offset, len);
-                }
                 // Union delta, not a sum of pointer lengths: duplicate
                 // drops of the same range count once.
-                committed_dead += tentative.total() - info.dead.total();
-                if info.written.is_some_and(|w| tentative.total() >= w) {
+                let dead = dead_after.get(&segment).unwrap_or(&info.dead).total();
+                committed_dead += dead - info.dead.total();
+                if info.written.is_some_and(|w| dead >= w) {
                     edit.vlog_deleted.push(segment);
                     retired += 1;
                 }
@@ -251,13 +244,6 @@ impl DbInner {
                 task.output,
                 outputs,
             )?;
-            // Dead ranges in surviving segments become hole-punch work,
-            // executed by collect_garbage once no old version is pinned.
-            for ptr in &dead_pointers {
-                if versions.has_vlog_segment(ptr.file_number) {
-                    versions.queue_vlog_punch(ptr.file_number, ptr.offset, u64::from(ptr.len));
-                }
-            }
             if committed_dead > 0 {
                 self.stats.record_vlog_dead_bytes(committed_dead);
             }
@@ -268,7 +254,9 @@ impl DbInner {
                 version: versions.current(),
                 ..old.clone()
             });
-            versions.collect_garbage(&self.table_cache);
+            let garbage = versions.collect_garbage(&self.table_cache);
+            drop(versions);
+            self.reclaim(garbage);
             self.stats.record_compaction(1);
             self.stats.record_compaction_output(output_bytes);
             output_bytes
@@ -388,7 +376,7 @@ pub(super) fn commit_outputs(
             built,
             reader,
         } = output;
-        let table_id = versions.new_table_id();
+        let table_id = versions.ids().new_table_id();
         if i == 0 && shape == OutputShape::AppendRun {
             run_tag = table_id;
         }
@@ -412,7 +400,7 @@ pub(super) fn commit_outputs(
     }
     versions.log_and_apply(edit)?;
     for (table_id, file_number, reader) in installed {
-        versions.clear_pending(file_number);
+        versions.reclaim.clear_pending(file_number);
         cache.insert_built(table_id, reader);
     }
     Ok(bytes)
@@ -452,12 +440,8 @@ impl<'a> OutputSink<'a> {
 
     fn ensure_file(&mut self) -> Result<()> {
         if self.file.is_none() {
-            let number = {
-                let mut versions = self.inner.versions.lock();
-                let n = versions.new_file_number();
-                versions.mark_pending(n);
-                n
-            };
+            let number = self.inner.ids.new_file_number();
+            self.inner.versions.lock().reclaim.mark_pending(number);
             self.created.push(number);
             let file = self
                 .inner
@@ -477,13 +461,15 @@ impl<'a> OutputSink<'a> {
     /// it), so from that point the files must be preserved.
     pub(super) fn abandon(&mut self) {
         self.file = None;
-        let mut versions = self.inner.versions.lock();
-        for number in self.created.drain(..) {
+        for &number in &self.created {
             let _ = self
                 .inner
                 .env
                 .delete_file(&table_file(&self.inner.name, number));
-            versions.clear_pending(number);
+        }
+        let mut versions = self.inner.versions.lock();
+        for number in self.created.drain(..) {
+            versions.reclaim.clear_pending(number);
         }
         self.outputs.clear();
     }
@@ -661,7 +647,7 @@ impl<'a> OutputSink<'a> {
                     .env
                     .delete_file(&table_file(&self.inner.name, number));
                 let mut versions = self.inner.versions.lock();
-                versions.clear_pending(number);
+                versions.reclaim.clear_pending(number);
             } else {
                 Self::sync_file(self.inner, file.as_mut())?;
             }
@@ -865,7 +851,7 @@ mod tests {
         let files = || {
             let mut names = env.list_dir("db").unwrap();
             names.sort();
-            (names, db.inner.versions.lock().referenced_files())
+            (names, db.inner.versions.lock().reclaim.referenced_files())
         };
         let before = files();
         let task = || db.inner.build_manual_task(0, b"", b"zzzz").unwrap();
@@ -997,10 +983,8 @@ mod tests {
         // Deletes condemned during a compaction are deferred while that
         // compaction's own pinned version is live; one more GC pass with no
         // pins reclaims them.
-        {
-            let mut versions = db.inner.versions.lock();
-            versions.collect_garbage(&db.inner.table_cache);
-        }
+        let garbage = (db.inner.versions.lock()).collect_garbage(&db.inner.table_cache);
+        db.inner.reclaim(garbage);
         // Retired segment files are really gone from disk.
         let names = env.list_dir("db").unwrap();
         let vlogs = names.iter().filter(|n| n.ends_with(".vlog")).count();

@@ -164,7 +164,6 @@ impl DbInner {
                         &self.opts,
                         &self.icmp,
                         &self.view().version,
-                        &self.versions.lock().compact_pointer,
                         state.seek_candidate.clone(),
                     );
                     if let Some(task) = task {
@@ -259,7 +258,9 @@ impl DbInner {
                 flushed_seq: seq_boundary,
                 ..old.clone()
             });
-            versions.collect_garbage(&self.table_cache);
+            let garbage = versions.collect_garbage(&self.table_cache);
+            drop(versions);
+            self.reclaim(garbage);
             bytes
         };
         self.stats.record_flush(1);

@@ -15,7 +15,7 @@ use bolt_table::ikey::SequenceNumber;
 use super::{Db, DbInner, DbState};
 use crate::filename::{log_file, parse_file_name, table_file, vlog_file, FileType};
 use crate::version::Version;
-use crate::versions::RangeSet;
+use crate::versions::{RangeSet, ReclaimBatch};
 
 impl DbState {
     /// Oldest WAL file still referenced by a pending transaction.
@@ -106,6 +106,17 @@ impl Db {
 }
 
 impl DbInner {
+    /// The second half of the reclaim pass that follows every commit (O3):
+    /// the caller decided `batch` under `core.versions` and released it; punch
+    /// and unlink with no engine lock held. The lock is retaken only to hand
+    /// back what failed.
+    pub(super) fn reclaim(&self, batch: ReclaimBatch) {
+        let failed = batch.execute(self.env.as_ref(), &self.name, Some(&self.sink));
+        if !failed.is_empty() {
+            self.versions.lock().reclaim.hand_back(failed);
+        }
+    }
+
     /// Clamp a log-deletion boundary by the pending-transaction pins:
     /// first release pins whose applied slice the floor now covers, then
     /// hold the boundary at the oldest WAL a live pin still references.
@@ -212,13 +223,13 @@ impl DbInner {
 
     pub(super) fn delete_obsolete_files(&self) {
         let versions = self.versions.lock();
-        let referenced = versions.referenced_files();
+        let referenced = versions.reclaim.referenced_files();
         let log_floor = versions.log_number;
         let manifest = versions.manifest_number();
         // Segments in the ledger are live (or active). Condemned segments
         // awaiting deletion are not in the ledger, so this sweep reclaims
-        // them too; collect_vlog_garbage's file_exists check then clears
-        // the pending entry.
+        // them too; the reclaim pass then finds the file gone and drops
+        // its unlink entry.
         let vlog_live: HashSet<u64> = versions.vlog_segments().keys().copied().collect();
         drop(versions);
         let log_floor = self.clamp_log_boundary(log_floor);
@@ -316,6 +327,82 @@ mod tests {
         db.inner.delete_obsolete_logs(boundary);
         assert!(!env.file_exists(&log_file("db", 0)));
         assert!(!env.file_exists(&log_file("db", 1)));
+        db.close().unwrap();
+    }
+
+    /// The reclaim pass decides under `core.versions` and executes after it.
+    /// A checkpoint that pins, links and commits inside that gap holds a
+    /// version in which every batched byte is already unreferenced, so the
+    /// late punches — which land on inodes the checkpoint now shares: this
+    /// env cannot count links — remove nothing it reads. No hook: the test
+    /// runs the two halves itself.
+    #[test]
+    fn a_checkpoint_between_reclaim_decision_and_execution_stays_intact() {
+        use std::collections::BTreeMap;
+        let scan = |db: &Db, snapshot: Option<&crate::Snapshot>| {
+            let opts = crate::ReadOptions::new();
+            let opts = match snapshot {
+                Some(snapshot) => opts.with_snapshot(snapshot),
+                None => opts,
+            };
+            let mut iter = db.iter_opt(&opts).unwrap();
+            iter.seek_to_first().unwrap();
+            let mut rows = BTreeMap::new();
+            while iter.valid() {
+                rows.insert(iter.key().to_vec(), iter.value().to_vec());
+                iter.next().unwrap();
+            }
+            rows
+        };
+        let env = Arc::new(ReadFaultEnv::default());
+        let opts = sep_opts(128);
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts.clone()).unwrap();
+        // Overwrites of separated and inline values: compaction leaves dead
+        // tables in shared files and dead ranges in live segments.
+        let mut model = BTreeMap::new();
+        let load = |model: &mut BTreeMap<_, _>, rounds: std::ops::Range<u32>| {
+            for round in rounds {
+                for i in (0..48u32).filter(|i| (i + round) % 3 != 0) {
+                    let (key, small) = (format!("big{i:03}"), format!("small{i:03}"));
+                    db.put(key.as_bytes(), &big(i + round)).unwrap();
+                    db.put(small.as_bytes(), &[b'0' + round as u8; 40]).unwrap();
+                    model.insert(key.into_bytes(), big(i + round));
+                    model.insert(small.into_bytes(), vec![b'0' + round as u8; 40]);
+                }
+                db.flush().unwrap();
+            }
+        };
+        load(&mut model, 0..4);
+        // A reader keeps the tables about to be merged away alive, so their
+        // reclaim is still undecided once the compactions are done.
+        let reader = db.iter().unwrap();
+        db.compact_range(b"", b"zzzz").unwrap();
+        drop(reader);
+
+        let batch = (db.inner.versions.lock()).collect_garbage(&db.inner.table_cache);
+        assert!(!batch.is_empty(), "nothing was left to reclaim");
+        let seq = db.checkpoint("ckpt").unwrap();
+        let at_checkpoint = db.snapshot();
+        assert_eq!(at_checkpoint.sequence(), seq);
+        let before = env.stats().snapshot();
+        let failed = batch.execute(env.as_ref(), "db", None);
+        assert!(failed.is_empty(), "{failed:?}");
+        let reclaimed = env.stats().snapshot().delta(&before);
+        assert!(
+            reclaimed.holes_punched > 0 && reclaimed.files_deleted > 0,
+            "the batch neither punched nor unlinked: {reclaimed:?}"
+        );
+
+        // The source moves on; the checkpoint is the prefix at `seq`.
+        let expected = model.clone();
+        load(&mut model, 4..6);
+        db.compact_range(b"", b"zzzz").unwrap();
+        assert_eq!(scan(&db, Some(&at_checkpoint)), expected);
+        assert_eq!(scan(&db, None), model);
+        let copy = Db::open(Arc::clone(&env) as Arc<dyn Env>, "ckpt", opts).unwrap();
+        assert_eq!(scan(&copy, None), expected);
+        copy.close().unwrap();
+        drop(at_checkpoint);
         db.close().unwrap();
     }
 }

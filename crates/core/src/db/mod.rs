@@ -39,7 +39,7 @@ use crate::metrics::{MetricsSnapshot, QueueWaitSummary};
 use crate::options::Options;
 use crate::stats::DbStats;
 use crate::version::{TableMeta, Version};
-use crate::versions::VersionSet;
+use crate::versions::{FileIds, VersionSet};
 use crate::vlog::VlogWriter;
 
 mod compact;
@@ -139,6 +139,10 @@ struct DbInner {
     table_cache: Arc<TableCache>,
     state: Mutex<DbState>,
     versions: Mutex<VersionSet>,
+    /// File-number and table-id allocator, shared with `versions` (which
+    /// stamps its high-water marks into the MANIFEST): allocating takes no
+    /// lock.
+    ids: Arc<FileIds>,
     /// The current [`ReadView`]; a leaf lock, held for one `Arc` clone or swap.
     view: Mutex<Arc<ReadView>>,
     work_cv: Condvar,
@@ -175,7 +179,7 @@ impl DbInner {
     /// the tree's shape changes hands. `next` runs under `core.view`, so a
     /// memtable switch and a commit on another thread compose. The commit
     /// paths call this under `core.versions`, between `log_and_apply` and
-    /// `collect_garbage`: GC must find the outgoing version released.
+    /// `reclaim`: GC must find the outgoing version released.
     fn install_view(&self, next: impl FnOnce(&ReadView) -> ReadView) {
         let mut slot = self.view.lock();
         let new = Arc::new(next(&slot));
@@ -356,6 +360,7 @@ impl Db {
             icmp,
             table_cache,
             state: named_mutex("core.state", DbState::default()),
+            ids: Arc::clone(versions.ids()),
             versions: named_mutex("core.versions", versions),
             view: named_mutex("core.view", Arc::new(view)),
             work_cv: Condvar::new(),
@@ -457,6 +462,14 @@ impl Db {
         // same installed version.
         let view = inner.view();
         let version = &view.version;
+        let (manifest_recuts, pending_punch_bytes, pending_unlink_files) = {
+            let versions = inner.versions.lock();
+            (
+                versions.manifest_recuts(),
+                versions.reclaim.pending_punch_bytes(),
+                versions.reclaim.pending_unlink_files(),
+            )
+        };
         MetricsSnapshot {
             db: inner.stats.snapshot(),
             io: inner.env.stats().snapshot(),
@@ -473,7 +486,9 @@ impl Db {
             barriers_by_cause: inner.sink.barrier_counts().to_vec(),
             events_emitted: inner.sink.emitted(),
             events_dropped: inner.sink.dropped(),
-            manifest_recuts: inner.versions.lock().manifest_recuts(),
+            manifest_recuts,
+            pending_punch_bytes,
+            pending_unlink_files,
             range_tombstones_live: version.live_range_tombstones(),
             table_cache: inner.table_cache.snapshot(),
         }
@@ -657,7 +672,10 @@ mod test_util {
     }
 
     /// A [`MemEnv`] whose table-file reads fail while `fail_reads` is set
-    /// (reads are not [`bolt_env::FaultEnv`] ops).
+    /// (reads are not [`bolt_env::FaultEnv`] ops). Its hard links are real
+    /// but it cannot count them (`link_count` is the trait's default, 1):
+    /// the window between the reclaim executor's probe of an inode and its
+    /// punch, held open.
     #[derive(Default)]
     pub(super) struct ReadFaultEnv {
         inner: MemEnv,
@@ -713,6 +731,9 @@ mod test_util {
         }
         fn rename_file(&self, from: &str, to: &str) -> Result<()> {
             self.inner.rename_file(from, to)
+        }
+        fn link_file(&self, src: &str, dst: &str) -> Result<()> {
+            self.inner.link_file(src, dst)
         }
         fn create_dir_all(&self, path: &str) -> Result<()> {
             self.inner.create_dir_all(path)

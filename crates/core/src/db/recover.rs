@@ -155,7 +155,7 @@ impl DbInner {
     }
 
     pub(super) fn start_fresh_wal(&self) -> Result<()> {
-        let new_log = self.versions.lock().new_file_number();
+        let new_log = self.ids.new_file_number();
         let file = self.env.new_writable_file(&log_file(&self.name, new_log))?;
         {
             let mut state = self.state.lock();

@@ -596,7 +596,7 @@ impl DbInner {
             state.wal.is_some(),
             "cannot switch while a group commit holds the WAL"
         );
-        let new_log = self.versions.lock().new_file_number();
+        let new_log = self.ids.new_file_number();
         let file = self.env.new_writable_file(&log_file(&self.name, new_log))?;
         // The WAL is in hand (asserted above), so no commit is in flight:
         // `last_sequence` is exactly the boundary between `imm` and the
@@ -716,12 +716,8 @@ impl DbInner {
                 .seal_vlog_segment(old.file_number(), old.written());
         }
         if vlog.is_none() {
-            let number = {
-                let mut versions = self.versions.lock();
-                let number = versions.new_file_number();
-                versions.register_vlog_segment(number);
-                number
-            };
+            let number = self.ids.new_file_number();
+            self.versions.lock().register_vlog_segment(number);
             *vlog = Some(VlogWriter::create(self.env.as_ref(), &self.name, number)?);
             rotations.push(number);
         }
@@ -789,6 +785,61 @@ mod tests {
         db.write_opt(batch, &WriteOptions::with_sync(false))
             .unwrap();
         assert_eq!(db.stats().wal_syncs(), 1);
+        db.close().unwrap();
+    }
+
+    /// A memtable switch allocates its WAL number from the shared allocator,
+    /// not under `core.versions`: with a gatekeeper parked on that lock —
+    /// where the background thread sits for a MANIFEST sync — a switch by
+    /// hand and a `put` that rotates the memtable both finish. Bounded wait:
+    /// a writer that does block fails the test (the gate is opened either
+    /// way, so the scope always joins).
+    #[test]
+    fn a_memtable_switch_does_not_wait_for_the_manifest_lock() {
+        use std::sync::mpsc;
+        let mut opts = Options::leveldb();
+        opts.memtable_bytes = 64 << 10;
+        let (_env, db) = mem_db(opts);
+        let inner = &db.inner;
+        let full = vec![b'x'; 80 << 10]; // one write fills the memtable
+        let under_gate = |action: &(dyn Fn() + Sync)| {
+            std::thread::scope(|s| {
+                let (gate_held, wait_held) = mpsc::channel();
+                let (release, wait_release) = mpsc::channel::<()>();
+                s.spawn(move || {
+                    let _gate = inner.versions.lock();
+                    gate_held.send(()).unwrap();
+                    let _ = wait_release.recv();
+                });
+                wait_held.recv().unwrap();
+                let (done, wait_done) = mpsc::channel();
+                s.spawn(move || {
+                    action();
+                    done.send(()).unwrap();
+                });
+                let finished = wait_done.recv_timeout(Duration::from_secs(10));
+                drop(release);
+                finished.expect("a memtable switch waited for `core.versions`");
+            });
+        };
+
+        db.put(b"a", &full).unwrap();
+        under_gate(&|| {
+            let mut state = inner.state.lock();
+            inner.switch_memtable(&mut state).unwrap();
+        });
+        db.flush().unwrap(); // the gate is open: `imm` drains
+        db.put(b"b", &full).unwrap();
+        db.events(); // drained: what follows is the gated put's alone
+        under_gate(&|| db.put(b"c", &full).unwrap());
+        let events = db.events();
+        let rotations = events
+            .iter()
+            .filter(|e| matches!(e.event, EngineEvent::WalRotate { .. }));
+        assert_eq!(rotations.count(), 1, "the gated put rotated the memtable");
+        for key in [b"a", b"b", b"c"] {
+            assert_eq!(db.get(key).unwrap().as_deref(), Some(&full[..]));
+        }
         db.close().unwrap();
     }
 

@@ -7,7 +7,7 @@
 use bolt_env::join_path;
 
 /// Kinds of files inside a database directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FileType {
     /// Write-ahead log (`NNNNNN.log`).
     Log(u64),
@@ -21,6 +21,20 @@ pub enum FileType {
     Temp(u64),
     /// Value-log segment (`NNNNNN.vlog`) — holds separated large values.
     ValueLog(u64),
+}
+
+impl FileType {
+    /// Path of this file inside `db`.
+    pub fn path(self, db: &str) -> String {
+        match self {
+            FileType::Log(n) => log_file(db, n),
+            FileType::Table(n) => table_file(db, n),
+            FileType::Manifest(n) => manifest_file(db, n),
+            FileType::Current => current_file(db),
+            FileType::Temp(n) => temp_file(db, n),
+            FileType::ValueLog(n) => vlog_file(db, n),
+        }
+    }
 }
 
 /// Path of WAL number `n` inside `db`.

@@ -61,6 +61,12 @@ pub struct MetricsSnapshot {
     /// Successful self-healing MANIFEST re-cuts since open (O5): failed
     /// commit barriers absorbed without poisoning the writer.
     pub manifest_recuts: u64,
+    /// What GC is holding back, read from the reclaim ledger: bytes of dead
+    /// ranges awaiting a hole punch (behind a reader, a checkpoint pin or
+    /// link, or a failed punch) …
+    pub pending_punch_bytes: u64,
+    /// … and condemned files awaiting their unlink.
+    pub pending_unlink_files: u64,
     /// Range tombstones recorded across live tables in the current version
     /// (sum of the MANIFEST per-table counts; drops to 0 once compaction
     /// has rewritten every covered span).
@@ -156,6 +162,9 @@ impl MetricsSnapshot {
         reg.counter("bolt_events_emitted_total", &[], self.events_emitted);
         reg.counter("bolt_events_dropped_total", &[], self.events_dropped);
         reg.counter("bolt_manifest_recuts_total", &[], self.manifest_recuts);
+        let (bytes, files) = (self.pending_punch_bytes, self.pending_unlink_files);
+        reg.gauge("bolt_reclaim_pending_punch_bytes", &[], bytes as f64);
+        reg.gauge("bolt_reclaim_pending_unlink_files", &[], files as f64);
 
         // Per-policy breakdown: a database runs one policy for life (the
         // MANIFEST pins it), so the label tags this database's series and
@@ -278,6 +287,8 @@ mod tests {
             events_emitted: 42,
             events_dropped: 0,
             manifest_recuts: 1,
+            pending_punch_bytes: 8192,
+            pending_unlink_files: 2,
             range_tombstones_live: 3,
             table_cache: TableCacheSnapshot {
                 hits: 30,
@@ -339,10 +350,13 @@ mod tests {
             reg.find("bolt_checkpoints_total", &[]),
             Some(&MetricValue::Counter(1))
         );
-        assert_eq!(
-            reg.find("bolt_range_tombstones_live", &[]),
-            Some(&MetricValue::Gauge(3.0))
-        );
+        for (name, value) in [
+            ("bolt_range_tombstones_live", 3.0),
+            ("bolt_reclaim_pending_punch_bytes", 8192.0),
+            ("bolt_reclaim_pending_unlink_files", 2.0),
+        ] {
+            assert_eq!(reg.find(name, &[]), Some(&MetricValue::Gauge(value)));
+        }
         assert_eq!(
             reg.find("bolt_policy_compactions_total", &[("policy", "leveled")]),
             Some(&MetricValue::Counter(4))

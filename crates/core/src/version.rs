@@ -21,6 +21,7 @@
 //! changing. "The logical view of the LSM-tree is independent of the
 //! physical layout of logical SSTables in compaction files" (§3.4).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -282,6 +283,10 @@ pub struct Version {
     /// counts, summed once by [`VersionBuilder::build`] so that no read
     /// walks the tables to learn there are none.
     range_tombstone_count: u64,
+    /// Round-robin victim cursor per level (largest internal key of the last
+    /// victim), carried from version to version by [`VersionBuilder::apply`]:
+    /// the picker reads it from the version it picks on.
+    compact_pointers: BTreeMap<u32, Vec<u8>>,
 }
 
 impl Version {
@@ -291,7 +296,19 @@ impl Version {
             levels: vec![LevelState::default(); num_levels],
             tombstones: OnceLock::new(),
             range_tombstone_count: 0,
+            compact_pointers: BTreeMap::new(),
         }
+    }
+
+    /// Where the round-robin picker left off at `level`, if it ever ran there.
+    pub fn compact_pointer(&self, level: usize) -> Option<&[u8]> {
+        let cursor = self.compact_pointers.get(&(level as u32));
+        cursor.map(Vec::as_slice)
+    }
+
+    /// Every level's cursor as MANIFEST records (what a snapshot edit carries).
+    pub fn compact_pointer_records(&self) -> Vec<(u32, Vec<u8>)> {
+        self.compact_pointers.clone().into_iter().collect()
     }
 
     /// Total number of live logical tables.
@@ -689,6 +706,7 @@ pub struct VersionBuilder {
     deleted: std::collections::HashSet<u64>,
     /// table_id -> (level, run_tag, meta); later edits replace earlier.
     added: std::collections::BTreeMap<u64, (u32, u64, Arc<TableMeta>)>,
+    compact_pointers: BTreeMap<u32, Vec<u8>>,
 }
 
 impl VersionBuilder {
@@ -696,6 +714,7 @@ impl VersionBuilder {
     pub fn new(icmp: InternalKeyComparator, base: Arc<Version>) -> Self {
         VersionBuilder {
             icmp,
+            compact_pointers: base.compact_pointers.clone(),
             base,
             layout: RunLayout::default(),
             deleted: std::collections::HashSet::new(),
@@ -708,8 +727,12 @@ impl VersionBuilder {
         self.layout = layout;
     }
 
-    /// Apply one edit's table changes (edits must arrive in log order).
+    /// Apply one edit's table changes and compaction cursors (edits must
+    /// arrive in log order). A cursor for a level the tree does not have is
+    /// carried inertly: nothing ever reads it.
     pub fn apply(&mut self, edit: &VersionEdit) {
+        let cursors = edit.compact_pointers.iter().cloned();
+        self.compact_pointers.extend(cursors);
         for (_, table_id) in &edit.deleted_tables {
             self.deleted.insert(*table_id);
             self.added.remove(table_id);
@@ -732,6 +755,7 @@ impl VersionBuilder {
     pub fn build(self) -> Result<Version> {
         let num_levels = self.base.levels.len();
         let mut version = Version::empty(num_levels);
+        version.compact_pointers = self.compact_pointers;
         // (level, tag) -> tables
         let mut runs: std::collections::BTreeMap<(usize, u64), Vec<Arc<TableMeta>>> =
             std::collections::BTreeMap::new();

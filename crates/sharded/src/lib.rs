@@ -833,7 +833,8 @@ mod tests {
         opts.value_separation_threshold = Some(128);
         let db = ShardedDb::open(Arc::clone(&env), "agg", opts, Router::hash(2).unwrap()).unwrap();
         // Per shard: one separated value (read back twice), two flushes
-        // merged by a compaction, one range delete, one checkpoint.
+        // merged by a compaction, one checkpoint and an overwrite whose
+        // reclaim it holds back, one range delete.
         for i in 0..2 {
             let shard = db.shard(i);
             shard.put(b"big", &[7u8; 1024]).unwrap();
@@ -843,9 +844,13 @@ mod tests {
             assert!(shard.get(b"big").unwrap().is_some());
             shard.put(b"big", &[8u8; 1024]).unwrap();
             shard.compact_range(b"", b"zzzz").unwrap();
+            shard.checkpoint(&format!("agg-ckpt-{i}")).unwrap();
+            // The checkpoint shares the segment's inode, so the range this
+            // overwrite kills stays in the reclaim ledger: never punched.
+            shard.put(b"big", &[9u8; 1024]).unwrap();
+            shard.compact_range(b"", b"zzzz").unwrap();
             shard.delete_range(b"a", b"b").unwrap();
             shard.flush().unwrap();
-            shard.checkpoint(&format!("agg-ckpt-{i}")).unwrap();
         }
         let m = db.metrics();
         for name in [
@@ -870,6 +875,15 @@ mod tests {
         assert_eq!(
             m.aggregate.range_tombstones_live,
             m.per_shard[0].range_tombstones_live + m.per_shard[1].range_tombstones_live
+        );
+        assert!(m.per_shard[0].pending_punch_bytes >= 1024);
+        assert_eq!(
+            m.aggregate.pending_punch_bytes,
+            m.per_shard[0].pending_punch_bytes + m.per_shard[1].pending_punch_bytes
+        );
+        assert_eq!(
+            m.aggregate.pending_unlink_files,
+            m.per_shard[0].pending_unlink_files + m.per_shard[1].pending_unlink_files
         );
         // Every counter series a shard exports — whatever is declared, now
         // or later — must appear in the aggregate as the sum over shards.

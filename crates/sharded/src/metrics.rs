@@ -78,6 +78,8 @@ pub(crate) fn aggregate(per_shard: &[MetricsSnapshot], env_owner: &[bool]) -> Me
         agg.events_emitted += m.events_emitted;
         agg.events_dropped += m.events_dropped;
         agg.manifest_recuts += m.manifest_recuts;
+        agg.pending_punch_bytes += m.pending_punch_bytes;
+        agg.pending_unlink_files += m.pending_unlink_files;
         agg.range_tombstones_live += m.range_tombstones_live;
         agg.table_cache.accumulate(&m.table_cache);
         // Every shard shares one Options, hence one compaction policy.

@@ -135,6 +135,12 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
         .expect("write");
     }
     writeln!(out, "  manifest re-cuts {}", metrics.manifest_recuts).expect("write");
+    writeln!(
+        out,
+        "  reclaim pending: {} B to punch | {} files to unlink",
+        metrics.pending_punch_bytes, metrics.pending_unlink_files
+    )
+    .expect("write");
     let tc = &metrics.table_cache;
     writeln!(
         out,

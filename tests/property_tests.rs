@@ -263,8 +263,8 @@ proptest! {
             }
             let mut edit = VersionEdit::default();
             let action: Result<u64, u64> = if is_add || alive.is_empty() {
-                let t = vs.new_table_id();
-                let f = vs.new_file_number();
+                let t = vs.ids().new_table_id();
+                let f = vs.ids().new_file_number();
                 edit.added_tables.push((0, t, TableMeta::new(
                     t, f, 0, 100, 1,
                     make_internal_key(
