@@ -193,7 +193,7 @@ pub enum EngineEvent {
         /// Bytes of input selected for the compaction.
         input_bytes: u64,
         /// Stable name of the compaction policy that picked the victims
-        /// (`leveled`, `size_tiered`, or `lazy_leveled`).
+        /// (`leveled`, `size_tiered`, `lazy_leveled`, or `fragmented`).
         policy: &'static str,
     },
     /// A background compaction committed.
@@ -209,7 +209,7 @@ pub enum EngineEvent {
         /// Whether any data was rewritten (false = settled moves only).
         rewrote: bool,
         /// Stable name of the compaction policy that picked the victims
-        /// (`leveled`, `size_tiered`, or `lazy_leveled`).
+        /// (`leveled`, `size_tiered`, `lazy_leveled`, or `fragmented`).
         policy: &'static str,
     },
     /// Victim tables were promoted in place by settled compaction.

@@ -1,16 +1,21 @@
-//! Compaction picking behind the pluggable [`CompactionPolicy`] trait:
-//! victims, group selection, settled-compaction candidates, clusters, and
-//! the entry-drop rule.
+//! Compaction picking: victims, group selection, settled-compaction
+//! candidates, clusters, and the entry-drop rule.
 //!
-//! Three policies ship (see `DESIGN.md` §13 for the design-space mapping
-//! and `docs/compaction-tuning.md` for when to pick which):
+//! One picker serves the four [`CompactionPolicyKind`]s (see `DESIGN.md`
+//! §13 for the design-space mapping and `docs/compaction-tuning.md` for
+//! when to pick which). The kind says how a level is scored and how many
+//! of its runs a pick takes; everything else follows from which levels
+//! stack runs ([`CompactionPolicyKind::single_run_from`]):
 //!
-//! * [`CompactionPolicyKind::Leveled`] — the classic picker, behavior-
-//!   identical to the engine before policies were pluggable;
+//! * [`CompactionPolicyKind::Leveled`] — the classic picker: one sorted run
+//!   per level beyond L0, size-ratio triggers, round-robin (or settled
+//!   least-overlap) victim choice;
 //! * [`CompactionPolicyKind::SizeTiered`] — STCS size-band bucketing,
 //!   every level holds overlapping runs;
 //! * [`CompactionPolicyKind::LazyLeveled`] — tiered above, leveled at the
-//!   largest level.
+//!   largest level;
+//! * [`CompactionPolicyKind::Fragmented`] — every level holds overlapping
+//!   runs, scored the leveled way and moved down whole.
 //!
 //! This module is pure metadata logic (no I/O) so it can be unit-tested
 //! exhaustively; execution lives in `db/compact.rs`.
@@ -20,8 +25,8 @@ use std::sync::Arc;
 use bolt_table::comparator::{Comparator, InternalKeyComparator};
 use bolt_table::ikey::{ParsedInternalKey, SequenceNumber, ValueType};
 
-use crate::options::{CompactionPolicyKind, CompactionStyle, Options};
-use crate::version::{Run, RunLayout, TableList, TableMeta, Version};
+use crate::options::{CompactionPolicyKind, Options};
+use crate::version::{Run, TableList, TableMeta, Version};
 
 /// Why a compaction was scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,10 +62,9 @@ pub enum OutputShape {
 
 /// A picked compaction, ready for execution by `db/compact.rs`.
 ///
-/// Produced by a [`CompactionPolicy`] (via [`pick_compaction`]) or by the
-/// manual-compaction path. `input_runs` holds the victims at `level`
-/// grouped by source run; `output_level` and `output` describe where and
-/// in what shape the merged result lands.
+/// Produced by [`pick_compaction`] or [`manual_task`]. `input_runs` holds
+/// the victims at `level` grouped by source run; `output_level` and
+/// `output` describe where and in what shape the merged result lands.
 #[derive(Debug)]
 pub struct CompactionTask {
     /// Source level.
@@ -87,6 +91,23 @@ pub struct CompactionTask {
 }
 
 impl CompactionTask {
+    /// A task out of `level` into the level below it, nothing taken yet.
+    fn new(level: usize, output: OutputShape) -> Self {
+        CompactionTask {
+            level,
+            output_level: level + 1,
+            reason: if level == 0 {
+                CompactionReason::Level0
+            } else {
+                CompactionReason::Size
+            },
+            input_runs: Vec::new(),
+            next_inputs: Vec::new(),
+            settled_moves: Vec::new(),
+            output,
+        }
+    }
+
     /// The victims at `level` being merged, run by run.
     pub fn victims(&self) -> impl Iterator<Item = &Arc<TableMeta>> {
         self.input_runs.iter().flat_map(|run| run.iter())
@@ -116,252 +137,152 @@ impl CompactionTask {
     }
 }
 
-/// Pluggable victim-selection strategy: the "victim choice" and "data
-/// layout" knobs of the compaction design space (`DESIGN.md` §13).
-///
-/// Policies are stateless unit structs that read their tuning knobs from
-/// [`Options`]; obtain the instance matching an option set with
-/// [`policy_for`]. A policy decides *which* tables merge and *where* the
-/// output lands ([`OutputShape`]); execution, barriers, and MANIFEST
-/// commits in `db/compact.rs` are policy-agnostic.
-///
-/// The two hooks must agree: whenever [`CompactionPolicy::needs_compaction`]
-/// is `true`, [`CompactionPolicy::pick`] must return a task, or the
-/// background scheduler would spin without making progress.
-///
-/// ```
-/// use bolt_core::{policy_for, CompactionPolicyKind, Options};
-///
-/// let opts = Options::bolt();
-/// let policy = policy_for(opts.compaction_policy);
-/// assert_eq!(policy.kind(), CompactionPolicyKind::Leveled);
-/// ```
-pub trait CompactionPolicy: Send + Sync + std::fmt::Debug {
-    /// Which layout family this policy implements (also what gets pinned
-    /// in the MANIFEST).
-    fn kind(&self) -> CompactionPolicyKind;
-
-    /// Per-level compaction scores; `>= 1.0` means the level needs work.
-    /// The flush scheduler and `compact_until_quiet` consult these.
-    fn level_scores(&self, opts: &Options, version: &Version) -> Vec<f64>;
-
-    /// `true` if any level scores `>= 1.0` (ignoring seek candidates).
-    fn needs_compaction(&self, opts: &Options, version: &Version) -> bool {
-        self.level_scores(opts, version).iter().any(|&s| s >= 1.0)
-    }
-
-    /// Pick the next compaction, if any. The per-level round-robin cursors
-    /// (used by the leveled policy only) are `version`'s own;
-    /// `seek_candidate` is a `(level, table)` pair charged out of its seek
-    /// budget, consulted only when no size-based compaction is due.
-    fn pick(
-        &self,
-        opts: &Options,
-        icmp: &InternalKeyComparator,
-        version: &Version,
-        seek_candidate: Option<(usize, Arc<TableMeta>)>,
-    ) -> Option<CompactionTask>;
-}
-
-/// The static [`CompactionPolicy`] instance for `kind`.
-///
-/// Policies are stateless (all tuning lives on [`Options`]), so a static
-/// reference suffices — no allocation, no registry.
-pub fn policy_for(kind: CompactionPolicyKind) -> &'static dyn CompactionPolicy {
-    match kind {
-        CompactionPolicyKind::Leveled => &LeveledPolicy,
-        CompactionPolicyKind::SizeTiered => &SizeTieredPolicy,
-        CompactionPolicyKind::LazyLeveled => &LazyLeveledPolicy,
-    }
-}
-
-/// The run-layout invariant `VersionBuilder::build` must enforce for this
-/// option set (which levels may hold more than one sorted run).
-pub fn run_layout_for(opts: &Options) -> RunLayout {
-    if matches!(opts.compaction_style, CompactionStyle::Fragmented) {
-        // The fragmented (guard-based) style predates pluggable policies
-        // and allows overlapping runs everywhere.
-        return RunLayout::Unrestricted;
-    }
-    match opts.compaction_policy {
-        CompactionPolicyKind::Leveled => RunLayout::SingleRunBeyond(1),
-        CompactionPolicyKind::SizeTiered => RunLayout::Unrestricted,
-        CompactionPolicyKind::LazyLeveled => {
-            RunLayout::SingleRunBeyond(opts.num_levels.saturating_sub(1))
-        }
-    }
-}
-
-/// Compute the compaction score of every level under the configured
-/// policy; a score `>= 1.0` means "needs work".
-///
-/// Convenience wrapper over [`CompactionPolicy::level_scores`] for
-/// `opts.compaction_policy`.
+/// The compaction score of every level under `opts.compaction_policy`; a
+/// score `>= 1.0` means "needs work". The flush scheduler and
+/// `compact_until_quiet` consult these.
 pub fn level_scores(opts: &Options, version: &Version) -> Vec<f64> {
-    policy_for(opts.compaction_policy).level_scores(opts, version)
+    use CompactionPolicyKind::{Fragmented, LazyLeveled, Leveled, SizeTiered};
+    let deepest = version.levels.len() - 1;
+    let levels = version.levels.iter().enumerate();
+    let scores = levels.map(|(level, state)| match opts.compaction_policy {
+        // The deepest level has no target below it (a size-tiered one
+        // merges in place instead).
+        Leveled | Fragmented | LazyLeveled if level == deepest => 0.0,
+        // Level 0 is governed by run count, not size knobs.
+        Leveled | Fragmented if level == 0 => {
+            state.num_runs() as f64 / opts.level0_compaction_trigger as f64
+        }
+        Leveled | Fragmented => state.size() as f64 / opts.max_bytes_for_level(level) as f64,
+        SizeTiered | LazyLeveled => tier_score(opts, &state.runs),
+    });
+    scores.collect()
 }
 
 /// `true` if any level needs compaction under the configured policy
-/// (ignoring seek candidates).
+/// (ignoring seek candidates). Whenever this is `true`,
+/// [`pick_compaction`] returns a task, or the background scheduler would
+/// spin without making progress.
 pub fn needs_compaction(opts: &Options, version: &Version) -> bool {
-    policy_for(opts.compaction_policy).needs_compaction(opts, version)
+    level_scores(opts, version).iter().any(|&s| s >= 1.0)
 }
 
 /// Pick the next compaction, if any, under `opts.compaction_policy`.
 ///
-/// `seek_candidate` is a `(level, table)` pair charged out of its seek
-/// budget; it and `version`'s round-robin cursors are consulted only by
-/// policies that use them (the leveled policy; tiered policies ignore them). Convenience wrapper over
-/// [`CompactionPolicy::pick`].
+/// The policy decides *which* tables merge and *where* the output lands
+/// ([`OutputShape`]); execution, barriers, and MANIFEST commits in
+/// `db/compact.rs` are policy-agnostic. `seek_candidate` is a
+/// `(level, table)` pair charged out of its seek budget, consulted only
+/// when no size-based compaction is due.
 pub fn pick_compaction(
     opts: &Options,
     icmp: &InternalKeyComparator,
     version: &Version,
     seek_candidate: Option<(usize, Arc<TableMeta>)>,
 ) -> Option<CompactionTask> {
-    policy_for(opts.compaction_policy).pick(opts, icmp, version, seek_candidate)
-}
-
-/// The classic leveled picker: single sorted run per level beyond L0,
-/// size-ratio triggers, round-robin (or settled least-overlap) victim
-/// choice. Behavior-identical to the engine before policies were
-/// pluggable; also hosts the fragmented-style and seek-compaction paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeveledPolicy;
-
-impl CompactionPolicy for LeveledPolicy {
-    fn kind(&self) -> CompactionPolicyKind {
-        CompactionPolicyKind::Leveled
+    use CompactionPolicyKind::{Fragmented, LazyLeveled, Leveled, SizeTiered};
+    let scores = level_scores(opts, version).into_iter().enumerate();
+    // `max_by` returns the last of equal maxima.
+    let by_score = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1);
+    let (level, score) = match opts.compaction_policy {
+        // Ties go to the deeper level.
+        Leveled | Fragmented => scores.max_by(by_score),
+        // Ties go to the shallower level so upstream debt is paid first.
+        SizeTiered | LazyLeveled => scores.rev().max_by(by_score),
+    }?;
+    if score >= 1.0 {
+        return pick_level(opts, icmp, version, level);
     }
 
-    fn level_scores(&self, opts: &Options, version: &Version) -> Vec<f64> {
-        let mut scores = vec![0.0; version.levels.len()];
-        scores[0] = version.levels[0].num_runs() as f64 / opts.level0_compaction_trigger as f64;
-        // The deepest level has no target below it.
-        for (level, score) in scores
-            .iter_mut()
-            .enumerate()
-            .take(version.levels.len().saturating_sub(1))
-            .skip(1)
-        {
-            *score = version.levels[level].size() as f64 / opts.max_bytes_for_level(level) as f64;
+    // Seek compaction (stock LevelDB only) sinks one table into the sorted
+    // run below, so both levels must be single runs: a table taken out of
+    // the newer of two stacked runs would carry its entries below the
+    // older run. Elsewhere the candidate is dropped.
+    let (level, table) = seek_candidate.filter(|_| opts.seek_compaction)?;
+    let levels = version.levels.len();
+    let single_run_from = opts.compaction_policy.single_run_from(levels);
+    // Level 0 qualifies as a source because all of it goes (below).
+    let sinks_in_order = (level == 0 || level >= single_run_from)
+        && (single_run_from..levels).contains(&(level + 1));
+    let live = |id| version.levels[level].tables().any(|t| t.table_id == id);
+    if !sinks_in_order || !live(table.table_id) {
+        return None;
+    }
+    let mut task = if level == 0 {
+        // L0 runs overlap each other: compacting one table in isolation
+        // would sink a newer version below an older one. Take the whole of
+        // level 0 (LevelDB expands L0 inputs to all overlapping files for
+        // the same reason).
+        pick_level(opts, icmp, version, 0)?
+    } else {
+        CompactionTask {
+            next_inputs: overlaps_at(icmp, version, level + 1, [&table]),
+            input_runs: vec![[table].into()],
+            ..CompactionTask::new(level, OutputShape::Leveled)
         }
-        scores
-    }
-
-    fn pick(
-        &self,
-        opts: &Options,
-        icmp: &InternalKeyComparator,
-        version: &Version,
-        seek_candidate: Option<(usize, Arc<TableMeta>)>,
-    ) -> Option<CompactionTask> {
-        let scores = self.level_scores(opts, version);
-        let (best_level, best_score) = scores
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(&b.1))?;
-
-        if best_score >= 1.0 {
-            if matches!(opts.compaction_style, CompactionStyle::Fragmented) {
-                return Some(pick_fragmented(version, best_level));
-            }
-            if best_level == 0 {
-                return Some(pick_level0(icmp, version));
-            }
-            return Some(pick_leveled(opts, icmp, version, best_level));
-        }
-
-        // Seek compaction (stock LevelDB only).
-        if opts.seek_compaction {
-            if let Some((level, table)) = seek_candidate {
-                if level + 1 < version.levels.len()
-                    && version.levels[level]
-                        .tables()
-                        .any(|t| t.table_id == table.table_id)
-                {
-                    if level == 0 {
-                        // L0 runs overlap each other: compacting one table in
-                        // isolation would sink a newer version below an older
-                        // one. Take the whole of level 0 (LevelDB expands L0
-                        // inputs to all overlapping files for the same reason).
-                        let mut task = pick_level0(icmp, version);
-                        task.reason = CompactionReason::Seek;
-                        return Some(task);
-                    }
-                    let next_inputs = version.overlapping_tables(
-                        icmp,
-                        level + 1,
-                        table.smallest_user_key(),
-                        table.largest_user_key(),
-                    );
-                    return Some(CompactionTask {
-                        level,
-                        output_level: level + 1,
-                        reason: CompactionReason::Seek,
-                        input_runs: vec![[table].into()],
-                        next_inputs,
-                        settled_moves: Vec::new(),
-                        output: OutputShape::Leveled,
-                    });
-                }
-            }
-        }
-        None
-    }
-}
-
-fn pick_fragmented(version: &Version, level: usize) -> CompactionTask {
-    // Merge the *entire* level into one run appended at level + 1. Merging
-    // whole levels preserves the recency invariant between runs.
-    CompactionTask {
-        level,
-        output_level: level + 1,
-        reason: if level == 0 {
-            CompactionReason::Level0
-        } else {
-            CompactionReason::Size
-        },
-        input_runs: version.levels[level].table_lists(),
-        next_inputs: Vec::new(),
-        settled_moves: Vec::new(),
-        output: OutputShape::AppendRun,
-    }
-}
-
-/// Level 0 is governed by run count, not size knobs: take all of it.
-fn pick_level0(icmp: &InternalKeyComparator, version: &Version) -> CompactionTask {
-    let input_runs = version.levels[0].table_lists();
-    let (mut begin, mut end): (Option<Vec<u8>>, Option<Vec<u8>>) = (None, None);
-    let ucmp = icmp.user_comparator();
-    for table in version.levels[0].tables() {
-        let s = table.smallest_user_key().to_vec();
-        let l = table.largest_user_key().to_vec();
-        begin = Some(match begin {
-            None => s,
-            Some(b) if ucmp.compare(&s, &b).is_lt() => s,
-            Some(b) => b,
-        });
-        end = Some(match end {
-            None => l,
-            Some(e) if ucmp.compare(&l, &e).is_gt() => l,
-            Some(e) => e,
-        });
-    }
-    let next_inputs = match (&begin, &end) {
-        (Some(b), Some(e)) => version.overlapping_tables(icmp, 1, b, e),
-        _ => Vec::new(),
     };
-    CompactionTask {
-        level: 0,
-        output_level: 1,
-        reason: CompactionReason::Level0,
-        input_runs,
-        next_inputs,
-        settled_moves: Vec::new(),
-        output: OutputShape::Leveled,
+    task.reason = CompactionReason::Seek;
+    Some(task)
+}
+
+/// Build a compaction task pushing the tables of `level` overlapping
+/// `[begin, end]` down one level, or `None` if nothing overlaps.
+pub fn manual_task(
+    opts: &Options,
+    icmp: &InternalKeyComparator,
+    version: &Version,
+    level: usize,
+    begin: &[u8],
+    end: &[u8],
+) -> Option<CompactionTask> {
+    let overlapping = version.overlapping_tables(icmp, level, begin, end);
+    if overlapping.is_empty() {
+        return None;
     }
+    let single_run_from = opts.compaction_policy.single_run_from(version.levels.len());
+    // When the output level may itself hold sibling runs, the merge
+    // appends a fresh run there instead of folding into a sorted level.
+    let mut task = if level + 1 < single_run_from {
+        CompactionTask::new(level, OutputShape::AppendRun)
+    } else {
+        CompactionTask::new(level, OutputShape::Leveled)
+    };
+    task.reason = CompactionReason::Size;
+    // Levels that may hold overlapping runs must move as whole runs to
+    // preserve recency ordering; L0 runs always overlap each other.
+    task.input_runs = if level < single_run_from {
+        version.levels[level].table_lists()
+    } else {
+        vec![overlapping.into()]
+    };
+    if task.output == OutputShape::Leveled {
+        task.next_inputs = overlaps_at(icmp, version, level + 1, task.victims());
+    }
+    Some(task)
+}
+
+/// The tables at `level` that any of `victims` overlaps: each once, in key
+/// order.
+fn overlaps_at<'a>(
+    icmp: &InternalKeyComparator,
+    version: &Version,
+    level: usize,
+    victims: impl IntoIterator<Item = &'a Arc<TableMeta>>,
+) -> Vec<Arc<TableMeta>> {
+    let mut found: Vec<Arc<TableMeta>> = Vec::new();
+    for victim in victims {
+        for table in version.overlapping_tables(
+            icmp,
+            level,
+            victim.smallest_user_key(),
+            victim.largest_user_key(),
+        ) {
+            if !found.iter().any(|t| t.table_id == table.table_id) {
+                found.push(table);
+            }
+        }
+    }
+    found.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
+    found
 }
 
 fn overlap_bytes(
@@ -382,7 +303,83 @@ fn overlap_bytes(
         .sum()
 }
 
-fn pick_leveled(
+/// The task that pays down the debt of `level` (one that scores `>= 1.0`).
+fn pick_level(
+    opts: &Options,
+    icmp: &InternalKeyComparator,
+    version: &Version,
+    level: usize,
+) -> Option<CompactionTask> {
+    use CompactionPolicyKind::{LazyLeveled, Leveled, SizeTiered};
+    let kind = opts.compaction_policy;
+    let levels = version.levels.len();
+    let single_run_from = kind.single_run_from(levels);
+    if level >= single_run_from {
+        // One sorted run: any of its tables may leave without the others.
+        return Some(pick_from_single_run(opts, icmp, version, level));
+    }
+    // Stacked runs leave whole and oldest first (see `tier_bucket`).
+    let runs = &version.levels[level].runs;
+    let below_is_single_run = (single_run_from..levels).contains(&(level + 1));
+    let take = match kind {
+        // The tiered region merges one size bucket at a time.
+        SizeTiered | LazyLeveled if !below_is_single_run => tier_bucket(opts, runs)?,
+        // Leveled L0 and a fragmented level go whole: they are governed by
+        // run count and bytes, not size bands. So does lazy-leveled's last
+        // tiered level when it fills: one group compaction into the
+        // largest level — bigger merges at the same 2-barrier cost.
+        _ => runs.len(),
+    };
+    let oldest = runs.len() - take;
+    // The runs taken are strictly older than everything already at
+    // `level + 1` (data only ever flows down), so by default the output
+    // is committed as the *newest* run there.
+    let mut task = CompactionTask::new(level, OutputShape::AppendRun);
+    task.input_runs = runs[oldest..]
+        .iter()
+        .map(|r| Arc::clone(&r.tables))
+        .collect();
+    if level + 1 == levels {
+        // Deepest level: merge in place. Reusing the newest input tag
+        // keeps the output ordered after (older than) the runs left
+        // behind, which all carry higher tags.
+        task.output_level = level;
+        task.output = OutputShape::ReplaceRun {
+            tag: runs[oldest].tag,
+        };
+    } else if below_is_single_run {
+        task.output = OutputShape::Leveled;
+        if kind == Leveled {
+            task.next_inputs = level0_overlaps(icmp, version);
+        } else {
+            settle_into_single_run(icmp, version, &mut task);
+        }
+    }
+    Some(task)
+}
+
+/// What a leveled L0 → L1 merge rewrites at level 1: everything the
+/// *bounding range* of all of L0 overlaps (LevelDB's rule) — a superset of
+/// what the L0 tables overlap one by one, so not [`overlaps_at`].
+fn level0_overlaps(icmp: &InternalKeyComparator, version: &Version) -> Vec<Arc<TableMeta>> {
+    let ucmp = icmp.user_comparator();
+    let tables = || version.levels[0].tables();
+    let begin = tables()
+        .map(|t| t.smallest_user_key())
+        .min_by(|a, b| ucmp.compare(a, b));
+    let end = tables()
+        .map(|t| t.largest_user_key())
+        .max_by(|a, b| ucmp.compare(a, b));
+    match (begin, end) {
+        (Some(begin), Some(end)) => version.overlapping_tables(icmp, 1, begin, end),
+        _ => Vec::new(),
+    }
+}
+
+/// Victims out of the single sorted run at `level`, merged into the single
+/// run below: round-robin from the compact pointer, a group of them under
+/// BoLT (§3.3), the least-overlapping ones with settled compaction (§3.4).
+fn pick_from_single_run(
     opts: &Options,
     icmp: &InternalKeyComparator,
     version: &Version,
@@ -454,29 +451,11 @@ fn pick_leveled(
         }
     }
 
-    let mut next_inputs: Vec<Arc<TableMeta>> = Vec::new();
-    for victim in &merge_victims {
-        for table in version.overlapping_tables(
-            icmp,
-            level + 1,
-            victim.smallest_user_key(),
-            victim.largest_user_key(),
-        ) {
-            if !next_inputs.iter().any(|t| t.table_id == table.table_id) {
-                next_inputs.push(table);
-            }
-        }
-    }
-    next_inputs.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
-
     CompactionTask {
-        level,
-        output_level: level + 1,
-        reason: CompactionReason::Size,
+        next_inputs: overlaps_at(icmp, version, level + 1, &merge_victims),
         input_runs: vec![merge_victims.into()],
-        next_inputs,
         settled_moves,
-        output: OutputShape::Leveled,
+        ..CompactionTask::new(level, OutputShape::Leveled)
     }
 }
 
@@ -531,164 +510,19 @@ fn tier_score(opts: &Options, runs: &[Run]) -> f64 {
     }
 }
 
-/// Shallowest level with the highest score (ties go to the shallower
-/// level so upstream debt is paid first).
-fn best_scored_level(scores: &[f64]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (level, &score) in scores.iter().enumerate() {
-        if best.is_none_or(|(_, s)| score > s) {
-            best = Some((level, score));
-        }
-    }
-    best
-}
-
-/// Build the tiered merge task for `level`: the oldest size bucket merges
-/// into a fresh run appended one level down, or — at the deepest level —
-/// replaces itself in place under the newest input run's tag.
-fn pick_tiered(opts: &Options, version: &Version, level: usize) -> Option<CompactionTask> {
-    let runs = &version.levels[level].runs;
-    let len = tier_bucket(opts, runs)?;
-    let oldest = runs.len() - len;
-    let input_runs = runs[oldest..]
-        .iter()
-        .map(|r| Arc::clone(&r.tables))
-        .collect();
-    let (output_level, output) = if level + 1 < version.levels.len() {
-        // The bucket is strictly older than everything already at
-        // `level + 1` (data only ever flows down), so the output is
-        // committed as the *newest* run there.
-        (level + 1, OutputShape::AppendRun)
-    } else {
-        // Deepest level: merge in place. Reusing the newest input tag
-        // keeps the output ordered after (older than) the runs left
-        // behind, which all carry higher tags.
-        (
-            level,
-            OutputShape::ReplaceRun {
-                tag: runs[oldest].tag,
-            },
-        )
-    };
-    Some(CompactionTask {
-        level,
-        output_level,
-        reason: if level == 0 {
-            CompactionReason::Level0
-        } else {
-            CompactionReason::Size
-        },
-        input_runs,
-        next_inputs: Vec::new(),
-        settled_moves: Vec::new(),
-        output,
-    })
-}
-
-/// Pure size-tiered compaction (STCS): every level holds overlapping
-/// runs ordered by recency, and a level compacts when its oldest
-/// same-size-band bucket reaches `size_tiered_min_threshold` runs.
-///
-/// Minimizes write amplification (each entry is rewritten only when its
-/// whole bucket merges) at the cost of read and space amplification
-/// (point reads may consult every run on every level). Compact pointers
-/// and seek candidates are ignored — recency ordering leaves no freedom
-/// in victim choice.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SizeTieredPolicy;
-
-impl CompactionPolicy for SizeTieredPolicy {
-    fn kind(&self) -> CompactionPolicyKind {
-        CompactionPolicyKind::SizeTiered
-    }
-
-    fn level_scores(&self, opts: &Options, version: &Version) -> Vec<f64> {
-        version
-            .levels
-            .iter()
-            .map(|l| tier_score(opts, &l.runs))
-            .collect()
-    }
-
-    fn pick(
-        &self,
-        opts: &Options,
-        _icmp: &InternalKeyComparator,
-        version: &Version,
-        _seek_candidate: Option<(usize, Arc<TableMeta>)>,
-    ) -> Option<CompactionTask> {
-        let scores = self.level_scores(opts, version);
-        let (level, score) = best_scored_level(&scores)?;
-        if score < 1.0 {
-            return None;
-        }
-        pick_tiered(opts, version, level)
-    }
-}
-
-/// Lazy-leveled hybrid: tiered (overlapping runs, bucket merges) on every
-/// level above the largest, leveled (single sorted run) at the largest
-/// level.
-///
-/// Upper levels accumulate runs cheaply like STCS; when the level feeding
-/// the largest one fills, the *whole* level merges leveled-style into the
-/// bottom run in one group compaction — bigger merges at the same
-/// 2-barrier cost, with bottom-level reads and space as good as leveled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LazyLeveledPolicy;
-
-impl CompactionPolicy for LazyLeveledPolicy {
-    fn kind(&self) -> CompactionPolicyKind {
-        CompactionPolicyKind::LazyLeveled
-    }
-
-    fn level_scores(&self, opts: &Options, version: &Version) -> Vec<f64> {
-        let n = version.levels.len();
-        let mut scores = vec![0.0; n];
-        // All levels above the last are tiered; the last level itself is
-        // the leveled sink and never compacts further down.
-        for (level, score) in scores.iter_mut().enumerate().take(n - 1) {
-            *score = tier_score(opts, &version.levels[level].runs);
-        }
-        scores
-    }
-
-    fn pick(
-        &self,
-        opts: &Options,
-        icmp: &InternalKeyComparator,
-        version: &Version,
-        _seek_candidate: Option<(usize, Arc<TableMeta>)>,
-    ) -> Option<CompactionTask> {
-        let scores = self.level_scores(opts, version);
-        let (level, score) = best_scored_level(&scores)?;
-        if score < 1.0 {
-            return None;
-        }
-        let last = version.levels.len() - 1;
-        if level + 1 < last {
-            // Tiered region: oldest bucket becomes a fresh run one down.
-            return pick_tiered(opts, version, level);
-        }
-        Some(pick_into_last(icmp, version, level))
-    }
-}
-
-/// Leveled merge of the whole of `level` (the last tiered level) into the
-/// single sorted run at the largest level.
-///
-/// Every run at `level` is taken — merging a subset would sink newer
-/// entries below the remaining runs. Victims that overlap neither the
-/// last level nor any other victim settle (move without rewriting),
-/// preserving BoLT's settled-compaction payoff inside the hybrid.
-fn pick_into_last(icmp: &InternalKeyComparator, version: &Version, level: usize) -> CompactionTask {
-    let last = version.levels.len() - 1;
-    let mut input_runs = version.levels[level].table_lists();
-
-    // A victim may settle only if it overlaps nothing at the last level
-    // AND no other victim: everything else lands in the last level's
-    // single run, which must stay internally disjoint.
-    let all: Vec<&Arc<TableMeta>> = version.levels[level].tables().collect();
+/// Merge the whole of `task.level` (lazy-leveled's last tiered level) into
+/// the single sorted run below it. Victims that overlap neither that run
+/// nor any other victim settle (move without rewriting), preserving BoLT's
+/// settled-compaction payoff inside the hybrid.
+fn settle_into_single_run(
+    icmp: &InternalKeyComparator,
+    version: &Version,
+    task: &mut CompactionTask,
+) {
+    // A victim may settle only if it overlaps nothing at the output level
+    // AND no other victim: everything else lands in that level's single
+    // run, which must stay internally disjoint.
+    let all: Vec<&Arc<TableMeta>> = version.levels[task.level].tables().collect();
     let ucmp = icmp.user_comparator();
     let overlaps_other_victim = |t: &Arc<TableMeta>| {
         all.iter().any(|o| {
@@ -701,47 +535,18 @@ fn pick_into_last(icmp: &InternalKeyComparator, version: &Version, level: usize)
                     .is_ge()
         })
     };
-    let mut settled_moves = Vec::new();
-    for run in &mut input_runs {
-        let (settle, merge): (Vec<_>, Vec<_>) = run
-            .iter()
-            .cloned()
-            .partition(|t| overlap_bytes(icmp, version, last, t) == 0 && !overlaps_other_victim(t));
+    let below = task.output_level;
+    for run in &mut task.input_runs {
+        let (settle, merge): (Vec<_>, Vec<_>) = run.iter().cloned().partition(|t| {
+            overlap_bytes(icmp, version, below, t) == 0 && !overlaps_other_victim(t)
+        });
         // A run that settles nothing stays the version's own list.
         if !settle.is_empty() {
-            settled_moves.extend(settle);
+            task.settled_moves.extend(settle);
             *run = merge.into();
         }
     }
-
-    let mut next_inputs: Vec<Arc<TableMeta>> = Vec::new();
-    for victim in input_runs.iter().flat_map(|run| run.iter()) {
-        for table in version.overlapping_tables(
-            icmp,
-            last,
-            victim.smallest_user_key(),
-            victim.largest_user_key(),
-        ) {
-            if !next_inputs.iter().any(|t| t.table_id == table.table_id) {
-                next_inputs.push(table);
-            }
-        }
-    }
-    next_inputs.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
-
-    CompactionTask {
-        level,
-        output_level: last,
-        reason: if level == 0 {
-            CompactionReason::Level0
-        } else {
-            CompactionReason::Size
-        },
-        input_runs,
-        next_inputs,
-        settled_moves,
-        output: OutputShape::Leveled,
-    }
+    task.next_inputs = overlaps_at(icmp, version, below, task.victims());
 }
 
 /// A maximal set of merge inputs whose user-key ranges form one contiguous
@@ -887,6 +692,7 @@ impl DropFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::CompactionStyle;
     use crate::version::{VersionBuilder, VersionEdit};
     use bolt_table::ikey::{make_internal_key, parse_internal_key};
 
@@ -1171,42 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_for_dispatches_by_kind() {
-        for kind in [
-            CompactionPolicyKind::Leveled,
-            CompactionPolicyKind::SizeTiered,
-            CompactionPolicyKind::LazyLeveled,
-        ] {
-            assert_eq!(policy_for(kind).kind(), kind);
-        }
-    }
-
-    #[test]
-    fn run_layout_for_matches_policy() {
-        assert_eq!(
-            run_layout_for(&Options::bolt()),
-            RunLayout::SingleRunBeyond(1)
-        );
-        assert_eq!(
-            run_layout_for(&Options::leveldb()),
-            RunLayout::SingleRunBeyond(1)
-        );
-        assert_eq!(
-            run_layout_for(&tiered_opts(CompactionPolicyKind::SizeTiered)),
-            RunLayout::Unrestricted
-        );
-        assert_eq!(
-            run_layout_for(&tiered_opts(CompactionPolicyKind::LazyLeveled)),
-            RunLayout::SingleRunBeyond(6)
-        );
-        // The fragmented style keeps its own everything-overlaps layout.
-        assert_eq!(
-            run_layout_for(&Options::pebblesdb()),
-            RunLayout::Unrestricted
-        );
-    }
-
-    #[test]
     fn size_tiered_merges_full_bucket_as_fresh_run() {
         let opts = tiered_opts(CompactionPolicyKind::SizeTiered);
         let v = version_with(&[
@@ -1358,8 +1128,10 @@ mod tests {
         for kind in [
             CompactionPolicyKind::SizeTiered,
             CompactionPolicyKind::LazyLeveled,
+            CompactionPolicyKind::Fragmented,
         ] {
-            let opts = tiered_opts(kind);
+            let mut opts = tiered_opts(kind);
+            opts.level1_max_bytes = 450; // the fifth 100-byte run tips level 1
             for runs in 0..6u64 {
                 let tables: Vec<(u32, u64, TableMeta)> = (0..runs)
                     .map(|i| (1u32, i + 1, meta(i + 1, "a", "e", 100)))
@@ -1371,6 +1143,303 @@ mod tests {
                     picked,
                     "{kind:?} with {runs} runs: needs_compaction and pick disagree"
                 );
+            }
+        }
+    }
+
+    /// One picked task as a row: levels, shape, reason, victim ids run by
+    /// run, next-level input ids, settled ids.
+    fn row(task: Option<CompactionTask>) -> String {
+        let Some(t) = task else {
+            return "-".to_string();
+        };
+        let ids = |tables: &[Arc<TableMeta>]| tables.iter().map(|t| t.table_id).collect::<Vec<_>>();
+        let victims: Vec<Vec<u64>> = t.input_runs.iter().map(|r| ids(r)).collect();
+        format!(
+            "L{}->L{} {:?} {:?} v{:?} n{:?} s{:?}",
+            t.level,
+            t.output_level,
+            t.output,
+            t.reason,
+            victims,
+            ids(&t.next_inputs),
+            ids(&t.settled_moves),
+        )
+    }
+
+    /// The picker names the tables it named before the policies shared one
+    /// implementation: every row below was printed by the three-struct
+    /// picker of PR 19 and is compared as a literal. `illegal` is a version
+    /// the policy's layout refuses to build. The one deliberate difference:
+    /// a seek candidate under `fragmented` is dropped (that picker sank the
+    /// table, on a stacked level below an older run).
+    #[test]
+    fn every_policy_picks_the_tasks_it_always_picked() {
+        type Tables = Vec<(u32, u64, TableMeta)>;
+        /// Name, version, seek candidate `(level, table id)`, and the
+        /// expected rows in the order of `policies` below.
+        type Rung = (
+            &'static str,
+            Tables,
+            Option<(usize, u64)>,
+            [&'static str; 5],
+        );
+        let l0 = || {
+            vec![
+                (0, 1, meta(1, "a", "m", 100)),
+                (0, 2, meta(2, "c", "p", 100)),
+                (0, 3, meta(3, "b", "d", 100)),
+                (0, 4, meta(4, "x", "z", 100)),
+            ]
+        };
+        let l1_over = || {
+            vec![
+                (1, 0, meta(1, "a", "c", 600)),
+                (1, 0, meta(2, "e", "ea", 600)),
+                (1, 0, meta(3, "i", "k", 600)),
+            ]
+        };
+        let with = |mut base: Tables, more: Tables| {
+            base.extend(more);
+            base
+        };
+        let ladder: Vec<Rung> = vec![
+            ("empty", vec![], None, ["-"; 5]),
+            (
+                // Table 6 overlaps the bounding range of L0 but no L0 table.
+                "L0 at trigger",
+                with(
+                    l0(),
+                    vec![
+                        (1, 0, meta(5, "a", "c", 100)),
+                        (1, 0, meta(6, "q", "r", 100)),
+                    ],
+                ),
+                None,
+                [
+                    "L0->L1 Leveled Level0 v[[4], [3], [2], [1]] n[5, 6] s[]",
+                    "L0->L1 Leveled Level0 v[[4], [3], [2], [1]] n[5, 6] s[]",
+                    "L0->L1 AppendRun Level0 v[[4], [3], [2], [1]] n[] s[]",
+                    "L0->L1 AppendRun Level0 v[[4], [3], [2], [1]] n[] s[]",
+                    "L0->L1 AppendRun Level0 v[[4], [3], [2], [1]] n[] s[]",
+                ],
+            ),
+            (
+                // Both score 1.0: leveled scoring breaks the tie downwards.
+                "L0 at trigger, L1 exactly at budget",
+                with(
+                    l0(),
+                    vec![
+                        (1, 0, meta(5, "a", "c", 500)),
+                        (1, 0, meta(6, "q", "r", 500)),
+                    ],
+                ),
+                None,
+                [
+                    "L1->L2 Leveled Size v[[]] n[] s[5]",
+                    "L1->L2 Leveled Size v[[]] n[] s[5, 6]",
+                    "L0->L1 AppendRun Level0 v[[4], [3], [2], [1]] n[] s[]",
+                    "L0->L1 AppendRun Level0 v[[4], [3], [2], [1]] n[] s[]",
+                    "L1->L2 AppendRun Size v[[5, 6]] n[] s[]",
+                ],
+            ),
+            (
+                "L1 over budget, nothing below",
+                l1_over(),
+                None,
+                [
+                    "L1->L2 Leveled Size v[[]] n[] s[1]",
+                    "L1->L2 Leveled Size v[[]] n[] s[1, 2, 3]",
+                    "-",
+                    "-",
+                    "L1->L2 AppendRun Size v[[1, 2, 3]] n[] s[]",
+                ],
+            ),
+            (
+                "L1 over budget, overlap below",
+                with(
+                    l1_over(),
+                    vec![
+                        (2, 0, meta(4, "a", "d", 100)),
+                        (2, 0, meta(5, "f", "j", 100)),
+                        (2, 0, meta(6, "x", "z", 100)),
+                    ],
+                ),
+                None,
+                [
+                    "L1->L2 Leveled Size v[[1]] n[4] s[]",
+                    "L1->L2 Leveled Size v[[1, 3]] n[4, 5] s[2]",
+                    "-",
+                    "-",
+                    "L1->L2 AppendRun Size v[[1, 2, 3]] n[] s[]",
+                ],
+            ),
+            (
+                // A size bucket for the tiered kinds, the whole level for
+                // the fragmented one (over its byte budget).
+                "three runs on a middle level, the newest out of band",
+                vec![
+                    (3, 5, meta(1, "a", "c", 100)),
+                    (3, 6, meta(2, "b", "d", 100)),
+                    (3, 7, meta(3, "a", "d", 100_000)),
+                ],
+                None,
+                [
+                    "illegal",
+                    "illegal",
+                    "L3->L4 AppendRun Size v[[2], [1]] n[] s[]",
+                    "L3->L4 AppendRun Size v[[2], [1]] n[] s[]",
+                    "L3->L4 AppendRun Size v[[3], [2], [1]] n[] s[]",
+                ],
+            ),
+            (
+                // Tiered scoring breaks the tie upwards.
+                "equal debt on two levels",
+                vec![
+                    (2, 5, meta(1, "a", "c", 100)),
+                    (2, 6, meta(2, "b", "d", 100)),
+                    (4, 7, meta(3, "a", "c", 100)),
+                    (4, 8, meta(4, "b", "d", 100)),
+                ],
+                None,
+                [
+                    "illegal",
+                    "illegal",
+                    "L2->L3 AppendRun Size v[[2], [1]] n[] s[]",
+                    "L2->L3 AppendRun Size v[[2], [1]] n[] s[]",
+                    "-",
+                ],
+            ),
+            (
+                "runs on the level above the deepest",
+                vec![
+                    (5, 1, meta(1, "a", "c", 100)),
+                    (5, 2, meta(2, "e", "g", 100)),
+                    (5, 3, meta(3, "m", "o", 100)),
+                    (5, 4, meta(4, "n", "p", 100)),
+                    (6, 0, meta(5, "a", "d", 100)),
+                ],
+                None,
+                [
+                    "illegal",
+                    "illegal",
+                    "L5->L6 AppendRun Size v[[4], [3], [2], [1]] n[] s[]",
+                    "L5->L6 Leveled Size v[[4], [3], [], [1]] n[5] s[2]",
+                    "-",
+                ],
+            ),
+            (
+                "deepest level, one huge run",
+                vec![(6, 0, meta(1, "a", "z", 1 << 40))],
+                None,
+                ["-"; 5],
+            ),
+            (
+                "deepest level, stacked",
+                vec![
+                    (6, 1, meta(1, "a", "c", 100)),
+                    (6, 2, meta(2, "b", "d", 100)),
+                    (6, 3, meta(3, "a", "d", 100)),
+                    (6, 4, meta(4, "c", "e", 10_000)),
+                ],
+                None,
+                [
+                    "illegal",
+                    "illegal",
+                    "L6->L6 ReplaceRun { tag: 3 } Size v[[3], [2], [1]] n[] s[]",
+                    "illegal",
+                    "-",
+                ],
+            ),
+            (
+                "seek candidate at L0",
+                vec![
+                    (0, 1, meta(1, "a", "m", 100)),
+                    (0, 2, meta(4, "c", "p", 10_000)),
+                    (1, 0, meta(2, "a", "c", 100)),
+                    (1, 0, meta(3, "x", "z", 100)),
+                ],
+                Some((0, 1)),
+                [
+                    "L0->L1 Leveled Seek v[[4], [1]] n[2] s[]",
+                    "L0->L1 Leveled Seek v[[4], [1]] n[2] s[]",
+                    "-",
+                    "-",
+                    "-", // was "L0->L1 Leveled Seek v[[4], [1]] n[2] s[]"
+                ],
+            ),
+            (
+                "seek candidate at a single-run level",
+                vec![
+                    (2, 0, meta(1, "a", "c", 100)),
+                    (3, 0, meta(2, "b", "d", 100)),
+                    (3, 0, meta(3, "x", "z", 100)),
+                ],
+                Some((2, 1)),
+                [
+                    "L2->L3 Leveled Seek v[[1]] n[2] s[]",
+                    "L2->L3 Leveled Seek v[[1]] n[2] s[]",
+                    "-",
+                    "-",
+                    "-", // was "L2->L3 Leveled Seek v[[1]] n[2] s[]"
+                ],
+            ),
+            (
+                "seek candidate at a stacked level",
+                vec![
+                    (1, 5, meta(1, "a", "m", 10)),
+                    (1, 6, meta(2, "a", "z", 500)),
+                    (2, 0, meta(3, "k", "l", 100)),
+                ],
+                Some((1, 2)),
+                [
+                    "illegal", "illegal", "-", "-",
+                    "-", // was "L1->L2 Leveled Seek v[[2]] n[3] s[]": defect (a)
+                ],
+            ),
+        ];
+        let tune = |mut opts: Options| {
+            opts.level1_max_bytes = 1000;
+            opts.size_tiered_min_threshold = 2;
+            opts.seek_compaction = true;
+            opts
+        };
+        let policies = [
+            ("leveled, a file per table", tune(Options::leveldb())),
+            ("leveled, BoLT", tune(Options::bolt())),
+            (
+                "size_tiered",
+                tune(tiered_opts(CompactionPolicyKind::SizeTiered)),
+            ),
+            (
+                "lazy_leveled",
+                tune(tiered_opts(CompactionPolicyKind::LazyLeveled)),
+            ),
+            ("fragmented", tune(Options::pebblesdb())),
+        ];
+        for (rung, tables, seek, expected) in &ladder {
+            for ((policy, opts), expected) in policies.iter().zip(expected) {
+                let edit = VersionEdit {
+                    added_tables: tables.clone(),
+                    ..Default::default()
+                };
+                let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+                builder.set_single_run_from(opts.compaction_policy.single_run_from(7));
+                builder.apply(&edit);
+                let got = match builder.build() {
+                    Err(_) => "illegal".to_string(),
+                    Ok(v) => {
+                        let sized = pick_compaction(opts, &icmp(), &v, None);
+                        assert_eq!(needs_compaction(opts, &v), sized.is_some());
+                        let seek = seek.map(|(level, id)| {
+                            let mut tables = v.levels[level].tables();
+                            let table = tables.find(|t| t.table_id == id).unwrap();
+                            (level, Arc::clone(table))
+                        });
+                        row(pick_compaction(opts, &icmp(), &v, seek))
+                    }
+                };
+                assert_eq!(&got, expected, "{rung}, {policy}");
             }
         }
     }

@@ -20,19 +20,17 @@ use std::sync::Arc;
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::Result;
-use bolt_table::comparator::{Comparator, InternalKeyComparator};
+use bolt_table::comparator::InternalKeyComparator;
 use bolt_table::ikey::{parse_internal_key, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::SeqReadStats;
 use bolt_table::{BuiltTable, Table, TableBuilder, TableCache};
 
 use super::{DbInner, ReadView};
-use crate::compaction::{
-    clusters, run_layout_for, CompactionReason, CompactionTask, DropFilter, OutputShape,
-};
+use crate::compaction::{clusters, CompactionReason, CompactionTask, DropFilter, OutputShape};
 use crate::filename::table_file;
 use crate::iterator::{InternalIterator, MergingIter, RunIter};
-use crate::version::{RunLayout, TableList, TableMeta, Version, VersionEdit};
+use crate::version::{TableList, TableMeta, Version, VersionEdit};
 use crate::versions::{RangeSet, VersionSet};
 use crate::vlog::ValuePointer;
 
@@ -270,69 +268,6 @@ impl DbInner {
             policy: self.opts.compaction_policy.as_str(),
         });
         Ok(())
-    }
-
-    /// Build a compaction task pushing the tables of `level` overlapping
-    /// `[begin, end]` down one level, or `None` if nothing overlaps.
-    pub(super) fn build_manual_task(
-        &self,
-        level: usize,
-        begin: &[u8],
-        end: &[u8],
-    ) -> Option<CompactionTask> {
-        let version = Arc::clone(&self.view().version);
-        let overlapping = version.overlapping_tables(&self.icmp, level, begin, end);
-        if overlapping.is_empty() {
-            return None;
-        }
-        let layout = run_layout_for(&self.opts);
-        let multi_run_at = |l: usize| match layout {
-            RunLayout::Unrestricted => true,
-            RunLayout::SingleRunBeyond(threshold) => l < threshold,
-        };
-        // Levels that may hold overlapping runs must move as whole runs to
-        // preserve recency ordering; L0 runs always overlap each other.
-        let take_whole_level = level == 0 || multi_run_at(level);
-        // When the output level may itself hold sibling runs, the merge
-        // appends a fresh run there instead of folding into a sorted level.
-        let append = multi_run_at(level + 1);
-        let input_runs = if take_whole_level {
-            version.levels[level].table_lists()
-        } else {
-            vec![overlapping.into()]
-        };
-        let next_inputs = if append {
-            Vec::new()
-        } else {
-            let mut next: Vec<Arc<TableMeta>> = Vec::new();
-            for victim in input_runs.iter().flat_map(|run| run.iter()) {
-                for t in version.overlapping_tables(
-                    &self.icmp,
-                    level + 1,
-                    victim.smallest_user_key(),
-                    victim.largest_user_key(),
-                ) {
-                    if !next.iter().any(|x| x.table_id == t.table_id) {
-                        next.push(t);
-                    }
-                }
-            }
-            next.sort_by(|a, b| self.icmp.compare(&a.smallest, &b.smallest));
-            next
-        };
-        Some(CompactionTask {
-            level,
-            output_level: level + 1,
-            reason: CompactionReason::Size,
-            input_runs,
-            next_inputs,
-            settled_moves: Vec::new(),
-            output: if append {
-                OutputShape::AppendRun
-            } else {
-                OutputShape::Leveled
-            },
-        })
     }
 }
 
@@ -807,6 +742,11 @@ mod tests {
         vec![b'b'; 60]
     }
 
+    fn whole_l0(db: &Db) -> crate::compaction::CompactionTask {
+        let (inner, version) = (&db.inner, db.current_version());
+        crate::compaction::manual_task(&inner.opts, &inner.icmp, &version, 0, b"", b"zzzz").unwrap()
+    }
+
     #[test]
     fn compaction_inputs_bypass_block_cache_and_table_lru() {
         let (_env, db) = mem_db(small_opts(Options::bolt()));
@@ -829,8 +769,7 @@ mod tests {
             "nothing cached: {before:?}"
         );
 
-        let task = db.inner.build_manual_task(0, b"", b"zzzz").unwrap();
-        db.inner.run_compaction(task).unwrap();
+        db.inner.run_compaction(whole_l0(&db)).unwrap();
         let stats = db.stats().snapshot();
         assert_eq!(stats.compactions, 1);
         assert_eq!(caches(), before, "the compaction went through a cache");
@@ -854,10 +793,9 @@ mod tests {
             (names, db.inner.versions.lock().reclaim.referenced_files())
         };
         let before = files();
-        let task = || db.inner.build_manual_task(0, b"", b"zzzz").unwrap();
 
         env.set_fail_reads(true);
-        let err = db.inner.run_compaction(task()).unwrap_err();
+        let err = db.inner.run_compaction(whole_l0(&db)).unwrap_err();
         assert!(matches!(err, bolt_common::Error::Io(_)), "{err:?}");
         env.set_fail_reads(false);
         // No output file and no pending mark outlives the failure, the
@@ -866,7 +804,7 @@ mod tests {
         assert_eq!(db.level_info()[0].runs, 2);
         assert_eq!(db.get(b"key00123").unwrap(), Some(newer()));
 
-        db.inner.run_compaction(task()).unwrap();
+        db.inner.run_compaction(whole_l0(&db)).unwrap();
         assert_eq!(db.level_info()[0].runs, 0);
         assert_eq!(db.stats().compactions(), 1);
         for i in (0..300u32).step_by(11) {

@@ -18,7 +18,7 @@ use bolt_table::rangedel::RangeTombstoneSet;
 use super::compact::{commit_outputs, DropScope, Output, OutputSink};
 use super::{Db, DbInner, DbState, ReadView};
 use crate::compaction::{
-    needs_compaction, pick_compaction, CompactionReason, CompactionTask, OutputShape,
+    manual_task, needs_compaction, pick_compaction, CompactionReason, CompactionTask, OutputShape,
 };
 use crate::iterator::InternalIterator;
 use crate::memtable::MemTable;
@@ -147,7 +147,8 @@ impl DbInner {
                         break Work::Flush;
                     }
                     if let Some((level, begin, end)) = state.manual.take() {
-                        match self.build_manual_task(level, &begin, &end) {
+                        let version = &self.view().version;
+                        match manual_task(&self.opts, &self.icmp, version, level, &begin, &end) {
                             Some(task) => {
                                 state.bg_busy = true;
                                 break Work::Manual(task);

@@ -336,10 +336,7 @@ impl Db {
         // Pin the policy before the MANIFEST exists (create) or is replayed
         // (recover): a fresh database records it, an existing one refuses a
         // mismatch.
-        versions.set_compaction_policy(
-            opts.compaction_policy,
-            crate::compaction::run_layout_for(&opts),
-        );
+        versions.set_compaction_policy(opts.compaction_policy);
         let is_new = !env.file_exists(&current_file(name));
         if is_new {
             versions.create_new()?;

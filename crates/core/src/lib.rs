@@ -51,7 +51,7 @@ pub mod vlog;
 pub use batch::WriteBatch;
 pub use bolt_common::events::{BarrierCause, BarrierKind, EngineEvent, TraceEvent};
 pub use bolt_common::metrics::{Metric, MetricValue, MetricsRegistry};
-pub use compaction::{policy_for, CompactionPolicy, CompactionTask, OutputShape};
+pub use compaction::{CompactionTask, OutputShape};
 pub use db::{Db, DbIterator, LevelInfo, Snapshot};
 pub use metrics::{MetricsSnapshot, QueueWaitSummary};
 pub use options::{

@@ -46,8 +46,8 @@ pub struct MetricsSnapshot {
     /// Per-level shape (runs, tables, bytes).
     pub levels: Vec<LevelInfo>,
     /// Stable name of the compaction policy this database runs
-    /// (`leveled`, `size_tiered`, or `lazy_leveled`; empty in a default
-    /// snapshot, rendered as `leveled`).
+    /// (`leveled`, `size_tiered`, `lazy_leveled`, or `fragmented`; empty
+    /// in a default snapshot, rendered as `leveled`).
     pub policy: &'static str,
     /// Writer time-in-queue summary.
     pub queue_wait: QueueWaitSummary,

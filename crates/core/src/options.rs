@@ -8,7 +8,7 @@
 //! | [`Options::leveldb`] | LevelDB v1.20 | 2 MB SSTables, one file per table, L0 triggers 4/8/12, seek compaction |
 //! | [`Options::leveldb_64mb`] | `LVL64MB` | 64 MB SSTables |
 //! | [`Options::hyperleveldb`] | HyperLevelDB | 32 MB SSTables, governors disabled |
-//! | [`Options::pebblesdb`] | PebblesDB | fragmented (tiered) levels, overlap allowed |
+//! | [`Options::pebblesdb`] | PebblesDB | fragmented levels: every level stacks runs, a full one moves down whole |
 //! | [`Options::rocksdb`] | RocksDB v6.7.3 | 64 MB SSTables, compact encoding, L1 = 256 MB, triggers 20/36 |
 //! | [`Options::bolt`] | BoLT | compaction files + 1 MB logical SSTables + 64 MB group compaction + settled compaction + fd cache |
 //! | [`Options::hyperbolt`] | HyperBoLT | BoLT mechanisms on the HyperLevelDB profile |
@@ -106,14 +106,15 @@ impl<'a> ReadOptions<'a> {
     }
 }
 
-/// Which victim-selection policy drives background compaction.
+/// What a level may hold and what drains it: the one decision that shapes
+/// the tree.
 ///
 /// The policy decides *what* to merge (trigger + victim choice + data
 /// layout, in the taxonomy of the compaction design-space paper,
 /// arXiv 2202.04522); the [`CompactionStyle`] decides *how* outputs are
 /// written (one file per table vs one compaction file per compaction).
-/// The two compose: every policy works under the BoLT style and pays the
-/// same 2 barriers per compaction.
+/// The two compose: every policy works under either style, and under the
+/// BoLT style pays the same 2 barriers per compaction.
 ///
 /// The choice is **pinned in the MANIFEST** when the database is created:
 /// reopening with a different policy fails with
@@ -128,12 +129,13 @@ impl<'a> ReadOptions<'a> {
 /// assert_eq!(opts.compaction_policy.as_str(), "lazy_leveled");
 /// assert_eq!(CompactionPolicyKind::parse("size-tiered"),
 ///            Some(CompactionPolicyKind::SizeTiered));
+/// assert_eq!(Options::pebblesdb().compaction_policy,
+///            CompactionPolicyKind::Fragmented);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CompactionPolicyKind {
     /// Classic leveled picking (LevelDB-shaped): levels ≥ 1 hold one sorted
     /// run; a level over its byte limit merges victims into the next level.
-    /// Behavior-identical to the engine before policies were pluggable.
     #[default]
     Leveled,
     /// Size-tiered (STCS): every level holds overlapping sorted runs;
@@ -147,6 +149,11 @@ pub enum CompactionPolicyKind {
     /// tiering's write-amp saving with leveled's bounded read amp on the
     /// bulk of the data.
     LazyLeveled,
+    /// Fragmented levels (PebblesDB-shaped): every level holds overlapping
+    /// sorted runs; a level over its *leveled* byte limit merges whole into
+    /// one new run appended to the next level, never rewriting the next
+    /// level's existing data. Fewer rewrites, more tables per lookup.
+    Fragmented,
 }
 
 impl CompactionPolicyKind {
@@ -156,6 +163,7 @@ impl CompactionPolicyKind {
             CompactionPolicyKind::Leveled => "leveled",
             CompactionPolicyKind::SizeTiered => "size_tiered",
             CompactionPolicyKind::LazyLeveled => "lazy_leveled",
+            CompactionPolicyKind::Fragmented => "fragmented",
         }
     }
 
@@ -165,6 +173,7 @@ impl CompactionPolicyKind {
             "leveled" => Some(CompactionPolicyKind::Leveled),
             "size_tiered" | "tiered" | "stcs" => Some(CompactionPolicyKind::SizeTiered),
             "lazy_leveled" | "lazy" => Some(CompactionPolicyKind::LazyLeveled),
+            "fragmented" | "pebbles" => Some(CompactionPolicyKind::Fragmented),
             _ => None,
         }
     }
@@ -175,6 +184,7 @@ impl CompactionPolicyKind {
             CompactionPolicyKind::Leveled => 0,
             CompactionPolicyKind::SizeTiered => 1,
             CompactionPolicyKind::LazyLeveled => 2,
+            CompactionPolicyKind::Fragmented => 3,
         }
     }
 
@@ -184,27 +194,36 @@ impl CompactionPolicyKind {
             0 => Some(CompactionPolicyKind::Leveled),
             1 => Some(CompactionPolicyKind::SizeTiered),
             2 => Some(CompactionPolicyKind::LazyLeveled),
+            3 => Some(CompactionPolicyKind::Fragmented),
             _ => None,
+        }
+    }
+
+    /// The first level that must be one sorted run in a tree of
+    /// `num_levels` levels; shallower levels may stack overlapping runs
+    /// (level 0 always does: one run per flush), and `num_levels` means no
+    /// level is restricted. This number is what `VersionBuilder::build`
+    /// enforces and what the picker decides whole-runs-vs-subset and
+    /// append-vs-merge from.
+    pub fn single_run_from(self, num_levels: usize) -> usize {
+        match self {
+            CompactionPolicyKind::Leveled => 1,
+            CompactionPolicyKind::LazyLeveled => num_levels.saturating_sub(1),
+            CompactionPolicyKind::SizeTiered | CompactionPolicyKind::Fragmented => num_levels,
         }
     }
 }
 
-/// How compaction organizes levels and output files.
+/// How a flush or compaction writes its output tables. What the tree looks
+/// like is the [`CompactionPolicyKind`]'s business, not this one's.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompactionStyle {
-    /// Classic leveled LSM (LevelDB/RocksDB): levels ≥ 1 hold one sorted
-    /// run; every output table is its own physical file with its own
-    /// `fsync`.
+    /// Classic (LevelDB/RocksDB): every output table is its own physical
+    /// file with its own `fsync`.
     Leveled,
-    /// Fragmented levels (PebblesDB-shaped): a level holds several
-    /// overlapping sorted runs; compaction merges a whole level into one
-    /// new run appended to the next level, never rewriting the next level's
-    /// existing data. Fewer rewrites, more tables per lookup.
-    Fragmented,
-    /// BoLT: leveled structure, but each compaction writes all of its
-    /// output tables — fine-grained *logical SSTables* — into a single
-    /// *compaction file* with exactly one data barrier (plus the MANIFEST
-    /// barrier).
+    /// BoLT: each compaction writes all of its output tables —
+    /// fine-grained *logical SSTables* — into a single *compaction file*
+    /// with exactly one data barrier (plus the MANIFEST barrier).
     Bolt(BoltOptions),
 }
 
@@ -241,10 +260,10 @@ pub struct Options {
     /// LevelDB's seek compaction (compact a table after too many wasted
     /// seeks). Disabled in the HyperLevelDB-family profiles.
     pub seek_compaction: bool,
-    /// Compaction organization.
+    /// How outputs are written.
     pub compaction_style: CompactionStyle,
-    /// Victim-selection policy (pinned in the MANIFEST at creation; see
-    /// [`CompactionPolicyKind`]).
+    /// Tree shape and victim selection (pinned in the MANIFEST at creation;
+    /// see [`CompactionPolicyKind`]).
     pub compaction_policy: CompactionPolicyKind,
     /// Size-tiered / lazy-leveled: a size bucket merges once it holds this
     /// many runs (STCS `min_threshold`; must be ≥ 2). Smaller = earlier
@@ -324,7 +343,7 @@ impl Options {
             level0_slowdown_trigger: None,
             level0_stop_trigger: None,
             seek_compaction: false,
-            compaction_style: CompactionStyle::Fragmented,
+            compaction_policy: CompactionPolicyKind::Fragmented,
             // PebblesDB's larger tables earn it a proportionally larger
             // TableCache (sized by count, not bytes) — §4.3.1.
             ..Options::leveldb()
@@ -520,16 +539,6 @@ impl Options {
                 );
             }
         }
-        if self.compaction_policy != CompactionPolicyKind::Leveled
-            && matches!(self.compaction_style, CompactionStyle::Fragmented)
-        {
-            problems.push(
-                "the fragmented (guard-based) style has its own tiering; \
-                 combine size-tiered / lazy-leveled policies with the \
-                 leveled or BoLT styles instead"
-                    .to_string(),
-            );
-        }
         if self.size_tiered_min_threshold < 2 {
             problems.push("size_tiered_min_threshold must be at least 2".to_string());
         }
@@ -691,17 +700,36 @@ mod tests {
             assert_eq!(profile.compaction_policy, CompactionPolicyKind::Leveled);
             assert_eq!(profile.size_tiered_min_threshold, 4);
         }
-        for kind in [
-            CompactionPolicyKind::Leveled,
-            CompactionPolicyKind::SizeTiered,
-            CompactionPolicyKind::LazyLeveled,
-        ] {
-            assert_eq!(CompactionPolicyKind::parse(kind.as_str()), Some(kind));
-            assert_eq!(
-                CompactionPolicyKind::from_manifest_tag(kind.manifest_tag()),
-                Some(kind)
-            );
+        assert_eq!(
+            Options::pebblesdb().compaction_policy,
+            CompactionPolicyKind::Fragmented
+        );
+        // kind, name, MANIFEST tag, first single-run level of a 7-level tree.
+        let kinds = [
+            (CompactionPolicyKind::Leveled, "leveled", 0, 1),
+            (CompactionPolicyKind::SizeTiered, "size_tiered", 1, 7),
+            (CompactionPolicyKind::LazyLeveled, "lazy_leveled", 2, 6),
+            (CompactionPolicyKind::Fragmented, "fragmented", 3, 7),
+        ];
+        // The trace schema's `policy` enum lists exactly these names.
+        let schema = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../schemas/trace.schema.json"
+        ));
+        let names = kinds.map(|(_, name, _, _)| format!("\"{name}\""));
+        let policy_enum = format!("\"enum\": [{}]", names.join(", "));
+        assert!(schema.contains(&policy_enum), "{policy_enum}");
+        for (kind, name, tag, single_run_from) in kinds {
+            assert_eq!(kind.as_str(), name);
+            assert_eq!(CompactionPolicyKind::parse(name), Some(kind));
+            assert_eq!(kind.manifest_tag(), tag);
+            assert_eq!(CompactionPolicyKind::from_manifest_tag(tag), Some(kind));
+            assert_eq!(kind.single_run_from(7), single_run_from, "{name}");
         }
+        assert_eq!(
+            CompactionPolicyKind::parse("pebbles"),
+            Some(CompactionPolicyKind::Fragmented)
+        );
         assert_eq!(
             CompactionPolicyKind::parse("size-tiered"),
             Some(CompactionPolicyKind::SizeTiered)
@@ -722,13 +750,13 @@ mod tests {
         opts.compaction_policy = CompactionPolicyKind::LazyLeveled;
         opts.validate().unwrap();
 
+        // The layout composes with either way of writing outputs.
+        opts.compaction_policy = CompactionPolicyKind::Fragmented;
+        opts.validate().unwrap();
+
         let mut bad = Options::bolt();
         bad.size_tiered_min_threshold = 1;
         assert!(bad.validate().is_err());
-
-        let mut bad = Options::pebblesdb();
-        bad.compaction_policy = CompactionPolicyKind::SizeTiered;
-        assert!(bad.validate().is_err(), "fragmented style is leveled-only");
     }
 
     #[test]

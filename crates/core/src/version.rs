@@ -2,12 +2,12 @@
 //!
 //! A [`Version`] is an immutable snapshot of which logical SSTables live at
 //! which level. Levels hold *runs* — sorted, internally disjoint sequences
-//! of tables. Every compaction style and policy maps onto this one
-//! structure; they differ only in which levels may stack runs
-//! ([`RunLayout`]):
+//! of tables. Every compaction policy maps onto this one structure; they
+//! differ only in which levels may stack runs
+//! ([`CompactionPolicyKind::single_run_from`]):
 //!
-//! * **Leveled / BoLT** — level 0 has one run per flush (runs may overlap
-//!   each other); levels ≥ 1 have at most one run (tag 0).
+//! * **Leveled** — level 0 has one run per flush (runs may overlap each
+//!   other); levels ≥ 1 have at most one run (tag 0).
 //! * **Fragmented (PebblesDB-shaped)** — every level may hold many runs;
 //!   pushing a level down appends a new run to the next level without
 //!   rewriting it.
@@ -674,25 +674,6 @@ impl VersionEdit {
     }
 }
 
-/// Per-policy run-count invariant enforced by [`VersionBuilder::build`]:
-/// which levels may hold more than one sorted run.
-///
-/// Intra-run disjointness is always enforced; this only governs how many
-/// runs a level may stack. Use `compaction::run_layout_for` to derive the
-/// layout matching an option set.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RunLayout {
-    /// Any level may hold any number of overlapping runs (the fragmented
-    /// style and the pure size-tiered policy).
-    #[default]
-    Unrestricted,
-    /// Levels at or beyond the threshold must hold at most one run:
-    /// `SingleRunBeyond(1)` is classic leveled (only L0 stacks runs);
-    /// `SingleRunBeyond(num_levels - 1)` is lazy-leveled (only the last
-    /// level is a single sorted run).
-    SingleRunBeyond(usize),
-}
-
 /// Applies a sequence of edits to a base version.
 ///
 /// A table id lives in exactly one place, so a *move* (settled compaction)
@@ -702,7 +683,9 @@ pub enum RunLayout {
 pub struct VersionBuilder {
     icmp: InternalKeyComparator,
     base: Arc<Version>,
-    layout: RunLayout,
+    /// Levels from this one on may hold at most one run
+    /// ([`CompactionPolicyKind::single_run_from`]).
+    single_run_from: usize,
     deleted: std::collections::HashSet<u64>,
     /// table_id -> (level, run_tag, meta); later edits replace earlier.
     added: std::collections::BTreeMap<u64, (u32, u64, Arc<TableMeta>)>,
@@ -710,21 +693,23 @@ pub struct VersionBuilder {
 }
 
 impl VersionBuilder {
-    /// Start from `base` with the permissive [`RunLayout::Unrestricted`].
+    /// Start from `base`, every level free to stack runs.
     pub fn new(icmp: InternalKeyComparator, base: Arc<Version>) -> Self {
         VersionBuilder {
             icmp,
             compact_pointers: base.compact_pointers.clone(),
             base,
-            layout: RunLayout::default(),
+            single_run_from: usize::MAX,
             deleted: std::collections::HashSet::new(),
             added: std::collections::BTreeMap::new(),
         }
     }
 
-    /// Set the run-count invariant [`build`](Self::build) enforces.
-    pub fn set_layout(&mut self, layout: RunLayout) {
-        self.layout = layout;
+    /// Set the run-count invariant [`build`](Self::build) enforces: levels
+    /// from `level` on hold at most one run. Intra-run disjointness is
+    /// enforced regardless.
+    pub fn set_single_run_from(&mut self, level: usize) {
+        self.single_run_from = level;
     }
 
     /// Apply one edit's table changes and compaction cursors (edits must
@@ -749,7 +734,7 @@ impl VersionBuilder {
     ///
     /// Returns [`Error::Corruption`] if the resulting shape is invalid —
     /// overlapping tables within one run, or more runs on a level than the
-    /// configured [`RunLayout`] allows. Either way the edit sequence being
+    /// pinned policy allows. Either way the edit sequence being
     /// applied was never a real engine state, e.g. a MANIFEST interleaving
     /// committed and uncommitted edits.
     pub fn build(self) -> Result<Version> {
@@ -803,15 +788,14 @@ impl VersionBuilder {
         for state in &mut version.levels {
             state.runs.sort_by_key(|run| std::cmp::Reverse(run.tag));
         }
-        if let RunLayout::SingleRunBeyond(threshold) = self.layout {
-            for (level, state) in version.levels.iter().enumerate().skip(threshold) {
-                if state.num_runs() > 1 {
-                    return Err(Error::corruption(format!(
-                        "level {level} holds {} runs but the layout allows one beyond level {}",
-                        state.num_runs(),
-                        threshold.saturating_sub(1),
-                    )));
-                }
+        let levels = version.levels.iter().enumerate();
+        for (level, state) in levels.skip(self.single_run_from) {
+            if state.num_runs() > 1 {
+                return Err(Error::corruption(format!(
+                    "level {level} holds {} runs but the layout allows one beyond level {}",
+                    state.num_runs(),
+                    self.single_run_from.saturating_sub(1),
+                )));
             }
         }
         Ok(version)
@@ -927,7 +911,7 @@ mod tests {
 
     #[test]
     fn run_layout_bounds_runs_per_level() {
-        // Two overlapping runs at level 1: fine unrestricted, corrupt under
+        // Two overlapping runs at level 1: fine by default, corrupt under
         // the leveled layout.
         let mut edit = VersionEdit::default();
         edit.added_tables.push((1, 1, meta(1, b"a", b"c")));
@@ -938,13 +922,13 @@ mod tests {
         assert!(builder.build().is_ok());
 
         let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
-        builder.set_layout(RunLayout::SingleRunBeyond(1));
+        builder.set_single_run_from(1);
         builder.apply(&edit);
         assert!(builder.build().is_err());
 
         // Lazy-leveled: stacking at level 1 is allowed, at the last is not.
         let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
-        builder.set_layout(RunLayout::SingleRunBeyond(6));
+        builder.set_single_run_from(6);
         builder.apply(&edit);
         assert!(builder.build().is_ok());
 
@@ -952,7 +936,7 @@ mod tests {
         edit_last.added_tables.push((6, 1, meta(1, b"a", b"c")));
         edit_last.added_tables.push((6, 2, meta(2, b"b", b"d")));
         let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
-        builder.set_layout(RunLayout::SingleRunBeyond(6));
+        builder.set_single_run_from(6);
         builder.apply(&edit_last);
         assert!(builder.build().is_err());
 
@@ -961,7 +945,7 @@ mod tests {
         edit_l0.added_tables.push((0, 1, meta(1, b"a", b"c")));
         edit_l0.added_tables.push((0, 2, meta(2, b"b", b"d")));
         let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
-        builder.set_layout(RunLayout::SingleRunBeyond(1));
+        builder.set_single_run_from(1);
         builder.apply(&edit_l0);
         assert!(builder.build().is_ok());
     }

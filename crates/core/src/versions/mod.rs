@@ -29,7 +29,7 @@ use bolt_wal::LogReader;
 
 use crate::filename::{current_file, parse_file_name, vlog_file, FileType};
 use crate::options::CompactionPolicyKind;
-use crate::version::{RunLayout, Version, VersionBuilder, VersionEdit};
+use crate::version::{Version, VersionBuilder, VersionEdit};
 
 mod manifest;
 mod reclaim;
@@ -96,10 +96,9 @@ pub struct VersionSet {
     /// WALs below this number are obsolete.
     pub log_number: u64,
     /// Compaction policy pinned in the MANIFEST (first edit of every
-    /// manifest file); reopen under a different policy is refused.
+    /// manifest file); reopen under a different policy is refused. Every
+    /// version built here holds the run-count invariant it implies.
     policy: CompactionPolicyKind,
-    /// Run-count invariant enforced when building versions.
-    layout: RunLayout,
     /// Structured-event destination; MANIFEST commits are announced here.
     sink: Option<Arc<EventSink>>,
     ids: Arc<FileIds>,
@@ -144,7 +143,6 @@ impl VersionSet {
             last_sequence: 0,
             log_number: 0,
             policy: CompactionPolicyKind::default(),
-            layout: RunLayout::default(),
             sink: None,
             ids: Arc::new(FileIds::new()),
             manifest: Default::default(),
@@ -161,14 +159,12 @@ impl VersionSet {
         self.sink = Some(sink);
     }
 
-    /// Declare the compaction policy this set operates under, plus the
-    /// run-count invariant to enforce on every built version. Must be
+    /// Declare the compaction policy this set operates under. Must be
     /// called before [`VersionSet::create_new`] or [`VersionSet::recover`]:
     /// the policy is pinned in the MANIFEST and recovery refuses a
     /// mismatch.
-    pub fn set_compaction_policy(&mut self, policy: CompactionPolicyKind, layout: RunLayout) {
+    pub fn set_compaction_policy(&mut self, policy: CompactionPolicyKind) {
         self.policy = policy;
-        self.layout = layout;
     }
 
     /// The compaction policy this set was created or recovered under.
@@ -200,7 +196,7 @@ impl VersionSet {
             edit.last_sequence = Some(self.last_sequence);
         }
         let mut builder = VersionBuilder::new(self.icmp.clone(), Arc::clone(&self.current));
-        builder.set_layout(self.layout);
+        builder.set_single_run_from(self.policy.single_run_from(self.num_levels));
         builder.apply(&edit);
         let version = Arc::new(builder.build()?);
 
@@ -331,7 +327,7 @@ impl VersionSet {
         let mut reader = LogReader::new(self.env.new_random_access_file(&old_manifest_path)?);
         let mut builder =
             VersionBuilder::new(self.icmp.clone(), Arc::new(Version::empty(self.num_levels)));
-        builder.set_layout(self.layout);
+        builder.set_single_run_from(self.policy.single_run_from(self.num_levels));
         let mut found_any = false;
         let mut pinned_policy: Option<CompactionPolicyKind> = None;
         let mut vlog_dead: HashMap<u64, RangeSet> = HashMap::new();
@@ -760,7 +756,7 @@ mod tests {
         {
             let mut vs =
                 VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-            vs.set_compaction_policy(CompactionPolicyKind::SizeTiered, RunLayout::Unrestricted);
+            vs.set_compaction_policy(CompactionPolicyKind::SizeTiered);
             vs.create_new().unwrap();
             // Overlapping runs at level 1 are legal under the tiered layout.
             let mut edit = VersionEdit::default();
@@ -781,14 +777,14 @@ mod tests {
 
         // Reopen under the pinned policy succeeds and stays pinned.
         let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.set_compaction_policy(CompactionPolicyKind::SizeTiered, RunLayout::Unrestricted);
+        vs.set_compaction_policy(CompactionPolicyKind::SizeTiered);
         vs.recover().unwrap();
         assert_eq!(vs.compaction_policy(), CompactionPolicyKind::SizeTiered);
         assert_eq!(vs.current().levels[1].num_runs(), 2);
 
         // The fresh MANIFEST cut at recover re-pinned the policy.
         let mut vs2 = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs2.set_compaction_policy(CompactionPolicyKind::LazyLeveled, RunLayout::Unrestricted);
+        vs2.set_compaction_policy(CompactionPolicyKind::LazyLeveled);
         let err = vs2.recover().expect_err("still pinned after re-cut");
         assert!(matches!(err, Error::InvalidArgument(_)));
     }
@@ -816,7 +812,7 @@ mod tests {
 
         // A tiered reopen is refused: the absent tag means leveled.
         let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.set_compaction_policy(CompactionPolicyKind::SizeTiered, RunLayout::Unrestricted);
+        vs.set_compaction_policy(CompactionPolicyKind::SizeTiered);
         let err = vs.recover().expect_err("absent tag means leveled");
         assert!(
             matches!(&err, Error::InvalidArgument(msg) if msg.contains("leveled")),

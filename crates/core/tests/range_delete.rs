@@ -116,6 +116,7 @@ fn tombstone_straddles_compaction_under_all_policies() {
         CompactionPolicyKind::Leveled,
         CompactionPolicyKind::SizeTiered,
         CompactionPolicyKind::LazyLeveled,
+        CompactionPolicyKind::Fragmented,
     ] {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let mut o = opts();
@@ -190,6 +191,7 @@ fn range_delete_equiv() {
         CompactionPolicyKind::Leveled,
         CompactionPolicyKind::SizeTiered,
         CompactionPolicyKind::LazyLeveled,
+        CompactionPolicyKind::Fragmented,
     ] {
         for separation in [false, true] {
             let seed = 0xb017 + policy.as_str().len() as u64 * 31 + separation as u64;

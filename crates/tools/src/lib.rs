@@ -36,7 +36,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bolt_common::{Error, Result};
-use bolt_core::{CompactionStyle, Db, MetricsSnapshot, Options};
+use bolt_core::{Db, MetricsSnapshot, Options};
 use bolt_env::Env;
 use bolt_table::comparator::Comparator;
 use bolt_table::ikey::parse_internal_key;
@@ -750,15 +750,6 @@ pub fn verify_db(db: &Db) -> Result<(usize, u64)> {
     Ok((tables_checked, entries_checked))
 }
 
-/// Which compaction style a profile uses (for display).
-pub fn style_name(opts: &Options) -> &'static str {
-    match opts.compaction_style {
-        CompactionStyle::Leveled => "leveled",
-        CompactionStyle::Fragmented => "fragmented",
-        CompactionStyle::Bolt(_) => "bolt",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,23 +834,26 @@ fn stale() {
         for name in Options::PROFILE_NAMES {
             assert!(unknown.contains(name), "{unknown}");
         }
-        assert_eq!(style_name(&profile("pebbles").unwrap()), "fragmented");
-        assert_eq!(style_name(&profile("leveldb").unwrap()), "leveled");
-        assert_eq!(style_name(&profile("bolt").unwrap()), "bolt");
     }
 
     #[test]
     fn stats_and_dumps_render() {
-        let (env, opts) = setup();
-        seed_db(&env, &opts);
-        let s = stat(&env, "db", opts.clone(), StatFormat::Text).unwrap();
-        assert!(s.contains("levels"), "{s}");
-        assert!(s.contains("fsync"), "{s}");
-        let m = dump_manifest(&env, "db").unwrap();
-        assert!(m.contains("add: L"), "{m}");
-        let t = dump_tables(&env, "db", opts).unwrap();
-        assert!(t.contains("logical SSTable(s)"), "{t}");
-        assert!(t.contains(".sst"), "{t}");
+        for (name, policy) in [("bolt", "leveled"), ("pebbles", "fragmented")] {
+            let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+            let opts = profile(name).unwrap().scaled(1.0 / 256.0);
+            seed_db(&env, &opts);
+            let s = stat(&env, "db", opts.clone(), StatFormat::Text).unwrap();
+            let first = format!("compaction policy: {policy}\n");
+            assert!(s.starts_with(&first), "{s}");
+            assert!(s.contains("levels"), "{s}");
+            assert!(s.contains("fsync"), "{s}");
+            let m = dump_manifest(&env, "db").unwrap();
+            assert!(m.contains(&format!("compaction_policy: {policy}\n")), "{m}");
+            assert!(m.contains("add: L"), "{m}");
+            let t = dump_tables(&env, "db", opts).unwrap();
+            assert!(t.contains("logical SSTable(s)"), "{t}");
+            assert!(t.contains(".sst"), "{t}");
+        }
     }
 
     #[test]

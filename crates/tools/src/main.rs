@@ -38,8 +38,8 @@
 //!               [--vlog]            ordinals with EIO, and crash again
 //!               [--checkpoint]      inside recovery, checking the DESIGN.md
 //!                                   §9 invariants after each. --policy
-//!                                   picks leveled (default), size-tiered or
-//!                                   lazy-leveled victim selection;
+//!                                   picks leveled (default), size-tiered,
+//!                                   lazy-leveled or fragmented;
 //!                                   --sharded sweeps a ShardedDb, forcing
 //!                                   every op of every 2PC commit window;
 //!                                   --vlog runs under value separation and
@@ -54,8 +54,9 @@
 //!
 //! --profile: leveldb | lvl64 | hyper | pebbles | rocks | bolt (default)
 //!            | hyperbolt | rocksbolt
-//! --policy:  leveled (default) | size-tiered | lazy-leveled — required to
-//!            open a database whose MANIFEST pins a non-leveled policy
+//! --policy:  leveled | size-tiered | lazy-leveled | fragmented (default:
+//!            the profile's — fragmented for pebbles, else leveled) —
+//!            required to open a database whose MANIFEST pins another one
 //! ```
 //!
 //! A numeric argument that does not parse is a usage error (exit 2), never
@@ -109,7 +110,9 @@ fn profile(name: &str) -> Result<bolt_core::Options, ExitCode> {
 fn policy_flag(arg: &str) -> Option<Result<bolt_core::CompactionPolicyKind, ExitCode>> {
     let name = arg.strip_prefix("--policy=")?;
     Some(bolt_core::CompactionPolicyKind::parse(name).ok_or_else(|| {
-        eprintln!("error: unknown policy `{name}` (try: leveled, size-tiered, lazy-leveled)");
+        eprintln!(
+            "error: unknown policy `{name}` (try: leveled, size-tiered, lazy-leveled, fragmented)"
+        );
         ExitCode::from(2)
     }))
 }

@@ -48,10 +48,10 @@
 
 pub use bolt_common::{Error, Result};
 pub use bolt_core::{
-    policy_for, BarrierCause, BarrierKind, BoltOptions, CompactionPolicy, CompactionPolicyKind,
-    CompactionStyle, Db, DbIterator, DbStats, DbStatsSnapshot, EngineEvent, LevelInfo, Metric,
-    MetricValue, MetricsRegistry, MetricsSnapshot, Options, QueueWaitSummary, ReadOptions,
-    Snapshot, TraceEvent, WriteBatch, WriteOptions,
+    BarrierCause, BarrierKind, BoltOptions, CompactionPolicyKind, CompactionStyle, Db, DbIterator,
+    DbStats, DbStatsSnapshot, EngineEvent, LevelInfo, Metric, MetricValue, MetricsRegistry,
+    MetricsSnapshot, Options, QueueWaitSummary, ReadOptions, Snapshot, TraceEvent, WriteBatch,
+    WriteOptions,
 };
 pub use bolt_env::{
     CrashConfig, CrashEnv, DeviceModel, Env, FaultEnv, FaultPlan, IoSnapshot, IoStats, MemEnv,

@@ -154,6 +154,7 @@ fn sweep_holds_invariants_under_tiered_policies() {
     for policy in [
         CompactionPolicyKind::SizeTiered,
         CompactionPolicyKind::LazyLeveled,
+        CompactionPolicyKind::Fragmented,
     ] {
         let cfg = SweepConfig {
             max_crash_points: 36,

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bolt::{Db, Options};
+use bolt::{Db, Error, Options};
 use bolt_env::{Env, MemEnv};
 
 fn profiles() -> impl Iterator<Item = (&'static str, Options)> {
@@ -323,14 +323,15 @@ fn cross_profile_reopen() {
             db.put(format!("key{i:05}").as_bytes(), format!("v{i}").as_bytes())
                 .unwrap();
         }
+        assert_eq!(db.get(b"key02500").unwrap(), Some(b"v2500".to_vec()));
         db.flush().unwrap();
         db.compact_until_quiet().unwrap();
         db.close().unwrap();
     }
-    let db = Db::open(env, "db", Options::pebblesdb().scaled(1.0 / 256.0)).unwrap();
-    assert_eq!(db.get(b"key00042").unwrap(), Some(b"v42".to_vec()));
-    assert_eq!(db.get(b"key02500").unwrap(), Some(b"v2500".to_vec()));
-    db.close().unwrap();
+    // The fragmented layout is a different policy, not a compatible profile.
+    let err = Db::open(env, "db", Options::pebblesdb().scaled(1.0 / 256.0))
+        .expect_err("fragmented open of a leveled database must fail");
+    assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
 }
 
 /// The MANIFEST pins the compaction policy: reopening with a different
@@ -370,9 +371,139 @@ fn reopen_with_mismatched_compaction_policy_is_refused() {
     Db::open(Arc::clone(&env), "db", lazy)
         .expect_err("lazy-leveled open of a size-tiered database must fail");
     // The pinned policy still opens and reads everything back.
-    let db = Db::open(env, "db", opts).unwrap();
+    let db = Db::open(env, "db", opts.clone()).unwrap();
     assert_eq!(db.get(b"key00042").unwrap(), Some(b"v42".to_vec()));
     db.close().unwrap();
+
+    // The pin covers the fragmented layout: a store whose levels stack runs
+    // is refused by name, never reported corrupt.
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let pebbles = Options::pebblesdb().scaled(1.0 / 256.0);
+    {
+        let db = Db::open(Arc::clone(&env), "db", pebbles.clone()).unwrap();
+        for round in 0..6u32 {
+            for i in 0..3000u32 {
+                let value = format!("v{round}-{i}");
+                db.put(format!("key{i:05}").as_bytes(), value.as_bytes())
+                    .unwrap();
+            }
+            db.flush().unwrap();
+        }
+        db.compact_until_quiet().unwrap();
+        let levels = db.level_info();
+        assert!(levels[1..].iter().any(|l| l.runs >= 2), "{levels:?}");
+        db.close().unwrap();
+    }
+    for (name, other) in [
+        ("leveled", Options::leveldb().scaled(1.0 / 256.0)),
+        ("leveled", Options::bolt().scaled(1.0 / 256.0)),
+        ("size_tiered", opts),
+    ] {
+        let err = Db::open(Arc::clone(&env), "db", other).expect_err("mismatch must be refused");
+        assert!(
+            matches!(&err, Error::InvalidArgument(msg)
+                if msg.contains("fragmented") && msg.contains(name)),
+            "error must name both policies: {err:?}"
+        );
+    }
+    let db = Db::open(env, "db", pebbles).unwrap();
+    for i in (0..3000u32).step_by(97) {
+        let value = format!("v5-{i}");
+        assert_eq!(
+            db.get(format!("key{i:05}").as_bytes()).unwrap(),
+            Some(value.into_bytes())
+        );
+    }
+    db.close().unwrap();
+}
+
+/// A seek compaction sinks one table, so it may only take it from a level
+/// that is one sorted run (or take all of level 0): sinking the newer of
+/// two stacked runs' tables puts its entries below the older run, and reads
+/// then return overwritten values. Where the layout stacks runs the
+/// candidate is dropped; under `leveled` seek compactions still happen.
+#[test]
+fn seek_compaction_never_reorders_runs() {
+    use bolt::CompactionPolicyKind;
+    type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+    fn flush(db: &Db, model: &mut Model, entries: &[(String, &str)]) {
+        for (key, value) in entries {
+            db.put(key.as_bytes(), value.as_bytes()).unwrap();
+            model.insert(key.clone().into_bytes(), value.as_bytes().to_vec());
+        }
+        db.flush().unwrap();
+    }
+    fn probe(db: &Db) {
+        for _ in 0..300 {
+            assert_eq!(db.get(b"kprime").unwrap(), Some(b"x".to_vec()));
+        }
+    }
+    fn check(db: &Db, model: &Model, policy: CompactionPolicyKind) {
+        db.compact_until_quiet().unwrap();
+        assert_eq!(db.get(b"k").unwrap(), Some(b"v2".to_vec()), "{policy:?}");
+        let mut iter = db.iter().unwrap();
+        iter.seek_to_first().unwrap();
+        let mut scanned = Vec::new();
+        while iter.valid() {
+            scanned.push((iter.key().to_vec(), iter.value().to_vec()));
+            iter.next().unwrap();
+        }
+        let expected: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        assert_eq!(scanned, expected, "{policy:?}");
+    }
+
+    for policy in [
+        CompactionPolicyKind::Leveled,
+        CompactionPolicyKind::SizeTiered,
+        CompactionPolicyKind::LazyLeveled,
+        CompactionPolicyKind::Fragmented,
+    ] {
+        let opts = Options {
+            seek_compaction: true,
+            compaction_policy: policy,
+            ..Options::pebblesdb()
+        };
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = Db::open(env, "db", opts).unwrap();
+        let mut model = Model::new();
+        // An older run holding `kprime`, then a newer one that spans it
+        // without holding it: every `get(kprime)` probes the newer run's
+        // table first, misses, and charges it a seek.
+        for f in 0..4 {
+            let own = (format!("a{f}"), "");
+            flush(
+                &db,
+                &mut model,
+                &[("k".into(), "v1"), ("kprime".into(), "x"), own],
+            );
+        }
+        db.compact_until_quiet().unwrap();
+        for f in 0..4 {
+            let own = (format!("z{f}"), "");
+            flush(
+                &db,
+                &mut model,
+                &[("k".into(), "v2"), ("a".into(), ""), own],
+            );
+        }
+        db.compact_until_quiet().unwrap();
+        probe(&db);
+        check(&db, &model, policy);
+        // One more run, left at level 0, that spans `kprime` too: now its
+        // table is the one charged, also under `leveled` (one run below).
+        flush(&db, &mut model, &[("a".into(), "y"), ("z9".into(), "")]);
+        probe(&db);
+        if policy == CompactionPolicyKind::Leveled {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while db.stats().seek_compactions() == 0 {
+                assert!(std::time::Instant::now() < deadline, "no seek compaction");
+                std::thread::yield_now();
+            }
+        }
+        check(&db, &model, policy);
+        db.close().unwrap();
+    }
 }
 
 /// `EIO` on a WAL sync during group commit: the leader must propagate the

@@ -111,8 +111,8 @@ proptest! {
     }
 
     /// The compaction policy is invisible to reads: leveled, size-tiered,
-    /// and lazy-leveled databases fed the same op sequence produce
-    /// byte-identical full scans (and all match the model).
+    /// lazy-leveled and fragmented databases fed the same op sequence
+    /// produce byte-identical full scans (and all match the model).
     #[test]
     fn compaction_policies_agree_on_scan_results(
         ops in proptest::collection::vec(op_strategy(), 1..300),
@@ -123,6 +123,7 @@ proptest! {
             CompactionPolicyKind::Leveled,
             CompactionPolicyKind::SizeTiered,
             CompactionPolicyKind::LazyLeveled,
+            CompactionPolicyKind::Fragmented,
         ] {
             let env: Arc<dyn Env> = Arc::new(MemEnv::new());
             let mut opts = Options::bolt().scaled(1.0 / 512.0);
@@ -146,6 +147,7 @@ proptest! {
         }
         prop_assert_eq!(&scans[0], &scans[1], "size-tiered diverged from leveled");
         prop_assert_eq!(&scans[0], &scans[2], "lazy-leveled diverged from leveled");
+        prop_assert_eq!(&scans[0], &scans[3], "fragmented diverged from leveled");
     }
 
     /// Value separation is invisible to reads: a database with WAL-time
