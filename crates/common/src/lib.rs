@@ -32,5 +32,6 @@ pub mod histogram;
 pub mod metrics;
 pub mod rng;
 pub mod skiplist;
+pub mod sync;
 
 pub use error::{Error, Result};

@@ -1,5 +1,6 @@
-//! Compaction picking: victims, group selection, settled-compaction
-//! candidates, clusters, and the entry-drop rule.
+//! Compaction decisions: what moves (victims, group selection,
+//! settled-compaction candidates, clusters) and what the merge keeps (the
+//! entry-drop rule, [`DropRule`]).
 //!
 //! One picker serves the four [`CompactionPolicyKind`]s (see `DESIGN.md`
 //! §13 for the design-space mapping and `docs/compaction-tuning.md` for
@@ -20,13 +21,17 @@
 //! This module is pure metadata logic (no I/O) so it can be unit-tested
 //! exhaustively; execution lives in `db/compact.rs`.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
+use bolt_common::Result;
 use bolt_table::comparator::{Comparator, InternalKeyComparator};
-use bolt_table::ikey::{ParsedInternalKey, SequenceNumber, ValueType};
+use bolt_table::ikey::{parse_internal_key, SequenceNumber, ValueType};
+use bolt_table::rangedel::RangeTombstoneSet;
 
 use crate::options::{CompactionPolicyKind, Options};
 use crate::version::{Run, TableList, TableMeta, Version};
+use crate::vlog::ValuePointer;
 
 /// Why a compaction was scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -628,64 +633,153 @@ pub fn clusters(icmp: &InternalKeyComparator, task: &CompactionTask) -> Vec<Clus
     result
 }
 
-/// The LevelDB entry-drop rule applied while merging.
+/// What a compaction keeps — the one owner of the entry-drop rule.
+///
+/// Scoped to the version `task` was picked from: "can anything else still
+/// hold this key" is asked of that version's tables, and the task's own
+/// merge inputs are the tables this very rewrite replaces. Entries arrive in
+/// internal-key order (all versions of a user key adjacent, newest first);
+/// [`DropRule::keep`] answers for each, and the value pointers it lets go of
+/// are the compaction's dead value-log ranges ([`DropRule::into_dead`]).
 #[derive(Debug)]
-pub struct DropFilter {
-    smallest_snapshot: SequenceNumber,
-    last_user_key: Option<Vec<u8>>,
-    last_sequence_for_key: SequenceNumber,
+pub struct DropRule<'a> {
+    icmp: &'a InternalKeyComparator,
+    version: &'a Version,
+    /// Ids of the tables being merged away.
+    inputs: HashSet<u64>,
+    /// Every range tombstone of `version`, queried at `horizon`.
+    overlay: &'a RangeTombstoneSet,
+    /// The oldest sequence a live snapshot reads at: what is shadowed or
+    /// deleted at or below it is invisible to every reader.
+    horizon: SequenceNumber,
+    /// First level whose runs may hold an older version of an output key.
+    base_from: usize,
+    /// The user key of the previous point entry, in one reused buffer.
+    key: Vec<u8>,
+    /// Sequence of the previous entry of `key`; `None` at its first.
+    newer: Option<SequenceNumber>,
+    /// Pointers of `key` kept so far, and where its drops start in `dead`.
+    kept: Vec<ValuePointer>,
+    key_dead_from: usize,
+    dead: Vec<ValuePointer>,
 }
 
-impl DropFilter {
-    /// Entries shadowed at or below `smallest_snapshot` may be dropped.
-    pub fn new(smallest_snapshot: SequenceNumber) -> Self {
-        DropFilter {
-            smallest_snapshot,
-            last_user_key: None,
-            last_sequence_for_key: u64::MAX,
+impl<'a> DropRule<'a> {
+    /// The rule for executing `task`, picked from `version`, while no
+    /// snapshot reads below `horizon`. `overlay` is `version`'s
+    /// range-tombstone set (reading it is I/O, so the executor supplies it).
+    pub fn new(
+        icmp: &'a InternalKeyComparator,
+        version: &'a Version,
+        task: &CompactionTask,
+        overlay: &'a RangeTombstoneSet,
+        horizon: SequenceNumber,
+    ) -> Self {
+        DropRule {
+            icmp,
+            version,
+            inputs: task.merge_inputs().map(|t| t.table_id).collect(),
+            overlay,
+            horizon,
+            // An appended run lands above the runs already at its level; a
+            // leveled merge has those that overlap among its inputs, and a
+            // replaced run was the oldest suffix of the deepest level.
+            base_from: match task.output {
+                OutputShape::AppendRun => task.output_level,
+                OutputShape::Leveled | OutputShape::ReplaceRun { .. } => task.output_level + 1,
+            },
+            key: Vec::new(),
+            newer: None,
+            kept: Vec::new(),
+            key_dead_from: 0,
+            dead: Vec::new(),
         }
     }
 
-    /// The oldest sequence any live snapshot can observe. Range-tombstone
-    /// coverage is evaluated at this horizon: only tombstones visible to
-    /// *every* snapshot may erase entries during compaction.
-    pub fn smallest_snapshot(&self) -> SequenceNumber {
-        self.smallest_snapshot
-    }
-
-    /// Whether a range tombstone written at `sequence` is old enough that
-    /// every live snapshot already sees it. Combined with a span-wide
-    /// base-level check this decides tombstone retention. Deliberately
-    /// does not touch the per-key shadow state: a tombstone shares its
-    /// begin key with ordinary entries but never shadows them (coverage is
-    /// applied through the fragmented overlay instead).
-    pub fn tombstone_obsolete(&self, sequence: SequenceNumber) -> bool {
-        sequence <= self.smallest_snapshot
-    }
-
-    /// Decide whether the entry (arriving in internal-key order) can be
-    /// dropped. `is_base_level` must be `true` only if no deeper level can
-    /// contain this user key.
-    pub fn should_drop(&mut self, parsed: &ParsedInternalKey<'_>, is_base_level: bool) -> bool {
-        if self
-            .last_user_key
-            .as_deref()
-            .is_none_or(|k| k != parsed.user_key)
-        {
-            self.last_user_key = Some(parsed.user_key.to_vec());
-            self.last_sequence_for_key = u64::MAX;
+    /// Whether the merged output keeps this entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`bolt_common::Error::Corruption`] for a malformed internal
+    /// key or value pointer.
+    pub fn keep(&mut self, internal_key: &[u8], value: &[u8]) -> Result<bool> {
+        let entry = parse_internal_key(internal_key)?;
+        if entry.value_type == ValueType::RangeTombstone {
+            // Outside the per-key state: it shares its begin key with point
+            // entries but never shadows them (it hides through the overlay)
+            // and a newer put there must not shadow-drop the span. It goes
+            // once every snapshot sees it and nothing is left for it to hide.
+            let obsolete = entry.sequence <= self.horizon;
+            return Ok(!(obsolete && self.span_is_base(entry.user_key, value)));
         }
-        let drop = if self.last_sequence_for_key <= self.smallest_snapshot {
-            // Shadowed by a newer entry that is itself visible at (or
-            // below) the oldest snapshot.
-            true
-        } else {
-            parsed.value_type == ValueType::Deletion
-                && parsed.sequence <= self.smallest_snapshot
-                && is_base_level
-        };
-        self.last_sequence_for_key = parsed.sequence;
-        drop
+        if self.newer.is_none() || self.key != entry.user_key {
+            self.key.clear();
+            self.key.extend_from_slice(entry.user_key);
+            self.newer = None;
+            self.kept.clear();
+            self.key_dead_from = self.dead.len();
+        }
+        // Shadowed: a newer entry of the key is itself visible at the
+        // horizon, so no reader reaches past it.
+        let shadowed = self.newer.is_some_and(|newer| newer <= self.horizon);
+        self.newer = Some(entry.sequence);
+        let drop = shadowed
+            || (entry.value_type == ValueType::Deletion
+                && entry.sequence <= self.horizon
+                && self.key_is_base(entry.user_key))
+            || self
+                .overlay
+                .covers(entry.user_key, entry.sequence, self.horizon);
+        if entry.value_type == ValueType::ValuePointer {
+            // Replay-duplicate guard: identical `(key, sequence, pointer)`
+            // entries reach two inputs when a crash makes recovery re-flush
+            // WAL entries an earlier flush already committed (a flush need
+            // not advance the WAL floor). A dropped copy must not report
+            // bytes a kept copy still resolves through, and two dropped
+            // copies are one range. Same-key entries are adjacent and
+            // survivors precede the entries they shadow, so per-key
+            // tracking suffices.
+            let pointer = ValuePointer::decode(value)?;
+            if !drop {
+                self.kept.push(pointer);
+            } else if !self.kept.contains(&pointer)
+                && !self.dead[self.key_dead_from..].contains(&pointer)
+            {
+                self.dead.push(pointer);
+            }
+        }
+        Ok(!drop)
+    }
+
+    /// The value pointers that left the tree: their value-log bytes are
+    /// dead once the compaction commits.
+    pub fn into_dead(self) -> Vec<ValuePointer> {
+        self.dead
+    }
+
+    /// `true` if no run the output lands above can hold `user_key` — the
+    /// condition for dropping a point tombstone.
+    fn key_is_base(&self, user_key: &[u8]) -> bool {
+        let below = self.version.levels.iter().skip(self.base_from);
+        !below
+            .flat_map(|level| &level.runs)
+            .any(|run| run.find(self.icmp, user_key).is_some())
+    }
+
+    /// `true` if no table *outside this compaction's inputs* can hold a key
+    /// in `[begin, end)` — the condition for dropping a range tombstone.
+    /// Unlike the point-key check this looks at every level: a span
+    /// routinely extends past the compaction's key range, so covered keys
+    /// can sit in same-level or shallower tables the compaction never
+    /// touches. Inputs are exempt because this merge erases their covered
+    /// keys through the overlay.
+    fn span_is_base(&self, begin: &[u8], end: &[u8]) -> bool {
+        let ucmp = self.icmp.user_comparator();
+        !self.version.all_tables().any(|(_, _, table)| {
+            !self.inputs.contains(&table.table_id)
+                && ucmp.compare(table.largest_user_key(), begin).is_ge()
+                && ucmp.compare(table.smallest_user_key(), end).is_lt()
+        })
     }
 }
 
@@ -694,7 +788,7 @@ mod tests {
     use super::*;
     use crate::options::CompactionStyle;
     use crate::version::{VersionBuilder, VersionEdit};
-    use bolt_table::ikey::{make_internal_key, parse_internal_key};
+    use bolt_table::ikey::make_internal_key;
 
     fn icmp() -> InternalKeyComparator {
         InternalKeyComparator::default()
@@ -927,47 +1021,244 @@ mod tests {
         assert!(clusters(&icmp(), &task).is_empty());
     }
 
-    #[test]
-    fn drop_filter_keeps_newest_drops_shadowed() {
-        let mut filter = DropFilter::new(100);
-        let k_new = make_internal_key(b"k", 50, ValueType::Value);
-        let k_old = make_internal_key(b"k", 20, ValueType::Value);
-        let other = make_internal_key(b"z", 10, ValueType::Value);
-        assert!(!filter.should_drop(&parse_internal_key(&k_new).unwrap(), false));
-        assert!(
-            filter.should_drop(&parse_internal_key(&k_old).unwrap(), false),
-            "older version shadowed below snapshot"
-        );
-        assert!(!filter.should_drop(&parse_internal_key(&other).unwrap(), false));
+    /// An entry of a merge, as a drop-rule case spells it.
+    type Entry = (&'static str, u64, ValueType, Vec<u8>);
+
+    fn put(key: &'static str, seq: u64) -> Entry {
+        (key, seq, ValueType::Value, b"v".to_vec())
     }
 
-    #[test]
-    fn drop_filter_respects_snapshots() {
-        // Oldest snapshot at 30: the version at 50 does NOT shadow the one
-        // at 20, because a reader at snapshot 30 still needs it.
-        let mut filter = DropFilter::new(30);
-        let k_new = make_internal_key(b"k", 50, ValueType::Value);
-        let k_mid = make_internal_key(b"k", 25, ValueType::Value);
-        let k_old = make_internal_key(b"k", 10, ValueType::Value);
-        assert!(!filter.should_drop(&parse_internal_key(&k_new).unwrap(), false));
-        assert!(!filter.should_drop(&parse_internal_key(&k_mid).unwrap(), false));
-        assert!(
-            filter.should_drop(&parse_internal_key(&k_old).unwrap(), false),
-            "k@10 shadowed by k@25 which is visible at snapshot 30"
-        );
+    fn del(key: &'static str, seq: u64) -> Entry {
+        (key, seq, ValueType::Deletion, Vec::new())
     }
 
+    /// A range tombstone over `[begin, end)`.
+    fn rdel(begin: &'static str, end: &'static str, seq: u64) -> Entry {
+        (
+            begin,
+            seq,
+            ValueType::RangeTombstone,
+            end.as_bytes().to_vec(),
+        )
+    }
+
+    /// A pointer to ten value-log bytes at `offset` of segment 7.
+    fn ptr(key: &'static str, seq: u64, offset: u64) -> Entry {
+        let pointer = ValuePointer {
+            file_number: 7,
+            offset,
+            len: 10,
+            crc: 0,
+        };
+        (key, seq, ValueType::ValuePointer, pointer.encode().to_vec())
+    }
+
+    /// The rule checked where it lives, one row per clause: what a merge of
+    /// the tables `inputs` (ids) of the version `tables`, landing at
+    /// `output_level` in shape `output` under the range tombstones
+    /// `overlay` while the oldest snapshot reads at `horizon`, keeps (`K`)
+    /// and drops (`D`) of `entries`, and the value-log offsets it reports
+    /// dead.
     #[test]
-    fn drop_filter_tombstones_only_at_base_level() {
-        let del = make_internal_key(b"k", 5, ValueType::Deletion);
-        let mut filter = DropFilter::new(100);
-        assert!(!filter.should_drop(&parse_internal_key(&del).unwrap(), false));
-        let mut filter = DropFilter::new(100);
-        assert!(filter.should_drop(&parse_internal_key(&del).unwrap(), true));
-        // Tombstone newer than the snapshot is kept even at base level.
-        let del_new = make_internal_key(b"k", 200, ValueType::Deletion);
-        let mut filter = DropFilter::new(100);
-        assert!(!filter.should_drop(&parse_internal_key(&del_new).unwrap(), true));
+    fn drop_rule_decides_every_clause() {
+        use OutputShape::{AppendRun, Leveled, ReplaceRun};
+        struct Case {
+            clause: &'static str,
+            tables: Vec<(u32, u64, TableMeta)>,
+            inputs: &'static [u64],
+            output_level: usize,
+            output: OutputShape,
+            overlay: &'static [(&'static str, &'static str, u64)],
+            horizon: u64,
+            entries: Vec<Entry>,
+            verdicts: &'static str,
+            dead: &'static [u64],
+        }
+        // A leveled merge of table 1 (level 1) into level 2, nothing else
+        // in the tree, no tombstones, no snapshot below sequence 100.
+        let base = || Case {
+            clause: "",
+            tables: vec![(1, 0, meta(1, "a", "z", 1))],
+            inputs: &[1],
+            output_level: 2,
+            output: Leveled,
+            overlay: &[],
+            horizon: 100,
+            entries: Vec::new(),
+            verdicts: "",
+            dead: &[],
+        };
+        let deeper_k = || vec![(1, 0, meta(1, "a", "z", 1)), (3, 0, meta(2, "j", "l", 1))];
+        let same_level_k = || vec![(1, 0, meta(1, "a", "z", 1)), (2, 5, meta(2, "j", "l", 1))];
+        let cases = vec![
+            Case {
+                clause: "the newest version stays, what it shadows goes",
+                entries: vec![put("k", 50), put("k", 20), put("z", 10)],
+                verdicts: "KDK",
+                ..base()
+            },
+            Case {
+                clause: "a version a snapshot reads is not shadowed by a newer one",
+                horizon: 30,
+                entries: vec![put("k", 50), put("k", 25), put("k", 10)],
+                verdicts: "KKD",
+                ..base()
+            },
+            Case {
+                clause: "a version exactly at the horizon shadows",
+                horizon: 30,
+                entries: vec![put("k", 30), put("k", 20)],
+                verdicts: "KD",
+                ..base()
+            },
+            Case {
+                clause: "a version just above the horizon does not",
+                horizon: 29,
+                entries: vec![put("k", 30), put("k", 20)],
+                verdicts: "KK",
+                ..base()
+            },
+            Case {
+                clause: "a point tombstone goes when nothing below can hold its key",
+                entries: vec![del("k", 5)],
+                verdicts: "D",
+                ..base()
+            },
+            Case {
+                clause: "a point tombstone stays while a deeper run can hold its key",
+                tables: deeper_k(),
+                entries: vec![del("a", 5), del("k", 5)],
+                verdicts: "DK",
+                ..base()
+            },
+            Case {
+                clause: "a point tombstone a snapshot cannot see yet stays",
+                entries: vec![del("k", 200)],
+                verdicts: "K",
+                ..base()
+            },
+            Case {
+                clause: "an appended run lands above its level's runs: they decide too",
+                tables: same_level_k(),
+                output: AppendRun,
+                entries: vec![del("a", 5), del("k", 5)],
+                verdicts: "DK",
+                ..base()
+            },
+            Case {
+                clause: "a leveled merge has its level's overlaps among its inputs",
+                tables: same_level_k(),
+                inputs: &[1, 2],
+                entries: vec![del("k", 5)],
+                verdicts: "D",
+                ..base()
+            },
+            Case {
+                clause: "a replaced run is the oldest of the deepest level",
+                tables: vec![(6, 3, meta(1, "a", "z", 1)), (6, 4, meta(2, "j", "l", 1))],
+                output_level: 6,
+                output: ReplaceRun { tag: 3 },
+                entries: vec![del("k", 5)],
+                verdicts: "D",
+                ..base()
+            },
+            Case {
+                clause: "a range tombstone every snapshot sees erases what it covers",
+                overlay: &[("c", "m", 40)],
+                horizon: 50,
+                entries: vec![put("b", 10), put("c", 10), put("d", 45), put("m", 10)],
+                verdicts: "KDKK",
+                ..base()
+            },
+            Case {
+                clause: "a range tombstone above the horizon erases nothing",
+                overlay: &[("c", "m", 60)],
+                horizon: 50,
+                entries: vec![put("c", 10)],
+                verdicts: "K",
+                ..base()
+            },
+            Case {
+                clause: "a range tombstone goes once every snapshot sees it and its span is base",
+                horizon: 50,
+                entries: vec![rdel("c", "m", 40)],
+                verdicts: "D",
+                ..base()
+            },
+            Case {
+                clause: "a range tombstone newer than the oldest snapshot stays, base span or not",
+                horizon: 30,
+                entries: vec![rdel("c", "m", 40)],
+                verdicts: "K",
+                ..base()
+            },
+            Case {
+                clause: "the span check looks past the output level, at every table not an input",
+                tables: vec![
+                    (0, 9, meta(3, "x", "z", 1)),
+                    (1, 0, meta(1, "a", "c", 1)),
+                    (1, 0, meta(2, "p", "q", 1)),
+                ],
+                entries: vec![rdel("a", "p", 40), rdel("a", "q", 40), rdel("r", "y", 40)],
+                verdicts: "DKK",
+                ..base()
+            },
+            Case {
+                clause: "a range tombstone neither shadows nor is shadowed at its begin key",
+                tables: vec![(1, 0, meta(1, "a", "c", 1)), (1, 0, meta(2, "p", "q", 1))],
+                entries: vec![put("a", 60), rdel("a", "q", 40), put("a", 30)],
+                verdicts: "KKD",
+                ..base()
+            },
+            Case {
+                clause: "a dropped replay duplicate of a kept pointer is not dead; two dropped copies are one range",
+                entries: vec![
+                    ptr("k", 50, 0),
+                    ptr("k", 50, 0),
+                    ptr("k", 20, 64),
+                    ptr("k", 20, 64),
+                    ptr("m", 9, 0),
+                    ptr("m", 8, 0),
+                    ptr("m", 7, 128),
+                ],
+                verdicts: "KDDDKDD",
+                dead: &[64, 128],
+                ..base()
+            },
+        ];
+        for case in cases {
+            let clause = case.clause;
+            let version = version_with(&case.tables);
+            let inputs = version.all_tables().map(|(_, _, table)| table);
+            let inputs = inputs.filter(|table| case.inputs.contains(&table.table_id));
+            let task = CompactionTask {
+                input_runs: vec![inputs.cloned().collect()],
+                output_level: case.output_level,
+                ..CompactionTask::new(case.output_level.saturating_sub(1), case.output)
+            };
+            let tombstones = case.overlay.iter().map(|&(begin, end, sequence)| {
+                bolt_table::rangedel::RangeTombstone {
+                    begin: begin.as_bytes().to_vec(),
+                    end: end.as_bytes().to_vec(),
+                    sequence,
+                }
+            });
+            let overlay = RangeTombstoneSet::build(tombstones.collect());
+            let icmp = icmp();
+            let mut rule = DropRule::new(&icmp, &version, &task, &overlay, case.horizon);
+            let verdicts: String = (case.entries.iter())
+                .map(|(key, seq, value_type, value)| {
+                    let key = make_internal_key(key.as_bytes(), *seq, *value_type);
+                    match rule.keep(&key, value).unwrap() {
+                        true => 'K',
+                        false => 'D',
+                    }
+                })
+                .collect();
+            assert_eq!(verdicts, case.verdicts, "{clause}");
+            let dead: Vec<u64> = rule.into_dead().iter().map(|p| p.offset).collect();
+            assert_eq!(dead, case.dead, "{clause}: dead value-log offsets");
+        }
     }
 
     fn tiered_opts(kind: CompactionPolicyKind) -> Options {

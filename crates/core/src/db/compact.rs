@@ -9,265 +9,228 @@
 //! * **Settled compaction** promotes zero-overlap victims with a pure
 //!   MANIFEST edit; their bytes never move.
 //!
-//! Picking lives in [`crate::compaction`]; this module only executes a
-//! [`CompactionTask`]. It owns no [`super::DbState`] field: it reads
-//! `snapshots` for the drop horizon and runs on the background thread. Its
-//! commit is one of the three view installs (the version alone changes).
+//! A compaction is keep → write → commit. What moves and what the merge
+//! keeps are decided in [`crate::compaction`] ([`CompactionTask`],
+//! [`DropRule`]); this module writes ([`OutputSink`]) and commits
+//! ([`DbInner::commit`], which a flush shares). It owns no
+//! [`super::DbState`] field: it reads `snapshots` for the drop horizon and
+//! runs on the background thread.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::Result;
-use bolt_table::comparator::InternalKeyComparator;
-use bolt_table::ikey::{parse_internal_key, ValueType};
+use bolt_table::ikey::extract_user_key;
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::SeqReadStats;
 use bolt_table::{BuiltTable, Table, TableBuilder, TableCache};
 
 use super::{DbInner, ReadView};
-use crate::compaction::{clusters, CompactionReason, CompactionTask, DropFilter, OutputShape};
+use crate::compaction::{clusters, CompactionReason, CompactionTask, DropRule, OutputShape};
 use crate::filename::table_file;
 use crate::iterator::{InternalIterator, MergingIter, RunIter};
 use crate::version::{TableList, TableMeta, Version, VersionEdit};
-use crate::versions::{RangeSet, VersionSet};
+use crate::versions::VersionSet;
 use crate::vlog::ValuePointer;
 
 impl DbInner {
-    pub(super) fn run_compaction(&self, task: CompactionTask) -> Result<()> {
-        let output_level = task.output_level;
-        let smallest_snapshot = {
-            let state = self.state.lock();
-            state
-                .snapshots
-                .iter()
-                .copied()
-                .min()
-                .unwrap_or_else(|| self.last_sequence.load(Ordering::Acquire))
-        };
-        let version = Arc::clone(&self.view().version);
-
+    /// Execute `task`, which was picked from `version`.
+    pub(super) fn run_compaction(&self, task: CompactionTask, version: &Version) -> Result<()> {
         let compaction_id = self.compaction_ids.fetch_add(1, Ordering::Relaxed);
+        let (settled, input_bytes) = (task.settled_moves.len() as u64, task.input_bytes());
         self.sink.emit(EngineEvent::CompactionBegin {
             id: compaction_id,
             level: task.level as u32,
-            victims: (task.merge_inputs().count() + task.settled_moves.len()) as u64,
-            input_bytes: task.input_bytes(),
+            victims: task.merge_inputs().count() as u64 + settled,
+            input_bytes,
             policy: self.opts.compaction_policy.as_str(),
         });
+        if settled > 0 {
+            self.sink.emit(EngineEvent::SettledMove {
+                id: compaction_id,
+                level: task.level as u32,
+                tables: settled,
+            });
+        }
+
+        let (outputs, dead) = if task.is_move_only() {
+            (Vec::new(), Vec::new())
+        } else {
+            self.rewrite(&task, version)?
+        };
 
         let mut edit = VersionEdit::default();
         // Settled compaction / trivial move: MANIFEST-only promotion.
-        let deliberate_settling = self
-            .opts
-            .bolt_options()
-            .is_some_and(|b| b.settled_compaction);
         for table in &task.settled_moves {
             edit.deleted_tables
                 .push((task.level as u32, table.table_id));
             edit.added_tables
-                .push((output_level as u32, 0, table.as_ref().clone()));
-            if deliberate_settling {
-                self.stats.record_settled_move(1);
-            } else {
-                self.stats.record_trivial_move(1);
+                .push((task.output_level as u32, 0, table.as_ref().clone()));
+        }
+        for table in task.merge_inputs() {
+            // Inputs at `task.level` and `output_level`; level recorded
+            // for bookkeeping only (deletion is by table id).
+            edit.deleted_tables
+                .push((task.level as u32, table.table_id));
+        }
+        if task.reason == CompactionReason::Size && task.output == OutputShape::Leveled {
+            if let Some(key) = task.max_victim_key(&self.icmp) {
+                edit.compact_pointers.push((task.level as u32, key));
             }
         }
-        if !task.settled_moves.is_empty() {
-            self.sink.emit(EngineEvent::SettledMove {
-                id: compaction_id,
-                level: task.level as u32,
-                tables: task.settled_moves.len() as u64,
-            });
-        }
-
-        let mut outputs: Vec<Output> = Vec::new();
-        let mut dead_pointers: Vec<ValuePointer> = Vec::new();
-        if !task.is_move_only() {
-            let input_bytes = task.input_bytes();
-            self.stats.record_compaction_input(input_bytes);
-
-            // BoLT: one physical compaction file for the entire compaction.
-            let target = self.opts.output_table_bytes();
-            let mut sink = OutputSink::new(self, self.opts.bolt_options().is_some(), target);
-
-            // Compaction-wide range-tombstone overlay, built from the
-            // pinned version (which still contains the input tables).
-            let overlay = if version.has_range_tombstones() {
-                version.range_tombstones(&self.table_cache, &self.name)?
-            } else {
-                Arc::new(RangeTombstoneSet::default())
-            };
-
-            // Tables this compaction merges away: their covered keys die
-            // in this very rewrite, so they never block tombstone drops.
-            let input_ids: HashSet<u64> = task.merge_inputs().map(|t| t.table_id).collect();
-
-            // Every data barrier the rewrite pays is attributed to this
-            // compaction (a preempted flush re-tags its own barriers).
-            let _scope = BarrierScope::new(BarrierCause::CompactionData);
-            // Inputs are read once, front to back: in large spans, past the
-            // caches foreground reads are served from.
-            let reads = Arc::new(SeqReadStats::default());
-            // Merge one independent unit of the task into the sink: its
-            // runs, which for a leveled output include the overlapped
-            // tables already at the output level.
-            let merge_into = |sink: &mut OutputSink<'_>,
-                              runs: Vec<TableList>,
-                              include_output_level: bool|
-             -> Result<()> {
-                let children = runs
-                    .into_iter()
-                    .filter(|r| !r.is_empty())
-                    .map(|r| -> Box<dyn InternalIterator> {
-                        Box::new(RunIter::sequential(
-                            self.icmp.clone(),
-                            Arc::clone(&self.table_cache),
-                            Arc::clone(&self.name),
-                            r,
-                            Arc::clone(&reads),
-                        ))
-                    })
-                    .collect();
-                let mut merged = MergingIter::new(self.icmp.clone(), children);
-                merged.seek_to_first()?;
-                let mut filter = DropFilter::new(smallest_snapshot);
-                sink.write_run(
-                    &mut merged,
-                    Some(&mut filter),
-                    &overlay,
-                    &DropScope {
-                        version: &version,
-                        inputs: &input_ids,
-                        output_level,
-                        include_output_level,
-                    },
-                )
-            };
-            let built = (|| -> Result<Vec<Output>> {
-                match task.output {
-                    OutputShape::Leveled => {
-                        // A cluster's runs are subsets: lists of their own.
-                        for cluster in clusters(&self.icmp, &task) {
-                            let runs = cluster.input_runs.into_iter();
-                            let runs = runs.chain([cluster.next_inputs]);
-                            merge_into(&mut sink, runs.map(TableList::from).collect(), false)?;
-                        }
-                    }
-                    // The whole input set merges as one unit and nothing at
-                    // the output level joins. Point keys: AppendRun outputs
-                    // land above still-live runs, so a point tombstone
-                    // survives unless no run at or below the output level
-                    // can hold its key; a ReplaceRun merges the oldest
-                    // suffix of the deepest level, so deeper levels alone
-                    // decide. (Range tombstones use the span-wide all-level
-                    // check — see `is_base_level_span`.)
-                    shape => merge_into(
-                        &mut sink,
-                        task.input_runs.clone(),
-                        shape == OutputShape::AppendRun,
-                    )?,
-                }
-                sink.finish()
-            })();
-            self.stats.record_compaction_read_ops(reads.ops());
-            self.stats.record_compaction_read_bytes(reads.bytes());
-            outputs = match built {
-                Ok(outputs) => {
-                    dead_pointers = sink.take_dead_pointers();
-                    outputs
-                }
-                Err(e) => {
-                    // Nothing references these outputs yet (no MANIFEST
-                    // append has happened); reclaim them so an I/O error
-                    // mid-compaction cannot leak partial files or pending
-                    // marks that would block garbage collection forever.
-                    sink.abandon();
-                    return Err(e);
-                }
-            };
-        }
-
         let output_tables = outputs.len() as u64;
         let output_bytes = {
             // The commit barrier (MANIFEST append + sync) is this
             // compaction's second — and for settled moves, only — barrier.
             let _scope = BarrierScope::new(BarrierCause::CompactionManifest);
-            let mut versions = self.versions.lock();
-            for table in task.merge_inputs() {
-                // Inputs at `task.level` and `output_level`; level recorded
-                // for bookkeeping only (deletion is by table id).
-                edit.deleted_tables
-                    .push((task.level as u32, table.table_id));
-            }
-            if task.reason == CompactionReason::Size && task.output == OutputShape::Leveled {
-                if let Some(key) = task.max_victim_key(&self.icmp) {
-                    edit.compact_pointers.push((task.level as u32, key));
-                }
-            }
-            // Feed the ranges this compaction dropped into the value-log
-            // liveness ledger inside the same MANIFEST commit, and condemn
-            // segments whose dead-range union now covers every written
-            // byte. The sweep covers the whole ledger — not just touched
-            // segments — so a segment left fully dead by a crashed
-            // predecessor is retired too.
-            let mut dead_after: HashMap<u64, RangeSet> = HashMap::new();
-            for ptr in &dead_pointers {
-                if let Some(info) = versions.vlog_segments().get(&ptr.file_number) {
-                    let (offset, len) = (ptr.offset, u64::from(ptr.len));
-                    edit.vlog_dead.push((ptr.file_number, offset, len));
-                    let after = dead_after.entry(ptr.file_number);
-                    let after = after.or_insert_with(|| info.dead.clone());
-                    after.insert(offset, len);
-                }
-            }
-            let mut committed_dead = 0u64;
-            let mut retired = 0u64;
-            for (&segment, info) in versions.vlog_segments() {
-                // Union delta, not a sum of pointer lengths: duplicate
-                // drops of the same range count once.
-                let dead = dead_after.get(&segment).unwrap_or(&info.dead).total();
-                committed_dead += dead - info.dead.total();
-                if info.written.is_some_and(|w| dead >= w) {
-                    edit.vlog_deleted.push(segment);
-                    retired += 1;
-                }
-            }
-            let output_bytes = commit_outputs(
-                &mut versions,
-                &self.table_cache,
+            let install = |old: &ReadView, version| ReadView {
+                version,
+                ..old.clone()
+            };
+            self.commit(
                 edit,
-                output_level,
+                task.output_level,
                 task.output,
                 outputs,
-            )?;
-            if committed_dead > 0 {
-                self.stats.record_vlog_dead_bytes(committed_dead);
-            }
-            if retired > 0 {
-                self.stats.record_vlog_segment_retired(retired);
-            }
-            self.install_view(|old| ReadView {
-                version: versions.current(),
-                ..old.clone()
-            });
-            let garbage = versions.collect_garbage(&self.table_cache);
-            drop(versions);
-            self.reclaim(garbage);
-            self.stats.record_compaction(1);
-            self.stats.record_compaction_output(output_bytes);
-            output_bytes
+                Some(&dead),
+                install,
+            )?
         };
+        // Booked once committed: an attempt that failed and was retried
+        // counts what it moved once, like what it wrote.
+        if (self.opts.bolt_options()).is_some_and(|b| b.settled_compaction) {
+            self.stats.record_settled_move(settled);
+        } else {
+            self.stats.record_trivial_move(settled);
+        }
+        self.stats.record_compaction(1);
+        self.stats.record_compaction_input(input_bytes);
+        self.stats.record_compaction_output(output_bytes);
         self.sink.emit(EngineEvent::CompactionEnd {
             id: compaction_id,
             outputs: output_tables,
             output_bytes,
-            settled: task.settled_moves.len() as u64,
+            settled,
             rewrote: output_tables > 0,
             policy: self.opts.compaction_policy.as_str(),
         });
         Ok(())
+    }
+
+    /// Merge the inputs of `task` into synced output tables, keeping what
+    /// its [`DropRule`] keeps. Returns the tables and the value pointers
+    /// that were let go.
+    fn rewrite(
+        &self,
+        task: &CompactionTask,
+        version: &Version,
+    ) -> Result<(Vec<Output>, Vec<ValuePointer>)> {
+        let horizon = {
+            let snapshots = &self.state.lock().snapshots;
+            let oldest = snapshots.iter().copied().min();
+            oldest.unwrap_or_else(|| self.last_sequence.load(Ordering::Acquire))
+        };
+        // Compaction-wide range-tombstone overlay: that of the pinned
+        // version, which still contains the input tables.
+        let overlay = if version.has_range_tombstones() {
+            version.range_tombstones(&self.table_cache, &self.name)?
+        } else {
+            Arc::new(RangeTombstoneSet::default())
+        };
+        let mut rule = DropRule::new(&self.icmp, version, task, &overlay, horizon);
+        // BoLT: one physical compaction file for the entire compaction.
+        let target = self.opts.output_table_bytes();
+        let mut sink = OutputSink::new(self, self.opts.bolt_options().is_some(), target);
+        // Every data barrier the rewrite pays is attributed to this
+        // compaction (a preempted flush re-tags its own barriers).
+        let _scope = BarrierScope::new(BarrierCause::CompactionData);
+        // Inputs are read once, front to back: in large spans, past the
+        // caches foreground reads are served from.
+        let reads = Arc::new(SeqReadStats::default());
+        // Merge one independent unit of the task into the sink.
+        let mut merge_into = |sink: &mut OutputSink<'_>, runs: Vec<TableList>| -> Result<()> {
+            let children = runs
+                .into_iter()
+                .filter(|r| !r.is_empty())
+                .map(|r| -> Box<dyn InternalIterator> {
+                    Box::new(RunIter::sequential(
+                        self.icmp.clone(),
+                        Arc::clone(&self.table_cache),
+                        Arc::clone(&self.name),
+                        r,
+                        Arc::clone(&reads),
+                    ))
+                })
+                .collect();
+            let mut merged = MergingIter::new(self.icmp.clone(), children);
+            merged.seek_to_first()?;
+            sink.write_run(&mut merged, Some(&mut rule))
+        };
+        let written = (|| -> Result<()> {
+            match task.output {
+                // A cluster's runs — the overlapped tables already at the
+                // output level among them — are subsets: lists of their own.
+                OutputShape::Leveled => {
+                    for cluster in clusters(&self.icmp, task) {
+                        let runs = cluster.input_runs.into_iter();
+                        let runs = runs.chain([cluster.next_inputs]);
+                        merge_into(&mut sink, runs.map(TableList::from).collect())?;
+                    }
+                }
+                // The whole input set merges as one unit and nothing at
+                // the output level joins.
+                OutputShape::AppendRun | OutputShape::ReplaceRun { .. } => {
+                    merge_into(&mut sink, task.input_runs.clone())?;
+                }
+            }
+            Ok(())
+        })();
+        self.stats.record_compaction_read_ops(reads.ops());
+        self.stats.record_compaction_read_bytes(reads.bytes());
+        Ok((sink.finish(written)?, rule.into_dead()))
+    }
+
+    /// The one commit of a flush and of a compaction: install `outputs` at
+    /// `level` with `edit` ([`commit_outputs`]), publish the view `install`
+    /// builds around the new version, and reclaim what the commit killed.
+    /// `dead` is what a compaction's [`DropRule`] let go of (a flush drops
+    /// nothing and passes `None`): the value-log ledger takes it in the
+    /// same MANIFEST record. Returns the bytes installed.
+    ///
+    /// *Swap before GC*: the view is installed inside the `core.versions`
+    /// critical section, after `log_and_apply` and before the reclaim
+    /// decision, so the outgoing version has lost the view's reference when
+    /// that decision scans for live versions and its files go into this
+    /// very pass's batch — which runs with the lock released.
+    pub(super) fn commit(
+        &self,
+        mut edit: VersionEdit,
+        level: usize,
+        shape: OutputShape,
+        outputs: Vec<Output>,
+        dead: Option<&[ValuePointer]>,
+        install: impl FnOnce(&ReadView, Arc<Version>) -> ReadView,
+    ) -> Result<u64> {
+        let mut versions = self.versions.lock();
+        let staged = dead.map(|dead| versions.stage_vlog_dead(&mut edit, dead));
+        let bytes = commit_outputs(
+            &mut versions,
+            &self.table_cache,
+            edit,
+            level,
+            shape,
+            outputs,
+        )?;
+        self.install_view(|old| install(old, versions.current()));
+        let garbage = versions.collect_garbage(&self.table_cache);
+        drop(versions);
+        self.reclaim(garbage);
+        if let Some((newly_dead, retired)) = staged {
+            self.stats.record_vlog_dead_bytes(newly_dead);
+            self.stats.record_vlog_segment_retired(retired);
+        }
+        Ok(bytes)
     }
 }
 
@@ -286,12 +249,12 @@ pub(super) struct Output {
 /// table id), commit the edit to the MANIFEST, release the files' pending
 /// marks and cache the tables' readers under their new ids. Returns the
 /// bytes installed. The one path from an [`OutputSink`]'s product to the
-/// version set, shared by flush and compaction.
+/// version set.
 ///
 /// On a commit error the pending marks stay: the record may have reached
 /// the MANIFEST despite the failed sync, so the files must outlive it. No
 /// reader is cached: the ids were never installed.
-pub(super) fn commit_outputs(
+fn commit_outputs(
     versions: &mut VersionSet,
     cache: &TableCache,
     mut edit: VersionEdit,
@@ -342,7 +305,8 @@ pub(super) fn commit_outputs(
 }
 
 /// Streams sorted entries into output tables; one physical file per table
-/// for stock styles, one shared compaction file for BoLT.
+/// for stock styles, one shared compaction file for BoLT. It cuts tables
+/// and pays barriers; what to keep is the [`DropRule`]'s decision.
 pub(super) struct OutputSink<'a> {
     inner: &'a DbInner,
     bolt: bool,
@@ -351,9 +315,6 @@ pub(super) struct OutputSink<'a> {
     outputs: Vec<(u64, BuiltTable)>,
     /// Every file number this sink created, for cleanup on failure.
     created: Vec<u64>,
-    /// Value pointers dropped by the filter — their value-log bytes are
-    /// dead once this compaction commits.
-    dead_pointers: Vec<ValuePointer>,
 }
 
 impl<'a> OutputSink<'a> {
@@ -365,12 +326,7 @@ impl<'a> OutputSink<'a> {
             file: None,
             outputs: Vec::new(),
             created: Vec::new(),
-            dead_pointers: Vec::new(),
         }
-    }
-
-    fn take_dead_pointers(&mut self) -> Vec<ValuePointer> {
-        std::mem::take(&mut self.dead_pointers)
     }
 
     fn ensure_file(&mut self) -> Result<()> {
@@ -388,13 +344,14 @@ impl<'a> OutputSink<'a> {
     }
 
     /// Undo a failed build: delete every file this sink created and release
-    /// its pending marks so garbage collection is not blocked forever.
+    /// its pending marks, so that an I/O error mid-flush or mid-compaction
+    /// leaks no partial file and blocks garbage collection forever.
     ///
     /// Safe only because none of these outputs has been named in a MANIFEST
     /// append yet — once a VersionEdit referencing them is appended, the
     /// record may commit despite a sync error (a torn-tail crash can retain
     /// it), so from that point the files must be preserved.
-    pub(super) fn abandon(&mut self) {
+    fn abandon(&mut self) {
         self.file = None;
         for &number in &self.created {
             let _ = self
@@ -419,145 +376,50 @@ impl<'a> OutputSink<'a> {
         }
     }
 
-    /// Merge one cluster into output tables, applying the drop rule when a
-    /// filter is supplied (compaction) and keeping everything otherwise
-    /// (flush). `overlay` is the compaction-wide range-tombstone set,
-    /// queried at the snapshot horizon to erase covered entries.
+    /// Stream `iter` into output tables of about `target` bytes: every
+    /// entry `rule` keeps (a compaction), or every entry (a flush, which
+    /// must preserve its memtable whole and passes `None`).
     pub(super) fn write_run(
         &mut self,
         iter: &mut dyn InternalIterator,
-        mut filter: Option<&mut DropFilter>,
-        overlay: &RangeTombstoneSet,
-        scope: &DropScope<'_>,
+        mut rule: Option<&mut DropRule<'_>>,
     ) -> Result<()> {
-        let DropScope {
-            version,
-            inputs,
-            output_level,
-            include_output_level,
-        } = *scope;
-        // Only compactions preempt for flushes; a flush must not recurse.
-        let allow_preemption = filter.is_some();
-        // Local because `builder` below holds a &mut borrow through
-        // `self.file` for the whole inner loop.
-        let mut dead: Vec<ValuePointer> = Vec::new();
-        // Replay-duplicate guard: identical `(key, sequence, pointer)`
-        // entries can reach two inputs when a crash makes recovery re-flush
-        // WAL entries an earlier flush already committed (a flush need not
-        // advance the WAL floor). Dropping the duplicate copy must not
-        // record bytes the kept copy still resolves through, and two
-        // dropped copies must not be recorded twice. Same-key entries are
-        // adjacent in merge order and survivors precede dropped shadows,
-        // so per-user-key tracking suffices.
-        let mut guard_key: Vec<u8> = Vec::new();
-        let mut kept_ptrs: Vec<Vec<u8>> = Vec::new();
-        let mut counted_ptrs: Vec<Vec<u8>> = Vec::new();
         while iter.valid() {
             self.ensure_file()?;
+            // Flush preemption point: between output tables. Only a
+            // compaction preempts for flushes; a flush must not recurse.
+            if rule.is_some() {
+                self.inner.maybe_flush_pending_imm()?;
+            }
             // ensure_file() above either populated `self.file` or returned the
             // error. bolt-lint: allow(unwrap-in-crash-path)
             let (file_number, file) = self.file.as_mut().expect("file open");
-            let file_number = *file_number;
-            // Flush preemption point: between output tables.
-            if allow_preemption {
-                self.inner.maybe_flush_pending_imm()?;
-            }
             let mut builder =
                 TableBuilder::new(file.as_mut(), self.inner.opts.table_format.clone());
-            let mut last_added_user_key: Option<Vec<u8>> = None;
             while iter.valid() {
-                let drop = match filter.as_deref_mut() {
-                    None => false,
-                    Some(filter) => {
-                        let parsed = parse_internal_key(iter.key())?;
-                        if parsed.value_type == ValueType::RangeTombstone {
-                            // Tombstones bypass the per-key shadow state
-                            // entirely (a newer put at the begin key must
-                            // never shadow-drop the span). Retention: old
-                            // enough that every snapshot sees it, and no
-                            // table outside this compaction's inputs can
-                            // still hold a key in its span.
-                            let drop = filter.tombstone_obsolete(parsed.sequence)
-                                && is_base_level_span(
-                                    &self.inner.icmp,
-                                    version,
-                                    inputs,
-                                    parsed.user_key,
-                                    iter.value(),
-                                );
-                            if !drop {
-                                builder.add(iter.key(), iter.value())?;
-                                let user_key = bolt_table::ikey::extract_user_key(iter.key());
-                                if last_added_user_key.as_deref() != Some(user_key) {
-                                    last_added_user_key = Some(user_key.to_vec());
-                                }
-                            }
-                            iter.next()?;
-                            continue;
-                        }
-                        let base = is_base_level(
-                            &self.inner.icmp,
-                            version,
-                            output_level,
-                            include_output_level,
-                            parsed.user_key,
-                        );
-                        // `should_drop` must always run (it maintains the
-                        // per-key shadow state); coverage by a universally
-                        // visible range tombstone is an extra drop reason.
-                        let drop = filter.should_drop(&parsed, base)
-                            || overlay.covers(
-                                parsed.user_key,
-                                parsed.sequence,
-                                filter.smallest_snapshot(),
-                            );
-                        if parsed.value_type == ValueType::ValuePointer {
-                            if guard_key != parsed.user_key {
-                                guard_key.clear();
-                                guard_key.extend_from_slice(parsed.user_key);
-                                kept_ptrs.clear();
-                                counted_ptrs.clear();
-                            }
-                            let value = iter.value();
-                            if !drop {
-                                kept_ptrs.push(value.to_vec());
-                            } else if !kept_ptrs.iter().any(|p| p == value)
-                                && !counted_ptrs.iter().any(|p| p == value)
-                            {
-                                // The entry leaves the LSM here; its
-                                // value-log bytes are dead once the
-                                // compaction commits.
-                                dead.push(ValuePointer::decode(value)?);
-                                counted_ptrs.push(value.to_vec());
-                            }
-                        }
-                        drop
-                    }
+                let keep = match rule.as_deref_mut() {
+                    Some(rule) => rule.keep(iter.key(), iter.value())?,
+                    None => true,
                 };
-                if !drop {
+                if keep {
                     builder.add(iter.key(), iter.value())?;
-                    let user_key = bolt_table::ikey::extract_user_key(iter.key());
-                    if last_added_user_key.as_deref() != Some(user_key) {
-                        last_added_user_key = Some(user_key.to_vec());
-                    }
                 }
                 iter.next()?;
-                if builder.estimated_size() >= self.target {
-                    // Never cut between two versions of the same user key:
-                    // runs must stay disjoint by user key.
-                    let next_same_key = iter.valid()
-                        && last_added_user_key.as_deref()
-                            == Some(bolt_table::ikey::extract_user_key(iter.key()));
-                    if !next_same_key {
-                        break;
-                    }
+                // Never cut between two versions of the same user key:
+                // runs must stay disjoint by user key.
+                if builder.estimated_size() >= self.target
+                    && !(iter.valid()
+                        && builder.last_key().map(extract_user_key)
+                            == Some(extract_user_key(iter.key())))
+                {
+                    break;
                 }
             }
             if builder.is_empty() {
                 break;
             }
             let built = builder.finish()?;
-            self.outputs.push((file_number, built));
+            self.outputs.push((*file_number, built));
             if !self.bolt {
                 // Inside `while iter.valid()` after ensure_file(); the classic
                 // path closes the file per table. bolt-lint: allow(unwrap-in-crash-path)
@@ -565,15 +427,24 @@ impl<'a> OutputSink<'a> {
                 Self::sync_file(self.inner, file.as_mut())?;
             }
         }
-        self.dead_pointers.extend(dead);
         Ok(())
+    }
+
+    /// End the build whose `write_run`s returned `written`: the outputs, or
+    /// — after any error — nothing, on disk either (`abandon`).
+    pub(super) fn finish(&mut self, written: Result<()>) -> Result<Vec<Output>> {
+        let outputs = written.and_then(|()| self.sync_and_open());
+        if outputs.is_err() {
+            self.abandon();
+        }
+        outputs
     }
 
     /// Sync any shared compaction file and return the outputs, each with a
     /// reader over the file's handle (through the fd cache: one env open per
     /// physical file, made here so that the commit needs none under
     /// `core.versions`).
-    pub(super) fn finish(&mut self) -> Result<Vec<Output>> {
+    fn sync_and_open(&mut self) -> Result<Vec<Output>> {
         if let Some((number, mut file)) = self.file.take() {
             if file.is_empty() {
                 // Never written: drop the empty file.
@@ -601,81 +472,6 @@ impl<'a> OutputSink<'a> {
             })
             .collect()
     }
-}
-
-/// Compaction context the drop rules in [`OutputSink::write_run`] consult:
-/// the pinned input version, the ids of the compaction's own input tables
-/// (exempt from the span check — this merge erases their covered keys),
-/// and the output placement for the point-key base check.
-pub(super) struct DropScope<'a> {
-    pub(super) version: &'a Version,
-    pub(super) inputs: &'a HashSet<u64>,
-    pub(super) output_level: usize,
-    pub(super) include_output_level: bool,
-}
-
-/// `true` if no table at a deeper level (or, for fragmented compactions,
-/// at the output level itself) can contain `user_key` — the condition for
-/// dropping a tombstone.
-fn is_base_level(
-    icmp: &InternalKeyComparator,
-    version: &Version,
-    output_level: usize,
-    include_output_level: bool,
-    user_key: &[u8],
-) -> bool {
-    if output_level >= version.levels.len() {
-        return true;
-    }
-    let start = if include_output_level {
-        output_level
-    } else {
-        output_level + 1
-    };
-    for level in start..version.levels.len() {
-        for run in &version.levels[level].runs {
-            if run.find(icmp, user_key).is_some() {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Span-wide variant of [`is_base_level`] for range tombstones: `true` if
-/// no table *outside this compaction's own inputs* can contain any user
-/// key in `[begin, end)` — the condition for dropping the tombstone
-/// outright. Unlike the point-key check this must not stop at the output
-/// level or restrict itself to deeper levels: a tombstone's span routinely
-/// extends past the compaction's input key range, so covered keys can sit
-/// in same-level (or even shallower-run) tables the compaction never
-/// touches. Input tables are exempt because this very merge erases their
-/// covered keys via the overlay.
-fn is_base_level_span(
-    icmp: &InternalKeyComparator,
-    version: &Version,
-    inputs: &HashSet<u64>,
-    begin: &[u8],
-    end: &[u8],
-) -> bool {
-    let ucmp = icmp.user_comparator();
-    for level in &version.levels {
-        for run in &level.runs {
-            for table in run.tables.iter() {
-                if inputs.contains(&table.table_id) {
-                    continue;
-                }
-                // Overlap with the half-open span: the table reaches at
-                // least `begin` and starts strictly before `end`.
-                if ucmp.compare(table.largest_user_key(), begin) != std::cmp::Ordering::Less
-                    && ucmp.compare(table.smallest_user_key(), end) == std::cmp::Ordering::Less
-                {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -742,9 +538,39 @@ mod tests {
         vec![b'b'; 60]
     }
 
-    fn whole_l0(db: &Db) -> crate::compaction::CompactionTask {
+    /// Merge the whole of level 0 down, on this thread.
+    fn compact_l0(db: &Db) -> bolt_common::Result<u64> {
         let (inner, version) = (&db.inner, db.current_version());
-        crate::compaction::manual_task(&inner.opts, &inner.icmp, &version, 0, b"", b"zzzz").unwrap()
+        let task =
+            crate::compaction::manual_task(&inner.opts, &inner.icmp, &version, 0, b"", b"zzzz");
+        let task = task.unwrap();
+        let input_bytes = task.input_bytes();
+        inner.run_compaction(task, &version).map(|()| input_bytes)
+    }
+
+    /// The sink cuts a table at the target size, but never between two
+    /// versions of one user key: a run's tables stay disjoint by user key.
+    #[test]
+    fn a_table_is_never_cut_between_two_versions_of_a_user_key() {
+        let (_env, db) = mem_db(small_opts(Options::bolt()));
+        // One key with more versions than a table's 8 KiB, between others.
+        for i in 0..100u32 {
+            db.put(format!("key{i:05}").as_bytes(), &[b'v'; 200])
+                .unwrap();
+            db.put(b"key00020-hot", &[b'h'; 200]).unwrap();
+        }
+        db.flush().unwrap();
+        let version = db.current_version();
+        let tables = &version.levels[0].runs[0].tables;
+        assert!(tables.len() > 2, "the flush cut {} tables", tables.len());
+        for pair in tables.windows(2) {
+            assert!(
+                pair[0].largest_user_key() < pair[1].smallest_user_key(),
+                "{:?} continues in the next table",
+                String::from_utf8_lossy(pair[0].largest_user_key())
+            );
+        }
+        db.close().unwrap();
     }
 
     #[test]
@@ -769,7 +595,7 @@ mod tests {
             "nothing cached: {before:?}"
         );
 
-        db.inner.run_compaction(whole_l0(&db)).unwrap();
+        compact_l0(&db).unwrap();
         let stats = db.stats().snapshot();
         assert_eq!(stats.compactions, 1);
         assert_eq!(caches(), before, "the compaction went through a cache");
@@ -795,7 +621,7 @@ mod tests {
         let before = files();
 
         env.set_fail_reads(true);
-        let err = db.inner.run_compaction(whole_l0(&db)).unwrap_err();
+        let err = compact_l0(&db).unwrap_err();
         assert!(matches!(err, bolt_common::Error::Io(_)), "{err:?}");
         env.set_fail_reads(false);
         // No output file and no pending mark outlives the failure, the
@@ -804,9 +630,12 @@ mod tests {
         assert_eq!(db.level_info()[0].runs, 2);
         assert_eq!(db.get(b"key00123").unwrap(), Some(newer()));
 
-        db.inner.run_compaction(whole_l0(&db)).unwrap();
+        let input_bytes = compact_l0(&db).unwrap();
         assert_eq!(db.level_info()[0].runs, 0);
-        assert_eq!(db.stats().compactions(), 1);
+        // Only the attempt that committed is booked: its inputs once.
+        let stats = db.stats().snapshot();
+        assert_eq!(stats.compactions, 1);
+        assert_eq!(stats.compaction_input_bytes, input_bytes);
         for i in (0..300u32).step_by(11) {
             let got = db.get(format!("key{i:05}").as_bytes()).unwrap();
             assert_eq!(got, Some(newer()), "key{i}");

@@ -2,27 +2,28 @@
 //! `compact_range`, `compact_until_quiet`), and memtable flushes.
 //!
 //! Owns the background group of [`super::DbState`] — `bg_busy`,
-//! `bg_error`, the `manual`/`seek_candidate` requests it serves. The flush
-//! commit is one of the three view installs: it retires `imm`, installs the
-//! version holding its L0 run and advances `flushed_seq` in one swap.
+//! `bg_error`, the `manual`/`seek_candidate` requests it serves. A flush
+//! is write → commit: it drops nothing, and its commit is the tail it
+//! shares with compaction (`DbInner::commit`), with a view that retires
+//! `imm`, installs the version holding its L0 run and advances
+//! `flushed_seq` in one swap.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
+use bolt_common::sync::MutexGuard;
 use bolt_common::Result;
 use bolt_table::ikey::SequenceNumber;
-use bolt_table::rangedel::RangeTombstoneSet;
 
-use super::compact::{commit_outputs, DropScope, Output, OutputSink};
+use super::compact::{Output, OutputSink};
 use super::{Db, DbInner, DbState, ReadView};
 use crate::compaction::{
     manual_task, needs_compaction, pick_compaction, CompactionReason, CompactionTask, OutputShape,
 };
 use crate::iterator::InternalIterator;
 use crate::memtable::MemTable;
-use crate::sync::MutexGuard;
 use crate::version::{Version, VersionEdit};
 
 impl Db {
@@ -133,8 +134,12 @@ impl DbInner {
         loop {
             enum Work {
                 Flush,
-                Compact(CompactionTask),
-                Manual(CompactionTask),
+                Compact {
+                    task: CompactionTask,
+                    /// The version `task` was picked from.
+                    version: Arc<Version>,
+                    manual: bool,
+                },
             }
             let work = {
                 let mut state = self.state.lock();
@@ -142,48 +147,63 @@ impl DbInner {
                     if self.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    if self.view().imm.is_some() {
-                        state.bg_busy = true;
-                        break Work::Flush;
-                    }
-                    if let Some((level, begin, end)) = state.manual.take() {
-                        let version = &self.view().version;
-                        match manual_task(&self.opts, &self.icmp, version, level, &begin, &end) {
-                            Some(task) => {
-                                state.bg_busy = true;
-                                break Work::Manual(task);
+                    // A poisoned engine changes nothing more (LevelDB's
+                    // `MaybeScheduleCompaction` rule): the job that failed
+                    // would be picked again and fail again — leaving, when
+                    // it is the commit that fails, one more set of output
+                    // files behind each time. Parked until shutdown.
+                    if state.bg_error.is_none() {
+                        let view = self.view();
+                        if view.imm.is_some() {
+                            state.bg_busy = true;
+                            break Work::Flush;
+                        }
+                        let version = &view.version;
+                        // A manual request comes first; its task is never a
+                        // seek compaction.
+                        let manual = state.manual.take();
+                        let task = match &manual {
+                            Some((level, begin, end)) => {
+                                manual_task(&self.opts, &self.icmp, version, *level, begin, end)
                             }
                             None => {
-                                // Nothing overlaps (anymore): complete it.
-                                state.manual_done += 1;
-                                self.done_cv.notify_all();
-                                continue;
+                                let candidate = state.seek_candidate.clone();
+                                pick_compaction(&self.opts, &self.icmp, version, candidate)
                             }
+                        };
+                        if let Some(task) = task {
+                            if task.reason == CompactionReason::Seek {
+                                state.seek_candidate = None;
+                                self.stats.record_seek_compaction(1);
+                            }
+                            state.bg_busy = true;
+                            break Work::Compact {
+                                task,
+                                version: Arc::clone(version),
+                                manual: manual.is_some(),
+                            };
                         }
-                    }
-                    let task = pick_compaction(
-                        &self.opts,
-                        &self.icmp,
-                        &self.view().version,
-                        state.seek_candidate.clone(),
-                    );
-                    if let Some(task) = task {
-                        if task.reason == CompactionReason::Seek {
-                            state.seek_candidate = None;
-                            self.stats.record_seek_compaction(1);
+                        if manual.is_some() {
+                            // Nothing overlaps (anymore): complete it.
+                            state.manual_done += 1;
+                            self.done_cv.notify_all();
+                            continue;
                         }
-                        state.bg_busy = true;
-                        break Work::Compact(task);
+                        state.seek_candidate = None;
                     }
-                    state.seek_candidate = None;
+                    // Parked without the view: a waiter must not pin the
+                    // outgoing version.
                     self.work_cv.wait(&mut state);
                 }
             };
 
             let (result, was_manual) = match work {
                 Work::Flush => (self.maybe_flush_pending_imm(), false),
-                Work::Compact(task) => (self.run_compaction(task), false),
-                Work::Manual(task) => (self.run_compaction(task), true),
+                Work::Compact {
+                    task,
+                    version,
+                    manual,
+                } => (self.run_compaction(task, &version), manual),
             };
 
             let mut state = self.state.lock();
@@ -236,33 +256,21 @@ impl DbInner {
 
         let flush_bytes = {
             let _scope = BarrierScope::new(BarrierCause::FlushManifest);
-            let mut versions = self.versions.lock();
             let edit = VersionEdit {
                 log_number: Some(log_boundary),
                 last_sequence: Some(self.last_sequence.load(Ordering::Acquire)),
                 ..VersionEdit::default()
             };
-            // A flush lands as one fresh L0 run, newer than every other.
-            let bytes = commit_outputs(
-                &mut versions,
-                &self.table_cache,
-                edit,
-                0,
-                OutputShape::AppendRun,
-                outputs,
-            )?;
-            // One swap: the run enters the view as its memtable leaves, and
-            // the boundary it establishes arrives with it.
-            self.install_view(|old| ReadView {
+            // A flush lands as one fresh L0 run, newer than every other. One
+            // swap: the run enters the view as its memtable leaves, and the
+            // boundary it establishes arrives with it.
+            let install = |old: &ReadView, version| ReadView {
                 imm: None,
-                version: versions.current(),
+                version,
                 flushed_seq: seq_boundary,
                 ..old.clone()
-            });
-            let garbage = versions.collect_garbage(&self.table_cache);
-            drop(versions);
-            self.reclaim(garbage);
-            bytes
+            };
+            self.commit(edit, 0, OutputShape::AppendRun, outputs, None, install)?
         };
         self.stats.record_flush(1);
         self.stats.record_flush_bytes(flush_bytes);
@@ -304,29 +312,15 @@ impl DbInner {
         target: u64,
     ) -> Result<Vec<Output>> {
         let mut sink = OutputSink::new(self, self.opts.bolt_options().is_some(), target);
-        let version = Version::empty(self.opts.num_levels);
-        let overlay = RangeTombstoneSet::default();
-        let inputs = std::collections::HashSet::new();
-        let scope = DropScope {
-            version: &version,
-            inputs: &inputs,
-            output_level: usize::MAX,
-            include_output_level: false,
-        };
-        let result = sink
-            .write_run(iter, None, &overlay, &scope)
-            .and_then(|()| sink.finish());
-        if result.is_err() {
-            // Nothing references these outputs yet; reclaim them so an I/O
-            // error mid-flush cannot leak partially written files.
-            sink.abandon();
-        }
-        result
+        let written = sink.write_run(iter, None);
+        sink.finish(written)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::super::test_util::*;
 
     #[test]
@@ -347,5 +341,53 @@ mod tests {
             );
         }
         db.close().unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_engine_parks_its_background_thread() {
+        use bolt_common::events::EngineEvent;
+
+        let env = Arc::new(ReadFaultEnv::default());
+        let mut opts = small_opts(Options::bolt());
+        opts.level0_compaction_trigger = 2;
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts).unwrap();
+        // Two L0 runs reach the trigger; the compaction they call for
+        // cannot read its inputs.
+        env.set_fail_reads(true);
+        for round in 0..2u32 {
+            for i in 0..100u32 {
+                db.put(format!("key{i:05}").as_bytes(), &[b'a' + round as u8; 100])
+                    .unwrap();
+            }
+            // The second flush may already report the failed compaction.
+            let _ = db.flush();
+        }
+        let err = db.compact_until_quiet().unwrap_err();
+        assert!(matches!(err, bolt_common::Error::Io(_)), "{err:?}");
+        assert_eq!(db.put(b"k", b"v").unwrap_err(), err);
+
+        let attempts = |db: &Db| {
+            let begun = |e: &bolt_common::events::TraceEvent| {
+                matches!(e.event, EngineEvent::CompactionBegin { .. })
+            };
+            db.events().iter().filter(|e| begun(e)).count()
+        };
+        let files = || {
+            let mut names = env.list_dir("db").unwrap();
+            names.sort();
+            names
+        };
+        assert_eq!(attempts(&db), 1);
+        let (before, emitted) = (files(), db.metrics().events_emitted);
+        // Nothing is retried, however often the thread is woken: no event,
+        // no file, no second attempt.
+        for _ in 0..50 {
+            db.inner.work_cv.notify_all();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(attempts(&db), 0);
+        assert_eq!(db.metrics().events_emitted, emitted);
+        assert_eq!(files(), before);
+        assert_eq!(db.close().unwrap_err(), err);
     }
 }

@@ -10,7 +10,8 @@
 //! * `read` — point lookups, iterators, value-pointer resolution;
 //! * `flush` — the background thread and memtable flushes;
 //! * `compact` — the compaction executor, where the paper's mechanisms
-//!   act and nothing else lives;
+//!   act and nothing else lives: the table writer and the one commit a
+//!   flush and a compaction share;
 //! * `recover` — WAL replay at open;
 //! * `gc` — checkpoints and obsolete log/file deletion.
 //!
@@ -20,10 +21,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::sync::{named_mutex, Condvar, Mutex};
-
 use bolt_common::cache::LruCache;
 use bolt_common::events::{BarrierCause, BarrierScope, EventSink, TraceEvent};
+use bolt_common::sync::{named_mutex, Condvar, Mutex};
 use bolt_common::{Error, Result};
 use bolt_env::Env;
 use bolt_table::cache::TableCache;
@@ -177,9 +177,9 @@ impl DbInner {
 
     /// Publish the view `next` builds from the current one — the one place
     /// the tree's shape changes hands. `next` runs under `core.view`, so a
-    /// memtable switch and a commit on another thread compose. The commit
-    /// paths call this under `core.versions`, between `log_and_apply` and
-    /// `reclaim`: GC must find the outgoing version released.
+    /// memtable switch and a commit on another thread compose. `commit`
+    /// calls this under `core.versions`, between `log_and_apply` and the
+    /// reclaim decision: GC must find the outgoing version released.
     fn install_view(&self, next: impl FnOnce(&ReadView) -> ReadView) {
         let mut slot = self.view.lock();
         let new = Arc::new(next(&slot));

@@ -3,8 +3,8 @@
 //! switching, and WAL-time value separation.
 //!
 //! Owns the write group of [`DbState`]: `writers`, `wal`/`wal_number`,
-//! `vlog`, `pending_txns`. `switch_memtable` is one of the three view
-//! installs: it moves `mem` into `imm`, stamped with the boundaries that
+//! `vlog`, `pending_txns`. `switch_memtable` is one of the three callers of
+//! `install_view`: it moves `mem` into `imm`, stamped with the boundaries that
 //! `flush` later retires.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
+use bolt_common::sync::{named_mutex, Mutex, MutexGuard};
 use bolt_common::{Error, Result};
 use bolt_table::ikey::ValueType;
 use bolt_wal::LogWriter;
@@ -21,7 +22,6 @@ use crate::batch::WriteBatch;
 use crate::filename::log_file;
 use crate::memtable::MemTable;
 use crate::options::WriteOptions;
-use crate::sync::{named_mutex, Mutex, MutexGuard};
 use crate::txn::{self, ShardTxnMarker};
 use crate::vlog::{ValuePointer, VlogWriter};
 

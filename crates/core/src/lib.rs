@@ -42,7 +42,6 @@ pub mod memtable;
 pub mod metrics;
 pub mod options;
 pub mod stats;
-pub(crate) mod sync;
 pub mod txn;
 pub mod version;
 pub mod versions;

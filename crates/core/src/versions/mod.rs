@@ -30,6 +30,7 @@ use bolt_wal::LogReader;
 use crate::filename::{current_file, parse_file_name, vlog_file, FileType};
 use crate::options::CompactionPolicyKind;
 use crate::version::{Version, VersionBuilder, VersionEdit};
+use crate::vlog::ValuePointer;
 
 mod manifest;
 mod reclaim;
@@ -435,6 +436,38 @@ impl VersionSet {
     /// retirement once compaction reports all of its bytes dead.
     pub fn seal_vlog_segment(&mut self, segment: u64, written: u64) {
         self.vlog_segments.entry(segment).or_default().written = Some(written);
+    }
+
+    /// Stage into `edit` what a compaction that dropped the pointers `dead`
+    /// does to the ledger, to commit with its tables: the range of every
+    /// pointer into a known segment as `vlog_dead`, and as `vlog_deleted`
+    /// every sealed segment whose dead ranges would then cover all it
+    /// wrote. The sweep covers the whole ledger, not just the segments
+    /// touched, so one left fully dead by a crashed predecessor is retired
+    /// too. Returns the bytes newly dead — the union's growth, so duplicate
+    /// drops of a range count once — and the segments retired.
+    pub fn stage_vlog_dead(&self, edit: &mut VersionEdit, dead: &[ValuePointer]) -> (u64, u64) {
+        let mut dead_after: HashMap<u64, RangeSet> = HashMap::new();
+        for ptr in dead {
+            if let Some(info) = self.vlog_segments.get(&ptr.file_number) {
+                let (offset, len) = (ptr.offset, u64::from(ptr.len));
+                edit.vlog_dead.push((ptr.file_number, offset, len));
+                let after = dead_after.entry(ptr.file_number);
+                after
+                    .or_insert_with(|| info.dead.clone())
+                    .insert(offset, len);
+            }
+        }
+        let (mut newly_dead, mut retired) = (0u64, 0u64);
+        for (&segment, info) in &self.vlog_segments {
+            let dead = dead_after.get(&segment).unwrap_or(&info.dead).total();
+            newly_dead += dead - info.dead.total();
+            if info.written.is_some_and(|w| dead >= w) {
+                edit.vlog_deleted.push(segment);
+                retired += 1;
+            }
+        }
+        (newly_dead, retired)
     }
 
     /// The value-log liveness ledger (segment number → written/dead bytes).

@@ -570,7 +570,7 @@ mod tests {
             let cache = test_cache(&env);
             let mut vs = new_set(&env);
             let batch = vs.collect_garbage(&cache);
-            let held = crate::sync::named_mutex(lock, ());
+            let held = bolt_common::sync::named_mutex(lock, ());
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _guard = held.lock();
                 let _ = batch.execute(env.as_ref(), "db", None);

@@ -149,6 +149,29 @@ fn tombstone_straddles_compaction_under_all_policies() {
     }
 }
 
+/// A compaction that runs while a snapshot older than the tombstone is held
+/// can erase nothing the tombstone covers — so it must keep the tombstone,
+/// however complete the merge: dropping it would resurrect the range for
+/// latest readers.
+#[test]
+fn tombstone_outlives_a_compaction_run_under_an_older_snapshot() {
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let db = Db::open(Arc::clone(&env), "db", opts()).unwrap();
+    for i in 0..100u32 {
+        db.put(format!("k{i:03}").as_bytes(), b"v").unwrap();
+    }
+    let before = db.snapshot();
+    db.delete_range(b"k020", b"k060").unwrap();
+    db.compact_range(b"k000", b"k100").unwrap();
+
+    assert_eq!(db.get(b"k040").unwrap(), None, "range resurrected");
+    assert_eq!(scan(&db).len(), 60);
+    let ro = ReadOptions::new().with_snapshot(&before);
+    assert_eq!(db.get_opt(b"k040", &ro).unwrap(), Some(b"v".to_vec()));
+    drop(before);
+    db.close().unwrap();
+}
+
 /// Deleting a range of *separated* values (vlog pointers) must mark the
 /// pointed-to bytes dead in the value-log ledger once compaction drops the
 /// pointers.

@@ -41,12 +41,12 @@
 pub mod iter;
 pub mod metrics;
 pub mod router;
-mod sync;
 pub mod txnlog;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bolt_common::sync::{named_mutex, named_rwlock, Mutex, RwLock};
 use bolt_common::{Error, Result};
 use bolt_core::{Db, Options, ReadOptions, ShardTxnMarker, Snapshot, TraceEvent, WriteBatch};
 use bolt_env::{join_path, Env};
@@ -57,7 +57,6 @@ pub use iter::ShardedIterator;
 pub use metrics::ShardedMetrics;
 pub use router::Router;
 
-use sync::{named_mutex, named_rwlock, Mutex, RwLock};
 use txnlog::TxnLog;
 
 /// N independent BoLT engines behind one key-value surface.

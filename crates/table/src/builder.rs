@@ -211,6 +211,11 @@ impl<'a> TableBuilder<'a> {
         self.num_entries == 0
     }
 
+    /// The key added last, if any.
+    pub fn last_key(&self) -> Option<&[u8]> {
+        self.largest.as_deref()
+    }
+
     /// Write the filter block, index block, and footer; returns the table's
     /// location and key range. Does **not** sync the file.
     ///
