@@ -192,6 +192,12 @@ pub enum EngineEvent {
         victims: u64,
         /// Bytes of input selected for the compaction.
         input_bytes: u64,
+        /// Of those, the tables being moved out of `level` (settled moves,
+        /// which move no byte, not counted).
+        victim_bytes: u64,
+        /// Of those, the tables already at the output level that overlap
+        /// the victims and are rewritten with them.
+        overlap_bytes: u64,
         /// Stable name of the compaction policy that picked the victims
         /// (`leveled`, `size_tiered`, `lazy_leveled`, or `fragmented`).
         policy: &'static str,
@@ -358,9 +364,11 @@ impl EngineEvent {
                 level,
                 victims,
                 input_bytes,
+                victim_bytes,
+                overlap_bytes,
                 policy,
             } => {
-                wire!("compaction_begin", Num id, Num level, Num victims, Num input_bytes, Str policy)
+                wire!("compaction_begin", Num id, Num level, Num victims, Num input_bytes, Num victim_bytes, Num overlap_bytes, Str policy)
             }
             Self::CompactionEnd {
                 id,
@@ -439,9 +447,11 @@ impl EngineEvent {
                 level,
                 victims,
                 input_bytes,
+                victim_bytes,
+                overlap_bytes,
                 policy,
             } => format!(
-                "compaction #{id} begin L{level} [{policy}] ({victims} victims, {input_bytes} B)"
+                "compaction #{id} begin L{level} [{policy}] ({victims} victims, {input_bytes} B = {victim_bytes} B moved + {overlap_bytes} B overlap)"
             ),
             EngineEvent::CompactionEnd {
                 id,
@@ -699,7 +709,8 @@ mod tests {
 
     /// One event of every variant, with the JSON line the hand-written
     /// `to_json` produced for it before `wire` replaced the three copies:
-    /// same field names, same order. The schema's `type` enum lists exactly
+    /// same field names, same order (`compaction_begin` gained its two
+    /// byte counts with schema v5). The schema's `type` enum lists exactly
     /// these type names, so a variant added to one place and not the others
     /// fails here.
     #[test]
@@ -727,9 +738,11 @@ mod tests {
                     level: 1,
                     victims: 5,
                     input_bytes: 6,
+                    victim_bytes: 2,
+                    overlap_bytes: 4,
                     policy: "leveled",
                 },
-                r#"{"seq":2,"us":102,"type":"compaction_begin","id":4,"level":1,"victims":5,"input_bytes":6,"policy":"leveled"}"#,
+                r#"{"seq":2,"us":102,"type":"compaction_begin","id":4,"level":1,"victims":5,"input_bytes":6,"victim_bytes":2,"overlap_bytes":4,"policy":"leveled"}"#,
             ),
             (
                 CompactionEnd {
@@ -941,6 +954,8 @@ mod tests {
             level: 1,
             victims: 4,
             input_bytes: 4096,
+            victim_bytes: 1024,
+            overlap_bytes: 3072,
             policy: "leveled",
         });
         sink.emit(EngineEvent::Barrier {

@@ -23,8 +23,8 @@ use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::Result;
 use bolt_table::ikey::extract_user_key;
 use bolt_table::rangedel::RangeTombstoneSet;
-use bolt_table::seq::SeqReadStats;
-use bolt_table::{BuiltTable, Table, TableBuilder, TableCache};
+use bolt_table::seq::{ReadPlan, Span};
+use bolt_table::{BuiltTable, Comparator, InternalKeyComparator, Table, TableBuilder, TableCache};
 
 use super::{DbInner, ReadView};
 use crate::compaction::{clusters, CompactionReason, CompactionTask, DropRule, OutputShape};
@@ -38,12 +38,18 @@ impl DbInner {
     /// Execute `task`, which was picked from `version`.
     pub(super) fn run_compaction(&self, task: CompactionTask, version: &Version) -> Result<()> {
         let compaction_id = self.compaction_ids.fetch_add(1, Ordering::Relaxed);
-        let (settled, input_bytes) = (task.settled_moves.len() as u64, task.input_bytes());
+        let settled = task.settled_moves.len() as u64;
+        // What the task was picked to move, and what moving it drags along.
+        let victim_bytes: u64 = task.victims().map(|t| t.size).sum();
+        let overlap_bytes: u64 = task.next_inputs.iter().map(|t| t.size).sum();
+        let input_bytes = victim_bytes + overlap_bytes;
         self.sink.emit(EngineEvent::CompactionBegin {
             id: compaction_id,
             level: task.level as u32,
             victims: task.merge_inputs().count() as u64 + settled,
             input_bytes,
+            victim_bytes,
+            overlap_bytes,
             policy: self.opts.compaction_policy.as_str(),
         });
         if settled > 0 {
@@ -106,6 +112,8 @@ impl DbInner {
         }
         self.stats.record_compaction(1);
         self.stats.record_compaction_input(input_bytes);
+        self.stats.record_compaction_victim(victim_bytes);
+        self.stats.record_compaction_overlap(overlap_bytes);
         self.stats.record_compaction_output(output_bytes);
         self.sink.emit(EngineEvent::CompactionEnd {
             id: compaction_id,
@@ -146,49 +154,75 @@ impl DbInner {
         // compaction (a preempted flush re-tags its own barriers).
         let _scope = BarrierScope::new(BarrierCause::CompactionData);
         // Inputs are read once, front to back: in large spans, past the
-        // caches foreground reads are served from.
-        let reads = Arc::new(SeqReadStats::default());
-        // Merge one independent unit of the task into the sink.
-        let mut merge_into = |sink: &mut OutputSink<'_>, runs: Vec<TableList>| -> Result<()> {
-            let children = runs
-                .into_iter()
-                .filter(|r| !r.is_empty())
-                .map(|r| -> Box<dyn InternalIterator> {
-                    Box::new(RunIter::sequential(
-                        self.icmp.clone(),
-                        Arc::clone(&self.table_cache),
-                        Arc::clone(&self.name),
-                        r,
-                        Arc::clone(&reads),
-                    ))
-                })
-                .collect();
-            let mut merged = MergingIter::new(self.icmp.clone(), children);
-            merged.seek_to_first()?;
-            sink.write_run(&mut merged, Some(&mut rule))
-        };
-        let written = (|| -> Result<()> {
-            match task.output {
-                // A cluster's runs — the overlapped tables already at the
-                // output level among them — are subsets: lists of their own.
-                OutputShape::Leveled => {
-                    for cluster in clusters(&self.icmp, task) {
-                        let runs = cluster.input_runs.into_iter();
-                        let runs = runs.chain([cluster.next_inputs]);
-                        merge_into(&mut sink, runs.map(TableList::from).collect())?;
-                    }
-                }
-                // The whole input set merges as one unit and nothing at
-                // the output level joins.
-                OutputShape::AppendRun | OutputShape::ReplaceRun { .. } => {
-                    merge_into(&mut sink, task.input_runs.clone())?;
-                }
+        // caches foreground reads are served from, by a reader that runs
+        // ahead of the merge.
+        let units = merge_units(&self.icmp, task);
+        let plan = self.read_plan(&units);
+        let merge = || -> Result<()> {
+            let mut readers = (0..).map(|run| plan.reader(run));
+            for unit in &units {
+                let children = unit
+                    .iter()
+                    .zip(&mut readers)
+                    .map(|(run, reader)| -> Box<dyn InternalIterator> {
+                        Box::new(RunIter::sequential(
+                            self.icmp.clone(),
+                            Arc::clone(&self.table_cache),
+                            Arc::clone(&self.name),
+                            run.clone(),
+                            reader,
+                        ))
+                    })
+                    .collect();
+                let mut merged = MergingIter::new(self.icmp.clone(), children);
+                merged.seek_to_first()?;
+                sink.write_run(&mut merged, Some(&mut rule))?;
             }
             Ok(())
-        })();
+        };
+        // The first unit's merge starts with one span of each of its runs.
+        let written = plan.run_ahead(units.first().map_or(0, Vec::len), merge);
+        let reads = plan.stats();
         self.stats.record_compaction_read_ops(reads.ops());
         self.stats.record_compaction_read_bytes(reads.bytes());
+        self.stats
+            .record_compaction_read_wait_nanos(reads.wait_nanos());
+        self.stats
+            .record_compaction_readahead_spans(reads.readahead_spans());
+        self.stats
+            .record_compaction_demand_spans(reads.demand_spans());
         Ok((sink.finish(written)?, rule.into_dead()))
+    }
+
+    /// The input reads of a compaction over `units`, from metadata alone:
+    /// every run's spans, ordered by when the merge needs them. A span is
+    /// needed when the table before it in its run is exhausted — at that
+    /// table's largest key, which for spans of whole tables is exact — and
+    /// the first span of a run when its unit starts. The parts of a table
+    /// larger than a span (no key says when its n-th window is needed) go
+    /// tail first, then window by window, in step with the other runs'.
+    pub(super) fn read_plan(&self, units: &[Vec<TableList>]) -> Arc<ReadPlan> {
+        let runs = units.iter().enumerate();
+        let runs: Vec<(usize, &TableList)> = runs
+            .flat_map(|(unit, runs)| runs.iter().map(move |run| (unit, run)))
+            .collect();
+        let specs = runs
+            .iter()
+            .map(|(_, run)| run.iter().map(|t| t.spec(&self.name)).collect());
+        let needed_at = |(run, span): (usize, &Span)| {
+            let (unit, tables) = runs[run];
+            let after = span.table.checked_sub(1).map(|t| &tables[t].largest);
+            (unit, after, span.part)
+        };
+        ReadPlan::new(Arc::clone(&self.table_cache), specs.collect(), |a, b| {
+            let ((unit_a, after_a, part_a), (unit_b, after_b, part_b)) =
+                (needed_at(a), needed_at(b));
+            let by_key = match (after_a, after_b) {
+                (Some(a), Some(b)) => self.icmp.compare(a, b),
+                (a, b) => a.is_some().cmp(&b.is_some()),
+            };
+            unit_a.cmp(&unit_b).then(by_key).then(part_a.cmp(&part_b))
+        })
     }
 
     /// The one commit of a flush and of a compaction: install `outputs` at
@@ -232,6 +266,32 @@ impl DbInner {
         }
         Ok(bytes)
     }
+}
+
+/// The units of `task` that merge independently, in the order they are
+/// merged, each as its non-empty runs (newest first).
+pub(super) fn merge_units(
+    icmp: &InternalKeyComparator,
+    task: &CompactionTask,
+) -> Vec<Vec<TableList>> {
+    let units: Vec<Vec<TableList>> = match task.output {
+        // A cluster's runs — the overlapped tables already at the output
+        // level among them — are subsets: lists of their own.
+        OutputShape::Leveled => clusters(icmp, task)
+            .into_iter()
+            .map(|cluster| {
+                let runs = cluster.input_runs.into_iter();
+                runs.chain([cluster.next_inputs])
+                    .map(TableList::from)
+                    .collect()
+            })
+            .collect(),
+        // The whole input set merges as one unit and nothing at the output
+        // level joins.
+        OutputShape::AppendRun | OutputShape::ReplaceRun { .. } => vec![task.input_runs.clone()],
+    };
+    let non_empty = |unit: Vec<TableList>| unit.into_iter().filter(|run| !run.is_empty()).collect();
+    units.into_iter().map(non_empty).collect()
 }
 
 /// One finished table of an [`OutputSink`]: the file it is in, what the
@@ -607,39 +667,183 @@ mod tests {
         db.close().unwrap();
     }
 
+    /// Options under which nothing compacts unless the test says so, and a
+    /// flush is as large as the test makes it.
+    fn manual_opts() -> Options {
+        let mut opts = small_opts(Options::bolt());
+        opts.memtable_bytes = 8 << 20;
+        opts.level0_compaction_trigger = 64;
+        (opts.level0_slowdown_trigger, opts.level0_stop_trigger) = (None, None);
+        opts.level1_max_bytes = 1 << 30;
+        opts
+    }
+
+    /// One flushed run: `value` under each of `keys`.
+    fn flush_run(db: &Db, keys: impl Iterator<Item = u32>, value: &[u8]) {
+        for i in keys {
+            db.put(format!("key{i:05}").as_bytes(), value).unwrap();
+        }
+        db.flush().unwrap();
+    }
+
+    /// Push the whole of `level` down one level, on this thread.
+    fn compact_level(db: &Db, level: usize) -> bolt_common::Result<()> {
+        let (inner, version) = (&db.inner, db.current_version());
+        let task =
+            crate::compaction::manual_task(&inner.opts, &inner.icmp, &version, level, b"", b"zzzz");
+        inner.run_compaction(task.unwrap(), &version)
+    }
+
+    /// A failed input read — every one, the second of the plan (the merge
+    /// has not produced anything yet), or the sixth (the merge is under way
+    /// and the reader thread ahead of it) — abandons the compaction: no
+    /// output file and no pending mark outlives it, the reader thread is
+    /// gone with it, the engine reads on, and the next attempt succeeds.
     #[test]
     fn input_read_error_abandons_the_outputs_and_a_retry_succeeds() {
-        let env = Arc::new(ReadFaultEnv::default());
-        let opts = small_opts(Options::bolt());
-        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts).unwrap();
-        two_overlapping_runs(&db);
-        let files = || {
-            let mut names = env.list_dir("db").unwrap();
-            names.sort();
-            (names, db.inner.versions.lock().reclaim.referenced_files())
-        };
-        let before = files();
+        for fail_in in [None, Some(2), Some(6)] {
+            let env = Arc::new(ReadFaultEnv::default());
+            let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
+            match fail_in {
+                None => two_overlapping_runs(&db),
+                // Runs of several read spans: a plan the thread runs ahead of.
+                Some(_) => {
+                    flush_run(&db, 0..12_000, &[b'a'; 100]);
+                    flush_run(&db, 0..12_000, &newer());
+                    assert_eq!(db.level_info()[0].runs, 2);
+                }
+            }
+            // (Table files only: a flushed WAL goes when the background
+            // thread gets to it.)
+            let files = || {
+                let mut names = env.list_dir("db").unwrap();
+                names.retain(|name| name.ends_with(".sst"));
+                names.sort();
+                (names, db.inner.versions.lock().reclaim.referenced_files())
+            };
+            let before = files();
 
-        env.set_fail_reads(true);
-        let err = compact_l0(&db).unwrap_err();
-        assert!(matches!(err, bolt_common::Error::Io(_)), "{err:?}");
-        env.set_fail_reads(false);
-        // No output file and no pending mark outlives the failure, the
-        // version is the one before it, and reads are served from it.
-        assert_eq!(files(), before);
-        assert_eq!(db.level_info()[0].runs, 2);
-        assert_eq!(db.get(b"key00123").unwrap(), Some(newer()));
+            match fail_in {
+                None => env.set_fail_reads(true),
+                Some(n) => env.fail_read_in(n),
+            }
+            env.take_read_log();
+            let started = std::time::Instant::now();
+            let err = compact_l0(&db).unwrap_err();
+            // `run_compaction` joins the reader thread before it returns:
+            // that it returned at all is that thread gone, not parked on a
+            // buffer nobody takes from any more.
+            assert!(started.elapsed().as_secs() < 30, "{:?}", started.elapsed());
+            assert!(matches!(err, bolt_common::Error::Io(_)), "{err:?}");
+            if let Some(n) = fail_in {
+                let reads = env.take_read_log().len() as u64;
+                assert_eq!(reads, n, "a span past the failed one was read");
+            }
+            env.set_fail_reads(false);
+            // No output file and no pending mark outlives the failure, the
+            // version is the one before it, and reads are served from it.
+            assert_eq!(files(), before);
+            assert_eq!(db.level_info()[0].runs, 2);
+            let first_byte = |i: u32| {
+                let value = db.get(format!("key{i:05}").as_bytes()).unwrap();
+                value.map(|v| v[0])
+            };
+            assert_eq!(first_byte(123), Some(newer()[0]));
 
-        let input_bytes = compact_l0(&db).unwrap();
-        assert_eq!(db.level_info()[0].runs, 0);
-        // Only the attempt that committed is booked: its inputs once.
-        let stats = db.stats().snapshot();
-        assert_eq!(stats.compactions, 1);
-        assert_eq!(stats.compaction_input_bytes, input_bytes);
-        for i in (0..300u32).step_by(11) {
-            let got = db.get(format!("key{i:05}").as_bytes()).unwrap();
-            assert_eq!(got, Some(newer()), "key{i}");
+            let input_bytes = compact_l0(&db).unwrap();
+            assert_eq!(db.level_info()[0].runs, 0);
+            // Only the attempt that committed is booked: its inputs once.
+            let stats = db.stats().snapshot();
+            assert_eq!(stats.compactions, 1);
+            assert_eq!(stats.compaction_input_bytes, input_bytes);
+            assert_eq!(stats.compaction_victim_bytes, input_bytes);
+            assert_eq!(stats.compaction_overlap_bytes, 0);
+            for i in (0..300u32).step_by(11) {
+                assert_eq!(first_byte(i), Some(newer()[0]), "key{i}");
+            }
+            db.close().unwrap();
         }
+    }
+
+    /// The plan puts a compaction's reads in the order its merge takes them:
+    /// whoever issues a read — the reader thread ahead of the merge or the
+    /// merge itself, for a span the thread has not got to — the file sees
+    /// the plan's reads in the plan's order. A plan in the wrong order would
+    /// have the merge jump the queue, and the two would differ.
+    #[test]
+    fn a_compaction_reads_its_inputs_in_the_order_it_planned() {
+        let planned_and_read = |db: &Db, env: &ReadFaultEnv, level: usize| {
+            let (inner, version) = (&db.inner, db.current_version());
+            let task = crate::compaction::manual_task(
+                &inner.opts,
+                &inner.icmp,
+                &version,
+                level,
+                b"",
+                b"zzzz",
+            )
+            .unwrap();
+            let units = super::merge_units(&inner.icmp, &task);
+            let planned: Vec<(String, u64, usize)> = (inner.read_plan(&units).order().iter())
+                .map(|&(file, offset, len)| {
+                    let path = crate::filename::table_file(&inner.name, file);
+                    (path, offset, len as usize)
+                })
+                .collect();
+            env.take_read_log();
+            inner.run_compaction(task, &version).unwrap();
+            (units, planned, env.take_read_log())
+        };
+
+        // Nine L0 runs over one key range, each several spans long and each
+        // with its own density, so that their tables end at different keys.
+        let env = Arc::new(ReadFaultEnv::default());
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
+        for run in 0..9u32 {
+            flush_run(
+                &db,
+                (0..36_000).step_by(run as usize + 2),
+                &[b'a' + run as u8; 100],
+            );
+        }
+        assert_eq!(db.level_info()[0].runs, 9);
+        let (units, planned, read) = planned_and_read(&db, &env, 0);
+        assert_eq!(units.iter().map(Vec::len).collect::<Vec<_>>(), [9]);
+        assert!(planned.len() >= 3 * 9, "{} spans", planned.len());
+        assert_eq!(read, planned);
+        let stats = db.stats().snapshot();
+        assert_eq!(stats.compaction_read_ops, planned.len() as u64);
+        assert_eq!(
+            stats.compaction_readahead_spans + stats.compaction_demand_spans,
+            planned.len() as u64
+        );
+        assert_eq!(stats.compaction_read_bytes, stats.compaction_input_bytes);
+        db.close().unwrap();
+
+        // Level 2 holds every key; level 1 four ranges far apart: the
+        // victims and what they overlap fall into four clusters.
+        let env = Arc::new(ReadFaultEnv::default());
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
+        flush_run(&db, 0..80_000, &[b'a'; 100]);
+        compact_level(&db, 0).unwrap();
+        compact_level(&db, 1).unwrap();
+        let group = |g: u32| (g * 20_000..g * 20_000 + 9_000).step_by(3);
+        // (Values of another length: tables of another entry count, so that
+        // the two levels' table boundaries do not fall in step.)
+        flush_run(&db, (0..4).flat_map(group), &[b'b'; 137]);
+        compact_level(&db, 0).unwrap();
+        let shape: Vec<usize> = db.level_info().iter().map(|l| l.runs).collect();
+        assert_eq!(shape[..3], [0, 1, 1], "{shape:?}");
+        let (units, planned, read) = planned_and_read(&db, &env, 1);
+        // (A range splits further wherever a table ends at the same key in
+        // both levels.) Every cluster is two runs, some of several spans.
+        assert!(units.len() >= 4 && units.iter().all(|u| u.len() == 2));
+        assert!(planned.len() >= 2 * units.len() + 4, "{planned:?}");
+        assert_eq!(read, planned);
+        let stats = db.stats().snapshot();
+        assert!(stats.compaction_overlap_bytes > 0, "{stats:?}");
+        assert_eq!(db.get(b"key20003").unwrap(), Some(vec![b'b'; 137]));
+        assert_eq!(db.get(b"key20004").unwrap(), Some(vec![b'a'; 100]));
         db.close().unwrap();
     }
 

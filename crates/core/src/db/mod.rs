@@ -620,8 +620,8 @@ impl DbIterator {
 /// Fixtures shared by the unit tests of every child module.
 #[cfg(test)]
 mod test_util {
-    use std::sync::atomic::{AtomicBool, Ordering};
     pub(super) use std::sync::Arc;
+    use std::sync::{Mutex, MutexGuard};
 
     use bolt_common::{Error, Result};
     pub(super) use bolt_env::{Env, MemEnv};
@@ -668,31 +668,61 @@ mod test_util {
         vec![b'a' + (i % 26) as u8; 1024]
     }
 
-    /// A [`MemEnv`] whose table-file reads fail while `fail_reads` is set
-    /// (reads are not [`bolt_env::FaultEnv`] ops). Its hard links are real
-    /// but it cannot count them (`link_count` is the trait's default, 1):
-    /// the window between the reclaim executor's probe of an inode and its
-    /// punch, held open.
+    /// A [`MemEnv`] that logs its table-file reads and fails them on
+    /// request (reads are not [`bolt_env::FaultEnv`] ops). Its hard links are
+    /// real but it cannot count them (`link_count` is the trait's default,
+    /// 1): the window between the reclaim executor's probe of an inode and
+    /// its punch, held open.
     #[derive(Default)]
     pub(super) struct ReadFaultEnv {
         inner: MemEnv,
-        fail_reads: Arc<AtomicBool>,
+        faults: Arc<Mutex<ReadFaults>>,
+    }
+
+    #[derive(Default)]
+    struct ReadFaults {
+        fail_all: bool,
+        /// Reads left until the one that fails; 0 = none will.
+        fail_in: u64,
+        log: Vec<(String, u64, usize)>,
     }
 
     impl ReadFaultEnv {
+        fn faults(&self) -> MutexGuard<'_, ReadFaults> {
+            self.faults.lock().unwrap()
+        }
+
         pub(super) fn set_fail_reads(&self, fail: bool) {
-            self.fail_reads.store(fail, Ordering::SeqCst);
+            self.faults().fail_all = fail;
+        }
+
+        /// Fail the `n`-th table-file read from now, and only that one.
+        pub(super) fn fail_read_in(&self, n: u64) {
+            self.faults().fail_in = n;
+        }
+
+        /// The table-file reads since the last call: (path, offset, length).
+        pub(super) fn take_read_log(&self) -> Vec<(String, u64, usize)> {
+            std::mem::take(&mut self.faults().log)
         }
     }
 
     struct ReadFaultFile {
         inner: Arc<dyn RandomAccessFile>,
-        fail_reads: Arc<AtomicBool>,
+        path: String,
+        faults: Arc<Mutex<ReadFaults>>,
     }
 
     impl RandomAccessFile for ReadFaultFile {
         fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-            if self.fail_reads.load(Ordering::SeqCst) {
+            let fail = {
+                let mut faults = self.faults.lock().unwrap();
+                faults.log.push((self.path.clone(), offset, len));
+                let nth = faults.fail_in == 1;
+                faults.fail_in = faults.fail_in.saturating_sub(1);
+                nth || faults.fail_all
+            };
+            if fail {
                 return Err(Error::io("injected read error"));
             }
             self.inner.read(offset, len)
@@ -714,8 +744,11 @@ mod test_util {
             if !path.ends_with(".sst") {
                 return Ok(inner);
             }
-            let fail_reads = Arc::clone(&self.fail_reads);
-            Ok(Arc::new(ReadFaultFile { inner, fail_reads }))
+            Ok(Arc::new(ReadFaultFile {
+                inner,
+                path: path.to_string(),
+                faults: Arc::clone(&self.faults),
+            }))
         }
         fn file_exists(&self, path: &str) -> bool {
             self.inner.file_exists(path)

@@ -14,7 +14,7 @@ use bolt_table::comparator::Comparator;
 use bolt_table::comparator::InternalKeyComparator;
 use bolt_table::ikey::{lookup_key, parse_internal_key, SequenceNumber, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
-use bolt_table::seq::{SeqReadStats, SeqReader};
+use bolt_table::seq::SeqReader;
 
 use crate::memtable::MemTableIter;
 use crate::version::TableList;
@@ -135,21 +135,18 @@ impl RunIter {
     }
 
     /// Iterate `tables` for a consumer that reads all of them in order (a
-    /// compaction): byte-contiguous tables are fetched in large spans into
-    /// a private buffer, past the block cache and the table LRU, and every
-    /// device read is counted in `reads`.
+    /// compaction): `seq`, the reader of this run in the compaction's
+    /// [`ReadPlan`](bolt_table::seq::ReadPlan), supplies them in large
+    /// spans from a private buffer, past the block cache and the table LRU.
     pub fn sequential(
         icmp: InternalKeyComparator,
         cache: Arc<TableCache>,
         db: Arc<str>,
         tables: TableList,
-        reads: Arc<SeqReadStats>,
+        seq: SeqReader,
     ) -> Self {
-        // Eager specs, one path `format!` per table: a compaction opens
-        // every one of them anyway, and it is not a foreground path.
-        let specs = tables.iter().map(|t| t.spec(&db)).collect();
         RunIter {
-            seq: Some(SeqReader::new(Arc::clone(&cache), specs, reads)),
+            seq: Some(seq),
             ..RunIter::new(icmp, cache, db, tables)
         }
     }

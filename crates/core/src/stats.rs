@@ -83,10 +83,24 @@ engine_counters! {
     record_seek_compaction / seek_compactions => "bolt_seek_compactions_total",
     /// Bytes read into compactions.
     record_compaction_input / compaction_input_bytes => "bolt_compaction_input_bytes_total",
+    /// Of those, the victims: the tables a compaction was picked to move
+    /// out of its source level (settled moves, which move no byte, excluded).
+    record_compaction_victim / compaction_victim_bytes => "bolt_compaction_victim_bytes_total",
+    /// Of those, the overlap: the tables already at the output level that
+    /// had to be rewritten with the victims (÷ victim bytes = what moving a
+    /// byte down costs in bytes dragged along).
+    record_compaction_overlap / compaction_overlap_bytes => "bolt_compaction_overlap_bytes_total",
     /// Device reads compactions issued for their inputs.
     record_compaction_read_ops / compaction_read_ops => "bolt_compaction_read_ops_total",
     /// Bytes those reads returned (÷ ops = bytes per compaction read).
     record_compaction_read_bytes / compaction_read_bytes => "bolt_compaction_read_bytes_total",
+    /// Nanoseconds compactions were blocked for input bytes: waiting for
+    /// the read-ahead thread to finish a span, or reading one themselves.
+    record_compaction_read_wait_nanos / compaction_read_wait_nanos => "bolt_compaction_read_wait_nanos_total",
+    /// Input spans a compaction found already read when it needed them.
+    record_compaction_readahead_spans / compaction_readahead_spans => "bolt_compaction_readahead_spans_total",
+    /// Input spans a compaction had to wait for or read itself.
+    record_compaction_demand_spans / compaction_demand_spans => "bolt_compaction_demand_spans_total",
     /// Bytes written by compactions.
     record_compaction_output / compaction_output_bytes => "bolt_compaction_output_bytes_total",
     /// Bytes written by flushes.

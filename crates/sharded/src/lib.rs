@@ -831,11 +831,17 @@ mod tests {
         let mut opts = small_opts();
         opts.value_separation_threshold = Some(128);
         let db = ShardedDb::open(Arc::clone(&env), "agg", opts, Router::hash(2).unwrap()).unwrap();
-        // Per shard: one separated value (read back twice), two flushes
+        // Per shard: inline values enough for compactions whose runs are
+        // several read spans long (the read-ahead thread has something to be
+        // ahead with), one separated value (read back twice), two flushes
         // merged by a compaction, one checkpoint and an overwrite whose
         // reclaim it holds back, one range delete.
         for i in 0..2 {
             let shard = db.shard(i);
+            for k in 0..12_000u32 {
+                let key = format!("inline{:05}", (k * 7919) % 12_000);
+                shard.put(key.as_bytes(), &[k as u8; 100]).unwrap();
+            }
             shard.put(b"big", &[7u8; 1024]).unwrap();
             assert!(shard.get(b"big").unwrap().is_some());
             shard.flush().unwrap();
@@ -856,6 +862,11 @@ mod tests {
             "bolt_flushes_total",
             "bolt_compaction_read_ops_total",
             "bolt_compaction_read_bytes_total",
+            "bolt_compaction_read_wait_nanos_total",
+            "bolt_compaction_readahead_spans_total",
+            "bolt_compaction_demand_spans_total",
+            "bolt_compaction_victim_bytes_total",
+            "bolt_compaction_overlap_bytes_total",
             "bolt_vlog_values_separated_total",
             "bolt_vlog_bytes_written_total",
             "bolt_vlog_resolves_total",

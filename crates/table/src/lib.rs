@@ -54,5 +54,5 @@ pub use builder::{BuiltTable, FilterKey, TableBuilder, TableFormat};
 pub use cache::{TableCache, TableCacheSnapshot, TableSpec};
 pub use comparator::{BytewiseComparator, Comparator, InternalKeyComparator};
 pub use rangedel::{RangeTombstone, RangeTombstoneSet};
-pub use seq::{SeqReadStats, SeqReader, SEQ_READ_WINDOW};
+pub use seq::{ReadPlan, SeqReadStats, SeqReader, SEQ_READAHEAD_BYTES, SEQ_READ_WINDOW};
 pub use table::{BlockCache, BlockCacheKey, Table, TableIter, TableReadOptions};

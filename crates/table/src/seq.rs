@@ -1,48 +1,70 @@
-//! Sequential input reads: a run's tables fetched in large spans.
+//! Sequential input reads: a run's tables fetched in large spans, ahead of
+//! the reader that consumes them.
 //!
 //! A compaction reads every byte of its inputs exactly once, in order, and
 //! BoLT's compaction file makes those inputs *contiguous byte ranges of few
-//! files*. [`SeqReader`] opens the tables of one run so that the tables
-//! that sit back to back in one physical file cost **one** device read per
+//! files*. [`spans`] cuts the tables of one run into device reads so that the
+//! tables that sit back to back in one physical file cost **one** read per
 //! [`SEQ_READ_WINDOW`], not one per 4 KiB block plus one per table open —
 //! the read half of the paper's "pay the fixed cost once per large
-//! transfer" argument.
+//! transfer" argument. A [`ReadPlan`] holds the spans of every run of one
+//! compaction in the order the merge will need them, and
+//! [`ReadPlan::run_ahead`] executes it on a reader thread while the merge
+//! consumes: the thread that merges and writes does not sleep on the device
+//! for bytes the plan could name beforehand.
 //!
-//! The bytes land in a private buffer behind `SpanFile`, a
-//! [`RandomAccessFile`] placed *under* the ordinary [`Table`]: the footer,
-//! index, filter and block decoding, and the CRC check of every block, are
-//! the same code a point read runs. Neither the shared block cache nor the
-//! [`TableCache`]'s table LRU sees a sequential reader; the fd cache still
-//! supplies the file handle.
+//! The bytes reach the tables through `SpanFile`, a [`RandomAccessFile`]
+//! placed *under* the ordinary [`Table`]: the footer, index, filter and
+//! block decoding, and the CRC check of every block, are the same code a
+//! point read runs. Neither the shared block cache nor the [`TableCache`]'s
+//! table LRU sees a sequential reader; the fd cache still supplies the file
+//! handle.
 
+use std::cmp::Ordering as KeyOrder;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
+use bolt_common::sync::{named_mutex, Condvar, Mutex, MutexGuard};
 use bolt_common::{Error, Result};
 use bolt_env::RandomAccessFile;
-use parking_lot::Mutex;
 
 use crate::cache::{TableCache, TableSpec};
+use crate::format::FOOTER_SIZE;
 use crate::table::{Table, TableReadOptions};
 
-/// Most bytes one sequential read fetches, and so the memory one open
-/// [`SeqReader`] holds (a compaction has one per input run, ≤ 13 at the L0
-/// stop trigger). Bounded from below by the fixed cost: at the modelled
-/// 30 µs + 256 KiB ÷ 70 MiB/s a full window spends 0.8 % of its time on it,
-/// so a larger one has nothing left to save. Bounded from above by flush
-/// preemption: a compaction cannot yield to a pending memtable flush in the
-/// middle of a read, so a window is also the longest a stalled writer waits
-/// for one (3.6 ms here; at 1 MiB `fill_random` measured 5 % fewer ops/s,
-/// at 64 KiB the same — EXPERIMENTS.md). A table larger than this — BoLT's
-/// 1 MiB logical SSTable, a stock 2 MiB file — streams through in windows.
+/// Most bytes one sequential read fetches. Bounded from below by the fixed
+/// cost: at the modelled 30 µs + 256 KiB ÷ 70 MiB/s a full window spends
+/// 0.8 % of its time on it, so a larger one has nothing left to save.
+/// Bounded from above by what a reader waits for when the plan did not put a
+/// span first and it has to be read on demand: one read is in flight at a
+/// time, so a window is the longest such a read queues behind another
+/// (3.6 ms here; at 1 MiB `fill_random` measured 5 % fewer ops/s, at 64 KiB
+/// the same — EXPERIMENTS.md). A table larger than this — BoLT's 1 MiB
+/// logical SSTable, a stock 2 MiB file — streams through in windows.
 pub const SEQ_READ_WINDOW: u64 = 256 << 10;
 
-/// The device reads sequential readers issued, shared by the readers of
-/// one compaction.
+/// Most bytes a [`ReadPlan`]'s reader holds read and not yet taken — with
+/// one span in the hands of each run's reader (a compaction has ≤ 13 runs at
+/// the L0 stop trigger) the memory a compaction's inputs occupy. Four
+/// windows: what the reader gets through while the consumer is away
+/// flushing a memtable between two output tables (a scaled flush is two
+/// barriers and 64 KiB, ≈ 3 ms; a window takes 3.6 ms to read), with room to
+/// spare so that the reader is not the one waiting when the consumer
+/// returns. Depths of 1 to 8 windows measured the same on `fill_random`
+/// (EXPERIMENTS.md): the merge is slower than the device, so one span of
+/// lead is what the overlap needs and the rest is slack.
+pub const SEQ_READAHEAD_BYTES: u64 = 4 * SEQ_READ_WINDOW;
+
+/// What the sequential readers of one [`ReadPlan`] did.
 #[derive(Debug, Default)]
 pub struct SeqReadStats {
     ops: AtomicU64,
     bytes: AtomicU64,
+    wait_nanos: AtomicU64,
+    readahead_spans: AtomicU64,
+    demand_spans: AtomicU64,
 }
 
 impl SeqReadStats {
@@ -55,172 +77,615 @@ impl SeqReadStats {
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
-}
 
-/// The buffered bytes `[start, start + bytes.len())` of one file.
-#[derive(Default)]
-struct Span {
-    start: u64,
-    bytes: Vec<u8>,
-    /// A read that misses the buffer refills it from its own offset up to
-    /// here at most; a read reaching past it goes to the file unbuffered.
-    refill_end: u64,
-}
+    /// Nanoseconds the consumer was blocked for a span: waiting for the
+    /// reader to finish it, or reading it itself.
+    pub fn wait_nanos(&self) -> u64 {
+        self.wait_nanos.load(Ordering::Relaxed)
+    }
 
-impl Span {
-    fn get(&self, offset: u64, len: usize) -> Option<&[u8]> {
-        let from = usize::try_from(offset.checked_sub(self.start)?).ok()?;
-        self.bytes.get(from..from.checked_add(len)?)
+    /// Spans the consumer took ready: the reader had them before they were
+    /// asked for.
+    pub fn readahead_spans(&self) -> u64 {
+        self.readahead_spans.load(Ordering::Relaxed)
+    }
+
+    /// Spans the consumer had to wait for or read itself, ahead of the
+    /// reader's next.
+    pub fn demand_spans(&self) -> u64 {
+        self.demand_spans.load(Ordering::Relaxed)
     }
 }
 
-/// A [`RandomAccessFile`] that serves reads inside its span from memory and
-/// falls through to the real file outside it.
-struct SpanFile {
-    file: Arc<dyn RandomAccessFile>,
-    stats: Arc<SeqReadStats>,
-    /// Never held across a read of `file`.
-    span: Mutex<Span>,
+/// One device read of a front-to-back pass over a run's tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Index in the run of the first table it holds bytes of (of the only
+    /// one, for a table larger than the window).
+    pub table: usize,
+    /// 0 for a span of whole tables and for the tail of a table larger than
+    /// the window; `n` for that table's n-th data window.
+    pub part: usize,
+    /// Offset in the table's physical file.
+    pub offset: u64,
+    /// Bytes to read.
+    pub len: u64,
 }
 
-impl SpanFile {
-    /// One counted read of the real file.
-    fn fetch(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let bytes = self.file.read(offset, len)?;
-        self.stats.ops.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(bytes)
-    }
-}
-
-impl RandomAccessFile for SpanFile {
-    fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let refill_end = {
-            let span = self.span.lock();
-            if let Some(hit) = span.get(offset, len) {
-                return Ok(hit.to_vec());
+/// The device reads a front-to-back pass over `specs` (one run's tables in
+/// key order) costs, in the order the pass needs them — the one place that
+/// decides them, for the plan and for the reader that takes them.
+///
+/// Tables that start where their predecessor ends in the same file share a
+/// read as far as whole tables fit [`SEQ_READ_WINDOW`]; a gap, punched or
+/// never part of the run, is not read. A table larger than the window is
+/// its tail (what an open reads: `tail_bytes`, or just the footer when the
+/// length is unknown) and then its data, window by window.
+pub fn spans(specs: &[TableSpec]) -> Vec<Span> {
+    let mut spans = Vec::new();
+    let mut first = 0;
+    while let Some(spec) = specs.get(first) {
+        let end = spec.offset.saturating_add(spec.size);
+        let mut next = first + 1;
+        if spec.size > SEQ_READ_WINDOW {
+            let tail = spec.tail_bytes.clamp(FOOTER_SIZE as u64, spec.size);
+            let data_end = end - tail;
+            let mut push = |part, offset, len| {
+                spans.push(Span {
+                    table: first,
+                    part,
+                    offset,
+                    len,
+                });
+            };
+            push(0, data_end, tail);
+            let (mut part, mut at) = (1, spec.offset);
+            while at < data_end {
+                let len = (data_end - at).min(SEQ_READ_WINDOW);
+                push(part, at, len);
+                (part, at) = (part + 1, at + len);
             }
-            span.refill_end
-        };
-        let ahead = refill_end.saturating_sub(offset).min(SEQ_READ_WINDOW) as usize;
-        if ahead < len {
-            return self.fetch(offset, len);
+        } else {
+            let mut fill_end = end;
+            while let Some(following) = specs.get(next) {
+                let following_end = following.offset.saturating_add(following.size);
+                if following.file_number != spec.file_number
+                    || following.offset != fill_end
+                    || following_end - spec.offset > SEQ_READ_WINDOW
+                {
+                    break;
+                }
+                (fill_end, next) = (following_end, next + 1);
+            }
+            spans.push(Span {
+                table: first,
+                part: 0,
+                offset: spec.offset,
+                len: fill_end - spec.offset,
+            });
         }
-        let bytes = self.fetch(offset, ahead)?;
-        // A file shorter than its tables say comes back short; hand on what
-        // there is, as the file would, and the block check reports it.
-        let head = bytes.get(..len).unwrap_or(&bytes).to_vec();
-        *self.span.lock() = Span {
-            start: offset,
-            bytes,
-            refill_end,
-        };
-        Ok(head)
+        first = next;
     }
-
-    fn len(&self) -> u64 {
-        self.file.len()
-    }
+    spans
 }
 
-/// Opens the tables of one run, in order, for a reader that will consume
-/// each of them front to back.
-pub struct SeqReader {
-    cache: Arc<TableCache>,
-    opts: TableReadOptions,
+/// One run of a [`ReadPlan`].
+struct PlannedRun {
     specs: Vec<TableSpec>,
-    stats: Arc<SeqReadStats>,
-    /// The adapter over the physical file of the last table opened.
-    current: Option<(u64, Arc<SpanFile>)>,
+    spans: Vec<Span>,
+    /// Where this run's spans start in [`Buffer::slots`].
+    first_slot: usize,
 }
 
-impl std::fmt::Debug for SeqReader {
+impl PlannedRun {
+    /// The spans, by index, that hold table `index`: the one span of whole
+    /// tables it is part of, or every span of a table larger than the window.
+    fn spans_of(&self, index: usize) -> Range<usize> {
+        let end = self.spans.partition_point(|s| s.table <= index);
+        let first = end.checked_sub(1).and_then(|last| self.spans.get(last));
+        let first = first.map_or(index, |s| s.table);
+        self.spans.partition_point(|s| s.table < first)..end
+    }
+}
+
+/// Where one planned span is.
+enum Slot {
+    /// Not read yet.
+    Pending,
+    /// The reader thread is reading it.
+    Reading,
+    /// Read and waiting for its consumer — with the error or the short read
+    /// the file answered with, for the consumer that needs the span to find.
+    Ready(Result<Vec<u8>>),
+    /// Handed over. (Taking it again reads it again.)
+    Taken,
+}
+
+/// The file handle each run read last: a run walks few files, one after the
+/// other, so the one handle saves an fd-cache lookup per span, and an env
+/// open per span where there is no fd cache.
+type Files = Vec<Option<(u64, Arc<dyn RandomAccessFile>)>>;
+
+/// What the reader and the consumers of a [`ReadPlan`] share.
+struct Buffer {
+    slots: Vec<Slot>,
+    /// First position of [`ReadPlan::order`] the reader has not been past.
+    next: usize,
+    /// Bytes of `Ready` slots.
+    buffered: u64,
+    /// The device token: whoever holds the handles (took them out of here)
+    /// may have a read in flight, so at most one is.
+    files: Option<Files>,
+    /// Consumers waiting for the token; the reader starts nothing meanwhile.
+    demands: usize,
+    /// No consumer is left: the reader stops.
+    closed: bool,
+    #[cfg(test)]
+    peak_buffered: u64,
+}
+
+impl Buffer {
+    fn set(&mut self, slot: usize, state: Slot) {
+        if let Some(current) = self.slots.get_mut(slot) {
+            *current = state;
+        }
+    }
+
+    /// Hand over slot `slot` if it is read.
+    fn take_ready(&mut self, slot: usize) -> Option<Result<Vec<u8>>> {
+        let ready = self.slots.get_mut(slot)?;
+        if !matches!(ready, Slot::Ready(_)) {
+            return None;
+        }
+        let Slot::Ready(result) = std::mem::replace(ready, Slot::Taken) else {
+            return None;
+        };
+        if let Ok(bytes) = &result {
+            self.buffered -= bytes.len() as u64;
+        }
+        Some(result)
+    }
+}
+
+/// The input reads of one compaction: every span of every run, the order
+/// the merge is expected to need them in, and the buffer through which a
+/// reader thread hands them to the runs' [`SeqReader`]s.
+///
+/// The order is advice. A reader that needs a span the thread has not
+/// reached reads it itself, ahead of the thread's next (which waits); one
+/// the thread is in the middle of is waited for. Whoever reads holds the
+/// one device token, so the plan never has two reads in flight and never
+/// asks the device for more than the serial reader it replaces did; and the
+/// thread reads ahead only while the spans it holds untaken fit
+/// [`SEQ_READAHEAD_BYTES`]. Correctness and that bound hold for any order,
+/// and without a thread at all: then every span is read where it is taken.
+pub struct ReadPlan {
+    cache: Arc<TableCache>,
+    runs: Vec<PlannedRun>,
+    /// `(run, span)` in the order the consumer is expected to take them.
+    order: Vec<(usize, usize)>,
+    stats: SeqReadStats,
+    /// Leaf lock: nothing is acquired under it and it is never held across
+    /// a read of a file.
+    buffer: Mutex<Buffer>,
+    changed: Condvar,
+}
+
+impl std::fmt::Debug for ReadPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SeqReader")
-            .field("tables", &self.specs.len())
+        f.debug_struct("ReadPlan")
+            .field("runs", &self.runs.len())
+            .field("spans", &self.order.len())
             .field("stats", &self.stats)
             .finish()
     }
 }
 
-impl SeqReader {
-    /// A reader over `specs` (one run's tables in key order). File handles
-    /// and read options come from `cache`; every device read is counted in
-    /// `stats`.
-    pub fn new(cache: Arc<TableCache>, specs: Vec<TableSpec>, stats: Arc<SeqReadStats>) -> Self {
-        let opts = TableReadOptions {
-            block_cache: None,
-            ..cache.opts.clone()
+impl ReadPlan {
+    /// Plan the reads of `runs` (each one run's tables in key order). The
+    /// spans are those of [`spans`]; `before` orders them, given as
+    /// `(run, span)`, by when their consumer will need them — spans it calls
+    /// equal stay in run order, then file order. File handles and read
+    /// options come from `cache`.
+    pub fn new(
+        cache: Arc<TableCache>,
+        runs: Vec<Vec<TableSpec>>,
+        mut before: impl FnMut((usize, &Span), (usize, &Span)) -> KeyOrder,
+    ) -> Arc<ReadPlan> {
+        let mut order = Vec::new();
+        let mut planned: Vec<PlannedRun> = Vec::with_capacity(runs.len());
+        for (run, specs) in runs.into_iter().enumerate() {
+            let spans = spans(&specs);
+            let first_slot = order.len();
+            order.extend((0..spans.len()).map(|span| (run, span)));
+            planned.push(PlannedRun {
+                specs,
+                spans,
+                first_slot,
+            });
+        }
+        let span = |&(run, span): &(usize, usize)| (run, &planned[run].spans[span]);
+        order.sort_by(|a, b| before(span(a), span(b)));
+        let buffer = Buffer {
+            slots: order.iter().map(|_| Slot::Pending).collect(),
+            next: 0,
+            buffered: 0,
+            files: Some(planned.iter().map(|_| None).collect()),
+            demands: 0,
+            closed: false,
+            #[cfg(test)]
+            peak_buffered: 0,
         };
-        SeqReader {
+        Arc::new(ReadPlan {
             cache,
-            opts,
-            specs,
-            stats,
+            runs: planned,
+            order,
+            stats: SeqReadStats::default(),
+            buffer: named_mutex("table.readahead", buffer),
+            changed: Condvar::new(),
+        })
+    }
+
+    /// The reader of run `run`.
+    pub fn reader(self: &Arc<Self>, run: usize) -> SeqReader {
+        SeqReader {
+            plan: Arc::clone(self),
+            run,
+            opts: TableReadOptions {
+                block_cache: None,
+                ..self.cache.opts.clone()
+            },
             current: None,
         }
     }
 
-    /// Open table `index`. Unless an earlier open already buffered it, one
-    /// read fetches it together with every following table that starts
-    /// where its predecessor ends in the same file, as far as whole tables
-    /// fit [`SEQ_READ_WINDOW`]; a table larger than the window is read
-    /// window by window as its iterator advances.
+    /// What the plan's readers did so far.
+    pub fn stats(&self) -> &SeqReadStats {
+        &self.stats
+    }
+
+    /// The planned reads as `(file number, offset, length)`, in plan order.
+    pub fn order(&self) -> Vec<(u64, u64, u64)> {
+        let read = |&(run, span): &(usize, usize)| {
+            let run = self.runs.get(run)?;
+            let span = run.spans.get(span)?;
+            Some((
+                run.specs.get(span.table)?.file_number,
+                span.offset,
+                span.len,
+            ))
+        };
+        self.order.iter().filter_map(read).collect()
+    }
+
+    /// Run `consume` — which takes the plan's spans through its
+    /// [`reader`](Self::reader)s — with a thread reading the plan ahead of
+    /// it, one span at a time. `immediate` is how many spans `consume` needs
+    /// before it can do anything else: a plan of no more than that has
+    /// nothing to overlap and gets no thread.
+    ///
+    /// When `consume` returns, or unwinds, the buffer is closed: the thread
+    /// exits at its next step (after the read it is in, never blocked on a
+    /// full buffer), so this returns as soon as `consume` does.
+    pub fn run_ahead<T>(&self, immediate: usize, consume: impl FnOnce() -> T) -> T {
+        struct Close<'a>(&'a ReadPlan);
+        impl Drop for Close<'_> {
+            fn drop(&mut self) {
+                self.0.buffer.lock().closed = true;
+                self.0.changed.notify_all();
+            }
+        }
+        if self.order.len() <= immediate {
+            return consume();
+        }
+        std::thread::scope(|scope| {
+            let _close = Close(self);
+            // Without the thread (the process is out of them) every span is
+            // read where it is taken.
+            let _ = std::thread::Builder::new()
+                .name("bolt-seq-read".to_string())
+                .spawn_scoped(scope, || self.read_ahead());
+            consume()
+        })
+    }
+
+    /// Span `span` of run `run`, and its slot in the buffer.
+    fn slot_of(&self, run: usize, span: usize) -> Option<(usize, Span)> {
+        let planned = self.runs.get(run)?;
+        Some((planned.first_slot + span, *planned.spans.get(span)?))
+    }
+
+    /// The reader thread: read the next pending span of the plan whenever
+    /// the device is free, no consumer wants it and the budget has room,
+    /// until the plan is through, a read fails or comes back short (the
+    /// consumer that needs it finds the error in the slot; nothing past it
+    /// is read), or the buffer is closed.
+    fn read_ahead(&self) {
+        let mut buffer = self.buffer.lock();
+        loop {
+            // The next span of the plan that nobody has read.
+            let (run, slot, span) = loop {
+                let Some(&(run, span)) = self.order.get(buffer.next) else {
+                    return;
+                };
+                match self.slot_of(run, span) {
+                    None => return,
+                    Some((slot, span)) if matches!(buffer.slots.get(slot), Some(Slot::Pending)) => {
+                        break (run, slot, span);
+                    }
+                    Some(_) => buffer.next += 1,
+                }
+            };
+            if buffer.closed {
+                return;
+            }
+            let room = buffer.buffered == 0 || buffer.buffered + span.len <= SEQ_READAHEAD_BYTES;
+            let files = match (buffer.demands, room) {
+                (0, true) => buffer.files.take(),
+                _ => None,
+            };
+            let Some(mut files) = files else {
+                self.changed.wait(&mut buffer);
+                continue;
+            };
+            buffer.set(slot, Slot::Reading);
+            let result = MutexGuard::unlocked(&mut buffer, || {
+                self.fetch(&mut files, run, span.table, span.offset, span.len)
+            });
+            buffer.files = Some(files);
+            let whole = matches!(&result, Ok(bytes) if bytes.len() as u64 == span.len);
+            if let Ok(bytes) = &result {
+                buffer.buffered += bytes.len() as u64;
+                #[cfg(test)]
+                {
+                    buffer.peak_buffered = buffer.peak_buffered.max(buffer.buffered);
+                }
+            }
+            buffer.set(slot, Slot::Ready(result));
+            self.changed.notify_all();
+            if !whole {
+                return;
+            }
+        }
+    }
+
+    /// Hand span `span` of run `run` to its consumer: as the reader thread
+    /// left it, or read here and now.
+    fn take(&self, run: usize, span: usize) -> Result<Vec<u8>> {
+        let (slot, planned) = self
+            .slot_of(run, span)
+            .ok_or_else(|| Error::InvalidArgument(format!("no span {span} in run {run}")))?;
+        let mut buffer = self.buffer.lock();
+        if let Some(ready) = buffer.take_ready(slot) {
+            drop(buffer);
+            // Room in the budget.
+            self.changed.notify_all();
+            self.stats.readahead_spans.fetch_add(1, Ordering::Relaxed);
+            return ready;
+        }
+        self.stats.demand_spans.fetch_add(1, Ordering::Relaxed);
+        let blocked = Instant::now();
+        let (table, offset, len) = (planned.table, planned.offset, planned.len);
+        let result = self.read_now(&mut buffer, Some(slot), run, table, offset, len);
+        drop(buffer);
+        let blocked = u64::try_from(blocked.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.stats.wait_nanos.fetch_add(blocked, Ordering::Relaxed);
+        result
+    }
+
+    /// Read `len` bytes at `offset` of the file of `table` on this thread,
+    /// ahead of the reader thread's next read, as soon as the device is
+    /// free. They are the span of `slot`, or (`None`) bytes no span of the
+    /// plan holds: a read a table's own extents cannot explain. A span the
+    /// reader thread is in the middle of is waited for instead.
+    fn read_now(
+        &self,
+        buffer: &mut MutexGuard<'_, Buffer>,
+        slot: Option<usize>,
+        run: usize,
+        table: usize,
+        offset: u64,
+        len: u64,
+    ) -> Result<Vec<u8>> {
+        buffer.demands += 1;
+        let result = loop {
+            if let Some(ready) = slot.and_then(|slot| buffer.take_ready(slot)) {
+                break ready;
+            }
+            let files = match slot.and_then(|slot| buffer.slots.get(slot)) {
+                Some(Slot::Reading) => None,
+                _ => buffer.files.take(),
+            };
+            let Some(mut files) = files else {
+                self.changed.wait(buffer);
+                continue;
+            };
+            let result =
+                MutexGuard::unlocked(buffer, || self.fetch(&mut files, run, table, offset, len));
+            buffer.files = Some(files);
+            if let Some(slot) = slot {
+                buffer.set(slot, Slot::Taken);
+            }
+            // A failed or short read ends the compaction that asked for
+            // it: nothing past it is read.
+            buffer.closed |= !matches!(&result, Ok(bytes) if bytes.len() as u64 == len);
+            break result;
+        };
+        buffer.demands -= 1;
+        self.changed.notify_all();
+        result
+    }
+
+    /// One counted read of the file of table `table` of run `run` — the one
+    /// device read of this module, made by whoever holds `files`.
+    fn fetch(
+        &self,
+        files: &mut Files,
+        run: usize,
+        table: usize,
+        offset: u64,
+        len: u64,
+    ) -> Result<Vec<u8>> {
+        // A device read is the slow kind of call: never under an engine lock.
+        #[cfg(feature = "debug_locks")]
+        for lock in ["core.versions", "core.state", "table.readahead"] {
+            assert!(
+                !bolt_common::debug_locks::thread_holds(lock),
+                "sequential read issued while holding tracked lock `{lock}`"
+            );
+        }
+        let spec = (self.runs.get(run)).and_then(|r| r.specs.get(table));
+        let (spec, handle) = spec
+            .zip(files.get_mut(run))
+            .ok_or_else(|| Error::InvalidArgument(format!("no table {table} in run {run}")))?;
+        let file = match handle {
+            Some((number, file)) if *number == spec.file_number => Arc::clone(file),
+            _ => {
+                let file = self.cache.open_file(spec.file_number, &spec.path)?;
+                *handle = Some((spec.file_number, Arc::clone(&file)));
+                file
+            }
+        };
+        let len = usize::try_from(len).map_err(|_| Error::corruption("span larger than memory"))?;
+        let bytes = file.read(offset, len)?;
+        self.stats.ops.fetch_add(1, Ordering::Relaxed);
+        (self.stats.bytes).fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        Ok(bytes)
+    }
+}
+
+/// A [`RandomAccessFile`] over the spans that hold one table, or the whole
+/// tables that share one span: reads inside them are served from the span
+/// last taken from the plan, and a read they cannot explain goes to the
+/// file.
+struct SpanFile {
+    plan: Arc<ReadPlan>,
+    run: usize,
+    /// The spans, by index in the run, whose tables read through this file.
+    spans: Range<usize>,
+    /// The span in hand, by index. A cell: emptied for the length of a
+    /// read, never locked across a take.
+    held: Mutex<Option<(usize, Vec<u8>)>>,
+}
+
+impl SpanFile {
+    /// The span of this file that holds byte `at`, by index.
+    fn span_at(&self, run: &PlannedRun, at: u64) -> Option<(usize, Span)> {
+        let spans = run.spans.get(self.spans.clone())?;
+        let found = spans
+            .iter()
+            .position(|s| s.offset <= at && at - s.offset < s.len)?;
+        Some((self.spans.start + found, *spans.get(found)?))
+    }
+}
+
+impl RandomAccessFile for SpanFile {
+    fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let run = (self.plan.runs.get(self.run))
+            .ok_or_else(|| Error::InvalidArgument(format!("no run {}", self.run)))?;
+        let end = offset.saturating_add(len as u64);
+        let mut held = self.held.lock().take();
+        let mut out = Vec::new();
+        let mut at = offset;
+        // Span by span: a block of a table larger than the window can start
+        // in one window and end in the next.
+        while at < end {
+            let in_hand = held.as_ref().and_then(|(index, _)| {
+                let span = *run.spans.get(*index)?;
+                (span.offset <= at && at - span.offset < span.len).then_some((*index, span))
+            });
+            let Some((index, span)) = in_hand.or_else(|| self.span_at(run, at)) else {
+                break;
+            };
+            // A span in hand that is behind the reader is let go of first.
+            held = held.filter(|(in_hand, _)| *in_hand == index);
+            let bytes = match held.take() {
+                Some((_, bytes)) => bytes,
+                None => self.plan.take(self.run, index)?,
+            };
+            let from = (at - span.offset) as usize;
+            let to = (end.min(span.offset + span.len) - span.offset) as usize;
+            // A file shorter than its tables say comes back short; hand on
+            // what there is, as the file would, and the block check reports
+            // it.
+            let part = bytes.get(from..to.min(bytes.len())).unwrap_or_default();
+            out.extend_from_slice(part);
+            let short = part.len() < to - from;
+            held = Some((index, bytes));
+            at = span.offset + to as u64;
+            if short {
+                break;
+            }
+        }
+        *self.held.lock() = held;
+        if at == offset {
+            let table = run.spans.get(self.spans.start).map_or(0, |s| s.table);
+            let plan = &self.plan;
+            let mut buffer = plan.buffer.lock();
+            return plan.read_now(&mut buffer, None, self.run, table, offset, len as u64);
+        }
+        Ok(out)
+    }
+
+    /// The end of the bytes this file can serve (nothing asks a table's
+    /// file for its length; the real one would cost an open).
+    fn len(&self) -> u64 {
+        let spans = (self.plan.runs.get(self.run)).and_then(|r| r.spans.get(self.spans.clone()));
+        let ends = (spans.into_iter().flatten()).map(|s| s.offset.saturating_add(s.len));
+        ends.max().unwrap_or(0)
+    }
+}
+
+/// Opens the tables of one run of a [`ReadPlan`], in order, for a reader
+/// that will consume each of them front to back.
+pub struct SeqReader {
+    plan: Arc<ReadPlan>,
+    run: usize,
+    opts: TableReadOptions,
+    /// The adapter over the spans of the last table opened.
+    current: Option<Arc<SpanFile>>,
+}
+
+impl std::fmt::Debug for SeqReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SeqReader")
+            .field("run", &self.run)
+            .field("plan", &self.plan)
+            .finish()
+    }
+}
+
+impl SeqReader {
+    /// Open table `index` of the run. Its bytes are *taken* from the plan,
+    /// span by span as its iterator advances: each is already there when
+    /// the plan's reader got to it first, and is read on the spot when not.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corruption`] for malformed or truncated tables and
-    /// I/O errors from the file.
+    /// I/O errors from the file, at the table whose span met them.
     pub fn open(&mut self, index: usize) -> Result<Arc<Table>> {
-        let (spec, following) = self
-            .specs
-            .get(index..)
-            .and_then(<[TableSpec]>::split_first)
+        let run = self.plan.runs.get(self.run);
+        let (run, spec) = run
+            .and_then(|r| Some((r, r.specs.get(index)?)))
             .ok_or_else(|| Error::InvalidArgument(format!("no table {index} in this run")))?;
-        let end = spec
-            .offset
-            .checked_add(spec.size)
-            .ok_or_else(|| Error::corruption("table extent overflows"))?;
+        if spec.offset.checked_add(spec.size).is_none() {
+            return Err(Error::corruption("table extent overflows"));
+        }
+        let spans = run.spans_of(index);
         let file = match &self.current {
-            Some((number, file)) if *number == spec.file_number => Arc::clone(file),
+            Some(file) if file.spans == spans => Arc::clone(file),
             _ => {
                 let file = Arc::new(SpanFile {
-                    file: self.cache.open_file(spec.file_number, &spec.path)?,
-                    stats: Arc::clone(&self.stats),
-                    span: Mutex::default(),
+                    plan: Arc::clone(&self.plan),
+                    run: self.run,
+                    spans,
+                    held: Mutex::new(None),
                 });
-                self.current = Some((spec.file_number, Arc::clone(&file)));
+                self.current = Some(Arc::clone(&file));
                 file
             }
         };
-        if spec.size > SEQ_READ_WINDOW {
-            file.span.lock().refill_end = end;
-        } else if file
-            .span
-            .lock()
-            .get(spec.offset, spec.size as usize)
-            .is_none()
-        {
-            let mut fill_end = end;
-            for next in following {
-                let next_end = next.offset.saturating_add(next.size);
-                if next.file_number != spec.file_number
-                    || next.offset != fill_end
-                    || next_end - spec.offset > SEQ_READ_WINDOW
-                {
-                    break;
-                }
-                fill_end = next_end;
-            }
-            let bytes = file.fetch(spec.offset, (fill_end - spec.offset) as usize)?;
-            *file.span.lock() = Span {
-                start: spec.offset,
-                bytes,
-                refill_end: fill_end,
-            };
-        }
         let (opts, tail) = (self.opts.clone(), spec.tail_bytes);
         Table::open_with_tail(file, spec.offset, spec.size, tail, spec.file_number, opts)
             .map(Arc::new)
@@ -235,33 +700,53 @@ mod tests {
     use crate::ikey::{make_internal_key, ValueType};
     use bolt_common::bloom::BloomFilterPolicy;
     use bolt_env::{Env, MemEnv};
+    use std::sync::atomic::AtomicUsize;
 
     type Entries = Vec<(Vec<u8>, Vec<u8>)>;
 
-    /// Logs every read; optionally fails the n-th, or ends the file early.
+    /// Logs every read and how many were in flight at once; optionally
+    /// fails the n-th, or ends the file early.
     struct TestFile {
         inner: Arc<dyn RandomAccessFile>,
         log: Mutex<Vec<(u64, usize)>>,
         fail_read: Option<usize>,
         cut_at: Option<u64>,
+        in_flight: AtomicUsize,
+        most_in_flight: AtomicUsize,
     }
 
     impl RandomAccessFile for TestFile {
         fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-            let mut log = self.log.lock();
-            log.push((offset, len));
-            if self.fail_read == Some(log.len()) {
-                return Err(Error::io("injected read error"));
-            }
-            let len = match self.cut_at {
-                Some(cut) => len.min(cut.saturating_sub(offset) as usize),
-                None => len,
+            let in_flight = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            self.most_in_flight.fetch_max(in_flight, Ordering::SeqCst);
+            let nth = {
+                let mut log = self.log.lock();
+                log.push((offset, len));
+                log.len()
             };
-            self.inner.read(offset, len)
+            // Long enough for a second reader, were there one, to overlap.
+            std::thread::yield_now();
+            let result = if self.fail_read == Some(nth) {
+                Err(Error::io("injected read error"))
+            } else {
+                let len = match self.cut_at {
+                    Some(cut) => len.min(cut.saturating_sub(offset) as usize),
+                    None => len,
+                };
+                self.inner.read(offset, len)
+            };
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            result
         }
 
         fn len(&self) -> u64 {
             self.inner.len()
+        }
+    }
+
+    impl TestFile {
+        fn log(&self) -> Vec<(u64, usize)> {
+            self.log.lock().clone()
         }
     }
 
@@ -310,23 +795,35 @@ mod tests {
     ) -> Arc<TestFile> {
         Arc::new(TestFile {
             inner: env.new_random_access_file("000007.cf").unwrap(),
-            log: Mutex::default(),
+            log: Mutex::new(Vec::new()),
             fail_read,
             cut_at,
+            in_flight: AtomicUsize::new(0),
+            most_in_flight: AtomicUsize::new(0),
         })
     }
 
-    /// A reader over `specs` whose file 7 is `file`.
-    fn reader(env: &Arc<dyn Env>, specs: &[TableSpec], file: Arc<TestFile>) -> SeqReader {
-        let stats = Arc::new(SeqReadStats::default());
-        let mut reader = SeqReader::new(cache(env), specs.to_vec(), Arc::clone(&stats));
-        let span = SpanFile {
-            file,
-            stats,
-            span: Mutex::default(),
-        };
-        reader.current = Some((7, Arc::new(span)));
-        reader
+    /// The plan's own order: run order, then file order.
+    fn in_order(_: (usize, &Span), _: (usize, &Span)) -> KeyOrder {
+        KeyOrder::Equal
+    }
+
+    /// The opposite of the order the spans are needed in.
+    fn backwards(a: (usize, &Span), b: (usize, &Span)) -> KeyOrder {
+        (b.1.table, b.1.part).cmp(&(a.1.table, a.1.part))
+    }
+
+    /// A plan over the one run `specs` whose file 7 is `file`.
+    fn plan_over(
+        env: &Arc<dyn Env>,
+        specs: &[TableSpec],
+        file: &Arc<TestFile>,
+        before: fn((usize, &Span), (usize, &Span)) -> KeyOrder,
+    ) -> Arc<ReadPlan> {
+        let plan = ReadPlan::new(cache(env), vec![specs.to_vec()], before);
+        let file = Arc::clone(file) as Arc<dyn RandomAccessFile>;
+        plan.buffer.lock().files = Some(vec![Some((7, file))]);
+        plan
     }
 
     fn drain(table: &Arc<Table>, out: &mut Entries) -> Result<()> {
@@ -339,12 +836,36 @@ mod tests {
         Ok(())
     }
 
-    fn sequential(reader: &mut SeqReader) -> Result<Entries> {
+    /// Every table of the plan's run, front to back, on this thread; with
+    /// the entries, the first table that could not be read.
+    fn consume(plan: &Arc<ReadPlan>, mut pause: impl FnMut()) -> (Entries, Option<(usize, Error)>) {
+        let mut reader = plan.reader(0);
         let mut out = Vec::new();
-        for i in 0..reader.specs.len() {
-            drain(&reader.open(i)?, &mut out)?;
+        for i in 0..plan.runs[0].specs.len() {
+            pause();
+            if let Err(e) = reader.open(i).and_then(|table| drain(&table, &mut out)) {
+                return (out, Some((i, e)));
+            }
         }
-        Ok(out)
+        (out, None)
+    }
+
+    /// The run read without a thread (every span where it is taken) or
+    /// with the plan's reader thread ahead of this one.
+    fn consume_all(plan: &Arc<ReadPlan>, ahead: bool) -> (Entries, Option<(usize, Error)>) {
+        match ahead {
+            true => plan.run_ahead(0, || consume(plan, || ())),
+            false => consume(plan, || ()),
+        }
+    }
+
+    fn read(plan: &Arc<ReadPlan>, ahead: bool) -> Result<Entries> {
+        let (entries, failed) = consume_all(plan, ahead);
+        failed.map_or(Ok(entries), |(_, e)| Err(e))
+    }
+
+    fn serial(plan: &Arc<ReadPlan>) -> Result<Entries> {
+        read(plan, false)
     }
 
     /// The same tables block by block through the table cache.
@@ -361,19 +882,24 @@ mod tests {
         out
     }
 
+    fn sorted(mut log: Vec<(u64, usize)>) -> Vec<(u64, usize)> {
+        log.sort_unstable();
+        log
+    }
+
     #[test]
     fn contiguous_tables_stream_identically_in_window_sized_reads() {
         let (env, specs) = build(40, 120);
         let total: u64 = specs.iter().map(|s| s.size).sum();
         assert!(total > 2 * SEQ_READ_WINDOW, "must cross windows: {total}");
         let file = test_file(&env, None, None);
-        let mut reader = reader(&env, &specs, Arc::clone(&file));
+        let plan = plan_over(&env, &specs, &file, in_order);
 
-        let streamed = sequential(&mut reader).unwrap();
+        let streamed = serial(&plan).unwrap();
         let before = env.stats().snapshot().read_ops;
         assert_eq!(streamed, per_block(&env, &specs));
         let block_reads = env.stats().snapshot().read_ops - before;
-        let log = file.log.lock().clone();
+        let log = file.log();
         assert!(
             log.len() as u64 <= total.div_ceil(SEQ_READ_WINDOW) + 1,
             "{} reads for {total} bytes",
@@ -382,8 +908,12 @@ mod tests {
         // Whole tables only: no byte is fetched twice, none is skipped.
         assert_eq!(log.iter().map(|r| r.1 as u64).sum::<u64>(), total);
         assert!(log.iter().all(|r| r.1 as u64 <= SEQ_READ_WINDOW));
-        assert_eq!(reader.stats.ops(), log.len() as u64);
-        assert_eq!(reader.stats.bytes(), total);
+        assert_eq!(plan.stats().ops(), log.len() as u64);
+        assert_eq!(plan.stats().bytes(), total);
+        // Every span was read where it was taken, and that was waited for.
+        assert_eq!(plan.stats().demand_spans(), log.len() as u64);
+        assert_eq!(plan.stats().readahead_spans(), 0);
+        assert!(plan.stats().wait_nanos() > 0);
         // The reference read the same bytes in far more pieces.
         assert!(block_reads > 20 * log.len() as u64, "{block_reads}");
     }
@@ -394,9 +924,9 @@ mod tests {
         let hole = specs.remove(1);
         env.punch_hole(&hole.path, hole.offset, hole.size).unwrap();
         let file = test_file(&env, None, None);
-        let mut reader = reader(&env, &specs, Arc::clone(&file));
-        assert_eq!(sequential(&mut reader).unwrap(), per_block(&env, &specs));
-        let log = file.log.lock().clone();
+        let plan = plan_over(&env, &specs, &file, in_order);
+        assert_eq!(serial(&plan).unwrap(), per_block(&env, &specs));
+        let log = file.log();
         assert_eq!(log.len(), 2, "one read per side of the gap: {log:?}");
         for &(offset, len) in log.iter() {
             assert!(
@@ -412,55 +942,195 @@ mod tests {
         let size = specs[0].size;
         assert!(size > 2 * SEQ_READ_WINDOW, "table too small: {size}");
         let file = test_file(&env, None, None);
-        let mut reader = reader(&env, &specs, Arc::clone(&file));
-        assert_eq!(sequential(&mut reader).unwrap(), per_block(&env, &specs));
-        let log = file.log.lock().clone();
-        // The tail in one read, then the data window by window.
-        assert!(
-            log.len() as u64 <= size.div_ceil(SEQ_READ_WINDOW) + 2,
-            "{} reads for {size} bytes",
-            log.len()
+        let plan = plan_over(&env, &specs, &file, in_order);
+        assert_eq!(serial(&plan).unwrap(), per_block(&env, &specs));
+        let log = file.log();
+        // The tail in one read, then the data window by window: every byte
+        // once, a block that straddles two windows included.
+        let tail = specs[0].tail_bytes;
+        assert_eq!(log[0], (size - tail, tail as usize));
+        assert_eq!(
+            log.len() as u64,
+            1 + (size - tail).div_ceil(SEQ_READ_WINDOW)
         );
+        assert_eq!(log.iter().map(|r| r.1 as u64).sum::<u64>(), size);
         assert!(log.iter().all(|r| r.1 as u64 <= SEQ_READ_WINDOW));
-        assert!(log.iter().all(|r| r.0 + r.1 as u64 <= size));
+
+        // A table whose MANIFEST record predates tail lengths: the open
+        // finds its index in the last window, which is then read again when
+        // the data gets there. Slower, and the same entries.
+        let mut unknown = specs.clone();
+        unknown[0].tail_bytes = 0;
+        let file = test_file(&env, None, None);
+        let plan = plan_over(&env, &unknown, &file, in_order);
+        assert_eq!(read(&plan, true).unwrap(), per_block(&env, &specs));
+        assert!(file.log().iter().all(|r| r.0 + r.1 as u64 <= size));
+    }
+
+    /// The three shapes a run takes — whole tables back to back, a punched
+    /// gap, a table larger than the window — read with the reader thread
+    /// ahead and without: the same entries from the same reads, no span
+    /// twice, every input byte once.
+    #[test]
+    fn the_reader_thread_changes_who_reads_not_what_is_read() {
+        let contiguous = build(40, 120);
+        let mut gap = build(9, 300);
+        let hole = gap.1.remove(4);
+        gap.0
+            .punch_hole(&hole.path, hole.offset, hole.size)
+            .unwrap();
+        let large = build(1, 5000);
+        for (env, specs) in [contiguous, gap, large] {
+            let total: u64 = specs.iter().map(|s| s.size).sum();
+            let reference = per_block(&env, &specs);
+            let mut logs = Vec::new();
+            for ahead in [false, true] {
+                let file = test_file(&env, None, None);
+                let plan = plan_over(&env, &specs, &file, in_order);
+                assert_eq!(read(&plan, ahead).unwrap(), reference);
+                let log = sorted(file.log());
+                assert!(
+                    log.windows(2).all(|w| w[0] != w[1]),
+                    "a span twice: {log:?}"
+                );
+                assert_eq!(log.iter().map(|r| r.1 as u64).sum::<u64>(), total);
+                assert_eq!(
+                    log,
+                    sorted(plan.order().iter().map(|r| (r.1, r.2 as usize)).collect())
+                );
+                let taken = plan.stats().readahead_spans() + plan.stats().demand_spans();
+                assert_eq!(
+                    (plan.stats().ops(), taken),
+                    (log.len() as u64, log.len() as u64)
+                );
+                assert_eq!(file.most_in_flight.load(Ordering::SeqCst), 1);
+                logs.push(log);
+            }
+            assert_eq!(logs[0], logs[1]);
+        }
+    }
+
+    /// The reader thread and the consumers that read for themselves share
+    /// one device token: a plan in the wrong order, where nearly every take
+    /// jumps the queue while the thread reads something else, never has two
+    /// reads in flight — and never holds more than the budget.
+    #[test]
+    fn one_read_in_flight_and_a_bounded_buffer_whatever_the_plan_says() {
+        let (env, specs) = build(160, 120);
+        let total: u64 = specs.iter().map(|s| s.size).sum();
+        assert!(total > SEQ_READAHEAD_BYTES + 2 * SEQ_READ_WINDOW, "{total}");
+        let reference = per_block(&env, &specs);
+        for before in [in_order, backwards] {
+            let file = test_file(&env, None, None);
+            let plan = plan_over(&env, &specs, &file, before);
+            // A slow consumer: it takes nothing until the reader has read
+            // all it may (or all there is).
+            let full = |buffer: &Buffer| {
+                buffer.next >= plan.order.len()
+                    || buffer.buffered + SEQ_READ_WINDOW > SEQ_READAHEAD_BYTES
+            };
+            let wait_until_full = || {
+                let waiting = Instant::now();
+                while !full(&plan.buffer.lock()) && waiting.elapsed().as_secs() < 30 {
+                    std::thread::yield_now();
+                }
+            };
+            let (entries, failed) = plan.run_ahead(0, || consume(&plan, wait_until_full));
+            assert!(failed.is_none(), "{failed:?}");
+            assert_eq!(entries, reference);
+            assert_eq!(file.most_in_flight.load(Ordering::SeqCst), 1);
+            let peak = plan.buffer.lock().peak_buffered;
+            assert!(peak <= SEQ_READAHEAD_BYTES, "{peak} bytes buffered");
+            assert!(
+                peak > SEQ_READAHEAD_BYTES - SEQ_READ_WINDOW,
+                "never full: {peak}"
+            );
+            // Backwards, what the thread read first is what is needed last.
+            let log = file.log();
+            assert_eq!(log.iter().map(|r| r.1 as u64).sum::<u64>(), total);
+            assert_eq!(plan.stats().ops(), log.len() as u64);
+        }
     }
 
     #[test]
-    fn short_reads_and_errors_surface_without_panicking() {
-        // Small tables: the second span comes back short, or not at all.
-        let (env, specs) = build(40, 120);
-        let cut = specs[20].offset + specs[20].size / 2;
-        let mut short = reader(&env, &specs, test_file(&env, None, Some(cut)));
-        assert!(sequential(&mut short).unwrap_err().is_corruption());
-        // Every read here is a span (opens are served from the buffer), so
-        // the second read is the second span whatever an open costs.
-        let mut failing = reader(&env, &specs, test_file(&env, Some(2), None));
-        assert!(matches!(sequential(&mut failing), Err(Error::Io(_))));
+    fn short_reads_and_errors_surface_at_the_table_that_needed_them() {
+        // Small tables: a span comes back short, or not at all. The reads
+        // happen in plan order whoever makes them, so the k-th read is the
+        // k-th span.
+        let (env, specs) = build(120, 120);
+        let spans = spans(&specs);
+        assert!(spans.len() > 5, "{spans:?}");
+        for ahead in [false, true] {
+            let cut = specs[50].offset + specs[50].size / 2;
+            let file = test_file(&env, None, Some(cut));
+            let (entries, failed) = consume_all(&plan_over(&env, &specs, &file, in_order), ahead);
+            let (table, error) = failed.unwrap();
+            assert!(error.is_corruption(), "{error:?}");
+            assert_eq!((table, entries.len()), (50, 50 * 120));
+            // The span that came back short is the last one read.
+            let short = spans.iter().position(|s| s.offset + s.len > cut).unwrap();
+            assert_eq!(file.log().len(), short + 1);
+
+            let file = test_file(&env, Some(3), None);
+            let (_, failed) = consume_all(&plan_over(&env, &specs, &file, in_order), ahead);
+            let (table, error) = failed.unwrap();
+            assert!(matches!(error, Error::Io(_)), "{error:?}");
+            assert_eq!(table, spans[2].table);
+            assert_eq!(file.log().len(), 3, "a span past the failed one was read");
+        }
 
         // One large table: the same two faults in the middle of its data.
-        // Which read that is comes from a clean pass, not from a count of
-        // the reads an open makes.
         let (env, specs) = build(1, 5000);
-        let cut = specs[0].size / 2;
-        let mut short = reader(&env, &specs, test_file(&env, None, Some(cut)));
-        assert!(sequential(&mut short).unwrap_err().is_corruption());
-        let clean = test_file(&env, None, None);
-        sequential(&mut reader(&env, &specs, Arc::clone(&clean))).unwrap();
-        let tail_start = specs[0].size - specs[0].tail_bytes;
-        let data_reads: Vec<usize> = (clean.log.lock().iter().enumerate())
-            .filter(|(_, read)| read.0 < tail_start)
-            .map(|(i, _)| i + 1)
-            .collect();
-        assert!(data_reads.len() >= 3, "{data_reads:?}");
-        let middle = data_reads[data_reads.len() / 2];
-        let mut failing = reader(&env, &specs, test_file(&env, Some(middle), None));
-        assert!(matches!(sequential(&mut failing), Err(Error::Io(_))));
+        let windows = super::spans(&specs).len();
+        assert!(windows >= 4, "{windows}");
+        for ahead in [false, true] {
+            let file = test_file(&env, None, Some(specs[0].size / 2));
+            let short = plan_over(&env, &specs, &file, in_order);
+            assert!(read(&short, ahead).unwrap_err().is_corruption());
+            let file = test_file(&env, Some(windows / 2 + 1), None);
+            let failing = plan_over(&env, &specs, &file, in_order);
+            assert!(matches!(read(&failing, ahead), Err(Error::Io(_))));
+            assert_eq!(file.log().len(), windows / 2 + 1);
+        }
 
         // A read the tables' own extents cannot explain goes to the file.
         let file = test_file(&env, None, None);
-        let reader = reader(&env, &specs, Arc::clone(&file));
-        let (_, span) = reader.current.as_ref().unwrap();
+        let plan = plan_over(&env, &specs, &file, in_order);
+        let mut reader = plan.reader(0);
+        reader.open(0).unwrap();
+        let span = reader.current.as_ref().unwrap();
         assert!(span.read(u64::MAX, 16).is_err());
         assert_eq!(span.read(specs[0].size - 4, 16).unwrap().len(), 4);
+    }
+
+    /// A consumer that goes away in the middle of the plan — the reader
+    /// thread blocked on a full buffer at that moment — does not hang the
+    /// scope that joins the thread.
+    #[test]
+    fn a_consumer_dropped_mid_plan_releases_the_reader_thread() {
+        let (env, specs) = build(160, 120);
+        let file = test_file(&env, None, None);
+        let plan = plan_over(&env, &specs, &file, in_order);
+        let started = Instant::now();
+        let taken = plan.run_ahead(0, || {
+            let mut reader = plan.reader(0);
+            let mut out = Vec::new();
+            drain(&reader.open(0).unwrap(), &mut out).unwrap();
+            // The reader is as far ahead as it may go, waiting for room.
+            while plan.buffer.lock().buffered + SEQ_READ_WINDOW <= SEQ_READAHEAD_BYTES
+                && started.elapsed().as_secs() < 30
+            {
+                std::thread::yield_now();
+            }
+            out.len()
+        });
+        assert_eq!(taken, 120);
+        assert!(started.elapsed().as_secs() < 30, "the reader thread hung");
+        assert!(plan.buffer.lock().closed);
+        let read = file.log().len();
+        assert!(
+            read < spans(&specs).len(),
+            "nothing was left unread: {read}"
+        );
     }
 }

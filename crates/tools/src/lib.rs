@@ -127,10 +127,23 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
     if s.compaction_read_ops > 0 {
         writeln!(
             out,
-            "  compaction reads {} ({} bytes, {} per read)",
+            "  compaction reads {} ({} bytes, {} per read) | spans {} read ahead, {} on demand | blocked {} ms",
             s.compaction_read_ops,
             s.compaction_read_bytes,
-            s.compaction_read_bytes / s.compaction_read_ops
+            s.compaction_read_bytes / s.compaction_read_ops,
+            s.compaction_readahead_spans,
+            s.compaction_demand_spans,
+            s.compaction_read_wait_nanos / 1_000_000
+        )
+        .expect("write");
+    }
+    if s.compaction_victim_bytes > 0 {
+        writeln!(
+            out,
+            "  compaction inputs: {} B moved + {} B overlap ({:.2} overlap B per moved B)",
+            s.compaction_victim_bytes,
+            s.compaction_overlap_bytes,
+            s.compaction_overlap_bytes as f64 / s.compaction_victim_bytes as f64
         )
         .expect("write");
     }
@@ -209,6 +222,46 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
     out
 }
 
+/// What the compactions in `events` moved and what that dragged along, per
+/// source level: one line per level with a `compaction_begin`, none without.
+fn render_compaction_ledger(events: &[bolt_core::TraceEvent]) -> String {
+    // Per source level: compactions, victim bytes, overlap bytes.
+    let mut levels = std::collections::BTreeMap::<u32, (u64, u64, u64)>::new();
+    for event in events {
+        if let bolt_core::EngineEvent::CompactionBegin {
+            level,
+            victim_bytes,
+            overlap_bytes,
+            ..
+        } = event.event
+        {
+            let (count, victims, overlap) = levels.entry(level).or_default();
+            (*count, *victims, *overlap) = (
+                *count + 1,
+                *victims + victim_bytes,
+                *overlap + overlap_bytes,
+            );
+        }
+    }
+    let mut out = String::new();
+    if !levels.is_empty() {
+        writeln!(
+            out,
+            "compaction inputs by source level (from the event trace):"
+        )
+        .expect("write");
+    }
+    for (level, (count, victims, overlap)) in levels {
+        writeln!(
+            out,
+            "  L{level}: {count:>4} compactions  {victims:>12} B moved  {overlap:>12} B overlap  {:.2} overlap B per moved B",
+            overlap as f64 / victims.max(1) as f64
+        )
+        .expect("write");
+    }
+    out
+}
+
 /// Open the database, open each of its live tables once, and render its
 /// merged [`MetricsSnapshot`] in the requested format. All three formats
 /// serialize the **same** snapshot.
@@ -226,9 +279,12 @@ pub fn stat(env: &Arc<dyn Env>, db: &str, opts: Options, format: StatFormat) -> 
         table.open(db.table_cache(), db.name())?;
     }
     let metrics = db.metrics();
+    // The compactions this process ran (recovery can leave the tree over a
+    // trigger): the ring holds the last 4 096 events.
+    let events = db.events();
     db.close()?;
     Ok(match format {
-        StatFormat::Text => render_metrics_text(&metrics),
+        StatFormat::Text => render_metrics_text(&metrics) + &render_compaction_ledger(&events),
         StatFormat::Json => {
             let mut s = metrics.to_json();
             s.push('\n');
@@ -385,6 +441,7 @@ pub fn trace(json_lines: bool) -> Result<String> {
             metrics.barriers_per_compaction()
         )
         .expect("write");
+        out.push_str(&render_compaction_ledger(&events));
     }
     Ok(out)
 }

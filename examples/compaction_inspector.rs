@@ -99,6 +99,15 @@ fn main() -> bolt::Result<()> {
         metrics.barriers_per_compaction()
     );
     println!(
+        "compaction inputs: {} KB moved + {} KB overlap; {} reads, {} spans read ahead, {} on demand, blocked {} ms",
+        metrics.db.compaction_victim_bytes / 1024,
+        metrics.db.compaction_overlap_bytes / 1024,
+        metrics.db.compaction_read_ops,
+        metrics.db.compaction_readahead_spans,
+        metrics.db.compaction_demand_spans,
+        metrics.db.compaction_read_wait_nanos / 1_000_000
+    );
+    println!(
         "write pipeline: {} batches in {} commit groups ({:.2} batches/group)",
         metrics.db.group_batches,
         metrics.db.write_groups,
