@@ -2,8 +2,8 @@
 //! bloom filter, block builder/reader, CRC32C, WAL append, memtable, the
 //! zipfian generator, a run's tables drained span by span vs block by
 //! block, a table open with and without its recorded tail length, iterator
-//! creation over a small and a large tree, and one merge step at 2, 3 and 8
-//! children.
+//! creation over a small and a large tree, one compaction pick out of a small
+//! and a large level, and one merge step at 2, 3 and 8 children.
 //!
 //! Run: `cargo bench -p bolt-bench --bench micro_components`
 
@@ -341,6 +341,71 @@ fn bench_iterator_create(c: &mut Criterion) {
     );
 }
 
+/// One pick out of a single sorted run of 64 and of 2,048 tables, each over
+/// six and a quarter tables of the level below: pure metadata, no I/O. The
+/// background thread picks with `core.state` held — the mutex every commit
+/// takes — so a pick that scans the level below once per table (the 2,048
+/// rung cost a thousand times the 64 one) shuts writers out for
+/// milliseconds. Outside `--test` the bench fails if the cost grows faster
+/// than n log n.
+fn bench_pick_single_run(c: &mut Criterion) {
+    use bolt_core::compaction::pick_compaction;
+    use bolt_core::version::{TableMeta, Version, VersionBuilder, VersionEdit};
+    use bolt_core::Options;
+    use bolt_table::ikey::{make_internal_key, ValueType};
+    use bolt_table::InternalKeyComparator;
+
+    const TABLE_BYTES: u64 = 16 << 10;
+    let meta = |id: u64, first: u64, last: u64| {
+        let key = |k: u64, seq| {
+            make_internal_key(format!("user{k:016}").as_bytes(), seq, ValueType::Value)
+        };
+        TableMeta::new(id, id, 0, TABLE_BYTES, 50, key(first, 100), key(last, 1))
+    };
+    let mut group = c.benchmark_group("compaction/pick_single_run");
+    let mut ns_per_pick = Vec::new();
+    for tables in [64u64, 2048] {
+        // Level 1 at twice its target; the group cap (1 MiB) is 64 tables.
+        let mut opts = Options::bolt().scaled(1.0 / 64.0);
+        opts.level1_max_bytes = tables * TABLE_BYTES / 2;
+        let mut edit = VersionEdit::default();
+        for i in 0..tables {
+            let level1 = meta(i + 1, i * 100, i * 100 + 99);
+            edit.added_tables.push((1, 0, level1));
+        }
+        for j in 0..tables * 100 / 16 {
+            let level2 = meta(tables + j + 1, j * 16, j * 16 + 15);
+            edit.added_tables.push((2, 0, level2));
+        }
+        let icmp = InternalKeyComparator::default();
+        let mut builder = VersionBuilder::new(icmp.clone(), Arc::new(Version::empty(7)));
+        builder.set_single_run_from(1);
+        builder.apply(&edit);
+        let version = builder.build().unwrap();
+        let task = pick_compaction(&opts, &icmp, &version, None).unwrap();
+        assert_eq!(task.level, 1);
+        assert!((48..=64).contains(&task.victims().count()) && !task.next_inputs.is_empty());
+        let mut ns = 0.0;
+        group.bench_function(format!("{tables}_tables"), |b| {
+            b.iter_custom(|iters| {
+                let start = std::time::Instant::now();
+                for _ in 0..iters {
+                    black_box(pick_compaction(&opts, &icmp, &version, None));
+                }
+                ns = start.elapsed().as_nanos() as f64 / iters as f64;
+                start.elapsed()
+            })
+        });
+        ns_per_pick.push(ns);
+    }
+    group.finish();
+    let smoke = std::env::args().any(|a| a == "--test");
+    assert!(
+        smoke || ns_per_pick[1] <= 64.0 * ns_per_pick[0],
+        "a pick grows faster than n log n: {ns_per_pick:?} ns"
+    );
+}
+
 /// One `MergingIter::next` over k memtables holding every k-th key: the
 /// tournament's k = 8 must stay near k = 2, and k = 2 and 3 — where scans
 /// and gets live — must not pay for it.
@@ -442,6 +507,7 @@ criterion_group!(
     bench_seq_vs_block,
     bench_table_open,
     bench_iterator_create,
+    bench_pick_single_run,
     bench_merge_next,
     bench_write_pipeline
 );

@@ -265,8 +265,8 @@ pub fn manual_task(
     Some(task)
 }
 
-/// The tables at `level` that any of `victims` overlaps: each once, in key
-/// order.
+/// The tables of the single sorted run at `level` that any of `victims`
+/// overlaps: each once, in key order.
 fn overlaps_at<'a>(
     icmp: &InternalKeyComparator,
     version: &Version,
@@ -275,37 +275,25 @@ fn overlaps_at<'a>(
 ) -> Vec<Arc<TableMeta>> {
     let mut found: Vec<Arc<TableMeta>> = Vec::new();
     for victim in victims {
-        for table in version.overlapping_tables(
-            icmp,
-            level,
-            victim.smallest_user_key(),
-            victim.largest_user_key(),
-        ) {
-            if !found.iter().any(|t| t.table_id == table.table_id) {
-                found.push(table);
-            }
-        }
+        let (begin, end) = (victim.smallest_user_key(), victim.largest_user_key());
+        found.extend(version.overlapping(icmp, level, begin, end).cloned());
     }
+    // Two victims may overlap one table; sorted, its copies are adjacent.
     found.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
+    found.dedup_by_key(|t| t.table_id);
     found
 }
 
+/// Bytes at `level` that `table`'s user-key range overlaps.
 fn overlap_bytes(
     icmp: &InternalKeyComparator,
     version: &Version,
     level: usize,
     table: &TableMeta,
 ) -> u64 {
-    version
-        .overlapping_tables(
-            icmp,
-            level,
-            table.smallest_user_key(),
-            table.largest_user_key(),
-        )
-        .iter()
-        .map(|t| t.size)
-        .sum()
+    let (begin, end) = (table.smallest_user_key(), table.largest_user_key());
+    let overlapping = version.overlapping(icmp, level, begin, end);
+    overlapping.map(|t| t.size).sum()
 }
 
 /// The task that pays down the debt of `level` (one that scores `>= 1.0`).
@@ -381,9 +369,32 @@ fn level0_overlaps(icmp: &InternalKeyComparator, version: &Version) -> Vec<Arc<T
     }
 }
 
+/// The smallest BoLT group, in targets of its level (`.0 / .1`).
+///
+/// With no floor a level a little over its target gives up that little in
+/// a two-barrier compaction and stays populated: after `benchmark/`'s
+/// preload level 1 holds 150 KiB for good, a fourth level under every read
+/// (`read_cold` −9 %). At 1× what four flushed memtables leave in an empty
+/// level 1 (1.4 targets there) goes in two compactions, not one (preload
+/// `write_amp` +0.5 %, `setup_s` +2 … +9 %). From 3× up nothing is gained
+/// at all: under load level 1 is picked at 2.9 targets on average, the
+/// floor swallows it whole, and a whole-level group drags all of the next
+/// level along (`fill_random` `write_amp` 14.1, against 12.1–12.2 for every
+/// floor below). 1.5× and 2× measure alike, preloaded trees included; 1.5
+/// is the one further from the cliff (EXPERIMENTS.md, *Methodology*). Only
+/// level 1 can tell them apart: a deeper level's floor already exceeds the
+/// cap.
+const GROUP_FLOOR: (u64, u64) = (3, 2);
+
 /// Victims out of the single sorted run at `level`, merged into the single
 /// run below: round-robin from the compact pointer, a group of them under
-/// BoLT (§3.3), the least-overlapping ones with settled compaction (§3.4).
+/// BoLT (§3.3), the ones that drag the least of the next level along per
+/// byte moved with settled compaction (§3.4).
+///
+/// A BoLT group moves what the level owes, not the level: its byte budget
+/// is the level's debt (bytes over [`Options::max_bytes_for_level`]), no
+/// less than `GROUP_FLOOR` targets and no more than
+/// `group_compaction_bytes`. Every other style takes one victim.
 fn pick_from_single_run(
     opts: &Options,
     icmp: &InternalKeyComparator,
@@ -395,50 +406,53 @@ fn pick_from_single_run(
     debug_assert!(!tables.is_empty());
 
     let bolt = opts.bolt_options();
-    let group_budget = bolt.map(|b| b.group_compaction_bytes).unwrap_or(0); // non-BoLT: single victim
-    let settled = bolt.map(|b| b.settled_compaction).unwrap_or(false);
+    let cap = bolt.map_or(0, |b| b.group_compaction_bytes); // non-BoLT: single victim
+    let settled = bolt.is_some_and(|b| b.settled_compaction);
+    let level_bytes = run.size();
+    let target = opts.max_bytes_for_level(level);
+    let debt = level_bytes.saturating_sub(target);
+    let floor = target.saturating_mul(GROUP_FLOOR.0) / GROUP_FLOOR.1;
+    let budget = debt.max(floor).min(cap);
+    let one_table = opts.output_table_bytes();
 
-    let mut victims: Vec<Arc<TableMeta>> = Vec::new();
-    if settled {
-        // Settled compaction: pick the N least-overlapping victims
-        // anywhere in the level (§3.4) until the group budget is covered.
-        let mut scored: Vec<(u64, usize)> = tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (overlap_bytes(icmp, version, level + 1, t), i))
-            .collect();
-        scored.sort();
+    // Victims in the order offered, each with the next-level bytes it
+    // overlaps, until the budget is covered — and on to the cap rather
+    // than leave less than one output table behind: under ratio order a
+    // runt comes last, and alone in its level it is one more run for every
+    // read to probe.
+    let gather = |offered: &mut dyn Iterator<Item = (u64, usize)>| {
+        let mut taken = Vec::new();
         let mut total = 0u64;
-        for (_, idx) in scored {
-            victims.push(Arc::clone(&tables[idx]));
+        for (overlap, idx) in offered {
+            taken.push((overlap, idx));
             total += tables[idx].size;
-            if total >= group_budget {
+            if total >= cap || (total >= budget && level_bytes - total >= one_table) {
                 break;
             }
         }
-        victims.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
+        taken
+    };
+    let scored = |idx: usize| (overlap_bytes(icmp, version, level + 1, &tables[idx]), idx);
+    let mut victims = if settled {
+        // Settled compaction: the victims anywhere in the level with the
+        // lowest overlap *ratio* — next-level bytes rewritten per byte
+        // moved (§3.4; "least overlapping parent", arXiv 2202.04522) —
+        // zero-overlap tables first.
+        let mut all: Vec<(u64, usize)> = (0..tables.len()).map(scored).collect();
+        // a's ratio < b's  <=>  a's overlap × b's size < b's overlap × a's size.
+        let cross = |a: &(u64, usize), b: &(u64, usize)| {
+            u128::from(a.0) * u128::from(tables[b.1].size.max(1))
+        };
+        all.sort_by(|a, b| cross(a, b).cmp(&cross(b, a)).then(a.1.cmp(&b.1)));
+        gather(&mut all.into_iter())
     } else {
         // Round-robin start after the compact pointer.
-        let start = match version.compact_pointer(level) {
-            Some(ptr) => {
-                let idx = tables.partition_point(|t| icmp.compare(&t.largest, ptr).is_le());
-                if idx >= tables.len() {
-                    0
-                } else {
-                    idx
-                }
-            }
-            None => 0,
-        };
-        let mut total = 0u64;
-        for table in &tables[start..] {
-            victims.push(Arc::clone(table));
-            total += table.size;
-            if total >= group_budget || group_budget == 0 {
-                break;
-            }
-        }
-    }
+        let after = |ptr| tables.partition_point(|t| icmp.compare(&t.largest, ptr).is_le());
+        let start = version.compact_pointer(level).map_or(0, after);
+        let start = if start >= tables.len() { 0 } else { start };
+        gather(&mut (start..tables.len()).map(scored))
+    };
+    victims.sort_unstable_by_key(|&(_, idx)| idx);
 
     // Partition victims into moves (no next-level overlap) and merge
     // victims. Zero-overlap victims are never rewritten: for settled
@@ -447,13 +461,13 @@ fn pick_from_single_run(
     // opportunistic trivial move.
     let mut settled_moves = Vec::new();
     let mut merge_victims = Vec::new();
-    for victim in victims {
-        let overlap = overlap_bytes(icmp, version, level + 1, &victim);
-        if overlap == 0 {
-            settled_moves.push(victim);
+    for (overlap, idx) in victims {
+        let side = if overlap == 0 {
+            &mut settled_moves
         } else {
-            merge_victims.push(victim);
-        }
+            &mut merge_victims
+        };
+        side.push(Arc::clone(&tables[idx]));
     }
 
     CompactionTask {
@@ -912,20 +926,53 @@ mod tests {
         assert!(task.is_move_only());
     }
 
+    /// BoLT options at table scale: a 1000-byte level 1, 100-byte logical
+    /// SSTables, group compactions capped at `cap` bytes.
+    fn group_opts(cap: u64, settled: bool) -> Options {
+        let mut opts = Options::bolt();
+        opts.level1_max_bytes = 1000;
+        if let CompactionStyle::Bolt(b) = &mut opts.compaction_style {
+            b.logical_sstable_bytes = 100;
+            b.group_compaction_bytes = cap;
+            b.settled_compaction = settled;
+        }
+        opts.validate().unwrap();
+        opts
+    }
+
+    /// Level 1 as tables `1..` of the given sizes over `k01a..k01z`,
+    /// `k02a..k02z`, …; under the `i`-th of them a level-2 table `100 + i`
+    /// of `below[i]` bytes (none for 0) over the same keys.
+    fn group_version(sizes: &[u64], below: &[u64]) -> Version {
+        let mut tables = Vec::new();
+        for (i, &size) in sizes.iter().enumerate() {
+            let id = i as u64 + 1;
+            let (lo, hi) = (format!("k{id:02}a"), format!("k{id:02}z"));
+            tables.push((1, 0, meta(id, &lo, &hi, size)));
+            if let Some(&under) = below.get(i).filter(|&&b| b > 0) {
+                tables.push((2, 0, meta(100 + id, &lo, &hi, under)));
+            }
+        }
+        version_with(&tables)
+    }
+
+    /// The ids a pick takes out of its level: merge victims and moves.
+    fn taken(opts: &Options, v: &Version) -> Vec<u64> {
+        let task = pick_compaction(opts, &icmp(), v, None).unwrap();
+        assert_eq!((task.level, task.output), (1, OutputShape::Leveled));
+        let tables = task.victims().chain(task.settled_moves.iter());
+        let mut ids: Vec<u64> = tables.map(|t| t.table_id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     fn group_compaction_gathers_victims_to_budget() {
-        let mut opts = Options::bolt();
+        // A 1-byte target: the debt (399) exceeds the cap, and the cap is
+        // what goes.
+        let mut opts = group_opts(250, false);
         opts.level1_max_bytes = 1;
-        if let CompactionStyle::Bolt(b) = &mut opts.compaction_style {
-            b.group_compaction_bytes = 250;
-            b.settled_compaction = false;
-        }
-        let v = version_with(&[
-            (1, 0, meta(1, "a", "b", 100)),
-            (1, 0, meta(2, "c", "d", 100)),
-            (1, 0, meta(3, "e", "f", 100)),
-            (1, 0, meta(4, "g", "h", 100)),
-        ]);
+        let v = group_version(&[100; 4], &[]);
         let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         let victims = task.input_runs[0].len() + task.settled_moves.len();
         assert_eq!(victims, 3, "100+100+100 >= 250 budget -> 3 victims");
@@ -935,11 +982,8 @@ mod tests {
 
     #[test]
     fn settled_compaction_prefers_low_overlap_victims() {
-        let mut opts = Options::bolt();
+        let mut opts = group_opts(200, true);
         opts.level1_max_bytes = 1;
-        if let CompactionStyle::Bolt(b) = &mut opts.compaction_style {
-            b.group_compaction_bytes = 200;
-        }
         let v = version_with(&[
             (1, 0, meta(1, "a", "c", 100)), // overlaps big L2 table
             (1, 0, meta(2, "h", "i", 100)), // no overlap
@@ -951,6 +995,76 @@ mod tests {
         assert_eq!(moved, vec![2, 3], "zero-overlap victims settle");
         assert!(task.input_runs[0].is_empty(), "no rewrite needed");
         assert!(task.is_move_only());
+    }
+
+    /// A BoLT group is the level's debt, no less than 1.5 level targets and
+    /// no more than `group_compaction_bytes` — and never all but a runt.
+    #[test]
+    fn a_group_moves_what_the_level_owes() {
+        const NO_CAP: u64 = 1 << 20;
+        let all = |n: u64| (1..=n).collect::<Vec<u64>>();
+
+        // Three targets: the debt (two) goes, lowest overlap ratio first —
+        // table 3 overlaps nothing, 1, 6 and 4 little — and the two tables
+        // that would drag the most of level 2 along per byte stay.
+        let below = [100, 600, 0, 300, 900, 200];
+        let v = group_version(&[500; 6], &below);
+        assert_eq!(taken(&group_opts(NO_CAP, true), &v), [1, 3, 4, 6]);
+
+        // Ratio beats bytes: tables 1 and 2 overlap the same 1000 bytes,
+        // and the cap has room for one. The large one moves nine times the
+        // bytes for them (ascending overlap *bytes* would take 1, then 2).
+        let v = version_with(&[
+            (1, 0, meta(1, "a", "c", 100)),
+            (1, 0, meta(2, "d", "f", 900)),
+            (2, 0, meta(3, "a", "f", 1000)),
+        ]);
+        assert_eq!(taken(&group_opts(900, true), &v), [2]);
+
+        // The floor: a level 1 % over its target goes whole, not 10 bytes
+        // of it; a level at two targets gives up one and a half, not one.
+        let v = group_version(&[101; 10], &[]);
+        assert_eq!(taken(&group_opts(NO_CAP, true), &v), all(10));
+        let v = group_version(&[100; 20], &[]);
+        assert_eq!(taken(&group_opts(NO_CAP, true), &v), all(15));
+
+        // The cap: three targets over, 1200 bytes allowed.
+        let v = group_version(&[100; 40], &[]);
+        assert_eq!(taken(&group_opts(1200, true), &v), all(12));
+
+        // Exactly at its target a level scores 1.0 and owes nothing: the
+        // scheduler would spin if the picker agreed.
+        let v = group_version(&[100; 10], &[]);
+        let opts = group_opts(NO_CAP, true);
+        assert!(needs_compaction(&opts, &v));
+        assert_eq!(taken(&opts, &v), all(10));
+
+        // The remainder: under ratio order a runt comes last (50 bytes
+        // over a 100-byte table: ratio 2), and 1500 of 1550 bytes would
+        // leave it alone in the level, one more run under every read. It
+        // goes too — unless the cap says 1500.
+        let sizes = [&[50][..], &[100; 15]].concat();
+        let v = group_version(&sizes, &[100]);
+        assert_eq!(taken(&group_opts(NO_CAP, true), &v), all(16));
+        assert_eq!(
+            taken(&group_opts(1500, true), &v),
+            (2..=16).collect::<Vec<_>>()
+        );
+
+        // `+GC` (round-robin, no settled selection) honours the same
+        // budget, from its compact pointer on: three targets, cursor after
+        // table 5, two targets' worth goes.
+        let v = Arc::new(group_version(&[100; 30], &[]));
+        let mut edit = VersionEdit::default();
+        edit.compact_pointers
+            .push((1, v.levels[1].runs[0].tables[4].largest.clone()));
+        let mut builder = VersionBuilder::new(icmp(), Arc::clone(&v));
+        builder.apply(&edit);
+        let v = builder.build().unwrap();
+        let gc = group_opts(NO_CAP, false);
+        assert_eq!(taken(&gc, &v), (6..=25).collect::<Vec<_>>());
+        // One logical SSTable as the cap is `+LS`: one victim, as ever.
+        assert_eq!(taken(&group_opts(100, false), &v), [6]);
     }
 
     #[test]
@@ -1461,9 +1575,12 @@ mod tests {
     /// The picker names the tables it named before the policies shared one
     /// implementation: every row below was printed by the three-struct
     /// picker of PR 19 and is compared as a literal. `illegal` is a version
-    /// the policy's layout refuses to build. The one deliberate difference:
-    /// a seek candidate under `fragmented` is dropped (that picker sank the
-    /// table, on a stacked level below an older run).
+    /// the policy's layout refuses to build. The deliberate differences: a
+    /// seek candidate under `fragmented` is dropped (that picker sank the
+    /// table, on a stacked level below an older run), and the rung at three
+    /// times level 1's budget is new with the debt-bounded group — no other
+    /// rung holds a level far enough over its target for BoLT's row to
+    /// differ from "all of it", so none was re-pinned.
     #[test]
     fn every_policy_picks_the_tasks_it_always_picked() {
         type Tables = Vec<(u32, u64, TableMeta)>;
@@ -1563,6 +1680,33 @@ mod tests {
                     "-",
                     "-",
                     "L1->L2 AppendRun Size v[[1, 2, 3]] n[] s[]",
+                ],
+            ),
+            (
+                // The one rung where a BoLT group is not the whole level:
+                // at three times its budget level 1 gives up the two it
+                // owes, by overlap ratio — 2 and 5 overlap nothing, 1 and 3
+                // a sixth of their size — and keeps table 4, which would
+                // drag 1.5 bytes of level 2 along per byte.
+                "L1 at three times its budget, overlap below",
+                vec![
+                    (1, 0, meta(1, "a", "c", 600)),
+                    (1, 0, meta(2, "e", "ea", 600)),
+                    (1, 0, meta(3, "i", "k", 600)),
+                    (1, 0, meta(4, "m", "o", 600)),
+                    (1, 0, meta(5, "q", "s", 600)),
+                    (2, 0, meta(6, "a", "d", 100)),
+                    (2, 0, meta(7, "f", "j", 100)),
+                    (2, 0, meta(8, "l", "p", 900)),
+                    (2, 0, meta(9, "x", "z", 100)),
+                ],
+                None,
+                [
+                    "L1->L2 Leveled Size v[[1]] n[6] s[]",
+                    "L1->L2 Leveled Size v[[1, 3]] n[6, 7] s[2, 5]",
+                    "-",
+                    "-",
+                    "L1->L2 AppendRun Size v[[1, 2, 3, 4, 5]] n[] s[]",
                 ],
             ),
             (
@@ -1693,6 +1837,11 @@ mod tests {
             opts.level1_max_bytes = 1000;
             opts.size_tiered_min_threshold = 2;
             opts.seek_compaction = true;
+            // Output tables at the scale of the ladder's: a remainder of
+            // one 600-byte table is no runt.
+            if let CompactionStyle::Bolt(b) = &mut opts.compaction_style {
+                b.logical_sstable_bytes = 100;
+            }
             opts
         };
         let policies = [

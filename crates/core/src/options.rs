@@ -25,9 +25,11 @@ use bolt_table::TableFormat;
 pub struct BoltOptions {
     /// Size of one logical SSTable (the paper: 1 MB).
     pub logical_sstable_bytes: u64,
-    /// Group-compaction byte budget: victims are gathered until their total
-    /// size reaches this. Setting it equal to `logical_sstable_bytes`
-    /// disables grouping (the `+LS` configuration).
+    /// The cap on one group compaction. A group moves what its level owes
+    /// — the bytes over [`Options::max_bytes_for_level`], no less than one
+    /// and a half such targets — and never more than this. Setting it equal
+    /// to `logical_sstable_bytes` disables grouping (the `+LS`
+    /// configuration).
     pub group_compaction_bytes: u64,
     /// Settled compaction: promote zero-overlap victims by a MANIFEST-only
     /// level change instead of rewriting them.

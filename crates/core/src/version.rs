@@ -220,6 +220,22 @@ impl Run {
             Some(table)
         }
     }
+
+    /// The tables overlapping the user-key range `[begin, end]`: a slice of
+    /// the sorted run, found by binary search.
+    pub fn overlapping(
+        &self,
+        icmp: &InternalKeyComparator,
+        begin: &[u8],
+        end: &[u8],
+    ) -> &[Arc<TableMeta>] {
+        let ucmp = icmp.user_comparator();
+        let ends_before = |t: &Arc<TableMeta>| ucmp.compare(t.largest_user_key(), begin).is_lt();
+        let first = self.tables.partition_point(ends_before);
+        let starts_by = |t: &Arc<TableMeta>| ucmp.compare(t.smallest_user_key(), end).is_le();
+        let len = self.tables[first..].partition_point(starts_by);
+        &self.tables[first..first + len]
+    }
 }
 
 /// One level of the tree.
@@ -326,7 +342,21 @@ impl Version {
         })
     }
 
-    /// Tables in `level` overlapping the user-key range `[begin, end]`.
+    /// Tables in `level` overlapping the user-key range `[begin, end]`,
+    /// newest run first and in key order within a run: one binary-searched
+    /// slice per run.
+    pub fn overlapping<'a>(
+        &'a self,
+        icmp: &'a InternalKeyComparator,
+        level: usize,
+        begin: &'a [u8],
+        end: &'a [u8],
+    ) -> impl Iterator<Item = &'a Arc<TableMeta>> {
+        let runs = self.levels[level].runs.iter();
+        runs.flat_map(move |run| run.overlapping(icmp, begin, end))
+    }
+
+    /// [`Version::overlapping`], collected.
     pub fn overlapping_tables(
         &self,
         icmp: &InternalKeyComparator,
@@ -334,11 +364,7 @@ impl Version {
         begin: &[u8],
         end: &[u8],
     ) -> Vec<Arc<TableMeta>> {
-        self.levels[level]
-            .tables()
-            .filter(|t| t.overlaps(icmp, begin, end))
-            .cloned()
-            .collect()
+        self.overlapping(icmp, level, begin, end).cloned().collect()
     }
 
     /// Point lookup through the levels, newest first.
@@ -1095,6 +1121,37 @@ mod tests {
         ids.sort();
         assert_eq!(ids, vec![1, 2]);
         assert!(v.overlapping_tables(&icmp(), 0, b"k", b"o").is_empty());
+    }
+
+    /// The binary search names the tables the linear filter names, ends
+    /// inclusive, for every range over a run with gaps.
+    #[test]
+    fn a_runs_overlapping_slice_is_what_a_scan_of_it_finds() {
+        let mut edit = VersionEdit::default();
+        for (id, (lo, hi)) in [(b"b", b"d"), (b"e", b"e"), (b"h", b"k"), (b"m", b"p")]
+            .into_iter()
+            .enumerate()
+        {
+            edit.added_tables.push((1, 0, meta(id as u64 + 1, lo, hi)));
+        }
+        let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+        builder.apply(&edit);
+        let v = builder.build().unwrap();
+        let run = &v.levels[1].runs[0];
+        let keys: Vec<[u8; 1]> = (b'a'..=b'q').map(|k| [k]).collect();
+        for (i, begin) in keys.iter().enumerate() {
+            for end in &keys[i..] {
+                let scanned = run
+                    .tables
+                    .iter()
+                    .filter(|t| t.overlaps(&icmp(), begin, end));
+                let scanned: Vec<u64> = scanned.map(|t| t.table_id).collect();
+                let found: Vec<u64> = (run.overlapping(&icmp(), begin, end).iter())
+                    .map(|t| t.table_id)
+                    .collect();
+                assert_eq!(found, scanned, "{begin:?}..={end:?}");
+            }
+        }
     }
 
     #[test]
