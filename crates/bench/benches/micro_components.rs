@@ -343,7 +343,7 @@ fn bench_iterator_create(c: &mut Criterion) {
 
 /// One pick out of a single sorted run of 64 and of 2,048 tables, each over
 /// six and a quarter tables of the level below: pure metadata, no I/O. The
-/// background thread picks with `core.state` held — the mutex every commit
+/// compaction thread picks with `core.state` held — the mutex every commit
 /// takes — so a pick that scans the level below once per table (the 2,048
 /// rung cost a thousand times the 64 one) shuts writers out for
 /// milliseconds. Outside `--test` the bench fails if the cost grows faster

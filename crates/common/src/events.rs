@@ -163,7 +163,7 @@ impl Drop for BarrierScope {
 /// One structured engine event. Every variant that describes a multi-event
 /// operation carries a monotonic `id` so a consumer can window the stream
 /// (e.g. count the barriers between a compaction's begin and end even when a
-/// flush preempts it on the same background thread).
+/// flush on the other background thread commits inside that window).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineEvent {
     /// A memtable flush started.

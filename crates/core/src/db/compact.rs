@@ -13,11 +13,14 @@
 //! keeps are decided in [`crate::compaction`] ([`CompactionTask`],
 //! [`DropRule`]); this module writes ([`OutputSink`]) and commits
 //! ([`DbInner::commit`], which a flush shares). It owns no
-//! [`super::DbState`] field: it reads `snapshots` for the drop horizon and
-//! runs on the background thread.
+//! [`super::DbState`] field: it reads `snapshots` for the drop horizon. A
+//! compaction runs on the compaction thread, and no flush is reachable from
+//! inside one: the flush thread's commits interleave with this module's
+//! only at [`DbInner::commit`].
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::Result;
@@ -37,6 +40,7 @@ use crate::vlog::ValuePointer;
 impl DbInner {
     /// Execute `task`, which was picked from `version`.
     pub(super) fn run_compaction(&self, task: CompactionTask, version: &Version) -> Result<()> {
+        let started = Instant::now();
         let compaction_id = self.compaction_ids.fetch_add(1, Ordering::Relaxed);
         let settled = task.settled_moves.len() as u64;
         // What the task was picked to move, and what moving it drags along.
@@ -115,6 +119,8 @@ impl DbInner {
         self.stats.record_compaction_victim(victim_bytes);
         self.stats.record_compaction_overlap(overlap_bytes);
         self.stats.record_compaction_output(output_bytes);
+        self.stats
+            .record_compaction_busy_nanos(started.elapsed().as_nanos() as u64);
         self.sink.emit(EngineEvent::CompactionEnd {
             id: compaction_id,
             outputs: output_tables,
@@ -151,7 +157,8 @@ impl DbInner {
         let target = self.opts.output_table_bytes();
         let mut sink = OutputSink::new(self, self.opts.bolt_options().is_some(), target);
         // Every data barrier the rewrite pays is attributed to this
-        // compaction (a preempted flush re-tags its own barriers).
+        // compaction (the scope is this thread's: a flush running beside
+        // it tags its own).
         let _scope = BarrierScope::new(BarrierCause::CompactionData);
         // Inputs are read once, front to back: in large spans, past the
         // caches foreground reads are served from, by a reader that runs
@@ -446,11 +453,6 @@ impl<'a> OutputSink<'a> {
     ) -> Result<()> {
         while iter.valid() {
             self.ensure_file()?;
-            // Flush preemption point: between output tables. Only a
-            // compaction preempts for flushes; a flush must not recurse.
-            if rule.is_some() {
-                self.inner.maybe_flush_pending_imm()?;
-            }
             // ensure_file() above either populated `self.file` or returned the
             // error. bolt-lint: allow(unwrap-in-crash-path)
             let (file_number, file) = self.file.as_mut().expect("file open");
@@ -665,25 +667,6 @@ mod tests {
         assert_eq!(stats.compaction_read_bytes, stats.compaction_input_bytes);
         assert_eq!(db.get(b"key00123").unwrap(), Some(newer()));
         db.close().unwrap();
-    }
-
-    /// Options under which nothing compacts unless the test says so, and a
-    /// flush is as large as the test makes it.
-    fn manual_opts() -> Options {
-        let mut opts = small_opts(Options::bolt());
-        opts.memtable_bytes = 8 << 20;
-        opts.level0_compaction_trigger = 64;
-        (opts.level0_slowdown_trigger, opts.level0_stop_trigger) = (None, None);
-        opts.level1_max_bytes = 1 << 30;
-        opts
-    }
-
-    /// One flushed run: `value` under each of `keys`.
-    fn flush_run(db: &Db, keys: impl Iterator<Item = u32>, value: &[u8]) {
-        for i in keys {
-            db.put(format!("key{i:05}").as_bytes(), value).unwrap();
-        }
-        db.flush().unwrap();
     }
 
     /// Push the whole of `level` down one level, on this thread.

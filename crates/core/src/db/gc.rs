@@ -330,6 +330,57 @@ mod tests {
         db.close().unwrap();
     }
 
+    type Rows = std::collections::BTreeMap<Vec<u8>, Vec<u8>>;
+
+    fn scan(db: &Db, snapshot: Option<&crate::Snapshot>) -> Rows {
+        let opts = crate::ReadOptions::new();
+        let opts = match snapshot {
+            Some(snapshot) => opts.with_snapshot(snapshot),
+            None => opts,
+        };
+        let mut iter = db.iter_opt(&opts).unwrap();
+        iter.seek_to_first().unwrap();
+        let mut rows = Rows::new();
+        while iter.valid() {
+            rows.insert(iter.key().to_vec(), iter.value().to_vec());
+            iter.next().unwrap();
+        }
+        rows
+    }
+
+    /// Overwrites of separated and inline values, a flush per round:
+    /// compaction leaves dead tables in shared files and dead ranges in live
+    /// segments.
+    fn load(db: &Db, model: &mut Rows, rounds: std::ops::Range<u32>) {
+        for round in rounds {
+            for i in (0..48u32).filter(|i| (i + round) % 3 != 0) {
+                let (key, small) = (format!("big{i:03}"), format!("small{i:03}"));
+                db.put(key.as_bytes(), &big(i + round)).unwrap();
+                db.put(small.as_bytes(), &[b'0' + round as u8; 40]).unwrap();
+                model.insert(key.into_bytes(), big(i + round));
+                model.insert(small.into_bytes(), vec![b'0' + round as u8; 40]);
+            }
+            db.flush().unwrap();
+        }
+    }
+
+    /// Load `rounds`, compact everything under a reader that keeps the
+    /// merged-away tables alive, and take the reclaim decision the commits
+    /// could not: a batch, out of the ledger, not yet executed.
+    fn undecided_garbage(
+        db: &Db,
+        model: &mut Rows,
+        rounds: std::ops::Range<u32>,
+    ) -> crate::versions::ReclaimBatch {
+        load(db, model, rounds);
+        let reader = db.iter().unwrap();
+        db.compact_range(b"", b"zzzz").unwrap();
+        drop(reader);
+        let batch = (db.inner.versions.lock()).collect_garbage(&db.inner.table_cache);
+        assert!(!batch.is_empty(), "nothing was left to reclaim");
+        batch
+    }
+
     /// The reclaim pass decides under `core.versions` and executes after it.
     /// A checkpoint that pins, links and commits inside that gap holds a
     /// version in which every batched byte is already unreferenced, so the
@@ -338,49 +389,11 @@ mod tests {
     /// runs the two halves itself.
     #[test]
     fn a_checkpoint_between_reclaim_decision_and_execution_stays_intact() {
-        use std::collections::BTreeMap;
-        let scan = |db: &Db, snapshot: Option<&crate::Snapshot>| {
-            let opts = crate::ReadOptions::new();
-            let opts = match snapshot {
-                Some(snapshot) => opts.with_snapshot(snapshot),
-                None => opts,
-            };
-            let mut iter = db.iter_opt(&opts).unwrap();
-            iter.seek_to_first().unwrap();
-            let mut rows = BTreeMap::new();
-            while iter.valid() {
-                rows.insert(iter.key().to_vec(), iter.value().to_vec());
-                iter.next().unwrap();
-            }
-            rows
-        };
         let env = Arc::new(ReadFaultEnv::default());
         let opts = sep_opts(128);
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts.clone()).unwrap();
-        // Overwrites of separated and inline values: compaction leaves dead
-        // tables in shared files and dead ranges in live segments.
-        let mut model = BTreeMap::new();
-        let load = |model: &mut BTreeMap<_, _>, rounds: std::ops::Range<u32>| {
-            for round in rounds {
-                for i in (0..48u32).filter(|i| (i + round) % 3 != 0) {
-                    let (key, small) = (format!("big{i:03}"), format!("small{i:03}"));
-                    db.put(key.as_bytes(), &big(i + round)).unwrap();
-                    db.put(small.as_bytes(), &[b'0' + round as u8; 40]).unwrap();
-                    model.insert(key.into_bytes(), big(i + round));
-                    model.insert(small.into_bytes(), vec![b'0' + round as u8; 40]);
-                }
-                db.flush().unwrap();
-            }
-        };
-        load(&mut model, 0..4);
-        // A reader keeps the tables about to be merged away alive, so their
-        // reclaim is still undecided once the compactions are done.
-        let reader = db.iter().unwrap();
-        db.compact_range(b"", b"zzzz").unwrap();
-        drop(reader);
-
-        let batch = (db.inner.versions.lock()).collect_garbage(&db.inner.table_cache);
-        assert!(!batch.is_empty(), "nothing was left to reclaim");
+        let mut model = Rows::new();
+        let batch = undecided_garbage(&db, &mut model, 0..4);
         let seq = db.checkpoint("ckpt").unwrap();
         let at_checkpoint = db.snapshot();
         assert_eq!(at_checkpoint.sequence(), seq);
@@ -395,7 +408,42 @@ mod tests {
 
         // The source moves on; the checkpoint is the prefix at `seq`.
         let expected = model.clone();
-        load(&mut model, 4..6);
+        load(&db, &mut model, 4..6);
+        db.compact_range(b"", b"zzzz").unwrap();
+        assert_eq!(scan(&db, Some(&at_checkpoint)), expected);
+        assert_eq!(scan(&db, None), model);
+        let copy = Db::open(Arc::clone(&env) as Arc<dyn Env>, "ckpt", opts).unwrap();
+        assert_eq!(scan(&copy, None), expected);
+        copy.close().unwrap();
+        drop(at_checkpoint);
+        db.close().unwrap();
+    }
+
+    /// The same gap with two committers: the flush thread and the compaction
+    /// thread each decide a batch, so two are in flight at once — here one
+    /// decided before four more rounds of flushes and compactions (whose own
+    /// passes run on the engine's threads meanwhile) and one after — and a
+    /// checkpoint lands between the decisions and both executions. Each batch
+    /// owns what it took; they execute newest first, the order a batch
+    /// overtaken by the other thread's meets; what fails goes back from both.
+    #[test]
+    fn a_checkpoint_between_two_reclaim_batches_stays_intact() {
+        let env = Arc::new(ReadFaultEnv::default());
+        let opts = sep_opts(128);
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts.clone()).unwrap();
+        let mut model = Rows::new();
+        let first = undecided_garbage(&db, &mut model, 0..4);
+        let second = undecided_garbage(&db, &mut model, 4..8);
+        let seq = db.checkpoint("ckpt").unwrap();
+        let at_checkpoint = db.snapshot();
+        assert_eq!(at_checkpoint.sequence(), seq);
+        for batch in [second, first] {
+            let failed = batch.execute(env.as_ref(), "db", None);
+            db.inner.versions.lock().reclaim.hand_back(failed);
+        }
+
+        let expected = model.clone();
+        load(&db, &mut model, 8..10);
         db.compact_range(b"", b"zzzz").unwrap();
         assert_eq!(scan(&db, Some(&at_checkpoint)), expected);
         assert_eq!(scan(&db, None), model);

@@ -8,7 +8,8 @@
 //! * `write` — group commit, the 2PC phases, the write governors,
 //!   memtable switching and WAL-time value separation;
 //! * `read` — point lookups, iterators, value-pointer resolution;
-//! * `flush` — the background thread and memtable flushes;
+//! * `flush` — the two background threads (`bolt-flush`,
+//!   `bolt-compaction`; both start here, in `open`) and memtable flushes;
 //! * `compact` — the compaction executor, where the paper's mechanisms
 //!   act and nothing else lives: the table writer and the one commit a
 //!   flush and a compaction share;
@@ -76,9 +77,13 @@ struct DbState {
     /// lands in a flushed memtable.
     pending_txns: HashMap<u64, PendingTxn>,
 
-    // -- flush.rs: background-thread flags and the requests it serves --
+    // -- flush.rs: what the two background threads share (`bg_error`,
+    // `bg_jobs`) and the requests the compaction thread serves --
+    /// The first failure of a background job or a log append; never
+    /// overwritten, never cleared.
     bg_error: Option<Error>,
-    bg_busy: bool,
+    /// Background jobs in flight: a flush, a compaction, or both.
+    bg_jobs: usize,
     seek_candidate: Option<(usize, Arc<TableMeta>)>,
     /// Pending manual compaction: (level, begin user key, end user key).
     manual: Option<(usize, Vec<u8>, Vec<u8>)>,
@@ -145,7 +150,11 @@ struct DbInner {
     ids: Arc<FileIds>,
     /// The current [`ReadView`]; a leaf lock, held for one `Arc` clone or swap.
     view: Mutex<Arc<ReadView>>,
+    /// Wakes the compaction thread: a request was filed or the tree changed.
     work_cv: Condvar,
+    /// Wakes the flush thread: `switch_memtable` gave the view an `imm`.
+    flush_cv: Condvar,
+    /// Wakes everyone waiting for background progress.
     done_cv: Condvar,
     /// Wakes queued writers when leadership rotates or a group completes,
     /// and WAL waiters when an in-flight group returns the log.
@@ -187,6 +196,36 @@ impl DbInner {
         drop(slot);
         drop(old); // off the lock: may free a whole memtable
     }
+}
+
+/// Start a background thread running `body` under the panic guard: a panic
+/// poisons the engine (unless an earlier error already did) instead of
+/// leaving every waiter parked on a thread that is gone.
+fn spawn_guarded(
+    inner: &Arc<DbInner>,
+    name: &str,
+    body: fn(&DbInner),
+) -> Result<std::thread::JoinHandle<()>> {
+    let inner = Arc::clone(inner);
+    let spawned = std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            let run = std::panic::AssertUnwindSafe(|| body(&inner));
+            if let Err(payload) = std::panic::catch_unwind(run) {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "background thread panicked".into());
+                let error = Error::InvalidState(format!("background panic: {message}"));
+                // (`bg_jobs` keeps counting the job that died: every reader
+                // of it checks `bg_error` first.)
+                let mut state = inner.state.lock();
+                state.bg_error.get_or_insert(error);
+                inner.done_cv.notify_all();
+            }
+        });
+    spawned.map_err(Error::io)
 }
 
 /// A consistent read view. Dropping it releases the sequence for
@@ -261,7 +300,8 @@ fn level_shape(version: &Version) -> Vec<LevelInfo> {
 /// ```
 pub struct Db {
     inner: Arc<DbInner>,
-    bg: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The flush and the compaction thread, until `close` joins them.
+    bg: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Db {
@@ -361,6 +401,7 @@ impl Db {
             versions: named_mutex("core.versions", versions),
             view: named_mutex("core.view", Arc::new(view)),
             work_cv: Condvar::new(),
+            flush_cv: Condvar::new(),
             done_cv: Condvar::new(),
             writers_cv: Condvar::new(),
             last_sequence: AtomicU64::new(0),
@@ -377,34 +418,14 @@ impl Db {
         inner.start_fresh_wal()?;
         inner.delete_obsolete_files();
 
-        let bg = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("bolt-background".into())
-                .spawn(move || {
-                    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe({
-                        let inner = Arc::clone(&inner);
-                        move || inner.background_loop()
-                    }));
-                    if let Err(payload) = panic {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "background thread panicked".into());
-                        let mut state = inner.state.lock();
-                        state.bg_error =
-                            Some(Error::InvalidState(format!("background panic: {message}")));
-                        state.bg_busy = false;
-                        inner.done_cv.notify_all();
-                    }
-                })
-                .map_err(Error::io)?
-        };
+        let bg = vec![
+            spawn_guarded(&inner, "bolt-flush", DbInner::flush_loop)?,
+            spawn_guarded(&inner, "bolt-compaction", DbInner::compaction_loop)?,
+        ];
 
         Ok(Db {
             inner,
-            bg: named_mutex("core.bg", Some(bg)),
+            bg: named_mutex("core.bg", bg),
         })
     }
 
@@ -520,20 +541,23 @@ impl Db {
         &self.inner.table_cache
     }
 
-    /// Shut down: stop the background thread. The WAL preserves any
-    /// unflushed writes for the next open.
+    /// Shut down: stop and join both background threads — a flush or a
+    /// compaction in flight runs to its commit first, nothing new is
+    /// started. The WAL preserves any unflushed writes for the next open.
     ///
     /// # Errors
     ///
-    /// Returns the background error, if one occurred.
+    /// Returns the first background error, if one occurred.
     pub fn close(&self) -> Result<()> {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         {
             let _state = self.inner.state.lock();
             self.inner.work_cv.notify_all();
+            self.inner.flush_cv.notify_all();
             self.inner.done_cv.notify_all();
         }
-        if let Some(handle) = self.bg.lock().take() {
+        let handles = std::mem::take(&mut *self.bg.lock());
+        for handle in handles {
             let _ = handle.join();
         }
         // Make the tail of the WAL durable so close() is a clean shutdown.
@@ -621,7 +645,7 @@ impl DbIterator {
 #[cfg(test)]
 mod test_util {
     pub(super) use std::sync::Arc;
-    use std::sync::{Mutex, MutexGuard};
+    use std::sync::{Condvar, Mutex, MutexGuard};
 
     use bolt_common::{Error, Result};
     pub(super) use bolt_env::{Env, MemEnv};
@@ -649,6 +673,25 @@ mod test_util {
         opts
     }
 
+    /// Options under which nothing compacts unless the test says so, and a
+    /// flush is as large as the test makes it.
+    pub(super) fn manual_opts() -> Options {
+        let mut opts = small_opts(Options::bolt());
+        opts.memtable_bytes = 8 << 20;
+        opts.level0_compaction_trigger = 64;
+        (opts.level0_slowdown_trigger, opts.level0_stop_trigger) = (None, None);
+        opts.level1_max_bytes = 1 << 30;
+        opts
+    }
+
+    /// One flushed run: `value` under each of `keys`.
+    pub(super) fn flush_run(db: &Db, keys: impl Iterator<Item = u32>, value: &[u8]) {
+        for i in keys {
+            db.put(format!("key{i:05}").as_bytes(), value).unwrap();
+        }
+        db.flush().unwrap();
+    }
+
     pub(super) fn txn_slice(pairs: &[(&[u8], &[u8])]) -> WriteBatch {
         let mut b = WriteBatch::new();
         for (k, v) in pairs {
@@ -669,14 +712,17 @@ mod test_util {
     }
 
     /// A [`MemEnv`] that logs its table-file reads and fails them on
-    /// request (reads are not [`bolt_env::FaultEnv`] ops). Its hard links are
-    /// real but it cannot count them (`link_count` is the trait's default,
-    /// 1): the window between the reclaim executor's probe of an inode and
-    /// its punch, held open.
+    /// request (reads are not [`bolt_env::FaultEnv`] ops), and a gate for
+    /// tests of the two background threads: it parks the thread that makes
+    /// a chosen call — a compaction's n-th input read, a flush's first WAL
+    /// unlink — until the test lets it go. Its hard links are real but it
+    /// cannot count them (`link_count` is the trait's default, 1): the
+    /// window between the reclaim executor's probe of an inode and its
+    /// punch, held open.
     #[derive(Default)]
     pub(super) struct ReadFaultEnv {
         inner: MemEnv,
-        faults: Arc<Mutex<ReadFaults>>,
+        faults: Arc<(Mutex<ReadFaults>, Condvar)>,
     }
 
     #[derive(Default)]
@@ -684,12 +730,62 @@ mod test_util {
         fail_all: bool,
         /// Reads left until the one that fails; 0 = none will.
         fail_in: u64,
+        fail_table_creates: bool,
+        /// Reads left until the one that parks at the gate; 0 = none will.
+        hold_in: u64,
+        hold_log_delete: bool,
+        /// A thread is parked at the gate.
+        held: bool,
         log: Vec<(String, u64, usize)>,
+    }
+
+    /// Park the calling thread at the gate until [`ReadFaultEnv::release`].
+    fn park<'a>(
+        gate: &Condvar,
+        mut faults: MutexGuard<'a, ReadFaults>,
+    ) -> MutexGuard<'a, ReadFaults> {
+        faults.held = true;
+        gate.notify_all();
+        while faults.held {
+            faults = gate.wait(faults).unwrap();
+        }
+        faults
     }
 
     impl ReadFaultEnv {
         fn faults(&self) -> MutexGuard<'_, ReadFaults> {
-            self.faults.lock().unwrap()
+            self.faults.0.lock().unwrap()
+        }
+
+        /// Fail every creation of a table file: a flush or a compaction
+        /// fails before it has written a byte.
+        pub(super) fn set_fail_table_creates(&self, fail: bool) {
+            self.faults().fail_table_creates = fail;
+        }
+
+        /// Park the thread that makes the `n`-th table-file read from now.
+        pub(super) fn hold_read_in(&self, n: u64) {
+            self.faults().hold_in = n;
+        }
+
+        /// Park the thread that next unlinks a WAL file: a flush past its
+        /// commit, in its log sweep.
+        pub(super) fn hold_log_delete(&self) {
+            self.faults().hold_log_delete = true;
+        }
+
+        /// Block until a thread is parked at the gate.
+        pub(super) fn wait_until_held(&self) {
+            let mut faults = self.faults();
+            while !faults.held {
+                faults = self.faults.1.wait(faults).unwrap();
+            }
+        }
+
+        /// Let the parked thread go on.
+        pub(super) fn release(&self) {
+            self.faults().held = false;
+            self.faults.1.notify_all();
         }
 
         pub(super) fn set_fail_reads(&self, fail: bool) {
@@ -710,14 +806,19 @@ mod test_util {
     struct ReadFaultFile {
         inner: Arc<dyn RandomAccessFile>,
         path: String,
-        faults: Arc<Mutex<ReadFaults>>,
+        faults: Arc<(Mutex<ReadFaults>, Condvar)>,
     }
 
     impl RandomAccessFile for ReadFaultFile {
         fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
             let fail = {
-                let mut faults = self.faults.lock().unwrap();
+                let mut faults = self.faults.0.lock().unwrap();
                 faults.log.push((self.path.clone(), offset, len));
+                let hold = faults.hold_in == 1;
+                faults.hold_in = faults.hold_in.saturating_sub(1);
+                if hold {
+                    faults = park(&self.faults.1, faults);
+                }
                 let nth = faults.fail_in == 1;
                 faults.fail_in = faults.fail_in.saturating_sub(1);
                 nth || faults.fail_all
@@ -734,6 +835,9 @@ mod test_util {
 
     impl Env for ReadFaultEnv {
         fn new_writable_file(&self, path: &str) -> Result<Box<dyn WritableFile>> {
+            if path.ends_with(".sst") && self.faults().fail_table_creates {
+                return Err(Error::io("injected create error"));
+            }
             self.inner.new_writable_file(path)
         }
         fn new_appendable_file(&self, path: &str) -> Result<Box<dyn WritableFile>> {
@@ -757,6 +861,11 @@ mod test_util {
             self.inner.file_size(path)
         }
         fn delete_file(&self, path: &str) -> Result<()> {
+            let mut faults = self.faults();
+            if path.ends_with(".log") && std::mem::take(&mut faults.hold_log_delete) {
+                faults = park(&self.faults.1, faults);
+            }
+            drop(faults);
             self.inner.delete_file(path)
         }
         fn rename_file(&self, from: &str, to: &str) -> Result<()> {

@@ -5,7 +5,7 @@
 //! lock held: it takes neither `core.state` nor `core.versions`, so it never
 //! waits behind a MANIFEST sync or a garbage-collection pass. This module
 //! owns the `snapshots` list of [`super::DbState`] (compaction only reads
-//! it) and files seek-compaction candidates for the background thread —
+//! it) and files seek-compaction candidates for the compaction thread —
 //! the only two things it takes `core.state` for.
 
 use std::sync::atomic::Ordering;
@@ -306,7 +306,7 @@ mod tests {
     }
 
     /// Reads clone the view and touch neither engine lock. A gatekeeper
-    /// parks on `core.versions` — where the background thread sits for a
+    /// parks on `core.versions` — where a background thread sits for a
     /// whole MANIFEST sync and GC pass — and every read entry point must
     /// still finish. Bounded wait: a reader that does block fails the test
     /// (the gate is opened either way, so the scope always joins).

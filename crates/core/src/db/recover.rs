@@ -1,7 +1,7 @@
 //! WAL recovery at open: replay the surviving logs into memtables, flush
 //! them, resolve cross-shard transactions, and start a fresh log.
 //!
-//! Runs before the background thread exists, so it touches
+//! Runs before either background thread exists, so it touches
 //! [`super::DbState`] only to install the first `wal`; its last commit
 //! installs the view the engine starts serving from.
 

@@ -618,7 +618,7 @@ impl DbInner {
         state.wal = Some(new_wal_writer(file));
         state.wal_number = new_log;
         self.sink.emit(EngineEvent::WalRotate { new_log });
-        self.work_cv.notify_one();
+        self.flush_cv.notify_one();
         Ok(())
     }
 
@@ -790,7 +790,7 @@ mod tests {
 
     /// A memtable switch allocates its WAL number from the shared allocator,
     /// not under `core.versions`: with a gatekeeper parked on that lock —
-    /// where the background thread sits for a MANIFEST sync — a switch by
+    /// where a background thread sits for a MANIFEST sync — a switch by
     /// hand and a `put` that rotates the memtable both finish. Bounded wait:
     /// a writer that does block fails the test (the gate is opened either
     /// way, so the scope always joins).
@@ -856,7 +856,7 @@ mod tests {
 
         std::thread::scope(|s| {
             // Cause 1 — imm still flushing. Switch by hand and, before the
-            // background thread can run (it needs `state` to pick up the
+            // flush thread can run (it needs `state` to pick up the
             // flush), have a gatekeeper take `versions`: the flush parks on
             // it with `imm` pending. (A thread of its own, so that no thread
             // ever takes `state` while holding `versions`.)

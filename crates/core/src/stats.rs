@@ -105,6 +105,13 @@ engine_counters! {
     record_compaction_output / compaction_output_bytes => "bolt_compaction_output_bytes_total",
     /// Bytes written by flushes.
     record_flush_bytes / flush_bytes => "bolt_flush_bytes_total",
+    /// Wall nanoseconds inside committed flushes, on the flush thread (at
+    /// open, on the opening thread).
+    record_flush_busy_nanos / flush_busy_nanos => "bolt_flush_busy_nanos_total",
+    /// Wall nanoseconds inside committed compactions, on the compaction
+    /// thread. With `flush_busy_nanos`, ÷ wall time = how busy the two
+    /// background threads were; above 1 they overlapped.
+    record_compaction_busy_nanos / compaction_busy_nanos => "bolt_compaction_busy_nanos_total",
     /// Times a writer slept 1 ms because of the L0SlowDown governor.
     record_slowdown / slowdowns => "bolt_slowdowns_total",
     /// Full write stalls (memtable full with imm pending, or L0Stop).

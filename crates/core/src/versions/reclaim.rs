@@ -202,7 +202,7 @@ impl ReclaimBatch {
 
     /// Punch and unlink in database directory `dir`, and return what could
     /// not be: ranges whose punch failed or whose inode a checkpoint shares,
-    /// files whose unlink failed. Hand a non-empty result to
+    /// files whose unlink failed. (A range of a file that is gone is done.) Hand a non-empty result to
     /// [`ReclaimLedger::hand_back`]. Must run with neither `core.versions`
     /// nor `core.state` held — per-object metadata calls are the slow kind
     /// (asserted under `debug_locks`).
@@ -217,6 +217,11 @@ impl ReclaimBatch {
         }
         self.punches.retain_mut(|job| {
             let path = job.file.path(dir);
+            // Two threads commit, so batches overlap: one decided after this
+            // one may have found the rest of the file dead and unlinked it.
+            if !env.file_exists(&path) {
+                return false;
+            }
             if shares_inode(env, &path) {
                 return true;
             }
@@ -558,6 +563,47 @@ mod tests {
         assert_eq!(env.stats().snapshot().hole_bytes, 4096);
         assert!(zeroed(&path, 0) && !zeroed(&path, 1) && zeroed(&path, 2));
         assert_eq!(vs.reclaim.pending_punch_bytes(), 0);
+    }
+
+    /// Two committers, two batches in flight. The first decides to punch a
+    /// dead table out of a file that still hosts live ones; before it gets
+    /// to, the other thread's commit kills the rest, and that batch — decided
+    /// later, executed first — unlinks the file. The late punch finds
+    /// nothing to punch: that is not a failure to hand back and retry on
+    /// every pass for ever.
+    #[test]
+    fn a_punch_that_loses_the_race_to_its_files_unlink_is_dropped() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let cache = test_cache(&env);
+        let mut vs = new_set(&env);
+        let kill = |vs: &mut VersionSet, dead: &[u64]| {
+            let mut edit = VersionEdit::default();
+            edit.deleted_tables.extend(dead.iter().map(|&id| (0, id)));
+            vs.log_and_apply(edit).unwrap();
+            vs.collect_garbage(&cache)
+        };
+        let (path, ids) = compaction_file(&env, &mut vs, 3);
+        let first = kill(&mut vs, &ids[..1]);
+        let second = kill(&mut vs, &ids[1..]);
+        assert!(!first.is_empty() && !second.is_empty());
+        // Each batch owns what it took: the ledger holds neither's work.
+        assert_eq!(vs.reclaim.pending_punch_bytes(), 0);
+        assert_eq!(vs.reclaim.pending_unlink_files(), 0);
+
+        let failed = second.execute(env.as_ref(), "db", None);
+        assert!(failed.is_empty() && !env.file_exists(&path));
+        let failed = first.execute(env.as_ref(), "db", None);
+        assert!(failed.is_empty(), "{failed:?}");
+        assert_eq!(env.stats().snapshot().holes_punched, 0);
+
+        // The other order: the punch lands, then the file goes.
+        let (path, ids) = compaction_file(&env, &mut vs, 3);
+        let first = kill(&mut vs, &ids[..1]);
+        let second = kill(&mut vs, &ids[1..]);
+        assert!(first.execute(env.as_ref(), "db", None).is_empty());
+        assert_eq!(env.stats().snapshot().holes_punched, 1);
+        assert!(second.execute(env.as_ref(), "db", None).is_empty());
+        assert!(!env.file_exists(&path));
     }
 
     /// The batch executor is the runtime half of "no per-object metadata

@@ -860,6 +860,8 @@ mod tests {
         let m = db.metrics();
         for name in [
             "bolt_flushes_total",
+            "bolt_flush_busy_nanos_total",
+            "bolt_compaction_busy_nanos_total",
             "bolt_compaction_read_ops_total",
             "bolt_compaction_read_bytes_total",
             "bolt_compaction_read_wait_nanos_total",

@@ -108,6 +108,13 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
     .expect("write");
     writeln!(
         out,
+        "  background busy: flush thread {} ms | compaction thread {} ms",
+        s.flush_busy_nanos / 1_000_000,
+        s.compaction_busy_nanos / 1_000_000
+    )
+    .expect("write");
+    writeln!(
+        out,
         "  stalls {} ({} ms) | slowdowns {}",
         s.stalls,
         s.stall_nanos / 1_000_000,

@@ -108,6 +108,11 @@ fn main() -> bolt::Result<()> {
         metrics.db.compaction_read_wait_nanos / 1_000_000
     );
     println!(
+        "background busy: flush thread {} ms, compaction thread {} ms (they overlap)",
+        metrics.db.flush_busy_nanos / 1_000_000,
+        metrics.db.compaction_busy_nanos / 1_000_000
+    );
+    println!(
         "write pipeline: {} batches in {} commit groups ({:.2} batches/group)",
         metrics.db.group_batches,
         metrics.db.write_groups,

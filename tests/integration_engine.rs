@@ -378,7 +378,14 @@ fn reopen_with_mismatched_compaction_policy_is_refused() {
     // The pin covers the fragmented layout: a store whose levels stack runs
     // is refused by name, never reported corrupt.
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let pebbles = Options::pebblesdb().scaled(1.0 / 256.0);
+    // One flush per round and the tree settled before the next, so that the
+    // layout is the same whatever the background threads' timing: every
+    // second round merges two L0 runs into one more run of a deeper level.
+    let pebbles = Options {
+        memtable_bytes: 1 << 20,
+        level0_compaction_trigger: 2,
+        ..Options::pebblesdb().scaled(1.0 / 256.0)
+    };
     {
         let db = Db::open(Arc::clone(&env), "db", pebbles.clone()).unwrap();
         for round in 0..6u32 {
@@ -388,10 +395,10 @@ fn reopen_with_mismatched_compaction_policy_is_refused() {
                     .unwrap();
             }
             db.flush().unwrap();
+            db.compact_until_quiet().unwrap();
         }
-        db.compact_until_quiet().unwrap();
-        let levels = db.level_info();
-        assert!(levels[1..].iter().any(|l| l.runs >= 2), "{levels:?}");
+        let runs: Vec<usize> = db.level_info().iter().map(|l| l.runs).collect();
+        assert!(runs[1..].iter().any(|&runs| runs >= 2), "{runs:?}");
         db.close().unwrap();
     }
     for (name, other) in [
