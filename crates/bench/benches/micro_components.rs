@@ -3,7 +3,8 @@
 //! zipfian generator, a run's tables drained span by span vs block by
 //! block, a table open with and without its recorded tail length, iterator
 //! creation over a small and a large tree, one compaction pick out of a small
-//! and a large level, and one merge step at 2, 3 and 8 children.
+//! and a large level (a settled group, and a lazy-leveled settle), and one
+//! merge step at 2, 3 and 8 children.
 //!
 //! Run: `cargo bench -p bolt-bench --bench micro_components`
 
@@ -341,50 +342,43 @@ fn bench_iterator_create(c: &mut Criterion) {
     );
 }
 
-/// One pick out of a single sorted run of 64 and of 2,048 tables, each over
-/// six and a quarter tables of the level below: pure metadata, no I/O. The
-/// compaction thread picks with `core.state` held — the mutex every commit
-/// takes — so a pick that scans the level below once per table (the 2,048
-/// rung cost a thousand times the 64 one) shuts writers out for
-/// milliseconds. Outside `--test` the bench fails if the cost grows faster
-/// than n log n.
-fn bench_pick_single_run(c: &mut Criterion) {
+/// One pick out of a tree of 64 and of 2,048 tables that `tree` builds
+/// (options, and `(level, run tag, first key, last key)` per 16 KiB table):
+/// pure metadata, no I/O. The compaction thread picks with `core.state`
+/// held — the mutex every commit takes — so a pick that compares every
+/// table with every other (the 2,048 rung cost a thousand times the 64 one)
+/// shuts writers out for milliseconds. Outside `--test` the bench fails if
+/// the cost grows faster than n log n. `check` says the task is the one the
+/// group is about.
+fn bench_picks(
+    c: &mut Criterion,
+    group: &str,
+    single_run_from: usize,
+    tree: impl Fn(u64) -> (bolt_core::Options, Vec<(u32, u64, u64, u64)>),
+    check: impl Fn(&bolt_core::compaction::CompactionTask),
+) {
     use bolt_core::compaction::pick_compaction;
     use bolt_core::version::{TableMeta, Version, VersionBuilder, VersionEdit};
-    use bolt_core::Options;
     use bolt_table::ikey::{make_internal_key, ValueType};
     use bolt_table::InternalKeyComparator;
 
-    const TABLE_BYTES: u64 = 16 << 10;
-    let meta = |id: u64, first: u64, last: u64| {
-        let key = |k: u64, seq| {
-            make_internal_key(format!("user{k:016}").as_bytes(), seq, ValueType::Value)
-        };
-        TableMeta::new(id, id, 0, TABLE_BYTES, 50, key(first, 100), key(last, 1))
-    };
-    let mut group = c.benchmark_group("compaction/pick_single_run");
+    let key =
+        |k: u64, seq| make_internal_key(format!("user{k:016}").as_bytes(), seq, ValueType::Value);
+    let mut group = c.benchmark_group(group);
     let mut ns_per_pick = Vec::new();
     for tables in [64u64, 2048] {
-        // Level 1 at twice its target; the group cap (1 MiB) is 64 tables.
-        let mut opts = Options::bolt().scaled(1.0 / 64.0);
-        opts.level1_max_bytes = tables * TABLE_BYTES / 2;
+        let (opts, layout) = tree(tables);
         let mut edit = VersionEdit::default();
-        for i in 0..tables {
-            let level1 = meta(i + 1, i * 100, i * 100 + 99);
-            edit.added_tables.push((1, 0, level1));
-        }
-        for j in 0..tables * 100 / 16 {
-            let level2 = meta(tables + j + 1, j * 16, j * 16 + 15);
-            edit.added_tables.push((2, 0, level2));
+        for (id, (level, tag, first, last)) in (1..).zip(layout) {
+            let meta = TableMeta::new(id, id, 0, 16 << 10, 50, key(first, 100), key(last, 1));
+            edit.added_tables.push((level, tag, meta));
         }
         let icmp = InternalKeyComparator::default();
         let mut builder = VersionBuilder::new(icmp.clone(), Arc::new(Version::empty(7)));
-        builder.set_single_run_from(1);
+        builder.set_single_run_from(single_run_from);
         builder.apply(&edit);
         let version = builder.build().unwrap();
-        let task = pick_compaction(&opts, &icmp, &version, None).unwrap();
-        assert_eq!(task.level, 1);
-        assert!((48..=64).contains(&task.victims().count()) && !task.next_inputs.is_empty());
+        check(&pick_compaction(&opts, &icmp, &version, None).unwrap());
         let mut ns = 0.0;
         group.bench_function(format!("{tables}_tables"), |b| {
             b.iter_custom(|iters| {
@@ -404,6 +398,50 @@ fn bench_pick_single_run(c: &mut Criterion) {
         smoke || ns_per_pick[1] <= 64.0 * ns_per_pick[0],
         "a pick grows faster than n log n: {ns_per_pick:?} ns"
     );
+}
+
+/// Settled group compaction: a single sorted run at twice its target, each
+/// table over six and a quarter tables of the level below (neighbours share
+/// one); the group cap (1 MiB) is 64 tables.
+fn bench_pick_single_run(c: &mut Criterion) {
+    let tree = |tables: u64| {
+        let mut opts = bolt_core::Options::bolt().scaled(1.0 / 64.0);
+        opts.level1_max_bytes = tables * (16 << 10) / 2;
+        let level1 = (0..tables).map(|i| (1, 0, i * 100, i * 100 + 99));
+        let level2 = (0..tables * 100 / 16).map(|j| (2, 0, j * 16, j * 16 + 15));
+        (opts, level1.chain(level2).collect())
+    };
+    bench_picks(c, "compaction/pick_single_run", 1, tree, |task| {
+        assert_eq!(task.level, 1);
+        assert!((48..=64).contains(&task.victims().count()) && !task.next_inputs.is_empty());
+    });
+}
+
+/// Lazy-leveled's last tiered level into the single run below: four stacked
+/// runs, every other table overlapping its successor in key order, and a
+/// table below under every eighth slot — so some victims settle and some
+/// merge. Which may settle is decided for the whole level at once.
+fn bench_settle_into_single_run(c: &mut Criterion) {
+    let tree = |tables: u64| {
+        let opts = bolt_core::Options {
+            compaction_policy: bolt_core::CompactionPolicyKind::LazyLeveled,
+            ..bolt_core::Options::bolt().scaled(1.0 / 64.0)
+        };
+        let level5 = (0..tables).map(|slot| {
+            let (run, k) = (slot % 4, slot / 4);
+            let reach = if k % 2 == 1 { 150 } else { 99 };
+            (5, run + 1, slot * 100, slot * 100 + reach)
+        });
+        let level6 = (0..tables / 8).map(|j| (6, 0, j * 800 + 20, j * 800 + 50));
+        (opts, level5.chain(level6).collect())
+    };
+    bench_picks(c, "compaction/settle_into_single_run", 6, tree, |task| {
+        assert_eq!(
+            (task.level, task.output_level, task.input_runs.len()),
+            (5, 6, 4)
+        );
+        assert!(!task.settled_moves.is_empty() && !task.next_inputs.is_empty());
+    });
 }
 
 /// One `MergingIter::next` over k memtables holding every k-th key: the
@@ -508,6 +546,7 @@ criterion_group!(
     bench_table_open,
     bench_iterator_create,
     bench_pick_single_run,
+    bench_settle_into_single_run,
     bench_merge_next,
     bench_write_pipeline
 );

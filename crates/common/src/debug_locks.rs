@@ -47,7 +47,7 @@ thread_local! {
 /// Used by I/O layers (e.g. the WAL writer) to assert that a barrier is not
 /// issued under an engine lock — the runtime analogue of lint rule L1.
 pub fn thread_holds(name: &str) -> bool {
-    HELD.with(|held| held.borrow().iter().any(|&h| h == name))
+    HELD.with(|held| held.borrow().contains(&name))
 }
 
 /// Is `to` reachable from `from` in the acquisition graph? On success returns

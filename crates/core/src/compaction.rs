@@ -21,7 +21,9 @@
 //! This module is pure metadata logic (no I/O) so it can be unit-tested
 //! exhaustively; execution lives in `db/compact.rs`.
 
-use std::collections::HashSet;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use bolt_common::Result;
@@ -284,18 +286,6 @@ fn overlaps_at<'a>(
     found
 }
 
-/// Bytes at `level` that `table`'s user-key range overlaps.
-fn overlap_bytes(
-    icmp: &InternalKeyComparator,
-    version: &Version,
-    level: usize,
-    table: &TableMeta,
-) -> u64 {
-    let (begin, end) = (table.smallest_user_key(), table.largest_user_key());
-    let overlapping = version.overlapping(icmp, level, begin, end);
-    overlapping.map(|t| t.size).sum()
-}
-
 /// The task that pays down the debt of `level` (one that scores `>= 1.0`).
 fn pick_level(
     opts: &Options,
@@ -388,8 +378,11 @@ const GROUP_FLOOR: (u64, u64) = (3, 2);
 
 /// Victims out of the single sorted run at `level`, merged into the single
 /// run below: round-robin from the compact pointer, a group of them under
-/// BoLT (§3.3), the ones that drag the least of the next level along per
-/// byte moved with settled compaction (§3.4).
+/// BoLT (§3.3), and with settled compaction (§3.4) the group that drags the
+/// least of the next level along per byte moved, victim by victim at the
+/// margin ([`by_marginal_ratio`]): a table is charged only for next-level
+/// tables no victim before it rewrites, so neighbours share what they
+/// straddle.
 ///
 /// A BoLT group moves what the level owes, not the level: its byte budget
 /// is the level's debt (bytes over [`Options::max_bytes_for_level`]), no
@@ -432,21 +425,14 @@ fn pick_from_single_run(
         }
         taken
     };
-    let scored = |idx: usize| (overlap_bytes(icmp, version, level + 1, &tables[idx]), idx);
+    let below = version.levels[level + 1].single_run();
+    // Next-level bytes the settled order charged, to check its bookkeeping.
+    let mut charged = 0;
     let mut victims = if settled {
-        // Settled compaction: the victims anywhere in the level with the
-        // lowest overlap *ratio* — next-level bytes rewritten per byte
-        // moved (§3.4; "least overlapping parent", arXiv 2202.04522) —
-        // zero-overlap tables first.
-        let mut all: Vec<(u64, usize)> = (0..tables.len()).map(scored).collect();
-        // a's ratio < b's  <=>  a's overlap × b's size < b's overlap × a's size.
-        let cross = |a: &(u64, usize), b: &(u64, usize)| {
-            u128::from(a.0) * u128::from(tables[b.1].size.max(1))
-        };
-        all.sort_by(|a, b| cross(a, b).cmp(&cross(b, a)).then(a.1.cmp(&b.1)));
-        gather(&mut all.into_iter())
+        gather(&mut by_marginal_ratio(icmp, tables, below, &mut charged))
     } else {
         // Round-robin start after the compact pointer.
+        let scored = |idx: usize| (bytes(&below[tables[idx].overlap_in(icmp, below)]), idx);
         let after = |ptr| tables.partition_point(|t| icmp.compare(&t.largest, ptr).is_le());
         let start = version.compact_pointer(level).map_or(0, after);
         let start = if start >= tables.len() { 0 } else { start };
@@ -470,12 +456,95 @@ fn pick_from_single_run(
         side.push(Arc::clone(&tables[idx]));
     }
 
+    let next_inputs = overlaps_at(icmp, version, level + 1, &merge_victims);
+    debug_assert!(!settled || charged == bytes(&next_inputs));
     CompactionTask {
-        next_inputs: overlaps_at(icmp, version, level + 1, &merge_victims),
+        next_inputs,
         input_runs: vec![merge_victims.into()],
         settled_moves,
         ..CompactionTask::new(level, OutputShape::Leveled)
     }
+}
+
+/// Settled compaction's victim order (§3.4): lowest *marginal* overlap
+/// ratio first — the next-level bytes a table adds to what the victims
+/// before it already rewrite, per byte it moves. Neighbours share the
+/// next-level table they both straddle, so a group gathers around what it
+/// already rewrites instead of scattering and paying both end tables of
+/// every victim ("least overlapping parent", arXiv 2202.04522, per group).
+/// Zero-overlap tables come first; a table whose overlap is already charged
+/// rides free, but is merged, not moved. Yields `(overlap, index)`, the
+/// overlap absolute, and adds each victim's marginal bytes to `charged`.
+///
+/// Lazy, so only what the group takes is charged. Each table's overlap is
+/// one binary-searched interval of the run below; charging a next-level
+/// table lowers the cost of the tables that straddle it. Two sorted disjoint
+/// runs have at most n + m such pairs, so a pick stays O((n + m) log n)
+/// under `core.state` and never rescans the level per victim.
+fn by_marginal_ratio<'a>(
+    icmp: &InternalKeyComparator,
+    tables: &'a [Arc<TableMeta>],
+    below: &'a [Arc<TableMeta>],
+    charged: &'a mut u64,
+) -> impl Iterator<Item = (u64, usize)> + 'a {
+    // Each table's overlap as an interval of `below`: both ends ascend.
+    let spans: Vec<Range<usize>> = tables.iter().map(|t| t.overlap_in(icmp, below)).collect();
+    let overlaps: Vec<u64> = spans.iter().map(|s| bytes(&below[s.clone()])).collect();
+    let offer = |cost, idx: usize| Reverse(Offer(cost, tables[idx].size.max(1), idx));
+    // A lazy min-heap: a table's cost falls by new offers, not in place.
+    let mut offers: BinaryHeap<_> = (0..tables.len()).map(|i| offer(overlaps[i], i)).collect();
+    // What each table would still add; `None` once taken.
+    let mut cost: Vec<Option<u64>> = overlaps.iter().copied().map(Some).collect();
+    let mut rewritten = vec![false; below.len()];
+    std::iter::from_fn(move || {
+        // Costs only fall, so a table's first offer off the heap is its
+        // current one; the stale ones after it find the table taken.
+        let (taken, idx) = loop {
+            let Reverse(Offer(_, _, idx)) = offers.pop()?;
+            if let Some(taken) = cost[idx].take() {
+                break (taken, idx);
+            }
+        };
+        *charged += taken;
+        // Each next-level table it is the first to rewrite costs the tables
+        // that straddle it too that much less.
+        let fresh = |&j: &usize| !std::mem::replace(&mut rewritten[j], true);
+        for j in spans[idx].clone().filter(fresh) {
+            let first = spans.partition_point(|s| s.end <= j);
+            let end = spans.partition_point(|s| s.start <= j);
+            for (other, left) in (first..end).zip(&mut cost[first..end]) {
+                if let Some(left) = left {
+                    *left -= below[j].size;
+                    offers.push(offer(*left, other));
+                }
+            }
+        }
+        Some((overlaps[idx], idx))
+    })
+}
+
+/// Table `.2` offered at `.0` next-level bytes for its `.1` bytes: ordered
+/// by the ratio, cross-multiplied in `u128` (no rounding), then by index.
+#[derive(PartialEq, Eq)]
+struct Offer(u64, u64, usize);
+
+impl Ord for Offer {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let cross = |a: &Self, b: &Self| u128::from(a.0) * u128::from(b.1);
+        let by_ratio = cross(self, other).cmp(&cross(other, self));
+        by_ratio.then(self.2.cmp(&other.2))
+    }
+}
+
+impl PartialOrd for Offer {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Total bytes of `tables`.
+fn bytes(tables: &[Arc<TableMeta>]) -> u64 {
+    tables.iter().map(|t| t.size).sum()
 }
 
 /// STCS bucketing over a level's runs, oldest first.
@@ -540,32 +609,39 @@ fn settle_into_single_run(
 ) {
     // A victim may settle only if it overlaps nothing at the output level
     // AND no other victim: everything else lands in that level's single
-    // run, which must stay internally disjoint.
-    let all: Vec<&Arc<TableMeta>> = version.levels[task.level].tables().collect();
+    // run, which must stay internally disjoint. In smallest-key order a
+    // table overlaps an earlier one iff the largest key before it reaches
+    // its smallest, and a later one iff the next one starts by its largest:
+    // one sort, not a scan of the level per victim under `core.state`.
     let ucmp = icmp.user_comparator();
-    let overlaps_other_victim = |t: &Arc<TableMeta>| {
-        all.iter().any(|o| {
-            o.table_id != t.table_id
-                && ucmp
-                    .compare(o.smallest_user_key(), t.largest_user_key())
-                    .is_le()
-                && ucmp
-                    .compare(o.largest_user_key(), t.smallest_user_key())
-                    .is_ge()
-        })
-    };
-    let below = task.output_level;
+    let mut all: Vec<&Arc<TableMeta>> = version.levels[task.level].tables().collect();
+    all.sort_by(|a, b| ucmp.compare(a.smallest_user_key(), b.smallest_user_key()));
+    let mut crowded = HashSet::new();
+    let mut reach: Option<&[u8]> = None;
+    for (i, t) in all.iter().enumerate() {
+        let largest = t.largest_user_key();
+        let reached = reach.is_some_and(|r| ucmp.compare(r, t.smallest_user_key()).is_ge());
+        let next = all.get(i + 1).map(|n| n.smallest_user_key());
+        if reached || next.is_some_and(|n| ucmp.compare(n, largest).is_le()) {
+            crowded.insert(t.table_id);
+        }
+        if reach.is_none_or(|r| ucmp.compare(largest, r).is_gt()) {
+            reach = Some(largest);
+        }
+    }
+    let below = version.levels[task.output_level].single_run();
     for run in &mut task.input_runs {
-        let (settle, merge): (Vec<_>, Vec<_>) = run.iter().cloned().partition(|t| {
-            overlap_bytes(icmp, version, below, t) == 0 && !overlaps_other_victim(t)
-        });
+        let (settle, merge): (Vec<_>, Vec<_>) = run
+            .iter()
+            .cloned()
+            .partition(|t| !crowded.contains(&t.table_id) && t.overlap_in(icmp, below).is_empty());
         // A run that settles nothing stays the version's own list.
         if !settle.is_empty() {
             task.settled_moves.extend(settle);
             *run = merge.into();
         }
     }
-    task.next_inputs = overlaps_at(icmp, version, below, task.victims());
+    task.next_inputs = overlaps_at(icmp, version, task.output_level, task.victims());
 }
 
 /// A maximal set of merge inputs whose user-key ranges form one contiguous
@@ -579,7 +655,10 @@ pub struct Cluster {
 }
 
 /// Split a task's merge inputs into independent clusters by user-key
-/// connectivity (scattered settled-compaction victims produce several).
+/// connectivity (victims with untouched tables between them produce
+/// several; settled compaction's marginal order gathers its victims around
+/// the next-level tables they share, so its groups split into about half
+/// as many as when each victim was ranked on its own).
 pub fn clusters(icmp: &InternalKeyComparator, task: &CompactionTask) -> Vec<Cluster> {
     #[derive(Clone)]
     struct Item {
@@ -1067,6 +1146,212 @@ mod tests {
         assert_eq!(taken(&group_opts(100, false), &v), [6]);
     }
 
+    /// Settled compaction's whole order out of level 1 of `v`, as
+    /// `(overlap, index)`.
+    fn marginal_order(v: &Version) -> Vec<(u64, usize)> {
+        let level = |l: usize| &v.levels[l].runs[0].tables;
+        by_marginal_ratio(&icmp(), level(1), level(2), &mut 0).collect()
+    }
+
+    /// Level 1 over a target of 1000 bytes: tables 1 and 2 straddle level
+    /// 2's table 5, table 2 also overlaps 6, table 3 alone overlaps 7 and
+    /// table 4 drags twice its size along. The debt is 2000 bytes.
+    fn neighbours_and_a_loner() -> Vec<(u32, u64, TableMeta)> {
+        vec![
+            (1, 0, meta(1, "a", "c", 1000)),
+            (1, 0, meta(2, "d", "g", 1000)),
+            (1, 0, meta(3, "h", "j", 600)),
+            (1, 0, meta(4, "m", "o", 400)),
+            (2, 0, meta(5, "b", "e", 500)),
+            (2, 0, meta(6, "f", "g", 300)),
+            (2, 0, meta(7, "i", "i", 360)),
+            (2, 0, meta(8, "n", "n", 800)),
+        ]
+    }
+
+    #[test]
+    fn a_group_shares_the_table_its_neighbours_straddle() {
+        // Alone, table 3 (360 ÷ 600 = 0.6) beats table 2 (800 ÷ 1000 =
+        // 0.8), and a per-victim order takes 1, 3, 2: 1160 bytes of level 2
+        // for 2600 moved. Once table 1 is in, table 2 adds only table 6
+        // (0.3): the group is 1 and 2, 800 bytes for 2000.
+        let v = version_with(&neighbours_and_a_loner());
+        let task = pick_from_single_run(&group_opts(1 << 20, true), &icmp(), &v, 1);
+        let ids = |tables: &[Arc<TableMeta>]| tables.iter().map(|t| t.table_id).collect::<Vec<_>>();
+        assert_eq!(ids(&task.input_runs[0]), [1, 2]);
+        assert_eq!(ids(&task.next_inputs), [5, 6]);
+        assert!(task.settled_moves.is_empty());
+    }
+
+    #[test]
+    fn a_victim_whose_overlap_is_already_charged_rides_free_but_is_merged() {
+        // Table 2 overlaps only table 5, which table 1 already rewrites: its
+        // own ratio (2.5) is the level's worst, its marginal one 0.
+        let v = version_with(&[
+            (1, 0, meta(1, "a", "c", 1000)),
+            (1, 0, meta(2, "d", "e", 200)),
+            (1, 0, meta(3, "h", "j", 1000)),
+            (1, 0, meta(4, "m", "o", 800)),
+            (2, 0, meta(5, "b", "e", 500)),
+            (2, 0, meta(6, "i", "i", 800)),
+            (2, 0, meta(7, "n", "n", 2000)),
+        ]);
+        assert_eq!(
+            marginal_order(&v),
+            [(500, 0), (500, 1), (800, 2), (2000, 3)]
+        );
+
+        let task = pick_from_single_run(&group_opts(1 << 20, true), &icmp(), &v, 1);
+        let merged: Vec<u64> = task.victims().map(|t| t.table_id).collect();
+        assert_eq!(merged, [1, 2, 3], "taken, and merged: it does overlap");
+        assert!(task.settled_moves.is_empty());
+        let next: Vec<u64> = task.next_inputs.iter().map(|t| t.table_id).collect();
+        assert_eq!(next, [5, 6]);
+    }
+
+    #[test]
+    fn zero_overlap_tables_still_settle_first() {
+        // Tables 3 and 4 overlap nothing and go first. Table 2 overlaps
+        // only what table 1 does: it rides free, but only once 1 is in.
+        let v = version_with(&[
+            (1, 0, meta(1, "a", "c", 100)),
+            (1, 0, meta(2, "d", "e", 100)),
+            (1, 0, meta(3, "f", "f", 100)),
+            (1, 0, meta(4, "h", "i", 100)),
+            (1, 0, meta(5, "j", "k", 100)),
+            (2, 0, meta(6, "b", "e", 50)),
+            (2, 0, meta(7, "j", "j", 100)),
+        ]);
+        let order: Vec<usize> = marginal_order(&v).iter().map(|&(_, idx)| idx).collect();
+        assert_eq!(order, [2, 3, 0, 1, 4]);
+
+        // A budget of two tables is the two that overlap nothing: a move.
+        let mut opts = group_opts(200, true);
+        opts.level1_max_bytes = 1;
+        let task = pick_from_single_run(&opts, &icmp(), &v, 1);
+        let moved: Vec<u64> = task.settled_moves.iter().map(|t| t.table_id).collect();
+        assert_eq!(moved, [3, 4]);
+        assert!(task.is_move_only());
+    }
+
+    /// A run at `level` of tables `first_id..` out of `(gap, width, size)`:
+    /// each starts `gap` keys past the end of the one before and ends
+    /// `width` keys later.
+    fn laid_out(
+        level: u32,
+        first_id: u64,
+        shape: &[(u64, u64, u64)],
+    ) -> Vec<(u32, u64, TableMeta)> {
+        let mut at = 0;
+        let table = |(&(gap, width, size), id)| {
+            let start = at + gap;
+            at = start + width;
+            let (lo, hi) = (format!("k{start:05}"), format!("k{at:05}"));
+            (level, 0, meta(id, &lo, &hi, size))
+        };
+        shape.iter().zip(first_id..).map(table).collect()
+    }
+
+    /// The marginal order the slow way: each step rescans both levels.
+    fn marginal_order_by_rescan(level: &[Arc<TableMeta>], below: &[Arc<TableMeta>]) -> Vec<usize> {
+        let icmp = icmp();
+        let overlaps = |a: &TableMeta, b: &TableMeta| {
+            a.overlaps(&icmp, b.smallest_user_key(), b.largest_user_key())
+        };
+        let mut charged = vec![false; below.len()];
+        let mut left: Vec<usize> = (0..level.len()).collect();
+        let mut order = Vec::new();
+        while !left.is_empty() {
+            let cost = |i: usize| -> u128 {
+                let uncharged = below.iter().zip(&charged).filter(|(_, &c)| !c);
+                let over = uncharged.filter(|(b, _)| overlaps(&level[i], b));
+                over.map(|(b, _)| u128::from(b.size)).sum()
+            };
+            let size = |i: usize| u128::from(level[i].size.max(1));
+            let by_ratio = |&a: &usize, &b: &usize| {
+                (cost(a) * size(b))
+                    .cmp(&(cost(b) * size(a)))
+                    .then(a.cmp(&b))
+            };
+            let best = left.iter().copied().min_by(by_ratio).unwrap();
+            left.retain(|&i| i != best);
+            for (j, b) in below.iter().enumerate() {
+                charged[j] |= overlaps(&level[best], b);
+            }
+            order.push(best);
+        }
+        order
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// Any two-level tree: narrow and wide tables, gaps, any sizes,
+        /// target and cap.
+        #[test]
+        fn a_settled_pick_is_well_formed_and_greedy_at_the_margin(
+            upper in proptest::collection::vec((1u64..4, 0u64..6, 1u64..1000), 1..40),
+            lower in proptest::collection::vec((1u64..12, 0u64..40, 1u64..3000), 0..16),
+            target in 1u64..20_000,
+            cap in 100u64..20_000,
+        ) {
+            let icmp = icmp();
+            let mut tables = laid_out(1, 1, &upper);
+            tables.extend(laid_out(2, 1000, &lower));
+            let v = version_with(&tables);
+            let mut opts = group_opts(cap, true);
+            opts.level1_max_bytes = target;
+            let task = pick_from_single_run(&opts, &icmp, &v, 1);
+
+            // Victims: out of one sorted run, so sorted and disjoint.
+            let merged: Vec<&Arc<TableMeta>> = task.victims().collect();
+            let mut taken = merged.clone();
+            taken.extend(&task.settled_moves);
+            taken.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
+            for side in [&merged, &task.settled_moves.iter().collect(), &taken] {
+                for pair in side.windows(2) {
+                    let (a, b) = (pair[0].largest_user_key(), pair[1].smallest_user_key());
+                    proptest::prop_assert!(a < b, "victims out of order or overlapping");
+                }
+            }
+            // Split by absolute overlap: a move overlaps nothing below, a
+            // merged victim something.
+            let below = |t: &TableMeta| {
+                let (begin, end) = (t.smallest_user_key(), t.largest_user_key());
+                v.overlapping(&icmp, 2, begin, end).count()
+            };
+            proptest::prop_assert!(task.settled_moves.iter().all(|t| below(t) == 0));
+            proptest::prop_assert!(merged.iter().all(|t| below(t) > 0));
+            // The rewritten tables are exactly what the merged victims overlap.
+            let ids = |tables: &[&Arc<TableMeta>]| tables.iter().map(|t| t.table_id).collect::<Vec<_>>();
+            let straddled = |b: &&Arc<TableMeta>| {
+                let (begin, end) = (b.smallest_user_key(), b.largest_user_key());
+                merged.iter().any(|t| t.overlaps(&icmp, begin, end))
+            };
+            let rewritten: Vec<&Arc<TableMeta>> = v.levels[2].tables().filter(straddled).collect();
+            let next_inputs: Vec<&Arc<TableMeta>> = task.next_inputs.iter().collect();
+            proptest::prop_assert_eq!(ids(&rewritten), ids(&next_inputs));
+
+            // The group: the rescanning order's prefix, cut where `gather`
+            // cuts — the budget met with a table left behind, or the cap.
+            let level: Vec<Arc<TableMeta>> = v.levels[1].tables().cloned().collect();
+            let lower: Vec<Arc<TableMeta>> = v.levels[2].tables().cloned().collect();
+            let level_bytes = bytes(&level);
+            let floor = target * GROUP_FLOOR.0 / GROUP_FLOOR.1;
+            let budget = level_bytes.saturating_sub(target).max(floor).min(cap);
+            let (mut expected, mut total) = (Vec::new(), 0);
+            for idx in marginal_order_by_rescan(&level, &lower) {
+                expected.push(level[idx].table_id);
+                total += level[idx].size;
+                if total >= cap || (total >= budget && level_bytes - total >= 100) {
+                    break;
+                }
+            }
+            expected.sort_unstable();
+            proptest::prop_assert_eq!(ids(&taken), expected);
+        }
+    }
+
     #[test]
     fn fragmented_pick_merges_whole_level() {
         let mut opts = Options::pebblesdb();
@@ -1495,17 +1780,22 @@ mod tests {
     fn lazy_leveled_keeps_mutually_overlapping_victims_in_the_merge() {
         let opts = tiered_opts(CompactionPolicyKind::LazyLeveled);
         // No last-level overlap at all, but victims 1 and 2 overlap each
-        // other: both must rewrite into the single bottom run.
+        // other: both must rewrite into the single bottom run. So must 5 and
+        // the two tables inside its range, 7 as much as 6 — the key that
+        // reaches 7 is 5's, not its neighbour's.
         let v = version_with(&[
             (5, 1, meta(1, "a", "d", 100)),
             (5, 2, meta(2, "c", "f", 100)),
             (5, 3, meta(3, "x", "z", 100)),
             (5, 4, meta(4, "p", "q", 100)),
+            (5, 5, meta(5, "g", "o", 100)),
+            (5, 6, meta(6, "h", "i", 50)),
+            (5, 6, meta(7, "k", "l", 50)),
         ]);
         let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
         let mut merge_ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         merge_ids.sort_unstable();
-        assert_eq!(merge_ids, vec![1, 2]);
+        assert_eq!(merge_ids, vec![1, 2, 5, 6, 7]);
         let mut settled: Vec<u64> = task.settled_moves.iter().map(|t| t.table_id).collect();
         settled.sort_unstable();
         assert_eq!(settled, vec![3, 4]);
@@ -1580,7 +1870,9 @@ mod tests {
     /// table, on a stacked level below an older run), and the rung at three
     /// times level 1's budget is new with the debt-bounded group — no other
     /// rung holds a level far enough over its target for BoLT's row to
-    /// differ from "all of it", so none was re-pinned.
+    /// differ from "all of it", so none was re-pinned — and the one beside
+    /// it, where neighbours share a table below, with the marginal order
+    /// (every earlier row kept).
     #[test]
     fn every_policy_picks_the_tasks_it_always_picked() {
         type Tables = Vec<(u32, u64, TableMeta)>;
@@ -1707,6 +1999,22 @@ mod tests {
                     "-",
                     "-",
                     "L1->L2 AppendRun Size v[[1, 2, 3, 4, 5]] n[] s[]",
+                ],
+            ),
+            (
+                // Where the marginal ratio and a victim's own part ways:
+                // with table 1 in, table 2 adds 0.3 bytes of level 2 per
+                // byte and table 3 0.6, though alone 2 costs 0.8. A
+                // per-victim order took v[[1, 2, 3]] n[5, 6, 7].
+                "L1 at three times its budget, neighbours share a table below",
+                neighbours_and_a_loner(),
+                None,
+                [
+                    "L1->L2 Leveled Size v[[1]] n[5] s[]",
+                    "L1->L2 Leveled Size v[[1, 2]] n[5, 6] s[]",
+                    "-",
+                    "-",
+                    "L1->L2 AppendRun Size v[[1, 2, 3, 4]] n[] s[]",
                 ],
             ),
             (

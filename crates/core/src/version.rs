@@ -22,6 +22,7 @@
 //! physical layout of logical SSTables in compaction files" (§3.4).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -176,6 +177,16 @@ impl TableMeta {
         cache.table(self.table_id, || self.spec(db))
     }
 
+    /// The index interval of `run` — a sorted, disjoint table list — that
+    /// this table's user-key range overlaps: two binary searches.
+    pub(crate) fn overlap_in(
+        &self,
+        icmp: &InternalKeyComparator,
+        run: &[Arc<TableMeta>],
+    ) -> Range<usize> {
+        overlapping_range(run, icmp, self.smallest_user_key(), self.largest_user_key())
+    }
+
     /// `true` if this table's user-key range overlaps `[begin, end]`.
     pub fn overlaps(&self, icmp: &InternalKeyComparator, begin: &[u8], end: &[u8]) -> bool {
         let ucmp = icmp.user_comparator();
@@ -229,13 +240,25 @@ impl Run {
         begin: &[u8],
         end: &[u8],
     ) -> &[Arc<TableMeta>] {
-        let ucmp = icmp.user_comparator();
-        let ends_before = |t: &Arc<TableMeta>| ucmp.compare(t.largest_user_key(), begin).is_lt();
-        let first = self.tables.partition_point(ends_before);
-        let starts_by = |t: &Arc<TableMeta>| ucmp.compare(t.smallest_user_key(), end).is_le();
-        let len = self.tables[first..].partition_point(starts_by);
-        &self.tables[first..first + len]
+        &self.tables[overlapping_range(&self.tables, icmp, begin, end)]
     }
+}
+
+/// The index interval of `tables` — sorted by smallest key, pairwise
+/// disjoint — that overlaps the user-key range `[begin, end]`: two binary
+/// searches.
+fn overlapping_range(
+    tables: &[Arc<TableMeta>],
+    icmp: &InternalKeyComparator,
+    begin: &[u8],
+    end: &[u8],
+) -> Range<usize> {
+    let ucmp = icmp.user_comparator();
+    let ends_before = |t: &Arc<TableMeta>| ucmp.compare(t.largest_user_key(), begin).is_lt();
+    let first = tables.partition_point(ends_before);
+    let starts_by = |t: &Arc<TableMeta>| ucmp.compare(t.smallest_user_key(), end).is_le();
+    let len = tables[first..].partition_point(starts_by);
+    first..first + len
 }
 
 /// One level of the tree.
@@ -259,6 +282,12 @@ impl LevelState {
     /// Number of tables.
     pub fn num_tables(&self) -> usize {
         self.runs.iter().map(|r| r.tables.len()).sum()
+    }
+
+    /// The tables of a single-run level (none if it is empty).
+    pub(crate) fn single_run(&self) -> &[Arc<TableMeta>] {
+        debug_assert!(self.runs.len() <= 1, "{} runs", self.runs.len());
+        self.runs.first().map_or(&[], |run| &run.tables)
     }
 
     /// Every run's table list, newest run first: shared pointers, not copies.
