@@ -17,14 +17,15 @@ use bolt_bench::bolt_env::{Env, SimEnv};
 use bolt_bench::bolt_ycsb::{load_db, BenchConfig};
 use bolt_bench::{bench_device, kops, mb, print_table, scaled_ops, write_csv, CAPACITY_SCALE};
 
-fn run(label: &str, mut opts: Options, barrierfs: bool, rows: &mut Vec<Vec<String>>) {
+fn run(label: &str, opts: Options, barrierfs: bool, rows: &mut Vec<Vec<String>>) {
     let model = bench_device();
+    // The env decides: the engine uses ordering-only barriers wherever
+    // durability is not needed exactly when its env offers them.
     let env: Arc<dyn Env> = if barrierfs {
         Arc::new(SimEnv::with_barrierfs(model))
     } else {
         Arc::new(SimEnv::new(model))
     };
-    opts.use_ordering_barriers = barrierfs;
     let db = Arc::new(
         Db::open(Arc::clone(&env), "bench-db", opts.scaled(CAPACITY_SCALE)).expect("open"),
     );

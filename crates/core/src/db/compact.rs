@@ -434,7 +434,7 @@ impl<'a> OutputSink<'a> {
     }
 
     fn sync_file(inner: &DbInner, file: &mut dyn bolt_env::WritableFile) -> Result<()> {
-        if inner.opts.use_ordering_barriers && inner.env.supports_ordering_barrier() {
+        if inner.env.supports_ordering_barrier() {
             // BarrierFS: ordering (not durability) is enough for data files
             // because the MANIFEST fsync that follows is the commit point.
             file.ordering_barrier()

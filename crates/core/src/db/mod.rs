@@ -19,6 +19,7 @@
 //! (DESIGN.md §2 maps each module to its state group, locks and events.)
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -50,7 +51,7 @@ mod read;
 mod recover;
 mod write;
 
-use write::{PendingTxn, WriterSlot};
+use write::{PendingTxn, QueuedWrite};
 
 /// Mutable engine state guarded by the main mutex, grouped by the module
 /// that owns each field (other modules read, the owner writes).
@@ -58,8 +59,14 @@ use write::{PendingTxn, WriterSlot};
 struct DbState {
     // -- write.rs: the commit queue, the logs it appends to, staged 2PC --
     /// Group-commit queue: the front writer is the leader and commits on
-    /// behalf of as many followers as fit under the group byte cap.
-    writers: VecDeque<Arc<WriterSlot>>,
+    /// behalf of as many followers as fit under the group byte cap, then
+    /// retires the group's entries front-first.
+    writers: VecDeque<QueuedWrite>,
+    /// The ticket the next queued writer takes.
+    next_ticket: u64,
+    /// The tickets of the one group that failed with followers, and its
+    /// error: a follower's outcome once the queue has passed its ticket.
+    failed_group: Option<(Range<u64>, Error)>,
     /// The active WAL. `None` *only* while a group-commit leader holds it
     /// outside the mutex for the append/sync/apply phase; anything that
     /// would switch or sync the WAL (memtable switch, close) must wait for
@@ -713,12 +720,12 @@ mod test_util {
 
     /// A [`MemEnv`] that logs its table-file reads and fails them on
     /// request (reads are not [`bolt_env::FaultEnv`] ops), and a gate for
-    /// tests of the two background threads: it parks the thread that makes
-    /// a chosen call — a compaction's n-th input read, a flush's first WAL
-    /// unlink — until the test lets it go. Its hard links are real but it
-    /// cannot count them (`link_count` is the trait's default, 1): the
-    /// window between the reclaim executor's probe of an inode and its
-    /// punch, held open.
+    /// tests of the two background threads and the commit queue: it parks
+    /// the thread that makes a chosen call — a compaction's n-th input
+    /// read, a flush's first WAL unlink, a leader's next WAL sync — until
+    /// the test lets it go. Its hard links are real but it cannot count
+    /// them (`link_count` is the trait's default, 1): the window between
+    /// the reclaim executor's probe of an inode and its punch, held open.
     #[derive(Default)]
     pub(super) struct ReadFaultEnv {
         inner: MemEnv,
@@ -734,6 +741,9 @@ mod test_util {
         /// Reads left until the one that parks at the gate; 0 = none will.
         hold_in: u64,
         hold_log_delete: bool,
+        hold_log_sync: bool,
+        /// The next WAL sync fails (after the gate, if it parks there).
+        fail_log_sync: bool,
         /// A thread is parked at the gate.
         held: bool,
         log: Vec<(String, u64, usize)>,
@@ -772,6 +782,18 @@ mod test_util {
         /// commit, in its log sweep.
         pub(super) fn hold_log_delete(&self) {
             self.faults().hold_log_delete = true;
+        }
+
+        /// Park the thread that next syncs a WAL file: a synced group's
+        /// leader, holding the log.
+        pub(super) fn hold_log_sync(&self) {
+            self.faults().hold_log_sync = true;
+        }
+
+        /// Fail the next WAL sync — the parked one, if a thread is held in
+        /// a sync when [`ReadFaultEnv::release`] lets it go.
+        pub(super) fn fail_log_sync(&self) {
+            self.faults().fail_log_sync = true;
         }
 
         /// Block until a thread is parked at the gate.
@@ -833,12 +855,49 @@ mod test_util {
         }
     }
 
+    struct LogSyncFaultFile {
+        inner: Box<dyn WritableFile>,
+        faults: Arc<(Mutex<ReadFaults>, Condvar)>,
+    }
+
+    impl WritableFile for LogSyncFaultFile {
+        fn append(&mut self, data: &[u8]) -> Result<()> {
+            self.inner.append(data)
+        }
+        fn flush(&mut self) -> Result<()> {
+            self.inner.flush()
+        }
+        fn sync(&mut self) -> Result<()> {
+            let fail = {
+                let mut faults = self.faults.0.lock().unwrap();
+                if std::mem::take(&mut faults.hold_log_sync) {
+                    faults = park(&self.faults.1, faults);
+                }
+                std::mem::take(&mut faults.fail_log_sync)
+            };
+            if fail {
+                return Err(Error::io("injected WAL sync error"));
+            }
+            self.inner.sync()
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
     impl Env for ReadFaultEnv {
         fn new_writable_file(&self, path: &str) -> Result<Box<dyn WritableFile>> {
             if path.ends_with(".sst") && self.faults().fail_table_creates {
                 return Err(Error::io("injected create error"));
             }
-            self.inner.new_writable_file(path)
+            let inner = self.inner.new_writable_file(path)?;
+            if !path.ends_with(".log") {
+                return Ok(inner);
+            }
+            Ok(Box::new(LogSyncFaultFile {
+                inner,
+                faults: Arc::clone(&self.faults),
+            }))
         }
         fn new_appendable_file(&self, path: &str) -> Result<Box<dyn WritableFile>> {
             self.inner.new_appendable_file(path)

@@ -7,12 +7,12 @@
 //! `install_view`: it moves `mem` into `imm`, stamped with the boundaries that
 //! `flush` later retires.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
-use bolt_common::sync::{named_mutex, Mutex, MutexGuard};
+use bolt_common::sync::MutexGuard;
 use bolt_common::{Error, Result};
 use bolt_table::ikey::ValueType;
 use bolt_wal::LogWriter;
@@ -25,30 +25,26 @@ use crate::options::WriteOptions;
 use crate::txn::{self, ShardTxnMarker};
 use crate::vlog::{ValuePointer, VlogWriter};
 
-/// A writer queued for group commit. All fields except `sync` are mutated
-/// only while holding the main `state` mutex; `done`/`result` are *read* by
-/// the owning writer after it observes `done`, which the completing leader
-/// publishes with release ordering.
-pub(super) struct WriterSlot {
+/// A writer waiting in the group-commit queue: plain state under
+/// `core.state`, like the queue itself.
+pub(super) struct QueuedWrite {
+    /// The writer's place in line; the queue holds ascending tickets.
+    ticket: u64,
     /// Whether this batch asked for a WAL durability barrier.
     sync: bool,
-    /// What the slot commits. Normal batches merge into groups; the two
+    /// What the writer commits. Normal batches merge into groups; the two
     /// transaction phases are WAL-exclusive and always commit alone.
-    op: SlotOp,
-    /// The pending batch; taken by the leader when merged into a group.
-    batch: Mutex<Option<WriteBatch>>,
-    /// Encoded size of the pending batch (readable without locking `batch`).
-    batch_bytes: usize,
-    /// Set (with release ordering) once the group containing this batch
-    /// committed or failed.
-    done: AtomicBool,
-    /// The batch's individual outcome, filled in by the leader.
-    result: Mutex<Option<Result<()>>>,
+    op: WriteOp,
+    /// Encoded size of the batch.
+    bytes: usize,
+    /// The batch (a prepare's slice; none for an apply), taken once, by
+    /// the leader of the group it joins.
+    batch: Option<WriteBatch>,
 }
 
-/// The operation a queued [`WriterSlot`] performs when it leads.
+/// The operation a [`QueuedWrite`] performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotOp {
+enum WriteOp {
     /// An ordinary batch, mergeable into a commit group.
     Write,
     /// Stage a cross-shard slice: synced WAL record, no memtable effect.
@@ -58,42 +54,34 @@ enum SlotOp {
     TxnApply { txn_id: u64 },
 }
 
-impl WriterSlot {
-    fn new(batch: WriteBatch, sync: bool) -> Self {
-        WriterSlot {
-            sync,
-            op: SlotOp::Write,
-            batch_bytes: batch.approximate_size(),
-            batch: named_mutex("core.writer_batch", Some(batch)),
-            done: AtomicBool::new(false),
-            result: named_mutex("core.writer_result", None),
+impl QueuedWrite {
+    fn take_batch(&mut self) -> WriteBatch {
+        // Only the leader of the entry's group takes it, and only once.
+        // bolt-lint: allow(unwrap-in-crash-path)
+        self.batch.take().expect("batch taken once")
+    }
+}
+
+impl DbState {
+    /// The queue's completion watermark: every ticket below it has retired.
+    /// Entries retire front-first, so it is the front's ticket.
+    fn retired_below(&self) -> u64 {
+        self.writers.front().map_or(self.next_ticket, |w| w.ticket)
+    }
+
+    /// The entry of the writer that leads: the front, which stays queued
+    /// until its group retires.
+    fn leader(&mut self) -> &mut QueuedWrite {
+        // Only the front writer leads. bolt-lint: allow(unwrap-in-crash-path)
+        self.writers.front_mut().expect("leader queued")
+    }
+
+    /// What the group of a retired `ticket` returned.
+    fn outcome(&self, ticket: u64) -> Result<()> {
+        match &self.failed_group {
+            Some((tickets, e)) if tickets.contains(&ticket) => Err(e.clone()),
+            _ => Ok(()),
         }
-    }
-
-    /// A prepare slot. Always syncs: a prepare that is not durable when
-    /// the coordinator decides would let a crash half-apply the batch.
-    fn new_txn_prepare(marker: ShardTxnMarker, payload: WriteBatch) -> Self {
-        WriterSlot {
-            op: SlotOp::TxnPrepare(marker),
-            ..WriterSlot::new(payload, true)
-        }
-    }
-
-    fn new_txn_apply(txn_id: u64) -> Self {
-        WriterSlot {
-            op: SlotOp::TxnApply { txn_id },
-            ..WriterSlot::new(WriteBatch::new(), false)
-        }
-    }
-
-    /// Publish this writer's outcome and mark it done.
-    fn complete(&self, result: Result<()>) {
-        *self.result.lock() = Some(result);
-        self.done.store(true, Ordering::Release);
-    }
-
-    fn take_result(&self) -> Result<()> {
-        self.result.lock().take().unwrap_or(Ok(()))
     }
 }
 
@@ -203,7 +191,7 @@ impl Db {
             .stats
             .record_user_bytes(batch.approximate_size() as u64);
         let sync = wopts.sync.unwrap_or(inner.opts.sync_wal);
-        inner.enqueue_and_commit(Arc::new(WriterSlot::new(batch, sync)))
+        inner.enqueue_and_commit(WriteOp::Write, sync, Some(batch))
     }
 
     /// Stage one shard's slice of a cross-shard batch (2PC phase 1): a
@@ -225,8 +213,10 @@ impl Db {
         self.inner
             .stats
             .record_user_bytes(slice.approximate_size() as u64);
+        // Always synced: a prepare that is not durable when the coordinator
+        // decides would let a crash half-apply the batch.
         self.inner
-            .enqueue_and_commit(Arc::new(WriterSlot::new_txn_prepare(marker, slice)))
+            .enqueue_and_commit(WriteOp::TxnPrepare(marker), true, Some(slice))
     }
 
     /// Apply a staged slice (2PC phase 2), making it visible to readers.
@@ -238,7 +228,7 @@ impl Db {
     /// plus background and WAL I/O errors.
     pub fn txn_apply(&self, txn_id: u64) -> Result<()> {
         self.inner
-            .enqueue_and_commit(Arc::new(WriterSlot::new_txn_apply(txn_id)))
+            .enqueue_and_commit(WriteOp::TxnApply { txn_id }, false, None)
     }
 
     /// Drop a staged slice without applying it (2PC abort). A no-op if
@@ -258,39 +248,65 @@ impl Db {
 }
 
 impl DbInner {
-    /// Queue `slot` and wait until it is committed by a leader or becomes
-    /// the leader itself — the single entry point for everything that
-    /// needs the WAL exclusively (batches and both transaction phases),
-    /// since leaders take the log without waiting and exclusion is purely
-    /// structural via queue position.
-    fn enqueue_and_commit(&self, slot: Arc<WriterSlot>) -> Result<()> {
+    /// Queue a writer and wait until a leader committed it or it leads
+    /// itself — the single entry point for everything that needs the WAL
+    /// exclusively (batches and both transaction phases), since leaders
+    /// take the log without waiting and exclusion is purely structural via
+    /// queue position.
+    fn enqueue_and_commit(&self, op: WriteOp, sync: bool, batch: Option<WriteBatch>) -> Result<()> {
         let enqueued = Instant::now();
+        let bytes = batch.as_ref().map_or(0, WriteBatch::approximate_size);
         let mut state = self.state.lock();
-        state.writers.push_back(Arc::clone(&slot));
-        while !slot.done.load(Ordering::Acquire)
-            // Our slot was pushed above and only the leader dequeues, so the
-            // queue cannot be empty here.
-            // bolt-lint: allow(unwrap-in-crash-path)
-            && !Arc::ptr_eq(state.writers.front().expect("queue non-empty"), &slot)
-        {
+        let ticket = state.next_ticket;
+        state.next_ticket += 1;
+        state.writers.push_back(QueuedWrite {
+            ticket,
+            sync,
+            op,
+            bytes,
+            batch,
+        });
+        while state.retired_below() < ticket {
             self.writers_cv.wait(&mut state);
         }
         self.stats
             .queue_wait()
             .record(enqueued.elapsed().as_nanos() as u64);
-        if slot.done.load(Ordering::Acquire) {
+        if state.retired_below() > ticket {
             // A leader committed (or failed) this batch on our behalf.
-            return slot.take_result();
+            return state.outcome(ticket);
         }
-        match slot.op {
-            SlotOp::Write => self.group_commit(&mut state, &slot),
-            SlotOp::TxnPrepare(..) | SlotOp::TxnApply { .. } => {
-                let result = self.txn_commit(&mut state, &slot);
-                state.writers.pop_front();
-                self.writers_cv.notify_all();
-                result
+        let (members, result) = match op {
+            WriteOp::Write => self.group_commit(&mut state),
+            WriteOp::TxnPrepare(marker) => (1, self.commit_prepare(&mut state, marker)),
+            WriteOp::TxnApply { txn_id } => (1, self.commit_apply(&mut state, txn_id)),
+        };
+        self.retire(&mut state, members, &result);
+        result
+    }
+
+    /// Retire the leader's entry and the `members - 1` followers it
+    /// committed with `result`, and hand leadership to the next entry: the
+    /// one place entries leave the queue, for write groups and both
+    /// transaction phases alike.
+    ///
+    /// A follower reads its outcome from the watermark and the one failed
+    /// group on record. One is enough: a group fails with followers only
+    /// inside `with_wal`, which poisons the engine, and from then on every
+    /// leader fails alone in `check_poisoned`, before it takes a follower.
+    fn retire(&self, state: &mut DbState, members: usize, result: &Result<()>) {
+        match result {
+            Err(e) if members > 1 => {
+                debug_assert!(state.failed_group.is_none(), "a second group failed");
+                let first = state.retired_below();
+                state.failed_group = Some((first..first + members as u64, e.clone()));
             }
+            _ => {}
         }
+        for _ in 0..members {
+            state.writers.pop_front();
+        }
+        self.writers_cv.notify_all();
     }
 
     /// The WAL-leader protocol, in one place: take the WAL — and the value
@@ -301,7 +317,7 @@ impl DbInner {
     /// later acknowledged writes could be silently lost).
     ///
     /// Queue leaders call this without waiting — queue position is what
-    /// excludes a second holder — and wake `writers_cv` when they dequeue,
+    /// excludes a second holder — and wake `writers_cv` when they retire,
     /// still inside the same critical section, which is also what tells
     /// `flush`/`close` the log is back.
     pub(super) fn with_wal<T>(
@@ -322,80 +338,74 @@ impl DbInner {
         result
     }
 
-    /// Run a transaction phase as a group of one, under the same leader
-    /// protocol as [`DbInner::group_commit`].
-    fn txn_commit(
+    /// Stage a cross-shard slice (a group of one, under the same leader
+    /// protocol as [`DbInner::group_commit`]).
+    fn commit_prepare(
         &self,
         state: &mut MutexGuard<'_, DbState>,
-        leader: &Arc<WriterSlot>,
+        marker: ShardTxnMarker,
     ) -> Result<()> {
         state.check_poisoned()?;
-        match leader.op {
-            SlotOp::TxnPrepare(marker) => {
-                // A slot's batch is taken exactly once, by its leader.
-                // bolt-lint: allow(unwrap-in-crash-path)
-                let payload = leader.batch.lock().take().expect("prepare slice present");
-                let record = txn::encode_prepare(&marker, &payload);
-                let log_number = state.wal_number;
-                self.with_wal(state, |wal, _| {
-                    wal.add_record(&record)?;
-                    wal.sync()
-                })?;
-                self.stats.record_wal_sync(1);
-                state.pending_txns.insert(
-                    marker.txn_id,
-                    PendingTxn {
-                        payload,
-                        log_number,
-                        applied_in: None,
-                    },
-                );
-                Ok(())
-            }
-            SlotOp::TxnApply { txn_id } => {
-                // The apply inserts into the memtable, so the governors run
-                // exactly as for a batch commit.
-                self.make_room(state)?;
-                let apply_era = state.wal_number;
-                let mut payload = match state.pending_txns.get(&txn_id) {
-                    Some(staged) if staged.applied_in.is_none() => staged.payload.clone(),
-                    _ => {
-                        return Err(Error::InvalidArgument(format!(
-                            "transaction {txn_id} has no staged slice"
-                        )));
-                    }
-                };
-                let base = self.last_sequence.load(Ordering::Relaxed);
-                payload.set_sequence(base + 1);
-                let count = u64::from(payload.count());
-                // The marker is appended *unsynced*: the payload is already
-                // durable (synced prepare + synced decide), and if a crash
-                // tears the marker off the log tail it also tears every
-                // later record, so end-of-log recovery replay lands the
-                // slice in the same relative order.
-                let marker_record = txn::encode_applied(txn_id, base + 1);
-                let mem = Arc::clone(&self.view().mem);
-                self.with_wal(state, |wal, _| {
-                    wal.add_record(&marker_record)?;
-                    payload.apply_to(&mem)
-                })?;
-                self.last_sequence.store(base + count, Ordering::Release);
-                self.stats.record_write_group(1);
-                self.stats.record_group_batches(1);
-                // Keep the entry (and its WAL pin) until the flush that
-                // covers this era; see `prune_applied_txns`.
-                if let Some(staged) = state.pending_txns.get_mut(&txn_id) {
-                    staged.applied_in = Some(apply_era);
-                }
-                Ok(())
-            }
-            SlotOp::Write => Err(Error::InvalidState(
-                "txn_commit dispatched on a non-txn writer slot".into(),
-            )),
-        }
+        let payload = state.leader().take_batch();
+        let record = txn::encode_prepare(&marker, &payload);
+        let log_number = state.wal_number;
+        self.with_wal(state, |wal, _| {
+            wal.add_record(&record)?;
+            wal.sync()
+        })?;
+        self.stats.record_wal_sync(1);
+        state.pending_txns.insert(
+            marker.txn_id,
+            PendingTxn {
+                payload,
+                log_number,
+                applied_in: None,
+            },
+        );
+        Ok(())
     }
 
-    /// Commit the group led by `leader` (the front of the writer queue).
+    /// Apply a staged slice (a group of one, like the prepare).
+    fn commit_apply(&self, state: &mut MutexGuard<'_, DbState>, txn_id: u64) -> Result<()> {
+        // The apply inserts into the memtable, so the governors run
+        // exactly as for a batch commit.
+        self.make_room(state)?;
+        let apply_era = state.wal_number;
+        let mut payload = match state.pending_txns.get(&txn_id) {
+            Some(staged) if staged.applied_in.is_none() => staged.payload.clone(),
+            _ => {
+                return Err(Error::InvalidArgument(format!(
+                    "transaction {txn_id} has no staged slice"
+                )));
+            }
+        };
+        let base = self.last_sequence.load(Ordering::Relaxed);
+        payload.set_sequence(base + 1);
+        let count = u64::from(payload.count());
+        // The marker is appended *unsynced*: the payload is already
+        // durable (synced prepare + synced decide), and if a crash tears
+        // the marker off the log tail it also tears every later record, so
+        // end-of-log recovery replay lands the slice in the same relative
+        // order.
+        let marker_record = txn::encode_applied(txn_id, base + 1);
+        let mem = Arc::clone(&self.view().mem);
+        self.with_wal(state, |wal, _| {
+            wal.add_record(&marker_record)?;
+            payload.apply_to(&mem)
+        })?;
+        self.last_sequence.store(base + count, Ordering::Release);
+        self.stats.record_write_group(1);
+        self.stats.record_group_batches(1);
+        // Keep the entry (and its WAL pin) until the flush that covers
+        // this era; see `prune_applied_txns`.
+        if let Some(staged) = state.pending_txns.get_mut(&txn_id) {
+            staged.applied_in = Some(apply_era);
+        }
+        Ok(())
+    }
+
+    /// Commit the group led by the front of the queue, and return how many
+    /// entries it took (the leader's included) with its outcome.
     ///
     /// Runs with the state mutex held, but releases it for the expensive
     /// phase: the WAL append, the (single) durability barrier, and the
@@ -403,18 +413,12 @@ impl DbInner {
     /// leader stays at the front of the queue until done, so no second
     /// leader can exist, and `flush`/`close` wait for the WAL's return
     /// before touching it.
-    fn group_commit(
-        &self,
-        state: &mut MutexGuard<'_, DbState>,
-        leader: &Arc<WriterSlot>,
-    ) -> Result<()> {
+    fn group_commit(&self, state: &mut MutexGuard<'_, DbState>) -> (usize, Result<()>) {
         // Run the governors (slowdown/stall/memtable switch) for the whole
         // group. Followers keep queueing while the leader waits here, which
         // is exactly what makes post-stall groups large.
         if let Err(e) = self.make_room(state) {
-            state.writers.pop_front();
-            self.writers_cv.notify_all();
-            return Err(e);
+            return (1, Err(e));
         }
 
         // Merge queued follower batches into the leader's, oldest first,
@@ -423,49 +427,45 @@ impl DbInner {
         // a megabyte of followers (HyperLevelDB's rule).
         const GROUP_COMMIT_BYTES: usize = 1 << 20;
         const SMALL_BATCH_SLACK: usize = 128 << 10;
-        let own = leader.batch_bytes;
+        let leader = state.leader();
+        let (own, group_sync) = (leader.bytes, leader.sync);
+        let mut combined = leader.take_batch();
         let mut cap = GROUP_COMMIT_BYTES;
         if own <= SMALL_BATCH_SLACK {
             cap = cap.min(own + SMALL_BATCH_SLACK);
         }
         let mut group_len = 1usize;
         let mut group_bytes = own;
-        let mut sync_requests = u64::from(leader.sync);
-        for slot in state.writers.iter().skip(1) {
-            if slot.op != SlotOp::Write {
+        let mut sync_requests = u64::from(group_sync);
+        for follower in state.writers.iter().skip(1) {
+            if follower.op != WriteOp::Write {
                 // Transaction phases are WAL-exclusive and never merge.
                 break;
             }
-            if slot.sync && !leader.sync {
+            if follower.sync && !group_sync {
                 // A sync write must not be absorbed by a non-sync group:
                 // its durability guarantee would silently vanish.
                 break;
             }
-            if group_bytes + slot.batch_bytes > cap {
+            if group_bytes + follower.bytes > cap {
                 break;
             }
-            group_bytes += slot.batch_bytes;
-            sync_requests += u64::from(slot.sync);
+            group_bytes += follower.bytes;
+            sync_requests += u64::from(follower.sync);
             group_len += 1;
         }
-        // A slot's batch is taken exactly once, by the leader that dequeues it;
-        // it is still present here. bolt-lint: allow(unwrap-in-crash-path)
-        let mut combined = leader.batch.lock().take().expect("leader batch present");
         if group_len > 1 {
             combined.reserve(group_bytes - own);
-            for slot in state.writers.iter().skip(1).take(group_len - 1) {
-                // bolt-lint: allow(unwrap-in-crash-path) -- same single-take invariant.
-                let follower = slot.batch.lock().take().expect("follower batch present");
+            for follower in state.writers.range_mut(1..group_len) {
                 // WriteBatch::append is an in-memory merge returning `()`,
                 // not fallible file I/O. bolt-lint: allow(swallowed-io-error)
-                combined.append(&follower);
+                combined.append(&follower.take_batch());
             }
         }
 
         let base = self.last_sequence.load(Ordering::Relaxed);
         combined.set_sequence(base + 1);
         let count = u64::from(combined.count());
-        let group_sync = leader.sync;
         let mem = Arc::clone(&self.view().mem);
         let mut rotations: Vec<u64> = Vec::new();
 
@@ -529,20 +529,7 @@ impl DbInner {
                 },
             });
         });
-
-        // Deliver results, dequeue the group, and hand leadership to the
-        // next queued writer (it wakes via writers_cv and finds itself at
-        // the front).
-        for _ in 0..group_len {
-            // group_len was counted from this same queue under the same lock
-            // acquisition. bolt-lint: allow(unwrap-in-crash-path)
-            let slot = state.writers.pop_front().expect("group member queued");
-            if !Arc::ptr_eq(&slot, leader) {
-                slot.complete(result.clone());
-            }
-        }
-        self.writers_cv.notify_all();
-        result
+        (group_len, result)
     }
 
     fn make_room(&self, state: &mut MutexGuard<'_, DbState>) -> Result<()> {
@@ -626,7 +613,7 @@ impl DbInner {
     /// the WAL record that follows is the commit point, so ordering
     /// suffices exactly as it does for table data files.
     fn vlog_ordering_only(&self) -> bool {
-        self.opts.use_ordering_barriers && self.env.supports_ordering_barrier()
+        self.env.supports_ordering_barrier()
     }
 
     /// Rewrite `batch` in place so every value strictly larger than
@@ -1000,6 +987,59 @@ mod tests {
         assert_eq!(db.get(b"tiny").unwrap(), Some(b"v".to_vec()));
         assert_eq!(db.get(b"huge").unwrap(), Some(vec![b'x'; 2 << 20]));
         assert_eq!(db.stats().snapshot().group_batches, 2);
+        db.close().unwrap();
+    }
+
+    /// A synced group of two writers whose WAL sync fails. The first leader
+    /// is held in its sync until two writers queue behind it; their group's
+    /// sync is held until a third writer queues behind the group, and then
+    /// fails. Both members return the group's I/O error, the writer behind
+    /// it the poison, and every acknowledged write survives a reopen.
+    #[test]
+    fn a_failed_sync_fails_every_member_of_its_group_and_poisons_the_queue() {
+        let env = Arc::new(ReadFaultEnv::default());
+        let mut opts = Options::leveldb();
+        opts.sync_wal = true;
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts.clone()).unwrap();
+        db.put(b"before", b"1").unwrap();
+        let queued = |n: usize| {
+            while db.inner.state.lock().writers.len() < n {
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|s| {
+            let db = &db;
+            env.hold_log_sync();
+            let first = s.spawn(|| db.put(b"first", b"2"));
+            env.wait_until_held();
+            let group = [b"g1", b"g2"].map(|key| s.spawn(move || db.put(key, b"3")));
+            queued(3);
+            env.hold_log_sync();
+            env.release();
+            env.wait_until_held(); // the group's leader, in the group's sync
+            assert_eq!(first.join().unwrap(), Ok(()));
+            let behind = s.spawn(|| db.put(b"behind", b"4"));
+            queued(3);
+            env.fail_log_sync();
+            env.release();
+            let [a, b] = group.map(|member| member.join().unwrap().unwrap_err());
+            assert!(matches!(a, Error::Io(_)), "{a:?}");
+            assert_eq!(a, b, "the members of one group share its outcome");
+            assert_eq!(behind.join().unwrap(), Err(a), "the engine is poisoned");
+        });
+        assert!(db.close().is_err());
+        drop(db);
+
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts).unwrap();
+        assert_eq!(db.get(b"before").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(db.get(b"first").unwrap(), Some(b"2".to_vec()));
+        // The group's one record reached the log before its sync failed.
+        // It was never acknowledged, but with no crash a reopen replays it
+        // — both members, which shows that they were one group — while the
+        // poisoned writer never appended at all.
+        assert_eq!(db.get(b"g1").unwrap(), Some(b"3".to_vec()));
+        assert_eq!(db.get(b"g2").unwrap(), Some(b"3".to_vec()));
+        assert_eq!(db.get(b"behind").unwrap(), None);
         db.close().unwrap();
     }
 

@@ -271,10 +271,6 @@ pub struct Options {
     /// many runs (STCS `min_threshold`; must be ≥ 2). Smaller = earlier
     /// merges, lower read amp, higher write amp.
     pub size_tiered_min_threshold: usize,
-    /// Use ordering-only barriers where durability is not required (the
-    /// BarrierFS ablation; requires an env with
-    /// [`bolt_env::Env::supports_ordering_barrier`]).
-    pub use_ordering_barriers: bool,
     /// WAL-time key-value separation (BVLSM-style): values strictly larger
     /// than this many bytes are appended to the value log and replaced by a
     /// fixed-size pointer throughout the WAL/memtable/SSTable path.
@@ -312,7 +308,6 @@ impl Options {
             compaction_style: CompactionStyle::Leveled,
             compaction_policy: CompactionPolicyKind::Leveled,
             size_tiered_min_threshold: 4,
-            use_ordering_barriers: false,
             value_separation_threshold: None,
             vlog_segment_bytes: 64 << 20,
         }

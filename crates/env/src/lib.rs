@@ -287,7 +287,9 @@ pub trait Env: Send + Sync {
     fn stats(&self) -> &IoStats;
 
     /// Whether [`WritableFile::ordering_barrier`] is cheaper than a full
-    /// sync here (the BarrierFS extension; `false` for legacy stacks).
+    /// sync here (the BarrierFS extension; `false` for legacy stacks). When
+    /// it is, the engine pays ordering-only barriers wherever durability is
+    /// not required: table and value-log data before their commit record.
     fn supports_ordering_barrier(&self) -> bool {
         false
     }
