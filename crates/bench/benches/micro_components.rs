@@ -3,8 +3,9 @@
 //! zipfian generator, a run's tables drained span by span vs block by
 //! block, a table open with and without its recorded tail length, iterator
 //! creation over a small and a large tree, one compaction pick out of a small
-//! and a large level (a settled group, and a lazy-leveled settle), and one
-//! merge step at 2, 3 and 8 children.
+//! and a large level (a settled group, and a lazy-leveled settle), one
+//! merge step at 2, 3 and 8 children, and a cache-resident `get` from one
+//! thread and from two.
 //!
 //! Run: `cargo bench -p bolt-bench --bench micro_components`
 
@@ -492,6 +493,63 @@ fn bench_merge_next(c: &mut Criterion) {
     group.finish();
 }
 
+/// The same loop of gets over 200 cache-resident keys of a `MemEnv`
+/// database (the benchmark's `read_hot` set, on no device), from one thread
+/// and from two: wall time per get, and the two-thread ÷ one-thread
+/// throughput ratio. Two readers that wrote no line in common would come
+/// close to 2.0 on two idle cores; what they still share is what keeps it
+/// below. Prints only and never fails: a two-core CI box is too noisy to
+/// gate on.
+fn bench_get_hot_threads(c: &mut Criterion) {
+    use bolt_core::{Db, Options};
+
+    const KEYS: u64 = 200;
+    let mut opts = Options::bolt().scaled(1.0 / 64.0);
+    opts.block_cache_bytes = 2 << 20;
+    let db = Db::open(Arc::new(MemEnv::new()), "bench-db", opts).unwrap();
+    let key = |i: u64| format!("user{:016}", i * 7919 % 100_000).into_bytes();
+    for i in 0..KEYS {
+        db.put(&key(i), &[b'v'; 256]).unwrap();
+    }
+    db.flush().unwrap();
+    db.compact_until_quiet().unwrap();
+    let gets = |n: u64, first: u64| {
+        for i in first..first + n {
+            black_box(db.get(&key(i % KEYS)).unwrap().expect("a hot key"));
+        }
+    };
+    gets(KEYS, 0); // every table and block in its cache
+
+    let mut group = c.benchmark_group("read/get_hot_threads");
+    let mut ns_per_get = Vec::new();
+    for threads in [1u64, 2] {
+        let mut ns = 0.0;
+        group.bench_function(format!("{threads}_threads"), |b| {
+            b.iter_custom(|iters| {
+                let per_thread = iters.div_ceil(threads);
+                let start = std::time::Instant::now();
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        s.spawn(move || gets(per_thread, t * 97));
+                    }
+                });
+                let elapsed = start.elapsed();
+                ns = elapsed.as_nanos() as f64 / (per_thread * threads) as f64;
+                elapsed
+            })
+        });
+        ns_per_get.push(ns);
+    }
+    group.finish();
+    println!(
+        "read/get_hot_threads: {:.0} ns/get at 1 thread, {:.0} at 2; 2 ÷ 1 = {:.2}",
+        ns_per_get[0],
+        ns_per_get[1],
+        ns_per_get[0] / ns_per_get[1]
+    );
+    db.close().unwrap();
+}
+
 /// Writer scaling through the group-commit pipeline: 1/2/4/8 concurrent
 /// writers, synced and unsynced. With sync on, throughput should *rise*
 /// with writers as batches share barriers (batches per group > 1).
@@ -548,6 +606,7 @@ criterion_group!(
     bench_pick_single_run,
     bench_settle_into_single_run,
     bench_merge_next,
+    bench_get_hot_threads,
     bench_write_pipeline
 );
 criterion_main!(benches);

@@ -14,30 +14,33 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::sync::CachePadded;
+
 const NUM_SHARDS: usize = 16;
 
-/// Cache hit/miss counters, cheap enough to keep always-on.
-#[derive(Debug, Default)]
+/// Cache hit/miss/eviction counts at one instant: the sum of every shard's
+/// own counters (see [`LruCache::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 impl CacheStats {
     /// Number of `get` calls that found an entry.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
     /// Number of `get` calls that missed.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 
     /// Number of entries evicted to make room.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions
     }
 
     /// Hit ratio in `[0, 1]`; 0 when the cache was never queried.
@@ -130,7 +133,8 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
         true
     }
 
-    fn insert(&mut self, key: K, value: Arc<V>, charge: u64, stats: &CacheStats) {
+    /// Insert, evicting from the LRU end; returns how many entries went.
+    fn insert(&mut self, key: K, value: Arc<V>, charge: u64) -> u64 {
         if let Some(&idx) = self.map.get(&key) {
             self.unlink(idx);
             let old = self.slab[idx].take().expect("existing entry");
@@ -138,8 +142,9 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
             self.free.push(idx);
             self.map.remove(&key);
         }
+        let mut evicted = 0;
         while self.usage + charge > self.capacity && self.evict_lru() {
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
+            evicted += 1;
         }
         // Even an oversized entry is admitted (LevelDB semantics): it will be
         // the next eviction victim.
@@ -160,12 +165,17 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
         self.map.insert(key, idx);
         self.usage += charge;
         self.push_front(idx);
+        evicted
     }
 
     fn get(&mut self, key: &K) -> Option<Arc<V>> {
         let idx = *self.map.get(key)?;
-        self.unlink(idx);
-        self.push_front(idx);
+        // The most recent entry stays where it is: a repeated hit writes no
+        // list link.
+        if idx != self.head {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
         Some(Arc::clone(&self.slab[idx].as_ref().expect("entry").value))
     }
 
@@ -181,18 +191,29 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     }
 }
 
+/// One shard's counters and lock, on cache lines of their own: the counters
+/// come first, beside the lock word, and a lookup bumps them before it
+/// unlocks, so a hit writes one line its lock already owns.
+#[repr(C)]
+struct ShardSlot<K, V> {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    shard: Mutex<Shard<K, V>>,
+}
+
 /// A sharded, thread-safe LRU cache with charge-based capacity.
 pub struct LruCache<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
-    stats: CacheStats,
+    shards: Vec<CachePadded<ShardSlot<K, V>>>,
 }
 
 impl<K: Hash + Eq + Clone, V> std::fmt::Debug for LruCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let stats = self.stats();
         f.debug_struct("LruCache")
             .field("usage", &self.usage())
-            .field("hits", &self.stats.hits())
-            .field("misses", &self.stats.misses())
+            .field("hits", &stats.hits())
+            .field("misses", &stats.misses())
             .finish()
     }
 }
@@ -203,13 +224,19 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         let per_shard = capacity.div_ceil(NUM_SHARDS as u64).max(1);
         LruCache {
             shards: (0..NUM_SHARDS)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .map(|_| {
+                    CachePadded(ShardSlot {
+                        hits: AtomicU64::new(0),
+                        misses: AtomicU64::new(0),
+                        evictions: AtomicU64::new(0),
+                        shard: Mutex::new(Shard::new(per_shard)),
+                    })
+                })
                 .collect(),
-            stats: CacheStats::default(),
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+    fn shard(&self, key: &K) -> &ShardSlot<K, V> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % NUM_SHARDS]
@@ -218,35 +245,46 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     /// Insert `value` under `key` with the given `charge`, evicting LRU
     /// entries as needed. Replaces any existing entry for `key`.
     pub fn insert(&self, key: K, value: Arc<V>, charge: u64) {
-        self.shard(&key)
-            .lock()
-            .insert(key, value, charge, &self.stats);
+        let slot = self.shard(&key);
+        let mut shard = slot.shard.lock();
+        let evicted = shard.insert(key, value, charge);
+        slot.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Look up `key`, promoting it to most-recently-used on a hit.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        let result = self.shard(key).lock().get(key);
-        if result.is_some() {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        let slot = self.shard(key);
+        let mut shard = slot.shard.lock();
+        let result = shard.get(key);
+        let counter = if result.is_some() {
+            &slot.hits
         } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
+            &slot.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         result
     }
 
     /// Remove `key`; returns whether it was present.
     pub fn erase(&self, key: &K) -> bool {
-        self.shard(key).lock().erase(key)
+        self.shard(key).shard.lock().erase(key)
     }
 
     /// Total charge currently held.
     pub fn usage(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().usage).sum()
+        self.shards.iter().map(|s| s.shard.lock().usage).sum()
     }
 
-    /// Hit/miss/eviction counters.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+    /// Hit/miss/eviction counters: every shard's, summed now.
+    pub fn stats(&self) -> CacheStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        self.shards
+            .iter()
+            .fold(CacheStats::default(), |sum, s| CacheStats {
+                hits: sum.hits + load(&s.hits),
+                misses: sum.misses + load(&s.misses),
+                evictions: sum.evictions + load(&s.evictions),
+            })
     }
 }
 
@@ -360,6 +398,16 @@ mod tests {
         assert_eq!(c.stats().hits(), 1);
         assert_eq!(c.stats().misses(), 1);
         assert!((c.stats().hit_ratio() - 0.5).abs() < 1e-9);
+        // Every shard counts its own lookups; `stats` is their sum.
+        for k in 10..110 {
+            c.insert(k, Arc::new(k), 1);
+        }
+        for k in 10..160 {
+            let _ = c.get(&k);
+        }
+        let stats = c.stats();
+        assert_eq!((stats.hits(), stats.misses()), (101, 51));
+        assert_eq!(stats.evictions(), 0);
     }
 
     #[test]

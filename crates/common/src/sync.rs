@@ -17,6 +17,20 @@ pub use crate::debug_locks::{
 #[cfg(not(feature = "debug_locks"))]
 pub use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
+/// `T` alone on its cache lines: a value that one thread writes, kept off
+/// the lines another thread writes. 128 bytes, because x86 prefetches lines
+/// in pairs.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// A mutex named in the lock-order graph when `debug_locks` is enabled; a
 /// plain mutex otherwise.
 pub fn named_mutex<T>(name: &'static str, value: T) -> Mutex<T> {

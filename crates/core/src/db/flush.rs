@@ -232,6 +232,7 @@ impl DbInner {
                     .is_none_or(|t| t.reason == CompactionReason::Seek)
                 {
                     state.seek_candidate = None;
+                    self.seek_pending.store(false, Ordering::Release);
                 }
                 (task?, false)
             }

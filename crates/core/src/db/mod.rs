@@ -1,9 +1,9 @@
 //! The database, one module per subsystem. Every child is a plain
 //! `impl DbInner` (plus the `impl Db` entry points that drive it) over the
 //! state defined here; all of them share the one `core.state` mutex, of
-//! whose `DbState` each owns one field group, and the `ReadView` behind
-//! `core.view` — all that a reader, a governor or the picker sees of the
-//! tree — which only `install_view` replaces:
+//! whose `DbState` each owns one field group, and the `ReadView` — all
+//! that a reader, a governor or the picker sees of the tree — which only
+//! `install_view` replaces, and each thread reads from its own slot:
 //!
 //! * `write` — group commit, the 2PC phases, the write governors,
 //!   memtable switching and WAL-time value separation;
@@ -20,12 +20,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bolt_common::cache::LruCache;
 use bolt_common::events::{BarrierCause, BarrierScope, EventSink, TraceEvent};
-use bolt_common::sync::{named_mutex, Condvar, Mutex};
+use bolt_common::sync::{named_mutex, CachePadded, Condvar, Mutex};
 use bolt_common::{Error, Result};
 use bolt_env::Env;
 use bolt_table::cache::TableCache;
@@ -124,8 +124,11 @@ struct Imm {
 
 /// Everything a reader must see, as one immutable value: replaced whole by
 /// [`DbInner::install_view`], never modified in place, so no reader can
-/// observe a flush half installed.
+/// observe a flush half installed. Aligned like a [`CachePadded`] value, so
+/// that the reference count of one view slot's copy shares no cache line
+/// with another slot's.
 #[derive(Clone)]
+#[repr(align(128))]
 struct ReadView {
     mem: Arc<MemTable>,
     imm: Option<Imm>,
@@ -155,8 +158,19 @@ struct DbInner {
     /// stamps its high-water marks into the MANIFEST): allocating takes no
     /// lock.
     ids: Arc<FileIds>,
-    /// The current [`ReadView`]; a leaf lock, held for one `Arc` clone or swap.
-    view: Mutex<Arc<ReadView>>,
+    /// The current [`ReadView`]. Its lock serialises installs: it is held
+    /// while [`DbInner::install_view`] builds the next view and rewrites
+    /// every slot; no reader takes it.
+    view: Mutex<ReadView>,
+    /// What readers read: one copy of the current view per slot, each its
+    /// own allocation (so its own reference count) behind its own lock, on
+    /// lines of its own — a thread clones from its slot
+    /// ([`DbInner::view`]) and writes no line another slot's threads write.
+    view_slots: [CachePadded<Mutex<Arc<ReadView>>>; VIEW_SLOTS],
+    /// Set while `DbState::seek_candidate` holds a table (written under
+    /// `core.state` with it): a spent seek budget checks this first and
+    /// takes the lock only when no candidate is pending.
+    seek_pending: AtomicBool,
     /// Wakes the compaction thread: a request was filed or the tree changed.
     work_cv: Condvar,
     /// Wakes the flush thread: `switch_memtable` gave the view an `imm`.
@@ -186,22 +200,56 @@ struct DbInner {
     recovered_max_txn: AtomicU64,
 }
 
+/// Copies of the current view readers clone from; threads take a slot each,
+/// in turn, so up to this many readers share no line.
+const VIEW_SLOTS: usize = 8;
+
+/// The slot the next thread to read a view takes.
+static NEXT_VIEW_SLOT: AtomicUsize = AtomicUsize::new(0);
+
 impl DbInner {
+    /// The current view, from the calling thread's slot: one uncontended
+    /// lock and one reference count that only the slot's threads write.
     fn view(&self) -> Arc<ReadView> {
-        Arc::clone(&self.view.lock())
+        Arc::clone(&self.view_slot().lock())
+    }
+
+    /// The calling thread's view slot, picked on its first read.
+    fn view_slot(&self) -> &Mutex<Arc<ReadView>> {
+        thread_local! {
+            static SLOT: usize = NEXT_VIEW_SLOT.fetch_add(1, Ordering::Relaxed) % VIEW_SLOTS;
+        }
+        &self.view_slots[SLOT.with(|slot| *slot)]
     }
 
     /// Publish the view `next` builds from the current one — the one place
     /// the tree's shape changes hands. `next` runs under `core.view`, so a
-    /// memtable switch and a commit on another thread compose. `commit`
-    /// calls this under `core.versions`, between `log_and_apply` and the
-    /// reclaim decision: GC must find the outgoing version released.
+    /// memtable switch and a commit on another thread compose. Every slot is
+    /// rewritten, one slot lock at a time, before this returns: the caller's
+    /// next read — a writer's `mem` after its own switch — is the new view,
+    /// and no slot still holds the outgoing one. `commit` calls this under
+    /// `core.versions`, between `log_and_apply` and the reclaim decision: GC
+    /// must find the outgoing version released.
     fn install_view(&self, next: impl FnOnce(&ReadView) -> ReadView) {
-        let mut slot = self.view.lock();
-        let new = Arc::new(next(&slot));
-        let old = std::mem::replace(&mut *slot, new);
-        drop(slot);
-        drop(old); // off the lock: may free a whole memtable
+        let mut current = self.view.lock();
+        let new = next(&current);
+        let mut old = Vec::with_capacity(VIEW_SLOTS);
+        for view_slot in &self.view_slots {
+            let copy = Arc::new(new.clone());
+            old.push(std::mem::replace(&mut *view_slot.lock(), copy));
+        }
+        let outgoing = std::mem::replace(&mut *current, new);
+        drop(current);
+        drop((old, outgoing)); // off the locks: may free a whole memtable
+    }
+
+    /// File `table` as the seek-compaction candidate unless one is pending.
+    fn file_seek_candidate(&self, state: &mut DbState, level: usize, table: Arc<TableMeta>) {
+        if state.seek_candidate.is_none() {
+            state.seek_candidate = Some((level, table));
+            self.seek_pending.store(true, Ordering::Release);
+            self.work_cv.notify_one();
+        }
     }
 }
 
@@ -406,7 +454,11 @@ impl Db {
             state: named_mutex("core.state", DbState::default()),
             ids: Arc::clone(versions.ids()),
             versions: named_mutex("core.versions", versions),
-            view: named_mutex("core.view", Arc::new(view)),
+            view_slots: std::array::from_fn(|_| {
+                CachePadded(named_mutex("core.view_slot", Arc::new(view.clone())))
+            }),
+            view: named_mutex("core.view", view),
+            seek_pending: AtomicBool::new(false),
             work_cv: Condvar::new(),
             flush_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -516,6 +568,7 @@ impl Db {
             pending_unlink_files,
             range_tombstones_live: version.live_range_tombstones(),
             table_cache: inner.table_cache.snapshot(),
+            block_cache: inner.table_cache.block_cache_snapshot(),
         }
     }
 

@@ -1,13 +1,19 @@
 //! The read path: point lookups, iterators, and value-pointer resolution.
 //!
 //! A read clones the current [`super::ReadView`] (memtables and version in
-//! one pointer, behind the leaf lock `core.view`) and runs on it with no
-//! lock held: it takes neither `core.state` nor `core.versions`, so it never
-//! waits behind a MANIFEST sync or a garbage-collection pass. This module
-//! owns the `snapshots` list of [`super::DbState`] (compaction only reads
-//! it) and files seek-compaction candidates for the compaction thread —
-//! the only two things it takes `core.state` for.
+//! one pointer) from its thread's slot, behind the leaf lock
+//! `core.view_slot`, and runs on it with no lock held: it takes neither
+//! `core.state` nor `core.versions`, so it never waits behind a MANIFEST
+//! sync or a garbage-collection pass. A `get` borrows the metadata of the
+//! tables it probes from the view, and charges wasted seeks by sampling, so
+//! two readers on different slots share no line the engine writes but the
+//! caches' shards and the reference counts of the cached tables and blocks
+//! they both read. This module owns the `snapshots` list of
+//! [`super::DbState`] (compaction only reads it) and files seek-compaction
+//! candidates for the compaction thread — the only two things it takes
+//! `core.state` for.
 
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -19,7 +25,11 @@ use super::{Db, DbInner, DbIterator, Snapshot};
 use crate::iterator::{DbIter, InternalIterator, MergingIter, RunIter, ValueResolver};
 use crate::memtable::LookupResult;
 use crate::options::ReadOptions;
+use crate::version::TableMeta;
 use crate::vlog::{self, ValuePointer};
+
+/// A thread charges every this-many-th wasted seek, this many seeks' worth.
+const SEEK_SAMPLE: u32 = 16;
 
 impl Db {
     /// Point lookup at the latest sequence — shorthand for
@@ -158,18 +168,37 @@ impl DbInner {
             user_key,
             snapshot,
         )?;
-        if self.opts.seek_compaction {
-            if let Some((level, table)) = got.seek_charge {
-                if table.allowed_seeks.fetch_sub(1, Ordering::Relaxed) <= 1 {
-                    let mut state = self.state.lock();
-                    if state.seek_candidate.is_none() {
-                        state.seek_candidate = Some((level, table));
-                        self.work_cv.notify_one();
-                    }
-                }
-            }
+        if let Some((level, table)) = got.seek_charge.filter(|_| self.opts.seek_compaction) {
+            self.charge_seek(level, table);
         }
         Ok(probe((got.result, got.sequence))?.flatten())
+    }
+
+    /// Charge `table` a wasted seek, by sampling: each thread counts its own
+    /// wasted seeks and charges every [`SEEK_SAMPLE`]-th one that many, so a
+    /// table's budget runs out after the same number of wasted seeks on
+    /// average while its shared counter is written a sixteenth as often. A
+    /// spent budget files the table as the seek-compaction candidate; while
+    /// one is pending, nothing takes `core.state`.
+    fn charge_seek(&self, level: usize, table: &Arc<TableMeta>) {
+        thread_local! {
+            static WASTED: Cell<u32> = const { Cell::new(0) };
+        }
+        let wasted = WASTED.with(|wasted| {
+            let n = (wasted.get() + 1) % SEEK_SAMPLE;
+            wasted.set(n);
+            n
+        });
+        if wasted != 0 {
+            return;
+        }
+        let charge = i64::from(SEEK_SAMPLE);
+        let left = table.allowed_seeks.fetch_sub(charge, Ordering::Relaxed) - charge;
+        if left > 0 || self.seek_pending.load(Ordering::Acquire) {
+            return;
+        }
+        let mut state = self.state.lock();
+        self.file_seek_candidate(&mut state, level, Arc::clone(table));
     }
 
     /// Fetch the value a separated entry points at.
@@ -234,7 +263,24 @@ impl DbInner {
 #[cfg(test)]
 mod tests {
     use super::super::test_util::*;
+    use super::super::VIEW_SLOTS;
     use super::*;
+
+    /// Two level-0 runs: even keys, then odd keys over the same range. A
+    /// `get` of an even key probes the odd run's table first, in vain, and
+    /// charges it a wasted seek; that table is returned.
+    fn wasted_seek_tree(db: &Db) -> Arc<TableMeta> {
+        flush_run(db, (0..200).step_by(2), b"even");
+        flush_run(db, (1..200).step_by(2), b"odd");
+        let version = db.current_version();
+        let newest = &version.levels[0].runs[0].tables;
+        assert_eq!(newest.len(), 1, "one table per run");
+        Arc::clone(&newest[0])
+    }
+
+    fn even_key(n: u64) -> Vec<u8> {
+        format!("key{:05}", 2 + 2 * (n % 98)).into_bytes()
+    }
 
     #[test]
     fn snapshot_reads_are_stable() {
@@ -383,7 +429,8 @@ mod tests {
                     }
                 });
             }
-            let readers: Vec<_> = (0..2usize)
+            // More readers than slots: some threads share a slot.
+            let readers: Vec<_> = (0..VIEW_SLOTS + 2)
                 .map(|reader| {
                     let (db, done, acked) = (&db, &done, &acked);
                     s.spawn(move || {
@@ -426,16 +473,133 @@ mod tests {
             db.stats().snapshot().flushes > 10,
             "flushes were not forced"
         );
-        // The witness saw every install path; `core.view` must be a leaf.
+        // The witness saw every install path: `core.view` is taken only to
+        // rewrite the slots, and a slot lock is a leaf.
         #[cfg(feature = "debug_locks")]
         {
             let edges = bolt_common::debug_locks::recorded_edges();
             assert!(edges.iter().any(|(_, to)| to == "core.view"), "{edges:?}");
             assert!(
-                edges.iter().all(|(from, _)| from != "core.view"),
+                edges.iter().any(|(_, to)| to == "core.view_slot"),
                 "{edges:?}"
             );
+            for (from, to) in &edges {
+                assert!(from != "core.view" || to == "core.view_slot", "{edges:?}");
+                assert!(from != "core.view_slot", "{edges:?}");
+            }
         }
+        db.close().unwrap();
+    }
+
+    /// A commit rewrites every view slot before it returns, so the version
+    /// it replaced is held by nothing the engine keeps: once the one
+    /// iterator still reading it is dropped, the version is gone.
+    #[test]
+    fn a_commit_leaves_no_slot_holding_the_outgoing_version() {
+        let (_env, db) = mem_db(manual_opts());
+        flush_run(&db, 0..100, b"old");
+        flush_run(&db, 50..150, b"new");
+        let slots: std::collections::HashSet<usize> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..VIEW_SLOTS)
+                .map(|_| {
+                    s.spawn(|| {
+                        assert_eq!(db.get(b"key00070").unwrap(), Some(b"new".to_vec()));
+                        std::ptr::from_ref(db.inner.view_slot()) as usize
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(slots.len() >= 2, "the readers shared one slot");
+        let outgoing = Arc::downgrade(&db.current_version());
+        let pinned = db.iter().unwrap();
+        db.compact_range(b"key", b"key~").unwrap();
+        assert_eq!(
+            db.level_info()[0].runs,
+            0,
+            "the commit replaced the version"
+        );
+        assert!(outgoing.upgrade().is_some(), "the iterator pins it");
+        drop(pinned);
+        assert!(
+            outgoing.upgrade().is_none(),
+            "a slot kept the outgoing version"
+        );
+        assert_eq!(db.get(b"key00070").unwrap(), Some(b"new".to_vec()));
+        db.close().unwrap();
+    }
+
+    /// Wasted seeks are charged by sampling: a thread that wastes one seek
+    /// after another on a table files it as the seek-compaction candidate
+    /// within one sample of its budget — not before, and not much after.
+    #[test]
+    fn a_sampled_seek_charge_spends_the_budget_within_one_sample() {
+        const BUDGET: i64 = 64;
+        let (_env, db) = mem_db(manual_opts());
+        let charged = wasted_seek_tree(&db);
+        charged.allowed_seeks.store(BUDGET, Ordering::Relaxed);
+        let filed = || {
+            let state = db.inner.state.lock();
+            state.seek_candidate.is_some() || db.stats().snapshot().seek_compactions > 0
+        };
+        // A thread of its own: its count of wasted seeks starts at zero.
+        let wasted = std::thread::scope(|s| {
+            s.spawn(|| {
+                (1..=4 * BUDGET as u64).find(|&n| {
+                    assert_eq!(db.get(&even_key(n)).unwrap(), Some(b"even".to_vec()));
+                    filed()
+                })
+            })
+            .join()
+            .unwrap()
+        });
+        let wasted = wasted.expect("the budget was never spent") as i64;
+        let sample = i64::from(SEEK_SAMPLE);
+        assert!(
+            BUDGET - sample < wasted && wasted < BUDGET + sample,
+            "filed after {wasted} wasted seeks, budget {BUDGET}"
+        );
+        db.close().unwrap();
+    }
+
+    /// A spent seek budget takes `core.state` only to file a candidate, and
+    /// not while one is pending: with a candidate filed and a gatekeeper
+    /// parked on `core.state`, gets that keep charging the spent table still
+    /// finish. Bounded wait, as in `reads_do_not_wait_for_the_manifest_lock`.
+    #[test]
+    fn a_spent_seek_budget_does_not_wait_for_the_engine_lock() {
+        use std::sync::mpsc;
+        let (_env, db) = mem_db(manual_opts());
+        let charged = wasted_seek_tree(&db);
+        charged.allowed_seeks.store(0, Ordering::Relaxed);
+        let inner = &db.inner;
+        std::thread::scope(|s| {
+            let (gate_held, wait_held) = mpsc::channel();
+            let (release, wait_release) = mpsc::channel::<()>();
+            let candidate = Arc::clone(&charged);
+            s.spawn(move || {
+                let mut state = inner.state.lock();
+                inner.file_seek_candidate(&mut state, 0, candidate);
+                gate_held.send(()).unwrap();
+                let _ = wait_release.recv();
+            });
+            wait_held.recv().unwrap();
+            let (done, wait_done) = mpsc::channel();
+            let db = &db;
+            s.spawn(move || {
+                for n in 0..4 * u64::from(SEEK_SAMPLE) {
+                    assert_eq!(db.get(&even_key(n)).unwrap(), Some(b"even".to_vec()));
+                }
+                done.send(()).unwrap();
+            });
+            let finished = wait_done.recv_timeout(std::time::Duration::from_secs(10));
+            drop(release);
+            finished.expect("a get on a spent table waited for `core.state`");
+        });
+        assert!(
+            charged.allowed_seeks.load(Ordering::Relaxed) < 0,
+            "the gets charged it"
+        );
         db.close().unwrap();
     }
 

@@ -11,7 +11,7 @@
 use bolt_common::events::BarrierCause;
 use bolt_common::metrics::MetricsRegistry;
 use bolt_env::IoSnapshot;
-use bolt_table::TableCacheSnapshot;
+use bolt_table::{BlockCacheSnapshot, TableCacheSnapshot};
 
 use crate::db::LevelInfo;
 use crate::stats::DbStatsSnapshot;
@@ -75,6 +75,9 @@ pub struct MetricsSnapshot {
     /// misses, opens, the device reads and bytes those opens cost, and
     /// readers cached straight from a flush or compaction.
     pub table_cache: TableCacheSnapshot,
+    /// The data-block cache's counters, summed over its shards at snapshot
+    /// time: hits, misses, evictions and the bytes it holds.
+    pub block_cache: BlockCacheSnapshot,
 }
 
 impl MetricsSnapshot {
@@ -142,6 +145,11 @@ impl MetricsSnapshot {
         reg.counter("bolt_table_cache_open_reads_total", &[], tc.open_reads);
         reg.counter("bolt_table_cache_open_bytes_total", &[], tc.open_bytes);
         reg.counter("bolt_table_cache_warm_inserts_total", &[], tc.warm_inserts);
+        let bc = &self.block_cache;
+        reg.counter("bolt_block_cache_hits_total", &[], bc.hits);
+        reg.counter("bolt_block_cache_misses_total", &[], bc.misses);
+        reg.counter("bolt_block_cache_evictions_total", &[], bc.evictions);
+        reg.gauge("bolt_block_cache_usage_bytes", &[], bc.usage as f64);
 
         let io = &self.io;
         reg.counter("bolt_io_fsyncs_total", &[], io.fsync_calls);
@@ -298,6 +306,12 @@ mod tests {
                 open_bytes: 4000,
                 warm_inserts: 7,
             },
+            block_cache: BlockCacheSnapshot {
+                hits: 50,
+                misses: 20,
+                evictions: 5,
+                usage: 65536,
+            },
         }
     }
 
@@ -368,9 +382,16 @@ mod tests {
             ("bolt_table_cache_open_reads_total", 12),
             ("bolt_table_cache_open_bytes_total", 4000),
             ("bolt_table_cache_warm_inserts_total", 7),
+            ("bolt_block_cache_hits_total", 50),
+            ("bolt_block_cache_misses_total", 20),
+            ("bolt_block_cache_evictions_total", 5),
         ] {
             assert_eq!(reg.find(name, &[]), Some(&MetricValue::Counter(value)));
         }
+        assert_eq!(
+            reg.find("bolt_block_cache_usage_bytes", &[]),
+            Some(&MetricValue::Gauge(65536.0))
+        );
         assert!((m.table_cache.reads_per_open() - 1.2).abs() < 1e-9);
         assert_eq!(
             reg.find("bolt_policy_write_amplification", &[("policy", "leveled")]),

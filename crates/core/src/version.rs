@@ -303,14 +303,15 @@ impl LevelState {
 
 /// Outcome of a versioned point lookup, plus seek-compaction feedback.
 #[derive(Debug)]
-pub struct GetResult {
+pub struct GetResult<'a> {
     /// The lookup outcome.
     pub result: LookupResult,
     /// Sequence number of the found entry (0 when not found), so the
     /// caller can weigh the hit against the range-tombstone overlay.
     pub sequence: SequenceNumber,
-    /// A table that burned a wasted seek (charge `allowed_seeks`).
-    pub seek_charge: Option<(usize, Arc<TableMeta>)>,
+    /// A table that burned a wasted seek (charge `allowed_seeks`), borrowed
+    /// from the version: the caller counts a reference only to keep it.
+    pub seek_charge: Option<(usize, &'a Arc<TableMeta>)>,
 }
 
 /// An immutable snapshot of the tree shape.
@@ -408,9 +409,9 @@ impl Version {
         db: &str,
         user_key: &[u8],
         snapshot: SequenceNumber,
-    ) -> Result<GetResult> {
+    ) -> Result<GetResult<'_>> {
         let lookup = lookup_key(user_key, snapshot);
-        let mut first_probe: Option<(usize, Arc<TableMeta>)> = None;
+        let mut first_probe: Option<(usize, &Arc<TableMeta>)> = None;
         let mut probes = 0usize;
 
         for (level, state) in self.levels.iter().enumerate() {
@@ -419,16 +420,16 @@ impl Version {
                     continue;
                 };
                 probes += 1;
-                if first_probe.is_none() {
-                    first_probe = Some((level, Arc::clone(table)));
-                }
+                first_probe.get_or_insert((level, table));
                 let reader = table.open(cache, db)?;
                 // A range tombstone whose begin key equals `user_key` sits
                 // in front of the point entries; re-probe just below its
                 // sequence to reach them (the overlay, not this lookup,
                 // applies the tombstone).
-                let mut probe = lookup.clone();
-                while let Some((ikey, value)) = reader.internal_get(&probe)? {
+                let mut below: Option<Vec<u8>> = None;
+                while let Some((ikey, value)) =
+                    reader.internal_get(below.as_ref().unwrap_or(&lookup))?
+                {
                     let parsed = parse_internal_key(&ikey)?;
                     if parsed.user_key != user_key || parsed.sequence > snapshot {
                         break;
@@ -437,7 +438,7 @@ impl Version {
                         if parsed.sequence == 0 {
                             break;
                         }
-                        probe = lookup_key(user_key, parsed.sequence - 1);
+                        below = Some(lookup_key(user_key, parsed.sequence - 1));
                         continue;
                     }
                     let result = match parsed.value_type {

@@ -42,21 +42,24 @@ fn build(env: &Arc<dyn Env>) {
 }
 
 /// Reopen and get every 5th key: `(tables, table-cache counters, device
-/// reads, block-cache misses)` of those gets alone.
+/// reads, block-cache misses)` of those gets alone, the cache counters as
+/// `Db::metrics` reports them.
 fn cold_gets(env: &Arc<dyn Env>) -> (usize, bolt_table::TableCacheSnapshot, u64, u64) {
     let db = Db::open(Arc::clone(env), "db", opts()).unwrap();
     let tables: usize = db.level_info().iter().map(|l| l.tables).sum();
-    let blocks = db.table_cache().block_cache().unwrap();
-    let before = (env.stats().snapshot().read_ops, blocks.stats().misses());
-    assert_eq!(db.metrics().table_cache.opens, 0, "recovery opens no table");
+    let before = (env.stats().snapshot().read_ops, db.metrics());
+    assert_eq!(before.1.table_cache.opens, 0, "recovery opens no table");
+    assert_eq!(before.1.block_cache.usage, 0, "nor reads a data block");
     for i in (0..KEYS).step_by(5) {
         assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
     }
     let reads = env.stats().snapshot().read_ops - before.0;
-    let block_misses = blocks.stats().misses() - before.1;
-    let counters = db.metrics().table_cache;
+    let after = db.metrics();
+    let blocks = after.block_cache;
+    let block_misses = blocks.misses - before.1.block_cache.misses;
+    assert!(block_misses > 0 && blocks.usage > 0, "{blocks:?}");
     db.close().unwrap();
-    (tables, counters, reads, block_misses)
+    (tables, after.table_cache, reads, block_misses)
 }
 
 #[test]

@@ -82,6 +82,7 @@ pub(crate) fn aggregate(per_shard: &[MetricsSnapshot], env_owner: &[bool]) -> Me
         agg.pending_unlink_files += m.pending_unlink_files;
         agg.range_tombstones_live += m.range_tombstones_live;
         agg.table_cache.accumulate(&m.table_cache);
+        agg.block_cache.accumulate(&m.block_cache);
         // Every shard shares one Options, hence one compaction policy.
         agg.policy = m.policy;
     }

@@ -164,68 +164,33 @@ impl Block {
         BlockIter {
             block: Arc::clone(self),
             cmp,
-            offset: 0,
-            key: Vec::new(),
-            value_range: 0..0,
-            valid: false,
+            at: Cursor::default(),
         }
     }
-}
 
-/// Cursor over a [`Block`]'s entries.
-pub struct BlockIter {
-    block: Arc<Block>,
-    cmp: Arc<dyn Comparator>,
-    /// Offset of the *next* entry to decode.
-    offset: usize,
-    key: Vec<u8>,
-    value_range: std::ops::Range<usize>,
-    valid: bool,
-}
-
-impl std::fmt::Debug for BlockIter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BlockIter")
-            .field("valid", &self.valid)
-            .field("offset", &self.offset)
-            .finish()
-    }
-}
-
-impl BlockIter {
-    /// `true` when positioned on an entry.
-    pub fn valid(&self) -> bool {
-        self.valid
+    /// The first entry with key >= `target`, or `None` past the end: its
+    /// key and a borrow of its value. A point lookup's one-shot seek — it
+    /// borrows the block and the comparator where a [`BlockIter`] holds
+    /// both.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corruption`] on malformed entries.
+    pub fn seek(&self, cmp: &dyn Comparator, target: &[u8]) -> Result<Option<(Vec<u8>, &[u8])>> {
+        let mut at = Cursor::default();
+        self.seek_cursor(&mut at, cmp, target)?;
+        Ok(at.valid.then(|| (at.key, &self.data[at.value])))
     }
 
-    /// Current key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not [`valid`](Self::valid).
-    pub fn key(&self) -> &[u8] {
-        assert!(self.valid, "iterator not positioned");
-        &self.key
-    }
-
-    /// Current value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not [`valid`](Self::valid).
-    pub fn value(&self) -> &[u8] {
-        assert!(self.valid, "iterator not positioned");
-        &self.block.data[self.value_range.clone()]
-    }
-
-    /// Decode the entry at `self.offset`; returns false at end of data.
-    fn parse_next(&mut self) -> Result<bool> {
-        if self.offset >= self.block.restarts_offset {
-            self.valid = false;
+    /// Decode the entry at `at.offset` into `at`; returns false at end of
+    /// data. The one entry decoder of the block.
+    fn parse_next(&self, at: &mut Cursor) -> Result<bool> {
+        if at.offset >= self.restarts_offset {
+            at.valid = false;
             return Ok(false);
         }
-        let data = &self.block.data[..self.block.restarts_offset];
-        let mut pos = self.offset;
+        let data = &self.data[..self.restarts_offset];
+        let mut pos = at.offset;
         let (shared, n) = get_varint32(&data[pos..])?;
         pos += n;
         let (non_shared, n) = get_varint32(&data[pos..])?;
@@ -235,15 +200,100 @@ impl BlockIter {
         let shared = shared as usize;
         let non_shared = non_shared as usize;
         let value_len = value_len as usize;
-        if pos + non_shared + value_len > data.len() || shared > self.key.len() {
+        if pos + non_shared + value_len > data.len() || shared > at.key.len() {
             return Err(Error::corruption("block entry out of bounds"));
         }
-        self.key.truncate(shared);
-        self.key.extend_from_slice(&data[pos..pos + non_shared]);
-        self.value_range = pos + non_shared..pos + non_shared + value_len;
-        self.offset = pos + non_shared + value_len;
-        self.valid = true;
+        at.key.truncate(shared);
+        at.key.extend_from_slice(&data[pos..pos + non_shared]);
+        at.value = pos + non_shared..pos + non_shared + value_len;
+        at.offset = pos + non_shared + value_len;
+        at.valid = true;
         Ok(true)
+    }
+
+    /// Decode the entry at `offset`, a restart point (its key is whole).
+    fn parse_at_restart(&self, at: &mut Cursor, offset: usize) -> Result<bool> {
+        at.offset = offset;
+        at.key.clear();
+        self.parse_next(at)
+    }
+
+    /// Position `at` on the first entry with key >= `target`.
+    fn seek_cursor(&self, at: &mut Cursor, cmp: &dyn Comparator, target: &[u8]) -> Result<()> {
+        // Binary search the restart array for the last restart whose key is
+        // < target.
+        let mut left = 0usize;
+        let mut right = self.num_restarts.saturating_sub(1);
+        while left < right {
+            let mid = (left + right).div_ceil(2);
+            if !self.parse_at_restart(at, self.restart_point(mid))? {
+                return Err(Error::corruption("restart points past end"));
+            }
+            if cmp.compare(&at.key, target) == Ordering::Less {
+                left = mid;
+            } else {
+                right = mid - 1;
+            }
+        }
+        // Linear scan from that restart.
+        let mut more = self.parse_at_restart(at, self.restart_point(left))?;
+        while more && cmp.compare(&at.key, target) == Ordering::Less {
+            more = self.parse_next(at)?;
+        }
+        Ok(()) // past the end: invalid
+    }
+}
+
+/// A position in a block: the entry before `offset`, decoded.
+#[derive(Default)]
+struct Cursor {
+    /// Offset of the *next* entry to decode.
+    offset: usize,
+    key: Vec<u8>,
+    value: std::ops::Range<usize>,
+    valid: bool,
+}
+
+/// Cursor over a [`Block`]'s entries.
+pub struct BlockIter {
+    block: Arc<Block>,
+    cmp: Arc<dyn Comparator>,
+    at: Cursor,
+}
+
+impl std::fmt::Debug for BlockIter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BlockIter")
+            .field("valid", &self.at.valid)
+            .field("offset", &self.at.offset)
+            .finish()
+    }
+}
+
+impl BlockIter {
+    /// `true` when positioned on an entry.
+    pub fn valid(&self) -> bool {
+        self.at.valid
+    }
+
+    /// Current key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if not [`valid`](Self::valid).
+    pub fn key(&self) -> &[u8] {
+        assert!(self.at.valid, "iterator not positioned");
+        &self.at.key
+    }
+
+    /// Current value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if not [`valid`](Self::valid).
+    pub fn value(&self) -> &[u8] {
+        assert!(self.at.valid, "iterator not positioned");
+        &self.block.data[self.at.value.clone()]
     }
 
     /// Move to the first entry.
@@ -252,9 +302,7 @@ impl BlockIter {
     ///
     /// Returns [`Error::Corruption`] on malformed entries.
     pub fn seek_to_first(&mut self) -> Result<()> {
-        self.offset = 0;
-        self.key.clear();
-        self.parse_next()?;
+        self.block.parse_at_restart(&mut self.at, 0)?;
         Ok(())
     }
 
@@ -265,8 +313,8 @@ impl BlockIter {
     /// Returns [`Error::Corruption`] on malformed entries.
     #[allow(clippy::should_implement_trait)] // LevelDB-style fallible cursor
     pub fn next(&mut self) -> Result<()> {
-        assert!(self.valid, "iterator not positioned");
-        self.parse_next()?;
+        assert!(self.at.valid, "iterator not positioned");
+        self.block.parse_next(&mut self.at)?;
         Ok(())
     }
 
@@ -276,35 +324,8 @@ impl BlockIter {
     ///
     /// Returns [`Error::Corruption`] on malformed entries.
     pub fn seek(&mut self, target: &[u8]) -> Result<()> {
-        // Binary search the restart array for the last restart whose key is
-        // < target.
-        let mut left = 0usize;
-        let mut right = self.block.num_restarts.saturating_sub(1);
-        while left < right {
-            let mid = (left + right).div_ceil(2);
-            let restart_offset = self.block.restart_point(mid);
-            self.offset = restart_offset;
-            self.key.clear();
-            if !self.parse_next()? {
-                return Err(Error::corruption("restart points past end"));
-            }
-            if self.cmp.compare(&self.key, target) == Ordering::Less {
-                left = mid;
-            } else {
-                right = mid - 1;
-            }
-        }
-        // Linear scan from that restart.
-        self.offset = self.block.restart_point(left);
-        self.key.clear();
-        loop {
-            if !self.parse_next()? {
-                return Ok(()); // past the end: invalid
-            }
-            if self.cmp.compare(&self.key, target) != Ordering::Less {
-                return Ok(());
-            }
-        }
+        self.block
+            .seek_cursor(&mut self.at, self.cmp.as_ref(), target)
     }
 }
 
@@ -409,6 +430,15 @@ mod tests {
 
             it.seek(b"").unwrap();
             assert_eq!(it.key(), b"k0000");
+
+            // The borrowed point seek lands where the iterator does.
+            for i in 0..=200u32 {
+                let target = format!("k{i:04}").into_bytes();
+                it.seek(&target).unwrap();
+                let want = it.valid().then(|| (it.key().to_vec(), it.value()));
+                let got = block.seek(&BytewiseComparator, &target).unwrap();
+                assert_eq!(got, want, "{i}, interval {interval}");
+            }
         }
     }
 

@@ -80,6 +80,30 @@ impl TableCacheSnapshot {
     }
 }
 
+/// The counters of the data-block cache a [`TableCache`]'s tables read
+/// through, at an instant: read from the cache's shards when it is taken.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockCacheSnapshot {
+    /// Block lookups served from the cache.
+    pub hits: u64,
+    /// Block lookups that went to the file.
+    pub misses: u64,
+    /// Blocks evicted to make room.
+    pub evictions: u64,
+    /// Bytes of blocks held.
+    pub usage: u64,
+}
+
+impl BlockCacheSnapshot {
+    /// Add `other`'s counters to this one (the sharded aggregate).
+    pub fn accumulate(&mut self, other: &BlockCacheSnapshot) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.usage += other.usage;
+    }
+}
+
 // LruCache stores Arc<V>; for the fd cache V = dyn RandomAccessFile, which
 // is unsized — wrap it in a sized entry.
 struct FdEntry(Arc<dyn RandomAccessFile>);
@@ -234,20 +258,35 @@ impl TableCache {
     }
 
     /// Hit/miss counters of the table slot cache.
-    pub fn stats(&self) -> &bolt_common::cache::CacheStats {
+    pub fn stats(&self) -> bolt_common::cache::CacheStats {
         self.tables.stats()
     }
 
     /// Every counter of this cache, read now.
     pub fn snapshot(&self) -> TableCacheSnapshot {
+        let stats = self.tables.stats();
         TableCacheSnapshot {
-            hits: self.tables.stats().hits(),
-            misses: self.tables.stats().misses(),
+            hits: stats.hits(),
+            misses: stats.misses(),
             opens: self.open_count(),
             open_reads: self.open_reads.load(Ordering::Relaxed),
             open_bytes: self.open_bytes.load(Ordering::Relaxed),
             warm_inserts: self.warm_inserts.load(Ordering::Relaxed),
         }
+    }
+
+    /// The block cache's counters, read now (all zero without one).
+    pub fn block_cache_snapshot(&self) -> BlockCacheSnapshot {
+        self.block_cache()
+            .map_or_else(BlockCacheSnapshot::default, |blocks| {
+                let stats = blocks.stats();
+                BlockCacheSnapshot {
+                    hits: stats.hits(),
+                    misses: stats.misses(),
+                    evictions: stats.evictions(),
+                    usage: blocks.usage(),
+                }
+            })
     }
 }
 

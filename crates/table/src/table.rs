@@ -199,7 +199,10 @@ impl Table {
 
     /// Point lookup: the first entry with key >= `key` (typically an
     /// internal lookup key). Returns `None` when the table cannot contain
-    /// the key (filter miss or past the end).
+    /// the key (filter miss or past the end). The index block and the
+    /// comparator are borrowed, never counted: on a block-cache hit the
+    /// shared lines this writes are the cache shard's and the data block's
+    /// reference count.
     ///
     /// # Errors
     ///
@@ -208,19 +211,14 @@ impl Table {
         if !self.filter_matches(key) {
             return Ok(None);
         }
-        let mut index_iter = self.index.iter(Arc::clone(&self.opts.comparator));
-        index_iter.seek(key)?;
-        if !index_iter.valid() {
+        let cmp = self.opts.comparator.as_ref();
+        let Some((_, handle)) = self.index.seek(cmp, key)? else {
             return Ok(None);
-        }
-        let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
+        };
+        let (handle, _) = BlockHandle::decode_from(handle)?;
         let block = self.read_data_block(handle)?;
-        let mut iter = block.iter(Arc::clone(&self.opts.comparator));
-        iter.seek(key)?;
-        if !iter.valid() {
-            return Ok(None);
-        }
-        Ok(Some((iter.key().to_vec(), iter.value().to_vec())))
+        let found = block.seek(cmp, key)?;
+        Ok(found.map(|(key, value)| (key, value.to_vec())))
     }
 
     /// The range tombstones stored in this table. The first call scans the

@@ -174,6 +174,13 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
         tc.warm_inserts
     )
     .expect("write");
+    let bc = &metrics.block_cache;
+    writeln!(
+        out,
+        "  block cache: {} hits | {} misses | {} evictions | {} B held",
+        bc.hits, bc.misses, bc.evictions, bc.usage
+    )
+    .expect("write");
     if s.range_deletes > 0 || s.checkpoints > 0 || metrics.range_tombstones_live > 0 {
         writeln!(
             out,
@@ -962,6 +969,12 @@ fn stale() {
         assert!(text.contains("1.00 reads/open)"), "{text}");
         assert!(!text.contains(" 0 opens"), "{text}");
         assert!(prom.contains("bolt_table_cache_open_reads_total"), "{prom}");
+        // Opening a table reads no data block: the block cache is untouched.
+        assert!(
+            text.contains("block cache: 0 hits | 0 misses | 0 evictions | 0 B held"),
+            "{text}"
+        );
+        assert!(prom.contains("bolt_block_cache_usage_bytes 0\n"), "{prom}");
     }
 
     #[test]
