@@ -1,11 +1,12 @@
-//! Criterion microbenchmarks of the engine's building blocks: skiplist,
-//! bloom filter, block builder/reader, CRC32C, WAL append, memtable, the
-//! zipfian generator, a run's tables drained span by span vs block by
-//! block, a table open with and without its recorded tail length, iterator
-//! creation over a small and a large tree, one compaction pick out of a small
-//! and a large level (a settled group, and a lazy-leveled settle), one
-//! merge step at 2, 3 and 8 children, and a cache-resident `get` from one
-//! thread and from two.
+//! Criterion microbenchmarks of what the benchmark's per-layer probes
+//! (`benchmark/src/probe.rs`: CRC32C, bloom, memtable, block, table, WAL)
+//! do not time: the zipfian generator, a run's tables drained span by span
+//! vs block by block, a table open with and without its recorded tail
+//! length, iterator creation over a small and a large tree, one compaction
+//! pick out of a small and a large level (a settled group, and a
+//! lazy-leveled settle), one merge step at 2, 3 and 8 children, a
+//! cache-resident `get` from one thread and from two, and the group-commit
+//! pipeline.
 //!
 //! Run: `cargo bench -p bolt-bench --bench micro_components`
 
@@ -14,119 +15,9 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use bolt_common::bloom::BloomFilterPolicy;
-use bolt_common::crc32c;
 use bolt_common::rng::Rng64;
-use bolt_common::skiplist::SkipList;
 use bolt_env::{Env, MemEnv};
-use bolt_table::block::{Block, BlockBuilder};
-use bolt_table::comparator::{BytewiseComparator, Comparator};
-use bolt_wal::LogWriter;
 use bolt_ycsb::generator::{KeyChooser, ScrambledZipfian};
-
-fn bench_crc32c(c: &mut Criterion) {
-    let data = vec![0xabu8; 64 * 1024];
-    let mut group = c.benchmark_group("crc32c");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("64KiB", |b| b.iter(|| crc32c::crc32c(black_box(&data))));
-    group.finish();
-}
-
-fn bench_bloom(c: &mut Criterion) {
-    let policy = BloomFilterPolicy::default();
-    let keys: Vec<Vec<u8>> = (0..10_000u32)
-        .map(|i| format!("user{i:019}").into_bytes())
-        .collect();
-    let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-    let mut filter = Vec::new();
-    policy.create_filter(&refs, &mut filter);
-
-    let mut group = c.benchmark_group("bloom");
-    group.bench_function("create_10k", |b| {
-        b.iter(|| {
-            let mut f = Vec::new();
-            policy.create_filter(black_box(&refs), &mut f);
-            f
-        })
-    });
-    group.bench_function("probe", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            policy.key_may_match(format!("user{i:019}").as_bytes(), black_box(&filter))
-        })
-    });
-    group.finish();
-}
-
-fn bench_skiplist(c: &mut Criterion) {
-    let mut group = c.benchmark_group("skiplist");
-    group.bench_function("insert_10k", |b| {
-        b.iter(|| {
-            let list = SkipList::new(|a: &[u8], b: &[u8]| a.cmp(b));
-            for i in 0..10_000u32 {
-                list.insert(format!("key{i:08}").as_bytes());
-            }
-            list.len()
-        })
-    });
-    let list = SkipList::new(|a: &[u8], b: &[u8]| a.cmp(b));
-    for i in 0..100_000u32 {
-        list.insert(format!("key{i:08}").as_bytes());
-    }
-    group.bench_function("contains_hit", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 7919) % 100_000;
-            list.contains(format!("key{i:08}").as_bytes())
-        })
-    });
-    group.finish();
-}
-
-fn bench_block(c: &mut Criterion) {
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..1000u32)
-        .map(|i| (format!("user/key/{i:08}").into_bytes(), vec![7u8; 100]))
-        .collect();
-    let mut group = c.benchmark_group("block");
-    group.bench_function("build_1k_entries", |b| {
-        b.iter(|| {
-            let mut builder = BlockBuilder::new(16);
-            for (k, v) in &entries {
-                builder.add(k, v);
-            }
-            builder.finish()
-        })
-    });
-
-    let mut builder = BlockBuilder::new(16);
-    for (k, v) in &entries {
-        builder.add(k, v);
-    }
-    let block = Arc::new(Block::new(builder.finish()).unwrap());
-    let cmp: Arc<dyn Comparator> = Arc::new(BytewiseComparator);
-    group.bench_function("seek", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 613) % 1000;
-            let mut iter = block.iter(Arc::clone(&cmp));
-            iter.seek(format!("user/key/{i:08}").as_bytes()).unwrap();
-            iter.valid()
-        })
-    });
-    group.finish();
-}
-
-fn bench_wal(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wal");
-    let payload = vec![1u8; 1024];
-    group.throughput(Throughput::Bytes(payload.len() as u64));
-    group.bench_function("append_1KiB", |b| {
-        let env = MemEnv::new();
-        let mut writer = LogWriter::new(env.new_writable_file("log").unwrap());
-        b.iter(|| writer.add_record(black_box(&payload)).unwrap())
-    });
-    group.finish();
-}
 
 fn bench_zipfian(c: &mut Criterion) {
     let mut group = c.benchmark_group("ycsb");
@@ -594,11 +485,6 @@ fn bench_write_pipeline(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_crc32c,
-    bench_bloom,
-    bench_skiplist,
-    bench_block,
-    bench_wal,
     bench_zipfian,
     bench_seq_vs_block,
     bench_table_open,

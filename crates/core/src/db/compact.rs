@@ -677,7 +677,7 @@ mod tests {
         inner.run_compaction(task.unwrap(), &version)
     }
 
-    /// A failed input read — every one, the second of the plan (the merge
+    /// A failed input read — the first, the second of the plan (the merge
     /// has not produced anything yet), or the sixth (the merge is under way
     /// and the reader thread ahead of it) — abandons the compaction: no
     /// output file and no pending mark outlives it, the reader thread is
@@ -685,8 +685,9 @@ mod tests {
     #[test]
     fn input_read_error_abandons_the_outputs_and_a_retry_succeeds() {
         for fail_in in [None, Some(2), Some(6)] {
-            let env = Arc::new(ReadFaultEnv::default());
+            let env = Arc::new(FaultEnv::over_mem());
             let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
+            env.start_recording();
             match fail_in {
                 None => two_overlapping_runs(&db),
                 // Runs of several read spans: a plan the thread runs ahead of.
@@ -706,10 +707,11 @@ mod tests {
             };
             let before = files();
 
-            match fail_in {
-                None => env.set_fail_reads(true),
-                Some(n) => env.fail_read_in(n),
-            }
+            // (The n-th read from now is the clause's ordinal n - 1.)
+            arm(
+                &env,
+                &format!("eio:read:glob=*.sst:nth={}", fail_in.unwrap_or(1) - 1),
+            );
             env.take_read_log();
             let started = std::time::Instant::now();
             let err = compact_l0(&db).unwrap_err();
@@ -722,7 +724,6 @@ mod tests {
                 let reads = env.take_read_log().len() as u64;
                 assert_eq!(reads, n, "a span past the failed one was read");
             }
-            env.set_fail_reads(false);
             // No output file and no pending mark outlives the failure, the
             // version is the one before it, and reads are served from it.
             assert_eq!(files(), before);
@@ -755,7 +756,7 @@ mod tests {
     /// have the merge jump the queue, and the two would differ.
     #[test]
     fn a_compaction_reads_its_inputs_in_the_order_it_planned() {
-        let planned_and_read = |db: &Db, env: &ReadFaultEnv, level: usize| {
+        let planned_and_read = |db: &Db, env: &FaultEnv, level: usize| {
             let (inner, version) = (&db.inner, db.current_version());
             let task = crate::compaction::manual_task(
                 &inner.opts,
@@ -780,8 +781,9 @@ mod tests {
 
         // Nine L0 runs over one key range, each several spans long and each
         // with its own density, so that their tables end at different keys.
-        let env = Arc::new(ReadFaultEnv::default());
+        let env = Arc::new(FaultEnv::over_mem());
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
+        env.start_recording();
         for run in 0..9u32 {
             flush_run(
                 &db,
@@ -805,8 +807,9 @@ mod tests {
 
         // Level 2 holds every key; level 1 four ranges far apart: the
         // victims and what they overlap fall into four clusters.
-        let env = Arc::new(ReadFaultEnv::default());
+        let env = Arc::new(FaultEnv::over_mem());
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
+        env.start_recording();
         flush_run(&db, 0..80_000, &[b'a'; 100]);
         compact_level(&db, 0).unwrap();
         compact_level(&db, 1).unwrap();

@@ -384,7 +384,7 @@ mod tests {
     /// Run `action` on a thread of its own and wait for it, but not for
     /// ever: should it block, the gate is opened (so that the scope joins)
     /// and the test fails with `why`.
-    fn finishes(env: &ReadFaultEnv, why: &str, action: impl FnOnce() + Send) {
+    fn finishes(env: &FaultEnv, why: &str, action: impl FnOnce() + Send) {
         std::thread::scope(|s| {
             let (done, wait_done) = std::sync::mpsc::channel();
             s.spawn(move || {
@@ -405,7 +405,7 @@ mod tests {
 
     /// Opens the gate when dropped: a failed assertion then fails the test
     /// instead of leaving `close` to join a thread nobody will let go.
-    struct OpenOnDrop<'a>(&'a ReadFaultEnv);
+    struct OpenOnDrop<'a>(&'a FaultEnv);
 
     impl Drop for OpenOnDrop<'_> {
         fn drop(&mut self) {
@@ -416,10 +416,10 @@ mod tests {
     /// Two L0 runs of several read spans each, and a compaction thread
     /// parked in the sixth input read of their merge: the merge is under
     /// way and its reader ahead of it. Returns the request's generation.
-    fn compaction_held_mid_merge<'a>(env: &'a ReadFaultEnv, db: &Db) -> (u64, OpenOnDrop<'a>) {
+    fn compaction_held_mid_merge<'a>(env: &'a FaultEnv, db: &Db) -> (u64, OpenOnDrop<'a>) {
         flush_run(db, 0..12_000, &[b'a'; 100]);
         flush_run(db, 0..12_000, &[b'b'; 60]);
-        env.hold_read_in(6);
+        arm(env, "hold:read:glob=*.sst:nth=5");
         let generation = request_l0_compaction(db);
         env.wait_until_held();
         (generation, OpenOnDrop(env))
@@ -429,7 +429,7 @@ mod tests {
     fn a_flush_commits_while_a_compaction_is_mid_merge() {
         use bolt_common::events::BarrierCause;
 
-        let env = Arc::new(ReadFaultEnv::default());
+        let env = Arc::new(FaultEnv::over_mem());
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
         let (generation, gate) = compaction_held_mid_merge(&env, &db);
         let mut events = db.events();
@@ -486,11 +486,11 @@ mod tests {
 
     #[test]
     fn close_joins_both_threads_with_a_flush_in_flight() {
-        let env = Arc::new(ReadFaultEnv::default());
+        let env = Arc::new(FaultEnv::over_mem());
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
         db.put(b"k", b"v").unwrap();
         // The flush is past its commit, parked in its log sweep.
-        env.hold_log_delete();
+        arm(&env, "hold:delete:glob=*.log:nth=0");
         let _gate = OpenOnDrop(&env);
         db.flush().unwrap();
         env.wait_until_held();
@@ -523,11 +523,11 @@ mod tests {
     /// compaction work remains" — waits for that.
     #[test]
     fn compact_until_quiet_waits_for_a_flush_past_its_view_swap() {
-        let env = Arc::new(ReadFaultEnv::default());
+        let env = Arc::new(FaultEnv::over_mem());
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
         db.put(b"k", b"v").unwrap();
         let flushed_log = crate::filename::log_file("db", db.inner.state.lock().wal_number);
-        env.hold_log_delete();
+        arm(&env, "hold:delete:glob=*.log:nth=0");
         let _gate = OpenOnDrop(&env);
         db.flush().unwrap();
         env.wait_until_held();
@@ -564,14 +564,14 @@ mod tests {
                 EngineEvent::CompactionBegin { .. } | EngineEvent::FlushBegin { .. }
             )
         };
-        let files = |env: &ReadFaultEnv| {
+        let files = |env: &FaultEnv| {
             let mut names = env.list_dir("db").unwrap();
             names.sort();
             names
         };
         // Nothing is retried or started, however often the threads are
         // woken: no event, no file, the requests left where they were.
-        let stays_parked = |env: &ReadFaultEnv, db: &Db| {
+        let stays_parked = |env: &FaultEnv, db: &Db| {
             // (A flush that committed before the failure ends its log sweep.)
             await_state(db, |state| state.bg_jobs == 0);
             let mut state = db.inner.state.lock();
@@ -594,11 +594,11 @@ mod tests {
         };
 
         // The compaction fails: its inputs cannot be read.
-        let env = Arc::new(ReadFaultEnv::default());
+        let env = Arc::new(FaultEnv::over_mem());
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
         flush_run(&db, 0..100, &[b'a'; 100]);
         db.put(b"k", b"v").unwrap();
-        env.set_fail_reads(true);
+        arm(&env, "eio:read:glob=*.sst:nth=0");
         let generation = request_l0_compaction(&db);
         await_state(&db, |state| state.manual_done != generation);
         let err = db.compact_until_quiet().unwrap_err();
@@ -609,14 +609,18 @@ mod tests {
 
         // The flush fails while a compaction is mid-merge, and then the
         // compaction fails too: the first error wins.
-        let env = Arc::new(ReadFaultEnv::default());
+        let env = Arc::new(FaultEnv::over_mem());
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
         let (_, gate) = compaction_held_mid_merge(&env, &db);
         db.put(b"k", b"v").unwrap();
-        env.set_fail_table_creates(true);
+        arm(&env, "eio:create:glob=*.sst:nth=0");
         let err = db.flush().unwrap_err();
-        assert!(err.to_string().contains("injected create error"), "{err:?}");
-        env.set_fail_reads(true);
+        assert!(
+            err.to_string().contains("injected EIO at create"),
+            "{err:?}"
+        );
+        // (The parked read goes on against this clause once released.)
+        arm(&env, "eio:read:glob=*.sst:nth=0");
         drop(gate);
         await_state(&db, |state| state.bg_jobs == 0);
         assert_eq!(db.compact_until_quiet().unwrap_err(), err);

@@ -705,11 +705,9 @@ impl DbIterator {
 #[cfg(test)]
 mod test_util {
     pub(super) use std::sync::Arc;
-    use std::sync::{Condvar, Mutex, MutexGuard};
 
-    use bolt_common::{Error, Result};
-    pub(super) use bolt_env::{Env, MemEnv};
-    use bolt_env::{RandomAccessFile, WritableFile};
+    use bolt_env::FaultPlan;
+    pub(super) use bolt_env::{Env, FaultEnv, MemEnv};
 
     pub(super) use super::Db;
     pub(super) use crate::batch::WriteBatch;
@@ -771,233 +769,10 @@ mod test_util {
         vec![b'a' + (i % 26) as u8; 1024]
     }
 
-    /// A [`MemEnv`] that logs its table-file reads and fails them on
-    /// request (reads are not [`bolt_env::FaultEnv`] ops), and a gate for
-    /// tests of the two background threads and the commit queue: it parks
-    /// the thread that makes a chosen call — a compaction's n-th input
-    /// read, a flush's first WAL unlink, a leader's next WAL sync — until
-    /// the test lets it go. Its hard links are real but it cannot count
-    /// them (`link_count` is the trait's default, 1): the window between
-    /// the reclaim executor's probe of an inode and its punch, held open.
-    #[derive(Default)]
-    pub(super) struct ReadFaultEnv {
-        inner: MemEnv,
-        faults: Arc<(Mutex<ReadFaults>, Condvar)>,
-    }
-
-    #[derive(Default)]
-    struct ReadFaults {
-        fail_all: bool,
-        /// Reads left until the one that fails; 0 = none will.
-        fail_in: u64,
-        fail_table_creates: bool,
-        /// Reads left until the one that parks at the gate; 0 = none will.
-        hold_in: u64,
-        hold_log_delete: bool,
-        hold_log_sync: bool,
-        /// The next WAL sync fails (after the gate, if it parks there).
-        fail_log_sync: bool,
-        /// A thread is parked at the gate.
-        held: bool,
-        log: Vec<(String, u64, usize)>,
-    }
-
-    /// Park the calling thread at the gate until [`ReadFaultEnv::release`].
-    fn park<'a>(
-        gate: &Condvar,
-        mut faults: MutexGuard<'a, ReadFaults>,
-    ) -> MutexGuard<'a, ReadFaults> {
-        faults.held = true;
-        gate.notify_all();
-        while faults.held {
-            faults = gate.wait(faults).unwrap();
-        }
-        faults
-    }
-
-    impl ReadFaultEnv {
-        fn faults(&self) -> MutexGuard<'_, ReadFaults> {
-            self.faults.0.lock().unwrap()
-        }
-
-        /// Fail every creation of a table file: a flush or a compaction
-        /// fails before it has written a byte.
-        pub(super) fn set_fail_table_creates(&self, fail: bool) {
-            self.faults().fail_table_creates = fail;
-        }
-
-        /// Park the thread that makes the `n`-th table-file read from now.
-        pub(super) fn hold_read_in(&self, n: u64) {
-            self.faults().hold_in = n;
-        }
-
-        /// Park the thread that next unlinks a WAL file: a flush past its
-        /// commit, in its log sweep.
-        pub(super) fn hold_log_delete(&self) {
-            self.faults().hold_log_delete = true;
-        }
-
-        /// Park the thread that next syncs a WAL file: a synced group's
-        /// leader, holding the log.
-        pub(super) fn hold_log_sync(&self) {
-            self.faults().hold_log_sync = true;
-        }
-
-        /// Fail the next WAL sync — the parked one, if a thread is held in
-        /// a sync when [`ReadFaultEnv::release`] lets it go.
-        pub(super) fn fail_log_sync(&self) {
-            self.faults().fail_log_sync = true;
-        }
-
-        /// Block until a thread is parked at the gate.
-        pub(super) fn wait_until_held(&self) {
-            let mut faults = self.faults();
-            while !faults.held {
-                faults = self.faults.1.wait(faults).unwrap();
-            }
-        }
-
-        /// Let the parked thread go on.
-        pub(super) fn release(&self) {
-            self.faults().held = false;
-            self.faults.1.notify_all();
-        }
-
-        pub(super) fn set_fail_reads(&self, fail: bool) {
-            self.faults().fail_all = fail;
-        }
-
-        /// Fail the `n`-th table-file read from now, and only that one.
-        pub(super) fn fail_read_in(&self, n: u64) {
-            self.faults().fail_in = n;
-        }
-
-        /// The table-file reads since the last call: (path, offset, length).
-        pub(super) fn take_read_log(&self) -> Vec<(String, u64, usize)> {
-            std::mem::take(&mut self.faults().log)
-        }
-    }
-
-    struct ReadFaultFile {
-        inner: Arc<dyn RandomAccessFile>,
-        path: String,
-        faults: Arc<(Mutex<ReadFaults>, Condvar)>,
-    }
-
-    impl RandomAccessFile for ReadFaultFile {
-        fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-            let fail = {
-                let mut faults = self.faults.0.lock().unwrap();
-                faults.log.push((self.path.clone(), offset, len));
-                let hold = faults.hold_in == 1;
-                faults.hold_in = faults.hold_in.saturating_sub(1);
-                if hold {
-                    faults = park(&self.faults.1, faults);
-                }
-                let nth = faults.fail_in == 1;
-                faults.fail_in = faults.fail_in.saturating_sub(1);
-                nth || faults.fail_all
-            };
-            if fail {
-                return Err(Error::io("injected read error"));
-            }
-            self.inner.read(offset, len)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-    }
-
-    struct LogSyncFaultFile {
-        inner: Box<dyn WritableFile>,
-        faults: Arc<(Mutex<ReadFaults>, Condvar)>,
-    }
-
-    impl WritableFile for LogSyncFaultFile {
-        fn append(&mut self, data: &[u8]) -> Result<()> {
-            self.inner.append(data)
-        }
-        fn flush(&mut self) -> Result<()> {
-            self.inner.flush()
-        }
-        fn sync(&mut self) -> Result<()> {
-            let fail = {
-                let mut faults = self.faults.0.lock().unwrap();
-                if std::mem::take(&mut faults.hold_log_sync) {
-                    faults = park(&self.faults.1, faults);
-                }
-                std::mem::take(&mut faults.fail_log_sync)
-            };
-            if fail {
-                return Err(Error::io("injected WAL sync error"));
-            }
-            self.inner.sync()
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-    }
-
-    impl Env for ReadFaultEnv {
-        fn new_writable_file(&self, path: &str) -> Result<Box<dyn WritableFile>> {
-            if path.ends_with(".sst") && self.faults().fail_table_creates {
-                return Err(Error::io("injected create error"));
-            }
-            let inner = self.inner.new_writable_file(path)?;
-            if !path.ends_with(".log") {
-                return Ok(inner);
-            }
-            Ok(Box::new(LogSyncFaultFile {
-                inner,
-                faults: Arc::clone(&self.faults),
-            }))
-        }
-        fn new_appendable_file(&self, path: &str) -> Result<Box<dyn WritableFile>> {
-            self.inner.new_appendable_file(path)
-        }
-        fn new_random_access_file(&self, path: &str) -> Result<Arc<dyn RandomAccessFile>> {
-            let inner = self.inner.new_random_access_file(path)?;
-            if !path.ends_with(".sst") {
-                return Ok(inner);
-            }
-            Ok(Arc::new(ReadFaultFile {
-                inner,
-                path: path.to_string(),
-                faults: Arc::clone(&self.faults),
-            }))
-        }
-        fn file_exists(&self, path: &str) -> bool {
-            self.inner.file_exists(path)
-        }
-        fn file_size(&self, path: &str) -> Result<u64> {
-            self.inner.file_size(path)
-        }
-        fn delete_file(&self, path: &str) -> Result<()> {
-            let mut faults = self.faults();
-            if path.ends_with(".log") && std::mem::take(&mut faults.hold_log_delete) {
-                faults = park(&self.faults.1, faults);
-            }
-            drop(faults);
-            self.inner.delete_file(path)
-        }
-        fn rename_file(&self, from: &str, to: &str) -> Result<()> {
-            self.inner.rename_file(from, to)
-        }
-        fn link_file(&self, src: &str, dst: &str) -> Result<()> {
-            self.inner.link_file(src, dst)
-        }
-        fn create_dir_all(&self, path: &str) -> Result<()> {
-            self.inner.create_dir_all(path)
-        }
-        fn list_dir(&self, dir: &str) -> Result<Vec<String>> {
-            self.inner.list_dir(dir)
-        }
-        fn punch_hole(&self, path: &str, offset: u64, len: u64) -> Result<()> {
-            self.inner.punch_hole(path, offset, len)
-        }
-        fn stats(&self) -> &bolt_env::IoStats {
-            self.inner.stats()
-        }
+    /// Append `clauses` to `env`'s fault plan; their ordinals count from
+    /// now.
+    pub(super) fn arm(env: &FaultEnv, clauses: &str) {
+        env.extend_plan(FaultPlan::parse(clauses).unwrap());
     }
 }
 

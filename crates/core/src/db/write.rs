@@ -997,7 +997,7 @@ mod tests {
     /// it the poison, and every acknowledged write survives a reopen.
     #[test]
     fn a_failed_sync_fails_every_member_of_its_group_and_poisons_the_queue() {
-        let env = Arc::new(ReadFaultEnv::default());
+        let env = Arc::new(FaultEnv::over_mem());
         let mut opts = Options::leveldb();
         opts.sync_wal = true;
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts.clone()).unwrap();
@@ -1009,18 +1009,18 @@ mod tests {
         };
         std::thread::scope(|s| {
             let db = &db;
-            env.hold_log_sync();
+            arm(&env, "hold:sync:glob=*.log:nth=0");
             let first = s.spawn(|| db.put(b"first", b"2"));
             env.wait_until_held();
             let group = [b"g1", b"g2"].map(|key| s.spawn(move || db.put(key, b"3")));
             queued(3);
-            env.hold_log_sync();
+            arm(&env, "hold:sync:glob=*.log:nth=0");
             env.release();
             env.wait_until_held(); // the group's leader, in the group's sync
             assert_eq!(first.join().unwrap(), Ok(()));
             let behind = s.spawn(|| db.put(b"behind", b"4"));
             queued(3);
-            env.fail_log_sync();
+            arm(&env, "eio:sync:glob=*.log:nth=0");
             env.release();
             let [a, b] = group.map(|member| member.join().unwrap().unwrap_err());
             assert!(matches!(a, Error::Io(_)), "{a:?}");

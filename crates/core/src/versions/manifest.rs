@@ -437,8 +437,9 @@ mod tests {
         acked.added_tables.push((0, 1, meta(t0, 55, 0, 10)));
         vs.log_and_apply(acked).unwrap();
 
-        let s = fault.sync_count();
-        fault.set_plan(bolt_env::FaultPlan::new().fail_sync(s).fail_sync(s + 1));
+        fault.set_plan(
+            bolt_env::FaultPlan::parse("eio:sync:glob=*:nth=0,eio:sync:glob=*:nth=0").unwrap(),
+        );
         let mut edit = VersionEdit::default();
         let t1 = vs.ids().new_table_id();
         edit.added_tables.push((0, 2, meta(t1, 56, 0, 10)));
@@ -561,8 +562,9 @@ mod tests {
         assert_eq!(state(&vs), before);
 
         // A double fault: the record is torn, the re-cut fails, nothing moves.
-        let s = fault.sync_count();
-        fault.set_plan(bolt_env::FaultPlan::new().fail_sync(s).fail_sync(s + 1));
+        fault.set_plan(
+            bolt_env::FaultPlan::parse("eio:sync:glob=*:nth=0,eio:sync:glob=*:nth=0").unwrap(),
+        );
         let edit = moving(&vs, 2);
         assert!(vs.log_and_apply(edit).is_err());
         assert_eq!(state(&vs), before);

@@ -2,25 +2,23 @@
 //!
 //! [`FaultEnv`] wraps any [`CrashEnv`] (in practice [`MemEnv`] or
 //! [`SimEnv`]) and assigns every **durability-relevant operation** — file
-//! create, append, sync, ordering barrier, rename, delete, hole punch — a
-//! global, monotonically increasing *op index*. A scripted [`FaultPlan`]
-//! then turns chosen indices into failures:
+//! create, append, sync, ordering barrier, rename, link, delete, hole
+//! punch — a global, monotonically increasing *op index*. Reads are seen but
+//! never numbered. A scripted [`FaultPlan`], one ordered list of
+//! `MODE:CLASS:glob=G:nth=N` clauses, turns chosen ops into faults or gates:
 //!
-//! * **crash-at-op-K** — op `K` does not execute; the environment enters a
-//!   *crashed* state in which every subsequent operation (including reads)
-//!   fails, freezing the inner filesystem exactly as a power failure would.
-//!   The harness then drops the engine, applies
-//!   [`FaultEnv::crash_inner`] to discard unsynced bytes, calls
-//!   [`FaultEnv::reset`], and reopens to test recovery.
-//! * **torn append** — like crash-at-op-K on an append, but a prefix of the
-//!   payload reaches the file first (a short write).
-//! * **EIO on the Nth sync** — the Nth durability barrier returns an I/O
-//!   error *once*, without crashing, to test error propagation.
-//! * **EIO on op K** — same, keyed by global op index.
-//! * **path-scoped clauses** — `eio:sync:glob=MANIFEST-*:nth=2`-style
-//!   rules keyed by `(op kind, path glob, per-rule ordinal)` instead of a
-//!   global index, so a plan survives workload drift; see
-//!   [`FaultPlan::parse`].
+//! * `crash` — the op does not execute; the environment enters a *crashed*
+//!   state in which every subsequent operation (including reads) fails,
+//!   freezing the inner filesystem exactly as a power failure would. The
+//!   harness then drops the engine, applies [`FaultEnv::crash_inner`] to
+//!   discard unsynced bytes, calls [`FaultEnv::reset`], and reopens to test
+//!   recovery.
+//! * `torn=B` — a crash on an append that lets `B` bytes of its payload
+//!   reach the file first (a short write).
+//! * `eio` — the op returns an I/O error *once*, without crashing, to test
+//!   error propagation.
+//! * `hold` — the thread making the op parks until [`FaultEnv::release`]:
+//!   the gate tests use to pin one interleaving of the engine's threads.
 //!
 //! A harness first *records* a workload (op trace + [`FaultEnv::mark`]
 //! phase markers), then replays it crashing at every interesting index.
@@ -29,7 +27,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use bolt_common::{Error, Result};
 
@@ -96,7 +94,7 @@ impl OpKind {
 }
 
 /// One counted operation in a recorded trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord {
     /// Global op index (0-based).
     pub index: u64,
@@ -108,81 +106,57 @@ pub struct OpRecord {
     pub bytes: u64,
 }
 
-/// Which op kinds a path-scoped fault clause targets. `Sync` matches both
-/// full syncs and ordering barriers — from the plan's point of view either
-/// is "the durability barrier on this file".
+/// What a clause does to the op it fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathKind {
-    /// `new_writable_file`.
-    Create,
-    /// `WritableFile::append`.
-    Append,
-    /// `WritableFile::sync` *or* `ordering_barrier`.
-    Sync,
-    /// `rename_file` (keyed by the source path).
-    Rename,
-    /// `link_file` (keyed by the destination path).
-    Link,
-    /// `delete_file`.
-    Delete,
-    /// `punch_hole`.
-    Punch,
-}
-
-impl PathKind {
-    fn matches(self, op: OpKind) -> bool {
-        match self {
-            PathKind::Create => op == OpKind::Create,
-            PathKind::Append => op == OpKind::Append,
-            PathKind::Sync => matches!(op, OpKind::Sync | OpKind::OrderingBarrier),
-            PathKind::Rename => op == OpKind::Rename,
-            PathKind::Link => op == OpKind::Link,
-            PathKind::Delete => op == OpKind::Delete,
-            PathKind::Punch => op == OpKind::PunchHole,
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            PathKind::Create => "create",
-            PathKind::Append => "append",
-            PathKind::Sync => "sync",
-            PathKind::Rename => "rename",
-            PathKind::Link => "link",
-            PathKind::Delete => "delete",
-            PathKind::Punch => "punch",
-        }
-    }
-
-    fn parse(s: &str) -> std::result::Result<Self, String> {
-        Ok(match s {
-            "create" => PathKind::Create,
-            "append" => PathKind::Append,
-            "sync" => PathKind::Sync,
-            "rename" => PathKind::Rename,
-            "link" => PathKind::Link,
-            "delete" => PathKind::Delete,
-            "punch" => PathKind::Punch,
-            other => return Err(format!("unknown op kind `{other}`")),
-        })
-    }
-}
-
-#[derive(Debug, Clone)]
-enum PathMode {
+enum Mode {
     Eio,
-    Crash { keep: u64 },
+    /// A power failure; an append keeps this many bytes (a torn write).
+    Crash(u64),
+    Hold,
 }
 
-/// One path-scoped clause: fire on the `nth` (0-based) op of `kind` whose
-/// path matches `glob`.
+/// Which ops a clause counts: one numbered kind (`Sync` also covers
+/// ordering barriers), every numbered op, or reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Any,
+    Op(OpKind),
+    Read,
+}
+
+impl Class {
+    /// `op` is `None` for a read.
+    fn matches(self, op: Option<OpKind>) -> bool {
+        match (self, op) {
+            (Class::Any, Some(_)) | (Class::Read, None) => true,
+            (Class::Op(OpKind::Sync), Some(OpKind::OrderingBarrier)) => true,
+            (Class::Op(kind), Some(op)) => kind == op,
+            _ => false,
+        }
+    }
+
+    fn parse(s: &str) -> Option<Self> {
+        use OpKind::*;
+        match s {
+            "any" => Some(Class::Any),
+            "read" => Some(Class::Read),
+            _ => [Create, Append, Sync, Rename, Link, Delete, PunchHole]
+                .into_iter()
+                .find(|kind| kind.label() == s)
+                .map(Class::Op),
+        }
+    }
+}
+
+/// One clause: `mode` on the `nth` (0-based) op of `class` whose path
+/// matches `glob`, counted from when the clause was installed.
 #[derive(Debug, Clone)]
-struct PathRule {
-    kind: PathKind,
+struct Clause {
+    mode: Mode,
+    class: Class,
     glob: String,
     nth: u64,
-    mode: PathMode,
-    /// Matching ops seen so far (the per-rule ordinal counter).
+    /// Matching ops counted so far.
     seen: u64,
 }
 
@@ -220,32 +194,45 @@ fn glob_match(pattern: &str, path: &str) -> bool {
     pi == p.len()
 }
 
-/// A scripted set of faults, keyed by global op index, sync ordinal, or a
-/// path-scoped `(kind, glob, nth)` clause.
+/// A scripted fault plan: one ordered list of clauses, built with
+/// [`FaultPlan::parse`] and installed with [`FaultEnv::set_plan`] or
+/// appended with [`FaultEnv::extend_plan`].
 ///
-/// Build with the fluent methods (or [`FaultPlan::parse`]) and install via
-/// [`FaultEnv::set_plan`]. The grammar:
+/// A clause `MODE:CLASS:glob=G:nth=N` fires on the `N`-th (0-based) op of
+/// `CLASS` whose path matches `G`, counted from when the clause was
+/// installed:
 ///
-/// * [`FaultPlan::crash_at_op`] — power failure *instead of* executing op
-///   `K`; everything after fails until [`FaultEnv::reset`].
-/// * [`FaultPlan::torn_crash_at_op`] — same, but if op `K` is an append,
-///   `keep` bytes of its payload reach the file first.
-/// * [`FaultPlan::fail_sync`] — the `n`-th (0-based) sync/ordering barrier
-///   returns `EIO` once; later syncs succeed.
-/// * [`FaultPlan::fail_op`] — op `K` returns `EIO` once; later ops succeed.
-/// * [`FaultPlan::eio_on_path`] / [`FaultPlan::crash_on_path`] /
-///   [`FaultPlan::torn_crash_on_path`] — path-scoped: the `nth` (0-based)
-///   op of a kind whose path matches a glob. Robust against op-index drift
-///   when the workload changes: `eio:sync:glob=MANIFEST-*:nth=0` targets
-///   "the first MANIFEST barrier" regardless of how many WAL or table ops
-///   precede it.
+/// * `MODE` is `eio` (the op fails once; the default when omitted),
+///   `crash` (a power failure instead of the op: every later op fails until
+///   [`FaultEnv::reset`]), `torn=B` (a crash that lets `B` bytes of an
+///   append through first) or `hold` (the thread parks until
+///   [`FaultEnv::release`]);
+/// * `CLASS` is `any` (every numbered op), `create`, `append`, `sync` (full
+///   syncs and ordering barriers), `rename` (by source path), `link` (by
+///   destination path), `delete`, `punch`, or `read`. A read is matched but
+///   never numbered: it moves no op index and enters no trace.
+///
+/// On a fresh env, or right after [`FaultEnv::reset`], the op counter and
+/// every clause count from zero: `crash:any:glob=*:nth=K` crashes at op
+/// index `K`, and `eio:sync:glob=*:nth=N` fails the `N`-th sync or barrier.
+/// A path glob survives workload drift: `eio:sync:glob=MANIFEST-*:nth=0` is
+/// "the first MANIFEST barrier", however many WAL or table ops precede it.
+///
+/// Two evaluation rules:
+///
+/// 1. **First fire decides.** Clauses are evaluated in plan order, and the
+///    first `eio`, `crash` or `torn` clause that fires decides the op; later
+///    clauses do not count it. Two identical clauses therefore fire on the
+///    first two matching ops.
+/// 2. **Hold, then continue.** A `hold` clause parks the op. After
+///    [`FaultEnv::release`], evaluation resumes after the hold clause,
+///    against the plan as it stands then: a clause appended while the thread
+///    is parked applies to the parked op. A released op is not held (nor
+///    counted by a `hold` clause) again, so a second `hold` armed before the
+///    release parks the next matching op.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    crash_at: Option<u64>,
-    torn_keep: u64,
-    fail_ops: Vec<u64>,
-    fail_syncs: Vec<u64>,
-    path_rules: Vec<PathRule>,
+    clauses: Vec<Clause>,
 }
 
 impl FaultPlan {
@@ -254,142 +241,54 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Crash instead of executing the op with global index `k`.
-    #[must_use]
-    pub fn crash_at_op(mut self, k: u64) -> Self {
-        self.crash_at = Some(k);
-        self
-    }
-
-    /// Crash at op `k`; if it is an append, keep the first `keep` bytes of
-    /// its payload (a short/torn write).
-    #[must_use]
-    pub fn torn_crash_at_op(mut self, k: u64, keep: u64) -> Self {
-        self.crash_at = Some(k);
-        self.torn_keep = keep;
-        self
-    }
-
-    /// Return `EIO` from the `n`-th (0-based) sync or ordering barrier.
-    #[must_use]
-    pub fn fail_sync(mut self, n: u64) -> Self {
-        self.fail_syncs.push(n);
-        self
-    }
-
-    /// Return `EIO` from the op with global index `k`.
-    #[must_use]
-    pub fn fail_op(mut self, k: u64) -> Self {
-        self.fail_ops.push(k);
-        self
-    }
-
-    /// Return `EIO` (once) from the `nth` (0-based) op of `kind` whose path
-    /// matches `glob`.
-    #[must_use]
-    pub fn eio_on_path(mut self, kind: PathKind, glob: &str, nth: u64) -> Self {
-        self.path_rules.push(PathRule {
-            kind,
-            glob: glob.to_string(),
-            nth,
-            mode: PathMode::Eio,
-            seen: 0,
-        });
-        self
-    }
-
-    /// Crash instead of executing the `nth` (0-based) op of `kind` whose
-    /// path matches `glob`.
-    #[must_use]
-    pub fn crash_on_path(mut self, kind: PathKind, glob: &str, nth: u64) -> Self {
-        self.path_rules.push(PathRule {
-            kind,
-            glob: glob.to_string(),
-            nth,
-            mode: PathMode::Crash { keep: 0 },
-            seen: 0,
-        });
-        self
-    }
-
-    /// Like [`FaultPlan::crash_on_path`], but if the matched op is an
-    /// append, `keep` bytes of its payload reach the file first.
-    #[must_use]
-    pub fn torn_crash_on_path(mut self, kind: PathKind, glob: &str, nth: u64, keep: u64) -> Self {
-        self.path_rules.push(PathRule {
-            kind,
-            glob: glob.to_string(),
-            nth,
-            mode: PathMode::Crash { keep },
-            seen: 0,
-        });
-        self
-    }
-
-    /// Parse a plan from clause text: whitespace/comma-separated clauses of
-    /// the form `[MODE:]KIND:glob=G:nth=N`, where `MODE` is `eio` (default),
-    /// `crash`, or `torn=K` (crash keeping `K` bytes of a torn append) and
-    /// `KIND` is `create|append|sync|rename|delete|punch` (`sync` also
-    /// matches ordering barriers). Example: `eio:sync:glob=MANIFEST-*:nth=2`.
+    /// Parse a plan from whitespace- or comma-separated clauses of the form
+    /// `[MODE:]CLASS:glob=G:nth=N`, where `MODE` is `eio|crash|torn=B|hold`
+    /// (`eio` when omitted) and `CLASS` is
+    /// `any|create|append|sync|rename|link|delete|punch|read`. Example:
+    /// `eio:sync:glob=MANIFEST-*:nth=2`.
     pub fn parse(spec: &str) -> std::result::Result<Self, String> {
-        let mut plan = FaultPlan::new();
-        for clause in spec.split([',', ' ', '\t', '\n']).filter(|c| !c.is_empty()) {
-            plan = plan.parse_clause(clause)?;
-        }
-        Ok(plan)
+        let clauses = spec.split([',', ' ', '\t', '\n']).filter(|c| !c.is_empty());
+        Ok(FaultPlan {
+            clauses: clauses
+                .map(parse_clause)
+                .collect::<std::result::Result<_, _>>()?,
+        })
     }
+}
 
-    fn parse_clause(self, clause: &str) -> std::result::Result<Self, String> {
-        let fields: Vec<&str> = clause.split(':').collect();
-        let bad = |what: &str| format!("bad clause `{clause}`: {what}");
-        let (mode, rest) = match fields.first().copied() {
-            Some("eio") => (PathMode::Eio, &fields[1..]),
-            Some("crash") => (PathMode::Crash { keep: 0 }, &fields[1..]),
-            Some(f) if f.starts_with("torn=") => {
-                let keep = f["torn=".len()..]
-                    .parse::<u64>()
-                    .map_err(|_| bad("torn= wants a byte count"))?;
-                (PathMode::Crash { keep }, &fields[1..])
+fn parse_clause(clause: &str) -> std::result::Result<Clause, String> {
+    let fields: Vec<&str> = clause.split(':').collect();
+    let bad = |what: &str| format!("bad clause `{clause}`: {what}");
+    let (mode, rest) = match fields[0] {
+        "eio" => (Mode::Eio, &fields[1..]),
+        "crash" => (Mode::Crash(0), &fields[1..]),
+        "hold" => (Mode::Hold, &fields[1..]),
+        f => match f.strip_prefix("torn=") {
+            Some(keep) => {
+                let keep = keep.parse().map_err(|_| bad("torn= wants a byte count"))?;
+                (Mode::Crash(keep), &fields[1..])
             }
-            _ => (PathMode::Eio, &fields[..]),
-        };
-        let &[kind, glob, nth] = rest else {
-            return Err(bad("expected [MODE:]KIND:glob=G:nth=N"));
-        };
-        let kind = PathKind::parse(kind).map_err(|e| bad(&e))?;
-        let glob = glob
-            .strip_prefix("glob=")
-            .ok_or_else(|| bad("second field must be glob=G"))?;
-        let nth = nth
-            .strip_prefix("nth=")
-            .and_then(|n| n.parse::<u64>().ok())
-            .ok_or_else(|| bad("third field must be nth=N"))?;
-        let mut plan = self;
-        plan.path_rules.push(PathRule {
-            kind,
-            glob: glob.to_string(),
-            nth,
-            mode,
-            seen: 0,
-        });
-        Ok(plan)
-    }
-
-    /// Merge `other` into this plan: fault clauses accumulate, while
-    /// `other`'s crash point (if any) replaces this plan's. Path-rule `seen`
-    /// counters are preserved on both sides, so a workload can arm extra
-    /// faults mid-run without disturbing an already-ticking harness plan.
-    #[must_use]
-    pub fn merged(mut self, other: FaultPlan) -> Self {
-        if other.crash_at.is_some() {
-            self.crash_at = other.crash_at;
-            self.torn_keep = other.torn_keep;
-        }
-        self.fail_ops.extend(other.fail_ops);
-        self.fail_syncs.extend(other.fail_syncs);
-        self.path_rules.extend(other.path_rules);
-        self
-    }
+            None => (Mode::Eio, &fields[..]),
+        },
+    };
+    let &[class, glob, nth] = rest else {
+        return Err(bad("expected [MODE:]CLASS:glob=G:nth=N"));
+    };
+    let class = Class::parse(class).ok_or_else(|| bad(&format!("unknown op class `{class}`")))?;
+    let glob = glob
+        .strip_prefix("glob=")
+        .ok_or_else(|| bad("second field must be glob=G"))?;
+    let nth = nth
+        .strip_prefix("nth=")
+        .and_then(|n| n.parse::<u64>().ok())
+        .ok_or_else(|| bad("third field must be nth=N"))?;
+    Ok(Clause {
+        mode,
+        class,
+        glob: glob.to_string(),
+        nth,
+        seen: 0,
+    })
 }
 
 #[derive(Default)]
@@ -398,17 +297,25 @@ struct Recording {
     recording: bool,
     trace: Vec<OpRecord>,
     markers: Vec<(u64, String)>,
+    /// Reads made while recording, `(path, offset, len)`; never in `trace`.
+    reads: Vec<(String, u64, usize)>,
+    /// A thread is parked at a `hold` clause.
+    held: bool,
+    /// [`FaultEnv::release`] calls so far: a parked thread waits for the
+    /// next one.
+    releases: u64,
 }
 
 struct FaultState {
     op_counter: AtomicU64,
-    sync_counter: AtomicU64,
     crashed: AtomicBool,
     faults_injected: AtomicU64,
     script: Mutex<Recording>,
+    /// Where `hold` clauses park, releasing `script` while they wait.
+    gate: Condvar,
 }
 
-/// What a counted op should do after consulting the plan.
+/// What an op should do after consulting the plan.
 enum Decision {
     Proceed,
     Fail(Error),
@@ -420,10 +327,10 @@ impl FaultState {
     fn new() -> Self {
         FaultState {
             op_counter: AtomicU64::new(0),
-            sync_counter: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
             faults_injected: AtomicU64::new(0),
             script: Mutex::new(Recording::default()),
+            gate: Condvar::new(),
         }
     }
 
@@ -439,17 +346,12 @@ impl FaultState {
         }
     }
 
-    /// Count one durability-relevant op and decide its fate.
+    /// Number one durability-relevant op and decide its fate.
     fn before_op(&self, kind: OpKind, path: &str, bytes: u64) -> Decision {
         if self.crashed.load(Ordering::SeqCst) {
             return Decision::Fail(Self::crash_error());
         }
         let index = self.op_counter.fetch_add(1, Ordering::SeqCst);
-        let sync_index = if matches!(kind, OpKind::Sync | OpKind::OrderingBarrier) {
-            Some(self.sync_counter.fetch_add(1, Ordering::SeqCst))
-        } else {
-            None
-        };
         let mut script = self.script.lock();
         if script.recording {
             script.trace.push(OpRecord {
@@ -459,52 +361,80 @@ impl FaultState {
                 bytes,
             });
         }
-        if script.plan.crash_at == Some(index) {
-            self.crashed.store(true, Ordering::SeqCst);
-            self.faults_injected.fetch_add(1, Ordering::SeqCst);
-            let keep = script.plan.torn_keep.min(bytes) as usize;
-            if kind == OpKind::Append && keep > 0 {
-                return Decision::Torn(keep);
-            }
-            return Decision::Fail(Self::crash_error());
+        self.decide(script, Some(kind), path, bytes)
+    }
+
+    /// Decide a read: never numbered, and logged apart from the trace.
+    fn before_read(&self, path: &str, offset: u64, len: usize) -> Result<()> {
+        self.check_crashed()?;
+        let mut script = self.script.lock();
+        if script.recording {
+            script.reads.push((path.to_string(), offset, len));
         }
-        if script.plan.fail_ops.contains(&index) {
-            self.faults_injected.fetch_add(1, Ordering::SeqCst);
-            return Decision::Fail(Error::io(format!(
-                "fault: injected EIO at op {index} ({} {path})",
-                kind.label()
-            )));
+        match self.decide(script, None, path, 0) {
+            Decision::Fail(e) => Err(e),
+            _ => Ok(()),
         }
-        if let Some(s) = sync_index {
-            if script.plan.fail_syncs.contains(&s) {
-                self.faults_injected.fetch_add(1, Ordering::SeqCst);
-                return Decision::Fail(Error::io(format!(
-                    "fault: injected EIO at sync {s} ({path})"
-                )));
-            }
+    }
+
+    /// Number an op that is not an append (only an append tears).
+    fn admit(&self, kind: OpKind, path: &str) -> Result<()> {
+        match self.before_op(kind, path, 0) {
+            Decision::Proceed => Ok(()),
+            Decision::Fail(e) => Err(e),
+            Decision::Torn(_) => unreachable!("torn decision only applies to appends"),
         }
-        for rule in &mut script.plan.path_rules {
-            if !rule.kind.matches(kind) || !glob_match(&rule.glob, path) {
+    }
+
+    /// The clause loop (`kind` is `None` for a read); see [`FaultPlan`] for
+    /// its two rules.
+    fn decide(
+        &self,
+        mut script: MutexGuard<'_, Recording>,
+        kind: Option<OpKind>,
+        path: &str,
+        bytes: u64,
+    ) -> Decision {
+        let (mut next, mut released) = (0, false);
+        while let Some(clause) = script.plan.clauses.get_mut(next) {
+            next += 1;
+            if !clause.class.matches(kind)
+                || (released && clause.mode == Mode::Hold)
+                || !glob_match(&clause.glob, path)
+            {
                 continue;
             }
-            let seen = rule.seen;
-            rule.seen += 1;
-            if seen != rule.nth {
+            let seen = clause.seen;
+            clause.seen += 1;
+            if seen != clause.nth {
                 continue;
             }
-            self.faults_injected.fetch_add(1, Ordering::SeqCst);
-            match rule.mode {
-                PathMode::Eio => {
+            match clause.mode {
+                Mode::Hold => {
+                    script.held = true;
+                    self.gate.notify_all();
+                    let releases = script.releases;
+                    while script.releases == releases {
+                        self.gate.wait(&mut script);
+                    }
+                    released = true;
+                    if self.crashed.load(Ordering::SeqCst) {
+                        return Decision::Fail(Self::crash_error());
+                    }
+                }
+                Mode::Eio => {
+                    self.faults_injected.fetch_add(1, Ordering::SeqCst);
                     return Decision::Fail(Error::io(format!(
                         "fault: injected EIO at {} #{seen} matching `{}` ({path})",
-                        rule.kind.label(),
-                        rule.glob
+                        kind.map_or("read", OpKind::label),
+                        clause.glob
                     )));
                 }
-                PathMode::Crash { keep } => {
+                Mode::Crash(keep) => {
                     self.crashed.store(true, Ordering::SeqCst);
+                    self.faults_injected.fetch_add(1, Ordering::SeqCst);
                     let keep = keep.min(bytes) as usize;
-                    if kind == OpKind::Append && keep > 0 {
+                    if kind == Some(OpKind::Append) && keep > 0 {
                         return Decision::Torn(keep);
                     }
                     return Decision::Fail(Self::crash_error());
@@ -549,28 +479,44 @@ impl FaultEnv {
         Self::new(Arc::new(MemEnv::new()))
     }
 
-    /// Install `plan`, replacing any previous plan. Counters are *not*
+    /// Install `plan`, replacing any previous plan. The op counter is *not*
     /// reset; call [`FaultEnv::reset`] first to re-run a workload.
     pub fn set_plan(&self, plan: FaultPlan) {
         self.state.script.lock().plan = plan;
     }
 
-    /// Merge `plan` into the installed plan (see [`FaultPlan::merged`])
-    /// without resetting counters or clobbering an armed crash point's
-    /// progress. Path-rule ordinals in `plan` count from this call: with a
-    /// fresh `nth=0` MANIFEST rule, the *next* matching op fails.
+    /// Append `plan`'s clauses to the installed plan, whose clauses keep
+    /// their progress. The new clauses count from this call: with a fresh
+    /// `nth=0` MANIFEST clause, the *next* matching op fails.
     pub fn extend_plan(&self, plan: FaultPlan) {
         let mut script = self.state.script.lock();
-        let current = std::mem::take(&mut script.plan);
-        script.plan = current.merged(plan);
+        script.plan.clauses.extend(plan.clauses);
     }
 
-    /// Start recording an op trace (clears any previous trace).
+    /// Block until a thread is parked at a `hold` clause.
+    pub fn wait_until_held(&self) {
+        let mut script = self.state.script.lock();
+        while !script.held {
+            self.state.gate.wait(&mut script);
+        }
+    }
+
+    /// Let every thread parked at a `hold` clause go on.
+    pub fn release(&self) {
+        let mut script = self.state.script.lock();
+        script.held = false;
+        script.releases += 1;
+        self.state.gate.notify_all();
+    }
+
+    /// Start recording an op trace (clears any previous trace, markers and
+    /// read log).
     pub fn start_recording(&self) {
         let mut script = self.state.script.lock();
         script.recording = true;
         script.trace.clear();
         script.markers.clear();
+        script.reads.clear();
     }
 
     /// Stop recording and return the trace.
@@ -578,6 +524,11 @@ impl FaultEnv {
         let mut script = self.state.script.lock();
         script.recording = false;
         script.trace.clone()
+    }
+
+    /// The reads recorded since the last call, as `(path, offset, len)`.
+    pub fn take_read_log(&self) -> Vec<(String, u64, usize)> {
+        std::mem::take(&mut self.state.script.lock().reads)
     }
 
     /// Record a named phase marker at the current op index, e.g.
@@ -602,11 +553,6 @@ impl FaultEnv {
         self.state.op_counter.load(Ordering::SeqCst)
     }
 
-    /// Total sync/ordering-barrier ops so far.
-    pub fn sync_count(&self) -> u64 {
-        self.state.sync_counter.load(Ordering::SeqCst)
-    }
-
     /// Number of faults the plan has injected so far.
     pub fn faults_injected(&self) -> u64 {
         self.state.faults_injected.load(Ordering::SeqCst)
@@ -623,18 +569,18 @@ impl FaultEnv {
         self.inner.crash(config);
     }
 
-    /// Clear the crashed flag, plan, counters, trace, and markers so the
-    /// surviving files can be reopened for recovery.
+    /// Clear the crashed flag, plan, counters, trace, markers and read log
+    /// so the surviving files can be reopened for recovery.
     pub fn reset(&self) {
         self.state.crashed.store(false, Ordering::SeqCst);
         self.state.op_counter.store(0, Ordering::SeqCst);
-        self.state.sync_counter.store(0, Ordering::SeqCst);
         self.state.faults_injected.store(0, Ordering::SeqCst);
         let mut script = self.state.script.lock();
         script.plan = FaultPlan::default();
         script.recording = false;
         script.trace.clear();
         script.markers.clear();
+        script.reads.clear();
     }
 }
 
@@ -667,19 +613,13 @@ impl WritableFile for FaultWritableFile {
     }
 
     fn sync(&mut self) -> Result<()> {
-        match self.state.before_op(OpKind::Sync, &self.path, 0) {
-            Decision::Proceed => self.inner.sync(),
-            Decision::Fail(e) => Err(e),
-            Decision::Torn(_) => unreachable!("torn decision only applies to appends"),
-        }
+        self.state.admit(OpKind::Sync, &self.path)?;
+        self.inner.sync()
     }
 
     fn ordering_barrier(&mut self) -> Result<()> {
-        match self.state.before_op(OpKind::OrderingBarrier, &self.path, 0) {
-            Decision::Proceed => self.inner.ordering_barrier(),
-            Decision::Fail(e) => Err(e),
-            Decision::Torn(_) => unreachable!("torn decision only applies to appends"),
-        }
+        self.state.admit(OpKind::OrderingBarrier, &self.path)?;
+        self.inner.ordering_barrier()
     }
 
     fn len(&self) -> u64 {
@@ -690,11 +630,12 @@ impl WritableFile for FaultWritableFile {
 struct FaultRandomAccessFile {
     inner: Arc<dyn RandomAccessFile>,
     state: Arc<FaultState>,
+    path: String,
 }
 
 impl RandomAccessFile for FaultRandomAccessFile {
     fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.state.check_crashed()?;
+        self.state.before_read(&self.path, offset, len)?;
         self.inner.read(offset, len)
     }
 
@@ -705,11 +646,7 @@ impl RandomAccessFile for FaultRandomAccessFile {
 
 impl Env for FaultEnv {
     fn new_writable_file(&self, path: &str) -> Result<Box<dyn WritableFile>> {
-        match self.state.before_op(OpKind::Create, path, 0) {
-            Decision::Proceed => {}
-            Decision::Fail(e) => return Err(e),
-            Decision::Torn(_) => unreachable!("torn decision only applies to appends"),
-        }
+        self.state.admit(OpKind::Create, path)?;
         let inner = self.inner.new_writable_file(path)?;
         Ok(Box::new(FaultWritableFile {
             inner,
@@ -734,6 +671,7 @@ impl Env for FaultEnv {
         Ok(Arc::new(FaultRandomAccessFile {
             inner,
             state: Arc::clone(&self.state),
+            path: path.to_string(),
         }))
     }
 
@@ -747,29 +685,20 @@ impl Env for FaultEnv {
     }
 
     fn delete_file(&self, path: &str) -> Result<()> {
-        match self.state.before_op(OpKind::Delete, path, 0) {
-            Decision::Proceed => self.inner.delete_file(path),
-            Decision::Fail(e) => Err(e),
-            Decision::Torn(_) => unreachable!("torn decision only applies to appends"),
-        }
+        self.state.admit(OpKind::Delete, path)?;
+        self.inner.delete_file(path)
     }
 
     fn rename_file(&self, from: &str, to: &str) -> Result<()> {
-        match self.state.before_op(OpKind::Rename, from, 0) {
-            Decision::Proceed => self.inner.rename_file(from, to),
-            Decision::Fail(e) => Err(e),
-            Decision::Torn(_) => unreachable!("torn decision only applies to appends"),
-        }
+        self.state.admit(OpKind::Rename, from)?;
+        self.inner.rename_file(from, to)
     }
 
     fn link_file(&self, src: &str, dst: &str) -> Result<()> {
         // Keyed by the destination: checkpoint sweeps target "the Nth link
         // into checkpoint dir X", which the source name cannot express.
-        match self.state.before_op(OpKind::Link, dst, 0) {
-            Decision::Proceed => self.inner.link_file(src, dst),
-            Decision::Fail(e) => Err(e),
-            Decision::Torn(_) => unreachable!("torn decision only applies to appends"),
-        }
+        self.state.admit(OpKind::Link, dst)?;
+        self.inner.link_file(src, dst)
     }
 
     fn link_count(&self, path: &str) -> Result<u64> {
@@ -788,11 +717,8 @@ impl Env for FaultEnv {
     }
 
     fn punch_hole(&self, path: &str, offset: u64, len: u64) -> Result<()> {
-        match self.state.before_op(OpKind::PunchHole, path, 0) {
-            Decision::Proceed => self.inner.punch_hole(path, offset, len),
-            Decision::Fail(e) => Err(e),
-            Decision::Torn(_) => unreachable!("torn decision only applies to appends"),
-        }
+        self.state.admit(OpKind::PunchHole, path)?;
+        self.inner.punch_hole(path, offset, len)
     }
 
     fn stats(&self) -> &IoStats {
@@ -812,6 +738,14 @@ mod tests {
         FaultEnv::over_mem()
     }
 
+    fn plan(clauses: &str) -> FaultPlan {
+        FaultPlan::parse(clauses).unwrap()
+    }
+
+    fn is_sync(record: &OpRecord) -> bool {
+        matches!(record.kind, OpKind::Sync | OpKind::OrderingBarrier)
+    }
+
     #[test]
     fn no_plan_passes_through_and_counts() {
         let env = mem_fault();
@@ -824,7 +758,7 @@ mod tests {
         env.delete_file("b").unwrap(); // op 5: delete
         let trace = env.stop_recording();
         assert_eq!(env.op_count(), 6);
-        assert_eq!(env.sync_count(), 1);
+        assert_eq!(trace.iter().filter(|r| is_sync(r)).count(), 1);
         assert_eq!(env.faults_injected(), 0);
         let kinds: Vec<OpKind> = trace.iter().map(|r| r.kind).collect();
         assert_eq!(
@@ -845,7 +779,7 @@ mod tests {
     #[test]
     fn crash_at_op_freezes_everything() {
         let env = mem_fault();
-        env.set_plan(FaultPlan::new().crash_at_op(2));
+        env.set_plan(plan("crash:any:glob=*:nth=2"));
         let mut f = env.new_writable_file("a").unwrap(); // op 0
         f.append(b"one").unwrap(); // op 1
         assert!(f.append(b"two").is_err()); // op 2: crash fires
@@ -869,25 +803,24 @@ mod tests {
     fn extend_plan_merges_without_resetting_rule_progress() {
         let env = mem_fault();
         // Harness plan: EIO on the second (nth=1) sync of an m-* file.
-        env.set_plan(FaultPlan::new().eio_on_path(PathKind::Sync, "m-*", 1));
+        env.set_plan(plan("eio:sync:glob=m-*:nth=1"));
         let mut f = env.new_writable_file("m-a").unwrap();
         f.append(b"x").unwrap();
         f.sync().unwrap(); // m-* sync #0: passes, advances seen to 1
 
-        // Workload arms an extra rule mid-run; ordinals count from here, so
-        // nth=0 means "the next matching sync", and the harness rule's
-        // progress (seen=1) must survive the merge.
-        env.extend_plan(FaultPlan::new().eio_on_path(PathKind::Sync, "w-*", 0));
+        // Workload arms an extra clause mid-run; ordinals count from here,
+        // so nth=0 means "the next matching sync", and the harness clause's
+        // progress (seen=1) must survive the append.
+        env.extend_plan(plan("eio:sync:glob=w-*:nth=0"));
         let mut w = env.new_writable_file("w-a").unwrap();
         w.append(b"y").unwrap();
-        assert!(w.sync().is_err(), "armed w-* rule fires on its next sync");
-        assert!(f.sync().is_err(), "harness m-* rule still fires at nth=1");
+        assert!(w.sync().is_err(), "armed w-* clause fires on its next sync");
+        assert!(f.sync().is_err(), "harness m-* clause still fires at nth=1");
         assert_eq!(env.faults_injected(), 2);
-        assert!(f.sync().is_ok(), "both rules are one-shot");
+        assert!(f.sync().is_ok(), "both clauses are one-shot");
 
-        // A crash point in the extension replaces (not duplicates) any
-        // armed crash point.
-        env.extend_plan(FaultPlan::new().crash_at_op(env.op_count()));
+        // A crash clause appended mid-run counts from the append too.
+        env.extend_plan(plan("crash:any:glob=*:nth=0"));
         assert!(env.new_writable_file("z").is_err());
         assert!(env.crashed());
     }
@@ -898,7 +831,7 @@ mod tests {
         let mut f = env.new_writable_file("a").unwrap(); // op 0
         f.append(b"durable").unwrap(); // op 1
         f.sync().unwrap(); // op 2
-        env.set_plan(FaultPlan::new().torn_crash_at_op(3, 2));
+        env.set_plan(plan("torn=2:any:glob=*:nth=0"));
         assert!(f.append(b"xyz").is_err()); // op 3: torn, keeps "xy"
         assert!(env.crashed());
         env.crash_inner(CrashConfig::Clean);
@@ -910,10 +843,10 @@ mod tests {
         // With a TornTail crash config the torn bytes may survive; check
         // the file never exceeds synced + torn-kept bytes.
         let env = mem_fault();
+        env.set_plan(plan("torn=2:any:glob=*:nth=3"));
         let mut f = env.new_writable_file("a").unwrap();
         f.append(b"durable").unwrap();
         f.sync().unwrap();
-        env.set_plan(FaultPlan::new().torn_crash_at_op(3, 2));
         assert!(f.append(b"xyz").is_err());
         env.crash_inner(CrashConfig::TornTail { seed: 7 });
         env.reset();
@@ -924,22 +857,26 @@ mod tests {
     #[test]
     fn fail_sync_injects_eio_once() {
         let env = mem_fault();
-        env.set_plan(FaultPlan::new().fail_sync(1));
+        env.set_plan(plan("eio:sync:glob=*:nth=1"));
+        env.start_recording();
         let mut f = env.new_writable_file("a").unwrap();
         f.append(b"x").unwrap();
         f.sync().unwrap(); // sync 0: fine
         f.append(b"y").unwrap();
-        assert!(f.sync().is_err()); // sync 1: EIO
+        assert!(f.ordering_barrier().is_err()); // sync 1: EIO
         assert!(!env.crashed(), "EIO is not a crash");
         f.sync().unwrap(); // sync 2: fine again
         assert_eq!(env.faults_injected(), 1);
-        assert_eq!(env.sync_count(), 3);
+        assert_eq!(
+            env.stop_recording().iter().filter(|r| is_sync(r)).count(),
+            3
+        );
     }
 
     #[test]
     fn fail_op_injects_eio_once() {
         let env = mem_fault();
-        env.set_plan(FaultPlan::new().fail_op(1));
+        env.set_plan(plan("eio:any:glob=*:nth=1"));
         let mut f = env.new_writable_file("a").unwrap(); // op 0
         assert!(f.append(b"x").is_err()); // op 1: EIO
         f.append(b"x").unwrap(); // op 2: fine
@@ -982,10 +919,10 @@ mod tests {
     #[test]
     fn path_rule_eio_on_nth_matching_sync() {
         let env = mem_fault();
-        env.set_plan(FaultPlan::parse("eio:sync:glob=m-*:nth=1").unwrap());
+        env.set_plan(plan("eio:sync:glob=m-*:nth=1"));
         let mut m = env.new_writable_file("db/m-1").unwrap();
         let mut other = env.new_writable_file("db/data").unwrap();
-        other.sync().unwrap(); // non-matching path: not counted by the rule
+        other.sync().unwrap(); // non-matching path: not counted by the clause
         m.sync().unwrap(); // matching #0
         other.sync().unwrap();
         assert!(m.sync().is_err()); // matching #1: EIO
@@ -997,7 +934,7 @@ mod tests {
     #[test]
     fn path_rule_crash_and_torn_variants() {
         let env = mem_fault();
-        env.set_plan(FaultPlan::new().crash_on_path(PathKind::Append, "*.log", 2));
+        env.set_plan(plan("crash:append:glob=*.log:nth=2"));
         let mut f = env.new_writable_file("a.log").unwrap();
         f.append(b"one").unwrap();
         f.append(b"two").unwrap();
@@ -1005,7 +942,7 @@ mod tests {
         assert!(env.crashed());
 
         let env = mem_fault();
-        env.set_plan(FaultPlan::parse("torn=2:append:glob=*.log:nth=0").unwrap());
+        env.set_plan(plan("torn=2:append:glob=*.log:nth=0"));
         let mut f = env.new_writable_file("a.log").unwrap();
         assert!(f.append(b"xyz").is_err());
         assert!(env.crashed());
@@ -1019,9 +956,134 @@ mod tests {
     fn parse_rejects_malformed_clauses() {
         assert!(FaultPlan::parse("sync:glob=M*:nth=0").is_ok());
         assert!(FaultPlan::parse("crash:delete:glob=*.sst:nth=3").is_ok());
+        assert!(FaultPlan::parse("hold:read:glob=*.sst:nth=5 torn=9:any:glob=*:nth=2").is_ok());
+        assert!(FaultPlan::parse("eio:link:glob=ckpt/*:nth=0").is_ok());
         assert!(FaultPlan::parse("bogus:glob=M*:nth=0").is_err());
+        assert!(FaultPlan::parse("eio:barrier:glob=M*:nth=0").is_err());
+        assert!(FaultPlan::parse("torn=x:any:glob=*:nth=0").is_err());
         assert!(FaultPlan::parse("sync:g=M*:nth=0").is_err());
         assert!(FaultPlan::parse("sync:glob=M*:nth=x").is_err());
         assert!(FaultPlan::parse("eio:sync:glob=M*").is_err());
+    }
+
+    /// Two files through every numbered kind, with a read between; returns
+    /// the op index of the first numbered op that failed.
+    fn small_workload(env: &FaultEnv) -> Option<u64> {
+        let mut failed = None;
+        let mut check = |result: Result<()>| {
+            if result.is_err() && failed.is_none() {
+                failed = Some(env.op_count() - 1);
+            }
+        };
+        for name in ["db/1.log", "db/2.sst"] {
+            match env.new_writable_file(name) {
+                Ok(mut f) => {
+                    check(f.append(b"abc"));
+                    check(f.sync());
+                    let _ = env.new_random_access_file(name).and_then(|r| r.read(0, 3));
+                    check(f.append(b"de"));
+                    check(f.ordering_barrier());
+                }
+                Err(e) => check(Err(e)),
+            }
+        }
+        check(env.link_file("db/2.sst", "db/3.sst"));
+        check(env.rename_file("db/1.log", "db/4.log"));
+        check(env.punch_hole("db/2.sst", 0, 1));
+        check(env.delete_file("db/4.log"));
+        failed
+    }
+
+    /// The global forms of a clause pick the op a recorded trace numbered:
+    /// `crash:any` at `K` stops at `trace[K]`, `eio:sync` at `N` fails the
+    /// `N`-th sync or barrier, and a read clause — firing or not — moves no
+    /// op index and adds nothing to the trace.
+    #[test]
+    fn global_clauses_pick_the_op_the_trace_numbered() {
+        let run = |clauses: &str| {
+            let env = mem_fault();
+            env.set_plan(plan(clauses));
+            env.start_recording();
+            let failed = small_workload(&env);
+            let trace = env.stop_recording();
+            (env, failed, trace)
+        };
+        let (_, failed, trace) = run("");
+        assert_eq!(failed, None);
+        let syncs: Vec<&OpRecord> = trace.iter().filter(|r| is_sync(r)).collect();
+        assert_eq!((trace.len(), syncs.len()), (14, 4), "{trace:?}");
+
+        for (k, op) in trace.iter().enumerate() {
+            let (env, failed, replay) = run(&format!("crash:any:glob=*:nth={k}"));
+            assert_eq!(failed, Some(op.index));
+            assert_eq!(replay.last(), Some(op), "crash at op {k}");
+            assert!(env.crashed());
+        }
+        for (n, sync) in syncs.iter().enumerate() {
+            let (env, failed, replay) = run(&format!("eio:sync:glob=*:nth={n}"));
+            assert_eq!(failed, Some(sync.index), "EIO at sync {n}");
+            assert_eq!((env.crashed(), env.faults_injected()), (false, 1));
+            assert_eq!(replay, trace);
+        }
+        for (clauses, fires) in [
+            ("eio:read:glob=*:nth=0", 1),
+            ("eio:read:glob=*.sst:nth=0", 1),
+            ("eio:read:glob=*:nth=2", 0),
+            ("crash:read:glob=*:nth=1", 1),
+        ] {
+            let (env, failed, replay) = run(clauses);
+            assert_eq!(env.faults_injected(), fires, "{clauses}");
+            if env.crashed() {
+                // A crash on a read freezes what comes after it, but what
+                // came before is numbered as it was.
+                assert_eq!(replay[..], trace[..replay.len()], "{clauses}");
+                continue;
+            }
+            assert_eq!(failed, None, "{clauses}");
+            assert_eq!(env.op_count(), trace.len() as u64, "{clauses}");
+            assert_eq!(replay, trace, "{clauses}");
+        }
+    }
+
+    /// `hold` parks the matched op's thread — holding no lock — until
+    /// `release`. Evaluation then goes on against the plan as it stands: a
+    /// clause armed meanwhile applies to the parked op, and a second `hold`
+    /// armed meanwhile waits for the next matching op.
+    #[test]
+    fn hold_parks_the_op_until_release() {
+        let env = mem_fault();
+        let mut a = env.new_writable_file("a.log").unwrap();
+        let mut b = env.new_writable_file("b.log").unwrap();
+        let arm = |clauses: &str| env.extend_plan(plan(clauses));
+        let settle = || std::thread::sleep(std::time::Duration::from_millis(50));
+        arm("hold:sync:glob=*.log:nth=0");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| env.wait_until_held());
+            settle();
+            assert!(!waiter.is_finished(), "nothing is parked yet");
+            let first = s.spawn(move || a.sync());
+            waiter.join().unwrap();
+            // Other ops, and the plan, move on while a thread is parked.
+            env.new_writable_file("c.log").unwrap().sync().unwrap();
+            arm("hold:sync:glob=*.log:nth=0");
+            settle();
+            assert!(!first.is_finished(), "released before release");
+            env.release();
+            assert!(
+                first.join().unwrap().is_ok(),
+                "the released op was held again"
+            );
+
+            let waiter = s.spawn(|| env.wait_until_held());
+            settle();
+            assert!(!waiter.is_finished(), "release left a thread parked");
+            let second = s.spawn(move || b.sync());
+            waiter.join().unwrap();
+            arm("eio:sync:glob=*.log:nth=0");
+            env.release();
+            let err = second.join().unwrap().unwrap_err();
+            assert!(err.to_string().contains("injected EIO"), "{err}");
+        });
+        assert_eq!(env.faults_injected(), 1);
     }
 }

@@ -21,23 +21,33 @@
 //! * [`FaultEnv`] — a **deterministic fault-injection** wrapper over any
 //!   [`CrashEnv`] ([`MemEnv`] or [`SimEnv`]). It numbers every
 //!   durability-relevant operation (create, append, sync/barrier, rename,
-//!   delete, hole punch) with a global op counter and executes a scripted
-//!   [`FaultPlan`]. Use it to sweep crash points and error paths; see below.
+//!   link, delete, hole punch) with a global op counter, sees every read
+//!   without numbering it, and executes a scripted [`FaultPlan`]. Use it to
+//!   sweep crash points and error paths, and to park an engine thread at a
+//!   chosen op; see below.
 //!
 //! All implementations feed the [`IoStats`] counters (fsync calls, bytes
 //! written/read, holes punched) that the benchmark harness reports.
 //!
 //! ## Fault-plan grammar
 //!
-//! A [`FaultPlan`] composes four primitives, each keyed off the global op
-//! counter (or, for syncs, the sync ordinal):
+//! A [`FaultPlan`] is one ordered list of clauses `MODE:CLASS:glob=G:nth=N`:
+//! the clause fires on the `N`-th (0-based) op of `CLASS` whose path matches
+//! `G`, counted from when it was installed ([`FaultPlan`] states the two
+//! evaluation rules).
 //!
-//! | primitive | effect |
+//! | `MODE` | effect on the op it fires on |
 //! |---|---|
-//! | [`FaultPlan::crash_at_op`]`(k)` | op `k` does not execute; every later op (reads included) fails until [`FaultEnv::reset`] |
-//! | [`FaultPlan::torn_crash_at_op`]`(k, keep)` | as above, but an append keeps a `keep`-byte prefix (short write) |
-//! | [`FaultPlan::fail_sync`]`(n)` | the `n`-th sync/ordering barrier returns `EIO` once, no crash |
-//! | [`FaultPlan::fail_op`]`(k)` | op `k` returns `EIO` once, no crash |
+//! | `eio` | returns `EIO` once, no crash |
+//! | `crash` | does not execute; every later op (reads included) fails until [`FaultEnv::reset`] |
+//! | `torn=B` | as `crash`, but an append keeps a `B`-byte prefix (short write) |
+//! | `hold` | parks its thread until [`FaultEnv::release`] ([`FaultEnv::wait_until_held`] waits for it) |
+//!
+//! `CLASS` is `any` (every numbered op) or one of `create`, `append`,
+//! `sync` (syncs and ordering barriers), `rename`, `link`, `delete`,
+//! `punch`, and `read` (matched, never numbered). On a fresh env or right
+//! after [`FaultEnv::reset`], `crash:any:glob=*:nth=K` crashes at op index
+//! `K` and `eio:sync:glob=*:nth=N` fails the `N`-th sync or barrier.
 //!
 //! The record/replay loop used by the crash-sweep harness:
 //!
@@ -53,7 +63,7 @@
 //! for k in 0..trace.len() as u64 {
 //!     env.reset();
 //!     // ... wipe/rebuild state, install the plan, re-run the workload ...
-//!     env.set_plan(FaultPlan::new().crash_at_op(k));
+//!     env.set_plan(FaultPlan::parse(&format!("crash:any:glob=*:nth={k}")).unwrap());
 //!     // ... the workload errors out at op k; drop the engine, then:
 //!     env.crash_inner(CrashConfig::TornTail { seed: k });
 //!     env.reset();

@@ -670,11 +670,13 @@ mod tests {
         let restore_ops = fenv.stop_recording().len() as u64;
         assert!(restore_ops > 4, "restore trace suspiciously short");
 
+        let crash_in = |ops: u64| FaultPlan::parse(&format!("crash:any:glob=*:nth={ops}")).unwrap();
         let step = (restore_ops / 12).max(1);
         let mut covered = 0;
         for first in (0..restore_ops).step_by(step as usize) {
             // First crash, mid-restore.
-            fenv.set_plan(FaultPlan::new().crash_at_op(fenv.op_count() + first));
+            // (A clause counts from when it is installed.)
+            fenv.set_plan(crash_in(first));
             let r1 = backup_restore(&env, "bak", None, "dest");
             fenv.crash_inner(CrashConfig::Clean);
             fenv.reset();
@@ -695,7 +697,7 @@ mod tests {
                 }
             }
             // Second crash, somewhere inside the re-run.
-            fenv.set_plan(FaultPlan::new().crash_at_op(fenv.op_count() + first / 2));
+            fenv.set_plan(crash_in(first / 2));
             let _ = backup_restore(&env, "bak", None, "dest");
             fenv.crash_inner(CrashConfig::Clean);
             fenv.reset();

@@ -278,17 +278,19 @@ fn in_windows(windows: &[(u64, u64)], op: u64) -> bool {
 /// surviving filesystem plus the workload's acked/durable model.
 fn crash_replay(cfg: &SweepConfig, sc: &Scenario, k: u64, keep: u64) -> (FaultEnv, Model) {
     let env = FaultEnv::over_mem();
-    env.set_plan(if keep > 0 {
-        FaultPlan::new().torn_crash_at_op(k, keep)
-    } else {
-        FaultPlan::new().crash_at_op(k)
-    });
+    // (`torn=0` is a plain crash.)
+    env.set_plan(clause(&format!("torn={keep}:any:glob=*:nth={k}")));
     let replay = run_workload(&env, sc);
     env.crash_inner(CrashConfig::TornTail {
         seed: cfg.seed ^ k.wrapping_mul(0x9E37_79B9),
     });
     env.reset();
     (env, replay)
+}
+
+/// A plan of one well-formed clause.
+fn clause(text: &str) -> FaultPlan {
+    FaultPlan::parse(text).expect("well-formed clause")
 }
 
 /// Run `f`, turning a panic (e.g. a violated `debug_assert` while
@@ -388,7 +390,9 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
     let phases = env.markers();
     let windows = marker_windows(&phases);
     check_coverage(cfg, sc, &record, windows.len())?;
-    let syncs_recorded = env.sync_count();
+    let syncs_recorded = (trace.iter())
+        .filter(|r| matches!(r.kind, OpKind::Sync | OpKind::OrderingBarrier))
+        .count() as u64;
 
     // Phase 2: crash-point sweep.
     let sampled = select_crash_points(&trace, cfg.max_crash_points);
@@ -414,7 +418,7 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
     for i in 0..eio_count {
         let n = i as u64 * syncs_recorded / eio_count as u64;
         let env = FaultEnv::over_mem();
-        env.set_plan(FaultPlan::new().fail_sync(n));
+        env.set_plan(clause(&format!("eio:sync:glob=*:nth={n}")));
         let replay = run_workload(&env, sc);
         let point = format!("eio@sync{n}");
         // Every injected fault must be accounted for: either a caller saw
@@ -454,7 +458,7 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
             for i in 0..seconds {
                 let j = i as u64 * recovery_ops / seconds as u64;
                 let (env, replay) = crash_replay(cfg, sc, k, keep);
-                env.set_plan(FaultPlan::new().crash_at_op(j));
+                env.set_plan(clause(&format!("crash:any:glob=*:nth={j}")));
                 let point = format!("crash@op{k}+recovery-crash@op{j}");
                 if !attempt_open(&env, sc) {
                     violations.push(format!("{point}: interrupted recovery panicked"));

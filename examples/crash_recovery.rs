@@ -119,6 +119,7 @@ fn mid_compaction_crash() -> bolt::Result<()> {
     let fault = FaultEnv::over_mem();
     let db = Db::open(Arc::new(fault.clone()), "fault-db", opts.clone())?;
     workload(&db)?;
+    let flush_from = fault.op_count();
     fault.start_recording();
     db.flush()?;
     let trace = fault.stop_recording();
@@ -144,7 +145,9 @@ fn mid_compaction_crash() -> bolt::Result<()> {
     let env: Arc<dyn Env> = Arc::new(fault.clone());
     let db = Db::open(Arc::clone(&env), "fault-db", opts.clone())?;
     workload(&db)?;
-    fault.set_plan(FaultPlan::new().crash_at_op(manifest_sync.index));
+    // (A clause counts from when it is installed: here, from the flush.)
+    let crash = format!("crash:any:glob=*:nth={}", manifest_sync.index - flush_from);
+    fault.set_plan(FaultPlan::parse(&crash).expect("well-formed clause"));
     let flush_result = db.flush();
     println!(
         "flush with crash between the two barriers: {}",
