@@ -337,6 +337,16 @@ enum Field {
     Str(&'static str),
 }
 
+impl std::fmt::Display for Field {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Field::Num(v) => write!(f, "{v}"),
+            Field::Bool(v) => write!(f, "{v}"),
+            Field::Str(v) => f.write_str(v),
+        }
+    }
+}
+
 /// One row of [`EngineEvent::wire`]: the type name, then each field as
 /// `Kind binding` — a field's wire name is its name in the enum.
 macro_rules! wire {
@@ -348,9 +358,10 @@ macro_rules! wire {
 impl EngineEvent {
     /// The event's wire form: its stable snake_case type name and its
     /// fields, by wire name, in wire order. The one per-variant table
-    /// [`EngineEvent::type_name`] and [`TraceEvent::to_json`] are both read
-    /// from; `schemas/trace.schema.json` lists the same names (a test holds
-    /// the `type` enum to that).
+    /// [`EngineEvent::type_name`], [`EngineEvent::describe`] and
+    /// [`TraceEvent::to_json`] are all read from;
+    /// `schemas/trace.schema.json` lists the same names (a test holds the
+    /// `type` enum to that).
     fn wire(&self) -> (&'static str, Vec<(&'static str, Field)>) {
         match *self {
             Self::FlushBegin { id, input_bytes } => wire!("flush_begin", Num id, Num input_bytes),
@@ -431,95 +442,16 @@ impl EngineEvent {
         self.wire().0
     }
 
-    /// One-line human description (the `bolt-tool trace` text format).
+    /// One-line human description (the `bolt-tool trace` text format):
+    /// the type name, then each field as `name=value`, in wire order.
     pub fn describe(&self) -> String {
-        match self {
-            EngineEvent::FlushBegin { id, input_bytes } => {
-                format!("flush #{id} begin ({input_bytes} B in memtable)")
-            }
-            EngineEvent::FlushEnd {
-                id,
-                output_bytes,
-                level,
-            } => format!("flush #{id} end -> L{level} ({output_bytes} B)"),
-            EngineEvent::CompactionBegin {
-                id,
-                level,
-                victims,
-                input_bytes,
-                victim_bytes,
-                overlap_bytes,
-                policy,
-            } => format!(
-                "compaction #{id} begin L{level} [{policy}] ({victims} victims, {input_bytes} B = {victim_bytes} B moved + {overlap_bytes} B overlap)"
-            ),
-            EngineEvent::CompactionEnd {
-                id,
-                outputs,
-                output_bytes,
-                settled,
-                rewrote,
-                policy,
-            } => format!(
-                "compaction #{id} end [{policy}] ({outputs} outputs, {output_bytes} B, {settled} settled, rewrote={rewrote})"
-            ),
-            EngineEvent::SettledMove { id, level, tables } => {
-                format!("compaction #{id} settled {tables} table(s) from L{level}")
-            }
-            EngineEvent::WriteGroup {
-                batches,
-                bytes,
-                synced,
-                syncs_elided,
-            } => format!(
-                "write group ({batches} batches, {bytes} B, synced={synced}, {syncs_elided} syncs elided)"
-            ),
-            EngineEvent::StallBegin => "writer stall begin".to_string(),
-            EngineEvent::StallEnd { waited_nanos } => {
-                format!("writer stall end ({waited_nanos} ns)")
-            }
-            EngineEvent::Slowdown => "writer slowdown (1 ms)".to_string(),
-            EngineEvent::WalRotate { new_log } => format!("WAL rotated to log {new_log:06}"),
-            EngineEvent::ManifestCommit {
-                edit_bytes,
-                added,
-                deleted,
-            } => format!(
-                "MANIFEST commit ({edit_bytes} B edit, +{added}/-{deleted} tables)"
-            ),
-            EngineEvent::ManifestRecut {
-                abandoned,
-                new_manifest,
-                snapshot_tables,
-            } => format!(
-                "MANIFEST re-cut ({abandoned:06} -> {new_manifest:06}, {snapshot_tables} tables snapshotted)"
-            ),
-            EngineEvent::Barrier { cause, kind } => {
-                format!("barrier [{}] cause={}", kind.as_str(), cause.as_str())
-            }
-            EngineEvent::HolePunch { bytes } => format!("hole punched ({bytes} B reclaimed)"),
-            EngineEvent::VlogRotate { new_segment } => {
-                format!("value log rotated to segment {new_segment:06}")
-            }
-            EngineEvent::VlogGc {
-                segment,
-                dead_bytes,
-                punched_bytes,
-            } => format!(
-                "vlog GC segment {segment:06} ({punched_bytes} B punched, {dead_bytes} B dead total)"
-            ),
-            EngineEvent::VlogRetire {
-                segment,
-                reclaimed_bytes,
-            } => format!("vlog segment {segment:06} retired ({reclaimed_bytes} B reclaimed)"),
-            EngineEvent::RangeDelete { bytes } => {
-                format!("range delete accepted ({bytes} B of bounds)")
-            }
-            EngineEvent::CheckpointBegin { id } => format!("checkpoint #{id} begin"),
-            EngineEvent::CheckpointEnd { id, tables, files } => {
-                format!("checkpoint #{id} end ({tables} tables, {files} files linked)")
-            }
+        use std::fmt::Write as _;
+        let (type_name, fields) = self.wire();
+        let mut s = type_name.to_string();
+        for (name, value) in fields {
+            let _ = write!(s, " {name}={value}");
         }
+        s
     }
 }
 
@@ -549,9 +481,8 @@ impl TraceEvent {
         );
         for (name, value) in fields {
             let _ = match value {
-                Field::Num(v) => write!(s, ",\"{name}\":{v}"),
-                Field::Bool(v) => write!(s, ",\"{name}\":{v}"),
                 Field::Str(v) => write!(s, ",\"{name}\":\"{v}\""),
+                value => write!(s, ",\"{name}\":{value}"),
             };
         }
         s.push('}');
@@ -876,6 +807,28 @@ mod tests {
         in_schema.sort_unstable();
         type_names.sort_unstable();
         assert_eq!(type_names, in_schema);
+    }
+
+    #[test]
+    fn describe_is_the_wire_form_as_text() {
+        let end = EngineEvent::CompactionEnd {
+            id: 4,
+            outputs: 7,
+            output_bytes: 8,
+            settled: 9,
+            rewrote: true,
+            policy: "leveled",
+        };
+        assert_eq!(
+            end.describe(),
+            "compaction_end id=4 outputs=7 output_bytes=8 settled=9 rewrote=true policy=leveled"
+        );
+        let barrier = EngineEvent::Barrier {
+            cause: BarrierCause::WalCommit,
+            kind: BarrierKind::Fsync,
+        };
+        assert_eq!(barrier.describe(), "barrier cause=wal_commit kind=fsync");
+        assert_eq!(EngineEvent::Slowdown.describe(), "slowdown");
     }
 
     #[test]

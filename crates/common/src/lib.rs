@@ -2,7 +2,8 @@
 //!
 //! Shared foundation for the BoLT (Barrier-optimized LSM-Tree) workspace:
 //! the byte-level coding, checksums, bloom filters, caches, histograms,
-//! arena, and skiplist that LevelDB-family engines keep in `util/`.
+//! arena, and skiplist that LevelDB-family engines keep in `util/`, plus
+//! [`counter_table!`], the one declaration of every counter group.
 //!
 //! Everything here is dependency-light and engine-agnostic; the storage
 //! substrate lives in `bolt-env`, the file formats in `bolt-wal` /
@@ -23,6 +24,7 @@ pub mod arena;
 pub mod bloom;
 pub mod cache;
 pub mod coding;
+mod counters;
 pub mod crc32c;
 #[cfg(feature = "debug_locks")]
 pub mod debug_locks;

@@ -137,6 +137,15 @@ impl MetricsRegistry {
         });
     }
 
+    /// Append every entry of `other`, in its order, with `label` added
+    /// after its own labels.
+    pub fn append_labelled(&mut self, other: MetricsRegistry, (key, value): (&str, &str)) {
+        for mut metric in other.entries {
+            metric.labels.push((key.to_string(), value.to_string()));
+            self.entries.push(metric);
+        }
+    }
+
     /// All entries in insertion order.
     pub fn entries(&self) -> &[Metric] {
         &self.entries

@@ -528,10 +528,9 @@ impl Db {
     }
 
     /// One merged observability snapshot: engine counters, env I/O
-    /// counters, per-level shape, queue-wait summary, and per-cause
-    /// barrier counts — everything the old hand-stitched
-    /// `stats()` + `env().stats()` + `level_info()` dance produced, plus
-    /// the derived ratios, exportable as JSON or Prometheus text.
+    /// counters, both caches' counters, per-level shape, queue-wait
+    /// summary, per-cause barrier counts and what GC holds back, with the
+    /// derived ratios, exportable as JSON or Prometheus text.
     pub fn metrics(&self) -> MetricsSnapshot {
         let inner = &self.inner;
         let qw = inner.stats.queue_wait();

@@ -1,10 +1,11 @@
 //! The merged observability surface.
 //!
-//! Historically callers stitched three sources by hand — `Db::stats()`,
-//! `env.stats()`, and `Db::level_info()` — to build one report.
-//! [`MetricsSnapshot`] (returned by [`crate::Db::metrics`]) merges all of
-//! them plus the event subsystem's per-cause barrier counters and the
-//! derived ratios the paper reports, and lowers into a
+//! [`MetricsSnapshot`] (returned by [`crate::Db::metrics`]) is one
+//! point-in-time record of every source the engine has: the counter groups
+//! (engine, env I/O, table cache, block cache), the per-level shape, the
+//! queue-wait summary, the event subsystem's per-cause barrier counters and
+//! what GC holds back. It carries the derived ratios the paper reports, sums
+//! across databases ([`MetricsSnapshot::accumulate`]), and lowers into a
 //! [`MetricsRegistry`] so the JSON and Prometheus exporters always emit the
 //! same numbers.
 
@@ -124,45 +125,77 @@ impl MetricsSnapshot {
         self.db.batches_per_group()
     }
 
+    /// The compaction policy's stable name (`leveled` in a default
+    /// snapshot, whose `policy` is empty).
+    pub fn policy_name(&self) -> &'static str {
+        if self.policy.is_empty() {
+            "leveled"
+        } else {
+            self.policy
+        }
+    }
+
+    /// Add `other` (another database's snapshot) into `self`: counters and
+    /// per-cause barriers are summed, per-level shapes added elementwise,
+    /// and the queue-wait summary merged by summing counts and taking the
+    /// maximum of each quantile (a bound: exact cross-database quantiles
+    /// would need the raw histograms). `count_io` is false when `other`
+    /// shares an env already counted, whose I/O counters it repeats.
+    pub fn accumulate(&mut self, other: &MetricsSnapshot, count_io: bool) {
+        self.db.accumulate(&other.db);
+        if count_io {
+            self.io.accumulate(&other.io);
+        }
+        self.table_cache.accumulate(&other.table_cache);
+        self.block_cache.accumulate(&other.block_cache);
+        if self.levels.len() < other.levels.len() {
+            self.levels
+                .resize_with(other.levels.len(), LevelInfo::default);
+        }
+        for (acc, l) in self.levels.iter_mut().zip(&other.levels) {
+            acc.runs += l.runs;
+            acc.tables += l.tables;
+            acc.bytes += l.bytes;
+        }
+        let (q, w) = (&mut self.queue_wait, &other.queue_wait);
+        *q = QueueWaitSummary {
+            count: q.count + w.count,
+            sum: q.sum + w.sum,
+            p50: q.p50.max(w.p50),
+            p95: q.p95.max(w.p95),
+            p99: q.p99.max(w.p99),
+            max: q.max.max(w.max),
+        };
+        for (cause, n) in &other.barriers_by_cause {
+            match self.barriers_by_cause.iter_mut().find(|(c, _)| c == cause) {
+                Some((_, acc)) => *acc += n,
+                None => self.barriers_by_cause.push((*cause, *n)),
+            }
+        }
+        self.events_emitted += other.events_emitted;
+        self.events_dropped += other.events_dropped;
+        self.manifest_recuts += other.manifest_recuts;
+        self.pending_punch_bytes += other.pending_punch_bytes;
+        self.pending_unlink_files += other.pending_unlink_files;
+        self.range_tombstones_live += other.range_tombstones_live;
+        // A sum over databases of one policy (a sharded database's shards
+        // share one `Options`).
+        self.policy = other.policy;
+    }
+
     /// Lower into a [`MetricsRegistry`]: the single source both exporters
     /// iterate, so `to_json` and `to_prometheus_text` cannot disagree.
     pub fn to_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        let d = &self.db;
-        for (name, value) in d.registry_counters() {
-            reg.counter(name, &[], value);
-        }
+        self.db.export(&mut reg);
         reg.gauge(
             "bolt_range_tombstones_live",
             &[],
             self.range_tombstones_live as f64,
         );
-
-        let tc = &self.table_cache;
-        reg.counter("bolt_table_cache_hits_total", &[], tc.hits);
-        reg.counter("bolt_table_cache_misses_total", &[], tc.misses);
-        reg.counter("bolt_table_cache_opens_total", &[], tc.opens);
-        reg.counter("bolt_table_cache_open_reads_total", &[], tc.open_reads);
-        reg.counter("bolt_table_cache_open_bytes_total", &[], tc.open_bytes);
-        reg.counter("bolt_table_cache_warm_inserts_total", &[], tc.warm_inserts);
-        let bc = &self.block_cache;
-        reg.counter("bolt_block_cache_hits_total", &[], bc.hits);
-        reg.counter("bolt_block_cache_misses_total", &[], bc.misses);
-        reg.counter("bolt_block_cache_evictions_total", &[], bc.evictions);
-        reg.gauge("bolt_block_cache_usage_bytes", &[], bc.usage as f64);
-
-        let io = &self.io;
-        reg.counter("bolt_io_fsyncs_total", &[], io.fsync_calls);
-        reg.counter("bolt_io_ordering_barriers_total", &[], io.ordering_barriers);
-        reg.counter("bolt_io_bytes_written_total", &[], io.bytes_written);
-        reg.counter("bolt_io_bytes_read_total", &[], io.bytes_read);
-        reg.counter("bolt_io_write_ops_total", &[], io.write_ops);
-        reg.counter("bolt_io_read_ops_total", &[], io.read_ops);
-        reg.counter("bolt_io_files_created_total", &[], io.files_created);
-        reg.counter("bolt_io_files_deleted_total", &[], io.files_deleted);
-        reg.counter("bolt_io_holes_punched_total", &[], io.holes_punched);
-        reg.counter("bolt_io_hole_bytes_total", &[], io.hole_bytes);
-        reg.counter("bolt_io_sync_wait_nanos_total", &[], io.sync_wait_nanos);
+        self.table_cache.export(&mut reg);
+        self.block_cache.export(&mut reg);
+        self.io.export(&mut reg);
 
         for (cause, n) in &self.barriers_by_cause {
             reg.counter("bolt_barriers_total", &[("cause", cause.as_str())], *n);
@@ -177,14 +210,8 @@ impl MetricsSnapshot {
         // Per-policy breakdown: a database runs one policy for life (the
         // MANIFEST pins it), so the label tags this database's series and
         // aggregation across databases sums per policy.
-        let policy = [(
-            "policy",
-            if self.policy.is_empty() {
-                "leveled"
-            } else {
-                self.policy
-            },
-        )];
+        let policy = [("policy", self.policy_name())];
+        let d = &self.db;
         reg.counter("bolt_policy_compactions_total", &policy, d.compactions);
         reg.counter(
             "bolt_policy_compaction_input_bytes_total",
@@ -430,6 +457,78 @@ mod tests {
         for ((_, one), (name, two)) in declared.iter().zip(doubled.registry_counters()) {
             assert_eq!(two, one * 2, "{name} skipped by accumulate");
         }
+    }
+
+    /// A snapshot in which every counter of every group holds a distinct
+    /// value: the engine table numbered from 1, every other source by
+    /// hundreds.
+    fn every_counter_distinct() -> MetricsSnapshot {
+        MetricsSnapshot {
+            db: DbStatsSnapshot::numbered(),
+            io: IoSnapshot {
+                fsync_calls: 101,
+                ordering_barriers: 102,
+                bytes_written: 103,
+                bytes_read: 104,
+                write_ops: 105,
+                read_ops: 106,
+                files_created: 107,
+                files_deleted: 108,
+                holes_punched: 109,
+                hole_bytes: 110,
+                sync_wait_nanos: 111,
+            },
+            table_cache: TableCacheSnapshot {
+                hits: 201,
+                misses: 202,
+                opens: 203,
+                open_reads: 204,
+                open_bytes: 205,
+                warm_inserts: 206,
+            },
+            block_cache: BlockCacheSnapshot {
+                hits: 301,
+                misses: 302,
+                evictions: 303,
+                usage: 304,
+            },
+            events_emitted: 401,
+            events_dropped: 402,
+            manifest_recuts: 403,
+            pending_punch_bytes: 404,
+            pending_unlink_files: 405,
+            range_tombstones_live: 406,
+            barriers_by_cause: BarrierCause::ALL.iter().copied().zip(501..).collect(),
+            levels: vec![
+                LevelInfo {
+                    runs: 601,
+                    tables: 602,
+                    bytes: 603,
+                },
+                LevelInfo {
+                    runs: 604,
+                    tables: 605,
+                    bytes: 606,
+                },
+            ],
+            queue_wait: QueueWaitSummary {
+                count: 701,
+                sum: 702,
+                p50: 703,
+                p95: 704,
+                p99: 705,
+                max: 706,
+            },
+            policy: "lazy_leveled",
+        }
+    }
+
+    /// The registry's names, labels, values and order, pinned: a change to
+    /// how any source is lowered shows up here as a diff of the text.
+    #[test]
+    fn registry_text_is_pinned() {
+        let golden = include_str!("../testdata/registry.prom");
+        assert_eq!(every_counter_distinct().to_prometheus_text(), golden);
     }
 
     #[test]

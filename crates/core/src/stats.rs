@@ -1,147 +1,90 @@
 //! Engine-level statistics: the write-stall and compaction counters the
-//! paper's evaluation reports alongside the env's I/O counters.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! paper's evaluation reports alongside the env's I/O counters. A new
+//! engine counter is one row of the table below.
 
 use bolt_common::histogram::Histogram;
 
-// The one table of engine counters. Each row is
-// `doc, record_fn / field => "registry name"` and generates the
-// [`DbStats`] atomic, its `pub(crate)` recorder and public getter, the
-// [`DbStatsSnapshot`] field, its copy in [`DbStats::snapshot`], its sum in
-// [`DbStatsSnapshot::accumulate`] and its registry export — so a counter
-// cannot exist in one of those places and be missing from another.
-macro_rules! engine_counters {
-    ($($(#[$doc:meta])+ $record:ident / $field:ident => $registry:literal),* $(,)?) => {
-        /// Cumulative engine counters (all monotonically increasing).
-        #[derive(Debug, Default)]
-        pub struct DbStats {
-            $($field: AtomicU64,)*
-            /// Nanoseconds each writer spent queued before its group
-            /// committed (leaders record their wait for leadership;
-            /// followers their wait for the leader's result).
-            queue_wait: Histogram,
-        }
-
-        /// Point-in-time copy of [`DbStats`].
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct DbStatsSnapshot {
-            $($(#[$doc])+ pub $field: u64,)*
-        }
-
-        impl DbStats {
-            $(
-                /// Increment the counter by `n`.
-                pub(crate) fn $record(&self, n: u64) {
-                    self.$field.fetch_add(n, Ordering::Relaxed);
-                }
-
-                /// Read the counter.
-                pub fn $field(&self) -> u64 {
-                    self.$field.load(Ordering::Relaxed)
-                }
-            )*
-
-            /// Copy all counters.
-            pub fn snapshot(&self) -> DbStatsSnapshot {
-                DbStatsSnapshot { $($field: self.$field(),)* }
-            }
-        }
-
-        impl DbStatsSnapshot {
-            /// Add every counter of `other` into `self` (cross-shard
-            /// aggregation).
-            pub fn accumulate(&mut self, other: &DbStatsSnapshot) {
-                $(self.$field += other.$field;)*
-            }
-
-            /// Every counter as `(registry name, value)`, in table order.
-            pub(crate) fn registry_counters(&self) -> Vec<(&'static str, u64)> {
-                vec![$(($registry, self.$field),)*]
-            }
-
-            /// A snapshot whose n-th declared counter holds `n` (from 1).
-            #[cfg(test)]
-            pub(crate) fn numbered() -> DbStatsSnapshot {
-                let mut n = 0;
-                DbStatsSnapshot { $($field: { n += 1; n },)* }
-            }
-        }
-    };
-}
-
-engine_counters! {
+bolt_common::counter_table! {
+    /// Point-in-time copy of [`DbStats`].
+    pub struct DbStatsSnapshot;
+    /// Cumulative engine counters (all monotonically increasing).
+    pub struct DbStats {
+        /// Nanoseconds each writer spent queued before its group
+        /// committed (leaders record their wait for leadership;
+        /// followers their wait for the leader's result).
+        queue_wait: Histogram,
+    }
     /// MemTable flushes completed.
-    record_flush / flushes => "bolt_flushes_total",
+    flushes / record_flush => "bolt_flushes_total",
     /// Compactions completed (excluding flushes).
-    record_compaction / compactions => "bolt_compactions_total",
+    compactions / record_compaction => "bolt_compactions_total",
     /// Logical tables promoted by settled compaction (no rewrite).
-    record_settled_move / settled_moves => "bolt_settled_moves_total",
+    settled_moves / record_settled_move => "bolt_settled_moves_total",
     /// Tables promoted by LevelDB-style trivial moves.
-    record_trivial_move / trivial_moves => "bolt_trivial_moves_total",
+    trivial_moves / record_trivial_move => "bolt_trivial_moves_total",
     /// Compactions triggered by wasted seeks.
-    record_seek_compaction / seek_compactions => "bolt_seek_compactions_total",
+    seek_compactions / record_seek_compaction => "bolt_seek_compactions_total",
     /// Bytes read into compactions.
-    record_compaction_input / compaction_input_bytes => "bolt_compaction_input_bytes_total",
+    compaction_input_bytes / record_compaction_input => "bolt_compaction_input_bytes_total",
     /// Of those, the victims: the tables a compaction was picked to move
     /// out of its source level (settled moves, which move no byte, excluded).
-    record_compaction_victim / compaction_victim_bytes => "bolt_compaction_victim_bytes_total",
+    compaction_victim_bytes / record_compaction_victim => "bolt_compaction_victim_bytes_total",
     /// Of those, the overlap: the tables already at the output level that
     /// had to be rewritten with the victims (÷ victim bytes = what moving a
     /// byte down costs in bytes dragged along).
-    record_compaction_overlap / compaction_overlap_bytes => "bolt_compaction_overlap_bytes_total",
+    compaction_overlap_bytes / record_compaction_overlap => "bolt_compaction_overlap_bytes_total",
     /// Device reads compactions issued for their inputs.
-    record_compaction_read_ops / compaction_read_ops => "bolt_compaction_read_ops_total",
+    compaction_read_ops / record_compaction_read_ops => "bolt_compaction_read_ops_total",
     /// Bytes those reads returned (÷ ops = bytes per compaction read).
-    record_compaction_read_bytes / compaction_read_bytes => "bolt_compaction_read_bytes_total",
+    compaction_read_bytes / record_compaction_read_bytes => "bolt_compaction_read_bytes_total",
     /// Nanoseconds compactions were blocked for input bytes: waiting for
     /// the read-ahead thread to finish a span, or reading one themselves.
-    record_compaction_read_wait_nanos / compaction_read_wait_nanos => "bolt_compaction_read_wait_nanos_total",
+    compaction_read_wait_nanos / record_compaction_read_wait_nanos => "bolt_compaction_read_wait_nanos_total",
     /// Input spans a compaction found already read when it needed them.
-    record_compaction_readahead_spans / compaction_readahead_spans => "bolt_compaction_readahead_spans_total",
+    compaction_readahead_spans / record_compaction_readahead_spans => "bolt_compaction_readahead_spans_total",
     /// Input spans a compaction had to wait for or read itself.
-    record_compaction_demand_spans / compaction_demand_spans => "bolt_compaction_demand_spans_total",
+    compaction_demand_spans / record_compaction_demand_spans => "bolt_compaction_demand_spans_total",
     /// Bytes written by compactions.
-    record_compaction_output / compaction_output_bytes => "bolt_compaction_output_bytes_total",
+    compaction_output_bytes / record_compaction_output => "bolt_compaction_output_bytes_total",
     /// Bytes written by flushes.
-    record_flush_bytes / flush_bytes => "bolt_flush_bytes_total",
+    flush_bytes / record_flush_bytes => "bolt_flush_bytes_total",
     /// Wall nanoseconds inside committed flushes, on the flush thread (at
     /// open, on the opening thread).
-    record_flush_busy_nanos / flush_busy_nanos => "bolt_flush_busy_nanos_total",
+    flush_busy_nanos / record_flush_busy_nanos => "bolt_flush_busy_nanos_total",
     /// Wall nanoseconds inside committed compactions, on the compaction
     /// thread. With `flush_busy_nanos`, ÷ wall time = how busy the two
     /// background threads were; above 1 they overlapped.
-    record_compaction_busy_nanos / compaction_busy_nanos => "bolt_compaction_busy_nanos_total",
+    compaction_busy_nanos / record_compaction_busy_nanos => "bolt_compaction_busy_nanos_total",
     /// Times a writer slept 1 ms because of the L0SlowDown governor.
-    record_slowdown / slowdowns => "bolt_slowdowns_total",
+    slowdowns / record_slowdown => "bolt_slowdowns_total",
     /// Full write stalls (memtable full with imm pending, or L0Stop).
-    record_stall / stalls => "bolt_stalls_total",
+    stalls / record_stall => "bolt_stalls_total",
     /// Total nanoseconds writers spent stalled.
-    record_stall_nanos / stall_nanos => "bolt_stall_nanos_total",
+    stall_nanos / record_stall_nanos => "bolt_stall_nanos_total",
     /// Raw user payload bytes accepted by `put`/`delete`.
-    record_user_bytes / user_bytes_written => "bolt_user_bytes_total",
+    user_bytes_written / record_user_bytes => "bolt_user_bytes_total",
     /// Commit groups formed by the write pipeline (one WAL record each).
-    record_write_group / write_groups => "bolt_write_groups_total",
+    write_groups / record_write_group => "bolt_write_groups_total",
     /// Writer batches committed through groups (= batches accepted).
-    record_group_batches / group_batches => "bolt_group_batches_total",
+    group_batches / record_group_batches => "bolt_group_batches_total",
     /// WAL durability barriers actually issued on the write path.
-    record_wal_sync / wal_syncs => "bolt_wal_syncs_total",
+    wal_syncs / record_wal_sync => "bolt_wal_syncs_total",
     /// Sync requests answered by another batch's barrier in the same group.
-    record_wal_sync_elided / wal_syncs_elided => "bolt_wal_syncs_elided_total",
+    wal_syncs_elided / record_wal_sync_elided => "bolt_wal_syncs_elided_total",
     /// Values routed to the value log instead of the memtable.
-    record_vlog_separated / vlog_values_separated => "bolt_vlog_values_separated_total",
+    vlog_values_separated / record_vlog_separated => "bolt_vlog_values_separated_total",
     /// Value payload bytes appended to value-log segments.
-    record_vlog_bytes / vlog_bytes_written => "bolt_vlog_bytes_written_total",
+    vlog_bytes_written / record_vlog_bytes => "bolt_vlog_bytes_written_total",
     /// Point reads and iterator steps that resolved a value pointer.
-    record_vlog_resolve / vlog_resolves => "bolt_vlog_resolves_total",
+    vlog_resolves / record_vlog_resolve => "bolt_vlog_resolves_total",
     /// Dead value bytes reported to the liveness ledger by compactions.
-    record_vlog_dead_bytes / vlog_dead_bytes => "bolt_vlog_dead_bytes_total",
+    vlog_dead_bytes / record_vlog_dead_bytes => "bolt_vlog_dead_bytes_total",
     /// Fully dead value-log segments whose files were retired.
-    record_vlog_segment_retired / vlog_segments_retired => "bolt_vlog_segments_retired_total",
+    vlog_segments_retired / record_vlog_segment_retired => "bolt_vlog_segments_retired_total",
     /// Ranged tombstones accepted by `delete_range`.
-    record_range_delete / range_deletes => "bolt_range_deletes_total",
+    range_deletes / record_range_delete => "bolt_range_deletes_total",
     /// Consistent checkpoints successfully acked.
-    record_checkpoint / checkpoints => "bolt_checkpoints_total",
+    checkpoints / record_checkpoint => "bolt_checkpoints_total",
 }
 
 impl DbStatsSnapshot {

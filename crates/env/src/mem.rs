@@ -194,7 +194,7 @@ impl Env for MemEnv {
         self.files
             .write()
             .insert(path.to_string(), Arc::clone(&file));
-        self.stats.record_create();
+        self.stats.record_create(1);
         Ok(Box::new(MemWritableFile {
             file,
             stats: Arc::clone(&self.stats),
@@ -229,7 +229,7 @@ impl Env for MemEnv {
         self.files
             .write()
             .remove(path)
-            .map(|_| self.stats.record_delete())
+            .map(|_| self.stats.record_delete(1))
             .ok_or(Error::NotFound)
     }
 

@@ -135,7 +135,7 @@ impl Env for RealEnv {
             .create(true)
             .truncate(true)
             .open(self.resolve(path))?;
-        self.stats.record_create();
+        self.stats.record_create(1);
         Ok(Box::new(RealWritableFile {
             file,
             len: 0,
@@ -177,7 +177,7 @@ impl Env for RealEnv {
 
     fn delete_file(&self, path: &str) -> Result<()> {
         std::fs::remove_file(self.resolve(path))?;
-        self.stats.record_delete();
+        self.stats.record_delete(1);
         Ok(())
     }
 

@@ -5,80 +5,45 @@
 //! inserts, Fig 15c). Every [`Env`](crate::Env) implementation feeds these
 //! counters so any experiment can report them without touching engine code.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bolt_common::events::{BarrierKind, EngineEvent, EventSink};
 use parking_lot::RwLock;
 
-/// Cumulative I/O counters for one environment instance.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    fsync_calls: AtomicU64,
-    ordering_barriers: AtomicU64,
-    bytes_written: AtomicU64,
-    bytes_read: AtomicU64,
-    write_ops: AtomicU64,
-    read_ops: AtomicU64,
-    files_created: AtomicU64,
-    files_deleted: AtomicU64,
-    holes_punched: AtomicU64,
-    hole_bytes: AtomicU64,
-    /// Nanoseconds spent blocked inside `sync()` (device drain + barrier).
-    sync_wait_nanos: AtomicU64,
-    /// Structured-event destination. Every barrier and hole punch the env
-    /// accounts for is also emitted here (tagged with the calling thread's
-    /// [`bolt_common::events::BarrierCause`] scope), which makes this the
-    /// single choke point guaranteeing *every* barrier appears in the trace.
-    sink: RwLock<Option<Arc<EventSink>>>,
-}
-
-/// A point-in-time copy of [`IoStats`], suitable for diffing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoSnapshot {
-    /// Number of full durability barriers (`fsync`/`fdatasync`).
-    pub fsync_calls: u64,
-    /// Number of ordering-only barriers (the BarrierFS `fbarrier()` extension).
-    pub ordering_barriers: u64,
-    /// Total bytes appended to files.
-    pub bytes_written: u64,
-    /// Total bytes read from files.
-    pub bytes_read: u64,
-    /// Number of append operations.
-    pub write_ops: u64,
-    /// Number of read operations.
-    pub read_ops: u64,
-    /// Files created.
-    pub files_created: u64,
-    /// Files deleted.
-    pub files_deleted: u64,
-    /// `punch_hole` calls.
-    pub holes_punched: u64,
-    /// Bytes reclaimed by hole punching.
-    pub hole_bytes: u64,
-    /// Nanoseconds spent blocked in `sync()`.
-    pub sync_wait_nanos: u64,
-}
-
-impl IoSnapshot {
-    /// Counter-wise difference `self - earlier` (saturating).
-    pub fn delta(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            fsync_calls: self.fsync_calls.saturating_sub(earlier.fsync_calls),
-            ordering_barriers: self
-                .ordering_barriers
-                .saturating_sub(earlier.ordering_barriers),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            write_ops: self.write_ops.saturating_sub(earlier.write_ops),
-            read_ops: self.read_ops.saturating_sub(earlier.read_ops),
-            files_created: self.files_created.saturating_sub(earlier.files_created),
-            files_deleted: self.files_deleted.saturating_sub(earlier.files_deleted),
-            holes_punched: self.holes_punched.saturating_sub(earlier.holes_punched),
-            hole_bytes: self.hole_bytes.saturating_sub(earlier.hole_bytes),
-            sync_wait_nanos: self.sync_wait_nanos.saturating_sub(earlier.sync_wait_nanos),
-        }
+bolt_common::counter_table! {
+    /// A point-in-time copy of [`IoStats`], suitable for diffing.
+    pub struct IoSnapshot;
+    /// Cumulative I/O counters for one environment instance.
+    pub struct IoStats {
+        /// Structured-event destination. Every barrier and hole punch the env
+        /// accounts for is also emitted here (tagged with the calling thread's
+        /// [`bolt_common::events::BarrierCause`] scope), which makes this the
+        /// single choke point guaranteeing *every* barrier appears in the trace.
+        sink: RwLock<Option<Arc<EventSink>>>,
     }
+    /// Number of full durability barriers (`fsync`/`fdatasync`).
+    fsync_calls => "bolt_io_fsyncs_total",
+    /// Number of ordering-only barriers (the BarrierFS `fbarrier()` extension).
+    ordering_barriers => "bolt_io_ordering_barriers_total",
+    /// Total bytes appended to files.
+    bytes_written => "bolt_io_bytes_written_total",
+    /// Total bytes read from files.
+    bytes_read => "bolt_io_bytes_read_total",
+    /// Number of append operations.
+    write_ops => "bolt_io_write_ops_total",
+    /// Number of read operations.
+    read_ops => "bolt_io_read_ops_total",
+    /// Files created.
+    files_created / record_create => "bolt_io_files_created_total",
+    /// Files deleted.
+    files_deleted / record_delete => "bolt_io_files_deleted_total",
+    /// `punch_hole` calls.
+    holes_punched => "bolt_io_holes_punched_total",
+    /// Bytes reclaimed by hole punching.
+    hole_bytes => "bolt_io_hole_bytes_total",
+    /// Nanoseconds spent blocked inside `sync()` (device drain + barrier).
+    sync_wait_nanos / record_sync_wait => "bolt_io_sync_wait_nanos_total",
 }
 
 impl IoStats {
@@ -111,12 +76,6 @@ impl IoStats {
         }
     }
 
-    /// Add barrier wait time without counting an extra fsync (used by cost
-    /// models layered over an accounting env).
-    pub fn record_sync_wait(&self, nanos: u64) {
-        self.sync_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
     /// Record an append of `n` bytes.
     pub fn record_write(&self, n: u64) {
         self.write_ops.fetch_add(1, Ordering::Relaxed);
@@ -129,54 +88,12 @@ impl IoStats {
         self.bytes_read.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record a file creation.
-    pub fn record_create(&self) {
-        self.files_created.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a file deletion.
-    pub fn record_delete(&self) {
-        self.files_deleted.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record a hole punch reclaiming `n` bytes.
     pub fn record_punch_hole(&self, n: u64) {
         self.holes_punched.fetch_add(1, Ordering::Relaxed);
         self.hole_bytes.fetch_add(n, Ordering::Relaxed);
         if let Some(sink) = self.sink.read().clone() {
             sink.emit(EngineEvent::HolePunch { bytes: n });
-        }
-    }
-
-    /// Number of durability barriers so far.
-    pub fn fsync_calls(&self) -> u64 {
-        self.fsync_calls.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes read so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
-    }
-
-    /// Take a snapshot of all counters.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            fsync_calls: self.fsync_calls.load(Ordering::Relaxed),
-            ordering_barriers: self.ordering_barriers.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            write_ops: self.write_ops.load(Ordering::Relaxed),
-            read_ops: self.read_ops.load(Ordering::Relaxed),
-            files_created: self.files_created.load(Ordering::Relaxed),
-            files_deleted: self.files_deleted.load(Ordering::Relaxed),
-            holes_punched: self.holes_punched.load(Ordering::Relaxed),
-            hole_bytes: self.hole_bytes.load(Ordering::Relaxed),
-            sync_wait_nanos: self.sync_wait_nanos.load(Ordering::Relaxed),
         }
     }
 }
@@ -192,8 +109,8 @@ mod tests {
         stats.record_fsync(50);
         stats.record_write(10);
         stats.record_read(20);
-        stats.record_create();
-        stats.record_delete();
+        stats.record_create(1);
+        stats.record_delete(1);
         stats.record_punch_hole(4096);
         stats.record_ordering_barrier();
         let snap = stats.snapshot();

@@ -931,6 +931,155 @@ mod tests {
     }
 
     #[test]
+    fn shared_env_barriers_sum_exactly_in_the_aggregate() {
+        // Both shards' barriers land in the sink of the shard opened last
+        // (see `ShardedMetrics`), so per shard they are misattributed — but
+        // each lands in exactly one sink, so the aggregate's per-cause sum
+        // moves with the device's barrier count.
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = ShardedDb::open(
+            Arc::clone(&env),
+            "shared",
+            Options::bolt(),
+            Router::hash(2).unwrap(),
+        )
+        .unwrap();
+        let by_cause = |m: &bolt_core::MetricsSnapshot| -> u64 {
+            m.barriers_by_cause.iter().map(|(_, n)| n).sum()
+        };
+        let device = || {
+            let io = env.stats().snapshot();
+            io.fsync_calls + io.ordering_barriers
+        };
+        let (causes_at_open, device_at_open) = (by_cause(&db.metrics().aggregate), device());
+        for i in 0..200u32 {
+            db.put(format!("m{i:04}").as_bytes(), &[0u8; 64]).unwrap();
+        }
+        db.flush().unwrap();
+        db.close().unwrap();
+        let m = db.metrics();
+        for shard in &m.per_shard {
+            assert_eq!(shard.db.flushes, 1);
+        }
+        let paid = device() - device_at_open;
+        assert!(
+            paid >= 4,
+            "two flushes pay a data and a MANIFEST barrier each"
+        );
+        assert_eq!(by_cause(&m.aggregate) - causes_at_open, paid);
+    }
+
+    /// A shard's snapshot in which every counter of every group holds a
+    /// distinct value above `b`; it has `b / 1000 + 2` levels.
+    fn shard(b: u64) -> bolt_core::MetricsSnapshot {
+        use bolt_core::metrics::QueueWaitSummary;
+        use bolt_core::{BarrierCause, DbStatsSnapshot, LevelInfo, MetricsSnapshot};
+        use bolt_env::IoSnapshot;
+        use bolt_table::{BlockCacheSnapshot, TableCacheSnapshot};
+        MetricsSnapshot {
+            db: DbStatsSnapshot {
+                flushes: b + 1,
+                compactions: b + 2,
+                settled_moves: b + 3,
+                trivial_moves: b + 4,
+                seek_compactions: b + 5,
+                compaction_input_bytes: b + 6,
+                compaction_victim_bytes: b + 7,
+                compaction_overlap_bytes: b + 8,
+                compaction_read_ops: b + 9,
+                compaction_read_bytes: b + 10,
+                compaction_read_wait_nanos: b + 11,
+                compaction_readahead_spans: b + 12,
+                compaction_demand_spans: b + 13,
+                compaction_output_bytes: b + 14,
+                flush_bytes: b + 15,
+                flush_busy_nanos: b + 16,
+                compaction_busy_nanos: b + 17,
+                slowdowns: b + 18,
+                stalls: b + 19,
+                stall_nanos: b + 20,
+                user_bytes_written: b + 21,
+                write_groups: b + 22,
+                group_batches: b + 23,
+                wal_syncs: b + 24,
+                wal_syncs_elided: b + 25,
+                vlog_values_separated: b + 26,
+                vlog_bytes_written: b + 27,
+                vlog_resolves: b + 28,
+                vlog_dead_bytes: b + 29,
+                vlog_segments_retired: b + 30,
+                range_deletes: b + 31,
+                checkpoints: b + 32,
+            },
+            io: IoSnapshot {
+                fsync_calls: b + 101,
+                ordering_barriers: b + 102,
+                bytes_written: b + 103,
+                bytes_read: b + 104,
+                write_ops: b + 105,
+                read_ops: b + 106,
+                files_created: b + 107,
+                files_deleted: b + 108,
+                holes_punched: b + 109,
+                hole_bytes: b + 110,
+                sync_wait_nanos: b + 111,
+            },
+            table_cache: TableCacheSnapshot {
+                hits: b + 201,
+                misses: b + 202,
+                opens: b + 203,
+                open_reads: b + 204,
+                open_bytes: b + 205,
+                warm_inserts: b + 206,
+            },
+            block_cache: BlockCacheSnapshot {
+                hits: b + 301,
+                misses: b + 302,
+                evictions: b + 303,
+                usage: b + 304,
+            },
+            events_emitted: b + 401,
+            events_dropped: b + 402,
+            manifest_recuts: b + 403,
+            pending_punch_bytes: b + 404,
+            pending_unlink_files: b + 405,
+            range_tombstones_live: b + 406,
+            barriers_by_cause: BarrierCause::ALL.iter().copied().zip(b + 501..).collect(),
+            levels: (0..b / 1000 + 2)
+                .map(|i| LevelInfo {
+                    runs: (b + 601 + 3 * i) as usize,
+                    tables: (b + 602 + 3 * i) as usize,
+                    bytes: b + 603 + 3 * i,
+                })
+                .collect(),
+            queue_wait: QueueWaitSummary {
+                count: b + 701,
+                sum: b + 702,
+                p50: 703 - b / 1000,
+                p95: b + 704,
+                p99: 705 - b / 1000,
+                max: b + 706,
+            },
+            policy: "lazy_leveled",
+        }
+    }
+
+    /// The sharded registry pinned over two shards on one env: the
+    /// aggregate (I/O counted once, levels added elementwise, queue-wait
+    /// percentiles by maximum) and then each shard's series under its
+    /// `shard` label.
+    #[test]
+    fn sharded_registry_text_is_pinned() {
+        let per_shard = vec![shard(0), shard(1000)];
+        let metrics = ShardedMetrics {
+            aggregate: metrics::aggregate(&per_shard, &[true, false]),
+            per_shard,
+        };
+        let golden = include_str!("../testdata/registry.prom");
+        assert_eq!(metrics.to_prometheus_text(), golden);
+    }
+
+    #[test]
     fn metrics_count_io_once_per_distinct_env() {
         // Shards 0 and 1 share one env (and thus one set of global I/O
         // counters); shard 2 owns its own. The aggregate must count each

@@ -12,7 +12,7 @@
 //! just wrote costs none: [`TableCache::insert_built`] caches a reader made
 //! from the index and filter its builder still holds.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bolt_common::cache::LruCache;
@@ -41,35 +41,30 @@ pub struct TableSpec {
     pub tail_bytes: u64,
 }
 
-/// The counters of one [`TableCache`] at an instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TableCacheSnapshot {
-    /// Lookups served by a cached reader.
-    pub hits: u64,
-    /// Lookups that found none.
-    pub misses: u64,
+bolt_common::counter_table! {
+    /// The counters of one [`TableCache`] at an instant.
+    pub struct TableCacheSnapshot;
+    /// The counters a [`TableCache`] keeps itself (its hits and misses are
+    /// its table LRU's, read when a snapshot is taken).
+    pub struct TableCacheCounters {}
+    read {
+        /// Lookups served by a cached reader.
+        hits => "bolt_table_cache_hits_total",
+        /// Lookups that found none.
+        misses => "bolt_table_cache_misses_total",
+    }
     /// Tables opened from their file (one per miss, errors included).
-    pub opens: u64,
+    opens => "bolt_table_cache_opens_total",
     /// Device reads those opens issued: 1 each when the MANIFEST carries the
     /// tail length, 2 for a table recorded without it.
-    pub open_reads: u64,
+    open_reads => "bolt_table_cache_open_reads_total",
     /// Bytes those reads returned.
-    pub open_bytes: u64,
+    open_bytes => "bolt_table_cache_open_bytes_total",
     /// Readers cached straight from a table build, with no device read.
-    pub warm_inserts: u64,
+    warm_inserts => "bolt_table_cache_warm_inserts_total",
 }
 
 impl TableCacheSnapshot {
-    /// Add `other`'s counters to this one (the sharded aggregate).
-    pub fn accumulate(&mut self, other: &TableCacheSnapshot) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.opens += other.opens;
-        self.open_reads += other.open_reads;
-        self.open_bytes += other.open_bytes;
-        self.warm_inserts += other.warm_inserts;
-    }
-
     /// Device reads per table open (0 before the first open).
     pub fn reads_per_open(&self) -> f64 {
         if self.opens == 0 {
@@ -80,28 +75,18 @@ impl TableCacheSnapshot {
     }
 }
 
-/// The counters of the data-block cache a [`TableCache`]'s tables read
-/// through, at an instant: read from the cache's shards when it is taken.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockCacheSnapshot {
+bolt_common::counter_table! {
+    /// The counters of the data-block cache a [`TableCache`]'s tables read
+    /// through, at an instant: read from the cache's shards when it is taken.
+    pub struct BlockCacheSnapshot;
     /// Block lookups served from the cache.
-    pub hits: u64,
+    hits => "bolt_block_cache_hits_total",
     /// Block lookups that went to the file.
-    pub misses: u64,
+    misses => "bolt_block_cache_misses_total",
     /// Blocks evicted to make room.
-    pub evictions: u64,
+    evictions => "bolt_block_cache_evictions_total",
     /// Bytes of blocks held.
-    pub usage: u64,
-}
-
-impl BlockCacheSnapshot {
-    /// Add `other`'s counters to this one (the sharded aggregate).
-    pub fn accumulate(&mut self, other: &BlockCacheSnapshot) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.usage += other.usage;
-    }
+    usage => "bolt_block_cache_usage_bytes" as gauge,
 }
 
 // LruCache stores Arc<V>; for the fd cache V = dyn RandomAccessFile, which
@@ -115,16 +100,13 @@ pub struct TableCache {
     tables: LruCache<u64, Table>,
     fds: Option<LruCache<u64, FdEntry>>,
     pub(crate) opts: TableReadOptions,
-    open_count: AtomicU64,
-    open_reads: AtomicU64,
-    open_bytes: AtomicU64,
-    warm_inserts: AtomicU64,
+    counters: TableCacheCounters,
 }
 
 impl std::fmt::Debug for TableCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TableCache")
-            .field("opens", &self.open_count.load(Ordering::Relaxed))
+            .field("opens", &self.open_count())
             .field("fd_cache", &self.fds.is_some())
             .finish()
     }
@@ -145,10 +127,7 @@ impl TableCache {
             tables: LruCache::new(max_open_tables),
             fds: fd_cache_capacity.map(LruCache::new),
             opts,
-            open_count: AtomicU64::new(0),
-            open_reads: AtomicU64::new(0),
-            open_bytes: AtomicU64::new(0),
-            warm_inserts: AtomicU64::new(0),
+            counters: TableCacheCounters::default(),
         }
     }
 
@@ -184,7 +163,7 @@ impl TableCache {
         }
         let spec = spec();
         debug_assert_eq!(spec.table_id, table_id);
-        self.open_count.fetch_add(1, Ordering::Relaxed);
+        self.counters.opens.fetch_add(1, Ordering::Relaxed);
         let file = self.open_file(spec.file_number, &spec.path)?;
         let want_filter = self.opts.filter_policy.is_some();
         let tail = TableTail::read(
@@ -194,8 +173,12 @@ impl TableCache {
             spec.tail_bytes,
             want_filter,
         )?;
-        self.open_reads.fetch_add(tail.reads(), Ordering::Relaxed);
-        self.open_bytes
+        let counters = &self.counters;
+        counters
+            .open_reads
+            .fetch_add(tail.reads(), Ordering::Relaxed);
+        counters
+            .open_bytes
             .fetch_add(tail.bytes_read(), Ordering::Relaxed);
         let opts = self.opts.clone();
         let table = Table::from_tail(file, spec.offset, spec.file_number, &tail, opts)?;
@@ -231,7 +214,7 @@ impl TableCache {
     /// the open reader of `table_id`, now that the id is committed: the
     /// first lookup of a table the engine just wrote is a hit.
     pub fn insert_built(&self, table_id: u64, table: Arc<Table>) {
-        self.warm_inserts.fetch_add(1, Ordering::Relaxed);
+        self.counters.warm_inserts.fetch_add(1, Ordering::Relaxed);
         self.tables.insert(table_id, table, 1);
     }
 
@@ -249,7 +232,7 @@ impl TableCache {
 
     /// Number of `Table::open` calls (TableCache misses).
     pub fn open_count(&self) -> u64 {
-        self.open_count.load(Ordering::Relaxed)
+        self.counters.opens()
     }
 
     /// The shared data-block cache the tables of this cache read through.
@@ -265,14 +248,7 @@ impl TableCache {
     /// Every counter of this cache, read now.
     pub fn snapshot(&self) -> TableCacheSnapshot {
         let stats = self.tables.stats();
-        TableCacheSnapshot {
-            hits: stats.hits(),
-            misses: stats.misses(),
-            opens: self.open_count(),
-            open_reads: self.open_reads.load(Ordering::Relaxed),
-            open_bytes: self.open_bytes.load(Ordering::Relaxed),
-            warm_inserts: self.warm_inserts.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot(stats.hits(), stats.misses())
     }
 
     /// The block cache's counters, read now (all zero without one).
@@ -298,6 +274,7 @@ mod tests {
     use crate::ikey::{lookup_key, make_internal_key, ValueType};
     use bolt_common::bloom::BloomFilterPolicy;
     use bolt_env::MemEnv;
+    use std::sync::atomic::AtomicU64;
 
     fn opts() -> TableReadOptions {
         TableReadOptions {

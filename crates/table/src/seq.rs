@@ -22,7 +22,7 @@
 
 use std::cmp::Ordering as KeyOrder;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,44 +57,25 @@ pub const SEQ_READ_WINDOW: u64 = 256 << 10;
 /// lead is what the overlap needs and the rest is slack.
 pub const SEQ_READAHEAD_BYTES: u64 = 4 * SEQ_READ_WINDOW;
 
-/// What the sequential readers of one [`ReadPlan`] did.
-#[derive(Debug, Default)]
-pub struct SeqReadStats {
-    ops: AtomicU64,
-    bytes: AtomicU64,
-    wait_nanos: AtomicU64,
-    readahead_spans: AtomicU64,
-    demand_spans: AtomicU64,
-}
-
-impl SeqReadStats {
+bolt_common::counter_table! {
+    /// A copy of a [`SeqReadStats`] (the engine exports these counters as
+    /// its own `compaction_read_*` rows, so they have no registry names).
+    pub struct SeqReadSnapshot;
+    /// What the sequential readers of one [`ReadPlan`] did.
+    pub struct SeqReadStats {}
     /// Reads issued to the underlying files.
-    pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
-    }
-
+    ops,
     /// Bytes those reads returned.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
+    bytes,
     /// Nanoseconds the consumer was blocked for a span: waiting for the
     /// reader to finish it, or reading it itself.
-    pub fn wait_nanos(&self) -> u64 {
-        self.wait_nanos.load(Ordering::Relaxed)
-    }
-
+    wait_nanos,
     /// Spans the consumer took ready: the reader had them before they were
     /// asked for.
-    pub fn readahead_spans(&self) -> u64 {
-        self.readahead_spans.load(Ordering::Relaxed)
-    }
-
+    readahead_spans,
     /// Spans the consumer had to wait for or read itself, ahead of the
     /// reader's next.
-    pub fn demand_spans(&self) -> u64 {
-        self.demand_spans.load(Ordering::Relaxed)
-    }
+    demand_spans,
 }
 
 /// One device read of a front-to-back pass over a run's tables.

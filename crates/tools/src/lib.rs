@@ -76,16 +76,7 @@ pub enum StatFormat {
 /// serialize, so the three formats can never disagree.
 fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    writeln!(
-        out,
-        "compaction policy: {}",
-        if metrics.policy.is_empty() {
-            "leveled"
-        } else {
-            metrics.policy
-        }
-    )
-    .expect("write");
+    writeln!(out, "compaction policy: {}", metrics.policy_name()).expect("write");
     writeln!(out, "levels (runs / tables / bytes):").expect("write");
     for (i, level) in metrics.levels.iter().enumerate() {
         if level.tables > 0 {
@@ -1007,8 +998,8 @@ fn stale() {
 
         let human = trace(false).unwrap();
         assert!(human.contains("barriers/compaction"), "{human}");
-        assert!(human.contains("MANIFEST commit"), "{human}");
-        assert!(human.contains("MANIFEST re-cut"), "{human}");
+        assert!(human.contains(" manifest_commit edit_bytes="), "{human}");
+        assert!(human.contains(" manifest_recut abandoned="), "{human}");
     }
 
     #[test]
