@@ -121,7 +121,6 @@ pub fn fig12a_profiles() -> Vec<(&'static str, Options)> {
 pub fn fig12b_profiles() -> Vec<(&'static str, Options)> {
     let on_hyper = |mut opts: Options| {
         let hyper = Options::hyperleveldb();
-        opts.sstable_bytes = hyper.sstable_bytes;
         opts.level0_slowdown_trigger = hyper.level0_slowdown_trigger;
         opts.level0_stop_trigger = hyper.level0_stop_trigger;
         opts.seek_compaction = hyper.seek_compaction;

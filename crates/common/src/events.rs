@@ -2,15 +2,18 @@
 //!
 //! The paper's argument is about *where barriers happen and what they cost*,
 //! so the trace subsystem makes every durability barrier attributable: a
-//! thread-local [`BarrierScope`] tags the cause, the env's I/O choke point
-//! emits one [`EngineEvent::Barrier`] per device barrier, and the engine
-//! emits begin/end events for flushes, compactions, write groups, stalls,
-//! and MANIFEST commits. Events land in a bounded ring ([`EventSink`]) that
-//! callers drain via `Db::events()`; per-cause barrier counters are kept
-//! forever so barriers-per-compaction is measurable even after the ring
-//! wraps. See DESIGN.md §11 for the taxonomy.
+//! thread-local [`BarrierScope`] says which engine pays and why — the
+//! engine's [`EventSink`] and a [`BarrierCause`] — and the env's I/O choke
+//! point emits one [`EngineEvent::Barrier`] per device barrier into that
+//! scope's sink ([`emit_barrier`]). The engine emits begin/end events for
+//! flushes, compactions, write groups, stalls, and MANIFEST commits. Events
+//! land in a bounded ring that callers drain via `Db::events()`; per-cause
+//! barrier counters are kept forever so barriers-per-compaction is
+//! measurable even after the ring wraps. See DESIGN.md §11 for the taxonomy.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -31,7 +34,8 @@ pub enum BarrierCause {
     CompactionData,
     /// MANIFEST commit of a compaction result (including settled moves).
     CompactionManifest,
-    /// MANIFEST or snapshot writes during open / recovery.
+    /// MANIFEST or snapshot writes during open / recovery (a sharded
+    /// open's re-cut of the coordinator log included).
     OpenManifest,
     /// The CURRENT pointer file swing.
     CurrentPointer,
@@ -44,7 +48,8 @@ pub enum BarrierCause {
     /// Checkpoint publication: the linked file set and the checkpoint's
     /// MANIFEST/CURRENT must be durable before `checkpoint()` acks.
     Checkpoint,
-    /// No scope was active: the barrier could not be attributed.
+    /// Kept in the wire vocabulary and the registry, never emitted: a
+    /// barrier issued outside every [`BarrierScope`] lands in no sink.
     Unattributed,
 }
 
@@ -107,56 +112,74 @@ impl BarrierKind {
     }
 }
 
+/// Who pays for a barrier and why: the paying engine's sink and the cause.
+type Scope = (Arc<EventSink>, BarrierCause);
+
 std::thread_local! {
-    static CURRENT_CAUSE: std::cell::Cell<Option<BarrierCause>> =
-        const { std::cell::Cell::new(None) };
+    static SCOPE: RefCell<Option<Scope>> = const { RefCell::new(None) };
 }
 
-/// The barrier cause currently in scope on this thread
-/// ([`BarrierCause::Unattributed`] when none).
-pub fn current_barrier_cause() -> BarrierCause {
-    CURRENT_CAUSE
-        .with(|c| c.get())
-        .unwrap_or(BarrierCause::Unattributed)
+/// Run `f` on the innermost scope active on this thread, if any.
+fn in_scope(f: impl FnOnce(&EventSink, BarrierCause)) {
+    SCOPE.with(|scope| {
+        if let Some((sink, cause)) = &*scope.borrow() {
+            f(sink, *cause);
+        }
+    });
 }
 
-/// RAII guard that tags barriers issued by the current thread with a cause.
+/// Record a device barrier (the env calls this once per barrier): an
+/// [`EngineEvent::Barrier`] in the sink of the scope active on this thread,
+/// with its cause. One issued outside every scope lands in no sink.
+pub fn emit_barrier(kind: BarrierKind) {
+    in_scope(|sink, cause| sink.emit(EngineEvent::Barrier { cause, kind }));
+}
+
+/// Emit `event` into the sink of the scope active on this thread (nowhere
+/// outside every scope): for work that runs inside an engine's operation
+/// without holding the engine, such as a reclaim batch's hole punches.
+pub fn emit_in_scope(event: EngineEvent) {
+    in_scope(|sink, _| sink.emit(event));
+}
+
+/// RAII guard that attributes the barriers the current thread issues to one
+/// engine's [`EventSink`], under one [`BarrierCause`].
 ///
 /// Scopes nest lexically: the innermost active scope wins, and dropping a
 /// scope restores whatever was in effect before it. The engine opens a scope
-/// around each multi-barrier operation (flush, compaction, close); the WAL
+/// around each multi-barrier operation (flush, compaction, close); a log
 /// writer opens a *default* scope ([`BarrierScope::default_for`]) so that
 /// un-scoped syncs on a tagged writer still attribute correctly.
 #[derive(Debug)]
 pub struct BarrierScope {
-    prev: Option<BarrierCause>,
+    /// The scope this one replaced (`None` when it replaced none: a default
+    /// scope inside an explicit one).
+    saved: Option<Option<Scope>>,
 }
 
 impl BarrierScope {
-    /// Enter a scope: barriers on this thread are tagged `cause` until drop.
-    pub fn new(cause: BarrierCause) -> Self {
-        let prev = CURRENT_CAUSE.with(|c| c.replace(Some(cause)));
-        BarrierScope { prev }
+    /// Enter a scope: barriers on this thread go to `sink`, tagged `cause`,
+    /// until drop.
+    pub fn new(sink: &Arc<EventSink>, cause: BarrierCause) -> Self {
+        let prev = SCOPE.with(|scope| scope.replace(Some((Arc::clone(sink), cause))));
+        BarrierScope { saved: Some(prev) }
     }
 
-    /// Enter a *default* scope: tags barriers `cause` only when no explicit
-    /// scope is already active (an enclosing [`BarrierScope::new`] wins).
-    pub fn default_for(cause: BarrierCause) -> Self {
-        let prev = CURRENT_CAUSE.with(|c| {
-            let prev = c.get();
-            if prev.is_none() {
-                c.set(Some(cause));
-            }
-            prev
-        });
-        BarrierScope { prev }
+    /// Enter a *default* scope: applies only when no scope is already
+    /// active (an enclosing [`BarrierScope::new`] wins, sink and cause).
+    pub fn default_for(sink: &Arc<EventSink>, cause: BarrierCause) -> Self {
+        if SCOPE.with(|scope| scope.borrow().is_some()) {
+            return BarrierScope { saved: None };
+        }
+        BarrierScope::new(sink, cause)
     }
 }
 
 impl Drop for BarrierScope {
     fn drop(&mut self) {
-        let prev = self.prev;
-        CURRENT_CAUSE.with(|c| c.set(prev));
+        if let Some(prev) = self.saved.take() {
+            SCOPE.with(|scope| *scope.borrow_mut() = prev);
+        }
     }
 }
 
@@ -275,14 +298,16 @@ pub enum EngineEvent {
         snapshot_tables: u64,
     },
     /// The device saw a barrier. Emitted from the env's I/O accounting choke
-    /// point, so *every* barrier in the process appears here exactly once.
+    /// point ([`emit_barrier`]), so every barrier an engine pays appears
+    /// exactly once, in the sink of the engine whose scope issued it.
     Barrier {
         /// The operation that paid for the barrier.
         cause: BarrierCause,
         /// Full durability or ordering-only.
         kind: BarrierKind,
     },
-    /// Dead logical-table bytes were reclaimed by punching a hole.
+    /// Dead bytes of a table file or value-log segment were reclaimed by
+    /// one successful `punch_hole` call of a reclaim pass.
     HolePunch {
         /// Bytes reclaimed.
         bytes: u64,
@@ -555,15 +580,6 @@ impl EventSink {
         *self.slots[idx].lock() = Some(TraceEvent { seq, micros, event });
     }
 
-    /// Emit a [`EngineEvent::Barrier`] tagged with the calling thread's
-    /// current [`BarrierCause`] scope.
-    pub fn emit_barrier(&self, kind: BarrierKind) {
-        self.emit(EngineEvent::Barrier {
-            cause: current_barrier_cause(),
-            kind,
-        });
-    }
-
     /// Remove and return every event not yet drained, in sequence order.
     /// Events overwritten before they could be drained are counted in
     /// [`EventSink::dropped`].
@@ -636,7 +652,6 @@ impl EventSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     /// One event of every variant, with the JSON line the hand-written
     /// `to_json` produced for it before `wire` replaced the three copies:
@@ -859,44 +874,42 @@ mod tests {
         assert_eq!(sink.dropped(), extra);
     }
 
+    /// Each scope says who pays and why; the innermost explicit scope wins,
+    /// a default one applies only outside every scope, and a barrier outside
+    /// every scope lands in no sink.
     #[test]
-    fn barrier_scopes_nest_and_restore() {
-        assert_eq!(current_barrier_cause(), BarrierCause::Unattributed);
+    fn barrier_scopes_nest_and_restore_sink_and_cause() {
+        let (a, b) = (Arc::new(EventSink::new()), Arc::new(EventSink::new()));
+        emit_barrier(BarrierKind::Fsync);
         {
-            let _outer = BarrierScope::new(BarrierCause::FlushData);
-            assert_eq!(current_barrier_cause(), BarrierCause::FlushData);
+            let _outer = BarrierScope::new(&a, BarrierCause::FlushData);
+            emit_barrier(BarrierKind::Fsync);
             {
-                let _inner = BarrierScope::new(BarrierCause::FlushManifest);
-                assert_eq!(current_barrier_cause(), BarrierCause::FlushManifest);
+                let _inner = BarrierScope::new(&b, BarrierCause::FlushManifest);
+                emit_barrier(BarrierKind::Fsync);
             }
-            assert_eq!(current_barrier_cause(), BarrierCause::FlushData);
             // A default scope must NOT override the active explicit scope.
-            {
-                let _default = BarrierScope::default_for(BarrierCause::WalCommit);
-                assert_eq!(current_barrier_cause(), BarrierCause::FlushData);
-            }
+            let _default = BarrierScope::default_for(&b, BarrierCause::WalCommit);
+            emit_barrier(BarrierKind::Ordering);
         }
-        assert_eq!(current_barrier_cause(), BarrierCause::Unattributed);
         {
-            let _default = BarrierScope::default_for(BarrierCause::WalCommit);
-            assert_eq!(current_barrier_cause(), BarrierCause::WalCommit);
+            let _default = BarrierScope::default_for(&b, BarrierCause::WalCommit);
+            emit_barrier(BarrierKind::Fsync);
+            emit_in_scope(EngineEvent::HolePunch { bytes: 1 });
         }
-        assert_eq!(current_barrier_cause(), BarrierCause::Unattributed);
-    }
+        emit_barrier(BarrierKind::Fsync);
+        emit_in_scope(EngineEvent::HolePunch { bytes: 2 });
 
-    #[test]
-    fn per_cause_barrier_counters() {
-        let sink = EventSink::new();
-        {
-            let _scope = BarrierScope::new(BarrierCause::CompactionData);
-            sink.emit_barrier(BarrierKind::Ordering);
-        }
-        sink.emit_barrier(BarrierKind::Fsync);
-        assert_eq!(sink.barrier_count(BarrierCause::CompactionData), 1);
-        assert_eq!(sink.barrier_count(BarrierCause::Unattributed), 1);
-        assert_eq!(sink.total_barriers(), 2);
-        let by_cause = sink.barrier_counts();
+        assert_eq!(a.barrier_count(BarrierCause::FlushData), 2);
+        assert_eq!(a.total_barriers(), 2);
+        assert_eq!(b.barrier_count(BarrierCause::FlushManifest), 1);
+        assert_eq!(b.barrier_count(BarrierCause::WalCommit), 1);
+        assert_eq!(b.total_barriers(), 2);
+        let by_cause = b.barrier_counts();
         assert_eq!(by_cause.iter().map(|(_, n)| n).sum::<u64>(), 2);
+        let last = b.drain().pop().map(|e| e.event);
+        assert_eq!(last, Some(EngineEvent::HolePunch { bytes: 1 }));
+        assert_eq!(a.emitted() + b.emitted(), 5, "nothing outside a scope");
     }
 
     #[test]

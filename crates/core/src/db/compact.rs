@@ -93,7 +93,7 @@ impl DbInner {
         let output_bytes = {
             // The commit barrier (MANIFEST append + sync) is this
             // compaction's second — and for settled moves, only — barrier.
-            let _scope = BarrierScope::new(BarrierCause::CompactionManifest);
+            let _scope = BarrierScope::new(&self.sink, BarrierCause::CompactionManifest);
             let install = |old: &ReadView, version| ReadView {
                 version,
                 ..old.clone()
@@ -159,7 +159,7 @@ impl DbInner {
         // Every data barrier the rewrite pays is attributed to this
         // compaction (the scope is this thread's: a flush running beside
         // it tags its own).
-        let _scope = BarrierScope::new(BarrierCause::CompactionData);
+        let _scope = BarrierScope::new(&self.sink, BarrierCause::CompactionData);
         // Inputs are read once, front to back: in large spans, past the
         // caches foreground reads are served from, by a reader that runs
         // ahead of the merge.

@@ -269,12 +269,12 @@ impl DbInner {
             None => u64::MAX,
         };
         let outputs = {
-            let _scope = BarrierScope::new(BarrierCause::FlushData);
+            let _scope = BarrierScope::new(&self.sink, BarrierCause::FlushData);
             self.write_sorted_run(internal, target)
         }?;
 
         let flush_bytes = {
-            let _scope = BarrierScope::new(BarrierCause::FlushManifest);
+            let _scope = BarrierScope::new(&self.sink, BarrierCause::FlushManifest);
             let edit = VersionEdit {
                 log_number: Some(log_boundary),
                 last_sequence: Some(self.last_sequence.load(Ordering::Acquire)),

@@ -109,9 +109,10 @@ impl DbInner {
     /// The second half of the reclaim pass that follows every commit (O3):
     /// the caller decided `batch` under `core.versions` and released it; punch
     /// and unlink with no engine lock held. The lock is retaken only to hand
-    /// back what failed.
+    /// back what failed. Runs inside the committing flush's or compaction's
+    /// barrier scope, so what the batch announces lands in this engine's sink.
     pub(super) fn reclaim(&self, batch: ReclaimBatch) {
-        let failed = batch.execute(self.env.as_ref(), &self.name, Some(&self.sink));
+        let failed = batch.execute(self.env.as_ref(), &self.name);
         if !failed.is_empty() {
             self.versions.lock().reclaim.hand_back(failed);
         }
@@ -159,7 +160,7 @@ impl DbInner {
         seq: SequenceNumber,
         vlog_ledger: &[(u64, RangeSet)],
     ) -> Result<(u64, u64)> {
-        let _scope = BarrierScope::new(BarrierCause::Checkpoint);
+        let _scope = BarrierScope::new(&self.sink, BarrierCause::Checkpoint);
         self.env.create_dir_all(dir)?;
 
         // Tables: several logical tables may share one physical file (BoLT
@@ -446,7 +447,7 @@ mod tests {
         let at_checkpoint = db.snapshot();
         assert_eq!(at_checkpoint.sequence(), seq);
         let before = env.stats().snapshot();
-        let failed = batch.execute(env.as_ref(), "db", None);
+        let failed = batch.execute(env.as_ref(), "db");
         assert!(failed.is_empty(), "{failed:?}");
         let reclaimed = env.stats().snapshot().delta(&before);
         assert!(
@@ -486,7 +487,7 @@ mod tests {
         let at_checkpoint = db.snapshot();
         assert_eq!(at_checkpoint.sequence(), seq);
         for batch in [second, first] {
-            let failed = batch.execute(env.as_ref(), "db", None);
+            let failed = batch.execute(env.as_ref(), "db");
             db.inner.versions.lock().reclaim.hand_back(failed);
         }
 

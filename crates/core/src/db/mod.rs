@@ -183,8 +183,9 @@ struct DbInner {
     last_sequence: AtomicU64,
     shutdown: AtomicBool,
     stats: DbStats,
-    /// Structured-event destination, shared with the env's `IoStats` (which
-    /// emits every barrier into it) and the version set (MANIFEST commits).
+    /// Structured-event destination, shared with the version set (MANIFEST
+    /// commits). Every barrier scope this engine opens carries it, so each
+    /// barrier the engine pays lands here — and no other engine's does.
     sink: Arc<EventSink>,
     /// Monotonic flush ids pairing `FlushBegin`/`FlushEnd` events.
     flush_ids: AtomicU64,
@@ -421,17 +422,18 @@ impl Db {
             read_opts,
         ));
 
-        // Install the event sink before any recovery I/O so even the
-        // barriers paid while opening are traced and cause-attributed.
+        // Every barrier scope the version set and recovery open carries this
+        // sink, so the barriers paid while opening are traced as this
+        // engine's.
         let sink = Arc::new(EventSink::new());
-        env.stats().set_event_sink(Arc::clone(&sink));
-
-        let mut versions = VersionSet::new(Arc::clone(&env), name, icmp.clone(), opts.num_levels);
-        versions.set_event_sink(Arc::clone(&sink));
-        // Pin the policy before the MANIFEST exists (create) or is replayed
-        // (recover): a fresh database records it, an existing one refuses a
-        // mismatch.
-        versions.set_compaction_policy(opts.compaction_policy);
+        let mut versions = VersionSet::new(
+            Arc::clone(&env),
+            name,
+            icmp.clone(),
+            opts.num_levels,
+            opts.compaction_policy,
+            Arc::clone(&sink),
+        );
         let is_new = !env.file_exists(&current_file(name));
         if is_new {
             versions.create_new()?;
@@ -579,8 +581,9 @@ impl Db {
         self.inner.sink.drain()
     }
 
-    /// The structured-event sink itself, for callers that want to observe
-    /// per-cause barrier counters without draining the ring.
+    /// The structured-event sink itself: what a caller scopes barriers it
+    /// pays on this engine's behalf to (a sharded database's coordinator log
+    /// lives on shard 0's env and is scoped to shard 0).
     pub fn event_sink(&self) -> &Arc<EventSink> {
         &self.inner.sink
     }
@@ -629,7 +632,7 @@ impl Db {
             self.inner.writers_cv.wait(&mut state);
         }
         let synced = self.inner.with_wal(&mut state, |wal, _| {
-            let _scope = BarrierScope::new(BarrierCause::WalClose);
+            let _scope = BarrierScope::new(&self.inner.sink, BarrierCause::WalClose);
             // `with_wal` runs this closure with `state` released.
             // bolt-lint: allow(guard-across-barrier)
             wal.sync()

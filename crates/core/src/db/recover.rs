@@ -159,7 +159,7 @@ impl DbInner {
         let file = self.env.new_writable_file(&log_file(&self.name, new_log))?;
         {
             let mut state = self.state.lock();
-            state.wal = Some(new_wal_writer(file));
+            state.wal = Some(new_wal_writer(file, &self.sink));
             state.wal_number = new_log;
         }
         // Persist the log floor so old WALs are not replayed twice.

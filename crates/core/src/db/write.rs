@@ -11,7 +11,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
+use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent, EventSink};
 use bolt_common::sync::MutexGuard;
 use bolt_common::{Error, Result};
 use bolt_table::ikey::ValueType;
@@ -85,14 +85,17 @@ impl DbState {
     }
 }
 
-/// Wrap a fresh WAL file: tag its barriers `wal_commit` by default (an
-/// explicit operation scope like `wal_close` still overrides). With
-/// `debug_locks`, additionally arm the writer's assertion that log I/O
-/// never runs while this thread holds the engine state lock — the runtime
-/// counterpart of lint rule L1 (guard-across-barrier).
-pub(super) fn new_wal_writer(file: Box<dyn bolt_env::WritableFile>) -> LogWriter {
+/// Wrap a fresh WAL file: its barriers are `wal_commit` in the engine's
+/// `sink` by default (an explicit operation scope like `wal_close` still
+/// overrides). With `debug_locks`, additionally arm the writer's assertion
+/// that log I/O never runs while this thread holds the engine state lock —
+/// the runtime counterpart of lint rule L1 (guard-across-barrier).
+pub(super) fn new_wal_writer(
+    file: Box<dyn bolt_env::WritableFile>,
+    sink: &Arc<EventSink>,
+) -> LogWriter {
     let mut wal = LogWriter::new(file);
-    wal.set_barrier_cause(BarrierCause::WalCommit);
+    wal.set_default_scope(sink, BarrierCause::WalCommit);
     #[cfg(feature = "debug_locks")]
     wal.forbid_lock_during_io("core.state");
     wal
@@ -484,7 +487,7 @@ impl DbInner {
                     // pointers visible — even for unsynced groups — so
                     // recovery can never replay a pointer whose bytes were
                     // still in flight.
-                    let _scope = BarrierScope::new(BarrierCause::VlogData);
+                    let _scope = BarrierScope::new(&self.sink, BarrierCause::VlogData);
                     let writer = vlog.as_mut().ok_or_else(|| {
                         Error::InvalidState(
                             "values separated without an open vlog writer".to_string(),
@@ -602,7 +605,7 @@ impl DbInner {
                 ..old.clone()
             }
         });
-        state.wal = Some(new_wal_writer(file));
+        state.wal = Some(new_wal_writer(file, &self.sink));
         state.wal_number = new_log;
         self.sink.emit(EngineEvent::WalRotate { new_log });
         self.flush_cv.notify_one();
@@ -695,7 +698,7 @@ impl DbInner {
             // bolt-lint: allow(unwrap-in-crash-path) -- guarded just above.
             let mut old = vlog.take().expect("active vlog writer");
             {
-                let _scope = BarrierScope::new(BarrierCause::VlogData);
+                let _scope = BarrierScope::new(&self.sink, BarrierCause::VlogData);
                 old.barrier(self.vlog_ordering_only())?;
             }
             self.versions

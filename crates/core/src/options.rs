@@ -653,6 +653,12 @@ mod tests {
     fn output_table_bytes_follows_style() {
         assert_eq!(Options::leveldb().output_table_bytes(), 2 << 20);
         assert_eq!(Options::bolt().output_table_bytes(), 1 << 20);
+        // Under the BoLT style a table is a logical SSTable: `sstable_bytes`
+        // (here HyperLevelDB's) does not move it.
+        let mut on_hyper = Options::bolt_ls();
+        on_hyper.sstable_bytes = Options::hyperleveldb().sstable_bytes;
+        assert_ne!(on_hyper.sstable_bytes, Options::bolt_ls().sstable_bytes);
+        assert_eq!(on_hyper.output_table_bytes(), 1 << 20);
     }
 
     #[test]

@@ -30,15 +30,6 @@ pub(super) struct ManifestLog {
     recuts: u64,
 }
 
-/// Wrap a fresh MANIFEST file: its barriers default to `open_manifest`
-/// (the snapshot written at open); flush/compaction commits override with
-/// their own explicit scopes.
-fn new_manifest_writer(file: Box<dyn bolt_env::WritableFile>) -> LogWriter {
-    let mut manifest = LogWriter::new(file);
-    manifest.set_barrier_cause(BarrierCause::OpenManifest);
-    manifest
-}
-
 fn table_records(version: &Version) -> Vec<(u32, u64, crate::version::TableMeta)> {
     let tables = version.all_tables();
     tables
@@ -144,11 +135,15 @@ impl VersionSet {
     pub(super) fn cut_fresh_manifest(&mut self) -> Result<()> {
         let number = self.ids.new_file_number();
         let path = manifest_file(&self.db, number);
-        let mut manifest = new_manifest_writer(self.env.new_writable_file(&path)?);
+        let mut manifest = LogWriter::new(self.env.new_writable_file(&path)?);
+        // Its barriers default to `open_manifest` (the snapshot written at
+        // open) in this engine's sink; flush and compaction commits, and a
+        // re-cut, override with their own explicit scopes.
+        manifest.set_default_scope(&self.sink, BarrierCause::OpenManifest);
         manifest.add_record(&self.snapshot_edit().encode())?;
         manifest.sync()?;
         {
-            let _scope = BarrierScope::new(BarrierCause::CurrentPointer);
+            let _scope = BarrierScope::new(&self.sink, BarrierCause::CurrentPointer);
             install_current_at(self.env.as_ref(), &self.db, number)?;
         }
         self.manifest.writer = Some(manifest);
@@ -170,7 +165,7 @@ impl VersionSet {
         let mut last_err = first_err;
         for _ in 0..MAX_RECUT_ATTEMPTS {
             let abandoned = self.manifest.number;
-            let _scope = BarrierScope::new(BarrierCause::ManifestRecut);
+            let _scope = BarrierScope::new(&self.sink, BarrierCause::ManifestRecut);
             if let Err(recut_err) = self.cut_fresh_manifest() {
                 return Err(Error::InvalidState(format!(
                     "MANIFEST poisoned: commit failed ({last_err}), re-cut failed \
@@ -189,13 +184,11 @@ impl VersionSet {
             // when one healing sequence absorbs two faults, which breaks any
             // audit matching faults against `errors + recuts`.
             self.manifest.recuts += 1;
-            if let Some(sink) = &self.sink {
-                sink.emit(EngineEvent::ManifestRecut {
-                    abandoned,
-                    new_manifest: self.manifest.number,
-                    snapshot_tables: self.current.num_tables() as u64,
-                });
-            }
+            self.sink.emit(EngineEvent::ManifestRecut {
+                abandoned,
+                new_manifest: self.manifest.number,
+                snapshot_tables: self.current.num_tables() as u64,
+            });
             // The re-cut consumed a file number; refresh the counters so the
             // re-appended record never understates them.
             self.ids.stamp(edit);
@@ -251,12 +244,11 @@ impl VersionSet {
         self.ids.stamp(&mut edit);
         const CHECKPOINT_MANIFEST: u64 = 1;
         let path = manifest_file(dir, CHECKPOINT_MANIFEST);
-        let mut manifest = new_manifest_writer(self.env.new_writable_file(&path)?);
-        manifest.set_barrier_cause(BarrierCause::Checkpoint);
+        let _scope = BarrierScope::new(&self.sink, BarrierCause::Checkpoint);
+        let mut manifest = LogWriter::new(self.env.new_writable_file(&path)?);
         manifest.add_record(&edit.encode())?;
         manifest.sync()?;
         drop(manifest);
-        let _scope = BarrierScope::new(BarrierCause::Checkpoint);
         install_current_at(self.env.as_ref(), dir, CHECKPOINT_MANIFEST)
     }
 }
@@ -292,24 +284,18 @@ mod tests {
 
     #[test]
     fn manifest_commits_are_traced_with_causes() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let sink = Arc::new(EventSink::new());
-        env.stats().set_event_sink(Arc::clone(&sink));
-        env.create_dir_all("db").unwrap();
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.set_event_sink(Arc::clone(&sink));
-        vs.create_new().unwrap();
+        let (_fault, _env, sink, mut vs) = faulted_set();
         // The open snapshot pays an OpenManifest barrier (writer default)
-        // and a CurrentPointer barrier (explicit install scope).
+        // and a CurrentPointer barrier (explicit install scope), both in
+        // the set's own sink.
         assert_eq!(sink.barrier_count(BarrierCause::OpenManifest), 1);
         assert_eq!(sink.barrier_count(BarrierCause::CurrentPointer), 1);
-        sink.drain();
 
         let mut edit = VersionEdit::default();
         let t = vs.ids().new_table_id();
         edit.added_tables.push((0, 1, meta(t, 55, 0, 10)));
         {
-            let _scope = BarrierScope::new(BarrierCause::CompactionManifest);
+            let _scope = BarrierScope::new(&sink, BarrierCause::CompactionManifest);
             vs.log_and_apply(edit).unwrap();
         }
         assert_eq!(sink.barrier_count(BarrierCause::CompactionManifest), 1);
@@ -388,9 +374,7 @@ mod tests {
         fault.crash_inner(bolt_env::CrashConfig::Clean);
         fault.reset();
         for _ in 0..2 {
-            let mut vs =
-                VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-            vs.recover().unwrap();
+            let vs = recovered_set(&env);
             let current = vs.current();
             let mut tails: Vec<_> = current.all_tables().map(|(_, _, m)| m.tail_bytes).collect();
             tails.sort_unstable();
@@ -464,8 +448,7 @@ mod tests {
         // edit does not resurface (its record was torn or abandoned).
         fault.crash_inner(bolt_env::CrashConfig::Clean);
         fault.reset();
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.recover().unwrap();
+        let vs = recovered_set(&env);
         assert_eq!(vs.current().num_tables(), 1, "only the acked table");
         assert_eq!(vs.current().levels[0].runs[0].tag, 1);
     }

@@ -100,8 +100,9 @@ pub struct VersionSet {
     /// manifest file); reopen under a different policy is refused. Every
     /// version built here holds the run-count invariant it implies.
     policy: CompactionPolicyKind,
-    /// Structured-event destination; MANIFEST commits are announced here.
-    sink: Option<Arc<EventSink>>,
+    /// The engine's event sink: MANIFEST commits and re-cuts are announced
+    /// here, and the MANIFEST's barriers are scoped to it.
+    sink: Arc<EventSink>,
     ids: Arc<FileIds>,
     manifest: manifest::ManifestLog,
     /// Dead ranges and condemned files, from commit to env call.
@@ -127,12 +128,17 @@ impl std::fmt::Debug for VersionSet {
 }
 
 impl VersionSet {
-    /// Create an empty set for database directory `db`.
+    /// Create an empty set for database directory `db`, operating under
+    /// `policy` — which [`VersionSet::create_new`] pins in the MANIFEST and
+    /// [`VersionSet::recover`] refuses a mismatch of — and announcing its
+    /// commits in the engine's `sink`.
     pub fn new(
         env: Arc<dyn Env>,
         db: &str,
         icmp: InternalKeyComparator,
         num_levels: usize,
+        policy: CompactionPolicyKind,
+        sink: Arc<EventSink>,
     ) -> Self {
         VersionSet {
             env,
@@ -143,8 +149,8 @@ impl VersionSet {
             live: Vec::new(),
             last_sequence: 0,
             log_number: 0,
-            policy: CompactionPolicyKind::default(),
-            sink: None,
+            policy,
+            sink,
             ids: Arc::new(FileIds::new()),
             manifest: Default::default(),
             reclaim: Default::default(),
@@ -152,20 +158,6 @@ impl VersionSet {
             pins: HashMap::new(),
             next_pin: 0,
         }
-    }
-
-    /// Install the structured-event sink. Subsequent MANIFEST commits emit
-    /// [`EngineEvent::ManifestCommit`].
-    pub fn set_event_sink(&mut self, sink: Arc<EventSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Declare the compaction policy this set operates under. Must be
-    /// called before [`VersionSet::create_new`] or [`VersionSet::recover`]:
-    /// the policy is pinned in the MANIFEST and recovery refuses a
-    /// mismatch.
-    pub fn set_compaction_policy(&mut self, policy: CompactionPolicyKind) {
-        self.policy = policy;
     }
 
     /// The compaction policy this set was created or recovered under.
@@ -202,13 +194,11 @@ impl VersionSet {
         let version = Arc::new(builder.build()?);
 
         let edit_bytes = self.commit_edit(&mut edit)?;
-        if let Some(sink) = &self.sink {
-            sink.emit(EngineEvent::ManifestCommit {
-                edit_bytes,
-                added: edit.added_tables.len() as u64,
-                deleted: edit.deleted_tables.len() as u64,
-            });
-        }
+        self.sink.emit(EngineEvent::ManifestCommit {
+            edit_bytes,
+            added: edit.added_tables.len() as u64,
+            deleted: edit.deleted_tables.len() as u64,
+        });
 
         if let Some(seq) = edit.last_sequence {
             self.last_sequence = self.last_sequence.max(seq);
@@ -492,6 +482,7 @@ pub(crate) mod test_util {
 
     pub(crate) use super::VersionSet;
     pub(crate) use crate::filename::{table_file, vlog_file};
+    pub(crate) use crate::options::CompactionPolicyKind;
     pub(crate) use crate::version::{TableMeta, VersionEdit};
 
     pub(crate) fn test_cache(env: &Arc<dyn Env>) -> TableCache {
@@ -520,21 +511,40 @@ pub(crate) mod test_util {
         )
     }
 
+    /// A set over `dir` under `policy`, announcing into a sink of its own.
+    pub(crate) fn set_at(
+        env: &Arc<dyn Env>,
+        dir: &str,
+        policy: CompactionPolicyKind,
+    ) -> VersionSet {
+        let icmp = InternalKeyComparator::default();
+        VersionSet::new(Arc::clone(env), dir, icmp, 7, policy, Arc::default())
+    }
+
+    /// The leveled set over `db`, recovered.
+    pub(crate) fn recovered_set(env: &Arc<dyn Env>) -> VersionSet {
+        let mut vs = set_at(env, "db", CompactionPolicyKind::Leveled);
+        vs.recover().unwrap();
+        vs
+    }
+
     pub(crate) fn new_set(env: &Arc<dyn Env>) -> VersionSet {
         env.create_dir_all("db").unwrap();
-        let mut vs = VersionSet::new(Arc::clone(env), "db", InternalKeyComparator::default(), 7);
+        let mut vs = set_at(env, "db", CompactionPolicyKind::Leveled);
         vs.create_new().unwrap();
         vs
     }
 
+    /// A fresh set on a fault env, with the sink its events and — inside
+    /// a scope of it — its barriers go to.
     pub(crate) fn faulted_set() -> (FaultEnv, Arc<dyn Env>, Arc<EventSink>, VersionSet) {
         let fault = FaultEnv::over_mem();
         let env: Arc<dyn Env> = Arc::new(fault.clone());
         let sink = Arc::new(EventSink::new());
-        env.stats().set_event_sink(Arc::clone(&sink));
         env.create_dir_all("db").unwrap();
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.set_event_sink(Arc::clone(&sink));
+        let icmp = InternalKeyComparator::default();
+        let policy = CompactionPolicyKind::Leveled;
+        let mut vs = VersionSet::new(Arc::clone(&env), "db", icmp, 7, policy, Arc::clone(&sink));
         vs.create_new().unwrap();
         sink.drain();
         (fault, env, sink, vs)
@@ -554,7 +564,7 @@ pub(crate) mod test_util {
     /// One whole reclaim pass, as `DbInner::reclaim` runs it.
     pub(crate) fn gc(vs: &mut VersionSet, cache: &TableCache) {
         let batch = vs.collect_garbage(cache);
-        let failed = batch.execute(vs.env.as_ref(), &vs.db, vs.sink.as_deref());
+        let failed = batch.execute(vs.env.as_ref(), &vs.db);
         vs.reclaim.hand_back(failed);
     }
 }
@@ -579,8 +589,7 @@ mod tests {
         {
             let _vs = new_set(&env);
         }
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.recover().unwrap();
+        let vs = recovered_set(&env);
         assert_eq!(vs.current().num_tables(), 0);
     }
 
@@ -609,8 +618,7 @@ mod tests {
             next_ids = stamped_ids(&vs);
         }
 
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.recover().unwrap();
+        let vs = recovered_set(&env);
         assert_eq!(vs.current().num_tables(), 2);
         assert_eq!(vs.current().levels[0].runs[0].tag, 5);
         assert_eq!(vs.last_sequence, 42);
@@ -635,8 +643,7 @@ mod tests {
         }
         // Crash: everything synced by log_and_apply must survive.
         mem_env.crash(bolt_env::CrashConfig::Clean);
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.recover().unwrap();
+        let vs = recovered_set(&env);
         assert_eq!(vs.current().num_tables(), 1);
     }
 
@@ -662,8 +669,7 @@ mod tests {
                 .unwrap();
         }
         mem_env.crash(bolt_env::CrashConfig::Clean);
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.recover().unwrap();
+        let vs = recovered_set(&env);
         assert_eq!(vs.current().num_tables(), 1, "torn edit must not apply");
     }
 
@@ -714,12 +720,7 @@ mod tests {
             .unwrap();
         vs.unpin_checkpoint(pin);
 
-        let mut ckpt = VersionSet::new(
-            Arc::clone(&env),
-            "ckpt",
-            InternalKeyComparator::default(),
-            7,
-        );
+        let mut ckpt = set_at(&env, "ckpt", CompactionPolicyKind::Leveled);
         ckpt.recover().unwrap();
         let seg5 = &ckpt.vlog_segments()[&5];
         assert_eq!(
@@ -762,8 +763,7 @@ mod tests {
             assert!(!vs.vlog_segments().contains_key(&13));
         }
 
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.recover().unwrap();
+        let mut vs = recovered_set(&env);
         // Dead ranges re-unioned from deltas; written recomputed from disk;
         // every recovered segment is sealed.
         let seg11 = &vs.vlog_segments()[&11];
@@ -787,9 +787,7 @@ mod tests {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         env.create_dir_all("db").unwrap();
         {
-            let mut vs =
-                VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-            vs.set_compaction_policy(CompactionPolicyKind::SizeTiered);
+            let mut vs = set_at(&env, "db", CompactionPolicyKind::SizeTiered);
             vs.create_new().unwrap();
             // Overlapping runs at level 1 are legal under the tiered layout.
             let mut edit = VersionEdit::default();
@@ -800,7 +798,7 @@ mod tests {
         }
 
         // Reopen under the default (leveled) policy: refused, state intact.
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
+        let mut vs = set_at(&env, "db", CompactionPolicyKind::Leveled);
         let err = vs.recover().expect_err("policy mismatch must be refused");
         assert!(
             matches!(&err, Error::InvalidArgument(msg)
@@ -809,15 +807,13 @@ mod tests {
         );
 
         // Reopen under the pinned policy succeeds and stays pinned.
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.set_compaction_policy(CompactionPolicyKind::SizeTiered);
+        let mut vs = set_at(&env, "db", CompactionPolicyKind::SizeTiered);
         vs.recover().unwrap();
         assert_eq!(vs.compaction_policy(), CompactionPolicyKind::SizeTiered);
         assert_eq!(vs.current().levels[1].num_runs(), 2);
 
         // The fresh MANIFEST cut at recover re-pinned the policy.
-        let mut vs2 = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs2.set_compaction_policy(CompactionPolicyKind::LazyLeveled);
+        let mut vs2 = set_at(&env, "db", CompactionPolicyKind::LazyLeveled);
         let err = vs2.recover().expect_err("still pinned after re-cut");
         assert!(matches!(err, Error::InvalidArgument(_)));
     }
@@ -844,8 +840,7 @@ mod tests {
         drop(cur);
 
         // A tiered reopen is refused: the absent tag means leveled.
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.set_compaction_policy(CompactionPolicyKind::SizeTiered);
+        let mut vs = set_at(&env, "db", CompactionPolicyKind::SizeTiered);
         let err = vs.recover().expect_err("absent tag means leveled");
         assert!(
             matches!(&err, Error::InvalidArgument(msg) if msg.contains("leveled")),
@@ -853,8 +848,7 @@ mod tests {
         );
 
         // The default (leveled) reopen succeeds and re-pins explicitly.
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.recover().unwrap();
+        let vs = recovered_set(&env);
         assert_eq!(vs.compaction_policy(), CompactionPolicyKind::Leveled);
     }
 
@@ -875,7 +869,7 @@ mod tests {
         assert!(manifest_files(&env).len() >= 2);
 
         fault.crash_inner(bolt_env::CrashConfig::Clean);
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
+        let mut vs = set_at(&env, "db", CompactionPolicyKind::Leveled);
         vs.recover().expect("recover ignores the stray");
         assert_eq!(vs.current().num_tables(), 1);
         let names = manifest_files(&env);

@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use bolt_common::events::{EngineEvent, EventSink};
+use bolt_common::events::{emit_in_scope, EngineEvent};
 use bolt_env::Env;
 use bolt_table::cache::TableCache;
 
@@ -206,8 +206,10 @@ impl ReclaimBatch {
     /// [`ReclaimLedger::hand_back`]. Must run with neither `core.versions`
     /// nor `core.state` held — per-object metadata calls are the slow kind
     /// (asserted under `debug_locks`).
+    /// Announces a `HolePunch` per successful punch (and value-log GC) in the
+    /// scope it runs in: the engine's, inside the commit that decided it.
     #[must_use = "failed work must go back to the ledger or it is never retried"]
-    pub fn execute(mut self, env: &dyn Env, dir: &str, sink: Option<&EventSink>) -> ReclaimBatch {
+    pub fn execute(mut self, env: &dyn Env, dir: &str) -> ReclaimBatch {
         #[cfg(feature = "debug_locks")]
         for lock in ["core.versions", "core.state"] {
             assert!(
@@ -228,15 +230,14 @@ impl ReclaimBatch {
             let mut failed = RangeSet::default();
             for (offset, len) in job.ranges.iter() {
                 // Lazy metadata update, no barrier (§3.2).
-                if env.punch_hole(&path, offset, len).is_err() {
-                    failed.insert(offset, len);
+                match env.punch_hole(&path, offset, len) {
+                    Ok(()) => emit_in_scope(EngineEvent::HolePunch { bytes: len }),
+                    Err(_) => failed.insert(offset, len),
                 }
             }
             let punched_bytes = job.ranges.total() - failed.total();
-            if let (FileType::ValueLog(segment), Some(sink), true) =
-                (job.file, sink, punched_bytes > 0)
-            {
-                sink.emit(EngineEvent::VlogGc {
+            if let (FileType::ValueLog(segment), true) = (job.file, punched_bytes > 0) {
+                emit_in_scope(EngineEvent::VlogGc {
                     segment,
                     dead_bytes: job.ledger_dead,
                     punched_bytes,
@@ -252,8 +253,8 @@ impl ReclaimBatch {
                 _ => None,
             };
             let gone = env.delete_file(&path).is_ok() || !env.file_exists(&path);
-            if let (true, Some((segment, reclaimed_bytes)), Some(sink)) = (gone, retired, sink) {
-                sink.emit(EngineEvent::VlogRetire {
+            if let (true, Some((segment, reclaimed_bytes))) = (gone, retired) {
+                emit_in_scope(EngineEvent::VlogRetire {
                     segment,
                     reclaimed_bytes,
                 });
@@ -393,8 +394,7 @@ mod tests {
         env.create_dir_all("ckpt").unwrap();
         env.link_file(&path, &table_file("ckpt", f)).unwrap();
 
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
-        vs.recover().unwrap();
+        let mut vs = recovered_set(&env);
         let mut edit = VersionEdit::default();
         edit.deleted_tables.push((0, ta));
         vs.log_and_apply(edit).unwrap();
@@ -590,9 +590,9 @@ mod tests {
         assert_eq!(vs.reclaim.pending_punch_bytes(), 0);
         assert_eq!(vs.reclaim.pending_unlink_files(), 0);
 
-        let failed = second.execute(env.as_ref(), "db", None);
+        let failed = second.execute(env.as_ref(), "db");
         assert!(failed.is_empty() && !env.file_exists(&path));
-        let failed = first.execute(env.as_ref(), "db", None);
+        let failed = first.execute(env.as_ref(), "db");
         assert!(failed.is_empty(), "{failed:?}");
         assert_eq!(env.stats().snapshot().holes_punched, 0);
 
@@ -600,9 +600,9 @@ mod tests {
         let (path, ids) = compaction_file(&env, &mut vs, 3);
         let first = kill(&mut vs, &ids[..1]);
         let second = kill(&mut vs, &ids[1..]);
-        assert!(first.execute(env.as_ref(), "db", None).is_empty());
+        assert!(first.execute(env.as_ref(), "db").is_empty());
         assert_eq!(env.stats().snapshot().holes_punched, 1);
-        assert!(second.execute(env.as_ref(), "db", None).is_empty());
+        assert!(second.execute(env.as_ref(), "db").is_empty());
         assert!(!env.file_exists(&path));
     }
 
@@ -619,7 +619,7 @@ mod tests {
             let held = bolt_common::sync::named_mutex(lock, ());
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _guard = held.lock();
-                let _ = batch.execute(env.as_ref(), "db", None);
+                let _ = batch.execute(env.as_ref(), "db");
             }));
             let message = *caught.unwrap_err().downcast::<String>().unwrap();
             assert!(message.contains(lock), "{message}");

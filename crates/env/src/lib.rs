@@ -27,7 +27,9 @@
 //!   chosen op; see below.
 //!
 //! All implementations feed the [`IoStats`] counters (fsync calls, bytes
-//! written/read, holes punched) that the benchmark harness reports.
+//! written/read, holes punched) that the benchmark harness reports, and
+//! hold no engine state: a barrier goes to the event sink of the calling
+//! thread's `bolt_common::events::BarrierScope`, or to none outside one.
 //!
 //! ## Fault-plan grammar
 //!

@@ -4,24 +4,19 @@
 //! (Figs 4a, 11) and *total bytes written* (Fig 12's write-amplification
 //! inserts, Fig 15c). Every [`Env`](crate::Env) implementation feeds these
 //! counters so any experiment can report them without touching engine code.
+//! Each barrier counted here is also recorded in the calling thread's scope
+//! ([`bolt_common::events::emit_barrier`]): the one choke point that puts
+//! every barrier an engine pays in that engine's trace.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use bolt_common::events::{BarrierKind, EngineEvent, EventSink};
-use parking_lot::RwLock;
+use bolt_common::events::{emit_barrier, BarrierKind};
 
 bolt_common::counter_table! {
     /// A point-in-time copy of [`IoStats`], suitable for diffing.
     pub struct IoSnapshot;
     /// Cumulative I/O counters for one environment instance.
-    pub struct IoStats {
-        /// Structured-event destination. Every barrier and hole punch the env
-        /// accounts for is also emitted here (tagged with the calling thread's
-        /// [`bolt_common::events::BarrierCause`] scope), which makes this the
-        /// single choke point guaranteeing *every* barrier appears in the trace.
-        sink: RwLock<Option<Arc<EventSink>>>,
-    }
+    pub struct IoStats {}
     /// Number of full durability barriers (`fsync`/`fdatasync`).
     fsync_calls => "bolt_io_fsyncs_total",
     /// Number of ordering-only barriers (the BarrierFS `fbarrier()` extension).
@@ -47,33 +42,18 @@ bolt_common::counter_table! {
 }
 
 impl IoStats {
-    /// Install the structured-event sink. Subsequent barriers and hole
-    /// punches are emitted to it in addition to being counted.
-    pub fn set_event_sink(&self, sink: Arc<EventSink>) {
-        *self.sink.write() = Some(sink);
-    }
-
-    /// The installed event sink, if any.
-    pub fn event_sink(&self) -> Option<Arc<EventSink>> {
-        self.sink.read().clone()
-    }
-
     /// Record a durability barrier that blocked for `wait_nanos`.
     pub fn record_fsync(&self, wait_nanos: u64) {
         self.fsync_calls.fetch_add(1, Ordering::Relaxed);
         self.sync_wait_nanos
             .fetch_add(wait_nanos, Ordering::Relaxed);
-        if let Some(sink) = self.sink.read().clone() {
-            sink.emit_barrier(BarrierKind::Fsync);
-        }
+        emit_barrier(BarrierKind::Fsync);
     }
 
     /// Record an ordering-only barrier.
     pub fn record_ordering_barrier(&self) {
         self.ordering_barriers.fetch_add(1, Ordering::Relaxed);
-        if let Some(sink) = self.sink.read().clone() {
-            sink.emit_barrier(BarrierKind::Ordering);
-        }
+        emit_barrier(BarrierKind::Ordering);
     }
 
     /// Record an append of `n` bytes.
@@ -92,9 +72,6 @@ impl IoStats {
     pub fn record_punch_hole(&self, n: u64) {
         self.holes_punched.fetch_add(1, Ordering::Relaxed);
         self.hole_bytes.fetch_add(n, Ordering::Relaxed);
-        if let Some(sink) = self.sink.read().clone() {
-            sink.emit(EngineEvent::HolePunch { bytes: n });
-        }
     }
 }
 
@@ -127,21 +104,24 @@ mod tests {
         assert_eq!(snap.ordering_barriers, 1);
     }
 
+    /// A barrier goes to the sink of the scope it was issued in; one issued
+    /// outside every scope, and a hole punch, are only counted.
     #[test]
-    fn barriers_flow_to_the_event_sink_with_causes() {
+    fn barriers_flow_to_the_scopes_sink_only() {
         use bolt_common::events::{BarrierCause, BarrierScope};
+        use std::sync::Arc;
         let stats = IoStats::default();
-        let sink = Arc::new(EventSink::new());
-        stats.set_event_sink(Arc::clone(&sink));
+        let sink = Arc::default();
         {
-            let _scope = BarrierScope::new(BarrierCause::FlushData);
+            let _scope = BarrierScope::new(&sink, BarrierCause::FlushData);
             stats.record_fsync(10);
         }
         stats.record_ordering_barrier();
         stats.record_punch_hole(4096);
         assert_eq!(sink.barrier_count(BarrierCause::FlushData), 1);
-        assert_eq!(sink.barrier_count(BarrierCause::Unattributed), 1);
-        assert_eq!(sink.drain().len(), 3, "fsync + ordering + hole punch");
+        assert_eq!(sink.drain().len(), 1, "the scoped fsync only");
+        let snap = stats.snapshot();
+        assert_eq!((snap.fsync_calls, snap.ordering_barriers), (1, 1));
     }
 
     #[test]

@@ -156,6 +156,7 @@ impl ShardedDb {
                 )));
             }
         } else {
+            // Paid before any shard exists: its barrier is no shard's.
             let tmp = format!("{shards_path}.tmp");
             let mut file = meta_env.new_writable_file(&tmp)?;
             file.append(router.encode().as_bytes())?;
@@ -189,8 +190,9 @@ impl ShardedDb {
         // (recovery flushes what it applies), so the old decisions are
         // redundant: re-cut the log. If we crash before this point the
         // next open just re-reads the full log — shards that already
-        // flushed a slice find no matching prepare and skip it (I4).
-        let txnlog = TxnLog::create(&meta_env, &txnlog_path)?;
+        // flushed a slice find no matching prepare and skip it (I4). The
+        // log lives on shard 0's env, so shard 0 pays for its barriers.
+        let txnlog = TxnLog::create(&meta_env, &txnlog_path, shards[0].event_sink())?;
 
         let env_owner: Vec<bool> = envs
             .iter()
@@ -932,10 +934,11 @@ mod tests {
 
     #[test]
     fn shared_env_barriers_sum_exactly_in_the_aggregate() {
-        // Both shards' barriers land in the sink of the shard opened last
-        // (see `ShardedMetrics`), so per shard they are misattributed — but
-        // each lands in exactly one sink, so the aggregate's per-cause sum
-        // moves with the device's barrier count.
+        use bolt_core::BarrierCause::{FlushData, FlushManifest, WalCommit};
+        // On one env each barrier lands in the sink of the shard whose scope
+        // issued it (see `ShardedMetrics`): per shard the counts are that
+        // shard's own, and the aggregate's per-cause sum moves with the
+        // device's barrier count.
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let db = ShardedDb::open(
             Arc::clone(&env),
@@ -951,20 +954,50 @@ mod tests {
             let io = env.stats().snapshot();
             io.fsync_calls + io.ordering_barriers
         };
+        // Of everything the open paid, only the `SHARDS` pin is no shard's:
+        // the coordinator log's re-cut is shard 0's.
         let (causes_at_open, device_at_open) = (by_cause(&db.metrics().aggregate), device());
+        assert_eq!(causes_at_open, device_at_open - 1);
         for i in 0..200u32 {
             db.put(format!("m{i:04}").as_bytes(), &[0u8; 64]).unwrap();
         }
         db.flush().unwrap();
-        db.close().unwrap();
         let m = db.metrics();
         for shard in &m.per_shard {
             assert_eq!(shard.db.flushes, 1);
+            assert_eq!(shard.barrier_count(FlushData), shard.db.flushes);
+            assert_eq!(shard.barrier_count(FlushManifest), shard.db.flushes);
         }
+
+        // A cross-shard batch: each shard syncs its prepare, and the decide
+        // is synced in the coordinator log, on shard 0's behalf.
+        let keys: Vec<String> = (0..16u32).map(|i| format!("x{i:02}")).collect();
+        let routes: std::collections::BTreeSet<usize> = keys
+            .iter()
+            .map(|k| db.router().route(k.as_bytes()))
+            .collect();
+        assert_eq!(routes.len(), 2, "the batch spans both shards");
+        let commits = |m: &ShardedMetrics| -> Vec<u64> {
+            m.per_shard
+                .iter()
+                .map(|s| s.barrier_count(WalCommit))
+                .collect()
+        };
+        let before = commits(&db.metrics());
+        let mut batch = WriteBatch::new();
+        for key in &keys {
+            batch.put(key.as_bytes(), b"v");
+        }
+        db.write_batch(batch).unwrap();
+        let after = commits(&db.metrics());
+        assert_eq!((after[0] - before[0], after[1] - before[1]), (2, 1));
+
+        db.close().unwrap();
+        let m = db.metrics();
         let paid = device() - device_at_open;
         assert!(
-            paid >= 4,
-            "two flushes pay a data and a MANIFEST barrier each"
+            paid >= 7,
+            "two flushes pay a data and a MANIFEST barrier each, the batch three"
         );
         assert_eq!(by_cause(&m.aggregate) - causes_at_open, paid);
     }

@@ -15,13 +15,11 @@ use bolt_core::MetricsSnapshot;
 
 /// Per-shard snapshots plus their aggregate.
 ///
-/// On one shared env, a shard's barrier counts are not its own: each
-/// engine installs its event sink into the env when it opens, so the env
-/// emits every shard's `Barrier` and `HolePunch` events into the sink of
-/// the shard opened last, whose `barriers_by_cause` and event counts carry
-/// them all while the other shards report none. Every barrier lands in
-/// exactly one sink, so the aggregate's per-cause counts are exact;
-/// per-shard barrier counts are exact only for shards on envs of their own.
+/// A shard's barrier counts are its own on a shared env too: each barrier
+/// lands, exactly once, in the sink of the engine whose scope issued it —
+/// the coordinator log's in shard 0's, whose env holds it. The aggregate's
+/// per-cause counts are their sum; only a barrier no shard scoped (the
+/// `SHARDS` pin at creation) is in none of them.
 #[derive(Debug, Clone)]
 pub struct ShardedMetrics {
     /// One snapshot per shard, in shard order.

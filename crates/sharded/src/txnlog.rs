@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use bolt_common::events::{BarrierCause, BarrierScope};
+use bolt_common::events::{BarrierCause, BarrierScope, EventSink};
 use bolt_common::{Error, Result};
 use bolt_core::txn::{self, TxnWalRecord};
 use bolt_core::ShardTxnMarker;
@@ -73,19 +73,23 @@ impl TxnLog {
     /// it for appending. Call only after every shard has recovered: the
     /// old decisions are then redundant with the shards' own state.
     ///
+    /// The log's barriers are paid on behalf of the engine whose env holds
+    /// it, and land in that engine's `sink`: the re-cut as `open_manifest`,
+    /// every decide as `wal_commit`.
+    ///
     /// # Errors
     ///
     /// Returns I/O errors from the environment.
-    pub fn create(env: &Arc<dyn Env>, path: &str) -> Result<TxnLog> {
+    pub fn create(env: &Arc<dyn Env>, path: &str, sink: &Arc<EventSink>) -> Result<TxnLog> {
+        let _scope = BarrierScope::new(sink, BarrierCause::OpenManifest);
         let tmp = format!("{path}.tmp");
         let mut file = env.new_writable_file(&tmp)?;
         file.sync()?;
         drop(file);
         env.rename_file(&tmp, path)?;
-        let file = env.new_appendable_file(path)?;
-        Ok(TxnLog {
-            writer: LogWriter::new(file),
-        })
+        let mut writer = LogWriter::new(env.new_appendable_file(path)?);
+        writer.set_default_scope(sink, BarrierCause::WalCommit);
+        Ok(TxnLog { writer })
     }
 
     /// Append and sync the decide record for `marker` — the transaction's
@@ -100,7 +104,6 @@ impl TxnLog {
     pub fn decide(&mut self, marker: &ShardTxnMarker) -> Result<()> {
         let record = txn::encode_decide(marker);
         self.writer.add_record(&record)?;
-        let _scope = BarrierScope::new(BarrierCause::WalCommit);
         self.writer.sync()
     }
 }
@@ -116,7 +119,8 @@ mod tests {
         // Missing file reads as empty.
         assert_eq!(TxnLog::read(&env, "TXNLOG").unwrap(), (Vec::new(), 0));
 
-        let mut log = TxnLog::create(&env, "TXNLOG").unwrap();
+        let sink = Arc::new(EventSink::new());
+        let mut log = TxnLog::create(&env, "TXNLOG", &sink).unwrap();
         for id in [3u64, 9, 5] {
             log.decide(&ShardTxnMarker {
                 txn_id: id,
@@ -125,13 +129,18 @@ mod tests {
             .unwrap();
         }
         drop(log);
+        // Every barrier the log paid is in the sink it was scoped to.
+        assert_eq!(sink.barrier_count(BarrierCause::OpenManifest), 1);
+        assert_eq!(sink.barrier_count(BarrierCause::WalCommit), 3);
+        let io = env.stats().snapshot();
+        assert_eq!(sink.total_barriers(), io.fsync_calls + io.ordering_barriers);
         let (committed, max_id) = TxnLog::read(&env, "TXNLOG").unwrap();
         // Decide order, not id order.
         assert_eq!(committed, vec![3u64, 9, 5]);
         assert_eq!(max_id, 9);
 
         // Re-cut empties the log.
-        let _log = TxnLog::create(&env, "TXNLOG").unwrap();
+        let _log = TxnLog::create(&env, "TXNLOG", &sink).unwrap();
         assert_eq!(TxnLog::read(&env, "TXNLOG").unwrap(), (Vec::new(), 0));
     }
 }

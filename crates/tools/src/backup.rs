@@ -504,6 +504,46 @@ mod tests {
         backup_verify(&env, "bak").unwrap();
     }
 
+    /// A backup pays barriers of its own — the staging copy's, the payload
+    /// store's, the generation manifest's — on the database's env, but only
+    /// the checkpoint it takes is the database's: nothing else reaches the
+    /// database's per-cause counts, `unattributed` included.
+    #[test]
+    fn a_backup_adds_only_checkpoint_barriers_to_the_database() {
+        use bolt_core::BarrierCause;
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = Db::open(Arc::clone(&env), "db", opts()).unwrap();
+        for i in 0..300u32 {
+            db.put(format!("k{i:05}").as_bytes(), format!("v{i}").as_bytes())
+                .unwrap();
+        }
+        // The checkpoint's own flush is then a no-op.
+        db.flush().unwrap();
+        db.compact_until_quiet().unwrap();
+        let device = || {
+            let io = env.stats().snapshot();
+            io.fsync_calls + io.ordering_barriers
+        };
+        let (before, device_before) = (db.metrics(), device());
+        backup_create(&env, &db, "bak").unwrap();
+        let (after, paid) = (db.metrics(), device() - device_before);
+
+        let checkpoint = after.barrier_count(BarrierCause::Checkpoint)
+            - before.barrier_count(BarrierCause::Checkpoint);
+        assert!(checkpoint > 0, "the checkpoint paid no barrier");
+        for &cause in &BarrierCause::ALL {
+            if cause != BarrierCause::Checkpoint {
+                let added = after.barrier_count(cause) - before.barrier_count(cause);
+                assert_eq!(added, 0, "the backup added {added} {cause:?} barriers");
+            }
+        }
+        assert!(
+            paid > checkpoint,
+            "the backup's own syncs ({paid} device barriers in all) are no engine's"
+        );
+        db.close().unwrap();
+    }
+
     /// The ISSUE's end-to-end acceptance path: a backup cut while writers
     /// are still appending restores into a database that opens at exactly
     /// the checkpoint's pinned sequence and whose scan is a consistent

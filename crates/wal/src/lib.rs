@@ -25,7 +25,7 @@
 #![warn(missing_docs)]
 
 use bolt_common::crc32c;
-use bolt_common::events::{BarrierCause, BarrierScope};
+use bolt_common::events::{BarrierCause, BarrierScope, EventSink};
 use bolt_common::{Error, Result};
 use bolt_env::{RandomAccessFile, WritableFile};
 
@@ -70,10 +70,10 @@ pub struct LogWriter {
     /// even for reopened files: durability of pre-existing bytes is unknown,
     /// so the first sync always reaches the device.
     synced_len: u64,
-    /// Default [`BarrierCause`] for barriers issued by this writer when the
-    /// calling thread has no explicit scope active (see
-    /// [`LogWriter::set_barrier_cause`]).
-    default_cause: Option<BarrierCause>,
+    /// The scope — engine sink and cause — of barriers issued by this
+    /// writer when the calling thread has none active (see
+    /// [`LogWriter::set_default_scope`]).
+    default_scope: Option<(Arc<EventSink>, BarrierCause)>,
     /// With `debug_locks`: a tracked-lock name that must not be held by the
     /// thread performing I/O on this writer (lint rule L1 at runtime).
     #[cfg(feature = "debug_locks")]
@@ -97,19 +97,26 @@ impl LogWriter {
             file,
             block_offset,
             synced_len: 0,
-            default_cause: None,
+            default_scope: None,
             #[cfg(feature = "debug_locks")]
             forbidden_lock: None,
         }
     }
 
-    /// Tag barriers issued through this writer with `cause` whenever the
-    /// calling thread has no explicit [`BarrierScope`] active. The engine
-    /// tags WAL writers [`BarrierCause::WalCommit`] and MANIFEST writers
-    /// [`BarrierCause::OpenManifest`]; operation-level scopes (flush commit,
-    /// compaction commit, close) override this default.
-    pub fn set_barrier_cause(&mut self, cause: BarrierCause) {
-        self.default_cause = Some(cause);
+    /// Attribute barriers issued through this writer to `sink` under
+    /// `cause` whenever the calling thread has no [`BarrierScope`] active.
+    /// The engine scopes its WAL writers [`BarrierCause::WalCommit`] and
+    /// MANIFEST writers [`BarrierCause::OpenManifest`], each to its own sink;
+    /// operation-level scopes (flush commit, compaction commit, close)
+    /// override this default.
+    pub fn set_default_scope(&mut self, sink: &Arc<EventSink>, cause: BarrierCause) {
+        self.default_scope = Some((Arc::clone(sink), cause));
+    }
+
+    /// Enter this writer's default scope, if it has one.
+    fn enter_default_scope(&self) -> Option<BarrierScope> {
+        let (sink, cause) = self.default_scope.as_ref()?;
+        Some(BarrierScope::default_for(sink, *cause))
     }
 
     /// Arm the `debug_locks` runtime analogue of lint rule L1: every
@@ -200,7 +207,7 @@ impl LogWriter {
         if len == self.synced_len {
             return Ok(());
         }
-        let _scope = self.default_cause.map(BarrierScope::default_for);
+        let _scope = self.enter_default_scope();
         self.file.sync()?;
         self.synced_len = len;
         Ok(())
@@ -217,7 +224,7 @@ impl LogWriter {
     ///
     /// Returns an I/O error from the underlying file.
     pub fn ordering_barrier(&mut self) -> Result<()> {
-        let _scope = self.default_cause.map(BarrierScope::default_for);
+        let _scope = self.enter_default_scope();
         self.file.ordering_barrier()
     }
 
@@ -553,24 +560,30 @@ mod tests {
     }
 
     #[test]
-    fn writer_default_cause_tags_barriers() {
+    fn writer_default_scope_attributes_barriers() {
         use bolt_common::events::{BarrierCause, BarrierScope, EventSink};
         let env = MemEnv::new();
-        let sink = Arc::new(EventSink::new());
-        env.stats().set_event_sink(Arc::clone(&sink));
+        let (own, other) = (Arc::new(EventSink::new()), Arc::new(EventSink::new()));
         let mut writer = LogWriter::new(env.new_writable_file("log").unwrap());
-        writer.set_barrier_cause(BarrierCause::WalCommit);
+        writer.set_default_scope(&own, BarrierCause::WalCommit);
         writer.add_record(b"rec").unwrap();
         writer.sync().unwrap();
-        assert_eq!(sink.barrier_count(BarrierCause::WalCommit), 1);
-        // An explicit scope on the calling thread overrides the default.
+        assert_eq!(own.barrier_count(BarrierCause::WalCommit), 1);
+        // An explicit scope on the calling thread overrides the default:
+        // its sink and its cause.
         writer.add_record(b"rec2").unwrap();
         {
-            let _scope = BarrierScope::new(BarrierCause::WalClose);
+            let _scope = BarrierScope::new(&other, BarrierCause::WalClose);
             writer.sync().unwrap();
         }
-        assert_eq!(sink.barrier_count(BarrierCause::WalClose), 1);
-        assert_eq!(sink.barrier_count(BarrierCause::WalCommit), 1);
+        assert_eq!(other.barrier_count(BarrierCause::WalClose), 1);
+        assert_eq!(own.total_barriers(), 1);
+        // A writer without a default scope pays barriers no sink sees.
+        let mut bare = LogWriter::new(env.new_writable_file("bare").unwrap());
+        bare.add_record(b"rec").unwrap();
+        bare.sync().unwrap();
+        assert_eq!(own.total_barriers() + other.total_barriers(), 2);
+        assert_eq!(env.stats().fsync_calls(), 3);
     }
 
     #[test]

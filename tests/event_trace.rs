@@ -79,9 +79,11 @@ fn rewrite_compactions_pay_exactly_two_barriers() {
                         match cause {
                             BarrierCause::CompactionData => data += 1,
                             BarrierCause::CompactionManifest => manifest += 1,
-                            // Flush preemption and foreground WAL syncs may
-                            // interleave into the window; they carry their
-                            // own causes and are not this compaction's cost.
+                            // Flushes run on their own thread and foreground
+                            // WAL syncs on the writers', so their barriers
+                            // may interleave into the window; they carry
+                            // their own causes and are not this compaction's
+                            // cost.
                             _ => {}
                         }
                     }

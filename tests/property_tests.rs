@@ -245,6 +245,7 @@ proptest! {
     ) {
         use bolt::bolt_core::version::{TableMeta, VersionEdit};
         use bolt::bolt_core::versions::VersionSet;
+        use bolt::bolt_core::CompactionPolicyKind;
         use bolt::bolt_table::comparator::InternalKeyComparator;
         use bolt::bolt_table::ikey::{make_internal_key, ValueType};
         use bolt_env::{FaultEnv, FaultPlan};
@@ -252,8 +253,10 @@ proptest! {
         let fault = FaultEnv::over_mem();
         let env: Arc<dyn Env> = Arc::new(fault.clone());
         env.create_dir_all("db").unwrap();
-        let mut vs = VersionSet::new(
-            Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
+        let open_set = || VersionSet::new(
+            Arc::clone(&env), "db", InternalKeyComparator::default(), 7,
+            CompactionPolicyKind::Leveled, Arc::default());
+        let mut vs = open_set();
         vs.create_new().unwrap();
 
         let mut alive: Vec<u64> = Vec::new(); // acked model
@@ -302,8 +305,7 @@ proptest! {
         // Power-cycle and recover: exactly the acked-alive set.
         fault.crash_inner(CrashConfig::Clean);
         fault.reset();
-        let mut vs = VersionSet::new(
-            Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
+        let mut vs = open_set();
         vs.recover().unwrap();
         let mut recovered: Vec<u64> = vs
             .current()
