@@ -5,8 +5,8 @@
 //! length, iterator creation over a small and a large tree, one compaction
 //! pick out of a small and a large level (a settled group, and a
 //! lazy-leveled settle), one merge step at 2, 3 and 8 children, a
-//! cache-resident `get` from one thread and from two, and the group-commit
-//! pipeline.
+//! 50-row scan over a memtable and two runs, a cache-resident `get` from one
+//! thread and from two, and the group-commit pipeline.
 //!
 //! Run: `cargo bench -p bolt-bench --bench micro_components`
 
@@ -266,7 +266,7 @@ fn bench_picks(
             edit.added_tables.push((level, tag, meta));
         }
         let icmp = InternalKeyComparator::default();
-        let mut builder = VersionBuilder::new(icmp.clone(), Arc::new(Version::empty(7)));
+        let mut builder = VersionBuilder::new(icmp, Arc::new(Version::empty(7)));
         builder.set_single_run_from(single_run_from);
         builder.apply(&edit);
         let version = builder.build().unwrap();
@@ -384,6 +384,57 @@ fn bench_merge_next(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 50-row scan in the benchmark's `scan_hot` shape: `Db::iter()`, a
+/// seek into a cache-resident range and 50 `next`s, over a memtable and
+/// two runs of 20-byte keys and 256-byte values. Wall time per scan.
+fn bench_scan_50_rows(c: &mut Criterion) {
+    use bolt_core::{Db, Options};
+
+    const KEYS: u64 = 4_000;
+    const HOT: u64 = 1_000;
+    const ROWS: usize = 50;
+    let mut opts = Options::bolt().scaled(1.0 / 64.0);
+    opts.block_cache_bytes = 2 << 20;
+    let db = Db::open(Arc::new(MemEnv::new()), "bench-db", opts).unwrap();
+    let key = |i: u64| format!("user{i:016}").into_bytes();
+    for i in 0..KEYS {
+        db.put(&key(i), &[b'v'; 256]).unwrap();
+    }
+    db.compact_range(b"", b"~").unwrap();
+    // A newer run over the hot range (one memtable's worth), and a
+    // memtable over part of it.
+    for i in (0..HOT).step_by(6) {
+        db.put(&key(i), &[b'w'; 256]).unwrap();
+    }
+    db.flush().unwrap();
+    db.compact_until_quiet().unwrap();
+    for i in (0..HOT).step_by(7) {
+        db.put(&key(i), &[b'm'; 256]).unwrap();
+    }
+    let runs: usize = db.level_info().iter().map(|l| l.runs).sum();
+    assert_eq!(runs, 2, "{:?}", db.level_info());
+    let scan = |start: u64| {
+        let mut iter = db.iter().unwrap();
+        iter.seek(&key(start)).unwrap();
+        for _ in 0..ROWS {
+            black_box(iter.value());
+            iter.next().unwrap();
+        }
+        assert!(iter.valid());
+    };
+    for start in 0..HOT {
+        scan(start); // every block of the hot range in its cache
+    }
+
+    let mut group = c.benchmark_group("scan_50_rows");
+    let mut rng = Rng64::new(50);
+    group.bench_function("memtable_and_2_runs", |b| {
+        b.iter(|| scan(rng.next_below(HOT - ROWS as u64)))
+    });
+    group.finish();
+    db.close().unwrap();
+}
+
 /// The same loop of gets over 200 cache-resident keys of a `MemEnv`
 /// database (the benchmark's `read_hot` set, on no device), from one thread
 /// and from two: wall time per get, and the two-thread ÷ one-thread
@@ -492,6 +543,7 @@ criterion_group!(
     bench_pick_single_run,
     bench_settle_into_single_run,
     bench_merge_next,
+    bench_scan_50_rows,
     bench_get_hot_threads,
     bench_write_pipeline
 );

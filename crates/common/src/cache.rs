@@ -8,7 +8,7 @@
 //! alive while readers still hold them.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -16,7 +16,56 @@ use parking_lot::Mutex;
 
 use crate::sync::CachePadded;
 
-const NUM_SHARDS: usize = 16;
+const SHARD_BITS: u32 = 4;
+const NUM_SHARDS: usize = 1 << SHARD_BITS;
+
+/// The hasher of every cache key: one multiply-rotate per word. Keys are
+/// engine-assigned ids (`table_id`, `(file_number, offset)`,
+/// `file_number`), never input an adversary picks, so resistance to
+/// collision attacks buys nothing here.
+///
+/// A multiply mixes each bit only upward, so the product's top bits are its
+/// best. `finish` rotates them down to the low bits, where a shard's map
+/// picks a bucket; the shard itself is the top four ([`shard_of`]).
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+/// An odd constant with well-spread bits (2⁶⁴ / φ).
+const ID_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Where `finish` puts the product's top bits.
+const ID_ROTATE: u32 = 26;
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(ID_MULTIPLIER);
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(ID_ROTATE)
+    }
+}
+
+type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
+/// The shard of a key whose [`IdHasher`] hash is `hash`: the product's top
+/// bits, which `finish` rotated down to sit just under bit 26 — above any
+/// bucket index a shard's map reaches, and below the bits it tags entries
+/// with.
+#[inline]
+fn shard_of(hash: u64) -> usize {
+    (hash.rotate_right(ID_ROTATE) >> (64 - SHARD_BITS)) as usize
+}
 
 /// Cache hit/miss/eviction counts at one instant: the sum of every shard's
 /// own counters (see [`LruCache::stats`]).
@@ -66,7 +115,7 @@ struct Entry<K, V> {
 const NIL: usize = usize::MAX;
 
 struct Shard<K, V> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, IdBuildHasher>,
     slab: Vec<Option<Entry<K, V>>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -78,7 +127,7 @@ struct Shard<K, V> {
 impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     fn new(capacity: u64) -> Self {
         Shard {
-            map: HashMap::new(),
+            map: HashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -237,9 +286,11 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     fn shard(&self, key: &K) -> &ShardSlot<K, V> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % NUM_SHARDS]
+        &self.shards[self.shard_index(key)]
+    }
+
+    fn shard_index(&self, key: &K) -> usize {
+        shard_of(IdBuildHasher::default().hash_one(key))
     }
 
     /// Insert `value` under `key` with the given `charge`, evicting LRU
@@ -325,18 +376,9 @@ mod tests {
         let c: LruCache<u64, u64> = LruCache::new(16); // 1 per shard
                                                        // Find two keys in the same shard.
         let base = 0u64;
-        let mut same_shard = None;
-        for candidate in 1..10_000u64 {
-            let mut h1 = std::collections::hash_map::DefaultHasher::new();
-            base.hash(&mut h1);
-            let mut h2 = std::collections::hash_map::DefaultHasher::new();
-            candidate.hash(&mut h2);
-            if h1.finish() % 16 == h2.finish() % 16 {
-                same_shard = Some(candidate);
-                break;
-            }
-        }
-        let other = same_shard.expect("two keys in one shard");
+        let other = (1..10_000u64)
+            .find(|candidate| c.shard_index(candidate) == c.shard_index(&base))
+            .expect("two keys in one shard");
         c.insert(base, Arc::new(1), 1);
         c.insert(other, Arc::new(2), 1);
         // base should have been evicted (capacity 1 per shard).
@@ -353,9 +395,7 @@ mod tests {
         let mut keys = Vec::new();
         let mut target_shard = None;
         for candidate in 0..100_000u64 {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            candidate.hash(&mut h);
-            let shard = h.finish() % 16;
+            let shard = c.shard_index(&candidate);
             match target_shard {
                 None => {
                     target_shard = Some(shard);
@@ -376,6 +416,27 @@ mod tests {
         assert!(c.get(&a).is_some());
         assert!(c.get(&b).is_none());
         assert!(c.get(&x).is_some());
+    }
+
+    /// Engine-assigned ids reach every shard evenly: sequential table ids,
+    /// and block keys of a few files at about 4 KiB strides.
+    #[test]
+    fn ids_spread_over_every_shard() {
+        fn spread<K: Hash + Eq + Clone>(keys: impl Iterator<Item = K>) {
+            let c: LruCache<K, ()> = LruCache::new(1);
+            let mut counts = [0usize; NUM_SHARDS];
+            for key in keys {
+                counts[c.shard_index(&key)] += 1;
+            }
+            let mean = counts.iter().sum::<usize>() as f64 / NUM_SHARDS as f64;
+            let max = *counts.iter().max().unwrap() as f64;
+            assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
+            assert!(max <= 1.3 * mean, "{counts:?}");
+        }
+        spread(0..2_000u64);
+        // Data blocks a little over 4 KiB apart, 2,000 per file.
+        spread((0..20_000u64).map(|i| (7 + i / 2_000, (i % 2_000) * 4_101)));
+        spread((0..20_000u64).map(|i| (7 + i / 2_000, (i % 2_000) * 4_096)));
     }
 
     #[test]

@@ -21,6 +21,7 @@ pub fn put_fixed64(dst: &mut Vec<u8>, value: u64) {
 /// # Panics
 ///
 /// Panics if `src` is shorter than 4 bytes.
+#[inline]
 pub fn decode_fixed32(src: &[u8]) -> u32 {
     u32::from_le_bytes(src[..4].try_into().expect("fixed32 needs 4 bytes"))
 }
@@ -30,6 +31,7 @@ pub fn decode_fixed32(src: &[u8]) -> u32 {
 /// # Panics
 ///
 /// Panics if `src` is shorter than 8 bytes.
+#[inline]
 pub fn decode_fixed64(src: &[u8]) -> u64 {
     u64::from_le_bytes(src[..8].try_into().expect("fixed64 needs 8 bytes"))
 }
@@ -56,6 +58,7 @@ pub fn put_varint64(dst: &mut Vec<u8>, mut value: u64) {
 ///
 /// Returns [`Error::Corruption`] if the input is truncated or the encoding
 /// exceeds 10 bytes.
+#[inline]
 pub fn get_varint64(src: &[u8]) -> Result<(u64, usize)> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
@@ -78,7 +81,17 @@ pub fn get_varint64(src: &[u8]) -> Result<(u64, usize)> {
 ///
 /// Returns [`Error::Corruption`] if the input is truncated or the value does
 /// not fit in 32 bits.
+#[inline]
 pub fn get_varint32(src: &[u8]) -> Result<(u32, usize)> {
+    // One and two bytes — lengths under 16 KiB — decode in place.
+    match *src {
+        [b0, ..] if b0 < 0x80 => Ok((u32::from(b0), 1)),
+        [b0, b1, ..] if b1 < 0x80 => Ok((u32::from(b0 & 0x7f) | u32::from(b1) << 7, 2)),
+        _ => get_long_varint32(src),
+    }
+}
+
+fn get_long_varint32(src: &[u8]) -> Result<(u32, usize)> {
     let (v, n) = get_varint64(src)?;
     u32::try_from(v)
         .map(|v| (v, n))
@@ -266,6 +279,21 @@ mod tests {
         let mut buf = Vec::new();
         put_varint64(&mut buf, u64::from(u32::MAX) + 1);
         assert!(get_varint32(&buf).is_err());
+    }
+
+    /// The one- and two-byte fast path decodes every input of up to three
+    /// bytes as the general decoder does, errors included.
+    #[test]
+    fn varint32_fast_path_matches_the_general_decoder() {
+        for b0 in 0..=255u8 {
+            for b1 in 0..=255u8 {
+                for src in [&[b0][..], &[b0, b1], &[b0, b1, 0x01], &[b0, b1, 0x80]] {
+                    let (fast, general) = (get_varint32(src), get_long_varint32(src));
+                    assert_eq!(fast.ok(), general.ok(), "{src:x?}");
+                }
+            }
+        }
+        assert!(get_varint32(&[]).is_err());
     }
 
     #[test]

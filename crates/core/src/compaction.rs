@@ -27,7 +27,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use bolt_common::Result;
-use bolt_table::comparator::{Comparator, InternalKeyComparator};
+use bolt_table::comparator::{bytewise, Comparator, InternalKeyComparator};
 use bolt_table::ikey::{parse_internal_key, SequenceNumber, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
 
@@ -241,7 +241,7 @@ pub fn manual_task(
     begin: &[u8],
     end: &[u8],
 ) -> Option<CompactionTask> {
-    let overlapping = version.overlapping_tables(icmp, level, begin, end);
+    let overlapping = version.overlapping_tables(level, begin, end);
     if overlapping.is_empty() {
         return None;
     }
@@ -278,7 +278,7 @@ fn overlaps_at<'a>(
     let mut found: Vec<Arc<TableMeta>> = Vec::new();
     for victim in victims {
         let (begin, end) = (victim.smallest_user_key(), victim.largest_user_key());
-        found.extend(version.overlapping(icmp, level, begin, end).cloned());
+        found.extend(version.overlapping(level, begin, end).cloned());
     }
     // Two victims may overlap one table; sorted, its copies are adjacent.
     found.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
@@ -333,7 +333,7 @@ fn pick_level(
     } else if below_is_single_run {
         task.output = OutputShape::Leveled;
         if kind == Leveled {
-            task.next_inputs = level0_overlaps(icmp, version);
+            task.next_inputs = level0_overlaps(version);
         } else {
             settle_into_single_run(icmp, version, &mut task);
         }
@@ -344,17 +344,16 @@ fn pick_level(
 /// What a leveled L0 → L1 merge rewrites at level 1: everything the
 /// *bounding range* of all of L0 overlaps (LevelDB's rule) — a superset of
 /// what the L0 tables overlap one by one, so not [`overlaps_at`].
-fn level0_overlaps(icmp: &InternalKeyComparator, version: &Version) -> Vec<Arc<TableMeta>> {
-    let ucmp = icmp.user_comparator();
+fn level0_overlaps(version: &Version) -> Vec<Arc<TableMeta>> {
     let tables = || version.levels[0].tables();
     let begin = tables()
         .map(|t| t.smallest_user_key())
-        .min_by(|a, b| ucmp.compare(a, b));
+        .min_by(|a, b| bytewise(a, b));
     let end = tables()
         .map(|t| t.largest_user_key())
-        .max_by(|a, b| ucmp.compare(a, b));
+        .max_by(|a, b| bytewise(a, b));
     match (begin, end) {
-        (Some(begin), Some(end)) => version.overlapping_tables(icmp, 1, begin, end),
+        (Some(begin), Some(end)) => version.overlapping_tables(1, begin, end),
         _ => Vec::new(),
     }
 }
@@ -429,10 +428,10 @@ fn pick_from_single_run(
     // Next-level bytes the settled order charged, to check its bookkeeping.
     let mut charged = 0;
     let mut victims = if settled {
-        gather(&mut by_marginal_ratio(icmp, tables, below, &mut charged))
+        gather(&mut by_marginal_ratio(tables, below, &mut charged))
     } else {
         // Round-robin start after the compact pointer.
-        let scored = |idx: usize| (bytes(&below[tables[idx].overlap_in(icmp, below)]), idx);
+        let scored = |idx: usize| (bytes(&below[tables[idx].overlap_in(below)]), idx);
         let after = |ptr| tables.partition_point(|t| icmp.compare(&t.largest, ptr).is_le());
         let start = version.compact_pointer(level).map_or(0, after);
         let start = if start >= tables.len() { 0 } else { start };
@@ -482,13 +481,12 @@ fn pick_from_single_run(
 /// runs have at most n + m such pairs, so a pick stays O((n + m) log n)
 /// under `core.state` and never rescans the level per victim.
 fn by_marginal_ratio<'a>(
-    icmp: &InternalKeyComparator,
     tables: &'a [Arc<TableMeta>],
     below: &'a [Arc<TableMeta>],
     charged: &'a mut u64,
 ) -> impl Iterator<Item = (u64, usize)> + 'a {
     // Each table's overlap as an interval of `below`: both ends ascend.
-    let spans: Vec<Range<usize>> = tables.iter().map(|t| t.overlap_in(icmp, below)).collect();
+    let spans: Vec<Range<usize>> = tables.iter().map(|t| t.overlap_in(below)).collect();
     let overlaps: Vec<u64> = spans.iter().map(|s| bytes(&below[s.clone()])).collect();
     let offer = |cost, idx: usize| Reverse(Offer(cost, tables[idx].size.max(1), idx));
     // A lazy min-heap: a table's cost falls by new offers, not in place.
@@ -613,19 +611,18 @@ fn settle_into_single_run(
     // table overlaps an earlier one iff the largest key before it reaches
     // its smallest, and a later one iff the next one starts by its largest:
     // one sort, not a scan of the level per victim under `core.state`.
-    let ucmp = icmp.user_comparator();
     let mut all: Vec<&Arc<TableMeta>> = version.levels[task.level].tables().collect();
-    all.sort_by(|a, b| ucmp.compare(a.smallest_user_key(), b.smallest_user_key()));
+    all.sort_by(|a, b| bytewise(a.smallest_user_key(), b.smallest_user_key()));
     let mut crowded = HashSet::new();
     let mut reach: Option<&[u8]> = None;
     for (i, t) in all.iter().enumerate() {
         let largest = t.largest_user_key();
-        let reached = reach.is_some_and(|r| ucmp.compare(r, t.smallest_user_key()).is_ge());
+        let reached = reach.is_some_and(|r| bytewise(r, t.smallest_user_key()).is_ge());
         let next = all.get(i + 1).map(|n| n.smallest_user_key());
-        if reached || next.is_some_and(|n| ucmp.compare(n, largest).is_le()) {
+        if reached || next.is_some_and(|n| bytewise(n, largest).is_le()) {
             crowded.insert(t.table_id);
         }
-        if reach.is_none_or(|r| ucmp.compare(largest, r).is_gt()) {
+        if reach.is_none_or(|r| bytewise(largest, r).is_gt()) {
             reach = Some(largest);
         }
     }
@@ -634,7 +631,7 @@ fn settle_into_single_run(
         let (settle, merge): (Vec<_>, Vec<_>) = run
             .iter()
             .cloned()
-            .partition(|t| !crowded.contains(&t.table_id) && t.overlap_in(icmp, below).is_empty());
+            .partition(|t| !crowded.contains(&t.table_id) && t.overlap_in(below).is_empty());
         // A run that settles nothing stays the version's own list.
         if !settle.is_empty() {
             task.settled_moves.extend(settle);
@@ -659,7 +656,7 @@ pub struct Cluster {
 /// several; settled compaction's marginal order gathers its victims around
 /// the next-level tables they share, so its groups split into about half
 /// as many as when each victim was ranked on its own).
-pub fn clusters(icmp: &InternalKeyComparator, task: &CompactionTask) -> Vec<Cluster> {
+pub fn clusters(task: &CompactionTask) -> Vec<Cluster> {
     #[derive(Clone)]
     struct Item {
         run: Option<usize>, // None = next-level input
@@ -683,8 +680,7 @@ pub fn clusters(icmp: &InternalKeyComparator, task: &CompactionTask) -> Vec<Clus
     if items.is_empty() {
         return Vec::new();
     }
-    let ucmp = icmp.user_comparator();
-    items.sort_by(|a, b| ucmp.compare(a.table.smallest_user_key(), b.table.smallest_user_key()));
+    items.sort_by(|a, b| bytewise(a.table.smallest_user_key(), b.table.smallest_user_key()));
 
     let mut result: Vec<Cluster> = Vec::new();
     let mut current = Cluster {
@@ -696,7 +692,7 @@ pub fn clusters(icmp: &InternalKeyComparator, task: &CompactionTask) -> Vec<Clus
     for item in items {
         let starts_new = match &current_end {
             None => false,
-            Some(end) => ucmp.compare(item.table.smallest_user_key(), end).is_gt(),
+            Some(end) => bytewise(item.table.smallest_user_key(), end).is_gt(),
         };
         if starts_new && !current_empty {
             result.push(std::mem::replace(
@@ -711,7 +707,7 @@ pub fn clusters(icmp: &InternalKeyComparator, task: &CompactionTask) -> Vec<Clus
         let largest = item.table.largest_user_key().to_vec();
         current_end = Some(match current_end {
             None => largest,
-            Some(end) if ucmp.compare(&largest, &end).is_gt() => largest,
+            Some(end) if bytewise(&largest, &end).is_gt() => largest,
             Some(end) => end,
         });
         match item.run {
@@ -736,7 +732,6 @@ pub fn clusters(icmp: &InternalKeyComparator, task: &CompactionTask) -> Vec<Clus
 /// are the compaction's dead value-log ranges ([`DropRule::into_dead`]).
 #[derive(Debug)]
 pub struct DropRule<'a> {
-    icmp: &'a InternalKeyComparator,
     version: &'a Version,
     /// Ids of the tables being merged away.
     inputs: HashSet<u64>,
@@ -762,14 +757,12 @@ impl<'a> DropRule<'a> {
     /// snapshot reads below `horizon`. `overlay` is `version`'s
     /// range-tombstone set (reading it is I/O, so the executor supplies it).
     pub fn new(
-        icmp: &'a InternalKeyComparator,
         version: &'a Version,
         task: &CompactionTask,
         overlay: &'a RangeTombstoneSet,
         horizon: SequenceNumber,
     ) -> Self {
         DropRule {
-            icmp,
             version,
             inputs: task.merge_inputs().map(|t| t.table_id).collect(),
             overlay,
@@ -856,7 +849,7 @@ impl<'a> DropRule<'a> {
         let below = self.version.levels.iter().skip(self.base_from);
         !below
             .flat_map(|level| &level.runs)
-            .any(|run| run.find(self.icmp, user_key).is_some())
+            .any(|run| run.find(user_key).is_some())
     }
 
     /// `true` if no table *outside this compaction's inputs* can hold a key
@@ -867,11 +860,10 @@ impl<'a> DropRule<'a> {
     /// touches. Inputs are exempt because this merge erases their covered
     /// keys through the overlay.
     fn span_is_base(&self, begin: &[u8], end: &[u8]) -> bool {
-        let ucmp = self.icmp.user_comparator();
         !self.version.all_tables().any(|(_, _, table)| {
             !self.inputs.contains(&table.table_id)
-                && ucmp.compare(table.largest_user_key(), begin).is_ge()
-                && ucmp.compare(table.smallest_user_key(), end).is_lt()
+                && bytewise(table.largest_user_key(), begin).is_ge()
+                && bytewise(table.smallest_user_key(), end).is_lt()
         })
     }
 }
@@ -1150,7 +1142,7 @@ mod tests {
     /// `(overlap, index)`.
     fn marginal_order(v: &Version) -> Vec<(u64, usize)> {
         let level = |l: usize| &v.levels[l].runs[0].tables;
-        by_marginal_ratio(&icmp(), level(1), level(2), &mut 0).collect()
+        by_marginal_ratio(level(1), level(2), &mut 0).collect()
     }
 
     /// Level 1 over a target of 1000 bytes: tables 1 and 2 straddle level
@@ -1254,10 +1246,8 @@ mod tests {
 
     /// The marginal order the slow way: each step rescans both levels.
     fn marginal_order_by_rescan(level: &[Arc<TableMeta>], below: &[Arc<TableMeta>]) -> Vec<usize> {
-        let icmp = icmp();
-        let overlaps = |a: &TableMeta, b: &TableMeta| {
-            a.overlaps(&icmp, b.smallest_user_key(), b.largest_user_key())
-        };
+        let overlaps =
+            |a: &TableMeta, b: &TableMeta| a.overlaps(b.smallest_user_key(), b.largest_user_key());
         let mut charged = vec![false; below.len()];
         let mut left: Vec<usize> = (0..level.len()).collect();
         let mut order = Vec::new();
@@ -1318,7 +1308,7 @@ mod tests {
             // merged victim something.
             let below = |t: &TableMeta| {
                 let (begin, end) = (t.smallest_user_key(), t.largest_user_key());
-                v.overlapping(&icmp, 2, begin, end).count()
+                v.overlapping(2, begin, end).count()
             };
             proptest::prop_assert!(task.settled_moves.iter().all(|t| below(t) == 0));
             proptest::prop_assert!(merged.iter().all(|t| below(t) > 0));
@@ -1326,7 +1316,7 @@ mod tests {
             let ids = |tables: &[&Arc<TableMeta>]| tables.iter().map(|t| t.table_id).collect::<Vec<_>>();
             let straddled = |b: &&Arc<TableMeta>| {
                 let (begin, end) = (b.smallest_user_key(), b.largest_user_key());
-                merged.iter().any(|t| t.overlaps(&icmp, begin, end))
+                merged.iter().any(|t| t.overlaps(begin, end))
             };
             let rewritten: Vec<&Arc<TableMeta>> = v.levels[2].tables().filter(straddled).collect();
             let next_inputs: Vec<&Arc<TableMeta>> = task.next_inputs.iter().collect();
@@ -1398,7 +1388,7 @@ mod tests {
             settled_moves: Vec::new(),
             output: OutputShape::Leveled,
         };
-        let cs = clusters(&icmp(), &task);
+        let cs = clusters(&task);
         assert_eq!(cs.len(), 2);
         assert_eq!(cs[0].input_runs[0].len(), 1);
         assert_eq!(cs[0].next_inputs.len(), 2); // b..d and c..e chain
@@ -1417,7 +1407,7 @@ mod tests {
             settled_moves: Vec::new(),
             output: OutputShape::Leveled,
         };
-        assert!(clusters(&icmp(), &task).is_empty());
+        assert!(clusters(&task).is_empty());
     }
 
     /// An entry of a merge, as a drop-rule case spells it.
@@ -1643,8 +1633,7 @@ mod tests {
                 }
             });
             let overlay = RangeTombstoneSet::build(tombstones.collect());
-            let icmp = icmp();
-            let mut rule = DropRule::new(&icmp, &version, &task, &overlay, case.horizon);
+            let mut rule = DropRule::new(&version, &task, &overlay, case.horizon);
             let verdicts: String = (case.entries.iter())
                 .map(|(key, seq, value_type, value)| {
                     let key = make_internal_key(key.as_bytes(), *seq, *value_type);

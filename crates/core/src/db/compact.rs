@@ -27,7 +27,7 @@ use bolt_common::Result;
 use bolt_table::ikey::extract_user_key;
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::{ReadPlan, Span};
-use bolt_table::{BuiltTable, Comparator, InternalKeyComparator, Table, TableBuilder, TableCache};
+use bolt_table::{BuiltTable, Comparator, Table, TableBuilder, TableCache};
 
 use super::{DbInner, ReadView};
 use crate::compaction::{clusters, CompactionReason, CompactionTask, DropRule, OutputShape};
@@ -152,7 +152,7 @@ impl DbInner {
         } else {
             Arc::new(RangeTombstoneSet::default())
         };
-        let mut rule = DropRule::new(&self.icmp, version, task, &overlay, horizon);
+        let mut rule = DropRule::new(version, task, &overlay, horizon);
         // BoLT: one physical compaction file for the entire compaction.
         let target = self.opts.output_table_bytes();
         let mut sink = OutputSink::new(self, self.opts.bolt_options().is_some(), target);
@@ -163,7 +163,7 @@ impl DbInner {
         // Inputs are read once, front to back: in large spans, past the
         // caches foreground reads are served from, by a reader that runs
         // ahead of the merge.
-        let units = merge_units(&self.icmp, task);
+        let units = merge_units(task);
         let plan = self.read_plan(&units);
         let merge = || -> Result<()> {
             let mut readers = (0..).map(|run| plan.reader(run));
@@ -173,7 +173,7 @@ impl DbInner {
                     .zip(&mut readers)
                     .map(|(run, reader)| -> Box<dyn InternalIterator> {
                         Box::new(RunIter::sequential(
-                            self.icmp.clone(),
+                            self.icmp,
                             Arc::clone(&self.table_cache),
                             Arc::clone(&self.name),
                             run.clone(),
@@ -181,7 +181,7 @@ impl DbInner {
                         ))
                     })
                     .collect();
-                let mut merged = MergingIter::new(self.icmp.clone(), children);
+                let mut merged = MergingIter::new(self.icmp, children);
                 merged.seek_to_first()?;
                 sink.write_run(&mut merged, Some(&mut rule))?;
             }
@@ -277,14 +277,11 @@ impl DbInner {
 
 /// The units of `task` that merge independently, in the order they are
 /// merged, each as its non-empty runs (newest first).
-pub(super) fn merge_units(
-    icmp: &InternalKeyComparator,
-    task: &CompactionTask,
-) -> Vec<Vec<TableList>> {
+pub(super) fn merge_units(task: &CompactionTask) -> Vec<Vec<TableList>> {
     let units: Vec<Vec<TableList>> = match task.output {
         // A cluster's runs — the overlapped tables already at the output
         // level among them — are subsets: lists of their own.
-        OutputShape::Leveled => clusters(icmp, task)
+        OutputShape::Leveled => clusters(task)
             .into_iter()
             .map(|cluster| {
                 let runs = cluster.input_runs.into_iter();
@@ -767,7 +764,7 @@ mod tests {
                 b"zzzz",
             )
             .unwrap();
-            let units = super::merge_units(&inner.icmp, &task);
+            let units = super::merge_units(&task);
             let planned: Vec<(String, u64, usize)> = (inner.read_plan(&units).order().iter())
                 .map(|&(file, offset, len)| {
                     let path = crate::filename::table_file(&inner.name, file);

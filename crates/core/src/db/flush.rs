@@ -98,9 +98,7 @@ impl Db {
             loop {
                 let overlapping = {
                     let version = self.current_version();
-                    !version
-                        .overlapping_tables(&self.inner.icmp, level, begin, end)
-                        .is_empty()
+                    !version.overlapping_tables(level, begin, end).is_empty()
                 };
                 if !overlapping {
                     break;

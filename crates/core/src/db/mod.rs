@@ -29,7 +29,7 @@ use bolt_common::sync::{named_mutex, CachePadded, Condvar, Mutex};
 use bolt_common::{Error, Result};
 use bolt_env::Env;
 use bolt_table::cache::TableCache;
-use bolt_table::comparator::InternalKeyComparator;
+use bolt_table::comparator::{bytewise, InternalKeyComparator};
 use bolt_table::ikey::SequenceNumber;
 use bolt_table::TableReadOptions;
 use bolt_wal::LogWriter;
@@ -404,7 +404,7 @@ impl Db {
         env.create_dir_all(name)?;
         let icmp = InternalKeyComparator::default();
         let read_opts = TableReadOptions {
-            comparator: Arc::new(icmp.clone()),
+            comparator: Arc::new(icmp),
             filter_policy: opts.filter_policy,
             filter_key: bolt_table::FilterKey::UserKey,
             block_cache: Some(Arc::new(LruCache::new(opts.block_cache_bytes))),
@@ -429,7 +429,7 @@ impl Db {
         let mut versions = VersionSet::new(
             Arc::clone(&env),
             name,
-            icmp.clone(),
+            icmp,
             opts.num_levels,
             opts.compaction_policy,
             Arc::clone(&sink),
@@ -501,15 +501,13 @@ impl Db {
     /// inside are pro-rated at half). Like LevelDB's `GetApproximateSizes`.
     pub fn approximate_size(&self, begin: &[u8], end: &[u8]) -> u64 {
         let version = self.current_version();
-        let icmp = &self.inner.icmp;
-        let ucmp = icmp.user_comparator();
         let mut total = 0u64;
         for (_, _, table) in version.all_tables() {
-            if !table.overlaps(icmp, begin, end) {
+            if !table.overlaps(begin, end) {
                 continue;
             }
-            let fully_inside = ucmp.compare(table.smallest_user_key(), begin).is_ge()
-                && ucmp.compare(table.largest_user_key(), end).is_lt();
+            let fully_inside = bytewise(table.smallest_user_key(), begin).is_ge()
+                && bytewise(table.largest_user_key(), end).is_lt();
             total += if fully_inside {
                 table.size
             } else {

@@ -161,13 +161,7 @@ impl DbInner {
                 return Ok(outcome);
             }
         }
-        let got = version.get(
-            &self.icmp,
-            &self.table_cache,
-            &self.name,
-            user_key,
-            snapshot,
-        )?;
+        let got = version.get(&self.table_cache, &self.name, user_key, snapshot)?;
         if let Some((level, table)) = got.seek_charge.filter(|_| self.opts.seek_compaction) {
             self.charge_seek(level, table);
         }
@@ -223,17 +217,17 @@ impl DbInner {
         }
         for run in version.levels.iter().flat_map(|level| &level.runs) {
             children.push(Box::new(RunIter::new(
-                inner.icmp.clone(),
+                inner.icmp,
                 Arc::clone(&inner.table_cache),
                 Arc::clone(&inner.name),
                 Arc::clone(&run.tables),
             )));
         }
-        let merged = MergingIter::new(inner.icmp.clone(), children);
+        let merged = MergingIter::new(inner.icmp, children);
         // Always attach the resolver: the store may hold pointers written
         // under an earlier configuration even if separation is off now.
         let resolver = Arc::clone(inner) as Arc<dyn ValueResolver>;
-        let mut iter = DbIter::new(inner.icmp.clone(), merged, snapshot).with_resolver(resolver);
+        let mut iter = DbIter::new(merged, snapshot).with_resolver(resolver);
         // The overlay aggregates every source the iterator reads. The
         // version's cached set serves as it is unless a memtable adds to it;
         // with no tombstone anywhere the iterator carries none.

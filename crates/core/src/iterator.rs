@@ -9,9 +9,7 @@ use std::sync::Arc;
 
 use bolt_common::{Error, Result};
 use bolt_table::cache::TableCache;
-#[allow(unused_imports)]
-use bolt_table::comparator::Comparator;
-use bolt_table::comparator::InternalKeyComparator;
+use bolt_table::comparator::{bytewise, Comparator, InternalKeyComparator};
 use bolt_table::ikey::{lookup_key, parse_internal_key, SequenceNumber, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::SeqReader;
@@ -394,7 +392,6 @@ pub trait ValueResolver: Send + Sync {
 /// User-facing iterator: snapshot visibility, newest version per key,
 /// tombstones suppressed, value-log pointers resolved.
 pub struct DbIter {
-    icmp: InternalKeyComparator,
     iter: MergingIter,
     snapshot: SequenceNumber,
     resolver: Option<Arc<dyn ValueResolver>>,
@@ -420,9 +417,8 @@ impl std::fmt::Debug for DbIter {
 
 impl DbIter {
     /// Wrap a merged internal iterator at `snapshot`.
-    pub fn new(icmp: InternalKeyComparator, iter: MergingIter, snapshot: SequenceNumber) -> Self {
+    pub fn new(iter: MergingIter, snapshot: SequenceNumber) -> Self {
         DbIter {
-            icmp,
             iter,
             snapshot,
             resolver: None,
@@ -472,12 +468,14 @@ impl DbIter {
         &self.value
     }
 
-    /// Position at the first live entry.
+    /// Position at the first live entry. An error leaves the iterator
+    /// invalid, as every positioning call's does.
     ///
     /// # Errors
     ///
     /// Returns read errors from the sources.
     pub fn seek_to_first(&mut self) -> Result<()> {
+        self.valid = false;
         self.iter.seek_to_first()?;
         self.find_next_user_entry(false)
     }
@@ -488,6 +486,7 @@ impl DbIter {
     ///
     /// Returns read errors from the sources.
     pub fn seek(&mut self, user_key: &[u8]) -> Result<()> {
+        self.valid = false;
         self.iter.seek(&lookup_key(user_key, self.snapshot))?;
         self.find_next_user_entry(false)
     }
@@ -504,14 +503,17 @@ impl DbIter {
     #[allow(clippy::should_implement_trait)] // LevelDB-style fallible cursor
     pub fn next(&mut self) -> Result<()> {
         assert!(self.valid, "iterator not positioned");
-        // The merge still stands on the row being left: hide it and its
-        // older versions.
+        self.valid = false;
+        // The merge stands on the row being left: step past it without
+        // looking at it again, and hide its older versions.
         std::mem::swap(&mut self.key, &mut self.skip);
+        self.iter.next()?;
         self.find_next_user_entry(true)
     }
 
     /// Stop on the first visible, live entry at or after the merge's
     /// position; with `skipping`, entries of user key `self.skip` are hidden.
+    /// Sets `valid` only once the row is whole.
     fn find_next_user_entry(&mut self, mut skipping: bool) -> Result<()> {
         while self.iter.valid() {
             let parsed = parse_internal_key(self.iter.key())?;
@@ -527,9 +529,7 @@ impl DbIter {
                     // the overlay below applies its span.
                     ValueType::RangeTombstone => {}
                     ValueType::Value | ValueType::ValuePointer => {
-                        let ucmp = self.icmp.user_comparator();
-                        let shadowed = (skipping
-                            && ucmp.compare(parsed.user_key, &self.skip).is_le())
+                        let shadowed = (skipping && bytewise(parsed.user_key, &self.skip).is_le())
                             || self.tombstones.as_deref().is_some_and(|t| {
                                 t.covers(parsed.user_key, parsed.sequence, self.snapshot)
                             });
@@ -555,7 +555,6 @@ impl DbIter {
             }
             self.iter.next()?;
         }
-        self.valid = false;
         Ok(())
     }
 }
@@ -641,7 +640,7 @@ mod tests {
             // Newest version first within a user key; the lower child first
             // among equal internal keys.
             model.sort_by(|a, b| icmp.compare(&a.0, &b.0).then(a.1.cmp(&b.1)));
-            let mut iter = MergingIter::new(icmp.clone(), children);
+            let mut iter = MergingIter::new(icmp, children);
             assert!(!iter.valid());
             let mut at = model.len();
             for _ in 0..60 {
@@ -704,8 +703,7 @@ mod tests {
             mem.add(seq as u64 + 2, *value_type, key, value);
         }
         let iter = merging(vec![Box::new(mem.iter())]);
-        let mut db_iter =
-            DbIter::new(InternalKeyComparator::default(), iter, 100).with_resolver(Arc::new(Fake));
+        let mut db_iter = DbIter::new(iter, 100).with_resolver(Arc::new(Fake));
         let want: Vec<(Vec<u8>, Vec<u8>)> = rows
             .iter()
             .filter(|(_, value_type, _)| *value_type != ValueType::Deletion)
@@ -725,6 +723,99 @@ mod tests {
         }
     }
 
+    /// A failing resolver fails the step, and the iterator is invalid after
+    /// it; the next seek starts afresh.
+    #[test]
+    fn db_iter_error_leaves_it_invalid() {
+        struct Failing;
+        impl ValueResolver for Failing {
+            fn resolve(&self, pointer: &[u8]) -> Result<Vec<u8>> {
+                match pointer {
+                    b"bad" => Err(Error::corruption("unresolvable pointer")),
+                    good => Ok(good.to_vec()),
+                }
+            }
+        }
+        let mem = mem_with(&[
+            (1, ValueType::Value, b"a", b"1"),
+            (2, ValueType::ValuePointer, b"b", b"bad"),
+            (3, ValueType::ValuePointer, b"c", b"3"),
+        ]);
+        let iter = merging(vec![Box::new(mem.iter())]);
+        let mut db_iter = DbIter::new(iter, 100).with_resolver(Arc::new(Failing));
+        db_iter.seek_to_first().unwrap();
+        assert_eq!((db_iter.key(), db_iter.value()), (&b"a"[..], &b"1"[..]));
+        assert!(db_iter.next().is_err());
+        assert!(!db_iter.valid());
+        db_iter.seek(b"c").unwrap();
+        assert_eq!((db_iter.key(), db_iter.value()), (&b"c"[..], &b"3"[..]));
+        assert!(db_iter.seek(b"b").is_err());
+        assert!(!db_iter.valid());
+        db_iter.seek_to_first().unwrap();
+        assert_eq!(db_iter.key(), b"a");
+    }
+
+    /// `DbIter` against a model of snapshot reads: multi-version children
+    /// with deletions, seeks to random user keys at random snapshots, each
+    /// followed by a walk to the end.
+    #[test]
+    fn db_iter_matches_a_snapshot_model() {
+        let mut rng = bolt_common::rng::Rng64::new(0xD81E);
+        for _ in 0..40 {
+            // (user key, sequence, value); `None` is a deletion.
+            let mut model: Vec<(Vec<u8>, u64, Option<Vec<u8>>)> = Vec::new();
+            let mut children: Vec<Arc<MemTable>> = Vec::new();
+            let mut seq = 0;
+            for _ in 0..1 + rng.next_below(4) {
+                let mem = Arc::new(MemTable::new());
+                for _ in 0..rng.next_below(30) {
+                    seq += 1;
+                    // "k1" is a prefix of "k10" .. "k19".
+                    let key = format!("k{}", rng.next_below(24)).into_bytes();
+                    if rng.next_below(4) == 0 {
+                        mem.add(seq, ValueType::Deletion, &key, b"");
+                        model.push((key, seq, None));
+                    } else {
+                        let value = format!("v{seq}").into_bytes();
+                        mem.add(seq, ValueType::Value, &key, &value);
+                        model.push((key, seq, Some(value)));
+                    }
+                }
+                children.push(mem);
+            }
+            for _ in 0..8 {
+                let snapshot = rng.next_below(seq + 2);
+                // The newest version at or below the snapshot of each key.
+                let mut visible = std::collections::BTreeMap::new();
+                for (key, at, value) in &model {
+                    if *at <= snapshot && visible.get(key).is_none_or(|(newest, _)| at > newest) {
+                        visible.insert(key.clone(), (*at, value.clone()));
+                    }
+                }
+                let live: Vec<(Vec<u8>, Vec<u8>)> = visible
+                    .into_iter()
+                    .filter_map(|(key, (_, value))| Some((key, value?)))
+                    .collect();
+                let iters = children
+                    .iter()
+                    .map(|mem| Box::new(mem.iter()) as Box<dyn InternalIterator>)
+                    .collect();
+                let mut db_iter = DbIter::new(merging(iters), snapshot);
+                for _ in 0..3 {
+                    let target = format!("k{}", rng.next_below(26)).into_bytes();
+                    db_iter.seek(&target).unwrap();
+                    let from = live.partition_point(|(key, _)| *key < target);
+                    let mut seen = Vec::new();
+                    while db_iter.valid() {
+                        seen.push((db_iter.key().to_vec(), db_iter.value().to_vec()));
+                        db_iter.next().unwrap();
+                    }
+                    assert_eq!(seen, live[from..], "snapshot {snapshot}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn db_iter_dedups_and_hides_tombstones() {
         let mem = mem_with(&[
@@ -735,7 +826,7 @@ mod tests {
             (3, ValueType::Value, b"c", b"c3"),
         ]);
         let iter = merging(vec![Box::new(mem.iter())]);
-        let mut db_iter = DbIter::new(InternalKeyComparator::default(), iter, 100);
+        let mut db_iter = DbIter::new(iter, 100);
         db_iter.seek_to_first().unwrap();
         let mut seen = Vec::new();
         while db_iter.valid() {
@@ -760,7 +851,7 @@ mod tests {
             (2, ValueType::Value, b"b", b"b2"),
         ]);
         let iter = merging(vec![Box::new(mem.iter())]);
-        let mut db_iter = DbIter::new(InternalKeyComparator::default(), iter, 3);
+        let mut db_iter = DbIter::new(iter, 3);
         db_iter.seek_to_first().unwrap();
         let mut seen = Vec::new();
         while db_iter.valid() {
@@ -794,8 +885,7 @@ mod tests {
             sequence: 5,
         }]));
         let iter = merging(vec![Box::new(mem.iter())]);
-        let mut db_iter = DbIter::new(InternalKeyComparator::default(), iter, 100)
-            .with_tombstones(Arc::clone(&overlay));
+        let mut db_iter = DbIter::new(iter, 100).with_tombstones(Arc::clone(&overlay));
         db_iter.seek_to_first().unwrap();
         let mut seen = Vec::new();
         while db_iter.valid() {
@@ -814,8 +904,7 @@ mod tests {
         );
         // At a snapshot older than the tombstone, everything is visible.
         let iter = merging(vec![Box::new(mem.iter())]);
-        let mut old_iter =
-            DbIter::new(InternalKeyComparator::default(), iter, 4).with_tombstones(overlay);
+        let mut old_iter = DbIter::new(iter, 4).with_tombstones(overlay);
         old_iter.seek_to_first().unwrap();
         let mut seen = Vec::new();
         while old_iter.valid() {
@@ -846,8 +935,7 @@ mod tests {
             (2, ValueType::Value, b"small", b"inline"),
         ]);
         let iter = merging(vec![Box::new(mem.iter())]);
-        let mut db_iter =
-            DbIter::new(InternalKeyComparator::default(), iter, 100).with_resolver(Arc::new(Fake));
+        let mut db_iter = DbIter::new(iter, 100).with_resolver(Arc::new(Fake));
         db_iter.seek_to_first().unwrap();
         assert_eq!(db_iter.key(), b"big");
         assert_eq!(db_iter.value(), b"resolved:ptr");
@@ -856,7 +944,7 @@ mod tests {
 
         // Without a resolver a pointer entry is an error, not silent junk.
         let iter = merging(vec![Box::new(mem.iter())]);
-        let mut bare = DbIter::new(InternalKeyComparator::default(), iter, 100);
+        let mut bare = DbIter::new(iter, 100);
         assert!(bare.seek_to_first().is_err());
     }
 
@@ -868,7 +956,7 @@ mod tests {
             (3, ValueType::Value, b"cherry", b"3"),
         ]);
         let iter = merging(vec![Box::new(mem.iter())]);
-        let mut db_iter = DbIter::new(InternalKeyComparator::default(), iter, 100);
+        let mut db_iter = DbIter::new(iter, 100);
         db_iter.seek(b"banana").unwrap();
         assert!(db_iter.valid());
         assert_eq!(db_iter.key(), b"cherry");
@@ -962,7 +1050,7 @@ mod tests {
         let mut iter = merging(vec![]);
         iter.seek_to_first().unwrap();
         assert!(!iter.valid());
-        let mut db_iter = DbIter::new(InternalKeyComparator::default(), iter, 1);
+        let mut db_iter = DbIter::new(iter, 1);
         db_iter.seek_to_first().unwrap();
         assert!(!db_iter.valid());
     }

@@ -88,7 +88,7 @@ impl MemTable {
     pub fn new() -> Self {
         let cmp = InternalKeyComparator::default();
         MemTable {
-            list: SkipList::new(EntryComparator(cmp.clone())),
+            list: SkipList::new(EntryComparator(cmp)),
             cmp,
             range_dels: RwLock::new(Vec::new()),
             has_range_dels: AtomicBool::new(false),

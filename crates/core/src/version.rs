@@ -31,7 +31,7 @@ use bolt_common::coding::{
 };
 use bolt_common::{Error, Result};
 use bolt_table::cache::{TableCache, TableSpec};
-use bolt_table::comparator::{Comparator, InternalKeyComparator};
+use bolt_table::comparator::{bytewise, Comparator, InternalKeyComparator};
 use bolt_table::ikey::{
     extract_user_key, lookup_key, parse_internal_key, SequenceNumber, ValueType,
 };
@@ -179,19 +179,14 @@ impl TableMeta {
 
     /// The index interval of `run` — a sorted, disjoint table list — that
     /// this table's user-key range overlaps: two binary searches.
-    pub(crate) fn overlap_in(
-        &self,
-        icmp: &InternalKeyComparator,
-        run: &[Arc<TableMeta>],
-    ) -> Range<usize> {
-        overlapping_range(run, icmp, self.smallest_user_key(), self.largest_user_key())
+    pub(crate) fn overlap_in(&self, run: &[Arc<TableMeta>]) -> Range<usize> {
+        overlapping_range(run, self.smallest_user_key(), self.largest_user_key())
     }
 
     /// `true` if this table's user-key range overlaps `[begin, end]`.
-    pub fn overlaps(&self, icmp: &InternalKeyComparator, begin: &[u8], end: &[u8]) -> bool {
-        let ucmp = icmp.user_comparator();
-        ucmp.compare(self.smallest_user_key(), end) != std::cmp::Ordering::Greater
-            && ucmp.compare(self.largest_user_key(), begin) != std::cmp::Ordering::Less
+    pub fn overlaps(&self, begin: &[u8], end: &[u8]) -> bool {
+        bytewise(self.smallest_user_key(), end) != std::cmp::Ordering::Greater
+            && bytewise(self.largest_user_key(), begin) != std::cmp::Ordering::Less
     }
 }
 
@@ -218,14 +213,13 @@ impl Run {
     }
 
     /// Binary-search for the table that may contain `user_key`.
-    pub fn find(&self, icmp: &InternalKeyComparator, user_key: &[u8]) -> Option<&Arc<TableMeta>> {
-        let ucmp = icmp.user_comparator();
+    pub fn find(&self, user_key: &[u8]) -> Option<&Arc<TableMeta>> {
         // First table whose largest user key >= user_key.
         let idx = self
             .tables
-            .partition_point(|t| ucmp.compare(t.largest_user_key(), user_key).is_lt());
+            .partition_point(|t| bytewise(t.largest_user_key(), user_key).is_lt());
         let table = self.tables.get(idx)?;
-        if ucmp.compare(table.smallest_user_key(), user_key).is_gt() {
+        if bytewise(table.smallest_user_key(), user_key).is_gt() {
             None
         } else {
             Some(table)
@@ -234,29 +228,18 @@ impl Run {
 
     /// The tables overlapping the user-key range `[begin, end]`: a slice of
     /// the sorted run, found by binary search.
-    pub fn overlapping(
-        &self,
-        icmp: &InternalKeyComparator,
-        begin: &[u8],
-        end: &[u8],
-    ) -> &[Arc<TableMeta>] {
-        &self.tables[overlapping_range(&self.tables, icmp, begin, end)]
+    pub fn overlapping(&self, begin: &[u8], end: &[u8]) -> &[Arc<TableMeta>] {
+        &self.tables[overlapping_range(&self.tables, begin, end)]
     }
 }
 
 /// The index interval of `tables` — sorted by smallest key, pairwise
 /// disjoint — that overlaps the user-key range `[begin, end]`: two binary
 /// searches.
-fn overlapping_range(
-    tables: &[Arc<TableMeta>],
-    icmp: &InternalKeyComparator,
-    begin: &[u8],
-    end: &[u8],
-) -> Range<usize> {
-    let ucmp = icmp.user_comparator();
-    let ends_before = |t: &Arc<TableMeta>| ucmp.compare(t.largest_user_key(), begin).is_lt();
+fn overlapping_range(tables: &[Arc<TableMeta>], begin: &[u8], end: &[u8]) -> Range<usize> {
+    let ends_before = |t: &Arc<TableMeta>| bytewise(t.largest_user_key(), begin).is_lt();
     let first = tables.partition_point(ends_before);
-    let starts_by = |t: &Arc<TableMeta>| ucmp.compare(t.smallest_user_key(), end).is_le();
+    let starts_by = |t: &Arc<TableMeta>| bytewise(t.smallest_user_key(), end).is_le();
     let len = tables[first..].partition_point(starts_by);
     first..first + len
 }
@@ -377,24 +360,22 @@ impl Version {
     /// slice per run.
     pub fn overlapping<'a>(
         &'a self,
-        icmp: &'a InternalKeyComparator,
         level: usize,
         begin: &'a [u8],
         end: &'a [u8],
     ) -> impl Iterator<Item = &'a Arc<TableMeta>> {
         let runs = self.levels[level].runs.iter();
-        runs.flat_map(move |run| run.overlapping(icmp, begin, end))
+        runs.flat_map(move |run| run.overlapping(begin, end))
     }
 
     /// [`Version::overlapping`], collected.
     pub fn overlapping_tables(
         &self,
-        icmp: &InternalKeyComparator,
         level: usize,
         begin: &[u8],
         end: &[u8],
     ) -> Vec<Arc<TableMeta>> {
-        self.overlapping(icmp, level, begin, end).cloned().collect()
+        self.overlapping(level, begin, end).cloned().collect()
     }
 
     /// Point lookup through the levels, newest first.
@@ -404,7 +385,6 @@ impl Version {
     /// Returns table open/read errors.
     pub fn get(
         &self,
-        icmp: &InternalKeyComparator,
         cache: &TableCache,
         db: &str,
         user_key: &[u8],
@@ -416,7 +396,7 @@ impl Version {
 
         for (level, state) in self.levels.iter().enumerate() {
             for run in &state.runs {
-                let Some(table) = run.find(icmp, user_key) else {
+                let Some(table) = run.find(user_key) else {
                     continue;
                 };
                 probes += 1;
@@ -825,11 +805,10 @@ impl VersionBuilder {
                 continue;
             }
             tables.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
-            if !tables.windows(2).all(|w| {
-                icmp.user_comparator()
-                    .compare(w[0].largest_user_key(), w[1].smallest_user_key())
-                    .is_lt()
-            }) {
+            if !tables
+                .windows(2)
+                .all(|w| bytewise(w[0].largest_user_key(), w[1].smallest_user_key()).is_lt())
+            {
                 return Err(Error::corruption(format!(
                     "run {tag} at level {level} has overlapping tables"
                 )));
@@ -1127,13 +1106,12 @@ mod tests {
                 Arc::new(meta(3, b"i", b"k")),
             ]),
         };
-        let ic = icmp();
-        assert_eq!(run.find(&ic, b"b").unwrap().table_id, 1);
-        assert_eq!(run.find(&ic, b"e").unwrap().table_id, 2);
-        assert_eq!(run.find(&ic, b"g").unwrap().table_id, 2);
-        assert!(run.find(&ic, b"d").is_none());
-        assert!(run.find(&ic, b"z").is_none());
-        assert_eq!(run.find(&ic, b"k").unwrap().table_id, 3);
+        assert_eq!(run.find(b"b").unwrap().table_id, 1);
+        assert_eq!(run.find(b"e").unwrap().table_id, 2);
+        assert_eq!(run.find(b"g").unwrap().table_id, 2);
+        assert!(run.find(b"d").is_none());
+        assert!(run.find(b"z").is_none());
+        assert_eq!(run.find(b"k").unwrap().table_id, 3);
     }
 
     #[test]
@@ -1146,11 +1124,11 @@ mod tests {
         let mut builder = VersionBuilder::new(icmp(), base);
         builder.apply(&edit);
         let v = builder.build().unwrap();
-        let overlapping = v.overlapping_tables(&icmp(), 0, b"e", b"g");
+        let overlapping = v.overlapping_tables(0, b"e", b"g");
         let mut ids: Vec<u64> = overlapping.iter().map(|t| t.table_id).collect();
         ids.sort();
         assert_eq!(ids, vec![1, 2]);
-        assert!(v.overlapping_tables(&icmp(), 0, b"k", b"o").is_empty());
+        assert!(v.overlapping_tables(0, b"k", b"o").is_empty());
     }
 
     /// The binary search names the tables the linear filter names, ends
@@ -1171,12 +1149,9 @@ mod tests {
         let keys: Vec<[u8; 1]> = (b'a'..=b'q').map(|k| [k]).collect();
         for (i, begin) in keys.iter().enumerate() {
             for end in &keys[i..] {
-                let scanned = run
-                    .tables
-                    .iter()
-                    .filter(|t| t.overlaps(&icmp(), begin, end));
+                let scanned = run.tables.iter().filter(|t| t.overlaps(begin, end));
                 let scanned: Vec<u64> = scanned.map(|t| t.table_id).collect();
-                let found: Vec<u64> = (run.overlapping(&icmp(), begin, end).iter())
+                let found: Vec<u64> = (run.overlapping(begin, end).iter())
                     .map(|t| t.table_id)
                     .collect();
                 assert_eq!(found, scanned, "{begin:?}..={end:?}");

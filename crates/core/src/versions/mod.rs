@@ -188,7 +188,7 @@ impl VersionSet {
         if edit.last_sequence.is_none() {
             edit.last_sequence = Some(self.last_sequence);
         }
-        let mut builder = VersionBuilder::new(self.icmp.clone(), Arc::clone(&self.current));
+        let mut builder = VersionBuilder::new(self.icmp, Arc::clone(&self.current));
         builder.set_single_run_from(self.policy.single_run_from(self.num_levels));
         builder.apply(&edit);
         let version = Arc::new(builder.build()?);
@@ -316,8 +316,7 @@ impl VersionSet {
         let old_manifest_path = bolt_env::join_path(&self.db, name);
 
         let mut reader = LogReader::new(self.env.new_random_access_file(&old_manifest_path)?);
-        let mut builder =
-            VersionBuilder::new(self.icmp.clone(), Arc::new(Version::empty(self.num_levels)));
+        let mut builder = VersionBuilder::new(self.icmp, Arc::new(Version::empty(self.num_levels)));
         builder.set_single_run_from(self.policy.single_run_from(self.num_levels));
         let mut found_any = false;
         let mut pinned_policy: Option<CompactionPolicyKind> = None;

@@ -39,12 +39,14 @@ impl ShardedIterator {
         self.current.is_some()
     }
 
-    /// Position on the smallest key of any shard.
+    /// Position on the smallest key of any shard. An error leaves the
+    /// iterator invalid, as every positioning call's does.
     ///
     /// # Errors
     ///
     /// Returns read errors from the shards.
     pub fn seek_to_first(&mut self) -> Result<()> {
+        self.current = None;
         for child in &mut self.children {
             child.seek_to_first()?;
         }
@@ -58,6 +60,7 @@ impl ShardedIterator {
     ///
     /// Returns read errors from the shards.
     pub fn seek(&mut self, user_key: &[u8]) -> Result<()> {
+        self.current = None;
         for child in &mut self.children {
             child.seek(user_key)?;
         }
@@ -72,7 +75,7 @@ impl ShardedIterator {
     /// Returns read errors from the shards.
     #[allow(clippy::should_implement_trait)] // LevelDB-style fallible cursor
     pub fn next(&mut self) -> Result<()> {
-        if let Some(i) = self.current {
+        if let Some(i) = self.current.take() {
             self.children[i].next()?;
             self.pick_min();
         }

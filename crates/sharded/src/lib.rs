@@ -631,6 +631,41 @@ mod tests {
         db.close().unwrap();
     }
 
+    /// A shard's read error fails the merged step, and the iterator is
+    /// invalid after it instead of standing on the row it left.
+    #[test]
+    fn read_error_leaves_merged_iterator_invalid() {
+        use bolt_env::{FaultEnv, FaultPlan};
+        let fault = FaultEnv::over_mem();
+        let env: Arc<dyn Env> = Arc::new(fault.clone());
+        let db = open_sharded(&env, 4);
+        for i in 0..2_000u32 {
+            db.put(format!("key{i:04}").as_bytes(), &[b'v'; 100])
+                .unwrap();
+        }
+        db.flush().unwrap();
+        for i in 0..4 {
+            db.shard(i).compact_until_quiet().unwrap();
+        }
+        // Cold: the first blocks are read now, and the next read fails.
+        let fail_next_read =
+            || fault.extend_plan(FaultPlan::parse("eio:read:glob=*.sst:nth=0").unwrap());
+        let mut iter = db.iter().unwrap();
+        iter.seek_to_first().unwrap();
+        assert!(iter.valid());
+        fail_next_read();
+        while iter.next().is_ok() {
+            assert!(iter.valid(), "the walk ends at an unreadable block");
+        }
+        assert!(!iter.valid());
+        fail_next_read();
+        assert!(iter.seek(b"key1500").is_err());
+        assert!(!iter.valid());
+        iter.seek(b"key1500").unwrap();
+        assert_eq!(iter.key(), b"key1500");
+        db.close().unwrap();
+    }
+
     #[test]
     fn cross_shard_batch_is_atomic_and_visible() {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());

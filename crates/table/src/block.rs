@@ -159,11 +159,10 @@ impl Block {
         decode_fixed32(&self.data[self.restarts_offset + index * 4..]) as usize
     }
 
-    /// Iterate this block with `cmp`.
-    pub fn iter(self: &Arc<Self>, cmp: Arc<dyn Comparator>) -> BlockIter {
+    /// Iterate this block.
+    pub fn iter(self: &Arc<Self>) -> BlockIter {
         BlockIter {
             block: Arc::clone(self),
-            cmp,
             at: Cursor::default(),
         }
     }
@@ -191,14 +190,22 @@ impl Block {
         }
         let data = &self.data[..self.restarts_offset];
         let mut pos = at.offset;
-        let (shared, n) = get_varint32(&data[pos..])?;
-        pos += n;
-        let (non_shared, n) = get_varint32(&data[pos..])?;
-        pos += n;
+        // Under 128 B of key, `shared` and `non_shared` are one byte each.
+        let (shared, non_shared) = match data.get(pos..pos + 2) {
+            Some(&[shared, non_shared]) if (shared | non_shared) < 0x80 => {
+                pos += 2;
+                (usize::from(shared), usize::from(non_shared))
+            }
+            _ => {
+                let (shared, n) = get_varint32(&data[pos..])?;
+                pos += n;
+                let (non_shared, n) = get_varint32(&data[pos..])?;
+                pos += n;
+                (shared as usize, non_shared as usize)
+            }
+        };
         let (value_len, n) = get_varint32(&data[pos..])?;
         pos += n;
-        let shared = shared as usize;
-        let non_shared = non_shared as usize;
         let value_len = value_len as usize;
         if pos + non_shared + value_len > data.len() || shared > at.key.len() {
             return Err(Error::corruption("block entry out of bounds"));
@@ -254,10 +261,10 @@ struct Cursor {
     valid: bool,
 }
 
-/// Cursor over a [`Block`]'s entries.
+/// Cursor over a [`Block`]'s entries. It holds no comparator: a
+/// [`seek`](Self::seek) borrows its caller's.
 pub struct BlockIter {
     block: Arc<Block>,
-    cmp: Arc<dyn Comparator>,
     at: Cursor,
 }
 
@@ -272,6 +279,7 @@ impl std::fmt::Debug for BlockIter {
 
 impl BlockIter {
     /// `true` when positioned on an entry.
+    #[inline]
     pub fn valid(&self) -> bool {
         self.at.valid
     }
@@ -281,6 +289,7 @@ impl BlockIter {
     /// # Panics
     ///
     /// Panics if not [`valid`](Self::valid).
+    #[inline]
     pub fn key(&self) -> &[u8] {
         assert!(self.at.valid, "iterator not positioned");
         &self.at.key
@@ -291,6 +300,7 @@ impl BlockIter {
     /// # Panics
     ///
     /// Panics if not [`valid`](Self::valid).
+    #[inline]
     pub fn value(&self) -> &[u8] {
         assert!(self.at.valid, "iterator not positioned");
         &self.block.data[self.at.value.clone()]
@@ -318,14 +328,13 @@ impl BlockIter {
         Ok(())
     }
 
-    /// Position at the first entry with key >= `target`.
+    /// Position at the first entry with key >= `target` under `cmp`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corruption`] on malformed entries.
-    pub fn seek(&mut self, target: &[u8]) -> Result<()> {
-        self.block
-            .seek_cursor(&mut self.at, self.cmp.as_ref(), target)
+    pub fn seek(&mut self, cmp: &dyn Comparator, target: &[u8]) -> Result<()> {
+        self.block.seek_cursor(&mut self.at, cmp, target)
     }
 }
 
@@ -342,17 +351,13 @@ mod tests {
         Arc::new(Block::new(builder.finish()).unwrap())
     }
 
-    fn cmp() -> Arc<dyn Comparator> {
-        Arc::new(BytewiseComparator)
-    }
-
     #[test]
     fn empty_block_iterates_nothing() {
         let block = build(&[], 16);
-        let mut it = block.iter(cmp());
+        let mut it = block.iter();
         it.seek_to_first().unwrap();
         assert!(!it.valid());
-        it.seek(b"anything").unwrap();
+        it.seek(&BytewiseComparator, b"anything").unwrap();
         assert!(!it.valid());
     }
 
@@ -372,7 +377,7 @@ mod tests {
                 .map(|(k, v)| (k.as_slice(), v.as_slice()))
                 .collect();
             let block = build(&refs, interval);
-            let mut it = block.iter(cmp());
+            let mut it = block.iter();
             it.seek_to_first().unwrap();
             for (k, v) in &entries {
                 assert!(it.valid(), "interval {interval}");
@@ -414,27 +419,27 @@ mod tests {
             .collect();
         for interval in [1usize, 4, 16] {
             let block = build(&refs, interval);
-            let mut it = block.iter(cmp());
+            let mut it = block.iter();
 
-            it.seek(b"k0000").unwrap();
+            it.seek(&BytewiseComparator, b"k0000").unwrap();
             assert_eq!(it.key(), b"k0000");
 
-            it.seek(b"k0005").unwrap();
+            it.seek(&BytewiseComparator, b"k0005").unwrap();
             assert_eq!(it.key(), b"k0006"); // gap -> next even key
 
-            it.seek(b"k0198").unwrap();
+            it.seek(&BytewiseComparator, b"k0198").unwrap();
             assert_eq!(it.key(), b"k0198");
 
-            it.seek(b"k0199").unwrap();
+            it.seek(&BytewiseComparator, b"k0199").unwrap();
             assert!(!it.valid()); // past the last key
 
-            it.seek(b"").unwrap();
+            it.seek(&BytewiseComparator, b"").unwrap();
             assert_eq!(it.key(), b"k0000");
 
             // The borrowed point seek lands where the iterator does.
             for i in 0..=200u32 {
                 let target = format!("k{i:04}").into_bytes();
-                it.seek(&target).unwrap();
+                it.seek(&BytewiseComparator, &target).unwrap();
                 let want = it.valid().then(|| (it.key().to_vec(), it.value()));
                 let got = block.seek(&BytewiseComparator, &target).unwrap();
                 assert_eq!(got, want, "{i}, interval {interval}");
@@ -452,26 +457,82 @@ mod tests {
         assert!(Block::new(data).is_err());
     }
 
+    /// Every damage of a small class, applied to blocks of both encodings:
+    /// each truncation, each single-bit flip, each byte set to `0x00` and to
+    /// `0xFF`. Parsing, a full walk and seeks give entries or
+    /// [`Error::Corruption`], never a panic.
+    #[test]
+    fn every_damaged_block_is_ok_or_corruption() {
+        let long_key = vec![b'k'; 150];
+        let shared_a = [vec![b'p'; 140], b"a".to_vec()].concat();
+        let shared_b = [vec![b'p'; 140], b"b".to_vec()].concat();
+        let entries: [(&[u8], &[u8]); 7] = [
+            (b"a", b"1"),
+            (b"ab", b""),
+            (&long_key, b"long key"),
+            (b"m", &[b'v'; 200]),
+            (&shared_a, b"x"),
+            (&shared_b, b"y"),
+            (b"z", b"last"),
+        ];
+        let targets: [&[u8]; 4] = [b"", b"ab", &shared_b, b"zz"];
+        let check = |data: Vec<u8>| -> Result<()> {
+            let block = Arc::new(Block::new(data)?);
+            let mut it = block.iter();
+            it.seek_to_first()?;
+            while it.valid() {
+                let _ = (it.key(), it.value());
+                it.next()?;
+            }
+            for target in targets {
+                it.seek(&BytewiseComparator, target)?;
+                block.seek(&BytewiseComparator, target)?;
+            }
+            Ok(())
+        };
+        for interval in [1, 16] {
+            let good = build(&entries, interval).data.clone();
+            let mut damaged: Vec<Vec<u8>> = (0..good.len()).map(|n| good[..n].to_vec()).collect();
+            for at in 0..good.len() {
+                for bit in 0..8 {
+                    let mut flipped = good.to_vec();
+                    flipped[at] ^= 1 << bit;
+                    damaged.push(flipped);
+                }
+                for byte in [0x00, 0xFF] {
+                    let mut set = good.to_vec();
+                    set[at] = byte;
+                    damaged.push(set);
+                }
+            }
+            for (case, data) in damaged.into_iter().enumerate() {
+                if let Err(err) = check(data) {
+                    assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_entry_block() {
         let block = build(&[(b"only", b"value")], 16);
-        let mut it = block.iter(cmp());
+        let mut it = block.iter();
         it.seek_to_first().unwrap();
         assert_eq!(it.key(), b"only");
         assert_eq!(it.value(), b"value");
         it.next().unwrap();
         assert!(!it.valid());
-        it.seek(b"only").unwrap();
+        it.seek(&BytewiseComparator, b"only").unwrap();
         assert!(it.valid());
-        it.seek(b"onlz").unwrap();
+        it.seek(&BytewiseComparator, b"onlz").unwrap();
         assert!(!it.valid());
     }
 
     #[test]
     fn empty_values_roundtrip() {
         let block = build(&[(b"a", b""), (b"b", b""), (b"c", b"x")], 2);
-        let mut it = block.iter(cmp());
-        it.seek(b"b").unwrap();
+        let mut it = block.iter();
+        it.seek(&BytewiseComparator, b"b").unwrap();
         assert_eq!(it.key(), b"b");
         assert_eq!(it.value(), b"");
     }

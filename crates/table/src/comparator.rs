@@ -5,7 +5,6 @@
 //! user key sort first. Tables themselves are comparator-agnostic.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 use crate::ikey::{extract_tag, extract_user_key};
 
@@ -18,13 +17,36 @@ pub trait Comparator: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Plain lexicographic byte order.
+/// The engine's one user-key order: plain lexicographic byte order,
+/// compared eight bytes at a time as big-endian words, then the tail of
+/// under eight bytes byte by byte — a short loop, where a slice `cmp` is a
+/// call to `memcmp`.
+#[inline]
+pub fn bytewise(a: &[u8], b: &[u8]) -> Ordering {
+    let (mut x, mut y) = (a, b);
+    while let (Some((xw, xs)), Some((yw, ys))) = (x.split_first_chunk(), y.split_first_chunk()) {
+        let (u, v) = (u64::from_be_bytes(*xw), u64::from_be_bytes(*yw));
+        if u != v {
+            return u.cmp(&v);
+        }
+        (x, y) = (xs, ys);
+    }
+    for (p, q) in x.iter().zip(y) {
+        if p != q {
+            return p.cmp(q);
+        }
+    }
+    x.len().cmp(&y.len())
+}
+
+/// Plain lexicographic byte order: [`bytewise`] behind the trait.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BytewiseComparator;
 
 impl Comparator for BytewiseComparator {
+    #[inline]
     fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
-        a.cmp(b)
+        bytewise(a, b)
     }
 
     fn name(&self) -> &'static str {
@@ -32,47 +54,26 @@ impl Comparator for BytewiseComparator {
     }
 }
 
-/// Orders internal keys: ascending by user key, then *descending* by
-/// sequence/type so the newest version of a key is seen first.
-#[derive(Clone)]
-pub struct InternalKeyComparator {
-    user: Arc<dyn Comparator>,
-}
-
-impl std::fmt::Debug for InternalKeyComparator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InternalKeyComparator")
-            .field("user", &self.user.name())
-            .finish()
-    }
-}
+/// Orders internal keys: ascending by user key under [`bytewise`], then
+/// *descending* by sequence/type so the newest version of a key is seen
+/// first. It has no state: every copy is the same order, compared inline.
+/// Built with `InternalKeyComparator::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct InternalKeyComparator;
 
 impl InternalKeyComparator {
-    /// Wrap a user-key comparator.
-    pub fn new(user: Arc<dyn Comparator>) -> Self {
-        InternalKeyComparator { user }
-    }
-
-    /// The wrapped user-key comparator.
-    pub fn user_comparator(&self) -> &Arc<dyn Comparator> {
-        &self.user
-    }
-
     /// Compare only the user-key prefixes of two internal keys.
+    #[inline]
     pub fn compare_user_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
-        self.user.compare(extract_user_key(a), extract_user_key(b))
-    }
-}
-
-impl Default for InternalKeyComparator {
-    fn default() -> Self {
-        InternalKeyComparator::new(Arc::new(BytewiseComparator))
+        bytewise(extract_user_key(a), extract_user_key(b))
     }
 }
 
 impl Comparator for InternalKeyComparator {
+    #[inline]
     fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
-        match self.user.compare(extract_user_key(a), extract_user_key(b)) {
+        match self.compare_user_keys(a, b) {
             Ordering::Equal => extract_tag(b).cmp(&extract_tag(a)),
             ord => ord,
         }
@@ -95,6 +96,40 @@ mod tests {
         assert_eq!(c.compare(b"b", b"a"), Ordering::Greater);
         assert_eq!(c.compare(b"ab", b"ab"), Ordering::Equal);
         assert_eq!(c.compare(b"a", b"ab"), Ordering::Less);
+    }
+
+    /// `bytewise` is `<[u8]>::cmp` on every pair of a set of keys of length
+    /// 0–17: word-boundary lengths, keys that are prefixes of each other, and
+    /// the bytes either side of the sign bit and at both ends.
+    #[test]
+    fn bytewise_equals_slice_order() {
+        const EDGES: [u8; 4] = [0x00, 0x7F, 0x80, 0xFF];
+        let mut rng = bolt_common::rng::Rng64::new(0xB17E);
+        let random: Vec<u8> = (0..17).map(|_| rng.next_below(256) as u8).collect();
+        let alternating: Vec<u8> = (0..17).map(|i| EDGES[i % 4]).collect();
+        let stems = [vec![0x00; 17], vec![0xFF; 17], alternating, random];
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        for stem in &stems {
+            for len in 0..=17 {
+                let prefix = &stem[..len];
+                keys.push(prefix.to_vec());
+                if len < 17 {
+                    keys.extend(EDGES.iter().map(|&b| [prefix, &[b]].concat()));
+                }
+                for at in [0, 7, 8, 15, 16].into_iter().filter(|&at| at < len) {
+                    for b in EDGES {
+                        let mut varied = prefix.to_vec();
+                        varied[at] = b;
+                        keys.push(varied);
+                    }
+                }
+            }
+        }
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(bytewise(a, b), a.as_slice().cmp(b), "{a:x?} vs {b:x?}");
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@ impl ValueType {
     /// # Errors
     ///
     /// Returns [`Error::Corruption`] for unknown type bytes.
+    #[inline]
     pub fn from_u8(v: u8) -> Result<ValueType> {
         match v {
             0 => Ok(ValueType::Deletion),
@@ -71,6 +72,7 @@ pub fn pack_tag(seq: SequenceNumber, value_type: ValueType) -> u64 {
 /// # Errors
 ///
 /// Returns [`Error::Corruption`] for an unknown type byte.
+#[inline]
 pub fn unpack_tag(tag: u64) -> Result<(SequenceNumber, ValueType)> {
     Ok((tag >> 8, ValueType::from_u8(tag as u8)?))
 }
@@ -88,6 +90,7 @@ pub fn make_internal_key(user_key: &[u8], seq: SequenceNumber, value_type: Value
 /// # Panics
 ///
 /// Panics if `internal_key` is shorter than the tag.
+#[inline]
 pub fn extract_user_key(internal_key: &[u8]) -> &[u8] {
     assert!(internal_key.len() >= TAG_SIZE, "internal key too short");
     &internal_key[..internal_key.len() - TAG_SIZE]
@@ -98,6 +101,7 @@ pub fn extract_user_key(internal_key: &[u8]) -> &[u8] {
 /// # Panics
 ///
 /// Panics if `internal_key` is shorter than the tag.
+#[inline]
 pub fn extract_tag(internal_key: &[u8]) -> u64 {
     assert!(internal_key.len() >= TAG_SIZE, "internal key too short");
     u64::from_le_bytes(
@@ -123,6 +127,7 @@ pub struct ParsedInternalKey<'a> {
 /// # Errors
 ///
 /// Returns [`Error::Corruption`] when too short or of unknown type.
+#[inline]
 pub fn parse_internal_key(internal_key: &[u8]) -> Result<ParsedInternalKey<'_>> {
     if internal_key.len() < TAG_SIZE {
         return Err(Error::corruption("internal key too short"));

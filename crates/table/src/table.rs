@@ -250,11 +250,13 @@ impl Table {
         Ok(Arc::clone(self.tombstones.get_or_init(|| found)))
     }
 
-    /// Create a two-level iterator over the whole table.
+    /// Create a two-level iterator over the whole table: two reference
+    /// counts (the table's and its index block's); seeks borrow the
+    /// table's comparator.
     pub fn iter(self: &Arc<Self>) -> TableIter {
         TableIter {
             table: Arc::clone(self),
-            index_iter: self.index.iter(Arc::clone(&self.opts.comparator)),
+            index_iter: self.index.iter(),
             data_iter: None,
         }
     }
@@ -283,12 +285,12 @@ impl TableIter {
         }
         let (handle, _) = BlockHandle::decode_from(self.index_iter.value())?;
         let block = self.table.read_data_block(handle)?;
-        let iter = block.iter(Arc::clone(&self.table.opts.comparator));
-        self.data_iter = Some(iter);
+        self.data_iter = Some(block.iter());
         Ok(())
     }
 
     /// `true` when positioned on an entry.
+    #[inline]
     pub fn valid(&self) -> bool {
         self.data_iter.as_ref().is_some_and(|it| it.valid())
     }
@@ -298,6 +300,7 @@ impl TableIter {
     /// # Panics
     ///
     /// Panics if not [`valid`](Self::valid).
+    #[inline]
     pub fn key(&self) -> &[u8] {
         self.data_iter.as_ref().expect("positioned").key()
     }
@@ -307,6 +310,7 @@ impl TableIter {
     /// # Panics
     ///
     /// Panics if not [`valid`](Self::valid).
+    #[inline]
     pub fn value(&self) -> &[u8] {
         self.data_iter.as_ref().expect("positioned").value()
     }
@@ -331,10 +335,11 @@ impl TableIter {
     ///
     /// Returns block-read errors.
     pub fn seek(&mut self, target: &[u8]) -> Result<()> {
-        self.index_iter.seek(target)?;
+        let cmp = self.table.opts.comparator.as_ref();
+        self.index_iter.seek(cmp, target)?;
         self.load_data_block()?;
         if let Some(it) = self.data_iter.as_mut() {
-            it.seek(target)?;
+            it.seek(self.table.opts.comparator.as_ref(), target)?;
         }
         self.skip_empty_blocks_forward()
     }

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use bolt_common::{Error, Result};
 use bolt_core::{Db, MetricsSnapshot, Options};
 use bolt_env::Env;
-use bolt_table::comparator::Comparator;
+use bolt_table::comparator::{bytewise, Comparator};
 use bolt_table::ikey::parse_internal_key;
 use bolt_wal::LogReader;
 
@@ -744,7 +744,6 @@ pub fn verify_db(db: &Db) -> Result<(usize, u64)> {
     let db_name = db.name().to_string();
     let version = db.current_version();
     let icmp = bolt_table::comparator::InternalKeyComparator::default();
-    let ucmp = icmp.user_comparator();
 
     let mut tables_checked = 0usize;
     let mut entries_checked = 0u64;
@@ -753,10 +752,7 @@ pub fn verify_db(db: &Db) -> Result<(usize, u64)> {
         for run in &state.runs {
             // Invariant: tables within a run are sorted and disjoint.
             for pair in run.tables.windows(2) {
-                if !ucmp
-                    .compare(pair[0].largest_user_key(), pair[1].smallest_user_key())
-                    .is_lt()
-                {
+                if !bytewise(pair[0].largest_user_key(), pair[1].smallest_user_key()).is_lt() {
                     return Err(Error::corruption(format!(
                         "L{level} run {}: tables {} and {} overlap",
                         run.tag, pair[0].table_id, pair[1].table_id
