@@ -7,6 +7,7 @@
 //! in §2.6 and §4.3). Values are handed out as `Arc`s so evicted entries stay
 //! alive while readers still hold them.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,24 +17,22 @@ use parking_lot::Mutex;
 
 use crate::sync::CachePadded;
 
-const SHARD_BITS: u32 = 4;
-const NUM_SHARDS: usize = 1 << SHARD_BITS;
+const NUM_SHARDS: usize = 16;
 
-/// The hasher of every cache key: one multiply-rotate per word. Keys are
+/// The hasher of a shard's map: one multiply-rotate per word. Keys are
 /// engine-assigned ids (`table_id`, `(file_number, offset)`,
 /// `file_number`), never input an adversary picks, so resistance to
 /// collision attacks buys nothing here.
 ///
-/// A multiply mixes each bit only upward, so the product's top bits are its
-/// best. `finish` rotates them down to the low bits, where a shard's map
-/// picks a bucket; the shard itself is the top four ([`shard_of`]).
+/// A multiply mixes each bit only upward, so the product's low bits are its
+/// worst: block offsets at 4 KiB strides would share their low twelve.
+/// `finish` rotates the well-mixed high bits down to where the map picks a
+/// bucket.
 #[derive(Default, Clone, Copy)]
 struct IdHasher(u64);
 
 /// An odd constant with well-spread bits (2⁶⁴ / φ).
 const ID_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
-/// Where `finish` puts the product's top bits.
-const ID_ROTATE: u32 = 26;
 
 impl Hasher for IdHasher {
     #[inline]
@@ -52,20 +51,11 @@ impl Hasher for IdHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.0.rotate_left(ID_ROTATE)
+        self.0.rotate_left(26)
     }
 }
 
 type IdBuildHasher = BuildHasherDefault<IdHasher>;
-
-/// The shard of a key whose [`IdHasher`] hash is `hash`: the product's top
-/// bits, which `finish` rotated down to sit just under bit 26 — above any
-/// bucket index a shard's map reaches, and below the bits it tags entries
-/// with.
-#[inline]
-fn shard_of(hash: u64) -> usize {
-    (hash.rotate_right(ID_ROTATE) >> (64 - SHARD_BITS)) as usize
-}
 
 /// Cache hit/miss/eviction counts at one instant: the sum of every shard's
 /// own counters (see [`LruCache::stats`]).
@@ -289,8 +279,12 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         &self.shards[self.shard_index(key)]
     }
 
+    /// The shard of `key`. Placement keeps `DefaultHasher`: with fewer
+    /// entries than shards (a table cache of a few slots is one slot per
+    /// shard) it decides which keys evict each other, so it is part of the
+    /// cache's observable hit ratio, not only of its cost.
     fn shard_index(&self, key: &K) -> usize {
-        shard_of(IdBuildHasher::default().hash_one(key))
+        (BuildHasherDefault::<DefaultHasher>::default().hash_one(key) as usize) % NUM_SHARDS
     }
 
     /// Insert `value` under `key` with the given `charge`, evicting LRU

@@ -190,22 +190,14 @@ impl Block {
         }
         let data = &self.data[..self.restarts_offset];
         let mut pos = at.offset;
-        // Under 128 B of key, `shared` and `non_shared` are one byte each.
-        let (shared, non_shared) = match data.get(pos..pos + 2) {
-            Some(&[shared, non_shared]) if (shared | non_shared) < 0x80 => {
-                pos += 2;
-                (usize::from(shared), usize::from(non_shared))
-            }
-            _ => {
-                let (shared, n) = get_varint32(&data[pos..])?;
-                pos += n;
-                let (non_shared, n) = get_varint32(&data[pos..])?;
-                pos += n;
-                (shared as usize, non_shared as usize)
-            }
-        };
+        let (shared, n) = get_varint32(&data[pos..])?;
+        pos += n;
+        let (non_shared, n) = get_varint32(&data[pos..])?;
+        pos += n;
         let (value_len, n) = get_varint32(&data[pos..])?;
         pos += n;
+        let shared = shared as usize;
+        let non_shared = non_shared as usize;
         let value_len = value_len as usize;
         if pos + non_shared + value_len > data.len() || shared > at.key.len() {
             return Err(Error::corruption("block entry out of bounds"));
