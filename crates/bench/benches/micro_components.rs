@@ -252,7 +252,6 @@ fn bench_picks(
     use bolt_core::compaction::pick_compaction;
     use bolt_core::version::{TableMeta, Version, VersionBuilder, VersionEdit};
     use bolt_table::ikey::{make_internal_key, ValueType};
-    use bolt_table::InternalKeyComparator;
 
     let key =
         |k: u64, seq| make_internal_key(format!("user{k:016}").as_bytes(), seq, ValueType::Value);
@@ -265,18 +264,17 @@ fn bench_picks(
             let meta = TableMeta::new(id, id, 0, 16 << 10, 50, key(first, 100), key(last, 1));
             edit.added_tables.push((level, tag, meta));
         }
-        let icmp = InternalKeyComparator::default();
-        let mut builder = VersionBuilder::new(icmp, Arc::new(Version::empty(7)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
         builder.set_single_run_from(single_run_from);
         builder.apply(&edit);
         let version = builder.build().unwrap();
-        check(&pick_compaction(&opts, &icmp, &version, None).unwrap());
+        check(&pick_compaction(&opts, &version, None).unwrap());
         let mut ns = 0.0;
         group.bench_function(format!("{tables}_tables"), |b| {
             b.iter_custom(|iters| {
                 let start = std::time::Instant::now();
                 for _ in 0..iters {
-                    black_box(pick_compaction(&opts, &icmp, &version, None));
+                    black_box(pick_compaction(&opts, &version, None));
                 }
                 ns = start.elapsed().as_nanos() as f64 / iters as f64;
                 start.elapsed()

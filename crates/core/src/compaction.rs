@@ -27,7 +27,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use bolt_common::Result;
-use bolt_table::comparator::{bytewise, Comparator, InternalKeyComparator};
+use bolt_table::comparator::{bytewise, compare_internal};
 use bolt_table::ikey::{parse_internal_key, SequenceNumber, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
 
@@ -136,11 +136,11 @@ impl CompactionTask {
     }
 
     /// Largest victim internal key (the new compact pointer for the level).
-    pub fn max_victim_key(&self, icmp: &InternalKeyComparator) -> Option<Vec<u8>> {
+    pub fn max_victim_key(&self) -> Option<Vec<u8>> {
         self.victims()
             .chain(self.settled_moves.iter())
             .map(|t| t.largest.clone())
-            .max_by(|a, b| icmp.compare(a, b))
+            .max_by(|a, b| compare_internal(a, b))
     }
 }
 
@@ -182,7 +182,6 @@ pub fn needs_compaction(opts: &Options, version: &Version) -> bool {
 /// when no size-based compaction is due.
 pub fn pick_compaction(
     opts: &Options,
-    icmp: &InternalKeyComparator,
     version: &Version,
     seek_candidate: Option<(usize, Arc<TableMeta>)>,
 ) -> Option<CompactionTask> {
@@ -197,7 +196,7 @@ pub fn pick_compaction(
         SizeTiered | LazyLeveled => scores.rev().max_by(by_score),
     }?;
     if score >= 1.0 {
-        return pick_level(opts, icmp, version, level);
+        return pick_level(opts, version, level);
     }
 
     // Seek compaction (stock LevelDB only) sinks one table into the sorted
@@ -219,10 +218,10 @@ pub fn pick_compaction(
         // would sink a newer version below an older one. Take the whole of
         // level 0 (LevelDB expands L0 inputs to all overlapping files for
         // the same reason).
-        pick_level(opts, icmp, version, 0)?
+        pick_level(opts, version, 0)?
     } else {
         CompactionTask {
-            next_inputs: overlaps_at(icmp, version, level + 1, [&table]),
+            next_inputs: overlaps_at(version, level + 1, [&table]),
             input_runs: vec![[table].into()],
             ..CompactionTask::new(level, OutputShape::Leveled)
         }
@@ -235,7 +234,6 @@ pub fn pick_compaction(
 /// `[begin, end]` down one level, or `None` if nothing overlaps.
 pub fn manual_task(
     opts: &Options,
-    icmp: &InternalKeyComparator,
     version: &Version,
     level: usize,
     begin: &[u8],
@@ -262,7 +260,7 @@ pub fn manual_task(
         vec![overlapping.into()]
     };
     if task.output == OutputShape::Leveled {
-        task.next_inputs = overlaps_at(icmp, version, level + 1, task.victims());
+        task.next_inputs = overlaps_at(version, level + 1, task.victims());
     }
     Some(task)
 }
@@ -270,7 +268,6 @@ pub fn manual_task(
 /// The tables of the single sorted run at `level` that any of `victims`
 /// overlaps: each once, in key order.
 fn overlaps_at<'a>(
-    icmp: &InternalKeyComparator,
     version: &Version,
     level: usize,
     victims: impl IntoIterator<Item = &'a Arc<TableMeta>>,
@@ -281,25 +278,20 @@ fn overlaps_at<'a>(
         found.extend(version.overlapping(level, begin, end).cloned());
     }
     // Two victims may overlap one table; sorted, its copies are adjacent.
-    found.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
+    found.sort_by(|a, b| compare_internal(&a.smallest, &b.smallest));
     found.dedup_by_key(|t| t.table_id);
     found
 }
 
 /// The task that pays down the debt of `level` (one that scores `>= 1.0`).
-fn pick_level(
-    opts: &Options,
-    icmp: &InternalKeyComparator,
-    version: &Version,
-    level: usize,
-) -> Option<CompactionTask> {
+fn pick_level(opts: &Options, version: &Version, level: usize) -> Option<CompactionTask> {
     use CompactionPolicyKind::{LazyLeveled, Leveled, SizeTiered};
     let kind = opts.compaction_policy;
     let levels = version.levels.len();
     let single_run_from = kind.single_run_from(levels);
     if level >= single_run_from {
         // One sorted run: any of its tables may leave without the others.
-        return Some(pick_from_single_run(opts, icmp, version, level));
+        return Some(pick_from_single_run(opts, version, level));
     }
     // Stacked runs leave whole and oldest first (see `tier_bucket`).
     let runs = &version.levels[level].runs;
@@ -335,7 +327,7 @@ fn pick_level(
         if kind == Leveled {
             task.next_inputs = level0_overlaps(version);
         } else {
-            settle_into_single_run(icmp, version, &mut task);
+            settle_into_single_run(version, &mut task);
         }
     }
     Some(task)
@@ -387,12 +379,7 @@ const GROUP_FLOOR: (u64, u64) = (3, 2);
 /// is the level's debt (bytes over [`Options::max_bytes_for_level`]), no
 /// less than `GROUP_FLOOR` targets and no more than
 /// `group_compaction_bytes`. Every other style takes one victim.
-fn pick_from_single_run(
-    opts: &Options,
-    icmp: &InternalKeyComparator,
-    version: &Version,
-    level: usize,
-) -> CompactionTask {
+fn pick_from_single_run(opts: &Options, version: &Version, level: usize) -> CompactionTask {
     let run = &version.levels[level].runs[0];
     let tables = &run.tables;
     debug_assert!(!tables.is_empty());
@@ -432,7 +419,7 @@ fn pick_from_single_run(
     } else {
         // Round-robin start after the compact pointer.
         let scored = |idx: usize| (bytes(&below[tables[idx].overlap_in(below)]), idx);
-        let after = |ptr| tables.partition_point(|t| icmp.compare(&t.largest, ptr).is_le());
+        let after = |ptr| tables.partition_point(|t| compare_internal(&t.largest, ptr).is_le());
         let start = version.compact_pointer(level).map_or(0, after);
         let start = if start >= tables.len() { 0 } else { start };
         gather(&mut (start..tables.len()).map(scored))
@@ -455,7 +442,7 @@ fn pick_from_single_run(
         side.push(Arc::clone(&tables[idx]));
     }
 
-    let next_inputs = overlaps_at(icmp, version, level + 1, &merge_victims);
+    let next_inputs = overlaps_at(version, level + 1, &merge_victims);
     debug_assert!(!settled || charged == bytes(&next_inputs));
     CompactionTask {
         next_inputs,
@@ -600,11 +587,7 @@ fn tier_score(opts: &Options, runs: &[Run]) -> f64 {
 /// the single sorted run below it. Victims that overlap neither that run
 /// nor any other victim settle (move without rewriting), preserving BoLT's
 /// settled-compaction payoff inside the hybrid.
-fn settle_into_single_run(
-    icmp: &InternalKeyComparator,
-    version: &Version,
-    task: &mut CompactionTask,
-) {
+fn settle_into_single_run(version: &Version, task: &mut CompactionTask) {
     // A victim may settle only if it overlaps nothing at the output level
     // AND no other victim: everything else lands in that level's single
     // run, which must stay internally disjoint. In smallest-key order a
@@ -638,7 +621,7 @@ fn settle_into_single_run(
             *run = merge.into();
         }
     }
-    task.next_inputs = overlaps_at(icmp, version, task.output_level, task.victims());
+    task.next_inputs = overlaps_at(version, task.output_level, task.victims());
 }
 
 /// A maximal set of merge inputs whose user-key ranges form one contiguous
@@ -875,10 +858,6 @@ mod tests {
     use crate::version::{VersionBuilder, VersionEdit};
     use bolt_table::ikey::make_internal_key;
 
-    fn icmp() -> InternalKeyComparator {
-        InternalKeyComparator::default()
-    }
-
     fn meta(id: u64, smallest: &str, largest: &str, size: u64) -> TableMeta {
         TableMeta::new(
             id,
@@ -896,7 +875,7 @@ mod tests {
         for (level, tag, m) in tables {
             edit.added_tables.push((*level, *tag, m.clone()));
         }
-        let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
         builder.apply(&edit);
         builder.build().unwrap()
     }
@@ -939,7 +918,7 @@ mod tests {
             (1, 0, meta(5, "a", "c", 1)), // overlaps
             (1, 0, meta(6, "q", "r", 1)), // no overlap with a..z? yes overlaps (a..z covers q)
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         assert_eq!(task.level, 0);
         assert_eq!(task.reason, CompactionReason::Level0);
         assert_eq!(task.victims().count(), 4);
@@ -961,12 +940,12 @@ mod tests {
             let mut edit = VersionEdit::default();
             let key = make_internal_key(key, 1, ValueType::Value);
             edit.compact_pointers.push((1, key));
-            let mut builder = VersionBuilder::new(icmp(), Arc::clone(&v));
+            let mut builder = VersionBuilder::new(Arc::clone(&v));
             builder.apply(&edit);
             builder.build().unwrap()
         };
         let first_victim = |v: &Version| {
-            let task = pick_compaction(&opts, &icmp(), v, None).unwrap();
+            let task = pick_compaction(&opts, v, None).unwrap();
             assert_eq!(task.level, 1);
             let mut victims = task.victims().chain(task.settled_moves.iter());
             victims.next().unwrap().table_id
@@ -979,7 +958,7 @@ mod tests {
         );
         assert_eq!(first_victim(&with_pointer(b"z")), 1, "pointer wraps");
         // The cursor outlives edits that do not move it.
-        let mut builder = VersionBuilder::new(icmp(), Arc::new(with_pointer(b"c")));
+        let mut builder = VersionBuilder::new(Arc::new(with_pointer(b"c")));
         builder.apply(&VersionEdit::default());
         assert_eq!(first_victim(&builder.build().unwrap()), 2);
     }
@@ -992,7 +971,7 @@ mod tests {
             (1, 0, meta(1, "a", "c", 100)),
             (2, 0, meta(2, "x", "z", 100)), // no overlap with a..c
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         assert_eq!(task.settled_moves.len(), 1);
         assert!(task.is_move_only());
     }
@@ -1029,7 +1008,7 @@ mod tests {
 
     /// The ids a pick takes out of its level: merge victims and moves.
     fn taken(opts: &Options, v: &Version) -> Vec<u64> {
-        let task = pick_compaction(opts, &icmp(), v, None).unwrap();
+        let task = pick_compaction(opts, v, None).unwrap();
         assert_eq!((task.level, task.output), (1, OutputShape::Leveled));
         let tables = task.victims().chain(task.settled_moves.iter());
         let mut ids: Vec<u64> = tables.map(|t| t.table_id).collect();
@@ -1044,7 +1023,7 @@ mod tests {
         let mut opts = group_opts(250, false);
         opts.level1_max_bytes = 1;
         let v = group_version(&[100; 4], &[]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         let victims = task.input_runs[0].len() + task.settled_moves.len();
         assert_eq!(victims, 3, "100+100+100 >= 250 budget -> 3 victims");
         // L2 is empty, so every victim is a zero-overlap (trivial) move.
@@ -1061,7 +1040,7 @@ mod tests {
             (1, 0, meta(3, "p", "q", 100)), // no overlap
             (2, 0, meta(4, "a", "d", 1000)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         let moved: Vec<u64> = task.settled_moves.iter().map(|t| t.table_id).collect();
         assert_eq!(moved, vec![2, 3], "zero-overlap victims settle");
         assert!(task.input_runs[0].is_empty(), "no rewrite needed");
@@ -1129,7 +1108,7 @@ mod tests {
         let mut edit = VersionEdit::default();
         edit.compact_pointers
             .push((1, v.levels[1].runs[0].tables[4].largest.clone()));
-        let mut builder = VersionBuilder::new(icmp(), Arc::clone(&v));
+        let mut builder = VersionBuilder::new(Arc::clone(&v));
         builder.apply(&edit);
         let v = builder.build().unwrap();
         let gc = group_opts(NO_CAP, false);
@@ -1168,7 +1147,7 @@ mod tests {
         // for 2600 moved. Once table 1 is in, table 2 adds only table 6
         // (0.3): the group is 1 and 2, 800 bytes for 2000.
         let v = version_with(&neighbours_and_a_loner());
-        let task = pick_from_single_run(&group_opts(1 << 20, true), &icmp(), &v, 1);
+        let task = pick_from_single_run(&group_opts(1 << 20, true), &v, 1);
         let ids = |tables: &[Arc<TableMeta>]| tables.iter().map(|t| t.table_id).collect::<Vec<_>>();
         assert_eq!(ids(&task.input_runs[0]), [1, 2]);
         assert_eq!(ids(&task.next_inputs), [5, 6]);
@@ -1193,7 +1172,7 @@ mod tests {
             [(500, 0), (500, 1), (800, 2), (2000, 3)]
         );
 
-        let task = pick_from_single_run(&group_opts(1 << 20, true), &icmp(), &v, 1);
+        let task = pick_from_single_run(&group_opts(1 << 20, true), &v, 1);
         let merged: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         assert_eq!(merged, [1, 2, 3], "taken, and merged: it does overlap");
         assert!(task.settled_moves.is_empty());
@@ -1220,7 +1199,7 @@ mod tests {
         // A budget of two tables is the two that overlap nothing: a move.
         let mut opts = group_opts(200, true);
         opts.level1_max_bytes = 1;
-        let task = pick_from_single_run(&opts, &icmp(), &v, 1);
+        let task = pick_from_single_run(&opts, &v, 1);
         let moved: Vec<u64> = task.settled_moves.iter().map(|t| t.table_id).collect();
         assert_eq!(moved, [3, 4]);
         assert!(task.is_move_only());
@@ -1285,19 +1264,18 @@ mod tests {
             target in 1u64..20_000,
             cap in 100u64..20_000,
         ) {
-            let icmp = icmp();
             let mut tables = laid_out(1, 1, &upper);
             tables.extend(laid_out(2, 1000, &lower));
             let v = version_with(&tables);
             let mut opts = group_opts(cap, true);
             opts.level1_max_bytes = target;
-            let task = pick_from_single_run(&opts, &icmp, &v, 1);
+            let task = pick_from_single_run(&opts, &v, 1);
 
             // Victims: out of one sorted run, so sorted and disjoint.
             let merged: Vec<&Arc<TableMeta>> = task.victims().collect();
             let mut taken = merged.clone();
             taken.extend(&task.settled_moves);
-            taken.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
+            taken.sort_by(|a, b| compare_internal(&a.smallest, &b.smallest));
             for side in [&merged, &task.settled_moves.iter().collect(), &taken] {
                 for pair in side.windows(2) {
                     let (a, b) = (pair[0].largest_user_key(), pair[1].smallest_user_key());
@@ -1350,7 +1328,7 @@ mod tests {
             (1, 5, meta(1, "a", "c", 100)),
             (1, 6, meta(2, "b", "d", 100)), // overlapping runs allowed
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         assert_eq!(task.output, OutputShape::AppendRun);
         assert_eq!(task.output_level, 2);
         assert_eq!(task.input_runs.len(), 2);
@@ -1362,12 +1340,12 @@ mod tests {
         let opts = Options::leveldb();
         let t = Arc::new(meta(9, "a", "c", 100));
         let v = version_with(&[(1, 0, meta(9, "a", "c", 100))]);
-        let task = pick_compaction(&opts, &icmp(), &v, Some((1, Arc::clone(&t)))).unwrap();
+        let task = pick_compaction(&opts, &v, Some((1, Arc::clone(&t)))).unwrap();
         assert_eq!(task.reason, CompactionReason::Seek);
 
         // Stale candidate (table no longer in the version) is ignored.
         let v2 = version_with(&[(1, 0, meta(8, "a", "c", 100))]);
-        assert!(pick_compaction(&opts, &icmp(), &v2, Some((1, t))).is_none());
+        assert!(pick_compaction(&opts, &v2, Some((1, t))).is_none());
     }
 
     #[test]
@@ -1670,7 +1648,7 @@ mod tests {
         assert!(scores[1] >= 1.0, "five similar runs over threshold 4");
         assert!(scores[0] < 1.0, "empty L0 stays quiet");
 
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         assert_eq!(task.level, 1);
         assert_eq!(task.output_level, 2);
         assert_eq!(task.output, OutputShape::AppendRun);
@@ -1691,7 +1669,7 @@ mod tests {
             (1, 3, meta(3, "a", "d", 100)),
             (1, 4, meta(4, "c", "e", 10_000)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         let mut ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3], "oldest three merge, newest stays");
@@ -1710,7 +1688,7 @@ mod tests {
             (6, 5, meta(5, "a", "e", 10_000)),
             (6, 6, meta(6, "b", "e", 10_000)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         assert_eq!(task.level, 6);
         assert_eq!(task.output_level, 6, "nowhere further down");
         assert_eq!(
@@ -1733,7 +1711,7 @@ mod tests {
             (1, 3, meta(3, "a", "d", 10_000)),
             (1, 4, meta(4, "c", "e", 1_000_000)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         let mut ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2], "oldest two force-merge");
@@ -1752,7 +1730,7 @@ mod tests {
             (5, 4, meta(4, "m", "o", 100)),
             (6, 0, meta(5, "a", "d", 100)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         assert_eq!(task.level, 5);
         assert_eq!(task.output_level, 6);
         assert_eq!(task.output, OutputShape::Leveled);
@@ -1781,7 +1759,7 @@ mod tests {
             (5, 6, meta(6, "h", "i", 50)),
             (5, 6, meta(7, "k", "l", 50)),
         ]);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         let mut merge_ids: Vec<u64> = task.victims().map(|t| t.table_id).collect();
         merge_ids.sort_unstable();
         assert_eq!(merge_ids, vec![1, 2, 5, 6, 7]);
@@ -1799,7 +1777,7 @@ mod tests {
             tables.push((5u32, i + 10, meta(i + 10, "a", "e", 100)));
         }
         let v = version_with(&tables);
-        let task = pick_compaction(&opts, &icmp(), &v, None).unwrap();
+        let task = pick_compaction(&opts, &v, None).unwrap();
         assert_eq!(task.level, 2, "shallower debt paid first");
         assert_eq!(task.output, OutputShape::AppendRun);
         assert_eq!(task.output_level, 3);
@@ -1821,7 +1799,7 @@ mod tests {
                     .map(|i| (1u32, i + 1, meta(i + 1, "a", "e", 100)))
                     .collect();
                 let v = version_with(&tables);
-                let picked = pick_compaction(&opts, &icmp(), &v, None).is_some();
+                let picked = pick_compaction(&opts, &v, None).is_some();
                 assert_eq!(
                     needs_compaction(&opts, &v),
                     picked,
@@ -2160,20 +2138,20 @@ mod tests {
                     added_tables: tables.clone(),
                     ..Default::default()
                 };
-                let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+                let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
                 builder.set_single_run_from(opts.compaction_policy.single_run_from(7));
                 builder.apply(&edit);
                 let got = match builder.build() {
                     Err(_) => "illegal".to_string(),
                     Ok(v) => {
-                        let sized = pick_compaction(opts, &icmp(), &v, None);
+                        let sized = pick_compaction(opts, &v, None);
                         assert_eq!(needs_compaction(opts, &v), sized.is_some());
                         let seek = seek.map(|(level, id)| {
                             let mut tables = v.levels[level].tables();
                             let table = tables.find(|t| t.table_id == id).unwrap();
                             (level, Arc::clone(table))
                         });
-                        row(pick_compaction(opts, &icmp(), &v, seek))
+                        row(pick_compaction(opts, &v, seek))
                     }
                 };
                 assert_eq!(&got, expected, "{rung}, {policy}");

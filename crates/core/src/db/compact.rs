@@ -24,10 +24,11 @@ use std::time::Instant;
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::Result;
+use bolt_table::comparator::compare_internal;
 use bolt_table::ikey::extract_user_key;
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::{ReadPlan, Span};
-use bolt_table::{BuiltTable, Comparator, Table, TableBuilder, TableCache};
+use bolt_table::{BuiltTable, InternalKeyComparator, Table, TableBuilder, TableCache};
 
 use super::{DbInner, ReadView};
 use crate::compaction::{clusters, CompactionReason, CompactionTask, DropRule, OutputShape};
@@ -85,7 +86,7 @@ impl DbInner {
                 .push((task.level as u32, table.table_id));
         }
         if task.reason == CompactionReason::Size && task.output == OutputShape::Leveled {
-            if let Some(key) = task.max_victim_key(&self.icmp) {
+            if let Some(key) = task.max_victim_key() {
                 edit.compact_pointers.push((task.level as u32, key));
             }
         }
@@ -173,7 +174,6 @@ impl DbInner {
                     .zip(&mut readers)
                     .map(|(run, reader)| -> Box<dyn InternalIterator> {
                         Box::new(RunIter::sequential(
-                            self.icmp,
                             Arc::clone(&self.table_cache),
                             Arc::clone(&self.name),
                             run.clone(),
@@ -181,7 +181,7 @@ impl DbInner {
                         ))
                     })
                     .collect();
-                let mut merged = MergingIter::new(self.icmp, children);
+                let mut merged = MergingIter::new(InternalKeyComparator::default(), children);
                 merged.seek_to_first()?;
                 sink.write_run(&mut merged, Some(&mut rule))?;
             }
@@ -225,7 +225,7 @@ impl DbInner {
             let ((unit_a, after_a, part_a), (unit_b, after_b, part_b)) =
                 (needed_at(a), needed_at(b));
             let by_key = match (after_a, after_b) {
-                (Some(a), Some(b)) => self.icmp.compare(a, b),
+                (Some(a), Some(b)) => compare_internal(a, b),
                 (a, b) => a.is_some().cmp(&b.is_some()),
             };
             unit_a.cmp(&unit_b).then(by_key).then(part_a.cmp(&part_b))
@@ -600,8 +600,7 @@ mod tests {
     /// Merge the whole of level 0 down, on this thread.
     fn compact_l0(db: &Db) -> bolt_common::Result<u64> {
         let (inner, version) = (&db.inner, db.current_version());
-        let task =
-            crate::compaction::manual_task(&inner.opts, &inner.icmp, &version, 0, b"", b"zzzz");
+        let task = crate::compaction::manual_task(&inner.opts, &version, 0, b"", b"zzzz");
         let task = task.unwrap();
         let input_bytes = task.input_bytes();
         inner.run_compaction(task, &version).map(|()| input_bytes)
@@ -669,8 +668,7 @@ mod tests {
     /// Push the whole of `level` down one level, on this thread.
     fn compact_level(db: &Db, level: usize) -> bolt_common::Result<()> {
         let (inner, version) = (&db.inner, db.current_version());
-        let task =
-            crate::compaction::manual_task(&inner.opts, &inner.icmp, &version, level, b"", b"zzzz");
+        let task = crate::compaction::manual_task(&inner.opts, &version, level, b"", b"zzzz");
         inner.run_compaction(task.unwrap(), &version)
     }
 
@@ -755,15 +753,8 @@ mod tests {
     fn a_compaction_reads_its_inputs_in_the_order_it_planned() {
         let planned_and_read = |db: &Db, env: &FaultEnv, level: usize| {
             let (inner, version) = (&db.inner, db.current_version());
-            let task = crate::compaction::manual_task(
-                &inner.opts,
-                &inner.icmp,
-                &version,
-                level,
-                b"",
-                b"zzzz",
-            )
-            .unwrap();
+            let task =
+                crate::compaction::manual_task(&inner.opts, &version, level, b"", b"zzzz").unwrap();
             let units = super::merge_units(&task);
             let planned: Vec<(String, u64, usize)> = (inner.read_plan(&units).order().iter())
                 .map(|&(file, offset, len)| {

@@ -211,9 +211,8 @@ impl DbInner {
     fn pick_task(&self, state: &mut DbState) -> Option<(CompactionTask, Arc<Version>, bool)> {
         let view = self.view();
         let version = &view.version;
-        let manual = (state.manual.take()).map(|(level, begin, end)| {
-            manual_task(&self.opts, &self.icmp, version, level, &begin, &end)
-        });
+        let manual = (state.manual.take())
+            .map(|(level, begin, end)| manual_task(&self.opts, version, level, &begin, &end));
         if let Some(None) = manual {
             // Nothing overlaps (anymore): complete it.
             state.manual_done += 1;
@@ -223,7 +222,7 @@ impl DbInner {
             Some(task) => (task, true),
             None => {
                 let candidate = state.seek_candidate.clone();
-                let task = pick_compaction(&self.opts, &self.icmp, version, candidate);
+                let task = pick_compaction(&self.opts, version, candidate);
                 // The candidate waits out a size compaction, nothing else.
                 if task
                     .as_ref()

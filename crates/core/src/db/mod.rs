@@ -150,7 +150,6 @@ struct DbInner {
     /// The database directory; shared, so an iterator's runs clone a pointer.
     name: Arc<str>,
     opts: Options,
-    icmp: InternalKeyComparator,
     table_cache: Arc<TableCache>,
     state: Mutex<DbState>,
     versions: Mutex<VersionSet>,
@@ -402,9 +401,8 @@ impl Db {
             .collect();
         opts.validate()?;
         env.create_dir_all(name)?;
-        let icmp = InternalKeyComparator::default();
         let read_opts = TableReadOptions {
-            comparator: Arc::new(icmp),
+            comparator: Arc::new(InternalKeyComparator::default()),
             filter_policy: opts.filter_policy,
             filter_key: bolt_table::FilterKey::UserKey,
             block_cache: Some(Arc::new(LruCache::new(opts.block_cache_bytes))),
@@ -429,7 +427,6 @@ impl Db {
         let mut versions = VersionSet::new(
             Arc::clone(&env),
             name,
-            icmp,
             opts.num_levels,
             opts.compaction_policy,
             Arc::clone(&sink),
@@ -451,7 +448,6 @@ impl Db {
             env,
             name: name.into(),
             opts,
-            icmp,
             table_cache,
             state: named_mutex("core.state", DbState::default()),
             ids: Arc::clone(versions.ids()),

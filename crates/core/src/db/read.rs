@@ -20,6 +20,7 @@ use std::sync::Arc;
 use bolt_common::Result;
 use bolt_table::ikey::SequenceNumber;
 use bolt_table::rangedel::{RangeTombstone, RangeTombstoneSet};
+use bolt_table::InternalKeyComparator;
 
 use super::{Db, DbInner, DbIterator, Snapshot};
 use crate::iterator::{DbIter, InternalIterator, MergingIter, RunIter, ValueResolver};
@@ -217,13 +218,12 @@ impl DbInner {
         }
         for run in version.levels.iter().flat_map(|level| &level.runs) {
             children.push(Box::new(RunIter::new(
-                inner.icmp,
                 Arc::clone(&inner.table_cache),
                 Arc::clone(&inner.name),
                 Arc::clone(&run.tables),
             )));
         }
-        let merged = MergingIter::new(inner.icmp, children);
+        let merged = MergingIter::new(InternalKeyComparator::default(), children);
         // Always attach the resolver: the store may hold pointers written
         // under an earlier configuration even if separation is off now.
         let resolver = Arc::clone(inner) as Arc<dyn ValueResolver>;

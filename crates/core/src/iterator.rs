@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use bolt_common::{Error, Result};
 use bolt_table::cache::TableCache;
-use bolt_table::comparator::{bytewise, Comparator, InternalKeyComparator};
+use bolt_table::comparator::{bytewise, compare_internal, Comparator, InternalKeyComparator};
 use bolt_table::ikey::{lookup_key, parse_internal_key, SequenceNumber, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::SeqReader;
@@ -95,7 +95,6 @@ impl InternalIterator for bolt_table::TableIter {
 /// run front to back, through a [`SeqReader`]. It holds the run's own
 /// [`TableList`]: creating and dropping one costs nothing per table.
 pub struct RunIter {
-    icmp: InternalKeyComparator,
     cache: Arc<TableCache>,
     db: Arc<str>,
     tables: TableList,
@@ -115,14 +114,8 @@ impl std::fmt::Debug for RunIter {
 
 impl RunIter {
     /// Iterate `tables` (sorted, pairwise disjoint) in order.
-    pub fn new(
-        icmp: InternalKeyComparator,
-        cache: Arc<TableCache>,
-        db: Arc<str>,
-        tables: TableList,
-    ) -> Self {
+    pub fn new(cache: Arc<TableCache>, db: Arc<str>, tables: TableList) -> Self {
         RunIter {
-            icmp,
             cache,
             db,
             tables,
@@ -137,7 +130,6 @@ impl RunIter {
     /// [`ReadPlan`](bolt_table::seq::ReadPlan), supplies them in large
     /// spans from a private buffer, past the block cache and the table LRU.
     pub fn sequential(
-        icmp: InternalKeyComparator,
         cache: Arc<TableCache>,
         db: Arc<str>,
         tables: TableList,
@@ -145,7 +137,7 @@ impl RunIter {
     ) -> Self {
         RunIter {
             seq: Some(seq),
-            ..RunIter::new(icmp, cache, db, tables)
+            ..RunIter::new(cache, db, tables)
         }
     }
 
@@ -197,7 +189,7 @@ impl InternalIterator for RunIter {
         // First table whose largest >= target.
         self.index = self
             .tables
-            .partition_point(|t| self.icmp.compare(&t.largest, target).is_lt());
+            .partition_point(|t| compare_internal(&t.largest, target).is_lt());
         self.open_current()?;
         if let Some(it) = self.iter.as_mut() {
             it.seek(target)?;
@@ -1009,12 +1001,7 @@ mod tests {
                 block_cache: None,
             },
         ));
-        let mut iter = RunIter::new(
-            InternalKeyComparator::default(),
-            cache,
-            "db".into(),
-            metas.into(),
-        );
+        let mut iter = RunIter::new(cache, "db".into(), metas.into());
         iter.seek_to_first().unwrap();
         let mut count = 0;
         let mut prev: Option<Vec<u8>> = None;

@@ -12,7 +12,7 @@ use std::sync::{Arc, RwLock};
 
 use bolt_common::coding::{get_varint32, put_varint32};
 use bolt_common::skiplist::{Iter as SkipIter, SkipList};
-use bolt_table::comparator::{Comparator, InternalKeyComparator};
+use bolt_table::comparator::compare_internal;
 use bolt_table::ikey::{
     lookup_key, make_internal_key, parse_internal_key, SequenceNumber, ValueType,
 };
@@ -27,13 +27,14 @@ fn decode_entry(entry: &[u8]) -> (&[u8], &[u8]) {
     (key, value)
 }
 
-struct EntryComparator(InternalKeyComparator);
+/// Orders skiplist entries by their internal keys under [`compare_internal`].
+struct EntryComparator;
 
 impl bolt_common::skiplist::KeyComparator for EntryComparator {
     fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
         let (ka, _) = decode_entry(a);
         let (kb, _) = decode_entry(b);
-        self.0.compare(ka, kb)
+        compare_internal(ka, kb)
     }
 }
 
@@ -54,7 +55,6 @@ pub enum LookupResult {
 /// In-memory write buffer.
 pub struct MemTable {
     list: SkipList<EntryComparator>,
-    cmp: InternalKeyComparator,
     /// Side index of range tombstones inserted into the skiplist, so point
     /// lookups and overlay construction need not scan for them. Guarded by
     /// a lock because `add` runs on the (single) write path while readers
@@ -84,12 +84,10 @@ impl Default for MemTable {
 }
 
 impl MemTable {
-    /// Create an empty memtable with the default internal-key order.
+    /// Create an empty memtable, ordered by [`compare_internal`].
     pub fn new() -> Self {
-        let cmp = InternalKeyComparator::default();
         MemTable {
-            list: SkipList::new(EntryComparator(cmp)),
-            cmp,
+            list: SkipList::new(EntryComparator),
             range_dels: RwLock::new(Vec::new()),
             has_range_dels: AtomicBool::new(false),
         }
@@ -224,11 +222,6 @@ impl MemTable {
                 >(self.list.iter())
             },
         }
-    }
-
-    /// The internal-key comparator used for ordering.
-    pub fn comparator(&self) -> &InternalKeyComparator {
-        &self.cmp
     }
 }
 

@@ -31,9 +31,9 @@ use bolt_common::coding::{
 };
 use bolt_common::{Error, Result};
 use bolt_table::cache::{TableCache, TableSpec};
-use bolt_table::comparator::{bytewise, Comparator, InternalKeyComparator};
+use bolt_table::comparator::{bytewise, compare_internal};
 use bolt_table::ikey::{
-    extract_user_key, lookup_key, parse_internal_key, SequenceNumber, ValueType,
+    extract_user_key, lookup_key, parse_internal_key, SequenceNumber, ValueType, TAG_SIZE,
 };
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::Table;
@@ -414,18 +414,15 @@ impl Version {
                     if parsed.user_key != user_key || parsed.sequence > snapshot {
                         break;
                     }
-                    if parsed.value_type == ValueType::RangeTombstone {
-                        if parsed.sequence == 0 {
-                            break;
-                        }
-                        below = Some(lookup_key(user_key, parsed.sequence - 1));
-                        continue;
-                    }
                     let result = match parsed.value_type {
+                        ValueType::RangeTombstone if parsed.sequence == 0 => break,
+                        ValueType::RangeTombstone => {
+                            below = Some(lookup_key(user_key, parsed.sequence - 1));
+                            continue;
+                        }
                         ValueType::Deletion => LookupResult::Deleted,
                         ValueType::Value => LookupResult::Value(value),
                         ValueType::ValuePointer => LookupResult::Pointer(value),
-                        ValueType::RangeTombstone => unreachable!("skipped above"),
                     };
                     // A lookup that had to probe more than one table
                     // charges the first table (LevelDB seek compaction).
@@ -630,7 +627,7 @@ impl VersionEdit {
                 tag::LAST_SEQUENCE => edit.last_sequence = Some(dec.varint64()?),
                 tag::COMPACT_POINTER => {
                     let level = dec.varint32()?;
-                    let key = dec.length_prefixed_slice()?.to_vec();
+                    let key = internal_key(&mut dec, "compact pointer")?;
                     edit.compact_pointers.push((level, key));
                 }
                 tag::DELETED_TABLE => {
@@ -646,8 +643,8 @@ impl VersionEdit {
                     let offset = dec.fixed64()?;
                     let size = dec.varint64()?;
                     let num_entries = dec.varint64()?;
-                    let smallest = dec.length_prefixed_slice()?.to_vec();
-                    let largest = dec.length_prefixed_slice()?.to_vec();
+                    let smallest = internal_key(&mut dec, "table's smallest key")?;
+                    let largest = internal_key(&mut dec, "table's largest key")?;
                     edit.added_tables.push((
                         level,
                         run_tag,
@@ -710,6 +707,20 @@ impl VersionEdit {
     }
 }
 
+/// The next length-prefixed field of a record, which holds an internal key.
+/// One shorter than its tag was never written by the engine, and ordering
+/// it would panic, so it is [`Error::Corruption`] here.
+fn internal_key(dec: &mut Decoder<'_>, what: &str) -> Result<Vec<u8>> {
+    let key = dec.length_prefixed_slice()?;
+    if key.len() < TAG_SIZE {
+        return Err(Error::corruption(format!(
+            "{what} is {} bytes, shorter than its {TAG_SIZE}-byte tag",
+            key.len()
+        )));
+    }
+    Ok(key.to_vec())
+}
+
 /// Applies a sequence of edits to a base version.
 ///
 /// A table id lives in exactly one place, so a *move* (settled compaction)
@@ -717,7 +728,6 @@ impl VersionEdit {
 /// always wins over the base placement.
 #[derive(Debug)]
 pub struct VersionBuilder {
-    icmp: InternalKeyComparator,
     base: Arc<Version>,
     /// Levels from this one on may hold at most one run
     /// ([`CompactionPolicyKind::single_run_from`]).
@@ -730,9 +740,8 @@ pub struct VersionBuilder {
 
 impl VersionBuilder {
     /// Start from `base`, every level free to stack runs.
-    pub fn new(icmp: InternalKeyComparator, base: Arc<Version>) -> Self {
+    pub fn new(base: Arc<Version>) -> Self {
         VersionBuilder {
-            icmp,
             compact_pointers: base.compact_pointers.clone(),
             base,
             single_run_from: usize::MAX,
@@ -769,9 +778,10 @@ impl VersionBuilder {
     /// # Errors
     ///
     /// Returns [`Error::Corruption`] if the resulting shape is invalid —
-    /// overlapping tables within one run, or more runs on a level than the
-    /// pinned policy allows. Either way the edit sequence being
-    /// applied was never a real engine state, e.g. a MANIFEST interleaving
+    /// a table at a level the tree does not have, overlapping tables within
+    /// one run, or more runs on a level than the pinned policy allows. Any
+    /// of these means the edit sequence being applied was never a real
+    /// engine state, e.g. a damaged MANIFEST record or one interleaving
     /// committed and uncommitted edits.
     pub fn build(self) -> Result<Version> {
         let num_levels = self.base.levels.len();
@@ -795,16 +805,21 @@ impl VersionBuilder {
             }
         }
         for (_, (level, run_tag, meta)) in self.added {
+            if level as usize >= num_levels {
+                return Err(Error::corruption(format!(
+                    "table {} added at level {level} of a {num_levels}-level tree",
+                    meta.table_id
+                )));
+            }
             runs.entry((level as usize, run_tag))
                 .or_default()
                 .push(meta);
         }
-        let icmp = &self.icmp;
         for ((level, tag), mut tables) in runs {
             if tables.is_empty() {
                 continue;
             }
-            tables.sort_by(|a, b| icmp.compare(&a.smallest, &b.smallest));
+            tables.sort_by(|a, b| compare_internal(&a.smallest, &b.smallest));
             if !tables
                 .windows(2)
                 .all(|w| bytewise(w[0].largest_user_key(), w[1].smallest_user_key()).is_lt())
@@ -854,12 +869,9 @@ mod tests {
         )
     }
 
-    fn icmp() -> InternalKeyComparator {
-        InternalKeyComparator::default()
-    }
-
-    #[test]
-    fn edit_roundtrip() {
+    /// An edit that carries every record tag, the optional table
+    /// annotations alone and together.
+    fn every_tag_edit() -> VersionEdit {
         let mut edit = VersionEdit {
             log_number: Some(9),
             next_file_number: Some(42),
@@ -885,9 +897,83 @@ mod tests {
         edit.vlog_dead.push((21, 0, 65536));
         edit.vlog_dead.push((22, 4096, 128));
         edit.vlog_deleted.push(20);
+        edit
+    }
 
+    #[test]
+    fn edit_roundtrip() {
+        let edit = every_tag_edit();
         let decoded = VersionEdit::decode(&edit.encode()).unwrap();
         assert_eq!(decoded, edit);
+    }
+
+    /// Every truncation of the every-tag record, every single-bit flip and
+    /// every byte set to 0x00 and 0xFF decodes and builds into a 7-level
+    /// leveled tree as `Ok` or `Err(Corruption)`, never a panic: what a
+    /// CRC-valid but lying MANIFEST record does at open.
+    #[test]
+    fn every_damaged_edit_is_ok_or_corruption() {
+        let good = every_tag_edit().encode();
+        let check = |data: &[u8]| -> Result<()> {
+            let edit = VersionEdit::decode(data)?;
+            let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
+            builder.set_single_run_from(CompactionPolicyKind::Leveled.single_run_from(7));
+            builder.apply(&edit);
+            builder.build().map(drop)
+        };
+        check(&good).unwrap();
+        let mut damaged: Vec<Vec<u8>> = (0..good.len()).map(|n| good[..n].to_vec()).collect();
+        for at in 0..good.len() {
+            for bit in 0..8 {
+                let mut flipped = good.clone();
+                flipped[at] ^= 1 << bit;
+                damaged.push(flipped);
+            }
+            for byte in [0x00, 0xFF] {
+                let mut set = good.clone();
+                set[at] = byte;
+                damaged.push(set);
+            }
+        }
+        for (case, data) in damaged.iter().enumerate() {
+            if let Err(err) = check(data) {
+                assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}");
+            }
+        }
+    }
+
+    /// Two level-1 tables keyed `ab..cd` and `ef..gh`, and a compact
+    /// pointer `ptr`: keys without their 8-byte tag. Each is `Corruption`
+    /// at decode, before a build or a picker orders it.
+    #[test]
+    fn decode_rejects_keys_shorter_than_the_tag() {
+        let raw = |id, smallest: &[u8], largest: &[u8]| {
+            TableMeta::new(id, id, 0, 1 << 20, 10, smallest.to_vec(), largest.to_vec())
+        };
+        let tagged = |key: &[u8]| make_internal_key(key, 1, ValueType::Value);
+        let mut tables = VersionEdit::default();
+        tables.added_tables.push((1, 0, raw(1, b"ab", b"cd")));
+        tables.added_tables.push((1, 0, raw(2, b"ef", b"gh")));
+        let mut largest = VersionEdit::default();
+        largest
+            .added_tables
+            .push((1, 0, raw(1, &tagged(b"ab"), b"cd")));
+        let mut pointer = VersionEdit::default();
+        pointer.compact_pointers.push((1, b"ptr".to_vec()));
+        for edit in [tables, largest, pointer] {
+            let err = VersionEdit::decode(&edit.encode()).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn build_rejects_a_table_at_a_level_the_tree_does_not_have() {
+        let mut edit = VersionEdit::default();
+        edit.added_tables.push((50, 0, meta(1, b"a", b"m")));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
+        builder.apply(&edit);
+        let err = builder.build().unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err:?}");
     }
 
     #[test]
@@ -952,17 +1038,17 @@ mod tests {
         edit.added_tables.push((1, 1, meta(1, b"a", b"c")));
         edit.added_tables.push((1, 2, meta(2, b"b", b"d")));
 
-        let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
         builder.apply(&edit);
         assert!(builder.build().is_ok());
 
-        let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
         builder.set_single_run_from(1);
         builder.apply(&edit);
         assert!(builder.build().is_err());
 
         // Lazy-leveled: stacking at level 1 is allowed, at the last is not.
-        let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
         builder.set_single_run_from(6);
         builder.apply(&edit);
         assert!(builder.build().is_ok());
@@ -970,7 +1056,7 @@ mod tests {
         let mut edit_last = VersionEdit::default();
         edit_last.added_tables.push((6, 1, meta(1, b"a", b"c")));
         edit_last.added_tables.push((6, 2, meta(2, b"b", b"d")));
-        let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
         builder.set_single_run_from(6);
         builder.apply(&edit_last);
         assert!(builder.build().is_err());
@@ -979,7 +1065,7 @@ mod tests {
         let mut edit_l0 = VersionEdit::default();
         edit_l0.added_tables.push((0, 1, meta(1, b"a", b"c")));
         edit_l0.added_tables.push((0, 2, meta(2, b"b", b"d")));
-        let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
         builder.set_single_run_from(1);
         builder.apply(&edit_l0);
         assert!(builder.build().is_ok());
@@ -993,7 +1079,7 @@ mod tests {
         edit.added_tables.push((0, 2, meta(2, b"b", b"d")));
         edit.added_tables.push((1, 0, meta(3, b"a", b"c")));
         edit.added_tables.push((1, 0, meta(4, b"d", b"f")));
-        let mut builder = VersionBuilder::new(icmp(), base);
+        let mut builder = VersionBuilder::new(base);
         builder.apply(&edit);
         let v1 = Arc::new(builder.build().unwrap());
         assert_eq!(v1.levels[0].num_runs(), 2);
@@ -1006,7 +1092,7 @@ mod tests {
         edit2.deleted_tables.push((0, 1));
         edit2.deleted_tables.push((1, 4));
         edit2.added_tables.push((2, 0, meta(4, b"d", b"f")));
-        let mut builder = VersionBuilder::new(icmp(), Arc::clone(&v1));
+        let mut builder = VersionBuilder::new(Arc::clone(&v1));
         builder.apply(&edit2);
         let v2 = builder.build().unwrap();
         assert_eq!(v2.levels[0].num_runs(), 1);
@@ -1030,7 +1116,7 @@ mod tests {
         let walk =
             |v: &Version| -> u64 { v.all_tables().map(|(_, _, t)| t.range_tombstones).sum() };
         let apply = |base: &Arc<Version>, edit: &VersionEdit| {
-            let mut builder = VersionBuilder::new(icmp(), Arc::clone(base));
+            let mut builder = VersionBuilder::new(Arc::clone(base));
             builder.apply(edit);
             let next = builder.build().unwrap();
             assert_eq!(next.live_range_tombstones(), walk(&next));
@@ -1121,7 +1207,7 @@ mod tests {
         edit.added_tables.push((0, 1, meta(1, b"a", b"f")));
         edit.added_tables.push((0, 2, meta(2, b"d", b"j")));
         edit.added_tables.push((0, 3, meta(3, b"p", b"q")));
-        let mut builder = VersionBuilder::new(icmp(), base);
+        let mut builder = VersionBuilder::new(base);
         builder.apply(&edit);
         let v = builder.build().unwrap();
         let overlapping = v.overlapping_tables(0, b"e", b"g");
@@ -1142,7 +1228,7 @@ mod tests {
         {
             edit.added_tables.push((1, 0, meta(id as u64 + 1, lo, hi)));
         }
-        let mut builder = VersionBuilder::new(icmp(), Arc::new(Version::empty(7)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
         builder.apply(&edit);
         let v = builder.build().unwrap();
         let run = &v.levels[1].runs[0];
@@ -1165,7 +1251,7 @@ mod tests {
         let mut edit = VersionEdit::default();
         edit.added_tables.push((1, 0, meta(1, b"a", b"c")));
         edit.added_tables.push((1, 0, meta(2, b"d", b"f")));
-        let mut builder = VersionBuilder::new(icmp(), base);
+        let mut builder = VersionBuilder::new(base);
         builder.apply(&edit);
         let v = builder.build().unwrap();
         assert_eq!(v.levels[1].size(), 2 << 20);

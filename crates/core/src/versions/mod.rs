@@ -24,7 +24,6 @@ use bolt_common::events::{EngineEvent, EventSink};
 use bolt_common::{Error, Result};
 use bolt_env::Env;
 use bolt_table::cache::TableCache;
-use bolt_table::comparator::InternalKeyComparator;
 use bolt_wal::LogReader;
 
 use crate::filename::{current_file, parse_file_name, vlog_file, FileType};
@@ -87,7 +86,6 @@ impl FileIds {
 pub struct VersionSet {
     env: Arc<dyn Env>,
     db: String,
-    icmp: InternalKeyComparator,
     num_levels: usize,
     current: Arc<Version>,
     /// Every version this set made current; readers may still hold old ones.
@@ -135,7 +133,6 @@ impl VersionSet {
     pub fn new(
         env: Arc<dyn Env>,
         db: &str,
-        icmp: InternalKeyComparator,
         num_levels: usize,
         policy: CompactionPolicyKind,
         sink: Arc<EventSink>,
@@ -143,7 +140,6 @@ impl VersionSet {
         VersionSet {
             env,
             db: db.to_string(),
-            icmp,
             num_levels,
             current: Arc::new(Version::empty(num_levels)),
             live: Vec::new(),
@@ -188,7 +184,7 @@ impl VersionSet {
         if edit.last_sequence.is_none() {
             edit.last_sequence = Some(self.last_sequence);
         }
-        let mut builder = VersionBuilder::new(self.icmp, Arc::clone(&self.current));
+        let mut builder = VersionBuilder::new(Arc::clone(&self.current));
         builder.set_single_run_from(self.policy.single_run_from(self.num_levels));
         builder.apply(&edit);
         let version = Arc::new(builder.build()?);
@@ -316,7 +312,7 @@ impl VersionSet {
         let old_manifest_path = bolt_env::join_path(&self.db, name);
 
         let mut reader = LogReader::new(self.env.new_random_access_file(&old_manifest_path)?);
-        let mut builder = VersionBuilder::new(self.icmp, Arc::new(Version::empty(self.num_levels)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(self.num_levels)));
         builder.set_single_run_from(self.policy.single_run_from(self.num_levels));
         let mut found_any = false;
         let mut pinned_policy: Option<CompactionPolicyKind> = None;
@@ -475,7 +471,7 @@ pub(crate) mod test_util {
     pub(crate) use bolt_env::{Env, FaultEnv, MemEnv};
     use bolt_table::builder::FilterKey;
     pub(crate) use bolt_table::cache::TableCache;
-    pub(crate) use bolt_table::comparator::InternalKeyComparator;
+    use bolt_table::comparator::InternalKeyComparator;
     use bolt_table::ikey::{make_internal_key, ValueType};
     use bolt_table::TableReadOptions;
 
@@ -516,8 +512,7 @@ pub(crate) mod test_util {
         dir: &str,
         policy: CompactionPolicyKind,
     ) -> VersionSet {
-        let icmp = InternalKeyComparator::default();
-        VersionSet::new(Arc::clone(env), dir, icmp, 7, policy, Arc::default())
+        VersionSet::new(Arc::clone(env), dir, 7, policy, Arc::default())
     }
 
     /// The leveled set over `db`, recovered.
@@ -541,9 +536,8 @@ pub(crate) mod test_util {
         let env: Arc<dyn Env> = Arc::new(fault.clone());
         let sink = Arc::new(EventSink::new());
         env.create_dir_all("db").unwrap();
-        let icmp = InternalKeyComparator::default();
         let policy = CompactionPolicyKind::Leveled;
-        let mut vs = VersionSet::new(Arc::clone(&env), "db", icmp, 7, policy, Arc::clone(&sink));
+        let mut vs = VersionSet::new(Arc::clone(&env), "db", 7, policy, Arc::clone(&sink));
         vs.create_new().unwrap();
         sink.drain();
         (fault, env, sink, vs)

@@ -39,6 +39,15 @@ pub const RULE_LOCK_ORDER: &str = "lock-order";
 /// L3: `unwrap`/`expect`/`panic!`-family in recovery/compaction/WAL modules
 /// (`[modules].crash_path`) outside `#[cfg(test)]` — crash-path code must
 /// return errors, not panic.
+///
+/// L3 sees only the calls written in the module. It cannot see a slice
+/// index out of range (a decoded level used as `levels[level]`), nor an
+/// `assert!` inside a callee (`extract_user_key` on a key shorter than its
+/// tag). The damage tests guard those: every truncation, bit flip and
+/// `0x00`/`0xFF` byte of a block (`every_damaged_block_is_ok_or_corruption`),
+/// a table tail (`a_flipped_bit_anywhere_in_the_tail_is_corruption_or_harmless`)
+/// and a MANIFEST edit (`every_damaged_edit_is_ok_or_corruption`) is `Ok` or
+/// `Corruption`, never a panic.
 pub const RULE_UNWRAP_IN_CRASH_PATH: &str = "unwrap-in-crash-path";
 /// L4: in commit-protocol modules, a MANIFEST append must be dominated by a
 /// sync of every data file appended earlier in the function (O1), and

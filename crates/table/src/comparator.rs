@@ -39,29 +39,32 @@ impl Comparator for BytewiseComparator {
     }
 }
 
-/// Orders internal keys: ascending by user key under [`bytewise`], then
-/// *descending* by sequence/type so the newest version of a key is seen
-/// first. It has no state: every copy is the same order, compared inline.
-/// Built with `InternalKeyComparator::default()`.
+/// The engine's one internal-key order: ascending by user key under
+/// [`bytewise`], then *descending* by sequence/type so the newest version of
+/// a key is seen first. A free function the engine calls inline; nothing
+/// carries the order as a value.
+///
+/// Both keys must hold the 8-byte tag: a shorter key panics in
+/// [`extract_user_key`], so a decoder rejects one before it is compared.
+#[inline]
+pub fn compare_internal(a: &[u8], b: &[u8]) -> Ordering {
+    match bytewise(extract_user_key(a), extract_user_key(b)) {
+        Ordering::Equal => extract_tag(b).cmp(&extract_tag(a)),
+        ord => ord,
+    }
+}
+
+/// [`compare_internal`] behind the trait, for the table reader's options and
+/// the merging iterator. It has no state: built with
+/// `InternalKeyComparator::default()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct InternalKeyComparator;
 
-impl InternalKeyComparator {
-    /// Compare only the user-key prefixes of two internal keys.
-    #[inline]
-    pub fn compare_user_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
-        bytewise(extract_user_key(a), extract_user_key(b))
-    }
-}
-
 impl Comparator for InternalKeyComparator {
     #[inline]
     fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
-        match self.compare_user_keys(a, b) {
-            Ordering::Equal => extract_tag(b).cmp(&extract_tag(a)),
-            ord => ord,
-        }
+        compare_internal(a, b)
     }
 
     fn name(&self) -> &'static str {

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use bolt_common::{Error, Result};
 use bolt_core::{Db, MetricsSnapshot, Options};
 use bolt_env::Env;
-use bolt_table::comparator::{bytewise, Comparator};
+use bolt_table::comparator::{bytewise, compare_internal};
 use bolt_table::ikey::parse_internal_key;
 use bolt_wal::LogReader;
 
@@ -743,7 +743,6 @@ pub fn verify(env: &Arc<dyn Env>, db_name: &str, opts: Options) -> Result<String
 pub fn verify_db(db: &Db) -> Result<(usize, u64)> {
     let db_name = db.name().to_string();
     let version = db.current_version();
-    let icmp = bolt_table::comparator::InternalKeyComparator::default();
 
     let mut tables_checked = 0usize;
     let mut entries_checked = 0u64;
@@ -769,14 +768,14 @@ pub fn verify_db(db: &Db) -> Result<(usize, u64)> {
                     let key = iter.key().to_vec();
                     parse_internal_key(&key)?;
                     if let Some(p) = &prev {
-                        if !icmp.compare(p, &key).is_lt() {
+                        if !compare_internal(p, &key).is_lt() {
                             return Err(Error::corruption(format!(
                                 "table {} entries out of order",
                                 meta.table_id
                             )));
                         }
                     }
-                    if count == 0 && icmp.compare(&key, &meta.smallest).is_ne() {
+                    if count == 0 && compare_internal(&key, &meta.smallest).is_ne() {
                         return Err(Error::corruption(format!(
                             "table {} smallest key mismatch",
                             meta.table_id
@@ -793,7 +792,7 @@ pub fn verify_db(db: &Db) -> Result<(usize, u64)> {
                     )));
                 }
                 if let Some(last) = prev {
-                    if icmp.compare(&last, &meta.largest).is_ne() {
+                    if compare_internal(&last, &meta.largest).is_ne() {
                         return Err(Error::corruption(format!(
                             "table {} largest key mismatch",
                             meta.table_id

@@ -246,7 +246,6 @@ proptest! {
         use bolt::bolt_core::version::{TableMeta, VersionEdit};
         use bolt::bolt_core::versions::VersionSet;
         use bolt::bolt_core::CompactionPolicyKind;
-        use bolt::bolt_table::comparator::InternalKeyComparator;
         use bolt::bolt_table::ikey::{make_internal_key, ValueType};
         use bolt_env::{FaultEnv, FaultPlan};
 
@@ -254,7 +253,7 @@ proptest! {
         let env: Arc<dyn Env> = Arc::new(fault.clone());
         env.create_dir_all("db").unwrap();
         let open_set = || VersionSet::new(
-            Arc::clone(&env), "db", InternalKeyComparator::default(), 7,
+            Arc::clone(&env), "db", 7,
             CompactionPolicyKind::Leveled, Arc::default());
         let mut vs = open_set();
         vs.create_new().unwrap();
