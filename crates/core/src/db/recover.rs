@@ -10,6 +10,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bolt_common::{Error, Result};
+use bolt_table::ikey::MAX_SEQUENCE_NUMBER;
 use bolt_wal::LogReader;
 
 use super::write::new_wal_writer;
@@ -80,10 +81,10 @@ impl DbInner {
                             match staged.remove(&txn_id) {
                                 Some(mut payload) => {
                                     if replay {
+                                        let last = last_sequence(base_seq, payload.count())?;
                                         payload.set_sequence(base_seq);
                                         payload.apply_to(&mem)?;
-                                        max_seq =
-                                            max_seq.max(base_seq + u64::from(payload.count()) - 1);
+                                        max_seq = max_seq.max(last);
                                     }
                                 }
                                 // Below the log floor a missing stash is
@@ -111,8 +112,9 @@ impl DbInner {
                     }
                 } else if replay {
                     let batch = WriteBatch::decode(&record)?;
+                    let last = last_sequence(batch.sequence(), batch.count())?;
                     batch.apply_to(&mem)?;
-                    max_seq = max_seq.max(batch.sequence() + u64::from(batch.count()) - 1);
+                    max_seq = max_seq.max(last);
                 }
                 if mem.approximate_memory_usage() >= self.opts.memtable_bytes {
                     self.last_sequence.store(max_seq, Ordering::Release);
@@ -137,9 +139,11 @@ impl DbInner {
         for (_, txn_id) in decided {
             // bolt-lint: allow(unwrap-in-crash-path) -- key drawn from `staged` above.
             let mut payload = staged.remove(&txn_id).expect("staged slice present");
-            payload.set_sequence(max_seq + 1);
-            max_seq += u64::from(payload.count());
+            let first = max_seq.saturating_add(1);
+            let last = last_sequence(first, payload.count())?;
+            payload.set_sequence(first);
             payload.apply_to(&mem)?;
+            max_seq = last;
         }
 
         self.recovered_max_txn.store(max_txn, Ordering::Release);
@@ -180,6 +184,21 @@ impl DbInner {
         });
         Ok(())
     }
+}
+
+/// The last sequence a replayed record of `count` entries stamped `first`
+/// takes. A record that passed its CRC can still lie: an empty one, or one
+/// whose last sequence overflows or passes [`MAX_SEQUENCE_NUMBER`] (a tag
+/// cannot hold it), is `Corruption` before anything is applied.
+fn last_sequence(first: u64, count: u32) -> Result<u64> {
+    (u64::from(count).checked_sub(1))
+        .and_then(|n| first.checked_add(n))
+        .filter(|&last| last <= MAX_SEQUENCE_NUMBER)
+        .ok_or_else(|| {
+            Error::Corruption(format!(
+                "WAL record of {count} entries at sequence {first} does not fit the sequence space"
+            ))
+        })
 }
 
 #[cfg(test)]
@@ -386,6 +405,110 @@ mod tests {
         // The orphan marker still seeds the id allocator.
         assert_eq!(db.recovered_max_txn_id(), 7);
         db.close().unwrap();
+    }
+
+    /// Open a closed database after forging a CRC-valid `000999.log` that
+    /// holds `records`, with the coordinator having decided `committed`.
+    fn open_after_forged_log(records: &[Vec<u8>], committed: Vec<u64>) -> Error {
+        let env = Arc::new(MemEnv::new());
+        let open = |committed| {
+            let env = Arc::clone(&env) as Arc<dyn Env>;
+            Db::open_with_committed_txns(env, "db", Options::leveldb(), committed)
+        };
+        open(Vec::new()).unwrap().close().unwrap();
+        let mut w = LogWriter::new(env.new_writable_file(&log_file("db", 999)).unwrap());
+        for record in records {
+            w.add_record(record).unwrap();
+        }
+        w.sync().unwrap();
+        match open(committed) {
+            Ok(_) => panic!("the forged log must not open"),
+            Err(err) => err,
+        }
+    }
+
+    /// A batch record of one put per key, stamped `seq`.
+    fn batch_at(seq: u64, keys: &[&[u8]]) -> Vec<u8> {
+        let mut batch = WriteBatch::new();
+        for key in keys {
+            batch.put(key, b"v");
+        }
+        batch.set_sequence(seq);
+        batch.encode()
+    }
+
+    #[test]
+    fn an_empty_batch_record_is_corruption() {
+        let err = open_after_forged_log(&[batch_at(0, &[])], Vec::new());
+        assert!(matches!(err, Error::Corruption(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_batch_whose_last_sequence_overflows_is_corruption() {
+        let err = open_after_forged_log(&[batch_at(u64::MAX, &[b"a", b"b"])], Vec::new());
+        assert!(matches!(err, Error::Corruption(_)), "{err:?}");
+    }
+
+    /// `1 << 60` is past what a tag holds: `pack_tag` would assert.
+    #[test]
+    fn a_batch_past_the_max_sequence_is_corruption() {
+        let err = open_after_forged_log(&[batch_at(1 << 60, &[b"a"])], Vec::new());
+        assert!(matches!(err, Error::Corruption(_)), "{err:?}");
+    }
+
+    /// The log takes the last sequence a tag holds, so the decided slice
+    /// committed at its end has none left.
+    #[test]
+    fn a_decided_slice_past_the_max_sequence_at_the_end_of_the_log_is_corruption() {
+        let marker = ShardTxnMarker {
+            txn_id: 5,
+            shard_bitmap: 0b11,
+        };
+        let prepare = txn::encode_prepare(&marker, &txn_slice(&[(b"k", b"v")]));
+        let full = batch_at(MAX_SEQUENCE_NUMBER, &[b"a"]);
+        let err = open_after_forged_log(&[full, prepare], vec![5]);
+        assert!(matches!(err, Error::Corruption(_)), "{err:?}");
+    }
+
+    /// Every damaged copy of a prepare record whose slice holds a put, a
+    /// delete, a value pointer and a range tombstone, and of that slice as
+    /// a plain batch record, decodes, passes recovery's sequence check and
+    /// applies to a memtable, or is `Corruption`: never a panic.
+    #[test]
+    fn every_damaged_wal_record_is_ok_or_corruption() {
+        let mut slice = WriteBatch::new();
+        slice.put(b"key", b"value");
+        slice.delete(b"gone");
+        let pointer = crate::vlog::ValuePointer {
+            file_number: 12,
+            offset: 4096,
+            len: 300,
+            crc: 0xDEAD_BEEF,
+        };
+        slice.put_pointer(b"big", &pointer.encode());
+        slice.delete_range(b"a", b"m");
+        slice.set_sequence(42);
+        let marker = ShardTxnMarker {
+            txn_id: 7,
+            shard_bitmap: 0b11,
+        };
+        let replay = |record: &[u8]| -> Result<()> {
+            let batch = match txn::decode(record).transpose()? {
+                Some(TxnWalRecord::Prepare { payload, .. }) => payload,
+                Some(_) => return Ok(()),
+                None => WriteBatch::decode(record)?,
+            };
+            last_sequence(batch.sequence(), batch.count())?;
+            batch.apply_to(&MemTable::new())
+        };
+        for good in [txn::encode_prepare(&marker, &slice), slice.encode()] {
+            replay(&good).unwrap();
+            for (case, data) in crate::damage::damaged(&good).enumerate() {
+                if let Err(err) = replay(&data) {
+                    assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,8 @@
 
 pub mod batch;
 pub mod compaction;
+#[cfg(test)]
+mod damage;
 pub mod db;
 pub mod filename;
 pub mod iterator;

@@ -828,7 +828,13 @@ impl VersionBuilder {
                     "run {tag} at level {level} has overlapping tables"
                 )));
             }
-            version.range_tombstone_count += tables.iter().map(|t| t.range_tombstones).sum::<u64>();
+            // Counts decoded from a MANIFEST can lie: a sum past u64 is
+            // `Corruption`, not a wrapped count that reads as none.
+            version.range_tombstone_count = (tables.iter())
+                .try_fold(version.range_tombstone_count, |n, t| {
+                    n.checked_add(t.range_tombstones)
+                })
+                .ok_or_else(|| Error::corruption("range tombstone counts overflow"))?;
             version.levels[level].runs.push(Run {
                 tag,
                 tables: tables.into(),
@@ -922,21 +928,8 @@ mod tests {
             builder.build().map(drop)
         };
         check(&good).unwrap();
-        let mut damaged: Vec<Vec<u8>> = (0..good.len()).map(|n| good[..n].to_vec()).collect();
-        for at in 0..good.len() {
-            for bit in 0..8 {
-                let mut flipped = good.clone();
-                flipped[at] ^= 1 << bit;
-                damaged.push(flipped);
-            }
-            for byte in [0x00, 0xFF] {
-                let mut set = good.clone();
-                set[at] = byte;
-                damaged.push(set);
-            }
-        }
-        for (case, data) in damaged.iter().enumerate() {
-            if let Err(err) = check(data) {
+        for (case, data) in crate::damage::damaged(&good).enumerate() {
+            if let Err(err) = check(&data) {
                 assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}");
             }
         }
@@ -964,6 +957,22 @@ mod tests {
             let err = VersionEdit::decode(&edit.encode()).unwrap_err();
             assert!(matches!(err, Error::Corruption(_)), "{err:?}");
         }
+    }
+
+    /// Two level-1 tables whose range-tombstone counts overflow a u64
+    /// together: `Corruption` at build, where a debug build panicked and a
+    /// release build wrapped to a count that can read as none.
+    #[test]
+    fn build_rejects_range_tombstone_counts_that_overflow() {
+        let mut edit = VersionEdit::default();
+        let lying = meta(1, b"a", b"c").with_range_tombstones(u64::MAX);
+        edit.added_tables.push((1, 0, lying));
+        edit.added_tables
+            .push((1, 0, meta(2, b"d", b"f").with_range_tombstones(2)));
+        let mut builder = VersionBuilder::new(Arc::new(Version::empty(7)));
+        builder.apply(&edit);
+        let err = builder.build().unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err:?}");
     }
 
     #[test]

@@ -26,6 +26,25 @@ pub struct Config {
     /// with the crash/commit lists, by rule L6 (no discarded fallible I/O
     /// results).
     pub twopc_path: Vec<String>,
+    /// `[architecture]` rules, in file order.
+    pub architecture: Vec<ArchRule>,
+}
+
+/// One `[architecture]` rule, `"why" = "SCOPE : P | Q = N"`: in SCOPE's
+/// non-test tokens the patterns occur N times in all (0 forbids them).
+/// SCOPE is `PATH [KIND NAME].. [tests] [except SCOPE; ..]`: a path as in
+/// `[modules]`, narrowed to the `fn`/`impl`/`struct`/`macro` items named
+/// (`*` is any), test code included with `tests`.
+#[derive(Debug, Clone)]
+pub struct ArchRule {
+    pub(crate) why: String,
+    pub(crate) text: String,
+    pub(crate) line: u32,
+    /// The scope, then each excepted one: a path, then `KIND NAME` pairs.
+    pub(crate) scopes: Vec<Vec<String>>,
+    pub(crate) tests: bool,
+    pub(crate) patterns: Vec<String>,
+    pub(crate) count: usize,
 }
 
 impl Config {
@@ -70,6 +89,10 @@ impl Config {
                 ("modules", "crash_path") => cfg.crash_path = parse_array(&value)?,
                 ("modules", "commit_path") => cfg.commit_path = parse_array(&value)?,
                 ("modules", "twopc_path") => cfg.twopc_path = parse_array(&value)?,
+                ("architecture", why) => {
+                    let rule = parse_rule(why, unquote(&value), n as u32 + 1);
+                    cfg.architecture.push(rule?);
+                }
                 _ => {
                     return Err(format!(
                         "lock_order.toml:{}: unknown key `{key}` in section `[{section}]`",
@@ -110,10 +133,37 @@ fn strip_comment(line: &str) -> &str {
 
 fn unquote(s: &str) -> String {
     let s = s.trim();
-    s.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
+    ['"', '\'']
+        .into_iter()
+        .find_map(|q| s.strip_prefix(q)?.strip_suffix(q))
         .unwrap_or(s)
         .to_string()
+}
+
+fn parse_rule(why: &str, text: String, line: u32) -> Result<ArchRule, String> {
+    let bad = || format!("lock_order.toml:{line}: expected `SCOPE : PATTERN | .. = N`");
+    let (lhs, count) = text.rsplit_once(" = ").ok_or_else(bad)?;
+    let (scope, patterns) = lhs.split_once(" : ").ok_or_else(bad)?;
+    let (scope, except) = scope.split_once(" except ").unwrap_or((scope, ""));
+    let except = except.split(';').filter(|s| !s.trim().is_empty());
+    let words = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+    let tests = scope.ends_with(" tests");
+    let scope = scope.trim_end_matches(" tests");
+    let scopes: Vec<_> = std::iter::once(scope).chain(except).map(words).collect();
+    let patterns: Vec<String> = patterns.split(" | ").map(String::from).collect();
+    if scopes.iter().any(|s| s.len() % 2 == 0) || patterns.iter().any(|p| p.trim().is_empty()) {
+        return Err(bad());
+    }
+    let count = count.trim().parse().map_err(|_| bad())?;
+    Ok(ArchRule {
+        why: why.to_string(),
+        text,
+        line,
+        scopes,
+        tests,
+        patterns,
+        count,
+    })
 }
 
 fn parse_array(s: &str) -> Result<Vec<String>, String> {
@@ -165,5 +215,36 @@ twopc_path = ["c/"]
     #[test]
     fn rejects_unknown_keys() {
         assert!(Config::parse("[order]\nbogus = 1\n").is_err());
+    }
+
+    #[test]
+    fn parses_architecture_rules() {
+        let cfg = Config::parse(
+            r#"
+[architecture]
+"why" = 'a/ fn f tests except a/b.rs; a/c.rs impl T fn g : x( | "lit" = 2'
+"#,
+        )
+        .unwrap();
+        let rule = &cfg.architecture[0];
+        assert_eq!(
+            (rule.why.as_str(), rule.line, rule.count, rule.tests),
+            ("why", 3, 2, true)
+        );
+        assert_eq!(
+            rule.scopes,
+            [
+                vec!["a/", "fn", "f"],
+                vec!["a/b.rs"],
+                vec!["a/c.rs", "impl", "T", "fn", "g"]
+            ]
+        );
+        assert_eq!(rule.patterns, ["x(", "\"lit\""]);
+        for bad in ["a/ : x", "a/ fn : x = 0", "a/ : x |  = 0", "a/ : x = many"] {
+            assert!(
+                Config::parse(&format!("[architecture]\nr = \"{bad}\"\n")).is_err(),
+                "{bad}"
+            );
+        }
     }
 }

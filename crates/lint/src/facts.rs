@@ -191,7 +191,17 @@ pub struct FileFacts {
     /// `examples` path component): their `#[test]` functions are linted
     /// like live code instead of being exempt.
     pub integration: bool,
+    /// Every token of the file, for the `[architecture]` rules.
+    pub tokens: Vec<Token>,
+    /// Token ranges of `#[cfg(test)]` / `#[test]` items.
+    pub test_regions: Vec<(usize, usize)>,
+    /// The items an `[architecture]` scope narrows to.
+    pub items: Vec<Item>,
 }
+
+/// `(kind, name, line, body)` of a `fn`, an `impl` (named by its `Self`
+/// type), a braced `struct` or a `macro_rules!`; `body` is a token range.
+pub type Item = (&'static str, String, u32, (usize, usize));
 
 impl FileFacts {
     /// Is `rule` allowed at `line` (same line or the line above)?
@@ -244,8 +254,20 @@ pub fn extract(path: &str, src: &str) -> FileFacts {
     let test_regions = find_test_regions(toks, &close_of);
     let unlocked_spans = find_unlocked_spans(toks, &close_of);
     let containers = find_containers(toks, &close_of);
-    let traits = find_trait_decls(toks, &close_of);
-    let structs = find_structs(toks, &close_of);
+    // A trait body is a container with no `Self` type; its methods, the
+    // `fn`s named in it.
+    let traits = (containers.iter().filter(|c| c.self_ty.is_none()))
+        .filter_map(|c| {
+            let fns = (c.body_start..c.body_end).filter(|&j| ident_at(toks, j) == Some("fn"));
+            let methods = fns.filter_map(|j| Some(ident_at(toks, j + 1)?.to_string()));
+            let (name, methods) = (c.trait_name.clone()?, methods.collect());
+            Some(TraitDecl { name, methods })
+        })
+        .collect();
+    let mut items = find_braced_items(toks, &close_of);
+    let structs = (items.iter().filter(|it| it.0 == "struct"))
+        .map(|(_, name, _, (s, e))| (name.clone(), parse_fields(toks, *s, *e)))
+        .collect();
     let fns = find_functions(toks, &close_of);
     let closures = find_closures(toks, path, &close_of);
 
@@ -290,7 +312,7 @@ pub fn extract(path: &str, src: &str) -> FileFacts {
             is_closure: false,
             self_ty,
             trait_name,
-            params: parse_params(toks, f.params_open, f.params_close, &f.bounds),
+            params: parse_param_segments(toks, f.params_open + 1, f.params_close, &f.bounds),
             locals,
             events,
         });
@@ -332,6 +354,14 @@ pub fn extract(path: &str, src: &str) -> FileFacts {
     }
 
     let named_locks = find_named_locks(toks, &test_regions);
+    items.extend(
+        fns.iter()
+            .map(|f| ("fn", f.name.clone(), f.line, (f.body_start, f.body_end))),
+    );
+    items.extend(containers.iter().filter_map(|c| {
+        let line = toks[c.body_start - 1].line;
+        Some(("impl", c.self_ty.clone()?, line, (c.body_start, c.body_end)))
+    }));
 
     FileFacts {
         path: path.to_string(),
@@ -341,7 +371,31 @@ pub fn extract(path: &str, src: &str) -> FileFacts {
         traits,
         structs,
         integration: is_integration_path(path),
+        tokens: lexed.tokens,
+        test_regions,
+        items,
     }
+}
+
+/// `struct NAME .. { .. }` and `macro_rules! NAME { .. }` items.
+fn find_braced_items(toks: &[Token], close_of: &HashMap<usize, usize>) -> Vec<Item> {
+    let item = |i: usize| {
+        let (kind, at) = match ident_at(toks, i)? {
+            "struct" => ("struct", i + 1),
+            "macro_rules" => ("macro", i + 2),
+            _ => return None,
+        };
+        let after = match punct_at(toks, at + 1) {
+            Some('<') => skip_angles(toks, at + 1),
+            _ => at + 1,
+        };
+        let open = (after..toks.len())
+            .find(|&k| matches!(toks[k].tok, Tok::Punct('{' | '(' | ';')))
+            .filter(|&k| punct_at(toks, k) == Some('{'))?;
+        let name = ident_at(toks, at)?.to_string();
+        Some((kind, name, toks[i].line, (open + 1, *close_of.get(&open)?)))
+    };
+    (0..toks.len()).filter_map(item).collect()
 }
 
 /// Integration-test / example files: any `tests` or `examples` path
@@ -689,82 +743,6 @@ fn find_containers(toks: &[Token], close_of: &HashMap<usize, usize>) -> Vec<Cont
     out
 }
 
-/// Trait declarations with their method names.
-fn find_trait_decls(toks: &[Token], close_of: &HashMap<usize, usize>) -> Vec<TraitDecl> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if ident_at(toks, i) == Some("trait") {
-            if let Some(name) = ident_at(toks, i + 1) {
-                let mut k = i + 2;
-                while k < toks.len()
-                    && punct_at(toks, k) != Some('{')
-                    && punct_at(toks, k) != Some(';')
-                {
-                    k += 1;
-                }
-                if punct_at(toks, k) == Some('{') {
-                    if let Some(&end) = close_of.get(&k) {
-                        let mut methods = BTreeSet::new();
-                        let mut j = k + 1;
-                        while j < end {
-                            if ident_at(toks, j) == Some("fn") {
-                                if let Some(m) = ident_at(toks, j + 1) {
-                                    methods.insert(m.to_string());
-                                }
-                            }
-                            j += 1;
-                        }
-                        out.push(TraitDecl {
-                            name: name.to_string(),
-                            methods,
-                        });
-                        i = end;
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Struct definitions with named fields: struct name → field → type head.
-fn find_structs(
-    toks: &[Token],
-    close_of: &HashMap<usize, usize>,
-) -> HashMap<String, HashMap<String, String>> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if ident_at(toks, i) == Some("struct") {
-            if let Some(name) = ident_at(toks, i + 1) {
-                let mut j = i + 2;
-                if punct_at(toks, j) == Some('<') {
-                    j = skip_angles(toks, j);
-                }
-                // Skip a where clause; tuple/unit structs have `(` or `;`.
-                while j < toks.len()
-                    && punct_at(toks, j) != Some('{')
-                    && punct_at(toks, j) != Some('(')
-                    && punct_at(toks, j) != Some(';')
-                {
-                    j += 1;
-                }
-                if punct_at(toks, j) == Some('{') {
-                    if let Some(&end) = close_of.get(&j) {
-                        let fields = parse_fields(toks, j + 1, end);
-                        out.insert(name.to_string(), fields);
-                        i = end;
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 /// `field: Type` pairs at depth 0 of a struct body.
 fn parse_fields(toks: &[Token], start: usize, end: usize) -> HashMap<String, String> {
     let mut fields = HashMap::new();
@@ -886,18 +864,8 @@ fn parse_bounds(toks: &[Token], start: usize, end: usize, out: &mut HashMap<Stri
     }
 }
 
-/// Parameters of a `fn`, from its paren span.
-fn parse_params(
-    toks: &[Token],
-    open: usize,
-    close: usize,
-    bounds: &HashMap<String, String>,
-) -> Vec<(String, String)> {
-    parse_param_segments(toks, open + 1, close, bounds)
-}
-
-/// `name: Type` segments separated by top-level commas in `[start, end)`.
-/// Also used for closure parameter lists (`|a, b: &T|`), where untyped
+/// `name: Type` segments separated by top-level commas in `[start, end)`:
+/// a `fn`'s parameters, and closure parameter lists (`|a, b: &T|`), where untyped
 /// parameters record `"?"`.
 fn parse_param_segments(
     toks: &[Token],

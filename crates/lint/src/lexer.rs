@@ -162,33 +162,8 @@ pub fn lex(src: &str) -> Lexed {
                 // `r #` that was neither: fall through as ident below.
             }
             if !is_raw && (b[i + 1] == '"' || b[i + 1] == '\'') {
-                // b"..." or b'x': lex as the corresponding plain literal,
-                // skipping the `b` prefix.
+                // b"..." or b'x': the plain literal after the `b` prefix.
                 i += 1;
-                // fall through to string/char handling with b[i] quote
-                let quote = b[i];
-                let mut j = i + 1;
-                let mut content_end = b.len();
-                while j < b.len() {
-                    if b[j] == '\\' {
-                        j += 2;
-                        continue;
-                    }
-                    if b[j] == '\n' {
-                        line += 1;
-                    }
-                    if b[j] == quote {
-                        content_end = j;
-                        j += 1;
-                        break;
-                    }
-                    j += 1;
-                }
-                tokens.push(Token {
-                    tok: Tok::Lit(b[i + 1..content_end.min(b.len())].iter().collect()),
-                    line,
-                });
-                i = j;
                 continue;
             }
         }

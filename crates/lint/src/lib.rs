@@ -3,8 +3,8 @@
 //! Barrier-ordering and lock-discipline static analyzer for the BoLT
 //! workspace. Dependency-free: a hand-rolled tokenizer ([`lexer`]),
 //! per-function fact extraction with a type-aware call-graph resolver
-//! ([`facts`]), and seven rules plus dead-suppression detection
-//! ([`rules`]) checked against the declared lock order in
+//! ([`facts`]), and seven rules, the architecture rules and
+//! dead-suppression detection ([`rules`]), configured by
 //! `lint/lock_order.toml` ([`config`]).
 //!
 //! Run as `cargo run -p bolt-lint -- check .` (or `bolt-tool lint`); CI

@@ -10,6 +10,8 @@
 //!   crash-path / commit-protocol / 2PC modules.
 //! - **L7 `decide-before-apply`** — the 2PC commit-point discipline in
 //!   `crates/sharded`.
+//! - **`architecture`** — `[architecture]` rules: a token pattern's exact
+//!   count in a scope.
 //! - **`dead-allow`** (warn) — suppression comments that suppress nothing.
 //!
 //! Cross-function reasoning (L2) runs on a type-aware call graph: calls are
@@ -24,6 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::config::Config;
 use crate::facts::{Event, FileFacts, FnFacts};
+use crate::lexer::{lex, Tok, Token};
 
 /// L1: a lock guard binding live across an env-layer
 /// `sync`/`ordering_barrier`/`append`/`add_record` call. WAL and compaction
@@ -45,8 +48,10 @@ pub const RULE_LOCK_ORDER: &str = "lock-order";
 /// `assert!` inside a callee (`extract_user_key` on a key shorter than its
 /// tag). The damage tests guard those: every truncation, bit flip and
 /// `0x00`/`0xFF` byte of a block (`every_damaged_block_is_ok_or_corruption`),
-/// a table tail (`a_flipped_bit_anywhere_in_the_tail_is_corruption_or_harmless`)
-/// and a MANIFEST edit (`every_damaged_edit_is_ok_or_corruption`) is `Ok` or
+/// a table tail (`a_flipped_bit_anywhere_in_the_tail_is_corruption_or_harmless`),
+/// a MANIFEST edit (`every_damaged_edit_is_ok_or_corruption`), a WAL record
+/// (`every_damaged_wal_record_is_ok_or_corruption`) and a `SHARDS` file
+/// (`every_damaged_shards_file_is_ok_or_corruption`) is `Ok` or
 /// `Corruption`, never a panic.
 pub const RULE_UNWRAP_IN_CRASH_PATH: &str = "unwrap-in-crash-path";
 /// L4: in commit-protocol modules, a MANIFEST append must be dominated by a
@@ -70,6 +75,11 @@ pub const RULE_SWALLOWED_IO_ERROR: &str = "swallowed-io-error";
 /// DESIGN.md §12. Recovery paths that replay markers already durable in the
 /// TXNLOG carry a reviewed allow.
 pub const RULE_DECIDE_BEFORE_APPLY: &str = "decide-before-apply";
+/// The `[architecture]` rules of `lint/lock_order.toml`: in a scope's
+/// non-test tokens (comments, string contents and test items never count),
+/// a token pattern occurs exactly N times (0 forbids it). A scope that
+/// selects no code is a finding too, so a rename cannot blind its rule.
+pub const RULE_ARCHITECTURE: &str = "architecture";
 /// Warn-level: a `// bolt-lint: allow(<rule>)` comment that suppressed no
 /// finding of that rule. Dead suppressions hide nothing but erode trust in
 /// the live ones; delete them. (Not itself suppressible.)
@@ -147,6 +157,7 @@ pub fn run(files: &[FileFacts], cfg: &Config) -> Vec<Finding> {
     }
     lock_order(files, cfg, &mut findings);
     lock_registry(files, cfg, &mut findings);
+    architecture(files, cfg, &mut findings);
 
     // Suppression: drop allowed findings, remembering which allow comment
     // lines earned their keep (per rule).
@@ -485,6 +496,89 @@ fn lock_registry(files: &[FileFacts], cfg: &Config, out: &mut Vec<Finding>) {
     }
 }
 
+/// The `[architecture]` rules. Every hit past the N-th is reported where it
+/// occurs; too few hits, or a scope that selects nothing, at the scope (the
+/// config line when no file matches its path).
+fn architecture(files: &[FileFacts], cfg: &Config, out: &mut Vec<Finding>) {
+    for rule in &cfg.architecture {
+        let mut report = |file: &str, line, what: String| {
+            out.push(Finding {
+                file: file.to_string(),
+                line,
+                rule: RULE_ARCHITECTURE,
+                severity: Severity::Error,
+                message: format!("{what}: `{}` — {}", rule.text, rule.why),
+            })
+        };
+        let pats: Vec<Vec<Tok>> = (rule.patterns.iter())
+            .map(|p| lex(p).tokens.into_iter().map(|t| t.tok).collect())
+            .collect();
+        let (mut hits, mut anchor, mut seen) = (Vec::new(), None, None);
+        for file in files.iter().filter(|f| {
+            (rule.tests || !f.integration) && path_matches(&f.path, &rule.scopes[0][..1])
+        }) {
+            seen.get_or_insert(file.path.as_str());
+            let test_code = (!rule.tests).then_some(&file.test_regions).into_iter();
+            let skip: Vec<(usize, usize)> = (rule.scopes[1..].iter())
+                .filter(|s| path_matches(&file.path, &s[..1]))
+                .flat_map(|s| regions(file, &s[1..]).into_iter().map(|(s, e, _)| (s, e)))
+                .chain(test_code.flatten().copied())
+                .collect();
+            for (start, end, line) in regions(file, &rule.scopes[0][1..]) {
+                anchor.get_or_insert((file.path.as_str(), line));
+                let found = (start..end).filter(|&i| {
+                    !skip.iter().any(|&(s, e)| s <= i && i < e)
+                        && pats.iter().any(|p| matches_at(&file.tokens, i, p))
+                });
+                hits.extend(found.map(|i| (file.path.as_str(), file.tokens[i].line)));
+            }
+        }
+        for (k, &(file, line)) in hits.iter().enumerate().skip(rule.count) {
+            let what = format!("hit {} of {}, {} allowed", k + 1, hits.len(), rule.count);
+            report(file, line, what);
+        }
+        match (anchor, seen) {
+            (Some((file, line)), _) if hits.len() < rule.count => report(
+                file,
+                line,
+                format!("{} hits, {} required", hits.len(), rule.count),
+            ),
+            (None, Some(file)) => report(file, 1, "no item in scope".into()),
+            (None, None) => report("lint/lock_order.toml", rule.line, "no file in scope".into()),
+            _ => {}
+        }
+    }
+}
+
+/// Token ranges of the items the `KIND NAME` chain selects in `file`, each
+/// inside the one before, and the line each starts on (the whole file, line
+/// 1, for an empty chain).
+fn regions(file: &FileFacts, chain: &[String]) -> Vec<(usize, usize, u32)> {
+    let mut out = vec![(0, file.tokens.len(), 1)];
+    for pair in chain.chunks(2) {
+        out = (file.items.iter())
+            .filter(|(kind, name, _, (s, e))| {
+                *kind == pair[0]
+                    && (pair[1] == "*" || *name == pair[1])
+                    && out.iter().any(|&(os, oe, _)| os <= *s && *e <= oe)
+            })
+            .map(|&(_, _, line, (s, e))| (s, e, line))
+            .collect();
+    }
+    out
+}
+
+/// Does `pat` occur at token `i`? A pattern's string literal matches every
+/// literal it is a prefix of.
+fn matches_at(toks: &[Token], i: usize, pat: &[Tok]) -> bool {
+    pat.iter()
+        .enumerate()
+        .all(|(k, p)| match (toks.get(i + k).map(|t| &t.tok), p) {
+            (Some(Tok::Lit(s)), Tok::Lit(q)) => s.starts_with(q.as_str()),
+            (t, p) => t == Some(p),
+        })
+}
+
 /// Function id: (file index, function index).
 type FnId = (usize, usize);
 
@@ -495,23 +589,20 @@ type FnId = (usize, usize);
 ///    the trait's default bodies (sound over-approximation);
 /// 2. receiver type known and a matching inherent/impl method exists →
 ///    exactly those;
-/// 3. receiver type known but locally defined with no such method (the call
-///    hits a derive or std method) → nothing, rather than a wrong-name
-///    guess;
+/// 3. receiver type known but with no such method (ours, where the call
+///    hits a derive or std method, or foreign) → nothing, rather than a
+///    wrong-name guess;
 /// 4. receiver type unknown (or a free call) → the definition, if the bare
 ///    name is globally unique among live functions.
 ///
 /// Closures are never resolution targets by name; they enter the graph via
 /// `closure_args` on the call that passes them.
+#[derive(Default)]
 struct Resolver {
     by_name: HashMap<String, Vec<FnId>>,
     methods: HashMap<(String, String), Vec<FnId>>,
     trait_methods: HashMap<(String, String), Vec<FnId>>,
     trait_names: BTreeSet<String>,
-    /// Types that define at least one indexed method or struct body —
-    /// "ours", so an unmatched method on them resolves to nothing instead
-    /// of falling back to a name guess.
-    local_types: BTreeSet<String>,
     /// Closure pseudo-function name → id.
     closures: HashMap<String, FnId>,
     /// Struct name → field name → type head, across all files.
@@ -520,21 +611,12 @@ struct Resolver {
 
 impl Resolver {
     fn build(files: &[FileFacts]) -> Resolver {
-        let mut r = Resolver {
-            by_name: HashMap::new(),
-            methods: HashMap::new(),
-            trait_methods: HashMap::new(),
-            trait_names: BTreeSet::new(),
-            local_types: BTreeSet::new(),
-            closures: HashMap::new(),
-            fields: HashMap::new(),
-        };
+        let mut r = Resolver::default();
         for (fi, file) in files.iter().enumerate() {
             for t in &file.traits {
                 r.trait_names.insert(t.name.clone());
             }
             for (name, fields) in &file.structs {
-                r.local_types.insert(name.clone());
                 r.fields
                     .entry(name.clone())
                     .or_default()
@@ -551,7 +633,6 @@ impl Resolver {
                 let id = (fi, gi);
                 r.by_name.entry(f.name.clone()).or_default().push(id);
                 if let Some(ty) = &f.self_ty {
-                    r.local_types.insert(ty.clone());
                     r.methods
                         .entry((ty.clone(), f.name.clone()))
                         .or_default()
@@ -609,10 +690,7 @@ impl Resolver {
             if let Some(ms) = self.methods.get(&(ty.clone(), name.to_string())) {
                 return ms.clone();
             }
-            if self.local_types.contains(&ty) {
-                return Vec::new();
-            }
-            // Foreign type (Vec, HashMap, ...): nothing of ours to resolve.
+            // Ours with no such method, or foreign (Vec, HashMap, ...).
             return Vec::new();
         }
         self.unique_by_name(name)
@@ -1114,5 +1192,29 @@ fn t(first: &Mutex<S>, w: &mut W) {
             .any(|f| f.rule == RULE_GUARD_ACROSS_BARRIER));
         let unit = run_on(&[("crates/x/src/lib.rs", src)]);
         assert!(unit.is_empty(), "unit-test fns stay exempt: {unit:#?}");
+    }
+
+    /// A rule whose path matches no file is reported at its own config
+    /// line; test code and integration files count only with `tests`.
+    #[test]
+    fn architecture_scopes_files_tests_and_missing_paths() {
+        let cfg = Config::parse(
+            "[architecture]\n\
+             \"gone\" = \"renamed.rs : x = 0\"\n\
+             \"live code\" = \"/ : spawn = 0\"\n\
+             \"with tests\" = \"lib.rs tests : spawn = 1\"\n",
+        )
+        .unwrap();
+        let src = "fn f() {}\n#[cfg(test)]\nmod t { fn g() { spawn(); } }\n";
+        let files = [
+            extract("src/lib.rs", src),
+            extract("tests/it.rs", "fn h() { spawn(); }"),
+        ];
+        let findings = run(&files, &cfg);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert_eq!(
+            (findings[0].file.as_str(), findings[0].line),
+            ("lint/lock_order.toml", 2)
+        );
     }
 }

@@ -21,6 +21,52 @@ wal = "aux.wal"
 crash_path = ["l3_unwrap.rs", "l6_swallow.rs"]
 commit_path = ["l4_commit.rs"]
 twopc_path = ["l7_decide.rs"]
+
+[architecture]
+"one commit tail: three view installers" = "arch_counts.rs fn installers : .install_view( = 3"
+"one commit tail: one reclaim decision" = "arch_counts.rs fn commit_tail : .collect_garbage( = 1"
+"writes and 2PC leave the queue through retire" = "arch_counts.rs fn retire : writers.pop_front = 1"
+"a compaction reads through ReadPlan::fetch" = "arch_counts.rs fn fetch : .read( = 1"
+"one read-ahead thread" = "arch_counts.rs fn read_ahead : spawn_scoped( = 1"
+"the engine's threads start in one place" = "arch_counts.rs fn start_threads : thread::Builder = 1"
+"two engine threads, under the panic guard" = 'arch_counts.rs fn open : spawn_guarded(&inner, "bolt-" = 2'
+"the group cap is read where the budget is computed" = "arch_counts.rs except arch_counts.rs fn options_default : group_compaction_bytes = 1"
+"lazy-leveled's settle sorts the level once" = "arch_counts.rs fn settle_into_single_run : sort_by( = 1"
+"settled victims come off one lazy heap" = "arch_counts.rs fn by_marginal_ratio : BinaryHeap = 1"
+"each table's overlap is found once" = "arch_counts.rs fn by_marginal_ratio : overlap_in( = 1"
+"the flush loop flushes once per memtable" = "arch_counts.rs fn flush_loop : .flush_memtable( = 1"
+"one counter table" = "arch_counts.rs : macro_rules! counter_table = 1"
+"the options, no new knob" = "arch_counts.rs struct Options : pub = 2"
+"the options by name" = "arch_counts.rs struct Options : memtable_bytes: | sstable_bytes: = 2"
+"the BoLT options, no new knob" = "arch_counts.rs struct BoltOptions : pub = 2"
+"the BoLT options by name" = "arch_counts.rs struct BoltOptions : logical_sstable_bytes: | group_compaction_bytes: = 2"
+"the write options, no new knob" = "arch_counts.rs struct WriteOptions : pub = 1"
+"the write options by name" = "arch_counts.rs struct WriteOptions : sync: = 1"
+"the read options, no new knob" = "arch_counts.rs struct ReadOptions : pub = 1"
+"the read options by name" = "arch_counts.rs struct ReadOptions : snapshot: = 1"
+"threads outside tests: the engine's only" = "arch_forbid.rs except arch_forbid.rs fn engine_threads : thread::spawn | thread::Builder | spawn_scoped( | .spawn( = 0"
+"no flush is reachable from inside a compaction" = "arch_forbid.rs except arch_forbid.rs fn recover_wals : .flush_memtable( = 0"
+"reclaim runs off the lock" = "arch_forbid.rs except arch_forbid.rs impl VersionSet fn recover; arch_forbid.rs impl ReclaimBatch fn execute : punch_hole | delete_file | link_count = 0"
+"a flush fabricates nothing to call the writer" = "arch_forbid.rs fn flush_memtable : Version::empty | RangeTombstoneSet | HashSet = 0"
+"the writer knows no entry type and no snapshot" = "arch_forbid.rs impl OutputSink : parse_internal_key | ValueType | RangeTombstone | ValuePointer | smallest_snapshot = 0"
+"the scope carries the event sink, the env none" = "arch_forbid.rs fn env_sync : EventSink | EngineEvent = 0"
+"a reviewed exception" = "arch_forbid.rs fn allowed_architecture : EngineEvent = 0"
+"no version set or reclaim batch holds a sink" = "arch_forbid.rs struct Holder : Option<Arc<EventSink>> = 0"
+"the sharded sum names no counter" = "arch_forbid.rs fn sharded_sum : fsync_calls | bytes_written | open_reads | warm_inserts | evictions | events_emitted | pending_punch_bytes | range_tombstones_live = 0"
+"the registry lowering names no counter" = 'arch_forbid.rs fn lower : "bolt_io_" | "bolt_table_cache_" | "bolt_block_cache_" = 0'
+"hot reads never walk or copy the table lists" = "arch_forbid.rs fn read_path : all_tables() | .tables.clone() = 0"
+"a hot get walks, copies and counts nothing shared" = "arch_forbid.rs impl Version fn get : all_tables() | .tables.clone() | Arc::clone = 0"
+"a hot table get counts no shared reference" = "arch_forbid.rs impl Table fn internal_get : Arc::clone = 0"
+"cache counters are per shard" = "arch_forbid.rs fn cache_hit : stats.hits.fetch_add | stats.misses.fetch_add = 0"
+"a table open reads its tail once, never block by block" = "arch_forbid.rs impl Table except arch_forbid.rs impl Table fn read_data_block : read_block( = 0"
+"the table cache reads no block" = "arch_forbid.rs fn table_cache_open : read_block( = 0"
+"the pick finds overlap by binary search, sorts nothing" = "arch_forbid.rs fn pick_from_single_run : overlapping_tables( | sort_by( = 0"
+"no level is scanned while the heap drains" = "arch_forbid.rs fn by_marginal_ratio : overlapping | tables() = 0"
+"the settle tests no victim against every other" = "arch_forbid.rs fn settle_into_single_run : .any( = 0"
+"the one macro that declares atomics is the counter table" = "arch_forbid.rs macro * except arch_forbid.rs macro counter_table : AtomicU64 = 0"
+"one fault-injection env, no test-only env" = "arch_forbid.rs tests : Env for = 0"
+"the field is gone" = "arch_blind.rs : punched = 0"
+"a renamed function" = "arch_scope.rs fn pick_victims : sort_by( = 0"
 "#;
 
 fn corpus_sources() -> Vec<(String, String)> {
@@ -73,6 +119,7 @@ fn every_seeded_violation_is_flagged_and_nothing_else() {
         "lock-registry",
         "swallowed-io-error",
         "decide-before-apply",
+        "architecture",
         "dead-allow",
     ] {
         assert!(

@@ -38,6 +38,9 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+#[path = "../../core/src/damage.rs"]
+mod damage;
 pub mod iter;
 pub mod metrics;
 pub mod router;

@@ -170,18 +170,23 @@ impl Router {
             },
             Some(("range", n)) => {
                 let n: usize = n.parse().map_err(|_| bad("bad split count"))?;
-                let mut splits = Vec::with_capacity(n);
+                // The count is read, never trusted: nothing is allocated
+                // from it, and a missing line ends the loop.
+                let mut splits = Vec::new();
+                let nibble = |c: u8| {
+                    char::from(c)
+                        .to_digit(16)
+                        .ok_or_else(|| bad("non-hex split point"))
+                };
                 for _ in 0..n {
                     let hex = lines.next().ok_or_else(|| bad("missing split point"))?;
                     if hex.len() % 2 != 0 {
                         return Err(bad("odd-length split point"));
                     }
-                    let bytes: Result<Vec<u8>> = (0..hex.len())
-                        .step_by(2)
-                        .map(|i| {
-                            u8::from_str_radix(&hex[i..i + 2], 16)
-                                .map_err(|_| bad("non-hex split point"))
-                        })
+                    // Hex is decoded from bytes: a multi-byte char is not a
+                    // digit, never a slice across a char boundary.
+                    let bytes: Result<Vec<u8>> = (hex.as_bytes().chunks(2))
+                        .map(|pair| Ok((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
                         .collect();
                     splits.push(bytes?);
                 }
@@ -243,5 +248,36 @@ mod tests {
         }
         assert!(Router::decode("garbage").is_err());
         assert!(Router::decode("bolt-shards v1\nhash 0\n").is_err());
+    }
+
+    /// A split point of even byte length that is not ASCII (`aéb` is four
+    /// bytes), and a split count that cannot be allocated: `Corruption`,
+    /// where hex slicing panicked off a char boundary and
+    /// `Vec::with_capacity` overflowed.
+    #[test]
+    fn lying_shards_files_are_corruption() {
+        for text in [
+            "bolt-shards v1\nrange 1\na\u{e9}b\n",
+            "bolt-shards v1\nrange 18446744073709551615\n6b\n",
+        ] {
+            let err = Router::decode(text).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{err:?}");
+        }
+    }
+
+    /// Every damaged copy of an encoded range router that is still UTF-8
+    /// (the opener rejects the rest) decodes as `Ok` or `Corruption`.
+    #[test]
+    fn every_damaged_shards_file_is_ok_or_corruption() {
+        let router = Router::range(vec![b"a".to_vec(), b"key5".to_vec(), vec![0xFF, 0x00]]);
+        let good = router.unwrap().encode().into_bytes();
+        for (case, data) in crate::damage::damaged(&good).enumerate() {
+            let Ok(text) = std::str::from_utf8(&data) else {
+                continue;
+            };
+            if let Err(err) = Router::decode(text) {
+                assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}");
+            }
+        }
     }
 }
