@@ -258,17 +258,20 @@ impl<K: Hash + Eq + Clone, V> std::fmt::Debug for LruCache<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
-    /// Create a cache holding at most `capacity` charge units in total.
+    /// Create a cache holding at most `capacity` charge units in total:
+    /// `min(16, capacity)` shards (one for a capacity of 0) that split it
+    /// exactly, the first `capacity % shards` holding one unit more.
     pub fn new(capacity: u64) -> Self {
-        let per_shard = capacity.div_ceil(NUM_SHARDS as u64).max(1);
+        let shards = capacity.clamp(1, NUM_SHARDS as u64);
         LruCache {
-            shards: (0..NUM_SHARDS)
-                .map(|_| {
+            shards: (0..shards)
+                .map(|i| {
+                    let share = capacity / shards + u64::from(i < capacity % shards);
                     CachePadded(ShardSlot {
                         hits: AtomicU64::new(0),
                         misses: AtomicU64::new(0),
                         evictions: AtomicU64::new(0),
-                        shard: Mutex::new(Shard::new(per_shard)),
+                        shard: Mutex::new(Shard::new(share)),
                     })
                 })
                 .collect(),
@@ -279,12 +282,12 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         &self.shards[self.shard_index(key)]
     }
 
-    /// The shard of `key`. Placement keeps `DefaultHasher`: with fewer
-    /// entries than shards (a table cache of a few slots is one slot per
+    /// The shard of `key`. Placement keeps `DefaultHasher`: in a cache of a
+    /// few entries per shard (a table cache of a few slots is one slot per
     /// shard) it decides which keys evict each other, so it is part of the
     /// cache's observable hit ratio, not only of its cost.
     fn shard_index(&self, key: &K) -> usize {
-        (BuildHasherDefault::<DefaultHasher>::default().hash_one(key) as usize) % NUM_SHARDS
+        (BuildHasherDefault::<DefaultHasher>::default().hash_one(key) as usize) % self.shards.len()
     }
 
     /// Insert `value` under `key` with the given `charge`, evicting LRU
@@ -417,7 +420,7 @@ mod tests {
     #[test]
     fn ids_spread_over_every_shard() {
         fn spread<K: Hash + Eq + Clone>(keys: impl Iterator<Item = K>) {
-            let c: LruCache<K, ()> = LruCache::new(1);
+            let c: LruCache<K, ()> = LruCache::new(NUM_SHARDS as u64);
             let mut counts = [0usize; NUM_SHARDS];
             for key in keys {
                 counts[c.shard_index(&key)] += 1;
@@ -431,6 +434,25 @@ mod tests {
         // Data blocks a little over 4 KiB apart, 2,000 per file.
         spread((0..20_000u64).map(|i| (7 + i / 2_000, (i % 2_000) * 4_101)));
         spread((0..20_000u64).map(|i| (7 + i / 2_000, (i % 2_000) * 4_096)));
+    }
+
+    /// A cache holds at most its capacity: the shards' capacities sum to
+    /// it, and a cache of fewer entries than shards has one shard per entry.
+    #[test]
+    fn shard_capacities_sum_to_the_capacity() {
+        for capacity in (1..=64u64).chain([2 << 20]) {
+            let c = cache(capacity);
+            let shares: Vec<u64> = c.shards.iter().map(|s| s.shard.lock().capacity).collect();
+            assert_eq!(shares.iter().sum::<u64>(), capacity, "{shares:?}");
+            assert_eq!(shares.len() as u64, capacity.min(NUM_SHARDS as u64));
+            assert!(shares.iter().all(|&share| share >= 1), "{shares:?}");
+        }
+        // Filled with unit entries it holds exactly `capacity` of them.
+        let c = cache(4);
+        for key in 0..1_000u64 {
+            c.insert(key, Arc::new(key), 1);
+        }
+        assert_eq!(c.usage(), 4);
     }
 
     #[test]

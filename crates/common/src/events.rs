@@ -112,6 +112,25 @@ impl BarrierKind {
     }
 }
 
+/// Why a writer stalled: what it waits for background progress to clear.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StallCause {
+    /// The memtable is full and the previous one is still flushing.
+    ImmPending,
+    /// Level 0 holds `level0_stop_trigger` runs (the L0Stop governor).
+    L0Stop,
+}
+
+impl StallCause {
+    /// Stable snake_case name (used in JSON and in the stall counters).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            StallCause::ImmPending => "imm_pending",
+            StallCause::L0Stop => "l0_stop",
+        }
+    }
+}
+
 /// Who pays for a barrier and why: the paying engine's sink and the cause.
 type Scope = (Arc<EventSink>, BarrierCause);
 
@@ -262,7 +281,10 @@ pub enum EngineEvent {
         syncs_elided: u64,
     },
     /// A writer entered a full stall (memtable and imm both full, or L0Stop).
-    StallBegin,
+    StallBegin {
+        /// What the writer waits for.
+        cause: StallCause,
+    },
     /// The stalled writer resumed.
     StallEnd {
         /// Nanoseconds the writer was blocked.
@@ -425,7 +447,10 @@ impl EngineEvent {
                 synced,
                 syncs_elided,
             } => wire!("write_group", Num batches, Num bytes, Bool synced, Num syncs_elided),
-            Self::StallBegin => wire!("stall_begin"),
+            Self::StallBegin { cause } => {
+                let cause = cause.as_str();
+                wire!("stall_begin", Str cause)
+            }
             Self::StallEnd { waited_nanos } => wire!("stall_end", Num waited_nanos),
             Self::Slowdown => wire!("slowdown"),
             Self::WalRotate { new_log } => wire!("wal_rotate", Num new_log),
@@ -718,7 +743,12 @@ mod tests {
                 },
                 r#"{"seq":5,"us":105,"type":"write_group","batches":11,"bytes":12,"synced":false,"syncs_elided":13}"#,
             ),
-            (StallBegin, r#"{"seq":6,"us":106,"type":"stall_begin"}"#),
+            (
+                StallBegin {
+                    cause: StallCause::ImmPending,
+                },
+                r#"{"seq":6,"us":106,"type":"stall_begin","cause":"imm_pending"}"#,
+            ),
             (
                 StallEnd { waited_nanos: 14 },
                 r#"{"seq":7,"us":107,"type":"stall_end","waited_nanos":14}"#,

@@ -2,7 +2,7 @@
 //! truncation, every single-bit flip, and every byte set to `0x00` and to
 //! `0xFF`. A decoder's damage test runs each copy through the decoder and
 //! accepts `Ok` or `Err(Corruption)`, never a panic. Test-only; the
-//! sharded crate's tests include this file by path.
+//! sharded and tools crates' tests include this file by path.
 
 /// Every damaged copy of `good`: the truncations first, then per byte its
 /// eight bit flips and the two byte values.

@@ -232,7 +232,8 @@ impl DbInner {
         })
     }
 
-    /// The one commit of a flush and of a compaction: install `outputs` at
+    /// The one commit of a flush, of a compaction and of an open (which
+    /// installs no output, only its fresh WAL's number): install `outputs` at
     /// `level` with `edit` ([`commit_outputs`]), publish the view `install`
     /// builds around the new version, and reclaim what the commit killed.
     /// `dead` is what a compaction's [`DropRule`] let go of (a flush drops

@@ -4,7 +4,6 @@
 //! Owns no [`DbState`] field; it prunes `pending_txns` (the write group)
 //! when a flush releases their WAL pins.
 
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -109,8 +108,9 @@ impl DbInner {
     /// The second half of the reclaim pass that follows every commit (O3):
     /// the caller decided `batch` under `core.versions` and released it; punch
     /// and unlink with no engine lock held. The lock is retaken only to hand
-    /// back what failed. Runs inside the committing flush's or compaction's
-    /// barrier scope, so what the batch announces lands in this engine's sink.
+    /// back what failed. Runs inside the committing flush's, compaction's or
+    /// open's barrier scope, so what the batch announces lands in this
+    /// engine's sink.
     pub(super) fn reclaim(&self, batch: ReclaimBatch) {
         let failed = batch.execute(self.env.as_ref(), &self.name);
         if !failed.is_empty() {
@@ -221,46 +221,6 @@ impl DbInner {
             self.delete_logs_oldest_first(dead);
         }
     }
-
-    pub(super) fn delete_obsolete_files(&self) {
-        let versions = self.versions.lock();
-        let referenced = versions.reclaim.referenced_files();
-        let log_floor = versions.log_number;
-        let manifest = versions.manifest_number();
-        // Segments in the ledger are live (or active). Condemned segments
-        // awaiting deletion are not in the ledger, so this sweep reclaims
-        // them too; the reclaim pass then finds the file gone and drops
-        // its unlink entry.
-        let vlog_live: HashSet<u64> = versions.vlog_segments().keys().copied().collect();
-        drop(versions);
-        let log_floor = self.clamp_log_boundary(log_floor);
-        let Ok(names) = self.env.list_dir(&self.name) else {
-            return;
-        };
-        let mut dead_logs = Vec::new();
-        for name in names {
-            let keep = match parse_file_name(&name) {
-                Some(FileType::Table(num)) => referenced.contains(&num),
-                Some(FileType::Log(num)) => {
-                    if num < log_floor {
-                        dead_logs.push(num);
-                    }
-                    true // deleted below, in the order recovery depends on
-                }
-                Some(FileType::Manifest(num)) => num == manifest,
-                Some(FileType::ValueLog(num)) => vlog_live.contains(&num),
-                Some(FileType::Current) => true,
-                Some(FileType::Temp(_)) => false,
-                None => true, // unknown files are left alone
-            };
-            if !keep {
-                let _ = self
-                    .env
-                    .delete_file(&bolt_env::join_path(&self.name, &name));
-            }
-        }
-        self.delete_logs_oldest_first(dead_logs);
-    }
 }
 
 #[cfg(test)]
@@ -328,6 +288,40 @@ mod tests {
         db.inner.delete_obsolete_logs(boundary);
         assert!(!env.file_exists(&log_file("db", 0)));
         assert!(!env.file_exists(&log_file("db", 1)));
+        db.close().unwrap();
+    }
+
+    /// Open-time scavenging is the reclaim ledger's first pass: an orphan
+    /// table whose unlink fails at open stays owed, not forgotten, and the
+    /// next commit's pass removes it.
+    #[test]
+    fn an_orphan_whose_unlink_fails_at_open_is_retried_by_the_next_commit() {
+        use bolt_env::{FaultEnv, FaultPlan};
+        let fault = Arc::new(FaultEnv::over_mem());
+        let env: Arc<dyn Env> = Arc::clone(&fault) as Arc<dyn Env>;
+        let db = Db::open(Arc::clone(&env), "db", Options::leveldb()).unwrap();
+        db.put(b"k", b"v").unwrap();
+        // Flushed, so that recovery replays nothing: open's one reclaim pass
+        // is the commit that ends it.
+        db.flush().unwrap();
+        db.close().unwrap();
+        let orphan = table_file("db", 900);
+        let mut file = env.new_writable_file(&orphan).unwrap();
+        file.append(b"a crashed compaction's output").unwrap();
+        file.sync().unwrap();
+        drop(file);
+
+        fault.set_plan(FaultPlan::parse("eio:delete:glob=000900.sst:nth=0").unwrap());
+        let db = Db::open(Arc::clone(&env), "db", Options::leveldb()).unwrap();
+        assert_eq!(fault.faults_injected(), 1, "the orphan's unlink never ran");
+        assert!(env.file_exists(&orphan));
+        assert!(db.metrics().pending_unlink_files >= 1);
+
+        db.put(b"k2", b"v2").unwrap();
+        db.flush().unwrap();
+        assert!(!env.file_exists(&orphan), "the next commit did not retry");
+        assert_eq!(db.metrics().pending_unlink_files, 0);
+        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
         db.close().unwrap();
     }
 

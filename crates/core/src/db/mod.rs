@@ -473,7 +473,6 @@ impl Db {
 
         inner.recover_wals()?;
         inner.start_fresh_wal()?;
-        inner.delete_obsolete_files();
 
         let bg = vec![
             spawn_guarded(&inner, "bolt-flush", DbInner::flush_loop)?,

@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use bolt_common::events::{BarrierCause, BarrierScope};
 use bolt_common::{Error, Result};
 use bolt_table::ikey::MAX_SEQUENCE_NUMBER;
 use bolt_wal::LogReader;
@@ -16,6 +17,7 @@ use bolt_wal::LogReader;
 use super::write::new_wal_writer;
 use super::{Db, DbInner, ReadView};
 use crate::batch::WriteBatch;
+use crate::compaction::OutputShape;
 use crate::filename::{log_file, parse_file_name, FileType};
 use crate::memtable::MemTable;
 use crate::txn::{self, TxnWalRecord};
@@ -158,6 +160,10 @@ impl DbInner {
         Ok(())
     }
 
+    /// Start the WAL the engine opens with and commit its number through
+    /// `commit` with no outputs: the view swap, then the first reclaim pass
+    /// (what `VersionSet::recover` condemned) and, as a flush does, the sweep
+    /// of the logs below the new floor.
     pub(super) fn start_fresh_wal(&self) -> Result<()> {
         let new_log = self.ids.new_file_number();
         let file = self.env.new_writable_file(&log_file(&self.name, new_log))?;
@@ -167,21 +173,24 @@ impl DbInner {
             state.wal_number = new_log;
         }
         // Persist the log floor so old WALs are not replayed twice.
-        let mut versions = self.versions.lock();
         let recovered = self.last_sequence.load(Ordering::Acquire);
         let edit = VersionEdit {
             log_number: Some(new_log),
             last_sequence: Some(recovered),
             ..Default::default()
         };
-        let version = versions.log_and_apply(edit)?;
-        // The view the engine opens with: everything recovered is in
-        // `version`, so it is the write prefix at `recovered`.
-        self.install_view(|old| ReadView {
-            version,
-            flushed_seq: recovered,
-            ..old.clone()
-        });
+        {
+            let _scope = BarrierScope::new(&self.sink, BarrierCause::OpenManifest);
+            // The view the engine opens with: everything recovered is in
+            // `version`, so it is the write prefix at `recovered`.
+            let install = |old: &ReadView, version| ReadView {
+                version,
+                flushed_seq: recovered,
+                ..old.clone()
+            };
+            self.commit(edit, 0, OutputShape::Leveled, Vec::new(), None, install)?;
+        }
+        self.delete_obsolete_logs(new_log);
         Ok(())
     }
 }

@@ -11,7 +11,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent, EventSink};
+use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent, EventSink, StallCause};
 use bolt_common::sync::MutexGuard;
 use bolt_common::{Error, Result};
 use bolt_table::ikey::ValueType;
@@ -566,14 +566,18 @@ impl DbInner {
                 // the L0Stop governor tripped: wait for background progress
                 // (without the view: a parked writer must not keep the
                 // outgoing version alive past the commit's GC pass).
+                let cause = match view.imm {
+                    Some(_) => StallCause::ImmPending,
+                    None => StallCause::L0Stop,
+                };
                 drop(view);
-                self.stats.record_stall(1);
-                self.sink.emit(EngineEvent::StallBegin);
+                self.stats.record_stall_begin(cause);
+                self.sink.emit(EngineEvent::StallBegin { cause });
                 let start = Instant::now();
                 self.work_cv.notify_one();
                 self.done_cv.wait(state);
                 let waited_nanos = start.elapsed().as_nanos() as u64;
-                self.stats.record_stall_nanos(waited_nanos);
+                self.stats.record_stall_end(cause, waited_nanos);
                 self.sink.emit(EngineEvent::StallEnd { waited_nanos });
                 continue;
             }
@@ -893,19 +897,26 @@ mod tests {
 
         // Every stall is one Begin/End pair, in order, and the time the
         // events report is the time the counter holds. (A spurious wake-up
-        // re-enters the stall, so the count may exceed 2.)
+        // re-enters the stall, so the count may exceed 2.) Each says why:
+        // imm-pending stalls first, then L0Stop ones, and the rows of each
+        // cause hold its events' count and time.
         let snap = db.stats().snapshot();
         assert!(snap.stalls >= 2, "{snap:?}");
-        let (mut begins, mut ends, mut waited, mut open) = (0u64, 0u64, 0u64, false);
+        let (mut begins, mut ends, mut waited, mut open) = (0u64, 0u64, 0u64, None);
+        let mut by_cause = std::collections::BTreeMap::<&str, (u64, u64)>::new();
+        let mut causes = Vec::new();
         for event in db.events() {
             match event.event {
-                EngineEvent::StallBegin => {
-                    assert!(!open, "StallBegin inside an open stall");
-                    (open, begins) = (true, begins + 1);
+                EngineEvent::StallBegin { cause } => {
+                    assert!(open.is_none(), "StallBegin inside an open stall");
+                    (open, begins) = (Some(cause), begins + 1);
+                    causes.push(cause);
                 }
                 EngineEvent::StallEnd { waited_nanos } => {
-                    assert!(open, "StallEnd without a StallBegin");
-                    (open, ends, waited) = (false, ends + 1, waited + waited_nanos);
+                    let cause = open.take().expect("StallEnd without a StallBegin");
+                    (ends, waited) = (ends + 1, waited + waited_nanos);
+                    let row = by_cause.entry(cause.as_str()).or_default();
+                    *row = (row.0 + 1, row.1 + waited_nanos);
                 }
                 _ => {}
             }
@@ -913,6 +924,25 @@ mod tests {
         assert_eq!((begins, ends), (snap.stalls, snap.stalls));
         assert_eq!(waited, snap.stall_nanos);
         assert!(snap.stall_nanos > 0);
+        assert_eq!(causes.first(), Some(&StallCause::ImmPending), "{causes:?}");
+        assert_eq!(causes.last(), Some(&StallCause::L0Stop), "{causes:?}");
+        let switches = causes.windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!(
+            switches, 1,
+            "imm-pending stalls, then L0Stop ones: {causes:?}"
+        );
+        assert_eq!(
+            (by_cause["imm_pending"], by_cause["l0_stop"]),
+            (
+                (snap.stalls_imm_pending, snap.stall_nanos_imm_pending),
+                (snap.stalls_l0_stop, snap.stall_nanos_l0_stop)
+            )
+        );
+        assert_eq!(snap.stalls_imm_pending + snap.stalls_l0_stop, snap.stalls);
+        assert_eq!(
+            snap.stall_nanos_imm_pending + snap.stall_nanos_l0_stop,
+            snap.stall_nanos
+        );
         db.close().unwrap();
     }
 

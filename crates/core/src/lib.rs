@@ -50,7 +50,7 @@ pub mod versions;
 pub mod vlog;
 
 pub use batch::WriteBatch;
-pub use bolt_common::events::{BarrierCause, BarrierKind, EngineEvent, TraceEvent};
+pub use bolt_common::events::{BarrierCause, BarrierKind, EngineEvent, StallCause, TraceEvent};
 pub use bolt_common::metrics::{Metric, MetricValue, MetricsRegistry};
 pub use compaction::{CompactionTask, OutputShape};
 pub use db::{Db, DbIterator, LevelInfo, Snapshot};

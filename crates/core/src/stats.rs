@@ -2,6 +2,7 @@
 //! paper's evaluation reports alongside the env's I/O counters. A new
 //! engine counter is one row of the table below.
 
+use bolt_common::events::StallCause;
 use bolt_common::histogram::Histogram;
 
 bolt_common::counter_table! {
@@ -85,6 +86,15 @@ bolt_common::counter_table! {
     range_deletes / record_range_delete => "bolt_range_deletes_total",
     /// Consistent checkpoints successfully acked.
     checkpoints / record_checkpoint => "bolt_checkpoints_total",
+    // `stalls` and `stall_nanos` by cause; these rows sum to those totals.
+    /// Of the stalls, those waiting for the previous memtable's flush.
+    stalls_imm_pending / record_stall_imm_pending => "bolt_stalls_imm_pending_total",
+    /// Their nanoseconds.
+    stall_nanos_imm_pending / record_stall_nanos_imm_pending => "bolt_stall_nanos_imm_pending_total",
+    /// Of the stalls, those parked by the L0Stop governor.
+    stalls_l0_stop / record_stall_l0_stop => "bolt_stalls_l0_stop_total",
+    /// Their nanoseconds.
+    stall_nanos_l0_stop / record_stall_nanos_l0_stop => "bolt_stall_nanos_l0_stop_total",
 }
 
 impl DbStatsSnapshot {
@@ -120,6 +130,24 @@ impl DbStatsSnapshot {
 }
 
 impl DbStats {
+    /// A writer stalled for `cause`: one in the total and in its cause's row.
+    pub(crate) fn record_stall_begin(&self, cause: StallCause) {
+        self.record_stall(1);
+        match cause {
+            StallCause::ImmPending => self.record_stall_imm_pending(1),
+            StallCause::L0Stop => self.record_stall_l0_stop(1),
+        }
+    }
+
+    /// The stall of `cause` ended after `nanos`: the total and its cause's row.
+    pub(crate) fn record_stall_end(&self, cause: StallCause, nanos: u64) {
+        self.record_stall_nanos(nanos);
+        match cause {
+            StallCause::ImmPending => self.record_stall_nanos_imm_pending(nanos),
+            StallCause::L0Stop => self.record_stall_nanos_l0_stop(nanos),
+        }
+    }
+
     /// Per-writer time-in-queue histogram (nanoseconds).
     pub fn queue_wait(&self) -> &Histogram {
         &self.queue_wait

@@ -66,11 +66,6 @@ impl VersionSet {
         self.cut_fresh_manifest()
     }
 
-    /// The active MANIFEST file number.
-    pub fn manifest_number(&self) -> u64 {
-        self.manifest.number
-    }
-
     /// Self-healing MANIFEST re-cuts since open (O5): fresh manifests cut
     /// to absorb a torn commit, counted per completed cut. One commit can
     /// drive several (the re-appended edit's own sync may fail too), so
@@ -534,7 +529,7 @@ mod tests {
         };
 
         // A version that cannot be built fails before a byte is written.
-        let manifest = manifest_file("db", vs.manifest_number());
+        let manifest = manifest_file("db", vs.manifest.number);
         let written = env.file_size(&manifest).unwrap();
         let mut bad = moving(&vs, 1);
         let mut clash = meta(t, 57, 0, 10); // `t`'s key range, in `t`'s run

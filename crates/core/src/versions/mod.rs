@@ -365,54 +365,51 @@ impl VersionSet {
             self.reclaim.register_region(table);
         }
 
-        // Rebuild the value-log ledger: every `NNNNNN.vlog` on disk is a
-        // segment; its size comes from the env (never from the MANIFEST,
-        // which only persists dead-byte deltas), and all recovered segments
-        // are sealed — the writer starts a fresh segment after recovery.
-        // Segments durably condemned (`vlog_deleted`) but still on disk go
-        // back on the unlink list so their delete is retried.
-        let mut old_manifests = Vec::new();
+        // The open's one directory listing. It rebuilds the value-log ledger:
+        // every `NNNNNN.vlog` on disk is a segment, sealed at its size from
+        // the env (the MANIFEST only persists dead-byte deltas). It condemns
+        // what the recovered state does not reference, for the open's first
+        // reclaim pass (O2): tables no region names, every MANIFEST (the
+        // fresh cut supersedes them all), temp files, and segments durably
+        // condemned (`vlog_deleted`). And as files are created between
+        // commits, no number on disk is handed out again: a new file under
+        // one would truncate a live segment, or die by its namesake's retry.
+        let referenced = self.reclaim.referenced_files();
         for name in self.env.list_dir(&self.db).unwrap_or_default() {
-            match parse_file_name(&name) {
-                Some(FileType::Manifest(number)) => old_manifests.push((number, name)),
-                Some(file @ FileType::ValueLog(segment)) if vlog_deleted.contains(&segment) => {
-                    self.reclaim.condemn(file);
-                }
-                Some(FileType::ValueLog(segment)) => {
+            let Some(file) = parse_file_name(&name) else {
+                continue;
+            };
+            let number = match file {
+                FileType::Current => continue,
+                FileType::Log(number) => number,
+                FileType::Table(number) if referenced.contains(&number) => number,
+                FileType::ValueLog(segment) if !vlog_deleted.contains(&segment) => {
                     let info = VlogSegInfo {
                         written: Some(self.env.file_size(&vlog_file(&self.db, segment))?),
                         dead: vlog_dead.remove(&segment).unwrap_or_default(),
                     };
                     self.vlog_segments.insert(segment, info);
+                    segment
                 }
-                _ => {}
-            }
+                FileType::Table(number)
+                | FileType::Manifest(number)
+                | FileType::Temp(number)
+                | FileType::ValueLog(number) => {
+                    self.reclaim.condemn(file);
+                    number
+                }
+            };
+            next_file = next_file.max(number.saturating_add(1));
         }
-        // Segments are created between MANIFEST commits, so the replayed
-        // `next_file_number` may not cover them; reusing such a number for
-        // a new file would truncate a segment that live pointers reference.
-        let next_file = self
-            .vlog_segments
-            .keys()
-            .fold(next_file, |n, &s| n.max(s + 1));
         self.ids.raise(next_file, next_table);
 
         // Start a fresh manifest with a complete snapshot — the same cut
-        // path that self-heals a failed commit barrier at runtime — then
-        // scavenge every stale MANIFEST: the one just replayed, plus any
-        // stray a crash mid-re-cut left behind (cut and maybe synced, but
-        // CURRENT was never swung to it, so nothing references it).
-        self.cut_fresh_manifest()?;
-        for (number, name) in old_manifests {
-            if number != self.manifest.number {
-                let _ = self.env.delete_file(&bolt_env::join_path(&self.db, &name));
-            }
-        }
-        Ok(())
+        // path that self-heals a failed commit barrier at runtime.
+        self.cut_fresh_manifest()
     }
 
     /// Track a freshly created value-log segment as the active appender
-    /// target (unsealed: never retired, survives obsolete-file deletion).
+    /// target (unsealed: never retired).
     pub fn register_vlog_segment(&mut self, segment: u64) {
         self.vlog_segments.insert(segment, VlogSegInfo::default());
     }
@@ -456,7 +453,8 @@ impl VersionSet {
     }
 
     /// The value-log liveness ledger (segment number → written/dead bytes).
-    pub fn vlog_segments(&self) -> &HashMap<u64, VlogSegInfo> {
+    #[cfg(test)]
+    pub(crate) fn vlog_segments(&self) -> &HashMap<u64, VlogSegInfo> {
         &self.vlog_segments
     }
 }
@@ -865,12 +863,16 @@ mod tests {
         let mut vs = set_at(&env, "db", CompactionPolicyKind::Leveled);
         vs.recover().expect("recover ignores the stray");
         assert_eq!(vs.current().num_tables(), 1);
+        // Recover condemns every MANIFEST it listed; the first reclaim pass
+        // unlinks them.
+        assert_eq!(vs.reclaim.pending_unlink_files(), 2);
+        gc(&mut vs, &test_cache(&env));
         let names = manifest_files(&env);
         assert_eq!(
             names.len(),
             1,
             "open-time scavenging removed every non-current MANIFEST: {names:?}"
         );
-        assert_eq!(names[0], format!("MANIFEST-{:06}", vs.manifest_number()));
+        assert_eq!(names[0], format!("MANIFEST-{:06}", vs.manifest.number));
     }
 }

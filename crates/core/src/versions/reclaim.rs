@@ -49,7 +49,8 @@ pub struct ReclaimLedger {
     /// so neighbours that died in different commits cost one call.
     punch: BTreeMap<FileType, RangeSet>,
     /// Condemned files — dead table files, retired value-log segments,
-    /// abandoned MANIFESTs — awaiting their unlink; retried every pass.
+    /// abandoned MANIFESTs, and what an open finds unreferenced — awaiting
+    /// their unlink; retried every pass.
     unlink: Vec<FileType>,
     /// Files this process hard-linked (or is about to link) into a
     /// checkpoint. A punch goes through the shared inode and would corrupt

@@ -3,11 +3,10 @@
 //! count by one. One too many is flagged at the surplus hit; one too few at
 //! the item. Never compiled.
 
-// Three view installers (memtable switch, commit tail, fresh WAL); a fourth.
+// Two view installers (memtable switch, commit tail); a third.
 fn installers(db: &DbInner) {
     db.install_view(|old| old.with_mem());
     db.install_view(|old| old.with_version());
-    db.install_view(|old| old.with_wal());
     db.install_view(|old| old.clone()); // SEED(architecture)
 }
 

@@ -22,7 +22,7 @@ fn compact(db: &DbInner) {
     db.flush_memtable(&imm, 0, seq)?; // SEED(architecture)
 }
 
-// Reclaim I/O runs in the batch executor (and recovery), off the lock.
+// Reclaim I/O runs in the batch executor, off the lock; recovery condemns.
 impl ReclaimBatch {
     pub fn execute(self, env: &dyn Env) {
         env.punch_hole(&path, 0, 4096);
@@ -32,7 +32,7 @@ impl ReclaimBatch {
 
 impl VersionSet {
     pub fn recover(&mut self) {
-        self.env.delete_file(&stale);
+        self.env.delete_file(&stale); // SEED(architecture)
     }
 
     pub fn commit(&mut self) {

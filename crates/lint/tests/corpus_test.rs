@@ -23,7 +23,7 @@ commit_path = ["l4_commit.rs"]
 twopc_path = ["l7_decide.rs"]
 
 [architecture]
-"one commit tail: three view installers" = "arch_counts.rs fn installers : .install_view( = 3"
+"one commit tail: two view installers" = "arch_counts.rs fn installers : .install_view( = 2"
 "one commit tail: one reclaim decision" = "arch_counts.rs fn commit_tail : .collect_garbage( = 1"
 "writes and 2PC leave the queue through retire" = "arch_counts.rs fn retire : writers.pop_front = 1"
 "a compaction reads through ReadPlan::fetch" = "arch_counts.rs fn fetch : .read( = 1"
@@ -46,7 +46,8 @@ twopc_path = ["l7_decide.rs"]
 "the read options by name" = "arch_counts.rs struct ReadOptions : snapshot: = 1"
 "threads outside tests: the engine's only" = "arch_forbid.rs except arch_forbid.rs fn engine_threads : thread::spawn | thread::Builder | spawn_scoped( | .spawn( = 0"
 "no flush is reachable from inside a compaction" = "arch_forbid.rs except arch_forbid.rs fn recover_wals : .flush_memtable( = 0"
-"reclaim runs off the lock" = "arch_forbid.rs except arch_forbid.rs impl VersionSet fn recover; arch_forbid.rs impl ReclaimBatch fn execute : punch_hole | delete_file | link_count = 0"
+"reclaim runs off the lock" = "arch_forbid.rs except arch_forbid.rs impl ReclaimBatch fn execute : punch_hole | delete_file | link_count = 0"
+"one unlinker" = "arch_unlink.rs except arch_unlink.rs impl ReclaimBatch fn execute; arch_unlink.rs fn delete_logs_oldest_first; arch_unlink.rs impl OutputSink fn abandon : delete_file = 0"
 "a flush fabricates nothing to call the writer" = "arch_forbid.rs fn flush_memtable : Version::empty | RangeTombstoneSet | HashSet = 0"
 "the writer knows no entry type and no snapshot" = "arch_forbid.rs impl OutputSink : parse_internal_key | ValueType | RangeTombstone | ValuePointer | smallest_snapshot = 0"
 "the scope carries the event sink, the env none" = "arch_forbid.rs fn env_sync : EventSink | EngineEvent = 0"

@@ -1081,6 +1081,10 @@ mod tests {
                 vlog_segments_retired: b + 30,
                 range_deletes: b + 31,
                 checkpoints: b + 32,
+                stalls_imm_pending: b + 33,
+                stall_nanos_imm_pending: b + 34,
+                stalls_l0_stop: b + 35,
+                stall_nanos_l0_stop: b + 36,
             },
             io: IoSnapshot {
                 fsync_calls: b + 101,

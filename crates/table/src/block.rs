@@ -217,8 +217,16 @@ impl Block {
         self.parse_next(at)
     }
 
-    /// Position `at` on the first entry with key >= `target`.
+    /// Position `at` on the first entry with key >= `target`. A key shorter
+    /// than `cmp` can compare is [`Error::Corruption`], never compared.
     fn seek_cursor(&self, at: &mut Cursor, cmp: &dyn Comparator, target: &[u8]) -> Result<()> {
+        let min_len = cmp.min_key_len();
+        let before_target = |key: &[u8]| {
+            if key.len() < min_len {
+                return Err(Error::corruption("block key shorter than the order's tag"));
+            }
+            Ok(cmp.compare(key, target) == Ordering::Less)
+        };
         // Binary search the restart array for the last restart whose key is
         // < target.
         let mut left = 0usize;
@@ -228,7 +236,7 @@ impl Block {
             if !self.parse_at_restart(at, self.restart_point(mid))? {
                 return Err(Error::corruption("restart points past end"));
             }
-            if cmp.compare(&at.key, target) == Ordering::Less {
+            if before_target(&at.key)? {
                 left = mid;
             } else {
                 right = mid - 1;
@@ -236,7 +244,7 @@ impl Block {
         }
         // Linear scan from that restart.
         let mut more = self.parse_at_restart(at, self.restart_point(left))?;
-        while more && cmp.compare(&at.key, target) == Ordering::Less {
+        while more && before_target(&at.key)? {
             more = self.parse_next(at)?;
         }
         Ok(()) // past the end: invalid
@@ -333,7 +341,8 @@ impl BlockIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparator::BytewiseComparator;
+    use crate::comparator::{BytewiseComparator, InternalKeyComparator};
+    use crate::ikey::{make_internal_key, ValueType};
 
     fn build(entries: &[(&[u8], &[u8])], restart_interval: usize) -> Arc<Block> {
         let mut builder = BlockBuilder::new(restart_interval);
@@ -451,14 +460,15 @@ mod tests {
 
     /// Every damage of a small class, applied to blocks of both encodings:
     /// each truncation, each single-bit flip, each byte set to `0x00` and to
-    /// `0xFF`. Parsing, a full walk and seeks give entries or
-    /// [`Error::Corruption`], never a panic.
+    /// `0xFF`. Parsing, a full walk and seeks under both orders give entries
+    /// or [`Error::Corruption`], never a panic — for a block of plain keys
+    /// and one of internal keys alike, whatever length damage leaves a key.
     #[test]
     fn every_damaged_block_is_ok_or_corruption() {
         let long_key = vec![b'k'; 150];
         let shared_a = [vec![b'p'; 140], b"a".to_vec()].concat();
         let shared_b = [vec![b'p'; 140], b"b".to_vec()].concat();
-        let entries: [(&[u8], &[u8]); 7] = [
+        let plain: [(&[u8], &[u8]); 7] = [
             (b"a", b"1"),
             (b"ab", b""),
             (&long_key, b"long key"),
@@ -467,7 +477,13 @@ mod tests {
             (&shared_b, b"y"),
             (b"z", b"last"),
         ];
+        let internal: Vec<Vec<u8>> = [(&b"a"[..], 9), (b"a", 3), (&shared_a, 5), (b"z", 1)]
+            .into_iter()
+            .map(|(user_key, seq)| make_internal_key(user_key, seq, ValueType::Value))
+            .collect();
+        let internal: Vec<(&[u8], &[u8])> = internal.iter().map(|k| (&k[..], &b"v"[..])).collect();
         let targets: [&[u8]; 4] = [b"", b"ab", &shared_b, b"zz"];
+        let internal_targets = targets.map(|t| make_internal_key(t, 4, ValueType::Value));
         let check = |data: Vec<u8>| -> Result<()> {
             let block = Arc::new(Block::new(data)?);
             let mut it = block.iter();
@@ -480,10 +496,21 @@ mod tests {
                 it.seek(&BytewiseComparator, target)?;
                 block.seek(&BytewiseComparator, target)?;
             }
+            for target in &internal_targets {
+                let icmp = InternalKeyComparator::default();
+                it.seek(&icmp, target)?;
+                block.seek(&icmp, target)?;
+            }
             Ok(())
         };
-        for interval in [1, 16] {
-            let good = build(&entries, interval).data.clone();
+        let blocks = [
+            (&plain[..], 1),
+            (&plain[..], 16),
+            (&internal[..], 1),
+            (&internal[..], 16),
+        ];
+        for (entries, interval) in blocks {
+            let good = build(entries, interval).data.clone();
             let mut damaged: Vec<Vec<u8>> = (0..good.len()).map(|n| good[..n].to_vec()).collect();
             for at in 0..good.len() {
                 for bit in 0..8 {
@@ -503,6 +530,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A CRC-valid block whose key is shorter than the 8-byte tag, sought
+    /// under the engine's internal order: `Corruption`, not a panic in
+    /// `extract_user_key`.
+    #[test]
+    fn a_key_shorter_than_the_tag_is_corruption_under_the_internal_order() {
+        let block = build(&[(b"ab", b"v")], 16);
+        let target = make_internal_key(b"ab", 1, ValueType::Value);
+        let icmp = InternalKeyComparator::default();
+        assert!(matches!(
+            block.seek(&icmp, &target),
+            Err(Error::Corruption(_))
+        ));
+        let mut it = block.iter();
+        assert!(matches!(it.seek(&icmp, &target), Err(Error::Corruption(_))));
+        // The bytewise order compares any key.
+        assert!(block.seek(&BytewiseComparator, b"ab").unwrap().is_some());
     }
 
     #[test]

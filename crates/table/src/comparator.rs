@@ -6,7 +6,7 @@
 
 use std::cmp::Ordering;
 
-use crate::ikey::{extract_tag, extract_user_key};
+use crate::ikey::{extract_tag, extract_user_key, TAG_SIZE};
 
 /// A total order over keys, shared across the engine.
 pub trait Comparator: Send + Sync {
@@ -15,6 +15,12 @@ pub trait Comparator: Send + Sync {
 
     /// A short name persisted nowhere but useful in debugging output.
     fn name(&self) -> &'static str;
+
+    /// The shortest key this order compares. A decoded key shorter than this
+    /// is corrupt, and a block seek rejects it before comparing it.
+    fn min_key_len(&self) -> usize {
+        0
+    }
 }
 
 /// The engine's one user-key order: plain lexicographic byte order, as a
@@ -45,7 +51,8 @@ impl Comparator for BytewiseComparator {
 /// carries the order as a value.
 ///
 /// Both keys must hold the 8-byte tag: a shorter key panics in
-/// [`extract_user_key`], so a decoder rejects one before it is compared.
+/// [`extract_user_key`], so a decoder rejects one before it is compared (a
+/// block seek by [`Comparator::min_key_len`]).
 #[inline]
 pub fn compare_internal(a: &[u8], b: &[u8]) -> Ordering {
     match bytewise(extract_user_key(a), extract_user_key(b)) {
@@ -69,6 +76,10 @@ impl Comparator for InternalKeyComparator {
 
     fn name(&self) -> &'static str {
         "bolt.InternalKeyComparator"
+    }
+
+    fn min_key_len(&self) -> usize {
+        TAG_SIZE
     }
 }
 

@@ -155,12 +155,7 @@ fn write_manifest(
     sequence: u64,
     entries: &[ManifestEntry],
 ) -> Result<()> {
-    let mut body = String::from("bolt-backup 1\n");
-    body.push_str(&format!("seq {sequence}\n"));
-    for e in entries {
-        body.push_str(&format!("file {} {} {:08x}\n", e.name, e.size, e.crc));
-    }
-    body.push_str("ok\n");
+    let body = encode_manifest(sequence, entries);
     let path = manifest_path(backup, generation);
     let tmp = format!("{path}.tmp");
     env.create_dir_all(&gen_dir(backup, generation))?;
@@ -171,7 +166,19 @@ fn write_manifest(
     env.rename_file(&tmp, &path)
 }
 
-/// Parse a generation manifest, rejecting torn or malformed files.
+/// The text of a generation manifest: header, sequence, one line per file,
+/// and the closing `ok`.
+fn encode_manifest(sequence: u64, entries: &[ManifestEntry]) -> String {
+    let mut body = String::from("bolt-backup 1\n");
+    body.push_str(&format!("seq {sequence}\n"));
+    for e in entries {
+        body.push_str(&format!("file {} {} {:08x}\n", e.name, e.size, e.crc));
+    }
+    body.push_str("ok\n");
+    body
+}
+
+/// Read and decode a generation manifest.
 fn read_manifest(
     env: &dyn Env,
     backup: &str,
@@ -183,6 +190,13 @@ fn read_manifest(
         data.extend_from_slice(chunk);
         Ok(())
     })?;
+    decode_manifest(&path, data)
+}
+
+/// Decode the manifest read from `path`, rejecting torn or malformed files
+/// and any entry whose name is not a plain file name — restore writes each
+/// entry to `dest/<name>`, so `..` or a `/` would write outside `dest`.
+fn decode_manifest(path: &str, data: Vec<u8>) -> Result<(u64, Vec<ManifestEntry>)> {
     let text =
         String::from_utf8(data).map_err(|_| Error::corruption(format!("{path}: not UTF-8")))?;
     let mut lines = text.lines();
@@ -206,7 +220,7 @@ fn read_manifest(
             if parts.next() != Some("file") {
                 return None;
             }
-            let name = parts.next()?.to_string();
+            let name = parts.next().filter(|name| is_plain_name(name))?.to_string();
             let size = parts.next()?.parse().ok()?;
             let crc = u32::from_str_radix(parts.next()?, 16).ok()?;
             Some(ManifestEntry { name, size, crc })
@@ -218,6 +232,12 @@ fn read_manifest(
         return Err(Error::corruption(format!("{path}: truncated (no `ok`)")));
     }
     Ok((sequence, entries))
+}
+
+/// `name` names a file directly inside a directory: it is not empty, `.`
+/// or `..`, and holds no `/`.
+fn is_plain_name(name: &str) -> bool {
+    !matches!(name, "" | "." | "..") && !name.contains('/')
 }
 
 /// Create a new backup generation from a live database.
@@ -750,5 +770,71 @@ mod tests {
         }
         assert!(covered >= 10, "too few crash points covered: {covered}");
         backup_verify(&env, "bak").unwrap();
+    }
+
+    /// A manifest naming `../escaped` restored from a payload stored at
+    /// `files/../escaped@…`: the name is `Corruption`, and nothing lands
+    /// beside `dest`.
+    #[test]
+    fn a_manifest_name_cannot_leave_dest() {
+        use bolt_common::crc32c::crc32c;
+        use bolt_env::RealEnv;
+        let root = std::env::temp_dir().join(format!("bolt-backup-escape-{}", std::process::id()));
+        let env: Arc<dyn Env> = Arc::new(RealEnv::new(&root));
+        env.create_dir_all("bak/files").unwrap();
+        let payload = b"escaped bytes";
+        let entry = ManifestEntry {
+            name: "../escaped".into(),
+            size: payload.len() as u64,
+            crc: crc32c(payload),
+        };
+        let stored = join_path(&files_dir("bak"), &entry.store_key());
+        let mut file = env.new_writable_file(&stored).unwrap();
+        file.append(payload).unwrap();
+        file.sync().unwrap();
+        drop(file);
+        write_manifest(env.as_ref(), "bak", 1, 7, &[entry]).unwrap();
+
+        let restored = backup_restore(&env, "bak", Some(1), "dest");
+        let escaped = root.join("escaped").exists();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert!(
+            matches!(restored, Err(Error::Corruption(_))),
+            "{restored:?}"
+        );
+        assert!(!escaped, "a restore wrote beside its destination");
+    }
+
+    /// Every damage of a small class applied to a valid manifest — each
+    /// truncation, single-bit flip, and byte set to `0x00` and to `0xFF` —
+    /// decodes to `Ok` or `Corruption`, never a panic, and never to an
+    /// entry whose name leaves the destination.
+    #[test]
+    fn every_damaged_manifest_is_ok_or_corruption() {
+        let entries = [
+            ManifestEntry {
+                name: "CURRENT".into(),
+                size: 16,
+                crc: 0x0123_abcd,
+            },
+            ManifestEntry {
+                name: "000007.sst".into(),
+                size: 4096,
+                crc: 0xffff_0000,
+            },
+        ];
+        let good = encode_manifest(42, &entries).into_bytes();
+        let (sequence, decoded) = decode_manifest("BACKUP", good.clone()).unwrap();
+        assert_eq!((sequence, decoded.len()), (42, 2));
+        for (case, data) in crate::damage::damaged(&good).enumerate() {
+            match decode_manifest("BACKUP", data) {
+                Ok((_, decoded)) => {
+                    for entry in decoded {
+                        assert!(is_plain_name(&entry.name), "{case}: {:?}", entry.name);
+                    }
+                }
+                Err(err) => assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}"),
+            }
+        }
     }
 }

@@ -23,6 +23,9 @@
 #![warn(missing_docs)]
 
 mod backup;
+#[cfg(test)]
+#[path = "../../core/src/damage.rs"]
+mod damage;
 pub mod json;
 mod sweep;
 mod sweep_scenario;
@@ -106,9 +109,13 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
     .expect("write");
     writeln!(
         out,
-        "  stalls {} ({} ms) | slowdowns {}",
+        "  stalls {} ({} ms: imm_pending {} ({} ms), l0_stop {} ({} ms)) | slowdowns {}",
         s.stalls,
         s.stall_nanos / 1_000_000,
+        s.stalls_imm_pending,
+        s.stall_nanos_imm_pending / 1_000_000,
+        s.stalls_l0_stop,
+        s.stall_nanos_l0_stop / 1_000_000,
         s.slowdowns
     )
     .expect("write");

@@ -50,8 +50,8 @@ pub use bolt_common::{Error, Result};
 pub use bolt_core::{
     BarrierCause, BarrierKind, BoltOptions, CompactionPolicyKind, CompactionStyle, Db, DbIterator,
     DbStats, DbStatsSnapshot, EngineEvent, LevelInfo, Metric, MetricValue, MetricsRegistry,
-    MetricsSnapshot, Options, QueueWaitSummary, ReadOptions, Snapshot, TraceEvent, WriteBatch,
-    WriteOptions,
+    MetricsSnapshot, Options, QueueWaitSummary, ReadOptions, Snapshot, StallCause, TraceEvent,
+    WriteBatch, WriteOptions,
 };
 pub use bolt_env::{
     CrashConfig, CrashEnv, DeviceModel, Env, FaultEnv, FaultPlan, IoSnapshot, IoStats, MemEnv,

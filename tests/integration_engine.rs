@@ -848,3 +848,63 @@ fn concurrent_writers_group_commit_and_recover() {
     }
     db.close().unwrap();
 }
+
+/// Orphan tables numbered at and above the recovered `next_file_number`
+/// (outputs a crashed compaction created after the last MANIFEST stamp),
+/// whose unlinks fail at open: the unlinks stay owed across the writes that
+/// follow, so no new file may take one of those numbers — a retried unlink
+/// would remove it. After reopen, a write and a flush, everything reads back
+/// and the integrity walk is clean.
+#[test]
+fn an_orphans_number_is_never_handed_out_again() {
+    use bolt_env::{FaultEnv, FaultPlan};
+
+    const ORPHANS: u64 = 8;
+    let fault_env = FaultEnv::over_mem();
+    let env: Arc<dyn Env> = Arc::new(fault_env.clone());
+    let opts = Options::leveldb();
+    let db = Db::open(Arc::clone(&env), "db", opts.clone()).unwrap();
+    db.put(b"before", b"1").unwrap();
+    db.flush().unwrap();
+    db.close().unwrap();
+    let highest = env
+        .list_dir("db")
+        .unwrap()
+        .iter()
+        .filter_map(|name| {
+            name.split(['.', '-'])
+                .find_map(|part| part.parse::<u64>().ok())
+        })
+        .max()
+        .unwrap();
+    let orphans: Vec<String> = (highest + 1..=highest + ORPHANS)
+        .map(|number| format!("db/{number:06}.sst"))
+        .collect();
+    for orphan in &orphans {
+        let mut file = env.new_writable_file(orphan).unwrap();
+        file.append(b"uncommitted compaction output").unwrap();
+        file.sync().unwrap();
+    }
+
+    let every_orphan_unlink_fails = vec!["eio:delete:glob=*.sst:nth=0"; ORPHANS as usize];
+    fault_env.set_plan(FaultPlan::parse(&every_orphan_unlink_fails.join(",")).unwrap());
+    let db = Db::open(Arc::clone(&env), "db", opts.clone()).unwrap();
+    assert_eq!(fault_env.faults_injected(), ORPHANS);
+    assert_eq!(db.metrics().pending_unlink_files, ORPHANS);
+    db.put(b"after", b"2").unwrap();
+    db.flush().unwrap();
+
+    assert_eq!(db.metrics().pending_unlink_files, 0);
+    for orphan in &orphans {
+        assert!(!env.file_exists(orphan), "{orphan} outlived its retry");
+    }
+    db.close().unwrap();
+
+    // A table reader opened before an unlink keeps its bytes, so read back
+    // through a fresh open: every file the tree names is still on disk.
+    let db = Db::open(Arc::clone(&env), "db", opts).unwrap();
+    assert_eq!(db.get(b"before").unwrap(), Some(b"1".to_vec()));
+    assert_eq!(db.get(b"after").unwrap(), Some(b"2".to_vec()));
+    bolt_tools::verify_db(&db).unwrap();
+    db.close().unwrap();
+}
