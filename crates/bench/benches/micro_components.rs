@@ -82,7 +82,7 @@ fn logical_tables(
 /// on the file itself. `MemEnv` charges no device time, so this shows only
 /// what the span adapter costs the decoder — it must not be slower.
 fn bench_seq_vs_block(c: &mut Criterion) {
-    use bolt_table::{ReadPlan, Table, TableCache, TableSpec};
+    use bolt_table::{SeqReadStats, SeqReader, Table, TableCache, TableSpec};
 
     const TABLES: u64 = 16;
     let (env, specs, opts) = logical_tables(TABLES);
@@ -120,10 +120,8 @@ fn bench_seq_vs_block(c: &mut Criterion) {
     let mut group = c.benchmark_group("table/seq_vs_block");
     group.bench_function("span", |b| {
         per_entry(b, &|| {
-            let plan = ReadPlan::new(Arc::clone(&cache), vec![specs.clone()], |_, _| {
-                std::cmp::Ordering::Equal
-            });
-            let mut reader = plan.reader(0);
+            let stats = Arc::new(SeqReadStats::default());
+            let mut reader = SeqReader::new(Arc::clone(&cache), specs.clone(), stats);
             (0..specs.len())
                 .map(|i| drain(reader.open(i).unwrap()))
                 .sum()

@@ -347,6 +347,29 @@ mod tests {
         assert!(dec.is_empty());
     }
 
+    /// Every damage of a record of mixed fields decodes field by field to
+    /// values or to [`Error::Corruption`], never a panic.
+    #[test]
+    fn every_damaged_record_decodes_or_is_corruption() {
+        let mut good = Vec::new();
+        put_varint64(&mut good, u64::MAX);
+        put_varint32(&mut good, 300);
+        put_length_prefixed_slice(&mut good, &[7u8; 130]);
+        put_fixed64(&mut good, 7);
+        put_fixed32(&mut good, 9);
+        for (case, data) in crate::damage::damaged(&good).enumerate() {
+            let mut dec = Decoder::new(&data);
+            let decoded = (dec.varint64())
+                .and_then(|_| dec.varint32())
+                .and_then(|_| dec.length_prefixed_slice().map(<[u8]>::len))
+                .and_then(|_| dec.fixed64())
+                .and_then(|_| dec.fixed32());
+            if let Err(err) = decoded {
+                assert!(err.is_corruption(), "{case}: {err:?}");
+            }
+        }
+    }
+
     #[test]
     fn decoder_bytes_and_errors() {
         let buf = [1u8, 2, 3];

@@ -1,8 +1,8 @@
 //! Every damage of one small class applied to a valid encoding: every
 //! truncation, every single-bit flip, and every byte set to `0x00` and to
 //! `0xFF`. A decoder's damage test runs each copy through the decoder and
-//! accepts `Ok` or `Err(Corruption)`, never a panic. Test-only; the
-//! sharded and tools crates' tests include this file by path.
+//! accepts `Ok` or `Err(Corruption)`, never a panic. Test-only; the tests
+//! of the table, core, sharded and tools crates include this file by path.
 
 /// Every damaged copy of `good`: the truncations first, then per byte its
 /// eight bit flips and the two byte values.

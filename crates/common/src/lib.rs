@@ -26,6 +26,8 @@ pub mod cache;
 pub mod coding;
 mod counters;
 pub mod crc32c;
+#[cfg(test)]
+mod damage;
 #[cfg(feature = "debug_locks")]
 pub mod debug_locks;
 pub mod error;

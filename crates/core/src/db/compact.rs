@@ -24,10 +24,9 @@ use std::time::Instant;
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::Result;
-use bolt_table::comparator::compare_internal;
 use bolt_table::ikey::extract_user_key;
 use bolt_table::rangedel::RangeTombstoneSet;
-use bolt_table::seq::{ReadPlan, Span};
+use bolt_table::seq::SeqReadStats;
 use bolt_table::{BuiltTable, InternalKeyComparator, Table, TableBuilder, TableCache};
 
 use super::{DbInner, ReadView};
@@ -162,74 +161,30 @@ impl DbInner {
         // it tags its own).
         let _scope = BarrierScope::new(&self.sink, BarrierCause::CompactionData);
         // Inputs are read once, front to back: in large spans, past the
-        // caches foreground reads are served from, by a reader that runs
-        // ahead of the merge.
-        let units = merge_units(task);
-        let plan = self.read_plan(&units);
-        let merge = || -> Result<()> {
-            let mut readers = (0..).map(|run| plan.reader(run));
-            for unit in &units {
-                let children = unit
-                    .iter()
-                    .zip(&mut readers)
-                    .map(|(run, reader)| -> Box<dyn InternalIterator> {
-                        Box::new(RunIter::sequential(
-                            Arc::clone(&self.table_cache),
-                            Arc::clone(&self.name),
-                            run.clone(),
-                            reader,
-                        ))
-                    })
-                    .collect();
-                let mut merged = MergingIter::new(InternalKeyComparator::default(), children);
-                merged.seek_to_first()?;
-                sink.write_run(&mut merged, Some(&mut rule))?;
-            }
-            Ok(())
-        };
-        // The first unit's merge starts with one span of each of its runs.
-        let written = plan.run_ahead(units.first().map_or(0, Vec::len), merge);
-        let reads = plan.stats();
+        // caches foreground reads are served from, on this thread, where the
+        // merge takes them.
+        let reads = Arc::new(SeqReadStats::default());
+        let written = merge_units(task).into_iter().try_for_each(|unit| {
+            let children = unit
+                .into_iter()
+                .map(|run| -> Box<dyn InternalIterator> {
+                    Box::new(RunIter::sequential(
+                        Arc::clone(&self.table_cache),
+                        Arc::clone(&self.name),
+                        run,
+                        &reads,
+                    ))
+                })
+                .collect();
+            let mut merged = MergingIter::new(InternalKeyComparator::default(), children);
+            merged.seek_to_first()?;
+            sink.write_run(&mut merged, Some(&mut rule))
+        });
         self.stats.record_compaction_read_ops(reads.ops());
         self.stats.record_compaction_read_bytes(reads.bytes());
         self.stats
             .record_compaction_read_wait_nanos(reads.wait_nanos());
-        self.stats
-            .record_compaction_readahead_spans(reads.readahead_spans());
-        self.stats
-            .record_compaction_demand_spans(reads.demand_spans());
         Ok((sink.finish(written)?, rule.into_dead()))
-    }
-
-    /// The input reads of a compaction over `units`, from metadata alone:
-    /// every run's spans, ordered by when the merge needs them. A span is
-    /// needed when the table before it in its run is exhausted — at that
-    /// table's largest key, which for spans of whole tables is exact — and
-    /// the first span of a run when its unit starts. The parts of a table
-    /// larger than a span (no key says when its n-th window is needed) go
-    /// tail first, then window by window, in step with the other runs'.
-    pub(super) fn read_plan(&self, units: &[Vec<TableList>]) -> Arc<ReadPlan> {
-        let runs = units.iter().enumerate();
-        let runs: Vec<(usize, &TableList)> = runs
-            .flat_map(|(unit, runs)| runs.iter().map(move |run| (unit, run)))
-            .collect();
-        let specs = runs
-            .iter()
-            .map(|(_, run)| run.iter().map(|t| t.spec(&self.name)).collect());
-        let needed_at = |(run, span): (usize, &Span)| {
-            let (unit, tables) = runs[run];
-            let after = span.table.checked_sub(1).map(|t| &tables[t].largest);
-            (unit, after, span.part)
-        };
-        ReadPlan::new(Arc::clone(&self.table_cache), specs.collect(), |a, b| {
-            let ((unit_a, after_a, part_a), (unit_b, after_b, part_b)) =
-                (needed_at(a), needed_at(b));
-            let by_key = match (after_a, after_b) {
-                (Some(a), Some(b)) => compare_internal(a, b),
-                (a, b) => a.is_some().cmp(&b.is_some()),
-            };
-            unit_a.cmp(&unit_b).then(by_key).then(part_a.cmp(&part_b))
-        })
     }
 
     /// The one commit of a flush, of a compaction and of an open (which
@@ -673,11 +628,10 @@ mod tests {
         inner.run_compaction(task.unwrap(), &version)
     }
 
-    /// A failed input read — the first, the second of the plan (the merge
-    /// has not produced anything yet), or the sixth (the merge is under way
-    /// and the reader thread ahead of it) — abandons the compaction: no
-    /// output file and no pending mark outlives it, the reader thread is
-    /// gone with it, the engine reads on, and the next attempt succeeds.
+    /// A failed input read — the first, the second (the merge has not
+    /// produced anything yet), or the sixth (the merge is under way) —
+    /// abandons the compaction: no output file and no pending mark outlives
+    /// it, the engine reads on, and the next attempt succeeds.
     #[test]
     fn input_read_error_abandons_the_outputs_and_a_retry_succeeds() {
         for fail_in in [None, Some(2), Some(6)] {
@@ -686,7 +640,7 @@ mod tests {
             env.start_recording();
             match fail_in {
                 None => two_overlapping_runs(&db),
-                // Runs of several read spans: a plan the thread runs ahead of.
+                // Runs of several read spans each.
                 Some(_) => {
                     flush_run(&db, 0..12_000, &[b'a'; 100]);
                     flush_run(&db, 0..12_000, &newer());
@@ -711,9 +665,8 @@ mod tests {
             env.take_read_log();
             let started = std::time::Instant::now();
             let err = compact_l0(&db).unwrap_err();
-            // `run_compaction` joins the reader thread before it returns:
-            // that it returned at all is that thread gone, not parked on a
-            // buffer nobody takes from any more.
+            // The failure ends the compaction at the read that met it:
+            // nothing is left waiting for bytes nobody will take.
             assert!(started.elapsed().as_secs() < 30, "{:?}", started.elapsed());
             assert!(matches!(err, bolt_common::Error::Io(_)), "{err:?}");
             if let Some(n) = fail_in {
@@ -745,27 +698,52 @@ mod tests {
         }
     }
 
-    /// The plan puts a compaction's reads in the order its merge takes them:
-    /// whoever issues a read — the reader thread ahead of the merge or the
-    /// merge itself, for a span the thread has not got to — the file sees
-    /// the plan's reads in the plan's order. A plan in the wrong order would
-    /// have the merge jump the queue, and the two would differ.
+    /// A compaction whose input holds a block key shorter than the tag
+    /// fails with `Corruption` on the compaction thread, where the
+    /// sequential reader's table hands the key to the merge.
     #[test]
-    fn a_compaction_reads_its_inputs_in_the_order_it_planned() {
-        let planned_and_read = |db: &Db, env: &FaultEnv, level: usize| {
+    fn a_short_block_key_in_a_compaction_input_is_corruption() {
+        let (_env, db) = db_with_a_short_block_key();
+        let err = db.compact_range(b"", b"zzzz").unwrap_err();
+        assert!(matches!(err, bolt_common::Error::Corruption(_)), "{err:?}");
+        assert_eq!(db.level_info()[0].runs, 2);
+    }
+
+    /// A compaction reads each span of each of its runs once, where its
+    /// merge takes it: the file sees exactly the merge units' spans — no
+    /// more, none twice — and each run's in the order [`spans`] gives them.
+    #[test]
+    fn a_compaction_reads_each_input_span_once() {
+        use bolt_table::seq::spans;
+        let spans_and_reads = |db: &Db, env: &FaultEnv, level: usize| {
             let (inner, version) = (&db.inner, db.current_version());
             let task =
                 crate::compaction::manual_task(&inner.opts, &version, level, b"", b"zzzz").unwrap();
             let units = super::merge_units(&task);
-            let planned: Vec<(String, u64, usize)> = (inner.read_plan(&units).order().iter())
-                .map(|&(file, offset, len)| {
-                    let path = crate::filename::table_file(&inner.name, file);
-                    (path, offset, len as usize)
+            let runs: Vec<Vec<(String, u64, usize)>> = (units.iter().flatten())
+                .map(|run| {
+                    let specs: Vec<_> = run.iter().map(|t| t.spec(&inner.name)).collect();
+                    let read = |s: bolt_table::seq::Span| {
+                        (specs[s.table].path.clone(), s.offset, s.len as usize)
+                    };
+                    spans(&specs).into_iter().map(read).collect()
                 })
                 .collect();
             env.take_read_log();
             inner.run_compaction(task, &version).unwrap();
-            (units, planned, env.take_read_log())
+            let read = env.take_read_log();
+            // As a multiset, the reads are the spans.
+            let sorted = |mut reads: Vec<(String, u64, usize)>| {
+                reads.sort();
+                reads
+            };
+            assert_eq!(sorted(read.clone()), sorted(runs.concat()));
+            // Front to back within each run.
+            for run in &runs {
+                let in_run: Vec<_> = read.iter().filter(|r| run.contains(r)).cloned().collect();
+                assert_eq!(&in_run, run);
+            }
+            (units, runs.concat().len() as u64)
         };
 
         // Nine L0 runs over one key range, each several spans long and each
@@ -781,16 +759,11 @@ mod tests {
             );
         }
         assert_eq!(db.level_info()[0].runs, 9);
-        let (units, planned, read) = planned_and_read(&db, &env, 0);
+        let (units, spans) = spans_and_reads(&db, &env, 0);
         assert_eq!(units.iter().map(Vec::len).collect::<Vec<_>>(), [9]);
-        assert!(planned.len() >= 3 * 9, "{} spans", planned.len());
-        assert_eq!(read, planned);
+        assert!(spans >= 3 * 9, "{spans} spans");
         let stats = db.stats().snapshot();
-        assert_eq!(stats.compaction_read_ops, planned.len() as u64);
-        assert_eq!(
-            stats.compaction_readahead_spans + stats.compaction_demand_spans,
-            planned.len() as u64
-        );
+        assert_eq!(stats.compaction_read_ops, spans);
         assert_eq!(stats.compaction_read_bytes, stats.compaction_input_bytes);
         db.close().unwrap();
 
@@ -809,14 +782,22 @@ mod tests {
         compact_level(&db, 0).unwrap();
         let shape: Vec<usize> = db.level_info().iter().map(|l| l.runs).collect();
         assert_eq!(shape[..3], [0, 1, 1], "{shape:?}");
-        let (units, planned, read) = planned_and_read(&db, &env, 1);
+        let before = db.stats().snapshot();
+        let (units, spans) = spans_and_reads(&db, &env, 1);
         // (A range splits further wherever a table ends at the same key in
         // both levels.) Every cluster is two runs, some of several spans.
         assert!(units.len() >= 4 && units.iter().all(|u| u.len() == 2));
-        assert!(planned.len() >= 2 * units.len() + 4, "{planned:?}");
-        assert_eq!(read, planned);
+        assert!(spans >= 2 * units.len() as u64 + 4, "{spans} spans");
         let stats = db.stats().snapshot();
         assert!(stats.compaction_overlap_bytes > 0, "{stats:?}");
+        assert_eq!(
+            stats.compaction_read_ops - before.compaction_read_ops,
+            spans
+        );
+        assert_eq!(
+            stats.compaction_read_bytes - before.compaction_read_bytes,
+            stats.compaction_input_bytes - before.compaction_input_bytes
+        );
         assert_eq!(db.get(b"key20003").unwrap(), Some(vec![b'b'; 137]));
         assert_eq!(db.get(b"key20004").unwrap(), Some(vec![b'a'; 100]));
         db.close().unwrap();

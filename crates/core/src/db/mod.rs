@@ -769,6 +769,59 @@ mod test_util {
     pub(super) fn arm(env: &FaultEnv, clauses: &str) {
         env.extend_plan(FaultPlan::parse(clauses).unwrap());
     }
+
+    /// Two level-0 runs over `key00000..key00199` (100-byte values, the
+    /// Legacy encoding, whose every key is whole), closed, and then in the
+    /// older run's first data block the second key cut to its first two
+    /// bytes: the rest of the key joins the value, so the entry keeps its
+    /// length, and the block's CRC is recomputed. A CRC-valid block with a
+    /// key shorter than the 8-byte tag right after a whole one; the
+    /// database reopened over it.
+    pub(super) fn db_with_a_short_block_key() -> (Arc<MemEnv>, Db) {
+        use bolt_common::crc32c;
+        use bolt_table::block::Block;
+        use bolt_table::format::{BlockHandle, Footer, FOOTER_SIZE};
+
+        let mut opts = manual_opts();
+        opts.table_format = bolt_table::TableFormat::legacy();
+        let (env, db) = mem_db(opts.clone());
+        for value in [[b'a'; 100], [b'b'; 100]] {
+            for i in 0..200u32 {
+                db.put(format!("key{i:05}").as_bytes(), &value).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let table = Arc::clone(&db.current_version().levels[0].runs[1].tables[0]);
+        db.close().unwrap();
+        drop(db);
+
+        let path = crate::filename::table_file("db", table.file_number);
+        let file = env.new_random_access_file(&path).unwrap();
+        let mut bytes = file.read(0, file.len() as usize).unwrap();
+        let (base, end) = (table.offset as usize, (table.offset + table.size) as usize);
+        let index = Footer::decode(&bytes[end - FOOTER_SIZE..end])
+            .unwrap()
+            .index_handle;
+        let index_at = base + index.offset as usize;
+        let index = bytes[index_at..index_at + index.size as usize].to_vec();
+        let mut first = Arc::new(Block::new(index).unwrap()).iter(0);
+        first.seek_to_first().unwrap();
+        let (data, _) = BlockHandle::decode_from(first.value()).unwrap();
+        let (at, size) = (base + data.offset as usize, data.size as usize);
+        // Entry 0 is `[0, 16, 100, key, value]`: entry 1 starts after it.
+        let entry = at + 3 + 16 + 100;
+        assert_eq!(bytes[entry..entry + 3], [0, 16, 100]);
+        bytes[entry + 1..entry + 3].copy_from_slice(&[2, 114]);
+        let crc = crc32c::extend(crc32c::crc32c(&bytes[at..at + size]), &[0]);
+        bytes[at + size + 1..at + size + 5].copy_from_slice(&crc32c::mask(crc).to_le_bytes());
+        let mut file = env.new_writable_file(&path).unwrap();
+        file.append(&bytes).unwrap();
+        file.sync().unwrap();
+        drop(file);
+
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts).unwrap();
+        (env, db)
+    }
 }
 
 #[cfg(test)]

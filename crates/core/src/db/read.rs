@@ -260,6 +260,26 @@ mod tests {
     use super::super::VIEW_SLOTS;
     use super::*;
 
+    /// A scan that steps onto a block key shorter than the tag gets
+    /// `Corruption`, not a panic where the merge compares it.
+    #[test]
+    fn a_short_block_key_reached_by_a_scan_is_corruption() {
+        let (_env, db) = db_with_a_short_block_key();
+        let mut it = db.iter().unwrap();
+        let mut walked = it.seek_to_first();
+        let mut rows = 0;
+        while walked.is_ok() && it.valid() {
+            rows += 1;
+            walked = it.next();
+        }
+        assert!(
+            matches!(walked, Err(bolt_common::Error::Corruption(_))),
+            "{walked:?}"
+        );
+        assert!(rows <= 1, "{rows} rows before the short key");
+        assert!(!it.valid());
+    }
+
     /// Two level-0 runs: even keys, then odd keys over the same range. A
     /// `get` of an even key probes the odd run's table first, in vain, and
     /// charges it a wasted seek; that table is returned.

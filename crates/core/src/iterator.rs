@@ -12,7 +12,7 @@ use bolt_table::cache::TableCache;
 use bolt_table::comparator::{bytewise, compare_internal, Comparator, InternalKeyComparator};
 use bolt_table::ikey::{lookup_key, parse_internal_key, SequenceNumber, ValueType};
 use bolt_table::rangedel::RangeTombstoneSet;
-use bolt_table::seq::SeqReader;
+use bolt_table::seq::{SeqReadStats, SeqReader};
 
 use crate::memtable::MemTableIter;
 use crate::version::TableList;
@@ -126,15 +126,17 @@ impl RunIter {
     }
 
     /// Iterate `tables` for a consumer that reads all of them in order (a
-    /// compaction): `seq`, the reader of this run in the compaction's
-    /// [`ReadPlan`](bolt_table::seq::ReadPlan), supplies them in large
-    /// spans from a private buffer, past the block cache and the table LRU.
+    /// compaction): through a [`SeqReader`] of its own, in large spans read
+    /// on this thread, past the block cache and the table LRU, counted in
+    /// `reads`.
     pub fn sequential(
         cache: Arc<TableCache>,
         db: Arc<str>,
         tables: TableList,
-        seq: SeqReader,
+        reads: &Arc<SeqReadStats>,
     ) -> Self {
+        let specs = tables.iter().map(|t| t.spec(&db)).collect();
+        let seq = SeqReader::new(Arc::clone(&cache), specs, Arc::clone(reads));
         RunIter {
             seq: Some(seq),
             ..RunIter::new(cache, db, tables)

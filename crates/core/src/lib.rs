@@ -36,6 +36,7 @@
 pub mod batch;
 pub mod compaction;
 #[cfg(test)]
+#[path = "../../common/src/damage.rs"]
 mod damage;
 pub mod db;
 pub mod filename;

@@ -38,13 +38,9 @@ bolt_common::counter_table! {
     compaction_read_ops / record_compaction_read_ops => "bolt_compaction_read_ops_total",
     /// Bytes those reads returned (÷ ops = bytes per compaction read).
     compaction_read_bytes / record_compaction_read_bytes => "bolt_compaction_read_bytes_total",
-    /// Nanoseconds compactions were blocked for input bytes: waiting for
-    /// the read-ahead thread to finish a span, or reading one themselves.
+    /// Nanoseconds compactions spent reading their inputs: the merge waits
+    /// for every read, which it issues itself.
     compaction_read_wait_nanos / record_compaction_read_wait_nanos => "bolt_compaction_read_wait_nanos_total",
-    /// Input spans a compaction found already read when it needed them.
-    compaction_readahead_spans / record_compaction_readahead_spans => "bolt_compaction_readahead_spans_total",
-    /// Input spans a compaction had to wait for or read itself.
-    compaction_demand_spans / record_compaction_demand_spans => "bolt_compaction_demand_spans_total",
     /// Bytes written by compactions.
     compaction_output_bytes / record_compaction_output => "bolt_compaction_output_bytes_total",
     /// Bytes written by flushes.

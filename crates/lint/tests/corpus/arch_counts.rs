@@ -22,16 +22,10 @@ fn retire(state: &mut DbState) { // SEED(architecture)
 }
 
 // One device read; `read_exact` and `read_at` are other names.
-fn fetch(file: &dyn RandomAccessFile, plan: &ReadPlan) {
-    file.read(plan.offset, &mut buf)?;
+fn fetch(file: &dyn RandomAccessFile, span: &Span) {
+    file.read(span.offset, &mut buf)?;
     file.read_exact(&mut buf)?;
-    file.read(plan.offset + 1, &mut buf)?; // SEED(architecture)
-}
-
-// One read-ahead thread.
-fn read_ahead(scope: &Scope) {
-    scope.spawn_scoped(|| fetch_all());
-    scope.spawn_scoped(|| fetch_all()); // SEED(architecture)
+    file.read(span.offset + 1, &mut buf)?; // SEED(architecture)
 }
 
 // The engine's threads start in one builder.

@@ -4,13 +4,18 @@
 
 use std::sync::atomic::AtomicU64;
 
-// Threads start in the engine, the read-ahead and the YCSB clients only.
+// Threads start in the engine and the YCSB clients only: a compaction
+// reads its inputs on its own thread.
 fn engine_threads() {
     std::thread::Builder::new().spawn(move || flush_loop());
 }
 
 fn rogue_thread() {
     std::thread::spawn(|| work()); // SEED(architecture)
+}
+
+fn read_ahead(scope: &Scope) {
+    scope.spawn_scoped(|| fetch_all()); // SEED(architecture)
 }
 
 // A flush is reachable from the flush loop and recovery only.

@@ -26,8 +26,7 @@ twopc_path = ["l7_decide.rs"]
 "one commit tail: two view installers" = "arch_counts.rs fn installers : .install_view( = 2"
 "one commit tail: one reclaim decision" = "arch_counts.rs fn commit_tail : .collect_garbage( = 1"
 "writes and 2PC leave the queue through retire" = "arch_counts.rs fn retire : writers.pop_front = 1"
-"a compaction reads through ReadPlan::fetch" = "arch_counts.rs fn fetch : .read( = 1"
-"one read-ahead thread" = "arch_counts.rs fn read_ahead : spawn_scoped( = 1"
+"a compaction's input reads are one counted fetch" = "arch_counts.rs fn fetch : .read( = 1"
 "the engine's threads start in one place" = "arch_counts.rs fn start_threads : thread::Builder = 1"
 "two engine threads, under the panic guard" = 'arch_counts.rs fn open : spawn_guarded(&inner, "bolt-" = 2'
 "the group cap is read where the budget is computed" = "arch_counts.rs except arch_counts.rs fn options_default : group_compaction_bytes = 1"

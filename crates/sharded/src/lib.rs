@@ -39,7 +39,7 @@
 #![warn(missing_docs)]
 
 #[cfg(test)]
-#[path = "../../core/src/damage.rs"]
+#[path = "../../common/src/damage.rs"]
 mod damage;
 pub mod iter;
 pub mod metrics;
@@ -872,8 +872,7 @@ mod tests {
         opts.value_separation_threshold = Some(128);
         let db = ShardedDb::open(Arc::clone(&env), "agg", opts, Router::hash(2).unwrap()).unwrap();
         // Per shard: inline values enough for compactions whose runs are
-        // several read spans long (the read-ahead thread has something to be
-        // ahead with), one separated value (read back twice), two flushes
+        // several read spans long, one separated value (read back twice), two flushes
         // merged by a compaction, one checkpoint and an overwrite whose
         // reclaim it holds back, one range delete.
         for i in 0..2 {
@@ -905,8 +904,6 @@ mod tests {
             "bolt_compaction_read_ops_total",
             "bolt_compaction_read_bytes_total",
             "bolt_compaction_read_wait_nanos_total",
-            "bolt_compaction_readahead_spans_total",
-            "bolt_compaction_demand_spans_total",
             "bolt_compaction_victim_bytes_total",
             "bolt_compaction_overlap_bytes_total",
             "bolt_vlog_values_separated_total",
@@ -1060,8 +1057,6 @@ mod tests {
                 compaction_read_ops: b + 9,
                 compaction_read_bytes: b + 10,
                 compaction_read_wait_nanos: b + 11,
-                compaction_readahead_spans: b + 12,
-                compaction_demand_spans: b + 13,
                 compaction_output_bytes: b + 14,
                 flush_bytes: b + 15,
                 flush_busy_nanos: b + 16,

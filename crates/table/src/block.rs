@@ -159,11 +159,14 @@ impl Block {
         decode_fixed32(&self.data[self.restarts_offset + index * 4..]) as usize
     }
 
-    /// Iterate this block.
-    pub fn iter(self: &Arc<Self>) -> BlockIter {
+    /// Iterate this block under an order that compares no key shorter
+    /// than `min_key_len` ([`Comparator::min_key_len`], read once by the
+    /// caller): a step that decodes a shorter one is [`Error::Corruption`].
+    pub fn iter(self: &Arc<Self>, min_key_len: usize) -> BlockIter {
         BlockIter {
             block: Arc::clone(self),
             at: Cursor::default(),
+            min_key_len,
         }
     }
 
@@ -182,8 +185,9 @@ impl Block {
     }
 
     /// Decode the entry at `at.offset` into `at`; returns false at end of
-    /// data. The one entry decoder of the block.
-    fn parse_next(&self, at: &mut Cursor) -> Result<bool> {
+    /// data. The one entry decoder of the block: a key shorter than
+    /// `min_key_len` is [`Error::Corruption`], never handed on.
+    fn parse_next(&self, at: &mut Cursor, min_key_len: usize) -> Result<bool> {
         if at.offset >= self.restarts_offset {
             at.valid = false;
             return Ok(false);
@@ -204,6 +208,10 @@ impl Block {
         }
         at.key.truncate(shared);
         at.key.extend_from_slice(&data[pos..pos + non_shared]);
+        if at.key.len() < min_key_len {
+            at.valid = false;
+            return Err(Error::corruption("block key shorter than the order's tag"));
+        }
         at.value = pos + non_shared..pos + non_shared + value_len;
         at.offset = pos + non_shared + value_len;
         at.valid = true;
@@ -211,41 +219,36 @@ impl Block {
     }
 
     /// Decode the entry at `offset`, a restart point (its key is whole).
-    fn parse_at_restart(&self, at: &mut Cursor, offset: usize) -> Result<bool> {
+    fn parse_at_restart(&self, at: &mut Cursor, offset: usize, min_key_len: usize) -> Result<bool> {
         at.offset = offset;
         at.key.clear();
-        self.parse_next(at)
+        self.parse_next(at, min_key_len)
     }
 
     /// Position `at` on the first entry with key >= `target`. A key shorter
     /// than `cmp` can compare is [`Error::Corruption`], never compared.
     fn seek_cursor(&self, at: &mut Cursor, cmp: &dyn Comparator, target: &[u8]) -> Result<()> {
         let min_len = cmp.min_key_len();
-        let before_target = |key: &[u8]| {
-            if key.len() < min_len {
-                return Err(Error::corruption("block key shorter than the order's tag"));
-            }
-            Ok(cmp.compare(key, target) == Ordering::Less)
-        };
+        let before_target = |key: &[u8]| cmp.compare(key, target) == Ordering::Less;
         // Binary search the restart array for the last restart whose key is
         // < target.
         let mut left = 0usize;
         let mut right = self.num_restarts.saturating_sub(1);
         while left < right {
             let mid = (left + right).div_ceil(2);
-            if !self.parse_at_restart(at, self.restart_point(mid))? {
+            if !self.parse_at_restart(at, self.restart_point(mid), min_len)? {
                 return Err(Error::corruption("restart points past end"));
             }
-            if before_target(&at.key)? {
+            if before_target(&at.key) {
                 left = mid;
             } else {
                 right = mid - 1;
             }
         }
         // Linear scan from that restart.
-        let mut more = self.parse_at_restart(at, self.restart_point(left))?;
-        while more && before_target(&at.key)? {
-            more = self.parse_next(at)?;
+        let mut more = self.parse_at_restart(at, self.restart_point(left), min_len)?;
+        while more && before_target(&at.key) {
+            more = self.parse_next(at, min_len)?;
         }
         Ok(()) // past the end: invalid
     }
@@ -262,10 +265,12 @@ struct Cursor {
 }
 
 /// Cursor over a [`Block`]'s entries. It holds no comparator: a
-/// [`seek`](Self::seek) borrows its caller's.
+/// [`seek`](Self::seek) borrows its caller's, and a step checks only the
+/// key length that order needs.
 pub struct BlockIter {
     block: Arc<Block>,
     at: Cursor,
+    min_key_len: usize,
 }
 
 impl std::fmt::Debug for BlockIter {
@@ -312,7 +317,8 @@ impl BlockIter {
     ///
     /// Returns [`Error::Corruption`] on malformed entries.
     pub fn seek_to_first(&mut self) -> Result<()> {
-        self.block.parse_at_restart(&mut self.at, 0)?;
+        self.block
+            .parse_at_restart(&mut self.at, 0, self.min_key_len)?;
         Ok(())
     }
 
@@ -324,7 +330,7 @@ impl BlockIter {
     #[allow(clippy::should_implement_trait)] // LevelDB-style fallible cursor
     pub fn next(&mut self) -> Result<()> {
         assert!(self.at.valid, "iterator not positioned");
-        self.block.parse_next(&mut self.at)?;
+        self.block.parse_next(&mut self.at, self.min_key_len)?;
         Ok(())
     }
 
@@ -342,7 +348,7 @@ impl BlockIter {
 mod tests {
     use super::*;
     use crate::comparator::{BytewiseComparator, InternalKeyComparator};
-    use crate::ikey::{make_internal_key, ValueType};
+    use crate::ikey::{make_internal_key, ValueType, TAG_SIZE};
 
     fn build(entries: &[(&[u8], &[u8])], restart_interval: usize) -> Arc<Block> {
         let mut builder = BlockBuilder::new(restart_interval);
@@ -355,7 +361,7 @@ mod tests {
     #[test]
     fn empty_block_iterates_nothing() {
         let block = build(&[], 16);
-        let mut it = block.iter();
+        let mut it = block.iter(0);
         it.seek_to_first().unwrap();
         assert!(!it.valid());
         it.seek(&BytewiseComparator, b"anything").unwrap();
@@ -378,7 +384,7 @@ mod tests {
                 .map(|(k, v)| (k.as_slice(), v.as_slice()))
                 .collect();
             let block = build(&refs, interval);
-            let mut it = block.iter();
+            let mut it = block.iter(0);
             it.seek_to_first().unwrap();
             for (k, v) in &entries {
                 assert!(it.valid(), "interval {interval}");
@@ -420,7 +426,7 @@ mod tests {
             .collect();
         for interval in [1usize, 4, 16] {
             let block = build(&refs, interval);
-            let mut it = block.iter();
+            let mut it = block.iter(0);
 
             it.seek(&BytewiseComparator, b"k0000").unwrap();
             assert_eq!(it.key(), b"k0000");
@@ -486,12 +492,25 @@ mod tests {
         let internal_targets = targets.map(|t| make_internal_key(t, 4, ValueType::Value));
         let check = |data: Vec<u8>| -> Result<()> {
             let block = Arc::new(Block::new(data)?);
-            let mut it = block.iter();
+            let mut it = block.iter(0);
             it.seek_to_first()?;
             while it.valid() {
                 let _ = (it.key(), it.value());
                 it.next()?;
             }
+            // A walk under the internal order hands on no key shorter than
+            // its tag.
+            let mut walk = block.iter(TAG_SIZE);
+            let walked = walk.seek_to_first();
+            if walked.is_ok() {
+                while walk.valid() {
+                    assert!(walk.key().len() >= TAG_SIZE);
+                    if walk.next().is_err() {
+                        break;
+                    }
+                }
+            }
+            walked?;
             for target in targets {
                 it.seek(&BytewiseComparator, target)?;
                 block.seek(&BytewiseComparator, target)?;
@@ -544,16 +563,32 @@ mod tests {
             block.seek(&icmp, &target),
             Err(Error::Corruption(_))
         ));
-        let mut it = block.iter();
+        let mut it = block.iter(0);
         assert!(matches!(it.seek(&icmp, &target), Err(Error::Corruption(_))));
         // The bytewise order compares any key.
         assert!(block.seek(&BytewiseComparator, b"ab").unwrap().is_some());
+
+        // Reached by a step, after a whole internal key: the step is
+        // `Corruption`, and the cursor is no longer positioned.
+        let block = build(&[(&target, b"v"), (b"ab", b"v")], 16);
+        let mut it = block.iter(icmp.min_key_len());
+        it.seek_to_first().unwrap();
+        assert_eq!(it.key(), &target[..]);
+        assert!(matches!(it.next(), Err(Error::Corruption(_))));
+        assert!(!it.valid());
+        let short_first = build(&[(b"ab", b"v")], 16);
+        assert!(short_first.iter(TAG_SIZE).seek_to_first().is_err());
+        // The plain order's walk hands both on.
+        let mut it = block.iter(0);
+        it.seek_to_first().unwrap();
+        it.next().unwrap();
+        assert_eq!(it.key(), b"ab");
     }
 
     #[test]
     fn single_entry_block() {
         let block = build(&[(b"only", b"value")], 16);
-        let mut it = block.iter();
+        let mut it = block.iter(0);
         it.seek_to_first().unwrap();
         assert_eq!(it.key(), b"only");
         assert_eq!(it.value(), b"value");
@@ -568,7 +603,7 @@ mod tests {
     #[test]
     fn empty_values_roundtrip() {
         let block = build(&[(b"a", b""), (b"b", b""), (b"c", b"x")], 2);
-        let mut it = block.iter();
+        let mut it = block.iter(0);
         it.seek(&BytewiseComparator, b"b").unwrap();
         assert_eq!(it.key(), b"b");
         assert_eq!(it.value(), b"");

@@ -44,6 +44,9 @@ pub mod block;
 pub mod builder;
 pub mod cache;
 pub mod comparator;
+#[cfg(test)]
+#[path = "../../common/src/damage.rs"]
+mod damage;
 pub mod format;
 pub mod ikey;
 pub mod rangedel;
@@ -54,5 +57,5 @@ pub use builder::{BuiltTable, FilterKey, TableBuilder, TableFormat};
 pub use cache::{BlockCacheSnapshot, TableCache, TableCacheSnapshot, TableSpec};
 pub use comparator::{BytewiseComparator, Comparator, InternalKeyComparator};
 pub use rangedel::{RangeTombstone, RangeTombstoneSet};
-pub use seq::{ReadPlan, SeqReadStats, SeqReader, SEQ_READAHEAD_BYTES, SEQ_READ_WINDOW};
+pub use seq::{SeqReadStats, SeqReader, SEQ_READ_WINDOW};
 pub use table::{BlockCache, BlockCacheKey, Table, TableIter, TableReadOptions};

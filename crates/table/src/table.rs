@@ -61,6 +61,8 @@ pub struct Table {
     index: Arc<Block>,
     filter: Option<Vec<u8>>,
     opts: TableReadOptions,
+    /// The shortest key the order compares, read from it once.
+    min_key_len: usize,
     metadata_bytes: usize,
     /// Range tombstones found in the table, scanned once on first use.
     tombstones: OnceLock<Arc<Vec<RangeTombstone>>>,
@@ -158,6 +160,7 @@ impl Table {
             cache_id,
             index: Arc::new(Block::new(index)?),
             filter,
+            min_key_len: opts.comparator.min_key_len(),
             opts,
             metadata_bytes,
             tombstones: OnceLock::new(),
@@ -256,7 +259,7 @@ impl Table {
     pub fn iter(self: &Arc<Self>) -> TableIter {
         TableIter {
             table: Arc::clone(self),
-            index_iter: self.index.iter(),
+            index_iter: self.index.iter(self.min_key_len),
             data_iter: None,
         }
     }
@@ -285,7 +288,7 @@ impl TableIter {
         }
         let (handle, _) = BlockHandle::decode_from(self.index_iter.value())?;
         let block = self.table.read_data_block(handle)?;
-        self.data_iter = Some(block.iter());
+        self.data_iter = Some(block.iter(self.table.min_key_len));
         Ok(())
     }
 
@@ -699,6 +702,81 @@ mod tests {
         // Footer padding is the only part no check covers, and needs none.
         assert!(harmless > 0 && harmless < 2 * FOOTER_SIZE, "{harmless}");
         assert!(corrupt as u64 > 2 * (built.tail_bytes - FOOTER_SIZE as u64));
+    }
+
+    /// Every damage of a table's tail — each truncation, bit flip and
+    /// `0x00`/`0xFF` byte over the filter block, the index block (the data
+    /// blocks' handles) and the footer — opened as a point read opens it
+    /// (`TableTail::read` + `from_tail`, with the recorded tail length and
+    /// without) and as a compaction does (`SeqReader::open`), then walked
+    /// and probed: `Ok` or `Corruption`, never a panic. (A truncated file
+    /// may also answer a read that starts past its end with the env's I/O
+    /// error, which the open hands on.)
+    #[test]
+    fn every_damaged_tail_is_ok_or_corruption() {
+        use crate::cache::{TableCache, TableSpec};
+        use crate::seq::{SeqReadStats, SeqReader};
+        let env = Arc::new(MemEnv::new());
+        let built = build_file(&env, "000007.sst", 40);
+        let (base, size) = (built.offset, built.size);
+        let bytes = env.new_random_access_file("000007.sst").unwrap();
+        let bytes = bytes.read(0, (base + size) as usize).unwrap();
+        let (front, tail) = bytes.split_at((base + size - built.tail_bytes) as usize);
+        let check = |table: Result<Arc<Table>>| -> Result<()> {
+            let table = table?;
+            let mut iter = table.iter();
+            iter.seek_to_first()?;
+            while iter.valid() {
+                iter.next()?;
+            }
+            table.internal_get(&lookup_key(b"key000007", 100))?;
+            Ok(())
+        };
+        let (mut cases, mut refused) = (0, 0);
+        for damaged in crate::damage::damaged(tail) {
+            let mut file = env.new_writable_file("000007.sst").unwrap();
+            file.append(front).unwrap();
+            file.append(&damaged).unwrap();
+            file.sync().unwrap();
+            drop(file);
+            let file = env.new_random_access_file("000007.sst").unwrap();
+            let mut opened = Vec::new();
+            for tail_bytes in [built.tail_bytes, 0] {
+                let table =
+                    TableTail::read(file.as_ref(), base, size, tail_bytes, true).and_then(|tail| {
+                        let file = Arc::clone(&file);
+                        Table::from_tail(file, base, 1, &tail, read_options(None))
+                    });
+                opened.push(check(table.map(Arc::new)));
+            }
+            let spec = TableSpec {
+                table_id: 1,
+                file_number: 7,
+                path: "000007.sst".to_string(),
+                offset: base,
+                size,
+                tail_bytes: built.tail_bytes,
+            };
+            let env = Arc::clone(&env) as Arc<dyn Env>;
+            let cache = Arc::new(TableCache::new(env, 10, None, read_options(None)));
+            let stats = Arc::new(SeqReadStats::default());
+            opened.push(check(SeqReader::new(cache, vec![spec], stats).open(0)));
+            for result in opened {
+                if let Err(err) = result {
+                    let truncated = damaged.len() < tail.len();
+                    let past_the_end = truncated && matches!(err, bolt_common::Error::Io(_));
+                    assert!(err.is_corruption() || past_the_end, "{cases}: {err:?}");
+                    refused += 1;
+                }
+            }
+            cases += 1;
+        }
+        assert_eq!(cases, 11 * tail.len());
+        // Footer padding is the only part no check covers.
+        assert!(
+            3 * cases - refused < 3 * 10 * FOOTER_SIZE,
+            "{refused} of {cases}"
+        );
     }
 
     #[test]

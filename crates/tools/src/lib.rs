@@ -24,7 +24,7 @@
 
 mod backup;
 #[cfg(test)]
-#[path = "../../core/src/damage.rs"]
+#[path = "../../common/src/damage.rs"]
 mod damage;
 pub mod json;
 mod sweep;
@@ -132,12 +132,10 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
     if s.compaction_read_ops > 0 {
         writeln!(
             out,
-            "  compaction reads {} ({} bytes, {} per read) | spans {} read ahead, {} on demand | blocked {} ms",
+            "  compaction reads {} ({} bytes, {} per read) | blocked {} ms",
             s.compaction_read_ops,
             s.compaction_read_bytes,
             s.compaction_read_bytes / s.compaction_read_ops,
-            s.compaction_readahead_spans,
-            s.compaction_demand_spans,
             s.compaction_read_wait_nanos / 1_000_000
         )
         .expect("write");

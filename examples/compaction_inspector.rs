@@ -99,12 +99,10 @@ fn main() -> bolt::Result<()> {
         metrics.barriers_per_compaction()
     );
     println!(
-        "compaction inputs: {} KB moved + {} KB overlap; {} reads, {} spans read ahead, {} on demand, blocked {} ms",
+        "compaction inputs: {} KB moved + {} KB overlap; {} reads, blocked {} ms",
         metrics.db.compaction_victim_bytes / 1024,
         metrics.db.compaction_overlap_bytes / 1024,
         metrics.db.compaction_read_ops,
-        metrics.db.compaction_readahead_spans,
-        metrics.db.compaction_demand_spans,
         metrics.db.compaction_read_wait_nanos / 1_000_000
     );
     println!(

@@ -908,3 +908,63 @@ fn an_orphans_number_is_never_handed_out_again() {
     bolt_tools::verify_db(&db).unwrap();
     db.close().unwrap();
 }
+
+/// DESIGN.md §9, "A failed compaction input read": a write-only load (no
+/// get, so every table read is a background compaction's) whose compaction
+/// meets `EIO` on its sixth input read. Nothing panics; the compaction's
+/// outputs are abandoned and its error poisons the engine: every write from
+/// then on fails with it, while gets and scans serve every acked write. A
+/// reopen returns every acked write, the integrity walk is clean, and the
+/// engine compacts again.
+#[test]
+fn a_failed_compaction_input_read_poisons_writes_and_loses_no_acked_write() {
+    use bolt_env::{FaultEnv, FaultPlan};
+
+    let fault_env = FaultEnv::over_mem();
+    let env: Arc<dyn Env> = Arc::new(fault_env.clone());
+    let opts = tiny(Options::bolt());
+    let db = Db::open(Arc::clone(&env), "db", opts.clone()).unwrap();
+    fault_env.set_plan(FaultPlan::parse("eio:read:glob=*.sst:nth=5").unwrap());
+    let mut acked = BTreeMap::new();
+    let failed = (0..200_000u32).find_map(|i| {
+        let key = format!("key{:06}", i.wrapping_mul(7919) % 100_000).into_bytes();
+        let value = format!("{i}-{}", "v".repeat(100)).into_bytes();
+        match db.put(&key, &value) {
+            Ok(()) => {
+                acked.insert(key, value);
+                None
+            }
+            Err(err) => Some(err),
+        }
+    });
+    let err = failed.expect("the load never met the failed read");
+    assert_eq!(fault_env.faults_injected(), 1);
+    assert!(matches!(err, Error::Io(_)), "{err:?}");
+    assert_eq!(db.put(b"after", b"x").unwrap_err(), err);
+    // Reads serve the last committed version and the memtables.
+    for (key, value) in acked.iter().step_by(7) {
+        assert_eq!(db.get(key).unwrap().as_ref(), Some(value));
+    }
+    let mut it = db.iter().unwrap();
+    it.seek_to_first().unwrap();
+    let mut scanned = 0;
+    while it.valid() {
+        assert_eq!(acked.get(it.key()).map(Vec::as_slice), Some(it.value()));
+        scanned += 1;
+        it.next().unwrap();
+    }
+    assert_eq!(scanned, acked.len());
+    drop(it);
+    assert_eq!(db.close().unwrap_err(), err);
+    drop(db);
+
+    let db = Db::open(Arc::clone(&env), "db", opts).unwrap();
+    for (key, value) in &acked {
+        assert_eq!(db.get(key).unwrap().as_ref(), Some(value));
+    }
+    bolt_tools::verify_db(&db).unwrap();
+    db.put(b"after", b"x").unwrap();
+    db.compact_range(b"", b"zzzz").unwrap();
+    bolt_tools::verify_db(&db).unwrap();
+    db.close().unwrap();
+}

@@ -345,6 +345,23 @@ proptest! {
     }
 }
 
+/// `write_batch_roundtrip`'s one recorded shrunk case,
+/// `ops = [(false, [], [])]`: a batch holding one delete of the empty key.
+#[test]
+fn write_batch_roundtrip_of_one_delete_of_the_empty_key() {
+    use bolt::bolt_table::ikey::ValueType;
+    let mut batch = bolt::WriteBatch::new();
+    batch.delete(b"");
+    batch.set_sequence(777);
+    let decoded = bolt::WriteBatch::decode(&batch.encode()).unwrap();
+    assert_eq!(decoded.encode(), batch.encode());
+    assert_eq!(decoded.sequence(), 777);
+    assert_eq!(decoded.count(), 1);
+    let mut replayed = Vec::new();
+    (decoded.for_each(|t, k, v| replayed.push((t, k.to_vec(), v.to_vec())))).unwrap();
+    assert_eq!(replayed, [(ValueType::Deletion, vec![], vec![])]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
