@@ -31,10 +31,10 @@ use bolt_table::{BuiltTable, InternalKeyComparator, Table, TableBuilder, TableCa
 
 use super::{DbInner, ReadView};
 use crate::compaction::{clusters, CompactionReason, CompactionTask, DropRule, OutputShape};
-use crate::filename::table_file;
+use crate::filename::{table_file, FileType};
 use crate::iterator::{InternalIterator, MergingIter, RunIter};
 use crate::version::{TableList, TableMeta, Version, VersionEdit};
-use crate::versions::VersionSet;
+use crate::versions::{ReclaimBatch, VersionSet};
 use crate::vlog::ValuePointer;
 
 impl DbInner {
@@ -365,7 +365,8 @@ impl<'a> OutputSink<'a> {
 
     /// Undo a failed build: delete every file this sink created and release
     /// its pending marks, so that an I/O error mid-flush or mid-compaction
-    /// leaks no partial file and blocks garbage collection forever.
+    /// leaks no partial file and blocks garbage collection forever (a file
+    /// whose unlink fails too is owed by the reclaim ledger).
     ///
     /// Safe only because none of these outputs has been named in a MANIFEST
     /// append yet — once a VersionEdit referencing them is appended, the
@@ -373,17 +374,19 @@ impl<'a> OutputSink<'a> {
     /// it), so from that point the files must be preserved.
     fn abandon(&mut self) {
         self.file = None;
-        for &number in &self.created {
-            let _ = self
-                .inner
-                .env
-                .delete_file(&table_file(&self.inner.name, number));
-        }
-        let mut versions = self.inner.versions.lock();
-        for number in self.created.drain(..) {
-            versions.reclaim.clear_pending(number);
-        }
+        self.discard(&self.created);
+        self.created.clear();
         self.outputs.clear();
+    }
+
+    /// Release the pending marks of `files`, outputs no MANIFEST record
+    /// names, and unlink them off the lock (a failure is the ledger's).
+    fn discard(&self, files: &[u64]) {
+        for &number in files {
+            self.inner.versions.lock().reclaim.clear_pending(number);
+        }
+        let tables = files.iter().map(|&number| FileType::Table(number));
+        self.inner.reclaim(ReclaimBatch::unlinking(tables));
     }
 
     fn sync_file(inner: &DbInner, file: &mut dyn bolt_env::WritableFile) -> Result<()> {
@@ -463,12 +466,7 @@ impl<'a> OutputSink<'a> {
         if let Some((number, mut file)) = self.file.take() {
             if file.is_empty() {
                 // Never written: drop the empty file.
-                let _ = self
-                    .inner
-                    .env
-                    .delete_file(&table_file(&self.inner.name, number));
-                let mut versions = self.inner.versions.lock();
-                versions.reclaim.clear_pending(number);
+                self.discard(&[number]);
             } else {
                 Self::sync_file(self.inner, file.as_mut())?;
             }
@@ -696,6 +694,48 @@ mod tests {
             }
             db.close().unwrap();
         }
+    }
+
+    /// A failed build whose output unlink fails too leaves its file owed by
+    /// the reclaim ledger, not forgotten until the next open: the commit of
+    /// the retry is the pass that removes it.
+    #[test]
+    fn an_abandoned_output_whose_unlink_fails_is_retried_by_the_next_commit() {
+        let env = Arc::new(FaultEnv::over_mem());
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
+        // Runs of several read spans each, so that the sixth read fails
+        // with the merge under way and its output file created.
+        flush_run(&db, 0..12_000, &[b'a'; 100]);
+        flush_run(&db, 0..12_000, &newer());
+        let tables = || {
+            let mut names = env.list_dir("db").unwrap();
+            names.retain(|name| name.ends_with(".sst"));
+            names
+        };
+        let before = tables();
+        arm(
+            &env,
+            "eio:read:glob=*.sst:nth=5,eio:delete:glob=*.sst:nth=0",
+        );
+        let err = compact_l0(&db).unwrap_err();
+        assert!(matches!(err, bolt_common::Error::Io(_)), "{err:?}");
+        assert_eq!(env.faults_injected(), 2, "the output's unlink never ran");
+        let abandoned: Vec<String> = tables()
+            .into_iter()
+            .filter(|n| !before.contains(n))
+            .collect();
+        assert_eq!(abandoned.len(), 1, "{abandoned:?}");
+        assert!(db.metrics().pending_unlink_files >= 1);
+
+        compact_l0(&db).unwrap();
+        assert_eq!(db.level_info()[0].runs, 0);
+        assert!(
+            !tables().contains(&abandoned[0]),
+            "the retry's commit left it"
+        );
+        assert_eq!(db.metrics().pending_unlink_files, 0);
+        assert_eq!(db.get(b"key00123").unwrap(), Some(newer()));
+        db.close().unwrap();
     }
 
     /// A compaction whose input holds a block key shorter than the tag

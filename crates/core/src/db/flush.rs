@@ -308,7 +308,7 @@ impl DbInner {
         });
         {
             // Wake writers stalled on the full memtable now, before the
-            // log sweep (`bg_jobs` still counts this flush: to
+            // WAL retirement (`bg_jobs` still counts this flush: to
             // `compact_until_quiet` it is not over). Under `state`, which
             // every waiter holds while it reads the view.
             let _state = self.state.lock();

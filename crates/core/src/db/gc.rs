@@ -1,8 +1,8 @@
 //! Garbage collection and checkpoints: everything that decides which files
 //! may disappear, and the one operation that pins them in place.
 //!
-//! Owns no [`DbState`] field; it prunes `pending_txns` (the write group)
-//! when a flush releases their WAL pins.
+//! Owns no `DbState` field. It retires `logs` (the write group) from the
+//! front, and prunes `pending_txns` when a flush releases their WAL pins.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -11,24 +11,10 @@ use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::{Error, Result};
 use bolt_table::ikey::SequenceNumber;
 
-use super::{Db, DbInner, DbState};
-use crate::filename::{log_file, parse_file_name, table_file, vlog_file, FileType};
+use super::{Db, DbInner};
+use crate::filename::{table_file, vlog_file, FileType};
 use crate::version::Version;
 use crate::versions::{RangeSet, ReclaimBatch};
-
-impl DbState {
-    /// Oldest WAL file still referenced by a pending transaction.
-    fn min_pending_txn_log(&self) -> Option<u64> {
-        self.pending_txns.values().map(|t| t.log_number).min()
-    }
-
-    /// Drop applied entries whose slice is now durable in SSTables (the
-    /// log floor passed their apply era), releasing their WAL pins.
-    fn prune_applied_txns(&mut self, log_floor: u64) {
-        self.pending_txns
-            .retain(|_, t| t.applied_in.is_none_or(|era| era >= log_floor));
-    }
-}
 
 impl Db {
     /// Write a consistent, openable copy of the database into `dir` while
@@ -106,43 +92,15 @@ impl Db {
 
 impl DbInner {
     /// The second half of the reclaim pass that follows every commit (O3):
-    /// the caller decided `batch` under `core.versions` and released it; punch
-    /// and unlink with no engine lock held. The lock is retaken only to hand
-    /// back what failed. Runs inside the committing flush's, compaction's or
-    /// open's barrier scope, so what the batch announces lands in this
-    /// engine's sink.
+    /// the caller decided `batch` under `core.versions` (or, for a failed
+    /// build's outputs, alone) and released it; punch and unlink with no
+    /// engine lock held. The lock is retaken only to hand back what failed.
+    /// Runs inside the committing flush's, compaction's or open's barrier
+    /// scope, so what the batch announces lands in this engine's sink.
     pub(super) fn reclaim(&self, batch: ReclaimBatch) {
         let failed = batch.execute(self.env.as_ref(), &self.name);
         if !failed.is_empty() {
             self.versions.lock().reclaim.hand_back(failed);
-        }
-    }
-
-    /// Clamp a log-deletion boundary by the pending-transaction pins:
-    /// first release pins whose applied slice the floor now covers, then
-    /// hold the boundary at the oldest WAL a live pin still references.
-    fn clamp_log_boundary(&self, boundary: u64) -> u64 {
-        let mut state = self.state.lock();
-        state.prune_applied_txns(boundary);
-        match state.min_pending_txn_log() {
-            Some(pinned) => boundary.min(pinned),
-            None => boundary,
-        }
-    }
-
-    /// Delete the WAL files in `dead`, oldest first, stopping at the first
-    /// failure — the surviving logs then always form a suffix of the log
-    /// sequence. Recovery's transaction resolution depends on that: if a
-    /// newer log (holding a transaction's `Applied` marker) could be
-    /// deleted while an older one (holding its prepare) survived, the next
-    /// open would find a decided, markerless prepare and re-apply it at
-    /// end-of-log, resurrecting stale values over later committed writes.
-    fn delete_logs_oldest_first(&self, mut dead: Vec<u64>) {
-        dead.sort_unstable();
-        for num in dead {
-            if self.env.delete_file(&log_file(&self.name, num)).is_err() {
-                return;
-            }
         }
     }
 
@@ -208,18 +166,29 @@ impl DbInner {
         Ok((tables, files))
     }
 
+    /// Retire the WALs below `boundary`, the log floor a flush (or the open)
+    /// just committed. First drop the applied transactions whose slice is
+    /// now durable in SSTables (the floor passed their apply era), and hold
+    /// the boundary at the oldest WAL a pending transaction still pins. Then
+    /// unlink the front of `logs` below it off the lock — oldest first,
+    /// stopping at the first failure — and pop what is gone. A log whose
+    /// unlink failed stays at the front for the next retirement; it never
+    /// joins the reclaim ledger, whose batches run on both background
+    /// threads and could unlink a newer log while this one survives.
     pub(super) fn delete_obsolete_logs(&self, boundary: u64) {
-        let boundary = self.clamp_log_boundary(boundary);
-        if let Ok(names) = self.env.list_dir(&self.name) {
-            let dead = names
-                .iter()
-                .filter_map(|n| match parse_file_name(n) {
-                    Some(FileType::Log(num)) if num < boundary => Some(num),
-                    _ => None,
-                })
-                .collect();
-            self.delete_logs_oldest_first(dead);
-        }
+        let dead: Vec<u64> = {
+            let mut state = self.state.lock();
+            let txns = &mut state.pending_txns;
+            txns.retain(|_, t| t.applied_in.is_none_or(|era| era >= boundary));
+            let pinned = txns.values().map(|t| t.log_number).min();
+            let boundary = pinned.map_or(boundary, |pinned| boundary.min(pinned));
+            let below = state.logs.iter().take_while(|&&log| log < boundary);
+            below.copied().collect()
+        };
+        let batch = ReclaimBatch::unlinking(dead.iter().map(|&log| FileType::Log(log)));
+        let failed = batch.execute(self.env.as_ref(), &self.name);
+        let gone = dead.len() - failed.unlinks_left();
+        self.state.lock().logs.drain(..gone);
     }
 }
 
@@ -227,6 +196,7 @@ impl DbInner {
 mod tests {
     use super::super::test_util::*;
     use super::*;
+    use crate::filename::log_file;
 
     #[test]
     fn pending_txn_pins_wal_across_rotation() {
@@ -265,18 +235,22 @@ mod tests {
         use bolt_env::{FaultEnv, FaultPlan};
         let fault = Arc::new(FaultEnv::over_mem());
         let env: Arc<dyn Env> = Arc::clone(&fault) as Arc<dyn Env>;
-        let db = Db::open(Arc::clone(&env), "db", Options::leveldb()).unwrap();
-        // Forge two dead WALs older than the live one.
+        Db::open(Arc::clone(&env), "db", Options::leveldb())
+            .unwrap()
+            .close()
+            .unwrap();
+        // Forge two dead WALs older than the live one, for the reopen's
+        // listing to find.
         for num in [0u64, 1] {
             let mut file = env.new_writable_file(&log_file("db", num)).unwrap();
             file.sync().unwrap();
         }
-        // Fail the first (oldest) delete: the deleter must stop rather
-        // than skip ahead — deleting a newer log while an older one
-        // survives is exactly the ordering recovery cannot tolerate.
+        // Fail the first (oldest) delete, the open's own retirement: the
+        // deleter must stop rather than skip ahead — deleting a newer log
+        // while an older one survives is exactly the ordering recovery
+        // cannot tolerate.
         fault.set_plan(FaultPlan::parse("eio:delete:glob=*.log:nth=0").unwrap());
-        let boundary = db.inner.state.lock().wal_number;
-        db.inner.delete_obsolete_logs(boundary);
+        let db = Db::open(Arc::clone(&env), "db", Options::leveldb()).unwrap();
         assert_eq!(fault.faults_injected(), 1, "delete EIO never fired");
         assert!(env.file_exists(&log_file("db", 0)));
         assert!(
@@ -285,9 +259,46 @@ mod tests {
         );
         // With the fault cleared the next sweep finishes the job.
         fault.set_plan(FaultPlan::new());
+        let boundary = db.inner.state.lock().wal_number;
         db.inner.delete_obsolete_logs(boundary);
         assert!(!env.file_exists(&log_file("db", 0)));
         assert!(!env.file_exists(&log_file("db", 1)));
+        db.close().unwrap();
+    }
+
+    /// The engine knows its files from its own state: creating a database
+    /// lists nothing, flushes retire their WALs from the engine's log list,
+    /// and only an open of an existing database lists the directory — once,
+    /// in `VersionSet::recover`.
+    #[test]
+    fn the_engine_lists_its_directory_once_per_open() {
+        let env = Arc::new(ProbeEnv::default());
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
+        for i in 0..20u32 {
+            db.put(format!("k{i:02}").as_bytes(), b"v").unwrap();
+            db.flush().unwrap();
+        }
+        db.close().unwrap();
+        assert_eq!(env.listings.load(Ordering::SeqCst), 0, "creating listed");
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
+        assert_eq!(db.get(b"k19").unwrap(), Some(b"v".to_vec()));
+        db.close().unwrap();
+        assert_eq!(env.listings.load(Ordering::SeqCst), 1);
+    }
+
+    /// A listing that fails is not an empty directory: the open that needs
+    /// it fails, where reading it as empty would skip the WALs to replay.
+    #[test]
+    fn a_failed_listing_at_open_is_an_error() {
+        let env = Arc::new(ProbeEnv::default());
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
+        db.put(b"k", b"v").unwrap();
+        db.close().unwrap();
+        env.fail_next_listing.store(true, Ordering::SeqCst);
+        let err = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err:?}");
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
+        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
         db.close().unwrap();
     }
 
@@ -376,51 +387,61 @@ mod tests {
         batch
     }
 
-    /// A [`MemEnv`] whose hard links are real but cannot be counted
-    /// (`link_count` is the trait's default, 1): the window between the
-    /// reclaim executor's probe of an inode and its punch, held open.
+    /// A [`MemEnv`] seen through a pass-through env that
+    /// - has hard links that are real but cannot be counted (`link_count` is
+    ///   the trait's default, 1): the window between the reclaim executor's
+    ///   probe of an inode and its punch, held open;
+    /// - counts directory listings, and fails the next one when asked.
     #[derive(Default)]
-    struct UncountedLinks(MemEnv);
+    struct ProbeEnv {
+        mem: MemEnv,
+        listings: std::sync::atomic::AtomicU64,
+        fail_next_listing: std::sync::atomic::AtomicBool,
+    }
 
-    impl Env for UncountedLinks {
+    impl Env for ProbeEnv {
         fn new_writable_file(&self, path: &str) -> Result<Box<dyn bolt_env::WritableFile>> {
-            self.0.new_writable_file(path)
+            self.mem.new_writable_file(path)
         }
         fn new_appendable_file(&self, path: &str) -> Result<Box<dyn bolt_env::WritableFile>> {
-            self.0.new_appendable_file(path)
+            self.mem.new_appendable_file(path)
         }
         fn new_random_access_file(
             &self,
             path: &str,
         ) -> Result<Arc<dyn bolt_env::RandomAccessFile>> {
-            self.0.new_random_access_file(path)
+            self.mem.new_random_access_file(path)
         }
         fn file_exists(&self, path: &str) -> bool {
-            self.0.file_exists(path)
+            self.mem.file_exists(path)
         }
         fn file_size(&self, path: &str) -> Result<u64> {
-            self.0.file_size(path)
+            self.mem.file_size(path)
         }
         fn delete_file(&self, path: &str) -> Result<()> {
-            self.0.delete_file(path)
+            self.mem.delete_file(path)
         }
         fn rename_file(&self, from: &str, to: &str) -> Result<()> {
-            self.0.rename_file(from, to)
+            self.mem.rename_file(from, to)
         }
         fn link_file(&self, src: &str, dst: &str) -> Result<()> {
-            self.0.link_file(src, dst)
+            self.mem.link_file(src, dst)
         }
         fn create_dir_all(&self, path: &str) -> Result<()> {
-            self.0.create_dir_all(path)
+            self.mem.create_dir_all(path)
         }
         fn list_dir(&self, dir: &str) -> Result<Vec<String>> {
-            self.0.list_dir(dir)
+            self.listings.fetch_add(1, Ordering::SeqCst);
+            if self.fail_next_listing.swap(false, Ordering::SeqCst) {
+                return Err(Error::io(format!("listing {dir}: injected failure")));
+            }
+            self.mem.list_dir(dir)
         }
         fn punch_hole(&self, path: &str, offset: u64, len: u64) -> Result<()> {
-            self.0.punch_hole(path, offset, len)
+            self.mem.punch_hole(path, offset, len)
         }
         fn stats(&self) -> &bolt_env::IoStats {
-            self.0.stats()
+            self.mem.stats()
         }
     }
 
@@ -432,7 +453,7 @@ mod tests {
     /// runs the two halves itself.
     #[test]
     fn a_checkpoint_between_reclaim_decision_and_execution_stays_intact() {
-        let env = Arc::new(UncountedLinks::default());
+        let env = Arc::new(ProbeEnv::default());
         let opts = sep_opts(128);
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts.clone()).unwrap();
         let mut model = Rows::new();
@@ -471,7 +492,7 @@ mod tests {
     /// overtaken by the other thread's meets; what fails goes back from both.
     #[test]
     fn a_checkpoint_between_two_reclaim_batches_stays_intact() {
-        let env = Arc::new(UncountedLinks::default());
+        let env = Arc::new(ProbeEnv::default());
         let opts = sep_opts(128);
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts.clone()).unwrap();
         let mut model = Rows::new();

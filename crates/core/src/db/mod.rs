@@ -14,7 +14,7 @@
 //!   act and nothing else lives: the table writer and the one commit a
 //!   flush and a compaction share;
 //! * `recover` — WAL replay at open;
-//! * `gc` — checkpoints and obsolete log/file deletion.
+//! * `gc` — checkpoints and WAL retirement.
 //!
 //! (DESIGN.md §2 maps each module to its state group, locks and events.)
 
@@ -73,13 +73,16 @@ struct DbState {
     /// it to return.
     wal: Option<LogWriter>,
     wal_number: u64,
+    /// The WAL files on disk, oldest first (the back is `wal_number`); only
+    /// `gc`'s retirement pops them, from the front.
+    logs: VecDeque<u64>,
     /// The active value-log writer. `None` until the first separated write
     /// creates a segment lazily — and, like `wal`, while a group-commit
     /// leader holds it outside the mutex (leaders take both together, so
     /// whenever `wal` is restored the value log is too).
     vlog: Option<VlogWriter>,
     /// Prepared-but-unapplied cross-shard slices, keyed by transaction id.
-    /// Each entry pins its WAL file (see [`DbState::min_pending_txn_log`]):
+    /// Each entry pins its WAL file (see `DbInner::delete_obsolete_logs`):
     /// the prepare record is the slice's only durable copy until the apply
     /// lands in a flushed memtable.
     pending_txns: HashMap<u64, PendingTxn>,
@@ -432,11 +435,12 @@ impl Db {
             Arc::clone(&sink),
         );
         let is_new = !env.file_exists(&current_file(name));
-        if is_new {
+        let logs = if is_new {
             versions.create_new()?;
+            Vec::new()
         } else {
-            versions.recover()?;
-        }
+            versions.recover()?
+        };
 
         let view = ReadView {
             mem: Arc::new(MemTable::new()),
@@ -471,7 +475,7 @@ impl Db {
             recovered_max_txn: AtomicU64::new(0),
         });
 
-        inner.recover_wals()?;
+        inner.recover_wals(logs)?;
         inner.start_fresh_wal()?;
 
         let bg = vec![

@@ -2,8 +2,8 @@
 //! them, resolve cross-shard transactions, and start a fresh log.
 //!
 //! Runs before either background thread exists, so it touches
-//! [`super::DbState`] only to install the first `wal`; its last commit
-//! installs the view the engine starts serving from.
+//! [`super::DbState`] only to seed `logs` and to install the first `wal`;
+//! its last commit installs the view the engine starts serving from.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -18,7 +18,7 @@ use super::write::new_wal_writer;
 use super::{Db, DbInner, ReadView};
 use crate::batch::WriteBatch;
 use crate::compaction::OutputShape;
-use crate::filename::{log_file, parse_file_name, FileType};
+use crate::filename::log_file;
 use crate::memtable::MemTable;
 use crate::txn::{self, TxnWalRecord};
 use crate::version::VersionEdit;
@@ -33,10 +33,11 @@ impl Db {
 }
 
 impl DbInner {
-    /// Replay the WALs. Logs at or above the version set's log floor are
-    /// replayed in full; *older* logs — retained only because a pending
-    /// cross-shard transaction pins them (see
-    /// [`super::DbState::min_pending_txn_log`]) — are scanned for transaction
+    /// Replay `logs`, the WALs the open's listing found, and seed
+    /// `DbState::logs` with them. Logs at or above the version set's log
+    /// floor are replayed in full; *older* logs — retained only because a
+    /// pending cross-shard transaction pins them (see
+    /// `DbInner::delete_obsolete_logs`) — are scanned for transaction
     /// records alone, since their batch records are already in SSTables.
     ///
     /// Transaction resolution: a prepare stages its slice; an `Applied`
@@ -47,25 +48,13 @@ impl DbInner {
     /// it (`committed_txns`), and is dropped otherwise — on every shard
     /// alike, which is what makes a crash inside the 2PC window
     /// all-or-nothing.
-    pub(super) fn recover_wals(&self) -> Result<()> {
+    pub(super) fn recover_wals(&self, logs: Vec<u64>) -> Result<()> {
         let log_floor = self.versions.lock().log_number;
-        let mut logs: Vec<u64> = {
-            let names = self.env.list_dir(&self.name)?;
-            names
-                .iter()
-                .filter_map(|n| match parse_file_name(n) {
-                    Some(FileType::Log(num)) => Some(num),
-                    _ => None,
-                })
-                .collect()
-        };
-        logs.sort_unstable();
-
         let mut max_seq = { self.versions.lock().last_sequence };
         let mut max_txn = 0u64;
         let mut staged: HashMap<u64, WriteBatch> = HashMap::new();
         let mut mem = Arc::new(MemTable::new());
-        for log in logs {
+        for &log in &logs {
             let replay = log >= log_floor;
             let file = self
                 .env
@@ -148,6 +137,7 @@ impl DbInner {
             max_seq = last;
         }
 
+        self.state.lock().logs = logs.into();
         self.recovered_max_txn.store(max_txn, Ordering::Release);
         self.last_sequence.store(max_seq, Ordering::Release);
         {
@@ -162,8 +152,8 @@ impl DbInner {
 
     /// Start the WAL the engine opens with and commit its number through
     /// `commit` with no outputs: the view swap, then the first reclaim pass
-    /// (what `VersionSet::recover` condemned) and, as a flush does, the sweep
-    /// of the logs below the new floor.
+    /// (what `VersionSet::recover` condemned) and, as a flush does, the
+    /// retirement of the logs below the new floor.
     pub(super) fn start_fresh_wal(&self) -> Result<()> {
         let new_log = self.ids.new_file_number();
         let file = self.env.new_writable_file(&log_file(&self.name, new_log))?;
@@ -171,6 +161,7 @@ impl DbInner {
             let mut state = self.state.lock();
             state.wal = Some(new_wal_writer(file, &self.sink));
             state.wal_number = new_log;
+            state.logs.push_back(new_log);
         }
         // Persist the log floor so old WALs are not replayed twice.
         let recovered = self.last_sequence.load(Ordering::Acquire);

@@ -400,7 +400,7 @@ impl DbInner {
         self.stats.record_write_group(1);
         self.stats.record_group_batches(1);
         // Keep the entry (and its WAL pin) until the flush that covers
-        // this era; see `prune_applied_txns`.
+        // this era; see `delete_obsolete_logs`.
         if let Some(staged) = state.pending_txns.get_mut(&txn_id) {
             staged.applied_in = Some(apply_era);
         }
@@ -611,6 +611,7 @@ impl DbInner {
         });
         state.wal = Some(new_wal_writer(file, &self.sink));
         state.wal_number = new_log;
+        state.logs.push_back(new_log);
         self.sink.emit(EngineEvent::WalRotate { new_log });
         self.flush_cv.notify_one();
         Ok(())

@@ -297,13 +297,13 @@ impl VersionSet {
 
     /// Recover state from CURRENT + MANIFEST; then start a fresh MANIFEST
     /// containing a full snapshot (bounding manifest growth) and swing
-    /// CURRENT to it.
+    /// CURRENT to it. Returns the WAL numbers on disk, ascending.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corruption`] for malformed manifests and I/O errors
-    /// from the env.
-    pub fn recover(&mut self) -> Result<()> {
+    /// from the env, a failed directory listing included.
+    pub fn recover(&mut self) -> Result<Vec<u64>> {
         let current = self.env.new_random_access_file(&current_file(&self.db))?;
         let content = current.read(0, current.len() as usize)?;
         let name =
@@ -371,17 +371,22 @@ impl VersionSet {
         // what the recovered state does not reference, for the open's first
         // reclaim pass (O2): tables no region names, every MANIFEST (the
         // fresh cut supersedes them all), temp files, and segments durably
-        // condemned (`vlog_deleted`). And as files are created between
-        // commits, no number on disk is handed out again: a new file under
-        // one would truncate a live segment, or die by its namesake's retry.
+        // condemned (`vlog_deleted`); it returns the WALs. And as files are
+        // created between commits, no number on disk is handed out again: a
+        // new file under one would truncate a live segment, or die by its
+        // namesake's retry.
         let referenced = self.reclaim.referenced_files();
-        for name in self.env.list_dir(&self.db).unwrap_or_default() {
+        let mut logs = Vec::new();
+        for name in self.env.list_dir(&self.db)? {
             let Some(file) = parse_file_name(&name) else {
                 continue;
             };
             let number = match file {
                 FileType::Current => continue,
-                FileType::Log(number) => number,
+                FileType::Log(number) => {
+                    logs.push(number);
+                    number
+                }
                 FileType::Table(number) if referenced.contains(&number) => number,
                 FileType::ValueLog(segment) if !vlog_deleted.contains(&segment) => {
                     let info = VlogSegInfo {
@@ -402,10 +407,12 @@ impl VersionSet {
             next_file = next_file.max(number.saturating_add(1));
         }
         self.ids.raise(next_file, next_table);
+        logs.sort_unstable();
 
         // Start a fresh manifest with a complete snapshot — the same cut
         // path that self-heals a failed commit barrier at runtime.
-        self.cut_fresh_manifest()
+        self.cut_fresh_manifest()?;
+        Ok(logs)
     }
 
     /// Track a freshly created value-log segment as the active appender

@@ -189,24 +189,44 @@ impl ReclaimLedger {
 
 /// Reclaim work that left the ledger, to be done with `core.versions`
 /// released.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ReclaimBatch {
     punches: Vec<Punch>,
     unlinks: Vec<FileType>,
 }
 
 impl ReclaimBatch {
+    /// A batch that only unlinks `files`, decided by their owner (a WAL
+    /// retirement, a failed build's outputs) rather than by the ledger.
+    pub(crate) fn unlinking(files: impl IntoIterator<Item = FileType>) -> Self {
+        let mut batch = ReclaimBatch::default();
+        batch.unlinks.extend(files);
+        batch
+    }
+
     /// `true` when there is nothing (left) to reclaim.
     pub fn is_empty(&self) -> bool {
         self.punches.is_empty() && self.unlinks.is_empty()
     }
 
+    /// Files whose unlink this batch still owes.
+    pub(crate) fn unlinks_left(&self) -> usize {
+        self.unlinks.len()
+    }
+
     /// Punch and unlink in database directory `dir`, and return what could
     /// not be: ranges whose punch failed or whose inode a checkpoint shares,
-    /// files whose unlink failed. (A range of a file that is gone is done.) Hand a non-empty result to
-    /// [`ReclaimLedger::hand_back`]. Must run with neither `core.versions`
-    /// nor `core.state` held — per-object metadata calls are the slow kind
-    /// (asserted under `debug_locks`).
+    /// files whose unlink failed. (A range of a file that is gone is done.)
+    /// Hand a non-empty result to [`ReclaimLedger::hand_back`] — unless it
+    /// holds WALs, which stay on the engine's log list instead. Must run with
+    /// neither `core.versions` nor `core.state` held — per-object metadata
+    /// calls are the slow kind (asserted under `debug_locks`).
+    ///
+    /// WALs go oldest first, and none after the first that fails: a newer
+    /// log (a transaction's `Applied` marker) gone while an older one (its
+    /// prepare) survives would let recovery re-apply the prepare at
+    /// end-of-log, over later committed writes (DESIGN.md §12).
+    ///
     /// Announces a `HolePunch` per successful punch (and value-log GC) in the
     /// scope it runs in: the engine's, inside the commit that decided it.
     #[must_use = "failed work must go back to the ledger or it is never retried"]
@@ -247,7 +267,14 @@ impl ReclaimBatch {
             job.ranges = failed;
             !job.ranges.is_empty()
         });
+        // Stable: logs go last, ascending, so a failed one keeps the rest.
+        self.unlinks
+            .sort_by_key(|&f| matches!(f, FileType::Log(_)).then_some(f));
+        let mut log_failed = false;
         self.unlinks.retain(|file| {
+            if log_failed {
+                return true;
+            }
             let path = file.path(dir);
             let retired = match file {
                 FileType::ValueLog(segment) => Some((*segment, env.file_size(&path).unwrap_or(0))),
@@ -260,6 +287,7 @@ impl ReclaimBatch {
                     reclaimed_bytes,
                 });
             }
+            log_failed = !gone && matches!(file, FileType::Log(_));
             !gone
         });
         self

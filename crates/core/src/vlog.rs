@@ -267,4 +267,30 @@ mod tests {
         };
         assert!(read_value(&env, "db", &ptr).unwrap_err().is_not_found());
     }
+
+    /// Every truncation, bit flip and `0x00`/`0xFF` byte of a pointer decodes
+    /// as `Ok` or `Corruption`. One that decodes resolves to the value it was
+    /// written for or to an error — never to other bytes, never a panic.
+    #[test]
+    fn every_damaged_pointer_is_ok_or_corruption() {
+        let env = mem();
+        env.create_dir_all("db").unwrap();
+        let mut w = VlogWriter::create(env.as_ref(), "db", 9).unwrap();
+        w.append(b"a neighbour").unwrap();
+        let value = vec![b'v'; 300];
+        let good = w.append(&value).unwrap();
+        w.append(b"another").unwrap();
+        w.barrier(false).unwrap();
+        drop(w);
+        for (case, data) in crate::damage::damaged(&good.encode()).enumerate() {
+            match ValuePointer::decode(&data) {
+                Ok(ptr) => {
+                    if let Ok(read) = read_value(&env, "db", &ptr) {
+                        assert_eq!(read, value, "{case}: {ptr:?}");
+                    }
+                }
+                Err(err) => assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}"),
+            }
+        }
+    }
 }

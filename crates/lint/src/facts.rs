@@ -26,13 +26,14 @@ const ACQUIRE_METHODS: [&str; 3] = ["lock", "read", "write"];
 const BARRIER_METHODS: [&str; 4] = ["sync", "ordering_barrier", "append", "add_record"];
 /// Fallible env/WAL/MANIFEST methods whose discarded `Result` rule L6
 /// flags in crash-path and commit-protocol modules.
-const FALLIBLE_IO_METHODS: [&str; 6] = [
+const FALLIBLE_IO_METHODS: [&str; 7] = [
     "sync",
     "ordering_barrier",
     "append",
     "add_record",
     "rename_file",
     "remove_file",
+    "list_dir",
 ];
 /// Panic-family suffix methods and macros watched by rule L3.
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
@@ -103,13 +104,14 @@ pub enum Event {
         line: u32,
     },
     /// A fallible env/WAL/MANIFEST call whose `Result` is discarded:
-    /// `let _ = w.sync();`, `w.sync().ok();`, or a bare `w.sync();`
-    /// statement that binds nothing. Rule L6 flags these in crash-path and
-    /// commit-protocol modules.
+    /// `let _ = w.sync();`, `w.sync().ok();`, a bare `w.sync();` statement
+    /// that binds nothing, or `env.list_dir(d).unwrap_or_default()`. Rule L6
+    /// flags these in crash-path and commit-protocol modules.
     Discard {
         /// The fallible method whose result was dropped.
         method: String,
-        /// How it was dropped (`let _ =`, `.ok()`, `unused return`).
+        /// How it was dropped (`let _ =`, `.ok()`, `.unwrap_or_default()`,
+        /// `unused return`).
         how: &'static str,
         /// Source line of the call.
         line: u32,
@@ -1190,6 +1192,15 @@ fn extract_events(
             {
                 Some(".ok()")
             }
+            // A default in place of the result reads a failure as success,
+            // however the default is used.
+            Some('.')
+                if ident_at(toks, after + 1) == Some("unwrap_or_default")
+                    && punct_at(toks, after + 2) == Some('(')
+                    && punct_at(toks, after + 3) == Some(')') =>
+            {
+                Some(".unwrap_or_default()")
+            }
             Some(';') if discard_let => Some("let _ ="),
             Some(';') if !stmt_bound => Some("unused return"),
             _ => None,
@@ -1752,6 +1763,8 @@ fn f(&self) {
     self.file.sync()?;
     let r = self.file.sync();
     let _ = self.file.sync()?;
+    for name in self.env.list_dir(dir).unwrap_or_default() {}
+    let names = self.env.list_dir(dir)?;
 }
 "#,
         );
@@ -1769,6 +1782,7 @@ fn f(&self) {
                 ("sync".to_string(), "let _ ="),
                 ("append".to_string(), ".ok()"),
                 ("add_record".to_string(), "unused return"),
+                ("list_dir".to_string(), ".unwrap_or_default()"),
             ],
             "`?`-propagated and bound results are not discards"
         );

@@ -64,10 +64,11 @@ pub const RULE_UNSYNCED_COMMIT: &str = "unsynced-commit";
 /// order and the runtime witness cannot drift.
 pub const RULE_LOCK_REGISTRY: &str = "lock-registry";
 /// L6: a fallible env/WAL/MANIFEST call (`sync`, `ordering_barrier`,
-/// `append`, `add_record`, `rename_file`, `remove_file`) whose `Result` is
-/// discarded via `let _ =`, a terminal `.ok()`, or an unused return, inside
-/// crash-path, commit-protocol, or 2PC modules. A swallowed I/O error there
-/// silently voids the durability argument.
+/// `append`, `add_record`, `rename_file`, `remove_file`, `list_dir`) whose
+/// `Result` is discarded via `let _ =`, a terminal `.ok()`, an unused return,
+/// or `.unwrap_or_default()` (a failed listing read as an empty directory),
+/// inside crash-path, commit-protocol, or 2PC modules. A swallowed I/O error
+/// there silently voids the durability argument.
 pub const RULE_SWALLOWED_IO_ERROR: &str = "swallowed-io-error";
 /// L7: in `crates/sharded` (`[modules].twopc_path`), any call that applies
 /// a staged slice (`txn_apply`) must be dominated by a TXNLOG `decide(..)`

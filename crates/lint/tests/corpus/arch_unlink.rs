@@ -1,7 +1,7 @@
 //! Seeded `architecture` case, one forbidden pattern in several places:
-//! files are unlinked by the reclaim batch, the oldest-first WAL sweep and a
-//! sink's never-committed outputs only; recovery condemns, and a flush
-//! leaves its garbage to the reclaim pass. Never compiled.
+//! files are unlinked by the reclaim batch only; a WAL retirement and a
+//! sink's never-committed outputs build a batch, recovery condemns, and a
+//! flush leaves its garbage to the reclaim pass. Never compiled.
 
 impl ReclaimBatch {
     pub fn execute(self, env: &dyn Env) {
@@ -9,13 +9,13 @@ impl ReclaimBatch {
     }
 }
 
-fn delete_logs_oldest_first(db: &DbInner) {
-    db.env.delete_file(&log);
+fn delete_obsolete_logs(db: &DbInner) {
+    db.env.delete_file(&log); // SEED(architecture)
 }
 
 impl<'a> OutputSink<'a> {
     fn abandon(&mut self) {
-        self.inner.env.delete_file(&output);
+        self.inner.env.delete_file(&output); // SEED(architecture)
     }
 }
 

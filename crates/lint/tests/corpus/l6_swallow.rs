@@ -35,3 +35,18 @@ pub fn allowed_discard(file: &mut dyn WritableFile) {
     // Best-effort flush on shutdown; errors resurface at the next open. bolt-lint: allow(swallowed-io-error)
     let _ = file.sync();
 }
+
+pub fn bad_listing_read_as_empty(env: &dyn Env, db: &str) {
+    for name in env.list_dir(db).unwrap_or_default() { // SEED(swallowed-io-error)
+        visit(name);
+    }
+}
+
+pub fn bad_bound_default(env: &dyn Env, db: &str) -> usize {
+    let names = env.list_dir(db).unwrap_or_default(); // SEED(swallowed-io-error)
+    names.len()
+}
+
+pub fn ok_listing_propagated(env: &dyn Env, db: &str) -> Result<usize> {
+    Ok(env.list_dir(db)?.len())
+}

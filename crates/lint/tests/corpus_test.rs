@@ -46,7 +46,9 @@ twopc_path = ["l7_decide.rs"]
 "threads outside tests: the engine's only" = "arch_forbid.rs except arch_forbid.rs fn engine_threads : thread::spawn | thread::Builder | spawn_scoped( | .spawn( = 0"
 "no flush is reachable from inside a compaction" = "arch_forbid.rs except arch_forbid.rs fn recover_wals : .flush_memtable( = 0"
 "reclaim runs off the lock" = "arch_forbid.rs except arch_forbid.rs impl ReclaimBatch fn execute : punch_hole | delete_file | link_count = 0"
-"one unlinker" = "arch_unlink.rs except arch_unlink.rs impl ReclaimBatch fn execute; arch_unlink.rs fn delete_logs_oldest_first; arch_unlink.rs impl OutputSink fn abandon : delete_file = 0"
+"one unlinker" = "arch_unlink.rs except arch_unlink.rs impl ReclaimBatch fn execute : delete_file = 0"
+"one listing per open" = "arch_listing.rs : .list_dir( = 1"
+"the open's listing is recover's" = "arch_listing.rs except arch_listing.rs impl VersionSet fn recover : .list_dir( = 0"
 "a flush fabricates nothing to call the writer" = "arch_forbid.rs fn flush_memtable : Version::empty | RangeTombstoneSet | HashSet = 0"
 "the writer knows no entry type and no snapshot" = "arch_forbid.rs impl OutputSink : parse_internal_key | ValueType | RangeTombstone | ValuePointer | smallest_snapshot = 0"
 "the scope carries the event sink, the env none" = "arch_forbid.rs fn env_sync : EventSink | EngineEvent = 0"

@@ -145,13 +145,7 @@ impl ShardedDb {
         // Pin or validate the router. A database must reopen with the
         // partitioning it was created with — otherwise keys written before
         // the restart would route to the wrong shard and vanish.
-        let shards_path = join_path(name, "SHARDS");
-        if meta_env.file_exists(&shards_path) {
-            let file = meta_env.new_random_access_file(&shards_path)?;
-            let raw = file.read(0, file.len() as usize)?;
-            let text = String::from_utf8(raw)
-                .map_err(|_| Error::Corruption("SHARDS file: not UTF-8".into()))?;
-            let persisted = Router::decode(&text)?;
+        if let Some(persisted) = Router::load(meta_env.as_ref(), name)? {
             if persisted != router {
                 return Err(Error::InvalidArgument(format!(
                     "router mismatch: database was created with {persisted:?}, \
@@ -160,6 +154,7 @@ impl ShardedDb {
             }
         } else {
             // Paid before any shard exists: its barrier is no shard's.
+            let shards_path = router::shards_file(name);
             let tmp = format!("{shards_path}.tmp");
             let mut file = meta_env.new_writable_file(&tmp)?;
             file.append(router.encode().as_bytes())?;

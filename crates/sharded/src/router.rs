@@ -10,9 +10,15 @@
 //! single-key reads would silently miss data written before a restart.
 
 use bolt_common::{Error, Result};
+use bolt_env::{join_path, Env};
 
 /// Magic first line of the `SHARDS` file.
 const SHARDS_HEADER: &str = "bolt-shards v1";
+
+/// Path of the `SHARDS` file of the sharded database in directory `db`.
+pub(crate) fn shards_file(db: &str) -> String {
+    join_path(db, "SHARDS")
+}
 
 /// A deterministic, persistent key → shard map.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +156,25 @@ impl Router {
                 out
             }
         }
+    }
+
+    /// Read the router pinned in `db`'s `SHARDS` file: `None` when there is
+    /// no such file, i.e. `db` is not (yet) a sharded database.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors from the env, and [`Error::Corruption`] for a file
+    /// that is not UTF-8 or does not decode.
+    pub fn load(env: &dyn Env, db: &str) -> Result<Option<Router>> {
+        let path = shards_file(db);
+        if !env.file_exists(&path) {
+            return Ok(None);
+        }
+        let file = env.new_random_access_file(&path)?;
+        let raw = file.read(0, file.len() as usize)?;
+        let text =
+            String::from_utf8(raw).map_err(|_| Error::corruption("SHARDS file: not UTF-8"))?;
+        Router::decode(&text).map(Some)
     }
 
     /// Parse a `SHARDS` file body.

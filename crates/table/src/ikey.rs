@@ -229,4 +229,21 @@ mod tests {
             );
         }
     }
+
+    /// Every truncation, bit flip and `0x00`/`0xFF` byte of an internal key
+    /// parses as `Ok` or `Corruption`. One that parses keeps every byte
+    /// before its tag as the user key, and a sequence a tag can hold.
+    #[test]
+    fn every_damaged_internal_key_is_ok_or_corruption() {
+        let good = make_internal_key(b"user-key", 0x0102_0304_0506, ValueType::Value);
+        for (case, data) in crate::damage::damaged(&good).enumerate() {
+            match parse_internal_key(&data) {
+                Ok(parsed) => {
+                    assert_eq!(parsed.user_key, &data[..data.len() - TAG_SIZE], "{case}");
+                    assert!(parsed.sequence <= MAX_SEQUENCE_NUMBER, "{case}");
+                }
+                Err(err) => assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}"),
+            }
+        }
+    }
 }

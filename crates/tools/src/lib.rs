@@ -319,17 +319,11 @@ pub fn stat_per_shard(
     opts: Options,
     format: StatFormat,
 ) -> Result<String> {
-    let shards_path = bolt_env::join_path(db, "SHARDS");
-    if !env.file_exists(&shards_path) {
+    let Some(router) = bolt_sharded::Router::load(env.as_ref(), db)? else {
         return Err(Error::InvalidArgument(format!(
             "{db}: not a sharded database (no SHARDS file); use plain `stat`"
         )));
-    }
-    let file = env.new_random_access_file(&shards_path)?;
-    let raw = file.read(0, file.len() as usize)?;
-    let text =
-        String::from_utf8(raw).map_err(|_| Error::Corruption("SHARDS file: not UTF-8".into()))?;
-    let router = bolt_sharded::Router::decode(&text)?;
+    };
     let db = bolt_sharded::ShardedDb::open(Arc::clone(env), db, opts, router)?;
     let metrics = db.metrics();
     db.close()?;

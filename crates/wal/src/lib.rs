@@ -391,6 +391,10 @@ impl LogReader {
 }
 
 #[cfg(test)]
+#[path = "../../common/src/damage.rs"]
+mod damage;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use bolt_env::{CrashConfig, Env, MemEnv};
@@ -612,5 +616,71 @@ mod tests {
             })
             .collect();
         assert_eq!(roundtrip(&payloads), payloads);
+    }
+
+    /// The log `records` make, as bytes.
+    fn encoded(records: &[Vec<u8>]) -> Vec<u8> {
+        let env = MemEnv::new();
+        let mut writer = LogWriter::new(env.new_writable_file("log").unwrap());
+        for record in records {
+            writer.add_record(record).unwrap();
+        }
+        drop(writer);
+        let file = env.new_random_access_file("log").unwrap();
+        file.read(0, file.len() as usize).unwrap()
+    }
+
+    /// Read each of `damages` back. Each read must end — at a clean end of
+    /// log or a `Corruption`, never a panic — having returned a prefix of
+    /// `records`.
+    fn every_damage_reads_a_prefix(records: &[Vec<u8>], damages: impl Iterator<Item = Vec<u8>>) {
+        let env = MemEnv::new();
+        for (case, data) in damages.enumerate() {
+            let mut file = env.new_writable_file("damaged").unwrap();
+            file.append(&data).unwrap();
+            drop(file);
+            let mut reader = LogReader::new(env.new_random_access_file("damaged").unwrap());
+            let mut read = Vec::new();
+            let end = loop {
+                match reader.read_record() {
+                    Ok(Some(record)) => read.push(record),
+                    Ok(None) => break Ok(()),
+                    Err(err) => break Err(err),
+                }
+            };
+            if let Err(err) = end {
+                assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}");
+            }
+            assert!(
+                read.len() <= records.len() && read == records[..read.len()],
+                "{case}: the reader returned records that were not written"
+            );
+        }
+    }
+
+    /// Every truncation, bit flip and `0x00`/`0xFF` byte of a one-block log
+    /// of several records, zero-length ones among them.
+    #[test]
+    fn every_damaged_single_block_log_reads_a_prefix() {
+        let records: Vec<Vec<u8>> = [&b""[..], b"a", b"", b"hello, world", &[7u8; 100], b""]
+            .iter()
+            .map(|r| r.to_vec())
+            .collect();
+        let good = encoded(&records);
+        assert!(good.len() < BLOCK_SIZE);
+        every_damage_reads_a_prefix(&records, crate::damage::damaged(&good));
+    }
+
+    /// Every damage within 64 bytes of the first block boundary, which a
+    /// record crosses as a FIRST fragment in the first block and a LAST one
+    /// in the second.
+    #[test]
+    fn every_damage_around_a_record_across_the_block_boundary_reads_a_prefix() {
+        let records = vec![vec![1u8; BLOCK_SIZE - 68], vec![2u8; 200], b"tail".to_vec()];
+        let good = encoded(&records);
+        // The second record starts 61 bytes before the boundary.
+        assert_eq!(BLOCK_SIZE - (HEADER_SIZE + records[0].len()), 61);
+        let window = BLOCK_SIZE - 64..BLOCK_SIZE + 64;
+        every_damage_reads_a_prefix(&records, crate::damage::damaged_within(&good, window));
     }
 }
