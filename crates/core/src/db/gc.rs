@@ -223,9 +223,8 @@ mod tests {
             db.flush().unwrap();
             db.close().unwrap();
         }
-        let db =
-            Db::open_with_committed_txns(Arc::clone(&env) as Arc<dyn Env>, "db", opts, vec![11u64])
-                .unwrap();
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts).unwrap();
+        db.txn_apply(11).unwrap();
         assert_eq!(db.get(b"pinned").unwrap(), Some(b"alive".to_vec()));
         db.close().unwrap();
     }

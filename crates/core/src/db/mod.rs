@@ -193,11 +193,6 @@ struct DbInner {
     flush_ids: AtomicU64,
     /// Monotonic compaction ids pairing `CompactionBegin`/`CompactionEnd`.
     compaction_ids: AtomicU64,
-    /// Transactions the coordinator decided to commit, as known at open
-    /// (read from the sharding layer's coordinator log), mapped to their
-    /// decide order. Consulted only during WAL recovery, which replays
-    /// markerless decided slices in that order.
-    committed_txns: HashMap<u64, u64>,
     /// Highest transaction id seen in this shard's WALs during recovery;
     /// the sharding layer seeds its id allocator above it.
     recovered_max_txn: AtomicU64,
@@ -373,35 +368,17 @@ impl std::fmt::Debug for Db {
 impl Db {
     /// Open (creating or recovering) the database in directory `name`.
     ///
+    /// Recovery never resolves a cross-shard prepare: a slice whose WAL
+    /// holds no `Applied` marker stays staged ([`Db::staged_txns`]) and
+    /// keeps its WAL pinned, exactly like a live prepare, until the
+    /// coordinator applies or forgets it. A shard opened alone therefore
+    /// keeps its unresolved prepares until the sharded database is opened.
+    ///
     /// # Errors
     ///
     /// Returns I/O errors from the env and corruption errors from
     /// recovery.
     pub fn open(env: Arc<dyn Env>, name: &str, opts: Options) -> Result<Db> {
-        Db::open_with_committed_txns(env, name, opts, Vec::new())
-    }
-
-    /// Open with the cross-shard transactions the coordinator committed
-    /// (from the sharding layer's decide log), **in decide order**. WAL
-    /// recovery applies prepared slices of committed transactions — using
-    /// the decide order when their position markers were lost — and drops
-    /// undecided ones; a plain [`Db::open`] passes the empty list.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from the env and corruption errors from
-    /// recovery.
-    pub fn open_with_committed_txns(
-        env: Arc<dyn Env>,
-        name: &str,
-        opts: Options,
-        committed_txns: Vec<u64>,
-    ) -> Result<Db> {
-        let committed_txns: HashMap<u64, u64> = committed_txns
-            .into_iter()
-            .enumerate()
-            .map(|(ord, id)| (id, ord as u64))
-            .collect();
         opts.validate()?;
         env.create_dir_all(name)?;
         let read_opts = TableReadOptions {
@@ -471,7 +448,6 @@ impl Db {
             sink,
             flush_ids: AtomicU64::new(0),
             compaction_ids: AtomicU64::new(0),
-            committed_txns,
             recovered_max_txn: AtomicU64::new(0),
         });
 

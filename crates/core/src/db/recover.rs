@@ -1,9 +1,11 @@
 //! WAL recovery at open: replay the surviving logs into memtables, flush
-//! them, resolve cross-shard transactions, and start a fresh log.
+//! them, stage the cross-shard slices left to resolve, and start a fresh
+//! log.
 //!
 //! Runs before either background thread exists, so it touches
-//! [`super::DbState`] only to seed `logs` and to install the first `wal`;
-//! its last commit installs the view the engine starts serving from.
+//! [`super::DbState`] only to seed `logs` and `pending_txns` and to install
+//! the first `wal`; its last commit installs the view the engine starts
+//! serving from.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -14,7 +16,7 @@ use bolt_common::{Error, Result};
 use bolt_table::ikey::MAX_SEQUENCE_NUMBER;
 use bolt_wal::LogReader;
 
-use super::write::new_wal_writer;
+use super::write::{new_wal_writer, PendingTxn};
 use super::{Db, DbInner, ReadView};
 use crate::batch::WriteBatch;
 use crate::compaction::OutputShape;
@@ -40,19 +42,17 @@ impl DbInner {
     /// `DbInner::delete_obsolete_logs`) — are scanned for transaction
     /// records alone, since their batch records are already in SSTables.
     ///
-    /// Transaction resolution: a prepare stages its slice; an `Applied`
-    /// marker in the replayed region commits the staged slice at the
-    /// marker's recorded sequence (in a flushed-away region it just
-    /// discards the stage — the data is in SSTables); a staged slice with
-    /// no marker commits at the end of the log iff the coordinator decided
-    /// it (`committed_txns`), and is dropped otherwise — on every shard
-    /// alike, which is what makes a crash inside the 2PC window
-    /// all-or-nothing.
+    /// Transactions: a prepare stages its slice; an `Applied` marker in
+    /// the replayed region commits the staged slice at the marker's
+    /// recorded sequence (in a flushed-away region it just discards the
+    /// stage — the data is in SSTables). A slice with no marker is never
+    /// resolved here: it enters `pending_txns`, pinning the log its
+    /// prepare was read from, for the coordinator to apply or forget.
     pub(super) fn recover_wals(&self, logs: Vec<u64>) -> Result<()> {
         let log_floor = self.versions.lock().log_number;
         let mut max_seq = { self.versions.lock().last_sequence };
         let mut max_txn = 0u64;
-        let mut staged: HashMap<u64, WriteBatch> = HashMap::new();
+        let mut staged: HashMap<u64, PendingTxn> = HashMap::new();
         let mut mem = Arc::new(MemTable::new());
         for &log in &logs {
             let replay = log >= log_floor;
@@ -65,12 +65,17 @@ impl DbInner {
                     match txn_record? {
                         TxnWalRecord::Prepare { marker, payload } => {
                             max_txn = max_txn.max(marker.txn_id);
-                            staged.insert(marker.txn_id, payload);
+                            let pending = PendingTxn {
+                                payload,
+                                log_number: log,
+                                applied_in: None,
+                            };
+                            staged.insert(marker.txn_id, pending);
                         }
                         TxnWalRecord::Applied { txn_id, base_seq } => {
                             max_txn = max_txn.max(txn_id);
                             match staged.remove(&txn_id) {
-                                Some(mut payload) => {
+                                Some(PendingTxn { mut payload, .. }) => {
                                     if replay {
                                         let last = last_sequence(base_seq, payload.count())?;
                                         payload.set_sequence(base_seq);
@@ -115,29 +120,11 @@ impl DbInner {
             }
         }
 
-        // Staged slices whose applied marker never made it to the log:
-        // commit the decided ones at the end (losing the unsynced marker
-        // also loses every record after it, so the end of the surviving
-        // log *is* the slice's position), drop the undecided ones. They
-        // replay in the coordinator's decide order — ids are allocated
-        // before the decide mutex serializes commit points, so txn-id
-        // order can disagree with the order writers actually committed.
-        let mut decided: Vec<(u64, u64)> = staged
-            .keys()
-            .filter_map(|id| self.committed_txns.get(id).map(|&ord| (ord, *id)))
-            .collect();
-        decided.sort_unstable();
-        for (_, txn_id) in decided {
-            // bolt-lint: allow(unwrap-in-crash-path) -- key drawn from `staged` above.
-            let mut payload = staged.remove(&txn_id).expect("staged slice present");
-            let first = max_seq.saturating_add(1);
-            let last = last_sequence(first, payload.count())?;
-            payload.set_sequence(first);
-            payload.apply_to(&mem)?;
-            max_seq = last;
+        {
+            let mut state = self.state.lock();
+            state.logs = logs.into();
+            state.pending_txns = staged;
         }
-
-        self.state.lock().logs = logs.into();
         self.recovered_max_txn.store(max_txn, Ordering::Release);
         self.last_sequence.store(max_seq, Ordering::Release);
         {
@@ -186,11 +173,12 @@ impl DbInner {
     }
 }
 
-/// The last sequence a replayed record of `count` entries stamped `first`
-/// takes. A record that passed its CRC can still lie: an empty one, or one
-/// whose last sequence overflows or passes [`MAX_SEQUENCE_NUMBER`] (a tag
-/// cannot hold it), is `Corruption` before anything is applied.
-fn last_sequence(first: u64, count: u32) -> Result<u64> {
+/// The last sequence a replayed record (or an applied slice) of `count`
+/// entries stamped `first` takes. A record that passed its CRC can still
+/// lie: an empty one, or one whose last sequence overflows or passes
+/// [`MAX_SEQUENCE_NUMBER`] (a tag cannot hold it), is `Corruption` before
+/// anything is applied.
+pub(super) fn last_sequence(first: u64, count: u32) -> Result<u64> {
     (u64::from(count).checked_sub(1))
         .and_then(|n| first.checked_add(n))
         .filter(|&last| last <= MAX_SEQUENCE_NUMBER)
@@ -272,19 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn recovery_commits_decided_prepare_and_drops_undecided() {
+    fn recovery_stages_markerless_prepares_for_the_coordinator() {
         let env = Arc::new(MemEnv::new());
-        let open = |committed: &[u64]| {
-            Db::open_with_committed_txns(
-                Arc::clone(&env) as Arc<dyn Env>,
-                "db",
-                Options::leveldb(),
-                committed.to_vec(),
-            )
-            .unwrap()
-        };
+        let open = || Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
         {
-            let db = open(&[]);
+            let db = open();
             db.put(b"base", b"1").unwrap();
             db.txn_prepare(
                 ShardTxnMarker {
@@ -304,19 +284,52 @@ mod tests {
             .unwrap();
             db.close().unwrap();
         }
-        // Reopen knowing only txn 7 committed: its slice must appear, txn
-        // 8's must not, and the allocator seed must cover both ids.
-        let db = open(&[7]);
+        // Recovery resolves neither slice; the allocator seed covers both
+        // ids. Resolve them as the coordinator does when only txn 7
+        // committed: apply it, forget 8, flush.
+        let db = open();
+        assert_eq!(db.staged_txns(), vec![7, 8]);
+        assert_eq!(db.get(b"committed").unwrap(), None);
+        db.txn_apply(7).unwrap();
+        db.txn_forget(8);
+        db.flush().unwrap();
         assert_eq!(db.get(b"base").unwrap(), Some(b"1".to_vec()));
         assert_eq!(db.get(b"committed").unwrap(), Some(b"yes".to_vec()));
         assert_eq!(db.get(b"undecided").unwrap(), None);
         assert_eq!(db.recovered_max_txn_id(), 8);
         db.close().unwrap();
         // A second recovery must be stable: txn 7 was flushed by the first
-        // recovery (I4 idempotency), txn 8 stays gone.
-        let db = open(&[7]);
+        // resolution (I4 idempotency), txn 8 stays gone.
+        let db = open();
+        assert!(db.staged_txns().is_empty());
         assert_eq!(db.get(b"committed").unwrap(), Some(b"yes".to_vec()));
         assert_eq!(db.get(b"undecided").unwrap(), None);
+        db.close().unwrap();
+    }
+
+    /// A shard opened alone, and closed, keeps its unresolved prepare and
+    /// the WAL holding it: the open after it still finds the slice.
+    #[test]
+    fn an_unresolved_prepare_survives_opens_that_do_not_resolve_it() {
+        let env = Arc::new(MemEnv::new());
+        let open = || Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
+        let db = open();
+        let marker = ShardTxnMarker {
+            txn_id: 3,
+            shard_bitmap: 0b11,
+        };
+        db.txn_prepare(marker, txn_slice(&[(b"k", b"v")])).unwrap();
+        db.close().unwrap();
+        for _ in 0..2 {
+            let db = open();
+            assert_eq!(db.staged_txns(), vec![3]);
+            db.put(b"other", b"x").unwrap();
+            db.flush().unwrap();
+            db.close().unwrap();
+        }
+        let db = open();
+        db.txn_apply(3).unwrap();
+        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
         db.close().unwrap();
     }
 
@@ -346,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn markerless_decided_slices_replay_in_decide_order() {
+    fn markerless_slices_apply_in_the_order_the_coordinator_gives() {
         let env = Arc::new(MemEnv::new());
         {
             let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
@@ -369,15 +382,13 @@ mod tests {
             db.close().unwrap();
         }
         // The coordinator decided 9 *before* 4 and both applied markers
-        // were lost with the crash. Recovery must replay in decide order:
-        // the later decide wins even though its txn id is smaller.
-        let db = Db::open_with_committed_txns(
-            Arc::clone(&env) as Arc<dyn Env>,
-            "db",
-            Options::leveldb(),
-            vec![9, 4],
-        )
-        .unwrap();
+        // were lost with the crash. It applies in decide order, so the
+        // later decide wins even though its txn id is smaller.
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
+        assert_eq!(db.staged_txns(), vec![4, 9]);
+        for txn_id in [9, 4] {
+            db.txn_apply(txn_id).unwrap();
+        }
         assert_eq!(db.get(b"k").unwrap(), Some(b"decided-second".to_vec()));
         db.close().unwrap();
     }
@@ -408,21 +419,20 @@ mod tests {
     }
 
     /// Open a closed database after forging a CRC-valid `000999.log` that
-    /// holds `records`, with the coordinator having decided `committed`.
-    fn open_after_forged_log(records: &[Vec<u8>], committed: Vec<u64>) -> Error {
+    /// holds `records`, and apply the staged slices `committed` as the
+    /// coordinator would.
+    fn open_after_forged_log(records: &[Vec<u8>], committed: &[u64]) -> Error {
         let env = Arc::new(MemEnv::new());
-        let open = |committed| {
-            let env = Arc::clone(&env) as Arc<dyn Env>;
-            Db::open_with_committed_txns(env, "db", Options::leveldb(), committed)
-        };
-        open(Vec::new()).unwrap().close().unwrap();
+        let open = || Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb());
+        open().unwrap().close().unwrap();
         let mut w = LogWriter::new(env.new_writable_file(&log_file("db", 999)).unwrap());
         for record in records {
             w.add_record(record).unwrap();
         }
         w.sync().unwrap();
-        match open(committed) {
-            Ok(_) => panic!("the forged log must not open"),
+        let resolve = |db: Db| committed.iter().try_for_each(|&id| db.txn_apply(id));
+        match open().and_then(resolve) {
+            Ok(()) => panic!("the forged log must not open and resolve"),
             Err(err) => err,
         }
     }
@@ -439,25 +449,25 @@ mod tests {
 
     #[test]
     fn an_empty_batch_record_is_corruption() {
-        let err = open_after_forged_log(&[batch_at(0, &[])], Vec::new());
+        let err = open_after_forged_log(&[batch_at(0, &[])], &[]);
         assert!(matches!(err, Error::Corruption(_)), "{err:?}");
     }
 
     #[test]
     fn a_batch_whose_last_sequence_overflows_is_corruption() {
-        let err = open_after_forged_log(&[batch_at(u64::MAX, &[b"a", b"b"])], Vec::new());
+        let err = open_after_forged_log(&[batch_at(u64::MAX, &[b"a", b"b"])], &[]);
         assert!(matches!(err, Error::Corruption(_)), "{err:?}");
     }
 
     /// `1 << 60` is past what a tag holds: `pack_tag` would assert.
     #[test]
     fn a_batch_past_the_max_sequence_is_corruption() {
-        let err = open_after_forged_log(&[batch_at(1 << 60, &[b"a"])], Vec::new());
+        let err = open_after_forged_log(&[batch_at(1 << 60, &[b"a"])], &[]);
         assert!(matches!(err, Error::Corruption(_)), "{err:?}");
     }
 
     /// The log takes the last sequence a tag holds, so the decided slice
-    /// committed at its end has none left.
+    /// the coordinator applies at its end has none left.
     #[test]
     fn a_decided_slice_past_the_max_sequence_at_the_end_of_the_log_is_corruption() {
         let marker = ShardTxnMarker {
@@ -466,7 +476,7 @@ mod tests {
         };
         let prepare = txn::encode_prepare(&marker, &txn_slice(&[(b"k", b"v")]));
         let full = batch_at(MAX_SEQUENCE_NUMBER, &[b"a"]);
-        let err = open_after_forged_log(&[full, prepare], vec![5]);
+        let err = open_after_forged_log(&[full, prepare], &[5]);
         assert!(matches!(err, Error::Corruption(_)), "{err:?}");
     }
 

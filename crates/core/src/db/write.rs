@@ -17,6 +17,7 @@ use bolt_common::{Error, Result};
 use bolt_table::ikey::ValueType;
 use bolt_wal::LogWriter;
 
+use super::recover::last_sequence;
 use super::{Db, DbInner, DbState, Imm, ReadView};
 use crate::batch::WriteBatch;
 use crate::filename::log_file;
@@ -104,7 +105,7 @@ pub(super) fn new_wal_writer(
 /// A staged cross-shard slice awaiting the coordinator's decision.
 pub(super) struct PendingTxn {
     /// The operations, exactly as carried by the WAL prepare record.
-    payload: WriteBatch,
+    pub(super) payload: WriteBatch,
     /// WAL file holding the prepare record; obsolete-log deletion must not
     /// advance past it while the prepare is the slice's only durable copy.
     pub(super) log_number: u64,
@@ -200,8 +201,8 @@ impl Db {
     /// Stage one shard's slice of a cross-shard batch (2PC phase 1): a
     /// synced WAL record, no memtable effect. The slice stays pending until
     /// [`Db::txn_apply`] (commit) or [`Db::txn_forget`] (abort); recovery
-    /// resolves a pending slice against the committed set given to
-    /// [`Db::open_with_committed_txns`].
+    /// leaves a slice with no `Applied` marker staged for the coordinator
+    /// to resolve the same way ([`Db::staged_txns`]).
     ///
     /// # Errors
     ///
@@ -247,6 +248,20 @@ impl Db {
         {
             state.pending_txns.remove(&txn_id);
         }
+    }
+
+    /// The ids of the staged, unapplied slices, ascending: after an open,
+    /// the prepares recovery found without an `Applied` marker, which
+    /// only the coordinator can resolve.
+    pub fn staged_txns(&self) -> Vec<u64> {
+        let state = self.inner.state.lock();
+        let staged = state
+            .pending_txns
+            .iter()
+            .filter(|(_, t)| t.applied_in.is_none());
+        let mut ids: Vec<u64> = staged.map(|(&id, _)| id).collect();
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -383,12 +398,13 @@ impl DbInner {
             }
         };
         let base = self.last_sequence.load(Ordering::Relaxed);
+        let last = last_sequence(base + 1, payload.count())?;
         payload.set_sequence(base + 1);
-        let count = u64::from(payload.count());
         // The marker is appended *unsynced*: the payload is already
         // durable (synced prepare + synced decide), and if a crash tears
         // the marker off the log tail it also tears every later record, so
-        // end-of-log recovery replay lands the slice in the same relative
+        // the slice stays staged at the next open and the coordinator
+        // applies it again at the end of the surviving log, in decide
         // order.
         let marker_record = txn::encode_applied(txn_id, base + 1);
         let mem = Arc::clone(&self.view().mem);
@@ -396,7 +412,7 @@ impl DbInner {
             wal.add_record(&marker_record)?;
             payload.apply_to(&mem)
         })?;
-        self.last_sequence.store(base + count, Ordering::Release);
+        self.last_sequence.store(last, Ordering::Release);
         self.stats.record_write_group(1);
         self.stats.record_group_batches(1);
         // Keep the entry (and its WAL pin) until the flush that covers

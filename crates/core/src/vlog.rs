@@ -179,12 +179,26 @@ impl VlogWriter {
 ///
 /// # Errors
 ///
-/// Returns [`Error::NotFound`] if the segment file is gone and
-/// [`Error::Corruption`] on short reads or CRC mismatch — including reads
-/// from a hole-punched (zeroed) range, which is how a dangling pointer
-/// surfaces.
+/// Returns [`Error::Corruption`] for a dangling pointer — one whose
+/// segment does not exist or whose range passes the segment's end — and
+/// on short reads or CRC mismatch, including reads from a hole-punched
+/// (zeroed) range. A failed read of a present segment stays
+/// [`Error::Io`].
 pub fn read_value(env: &Arc<dyn Env>, db: &str, ptr: &ValuePointer) -> Result<Vec<u8>> {
-    let file = env.new_random_access_file(&vlog_file(db, ptr.file_number))?;
+    let dangling = |what: &str| {
+        Error::corruption(format!(
+            "dangling value pointer: segment {} offset {} len {}: {what}",
+            ptr.file_number, ptr.offset, ptr.len
+        ))
+    };
+    let file = match env.new_random_access_file(&vlog_file(db, ptr.file_number)) {
+        Err(Error::NotFound) => return Err(dangling("no such segment")),
+        file => file?,
+    };
+    let end = ptr.offset.checked_add(u64::from(ptr.len));
+    if end.is_none_or(|end| end > file.len()) {
+        return Err(dangling("the range passes the segment's end"));
+    }
     let data = file.read(ptr.offset, ptr.len as usize)?;
     if data.len() != ptr.len as usize {
         return Err(Error::corruption(format!(
@@ -256,21 +270,50 @@ mod tests {
     }
 
     #[test]
-    fn missing_segment_is_not_found() {
+    fn a_dangling_pointer_is_corruption() {
         let env = mem();
         env.create_dir_all("db").unwrap();
-        let ptr = ValuePointer {
+        let mut w = VlogWriter::create(env.as_ref(), "db", 9).unwrap();
+        let ptr = w.append(&[b'x'; 100]).unwrap();
+        w.barrier(false).unwrap();
+        drop(w);
+        let missing = ValuePointer {
             file_number: 42,
-            offset: 0,
-            len: 10,
-            crc: 0,
+            ..ptr
         };
-        assert!(read_value(&env, "db", &ptr).unwrap_err().is_not_found());
+        let past_end = ValuePointer { offset: 50, ..ptr };
+        let overflowing = ValuePointer {
+            offset: u64::MAX,
+            ..ptr
+        };
+        for ptr in [missing, past_end, overflowing] {
+            let err = read_value(&env, "db", &ptr).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{ptr:?}: {err:?}");
+        }
+    }
+
+    /// A segment that is there but fails to read is an I/O error, not a
+    /// dangling pointer.
+    #[test]
+    fn a_failed_segment_read_stays_io() {
+        use bolt_env::{FaultEnv, FaultPlan};
+        let fault = FaultEnv::over_mem();
+        let env: Arc<dyn Env> = Arc::new(fault.clone());
+        env.create_dir_all("db").unwrap();
+        let mut w = VlogWriter::create(env.as_ref(), "db", 9).unwrap();
+        let ptr = w.append(&[b'x'; 100]).unwrap();
+        w.barrier(false).unwrap();
+        drop(w);
+        fault.set_plan(FaultPlan::parse("eio:read:glob=*.vlog:nth=0").unwrap());
+        let err = read_value(&env, "db", &ptr).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err:?}");
+        assert_eq!(read_value(&env, "db", &ptr).unwrap(), vec![b'x'; 100]);
     }
 
     /// Every truncation, bit flip and `0x00`/`0xFF` byte of a pointer decodes
     /// as `Ok` or `Corruption`. One that decodes resolves to the value it was
-    /// written for or to an error — never to other bytes, never a panic.
+    /// written for or to `Corruption` — never to other bytes, another error
+    /// or a panic.
     #[test]
     fn every_damaged_pointer_is_ok_or_corruption() {
         let env = mem();
@@ -284,11 +327,10 @@ mod tests {
         drop(w);
         for (case, data) in crate::damage::damaged(&good.encode()).enumerate() {
             match ValuePointer::decode(&data) {
-                Ok(ptr) => {
-                    if let Ok(read) = read_value(&env, "db", &ptr) {
-                        assert_eq!(read, value, "{case}: {ptr:?}");
-                    }
-                }
+                Ok(ptr) => match read_value(&env, "db", &ptr) {
+                    Ok(read) => assert_eq!(read, value, "{case}: {ptr:?}"),
+                    Err(err) => assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}"),
+                },
                 Err(err) => assert!(matches!(err, Error::Corruption(_)), "{case}: {err:?}"),
             }
         }

@@ -49,7 +49,7 @@ pub mod txnlog;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bolt_common::sync::{named_mutex, named_rwlock, Mutex, RwLock};
+use bolt_common::sync::{named_mutex, Mutex};
 use bolt_common::{Error, Result};
 use bolt_core::{Db, Options, ReadOptions, ShardTxnMarker, Snapshot, TraceEvent, WriteBatch};
 use bolt_env::{join_path, Env};
@@ -72,11 +72,10 @@ pub struct ShardedDb {
     /// I/O counters, so aggregation counts each distinct env exactly once
     /// — whatever mix of shared and private envs was supplied.
     env_owner: Vec<bool>,
-    /// Router epoch: cross-shard applies hold it shared, consistent
-    /// cut capture (snapshots, merged iterators) holds it exclusive — so
-    /// no cut ever observes half an atomic batch.
-    epoch: RwLock<()>,
-    /// The coordinator's decide log; the mutex serializes commit points.
+    /// The coordinator's decide log. Its mutex is held across each
+    /// decide and the participants' applies, so slices apply in decide
+    /// order, and by every consistent-cut capture (snapshots, merged
+    /// iterators), so no cut observes half an atomic batch.
     txnlog: Mutex<TxnLog>,
     next_txn_id: AtomicU64,
     /// Id of a transaction whose decide record failed to sync (0 = none).
@@ -96,7 +95,7 @@ impl std::fmt::Debug for ShardedDb {
 }
 
 /// A consistent cross-shard read view: one engine snapshot per shard,
-/// captured under the router epoch so no cross-shard batch is half
+/// captured under the coordinator lock so no cross-shard batch is half
 /// visible.
 pub struct ShardedSnapshot {
     snaps: Vec<Snapshot>,
@@ -163,20 +162,10 @@ impl ShardedDb {
             meta_env.rename_file(&tmp, &shards_path)?;
         }
 
-        // Commit decisions from the previous incarnation resolve each
-        // shard's staged prepares during recovery.
-        let txnlog_path = join_path(name, "TXNLOG");
-        let (committed, max_logged) = TxnLog::read(&meta_env, &txnlog_path)?;
-
         let mut shards = Vec::with_capacity(n);
         for (i, env) in envs.iter().enumerate() {
             let dir = join_path(name, &format!("shard-{i}"));
-            shards.push(Arc::new(Db::open_with_committed_txns(
-                Arc::clone(env),
-                &dir,
-                opts.clone(),
-                committed.clone(),
-            )?));
+            shards.push(Arc::new(Db::open(Arc::clone(env), &dir, opts.clone())?));
         }
         let max_recovered = shards
             .iter()
@@ -184,12 +173,28 @@ impl ShardedDb {
             .max()
             .unwrap_or(0);
 
-        // Every decided transaction is now durable inside the shards
-        // (recovery flushes what it applies), so the old decisions are
-        // redundant: re-cut the log. If we crash before this point the
-        // next open just re-reads the full log — shards that already
-        // flushed a slice find no matching prepare and skip it (I4). The
-        // log lives on shard 0's env, so shard 0 pays for its barriers.
+        // Resolve what the shards left staged (their recovery never does):
+        // decided slices apply in decide order, the rest are forgotten, and
+        // a shard that applied flushes before the log is re-cut. A crash
+        // before the re-cut re-reads the log; a flushed slice is not staged.
+        let txnlog_path = join_path(name, "TXNLOG");
+        let (decided, max_logged) = TxnLog::read(&meta_env, &txnlog_path)?;
+        for shard in &shards {
+            let staged = shard.staged_txns();
+            let mut applied = false;
+            for &txn_id in decided.iter().filter(|id| staged.contains(id)) {
+                // bolt-lint: allow(decide-before-apply) -- the decision is read from the durable TXNLOG.
+                shard.txn_apply(txn_id)?;
+                applied = true;
+            }
+            for &txn_id in staged.iter().filter(|id| !decided.contains(id)) {
+                shard.txn_forget(txn_id);
+            }
+            if applied {
+                shard.flush()?;
+            }
+        }
+        // The log lives on shard 0's env, so shard 0 pays for its barriers.
         let txnlog = TxnLog::create(&meta_env, &txnlog_path, shards[0].event_sink())?;
 
         let env_owner: Vec<bool> = envs
@@ -202,7 +207,6 @@ impl ShardedDb {
             router,
             shards,
             env_owner,
-            epoch: named_rwlock("sharded.epoch", ()),
             txnlog: named_mutex("sharded.txnlog", txnlog),
             next_txn_id: AtomicU64::new(max_logged.max(max_recovered) + 1),
             ambiguous_txn: AtomicU64::new(0),
@@ -313,14 +317,14 @@ impl ShardedDb {
     /// A batch touching one shard commits through that shard's ordinary
     /// group-commit path. A batch spanning shards runs the 2PC protocol:
     /// synced prepares on every participant, one synced decide record in
-    /// `TXNLOG` (the commit point), then applies under the shared router
-    /// epoch. Prepare errors abort cleanly. After an error from the decide
-    /// sync the outcome is *ambiguous* until the next open, which resolves
-    /// it from whatever the log actually holds — by applying the slice, if
-    /// decided, above everything written since. Every later write is
-    /// therefore refused with [`Error::InvalidState`] until the database
-    /// is reopened. An apply error is reported
-    /// but the batch is nonetheless *committed*: every other participant
+    /// `TXNLOG` (the commit point), then applies under the coordinator
+    /// lock, in decide order. Prepare errors abort cleanly. After an error
+    /// from the decide sync the outcome is *ambiguous* until the next
+    /// open, which resolves it from whatever the log actually holds — by
+    /// applying the slice, if decided, above everything written since.
+    /// Every later write is therefore refused with [`Error::InvalidState`]
+    /// until the database is reopened. An apply error is reported but the
+    /// batch is nonetheless *committed*: every other participant
     /// is still applied, and a shard whose apply failed keeps the slice
     /// staged (invisible to its readers) until the next open commits it
     /// from the durable decide.
@@ -374,14 +378,17 @@ impl ShardedDb {
         };
 
         // Phase 1: stage a synced prepare on every participant. A failure
-        // here aborts cleanly — nothing was applied, and recovery drops
-        // undecided prepares on every shard alike.
+        // here aborts cleanly — nothing was applied, and the next open
+        // forgets undecided prepares on every shard alike.
+        let abort = |staged: &[usize]| {
+            for &i in staged {
+                self.shards[i].txn_forget(txn_id);
+            }
+        };
         for (done, &i) in participants.iter().enumerate() {
             let slice = std::mem::replace(&mut slices[i], WriteBatch::new());
             if let Err(e) = self.shards[i].txn_prepare(marker, slice) {
-                for &j in &participants[..done] {
-                    self.shards[j].txn_forget(txn_id);
-                }
+                abort(&participants[..done]);
                 return Err(e);
             }
         }
@@ -389,23 +396,28 @@ impl ShardedDb {
         // Commit point: the synced decide record. On error the decision is
         // ambiguous (the record may or may not be durable); the slices
         // stay staged, the next open resolves them from the log, and until
-        // then nothing else may be written (`check_writable`).
-        if let Err(e) = self.txnlog.lock().decide(&marker) {
+        // then nothing else may be written (`check_writable`) — nor
+        // decided: the next open would apply a later decide's slices below
+        // the ambiguous one's.
+        let mut txnlog = self.txnlog.lock();
+        if let Err(e) = self.check_writable() {
+            abort(participants);
+            return Err(e);
+        }
+        if let Err(e) = txnlog.decide(&marker) {
             self.ambiguous_txn.store(txn_id, Ordering::SeqCst);
             return Err(e);
         }
 
-        // Phase 2: apply everywhere. Holding the epoch shared keeps any
-        // consistent-cut capture (which takes it exclusive) from observing
-        // a half-applied batch. The decide is durable, so the transaction
-        // is committed no matter what happens here: an apply error on one
-        // shard must not abandon the rest — that would leave readers
-        // seeing half the batch for the remainder of this incarnation and
-        // pin the unapplied shards' WALs behind staged slices that nothing
-        // would ever resolve. Every participant is attempted; the first
-        // failure is reported after, and the failed shard's slice stays
-        // staged for the next open to commit from the durable decide.
-        let _epoch = self.epoch.read();
+        // Phase 2: apply everywhere, still under the coordinator lock, so
+        // slices apply in decide order, as the next open would, and no cut
+        // (cuts take the same lock) sees half a batch. The decide is
+        // durable, so the transaction is committed whatever happens here:
+        // an apply error on one shard must not abandon the rest — readers
+        // would see half the batch for the rest of this incarnation, and
+        // nothing would resolve the unapplied shards' staged slices. Every
+        // participant is attempted; the first failure is reported after,
+        // and the failed shard's slice stays staged for the next open.
         let mut first_err: Option<Error> = None;
         for &i in participants {
             if let Err(e) = self.shards[i].txn_apply(txn_id) {
@@ -424,11 +436,11 @@ impl ShardedDb {
         }
     }
 
-    /// Capture a consistent cross-shard read view. Taken under the router
-    /// epoch: concurrent cross-shard batches are either fully visible or
-    /// fully invisible in the returned snapshot.
+    /// Capture a consistent cross-shard read view. Taken under the
+    /// coordinator lock: concurrent cross-shard batches are either fully
+    /// visible or fully invisible in the returned snapshot.
     pub fn snapshot(&self) -> ShardedSnapshot {
-        let _epoch = self.epoch.write();
+        let _cut = self.txnlog.lock();
         ShardedSnapshot {
             snaps: self.shards.iter().map(|s| s.snapshot()).collect(),
         }
@@ -445,14 +457,14 @@ impl ShardedDb {
     }
 
     /// Merged iterator over all shards at the latest state. The per-shard
-    /// cursors are created under the router epoch, so the cut is
+    /// cursors are created under the coordinator lock, so the cut is
     /// consistent with respect to cross-shard batches.
     ///
     /// # Errors
     ///
     /// Propagates the shards' read errors.
     pub fn iter(&self) -> Result<ShardedIterator> {
-        let _epoch = self.epoch.write();
+        let _cut = self.txnlog.lock();
         let children = self
             .shards
             .iter()
@@ -755,6 +767,123 @@ mod tests {
         }
         db.put(b"amb00", b"later").unwrap();
         assert_eq!(db.get(b"amb00").unwrap(), Some(b"later".to_vec()));
+        db.close().unwrap();
+    }
+
+    /// Four writers commit `{a: v, z: v}` at once, `a` on shard 0 and `z`
+    /// on shard 1. Applies run in decide order, so after every round both
+    /// keys hold the same batch's value: some serial order of the batches.
+    #[test]
+    fn concurrent_cross_shard_batches_leave_one_serial_order() {
+        use std::sync::Barrier;
+        const WRITERS: usize = 4;
+        const ROUNDS: usize = 4_000;
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let router = Router::range(vec![b"m".to_vec()]).unwrap();
+        let db = ShardedDb::open(env, "serial", small_opts(), router).unwrap();
+        let barrier = Barrier::new(WRITERS + 1);
+        let mut mixed = 0usize;
+        std::thread::scope(|scope| {
+            for t in 0..WRITERS {
+                let (db, barrier) = (&db, &barrier);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        let value = format!("{t}-{round}");
+                        let mut batch = WriteBatch::new();
+                        batch.put(b"a", value.as_bytes());
+                        batch.put(b"z", value.as_bytes());
+                        barrier.wait();
+                        db.write_batch(batch).unwrap();
+                        barrier.wait();
+                    }
+                });
+            }
+            for _ in 0..ROUNDS {
+                barrier.wait();
+                barrier.wait();
+                if db.get(b"a").unwrap() != db.get(b"z").unwrap() {
+                    mixed += 1;
+                }
+            }
+        });
+        assert_eq!(mixed, 0, "rounds (of {ROUNDS}) that left a and z mixed");
+        db.close().unwrap();
+    }
+
+    /// A crash between the decide and the applies, then a plain
+    /// `Db::open` of one shard directory (what `bolt-tool verify` on a
+    /// shard does): the shard keeps the decided slice staged, so the
+    /// sharded reopen still applies it on both shards.
+    #[test]
+    fn a_plain_open_of_one_shard_keeps_a_decided_slice() {
+        use bolt_env::{CrashConfig, FaultEnv, FaultPlan};
+        let fault = FaultEnv::over_mem();
+        let env: Arc<dyn Env> = Arc::new(fault.clone());
+        let router = Router::range(vec![b"m".to_vec()]).unwrap();
+        let open = || ShardedDb::open(Arc::clone(&env), "s", small_opts(), router.clone());
+        let db = open().unwrap();
+        // Each WAL record is two appends: the two prepares are appends 0-3,
+        // the decide goes to TXNLOG, and append 4 is the first `Applied`
+        // marker.
+        fault.set_plan(FaultPlan::parse("crash:append:glob=*.log:nth=4").unwrap());
+        let mut batch = WriteBatch::new();
+        batch.put(b"a", b"v");
+        batch.put(b"z", b"v");
+        assert!(db.write_batch(batch).is_err());
+        let _ = db.close();
+        drop(db);
+        fault.crash_inner(CrashConfig::Clean);
+        fault.reset();
+        let shard = Db::open(Arc::clone(&env), "s/shard-0", small_opts()).unwrap();
+        assert_eq!(shard.staged_txns().len(), 1);
+        shard.close().unwrap();
+        let db = open().unwrap();
+        assert_eq!(
+            (db.get(b"a").unwrap(), db.get(b"z").unwrap()),
+            (Some(b"v".to_vec()), Some(b"v".to_vec()))
+        );
+        db.close().unwrap();
+    }
+
+    /// A commit that prepared while another's decide sync was failing is
+    /// refused at its decide: acknowledged, it would be applied below the
+    /// ambiguous slice, which the next open applies above it.
+    #[test]
+    fn no_commit_decides_after_an_ambiguous_decide() {
+        use bolt_env::{FaultEnv, FaultPlan};
+        let fault = FaultEnv::over_mem();
+        let env: Arc<dyn Env> = Arc::new(fault.clone());
+        let router = Router::range(vec![b"m".to_vec()]).unwrap();
+        let open = || ShardedDb::open(Arc::clone(&env), "s", small_opts(), router.clone());
+        let db = open().unwrap();
+        let batch = |v: &[u8]| {
+            let mut batch = WriteBatch::new();
+            batch.put(b"a", v);
+            batch.put(b"z", v);
+            batch
+        };
+        fault.set_plan(FaultPlan::parse("hold:sync:glob=TXNLOG:nth=0").unwrap());
+        let (first, second) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| db.write_batch(batch(b"first")));
+            fault.wait_until_held();
+            // `first` holds the coordinator lock in its decide sync; wait
+            // until `second` has prepared on shard 0, then fail that sync.
+            let second = scope.spawn(|| db.write_batch(batch(b"second")));
+            while db.shard(0).staged_txns().len() < 2 {
+                std::thread::yield_now();
+            }
+            fault.extend_plan(FaultPlan::parse("eio:sync:glob=TXNLOG:nth=0").unwrap());
+            fault.release();
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert!(matches!(first, Err(Error::Io(_))), "{first:?}");
+        assert!(matches!(second, Err(Error::InvalidState(_))), "{second:?}");
+        let _ = db.close();
+        drop(db);
+        let db = open().unwrap();
+        for key in [b"a", b"z"] {
+            assert_eq!(db.get(key).unwrap(), Some(b"first".to_vec()));
+        }
         db.close().unwrap();
     }
 

@@ -4,12 +4,12 @@
 //! [`TxnWalRecord::Decide`] record for every cross-shard transaction that
 //! reached its commit point. The synced append of that record *is* the
 //! commit point: before it, a crash aborts the transaction on every shard
-//! (prepares with no decision are dropped); after it, recovery commits the
-//! staged slices on every shard. The log is read once at open and re-cut
-//! to empty after all shards have recovered — every decided transaction is
-//! then durable inside the shards themselves, so old decisions carry no
-//! information (a shard that already flushed a slice simply finds no
-//! matching prepare and skips it).
+//! (the open forgets prepares with no decision); after it, the open
+//! applies the staged slices on every shard. The log is read once at open
+//! and re-cut to empty once the open has applied and flushed — every
+//! decided transaction is then durable inside the shards themselves, so
+//! old decisions carry no information (a shard that already flushed a
+//! slice stages no prepare for it).
 
 use std::sync::Arc;
 
@@ -35,9 +35,9 @@ impl TxnLog {
     /// Read the committed transaction ids — **in decide order** — and the
     /// highest id seen from `path`. Record order *is* decide order: the
     /// coordinator mutex serializes appends, so the file preserves the
-    /// order commit points were reached in, which shard recovery needs to
-    /// replay markerless decided slices correctly (ids are allocated
-    /// before decides serialize, so id order can disagree). A missing
+    /// order commit points were reached in, which is the order the open
+    /// applies markerless decided slices in (ids are allocated before
+    /// decides serialize, so id order can disagree). A missing
     /// file is an empty log; a torn tail is a clean end (the transaction
     /// whose decide tore never committed).
     ///
@@ -70,8 +70,8 @@ impl TxnLog {
     }
 
     /// Re-cut `path` to an empty log (temp file + atomic rename) and open
-    /// it for appending. Call only after every shard has recovered: the
-    /// old decisions are then redundant with the shards' own state.
+    /// it for appending. Call only after the staged slices are resolved
+    /// and flushed: the old decisions are then redundant with the shards.
     ///
     /// The log's barriers are paid on behalf of the engine whose env holds
     /// it, and land in that engine's `sink`: the re-cut as `open_manifest`,

@@ -604,7 +604,8 @@ fn lossy(value: &Option<Vec<u8>>) -> Option<std::borrow::Cow<'_, str>> {
     value.as_deref().map(String::from_utf8_lossy)
 }
 
-/// Open the recovered database and check the scenario's [`Contract`]
+/// Open the recovered database (on the sharded target, after opening each
+/// shard directory alone) and check the scenario's [`Contract`]
 /// against the replay's model, appending any violation to `violations`.
 pub(crate) fn check_invariants(
     env: &FaultEnv,
@@ -646,6 +647,16 @@ pub(crate) fn check_invariants(
         }
     }
 
+    // Each shard directory opened alone first, as `bolt-tool verify` on a
+    // shard does: that open must leave every staged slice to the
+    // coordinator, or the sharded reopen below half-applies a batch (A1).
+    for i in 0..sc.router.as_ref().map_or(0, Router::shards) {
+        let dir = format!("db/shard-{i}");
+        let shard = Db::open(Arc::new(env.clone()), &dir, sc.opts.clone());
+        if let Err(e) = shard.and_then(|shard| shard.close()) {
+            return report.push(format_args!("plain open of {dir} failed: {e}"));
+        }
+    }
     let db = match Target::open(env, "db", sc) {
         Ok(db) => db,
         Err(e) => return report.push(format_args!("recovery failed to open: {e}")),
