@@ -3,8 +3,8 @@
 //! its own simulated SSD, under YCSB Load / A / C with synced writes, then
 //! `Cross`: every op one synced batch of two keys that route to two
 //! shards — a cross-shard 2PC commit (one batch on the single engine).
-//! `Cross` is the traffic the coordinator lock serialises: one decide
-//! barrier and two unsynced applies per commit.
+//! `Cross` is the traffic the coordinator lock serialises: one round of
+//! two synced prepares (in parallel) and two unsynced applies per commit.
 //!
 //! The device is write-bandwidth-bound — 2 MB/s sequential writes and a
 //! 0.5 ms barrier make a synced commit group queue-drain-bound — so

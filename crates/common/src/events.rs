@@ -34,8 +34,8 @@ pub enum BarrierCause {
     CompactionData,
     /// MANIFEST commit of a compaction result (including settled moves).
     CompactionManifest,
-    /// MANIFEST or snapshot writes during open / recovery (a sharded
-    /// open's re-cut of the coordinator log included).
+    /// MANIFEST or snapshot writes during open / recovery (and the sync of
+    /// a recovered WAL holding a cross-shard abort).
     OpenManifest,
     /// The CURRENT pointer file swing.
     CurrentPointer,

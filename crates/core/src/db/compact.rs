@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
-use bolt_common::Result;
+use bolt_common::{Error, Result};
 use bolt_table::ikey::extract_user_key;
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::SeqReadStats;
@@ -39,7 +39,11 @@ use crate::vlog::ValuePointer;
 
 impl DbInner {
     /// Execute `task`, which was picked from `version`.
-    pub(super) fn run_compaction(&self, task: CompactionTask, version: &Version) -> Result<()> {
+    pub(super) fn run_compaction(
+        &self,
+        task: CompactionTask,
+        version: &Version,
+    ) -> std::result::Result<(), CompactionFailure> {
         let started = Instant::now();
         let compaction_id = self.compaction_ids.fetch_add(1, Ordering::Relaxed);
         let settled = task.settled_moves.len() as u64;
@@ -139,7 +143,7 @@ impl DbInner {
         &self,
         task: &CompactionTask,
         version: &Version,
-    ) -> Result<(Vec<Output>, Vec<ValuePointer>)> {
+    ) -> std::result::Result<(Vec<Output>, Vec<ValuePointer>), CompactionFailure> {
         let horizon = {
             let snapshots = &self.state.lock().snapshots;
             let oldest = snapshots.iter().copied().min();
@@ -184,7 +188,11 @@ impl DbInner {
         self.stats.record_compaction_read_bytes(reads.bytes());
         self.stats
             .record_compaction_read_wait_nanos(reads.wait_nanos());
-        Ok((sink.finish(written)?, rule.into_dead()))
+        let outputs = sink.finish(written).map_err(|error| CompactionFailure {
+            retryable: reads.failures() > 0 && !sink.synced,
+            error,
+        })?;
+        Ok((outputs, rule.into_dead()))
     }
 
     /// The one commit of a flush, of a compaction and of an open (which
@@ -324,6 +332,24 @@ fn commit_outputs(
     Ok(bytes)
 }
 
+/// A failed compaction, and whether the picker may simply find it again:
+/// an input read failed before its first output sync, so nothing of it is
+/// left on disk.
+#[derive(Debug)]
+pub(super) struct CompactionFailure {
+    pub(super) error: Error,
+    pub(super) retryable: bool,
+}
+
+impl From<Error> for CompactionFailure {
+    fn from(error: Error) -> Self {
+        CompactionFailure {
+            error,
+            retryable: false,
+        }
+    }
+}
+
 /// Streams sorted entries into output tables; one physical file per table
 /// for stock styles, one shared compaction file for BoLT. It cuts tables
 /// and pays barriers; what to keep is the [`DropRule`]'s decision.
@@ -335,6 +361,9 @@ pub(super) struct OutputSink<'a> {
     outputs: Vec<(u64, BuiltTable)>,
     /// Every file number this sink created, for cleanup on failure.
     created: Vec<u64>,
+    /// Whether an output file was synced: a failure before it leaves
+    /// nothing of the job on disk once `abandon` has run.
+    synced: bool,
 }
 
 impl<'a> OutputSink<'a> {
@@ -346,6 +375,7 @@ impl<'a> OutputSink<'a> {
             file: None,
             outputs: Vec::new(),
             created: Vec::new(),
+            synced: false,
         }
     }
 
@@ -442,6 +472,7 @@ impl<'a> OutputSink<'a> {
                 // Inside `while iter.valid()` after ensure_file(); the classic
                 // path closes the file per table. bolt-lint: allow(unwrap-in-crash-path)
                 let (_, mut file) = self.file.take().expect("file open");
+                self.synced = true;
                 Self::sync_file(self.inner, file.as_mut())?;
             }
         }
@@ -468,6 +499,7 @@ impl<'a> OutputSink<'a> {
                 // Never written: drop the empty file.
                 self.discard(&[number]);
             } else {
+                self.synced = true;
                 Self::sync_file(self.inner, file.as_mut())?;
             }
         }
@@ -557,7 +589,9 @@ mod tests {
         let task = crate::compaction::manual_task(&inner.opts, &version, 0, b"", b"zzzz");
         let task = task.unwrap();
         let input_bytes = task.input_bytes();
-        inner.run_compaction(task, &version).map(|()| input_bytes)
+        (inner.run_compaction(task, &version))
+            .map(|()| input_bytes)
+            .map_err(|f| f.error)
     }
 
     /// The sink cuts a table at the target size, but never between two
@@ -623,7 +657,7 @@ mod tests {
     fn compact_level(db: &Db, level: usize) -> bolt_common::Result<()> {
         let (inner, version) = (&db.inner, db.current_version());
         let task = crate::compaction::manual_task(&inner.opts, &version, level, b"", b"zzzz");
-        inner.run_compaction(task.unwrap(), &version)
+        (inner.run_compaction(task.unwrap(), &version)).map_err(|f| f.error)
     }
 
     /// A failed input read — the first, the second (the merge has not

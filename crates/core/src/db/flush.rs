@@ -25,7 +25,7 @@ use bolt_common::sync::{Condvar, MutexGuard};
 use bolt_common::Result;
 use bolt_table::ikey::SequenceNumber;
 
-use super::compact::{Output, OutputSink};
+use super::compact::{CompactionFailure, Output, OutputSink};
 use super::{Db, DbInner, DbState, ReadView};
 use crate::compaction::{
     manual_task, needs_compaction, pick_compaction, CompactionReason, CompactionTask, OutputShape,
@@ -33,6 +33,10 @@ use crate::compaction::{
 use crate::iterator::InternalIterator;
 use crate::memtable::MemTable;
 use crate::version::{Version, VersionEdit};
+
+/// How many compactions in a row may be picked again after an input read
+/// failed before their first output sync; the next such failure poisons.
+const COMPACTION_RETRIES: u32 = 3;
 
 impl Db {
     /// Force the current memtable to disk and wait for the flush.
@@ -165,9 +169,10 @@ impl DbInner {
 
     /// The end of every background job, on either thread. Transient
     /// MANIFEST sync failures never reach here: `log_and_apply` self-heals
-    /// them by re-cutting a fresh MANIFEST (O5). Only a double fault (the
-    /// re-cut itself failed, writer poisoned) or a non-MANIFEST error parks
-    /// the engine — and the first error stays the one every later
+    /// them by re-cutting a fresh MANIFEST (O5), and a retryable compaction
+    /// failure is let go by [`DbInner::retried`]. Only a double fault (the
+    /// re-cut itself failed, writer poisoned) or another error parks the
+    /// engine — and the first error stays the one every later
     /// `check_poisoned` reports, whichever thread fails after it.
     fn job_done(&self, result: Result<()>, manual: bool) {
         let mut state = self.state.lock();
@@ -187,7 +192,12 @@ impl DbInner {
     /// whatever the compaction thread is merging.
     pub(super) fn flush_loop(&self) {
         while let Some(imm) = self.next_job(&self.flush_cv, |_| self.view().imm.clone()) {
-            let flushed = self.flush_memtable(&imm.mem, imm.log_boundary, imm.seq_boundary);
+            let flushed = self.flush_memtable(
+                &imm.mem,
+                imm.log_boundary,
+                imm.seq_boundary,
+                imm.txn_boundary,
+            );
             self.job_done(flushed, false);
         }
     }
@@ -201,7 +211,27 @@ impl DbInner {
             // Released before anyone hears of it: to the next reclaim
             // decision a version this thread still held is a reader's.
             drop(version);
-            self.job_done(compacted, manual);
+            self.job_done(self.retried(compacted), manual);
+        }
+    }
+
+    /// A compaction's outcome as [`DbInner::job_done`] takes it. A failure
+    /// that left nothing on disk is let go, and the picker finds the
+    /// compaction again: up to [`COMPACTION_RETRIES`] in a row (counted in
+    /// `compaction_retries`); the next one poisons.
+    fn retried(&self, compacted: std::result::Result<(), CompactionFailure>) -> Result<()> {
+        let mut state = self.state.lock();
+        match compacted {
+            Ok(()) => {
+                state.compaction_retries = 0;
+                Ok(())
+            }
+            Err(f) if f.retryable && state.compaction_retries < COMPACTION_RETRIES => {
+                state.compaction_retries += 1;
+                self.stats.record_compaction_retry(1);
+                Ok(())
+            }
+            Err(f) => Err(f.error),
         }
     }
 
@@ -243,12 +273,14 @@ impl DbInner {
     /// Write `mem` to level 0 and commit: the view's `imm` on the flush
     /// thread, a replayed memtable (never in the view) during recovery,
     /// before either thread exists. Every write at or below `seq_boundary`
-    /// is in it or older.
+    /// is in it or older, and so is every cross-shard slice applied at or
+    /// below `txn_boundary`, the floor the edit commits.
     pub(super) fn flush_memtable(
         &self,
         mem: &Arc<MemTable>,
         log_boundary: u64,
         seq_boundary: SequenceNumber,
+        txn_boundary: u64,
     ) -> Result<()> {
         let started = Instant::now();
         let flush_id = self.flush_ids.fetch_add(1, Ordering::Relaxed);
@@ -275,6 +307,7 @@ impl DbInner {
             let edit = VersionEdit {
                 log_number: Some(log_boundary),
                 last_sequence: Some(self.last_sequence.load(Ordering::Acquire)),
+                applied_txn: (txn_boundary > 0).then_some(txn_boundary),
                 ..VersionEdit::default()
             };
             // A flush lands as one fresh L0 run, newer than every other. One
@@ -590,12 +623,13 @@ mod tests {
             assert!(db.inner.state.lock().manual.is_some() && db.inner.view().imm.is_some());
         };
 
-        // The compaction fails: its inputs cannot be read.
+        // The compaction fails: its output cannot be synced (an input read
+        // failing before that sync would be retried, not poison).
         let env = Arc::new(FaultEnv::over_mem());
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
         flush_run(&db, 0..100, &[b'a'; 100]);
         db.put(b"k", b"v").unwrap();
-        arm(&env, "eio:read:glob=*.sst:nth=0");
+        arm(&env, "eio:sync:glob=*.sst:nth=0");
         let generation = request_l0_compaction(&db);
         await_state(&db, |state| state.manual_done != generation);
         let err = db.compact_until_quiet().unwrap_err();

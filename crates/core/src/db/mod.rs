@@ -86,6 +86,10 @@ struct DbState {
     /// the prepare record is the slice's only durable copy until the apply
     /// lands in a flushed memtable.
     pending_txns: HashMap<u64, PendingTxn>,
+    /// The applied-transaction floor: the highest cross-shard id applied
+    /// here, recovered at open and raised by every apply. A memtable switch
+    /// stamps it on `imm`, and that memtable's flush commits it.
+    applied_txn: u64,
 
     // -- flush.rs: what the two background threads share (`bg_error`,
     // `bg_jobs`) and the requests the compaction thread serves --
@@ -99,6 +103,8 @@ struct DbState {
     manual: Option<(usize, Vec<u8>, Vec<u8>)>,
     /// Completion counter for manual compactions.
     manual_done: u64,
+    /// Compactions retried since the last one that committed.
+    compaction_retries: u32,
 
     // -- read.rs registers, compact.rs honours --
     snapshots: Vec<SequenceNumber>,
@@ -114,7 +120,7 @@ impl DbState {
 }
 
 /// A memtable that stopped taking writes and awaits its flush, with the
-/// two boundaries its switch stamped.
+/// three boundaries its switch stamped.
 #[derive(Clone)]
 struct Imm {
     mem: Arc<MemTable>,
@@ -123,6 +129,9 @@ struct Imm {
     /// `last_sequence` at the switch: every write at or below it is in this
     /// memtable or older tables, every write above it is in the view's `mem`.
     seq_boundary: SequenceNumber,
+    /// The applied-transaction floor at the switch: every cross-shard slice
+    /// applied here at or below it is in this memtable or older tables.
+    txn_boundary: u64,
 }
 
 /// Everything a reader must see, as one immutable value: replaced whole by
@@ -193,9 +202,6 @@ struct DbInner {
     flush_ids: AtomicU64,
     /// Monotonic compaction ids pairing `CompactionBegin`/`CompactionEnd`.
     compaction_ids: AtomicU64,
-    /// Highest transaction id seen in this shard's WALs during recovery;
-    /// the sharding layer seeds its id allocator above it.
-    recovered_max_txn: AtomicU64,
 }
 
 /// Copies of the current view readers clone from; threads take a slot each,
@@ -369,10 +375,11 @@ impl Db {
     /// Open (creating or recovering) the database in directory `name`.
     ///
     /// Recovery never resolves a cross-shard prepare: a slice whose WAL
-    /// holds no `Applied` marker stays staged ([`Db::staged_txns`]) and
-    /// keeps its WAL pinned, exactly like a live prepare, until the
-    /// coordinator applies or forgets it. A shard opened alone therefore
-    /// keeps its unresolved prepares until the sharded database is opened.
+    /// holds no `Applied` or `Aborted` record stays staged
+    /// ([`Db::staged_txns`]) and keeps its WAL pinned, exactly like a live
+    /// prepare, until the coordinator applies or forgets it. A shard opened
+    /// alone therefore keeps its unresolved prepares until the sharded
+    /// database is opened.
     ///
     /// # Errors
     ///
@@ -448,7 +455,6 @@ impl Db {
             sink,
             flush_ids: AtomicU64::new(0),
             compaction_ids: AtomicU64::new(0),
-            recovered_max_txn: AtomicU64::new(0),
         });
 
         inner.recover_wals(logs)?;
@@ -552,18 +558,6 @@ impl Db {
     /// [`MetricsSnapshot::events_dropped`]).
     pub fn events(&self) -> Vec<TraceEvent> {
         self.inner.sink.drain()
-    }
-
-    /// The structured-event sink itself: what a caller scopes barriers it
-    /// pays on this engine's behalf to (a sharded database's coordinator log
-    /// lives on shard 0's env and is scoped to shard 0).
-    pub fn event_sink(&self) -> &Arc<EventSink> {
-        &self.inner.sink
-    }
-
-    /// The environment this database runs on.
-    pub fn env(&self) -> &Arc<dyn Env> {
-        &self.inner.env
     }
 
     /// The database directory name this instance was opened with.
@@ -723,6 +717,10 @@ mod test_util {
             db.put(format!("key{i:05}").as_bytes(), value).unwrap();
         }
         db.flush().unwrap();
+    }
+
+    pub(super) fn staged_ids(db: &Db) -> Vec<u64> {
+        db.staged_txns().iter().map(|m| m.txn_id).collect()
     }
 
     pub(super) fn txn_slice(pairs: &[(&[u8], &[u8])]) -> WriteBatch {

@@ -17,22 +17,13 @@ use bolt_table::ikey::MAX_SEQUENCE_NUMBER;
 use bolt_wal::LogReader;
 
 use super::write::{new_wal_writer, PendingTxn};
-use super::{Db, DbInner, ReadView};
+use super::{DbInner, ReadView};
 use crate::batch::WriteBatch;
 use crate::compaction::OutputShape;
 use crate::filename::log_file;
 use crate::memtable::MemTable;
 use crate::txn::{self, TxnWalRecord};
 use crate::version::VersionEdit;
-
-impl Db {
-    /// Highest cross-shard transaction id seen in this shard's WALs during
-    /// recovery (0 if none). The sharding layer seeds its allocator above
-    /// the maximum across shards and the coordinator log.
-    pub fn recovered_max_txn_id(&self) -> u64 {
-        self.inner.recovered_max_txn.load(Ordering::Acquire)
-    }
-}
 
 impl DbInner {
     /// Replay `logs`, the WALs the open's listing found, and seed
@@ -45,14 +36,20 @@ impl DbInner {
     /// Transactions: a prepare stages its slice; an `Applied` marker in
     /// the replayed region commits the staged slice at the marker's
     /// recorded sequence (in a flushed-away region it just discards the
-    /// stage — the data is in SSTables). A slice with no marker is never
-    /// resolved here: it enters `pending_txns`, pinning the log its
-    /// prepare was read from, for the coordinator to apply or forget.
+    /// stage — the data is in SSTables), and raises the applied-transaction
+    /// floor; an `Aborted` record discards the stage. A slice with neither
+    /// is never resolved here: it enters `pending_txns`, pinning the log
+    /// its prepare was read from, for the coordinator to apply or forget —
+    /// unless its id is at or below the floor. Slices apply here in id
+    /// order, so such a slice was applied, and only its marker is gone: it
+    /// sat in the unsynced tail of a log that outlived the flush that made
+    /// the slice durable (another prepare pinned it, or its unlink failed).
     pub(super) fn recover_wals(&self, logs: Vec<u64>) -> Result<()> {
         let log_floor = self.versions.lock().log_number;
         let mut max_seq = { self.versions.lock().last_sequence };
-        let mut max_txn = 0u64;
+        let mut applied_txn = self.versions.lock().applied_txn;
         let mut staged: HashMap<u64, PendingTxn> = HashMap::new();
+        let mut aborted_in: Vec<u64> = Vec::new();
         let mut mem = Arc::new(MemTable::new());
         for &log in &logs {
             let replay = log >= log_floor;
@@ -64,16 +61,16 @@ impl DbInner {
                 if let Some(txn_record) = txn::decode(&record) {
                     match txn_record? {
                         TxnWalRecord::Prepare { marker, payload } => {
-                            max_txn = max_txn.max(marker.txn_id);
                             let pending = PendingTxn {
                                 payload,
+                                marker,
                                 log_number: log,
                                 applied_in: None,
                             };
                             staged.insert(marker.txn_id, pending);
                         }
                         TxnWalRecord::Applied { txn_id, base_seq } => {
-                            max_txn = max_txn.max(txn_id);
+                            applied_txn = applied_txn.max(txn_id);
                             match staged.remove(&txn_id) {
                                 Some(PendingTxn { mut payload, .. }) => {
                                     if replay {
@@ -100,10 +97,13 @@ impl DbInner {
                                 }
                             }
                         }
-                        TxnWalRecord::Decide { .. } => {
-                            return Err(Error::Corruption(
-                                "coordinator decide record in a shard WAL".into(),
-                            ));
+                        // With no stash the prepare's older log is gone:
+                        // nothing is left to discard.
+                        TxnWalRecord::Aborted { txn_id } => {
+                            staged.remove(&txn_id);
+                            if aborted_in.last() != Some(&log) {
+                                aborted_in.push(log);
+                            }
                         }
                     }
                 } else if replay {
@@ -114,25 +114,34 @@ impl DbInner {
                 }
                 if mem.approximate_memory_usage() >= self.opts.memtable_bytes {
                     self.last_sequence.store(max_seq, Ordering::Release);
-                    self.flush_memtable(&mem, 0, max_seq)?;
+                    self.flush_memtable(&mem, 0, max_seq, applied_txn)?;
                     mem = Arc::new(MemTable::new());
                 }
             }
         }
 
+        // An `Aborted` record read here may never have reached the device
+        // (the open that wrote it failed at its sync). Its log is synced
+        // before the engine takes a write: lost in a later crash, it would
+        // stage the prepare again once a floor has passed its id.
+        for log in aborted_in {
+            let _scope = BarrierScope::new(&self.sink, BarrierCause::OpenManifest);
+            (self.env.new_appendable_file(&log_file(&self.name, log))?).sync()?;
+        }
+        staged.retain(|&txn_id, _| txn_id > applied_txn);
         {
             let mut state = self.state.lock();
             state.logs = logs.into();
             state.pending_txns = staged;
+            state.applied_txn = applied_txn;
         }
-        self.recovered_max_txn.store(max_txn, Ordering::Release);
         self.last_sequence.store(max_seq, Ordering::Release);
         {
             let mut versions = self.versions.lock();
             versions.last_sequence = versions.last_sequence.max(max_seq);
         }
         if !mem.is_empty() {
-            self.flush_memtable(&mem, 0, max_seq)?;
+            self.flush_memtable(&mem, 0, max_seq, applied_txn)?;
         }
         Ok(())
     }
@@ -288,15 +297,14 @@ mod tests {
         // ids. Resolve them as the coordinator does when only txn 7
         // committed: apply it, forget 8, flush.
         let db = open();
-        assert_eq!(db.staged_txns(), vec![7, 8]);
+        assert_eq!(staged_ids(&db), vec![7, 8]);
         assert_eq!(db.get(b"committed").unwrap(), None);
         db.txn_apply(7).unwrap();
-        db.txn_forget(8);
+        db.txn_forget(8).unwrap();
         db.flush().unwrap();
         assert_eq!(db.get(b"base").unwrap(), Some(b"1".to_vec()));
         assert_eq!(db.get(b"committed").unwrap(), Some(b"yes".to_vec()));
         assert_eq!(db.get(b"undecided").unwrap(), None);
-        assert_eq!(db.recovered_max_txn_id(), 8);
         db.close().unwrap();
         // A second recovery must be stable: txn 7 was flushed by the first
         // resolution (I4 idempotency), txn 8 stays gone.
@@ -322,7 +330,7 @@ mod tests {
         db.close().unwrap();
         for _ in 0..2 {
             let db = open();
-            assert_eq!(db.staged_txns(), vec![3]);
+            assert_eq!(staged_ids(&db), vec![3]);
             db.put(b"other", b"x").unwrap();
             db.flush().unwrap();
             db.close().unwrap();
@@ -381,15 +389,57 @@ mod tests {
             .unwrap();
             db.close().unwrap();
         }
-        // The coordinator decided 9 *before* 4 and both applied markers
-        // were lost with the crash. It applies in decide order, so the
-        // later decide wins even though its txn id is smaller.
+        // Both applied markers were lost with the crash. A shard applies
+        // its staged slices in the order it is given, whatever their ids
+        // (the coordinator gives id order): here 9 first, so the later
+        // apply wins even though its txn id is smaller.
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
-        assert_eq!(db.staged_txns(), vec![4, 9]);
+        assert_eq!(staged_ids(&db), vec![4, 9]);
         for txn_id in [9, 4] {
             db.txn_apply(txn_id).unwrap();
         }
         assert_eq!(db.get(b"k").unwrap(), Some(b"decided-second".to_vec()));
+        db.close().unwrap();
+    }
+
+    /// The flush of the memtable a slice was applied into commits the
+    /// applied-transaction floor: it outlives the WAL holding the marker,
+    /// and a prepare at or below it never stages again.
+    #[test]
+    fn a_flush_commits_the_applied_txn_floor() {
+        let env = Arc::new(MemEnv::new());
+        let open = || Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
+        let db = open();
+        assert_eq!(db.applied_txn_floor(), 0);
+        for txn_id in [3, 5] {
+            let marker = ShardTxnMarker {
+                txn_id,
+                shard_bitmap: 0b11,
+            };
+            db.txn_prepare(marker, txn_slice(&[(b"k", b"v")])).unwrap();
+            db.txn_apply(txn_id).unwrap();
+        }
+        assert_eq!(db.applied_txn_floor(), 5);
+        db.flush().unwrap();
+        db.close().unwrap();
+        // Forge what a failed unlink and a crash leave: a prepare of txn 4
+        // whose marker was in the log's lost, unsynced tail.
+        let mut w = LogWriter::new(env.new_writable_file(&log_file("db", 0)).unwrap());
+        let stale = ShardTxnMarker {
+            txn_id: 4,
+            shard_bitmap: 0b11,
+        };
+        w.add_record(&txn::encode_prepare(
+            &stale,
+            &txn_slice(&[(b"k", b"stale")]),
+        ))
+        .unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let db = open();
+        assert_eq!(db.applied_txn_floor(), 5);
+        assert!(db.staged_txns().is_empty());
+        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
         db.close().unwrap();
     }
 
@@ -413,8 +463,9 @@ mod tests {
         }
         let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", Options::leveldb()).unwrap();
         assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
-        // The orphan marker still seeds the id allocator.
-        assert_eq!(db.recovered_max_txn_id(), 7);
+        // The orphan marker still raises the floor, which seeds the
+        // coordinator's id allocator.
+        assert_eq!(db.applied_txn_floor(), 7);
         db.close().unwrap();
     }
 
@@ -481,9 +532,10 @@ mod tests {
     }
 
     /// Every damaged copy of a prepare record whose slice holds a put, a
-    /// delete, a value pointer and a range tombstone, and of that slice as
-    /// a plain batch record, decodes, passes recovery's sequence check and
-    /// applies to a memtable, or is `Corruption`: never a panic.
+    /// delete, a value pointer and a range tombstone, of an applied marker,
+    /// of an abort record, and of that slice as a plain batch record,
+    /// decodes, passes recovery's sequence check and applies to a memtable,
+    /// or is `Corruption`: never a panic.
     #[test]
     fn every_damaged_wal_record_is_ok_or_corruption() {
         let mut slice = WriteBatch::new();
@@ -511,7 +563,13 @@ mod tests {
             last_sequence(batch.sequence(), batch.count())?;
             batch.apply_to(&MemTable::new())
         };
-        for good in [txn::encode_prepare(&marker, &slice), slice.encode()] {
+        let records = [
+            txn::encode_prepare(&marker, &slice),
+            txn::encode_applied(7, 42),
+            txn::encode_aborted(7),
+            slice.encode(),
+        ];
+        for good in records {
             replay(&good).unwrap();
             for (case, data) in crate::damage::damaged(&good).enumerate() {
                 if let Err(err) = replay(&data) {

@@ -1,5 +1,5 @@
-//! The write path: the group-commit queue, the two cross-shard
-//! transaction phases, the write governors (`make_room`), memtable
+//! The write path: the group-commit queue, the cross-shard transaction
+//! records (prepare, apply, abort), the write governors (`make_room`), memtable
 //! switching, and WAL-time value separation.
 //!
 //! Owns the write group of [`DbState`]: `writers`, `wal`/`wal_number`,
@@ -33,8 +33,8 @@ pub(super) struct QueuedWrite {
     ticket: u64,
     /// Whether this batch asked for a WAL durability barrier.
     sync: bool,
-    /// What the writer commits. Normal batches merge into groups; the two
-    /// transaction phases are WAL-exclusive and always commit alone.
+    /// What the writer commits. Normal batches merge into groups; the
+    /// transaction records are WAL-exclusive and always commit alone.
     op: WriteOp,
     /// Encoded size of the batch.
     bytes: usize,
@@ -53,6 +53,8 @@ enum WriteOp {
     /// Apply a staged slice: memtable insert plus an unsynced position
     /// marker, no new payload bytes in the WAL.
     TxnApply { txn_id: u64 },
+    /// Drop a staged slice: a synced abort record, no memtable effect.
+    TxnAbort { txn_id: u64 },
 }
 
 impl QueuedWrite {
@@ -102,10 +104,12 @@ pub(super) fn new_wal_writer(
     wal
 }
 
-/// A staged cross-shard slice awaiting the coordinator's decision.
+/// A staged cross-shard slice awaiting its apply (or the open's abort).
 pub(super) struct PendingTxn {
     /// The operations, exactly as carried by the WAL prepare record.
     pub(super) payload: WriteBatch,
+    /// The transaction's identity, as the prepare record carries it.
+    pub(super) marker: ShardTxnMarker,
     /// WAL file holding the prepare record; obsolete-log deletion must not
     /// advance past it while the prepare is the slice's only durable copy.
     pub(super) log_number: u64,
@@ -201,8 +205,8 @@ impl Db {
     /// Stage one shard's slice of a cross-shard batch (2PC phase 1): a
     /// synced WAL record, no memtable effect. The slice stays pending until
     /// [`Db::txn_apply`] (commit) or [`Db::txn_forget`] (abort); recovery
-    /// leaves a slice with no `Applied` marker staged for the coordinator
-    /// to resolve the same way ([`Db::staged_txns`]).
+    /// leaves a slice with neither record staged for the coordinator to
+    /// resolve the same way ([`Db::staged_txns`]).
     ///
     /// # Errors
     ///
@@ -217,14 +221,16 @@ impl Db {
         self.inner
             .stats
             .record_user_bytes(slice.approximate_size() as u64);
-        // Always synced: a prepare that is not durable when the coordinator
-        // decides would let a crash half-apply the batch.
+        // Always synced: the transaction commits once every participant's
+        // prepare is durable, so the sync *is* this shard's vote.
         self.inner
             .enqueue_and_commit(WriteOp::TxnPrepare(marker), true, Some(slice))
     }
 
     /// Apply a staged slice (2PC phase 2), making it visible to readers.
-    /// Call only after the coordinator's decide record is durable.
+    /// Call only once every participant's prepare is durable, and on each
+    /// shard in transaction-id order: the applied-transaction floor
+    /// ([`Db::applied_txn_floor`]) is one number because of it.
     ///
     /// # Errors
     ///
@@ -235,40 +241,48 @@ impl Db {
             .enqueue_and_commit(WriteOp::TxnApply { txn_id }, false, None)
     }
 
-    /// Drop a staged slice without applying it (2PC abort). A no-op if
-    /// `txn_id` has no staged slice or was already applied (an applied
-    /// entry still pins its WAL and is released by the flush that covers
-    /// it, never by forget).
-    pub fn txn_forget(&self, txn_id: u64) {
-        let mut state = self.inner.state.lock();
-        if state
-            .pending_txns
-            .get(&txn_id)
-            .is_some_and(|t| t.applied_in.is_none())
-        {
-            state.pending_txns.remove(&txn_id);
-        }
+    /// Abort a staged slice (2PC abort): a synced `Aborted` record, so that
+    /// no later recovery stages the prepare again, whatever log survives. A
+    /// no-op if `txn_id` has no staged slice or was already applied (an
+    /// applied entry still pins its WAL and is released by the flush that
+    /// covers it, never by forget).
+    ///
+    /// # Errors
+    ///
+    /// Returns background errors and WAL I/O errors. On error the slice
+    /// stays staged.
+    pub fn txn_forget(&self, txn_id: u64) -> Result<()> {
+        self.inner
+            .enqueue_and_commit(WriteOp::TxnAbort { txn_id }, true, None)
     }
 
-    /// The ids of the staged, unapplied slices, ascending: after an open,
-    /// the prepares recovery found without an `Applied` marker, which
-    /// only the coordinator can resolve.
-    pub fn staged_txns(&self) -> Vec<u64> {
+    /// The staged, unapplied slices, ascending by id: after an open, the
+    /// prepares recovery found without an `Applied` or `Aborted` record,
+    /// which only the coordinator can resolve.
+    pub fn staged_txns(&self) -> Vec<ShardTxnMarker> {
         let state = self.inner.state.lock();
         let staged = state
             .pending_txns
-            .iter()
-            .filter(|(_, t)| t.applied_in.is_none());
-        let mut ids: Vec<u64> = staged.map(|(&id, _)| id).collect();
-        ids.sort_unstable();
-        ids
+            .values()
+            .filter(|t| t.applied_in.is_none());
+        let mut markers: Vec<ShardTxnMarker> = staged.map(|t| t.marker).collect();
+        markers.sort_unstable_by_key(|m| m.txn_id);
+        markers
+    }
+
+    /// The applied-transaction floor: the highest cross-shard id applied on
+    /// this shard — the MANIFEST's floor or an `Applied` marker replayed at
+    /// open, then every live apply. Every transaction at or below it that
+    /// this shard took part in was applied here.
+    pub fn applied_txn_floor(&self) -> u64 {
+        self.inner.state.lock().applied_txn
     }
 }
 
 impl DbInner {
     /// Queue a writer and wait until a leader committed it or it leads
     /// itself — the single entry point for everything that needs the WAL
-    /// exclusively (batches and both transaction phases), since leaders
+    /// exclusively (batches and the transaction records), since leaders
     /// take the log without waiting and exclusion is purely structural via
     /// queue position.
     fn enqueue_and_commit(&self, op: WriteOp, sync: bool, batch: Option<WriteBatch>) -> Result<()> {
@@ -298,6 +312,7 @@ impl DbInner {
             WriteOp::Write => self.group_commit(&mut state),
             WriteOp::TxnPrepare(marker) => (1, self.commit_prepare(&mut state, marker)),
             WriteOp::TxnApply { txn_id } => (1, self.commit_apply(&mut state, txn_id)),
+            WriteOp::TxnAbort { txn_id } => (1, self.commit_abort(&mut state, txn_id)),
         };
         self.retire(&mut state, members, &result);
         result
@@ -356,26 +371,32 @@ impl DbInner {
         result
     }
 
-    /// Stage a cross-shard slice (a group of one, under the same leader
-    /// protocol as [`DbInner::group_commit`]).
+    /// Append and sync one transaction record, a group of one under the
+    /// same leader protocol as [`DbInner::group_commit`].
+    fn commit_synced(&self, state: &mut MutexGuard<'_, DbState>, record: &[u8]) -> Result<()> {
+        state.check_poisoned()?;
+        self.with_wal(state, |wal, _| {
+            wal.add_record(record)?;
+            wal.sync()
+        })?;
+        self.stats.record_wal_sync(1);
+        Ok(())
+    }
+
+    /// Stage a cross-shard slice.
     fn commit_prepare(
         &self,
         state: &mut MutexGuard<'_, DbState>,
         marker: ShardTxnMarker,
     ) -> Result<()> {
-        state.check_poisoned()?;
         let payload = state.leader().take_batch();
-        let record = txn::encode_prepare(&marker, &payload);
         let log_number = state.wal_number;
-        self.with_wal(state, |wal, _| {
-            wal.add_record(&record)?;
-            wal.sync()
-        })?;
-        self.stats.record_wal_sync(1);
+        self.commit_synced(state, &txn::encode_prepare(&marker, &payload))?;
         state.pending_txns.insert(
             marker.txn_id,
             PendingTxn {
                 payload,
+                marker,
                 log_number,
                 applied_in: None,
             },
@@ -383,13 +404,12 @@ impl DbInner {
         Ok(())
     }
 
-    /// Apply a staged slice (a group of one, like the prepare).
+    /// Apply a staged slice (a group of one, like the prepare). Once the
+    /// slice is found, a failure poisons the shard: an apply after it would
+    /// raise the floor past `txn_id`, and the next open would then drop
+    /// this id's stage unapplied.
     fn commit_apply(&self, state: &mut MutexGuard<'_, DbState>, txn_id: u64) -> Result<()> {
-        // The apply inserts into the memtable, so the governors run
-        // exactly as for a batch commit.
-        self.make_room(state)?;
-        let apply_era = state.wal_number;
-        let mut payload = match state.pending_txns.get(&txn_id) {
+        let payload = match state.pending_txns.get(&txn_id) {
             Some(staged) if staged.applied_in.is_none() => staged.payload.clone(),
             _ => {
                 return Err(Error::InvalidArgument(format!(
@@ -397,15 +417,32 @@ impl DbInner {
                 )));
             }
         };
+        let applied = self.apply_staged(state, txn_id, payload);
+        if let Err(e) = &applied {
+            state.bg_error.get_or_insert_with(|| e.clone());
+        }
+        applied
+    }
+
+    fn apply_staged(
+        &self,
+        state: &mut MutexGuard<'_, DbState>,
+        txn_id: u64,
+        mut payload: WriteBatch,
+    ) -> Result<()> {
+        // The apply inserts into the memtable, so the governors run
+        // exactly as for a batch commit.
+        self.make_room(state)?;
+        let apply_era = state.wal_number;
         let base = self.last_sequence.load(Ordering::Relaxed);
         let last = last_sequence(base + 1, payload.count())?;
         payload.set_sequence(base + 1);
         // The marker is appended *unsynced*: the payload is already
-        // durable (synced prepare + synced decide), and if a crash tears
-        // the marker off the log tail it also tears every later record, so
-        // the slice stays staged at the next open and the coordinator
-        // applies it again at the end of the surviving log, in decide
-        // order.
+        // durable (every participant's prepare is synced), and if a crash
+        // tears the marker off the log tail it also tears every later
+        // record, so the slice stays staged at the next open and the
+        // coordinator applies it again at the end of the surviving log, in
+        // id order.
         let marker_record = txn::encode_applied(txn_id, base + 1);
         let mem = Arc::clone(&self.view().mem);
         self.with_wal(state, |wal, _| {
@@ -420,6 +457,19 @@ impl DbInner {
         if let Some(staged) = state.pending_txns.get_mut(&txn_id) {
             staged.applied_in = Some(apply_era);
         }
+        state.applied_txn = state.applied_txn.max(txn_id);
+        Ok(())
+    }
+
+    /// Abort a staged slice. The record is synced before the stage goes,
+    /// so the prepare it cancels never stages again at a later open.
+    fn commit_abort(&self, state: &mut MutexGuard<'_, DbState>, txn_id: u64) -> Result<()> {
+        let staged = state.pending_txns.get(&txn_id);
+        if staged.is_none_or(|t| t.applied_in.is_some()) {
+            return Ok(());
+        }
+        self.commit_synced(state, &txn::encode_aborted(txn_id))?;
+        state.pending_txns.remove(&txn_id);
         Ok(())
     }
 
@@ -612,6 +662,7 @@ impl DbInner {
         // `last_sequence` is exactly the boundary between `imm` and the
         // fresh memtable.
         let seq_boundary = self.last_sequence.load(Ordering::Acquire);
+        let txn_boundary = state.applied_txn;
         let fresh = Arc::new(MemTable::new());
         self.install_view(|old| {
             assert!(old.imm.is_none(), "cannot switch with a pending flush");
@@ -621,6 +672,7 @@ impl DbInner {
                     mem: Arc::clone(&old.mem),
                     log_boundary: new_log,
                     seq_boundary,
+                    txn_boundary,
                 }),
                 ..old.clone()
             }
@@ -1120,7 +1172,7 @@ mod tests {
         };
         db.txn_prepare(marker, txn_slice(&[(b"gone", b"x")]))
             .unwrap();
-        db.txn_forget(5);
+        db.txn_forget(5).unwrap();
         assert!(matches!(db.txn_apply(5), Err(Error::InvalidArgument(_))));
         assert_eq!(db.get(b"gone").unwrap(), None);
         // Double-apply is rejected too.
@@ -1128,6 +1180,37 @@ mod tests {
             .unwrap();
         db.txn_apply(5).unwrap();
         assert!(matches!(db.txn_apply(5), Err(Error::InvalidArgument(_))));
+        db.close().unwrap();
+    }
+
+    /// An apply that fails to switch the memtable poisons the shard, so no
+    /// later apply raises the applied-transaction floor past the failed id:
+    /// the next open would read that floor as "applied here" and drop the
+    /// id's stage unapplied.
+    #[test]
+    fn a_failed_apply_leaves_the_floor_below_its_id() {
+        let env = Arc::new(FaultEnv::over_mem());
+        // One slice fills a memtable, so the second apply switches it.
+        let mut opts = Options::leveldb();
+        opts.memtable_bytes = 4096;
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts.clone()).unwrap();
+        for txn_id in 1..=3u64 {
+            let marker = ShardTxnMarker {
+                txn_id,
+                shard_bitmap: 0b11,
+            };
+            let key = format!("t{txn_id}");
+            (db.txn_prepare(marker, txn_slice(&[(key.as_bytes(), &[b'v'; 8192])]))).unwrap();
+        }
+        db.txn_apply(1).unwrap();
+        arm(&env, "eio:create:glob=*.log:nth=0");
+        assert!(db.txn_apply(2).is_err());
+        assert!(db.txn_apply(3).is_err());
+        assert_eq!(db.applied_txn_floor(), 1);
+        drop(db);
+        let db = Db::open(env, "db", opts).unwrap();
+        assert_eq!(staged_ids(&db), [2, 3]);
+        assert_eq!(db.get(b"t1").unwrap().map(|v| v.len()), Some(8192));
         db.close().unwrap();
     }
 }

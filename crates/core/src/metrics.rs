@@ -476,6 +476,7 @@ mod tests {
                 compaction_read_ops: 9,
                 compaction_read_bytes: 10,
                 compaction_read_wait_nanos: 11,
+                compaction_retries: 12,
                 compaction_output_bytes: 14,
                 flush_bytes: 15,
                 flush_busy_nanos: 16,

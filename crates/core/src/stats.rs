@@ -41,6 +41,9 @@ bolt_common::counter_table! {
     /// Nanoseconds compactions spent reading their inputs: the merge waits
     /// for every read, which it issues itself.
     compaction_read_wait_nanos / record_compaction_read_wait_nanos => "bolt_compaction_read_wait_nanos_total",
+    /// Compactions picked again after an input read failed before their
+    /// first output sync, instead of poisoning the engine.
+    compaction_retries / record_compaction_retry => "bolt_compaction_retries_total",
     /// Bytes written by compactions.
     compaction_output_bytes / record_compaction_output => "bolt_compaction_output_bytes_total",
     /// Bytes written by flushes.

@@ -1,26 +1,28 @@
 //! Cross-shard transaction WAL records (the `bolt-sharded` 2PC seam).
 //!
-//! A cross-shard `write_batch` commits with a lightweight two-phase
-//! protocol layered on the per-shard WALs plus one coordinator log:
+//! A cross-shard `write_batch` commits with two-phase commit and no
+//! coordinator log (Cornus, DESIGN.md §12):
 //!
 //! 1. **Prepare** — each participant shard appends (and syncs) a
-//!    [`TxnWalRecord::Prepare`] carrying the shard's slice of the batch.
-//!    Nothing is applied to the memtable yet.
-//! 2. **Decide** — the coordinator appends (and syncs) a
-//!    [`TxnWalRecord::Decide`] to its own log. This single barrier is the
-//!    commit point for the whole transaction.
-//! 3. **Apply** — each participant inserts the staged slice into its
+//!    [`TxnWalRecord::Prepare`] carrying the shard's slice of the batch and
+//!    the bitmap of every participant. Nothing is applied to the memtable
+//!    yet. The transaction is committed once every participant's prepare
+//!    is durable: no other record decides it.
+//! 2. **Apply** — each participant inserts the staged slice into its
 //!    memtable and appends an *unsynced* [`TxnWalRecord::Applied`] marker
 //!    recording the sequence the slice was stamped with. The marker's WAL
 //!    position fixes the transaction's commit order relative to
 //!    surrounding writes for recovery; its durability rides on whatever
-//!    barrier next hits the log (losing it is safe — see below).
+//!    barrier next hits the log (losing it is safe: the slice stays staged
+//!    and the coordinator applies it again at the end of the log). The
+//!    flush of the memtable the slice went into records the shard's
+//!    applied-transaction floor in the MANIFEST.
 //!
-//! Recovery resolves prepares against the committed-transaction set read
-//! from the coordinator log: a prepare with an `Applied` marker replays at
-//! the marker's recorded sequence, a committed prepare whose marker was
-//! lost replays at the end of the log (exactly where the surviving records
-//! place it), and an undecided prepare is dropped on every shard alike.
+//! An open that finds a transaction not durably prepared everywhere
+//! aborts it with a synced [`TxnWalRecord::Aborted`] record on each shard
+//! that staged it. Recovery consumes an `Aborted` record as it consumes an
+//! `Applied` marker, so the stale prepare never stages again, whatever
+//! log survives.
 //!
 //! All three records share a 12-byte sentinel header that is impossible
 //! for a real [`WriteBatch`]: the sequence field holds [`TXN_MAGIC`]
@@ -38,7 +40,7 @@ pub const TXN_MAGIC: [u8; 8] = [0xFF, b'B', b'O', b'L', b'T', b'T', b'X', 0xFF];
 
 const SENTINEL_LEN: usize = 12;
 const KIND_PREPARE: u8 = 1;
-const KIND_DECIDE: u8 = 2;
+const KIND_ABORTED: u8 = 2;
 const KIND_APPLIED: u8 = 3;
 
 /// Identity of a cross-shard transaction as persisted in WAL records: the
@@ -62,10 +64,10 @@ pub enum TxnWalRecord {
         /// This shard's operations (sequence field unset).
         payload: WriteBatch,
     },
-    /// The coordinator's commit decision (coordinator log only).
-    Decide {
-        /// Transaction identity.
-        marker: ShardTxnMarker,
+    /// The open's abort of a staged slice: recovery drops the stage.
+    Aborted {
+        /// Transaction id the record resolves.
+        txn_id: u64,
     },
     /// Phase 2 position marker: the staged slice was applied at
     /// `base_seq`.
@@ -94,11 +96,10 @@ pub fn encode_prepare(marker: &ShardTxnMarker, payload: &WriteBatch) -> Vec<u8> 
     rec
 }
 
-/// Encode a decide record for the coordinator log.
-pub fn encode_decide(marker: &ShardTxnMarker) -> Vec<u8> {
-    let mut rec = sentinel_and_kind(KIND_DECIDE);
-    rec.extend_from_slice(&marker.txn_id.to_le_bytes());
-    rec.extend_from_slice(&marker.shard_bitmap.to_le_bytes());
+/// Encode an abort record for a shard WAL.
+pub fn encode_aborted(txn_id: u64) -> Vec<u8> {
+    let mut rec = sentinel_and_kind(KIND_ABORTED);
+    rec.extend_from_slice(&txn_id.to_le_bytes());
     rec
 }
 
@@ -139,14 +140,7 @@ pub fn decode(record: &[u8]) -> Option<Result<TxnWalRecord>> {
             let payload = WriteBatch::decode(&record[body + 16..])?;
             Ok(TxnWalRecord::Prepare { marker, payload })
         })(),
-        KIND_DECIDE => (|| {
-            Ok(TxnWalRecord::Decide {
-                marker: ShardTxnMarker {
-                    txn_id: read_u64(record, body)?,
-                    shard_bitmap: read_u64(record, body + 8)?,
-                },
-            })
-        })(),
+        KIND_ABORTED => read_u64(record, body).map(|txn_id| TxnWalRecord::Aborted { txn_id }),
         KIND_APPLIED => (|| {
             Ok(TxnWalRecord::Applied {
                 txn_id: read_u64(record, body)?,
@@ -187,13 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn decide_and_applied_roundtrip() {
-        let marker = ShardTxnMarker {
-            txn_id: 99,
-            shard_bitmap: 0b11,
-        };
-        match decode(&encode_decide(&marker)) {
-            Some(Ok(TxnWalRecord::Decide { marker: m })) => assert_eq!(m, marker),
+    fn aborted_and_applied_roundtrip() {
+        match decode(&encode_aborted(99)) {
+            Some(Ok(TxnWalRecord::Aborted { txn_id })) => assert_eq!(txn_id, 99),
             other => panic!("bad decode: {other:?}"),
         }
         match decode(&encode_applied(99, 12345)) {

@@ -510,6 +510,9 @@ pub struct VersionEdit {
     pub vlog_dead: Vec<(u64, u64, u64)>,
     /// Value-log segments retired (file deleted) by this edit.
     pub vlog_deleted: Vec<u64>,
+    /// Applied-transaction floor: the highest cross-shard transaction id
+    /// whose slice is durable in the tables (DESIGN.md §12).
+    pub applied_txn: Option<u64>,
 }
 
 mod tag {
@@ -535,6 +538,9 @@ mod tag {
     /// same two reasons. Absent (a MANIFEST from before it existed, or a
     /// table whose length is not known) decodes as 0.
     pub const TABLE_TAIL_BYTES: u64 = 12;
+    /// The applied-transaction floor; absent (a MANIFEST written before it
+    /// existed, or an engine that never applied a slice) reads as 0.
+    pub const APPLIED_TXN: u64 = 13;
 }
 
 impl VersionEdit {
@@ -581,6 +587,10 @@ impl VersionEdit {
             put_varint64(&mut out, tag::VLOG_DELETED);
             put_varint64(&mut out, *file_number);
         }
+        if let Some(v) = self.applied_txn {
+            put_varint64(&mut out, tag::APPLIED_TXN);
+            put_varint64(&mut out, v);
+        }
         for (level, run_tag, meta) in &self.added_tables {
             put_varint64(&mut out, tag::ADDED_TABLE);
             put_varint32(&mut out, *level);
@@ -625,6 +635,7 @@ impl VersionEdit {
                 tag::NEXT_FILE => edit.next_file_number = Some(dec.varint64()?),
                 tag::NEXT_TABLE_ID => edit.next_table_id = Some(dec.varint64()?),
                 tag::LAST_SEQUENCE => edit.last_sequence = Some(dec.varint64()?),
+                tag::APPLIED_TXN => edit.applied_txn = Some(dec.varint64()?),
                 tag::COMPACT_POINTER => {
                     let level = dec.varint32()?;
                     let key = internal_key(&mut dec, "compact pointer")?;
@@ -903,6 +914,7 @@ mod tests {
         edit.vlog_dead.push((21, 0, 65536));
         edit.vlog_dead.push((22, 4096, 128));
         edit.vlog_deleted.push(20);
+        edit.applied_txn = Some(77);
         edit
     }
 

@@ -99,6 +99,7 @@ impl VersionSet {
         let mut edit = VersionEdit {
             last_sequence: Some(self.last_sequence),
             log_number: Some(self.log_number),
+            applied_txn: (self.applied_txn > 0).then_some(self.applied_txn),
             compact_pointers: self.current.compact_pointer_records(),
             added_tables: table_records(&self.current),
             compaction_policy: Some(self.policy),

@@ -94,6 +94,9 @@ pub struct VersionSet {
     pub last_sequence: u64,
     /// WALs below this number are obsolete.
     pub log_number: u64,
+    /// Applied-transaction floor: the highest cross-shard transaction id
+    /// whose slice a committed flush made durable (0 = none).
+    pub applied_txn: u64,
     /// Compaction policy pinned in the MANIFEST (first edit of every
     /// manifest file); reopen under a different policy is refused. Every
     /// version built here holds the run-count invariant it implies.
@@ -145,6 +148,7 @@ impl VersionSet {
             live: Vec::new(),
             last_sequence: 0,
             log_number: 0,
+            applied_txn: 0,
             policy,
             sink,
             ids: Arc::new(FileIds::new()),
@@ -201,6 +205,9 @@ impl VersionSet {
         }
         if let Some(n) = edit.log_number {
             self.log_number = self.log_number.max(n);
+        }
+        if let Some(n) = edit.applied_txn {
+            self.applied_txn = self.applied_txn.max(n);
         }
         for (_, _, table) in &edit.added_tables {
             self.reclaim.register_region(table);
@@ -335,6 +342,9 @@ impl VersionSet {
             }
             if let Some(n) = edit.log_number {
                 self.log_number = self.log_number.max(n);
+            }
+            if let Some(n) = edit.applied_txn {
+                self.applied_txn = self.applied_txn.max(n);
             }
             if let Some(p) = edit.compaction_policy {
                 pinned_policy = Some(p);

@@ -22,7 +22,7 @@ pub struct Config {
     /// its own sync).
     pub commit_path: Vec<String>,
     /// Path suffixes of two-phase-commit modules checked by rule L7
-    /// (staged-slice application dominated by a TXNLOG decide) and, along
+    /// (staged-slice application dominated by the prepare round's join) and, along
     /// with the crash/commit lists, by rule L6 (no discarded fallible I/O
     /// results).
     pub twopc_path: Vec<String>,

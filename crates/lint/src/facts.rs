@@ -1626,7 +1626,7 @@ pub struct ShardedDb {
     name: String,
     shards: Vec<Arc<Db>>,
     epoch: RwLock<()>,
-    txnlog: Mutex<TxnLog>,
+    commit: Mutex<u64>,
     policy: Arc<dyn CompactionPolicy>,
 }
 struct Unit;
@@ -1634,7 +1634,7 @@ struct Tuple(u32, u32);
 "#,
         );
         let fields = &f.structs["ShardedDb"];
-        assert_eq!(fields["txnlog"], "Mutex");
+        assert_eq!(fields["commit"], "Mutex");
         assert_eq!(fields["policy"], "CompactionPolicy");
         assert_eq!(fields["shards"], "Vec");
         assert!(!f.structs.contains_key("Tuple"));

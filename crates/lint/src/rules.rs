@@ -9,7 +9,7 @@
 //! - **L6 `swallowed-io-error`** — discarded fallible I/O `Result`s in
 //!   crash-path / commit-protocol / 2PC modules.
 //! - **L7 `decide-before-apply`** — the 2PC commit-point discipline in
-//!   `crates/sharded`.
+//!   `crates/sharded`: the prepare round's join before any apply.
 //! - **`architecture`** — `[architecture]` rules: a token pattern's exact
 //!   count in a scope.
 //! - **`dead-allow`** (warn) — suppression comments that suppress nothing.
@@ -71,10 +71,11 @@ pub const RULE_LOCK_REGISTRY: &str = "lock-registry";
 /// there silently voids the durability argument.
 pub const RULE_SWALLOWED_IO_ERROR: &str = "swallowed-io-error";
 /// L7: in `crates/sharded` (`[modules].twopc_path`), any call that applies
-/// a staged slice (`txn_apply`) must be dominated by a TXNLOG `decide(..)`
-/// call in the same function — the A2/A3 commit-point discipline of
-/// DESIGN.md §12. Recovery paths that replay markers already durable in the
-/// TXNLOG carry a reviewed allow.
+/// a staged slice (`txn_apply`) must be dominated by a `join_prepares(..)`
+/// call in the same function — the join that returns once every
+/// participant's prepare is durable, the commit point (the A1/A2
+/// discipline of DESIGN.md §12). The open's resolution, which judges the
+/// durable prepares and floors instead, carries a reviewed allow.
 pub const RULE_DECIDE_BEFORE_APPLY: &str = "decide-before-apply";
 /// The `[architecture]` rules of `lint/lock_order.toml`: in a scope's
 /// non-test tokens (comments, string contents and test items never count),
@@ -88,8 +89,9 @@ pub const RULE_DEAD_ALLOW: &str = "dead-allow";
 
 /// Methods the 2PC apply rule treats as applying a staged slice.
 const APPLY_METHODS: [&str; 1] = ["txn_apply"];
-/// Methods the 2PC apply rule treats as the TXNLOG decision point.
-const DECIDE_METHODS: [&str; 1] = ["decide"];
+/// Methods the 2PC apply rule treats as the commit point: the join of the
+/// prepare round.
+const DECIDE_METHODS: [&str; 1] = ["join_prepares"];
 
 /// Finding severity: errors fail the build, warnings only report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -390,8 +392,8 @@ fn swallowed_io_error(file: &FileFacts, cfg: &Config, out: &mut Vec<Finding>) {
     }
 }
 
-/// L7: in 2PC modules, applying a staged slice must be dominated by a
-/// TXNLOG decide in the same function (events are in source order, so
+/// L7: in 2PC modules, applying a staged slice must be dominated by the
+/// prepare round's join in the same function (events are in source order, so
 /// "earlier event" approximates domination for the straight-line commit
 /// paths this workspace writes).
 fn decide_before_apply(file: &FileFacts, cfg: &Config, out: &mut Vec<Finding>) {
@@ -415,9 +417,9 @@ fn decide_before_apply(file: &FileFacts, cfg: &Config, out: &mut Vec<Finding>) {
                     *line,
                     RULE_DECIDE_BEFORE_APPLY,
                     format!(
-                        "`.{name}(..)` in `{}` is not dominated by a TXNLOG `decide(..)` — a \
-                         shard must never apply a staged slice before the decision record is \
-                         durable (DESIGN.md §12 A2/A3)",
+                        "`.{name}(..)` in `{}` is not dominated by `join_prepares(..)` — a \
+                         shard must never apply a staged slice before every participant's \
+                         prepare is durable (DESIGN.md §12 A1/A2)",
                         f.name
                     ),
                 ));
@@ -662,7 +664,7 @@ impl Resolver {
         if let Some((_, t)) = f.params.iter().find(|(n, _)| n == recv) {
             return (t != "?").then(|| t.clone());
         }
-        // A bare field name: `self.txnlog.lock()` records receiver `txnlog`.
+        // A bare field name: `self.state.lock()` records receiver `state`.
         if let Some(ty) = &f.self_ty {
             if let Some(ft) = self.fields.get(ty).and_then(|m| m.get(recv)) {
                 return Some(ft.clone());
@@ -1138,9 +1140,9 @@ fn caller(second: &Mutex<T>) {
 
     #[test]
     fn decide_before_apply_orders_events() {
-        let good = "fn ok(&self) { self.txnlog.lock().decide(&m)?; self.shard.txn_apply(id)?; }";
+        let good = "fn ok(&self) { self.join_prepares(m, slices)?; self.shard.txn_apply(id)?; }";
         assert!(run_on(&[("twopc.rs", good)]).is_empty());
-        let bad = "fn bad(&self) { self.shard.txn_apply(id)?; self.txnlog.lock().decide(&m)?; }";
+        let bad = "fn bad(&self) { self.shard.txn_apply(id)?; self.join_prepares(m, slices)?; }";
         let findings = run_on(&[("twopc.rs", bad)]);
         assert!(findings.iter().any(|f| f.rule == RULE_DECIDE_BEFORE_APPLY));
     }

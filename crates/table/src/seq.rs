@@ -57,6 +57,8 @@ bolt_common::counter_table! {
     /// Nanoseconds spent in them (file handle included): the time the
     /// consumer waited for input bytes.
     wait_nanos,
+    /// Reads (file opens included) that returned an error.
+    failures,
 }
 
 /// One device read of a front-to-back pass over a run's tables.
@@ -160,6 +162,10 @@ impl RunSpans {
         self.spans.partition_point(|s| s.table < first)..end
     }
 
+    fn failed(&self) {
+        self.stats.failures.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// One counted read of the file of table `table` — the one device read
     /// of this module.
     fn fetch(&self, handle: &mut Handle, table: usize, offset: u64, len: u64) -> Result<Vec<u8>> {
@@ -178,7 +184,8 @@ impl RunSpans {
         let file = match handle {
             Some((number, file)) if *number == spec.file_number => Arc::clone(file),
             _ => {
-                let file = self.cache.open_file(spec.file_number, &spec.path)?;
+                let opened = self.cache.open_file(spec.file_number, &spec.path);
+                let file = opened.inspect_err(|_| self.failed())?;
                 *handle = Some((spec.file_number, Arc::clone(&file)));
                 file
             }
@@ -186,7 +193,7 @@ impl RunSpans {
         let read = file.read(offset, len);
         let waited = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.stats.wait_nanos.fetch_add(waited, Ordering::Relaxed);
-        let bytes = read?;
+        let bytes = read.inspect_err(|_| self.failed())?;
         self.stats.ops.fetch_add(1, Ordering::Relaxed);
         (self.stats.bytes).fetch_add(bytes.len() as u64, Ordering::Relaxed);
         Ok(bytes)

@@ -522,6 +522,9 @@ pub fn dump_manifest(env: &Arc<dyn Env>, db: &str) -> Result<String> {
         if let Some(v) = edit.last_sequence {
             writeln!(out, "  last_sequence: {v}").expect("write");
         }
+        if let Some(v) = edit.applied_txn {
+            writeln!(out, "  applied_txn_floor: {v}").expect("write");
+        }
         if let Some(v) = edit.compaction_policy {
             writeln!(out, "  compaction_policy: {}", v.as_str()).expect("write");
         }
@@ -910,6 +913,26 @@ fn stale() {
             assert!(t.contains("logical SSTable(s)"), "{t}");
             assert!(t.contains(".sst"), "{t}");
         }
+    }
+
+    /// A flush after a cross-shard apply commits the applied-transaction
+    /// floor, and the dump prints it.
+    #[test]
+    fn dump_manifest_prints_the_applied_txn_floor() {
+        let (env, opts) = setup();
+        let db = Db::open(Arc::clone(&env), "db", opts).unwrap();
+        let marker = bolt_core::ShardTxnMarker {
+            txn_id: 7,
+            shard_bitmap: 0b11,
+        };
+        let mut slice = bolt_core::WriteBatch::new();
+        slice.put(b"k", b"v");
+        db.txn_prepare(marker, slice).unwrap();
+        db.txn_apply(7).unwrap();
+        db.flush().unwrap();
+        db.close().unwrap();
+        let m = dump_manifest(&env, "db").unwrap();
+        assert!(m.contains("  applied_txn_floor: 7\n"), "{m}");
     }
 
     #[test]

@@ -223,11 +223,12 @@ fn marker_windows(phases: &[(u64, String)]) -> Vec<(u64, u64)> {
 /// — each is an intermediate state the window's protocol must survive: the
 /// torn old MANIFEST, unswung CURRENT and not-yet-re-appended edit of a
 /// re-cut; each link, manifest write and the publishing rename of a
-/// checkpoint; the prepares, the TXNLOG decide record and the applies of a
-/// 2PC commit. With `vlog`, also every value-log metadata op (create,
-/// sync/barrier, punch, delete) plus its successor — these bound the
-/// append-barrier-ack and punch windows of the §14 contract — and a torn
-/// sample of the (far more numerous) value appends.
+/// checkpoint; the prepares of a 2PC commit's one round, in whatever order
+/// its threads issue them, and its applies. With `vlog`, also every
+/// value-log metadata op (create, sync/barrier, punch, delete) plus its
+/// successor — these bound the append-barrier-ack and punch windows of the
+/// §14 contract — and a torn sample of the (far more numerous) value
+/// appends.
 fn force_points(
     sampled: Vec<(u64, u64)>,
     trace: &[OpRecord],

@@ -267,7 +267,7 @@ impl Target {
     }
 
     /// Apply `batch` atomically. `sync` is the single engine's per-batch
-    /// override; a cross-shard commit always syncs its prepares and decide.
+    /// override; a cross-shard commit always syncs its prepares.
     fn write(&self, batch: WriteBatch, sync: Option<bool>) -> Result<()> {
         match self {
             Target::Single(db) => db.write_opt(batch, &WriteOptions { sync }),
@@ -743,8 +743,8 @@ fn check_groups(db: &Target, sc: &Scenario, model: &Model, report: &mut Report<'
             _ => {}
         }
         // Recovery can surface an unacked write (it may have reached the
-        // WAL, or the decide record the log) but never one that was not
-        // even attempted.
+        // WAL, or every participant's prepare its WAL) but never one that
+        // was not even attempted.
         if recovered.is_some_and(|r| state.attempted.is_none_or(|a| r > a)) {
             report.push(format_args!(
                 "group {g} contains round {recovered:?} beyond attempts ({:?})",

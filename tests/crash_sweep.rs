@@ -101,10 +101,10 @@ fn sweep_holds_all_recovery_invariants() {
 #[test]
 fn sharded_2pc_sweep_recovers_all_or_nothing() {
     // Cross-shard `write_batch` crash sweep (DESIGN.md §12): crashes are
-    // force-included at every op inside every recorded 2PC window — after
-    // the first shard's synced prepare, around the TXNLOG decide record,
-    // and mid-apply — and each one must recover all-or-nothing on every
-    // shard.
+    // force-included at every op inside every recorded 2PC window — between
+    // the prepares of its one round (one participant's durable, another's
+    // not: the commit point is all of them), and mid-apply — and each one
+    // must recover all-or-nothing on every shard.
     let cfg = SweepConfig::for_sharded();
     let outcome = run_crash_sweep(&cfg).expect("sharded sweep harness must run");
 

@@ -910,12 +910,14 @@ fn an_orphans_number_is_never_handed_out_again() {
 }
 
 /// DESIGN.md §9, "A failed compaction input read": a write-only load (no
-/// get, so every table read is a background compaction's) whose compaction
-/// meets `EIO` on its sixth input read. Nothing panics; the compaction's
-/// outputs are abandoned and its error poisons the engine: every write from
-/// then on fails with it, while gets and scans serve every acked write. A
-/// reopen returns every acked write, the integrity walk is clean, and the
-/// engine compacts again.
+/// get, so every table read is a background compaction's). One `EIO` on a
+/// compaction's input read, raised before its first output sync, costs one
+/// retry: the compaction is picked again and commits, and no write fails.
+/// Read errors that outlast the retries poison the engine: nothing panics,
+/// the outputs are abandoned, and every write from then on fails with the
+/// error, while gets and scans serve every acked write. A reopen returns
+/// every acked write, the integrity walk is clean, and the engine compacts
+/// again.
 #[test]
 fn a_failed_compaction_input_read_poisons_writes_and_loses_no_acked_write() {
     use bolt_env::{FaultEnv, FaultPlan};
@@ -924,21 +926,43 @@ fn a_failed_compaction_input_read_poisons_writes_and_loses_no_acked_write() {
     let env: Arc<dyn Env> = Arc::new(fault_env.clone());
     let opts = tiny(Options::bolt());
     let db = Db::open(Arc::clone(&env), "db", opts.clone()).unwrap();
-    fault_env.set_plan(FaultPlan::parse("eio:read:glob=*.sst:nth=5").unwrap());
     let mut acked = BTreeMap::new();
-    let failed = (0..200_000u32).find_map(|i| {
+    let mut next = 0u32;
+    let mut put = |db: &Db| {
+        let i = next;
+        next += 1;
+        assert!(i < 400_000, "the load never met the failed reads");
         let key = format!("key{:06}", i.wrapping_mul(7919) % 100_000).into_bytes();
         let value = format!("{i}-{}", "v".repeat(100)).into_bytes();
-        match db.put(&key, &value) {
-            Ok(()) => {
-                acked.insert(key, value);
-                None
-            }
-            Err(err) => Some(err),
+        let put = db.put(&key, &value);
+        if put.is_ok() {
+            acked.insert(key, value);
         }
-    });
-    let err = failed.expect("the load never met the failed read");
-    assert_eq!(fault_env.faults_injected(), 1);
+        put
+    };
+    let stats = |db: &Db| db.stats().snapshot();
+
+    // One failed read: the compaction that met it is retried and commits.
+    fault_env.set_plan(FaultPlan::parse("eio:read:glob=*.sst:nth=5").unwrap());
+    while fault_env.faults_injected() == 0 {
+        put(&db).unwrap();
+    }
+    let compactions = stats(&db).compactions;
+    while stats(&db).compactions == compactions {
+        put(&db).unwrap();
+    }
+    assert_eq!(stats(&db).compaction_retries, 1);
+
+    // Four in a row outlast the three retries.
+    let failing = ["eio:read:glob=*.sst:nth=0"; 4].join(" ");
+    fault_env.set_plan(FaultPlan::parse(&failing).unwrap());
+    let err = loop {
+        if let Err(err) = put(&db) {
+            break err;
+        }
+    };
+    assert_eq!(fault_env.faults_injected(), 5);
+    assert_eq!(stats(&db).compaction_retries, 4);
     assert!(matches!(err, Error::Io(_)), "{err:?}");
     assert_eq!(db.put(b"after", b"x").unwrap_err(), err);
     // Reads serve the last committed version and the memtables.
