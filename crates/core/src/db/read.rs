@@ -416,18 +416,23 @@ mod tests {
     /// L0 run has entered it: under writers, forced flushes and the
     /// compactions they trigger, a key whose `put` was acknowledged is found
     /// — at that value or a newer one — by `get` and by a fresh iterator
-    /// alike, every time.
+    /// alike, every time. The run ends on work done — every reader has
+    /// checked `CHECKS` keys and more than 10 flushes were forced — so a slow
+    /// host only makes it longer; the deadline bounds a stuck run.
     #[test]
     fn a_flush_install_is_one_step() {
         use std::sync::atomic::{AtomicBool, AtomicU64};
         use std::time::{Duration, Instant};
         const KEYS: u64 = 64;
+        const CHECKS: u64 = 200;
         let (_env, db) = mem_db(small_opts(Options::bolt()));
         let key = |writer: usize, n: u64| format!("w{writer}-{:03}", n % KEYS).into_bytes();
         let parse = |v: &[u8]| std::str::from_utf8(v).unwrap().trim_start().parse::<u64>();
         // Per writer: every put numbered at or below this was acknowledged.
         let acked = [AtomicU64::new(0), AtomicU64::new(0)];
         let done = AtomicBool::new(false);
+        // Per reader: keys checked so far.
+        let checks: Vec<AtomicU64> = (0..VIEW_SLOTS + 2).map(|_| AtomicU64::new(0)).collect();
         std::thread::scope(|s| {
             for (writer, acked) in acked.iter().enumerate() {
                 let (db, done) = (&db, &done);
@@ -444,11 +449,10 @@ mod tests {
                 });
             }
             // More readers than slots: some threads share a slot.
-            let readers: Vec<_> = (0..VIEW_SLOTS + 2)
-                .map(|reader| {
+            let readers: Vec<_> = (checks.iter().enumerate())
+                .map(|(reader, checked)| {
                     let (db, done, acked) = (&db, &done, &acked);
                     s.spawn(move || {
-                        let mut checked = 0u64;
                         for round in 0u64.. {
                             if done.load(Ordering::Acquire) {
                                 break;
@@ -467,20 +471,29 @@ mod tests {
                             assert!(iter.valid(), "iterator lost an acked key");
                             assert_eq!(iter.key(), key, "iterator lost an acked key");
                             assert!(parse(iter.value()).unwrap() >= n, "iterator went back");
-                            checked += 1;
+                            checked.fetch_add(1, Ordering::Release);
                         }
-                        checked
                     })
                 })
                 .collect();
-            let deadline = Instant::now() + Duration::from_secs(1);
-            while Instant::now() < deadline && !readers.iter().any(|r| r.is_finished()) {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let worked = || {
+                db.stats().snapshot().flushes > 10
+                    && checks.iter().all(|c| c.load(Ordering::Acquire) >= CHECKS)
+            };
+            while Instant::now() < deadline && !worked() && !readers.iter().any(|r| r.is_finished())
+            {
                 db.flush().unwrap();
             }
             done.store(true, Ordering::Release);
             for reader in readers {
-                let checked = reader.join().expect("a read missed an acknowledged write");
-                assert!(checked > 0, "a reader never ran");
+                reader.join().expect("a read missed an acknowledged write");
+            }
+            for checked in &checks {
+                assert!(
+                    checked.load(Ordering::Acquire) >= CHECKS,
+                    "a reader never ran"
+                );
             }
         });
         assert!(

@@ -17,7 +17,7 @@
 //! | [`load`] | bulk-load N synthetic records |
 //! | [`compact`] | flush + compact until quiet |
 //! | [`verify`] | full integrity walk: checksums, run ordering, level invariants |
-//! | [`run_crash_sweep`] | the fault sweep over a [`bolt_env::FaultEnv`]: record → crash → EIO → double crash, on one engine or (with [`SweepConfig::sharded`]) inside cross-shard 2PC commit windows |
+//! | [`run_crash_sweep`] | the fault sweep over a [`bolt_env::FaultEnv`]: record → crash → EIO → double crash, one named [`Scenario`] preset: four compaction policies, value separation, or cross-shard 2PC commit windows |
 //! | [`stat_per_shard`] | [`stat`] for a [`bolt_sharded::ShardedDb`]: aggregate + per-shard series |
 
 #![warn(missing_docs)]
@@ -33,7 +33,8 @@ mod sweep_scenario;
 pub use backup::{
     backup_create, backup_restore, backup_verify, render_backup_report, BackupReport,
 };
-pub use sweep::{render_report, run_crash_sweep, SweepConfig, SweepCoverage, SweepOutcome};
+pub use sweep::{render_report, run_crash_sweep, SweepOutcome, DEFAULT_SEED};
+pub use sweep_scenario::Scenario;
 
 use std::fmt::Write as _;
 use std::sync::Arc;

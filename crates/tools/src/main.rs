@@ -32,21 +32,15 @@
 //!                                   byte CRC-verified, CURRENT landing last
 //!   backup verify <backup>          check every generation's manifest and
 //!                                   payload CRCs
-//!   crash-sweep [points] [seed]     the fault sweep (in-memory, needs no
-//!               [--policy=<p>]      db-dir): record a workload, then crash
-//!               [--sharded]         at every selected op, fail sync
-//!               [--vlog]            ordinals with EIO, and crash again
-//!               [--checkpoint]      inside recovery, checking the DESIGN.md
-//!                                   §9 invariants after each. --policy
-//!                                   picks leveled (default), size-tiered,
-//!                                   lazy-leveled or fragmented;
-//!                                   --sharded sweeps a ShardedDb, forcing
-//!                                   every op of every 2PC commit window;
-//!                                   --vlog runs under value separation and
-//!                                   forces every value-log op; --checkpoint
-//!                                   ends with an online checkpoint, forces
-//!                                   its window and checks C1 (the last two
-//!                                   do not combine with --sharded)
+//!   crash-sweep [preset] [seed]     the fault sweep (in-memory, needs no
+//!                                   db-dir): record a preset's workload,
+//!                                   then crash at every selected op, fail
+//!                                   sync ordinals with EIO, and crash
+//!                                   again inside recovery, checking the
+//!                                   DESIGN.md §9 invariants after each.
+//!                                   Presets: leveled, size-tiered,
+//!                                   lazy-leveled, fragmented, vlog,
+//!                                   sharded; with none, every preset runs
 //!   lint [path] [--config FILE]     barrier-ordering/lock-discipline
 //!        [--json] [--validate F]    static analysis (alias of bolt-lint);
 //!                                   with --json, findings are JSON Lines,
@@ -75,7 +69,7 @@ type Outcome = Result<ExitCode, ExitCode>;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bolt-tool <stat|dump-manifest|dump-tables|scan|get|put|delete|load|compact|verify> <db-dir> [args...] [--profile <name>] [--policy=<p>]\n       bolt-tool stat <db-dir> [--json|--prometheus] [--per-shard]\n       bolt-tool backup <create <db-dir>|restore [--gen N]|verify> <backup-dir> [<dest-dir>]\n       bolt-tool trace [--json] [--validate SCHEMA]\n       bolt-tool crash-sweep [max-points] [seed] [--policy=<p>] [--sharded] [--vlog] [--checkpoint]\n       bolt-tool lint [path] [--config FILE] [--json] [--validate SCHEMA]"
+        "usage: bolt-tool <stat|dump-manifest|dump-tables|scan|get|put|delete|load|compact|verify> <db-dir> [args...] [--profile <name>] [--policy=<p>]\n       bolt-tool stat <db-dir> [--json|--prometheus] [--per-shard]\n       bolt-tool backup <create <db-dir>|restore [--gen N]|verify> <backup-dir> [<dest-dir>]\n       bolt-tool trace [--json] [--validate SCHEMA]\n       bolt-tool crash-sweep [preset] [seed]\n       bolt-tool lint [path] [--config FILE] [--json] [--validate SCHEMA]"
     );
     ExitCode::from(2)
 }
@@ -118,46 +112,34 @@ fn policy_flag(arg: &str) -> Option<Result<bolt_core::CompactionPolicyKind, Exit
 }
 
 /// Run the fault sweep on an in-memory filesystem (no db-dir needed): the
-/// single-engine scenario, or with `--sharded` the cross-shard 2PC windows
-/// of a [`bolt_sharded::ShardedDb`].
+/// named preset, or every preset in turn; fails if any one does.
 fn crash_sweep(args: &[String]) -> Outcome {
-    let mut positional: Vec<&String> = Vec::new();
-    let mut cfg = if args.iter().any(|a| a == "--sharded") {
-        bolt_tools::SweepConfig::for_sharded()
-    } else {
-        bolt_tools::SweepConfig::default()
+    let names: Vec<&str> = match args.get(1) {
+        Some(name) => vec![name],
+        None => bolt_tools::Scenario::names().collect(),
     };
-    for arg in &args[1..] {
-        if arg == "--vlog" {
-            cfg.vlog = true;
-        } else if arg == "--checkpoint" {
-            cfg.checkpoint = true;
-        } else if let Some(policy) = policy_flag(arg) {
-            cfg.policy = policy?;
-        } else if arg != "--sharded" {
-            positional.push(arg);
-        }
+    let seed = numeric("seed", args.get(2), bolt_tools::DEFAULT_SEED)?;
+    if args.len() > 3 {
+        return Err(usage());
     }
-    cfg.max_crash_points = numeric(
-        "max-points",
-        positional.first().copied(),
-        cfg.max_crash_points,
-    )?;
-    cfg.seed = numeric("seed", positional.get(1).copied(), cfg.seed)?;
-    Ok(match bolt_tools::run_crash_sweep(&cfg) {
-        Ok(outcome) => {
-            print!("{}", bolt_tools::render_report(&outcome));
-            if outcome.violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
+    let mut failed = false;
+    for name in names {
+        let sc = bolt_tools::Scenario::preset(name).map_err(|e| {
+            eprintln!("error: {e}");
+            usage()
+        })?;
+        match bolt_tools::run_crash_sweep(&sc, seed) {
+            Ok(outcome) => {
+                print!("{}", bolt_tools::render_report(&outcome));
+                failed |= !outcome.violations.is_empty();
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                failed = true;
             }
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    })
+    }
+    Ok(ExitCode::from(u8::from(failed)))
 }
 
 /// `bolt-tool backup <create|restore|verify> ...` — incremental backups

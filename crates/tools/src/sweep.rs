@@ -1,21 +1,24 @@
 //! The fault-sweep driver.
 //!
-//! One engine, run over a scenario (`sweep_scenario.rs`: options, a `Db` or
-//! `ShardedDb` target, workload phases, labelled invariants):
+//! One engine, run over a named preset's scenario (`sweep_scenario.rs`:
+//! options, a `Db` or `ShardedDb` target, workload phases, labelled
+//! invariants):
 //!
 //! 1. **record** the workload once over a [`FaultEnv`], keeping the op
 //!    trace and the phase markers;
 //! 2. **select** crash points — every metadata op plus its successor, a
 //!    sample of torn appends — and **force** every op inside every
 //!    `*-arm` / `*-done` marker window (the re-cut, checkpoint and 2PC
-//!    commit windows) plus, in vlog mode, every value-log op;
+//!    commit windows) plus, under value separation, every value-log op;
 //! 3. **crash** the replayed workload at each point, power-cycle with a torn
 //!    tail, reopen and check the scenario's invariants;
 //! 4. **EIO**: fail selected sync ordinals instead — an injected fault must
 //!    be seen by a caller or absorbed by a MANIFEST re-cut, and the
 //!    invariants must hold after a clean power-cycle;
 //! 5. **double crash**: crash again inside the recovery of a first crash
-//!    and require the third open to restore a consistent state.
+//!    and require the third open to restore a consistent state;
+//! 6. **coverage**: fail unless the sweep reached what its preset exists to
+//!    cover (`check_coverage`).
 //!
 //! The invariants (DESIGN.md §9, §12, §14, §15), by their single-engine /
 //! cross-shard labels:
@@ -31,11 +34,11 @@
 //! * **I5 — range-tombstone durability**: once the tombstone is durable,
 //!   covered keys stay gone (unless durably reborn); uncovered keys and
 //!   not-yet-deleted keys read back their exact durable values.
-//! * **V1 — no dangling pointers** (vlog mode): every key readable after
+//! * **V1 — no dangling pointers** (the `vlog` preset): every key readable after
 //!   recovery resolves to its full value; `get` and the full scan resolve
 //!   every stored pointer, so a pointer into missing, truncated or punched
 //!   value-log bytes surfaces as a `Corruption` error and is reported.
-//! * **C1 — checkpoint atomicity** (checkpoint mode): an *acked*
+//! * **C1 — checkpoint atomicity** (every single-engine preset): an *acked*
 //!   checkpoint directory opens cleanly and scans byte-identical to the
 //!   pinned snapshot; an unacked one either lacks `CURRENT` (ignorable
 //!   garbage) or opens cleanly.
@@ -46,7 +49,7 @@
 use std::collections::BTreeMap;
 
 use bolt_common::{Error, Result};
-use bolt_core::CompactionPolicyKind;
+use bolt_core::{CompactionPolicyKind, MetricsSnapshot};
 use bolt_env::{CrashConfig, FaultEnv, FaultPlan, OpKind, OpRecord};
 
 use crate::sweep_scenario::{check_invariants, run_workload, Model, RdPhase, Scenario, Target};
@@ -56,96 +59,20 @@ use crate::sweep_scenario::{check_invariants, run_workload, Model, RdPhase, Scen
 /// large enough to reach it).
 const MAX_WINDOW_POINTS: usize = 144;
 
-/// Sweep tuning knobs.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Base seed for torn-tail crash randomness (the sweep itself is
-    /// deterministic given the seed).
-    pub seed: u64,
-    /// Upper bound on *sampled* crash points (forced windows come on top).
-    pub max_crash_points: usize,
-    /// Upper bound on `EIO`-on-sync points.
-    pub max_eio_points: usize,
-    /// Workload crash points re-used as the *first* crash of a
-    /// double-crash pair (0 disables the double-crash phase).
-    pub max_double_crash_first: usize,
-    /// Recovery-replay ops crashed per first crash point (the *second*
-    /// crash, landing inside the reopen).
-    pub max_double_crash_second: usize,
-    /// Compaction policy the swept database runs. The recovery invariants
-    /// must hold regardless of how victims are picked.
-    pub policy: CompactionPolicyKind,
-    /// Run the workload under WAL-time value separation and force-cover
-    /// every `.vlog` op (appends torn) as a crash point.
-    pub vlog: bool,
-    /// End the workload with an online `Db::checkpoint` into `ckpt/`,
-    /// force-cover every op inside the checkpoint window, and check
-    /// invariant C1 after each fault.
-    pub checkpoint: bool,
-    /// Sweep a three-shard `ShardedDb` whose every group write is a
-    /// cross-shard 2PC commit, force-covering every commit window.
-    pub sharded: bool,
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig {
-            seed: 0xB017,
-            max_crash_points: 72,
-            max_eio_points: 16,
-            max_double_crash_first: 4,
-            max_double_crash_second: 5,
-            policy: CompactionPolicyKind::Leveled,
-            vlog: false,
-            checkpoint: false,
-            sharded: false,
-        }
-    }
-}
-
-impl SweepConfig {
-    /// Defaults of the sharded leg: its 2PC windows are force-covered, so
-    /// fewer sampled points are needed around them.
-    pub fn for_sharded() -> Self {
-        SweepConfig {
-            seed: 0x2B0C,
-            max_crash_points: 36,
-            sharded: true,
-            ..SweepConfig::default()
-        }
-    }
-}
-
-/// Workload phase coverage observed during the record run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SweepCoverage {
-    /// MemTable flushes completed.
-    pub flushes: u64,
-    /// Compactions completed.
-    pub compactions: u64,
-    /// Settled (MANIFEST-only) promotions.
-    pub settled_moves: u64,
-    /// Holes punched reclaiming dead logical SSTables.
-    pub holes_punched: u64,
-    /// Self-healing MANIFEST re-cuts (O5) that absorbed an injected fault.
-    pub recuts: u64,
-    /// Values routed to the value log (vlog mode only).
-    pub vlog_separated: u64,
-    /// Value-log segments retired whole by compaction (vlog mode only).
-    pub vlog_retired: u64,
-    /// Ranged tombstones written by the range-delete phase.
-    pub range_deletes: u64,
-    /// Online checkpoints completed (checkpoint mode only).
-    pub checkpoints: u64,
-    /// Cross-shard 2PC commits acknowledged (sharded mode only).
-    pub cross_shard_txns: u64,
-}
+/// Torn-tail seed of a sweep given none (`bolt-tool crash-sweep [PRESET]`).
+pub const DEFAULT_SEED: u64 = 0xB017;
+/// Sync ordinals failed with `EIO`, spread evenly over the record run.
+const EIO_POINTS: usize = 16;
+/// Double-crash pairs: this many workload crash points, each crashed again
+/// at this many ops of the recovery from it.
+const DOUBLE_CRASH_FIRSTS: usize = 4;
+const DOUBLE_CRASH_SECONDS: usize = 5;
 
 /// Everything a sweep learned.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
-    /// Compaction policy the sweep ran under.
-    pub policy: CompactionPolicyKind,
+    /// The preset swept.
+    pub preset: &'static str,
     /// Ops counted in the record run.
     pub ops_recorded: u64,
     /// Sync/ordering barriers counted in the record run.
@@ -165,8 +92,10 @@ pub struct SweepOutcome {
     /// first crash interrupts the workload, the second interrupts the
     /// reopen recovering from it.
     pub double_crash_points: Vec<(u64, u64)>,
-    /// Coverage counters from the record run.
-    pub coverage: SweepCoverage,
+    /// The record run's target metrics, snapshotted after close.
+    pub metrics: MetricsSnapshot,
+    /// Cross-shard commits the record run acknowledged.
+    pub cross_shard_txns: u64,
     /// Human-readable invariant violations (empty on a clean sweep).
     pub violations: Vec<String>,
 }
@@ -224,7 +153,7 @@ fn marker_windows(phases: &[(u64, String)]) -> Vec<(u64, u64)> {
 /// torn old MANIFEST, unswung CURRENT and not-yet-re-appended edit of a
 /// re-cut; each link, manifest write and the publishing rename of a
 /// checkpoint; the prepares of a 2PC commit's one round, in whatever order
-/// its threads issue them, and its applies. With `vlog`, also every
+/// its threads issue them, and its applies. Under value separation, also every
 /// value-log metadata op (create, sync/barrier, punch, delete) plus its
 /// successor — these bound the append-barrier-ack and punch windows of the
 /// §14 contract — and a torn sample of the (far more numerous) value
@@ -233,7 +162,7 @@ fn force_points(
     sampled: Vec<(u64, u64)>,
     trace: &[OpRecord],
     windows: &[(u64, u64)],
-    vlog: bool,
+    sc: &Scenario,
 ) -> Vec<(u64, u64)> {
     let mut merged: BTreeMap<u64, u64> = sampled.into_iter().collect();
     let torn = |r: &OpRecord| {
@@ -252,7 +181,7 @@ fn force_points(
         let record = window_ops[i * window_ops.len() / forced];
         merged.insert(record.index, torn(record));
     }
-    if vlog {
+    if sc.opts.value_separation_threshold.is_some() {
         let vlog_ops = || trace.iter().filter(|r| r.path.ends_with(".vlog"));
         let appends: Vec<&OpRecord> = vlog_ops()
             .filter(|r| r.kind == OpKind::Append && r.bytes >= 2)
@@ -277,13 +206,13 @@ fn in_windows(windows: &[(u64, u64)], op: u64) -> bool {
 /// Run the workload to a crash at op `k` (torn-keeping `keep` append
 /// bytes), power-cycle with a torn tail, and return the env holding the
 /// surviving filesystem plus the workload's acked/durable model.
-fn crash_replay(cfg: &SweepConfig, sc: &Scenario, k: u64, keep: u64) -> (FaultEnv, Model) {
+fn crash_replay(seed: u64, sc: &Scenario, k: u64, keep: u64) -> (FaultEnv, Model) {
     let env = FaultEnv::over_mem();
     // (`torn=0` is a plain crash.)
     env.set_plan(clause(&format!("torn={keep}:any:glob=*:nth={k}")));
     let replay = run_workload(&env, sc);
     env.crash_inner(CrashConfig::TornTail {
-        seed: cfg.seed ^ k.wrapping_mul(0x9E37_79B9),
+        seed: seed ^ k.wrapping_mul(0x9E37_79B9),
     });
     env.reset();
     (env, replay)
@@ -338,51 +267,85 @@ fn attempt_open(env: &FaultEnv, sc: &Scenario) -> bool {
     .is_ok()
 }
 
-/// The record run must have exercised what the leg exists to cover.
-fn check_coverage(cfg: &SweepConfig, sc: &Scenario, record: &Model, windows: usize) -> Result<()> {
-    let c = record.stats;
-    let problem = if record.errors > 0 {
-        format!("record run saw {} unexpected errors", record.errors)
-    } else if cfg.vlog && (c.vlog_separated == 0 || c.vlog_retired == 0) {
-        format!(
-            "vlog sweep did not exercise value separation ({} separated, {} segments retired)",
-            c.vlog_separated, c.vlog_retired
-        )
-    } else if sc.contract.range_delete.is_some()
-        && (record.rd != RdPhase::RebirthDurable || c.range_deletes == 0)
-    {
-        format!(
-            "sweep did not exercise the range-delete phase (reached {:?}, {} tombstones)",
-            record.rd, c.range_deletes
-        )
-    } else if cfg.checkpoint && (!record.ckpt_acked || c.checkpoints == 0) {
-        "checkpoint sweep did not complete its checkpoint".to_string()
-    } else if sc.sharded() && (windows == 0 || windows as u64 != c.cross_shard_txns) {
-        format!(
-            "record run marked {windows} 2PC windows for {} commits",
-            c.cross_shard_txns
-        )
+/// The sweep must have exercised what its preset exists to cover — keyed on
+/// the preset's target and options, never on its phase list, so a workload
+/// that loses a phase fails here. Every unmet demand is named in the error.
+fn check_coverage(sc: &Scenario, record: &Model, out: &SweepOutcome) -> Result<()> {
+    let db = &out.metrics.db;
+    let mut unmet: Vec<String> = Vec::new();
+    macro_rules! demand {
+        ($met:expr, $($why:tt)+) => {
+            if !$met {
+                unmet.push(format!($($why)+));
+            }
+        };
+    }
+    let errors = record.errors;
+    demand!(errors == 0, "record run saw {errors} errors");
+    let points = out.crash_points.len();
+    demand!(points >= 30, "{points} crash points, want >= 30");
+    let distinct = out.crash_points.windows(2).all(|w| w[0] < w[1]);
+    demand!(distinct, "a crash point was swept twice");
+    demand!(!out.eio_points.is_empty(), "no EIO-on-sync point");
+    demand!(!out.double_crash_points.is_empty(), "no double-crash pair");
+    demand!(db.flushes > 0, "no flush");
+    if sc.preset.sharded {
+        let (windows, txns) = (out.windows.len(), out.cross_shard_txns);
+        demand!(
+            windows as u64 == txns,
+            "{windows} windows for {txns} commits"
+        );
+        demand!(txns >= 10, "{txns} cross-shard commits, want >= 10");
+        let n = out.window_points;
+        demand!(n >= 50, "{n} crash points in commit windows, want >= 50");
     } else {
+        demand!(db.compactions > 0, "no compaction");
+        // The hole-punch phase keeps flanking tables live in the file whose
+        // middle dies, so GC must punch; tiered policies rewrite the flanks.
+        if sc.opts.compaction_policy == CompactionPolicyKind::Leveled {
+            demand!(db.settled_moves > 0, "no settled (MANIFEST-only) move");
+            let holes = record.phase_holes;
+            demand!(holes > 0, "the hole-punch phase punched {holes} holes");
+        }
+        let rd = record.rd;
+        demand!(rd == RdPhase::RebirthDurable, "range delete reached {rd:?}");
+        demand!(db.range_deletes > 0, "no range tombstone");
+        let recuts = out.metrics.manifest_recuts;
+        demand!(recuts > 0, "no re-cut absorbed the armed MANIFEST EIO");
+        let ckpts = db.checkpoints;
+        demand!(record.ckpt_acked && ckpts > 0, "no checkpoint acked");
+        if sc.opts.value_separation_threshold.is_some() {
+            demand!(db.vlog_values_separated > 0, "no value separated");
+            demand!(db.vlog_segments_retired > 0, "no value-log segment retired");
+        }
+        for label in ["recut", "ckpt"] {
+            let arm = (out.phases.iter()).find(|(_, l)| *l == format!("{label}-arm"));
+            let window = arm.and_then(|(at, _)| out.windows.iter().find(|w| w.0 == *at));
+            let inside = |k: &&u64| window.is_some_and(|&w| in_windows(&[w], **k));
+            let n = out.crash_points.iter().filter(inside).count();
+            demand!(n >= 5, "{n} crash points in the {label} window, want >= 5");
+        }
+    }
+    if unmet.is_empty() {
         return Ok(());
-    };
-    Err(Error::io(problem))
+    }
+    let (name, unmet) = (sc.preset.name, unmet.join("; "));
+    Err(Error::InvalidState(format!("{name} coverage: {unmet}")))
 }
 
 /// Record the scenario's workload once, then sweep crash points, `EIO`
 /// injections and double crashes over it.
 ///
-/// Deterministic for a given [`SweepConfig`]: the workload is fixed, torn
-/// tails derive from `cfg.seed`, and the invariants hold at *any* op cut,
-/// so background-thread interleaving cannot flip a verdict.
+/// Deterministic for a given scenario and seed: the workload is fixed, torn
+/// tails derive from `seed`, and the invariants hold at *any* op cut, so
+/// background-thread interleaving cannot flip a verdict.
 ///
 /// # Errors
 ///
-/// Returns an error only if the harness itself cannot run (an unsupported
-/// leg combination, or a record run that fails or misses its coverage);
-/// invariant violations are reported in [`SweepOutcome::violations`].
-pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
-    let sc = &Scenario::new(cfg)?;
-
+/// Returns an error only if the sweep missed its preset's coverage (see
+/// `check_coverage`); invariant violations are reported in
+/// [`SweepOutcome::violations`].
+pub fn run_crash_sweep(sc: &Scenario, seed: u64) -> Result<SweepOutcome> {
     // Phase 1: record.
     let env = FaultEnv::over_mem();
     env.start_recording();
@@ -390,32 +353,29 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
     let trace = env.stop_recording();
     let phases = env.markers();
     let windows = marker_windows(&phases);
-    check_coverage(cfg, sc, &record, windows.len())?;
     let syncs_recorded = (trace.iter())
         .filter(|r| matches!(r.kind, OpKind::Sync | OpKind::OrderingBarrier))
         .count() as u64;
 
     // Phase 2: crash-point sweep.
-    let sampled = select_crash_points(&trace, cfg.max_crash_points);
-    let points = force_points(sampled, &trace, &windows, cfg.vlog);
+    let sampled = select_crash_points(&trace, sc.preset.sampled_points);
+    let points = force_points(sampled, &trace, &windows, sc);
     let mut violations = Vec::new();
     for &(k, keep) in &points {
-        let (env, replay) = crash_replay(cfg, sc, k, keep);
-        let point = format!(
-            "crash@op{k}{}{}",
-            if keep > 0 { " (torn)" } else { "" },
-            if in_windows(&windows, k) {
-                " [window]"
-            } else {
-                ""
-            }
-        );
+        let (env, replay) = crash_replay(seed, sc, k, keep);
+        let torn = if keep > 0 { " (torn)" } else { "" };
+        let window = if in_windows(&windows, k) {
+            " [window]"
+        } else {
+            ""
+        };
+        let point = format!("crash@op{k}{torn}{window}");
         checked_invariants(&env, sc, &replay, &point, &mut violations);
     }
 
     // Phase 3: EIO-on-sync sweep — injected errors must never be swallowed.
     let mut eio_points = Vec::new();
-    let eio_count = (syncs_recorded as usize).min(cfg.max_eio_points.max(1));
+    let eio_count = (syncs_recorded as usize).min(EIO_POINTS);
     for i in 0..eio_count {
         let n = i as u64 * syncs_recorded / eio_count as u64;
         let env = FaultEnv::over_mem();
@@ -426,11 +386,11 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
         // an error, or a self-healing re-cut absorbed it (the workload's
         // own armed MANIFEST EIO is always absorbed when healthy).
         let injected = env.faults_injected();
-        if injected > 0 && replay.errors == 0 && replay.stats.recuts < injected {
+        let recuts = replay.metrics.manifest_recuts;
+        if injected > 0 && replay.errors == 0 && recuts < injected {
             violations.push(format!(
-                "{point}: injected EIO was swallowed ({} re-cut(s) for {injected} fault(s), \
-                 no caller observed an error)",
-                replay.stats.recuts
+                "{point}: injected EIO was swallowed ({recuts} re-cut(s) for {injected} fault(s), \
+                 no caller observed an error)"
             ));
         }
         // The EIO may have poisoned the database; a crash right after must
@@ -447,36 +407,33 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
     // the post-first-crash filesystem from scratch so the second crash
     // always lands on identical bytes.
     let mut double_crash_points = Vec::new();
-    let firsts = cfg.max_double_crash_first;
-    if firsts > 0 && cfg.max_double_crash_second > 0 {
-        let stride = (points.len() / firsts).max(1);
-        for &(k, keep) in points.iter().step_by(stride).take(firsts) {
-            // Probe: how many ops does recovering from this crash perform?
-            let (env, _) = crash_replay(cfg, sc, k, keep);
-            attempt_open(&env, sc);
-            let recovery_ops = env.op_count();
-            let seconds = cfg.max_double_crash_second.min(recovery_ops as usize);
-            for i in 0..seconds {
-                let j = i as u64 * recovery_ops / seconds as u64;
-                let (env, replay) = crash_replay(cfg, sc, k, keep);
-                env.set_plan(clause(&format!("crash:any:glob=*:nth={j}")));
-                let point = format!("crash@op{k}+recovery-crash@op{j}");
-                if !attempt_open(&env, sc) {
-                    violations.push(format!("{point}: interrupted recovery panicked"));
-                }
-                env.crash_inner(CrashConfig::TornTail {
-                    seed: cfg.seed ^ k.wrapping_mul(0x9E37_79B9) ^ j.wrapping_mul(0x517C_C1B7),
-                });
-                env.reset();
-                checked_invariants(&env, sc, &replay, &point, &mut violations);
-                double_crash_points.push((k, j));
+    let stride = (points.len() / DOUBLE_CRASH_FIRSTS).max(1);
+    for &(k, keep) in points.iter().step_by(stride).take(DOUBLE_CRASH_FIRSTS) {
+        // Probe: how many ops does recovering from this crash perform?
+        let (env, _) = crash_replay(seed, sc, k, keep);
+        attempt_open(&env, sc);
+        let recovery_ops = env.op_count();
+        let seconds = DOUBLE_CRASH_SECONDS.min(recovery_ops as usize);
+        for i in 0..seconds {
+            let j = i as u64 * recovery_ops / seconds as u64;
+            let (env, replay) = crash_replay(seed, sc, k, keep);
+            env.set_plan(clause(&format!("crash:any:glob=*:nth={j}")));
+            let point = format!("crash@op{k}+recovery-crash@op{j}");
+            if !attempt_open(&env, sc) {
+                violations.push(format!("{point}: interrupted recovery panicked"));
             }
+            env.crash_inner(CrashConfig::TornTail {
+                seed: seed ^ k.wrapping_mul(0x9E37_79B9) ^ j.wrapping_mul(0x517C_C1B7),
+            });
+            env.reset();
+            checked_invariants(&env, sc, &replay, &point, &mut violations);
+            double_crash_points.push((k, j));
         }
     }
 
     let crash_points: Vec<u64> = points.iter().map(|&(k, _)| k).collect();
-    Ok(SweepOutcome {
-        policy: cfg.policy,
+    let outcome = SweepOutcome {
+        preset: sc.preset.name,
         ops_recorded: env.op_count(),
         syncs_recorded,
         phases,
@@ -488,19 +445,20 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
         crash_points,
         eio_points,
         double_crash_points,
-        coverage: record.stats,
+        metrics: record.metrics.clone(),
+        cross_shard_txns: record.cross_shard_txns,
         violations,
-    })
+    };
+    check_coverage(sc, &record, &outcome)?;
+    Ok(outcome)
 }
 
 /// Render a sweep outcome for the CLI.
 pub fn render_report(outcome: &SweepOutcome) -> String {
-    let c = outcome.coverage;
+    let c = &outcome.metrics.db;
     let mut lines = vec![format!(
-        "recorded {} ops ({} syncs/barriers) under policy {} across phases:",
-        outcome.ops_recorded,
-        outcome.syncs_recorded,
-        outcome.policy.as_str()
+        "{}: recorded {} ops ({} syncs/barriers) under policy {} across phases:",
+        outcome.preset, outcome.ops_recorded, outcome.syncs_recorded, outcome.metrics.policy
     )];
     lines.extend(
         outcome
@@ -510,27 +468,19 @@ pub fn render_report(outcome: &SweepOutcome) -> String {
     );
     lines.push(format!(
         "coverage: {} flushes, {} compactions, {} settled moves, {} holes punched, \
-         {} manifest re-cuts, {} range deletes",
-        c.flushes, c.compactions, c.settled_moves, c.holes_punched, c.recuts, c.range_deletes
+         {} manifest re-cuts, {} range deletes, {} checkpoints, {} values separated, \
+         {} vlog segments retired, {} cross-shard commits",
+        c.flushes,
+        c.compactions,
+        c.settled_moves,
+        outcome.metrics.io.holes_punched,
+        outcome.metrics.manifest_recuts,
+        c.range_deletes,
+        c.checkpoints,
+        c.vlog_values_separated,
+        c.vlog_segments_retired,
+        outcome.cross_shard_txns
     ));
-    if c.checkpoints > 0 {
-        lines.push(format!(
-            "checkpoint coverage: {} online checkpoint(s)",
-            c.checkpoints
-        ));
-    }
-    if c.vlog_separated > 0 {
-        lines.push(format!(
-            "vlog coverage: {} values separated, {} segments retired",
-            c.vlog_separated, c.vlog_retired
-        ));
-    }
-    if c.cross_shard_txns > 0 {
-        lines.push(format!(
-            "2PC coverage: {} cross-shard commits",
-            c.cross_shard_txns
-        ));
-    }
     lines.push(format!(
         "swept {} crash points ({} inside {} forced windows) + {} EIO points + {} double-crash pairs",
         outcome.crash_points.len(),

@@ -1,6 +1,7 @@
-//! What the fault sweep runs: a [`Scenario`] — options, a [`Target`] (one
-//! `Db` or a `ShardedDb`), a list of workload [`Phase`]s and the
-//! [`Contract`] of labelled invariants checked after every fault.
+//! What the fault sweep runs: a [`Scenario`], built from one row of the
+//! named presets — options, a [`Target`] (one `Db` or a `ShardedDb`), a list
+//! of workload [`Phase`]s, a sampled-point budget — and the [`Contract`] of
+//! labelled invariants checked after every fault.
 //!
 //! The workload's unit of atomicity is the *group*: a set of keys rewritten
 //! by one batch per round. On a single engine a group is a two-key pair in
@@ -11,13 +12,14 @@
 use std::sync::Arc;
 
 use bolt_common::{Error, Result};
-use bolt_core::{CompactionPolicyKind, Db, Options, WriteBatch, WriteOptions};
+use bolt_core::{CompactionPolicyKind, Db, MetricsSnapshot, Options, WriteBatch, WriteOptions};
 use bolt_env::{Env, FaultEnv, FaultPlan};
 use bolt_sharded::{Router, ShardedDb};
 use bolt_ycsb::KvTarget;
 
-use crate::sweep::{SweepConfig, SweepCoverage};
 use crate::verify_db;
+use CompactionPolicyKind::{Fragmented, LazyLeveled, Leveled, SizeTiered};
+use Phase::{Checkpoint, Compact, HolePunch, RangeDelete, Recut, Round};
 
 /// Disjoint filler ranges cycled across rounds. Each range is written in
 /// its own round(s), so whole L0 runs have zero overlap at the level below
@@ -71,7 +73,7 @@ fn value_round(value: &[u8]) -> Option<u32> {
 /// One step of the workload. A failed operation ends its phase; a crash
 /// ends the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+pub(crate) enum Phase {
     /// Rewrite every group (one batch each) plus one filler range, then
     /// flush. On the sharded target each group write is bracketed by
     /// `txn-r<round>g<group>-arm` / `-done` markers: the 2PC window.
@@ -136,93 +138,110 @@ const SHARDED_CONTRACT: Contract = Contract {
     checkpoint: None,
 };
 
-/// Everything one sweep leg runs; built once from the [`SweepConfig`].
-pub(crate) struct Scenario {
-    opts: Options,
+/// The single-engine workload: write rounds, group and settled compaction,
+/// the pinned hole punch, the range delete, the re-cut and an online
+/// checkpoint — every barrier in the §9 ordering contract shows up in the
+/// recorded trace.
+#[rustfmt::skip]
+const ENGINE: &[Phase] = &[
+    Round, Round, Compact("compact-1"), Round, Round, Compact("compact-3"), Round, Round,
+    Compact("compact-5"), Compact("final-compact"), HolePunch, RangeDelete, Recut, Checkpoint,
+];
+/// The sharded workload: three rounds of cross-shard commits.
+const SHARDED: &[Phase] = &[Round; 3];
+
+/// One named sweep: its options (policy, value separation), its target (a
+/// three-shard `ShardedDb` whose every group write is a cross-shard commit,
+/// or one `Db`), its workload and how many crash points are sampled around
+/// the forced windows.
+pub(crate) struct Preset {
+    pub name: &'static str,
+    policy: CompactionPolicyKind,
+    vlog: bool,
+    pub sharded: bool,
+    pub phases: &'static [Phase],
+    pub sampled_points: usize,
+}
+
+/// Every preset, in the order `bolt-tool crash-sweep` runs them. The sharded
+/// one samples fewer points: its commit windows are force-covered.
+#[rustfmt::skip]
+const PRESETS: [Preset; 6] = [
+    Preset { name: "leveled", policy: Leveled, vlog: false, sharded: false, phases: ENGINE, sampled_points: 72 },
+    Preset { name: "size-tiered", policy: SizeTiered, vlog: false, sharded: false, phases: ENGINE, sampled_points: 72 },
+    Preset { name: "lazy-leveled", policy: LazyLeveled, vlog: false, sharded: false, phases: ENGINE, sampled_points: 72 },
+    Preset { name: "fragmented", policy: Fragmented, vlog: false, sharded: false, phases: ENGINE, sampled_points: 72 },
+    Preset { name: "vlog", policy: Leveled, vlog: true, sharded: false, phases: ENGINE, sampled_points: 72 },
+    Preset { name: "sharded", policy: Leveled, vlog: false, sharded: true, phases: SHARDED, sampled_points: 36 },
+];
+
+/// Everything one sweep runs; built from a named preset.
+pub struct Scenario {
+    pub(crate) preset: &'static Preset,
+    pub(crate) opts: Options,
     /// `Some` selects the sharded target.
     router: Option<Router>,
     /// Keys of every atomic group.
     groups: Vec<Vec<String>>,
     /// Single-key filler writes per round.
     fillers: u32,
-    phases: Vec<Phase>,
-    pub contract: Contract,
+    pub(crate) contract: Contract,
 }
 
 impl Scenario {
-    /// The single-engine scenario (write rounds, group + settled
-    /// compaction, pinned hole punch, range delete, re-cut, optional
-    /// checkpoint) or the sharded one (three rounds of 2PC commits).
-    pub fn new(cfg: &SweepConfig) -> Result<Scenario> {
+    /// The preset's names, in the order `bolt-tool crash-sweep` runs them.
+    pub fn names() -> impl Iterator<Item = &'static str> {
+        PRESETS.iter().map(|p| p.name)
+    }
+
+    /// The preset called `name`.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidArgument`, naming every preset, if there is none by that name.
+    pub fn preset(name: &str) -> Result<Scenario> {
+        let Some(p) = PRESETS.iter().find(|p| p.name == name) else {
+            let names = Scenario::names().collect::<Vec<_>>().join(", ");
+            return Err(Error::InvalidArgument(format!(
+                "unknown preset `{name}` (try: {names})"
+            )));
+        };
         let mut opts = Options::bolt().scaled(1.0 / 256.0);
-        opts.compaction_policy = cfg.policy;
-        if cfg.policy != CompactionPolicyKind::Leveled {
+        opts.compaction_policy = p.policy;
+        if p.policy != Leveled {
             opts.size_tiered_min_threshold = 2;
         }
-        if cfg.vlog {
+        if p.vlog {
             // Every group value (~83 B) and hole value (160 B) crosses the
             // threshold and tiny segments force rotations, so the
             // rotate/seal windows are covered.
             opts.value_separation_threshold = Some(64);
             opts.vlog_segment_bytes = 4 << 10;
         }
-        if cfg.sharded {
-            if cfg.vlog || cfg.checkpoint {
-                return Err(Error::InvalidArgument(
-                    "the sharded scenario runs neither the compaction phases the vlog leg \
-                     needs nor a checkpoint (ShardedDb has none)"
-                        .into(),
-                ));
-            }
-            let router = Router::hash(SHARDS)?;
-            return Ok(Scenario {
-                opts,
-                groups: (0..4).map(|g| spanning_group(&router, g)).collect(),
-                router: Some(router),
-                fillers: 40,
-                phases: vec![Phase::Round; 3],
-                contract: SHARDED_CONTRACT,
-            });
-        }
-        // Compact eagerly and keep level 1 tiny so the short workload
-        // reaches group compaction, settled promotion (L1 → L2 moves) and
-        // hole punching — every barrier in the §9 ordering contract shows
-        // up in the recorded trace.
-        opts.level0_compaction_trigger = 2;
-        opts.level1_max_bytes = 12 << 10;
-        use Phase::{Compact, Round};
-        let mut phases = vec![
-            Round,
-            Round,
-            Compact("compact-1"),
-            Round,
-            Round,
-            Compact("compact-3"),
-            Round,
-            Round,
-            Compact("compact-5"),
-            Compact("final-compact"),
-            Phase::HolePunch,
-            Phase::RangeDelete,
-            Phase::Recut,
-        ];
-        if cfg.checkpoint {
-            phases.push(Phase::Checkpoint);
-        }
-        Ok(Scenario {
+        let mut sc = Scenario {
+            preset: p,
             opts,
             router: None,
             groups: (0..24)
                 .map(|p| vec![format!("k{p:03}a"), format!("k{p:03}b")])
                 .collect(),
             fillers: 60,
-            phases,
             contract: SINGLE_CONTRACT,
-        })
-    }
-
-    pub fn sharded(&self) -> bool {
-        self.router.is_some()
+        };
+        if p.sharded {
+            let router = Router::hash(SHARDS)?;
+            sc.groups = (0..4).map(|g| spanning_group(&router, g)).collect();
+            sc.router = Some(router);
+            sc.fillers = 40;
+            sc.contract = SHARDED_CONTRACT;
+        } else {
+            // Compact eagerly and keep level 1 tiny so the short workload
+            // reaches group compaction, settled promotion (L1 → L2 moves)
+            // and hole punching.
+            sc.opts.level0_compaction_trigger = 2;
+            sc.opts.level1_max_bytes = 12 << 10;
+        }
+        Ok(sc)
     }
 }
 
@@ -367,13 +386,18 @@ pub(crate) struct Model {
     pub groups: Vec<GroupState>,
     /// Range-delete phase progress.
     pub rd: RdPhase,
+    /// Holes punched while the hole-punch phase ran.
+    pub phase_holes: u64,
     /// `checkpoint("ckpt")` returned `Ok`.
     pub ckpt_acked: bool,
     /// Full scan captured right after the checkpoint ack.
     pub ckpt_expected: Option<Scan>,
     /// Errors the workload observed (open/write/flush/compact/close).
     pub errors: usize,
-    pub stats: SweepCoverage,
+    /// Cross-shard commits acknowledged (sharded target only).
+    pub cross_shard_txns: u64,
+    /// The target's metrics, snapshotted after close.
+    pub metrics: MetricsSnapshot,
 }
 
 /// One workload run in progress.
@@ -417,7 +441,7 @@ impl Run<'_> {
     /// Rewrite group `g` with this round's value in one atomic batch;
     /// yields whether the write was acknowledged.
     fn write_group(&mut self, g: usize, sync: bool) -> Option<bool> {
-        let (round, two_pc) = (self.round, self.sc.sharded());
+        let (round, two_pc) = (self.round, self.sc.preset.sharded);
         let value = group_value(round, g);
         let mut batch = WriteBatch::new();
         for key in &self.sc.groups[g] {
@@ -435,7 +459,7 @@ impl Run<'_> {
                 group.durable_floor = Some(round);
             }
             if two_pc {
-                self.model.stats.cross_shard_txns += 1;
+                self.model.cross_shard_txns += 1;
                 self.env.mark(&format!("txn-r{round}g{g}-done"));
             }
         }
@@ -467,6 +491,8 @@ impl Run<'_> {
                 self.env.mark(label);
             }
             Phase::HolePunch => {
+                let holes = || db.kv().metrics().io.holes_punched;
+                let before = holes();
                 for i in 0..HOLE_KEYS {
                     self.step(db.kv().put(hole_key(i).as_bytes(), &[b'h'; 160]))?;
                 }
@@ -481,6 +507,7 @@ impl Run<'_> {
                     self.step(engine.compact_range(begin.as_bytes(), end.as_bytes()))?;
                 }
                 self.step(db.compact_until_quiet())?;
+                self.model.phase_holes = holes() - before;
                 self.env.mark("hole-punch");
             }
             Phase::RangeDelete => {
@@ -522,7 +549,7 @@ impl Run<'_> {
             Phase::Checkpoint => {
                 self.env.mark("ckpt-arm");
                 let Target::Single(engine) = db else {
-                    unreachable!("Scenario::new refuses a sharded checkpoint");
+                    unreachable!("no preset checkpoints a sharded target");
                 };
                 self.step(engine.checkpoint("ckpt"))?;
                 self.model.ckpt_acked = true;
@@ -556,7 +583,7 @@ pub(crate) fn run_workload(env: &FaultEnv, sc: &Scenario) -> Model {
         round: 0,
         model,
     };
-    for &phase in &sc.phases {
+    for &phase in sc.preset.phases {
         let _ = run.phase(phase);
         if env.crashed() {
             break;
@@ -566,25 +593,12 @@ pub(crate) fn run_workload(env: &FaultEnv, sc: &Scenario) -> Model {
     if db.close().is_err() {
         model.errors += 1;
     }
-    // Capture coverage only after close() has joined the background
-    // threads: a MANIFEST re-cut absorbing an injected sync error can land
-    // in a late background compaction, and snapshotting `manifest_recuts`
-    // before the join undercounts it — making a correctly-absorbed fault
-    // look swallowed.
-    let metrics = db.kv().metrics();
-    let s = metrics.db;
-    model.stats = SweepCoverage {
-        flushes: s.flushes,
-        compactions: s.compactions,
-        settled_moves: s.settled_moves,
-        holes_punched: metrics.io.holes_punched,
-        recuts: metrics.manifest_recuts,
-        vlog_separated: s.vlog_values_separated,
-        vlog_retired: s.vlog_segments_retired,
-        range_deletes: s.range_deletes,
-        checkpoints: s.checkpoints,
-        ..model.stats
-    };
+    // Snapshot only after close() has joined the background threads: a
+    // MANIFEST re-cut absorbing an injected sync error can land in a late
+    // background compaction, and snapshotting `manifest_recuts` before the
+    // join undercounts it — making a correctly-absorbed fault look
+    // swallowed.
+    model.metrics = db.kv().metrics();
     model
 }
 
@@ -815,8 +829,8 @@ mod tests {
 
     /// Run the scenario fault-free and power-cycle cleanly: a correctly
     /// recovered image plus the workload's truthful model.
-    fn recovered(cfg: &SweepConfig) -> (FaultEnv, Scenario, Model) {
-        let sc = Scenario::new(cfg).expect("scenario");
+    fn recovered(preset: &str) -> (FaultEnv, Scenario, Model) {
+        let sc = Scenario::preset(preset).expect("scenario");
         let env = FaultEnv::over_mem();
         let model = run_workload(&env, &sc);
         assert_eq!(model.errors, 0, "record run saw errors");
@@ -837,10 +851,7 @@ mod tests {
     /// fragmented it across output tables.
     #[test]
     fn workload_invariants_hold_after_clean_powercycle() {
-        let (env, sc, record) = recovered(&SweepConfig {
-            checkpoint: true,
-            ..SweepConfig::default()
-        });
+        let (env, sc, record) = recovered("leveled");
         assert_eq!(record.rd, RdPhase::RebirthDurable);
         assert!(record.ckpt_acked);
         // The live scan the checkpoint pinned must already honour the
@@ -896,21 +907,16 @@ mod tests {
             assert!(model.ckpt_acked);
             env.delete_file("ckpt/CURRENT").expect("delete CURRENT");
         };
-        let single = SweepConfig {
-            checkpoint: true,
-            ..SweepConfig::default()
-        };
-        let sharded = SweepConfig::for_sharded();
-        let rows: [(&str, &SweepConfig, Doctor); 6] = [
-            ("I1", &single, floor_too_high),
-            ("I2", &single, halves_differ),
-            ("I5", &single, tombstone_not_durable),
-            ("C1", &single, checkpoint_unpublished),
-            ("A2", &sharded, floor_too_high),
-            ("A1", &sharded, halves_differ),
+        let rows: [(&str, &str, Doctor); 6] = [
+            ("I1", "leveled", floor_too_high),
+            ("I2", "leveled", halves_differ),
+            ("I5", "leveled", tombstone_not_durable),
+            ("C1", "leveled", checkpoint_unpublished),
+            ("A2", "sharded", floor_too_high),
+            ("A1", "sharded", halves_differ),
         ];
-        for (label, cfg, doctor) in rows {
-            let (env, sc, mut model) = recovered(cfg);
+        for (label, preset, doctor) in rows {
+            let (env, sc, mut model) = recovered(preset);
             doctor(&env, &sc, &mut model);
             let violations = violations(&env, &sc, &model);
             assert!(

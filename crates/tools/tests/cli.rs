@@ -33,10 +33,14 @@ fn assert_usage_error(args: &[&str], complaint: &str) -> String {
 
 #[test]
 fn unparseable_numbers_are_usage_errors() {
-    // The letter O, not a zero: this used to sweep the default point set
-    // and print `ok`.
-    assert_usage_error(&["crash-sweep", "10O"], "max-points must be a number");
-    assert_usage_error(&["crash-sweep", "4", "seed"], "seed must be a number");
+    // The first argument names a preset: a point count (with the letter O,
+    // not a zero) or a flag is an unknown preset.
+    for preset in ["10O", "--sharded"] {
+        let stderr = assert_usage_error(&["crash-sweep", preset], "unknown preset");
+        let names = "(try: leveled, size-tiered, lazy-leveled, fragmented, vlog, sharded)";
+        assert!(stderr.contains(names), "{stderr}");
+    }
+    assert_usage_error(&["crash-sweep", "leveled", "seed"], "seed must be a number");
 
     let db = fresh_db("cli-bad-numbers");
     assert_usage_error(&["load", &db, "1e3"], "records must be a number");
@@ -59,24 +63,20 @@ fn parsed_numbers_are_honoured() {
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).ends_with("(7 entries)\n"));
 
-    // The default samples 72 points before adding the forced windows.
-    let out = bolt_tool(&["crash-sweep", "3", "9"]);
+    let out = bolt_tool(&["crash-sweep", "sharded", "9"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    let swept: u64 = stdout
-        .split("swept ")
-        .nth(1)
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|n| n.parse().ok())
-        .expect("report names its point count");
-    assert!(swept < 72, "swept {swept} points:\n{stdout}");
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout.starts_with("sharded: recorded "), "{stdout}");
+    assert!(
+        stdout.ends_with("ok: all recovery invariants held\n"),
+        "{stdout}"
+    );
 }
 
 #[test]
 fn unknown_policy_is_a_usage_error_everywhere() {
     for args in [
-        &["crash-sweep", "--policy=mystery"][..],
-        &["stat", "no-such-db", "--policy=mystery"],
+        &["stat", "no-such-db", "--policy=mystery"][..],
         &["backup", "verify", "no-such-backup", "--policy=mystery"],
     ] {
         assert_usage_error(args, "unknown policy `mystery`");

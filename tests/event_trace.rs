@@ -6,8 +6,7 @@
 //! append), and settled/move-only compactions pay no data barrier at all.
 //!
 //! A second test cross-checks `Db::metrics()` against the raw `DbStats` and
-//! env `IoStats` counters it claims to merge, and a third re-runs the crash
-//! sweep to show event emission never perturbs invariants I1-I4.
+//! env `IoStats` counters it claims to merge.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -283,28 +282,4 @@ fn manifest_recut_is_traced_and_schema_valid() {
     let checked = bolt_tools::validate_trace_lines(&lines, &schema).expect("schema-valid stream");
     assert!(checked > 0, "validated {checked} lines");
     db.close().expect("close");
-}
-
-#[test]
-fn event_emission_preserves_crash_invariants() {
-    // Tracing is always on, so the sweep exercises every emission site
-    // under torn-tail crashes and EIO faults. A shortened sweep keeps this
-    // leg fast; tests/crash_sweep.rs runs the full matrix.
-    let cfg = bolt_tools::SweepConfig {
-        max_crash_points: 24,
-        max_eio_points: 8,
-        max_double_crash_first: 2,
-        max_double_crash_second: 3,
-        ..bolt_tools::SweepConfig::default()
-    };
-    let outcome = bolt_tools::run_crash_sweep(&cfg).expect("sweep runs");
-    assert!(
-        outcome.violations.is_empty(),
-        "event emission broke crash invariants: {:#?}",
-        outcome.violations
-    );
-    assert!(
-        !outcome.crash_points.is_empty(),
-        "sweep exercised crash points"
-    );
 }
