@@ -12,10 +12,9 @@
 
 use std::sync::Arc;
 
-use bolt_bench::bolt_core::{Db, Options};
+use bolt_bench::bolt_core::Options;
 use bolt_bench::bolt_env::{Env, SimEnv};
-use bolt_bench::bolt_ycsb::{load_db, BenchConfig};
-use bolt_bench::{bench_device, kops, mb, print_table, scaled_ops, write_csv, CAPACITY_SCALE};
+use bolt_bench::{bench_device, kops, load_and_settle, mb, report, scaled_ops};
 
 fn run(label: &str, opts: Options, barrierfs: bool, rows: &mut Vec<Vec<String>>) {
     let model = bench_device();
@@ -26,19 +25,7 @@ fn run(label: &str, opts: Options, barrierfs: bool, rows: &mut Vec<Vec<String>>)
     } else {
         Arc::new(SimEnv::new(model))
     };
-    let db = Arc::new(
-        Db::open(Arc::clone(&env), "bench-db", opts.scaled(CAPACITY_SCALE)).expect("open"),
-    );
-    let cfg = BenchConfig {
-        record_count: scaled_ops(40_000),
-        op_count: 0,
-        threads: 4,
-        value_len: 256,
-        seed: 5,
-    };
-    let result = load_db(&db, &cfg).expect("load");
-    db.flush().expect("flush");
-    db.compact_until_quiet().expect("settle");
+    let (db, result) = load_and_settle(&env, opts, scaled_ops(40_000), 5);
     let io = env.stats().snapshot();
     rows.push(vec![
         label.to_string(),
@@ -64,12 +51,12 @@ fn main() {
         "written_MB",
         "load_kops/s",
     ];
-    print_table(
+    report(
         "BarrierFS ablation — ordering-only barriers vs BoLT (Load A)",
+        "ablation_barrierfs",
         &headers,
         &rows,
     );
-    write_csv("ablation_barrierfs", &headers, &rows);
     println!(
         "\npaper's argument: BarrierFS can cut LevelDB's durability barriers like BoLT\n\
          does, but only BoLT also cuts the bytes written (settled compaction)."

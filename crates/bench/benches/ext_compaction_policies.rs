@@ -16,8 +16,7 @@ use std::sync::Arc;
 use bolt_bench::bolt_core::{CompactionPolicyKind, Options};
 use bolt_bench::bolt_ycsb::{load_db, run_workload, BenchConfig, Workload};
 use bolt_bench::{
-    check_floor, measure_phase, open_db, print_table, scaled_ops, sim_env, write_csv, PhaseResult,
-    PHASE_HEADERS,
+    check_floor, measure_phase, open_db, report, scaled_ops, sim_env, PhaseResult, PHASE_HEADERS,
 };
 
 const POLICIES: [CompactionPolicyKind; 3] = [
@@ -97,12 +96,12 @@ fn main() {
         &["write_amp", "read_amp"],
     ]
     .concat();
-    print_table(
+    report(
         "Compaction policies — YCSB suite under BoLT, 1 KB values",
+        "ext_compaction_policies",
         &headers,
         &rows,
     );
-    write_csv("ext_compaction_policies", &headers, &rows);
 
     let headers = [
         "policy",
@@ -120,8 +119,12 @@ fn main() {
                 .collect()
         })
         .collect();
-    print_table("Compaction policies — cumulative", &headers, &summary_rows);
-    write_csv("ext_compaction_policies_summary", &headers, &summary_rows);
+    report(
+        "Compaction policies — cumulative",
+        "ext_compaction_policies_summary",
+        &headers,
+        &summary_rows,
+    );
 
     let (leveled, lazy) = (summary[0][0], summary[2][0]);
     check_floor(

@@ -27,8 +27,8 @@ use bolt_bench::bolt_ycsb::{
     key_name, load_db, run_workload, value_payload, BenchConfig, KvTarget, RunResult, Workload,
 };
 use bolt_bench::{
-    check_floor, measure_phase, open_db, print_table, scaled_ops, write_csv, PhaseResult,
-    CAPACITY_SCALE, PHASE_HEADERS,
+    check_floor, measure_phase, open_db, report, scaled_ops, PhaseResult, CAPACITY_SCALE,
+    PHASE_HEADERS,
 };
 use bolt_common::histogram::Histogram;
 use bolt_common::Result;
@@ -162,12 +162,12 @@ fn main() {
         .chain(single.iter().zip(&sharded).map(|(s, p)| row(SHARDS, s, p)))
         .collect();
     let headers = [&["workload", "shards"][..], &PHASE_HEADERS, &["speedup"]].concat();
-    print_table(
+    report(
         &format!("Sharded scaling — 1 vs {SHARDS} shards, {THREADS} clients, synced 1 KB writes"),
+        "ext_sharded_scaling",
         &headers,
         &rows,
     );
-    write_csv("ext_sharded_scaling", &headers, &rows);
 
     let load_speedup = sharded[0].throughput / single[0].throughput;
     check_floor(

@@ -12,8 +12,7 @@
 use bolt_bench::bolt_core::Options;
 use bolt_bench::bolt_ycsb::{load_db, BenchConfig};
 use bolt_bench::{
-    check_floor, measure_phase, open_db, print_table, scaled_ops, sim_env, write_csv, PhaseResult,
-    PHASE_HEADERS,
+    check_floor, measure_phase, open_db, report, scaled_ops, sim_env, PhaseResult, PHASE_HEADERS,
 };
 
 /// Values above this go to the value log in the separated configuration.
@@ -69,12 +68,12 @@ fn main() {
         &["write_amp"],
     ]
     .concat();
-    print_table(
+    report(
         &format!("Value separation — YCSB Load, threshold {THRESHOLD} B"),
+        "ext_value_separation",
         &headers,
         &rows,
     );
-    write_csv("ext_value_separation", &headers, &rows);
     for (value_len, reduction) in VALUE_LENS.iter().zip(&reductions) {
         println!("write-amp reduction at {value_len} B values: {reduction:.2}x");
     }

@@ -8,8 +8,7 @@
 //! Run: `cargo bench -p bolt-bench --bench fig04_sstable_size`
 
 use bolt_bench::bolt_core::Options;
-use bolt_bench::bolt_ycsb::{load_db, BenchConfig};
-use bolt_bench::{kops, open_db, print_table, scaled_ops, sim_env, us, write_csv};
+use bolt_bench::{kops, load_and_settle, report, scaled_ops, sim_env, us};
 
 fn main() {
     // Paper sizes 2–64 MB, divided by the 1/64 capacity scale.
@@ -21,17 +20,7 @@ fn main() {
         let mut opts = Options::leveldb();
         opts.sstable_bytes = size_mb << 20;
         let env = sim_env();
-        let db = open_db(&env, opts);
-        let cfg = BenchConfig {
-            record_count: records,
-            op_count: 0,
-            threads: 4,
-            value_len: 256,
-            seed: 4,
-        };
-        let result = load_db(&db, &cfg).expect("load");
-        db.flush().expect("flush");
-        db.compact_until_quiet().expect("settle");
+        let (db, result) = load_and_settle(&env, opts, records, 4);
         let io = env.stats().snapshot();
         rows.push(vec![
             format!("{size_mb}MB"),
@@ -54,11 +43,11 @@ fn main() {
         "p99.9_us",
         "max_us",
     ];
-    print_table(
+    report(
         "Fig 4 — stock LevelDB, Load A: fsync count & insertion tail latency vs SSTable size",
+        "fig04_sstable_size",
         &headers,
         &rows,
     );
-    write_csv("fig04_sstable_size", &headers, &rows);
     println!("\npaper shape: fsync calls fall ~linearly with SSTable size; tail latency improves.");
 }

@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use bolt_bench::bolt_core::{Db, Options};
-use bolt_bench::bolt_ycsb::{key_name, load_db, BenchConfig};
-use bolt_bench::{print_table, scaled_ops, sim_env, us, write_csv, CAPACITY_SCALE};
+use bolt_bench::bolt_ycsb::key_name;
+use bolt_bench::{load_and_settle, report, scaled_ops, sim_env, us, CAPACITY_SCALE};
 use bolt_common::histogram::Histogram;
 use bolt_common::rng::Rng64;
 
@@ -24,24 +24,7 @@ fn run(label: &str, sstable_mb: u64, rows: &mut Vec<Vec<String>>) {
 
     let records = scaled_ops(60_000);
     let env = sim_env();
-    let db = Arc::new(
-        Db::open(
-            Arc::clone(&env),
-            "bench-db",
-            opts.clone().scaled(CAPACITY_SCALE),
-        )
-        .expect("open"),
-    );
-    let cfg = BenchConfig {
-        record_count: records,
-        op_count: 0,
-        threads: 4,
-        value_len: 256,
-        seed: 6,
-    };
-    load_db(&db, &cfg).expect("load");
-    db.flush().expect("flush");
-    db.compact_until_quiet().expect("settle");
+    let (db, _) = load_and_settle(&env, opts.clone(), records, 6);
 
     // Model the paper's 8 GB memory cap: the TableCache may hold the same
     // *bytes* of metadata in both configurations, so the slot count is a
@@ -96,11 +79,6 @@ fn main() {
         "p99_us",
         "p99.9_us",
     ];
-    print_table(
-        "Fig 6 — RocksDB profile: point-query latency, 2MB vs 64MB SSTables, fixed TableCache slots",
-        &headers,
-        &rows,
-    );
-    write_csv("fig06_table_cache", &headers, &rows);
+    report("Fig 6 — RocksDB profile: point-query latency, 2MB vs 64MB SSTables, fixed TableCache slots", "fig06_table_cache", &headers, &rows);
     println!("\npaper shape: 64MB SSTables show a far heavier tail (big index-block reloads).");
 }

@@ -9,28 +9,17 @@
 //! Run: `cargo bench -p bolt-bench --bench fig11_group_size`
 
 use bolt_bench::bolt_core::{CompactionStyle, Options};
-use bolt_bench::bolt_ycsb::{load_db, BenchConfig};
-use bolt_bench::{kops, open_db, print_table, scaled_ops, sim_env, write_csv};
+use bolt_bench::{kops, load_and_settle, mb, report, scaled_ops, sim_env};
 
 fn run(label: &str, opts: Options, rows: &mut Vec<Vec<String>>) {
     let env = sim_env();
-    let db = open_db(&env, opts);
-    let cfg = BenchConfig {
-        record_count: scaled_ops(40_000),
-        op_count: 0,
-        threads: 4,
-        value_len: 256,
-        seed: 11,
-    };
-    let result = load_db(&db, &cfg).expect("load");
-    db.flush().expect("flush");
-    db.compact_until_quiet().expect("settle");
+    let (db, result) = load_and_settle(&env, opts, scaled_ops(40_000), 11);
     let io = env.stats().snapshot();
     rows.push(vec![
         label.to_string(),
         io.fsync_calls.to_string(),
         kops(result.throughput()),
-        bolt_bench::mb(io.bytes_written),
+        mb(io.bytes_written),
     ]);
     db.close().expect("close");
 }
@@ -50,11 +39,11 @@ fn main() {
     }
 
     let headers = ["config", "fsync_calls", "load_kops/s", "written_MB"];
-    print_table(
+    report(
         "Fig 11 — fsync calls vs group compaction size (Load A)",
+        "fig11_group_size",
         &headers,
         &rows,
     );
-    write_csv("fig11_group_size", &headers, &rows);
     println!("\npaper shape: LevelDB ≈ 2× the fsyncs of GC2MB; count falls as the group grows.");
 }

@@ -11,37 +11,25 @@
 //! Run: `cargo bench -p bolt-bench --bench fig12_ablation`
 
 use bolt_bench::{
-    fig12a_profiles, fig12b_profiles, kops, mb, print_table, run_suite, write_csv, SuiteConfig,
+    fig12a_profiles, fig12b_profiles, mb, report, run_suite, SuiteConfig, SUITE_HEADERS,
 };
 
 fn run_part(part: &str, profiles: Vec<(&'static str, bolt_bench::bolt_core::Options)>) {
     let cfg = SuiteConfig::default();
-    let mut rows = Vec::new();
-    for (name, opts) in profiles {
-        let result = run_suite(name, opts, &cfg);
-        let mut row = vec![name.to_string()];
-        row.extend(result.phases.iter().map(|p| kops(p.throughput)));
-        row.push(mb(result.bytes_written));
-        rows.push(row);
-    }
-    let headers = [
-        "system",
-        "LA",
-        "A",
-        "B",
-        "C",
-        "F",
-        "D",
-        "LE",
-        "E",
-        "written_MB",
-    ];
-    print_table(
+    let rows: Vec<_> = profiles
+        .into_iter()
+        .map(|(name, opts)| {
+            let result = run_suite(name, opts, &cfg);
+            result.kops_row([mb(result.bytes_written)])
+        })
+        .collect();
+    let headers = [&SUITE_HEADERS[..], &["written_MB"]].concat();
+    report(
         &format!("Fig 12({part}) — BoLT ablations, throughput in kops/s"),
+        &format!("fig12{part}_ablation"),
         &headers,
         &rows,
     );
-    write_csv(&format!("fig12{part}_ablation"), &headers, &rows);
 }
 
 fn main() {

@@ -1,13 +1,15 @@
 //! # bolt-bench
 //!
 //! Shared harness for the figure-regeneration benchmarks. Each bench target
-//! under `benches/` reproduces one table/figure of the BoLT paper
-//! (MIDDLEWARE 2020), and each `ext_*` target one experiment beyond it
-//! (sharded scaling, compaction policies, value separation); this crate
-//! holds the common scaffolding: scaled experiment sizing, environment
-//! construction, the measured-phase runner and the YCSB suite driver built
-//! on it, perf floors, and result formatting (stdout tables + CSV files
-//! under `target/figures/`).
+//! under `benches/` runs one experiment of the BoLT paper (MIDDLEWARE 2020)
+//! once and prints every table made from its runs — `fig13_ycsb` also
+//! prints Fig 14 and the future-work table, `fig15_bolt_vs_rocks` also
+//! Fig 16 — and each `ext_*` target one experiment beyond it (sharded
+//! scaling, compaction policies, value separation); this crate holds the
+//! common scaffolding: scaled experiment sizing, environment construction,
+//! the load-and-settle driver, the measured-phase runner and the YCSB suite
+//! driver built on it, perf floors, and result formatting (stdout tables +
+//! CSV files under `target/figures/`).
 //!
 //! ## Scaling
 //!
@@ -85,6 +87,30 @@ pub fn open_db(env: &Arc<dyn Env>, opts: Options) -> Arc<Db> {
     )
 }
 
+/// Load `records` 256-byte records into a fresh database on `env` with four
+/// clients seeded by `seed`, then flush it and compact until quiet: the
+/// first step of every figure that measures a load or reads a settled
+/// tree. Returns the settled database and the load's client-side run.
+pub fn load_and_settle(
+    env: &Arc<dyn Env>,
+    opts: Options,
+    records: u64,
+    seed: u64,
+) -> (Arc<Db>, RunResult) {
+    let db = open_db(env, opts);
+    let cfg = BenchConfig {
+        record_count: records,
+        op_count: 0,
+        threads: 4,
+        value_len: 256,
+        seed,
+    };
+    let run = load_db(&db, &cfg).expect("load");
+    db.flush().expect("flush");
+    db.compact_until_quiet().expect("settle");
+    (db, run)
+}
+
 /// A figure's rows: each display label with the profile
 /// [`Options::profile`] knows under `name`.
 fn labelled(rows: &[(&'static str, &str)]) -> Vec<(&'static str, Options)> {
@@ -104,6 +130,21 @@ pub fn fig13_profiles() -> Vec<(&'static str, Options)> {
         ("BoLT", "bolt"),
         ("HBoLT", "hyperbolt"),
     ])
+}
+
+/// The systems of Figs 15 and 16: RocksDB, and BoLT with the paper's
+/// §4.3.3 parameter matching (RocksDB's TableCache, L0 triggers 20/36 and
+/// L1 = 256 MB).
+pub fn fig15_profiles() -> Vec<(&'static str, Options)> {
+    let rocks = Options::rocksdb();
+    let bolt = Options {
+        max_open_files: rocks.max_open_files,
+        level0_slowdown_trigger: rocks.level0_slowdown_trigger,
+        level0_stop_trigger: rocks.level0_stop_trigger,
+        level1_max_bytes: rocks.level1_max_bytes,
+        ..Options::bolt()
+    };
+    vec![("BoLT", bolt), ("Rocks", rocks)]
 }
 
 /// The Fig 12(a) ablation ladder on LevelDB.
@@ -234,6 +275,30 @@ pub struct SuiteResult {
     pub bytes_written: u64,
 }
 
+/// Column names of a [`SuiteResult::kops_row`]: the system, then each
+/// phase in run order.
+pub const SUITE_HEADERS: [&str; 9] = ["system", "LA", "A", "B", "C", "F", "D", "LE", "E"];
+
+impl SuiteResult {
+    /// The phase labelled `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the suite ran no such phase.
+    pub fn phase(&self, name: &str) -> &PhaseResult {
+        let found = self.phases.iter().find(|p| p.phase == name);
+        found.unwrap_or_else(|| panic!("no phase {name} in the suite"))
+    }
+
+    /// The system label, then each phase's throughput in kops/s, then
+    /// `extra`.
+    pub fn kops_row(&self, extra: impl IntoIterator<Item = String>) -> Vec<String> {
+        let kops = self.phases.iter().map(|p| kops(p.throughput));
+        let row = std::iter::once(self.system.clone()).chain(kops);
+        row.chain(extra).collect()
+    }
+}
+
 /// Workload-suite sizing.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
@@ -338,8 +403,9 @@ pub fn check_floor(floor: &str, holds: bool) {
     }
 }
 
-/// Print an aligned table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+/// Print an aligned table under `title`, then write it as CSV to
+/// `target/figures/<csv>.csv`.
+pub fn report(title: &str, csv: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -363,15 +429,12 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .collect();
         println!("{}", line.join("  "));
     }
-}
 
-/// Write rows as CSV under `target/figures/<name>.csv`.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
     let dir = std::path::Path::new("target/figures");
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let path = dir.join(format!("{name}.csv"));
+    let path = dir.join(format!("{csv}.csv"));
     let Ok(mut file) = std::fs::File::create(&path) else {
         return;
     };
@@ -380,6 +443,25 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
         let _ = writeln!(file, "{}", row.join(","));
     }
     println!("(csv written to {})", path.display());
+}
+
+/// [`report`] the latency percentiles of `phase` in each of `suites`: a
+/// row per system, a `p<pct>_us` column per entry of `pcts`.
+pub fn report_tails(title: &str, csv: &str, pcts: &[f64], suites: &[SuiteResult], phase: &str) {
+    let pct_headers = pcts.iter().map(|p| format!("p{p}_us"));
+    let headers: Vec<String> = std::iter::once("system".into())
+        .chain(pct_headers)
+        .collect();
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let rows: Vec<Vec<String>> = suites
+        .iter()
+        .map(|suite| {
+            let hist = &suite.phase(phase).run.overall;
+            let cells = pcts.iter().map(|&p| us(hist.percentile(p)));
+            std::iter::once(suite.system.clone()).chain(cells).collect()
+        })
+        .collect();
+    report(title, csv, &headers, &rows);
 }
 
 /// Format ops/s in thousands with one decimal.
@@ -400,6 +482,7 @@ pub fn mb(bytes: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bolt_core::CompactionStyle;
 
     #[test]
     fn scaled_ops_respects_default() {
@@ -409,6 +492,18 @@ mod tests {
     #[test]
     fn profiles_cover_the_paper() {
         assert_eq!(fig13_profiles().len(), 7);
+        let fig15 = fig15_profiles();
+        let [(bolt_label, bolt), (rocks_label, rocks)] = &fig15[..] else {
+            panic!("Fig 15 compares two systems");
+        };
+        assert_eq!((*bolt_label, *rocks_label), ("BoLT", "Rocks"));
+        assert!(matches!(rocks.compaction_style, CompactionStyle::Leveled));
+        // BoLT's mechanisms under RocksDB's matched sizing (§4.3.3).
+        assert!(matches!(bolt.compaction_style, CompactionStyle::Bolt(_)));
+        assert_eq!(bolt.max_open_files, rocks.max_open_files);
+        assert_eq!(bolt.level0_slowdown_trigger, Some(20));
+        assert_eq!(bolt.level0_stop_trigger, Some(36));
+        assert_eq!(bolt.level1_max_bytes, rocks.level1_max_bytes);
         assert_eq!(fig12a_profiles().len(), 5);
         assert_eq!(fig12b_profiles().len(), 5);
     }
@@ -480,5 +575,9 @@ mod tests {
             assert!(phase.throughput > 0.0, "phase {}", phase.phase);
         }
         assert!(result.bytes_written > 0);
+        assert_eq!(result.phase("C").phase, "C");
+        let row = result.kops_row(["extra".to_string()]);
+        assert_eq!(row.len(), SUITE_HEADERS.len() + 1);
+        assert_eq!((row[0].as_str(), row[9].as_str()), ("BoLT", "extra"));
     }
 }

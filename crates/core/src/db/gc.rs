@@ -38,13 +38,14 @@ impl Db {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidArgument` for an empty target or the database's own
-    /// directory, and I/O errors from the env; on error the partial
+    /// Returns `InvalidArgument`, having written nothing, for an empty
+    /// target or the database's own directory under any spelling (`db/`,
+    /// `./db`); and I/O errors from the env, in which case the partial
     /// directory is left for the caller (it has no CURRENT and cannot be
     /// mistaken for a database).
     pub fn checkpoint(&self, dir: &str) -> Result<SequenceNumber> {
         let inner = &self.inner;
-        if dir.is_empty() || *dir == *inner.name {
+        if dir.is_empty() || inner.versions.lock().is_own_dir(dir) {
             return Err(Error::InvalidArgument(format!(
                 "checkpoint target `{dir}` must be a directory other than the database's own"
             )));

@@ -75,6 +75,15 @@ impl VersionSet {
         self.manifest.recuts
     }
 
+    /// Whether `dir` names this database's own directory, in any spelling
+    /// (`db/`, `./db`): the live MANIFEST is visible there, at its length.
+    /// A checkpoint into it would repoint the live CURRENT at its snapshot.
+    pub fn is_own_dir(&self, dir: &str) -> bool {
+        let number = self.manifest.number;
+        let size = |db: &str| self.env.file_size(&manifest_file(db, number));
+        matches!((size(&self.db), size(dir)), (Ok(live), Ok(there)) if live == there)
+    }
+
     /// Append `edit` to the MANIFEST and sync it — the commit barrier —
     /// healing a failed append or sync by re-cutting (O5). Returns the
     /// length of the record that committed. The in-memory set is not

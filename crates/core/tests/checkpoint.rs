@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use bolt_core::{Db, Options};
-use bolt_env::{CrashConfig, Env, FaultEnv, FaultPlan, MemEnv};
+use bolt_env::{CrashConfig, Env, FaultEnv, FaultPlan, MemEnv, RealEnv};
 
 fn opts() -> Options {
     Options::bolt().scaled(1.0 / 256.0)
@@ -24,13 +24,47 @@ fn scan(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
     out
 }
 
+/// Flush 2,000 keys, ask for a checkpoint into each of `targets` (every
+/// one must be refused), flush 100 more, reopen, and read every key back:
+/// a refused checkpoint wrote and unlinked nothing.
+fn refused_checkpoints_lose_nothing(env: Arc<dyn Env>, targets: &[&str]) {
+    let key = |i: u32| format!("k{i:05}").into_bytes();
+    let db = Db::open(Arc::clone(&env), "db", opts()).unwrap();
+    for i in 0..2_000 {
+        db.put(&key(i), b"v").unwrap();
+    }
+    db.flush().unwrap();
+    for target in targets {
+        let err = db.checkpoint(target).unwrap_err();
+        assert!(err.is_invalid_argument(), "`{target}`: {err}");
+    }
+    for i in 2_000..2_100 {
+        db.put(&key(i), b"v").unwrap();
+    }
+    db.flush().unwrap();
+    db.close().unwrap();
+
+    let db = Db::open(env, "db", opts()).unwrap();
+    let lost = (0..2_100).filter(|&i| db.get(&key(i)).unwrap().is_none());
+    assert_eq!(lost.count(), 0, "keys lost after refusing {targets:?}");
+    db.close().unwrap();
+}
+
 #[test]
 fn checkpoint_rejects_bad_targets() {
-    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let db = Db::open(Arc::clone(&env), "db", opts()).unwrap();
-    assert!(db.checkpoint("").unwrap_err().is_invalid_argument());
-    assert!(db.checkpoint("db").unwrap_err().is_invalid_argument());
-    db.close().unwrap();
+    refused_checkpoints_lose_nothing(Arc::new(MemEnv::new()), &["", "db", "db/"]);
+}
+
+/// On a real filesystem every spelling of the database's own directory
+/// resolves to its files: a checkpoint there would relink live tables onto
+/// themselves and repoint the live CURRENT.
+#[test]
+fn checkpoint_rejects_own_directory_on_real_fs() {
+    let dir = std::env::temp_dir().join(format!("bolt-ckpt-self-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    refused_checkpoints_lose_nothing(Arc::new(RealEnv::new(&dir)), &["db/", "./db"]);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -243,34 +243,20 @@ pub trait Env: Send + Sync {
     fn punch_hole(&self, path: &str, offset: u64, len: u64) -> Result<()>;
 
     /// Make the immutable file `src` also reachable as `dst` — a hard link
-    /// where the store supports one, a full copy otherwise. Checkpoints use
-    /// this to publish SSTables and value-log segments into a checkpoint
-    /// directory without rewriting their bytes.
+    /// where the store supports one, a synced copy otherwise. Checkpoints
+    /// use this to publish SSTables and value-log segments into a
+    /// checkpoint directory without rewriting their bytes.
     ///
-    /// The default implementation copies and syncs `dst`, so linked content
-    /// is durable on return in every implementation. Callers must only link
-    /// files that are never appended to again (tables, sealed segments):
-    /// with a true hard link, later writes through either name would alias.
+    /// Linked content is durable on return. An existing `dst` is replaced,
+    /// unless it already names `src`'s file (`link_file(p, p)` is a no-op
+    /// that leaves `p` intact). Callers must only link files that are never
+    /// appended to again (tables, sealed segments): with a true hard link,
+    /// later writes through either name would alias.
     ///
     /// # Errors
     ///
     /// Returns [`bolt_common::Error::NotFound`] if `src` does not exist.
-    fn link_file(&self, src: &str, dst: &str) -> Result<()> {
-        let reader = self.new_random_access_file(src)?;
-        let mut out = self.new_writable_file(dst)?;
-        let len = reader.len();
-        let mut offset = 0u64;
-        while offset < len {
-            let chunk = ((len - offset) as usize).min(1 << 20);
-            let data = reader.read(offset, chunk)?;
-            if data.is_empty() {
-                break;
-            }
-            offset += data.len() as u64;
-            out.append(&data)?;
-        }
-        out.sync()
-    }
+    fn link_file(&self, src: &str, dst: &str) -> Result<()>;
 
     /// Number of names (hard links) referencing `path`'s inode.
     ///
@@ -279,10 +265,10 @@ pub trait Env: Send + Sync {
     /// created before this process started — shares the bytes, and a punch
     /// through the shared inode would corrupt that copy.
     ///
-    /// The default returns 1, which is correct for any environment using
-    /// the default (copying) [`Env::link_file`]. Implementations that
-    /// override `link_file` with true hard links MUST override this too,
-    /// or linked files lose their punch protection after a restart.
+    /// The default returns 1, which is correct for any environment whose
+    /// [`Env::link_file`] copies. Implementations that link with true hard
+    /// links MUST override this too, or linked files lose their punch
+    /// protection after a restart.
     ///
     /// # Errors
     ///
@@ -419,6 +405,10 @@ mod tests {
             b"hello world!"
         );
         env.link_file("db/ckpt/b.txt", "db/b.txt").unwrap();
+        // Linking a file onto its own name leaves it intact.
+        env.link_file("db/b.txt", "db/b.txt").unwrap();
+        let r = env.new_random_access_file("db/b.txt").unwrap();
+        assert_eq!(r.read(0, 12).unwrap(), b"hello world!");
 
         // Deletion.
         env.delete_file("db/c.txt").unwrap();

@@ -187,21 +187,31 @@ impl Env for RealEnv {
     }
 
     // True hard links only where the link count is also observable
-    // (`link_count` below); elsewhere the trait's copying default keeps
-    // punch suppression truthful — a copy has no shared inode to protect.
-    #[cfg(unix)]
+    // (`link_count` below); elsewhere a synced copy keeps punch suppression
+    // truthful — a copy has no shared inode to protect.
     fn link_file(&self, src: &str, dst: &str) -> Result<()> {
         let src = self.resolve(src);
         if !src.exists() {
             return Err(Error::NotFound);
         }
         let dst = self.resolve(dst);
-        // Replace a stale destination (e.g. a retried checkpoint) the way
-        // rename does.
         if dst.exists() {
+            // `dst` may be `src` itself under another spelling: it already
+            // names the file, and unlinking it would destroy the source.
+            if std::fs::canonicalize(&dst)? == std::fs::canonicalize(&src)? {
+                return Ok(());
+            }
+            // Replace a stale destination (e.g. a retried checkpoint) the
+            // way rename does.
             std::fs::remove_file(&dst)?;
         }
+        #[cfg(unix)]
         std::fs::hard_link(&src, &dst)?;
+        #[cfg(not(unix))]
+        {
+            std::fs::copy(&src, &dst)?;
+            File::open(&dst)?.sync_all()?;
+        }
         Ok(())
     }
 
@@ -342,6 +352,22 @@ mod tests {
         f.append(b"payload").unwrap();
         f.sync().unwrap();
         assert_eq!(env.stats().fsync_calls(), 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn link_onto_another_spelling_of_the_source_keeps_it() {
+        let (env, dir) = temp_env("self-link");
+        env.create_dir_all("db").unwrap();
+        let mut f = env.new_writable_file("db/t.sst").unwrap();
+        f.append(b"table").unwrap();
+        f.sync().unwrap();
+        drop(f);
+        for dst in ["./db/t.sst", "db//t.sst"] {
+            env.link_file("db/t.sst", dst).unwrap();
+            let r = env.new_random_access_file("db/t.sst").unwrap();
+            assert_eq!(r.read(0, 5).unwrap(), b"table", "after linking onto {dst}");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

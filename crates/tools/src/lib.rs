@@ -1002,6 +1002,26 @@ fn stale() {
         assert!(out.contains("\"type\":\"checkpoint_begin\""), "{out}");
         assert!(out.contains("\"type\":\"checkpoint_end\""), "{out}");
         assert!(out.contains("\"cause\":\"checkpoint\""), "{out}");
+        // Space reclaim and the value log: dead logical tables are punched
+        // out of compaction files, and the separated values rotate, are
+        // collected and retire their segments under `vlog_data` barriers.
+        for event in ["hole_punch", "vlog_rotate", "vlog_gc", "vlog_retire"] {
+            let tag = format!("\"type\":\"{event}\"");
+            assert!(out.contains(&tag), "no {event} event in {out}");
+        }
+        assert!(out.contains("\"cause\":\"vlog_data\""), "{out}");
+        // A compaction announces its victim and overlap bytes as numbers.
+        let numeric = |line: &str, field: &str| {
+            let value = line.split(&format!("\"{field}\":")).nth(1);
+            value.is_some_and(|v| v.starts_with(|c: char| c.is_ascii_digit()))
+        };
+        assert!(
+            out.lines()
+                .any(|line| line.contains("\"type\":\"compaction_begin\"")
+                    && numeric(line, "victim_bytes")
+                    && numeric(line, "overlap_bytes")),
+            "no compaction_begin with numeric victim/overlap bytes in {out}"
+        );
         let schema = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../schemas/trace.schema.json"
