@@ -6,11 +6,15 @@
 //! "by the number of SSTables, not bytes" — a distinction the paper leans on
 //! in §2.6 and §4.3). Values are handed out as `Arc`s so evicted entries stay
 //! alive while readers still hold them.
+//!
+//! A reader's [`Memo`] of the [`CacheNode`]s it last used serves a repeat
+//! hit without the shard (no lock, no shared counter, no reference count);
+//! see [`CacheNode`] for how misses and LRU standing stay what they were.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -82,6 +86,14 @@ impl CacheStats {
         self.evictions
     }
 
+    /// These counts with the `hits` [`Memo`]s in front of the cache served.
+    pub fn with_memo_hits(self, hits: u64) -> CacheStats {
+        CacheStats {
+            hits: self.hits + hits,
+            ..self
+        }
+    }
+
     /// Hit ratio in `[0, 1]`; 0 when the cache was never queried.
     pub fn hit_ratio(&self) -> f64 {
         let h = self.hits() as f64;
@@ -94,12 +106,67 @@ impl CacheStats {
     }
 }
 
+/// One cached value, as the cache and its readers' memos share it. The
+/// shard clears `resident` when it evicts, erases or replaces the entry,
+/// and a memo never serves a node without it; a memo hit sets `referenced`
+/// (only when clear), and eviction gives a referenced tail entry a second
+/// chance.
+pub struct CacheNode<V> {
+    value: Arc<V>,
+    resident: AtomicBool,
+    referenced: AtomicBool,
+}
+
+impl<V> CacheNode<V> {
+    fn new(value: Arc<V>, resident: bool) -> Self {
+        CacheNode {
+            value,
+            resident: AtomicBool::new(resident),
+            referenced: AtomicBool::new(false),
+        }
+    }
+
+    /// A node no cache holds: a memo never serves it.
+    pub fn detached(value: Arc<V>) -> Arc<Self> {
+        Arc::new(CacheNode::new(value, false))
+    }
+
+    /// The cached value.
+    pub fn value(&self) -> &Arc<V> {
+        &self.value
+    }
+
+    /// Whether the cache still holds this node.
+    fn is_resident(&self) -> bool {
+        self.resident.load(Ordering::Relaxed)
+    }
+
+    /// A memo hit: `false` once the cache let the node go.
+    fn touch(&self) -> bool {
+        if !self.is_resident() {
+            return false;
+        }
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed);
+        }
+        true
+    }
+}
+
 struct Entry<K, V> {
     key: K,
-    value: Arc<V>,
+    node: Arc<CacheNode<V>>,
     charge: u64,
     prev: usize,
     next: usize,
+}
+
+impl<K, V> Entry<K, V> {
+    /// Take the entry out of the cache: no memo serves its node after this.
+    fn retire(self) -> u64 {
+        self.node.resident.store(false, Ordering::Relaxed);
+        self.charge
+    }
 }
 
 const NIL: usize = usize::MAX;
@@ -159,25 +226,41 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
         }
     }
 
+    /// Evict the least recently used entry no memo served since it was last
+    /// promoted: a referenced tail entry loses its mark and moves to the
+    /// front instead (its second chance).
     fn evict_lru(&mut self) -> bool {
-        let victim = self.tail;
-        if victim == NIL {
-            return false;
+        loop {
+            let victim = self.tail;
+            if victim == NIL {
+                return false;
+            }
+            let referenced = &self.slab[victim]
+                .as_ref()
+                .expect("tail entry")
+                .node
+                .referenced;
+            if referenced.swap(false, Ordering::Relaxed) && self.head != victim {
+                self.unlink(victim);
+                self.push_front(victim);
+                continue;
+            }
+            self.unlink(victim);
+            let entry = self.slab[victim].take().expect("victim entry");
+            self.map.remove(&entry.key);
+            self.usage -= entry.retire();
+            self.free.push(victim);
+            return true;
         }
-        self.unlink(victim);
-        let entry = self.slab[victim].take().expect("victim entry");
-        self.map.remove(&entry.key);
-        self.usage -= entry.charge;
-        self.free.push(victim);
-        true
     }
 
-    /// Insert, evicting from the LRU end; returns how many entries went.
-    fn insert(&mut self, key: K, value: Arc<V>, charge: u64) -> u64 {
+    /// Insert, evicting from the LRU end; returns the new node and how many
+    /// entries went.
+    fn insert(&mut self, key: K, value: Arc<V>, charge: u64) -> (Arc<CacheNode<V>>, u64) {
         if let Some(&idx) = self.map.get(&key) {
             self.unlink(idx);
             let old = self.slab[idx].take().expect("existing entry");
-            self.usage -= old.charge;
+            self.usage -= old.retire();
             self.free.push(idx);
             self.map.remove(&key);
         }
@@ -194,9 +277,10 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
                 self.slab.len() - 1
             }
         };
+        let node = Arc::new(CacheNode::new(value, true));
         self.slab[idx] = Some(Entry {
             key: key.clone(),
-            value,
+            node: Arc::clone(&node),
             charge,
             prev: NIL,
             next: NIL,
@@ -204,10 +288,10 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
         self.map.insert(key, idx);
         self.usage += charge;
         self.push_front(idx);
-        evicted
+        (node, evicted)
     }
 
-    fn get(&mut self, key: &K) -> Option<Arc<V>> {
+    fn get(&mut self, key: &K) -> Option<&Arc<CacheNode<V>>> {
         let idx = *self.map.get(key)?;
         // The most recent entry stays where it is: a repeated hit writes no
         // list link.
@@ -215,7 +299,13 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
             self.unlink(idx);
             self.push_front(idx);
         }
-        Some(Arc::clone(&self.slab[idx].as_ref().expect("entry").value))
+        // Promoted, the entry's earlier memo hits are behind it: no second
+        // chance for them.
+        let node = &self.slab[idx].as_ref().expect("entry").node;
+        if node.referenced.load(Ordering::Relaxed) {
+            node.referenced.store(false, Ordering::Relaxed);
+        }
+        Some(node)
     }
 
     fn erase(&mut self, key: &K) -> bool {
@@ -224,7 +314,7 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
         };
         self.unlink(idx);
         let entry = self.slab[idx].take().expect("entry");
-        self.usage -= entry.charge;
+        self.usage -= entry.retire();
         self.free.push(idx);
         true
     }
@@ -291,19 +381,32 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     /// Insert `value` under `key` with the given `charge`, evicting LRU
-    /// entries as needed. Replaces any existing entry for `key`.
-    pub fn insert(&self, key: K, value: Arc<V>, charge: u64) {
+    /// entries as needed. Replaces any existing entry for `key`. Returns the
+    /// new entry's node, for a reader's [`Memo`].
+    pub fn insert(&self, key: K, value: Arc<V>, charge: u64) -> Arc<CacheNode<V>> {
         let slot = self.shard(&key);
         let mut shard = slot.shard.lock();
-        let evicted = shard.insert(key, value, charge);
+        let (node, evicted) = shard.insert(key, value, charge);
         slot.evictions.fetch_add(evicted, Ordering::Relaxed);
+        node
     }
 
     /// Look up `key`, promoting it to most-recently-used on a hit.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
+        self.lookup(key, |node| Arc::clone(&node.value))
+    }
+
+    /// [`get`](Self::get), handing out the entry's node.
+    pub fn get_node(&self, key: &K) -> Option<Arc<CacheNode<V>>> {
+        self.lookup(key, Arc::clone)
+    }
+
+    /// A counted lookup; `take` copies out what the caller keeps, under the
+    /// shard lock.
+    fn lookup<T>(&self, key: &K, take: impl FnOnce(&Arc<CacheNode<V>>) -> T) -> Option<T> {
         let slot = self.shard(key);
         let mut shard = slot.shard.lock();
-        let result = shard.get(key);
+        let result = shard.get(key).map(take);
         let counter = if result.is_some() {
             &slot.hits
         } else {
@@ -333,6 +436,96 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
                 misses: sum.misses + load(&s.misses),
                 evictions: sum.evictions + load(&s.evictions),
             })
+    }
+}
+
+/// Slots of a [`Memo`] set: a key may sit in any of its set's four.
+const MEMO_WAYS: usize = 4;
+
+/// A key and the node memoized under it, or nothing.
+type MemoSlot<K, V> = Option<(K, Arc<CacheNode<V>>)>;
+
+/// A reader's own memo of the [`CacheNode`]s it last used, in front of an
+/// [`LruCache`]: it serves and counts a hit while the cache holds the node.
+/// Sets of four slots, the oldest of a full set displaced first; it keeps a
+/// node alive until displaced, so at most its slots outlive the cache.
+pub struct Memo<K, V> {
+    slots: Box<[MemoSlot<K, V>]>,
+    hits: u64,
+}
+
+impl<K: Hash + Eq, V> Memo<K, V> {
+    /// A memo of at least `slots` slots (a power of two of sets of four).
+    pub fn new(slots: usize) -> Self {
+        let sets = slots.div_ceil(MEMO_WAYS).next_power_of_two();
+        Memo {
+            slots: (0..sets * MEMO_WAYS).map(|_| None).collect(),
+            hits: 0,
+        }
+    }
+
+    /// The slot range of `key`'s set.
+    fn set_of(&self, key: &K) -> std::ops::Range<usize> {
+        let sets = (self.slots.len() / MEMO_WAYS) as u64;
+        let first = (IdBuildHasher::default().hash_one(key) & (sets - 1)) as usize * MEMO_WAYS;
+        first..first + MEMO_WAYS
+    }
+
+    /// The node memoized under `key`, while its cache holds it: a hit,
+    /// counted here. Writes nothing shared but a clear referenced mark.
+    pub fn get(&mut self, key: &K) -> Option<&Arc<CacheNode<V>>> {
+        let set = self.set_of(key);
+        let (_, node) = self.slots[set].iter().flatten().find(|(k, _)| k == key)?;
+        if !node.touch() {
+            return None;
+        }
+        self.hits += 1;
+        Some(node)
+    }
+
+    /// Memoize `node` under `key` in place of an empty, non-resident or
+    /// same-key slot of its set, else of the oldest. Returns what left the
+    /// memo (`node` itself when no cache holds it), to be dropped off the
+    /// memo's lock: it may be a cached value's last reference.
+    pub fn fill(&mut self, key: K, node: Arc<CacheNode<V>>) -> Option<Arc<CacheNode<V>>> {
+        if !node.is_resident() {
+            return Some(node);
+        }
+        let set = self.set_of(&key);
+        let set = &mut self.slots[set];
+        let victim = set
+            .iter()
+            .position(|slot| {
+                slot.as_ref()
+                    .is_none_or(|(k, held)| !held.is_resident() || *k == key)
+            })
+            .unwrap_or(MEMO_WAYS - 1);
+        set[..=victim].rotate_right(1);
+        set[0].replace((key, node)).map(|(_, displaced)| displaced)
+    }
+
+    /// Stop holding `key`'s node; returns it, to be dropped off the lock as
+    /// [`fill`](Self::fill)'s.
+    pub fn forget(&mut self, key: &K) -> Option<Arc<CacheNode<V>>> {
+        let set = self.set_of(key);
+        let slot = self.slots[set]
+            .iter_mut()
+            .find(|slot| slot.as_ref().is_some_and(|(k, _)| k == key))?;
+        slot.take().map(|(_, node)| node)
+    }
+
+    /// Lookups this memo served.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// The values it keeps alive that no cache holds any more.
+    pub fn detached(&self) -> impl Iterator<Item = &V> {
+        self.slots
+            .iter()
+            .flatten()
+            .filter(|(_, node)| !node.is_resident())
+            .map(|(_, node)| &*node.value)
     }
 }
 
@@ -485,6 +678,128 @@ mod tests {
         let stats = c.stats();
         assert_eq!((stats.hits(), stats.misses()), (101, 51));
         assert_eq!(stats.evictions(), 0);
+    }
+
+    /// Keys `n` keys of one shard of `c`.
+    fn same_shard(c: &LruCache<u64, u64>, n: usize) -> Vec<u64> {
+        let shard = c.shard_index(&0);
+        (0..100_000u64)
+            .filter(|key| c.shard_index(key) == shard)
+            .take(n)
+            .collect()
+    }
+
+    /// After an evict, an erase or a replace the memo no longer serves the
+    /// node: the next lookup goes to the cache, which counts it.
+    #[test]
+    fn a_memo_serves_no_node_the_cache_let_go() {
+        let c: LruCache<u64, u64> = LruCache::new(16); // one entry a shard
+        let keys = same_shard(&c, 2);
+        let mut memo = Memo::new(8);
+        assert!(memo
+            .fill(keys[0], c.insert(keys[0], Arc::new(1), 1))
+            .is_none());
+        assert_eq!(memo.get(&keys[0]).map(|n| **n.value()), Some(1));
+        c.insert(keys[1], Arc::new(2), 1); // evicts keys[0]
+        assert!(memo.get(&keys[0]).is_none());
+        assert_eq!(memo.detached().copied().collect::<Vec<_>>(), [1]);
+
+        let node = c.insert(keys[1], Arc::new(3), 1); // replaces keys[1]
+        memo.fill(keys[1], c.get_node(&keys[1]).unwrap());
+        c.insert(keys[1], Arc::new(4), 1);
+        assert!(memo.get(&keys[1]).is_none() && !node.is_resident());
+        memo.fill(keys[1], c.get_node(&keys[1]).unwrap());
+        assert_eq!(memo.get(&keys[1]).map(|n| **n.value()), Some(4));
+        assert!(c.erase(&keys[1]));
+        assert!(memo.get(&keys[1]).is_none());
+        assert_eq!(memo.hits(), 2);
+        assert_eq!((c.stats().hits(), c.stats().misses()), (2, 0));
+        assert!(memo.forget(&keys[1]).is_some());
+        assert!(memo.forget(&keys[1]).is_none());
+    }
+
+    /// The second chance: an entry hit only through a memo keeps its place
+    /// while inserts into its shard evict the entries nobody touched; one
+    /// that no memo serves goes first.
+    #[test]
+    fn a_memo_hit_entry_survives_a_burst_that_evicts_untouched_ones() {
+        let c: LruCache<u64, u64> = LruCache::new(3 * NUM_SHARDS as u64);
+        let keys = same_shard(&c, 12);
+        let (hot, untouched, burst) = (keys[0], keys[1], &keys[2..]);
+        let mut memo = Memo::new(8);
+        memo.fill(hot, c.insert(hot, Arc::new(0), 1));
+        c.insert(untouched, Arc::new(1), 1); // `hot` is the LRU tail now
+        for &key in burst {
+            assert!(memo.get(&hot).is_some(), "evicted before {key}");
+            c.insert(key, Arc::new(key), 1);
+        }
+        assert!(memo.get(&hot).is_some());
+        assert!(c.get(&untouched).is_none());
+        assert_eq!(c.stats().evictions(), burst.len() as u64 - 1);
+
+        // Without the memo's hits, the oldest entry is the first to go.
+        let c: LruCache<u64, u64> = LruCache::new(3 * NUM_SHARDS as u64);
+        let _unserved = c.insert(hot, Arc::new(0), 1);
+        c.insert(untouched, Arc::new(1), 1);
+        c.insert(burst[0], Arc::new(2), 1);
+        c.insert(burst[1], Arc::new(3), 1);
+        assert!(c.get(&hot).is_none() && c.get(&untouched).is_some());
+    }
+
+    /// More threads than reader slots, each looking up through its slot's
+    /// memo and inserting and erasing behind it: every lookup is counted
+    /// once — a memo hit, or a shard hit or miss — and the resident charge
+    /// never exceeds the capacity.
+    #[test]
+    fn memo_and_shard_count_every_lookup_once() {
+        use crate::sync::{Mutex, PerReader, READER_SLOTS};
+        const CAPACITY: u64 = 64;
+        let c: LruCache<u64, u64> = LruCache::new(CAPACITY);
+        let memos = PerReader::new(|| Mutex::new(Memo::new(16)));
+        let lookups: u64 = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..READER_SLOTS as u64 + 2)
+                .map(|t| {
+                    let (c, memos) = (&c, &memos);
+                    s.spawn(move || {
+                        let mut lookups = 0;
+                        for i in 0..20_000u64 {
+                            let key = (t * 31 + i * 7) % 96;
+                            match i % 8 {
+                                0 => {
+                                    c.insert(key, Arc::new(key), 1);
+                                }
+                                1 => {
+                                    c.erase(&key);
+                                }
+                                _ => {
+                                    lookups += 1;
+                                    let mut memo = memos.mine().lock();
+                                    if let Some(node) = memo.get(&key) {
+                                        assert_eq!(**node.value(), key);
+                                        continue;
+                                    }
+                                    drop(memo);
+                                    if let Some(node) = c.get_node(&key) {
+                                        let displaced = memos.mine().lock().fill(key, node);
+                                        drop(displaced);
+                                    }
+                                }
+                            }
+                            if i % 1_000 == 0 {
+                                assert!(c.usage() <= CAPACITY, "{}", c.usage());
+                            }
+                        }
+                        lookups
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).sum()
+        });
+        let memo_hits: u64 = memos.all().map(|memo| memo.lock().hits()).sum();
+        let stats = c.stats();
+        assert!(memo_hits > 0 && stats.hits() > 0 && stats.misses() > 0);
+        assert_eq!(memo_hits + stats.hits() + stats.misses(), lookups);
+        assert!(c.usage() <= CAPACITY);
     }
 
     #[test]

@@ -20,12 +20,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bolt_common::cache::LruCache;
 use bolt_common::events::{BarrierCause, BarrierScope, EventSink, TraceEvent};
-use bolt_common::sync::{named_mutex, CachePadded, Condvar, Mutex};
+use bolt_common::sync::{named_mutex, Condvar, Mutex, PerReader, READER_SLOTS};
 use bolt_common::{Error, Result};
 use bolt_env::Env;
 use bolt_table::cache::TableCache;
@@ -136,9 +136,10 @@ struct Imm {
 
 /// Everything a reader must see, as one immutable value: replaced whole by
 /// [`DbInner::install_view`], never modified in place, so no reader can
-/// observe a flush half installed. Aligned like a [`CachePadded`] value, so
-/// that the reference count of one view slot's copy shares no cache line
-/// with another slot's.
+/// observe a flush half installed. Aligned like a
+/// [`CachePadded`](bolt_common::sync::CachePadded) value, so that the
+/// reference count of one view slot's copy shares no cache line with
+/// another slot's.
 #[derive(Clone)]
 #[repr(align(128))]
 struct ReadView {
@@ -177,7 +178,7 @@ struct DbInner {
     /// own allocation (so its own reference count) behind its own lock, on
     /// lines of its own — a thread clones from its slot
     /// ([`DbInner::view`]) and writes no line another slot's threads write.
-    view_slots: [CachePadded<Mutex<Arc<ReadView>>>; VIEW_SLOTS],
+    view_slots: PerReader<Arc<ReadView>>,
     /// Set while `DbState::seek_candidate` holds a table (written under
     /// `core.state` with it): a spent seek budget checks this first and
     /// takes the lock only when no candidate is pending.
@@ -204,13 +205,6 @@ struct DbInner {
     compaction_ids: AtomicU64,
 }
 
-/// Copies of the current view readers clone from; threads take a slot each,
-/// in turn, so up to this many readers share no line.
-const VIEW_SLOTS: usize = 8;
-
-/// The slot the next thread to read a view takes.
-static NEXT_VIEW_SLOT: AtomicUsize = AtomicUsize::new(0);
-
 impl DbInner {
     /// The current view, from the calling thread's slot: one uncontended
     /// lock and one reference count that only the slot's threads write.
@@ -218,12 +212,11 @@ impl DbInner {
         Arc::clone(&self.view_slot().lock())
     }
 
-    /// The calling thread's view slot, picked on its first read.
+    /// The calling thread's view slot ([`reader_slot`]).
+    ///
+    /// [`reader_slot`]: bolt_common::sync::reader_slot
     fn view_slot(&self) -> &Mutex<Arc<ReadView>> {
-        thread_local! {
-            static SLOT: usize = NEXT_VIEW_SLOT.fetch_add(1, Ordering::Relaxed) % VIEW_SLOTS;
-        }
-        &self.view_slots[SLOT.with(|slot| *slot)]
+        self.view_slots.mine()
     }
 
     /// Publish the view `next` builds from the current one — the one place
@@ -237,8 +230,8 @@ impl DbInner {
     fn install_view(&self, next: impl FnOnce(&ReadView) -> ReadView) {
         let mut current = self.view.lock();
         let new = next(&current);
-        let mut old = Vec::with_capacity(VIEW_SLOTS);
-        for view_slot in &self.view_slots {
+        let mut old = Vec::with_capacity(READER_SLOTS);
+        for view_slot in self.view_slots.all() {
             let copy = Arc::new(new.clone());
             old.push(std::mem::replace(&mut *view_slot.lock(), copy));
         }
@@ -440,9 +433,7 @@ impl Db {
             state: named_mutex("core.state", DbState::default()),
             ids: Arc::clone(versions.ids()),
             versions: named_mutex("core.versions", versions),
-            view_slots: std::array::from_fn(|_| {
-                CachePadded(named_mutex("core.view_slot", Arc::new(view.clone())))
-            }),
+            view_slots: PerReader::new(|| named_mutex("core.view_slot", Arc::new(view.clone()))),
             view: named_mutex("core.view", view),
             seek_pending: AtomicBool::new(false),
             work_cv: Condvar::new(),

@@ -2,16 +2,16 @@
 //!
 //! A read clones the current [`super::ReadView`] (memtables and version in
 //! one pointer) from its thread's slot, behind the leaf lock
-//! `core.view_slot`, and runs on it with no lock held: it takes neither
-//! `core.state` nor `core.versions`, so it never waits behind a MANIFEST
-//! sync or a garbage-collection pass. A `get` borrows the metadata of the
-//! tables it probes from the view, and charges wasted seeks by sampling, so
-//! two readers on different slots share no line the engine writes but the
-//! caches' shards and the reference counts of the cached tables and blocks
-//! they both read. This module owns the `snapshots` list of
-//! [`super::DbState`] (compaction only reads it) and files seek-compaction
-//! candidates for the compaction thread — the only two things it takes
-//! `core.state` for.
+//! `core.view_slot`, and runs on it with no engine lock held: it takes
+//! neither `core.state` nor `core.versions`, so it never waits behind a
+//! MANIFEST sync or a garbage-collection pass. A `get` borrows the metadata
+//! of the tables it probes from the view, looks each up through its
+//! thread's stripe of the table cache ([`bolt_table::TableCache::get`]),
+//! and charges wasted seeks by sampling, so two readers on different slots
+//! that hit in their stripes share no line the engine writes. This module
+//! owns the `snapshots` list of [`super::DbState`] (compaction only reads
+//! it) and files seek-compaction candidates for the compaction thread —
+//! the only two things it takes `core.state` for.
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
@@ -257,8 +257,8 @@ impl DbInner {
 #[cfg(test)]
 mod tests {
     use super::super::test_util::*;
-    use super::super::VIEW_SLOTS;
     use super::*;
+    use bolt_common::sync::READER_SLOTS;
 
     /// A scan that steps onto a block key shorter than the tag gets
     /// `Corruption`, not a panic where the merge compares it.
@@ -432,7 +432,7 @@ mod tests {
         let acked = [AtomicU64::new(0), AtomicU64::new(0)];
         let done = AtomicBool::new(false);
         // Per reader: keys checked so far.
-        let checks: Vec<AtomicU64> = (0..VIEW_SLOTS + 2).map(|_| AtomicU64::new(0)).collect();
+        let checks: Vec<AtomicU64> = (0..READER_SLOTS + 2).map(|_| AtomicU64::new(0)).collect();
         std::thread::scope(|s| {
             for (writer, acked) in acked.iter().enumerate() {
                 let (db, done) = (&db, &done);
@@ -527,7 +527,7 @@ mod tests {
         flush_run(&db, 0..100, b"old");
         flush_run(&db, 50..150, b"new");
         let slots: std::collections::HashSet<usize> = std::thread::scope(|s| {
-            let readers: Vec<_> = (0..VIEW_SLOTS)
+            let readers: Vec<_> = (0..READER_SLOTS)
                 .map(|_| {
                     s.spawn(|| {
                         assert_eq!(db.get(b"key00070").unwrap(), Some(b"new".to_vec()));

@@ -327,6 +327,7 @@ mod tests {
             range_tombstones_live: 3,
             table_cache: TableCacheSnapshot {
                 hits: 30,
+                stripe_hits: 24,
                 misses: 10,
                 opens: 10,
                 open_reads: 12,
@@ -335,6 +336,7 @@ mod tests {
             },
             block_cache: BlockCacheSnapshot {
                 hits: 50,
+                stripe_hits: 45,
                 misses: 20,
                 evictions: 5,
                 usage: 65536,
@@ -404,12 +406,14 @@ mod tests {
         );
         for (name, value) in [
             ("bolt_table_cache_hits_total", 30),
+            ("bolt_table_cache_stripe_hits_total", 24),
             ("bolt_table_cache_misses_total", 10),
             ("bolt_table_cache_opens_total", 10),
             ("bolt_table_cache_open_reads_total", 12),
             ("bolt_table_cache_open_bytes_total", 4000),
             ("bolt_table_cache_warm_inserts_total", 7),
             ("bolt_block_cache_hits_total", 50),
+            ("bolt_block_cache_stripe_hits_total", 45),
             ("bolt_block_cache_misses_total", 20),
             ("bolt_block_cache_evictions_total", 5),
         ] {
@@ -516,6 +520,7 @@ mod tests {
             },
             table_cache: TableCacheSnapshot {
                 hits: 201,
+                stripe_hits: 207,
                 misses: 202,
                 opens: 203,
                 open_reads: 204,
@@ -524,6 +529,7 @@ mod tests {
             },
             block_cache: BlockCacheSnapshot {
                 hits: 301,
+                stripe_hits: 305,
                 misses: 302,
                 evictions: 303,
                 usage: 304,

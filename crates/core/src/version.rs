@@ -32,9 +32,7 @@ use bolt_common::coding::{
 use bolt_common::{Error, Result};
 use bolt_table::cache::{TableCache, TableSpec};
 use bolt_table::comparator::{bytewise, compare_internal};
-use bolt_table::ikey::{
-    extract_user_key, lookup_key, parse_internal_key, SequenceNumber, ValueType, TAG_SIZE,
-};
+use bolt_table::ikey::{extract_user_key, lookup_key, SequenceNumber, ValueType, TAG_SIZE};
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::Table;
 
@@ -401,35 +399,35 @@ impl Version {
                 };
                 probes += 1;
                 first_probe.get_or_insert((level, table));
-                let reader = table.open(cache, db)?;
                 // A range tombstone whose begin key equals `user_key` sits
                 // in front of the point entries; re-probe just below its
                 // sequence to reach them (the overlay, not this lookup,
                 // applies the tombstone).
                 let mut below: Option<Vec<u8>> = None;
-                while let Some((ikey, value)) =
-                    reader.internal_get(below.as_ref().unwrap_or(&lookup))?
-                {
-                    let parsed = parse_internal_key(&ikey)?;
-                    if parsed.user_key != user_key || parsed.sequence > snapshot {
+                while let Some(entry) = cache.get(
+                    table.table_id,
+                    || table.spec(db),
+                    below.as_ref().unwrap_or(&lookup),
+                )? {
+                    if entry.sequence > snapshot {
                         break;
                     }
-                    let result = match parsed.value_type {
-                        ValueType::RangeTombstone if parsed.sequence == 0 => break,
+                    let result = match entry.value_type {
+                        ValueType::RangeTombstone if entry.sequence == 0 => break,
                         ValueType::RangeTombstone => {
-                            below = Some(lookup_key(user_key, parsed.sequence - 1));
+                            below = Some(lookup_key(user_key, entry.sequence - 1));
                             continue;
                         }
                         ValueType::Deletion => LookupResult::Deleted,
-                        ValueType::Value => LookupResult::Value(value),
-                        ValueType::ValuePointer => LookupResult::Pointer(value),
+                        ValueType::Value => LookupResult::Value(entry.value),
+                        ValueType::ValuePointer => LookupResult::Pointer(entry.value),
                     };
                     // A lookup that had to probe more than one table
                     // charges the first table (LevelDB seek compaction).
                     let seek_charge = if probes > 1 { first_probe } else { None };
                     return Ok(GetResult {
                         result,
-                        sequence: parsed.sequence,
+                        sequence: entry.sequence,
                         seek_charge,
                     });
                 }

@@ -58,7 +58,9 @@ twopc_path = ["l7_decide.rs"]
 "the registry lowering names no counter" = 'arch_forbid.rs fn lower : "bolt_io_" | "bolt_table_cache_" | "bolt_block_cache_" = 0'
 "hot reads never walk or copy the table lists" = "arch_forbid.rs fn read_path : all_tables() | .tables.clone() = 0"
 "a hot get walks, copies and counts nothing shared" = "arch_forbid.rs impl Version fn get : all_tables() | .tables.clone() | Arc::clone = 0"
-"a hot table get counts no shared reference" = "arch_forbid.rs impl Table fn internal_get : Arc::clone = 0"
+"a hot table get counts no shared reference" = "arch_forbid.rs impl Table except arch_forbid.rs impl Table fn iter : Arc::clone = 0"
+"a stripe hit takes no lock and counts nothing shared" = "arch_forbid.rs impl Stripe : .lock( | Arc::clone | fetch_add = 0"
+"a memo hit takes no lock and counts nothing shared" = "arch_forbid.rs impl Memo : .lock( | Arc::clone | fetch_add = 0"
 "cache counters are per shard" = "arch_forbid.rs fn cache_hit : stats.hits.fetch_add | stats.misses.fetch_add = 0"
 "a table open reads its tail once, never block by block" = "arch_forbid.rs impl Table except arch_forbid.rs impl Table fn read_data_block : read_block( = 0"
 "the table cache reads no block" = "arch_forbid.rs fn table_cache_open : read_block( = 0"

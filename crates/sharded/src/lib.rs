@@ -1499,6 +1499,7 @@ mod tests {
             },
             table_cache: TableCacheSnapshot {
                 hits: b + 201,
+                stripe_hits: b + 207,
                 misses: b + 202,
                 opens: b + 203,
                 open_reads: b + 204,
@@ -1507,6 +1508,7 @@ mod tests {
             },
             block_cache: BlockCacheSnapshot {
                 hits: b + 301,
+                stripe_hits: b + 305,
                 misses: b + 302,
                 evictions: b + 303,
                 usage: b + 304,

@@ -170,18 +170,28 @@ impl Block {
         }
     }
 
-    /// The first entry with key >= `target`, or `None` past the end: its
-    /// key and a borrow of its value. A point lookup's one-shot seek — it
-    /// borrows the block and the comparator where a [`BlockIter`] holds
-    /// both.
+    /// The first entry with key >= `target`, or `None` past the end: a
+    /// borrow of its value, with its key decoded into `key` (a buffer the
+    /// caller reuses). A point lookup's one-shot seek — it borrows the block
+    /// and the comparator where a [`BlockIter`] holds both.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corruption`] on malformed entries.
-    pub fn seek(&self, cmp: &dyn Comparator, target: &[u8]) -> Result<Option<(Vec<u8>, &[u8])>> {
-        let mut at = Cursor::default();
-        self.seek_cursor(&mut at, cmp, target)?;
-        Ok(at.valid.then(|| (at.key, &self.data[at.value])))
+    pub fn seek(
+        &self,
+        cmp: &dyn Comparator,
+        target: &[u8],
+        key: &mut Vec<u8>,
+    ) -> Result<Option<&[u8]>> {
+        let mut at = Cursor {
+            key: std::mem::take(key),
+            ..Cursor::default()
+        };
+        let sought = self.seek_cursor(&mut at, cmp, target);
+        *key = at.key;
+        sought?;
+        Ok(at.valid.then(|| &self.data[at.value]))
     }
 
     /// Decode the entry at `at.offset` into `at`; returns false at end of
@@ -448,8 +458,13 @@ mod tests {
                 let target = format!("k{i:04}").into_bytes();
                 it.seek(&BytewiseComparator, &target).unwrap();
                 let want = it.valid().then(|| (it.key().to_vec(), it.value()));
-                let got = block.seek(&BytewiseComparator, &target).unwrap();
-                assert_eq!(got, want, "{i}, interval {interval}");
+                let mut key = Vec::new();
+                let got = block.seek(&BytewiseComparator, &target, &mut key).unwrap();
+                assert_eq!(
+                    got.map(|value| (key, value)),
+                    want,
+                    "{i}, interval {interval}"
+                );
             }
         }
     }
@@ -513,12 +528,12 @@ mod tests {
             walked?;
             for target in targets {
                 it.seek(&BytewiseComparator, target)?;
-                block.seek(&BytewiseComparator, target)?;
+                block.seek(&BytewiseComparator, target, &mut Vec::new())?;
             }
             for target in &internal_targets {
                 let icmp = InternalKeyComparator::default();
                 it.seek(&icmp, target)?;
-                block.seek(&icmp, target)?;
+                block.seek(&icmp, target, &mut Vec::new())?;
             }
             Ok(())
         };
@@ -560,13 +575,17 @@ mod tests {
         let target = make_internal_key(b"ab", 1, ValueType::Value);
         let icmp = InternalKeyComparator::default();
         assert!(matches!(
-            block.seek(&icmp, &target),
+            block.seek(&icmp, &target, &mut Vec::new()),
             Err(Error::Corruption(_))
         ));
         let mut it = block.iter(0);
         assert!(matches!(it.seek(&icmp, &target), Err(Error::Corruption(_))));
         // The bytewise order compares any key.
-        assert!(block.seek(&BytewiseComparator, b"ab").unwrap().is_some());
+        let mut key = Vec::new();
+        assert!(block
+            .seek(&BytewiseComparator, b"ab", &mut key)
+            .unwrap()
+            .is_some());
 
         // Reached by a step, after a whole internal key: the step is
         // `Corruption`, and the cursor is no longer positioned.

@@ -11,17 +11,23 @@
 //! MANIFEST records ([`TableSpec::tail_bytes`]) — and a table the engine
 //! just wrote costs none: [`TableCache::insert_built`] caches a reader made
 //! from the index and filter its builder still holds.
+//!
+//! A point lookup ([`TableCache::get`]) is served from the calling thread's
+//! *stripe* (its reader slot's memo of table readers and data blocks) when
+//! it can be, writing nothing another reader writes.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bolt_common::cache::LruCache;
+use bolt_common::cache::{CacheNode, CacheStats, LruCache, Memo};
+use bolt_common::sync::{named_mutex, Mutex, PerReader};
 use bolt_common::Result;
 use bolt_env::{Env, RandomAccessFile};
 
+use crate::block::Block;
 use crate::builder::BuiltTable;
-use crate::format::TableTail;
-use crate::table::{BlockCache, Table, TableReadOptions};
+use crate::format::{BlockHandle, TableTail};
+use crate::table::{BlockCache, BlockCacheKey, Table, TableEntry, TableReadOptions};
 
 /// Identity and location of one (logical) SSTable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +56,8 @@ bolt_common::counter_table! {
     read {
         /// Lookups served by a cached reader.
         hits => "bolt_table_cache_hits_total",
+        /// Of those, the ones a reader's stripe served.
+        stripe_hits => "bolt_table_cache_stripe_hits_total",
         /// Lookups that found none.
         misses => "bolt_table_cache_misses_total",
     }
@@ -81,6 +89,8 @@ bolt_common::counter_table! {
     pub struct BlockCacheSnapshot;
     /// Block lookups served from the cache.
     hits => "bolt_block_cache_hits_total",
+    /// Of those, the ones a reader's stripe served.
+    stripe_hits => "bolt_block_cache_stripe_hits_total",
     /// Block lookups that went to the file.
     misses => "bolt_block_cache_misses_total",
     /// Blocks evicted to make room.
@@ -93,12 +103,64 @@ bolt_common::counter_table! {
 // is unsized — wrap it in a sized entry.
 struct FdEntry(Arc<dyn RandomAccessFile>);
 
+/// Table readers a stripe memoizes.
+const STRIPE_TABLES: usize = 16;
+/// Data blocks a stripe memoizes: all stripes keep at most 8 × 64 blocks
+/// alive past the block cache, 2 MiB at 4 KiB blocks.
+const STRIPE_BLOCKS: usize = 64;
+
+/// A reader slot's memos, and the buffer its seeks decode keys into.
+struct Stripe {
+    tables: Memo<u64, Table>,
+    blocks: Memo<BlockCacheKey, Block>,
+    scratch: Vec<u8>,
+}
+
+/// How far a lookup got in a stripe.
+enum Probe<'a> {
+    /// The stripe held all it needed: the lookup's outcome.
+    Served(Result<Option<TableEntry>>),
+    /// The stripe holds the table, but not the data block at the handle.
+    Table(&'a Arc<CacheNode<Table>>, BlockHandle),
+    /// The stripe does not hold the table.
+    Miss,
+}
+
+impl Stripe {
+    fn new() -> Self {
+        Stripe {
+            tables: Memo::new(STRIPE_TABLES),
+            blocks: Memo::new(STRIPE_BLOCKS),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The hit path: bloom, index seek and block seek on the memoized
+    /// reader and block. No lock, no device read, no shared count.
+    fn serve(&mut self, table_id: u64, key: &[u8]) -> Probe<'_> {
+        let Some(node) = self.tables.get(&table_id) else {
+            return Probe::Miss;
+        };
+        let table = node.value();
+        let handle = match table.data_handle(key, &mut self.scratch) {
+            Ok(Some(handle)) => handle,
+            other => return Probe::Served(other.map(|_| None)),
+        };
+        match self.blocks.get(&table.block_key(handle)) {
+            Some(block) => Probe::Served(table.entry_in(block.value(), key, &mut self.scratch)),
+            None => Probe::Table(node, handle),
+        }
+    }
+}
+
 /// Cache of open [`Table`]s (metadata in memory) plus an optional
-/// per-physical-file descriptor cache.
+/// per-physical-file descriptor cache, with a stripe per reader slot in
+/// front of it and of the block cache.
 pub struct TableCache {
     env: Arc<dyn Env>,
     tables: LruCache<u64, Table>,
     fds: Option<LruCache<u64, FdEntry>>,
+    stripes: PerReader<Stripe>,
     pub(crate) opts: TableReadOptions,
     counters: TableCacheCounters,
 }
@@ -126,6 +188,7 @@ impl TableCache {
             env,
             tables: LruCache::new(max_open_tables),
             fds: fd_cache_capacity.map(LruCache::new),
+            stripes: PerReader::new(|| named_mutex("table.cache_stripe", Stripe::new())),
             opts,
             counters: TableCacheCounters::default(),
         }
@@ -158,7 +221,16 @@ impl TableCache {
     ///
     /// Returns open/corruption errors from [`Table::open`].
     pub fn table(&self, table_id: u64, spec: impl FnOnce() -> TableSpec) -> Result<Arc<Table>> {
-        if let Some(table) = self.tables.get(&table_id) {
+        Ok(Arc::clone(self.table_node(table_id, spec)?.value()))
+    }
+
+    /// [`table`](Self::table), as the cache node a stripe memoizes.
+    fn table_node(
+        &self,
+        table_id: u64,
+        spec: impl FnOnce() -> TableSpec,
+    ) -> Result<Arc<CacheNode<Table>>> {
+        if let Some(table) = self.tables.get_node(&table_id) {
             return Ok(table);
         }
         let spec = spec();
@@ -182,9 +254,73 @@ impl TableCache {
             .fetch_add(tail.bytes_read(), Ordering::Relaxed);
         let opts = self.opts.clone();
         let table = Table::from_tail(file, spec.offset, spec.file_number, &tail, opts)?;
-        let table = Arc::new(table);
-        self.tables.insert(table_id, Arc::clone(&table), 1);
-        Ok(table)
+        Ok(self.tables.insert(table_id, Arc::new(table), 1))
+    }
+
+    /// The entry of lookup key `key`'s user key at or below its sequence in
+    /// table `table_id` — a get's one entry point. What the stripe lacks
+    /// comes through the shared caches with the stripe released (`spec`
+    /// runs on a table-cache miss only), and is memoized after.
+    ///
+    /// # Errors
+    ///
+    /// Returns open, read and corruption errors.
+    pub fn get(
+        &self,
+        table_id: u64,
+        spec: impl FnOnce() -> TableSpec,
+        key: &[u8],
+    ) -> Result<Option<TableEntry>> {
+        let (memoized, mut scratch) = {
+            let mut stripe = self.stripe().lock();
+            let memoized = match stripe.serve(table_id, key) {
+                Probe::Served(found) => return found,
+                Probe::Table(node, handle) => Some((Arc::clone(node), handle)),
+                Probe::Miss => None,
+            };
+            (memoized, std::mem::take(&mut stripe.scratch))
+        };
+        let (table, handle, new_table) = match memoized {
+            Some((node, handle)) => (node, Some(handle), false),
+            None => {
+                let node = self.table_node(table_id, spec)?;
+                let handle = node.value().data_handle(key, &mut scratch)?;
+                (node, handle, true)
+            }
+        };
+        let reader = table.value();
+        let block = match handle {
+            Some(handle) => Some((reader.block_key(handle), reader.read_data_block(handle)?)),
+            None => None,
+        };
+        let found = match &block {
+            Some((_, node)) => reader.entry_in(node.value(), key, &mut scratch),
+            None => Ok(None),
+        };
+        let displaced = {
+            let mut stripe = self.stripe().lock();
+            stripe.scratch = scratch;
+            let table = new_table
+                .then(|| stripe.tables.fill(table_id, table))
+                .flatten();
+            let block = block.and_then(|(key, node)| stripe.blocks.fill(key, node));
+            (table, block)
+        };
+        drop(displaced); // off the stripe: may be a cached value's last reference
+        found
+    }
+
+    /// The calling thread's stripe.
+    fn stripe(&self) -> &Mutex<Stripe> {
+        self.stripes.mine()
+    }
+
+    /// Hits the stripes served: of table readers, and of data blocks.
+    fn stripe_hits(&self) -> (u64, u64) {
+        self.stripes.all().fold((0, 0), |(tables, blocks), stripe| {
+            let stripe = stripe.lock();
+            (tables + stripe.tables.hits(), blocks + stripe.blocks.hits())
+        })
     }
 
     /// A reader for `built`, a table just written into physical file
@@ -218,9 +354,16 @@ impl TableCache {
         self.tables.insert(table_id, table, 1);
     }
 
-    /// Drop a table from the cache (after compaction invalidates it).
+    /// Drop a table from the cache (after compaction invalidates it), and
+    /// from every stripe: a stripe's reader would hold the file open.
     pub fn evict(&self, table_id: u64) {
         self.tables.erase(&table_id);
+        let forgotten: Vec<_> = self
+            .stripes
+            .all()
+            .filter_map(|stripe| stripe.lock().tables.forget(&table_id))
+            .collect();
+        drop(forgotten); // off the stripes
     }
 
     /// Drop a cached file handle (after the physical file is deleted).
@@ -240,24 +383,30 @@ impl TableCache {
         self.opts.block_cache.as_ref()
     }
 
-    /// Hit/miss counters of the table slot cache.
-    pub fn stats(&self) -> bolt_common::cache::CacheStats {
-        self.tables.stats()
+    /// Hit/miss counters of the table slot cache, the stripes' hits
+    /// included.
+    pub fn stats(&self) -> CacheStats {
+        self.tables.stats().with_memo_hits(self.stripe_hits().0)
     }
 
     /// Every counter of this cache, read now.
     pub fn snapshot(&self) -> TableCacheSnapshot {
         let stats = self.tables.stats();
-        self.counters.snapshot(stats.hits(), stats.misses())
+        let stripe_hits = self.stripe_hits().0;
+        self.counters
+            .snapshot(stats.hits() + stripe_hits, stripe_hits, stats.misses())
     }
 
-    /// The block cache's counters, read now (all zero without one).
+    /// The block cache's counters, read now (all zero without one), the
+    /// stripes' hits included.
     pub fn block_cache_snapshot(&self) -> BlockCacheSnapshot {
         self.block_cache()
             .map_or_else(BlockCacheSnapshot::default, |blocks| {
                 let stats = blocks.stats();
+                let stripe_hits = self.stripe_hits().1;
                 BlockCacheSnapshot {
-                    hits: stats.hits(),
+                    hits: stats.hits() + stripe_hits,
+                    stripe_hits,
                     misses: stats.misses(),
                     evictions: stats.evictions(),
                     usage: blocks.usage(),
@@ -411,6 +560,165 @@ mod tests {
         cache.evict(1);
         open(&cache, &s);
         assert_eq!(cache.open_count(), 2);
+    }
+
+    /// A table of `n` keys `{tag}/k0000`… whose values are `value` padded to
+    /// 64 bytes: at 4 KiB data blocks, about 60 keys a block.
+    fn build_valued(env: &Arc<dyn Env>, path: &str, tag: u32, n: u32, value: &[u8]) -> TableSpec {
+        let mut file = env.new_writable_file(path).unwrap();
+        let mut b = TableBuilder::new(file.as_mut(), TableFormat::default());
+        let mut padded = value.to_vec();
+        padded.resize(64, b'.');
+        for i in 0..n {
+            let key = make_internal_key(format!("{tag}/k{i:04}").as_bytes(), 1, ValueType::Value);
+            b.add(&key, &padded).unwrap();
+        }
+        let built = b.finish().unwrap();
+        file.sync().unwrap();
+        spec(
+            u64::from(tag),
+            u64::from(tag),
+            path,
+            built.offset,
+            built.size,
+        )
+    }
+
+    fn with_blocks(bytes: u64) -> TableReadOptions {
+        TableReadOptions {
+            block_cache: Some(Arc::new(LruCache::new(bytes))),
+            ..opts()
+        }
+    }
+
+    /// The value `get` finds for `{tag}/k{i}` through `cache`, as built.
+    fn value_of(cache: &TableCache, s: &TableSpec, tag: u32, i: u32) -> Vec<u8> {
+        let key = lookup_key(format!("{tag}/k{i:04}").as_bytes(), 100);
+        let entry = cache
+            .get(s.table_id, || s.clone(), &key)
+            .unwrap()
+            .expect("found");
+        assert_eq!((entry.sequence, entry.value_type), (1, ValueType::Value));
+        entry.value
+    }
+
+    /// `(table hits, of them stripe hits, table misses, block hits, of them
+    /// stripe hits, block misses)`.
+    fn counts(cache: &TableCache) -> [u64; 6] {
+        let (t, b) = (cache.snapshot(), cache.block_cache_snapshot());
+        [
+            t.hits,
+            t.stripe_hits,
+            t.misses,
+            b.hits,
+            b.stripe_hits,
+            b.misses,
+        ]
+    }
+
+    #[test]
+    fn a_repeat_get_is_served_by_the_stripe() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let s = build_valued(&env, "000001.ldb", 1, 50, b"v");
+        let cache = TableCache::new(Arc::clone(&env), 10, None, with_blocks(1 << 20));
+        assert!(value_of(&cache, &s, 1, 7).starts_with(b"v."));
+        assert_eq!(counts(&cache), [0, 0, 1, 0, 0, 1]);
+        let reads = env.stats().snapshot().read_ops;
+        for _ in 0..10 {
+            value_of(&cache, &s, 1, 7);
+        }
+        assert_eq!(counts(&cache), [10, 10, 1, 10, 10, 1]);
+        assert_eq!(env.stats().snapshot().read_ops, reads, "no device read");
+        // A key the table lacks: a stripe hit on the table, no entry.
+        let absent = lookup_key(b"1/k0007x", 100);
+        assert!(cache.get(1, || s.clone(), &absent).unwrap().is_none());
+        assert_eq!(cache.stats().hits(), 11);
+    }
+
+    /// After an eviction, an erase or a replace, the next get through the
+    /// stripe is a lookup the shared cache counts, and reads what the
+    /// cache holds now.
+    #[test]
+    fn a_stripe_serves_nothing_the_caches_let_go() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let one = build_valued(&env, "000001.ldb", 1, 50, b"one");
+        let two = build_valued(&env, "000002.ldb", 2, 50, b"two");
+        // One table slot, and one block cache shard that holds one block.
+        let cache = TableCache::new(Arc::clone(&env), 1, None, with_blocks(1));
+        value_of(&cache, &one, 1, 3);
+        value_of(&cache, &one, 1, 3);
+        assert_eq!(counts(&cache), [1, 1, 1, 1, 1, 1]);
+
+        // Evicted: `two` takes the one table slot and the block cache.
+        value_of(&cache, &two, 2, 3);
+        assert!(value_of(&cache, &one, 1, 3).starts_with(b"one"));
+        assert_eq!(counts(&cache), [1, 1, 3, 1, 1, 3], "counted misses");
+        assert_eq!(cache.open_count(), 3);
+
+        // Erased: and no stripe keeps the reader (or its file) alive.
+        let held = Arc::downgrade(&cache.table(1, || one.clone()).unwrap());
+        cache.evict(1);
+        assert!(held.upgrade().is_none(), "a stripe still holds the reader");
+        assert!(value_of(&cache, &one, 1, 3).starts_with(b"one"));
+        assert_eq!(counts(&cache)[..3], [2, 1, 4]);
+
+        // Replaced: id 1 now names a reader of the other file.
+        let file = env.new_random_access_file("000002.ldb").unwrap();
+        let other = Table::open(file, two.offset, two.size, 2, cache.opts.clone()).unwrap();
+        cache.insert_built(1, Arc::new(other));
+        let key = lookup_key(b"2/k0003", 100);
+        let entry = cache.get(1, || one.clone(), &key).unwrap().unwrap();
+        assert!(entry.value.starts_with(b"two"));
+        assert_eq!(
+            counts(&cache)[..3],
+            [3, 1, 4],
+            "a shard hit, not a stripe hit"
+        );
+        assert_eq!(cache.open_count(), 4);
+    }
+
+    /// More readers than stripes over a block cache far smaller than what
+    /// they read: the blocks the stripes keep alive after the cache let
+    /// them go are at most `STRIPE_BLOCKS` a stripe, and their bytes within
+    /// `READER_SLOTS × STRIPE_BLOCKS` blocks.
+    #[test]
+    fn stripes_hold_at_most_their_bound_of_evicted_blocks() {
+        use bolt_common::sync::READER_SLOTS;
+        const KEYS: u32 = 4_000;
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let s = build_valued(&env, "000001.ldb", 1, KEYS, b"v");
+        let cache = TableCache::new(Arc::clone(&env), 10, None, with_blocks(16 << 10));
+        std::thread::scope(|scope| {
+            for t in 0..READER_SLOTS as u32 + 2 {
+                let (cache, s) = (&cache, &s);
+                scope.spawn(move || {
+                    for i in 0..3_000u32 {
+                        value_of(cache, s, 1, (t * 997 + i * 61) % KEYS);
+                    }
+                });
+            }
+        });
+        let (mut blocks, mut bytes, mut largest) = (0, 0, 0);
+        for stripe in cache.stripes.all() {
+            let stripe = stripe.lock();
+            let held: Vec<usize> = stripe.blocks.detached().map(Block::size).collect();
+            assert!(held.len() <= STRIPE_BLOCKS, "{}", held.len());
+            assert!(stripe.tables.detached().count() <= STRIPE_TABLES);
+            blocks += held.len();
+            bytes += held.iter().sum::<usize>();
+            largest = largest.max(held.iter().copied().max().unwrap_or(0));
+        }
+        assert!(
+            blocks > STRIPE_BLOCKS,
+            "the test evicts memoized blocks: {blocks}"
+        );
+        assert!(largest <= 4096 + 128, "{largest}");
+        assert!(
+            bytes <= READER_SLOTS * STRIPE_BLOCKS * (4096 + 128),
+            "{bytes}"
+        );
+        let b = cache.block_cache_snapshot();
+        assert_eq!(b.hits + b.misses, (READER_SLOTS as u64 + 2) * 3_000);
     }
 
     #[test]

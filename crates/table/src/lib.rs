@@ -58,4 +58,4 @@ pub use cache::{BlockCacheSnapshot, TableCache, TableCacheSnapshot, TableSpec};
 pub use comparator::{BytewiseComparator, Comparator, InternalKeyComparator};
 pub use rangedel::{RangeTombstone, RangeTombstoneSet};
 pub use seq::{SeqReadStats, SeqReader, SEQ_READ_WINDOW};
-pub use table::{BlockCache, BlockCacheKey, Table, TableIter, TableReadOptions};
+pub use table::{BlockCache, BlockCacheKey, Table, TableEntry, TableIter, TableReadOptions};

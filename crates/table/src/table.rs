@@ -13,7 +13,7 @@
 use std::sync::{Arc, OnceLock};
 
 use bolt_common::bloom::BloomFilterPolicy;
-use bolt_common::cache::LruCache;
+use bolt_common::cache::{CacheNode, LruCache};
 use bolt_common::Result;
 use bolt_env::RandomAccessFile;
 
@@ -21,7 +21,7 @@ use crate::block::{Block, BlockIter};
 use crate::builder::FilterKey;
 use crate::comparator::Comparator;
 use crate::format::{read_block, BlockHandle, TableTail, FOOTER_SIZE};
-use crate::ikey::{extract_user_key, parse_internal_key, ValueType};
+use crate::ikey::{extract_user_key, parse_internal_key, SequenceNumber, ValueType};
 use crate::rangedel::RangeTombstone;
 
 /// Key of a cached block: `(cache id, absolute offset in file)`.
@@ -29,6 +29,18 @@ pub type BlockCacheKey = (u64, u64);
 
 /// Shared cache of decoded data blocks, charged by byte size.
 pub type BlockCache = LruCache<BlockCacheKey, Block>;
+
+/// What a point lookup found in a table for its user key: the entry's
+/// sequence, type and value — not its key, which is the lookup's own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableEntry {
+    /// The entry's sequence number.
+    pub sequence: SequenceNumber,
+    /// The entry's type.
+    pub value_type: ValueType,
+    /// The entry's value.
+    pub value: Vec<u8>,
+}
 
 /// Read-side configuration shared by all tables of a database.
 #[derive(Clone)]
@@ -184,44 +196,93 @@ impl Table {
         policy.key_may_match(probe, filter)
     }
 
-    fn read_data_block(&self, handle: BlockHandle) -> Result<Arc<Block>> {
-        if let Some(cache) = &self.opts.block_cache {
-            let cache_key = (self.cache_id, self.base + handle.offset);
-            if let Some(block) = cache.get(&cache_key) {
-                return Ok(block);
-            }
-            let contents = read_block(self.file.as_ref(), self.base, handle)?;
-            let block = Arc::new(Block::new(contents)?);
-            cache.insert(cache_key, Arc::clone(&block), block.size() as u64);
-            Ok(block)
-        } else {
+    /// The data block at `handle` as a block-cache node — read and inserted
+    /// on a miss — or, for a table that reads through, as a node no cache
+    /// holds.
+    pub(crate) fn read_data_block(&self, handle: BlockHandle) -> Result<Arc<CacheNode<Block>>> {
+        let read = || -> Result<Arc<Block>> {
             let contents = read_block(self.file.as_ref(), self.base, handle)?;
             Ok(Arc::new(Block::new(contents)?))
+        };
+        let Some(cache) = &self.opts.block_cache else {
+            return read().map(CacheNode::detached);
+        };
+        let cache_key = self.block_key(handle);
+        if let Some(block) = cache.get_node(&cache_key) {
+            return Ok(block);
         }
+        let block = read()?;
+        let charge = block.size() as u64;
+        Ok(cache.insert(cache_key, block, charge))
+    }
+
+    /// The block-cache key of the data block at `handle`.
+    pub(crate) fn block_key(&self, handle: BlockHandle) -> BlockCacheKey {
+        (self.cache_id, self.base + handle.offset)
+    }
+
+    /// The handle of the data block a lookup of `key` must search; `None`
+    /// when the table cannot contain the key (filter miss or past the end).
+    /// The index key the seek lands on is decoded into `scratch`.
+    pub(crate) fn data_handle(
+        &self,
+        key: &[u8],
+        scratch: &mut Vec<u8>,
+    ) -> Result<Option<BlockHandle>> {
+        if !self.filter_matches(key) {
+            return Ok(None);
+        }
+        let cmp = self.opts.comparator.as_ref();
+        let Some(handle) = self.index.seek(cmp, key, scratch)? else {
+            return Ok(None);
+        };
+        Ok(Some(BlockHandle::decode_from(handle)?.0))
+    }
+
+    /// The entry of internal lookup key `key`'s user key in `block`, the
+    /// data block [`data_handle`](Self::data_handle) named: the first entry
+    /// at or after `key`, if it has that user key. Its key is decoded into
+    /// `scratch` and not copied out.
+    pub(crate) fn entry_in(
+        &self,
+        block: &Block,
+        key: &[u8],
+        scratch: &mut Vec<u8>,
+    ) -> Result<Option<TableEntry>> {
+        let cmp = self.opts.comparator.as_ref();
+        let Some(value) = block.seek(cmp, key, scratch)? else {
+            return Ok(None);
+        };
+        let found = parse_internal_key(scratch)?;
+        if found.user_key != extract_user_key(key) {
+            return Ok(None);
+        }
+        Ok(Some(TableEntry {
+            sequence: found.sequence,
+            value_type: found.value_type,
+            value: value.to_vec(),
+        }))
     }
 
     /// Point lookup: the first entry with key >= `key` (typically an
     /// internal lookup key). Returns `None` when the table cannot contain
-    /// the key (filter miss or past the end). The index block and the
-    /// comparator are borrowed, never counted: on a block-cache hit the
-    /// shared lines this writes are the cache shard's and the data block's
-    /// reference count.
+    /// the key (filter miss or past the end). The engine's gets go through
+    /// [`TableCache::get`](crate::TableCache::get), which serves a repeat
+    /// from the reader's stripe.
     ///
     /// # Errors
     ///
     /// Returns [`bolt_common::Error::Corruption`] or I/O errors from block reads.
     pub fn internal_get(&self, key: &[u8]) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        if !self.filter_matches(key) {
-            return Ok(None);
-        }
-        let cmp = self.opts.comparator.as_ref();
-        let Some((_, handle)) = self.index.seek(cmp, key)? else {
+        let mut found = Vec::new();
+        let Some(handle) = self.data_handle(key, &mut found)? else {
             return Ok(None);
         };
-        let (handle, _) = BlockHandle::decode_from(handle)?;
         let block = self.read_data_block(handle)?;
-        let found = block.seek(cmp, key)?;
-        Ok(found.map(|(key, value)| (key, value.to_vec())))
+        let value = block
+            .value()
+            .seek(self.opts.comparator.as_ref(), key, &mut found)?;
+        Ok(value.map(|value| (found, value.to_vec())))
     }
 
     /// The range tombstones stored in this table. The first call scans the
@@ -288,7 +349,7 @@ impl TableIter {
         }
         let (handle, _) = BlockHandle::decode_from(self.index_iter.value())?;
         let block = self.table.read_data_block(handle)?;
-        self.data_iter = Some(block.iter(self.table.min_key_len));
+        self.data_iter = Some(block.value().iter(self.table.min_key_len));
         Ok(())
     }
 

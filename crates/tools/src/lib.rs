@@ -161,21 +161,22 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
     let tc = &metrics.table_cache;
     writeln!(
         out,
-        "  table cache: {} hits | {} misses | {} opens ({} reads, {} B, {:.2} reads/open) | {} warm inserts",
+        "  table cache: {} hits | {} misses | {} opens ({} reads, {} B, {:.2} reads/open) | {} warm inserts | {} hits from reader stripes",
         tc.hits,
         tc.misses,
         tc.opens,
         tc.open_reads,
         tc.open_bytes,
         tc.reads_per_open(),
-        tc.warm_inserts
+        tc.warm_inserts,
+        tc.stripe_hits
     )
     .expect("write");
     let bc = &metrics.block_cache;
     writeln!(
         out,
-        "  block cache: {} hits | {} misses | {} evictions | {} B held",
-        bc.hits, bc.misses, bc.evictions, bc.usage
+        "  block cache: {} hits | {} misses | {} evictions | {} B held | {} hits from reader stripes",
+        bc.hits, bc.misses, bc.evictions, bc.usage, bc.stripe_hits
     )
     .expect("write");
     if s.range_deletes > 0 || s.checkpoints > 0 || metrics.range_tombstones_live > 0 {
