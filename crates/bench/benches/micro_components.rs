@@ -520,15 +520,23 @@ fn bench_write_pipeline(c: &mut Criterion) {
                     opts.memtable_bytes = 256 << 20; // keep flushes out of the timing
                     let db = Arc::new(Db::open(env, "bench-db", opts).unwrap());
                     let per_thread = (iters as usize).div_ceil(threads).max(1);
+                    // Built before the clock starts: a `format!` per put would
+                    // make the writers wait on the allocator.
+                    let keys: Vec<Vec<Vec<u8>>> = (0..threads)
+                        .map(|t| {
+                            let key = |i| format!("w{t}/k{i:08}").into_bytes();
+                            (0..per_thread).map(key).collect()
+                        })
+                        .collect();
                     let start = std::time::Instant::now();
                     std::thread::scope(|scope| {
-                        for t in 0..threads {
+                        for keys in &keys {
                             let db = Arc::clone(&db);
                             scope.spawn(move || {
                                 let wopts = WriteOptions::with_sync(sync);
-                                for i in 0..per_thread {
+                                for key in keys {
                                     let mut batch = WriteBatch::new();
-                                    batch.put(format!("w{t}/k{i:08}").as_bytes(), &[b'v'; 100]);
+                                    batch.put(key, &[b'v'; 100]);
                                     db.write_opt(batch, &wopts).unwrap();
                                 }
                             });

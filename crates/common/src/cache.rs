@@ -421,6 +421,22 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         self.shard(key).shard.lock().erase(key)
     }
 
+    /// The values of the entries whose keys `pred` accepts, read under each
+    /// shard's lock without a lookup: no hit or miss is counted and no
+    /// entry is promoted.
+    pub fn values_where(&self, mut pred: impl FnMut(&K) -> bool) -> Vec<Arc<V>> {
+        let mut found = Vec::new();
+        for slot in &self.shards {
+            let shard = slot.shard.lock();
+            for (_, &idx) in shard.map.iter().filter(|(key, _)| pred(key)) {
+                found.push(Arc::clone(
+                    &shard.slab[idx].as_ref().expect("entry").node.value,
+                ));
+            }
+        }
+        found
+    }
+
     /// Total charge currently held.
     pub fn usage(&self) -> u64 {
         self.shards.iter().map(|s| s.shard.lock().usage).sum()

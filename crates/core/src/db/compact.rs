@@ -18,16 +18,19 @@
 //! inside one: the flush thread's commits interleave with this module's
 //! only at [`DbInner::commit`].
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bolt_common::events::{BarrierCause, BarrierScope, EngineEvent};
 use bolt_common::{Error, Result};
-use bolt_table::ikey::extract_user_key;
+use bolt_table::block::Block;
+use bolt_table::format::BlockHandle;
+use bolt_table::ikey::{extract_user_key, TAG_SIZE};
 use bolt_table::rangedel::RangeTombstoneSet;
 use bolt_table::seq::SeqReadStats;
-use bolt_table::{BuiltTable, InternalKeyComparator, Table, TableBuilder, TableCache};
+use bolt_table::{BuiltTable, InternalKeyComparator, Table, TableBuilder};
 
 use super::{DbInner, ReadView};
 use crate::compaction::{clusters, CompactionReason, CompactionTask, DropRule, OutputShape};
@@ -160,6 +163,7 @@ impl DbInner {
         // BoLT: one physical compaction file for the entire compaction.
         let target = self.opts.output_table_bytes();
         let mut sink = OutputSink::new(self, self.opts.bolt_options().is_some(), target);
+        sink.warm.hot = Some(self.cached_input_spans(task));
         // Every data barrier the rewrite pays is attributed to this
         // compaction (the scope is this thread's: a flush running beside
         // it tags its own).
@@ -195,10 +199,34 @@ impl DbInner {
         Ok((outputs, rule.into_dead()))
     }
 
+    /// The user-key spans of `task`'s input blocks the block cache holds,
+    /// sorted and merged: the only spans the compaction's kept blocks may
+    /// come from, so that they take the place of blocks readers used and
+    /// evict nothing for blocks no reader asked for.
+    fn cached_input_spans(&self, task: &CompactionTask) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let inputs: Vec<_> = (task.merge_inputs())
+            .map(|t| (t.file_number, t.offset..t.offset + t.size))
+            .collect();
+        let mut spans: Vec<_> = (self.table_cache.cached_blocks(&inputs).iter())
+            .filter_map(user_key_span)
+            .collect();
+        spans.sort_unstable();
+        // A span that starts inside the one before joins it.
+        spans.dedup_by(|(first, last), (_, end)| {
+            let joins = first <= end;
+            if joins && last > end {
+                std::mem::swap(last, end);
+            }
+            joins
+        });
+        spans
+    }
+
     /// The one commit of a flush, of a compaction and of an open (which
     /// installs no output, only its fresh WAL's number): install `outputs` at
     /// `level` with `edit` ([`commit_outputs`]), publish the view `install`
-    /// builds around the new version, and reclaim what the commit killed.
+    /// builds around the new version, cache the outputs' readers and kept
+    /// blocks, and reclaim what the commit killed.
     /// `dead` is what a compaction's [`DropRule`] let go of (a flush drops
     /// nothing and passes `None`): the value-log ledger takes it in the
     /// same MANIFEST record. Returns the bytes installed.
@@ -207,7 +235,9 @@ impl DbInner {
     /// critical section, after `log_and_apply` and before the reclaim
     /// decision, so the outgoing version has lost the view's reference when
     /// that decision scans for live versions and its files go into this
-    /// very pass's batch — which runs with the lock released.
+    /// very pass's batch — which runs with the lock released, as the cache
+    /// inserts do. Nothing is cached before its table can be read, nor for
+    /// a commit that failed.
     pub(super) fn commit(
         &self,
         mut edit: VersionEdit,
@@ -219,17 +249,13 @@ impl DbInner {
     ) -> Result<u64> {
         let mut versions = self.versions.lock();
         let staged = dead.map(|dead| versions.stage_vlog_dead(&mut edit, dead));
-        let bytes = commit_outputs(
-            &mut versions,
-            &self.table_cache,
-            edit,
-            level,
-            shape,
-            outputs,
-        )?;
+        let (bytes, installed) = commit_outputs(&mut versions, edit, level, shape, outputs)?;
         self.install_view(|old| install(old, versions.current()));
         let garbage = versions.collect_garbage(&self.table_cache);
         drop(versions);
+        for (table_id, _, reader, blocks) in installed {
+            self.table_cache.insert_built(table_id, reader, blocks);
+        }
         self.reclaim(garbage);
         if let Some((newly_dead, retired)) = staged {
             self.stats.record_vlog_dead_bytes(newly_dead);
@@ -237,6 +263,21 @@ impl DbInner {
         }
         Ok(bytes)
     }
+}
+
+/// The first and last user keys of `block`, a block of internal keys
+/// (`None` for an empty or undecodable one).
+fn user_key_span(block: &Arc<Block>) -> Option<(Vec<u8>, Vec<u8>)> {
+    let mut iter = block.iter(TAG_SIZE);
+    iter.seek_to_first().ok()?;
+    let first = extract_user_key(iter.valid().then(|| iter.key())?).to_vec();
+    let mut last = first.clone();
+    while iter.valid() {
+        last.clear();
+        last.extend_from_slice(extract_user_key(iter.key()));
+        iter.next().ok()?;
+    }
+    Some((first, last))
 }
 
 /// The units of `task` that merge independently, in the order they are
@@ -263,33 +304,36 @@ pub(super) fn merge_units(task: &CompactionTask) -> Vec<Vec<TableList>> {
 }
 
 /// One finished table of an [`OutputSink`]: the file it is in, what the
-/// MANIFEST records of it, and its reader — made from the index and filter
-/// the builder framed (moved out of `built`), so that nothing reads the
-/// table back to open it.
+/// MANIFEST records of it, its reader — made from the index and filter the
+/// builder framed (moved out of `built`), so that nothing reads the table
+/// back to open it — and the data blocks the sink kept of it.
 pub(super) struct Output {
     file_number: u64,
     built: BuiltTable,
     reader: Arc<Table>,
+    blocks: Vec<(BlockHandle, Arc<Block>)>,
 }
+
+/// A committed output's table id, file, reader and kept blocks.
+type Installed = (u64, u64, Arc<Table>, Vec<(BlockHandle, Arc<Block>)>);
 
 /// Install built tables: name `outputs` in `edit` as tables of `level`
 /// under the run tag `shape` dictates (a fresh run is tagged with its first
-/// table id), commit the edit to the MANIFEST, release the files' pending
-/// marks and cache the tables' readers under their new ids. Returns the
-/// bytes installed. The one path from an [`OutputSink`]'s product to the
-/// version set.
+/// table id), commit the edit to the MANIFEST and release the files'
+/// pending marks. Returns the bytes installed and the tables under their
+/// new ids, for [`bolt_table::TableCache::insert_built`]. The one path from an
+/// [`OutputSink`]'s product to the version set.
 ///
 /// On a commit error the pending marks stay: the record may have reached
-/// the MANIFEST despite the failed sync, so the files must outlive it. No
-/// reader is cached: the ids were never installed.
+/// the MANIFEST despite the failed sync, so the files must outlive it.
+/// Nothing is returned to cache: the ids were never installed.
 fn commit_outputs(
     versions: &mut VersionSet,
-    cache: &TableCache,
     mut edit: VersionEdit,
     level: usize,
     shape: OutputShape,
     outputs: Vec<Output>,
-) -> Result<u64> {
+) -> Result<(u64, Vec<Installed>)> {
     let mut run_tag = match shape {
         OutputShape::Leveled | OutputShape::AppendRun => 0,
         OutputShape::ReplaceRun { tag } => tag,
@@ -301,6 +345,7 @@ fn commit_outputs(
             file_number,
             built,
             reader,
+            blocks,
         } = output;
         let table_id = versions.ids().new_table_id();
         if i == 0 && shape == OutputShape::AppendRun {
@@ -322,14 +367,13 @@ fn commit_outputs(
             .with_range_tombstones(built.range_tombstones)
             .with_tail_bytes(built.tail_bytes),
         ));
-        installed.push((table_id, file_number, reader));
+        installed.push((table_id, file_number, reader, blocks));
     }
     versions.log_and_apply(edit)?;
-    for (table_id, file_number, reader) in installed {
+    for &(_, file_number, ..) in &installed {
         versions.reclaim.clear_pending(file_number);
-        cache.insert_built(table_id, reader);
     }
-    Ok(bytes)
+    Ok((bytes, installed))
 }
 
 /// A failed compaction, and whether the picker may simply find it again:
@@ -364,6 +408,54 @@ pub(super) struct OutputSink<'a> {
     /// Whether an output file was synced: a failure before it leaves
     /// nothing of the job on disk once `abandon` has run.
     synced: bool,
+    /// The data blocks the outputs' builders framed, for the block cache.
+    warm: WarmBlocks,
+}
+
+/// The data blocks a job's builders framed, each with the index of the
+/// output it is in: the newest, at most `bound` bytes — the block cache's
+/// capacity — the oldest dropped first.
+struct WarmBlocks {
+    bound: u64,
+    bytes: u64,
+    blocks: VecDeque<(usize, BlockHandle, Arc<Block>)>,
+    /// A compaction's [`cached_input_spans`](DbInner::cached_input_spans):
+    /// a block overlapping none of them is not kept. `None` for a flush,
+    /// whose output is the newest data and is kept whole.
+    hot: Option<Vec<(Vec<u8>, Vec<u8>)>>,
+}
+
+impl WarmBlocks {
+    /// Keep `block` of output `output`, and drop the oldest past the bound.
+    fn keep(&mut self, output: usize, handle: BlockHandle, block: Arc<Block>) {
+        if let Some(hot) = &self.hot {
+            let Some((first, last)) = user_key_span(&block) else {
+                return;
+            };
+            let at = hot.partition_point(|(_, end)| *end < first);
+            if hot.get(at).is_none_or(|(start, _)| *start > last) {
+                return;
+            }
+        }
+        self.bytes += block.size() as u64;
+        self.blocks.push_back((output, handle, block));
+        while self.bytes > self.bound {
+            let Some((_, _, old)) = self.blocks.pop_front() else {
+                break;
+            };
+            self.bytes -= old.size() as u64;
+        }
+    }
+
+    /// The kept blocks of output `output`, once those of every earlier
+    /// output are taken.
+    fn take(&mut self, output: usize) -> Vec<(BlockHandle, Arc<Block>)> {
+        let n = (self.blocks.iter())
+            .take_while(|&&(of, ..)| of == output)
+            .count();
+        let taken = self.blocks.drain(..n);
+        taken.map(|(_, handle, block)| (handle, block)).collect()
+    }
 }
 
 impl<'a> OutputSink<'a> {
@@ -376,6 +468,12 @@ impl<'a> OutputSink<'a> {
             outputs: Vec::new(),
             created: Vec::new(),
             synced: false,
+            warm: WarmBlocks {
+                bound: inner.opts.block_cache_bytes,
+                bytes: 0,
+                blocks: VecDeque::new(),
+                hot: None,
+            },
         }
     }
 
@@ -442,8 +540,11 @@ impl<'a> OutputSink<'a> {
             // ensure_file() above either populated `self.file` or returned the
             // error. bolt-lint: allow(unwrap-in-crash-path)
             let (file_number, file) = self.file.as_mut().expect("file open");
+            let output = self.outputs.len();
+            let mut keep_block = |handle, block| self.warm.keep(output, handle, block);
             let mut builder =
-                TableBuilder::new(file.as_mut(), self.inner.opts.table_format.clone());
+                TableBuilder::new(file.as_mut(), self.inner.opts.table_format.clone())
+                    .keeping_blocks(&mut keep_block);
             while iter.valid() {
                 let keep = match rule.as_deref_mut() {
                     Some(rule) => rule.keep(iter.key(), iter.value())?,
@@ -505,7 +606,8 @@ impl<'a> OutputSink<'a> {
         }
         std::mem::take(&mut self.outputs)
             .into_iter()
-            .map(|(file_number, mut built)| {
+            .enumerate()
+            .map(|(i, (file_number, mut built))| {
                 let path = table_file(&self.inner.name, file_number);
                 let cache = &self.inner.table_cache;
                 let reader = cache.reader_of_built(file_number, &path, &mut built)?;
@@ -513,6 +615,7 @@ impl<'a> OutputSink<'a> {
                     file_number,
                     built,
                     reader,
+                    blocks: self.warm.take(i),
                 })
             })
             .collect()
@@ -619,9 +722,12 @@ mod tests {
         db.close().unwrap();
     }
 
+    /// The merge reads its inputs past both caches: no lookup, open or
+    /// eviction. Its commit caches the outputs: every data block, charged
+    /// its bytes.
     #[test]
     fn compaction_inputs_bypass_block_cache_and_table_lru() {
-        let (_env, db) = mem_db(small_opts(Options::bolt()));
+        let (env, db) = mem_db(small_opts(Options::bolt()));
         two_overlapping_runs(&db);
         // Foreground reads fill both caches with the tables about to merge.
         for i in (0..300u32).step_by(7) {
@@ -631,13 +737,17 @@ mod tests {
         let blocks = tables.block_cache().unwrap();
         let caches = || {
             let (b, t) = (blocks.stats(), tables.stats());
-            let block_cache = (blocks.usage(), b.hits(), b.misses(), b.evictions());
+            let block_cache = (b.hits(), b.misses(), b.evictions());
             (block_cache, tables.open_count(), t.hits(), t.misses())
         };
-        let before = caches();
+        let warm = || {
+            let b = tables.block_cache_snapshot();
+            (b.usage, b.warm_inserts)
+        };
+        let (before, warm_before) = (caches(), warm());
         // (The flushes cached their own tables' readers: hits, no opens.)
         assert!(
-            before.0 .0 > 0 && before.2 > 0,
+            warm_before.0 > 0 && before.2 > 0,
             "nothing cached: {before:?}"
         );
 
@@ -645,11 +755,101 @@ mod tests {
         let stats = db.stats().snapshot();
         assert_eq!(stats.compactions, 1);
         assert_eq!(caches(), before, "the compaction went through a cache");
+        let outputs = data_blocks(env.as_ref(), &db, 1);
+        let charge: u64 = outputs.iter().map(|&(_, bytes)| bytes).sum();
+        assert!(!outputs.is_empty());
+        assert_eq!(
+            warm(),
+            (warm_before.0 + charge, warm_before.1 + outputs.len() as u64),
+            "the outputs' blocks are cached whole"
+        );
         // What it read instead: every input byte once, one span per run
         // (each run is one flush's file, its logical tables back to back).
         assert_eq!(stats.compaction_read_ops, 2, "{stats:?}");
         assert_eq!(stats.compaction_read_bytes, stats.compaction_input_bytes);
         assert_eq!(db.get(b"key00123").unwrap(), Some(newer()));
+        db.close().unwrap();
+    }
+
+    /// A key whose block a compaction just rewrote is read from the block
+    /// cache.
+    #[test]
+    fn a_get_of_a_block_a_compaction_just_wrote_reads_no_device() {
+        let (env, db) = mem_db(manual_opts());
+        two_overlapping_runs(&db);
+        compact_l0(&db).unwrap();
+        assert_eq!(db.level_info()[0].runs, 0);
+        let value = get_from_block_cache(&env, &db, b"key00123");
+        assert_eq!(value, Some(newer()));
+        db.close().unwrap();
+    }
+
+    /// A job whose output is larger than the block cache keeps at most the
+    /// cache's capacity of it: a flush its newest blocks that fit, a
+    /// compaction no more bytes than that; the cache holds no more either.
+    #[test]
+    fn a_job_larger_than_the_block_cache_inserts_at_most_its_capacity() {
+        const CAPACITY: u64 = 256 << 10;
+        let mut opts = manual_opts();
+        opts.block_cache_bytes = CAPACITY;
+        let (env, db) = mem_db(opts);
+        let warm = || db.metrics().block_cache.warm_inserts as usize;
+        flush_run(&db, 0..12_000, &[b'a'; 100]);
+        let flushed = warm();
+        let newest_first: Vec<u64> = (data_blocks(env.as_ref(), &db, 0).iter())
+            .rev()
+            .map(|&(_, bytes)| bytes)
+            .collect();
+        let kept: u64 = newest_first[..flushed].iter().sum();
+        assert!(
+            kept <= CAPACITY && kept + newest_first[flushed] > CAPACITY,
+            "{flushed} blocks, {kept} B"
+        );
+
+        flush_run(&db, 0..12_000, &newer());
+        let before = warm();
+        compact_l0(&db).unwrap();
+        let inserted = warm() - before;
+        let mut sizes: Vec<u64> = (data_blocks(env.as_ref(), &db, 1).iter())
+            .map(|&(_, bytes)| bytes)
+            .collect();
+        assert!(sizes.iter().sum::<u64>() > 2 * CAPACITY, "a small output");
+        sizes.sort_unstable();
+        let least: u64 = sizes[..inserted].iter().sum();
+        assert!(inserted > 0 && least <= CAPACITY, "{inserted} blocks");
+        assert!(db.metrics().block_cache.usage <= CAPACITY);
+        db.close().unwrap();
+    }
+
+    /// A compaction keeps only the output blocks whose keys overlap an input
+    /// block the cache held when it started: what readers used is replaced,
+    /// and nothing no reader asked for comes in.
+    #[test]
+    fn a_compaction_keeps_only_blocks_over_its_cached_inputs() {
+        let (env, db) = mem_db(manual_opts());
+        flush_run(&db, 0..3_000, &[b'a'; 100]);
+        flush_run(&db, 0..3_000, &newer());
+        // Reopened, the cache is cold; one get makes one input block hot.
+        db.close().unwrap();
+        drop(db);
+        let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", manual_opts()).unwrap();
+        assert_eq!(db.get(b"key01500").unwrap(), Some(newer()));
+        let before = db.metrics().block_cache.warm_inserts;
+        compact_l0(&db).unwrap();
+        let inserted = db.metrics().block_cache.warm_inserts - before;
+        assert!(
+            (1..=2).contains(&inserted),
+            "{inserted} of {} blocks",
+            data_blocks(env.as_ref(), &db, 1).len()
+        );
+        assert_eq!(get_from_block_cache(&env, &db, b"key01500"), Some(newer()));
+        let reads = env.stats().snapshot().read_ops;
+        db.get(b"key00010").unwrap();
+        assert_eq!(
+            env.stats().snapshot().read_ops,
+            reads + 1,
+            "a cold block was cached"
+        );
         db.close().unwrap();
     }
 
@@ -688,6 +888,11 @@ mod tests {
                 (names, db.inner.versions.lock().reclaim.referenced_files())
             };
             let before = files();
+            let cached = || {
+                let blocks = db.metrics().block_cache;
+                (blocks.warm_inserts, blocks.usage)
+            };
+            let cached_before = cached();
 
             // (The n-th read from now is the clause's ordinal n - 1.)
             arm(
@@ -701,6 +906,7 @@ mod tests {
             // nothing is left waiting for bytes nobody will take.
             assert!(started.elapsed().as_secs() < 30, "{:?}", started.elapsed());
             assert!(matches!(err, bolt_common::Error::Io(_)), "{err:?}");
+            assert_eq!(cached(), cached_before, "the failed job cached blocks");
             if let Some(n) = fail_in {
                 let reads = env.take_read_log().len() as u64;
                 assert_eq!(reads, n, "a span past the failed one was read");

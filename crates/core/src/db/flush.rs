@@ -394,6 +394,17 @@ mod tests {
         db.close().unwrap();
     }
 
+    /// A key a flush just wrote is read from the block cache: the commit
+    /// cached the table's blocks with its reader.
+    #[test]
+    fn a_get_of_a_just_flushed_key_reads_no_device() {
+        let (env, db) = mem_db(manual_opts());
+        flush_run(&db, 0..300, &[b'x'; 100]);
+        let value = get_from_block_cache(&env, &db, b"key00123");
+        assert_eq!(value, Some(vec![b'x'; 100]));
+        db.close().unwrap();
+    }
+
     /// File a manual request for the whole of level 0, as `compact_range`
     /// does, and return the generation its completion ends.
     fn request_l0_compaction(db: &Db) -> u64 {

@@ -710,6 +710,54 @@ mod test_util {
         db.flush().unwrap();
     }
 
+    /// `key`'s value, read from the block cache: the get reads no device
+    /// and counts one block-cache hit.
+    pub(super) fn get_from_block_cache(env: &MemEnv, db: &Db, key: &[u8]) -> Option<Vec<u8>> {
+        let (reads, hits) = (
+            env.stats().snapshot().read_ops,
+            db.metrics().block_cache.hits,
+        );
+        let value = db.get(key).unwrap();
+        assert_eq!(env.stats().snapshot().read_ops, reads, "a device read");
+        assert_eq!(
+            db.metrics().block_cache.hits,
+            hits + 1,
+            "a block-cache miss"
+        );
+        value
+    }
+
+    /// The data blocks of `level`'s tables in key order, as `(block-cache
+    /// key, bytes)` — read from the files of database `db` in `env`.
+    pub(super) fn data_blocks(env: &dyn Env, db: &Db, level: usize) -> Vec<((u64, u64), u64)> {
+        use bolt_table::block::Block;
+        use bolt_table::format::{BlockHandle, Footer, FOOTER_SIZE};
+
+        let version = db.current_version();
+        let mut blocks = Vec::new();
+        for table in version.levels[level]
+            .runs
+            .iter()
+            .flat_map(|r| r.tables.iter())
+        {
+            let path = crate::filename::table_file("db", table.file_number);
+            let file = env.new_random_access_file(&path).unwrap();
+            let bytes = file.read(table.offset, table.size as usize).unwrap();
+            let footer = Footer::decode(&bytes[bytes.len() - FOOTER_SIZE..]).unwrap();
+            let (at, size) = (footer.index_handle.offset, footer.index_handle.size);
+            let index = bytes[at as usize..(at + size) as usize].to_vec();
+            let mut iter = Arc::new(Block::new(index).unwrap()).iter(0);
+            iter.seek_to_first().unwrap();
+            while iter.valid() {
+                let (data, _) = BlockHandle::decode_from(iter.value()).unwrap();
+                let key = (table.file_number, table.offset + data.offset);
+                blocks.push((key, data.size));
+                iter.next().unwrap();
+            }
+        }
+        blocks
+    }
+
     pub(super) fn staged_ids(db: &Db) -> Vec<u64> {
         db.staged_txns().iter().map(|m| m.txn_id).collect()
     }

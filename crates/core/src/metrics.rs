@@ -340,6 +340,7 @@ mod tests {
                 misses: 20,
                 evictions: 5,
                 usage: 65536,
+                warm_inserts: 12,
             },
         }
     }
@@ -533,6 +534,7 @@ mod tests {
                 misses: 302,
                 evictions: 303,
                 usage: 304,
+                warm_inserts: 306,
             },
             events_emitted: 401,
             events_dropped: 402,

@@ -508,7 +508,7 @@ mod tests {
         let t = vs.ids().new_table_id();
         let table = meta(t, f, built.offset, built.size);
         let reader = cache.reader_of_built(f, &path, &mut built).unwrap();
-        cache.insert_built(t, reader);
+        cache.insert_built(t, reader, []);
         let cached = |cache: &TableCache| {
             let mut hit = true;
             let _ = cache.table(t, || {

@@ -105,10 +105,35 @@ impl Table {
 
     fn read_data_block(&self, handle: BlockHandle) {
         let contents = read_block(self.file, 0, handle)?;
+        cache.insert(self.block_key(handle), Block::new(contents), charge);
+    }
+
+    fn block_key(&self, handle: BlockHandle) -> BlockCacheKey {
+        (self.cache_id, self.base + handle.offset)
     }
 
     pub fn iter(self: &Arc<Self>) -> TableIter {
         TableIter::new(Arc::clone(self))
+    }
+}
+
+// A block-cache key is made by `Table::block_key` only, and data blocks
+// enter the cache from a read miss and from `insert_built` only.
+impl TableCache {
+    fn table_node(&self, table_id: u64, table: Arc<Table>) {
+        self.tables.insert(table_id, table, 1);
+    }
+
+    fn insert_built(&self, table_id: u64, table: Arc<Table>, blocks: Vec<(BlockHandle, Block)>) {
+        for (handle, block) in blocks {
+            cache.insert(table.block_key(handle), Arc::new(block), charge);
+        }
+        self.tables.insert(table_id, table, 1);
+    }
+
+    fn warm(&self, table: &Table, handle: BlockHandle, block: Block) {
+        let key = (table.cache_id, table.base + handle.offset); // SEED(architecture)
+        cache.insert(key, Arc::new(block), charge); // SEED(architecture)
     }
 }
 

@@ -64,6 +64,8 @@ twopc_path = ["l7_decide.rs"]
 "cache counters are per shard" = "arch_forbid.rs fn cache_hit : stats.hits.fetch_add | stats.misses.fetch_add = 0"
 "a table open reads its tail once, never block by block" = "arch_forbid.rs impl Table except arch_forbid.rs impl Table fn read_data_block : read_block( = 0"
 "the table cache reads no block" = "arch_forbid.rs fn table_cache_open : read_block( = 0"
+"a block-cache key is made only by Table::block_key" = "arch_forbid.rs except arch_forbid.rs impl Table fn block_key : .cache_id, | + handle.offset = 0"
+"data blocks enter the block cache only from a read miss and from TableCache::insert_built (with the reader)" = "arch_forbid.rs except arch_forbid.rs impl TableCache fn table_node : .insert( = 3"
 "the pick finds overlap by binary search, sorts nothing" = "arch_forbid.rs fn pick_from_single_run : overlapping_tables( | sort_by( = 0"
 "no level is scanned while the heap drains" = "arch_forbid.rs fn by_marginal_ratio : overlapping | tables() = 0"
 "the settle tests no victim against every other" = "arch_forbid.rs fn settle_into_single_run : .any( = 0"

@@ -662,7 +662,10 @@ mod tests {
         for i in 0..4 {
             db.shard(i).compact_until_quiet().unwrap();
         }
-        // Cold: the first blocks are read now, and the next read fails.
+        // Cold: a commit caches its outputs' blocks, a reopen holds none —
+        // the first blocks are read now, and the next read fails.
+        db.close().unwrap();
+        let db = open_sharded(&env, 4);
         let fail_next_read =
             || fault.extend_plan(FaultPlan::parse("eio:read:glob=*.sst:nth=0").unwrap());
         let mut iter = db.iter().unwrap();
@@ -1512,6 +1515,7 @@ mod tests {
                 misses: b + 302,
                 evictions: b + 303,
                 usage: b + 304,
+                warm_inserts: b + 306,
             },
             events_emitted: b + 401,
             events_dropped: b + 402,

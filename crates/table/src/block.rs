@@ -360,6 +360,30 @@ mod tests {
     use crate::comparator::{BytewiseComparator, InternalKeyComparator};
     use crate::ikey::{make_internal_key, ValueType, TAG_SIZE};
 
+    /// A block a table builder hands out holds no more heap than its size,
+    /// the charge `TableCache::insert_built` caches it at.
+    #[test]
+    fn a_kept_block_holds_no_more_than_its_size() {
+        use crate::builder::{TableBuilder, TableFormat};
+        use bolt_env::{Env, MemEnv};
+
+        let env = MemEnv::new();
+        let mut file = env.new_writable_file("t").unwrap();
+        let mut kept = Vec::new();
+        let mut keep = |_, block: Arc<Block>| kept.push(block);
+        let mut builder =
+            TableBuilder::new(file.as_mut(), TableFormat::default()).keeping_blocks(&mut keep);
+        for i in 0..2_000u32 {
+            let key = make_internal_key(format!("key{i:06}").as_bytes(), 1, ValueType::Value);
+            builder.add(&key, &[b'v'; 100]).unwrap();
+        }
+        builder.finish().unwrap();
+        assert!(kept.len() > 10, "{} blocks", kept.len());
+        for block in &kept {
+            assert!(block.data.capacity() <= block.size(), "{block:?}");
+        }
+    }
+
     fn build(entries: &[(&[u8], &[u8])], restart_interval: usize) -> Arc<Block> {
         let mut builder = BlockBuilder::new(restart_interval);
         for (k, v) in entries {

@@ -6,11 +6,13 @@
 //! thread runs several builders back-to-back on one physical file and issues
 //! a **single** durability barrier at the end, instead of one per SSTable.
 
+use std::sync::Arc;
+
 use bolt_common::bloom::BloomFilterPolicy;
 use bolt_common::Result;
 use bolt_env::WritableFile;
 
-use crate::block::BlockBuilder;
+use crate::block::{Block, BlockBuilder};
 use crate::format::{frame_block, BlockHandle, Footer};
 use crate::ikey::{extract_user_key, ValueType};
 
@@ -104,6 +106,8 @@ pub struct TableBuilder<'a> {
     smallest: Option<Vec<u8>>,
     largest: Option<Vec<u8>>,
     finished: bool,
+    /// Where each data block goes once framed, when the caller keeps them.
+    keep: Option<&'a mut dyn FnMut(BlockHandle, Arc<Block>)>,
 }
 
 impl std::fmt::Debug for TableBuilder<'_> {
@@ -133,7 +137,16 @@ impl<'a> TableBuilder<'a> {
             smallest: None,
             largest: None,
             finished: false,
+            keep: None,
         }
+    }
+
+    /// Hand each data block, once framed, to `keep` with its handle. The
+    /// contents move into the [`Block`] trimmed to their length, so a cache
+    /// that charges [`Block::size`] charges all the block holds.
+    pub fn keeping_blocks(mut self, keep: &'a mut dyn FnMut(BlockHandle, Arc<Block>)) -> Self {
+        self.keep = Some(keep);
+        self
     }
 
     /// Append an entry; keys must arrive in strictly increasing order by the
@@ -183,9 +196,13 @@ impl<'a> TableBuilder<'a> {
             .largest
             .clone()
             .expect("non-empty block implies a largest key");
-        let contents = self.data_block.finish();
+        let mut contents = self.data_block.finish();
         let handle = self.write_framed(&contents)?;
         self.pending_index = Some((last_key, handle));
+        if let Some(keep) = self.keep.as_mut() {
+            contents.shrink_to_fit();
+            keep(handle, Arc::new(Block::new(contents)?));
+        }
         Ok(())
     }
 

@@ -16,6 +16,7 @@
 //! *stripe* (its reader slot's memo of table readers and data blocks) when
 //! it can be, writing nothing another reader writes.
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -85,18 +86,26 @@ impl TableCacheSnapshot {
 
 bolt_common::counter_table! {
     /// The counters of the data-block cache a [`TableCache`]'s tables read
-    /// through, at an instant: read from the cache's shards when it is taken.
+    /// through, at an instant.
     pub struct BlockCacheSnapshot;
-    /// Block lookups served from the cache.
-    hits => "bolt_block_cache_hits_total",
-    /// Of those, the ones a reader's stripe served.
-    stripe_hits => "bolt_block_cache_stripe_hits_total",
-    /// Block lookups that went to the file.
-    misses => "bolt_block_cache_misses_total",
-    /// Blocks evicted to make room.
-    evictions => "bolt_block_cache_evictions_total",
-    /// Bytes of blocks held.
-    usage => "bolt_block_cache_usage_bytes" as gauge,
+    /// The counter a [`TableCache`] keeps of its block cache (the others
+    /// are read from the cache's shards when a snapshot is taken).
+    pub struct BlockCacheCounters {}
+    read {
+        /// Block lookups served from the cache.
+        hits => "bolt_block_cache_hits_total",
+        /// Of those, the ones a reader's stripe served.
+        stripe_hits => "bolt_block_cache_stripe_hits_total",
+        /// Block lookups that went to the file.
+        misses => "bolt_block_cache_misses_total",
+        /// Blocks evicted to make room.
+        evictions => "bolt_block_cache_evictions_total",
+        /// Bytes of blocks held.
+        usage => "bolt_block_cache_usage_bytes" as gauge,
+    }
+    /// Blocks cached straight from a flush or compaction output at its
+    /// commit, with no device read.
+    warm_inserts => "bolt_block_cache_warm_inserts_total",
 }
 
 // LruCache stores Arc<V>; for the fd cache V = dyn RandomAccessFile, which
@@ -163,6 +172,7 @@ pub struct TableCache {
     stripes: PerReader<Stripe>,
     pub(crate) opts: TableReadOptions,
     counters: TableCacheCounters,
+    block_counters: BlockCacheCounters,
 }
 
 impl std::fmt::Debug for TableCache {
@@ -191,6 +201,7 @@ impl TableCache {
             stripes: PerReader::new(|| named_mutex("table.cache_stripe", Stripe::new())),
             opts,
             counters: TableCacheCounters::default(),
+            block_counters: BlockCacheCounters::default(),
         }
     }
 
@@ -347,11 +358,42 @@ impl TableCache {
     }
 
     /// Cache `table` (from [`reader_of_built`](Self::reader_of_built)) as
-    /// the open reader of `table_id`, now that the id is committed: the
-    /// first lookup of a table the engine just wrote is a hit.
-    pub fn insert_built(&self, table_id: u64, table: Arc<Table>) {
+    /// the open reader of `table_id`, and `blocks`, data blocks its builder
+    /// framed ([`TableBuilder::keeping_blocks`]), in the block cache under
+    /// the keys a read of them uses, now that the id is committed: the
+    /// first lookup of a table the engine just wrote is a hit, and so is a
+    /// read of a block it kept.
+    ///
+    /// [`TableBuilder::keeping_blocks`]: crate::TableBuilder::keeping_blocks
+    pub fn insert_built(
+        &self,
+        table_id: u64,
+        table: Arc<Table>,
+        blocks: impl IntoIterator<Item = (BlockHandle, Arc<Block>)>,
+    ) {
+        if let Some(cache) = self.block_cache() {
+            for (handle, block) in blocks {
+                let charge = block.size() as u64;
+                cache.insert(table.block_key(handle), block, charge);
+                self.block_counters
+                    .warm_inserts
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
         self.counters.warm_inserts.fetch_add(1, Ordering::Relaxed);
         self.tables.insert(table_id, table, 1);
+    }
+
+    /// The data blocks the block cache holds of the tables at `spans`, each
+    /// a physical file's number and a byte range in it, found without a
+    /// lookup: no hit or miss is counted and no entry is promoted.
+    pub fn cached_blocks(&self, spans: &[(u64, Range<u64>)]) -> Vec<Arc<Block>> {
+        let Some(cache) = self.block_cache() else {
+            return Vec::new();
+        };
+        cache.values_where(|(file, at)| {
+            (spans.iter()).any(|(of, span)| of == file && span.contains(at))
+        })
     }
 
     /// Drop a table from the cache (after compaction invalidates it), and
@@ -404,13 +446,13 @@ impl TableCache {
             .map_or_else(BlockCacheSnapshot::default, |blocks| {
                 let stats = blocks.stats();
                 let stripe_hits = self.stripe_hits().1;
-                BlockCacheSnapshot {
-                    hits: stats.hits() + stripe_hits,
+                self.block_counters.snapshot(
+                    stats.hits() + stripe_hits,
                     stripe_hits,
-                    misses: stats.misses(),
-                    evictions: stats.evictions(),
-                    usage: blocks.usage(),
-                }
+                    stats.misses(),
+                    stats.evictions(),
+                    blocks.usage(),
+                )
             })
     }
 }
@@ -665,7 +707,7 @@ mod tests {
         // Replaced: id 1 now names a reader of the other file.
         let file = env.new_random_access_file("000002.ldb").unwrap();
         let other = Table::open(file, two.offset, two.size, 2, cache.opts.clone()).unwrap();
-        cache.insert_built(1, Arc::new(other));
+        cache.insert_built(1, Arc::new(other), []);
         let key = lookup_key(b"2/k0003", 100);
         let entry = cache.get(1, || one.clone(), &key).unwrap().unwrap();
         assert!(entry.value.starts_with(b"two"));

@@ -175,8 +175,8 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
     let bc = &metrics.block_cache;
     writeln!(
         out,
-        "  block cache: {} hits | {} misses | {} evictions | {} B held | {} hits from reader stripes",
-        bc.hits, bc.misses, bc.evictions, bc.usage, bc.stripe_hits
+        "  block cache: {} hits | {} misses | {} evictions | {} B held | {} hits from reader stripes | {} from flush/compaction output",
+        bc.hits, bc.misses, bc.evictions, bc.usage, bc.stripe_hits, bc.warm_inserts
     )
     .expect("write");
     if s.range_deletes > 0 || s.checkpoints > 0 || metrics.range_tombstones_live > 0 {
@@ -984,6 +984,7 @@ fn stale() {
             text.contains("block cache: 0 hits | 0 misses | 0 evictions | 0 B held"),
             "{text}"
         );
+        assert!(text.contains("| 0 from flush/compaction output"), "{text}");
         assert!(prom.contains("bolt_block_cache_usage_bytes 0\n"), "{prom}");
     }
 
